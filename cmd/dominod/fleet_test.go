@@ -16,6 +16,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +27,7 @@ import (
 	"github.com/domino5g/domino/internal/ingest"
 	"github.com/domino5g/domino/internal/obs"
 	"github.com/domino5g/domino/internal/ran"
+	"github.com/domino5g/domino/internal/rcastore"
 	"github.com/domino5g/domino/internal/scenario"
 	"github.com/domino5g/domino/internal/sim"
 	"github.com/domino5g/domino/internal/trace"
@@ -583,5 +586,174 @@ func TestFleetMetricsMergeAcceptance(t *testing.T) {
 			t.Fatalf("family %s != Merge of per-node snapshots:\nfleet:\n%s\nmerge:\n%s",
 				wf.Name, gotBuf.String(), wantBuf.String())
 		}
+	}
+}
+
+// TestFleetReadDifferential pins the merged read surface: what the
+// balancer answers for /query and /incidents/similar over a fleet of
+// nodes must be, byte for byte, what one store holding every live
+// node's rows answers. The fleet is deliberately unwell — one backend
+// dies after the balancer has seen it up and fails every read from then
+// on, another is healthy but answers 404 to everything — and the reads
+// run from several clients at once, so the concurrent fan-out sees both
+// failure kinds on every request.
+func TestFleetReadDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	nodeNames := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	chains := []string{"a --> e", "b --> f", "c --> g --> h", "d --> h"}
+	// Few distinct starts and fired sets, so distances tie, starts tie,
+	// and calls of different lengths start together: only the shared
+	// comparator keeps the fleet's ranking equal to one store's.
+	randomRows := func(node string, n int) []rcastore.Record {
+		rows := make([]rcastore.Record, n)
+		for i := range rows {
+			start := chaosFleetNow - sim.Time(1+rng.Intn(40))*sim.Minute
+			r := rcastore.Record{
+				Session: fmt.Sprintf("%s-%03d", node, i),
+				Cell:    []string{"tdd", "fdd", "amarisoft"}[rng.Intn(3)],
+				Start:   start,
+				End:     start + sim.Time(1+rng.Intn(3))*sim.Minute, // whole minutes: sums stay exact
+			}
+			for _, name := range nodeNames {
+				if rng.Intn(3) == 0 {
+					r.Fired = append(r.Fired, name)
+				}
+			}
+			for _, ci := range rng.Perm(len(chains))[:1+rng.Intn(2)] {
+				runs := 1 + rng.Intn(4)
+				r.Chains = append(r.Chains, rcastore.ChainRuns{Chain: chains[ci], Runs: runs})
+				r.Causes = append(r.Causes, rcastore.CauseRuns{Cause: chains[ci][:1], Runs: runs})
+			}
+			rows[i] = r
+		}
+		return rows
+	}
+	global := rcastore.New(rcastore.Options{})
+	storeNode := func(name string, live bool) *httptest.Server {
+		st := rcastore.New(rcastore.Options{BlockRows: 32})
+		for _, r := range randomRows(name, 150) {
+			st.Insert(r)
+			if live {
+				global.Insert(r)
+			}
+		}
+		srv := newServer(testAnalyzer(t), serverOptions{
+			MaxStreams: 2, NodeID: name, Store: st,
+			Now: func() sim.Time { return chaosFleetNow },
+		})
+		ts := httptest.NewServer(srv.routes())
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	stubMux := http.NewServeMux() // healthy, and 404 for everything else
+	stubMux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "node": "stub"})
+	})
+	stub := httptest.NewServer(stubMux)
+	t.Cleanup(stub.Close)
+	n0, dead, n1, n2 := storeNode("n0", true), storeNode("dead", false), storeNode("n1", true), storeNode("n2", true)
+
+	lb, err := balancer.New(balancer.Options{
+		Backends:       []string{n0.URL, dead.URL, n1.URL, stub.URL, n2.URL},
+		HealthInterval: time.Hour,
+		FailThreshold:  1 << 30, // the dead node stays on the read path, failing
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	lbTS := httptest.NewServer(lb.Routes())
+	defer lbTS.Close()
+	dead.CloseClientConnections()
+	dead.Close()
+
+	type read struct {
+		path string
+		want map[string]any
+	}
+	var reads []read
+	from := chaosFleetNow - 30*sim.Minute
+	for _, cell := range []string{"", "fdd", "never_seen"} {
+		q := rcastore.Query{From: from, Cell: cell}
+		v := url.Values{"from": {strconv.FormatInt(int64(from), 10)}}
+		if cell != "" {
+			v.Set("cell", cell)
+		}
+		for _, limit := range []int{0, 1, 7, 1000} {
+			lq, lv := q, url.Values{"limit": {strconv.Itoa(limit)}, "cause": {"a"}}
+			lq.Limit, lq.Cause = limit, "a"
+			records := global.Query(lq)
+			if records == nil {
+				records = []rcastore.Record{}
+			}
+			reads = append(reads, read{"/query?" + v.Encode() + "&" + lv.Encode(), map[string]any{"records": records}})
+		}
+		reads = append(reads,
+			read{"/query?agg=cause_rates&bucket=10m&" + v.Encode(),
+				map[string]any{"cause_rates": global.CauseRates(q, 10*sim.Minute)}},
+			// k=0 asks every node for its whole ranking, the one top_chains
+			// answer a fleet can merge exactly.
+			read{"/query?agg=top_chains&k=0&" + v.Encode(),
+				map[string]any{"top_chains": global.TopChains(q, 0)}})
+		for _, k := range []int{1, 5, 40} {
+			sv := url.Values{"k": {strconv.Itoa(k)}}
+			if cell != "" {
+				sv.Set("cell", cell)
+			}
+			for _, fired := range [][]string{{"a", "b", "c"}, {"h"}, {"a", "never_seen"}} {
+				fv := url.Values{"fired": {strings.Join(fired, ",")}}
+				reads = append(reads, read{"/incidents/similar?" + sv.Encode() + "&" + fv.Encode(),
+					map[string]any{"fired": fired, "matches": global.Similar(fired, rcastore.Query{Cell: cell}, k)}})
+			}
+			// Probes owned by the first, a middle and the last backend.
+			for _, probe := range []string{"n0-007", "n1-101", "n2-149"} {
+				rec, ok := global.Fired(probe)
+				if !ok {
+					t.Fatalf("probe %s is not in the reference store", probe)
+				}
+				matches := []rcastore.Match{}
+				for _, m := range global.Similar(rec.Fired, rcastore.Query{Cell: cell}, k+1) {
+					if m.Session != probe && len(matches) < k {
+						matches = append(matches, m)
+					}
+				}
+				reads = append(reads, read{"/incidents/similar?" + sv.Encode() + "&session=" + probe,
+					map[string]any{"fired": rec.Fired, "matches": matches}})
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(reads); i += 4 {
+				resp, err := http.Get(lbTS.URL + reads[i].path)
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				want := httptest.NewRecorder()
+				writeJSON(want, http.StatusOK, reads[i].want)
+				if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want.Body.Bytes()) {
+					t.Errorf("GET %s: status %d, err %v\nfleet:\n%s\none store:\n%s",
+						reads[i].path, resp.StatusCode, err, got, want.Body.Bytes())
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	// A session no live node holds is a 404, not an empty answer.
+	resp, err := http.Get(lbTS.URL + "/incidents/similar?session=dead-003")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainClose(resp)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("similar for a session only the dead node held: status %d, want 404", resp.StatusCode)
 	}
 }

@@ -401,7 +401,8 @@ type serverOptions struct {
 // registry is sharded by session-ID hash so fleet-scale concurrent
 // ingest never serializes on one registry lock, and per-session
 // analyzer state (window evaluator series, incremental scratch) is
-// recycled through a sync.Pool once a session finishes.
+// recycled through the bounded analyzerPool free-list once a session
+// finishes.
 type server struct {
 	analyzer *core.Analyzer
 	limiter  *parallel.Limiter

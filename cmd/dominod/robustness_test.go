@@ -280,8 +280,14 @@ func TestResumableBinaryInterruptAndResend(t *testing.T) {
 	pw.CloseWithError(fmt.Errorf("connection torn"))
 	<-errc
 
+	// The client saw the reset, but the interrupted handler may still be
+	// consuming buffered bytes and advancing the watermark: sample it only
+	// once that handler has released the session.
 	var wm ingest.Watermark
 	waitFor(t, "session suspended with progress", func() bool {
+		if sess := srv.lookup("bres"); sess == nil || sess.ingesting.Load() {
+			return false
+		}
 		resp, err := http.Get(ts.URL + "/sessions/bres/watermark")
 		if err != nil || resp.StatusCode != http.StatusOK {
 			return false

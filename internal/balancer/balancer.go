@@ -75,6 +75,9 @@ type Balancer struct {
 	mu       sync.Mutex
 	sessions map[string]*lbSession
 	order    []string // session admission order, for /lb/sessions
+	// active counts table entries whose done is still false, kept where
+	// done flips so the gauge need not walk and lock the table.
+	active atomic.Int64
 
 	nextID atomic.Uint64
 	stop   chan struct{}
@@ -189,6 +192,7 @@ func (b *Balancer) session(id string) *lbSession {
 		b.sessions[id] = s
 		b.order = append(b.order, id)
 		b.m.sessionsTotal.Inc()
+		b.active.Add(1)
 	}
 	return s
 }

@@ -555,3 +555,71 @@ func mustGet(t *testing.T, url string) *http.Response {
 	}
 	return resp
 }
+
+// TestSessionsActiveGaugeMatchesTableWalk pins the counted gauge to
+// what it replaced: a walk of the session table counting entries that
+// are not done — through admissions, completions from several clients
+// at once, and a completion that is replayed.
+func TestSessionsActiveGaugeMatchesTableWalk(t *testing.T) {
+	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+	lb, ts := newTestBalancer(t, Options{}, a, b)
+	check := func(when string, want int) {
+		t.Helper()
+		lb.mu.Lock()
+		walk := 0
+		for _, s := range lb.sessions {
+			s.mu.Lock()
+			if !s.done {
+				walk++
+			}
+			s.mu.Unlock()
+		}
+		lb.mu.Unlock()
+		text := readBody(t, mustGet(t, ts.URL+"/metrics"))
+		if line := fmt.Sprintf("dominolb_sessions_active %d\n", walk); walk != want || !strings.Contains(text, line) {
+			t.Fatalf("%s: table walk counts %d active (want %d), exposition lacks %q", when, walk, want, line)
+		}
+	}
+	check("empty table", 0)
+
+	// post is postChunk for goroutines other than the test's: it reports
+	// with t.Error.
+	post := func(id string, seq int, eos bool, body string) {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/ingest?session="+id, strings.NewReader(body))
+		req.Header.Set("Content-Type", ingest.ContentTypeJSONL)
+		req.Header.Set(ingest.HeaderSeq, strconv.Itoa(seq))
+		if eos {
+			req.Header.Set(ingest.HeaderEos, "1")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+	}
+	const n = 12
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			id := fmt.Sprintf("g-%d", i)
+			post(id, 0, false, "hdr\nr1\n")
+			if i%3 != 0 { // every third session is left open
+				post(id, 2, true, "r2\n")
+			}
+		}(i)
+	}
+	wg.Wait()
+	check("after concurrent uploads", n/3)
+
+	// A client that lost its 200 resends the final chunk: done stays
+	// done and is not counted down twice.
+	resp := postChunk(t, ts.URL, "g-1", ingest.ContentTypeJSONL, 2, true, "r2\n")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("completion replay got %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+	check("after a replayed completion", n/3)
+}

@@ -43,23 +43,7 @@ func newMetrics(b *Balancer) *metrics {
 	reg.GaugeFunc("dominolb_backends", "Backends configured.",
 		func() float64 { return float64(len(b.backends)) })
 	reg.GaugeFunc("dominolb_sessions_active", "Sessions the balancer is routing that have not completed.",
-		func() float64 {
-			b.mu.Lock()
-			table := make([]*lbSession, 0, len(b.sessions))
-			for _, s := range b.sessions {
-				table = append(table, s)
-			}
-			b.mu.Unlock()
-			active := 0
-			for _, s := range table {
-				s.mu.Lock()
-				if !s.done {
-					active++
-				}
-				s.mu.Unlock()
-			}
-			return float64(active)
-		})
+		func() float64 { return float64(b.active.Load()) })
 	for _, be := range b.backends {
 		be := be
 		reg.GaugeFunc("dominolb_backend_up", "1 while the backend is healthy and routable.",

@@ -8,9 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/domino5g/domino/internal/ingest"
 	"github.com/domino5g/domino/internal/rcastore"
@@ -169,8 +171,11 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, sess *lbSessi
 	switch resp.StatusCode {
 	case http.StatusOK:
 		// Final report: the session is complete, the buffer has done
-		// its job.
-		sess.done = true
+		// its job. A client that lost the 200 resends and gets it again.
+		if !sess.done {
+			sess.done = true
+			b.active.Add(-1)
+		}
 		sess.buf = nil
 		sess.overflow = false
 	case http.StatusAccepted:
@@ -319,38 +324,48 @@ func (b *Balancer) get(ctx context.Context, be *backend, pathAndQuery string) (*
 	return b.client.Do(req)
 }
 
-// fanGet issues one GET per reachable backend and returns the decoded
-// 200-bodies. Individual failures are logged and skipped — a degraded
-// fleet still answers with what it has.
-func fanGet[T any](b *Balancer, ctx context.Context, pathAndQuery string) []T {
-	var out []T
-	for _, be := range b.reachable() {
-		resp, err := b.get(ctx, be, pathAndQuery)
-		if err != nil {
-			b.backendFailed(be, err)
-			continue
-		}
-		var v T
-		ok := resp.StatusCode == http.StatusOK
-		if ok {
-			if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-				b.log.Warn("fan-out decode failed", "backend", be.url, "path", pathAndQuery, "err", err)
-				ok = false
+// fanGet issues one GET to each of the given backends, all at once, and
+// returns the decoded 200-bodies with the backend each came from, both
+// in the order the backends were given — so a merge does not depend on
+// which node answered first. Individual failures are logged and
+// skipped: a degraded fleet still answers with what it has.
+func fanGet[T any](b *Balancer, ctx context.Context, backends []*backend, pathAndQuery string) (answers []T, from []*backend) {
+	got := make([]*T, len(backends))
+	var wg sync.WaitGroup
+	for i, be := range backends {
+		wg.Add(1)
+		go func(i int, be *backend) {
+			defer wg.Done()
+			resp, err := b.get(ctx, be, pathAndQuery)
+			if err != nil {
+				b.backendFailed(be, err)
+				return
 			}
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		if ok {
-			out = append(out, v)
+			defer resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				v := new(T)
+				if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+					b.log.Warn("fan-out decode failed", "backend", be.url, "path", pathAndQuery, "err", err)
+				} else {
+					got[i] = v
+				}
+			}
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+		}(i, be)
+	}
+	wg.Wait()
+	for i, v := range got {
+		if v != nil {
+			answers, from = append(answers, *v), append(from, backends[i])
 		}
 	}
-	return out
+	return answers, from
 }
 
 // handleSessions fans /sessions across the fleet and merges the
 // per-node session summaries, ordered by session id.
 func (b *Balancer) handleSessions(w http.ResponseWriter, r *http.Request) {
-	parts := fanGet[[]json.RawMessage](b, r.Context(), "/sessions")
+	parts, _ := fanGet[[]json.RawMessage](b, r.Context(), b.reachable(), "/sessions")
 	type keyed struct {
 		id  string
 		raw json.RawMessage
@@ -392,15 +407,11 @@ func (b *Balancer) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Records []rcastore.Record `json:"records"`
 		}
 		var records []rcastore.Record
-		for _, part := range fanGet[recordsResp](b, r.Context(), pathAndQuery) {
+		parts, _ := fanGet[recordsResp](b, r.Context(), b.reachable(), pathAndQuery)
+		for _, part := range parts {
 			records = append(records, part.Records...)
 		}
-		sort.SliceStable(records, func(i, j int) bool {
-			if records[i].Start != records[j].Start {
-				return records[i].Start < records[j].Start
-			}
-			return records[i].Session < records[j].Session
-		})
+		sort.SliceStable(records, func(i, j int) bool { return rcastore.RecordLess(&records[i], &records[j]) })
 		if limit > 0 && len(records) > limit {
 			records = records[:limit]
 		}
@@ -417,7 +428,8 @@ func (b *Balancer) handleQuery(w http.ResponseWriter, r *http.Request) {
 			TopChains []rcastore.ChainAgg `json:"top_chains"`
 		}
 		byChain := map[string]*rcastore.ChainAgg{}
-		for _, part := range fanGet[chainsResp](b, r.Context(), pathAndQuery) {
+		parts, _ := fanGet[chainsResp](b, r.Context(), b.reachable(), pathAndQuery)
+		for _, part := range parts {
 			for _, c := range part.TopChains {
 				a := byChain[c.Chain]
 				if a == nil {
@@ -477,7 +489,8 @@ func (b *Balancer) mergeCauseRates(ctx context.Context, pathAndQuery string) []r
 	runs := map[cellKey]int{}
 	sessions := map[groupKey]int{}
 	minutes := map[groupKey]float64{}
-	for _, part := range fanGet[ratesResp](b, ctx, pathAndQuery) {
+	parts, _ := fanGet[ratesResp](b, ctx, b.reachable(), pathAndQuery)
+	for _, part := range parts {
 		grouped := map[groupKey]bool{}
 		for _, cb := range part.CauseRates {
 			g := groupKey{cell: cb.Cell, bucket: int64(cb.Bucket)}
@@ -513,9 +526,10 @@ func (b *Balancer) mergeCauseRates(ctx context.Context, pathAndQuery string) []r
 }
 
 // handleSimilar fans nearest-incident lookups. A fired= probe fans
-// directly; a session= probe first resolves the probe signature from
-// whichever node holds the session, then queries the rest of the
-// fleet with the explicit signature and merges.
+// directly. A session= probe goes to every node as it came: the node
+// that stored the session resolves its signature and answers with its
+// own matches, the others answer 404 from their session index; those
+// are then asked with the explicit signature, so each node scans once.
 func (b *Balancer) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	type similarResp struct {
 		Fired   []string         `json:"fired"`
@@ -529,42 +543,28 @@ func (b *Balancer) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	probeSession := q.Get("session")
+	ask := b.reachable()
 	var fired []string
 	var matches []rcastore.Match
 	if probeSession != "" {
-		// Resolve the probe signature from the node that stored the
-		// session; its own matches come along for free.
-		found := false
-		path := "/incidents/similar"
-		if r.URL.RawQuery != "" {
-			path += "?" + r.URL.RawQuery
-		}
-		for _, be := range b.reachable() {
-			resp, err := b.get(r.Context(), be, path)
-			if err != nil {
-				b.backendFailed(be, err)
-				continue
-			}
-			var sr similarResp
-			if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&sr) == nil {
-				fired, matches, found = sr.Fired, sr.Matches, true
-			}
-			resp.Body.Close()
-			if found {
-				break
-			}
-		}
-		if !found {
+		owners, from := fanGet[similarResp](b, r.Context(), ask, "/incidents/similar?"+r.URL.RawQuery)
+		if len(owners) == 0 {
 			httpError(w, http.StatusNotFound, fmt.Sprintf("session %q has no stored report on any node", probeSession))
 			return
 		}
-		// Rewrite the query for the rest of the fleet: explicit
-		// signature, no session (they do not hold it).
+		// The first node holding the session speaks for it. Any other
+		// holder is asked again below like the rest of the fleet, with
+		// the first one's signature.
+		fired, matches = owners[0].Fired, owners[0].Matches
+		ask = slices.DeleteFunc(ask, func(be *backend) bool { return be == from[0] })
+		// Rewrite the query for them: explicit signature, no session
+		// (they do not hold it).
 		q.Del("session")
 		q.Set("fired", strings.Join(fired, ","))
 	}
 	fanQuery := "/incidents/similar?" + q.Encode()
-	for _, part := range fanGet[similarResp](b, r.Context(), fanQuery) {
+	parts, _ := fanGet[similarResp](b, r.Context(), ask, fanQuery)
+	for _, part := range parts {
 		if fired == nil {
 			fired = part.Fired
 		}
@@ -580,9 +580,9 @@ func (b *Balancer) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, errNoBackends.Error())
 		return
 	}
-	// Dedup (the probe-owning node answered twice when session= was
-	// given), drop the probe itself, re-rank: distance, then recency,
-	// then session.
+	// Dedup (nothing stops a session from being stored on two nodes),
+	// drop the probe itself, and re-rank in the order each node ranked
+	// its own.
 	seen := map[string]bool{}
 	out := matches[:0]
 	for _, m := range matches {
@@ -592,15 +592,7 @@ func (b *Balancer) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		seen[m.Session] = true
 		out = append(out, m)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance < out[j].Distance
-		}
-		if out[i].End != out[j].End {
-			return out[i].End > out[j].End
-		}
-		return out[i].Session < out[j].Session
-	})
+	sort.SliceStable(out, func(i, j int) bool { return rcastore.MatchLess(&out[i], &out[j]) })
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}

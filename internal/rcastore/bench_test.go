@@ -81,31 +81,43 @@ func BenchmarkRCAStoreInsert(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(recs))/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkRCAStoreQuery measures the read side over a 8192-record
-// fleet: each op is one ranged record query plus the three
-// aggregations (top chains, cause rates, nearest-incident).
+// BenchmarkRCAStoreQuery measures each read on its own over 25 000
+// rows — the history fleetbench's query-mix preloads per node — so a
+// change to one read's cost shows as that read's ns/op and allocs/op.
 func BenchmarkRCAStoreQuery(b *testing.B) {
-	recs := synthRecords(8192)
+	recs := synthRecords(25000)
 	s := New(Options{BlockRows: 256})
 	for _, r := range recs {
 		s.Insert(r)
 	}
-	stats := s.Stats()
-	window := Query{From: stats.MaxStart - 30*sim.Minute, Cell: "tdd"}
 	probe := []string{"harq_retx", "forward_delay_up", "jitter_buffer_drain", "cross_traffic"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	rows := 0
-	for i := 0; i < b.N; i++ {
-		rows += len(s.Query(window))
-		rows += len(s.TopChains(Query{From: stats.MaxStart - 60*sim.Minute}, 5))
-		rows += len(s.CauseRates(Query{Cell: "fdd"}, 10*sim.Minute))
-		rows += len(s.Similar(probe, Query{}, 5))
+	for _, read := range []struct {
+		name string
+		rows func() int
+	}{
+		{"records_limit50", func() int { return len(s.Query(Query{Cause: "harq_retx", Limit: 50})) }},
+		{"top_chains", func() int { return len(s.TopChains(Query{}, 5)) }},
+		{"cause_rates", func() int { return len(s.CauseRates(Query{Cell: "fdd"}, 60*sim.Minute)) }},
+		{"similar_k5", func() int { return len(s.Similar(probe, Query{}, 5)) }},
+		{"fired", func() int {
+			// The oldest session: the far end of a backwards walk.
+			if _, ok := s.Fired(recs[0].Session); ok {
+				return 1
+			}
+			return 0
+		}},
+	} {
+		b.Run(read.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				rows += read.rows()
+			}
+			if rows == 0 {
+				b.Fatal("benchmark read matched nothing")
+			}
+		})
 	}
-	if rows == 0 {
-		b.Fatal("benchmark queries matched nothing")
-	}
-	b.ReportMetric(float64(b.N*4)/b.Elapsed().Seconds(), "queries/s")
 }
 
 // BenchmarkRCAStoreJournalAppend measures the write-ahead journal's

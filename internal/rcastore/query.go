@@ -166,24 +166,120 @@ func (s *Store) queriedLocked() {
 	}
 }
 
+// RecordLess is the (Start, Session) order Query returns records in. It
+// is exported so a fleet tier merging per-node answers ranks them
+// exactly as one store would.
+func RecordLess(a, b *Record) bool {
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	return a.Session < b.Session
+}
+
+// MatchLess is the order Similar ranks matches in: distance, then the
+// more recent Start, then Session. Exported for the same reason as
+// RecordLess.
+func MatchLess(a, b *Match) bool {
+	if a.Distance != b.Distance {
+		return a.Distance < b.Distance
+	}
+	if a.Start != b.Start {
+		return a.Start > b.Start
+	}
+	return a.Session < b.Session
+}
+
+// cand is one scanned row competing for a place in a result. Until the
+// row wins, m carries only its ranking key (Session, Start, Distance);
+// winners are materialised from where the row sits.
+type cand struct {
+	m Match
+	rowAt
+	seq int // scan position: the final tie-break
+}
+
+// kBest selects the k first rows of a scan under less, ties going to
+// the row scanned first — what a stable sort of every scanned row
+// followed by a cut at k yields — in O(rows · log k) comparisons and k
+// cands of memory. k <= 0 keeps every row.
+type kBest struct {
+	k    int
+	less func(a, b *Match) bool
+	next cand   // the row on offer, built in place to spare a copy
+	kept []cand // bounded: a heap whose root is the worst row kept
+}
+
+func (s *kBest) before(a, b *cand) bool {
+	if s.less(&a.m, &b.m) {
+		return true
+	}
+	if s.less(&b.m, &a.m) {
+		return false
+	}
+	return a.seq < b.seq
+}
+
+// offer considers row i of block b at distance d.
+func (s *kBest) offer(b *block, i, d int) {
+	c := &s.next
+	c.m.Session, c.m.Start, c.m.Distance = b.sessions[i], b.starts[i], d
+	c.rowAt = rowAt{b, i}
+	c.seq++
+	if s.k <= 0 {
+		s.kept = append(s.kept, *c)
+		return
+	}
+	if len(s.kept) < s.k {
+		s.kept = append(s.kept, *c)
+		// Sift the new leaf up past every better row.
+		for j := len(s.kept) - 1; j > 0; {
+			up := (j - 1) / 2
+			if !s.before(&s.kept[up], &s.kept[j]) {
+				break
+			}
+			s.kept[up], s.kept[j] = s.kept[j], s.kept[up]
+			j = up
+		}
+		return
+	}
+	if !s.before(c, &s.kept[0]) {
+		return
+	}
+	// Replace the worst kept row and sift down towards the leaves.
+	s.kept[0] = *c
+	for j := 0; ; {
+		worst := j
+		for _, kid := range [2]int{2*j + 1, 2*j + 2} {
+			if kid < len(s.kept) && s.before(&s.kept[worst], &s.kept[kid]) {
+				worst = kid
+			}
+		}
+		if worst == j {
+			return
+		}
+		s.kept[j], s.kept[worst] = s.kept[worst], s.kept[j]
+		j = worst
+	}
+}
+
+// ranked returns the kept rows best first. before is a total order
+// (seq is unique), so the sort need not be stable.
+func (s *kBest) ranked() []cand {
+	sort.Slice(s.kept, func(i, j int) bool { return s.before(&s.kept[i], &s.kept[j]) })
+	return s.kept
+}
+
 // Query returns matching records sorted by (Start, Session), truncated
 // to q.Limit when nonzero.
 func (s *Store) Query(q Query) []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.queriedLocked()
+	sel := kBest{k: q.Limit, less: func(a, b *Match) bool { return RecordLess(&a.Record, &b.Record) }}
+	s.scanLocked(s.compileLocked(q), func(b *block, i int) { sel.offer(b, i, 0) })
 	var out []Record
-	s.scanLocked(s.compileLocked(q), func(b *block, i int) {
-		out = append(out, s.materializeLocked(b, i))
-	})
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Session < out[j].Session
-	})
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
+	for _, c := range sel.ranked() {
+		out = append(out, s.materializeLocked(c.b, c.i))
 	}
 	return out
 }
@@ -205,17 +301,21 @@ func (s *Store) TopChains(q Query, k int) []ChainAgg {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.queriedLocked()
-	runs := map[uint32]int{}
-	sessions := map[uint32]int{}
+	// Indexed by chain dictionary ID; a chain is in the answer when some
+	// matching record lists it, whatever its run count.
+	runs := make([]int, len(s.chains.names))
+	sessions := make([]int, len(s.chains.names))
 	s.scanLocked(s.compileLocked(q), func(b *block, i int) {
 		for j := b.chainOff[i]; j < b.chainOff[i+1]; j++ {
 			runs[b.chainIDs[j]] += int(b.chainRuns[j])
 			sessions[b.chainIDs[j]]++
 		}
 	})
-	out := make([]ChainAgg, 0, len(runs))
-	for id, n := range runs {
-		out = append(out, ChainAgg{Chain: s.chains.name(id), Runs: n, Sessions: sessions[id]})
+	out := []ChainAgg{}
+	for id, n := range sessions {
+		if n > 0 {
+			out = append(out, ChainAgg{Chain: s.chains.names[id], Runs: runs[id], Sessions: n})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Runs != out[j].Runs {
@@ -262,39 +362,52 @@ func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 		cell   uint32
 		bucket sim.Time
 	}
-	type cellKey struct {
-		groupKey
-		cause uint32
+	// One (cell, bucket) group per map entry; within it, runs and listed
+	// are indexed by cause dictionary ID. A cause is in the answer when
+	// some record of the group lists it, whatever its run count.
+	type group struct {
+		sessions int
+		minutes  float64
+		runs     []int
+		listed   []bool
 	}
-	runs := map[cellKey]int{}
-	sessions := map[groupKey]int{}
-	minutes := map[groupKey]float64{}
+	groups := map[groupKey]*group{}
 	s.scanLocked(s.compileLocked(q), func(b *block, i int) {
-		bs := sim.Time(0)
+		key := groupKey{cell: b.cellIDs[i]}
 		if bucket > 0 {
-			bs = b.starts[i] / bucket * bucket
+			key.bucket = b.starts[i] / bucket * bucket
 		}
-		g := groupKey{cell: b.cellIDs[i], bucket: bs}
-		sessions[g]++
-		minutes[g] += (b.ends[i] - b.starts[i]).Seconds() / 60
+		g := groups[key]
+		if g == nil {
+			g = &group{runs: make([]int, len(s.causes.names)), listed: make([]bool, len(s.causes.names))}
+			groups[key] = g
+		}
+		g.sessions++
+		g.minutes += (b.ends[i] - b.starts[i]).Seconds() / 60
 		for k := b.causeOff[i]; k < b.causeOff[i+1]; k++ {
-			runs[cellKey{groupKey: g, cause: b.causeIDs[k]}] += int(b.causeRuns[k])
+			g.runs[b.causeIDs[k]] += int(b.causeRuns[k])
+			g.listed[b.causeIDs[k]] = true
 		}
 	})
-	out := make([]CauseBucket, 0, len(runs))
-	for k, n := range runs {
-		cb := CauseBucket{
-			Cell:     s.cells.name(k.cell),
-			Bucket:   k.bucket,
-			Cause:    s.causes.name(k.cause),
-			Runs:     n,
-			Sessions: sessions[k.groupKey],
-			Minutes:  minutes[k.groupKey],
+	out := []CauseBucket{}
+	for key, g := range groups {
+		for id, listed := range g.listed {
+			if !listed {
+				continue
+			}
+			cb := CauseBucket{
+				Cell:     s.cells.name(key.cell),
+				Bucket:   key.bucket,
+				Cause:    s.causes.names[id],
+				Runs:     g.runs[id],
+				Sessions: g.sessions,
+				Minutes:  g.minutes,
+			}
+			if g.minutes > 0 {
+				cb.RunsPerMin = float64(cb.Runs) / g.minutes
+			}
+			out = append(out, cb)
 		}
-		if m := minutes[k.groupKey]; m > 0 {
-			cb.RunsPerMin = float64(n) / m
-		}
-		out = append(out, cb)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Cell != out[j].Cell {
@@ -340,12 +453,7 @@ func (s *Store) Similar(fired []string, q Query, k int) []Match {
 		}
 		probe[id/64] |= 1 << uint(id%64)
 	}
-	type hit struct {
-		b *block
-		i int
-		d int
-	}
-	var hits []hit
+	sel := kBest{k: k, less: MatchLess}
 	s.scanLocked(s.compileLocked(q), func(b *block, i int) {
 		row := b.row(i)
 		d := unknown
@@ -363,23 +471,12 @@ func (s *Store) Similar(fired []string, q Query, k int) []Match {
 			}
 			d += bits.OnesCount64(have ^ want)
 		}
-		hits = append(hits, hit{b, i, d})
+		sel.offer(b, i, d)
 	})
-	sort.SliceStable(hits, func(i, j int) bool {
-		if hits[i].d != hits[j].d {
-			return hits[i].d < hits[j].d
-		}
-		if hits[i].b.starts[hits[i].i] != hits[j].b.starts[hits[j].i] {
-			return hits[i].b.starts[hits[i].i] > hits[j].b.starts[hits[j].i]
-		}
-		return hits[i].b.sessions[hits[i].i] < hits[j].b.sessions[hits[j].i]
-	})
-	if k > 0 && len(hits) > k {
-		hits = hits[:k]
-	}
-	out := make([]Match, 0, len(hits))
-	for _, h := range hits {
-		out = append(out, Match{Record: s.materializeLocked(h.b, h.i), Distance: h.d})
+	ranked := sel.ranked()
+	out := make([]Match, 0, len(ranked))
+	for _, c := range ranked {
+		out = append(out, Match{Record: s.materializeLocked(c.b, c.i), Distance: c.m.Distance})
 	}
 	return out
 }
@@ -390,13 +487,9 @@ func (s *Store) Fired(session string) (Record, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.queriedLocked()
-	for bi := len(s.blocks) - 1; bi >= 0; bi-- {
-		b := s.blocks[bi]
-		for i := b.n - 1; i >= 0; i-- {
-			if b.sessions[i] == session {
-				return s.materializeLocked(b, i), true
-			}
-		}
+	at, ok := s.latest[session]
+	if !ok {
+		return Record{}, false
 	}
-	return Record{}, false
+	return s.materializeLocked(at.b, at.i), true
 }

@@ -286,15 +286,28 @@ type Store struct {
 
 	blocks []*block
 
+	// latest maps a session to the row its most recent Insert wrote, so
+	// Fired is a lookup, not a scan. Evicting a block deletes the entries
+	// that still point into it; a session re-inserted since points at a
+	// newer block and stays.
+	latest map[string]rowAt
+
 	insertedRows  int
 	evictedRows   int
 	evictedBlocks int
+}
+
+// rowAt locates one stored row.
+type rowAt struct {
+	b *block
+	i int
 }
 
 // New returns an empty store.
 func New(opts Options) *Store {
 	return &Store{
 		opts:   opts.defaults(),
+		latest: map[string]rowAt{},
 		nodes:  newDict(),
 		cells:  newDict(),
 		scens:  newDict(),
@@ -382,6 +395,7 @@ func (s *Store) Insert(rec Record) {
 	}
 	setMaskBit(&b.cellMask, cellID)
 	setMaskBit(&b.scenMask, scenID)
+	s.latest[rec.Session] = rowAt{b, b.n}
 	b.n++
 	s.insertedRows++
 	if s.opts.Hooks != nil {
@@ -415,10 +429,16 @@ func (s *Store) evictLocked() {
 		return
 	}
 	for len(s.blocks) > s.opts.MaxBlocks {
+		old := s.blocks[0]
 		if s.opts.Hooks != nil {
-			s.opts.Hooks.StoreEvicted(s.blocks[0].n)
+			s.opts.Hooks.StoreEvicted(old.n)
 		}
-		s.evictedRows += s.blocks[0].n
+		for _, session := range old.sessions {
+			if s.latest[session].b == old {
+				delete(s.latest, session)
+			}
+		}
+		s.evictedRows += old.n
 		s.evictedBlocks++
 		s.blocks = s.blocks[1:]
 	}

@@ -114,9 +114,10 @@ func New(a *core.Analyzer, cfg Config) *Analyzer {
 // Reset rewinds the analyzer to its pre-header state so it can ingest
 // a new session, recycling the window evaluator's series arrays and
 // the incremental engine's scratch instead of reallocating them. This
-// is the fleet-ingest fast path: cmd/dominod keeps closed analyzers in
-// a sync.Pool and Resets them per session, so steady-state ingest
-// allocates only the report it returns.
+// is the fleet-ingest fast path: cmd/dominod keeps closed analyzers on
+// a bounded free-list (its analyzerPool, which unlike a sync.Pool
+// survives GC cycles) and Resets them per session, so steady-state
+// ingest allocates only the report it returns.
 func (s *Analyzer) Reset() {
 	s.hdr = nil
 	s.nextStart = 0
