@@ -10,7 +10,8 @@ GO ?= go
 # and trace-codec (JSONL and binary columnar) microbenchmarks
 # (internal/sim, internal/trace), the work-stealing batch executor
 # (internal/parallel), the fleet ingest benchmarks in both wire formats
-# (cmd/dominod) and the RCA-store insert, query, and write-ahead
+# (BenchmarkDominodIngest* in cmd/dominod, driving internal/node through
+# its HTTP surface) and the RCA-store insert, query, and write-ahead
 # journal append/replay benchmarks (internal/rcastore). Every benchmark processes a sizable batch per
 # iteration, and the gate runs -count=5 with benchjson keeping the best
 # of the repeats — on shared hardware interference only makes numbers
@@ -26,7 +27,7 @@ BENCH_GATE_PKGS = . ./internal/sim ./internal/trace ./internal/parallel ./cmd/do
 # by benchdiff -floor, which also fails if the benchmark vanishes.
 BENCH_FLOORS = -floor 'BenchmarkDominodIngestBinary:records/s=2565718'
 
-.PHONY: build vet fmt fmt-check test bench bench-json bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check ci
+.PHONY: build vet fmt fmt-check test bench bench-json bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check loc ci
 
 build:
 	$(GO) build ./...
@@ -42,6 +43,9 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# -race over everything: the node, the balancer and the ingest protocol
+# (internal/node, internal/balancer, internal/ingest) run their real
+# in-process fleets under the detector here.
 test:
 	$(GO) test -race ./...
 
@@ -72,9 +76,10 @@ bench-diff:
 	$(GO) run ./cmd/benchjson < BENCH_raw.txt > BENCH_fresh.json && rm -f BENCH_raw.txt
 	$(GO) run ./cmd/benchdiff -baseline BENCH_scenarios.json -current BENCH_fresh.json $(BENCH_FLOORS) -o BENCH_diff.txt
 
-# End-to-end smoke of the live ingest service: start dominod, POST 8
-# concurrent generated session streams, assert each /report/{id}
-# matches batch analysis of the same trace.
+# End-to-end smoke of the live ingest service: start a node
+# (internal/node, as cmd/dominod wires it), POST 8 concurrent generated
+# session streams, assert each /report/{id} matches batch analysis of
+# the same trace.
 dominod-smoke:
 	$(GO) test ./cmd/dominod -run 'TestDominodSmoke' -count=1 -v
 
@@ -119,4 +124,11 @@ examples-check:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
 
-ci: build vet fmt-check test bench bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check
+# The "least code" trend line: non-test and test Go lines per package
+# outside bench/, written to the committed LOC.txt so every PR's effect
+# on code size is in its diff.
+loc:
+	sh scripts/loc.sh > LOC.txt
+	@tail -1 LOC.txt
+
+ci: build vet fmt-check test bench bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check loc

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/domino5g/domino/internal/node"
 	"github.com/domino5g/domino/internal/ran"
 	"github.com/domino5g/domino/internal/sim"
 	"github.com/domino5g/domino/internal/trace"
@@ -23,8 +24,8 @@ import (
 // per wall-clock second.
 func benchIngest(b *testing.B, contentType string, body []byte, recordsPerSession int) {
 	const sessions = 16
-	srv := newServer(testAnalyzer(b), serverOptions{MaxStreams: sessions, MaxSessions: 64})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(b), node.Options{MaxStreams: sessions, MaxSessions: 64})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 	client := ts.Client()
 

@@ -20,6 +20,7 @@ import (
 
 	"github.com/domino5g/domino/internal/faultinject"
 	"github.com/domino5g/domino/internal/ingest"
+	"github.com/domino5g/domino/internal/node"
 	"github.com/domino5g/domino/internal/rcastore"
 	"github.com/domino5g/domino/internal/scenario"
 	"github.com/domino5g/domino/internal/sim"
@@ -60,11 +61,11 @@ func TestChaosDifferential(t *testing.T) {
 	}
 
 	now := func() sim.Time { return chaosFleetNow }
-	cleanSrv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 4, Now: now})
-	cleanTS := httptest.NewServer(cleanSrv.routes())
+	cleanSrv := node.New(testAnalyzer(t), node.Options{MaxStreams: 4, Now: now})
+	cleanTS := httptest.NewServer(cleanSrv.Routes())
 	defer cleanTS.Close()
-	chaosSrv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 4, Now: now})
-	chaosTS := httptest.NewServer(chaosSrv.routes())
+	chaosSrv := node.New(testAnalyzer(t), node.Options{MaxStreams: 4, Now: now})
+	chaosTS := httptest.NewServer(chaosSrv.Routes())
 	defer chaosTS.Close()
 
 	const dur = 12 * sim.Second
@@ -148,7 +149,7 @@ func TestChaosDifferential(t *testing.T) {
 	}
 	// The chaos server really did resume sessions rather than restart
 	// them from scratch every time.
-	if chaosSrv.m.ingestInterrupted.Value() == 0 {
+	if metricValue(t, chaosTS.URL, "dominod_ingest_interrupted_total") == 0 {
 		t.Fatal("no upload was ever interrupted mid-stream — the fault injector is not biting")
 	}
 }
@@ -169,11 +170,11 @@ func TestChaosCrashRecovery(t *testing.T) {
 	if stats.Replayed != 0 || stats.CheckpointRows != 0 {
 		t.Fatalf("fresh recovery not empty: %+v", stats)
 	}
-	srv := newServer(testAnalyzer(t), serverOptions{
+	srv := node.New(testAnalyzer(t), node.Options{
 		MaxStreams: 4, Store: st, Journal: j,
 		Now: func() sim.Time { return chaosFleetNow },
 	})
-	ts := httptest.NewServer(srv.routes())
+	ts := httptest.NewServer(srv.Routes())
 
 	for i, name := range []string{"harq-storm", "rlc-cascade", "jb-freeze-surge"} {
 		sc, err := scenario.ByName(name)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/domino5g/domino/internal/node"
 	"github.com/domino5g/domino/internal/ran"
 	"github.com/domino5g/domino/internal/sim"
 	"github.com/domino5g/domino/internal/trace"
@@ -49,8 +50,8 @@ func postIngest(t testing.TB, url, session, contentType string, body []byte) *ht
 // decode — and for every preset the binary-ingested report must be
 // identical to its JSONL-ingested twin.
 func TestIngestFormatNegotiation(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 4})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 4})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	for i, cell := range []ran.CellConfig{ran.Amarisoft(), ran.TMobileFDD()} {
@@ -75,14 +76,14 @@ func TestIngestFormatNegotiation(t *testing.T) {
 		}
 
 		// Every decode path must produce the exact same report.
-		var want reportPayload
+		var want node.ReportPayload
 		getJSON(t, ts.URL+"/report/"+cases[0].id, &want)
 		if want.State != "done" {
 			t.Fatalf("%s: state %q (error %q)", cases[0].id, want.State, want.Error)
 		}
 		want.Session = ""
 		for _, c := range cases[1:] {
-			var got reportPayload
+			var got node.ReportPayload
 			getJSON(t, ts.URL+"/report/"+c.id, &got)
 			got.Session = ""
 			if !reflect.DeepEqual(got, want) {
@@ -96,8 +97,8 @@ func TestIngestFormatNegotiation(t *testing.T) {
 // type is rejected before a session is registered, the error lists the
 // supported types, and the rejected session ID stays free.
 func TestIngestUnsupportedContentType(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	_, body := sessionTrace(t, ran.Mosolabs(), 9, 6*sim.Second)
@@ -147,8 +148,8 @@ func TestIngestUnsupportedContentType(t *testing.T) {
 // both format series are registered before any ingest, and each ingest
 // bumps only its own format's records counter and decode histogram.
 func TestIngestPerFormatMetrics(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	scrape := func() string {
@@ -195,7 +196,7 @@ func TestIngestPerFormatMetrics(t *testing.T) {
 		}
 	}
 	// Each format observed at least one decode chunk.
-	for _, f := range ingestFormats {
+	for _, f := range []string{"jsonl", "binary"} {
 		zero := fmt.Sprintf(`dominod_ingest_decode_seconds_count{format=%q} 0`, f)
 		if strings.Contains(after, zero) {
 			t.Fatalf("decode histogram for %s never observed:\n%s", f, after)
@@ -207,8 +208,8 @@ func TestIngestPerFormatMetrics(t *testing.T) {
 // the stream errors (no silent truncation), the session fails, and the
 // partial analysis up to the cut survives.
 func TestIngestBinaryTruncated(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	set, _ := sessionTrace(t, ran.Amarisoft(), 5, 10*sim.Second)
@@ -216,12 +217,12 @@ func TestIngestBinaryTruncated(t *testing.T) {
 	if resp := postIngest(t, ts.URL, "cut", "application/x-domino-trace", body[:len(body)*3/4]); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated binary ingest: %d, want 400", resp.StatusCode)
 	}
-	var rep reportPayload
+	var rep node.ReportPayload
 	getJSON(t, ts.URL+"/report/cut", &rep)
 	if rep.State != "failed" || rep.Error == "" {
 		t.Fatalf("state %q error %q, want failed with its decode error", rep.State, rep.Error)
 	}
 	if rep.Records == 0 {
-		t.Fatalf("no partial progress before the cut: %+v", rep.sessionInfo)
+		t.Fatalf("no partial progress before the cut: %+v", rep.SessionInfo)
 	}
 }

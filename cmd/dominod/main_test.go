@@ -17,10 +17,12 @@ import (
 
 	"github.com/domino5g/domino"
 	"github.com/domino5g/domino/internal/core"
+	"github.com/domino5g/domino/internal/node"
 	"github.com/domino5g/domino/internal/ran"
 	"github.com/domino5g/domino/internal/rcastore"
 	"github.com/domino5g/domino/internal/rtc"
 	"github.com/domino5g/domino/internal/sim"
+	"github.com/domino5g/domino/internal/stream"
 	"github.com/domino5g/domino/internal/trace"
 )
 
@@ -53,8 +55,8 @@ func sessionTrace(t testing.TB, cell ran.CellConfig, seed uint64, d sim.Time) (*
 // analyzer's results for the same trace.
 func TestDominodSmoke(t *testing.T) {
 	analyzer := testAnalyzer(t)
-	srv := newServer(analyzer, serverOptions{MaxStreams: 8})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(analyzer, node.Options{MaxStreams: 8})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	const n = 8
@@ -101,7 +103,7 @@ func TestDominodSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep reportPayload
+		var rep node.ReportPayload
 		getJSON(t, ts.URL+"/report/"+c.id, &rep)
 		if rep.State != "done" {
 			t.Fatalf("%s: state %q (error %q)", c.id, rep.State, rep.Error)
@@ -131,7 +133,7 @@ func TestDominodSmoke(t *testing.T) {
 		}
 	}
 
-	var infos []sessionInfo
+	var infos []node.SessionInfo
 	getJSON(t, ts.URL+"/sessions", &infos)
 	if len(infos) != n {
 		t.Fatalf("/sessions lists %d sessions, want %d", len(infos), n)
@@ -179,8 +181,8 @@ func getJSON(t testing.TB, url string, v any) {
 // TestIngestRejections covers the protocol edges: duplicate session
 // IDs, malformed bodies, and missing sessions.
 func TestIngestRejections(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	_, body := sessionTrace(t, ran.Mosolabs(), 3, 6*sim.Second)
@@ -237,7 +239,7 @@ func TestIngestRejections(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retry after failure: %d, want 200", resp.StatusCode)
 	}
-	var rep reportPayload
+	var rep node.ReportPayload
 	getJSON(t, ts.URL+"/report/retry", &rep)
 	if rep.State != "done" {
 		t.Fatalf("retried session state %q", rep.State)
@@ -249,8 +251,8 @@ func TestIngestRejections(t *testing.T) {
 // /report/{id} must still serve the analysis computed up to the
 // failure point.
 func TestFailedSessionKeepsPartialReport(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	_, body := sessionTrace(t, ran.Amarisoft(), 3, 10*sim.Second)
@@ -266,20 +268,20 @@ func TestFailedSessionKeepsPartialReport(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("broken upload: %d, want 400", resp.StatusCode)
 	}
-	var rep reportPayload
+	var rep node.ReportPayload
 	getJSON(t, ts.URL+"/report/broken", &rep)
 	if rep.State != "failed" || rep.Error == "" {
 		t.Fatalf("state %q error %q, want a failed session with its error", rep.State, rep.Error)
 	}
 	if rep.Records == 0 || rep.Windows == 0 {
-		t.Fatalf("no partial progress recorded: %+v", rep.sessionInfo)
+		t.Fatalf("no partial progress recorded: %+v", rep.SessionInfo)
 	}
 	// The report body (not just the summary counters) must survive the
 	// analyzer's return to the pool: this prefix detects consequence
 	// events, so the degradation rate computed from the snapshot is
 	// nonzero.
 	if rep.DegradationPerMin == 0 {
-		t.Fatalf("partial report body lost: %+v", rep.sessionInfo)
+		t.Fatalf("partial report body lost: %+v", rep.SessionInfo)
 	}
 	events := 0
 	for _, st := range rep.Consequences {
@@ -296,8 +298,8 @@ func TestFailedSessionKeepsPartialReport(t *testing.T) {
 // TestSessionEviction bounds retention: with MaxSessions 3, finishing
 // a fourth session evicts the oldest finished one.
 func TestSessionEviction(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2, MaxSessions: 3})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2, MaxSessions: 3})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	_, body := sessionTrace(t, ran.Mosolabs(), 6, 6*sim.Second)
@@ -311,7 +313,7 @@ func TestSessionEviction(t *testing.T) {
 			t.Fatalf("ingest e%d: %d", i, resp.StatusCode)
 		}
 	}
-	var infos []sessionInfo
+	var infos []node.SessionInfo
 	getJSON(t, ts.URL+"/sessions", &infos)
 	if len(infos) > 3 {
 		t.Fatalf("retained %d sessions, cap is 3", len(infos))
@@ -338,8 +340,8 @@ func TestSessionEviction(t *testing.T) {
 // TestLiveSnapshotDuringIngest streams a session in two halves through
 // a pipe and asserts /report/{id} serves a live snapshot mid-upload.
 func TestLiveSnapshotDuringIngest(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	set, body := sessionTrace(t, ran.Amarisoft(), 12, 10*sim.Second)
@@ -365,7 +367,7 @@ func TestLiveSnapshotDuringIngest(t *testing.T) {
 	<-sent
 	// The server consumes the pipe asynchronously; poll until the live
 	// snapshot reflects progress.
-	var rep reportPayload
+	var rep node.ReportPayload
 	for i := 0; i < 400; i++ {
 		getJSON(t, ts.URL+"/report/live", &rep)
 		if rep.State == "active" && rep.Records > 0 {
@@ -374,7 +376,7 @@ func TestLiveSnapshotDuringIngest(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if rep.State != "active" || rep.Records == 0 {
-		t.Fatalf("no live snapshot mid-upload: %+v", rep.sessionInfo)
+		t.Fatalf("no live snapshot mid-upload: %+v", rep.SessionInfo)
 	}
 	if rep.Cell != set.CellName {
 		t.Fatalf("live snapshot cell %q", rep.Cell)
@@ -396,8 +398,8 @@ func TestLiveSnapshotDuringIngest(t *testing.T) {
 func TestRunStdin(t *testing.T) {
 	_, body := sessionTrace(t, ran.Mosolabs(), 4, 8*sim.Second)
 	var out, errOut bytes.Buffer
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 1})
-	if code := srv.runStdin(bytes.NewReader(body), &out, &errOut); code != 0 {
+	newStream := func() *stream.Analyzer { return node.NewStream(testAnalyzer(t), node.Options{}) }
+	if code := runStdin(newStream(), bytes.NewReader(body), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	for _, want := range []string{"degradation events/min", "5G causes", "peak buffer"} {
@@ -405,7 +407,7 @@ func TestRunStdin(t *testing.T) {
 			t.Fatalf("stdin output missing %q:\n%s", want, out.String())
 		}
 	}
-	if code := srv.runStdin(strings.NewReader("garbage\n"), &out, &errOut); code != 1 {
+	if code := runStdin(newStream(), strings.NewReader("garbage\n"), &out, &errOut); code != 1 {
 		t.Fatalf("garbage stdin: exit %d, want 1", code)
 	}
 }
@@ -417,8 +419,8 @@ func TestRunStdin(t *testing.T) {
 func TestQueryAndSimilarEndpoints(t *testing.T) {
 	analyzer := testAnalyzer(t)
 	const fleetNow = sim.Time(1_700_000_000_000_000) // fixed fleet clock, µs
-	srv := newServer(analyzer, serverOptions{MaxStreams: 2, Now: func() sim.Time { return fleetNow }})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(analyzer, node.Options{MaxStreams: 2, Now: func() sim.Time { return fleetNow }})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	cells := []ran.CellConfig{ran.Amarisoft(), ran.Amarisoft(), ran.Mosolabs()}
@@ -546,7 +548,7 @@ func TestQueryAndSimilarEndpoints(t *testing.T) {
 	// Spill the live store and reload it the way run() does at boot:
 	// the reloaded history must answer queries identically.
 	path := t.TempDir() + "/fleet.jsonl"
-	if err := spillStore(srv.store, path); err != nil {
+	if err := spillStore(srv.Store(), path); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -558,7 +560,7 @@ func TestQueryAndSimilarEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(loaded.Query(rcastore.Query{}), srv.store.Query(rcastore.Query{})) {
+	if !reflect.DeepEqual(loaded.Query(rcastore.Query{}), srv.Store().Query(rcastore.Query{})) {
 		t.Fatal("reloaded spill diverges from the live store")
 	}
 }

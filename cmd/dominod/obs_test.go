@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/domino5g/domino/internal/node"
 	"github.com/domino5g/domino/internal/obs"
 	"github.com/domino5g/domino/internal/ran"
 	"github.com/domino5g/domino/internal/sim"
@@ -21,8 +22,8 @@ import (
 // linter the CI smoke runs, and it carries the build-info and
 // per-shard series.
 func TestMetricsExposition(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2, FlightRec: 1024})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2, FlightRec: 1024})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	for i := 0; i < 2; i++ {
@@ -91,11 +92,11 @@ func TestFlightRecorderDeterminism(t *testing.T) {
 	_, body := sessionTrace(t, ran.Amarisoft(), 40, 10*sim.Second)
 
 	dump := func() string {
-		srv := newServer(testAnalyzer(t), serverOptions{
+		srv := node.New(testAnalyzer(t), node.Options{
 			MaxStreams: 2, FlightRec: 4096,
 			Now: func() sim.Time { return fleetNow },
 		})
-		ts := httptest.NewServer(srv.routes())
+		ts := httptest.NewServer(srv.Routes())
 		defer ts.Close()
 		resp, err := http.Post(ts.URL+"/ingest?session=det", "application/jsonl", bytes.NewReader(body))
 		if err != nil {
@@ -144,8 +145,8 @@ func TestFlightRecorderDeterminism(t *testing.T) {
 // paths: the default dump carries wall clocks, unknown sessions 404,
 // and a server with -flightrec 0 reports the recorder disabled.
 func TestFlightRecEndpointEdges(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2, FlightRec: 256})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2, FlightRec: 256})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	_, body := sessionTrace(t, ran.Mosolabs(), 9, 6*sim.Second)
@@ -174,8 +175,8 @@ func TestFlightRecEndpointEdges(t *testing.T) {
 		t.Fatalf("unknown session: %d, want 404", resp.StatusCode)
 	}
 
-	off := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2})
-	tsOff := httptest.NewServer(off.routes())
+	off := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
+	tsOff := httptest.NewServer(off.Routes())
 	defer tsOff.Close()
 	resp, err = http.Post(tsOff.URL+"/ingest?session=w", "application/jsonl", bytes.NewReader(body))
 	if err != nil {
@@ -196,8 +197,8 @@ func TestFlightRecEndpointEdges(t *testing.T) {
 // TestHealthzBuildInfo pins the /healthz payload: readiness plus the
 // same build identity surfaced by domino_build_info.
 func TestHealthzBuildInfo(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 1})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 1})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	var hz struct {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"github.com/domino5g/domino/internal/ingest"
+	"github.com/domino5g/domino/internal/node"
 	"github.com/domino5g/domino/internal/ran"
 	"github.com/domino5g/domino/internal/rcastore"
 	"github.com/domino5g/domino/internal/sim"
@@ -37,10 +38,7 @@ func postChunk(t testing.TB, url, session, contentType string, seq int, eos bool
 	}
 	req.Header.Set("Content-Type", contentType)
 	if seq >= 0 {
-		req.Header.Set(ingest.HeaderSeq, strconv.Itoa(seq))
-	}
-	if eos {
-		req.Header.Set(ingest.HeaderEos, "1")
+		ingest.Request{Seq: seq, Resumable: true, Eos: eos}.SetHeaders(req.Header)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -69,8 +67,8 @@ func jsonlPrefix(t testing.TB, body []byte, n int) []byte {
 }
 
 func TestIngestBodyCapReleasesSlot(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2, MaxBody: 2048})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2, MaxBody: 2048})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	_, body := sessionTrace(t, ran.Presets()[0], 7, 5*sim.Second)
@@ -82,8 +80,8 @@ func TestIngestBodyCapReleasesSlot(t *testing.T) {
 		t.Fatalf("over-limit upload got %d, want 413", resp.StatusCode)
 	}
 	drainClose(resp)
-	if in := srv.limiter.InUse(); in != 0 {
-		t.Fatalf("413 leaked %d limiter slots", in)
+	if in := slotsInUse(t, ts.URL); in != 0 {
+		t.Fatalf("413 leaked %v limiter slots", in)
 	}
 
 	// The ID is burned (failed session) but capacity is not: a fresh
@@ -100,8 +98,8 @@ func TestIngestBodyCapReleasesSlot(t *testing.T) {
 }
 
 func TestIngestOverloadSheds429(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 1, AdmitWait: 30 * time.Millisecond})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 1, AdmitWait: 30 * time.Millisecond})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	_, body := sessionTrace(t, ran.Presets()[0], 8, 2*sim.Second)
@@ -116,7 +114,7 @@ func TestIngestOverloadSheds429(t *testing.T) {
 	if _, err := pw.Write(jsonlPrefix(t, body, 1)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "holder admitted", func() bool { return srv.limiter.InUse() == 1 })
+	waitFor(t, "holder admitted", func() bool { return slotsInUse(t, ts.URL) == 1 })
 
 	resp := postChunk(t, ts.URL, "shed", "application/jsonl", -1, false, bytes.NewReader(body))
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -143,8 +141,8 @@ func TestIngestOverloadSheds429(t *testing.T) {
 }
 
 func TestLimiterSlotLeakAcrossFailures(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 4})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 4})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	for i := 0; i < 12; i++ {
@@ -155,8 +153,8 @@ func TestLimiterSlotLeakAcrossFailures(t *testing.T) {
 		}
 		drainClose(resp)
 	}
-	if in := srv.limiter.InUse(); in != 0 {
-		t.Fatalf("%d limiter slots leaked across failing sessions", in)
+	if in := slotsInUse(t, ts.URL); in != 0 {
+		t.Fatalf("%v limiter slots leaked across failing sessions", in)
 	}
 	_, body := sessionTrace(t, ran.Presets()[0], 9, 2*sim.Second)
 	resp := postChunk(t, ts.URL, "after", "application/jsonl", -1, false, bytes.NewReader(body))
@@ -167,8 +165,9 @@ func TestLimiterSlotLeakAcrossFailures(t *testing.T) {
 }
 
 func TestResumableJSONLChunksAndDedup(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 4})
-	ts := httptest.NewServer(srv.routes())
+	analyzer := testAnalyzer(t)
+	srv := node.New(analyzer, node.Options{MaxStreams: 4})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	set, body := sessionTrace(t, ran.Presets()[0], 11, 5*sim.Second)
@@ -198,18 +197,18 @@ func TestResumableJSONLChunksAndDedup(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("final chunk got %d: %s", resp.StatusCode, b)
 	}
-	var rep reportPayload
+	var rep node.ReportPayload
 	mustDecode(t, resp, &rep)
 	if rep.State != "done" {
 		t.Fatalf("state %q, want done", rep.State)
 	}
-	if got := srv.m.ingestDeduped.Value(); got != 4 {
-		t.Fatalf("deduped %d records, want the 4-record overlap", got)
+	if got := metricValue(t, ts.URL, "dominod_ingest_deduped_records_total"); got != 4 {
+		t.Fatalf("deduped %v records, want the 4-record overlap", got)
 	}
 
 	// Differential: the chunked+overlapped session matches the batch
 	// analyzer on the same trace.
-	batch, err := srv.analyzer.Analyze(set)
+	batch, err := analyzer.Analyze(set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +227,8 @@ func TestResumableJSONLChunksAndDedup(t *testing.T) {
 }
 
 func TestResumableSeqGap412(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 	_, body := sessionTrace(t, ran.Presets()[0], 12, 2*sim.Second)
 	resp := postChunk(t, ts.URL, "gap", "application/jsonl", 5, true, bytes.NewReader(body))
@@ -249,8 +248,9 @@ func TestResumableSeqGap412(t *testing.T) {
 }
 
 func TestResumableBinaryInterruptAndResend(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2})
-	ts := httptest.NewServer(srv.routes())
+	analyzer := testAnalyzer(t)
+	srv := node.New(analyzer, node.Options{MaxStreams: 2})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	set, _ := sessionTrace(t, ran.Presets()[1], 13, 5*sim.Second)
@@ -265,7 +265,7 @@ func TestResumableBinaryInterruptAndResend(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/ingest?session=bres", pr)
-		req.Header.Set("Content-Type", contentTypeBinary)
+		req.Header.Set("Content-Type", ingest.ContentTypeBinary)
 		req.Header.Set(ingest.HeaderSeq, "0")
 		req.Header.Set(ingest.HeaderEos, "1")
 		resp, err := http.DefaultClient.Do(req)
@@ -282,10 +282,11 @@ func TestResumableBinaryInterruptAndResend(t *testing.T) {
 
 	// The client saw the reset, but the interrupted handler may still be
 	// consuming buffered bytes and advancing the watermark: sample it only
-	// once that handler has released the session.
+	// once that handler has released the session (it frees its admission
+	// slot right after the session).
 	var wm ingest.Watermark
 	waitFor(t, "session suspended with progress", func() bool {
-		if sess := srv.lookup("bres"); sess == nil || sess.ingesting.Load() {
+		if slotsInUse(t, ts.URL) != 0 {
 			return false
 		}
 		resp, err := http.Get(ts.URL + "/sessions/bres/watermark")
@@ -298,20 +299,20 @@ func TestResumableBinaryInterruptAndResend(t *testing.T) {
 
 	// Binary clients cannot splice mid-stream: full resend at seq 0,
 	// server dedups the accepted prefix.
-	resp := postChunk(t, ts.URL, "bres", contentTypeBinary, 0, true, bytes.NewReader(bin.Bytes()))
+	resp := postChunk(t, ts.URL, "bres", ingest.ContentTypeBinary, 0, true, bytes.NewReader(bin.Bytes()))
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("binary resend got %d: %s", resp.StatusCode, b)
 	}
-	var rep reportPayload
+	var rep node.ReportPayload
 	mustDecode(t, resp, &rep)
 	if rep.State != "done" {
 		t.Fatalf("state %q, want done", rep.State)
 	}
-	if got := srv.m.ingestDeduped.Value(); int(got) != wm.Accepted {
-		t.Fatalf("deduped %d, want the %d-record accepted prefix", got, wm.Accepted)
+	if got := metricValue(t, ts.URL, "dominod_ingest_deduped_records_total"); int(got) != wm.Accepted {
+		t.Fatalf("deduped %v, want the %d-record accepted prefix", got, wm.Accepted)
 	}
-	batch, err := srv.analyzer.Analyze(set)
+	batch, err := analyzer.Analyze(set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,8 +322,8 @@ func TestResumableBinaryInterruptAndResend(t *testing.T) {
 }
 
 func TestTruncatedBinaryFailsSessionWithPartialReport(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	set, _ := sessionTrace(t, ran.Presets()[0], 14, 10*sim.Second)
@@ -333,12 +334,12 @@ func TestTruncatedBinaryFailsSessionWithPartialReport(t *testing.T) {
 	// Legacy contract (no seq header): a truncated stream is a hard
 	// failure, served as a partial report — never a hang.
 	cut := bin.Bytes()[:bin.Len()*3/4]
-	resp := postChunk(t, ts.URL, "trunc", contentTypeBinary, -1, false, bytes.NewReader(cut))
+	resp := postChunk(t, ts.URL, "trunc", ingest.ContentTypeBinary, -1, false, bytes.NewReader(cut))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated binary got %d, want 400", resp.StatusCode)
 	}
 	drainClose(resp)
-	var rep reportPayload
+	var rep node.ReportPayload
 	getJSON(t, ts.URL+"/report/trunc", &rep)
 	if rep.State != "failed" || rep.Error == "" {
 		t.Fatalf("state %q error %q, want failed with cause", rep.State, rep.Error)
@@ -350,7 +351,7 @@ func TestTruncatedBinaryFailsSessionWithPartialReport(t *testing.T) {
 	// Same for a corrupted frame partway through.
 	garbled := append([]byte(nil), bin.Bytes()...)
 	copy(garbled[len(garbled)/2:], bytes.Repeat([]byte{0x01}, 16))
-	resp = postChunk(t, ts.URL, "garbled", contentTypeBinary, -1, false, bytes.NewReader(garbled))
+	resp = postChunk(t, ts.URL, "garbled", ingest.ContentTypeBinary, -1, false, bytes.NewReader(garbled))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbled binary got %d, want 400", resp.StatusCode)
 	}
@@ -359,17 +360,17 @@ func TestTruncatedBinaryFailsSessionWithPartialReport(t *testing.T) {
 	if rep.State != "failed" {
 		t.Fatalf("state %q, want failed", rep.State)
 	}
-	if in := srv.limiter.InUse(); in != 0 {
-		t.Fatalf("%d slots leaked by mid-stream failures", in)
+	if in := slotsInUse(t, ts.URL); in != 0 {
+		t.Fatalf("%v slots leaked by mid-stream failures", in)
 	}
 }
 
 func TestDrainingRejectsNewWork(t *testing.T) {
-	srv := newServer(testAnalyzer(t), serverOptions{MaxStreams: 2})
-	ts := httptest.NewServer(srv.routes())
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
-	srv.draining.Store(true)
+	srv.Drain()
 	_, body := sessionTrace(t, ran.Presets()[0], 15, 2*sim.Second)
 	resp := postChunk(t, ts.URL, "late", "application/jsonl", -1, false, bytes.NewReader(body))
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
@@ -397,12 +398,12 @@ func TestJournalWiredThroughServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := sim.Time(1_700_000_000_000_000)
-	srv := newServer(testAnalyzer(t), serverOptions{
+	srv := node.New(testAnalyzer(t), node.Options{
 		MaxStreams: 2, Store: st, Journal: j,
 		CheckpointPath: ckpt, CheckpointEvery: 2,
 		Now: func() sim.Time { return at },
 	})
-	ts := httptest.NewServer(srv.routes())
+	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
 	for i := 0; i < 2; i++ {
@@ -413,18 +414,49 @@ func TestJournalWiredThroughServer(t *testing.T) {
 		}
 		drainClose(resp)
 	}
-	if got := srv.m.journalAppends.Value(); got != 2 {
-		t.Fatalf("journal recorded %d appends, want 2", got)
+	if got := metricValue(t, ts.URL, "dominod_journal_appends_total"); got != 2 {
+		t.Fatalf("journal recorded %v appends, want 2", got)
 	}
 	// CheckpointEvery=2 fires an async checkpoint after the second
 	// report; it lands as an atomic rename.
 	waitFor(t, "async checkpoint written", func() bool {
-		if srv.m.journalCheckpoints.Value() == 0 {
+		if metricValue(t, ts.URL, "dominod_journal_checkpoints_total") == 0 {
 			return false
 		}
 		loaded, err := rcastore.Load(mustOpen(t, ckpt), rcastore.Options{})
 		return err == nil && loaded.Len() == 2
 	})
+}
+
+// metricValue scrapes base's /metrics and returns the value of the
+// unlabelled sample name.
+func metricValue(t testing.TB, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no sample %s", name)
+	return 0
+}
+
+// slotsInUse is how many admission slots base's node has handed out.
+func slotsInUse(t testing.TB, base string) float64 {
+	return metricValue(t, base, "dominod_stream_slots_in_use")
 }
 
 func mustOpen(t testing.TB, path string) io.Reader {

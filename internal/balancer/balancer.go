@@ -24,7 +24,6 @@
 package balancer
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -33,6 +32,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/domino5g/domino/internal/ingest"
 )
 
 // Options configures a Balancer.
@@ -272,7 +273,7 @@ func (b *Balancer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	case up < len(b.backends):
 		status = "degraded"
 	}
-	writeJSON(w, code, map[string]any{
+	ingest.WriteJSON(w, code, map[string]any{
 		"status":   status,
 		"up":       up,
 		"backends": nodes,
@@ -312,19 +313,5 @@ func (b *Balancer) handleLBSessions(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		out = append(out, e)
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// writeJSON mirrors dominod's response envelope: indented JSON.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// httpError writes dominod's error envelope.
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	ingest.WriteJSON(w, http.StatusOK, out)
 }

@@ -1,5 +1,10 @@
 package balancer
 
+// Routing tests against real in-process dominod nodes (internal/node):
+// pinning, failover by replay and by client resend, drain, the typed
+// draining rejection, and the read surface. The long fleet differentials
+// live in fleet_test.go and share the helpers here.
+
 import (
 	"bytes"
 	"context"
@@ -14,155 +19,143 @@ import (
 	"testing"
 	"time"
 
+	"github.com/domino5g/domino/internal/core"
 	"github.com/domino5g/domino/internal/ingest"
+	"github.com/domino5g/domino/internal/node"
 	"github.com/domino5g/domino/internal/obs"
+	"github.com/domino5g/domino/internal/ran"
+	"github.com/domino5g/domino/internal/rtc"
+	"github.com/domino5g/domino/internal/sim"
+	"github.com/domino5g/domino/internal/trace"
 )
 
-// fakeNode is a dominod stand-in implementing just enough of the
-// ingest protocol for routing tests: line-oriented "records",
-// seq/watermark dedup, 412 on gaps, draining rejection, and a
-// /metrics registry.
-type fakeNode struct {
-	node string
+// fleetNow pins the fleet clock so store timestamps (and thus any
+// time-derived report content) agree across nodes and runs.
+const fleetNow = sim.Time(1_754_000_000_000_000)
 
-	mu       sync.Mutex
-	draining bool
-	sessions map[string][]string // accepted records per session
-	done     map[string]bool
-	ingests  int // ingest POSTs seen, including rejected ones
-
-	reg *obs.Registry
-	ts  *httptest.Server
-}
-
-func newFakeNode(t *testing.T, node string) *fakeNode {
+func testAnalyzer(t testing.TB) *core.Analyzer {
 	t.Helper()
-	f := &fakeNode{
-		node:     node,
-		sessions: map[string][]string{},
-		done:     map[string]bool{},
-		reg:      obs.NewRegistry(),
-	}
-	f.reg.Gauge("dominod_node_info", "Node identity.", obs.L("node", node)).Set(1)
-	f.reg.CounterFunc("dominod_records_total", "Records accepted.", func() float64 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		n := 0
-		for _, recs := range f.sessions {
-			n += len(recs)
-		}
-		return float64(n)
-	})
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		draining := f.draining
-		f.mu.Unlock()
-		status, code := "ok", http.StatusOK
-		if draining {
-			status, code = "draining", http.StatusServiceUnavailable
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(map[string]string{"status": status, "node": node})
-	})
-	mux.HandleFunc("POST /ingest", f.handleIngest)
-	mux.HandleFunc("GET /sessions/{id}/watermark", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		recs, ok := f.sessions[r.PathValue("id")]
-		f.mu.Unlock()
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		json.NewEncoder(w).Encode(ingest.Watermark{Session: r.PathValue("id"), Accepted: len(recs), State: "active"})
-	})
-	mux.HandleFunc("GET /report/{id}", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		recs, ok := f.sessions[r.PathValue("id")]
-		isDone := f.done[r.PathValue("id")]
-		f.mu.Unlock()
-		if !ok || !isDone {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"session":%q,"records":%d,"node":%q,"body":%q}`,
-			r.PathValue("id"), len(recs), node, strings.Join(recs, "|"))
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		f.reg.Snapshot().WriteText(w)
-	})
-	f.ts = httptest.NewServer(mux)
-	t.Cleanup(f.ts.Close)
-	return f
-}
-
-func (f *fakeNode) handleIngest(w http.ResponseWriter, r *http.Request) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.ingests++
-	if f.draining {
-		w.Header().Set("Retry-After", "5")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]string{"error": "draining: this node is shutting down"})
-		return
-	}
-	id := r.URL.Query().Get("session")
-	body, err := io.ReadAll(r.Body)
+	a, err := core.NewAnalyzer(core.DetectorConfig{}, nil)
 	if err != nil {
-		w.WriteHeader(http.StatusBadRequest)
-		return
+		t.Fatal(err)
 	}
-	seq := 0
-	if v := r.Header.Get(ingest.HeaderSeq); v != "" {
-		seq, _ = strconv.Atoi(v)
-	}
-	acc := f.sessions[id]
-	if seq > len(acc) {
-		w.WriteHeader(http.StatusPreconditionFailed)
-		json.NewEncoder(w).Encode(map[string]string{"error": "seq gap"})
-		return
-	}
-	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
-	if len(body) == 0 {
-		lines = nil
-	}
-	skip := len(acc) - seq // already-accepted prefix of this chunk
-	if skip < len(lines) {
-		acc = append(acc, lines[skip:]...)
-	}
-	f.sessions[id] = acc
-	if r.Header.Get(ingest.HeaderEos) == "1" {
-		f.done[id] = true
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"session":%q,"records":%d,"node":%q,"body":%q}`,
-			id, len(acc), f.node, strings.Join(acc, "|"))
-		return
-	}
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(ingest.Watermark{Session: id, Accepted: len(acc), State: "active"})
+	return a
 }
 
-func (f *fakeNode) setDraining(v bool) {
-	f.mu.Lock()
-	f.draining = v
-	f.mu.Unlock()
+// fleetNode is one real dominod backend under balancer control.
+type fleetNode struct {
+	node *node.Node
+	ts   *httptest.Server
 }
 
-func (f *fakeNode) records(id string) []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]string(nil), f.sessions[id]...)
-}
-
-// newTestBalancer fronts the fakes with prober stopped after the
-// initial round — tests drive re-probes explicitly for determinism.
-func newTestBalancer(t *testing.T, opts Options, fakes ...*fakeNode) (*Balancer, *httptest.Server) {
+func newFleetNode(t *testing.T, nodeID string) *fleetNode {
 	t.Helper()
-	for _, f := range fakes {
-		opts.Backends = append(opts.Backends, f.ts.URL)
+	n := node.New(testAnalyzer(t), node.Options{
+		MaxStreams: 4,
+		NodeID:     nodeID,
+		Now:        func() sim.Time { return fleetNow },
+	})
+	ts := httptest.NewServer(n.Routes())
+	t.Cleanup(ts.Close)
+	return &fleetNode{node: n, ts: ts}
+}
+
+// kill is the in-process kill -9: tear every open connection, stop
+// accepting. The dominod never gets to drain or checkpoint.
+func (n *fleetNode) kill() {
+	n.ts.CloseClientConnections()
+	n.ts.Close()
+}
+
+// watermark probes the node directly for a session's resume point;
+// ok is false when the node does not hold the session.
+func (n *fleetNode) watermark(t *testing.T, id string) (wm ingest.Watermark, ok bool) {
+	t.Helper()
+	resp, err := http.Get(n.ts.URL + "/sessions/" + id + "/watermark")
+	if err != nil {
+		return wm, false
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return wm, false
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&wm); err != nil {
+		t.Fatal(err)
+	}
+	return wm, true
+}
+
+// sessions counts the sessions the node holds.
+func (n *fleetNode) sessions(t *testing.T) int {
+	t.Helper()
+	var infos []json.RawMessage
+	if err := json.Unmarshal([]byte(readBody(t, mustGet(t, n.ts.URL+"/sessions"))), &infos); err != nil {
+		t.Fatal(err)
+	}
+	return len(infos)
+}
+
+// sessionJSONL generates one call's trace as a JSONL payload.
+func sessionJSONL(t testing.TB, cell ran.CellConfig, seed uint64, d sim.Time) []byte {
+	t.Helper()
+	sess, err := rtc.NewSession(rtc.DefaultSessionConfig(cell, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, sess.Run(d)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// splitLines cuts a JSONL payload into n record-aligned chunks and
+// returns each chunk with its starting record index.
+func splitLines(payload []byte, n int) (chunks [][]byte, seqs []int) {
+	lines := bytes.SplitAfter(payload, []byte("\n"))
+	if len(lines) > 0 && len(lines[len(lines)-1]) == 0 {
+		lines = lines[:len(lines)-1]
+	}
+	per := (len(lines) + n - 1) / n
+	for at := 0; at < len(lines); at += per {
+		end := at + per
+		if end > len(lines) {
+			end = len(lines)
+		}
+		chunks = append(chunks, bytes.Join(lines[at:end], nil))
+		seqs = append(seqs, at)
+	}
+	return chunks, seqs
+}
+
+// cleanReport is what a single healthy node answers for the payload:
+// the reference every failover path must reproduce byte for byte.
+func cleanReport(t *testing.T, id string, payload []byte) []byte {
+	t.Helper()
+	clean := newFleetNode(t, "clean")
+	if _, err := ingest.New(ingest.Options{BaseURL: clean.ts.URL}).
+		Upload(context.Background(), id, ingest.ContentTypeJSONL, payload); err != nil {
+		t.Fatal(err)
+	}
+	return fetchReport(t, clean.ts.URL, id)
+}
+
+func fetchReport(t *testing.T, base, id string) []byte {
+	t.Helper()
+	resp := mustGet(t, base+"/report/"+id)
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("report %s: status %d: %s", id, resp.StatusCode, body)
+	}
+	return []byte(body)
+}
+
+// newTestBalancer fronts the nodes with the prober stopped after the
+// initial round — tests drive re-probes explicitly for determinism.
+func newTestBalancer(t *testing.T, opts Options, nodes ...*fleetNode) (*Balancer, *httptest.Server) {
+	t.Helper()
+	for _, n := range nodes {
+		opts.Backends = append(opts.Backends, n.ts.URL)
 	}
 	if opts.HealthInterval == 0 {
 		opts.HealthInterval = time.Hour // probes on demand via probeAll
@@ -180,16 +173,37 @@ func newTestBalancer(t *testing.T, opts Options, fakes ...*fakeNode) (*Balancer,
 	return lb, ts
 }
 
-func postChunk(t *testing.T, base, id, ct string, seq int, eos bool, body string) *http.Response {
+// ownerAndOther sorts two nodes by which one the balancer pinned id to.
+func ownerAndOther(lb *Balancer, id string, a, b *fleetNode) (owner, other *fleetNode) {
+	if lb.lookup(id).backend.url == b.ts.URL {
+		return b, a
+	}
+	return a, b
+}
+
+// backendOf is the balancer's health record for a node.
+func backendOf(t *testing.T, lb *Balancer, n *fleetNode) *backend {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, base+"/ingest?session="+id, strings.NewReader(body))
+	for _, be := range lb.backends {
+		if be.url == n.ts.URL {
+			return be
+		}
+	}
+	t.Fatalf("%s is not a backend", n.ts.URL)
+	return nil
+}
+
+// postChunk issues one ingest request with the resumable-contract
+// headers. seq < 0 omits them (the legacy one-shot contract).
+func postChunk(t testing.TB, base, id, contentType string, seq int, eos bool, body io.Reader) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, base+"/ingest?session="+id, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", ct)
-	req.Header.Set(ingest.HeaderSeq, strconv.Itoa(seq))
-	if eos {
-		req.Header.Set(ingest.HeaderEos, "1")
+	req.Header.Set("Content-Type", contentType)
+	if seq >= 0 {
+		ingest.Request{Seq: seq, Resumable: true, Eos: eos}.SetHeaders(req.Header)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -198,7 +212,23 @@ func postChunk(t *testing.T, base, id, ct string, seq int, eos bool, body string
 	return resp
 }
 
-func readBody(t *testing.T, resp *http.Response) string {
+// mustPost posts one chunk and requires the given status.
+func mustPost(t *testing.T, base, id string, seq int, eos bool, body []byte, want int) []byte {
+	t.Helper()
+	resp := postChunk(t, base, id, ingest.ContentTypeJSONL, seq, eos, bytes.NewReader(body))
+	got := readBody(t, resp)
+	if resp.StatusCode != want {
+		t.Fatalf("session %s chunk at %d: status %d, want %d: %s", id, seq, resp.StatusCode, want, got)
+	}
+	return []byte(got)
+}
+
+func drainClose(resp *http.Response) {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+}
+
+func readBody(t testing.TB, resp *http.Response) string {
 	t.Helper()
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
@@ -208,8 +238,17 @@ func readBody(t *testing.T, resp *http.Response) string {
 	return string(b)
 }
 
+func mustGet(t testing.TB, url string) *http.Response {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 func TestHRWPinningIsStableAndMovesMinimally(t *testing.T) {
-	a, b, c := newFakeNode(t, "a"), newFakeNode(t, "b"), newFakeNode(t, "c")
+	a, b, c := newFleetNode(t, "a"), newFleetNode(t, "b"), newFleetNode(t, "c")
 	lb, _ := newTestBalancer(t, Options{}, a, b, c)
 
 	pins := map[string]string{}
@@ -230,11 +269,7 @@ func TestHRWPinningIsStableAndMovesMinimally(t *testing.T) {
 		t.Fatalf("90 sessions landed on %d backends, want 3: %v", len(byBackend), byBackend)
 	}
 	// Take backend b out: only its sessions may move.
-	for _, be := range lb.backends {
-		if be.url == b.ts.URL {
-			be.noteFailure(1)
-		}
-	}
+	backendOf(t, lb, b).noteFailure(1)
 	for id, was := range pins {
 		now := lb.pick(id)
 		if was == b.ts.URL {
@@ -250,55 +285,42 @@ func TestHRWPinningIsStableAndMovesMinimally(t *testing.T) {
 }
 
 func TestChunkedFailoverReplaysAcknowledgedPrefix(t *testing.T) {
-	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
 
 	const id = "replay-sess"
-	resp := postChunk(t, ts.URL, id, ingest.ContentTypeJSONL, 0, false, "hdr\nr1\nr2\n")
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("chunk 0: %d %s", resp.StatusCode, readBody(t, resp))
-	}
-	resp.Body.Close()
+	payload := sessionJSONL(t, ran.Presets()[0], 21, 3*sim.Second)
+	chunks, seqs := splitLines(payload, 3)
+	mustPost(t, ts.URL, id, seqs[0], false, chunks[0], http.StatusAccepted)
 
-	// Which fake owns it?
-	sess := lb.lookup(id)
-	owner, other := a, b
-	if sess.backend.url == b.ts.URL {
-		owner, other = b, a
-	}
-	if got := owner.records(id); len(got) != 3 {
-		t.Fatalf("owner has %v", got)
+	owner, other := ownerAndOther(lb, id, a, b)
+	if wm, ok := owner.watermark(t, id); !ok || wm.Accepted != seqs[1] {
+		t.Fatalf("owner watermark %+v (held %v), want %d accepted", wm, ok, seqs[1])
 	}
 
 	// Kill the owner hard; the next chunk's proxy attempt fails, feeds
 	// health (threshold 1), and the retry fails over with replay.
-	owner.ts.CloseClientConnections()
-	owner.ts.Close()
-	resp = postChunk(t, ts.URL, id, ingest.ContentTypeJSONL, 3, false, "r3\n")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("chunk against dead backend: %d, want 503", resp.StatusCode)
+	owner.kill()
+	resp := postChunk(t, ts.URL, id, ingest.ContentTypeJSONL, seqs[1], false, bytes.NewReader(chunks[1]))
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusServiceUnavailable || ingest.ErrorCode([]byte(body)) != ingest.CodeUnavailable {
+		t.Fatalf("chunk against dead backend: %d %s, want 503 code unavailable", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
-	resp.Body.Close()
 
-	resp = postChunk(t, ts.URL, id, ingest.ContentTypeJSONL, 3, false, "r3\n")
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("failover chunk: %d %s", resp.StatusCode, readBody(t, resp))
-	}
-	resp.Body.Close()
-	if got := strings.Join(other.records(id), "|"); got != "hdr|r1|r2|r3" {
-		t.Fatalf("survivor assembled %q", got)
+	mustPost(t, ts.URL, id, seqs[1], false, chunks[1], http.StatusAccepted)
+	if wm, ok := other.watermark(t, id); !ok || wm.Accepted != seqs[2] {
+		t.Fatalf("survivor watermark %+v (held %v), want the replayed prefix plus the chunk: %d", wm, ok, seqs[2])
 	}
 
-	resp = postChunk(t, ts.URL, id, ingest.ContentTypeJSONL, 4, true, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("eos: %d %s", resp.StatusCode, readBody(t, resp))
+	report := mustPost(t, ts.URL, id, seqs[2], true, chunks[2], http.StatusOK)
+	if want := cleanReport(t, id, payload); !bytes.Equal(report, want) {
+		t.Fatalf("failed-over report diverged from clean ingest\nclean: %s\nfleet: %s", want, report)
 	}
-	report := readBody(t, resp)
-	if !strings.Contains(report, `"records":4`) || !strings.Contains(report, `"node":"`+other.node+`"`) {
-		t.Fatalf("report %s", report)
+	if got := fetchReport(t, other.ts.URL, id); !bytes.Equal(got, report) {
+		t.Fatalf("survivor does not hold the report the balancer served: %s", got)
 	}
 	if v := lb.m.failovers.Value(); v != 1 {
 		t.Fatalf("failovers counter = %d, want 1", v)
@@ -312,23 +334,17 @@ func TestChunkedFailoverReplaysAcknowledgedPrefix(t *testing.T) {
 }
 
 func TestClientResendFailoverWhenBufferOverflows(t *testing.T) {
-	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	// ReplayMax negative: no balancer-side buffering at all — failover
 	// must go through the client's watermark-probe + resend path.
 	lb, ts := newTestBalancer(t, Options{ReplayMax: -1}, a, b)
 
 	const id = "resend-sess"
-	resp := postChunk(t, ts.URL, id, ingest.ContentTypeJSONL, 0, false, "hdr\nr1\n")
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("chunk 0: %d %s", resp.StatusCode, readBody(t, resp))
-	}
-	resp.Body.Close()
-	owner, other := a, b
-	if lb.lookup(id).backend.url == b.ts.URL {
-		owner, other = b, a
-	}
-	owner.ts.CloseClientConnections()
-	owner.ts.Close()
+	payload := sessionJSONL(t, ran.Presets()[0], 22, 3*sim.Second)
+	chunks, seqs := splitLines(payload, 3)
+	mustPost(t, ts.URL, id, seqs[0], false, chunks[0], http.StatusAccepted)
+	owner, other := ownerAndOther(lb, id, a, b)
+	owner.kill()
 
 	// The real client drives recovery end to end: 503 → backoff →
 	// watermark probe (answered by the new pin: 0) → full resend.
@@ -336,20 +352,20 @@ func TestClientResendFailoverWhenBufferOverflows(t *testing.T) {
 		BaseURL: ts.URL, Retries: 4, Backoff: time.Millisecond, Seed: 7,
 		Sleep: func(time.Duration) {},
 	})
-	stats, err := client.Upload(context.Background(), id, ingest.ContentTypeJSONL, []byte("hdr\nr1\nr2\n"))
+	stats, err := client.Upload(context.Background(), id, ingest.ContentTypeJSONL, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.ShedRetries == 0 {
 		t.Fatalf("stats = %+v, expected shed retries through the failover", stats)
 	}
-	if got := strings.Join(other.records(id), "|"); got != "hdr|r1|r2" {
-		t.Fatalf("survivor assembled %q", got)
+	if got, want := fetchReport(t, other.ts.URL, id), cleanReport(t, id, payload); !bytes.Equal(got, want) {
+		t.Fatalf("survivor's report diverged from clean ingest\nclean: %s\nfleet: %s", want, got)
 	}
 }
 
 func TestDrainStopsNewSessionsWhileFailingOverPinned(t *testing.T) {
-	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
 
 	// Find a session pinned to a, then start it.
@@ -361,61 +377,93 @@ func TestDrainStopsNewSessionsWhileFailingOverPinned(t *testing.T) {
 			break
 		}
 	}
-	resp := postChunk(t, ts.URL, pinnedID, ingest.ContentTypeJSONL, 0, false, "hdr\nr1\n")
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("chunk 0: %d", resp.StatusCode)
-	}
-	resp.Body.Close()
+	payload := sessionJSONL(t, ran.Presets()[0], 23, 3*sim.Second)
+	chunks, seqs := splitLines(payload, 2)
+	mustPost(t, ts.URL, pinnedID, seqs[0], false, chunks[0], http.StatusAccepted)
 
 	// a starts draining; the prober notices.
-	a.setDraining(true)
+	a.node.Drain()
 	lb.probeAll()
-	for _, be := range lb.backends {
-		if be.url == a.ts.URL && be.State() != stateDraining {
-			t.Fatalf("backend a state = %v, want draining", be.State())
-		}
+	if st := backendOf(t, lb, a).State(); st != stateDraining {
+		t.Fatalf("backend a state = %v, want draining", st)
 	}
 
 	// New sessions — even ones HRW would pin to a — land on b.
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("post-drain-%d", i)
-		resp := postChunk(t, ts.URL, id, ingest.ContentTypeJSONL, 0, true, "hdr\n")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("post-drain session: %d", resp.StatusCode)
-		}
-		resp.Body.Close()
-		if len(b.records(id)) == 0 {
+		mustPost(t, ts.URL, id, 0, true, payload, http.StatusOK)
+		if _, ok := b.watermark(t, id); !ok {
 			t.Fatalf("session %s not on surviving node", id)
 		}
 	}
-	a.mu.Lock()
-	aSessions := len(a.sessions)
-	a.mu.Unlock()
-	if aSessions != 1 {
-		t.Fatalf("draining node accumulated %d sessions, want just the pre-drain one", aSessions)
+	if n := a.sessions(t); n != 1 {
+		t.Fatalf("draining node accumulated %d sessions, want just the pre-drain one", n)
 	}
 
 	// The pinned in-flight session finishes via failover replay.
-	resp = postChunk(t, ts.URL, pinnedID, ingest.ContentTypeJSONL, 2, true, "r2\n")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pinned eos after drain: %d %s", resp.StatusCode, readBody(t, resp))
+	report := mustPost(t, ts.URL, pinnedID, seqs[1], true, chunks[1], http.StatusOK)
+	if got := fetchReport(t, b.ts.URL, pinnedID); !bytes.Equal(got, report) {
+		t.Fatalf("failed-over session is not on the survivor: %s", got)
 	}
-	resp.Body.Close()
-	if got := strings.Join(b.records(pinnedID), "|"); got != "hdr|r1|r2" {
-		t.Fatalf("failed-over session assembled %q", got)
+	if want := cleanReport(t, pinnedID, payload); !bytes.Equal(report, want) {
+		t.Fatalf("drained-through report diverged from clean ingest\nclean: %s\nfleet: %s", want, report)
 	}
 }
 
-func TestMetricsFederation(t *testing.T) {
-	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
-	lb, ts := newTestBalancer(t, Options{}, a, b)
-	for i, f := range []*fakeNode{a, b} {
-		id := fmt.Sprintf("fed-%d", i)
-		resp := postChunk(t, f.ts.URL, id, ingest.ContentTypeJSONL, 0, true, "hdr\nr1\n")
-		resp.Body.Close()
+// TestDrainingCodeRepinsOtherCodesDoNot pins how the balancer reads a
+// node's 503: only the typed draining rejection marks the backend
+// draining (so the client's retry re-pins); any other 503 — here an
+// interrupted-body suspension whose text even contains the word
+// "draining" — leaves the backend up and the pin where it was.
+func TestDrainingCodeRepinsOtherCodesDoNot(t *testing.T) {
+	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
+	lb, ts := newTestBalancer(t, Options{}, a, b) // no prober: only the data path can notice
+
+	const id = "code-sess"
+	payload := sessionJSONL(t, ran.Presets()[0], 24, 3*sim.Second)
+	chunks, seqs := splitLines(payload, 3)
+	mustPost(t, ts.URL, id, seqs[0], false, chunks[0], http.StatusAccepted)
+	owner, other := ownerAndOther(lb, id, a, b)
+
+	// A resumable chunk the decoder chokes on suspends the session: 503,
+	// code interrupted, and the decode error quotes the offending type.
+	torn := mustPost(t, ts.URL, id, seqs[1], false, []byte(`{"type":"draining"}`+"\n"), http.StatusServiceUnavailable)
+	if ingest.ErrorCode(torn) != ingest.CodeInterrupted || !strings.Contains(string(torn), "draining") {
+		t.Fatalf("torn chunk answered %s, want code interrupted quoting the bad type", torn)
+	}
+	if st := backendOf(t, lb, owner).State(); st != stateUp {
+		t.Fatalf("a non-draining 503 moved the backend to %v", st)
+	}
+	mustPost(t, ts.URL, id, seqs[1], false, chunks[1], http.StatusAccepted)
+	if lb.lookup(id).backend.url != owner.ts.URL || lb.m.failovers.Value() != 0 {
+		t.Fatal("session re-pinned after a non-draining 503")
 	}
 
-	text := readBody(t, mustGet(t, ts.URL+"/metrics"))
+	// The node's typed draining rejection passes through, marks the
+	// backend, and the retry fails over with replay.
+	owner.node.Drain()
+	rejected := mustPost(t, ts.URL, id, seqs[2], true, chunks[2], http.StatusServiceUnavailable)
+	if ingest.ErrorCode(rejected) != ingest.CodeDraining {
+		t.Fatalf("drain rejection answered %s, want code draining", rejected)
+	}
+	if st := backendOf(t, lb, owner).State(); st != stateDraining {
+		t.Fatalf("backend state after a draining rejection = %v, want draining", st)
+	}
+	report := mustPost(t, ts.URL, id, seqs[2], true, chunks[2], http.StatusOK)
+	if lb.lookup(id).backend.url != other.ts.URL {
+		t.Fatal("session still pinned to the draining node")
+	}
+	if want := cleanReport(t, id, payload); !bytes.Equal(report, want) {
+		t.Fatalf("re-pinned report diverged from clean ingest\nclean: %s\nfleet: %s", want, report)
+	}
+}
+
+// assertFleetIsMergeOfNodes pins the federation criterion: the
+// balancer's /metrics lints clean, names every node, and each family a
+// node exposes equals obs.Merge of the per-node scrapes.
+func assertFleetIsMergeOfNodes(t *testing.T, lbURL string, nodes ...*fleetNode) string {
+	t.Helper()
+	text := readBody(t, mustGet(t, lbURL+"/metrics"))
 	errs, stats := obs.Lint(strings.NewReader(text))
 	for _, e := range errs {
 		t.Errorf("fleet exposition: %v", e)
@@ -423,25 +471,13 @@ func TestMetricsFederation(t *testing.T) {
 	if stats.Families == 0 {
 		t.Fatal("empty fleet exposition")
 	}
-	if !strings.Contains(text, `dominod_node_info{node="a"} 1`) ||
-		!strings.Contains(text, `dominod_node_info{node="b"} 1`) {
-		t.Fatalf("per-node identity missing:\n%s", text)
-	}
-	if !strings.Contains(text, "dominod_records_total 4") {
-		t.Fatalf("backend counters not summed (want 4 records fleet-wide):\n%s", text)
-	}
-	if !strings.Contains(text, `dominolb_backend_up{backend=`) {
-		t.Fatalf("balancer health gauges missing:\n%s", text)
-	}
-
-	// The served document equals Merge(own snapshot, per-node parses).
 	fleet, err := obs.ParseText(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("fleet exposition does not re-parse: %v", err)
 	}
 	var nodeSnaps []obs.Snapshot
-	for _, f := range []*fakeNode{a, b} {
-		snap, err := obs.ParseText(strings.NewReader(readBody(t, mustGet(t, f.ts.URL+"/metrics"))))
+	for _, n := range nodes {
+		snap, err := obs.ParseText(strings.NewReader(readBody(t, mustGet(t, n.ts.URL+"/metrics"))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,6 +486,13 @@ func TestMetricsFederation(t *testing.T) {
 	want, err := obs.Merge(nodeSnaps...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	render := func(f obs.Family) string {
+		var buf bytes.Buffer
+		if err := (obs.Snapshot{Families: []obs.Family{f}}).WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
 	for _, wf := range want.Families {
 		var got *obs.Family
@@ -462,20 +505,38 @@ func TestMetricsFederation(t *testing.T) {
 		if got == nil {
 			t.Fatalf("family %s missing from fleet exposition", wf.Name)
 		}
-		gotText, wantText := renderFamily(t, *got), renderFamily(t, wf)
-		if gotText != wantText {
+		if gotText, wantText := render(*got), render(wf); gotText != wantText {
 			t.Fatalf("family %s diverges from Merge of node snapshots:\ngot:\n%s\nwant:\n%s", wf.Name, gotText, wantText)
 		}
 	}
+	return text
+}
+
+func TestMetricsFederation(t *testing.T) {
+	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
+	lb, ts := newTestBalancer(t, Options{}, a, b)
+	payload := sessionJSONL(t, ran.Presets()[0], 25, 2*sim.Second)
+	for i, n := range []*fleetNode{a, b} {
+		mustPost(t, n.ts.URL, fmt.Sprintf("fed-%d", i), 0, true, payload, http.StatusOK)
+	}
+
+	text := assertFleetIsMergeOfNodes(t, ts.URL, a, b)
+	if !strings.Contains(text, `dominod_node_info{node="a"} 1`) ||
+		!strings.Contains(text, `dominod_node_info{node="b"} 1`) {
+		t.Fatalf("per-node identity missing:\n%s", text)
+	}
+	// Counters sum: both nodes analyzed the same trace.
+	perNode := strings.Count(string(payload), "\n") - 1 // minus the header line
+	if !strings.Contains(text, fmt.Sprintf("dominod_records_total %d\n", 2*perNode)) {
+		t.Fatalf("backend counters not summed (want %d records fleet-wide):\n%s", 2*perNode, text)
+	}
+	if !strings.Contains(text, `dominolb_backend_up{backend=`) {
+		t.Fatalf("balancer health gauges missing:\n%s", text)
+	}
 
 	// A dead backend is skipped and counted, not fatal.
-	b.ts.CloseClientConnections()
-	b.ts.Close()
-	for _, be := range lb.backends {
-		if be.url == b.ts.URL {
-			be.noteFailure(1)
-		}
-	}
+	b.kill()
+	backendOf(t, lb, b).noteFailure(1)
 	text = readBody(t, mustGet(t, ts.URL+"/metrics"))
 	if errs, _ := obs.Lint(strings.NewReader(text)); len(errs) > 0 {
 		t.Fatalf("degraded exposition fails lint: %v", errs)
@@ -485,17 +546,8 @@ func TestMetricsFederation(t *testing.T) {
 	}
 }
 
-func renderFamily(t *testing.T, f obs.Family) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := (obs.Snapshot{Families: []obs.Family{f}}).WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
 func TestHealthzAggregation(t *testing.T) {
-	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
 
 	body := readBody(t, mustGet(t, ts.URL+"/healthz"))
@@ -503,23 +555,15 @@ func TestHealthzAggregation(t *testing.T) {
 		t.Fatalf("healthz: %s", body)
 	}
 
-	a.setDraining(true)
+	a.node.Drain()
 	lb.probeAll()
 	resp := mustGet(t, ts.URL+"/healthz")
 	if body := readBody(t, resp); !strings.Contains(body, `"status": "degraded"`) || !strings.Contains(body, `"draining"`) {
 		t.Fatalf("healthz with draining backend: %s", body)
 	}
 
-	b.ts.CloseClientConnections()
-	b.ts.Close()
-	a.mu.Lock()
-	a.draining = true
-	a.mu.Unlock()
-	for _, be := range lb.backends {
-		if be.url == b.ts.URL {
-			be.noteFailure(1)
-		}
-	}
+	b.kill()
+	backendOf(t, lb, b).noteFailure(1)
 	resp = mustGet(t, ts.URL+"/healthz")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz with no up backends: %d", resp.StatusCode)
@@ -528,32 +572,19 @@ func TestHealthzAggregation(t *testing.T) {
 }
 
 func TestReportRoutesToOwner(t *testing.T) {
-	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	_, ts := newTestBalancer(t, Options{}, a, b)
 	const id = "report-sess"
-	resp := postChunk(t, ts.URL, id, ingest.ContentTypeJSONL, 0, true, "hdr\nr1\n")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest: %d", resp.StatusCode)
-	}
-	direct := readBody(t, resp)
-	viaLB := readBody(t, mustGet(t, ts.URL+"/report/"+id))
-	if direct != viaLB {
+	payload := sessionJSONL(t, ran.Presets()[0], 26, 2*sim.Second)
+	direct := mustPost(t, ts.URL, id, 0, true, payload, http.StatusOK)
+	if viaLB := fetchReport(t, ts.URL, id); !bytes.Equal(direct, viaLB) {
 		t.Fatalf("report via balancer differs:\ningest: %s\nreport: %s", direct, viaLB)
 	}
-	resp = mustGet(t, ts.URL+"/report/nope")
+	resp := mustGet(t, ts.URL+"/report/nope")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown report: %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-}
-
-func mustGet(t *testing.T, url string) *http.Response {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
 }
 
 // TestSessionsActiveGaugeMatchesTableWalk pins the counted gauge to
@@ -561,7 +592,7 @@ func mustGet(t *testing.T, url string) *http.Response {
 // are not done — through admissions, completions from several clients
 // at once, and a completion that is replayed.
 func TestSessionsActiveGaugeMatchesTableWalk(t *testing.T) {
-	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
 	check := func(when string, want int) {
 		t.Helper()
@@ -582,21 +613,22 @@ func TestSessionsActiveGaugeMatchesTableWalk(t *testing.T) {
 	}
 	check("empty table", 0)
 
+	chunks, seqs := splitLines(sessionJSONL(t, ran.Presets()[0], 27, 2*sim.Second), 2)
 	// post is postChunk for goroutines other than the test's: it reports
 	// with t.Error.
-	post := func(id string, seq int, eos bool, body string) {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/ingest?session="+id, strings.NewReader(body))
+	post := func(id string, seq int, eos bool, body []byte) {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/ingest?session="+id, bytes.NewReader(body))
 		req.Header.Set("Content-Type", ingest.ContentTypeJSONL)
-		req.Header.Set(ingest.HeaderSeq, strconv.Itoa(seq))
-		if eos {
-			req.Header.Set(ingest.HeaderEos, "1")
-		}
+		ingest.Request{Seq: seq, Resumable: true, Eos: eos}.SetHeaders(req.Header)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			t.Errorf("session %s chunk at %d: status %d", id, seq, resp.StatusCode)
+		}
+		drainClose(resp)
 	}
 	const n = 12
 	var wg sync.WaitGroup
@@ -604,10 +636,10 @@ func TestSessionsActiveGaugeMatchesTableWalk(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			id := fmt.Sprintf("g-%d", i)
-			post(id, 0, false, "hdr\nr1\n")
+			id := "g-" + strconv.Itoa(i)
+			post(id, seqs[0], false, chunks[0])
 			if i%3 != 0 { // every third session is left open
-				post(id, 2, true, "r2\n")
+				post(id, seqs[1], true, chunks[1])
 			}
 		}(i)
 	}
@@ -616,10 +648,6 @@ func TestSessionsActiveGaugeMatchesTableWalk(t *testing.T) {
 
 	// A client that lost its 200 resends the final chunk: done stays
 	// done and is not counted down twice.
-	resp := postChunk(t, ts.URL, "g-1", ingest.ContentTypeJSONL, 2, true, "r2\n")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("completion replay got %d", resp.StatusCode)
-	}
-	resp.Body.Close()
+	mustPost(t, ts.URL, "g-1", seqs[1], true, chunks[1], http.StatusOK)
 	check("after a replayed completion", n/3)
 }

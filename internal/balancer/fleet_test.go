@@ -1,11 +1,12 @@
-package main
+package balancer
 
-// Fleet-tier acceptance: real dominod servers behind internal/balancer.
-// The fleet chaos differential is the headline — N nodes, all
+// Fleet-tier acceptance: real dominod nodes (internal/node) behind the
+// balancer. The fleet chaos differential is the headline — N nodes, all
 // scenarios in both wire formats, seeded backend kills mid-stream —
 // and every session's final report must be byte-identical to clean
 // single-node ingest. The drain test pins the SIGTERM semantics end to
-// end, and the federation test pins /metrics = Merge(per-node scrapes).
+// end, the federation test pins /metrics = Merge(per-node scrapes), and
+// the read differential pins the merged query surface to one store.
 
 import (
 	"bytes"
@@ -23,8 +24,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/domino5g/domino/internal/balancer"
 	"github.com/domino5g/domino/internal/ingest"
+	"github.com/domino5g/domino/internal/node"
 	"github.com/domino5g/domino/internal/obs"
 	"github.com/domino5g/domino/internal/ran"
 	"github.com/domino5g/domino/internal/rcastore"
@@ -32,31 +33,6 @@ import (
 	"github.com/domino5g/domino/internal/sim"
 	"github.com/domino5g/domino/internal/trace"
 )
-
-// fleetNode is one real dominod backend under balancer control.
-type fleetNode struct {
-	srv *server
-	ts  *httptest.Server
-}
-
-func newFleetNode(t *testing.T, nodeID string) *fleetNode {
-	t.Helper()
-	srv := newServer(testAnalyzer(t), serverOptions{
-		MaxStreams: 4,
-		NodeID:     nodeID,
-		Now:        func() sim.Time { return chaosFleetNow },
-	})
-	ts := httptest.NewServer(srv.routes())
-	t.Cleanup(ts.Close)
-	return &fleetNode{srv: srv, ts: ts}
-}
-
-// kill is the in-process kill -9: tear every open connection, stop
-// accepting. The dominod never gets to drain or checkpoint.
-func (n *fleetNode) kill() {
-	n.ts.CloseClientConnections()
-	n.ts.Close()
-}
 
 // ownerOf finds which live node holds a session by probing the nodes
 // directly (not through the balancer — its routing table is busy while
@@ -66,13 +42,7 @@ func ownerOf(t *testing.T, nodes []*fleetNode, id string, deadline time.Duration
 	stop := time.Now().Add(deadline)
 	for time.Now().Before(stop) {
 		for _, n := range nodes {
-			resp, err := http.Get(n.ts.URL + "/sessions/" + id + "/watermark")
-			if err != nil {
-				continue
-			}
-			ok := resp.StatusCode == http.StatusOK
-			drainClose(resp)
-			if ok {
+			if _, ok := n.watermark(t, id); ok {
 				return n
 			}
 		}
@@ -80,25 +50,6 @@ func ownerOf(t *testing.T, nodes []*fleetNode, id string, deadline time.Duration
 	}
 	t.Fatalf("no node owns session %s", id)
 	return nil
-}
-
-// splitLines cuts a JSONL payload into n record-aligned chunks and
-// returns each chunk with its starting record index.
-func splitLines(payload []byte, n int) (chunks [][]byte, seqs []int) {
-	lines := bytes.SplitAfter(payload, []byte("\n"))
-	if len(lines) > 0 && len(lines[len(lines)-1]) == 0 {
-		lines = lines[:len(lines)-1]
-	}
-	per := (len(lines) + n - 1) / n
-	for at := 0; at < len(lines); at += per {
-		end := at + per
-		if end > len(lines) {
-			end = len(lines)
-		}
-		chunks = append(chunks, bytes.Join(lines[at:end], nil))
-		seqs = append(seqs, at)
-	}
-	return chunks, seqs
 }
 
 // gatedReader yields head, then blocks until gate closes, then yields
@@ -144,7 +95,7 @@ func TestFleetChaosDifferential(t *testing.T) {
 		nodes[i] = newFleetNode(t, fmt.Sprintf("n%d", i))
 		backends = append(backends, nodes[i].ts.URL)
 	}
-	lb, err := balancer.New(balancer.Options{
+	lb, err := New(Options{
 		Backends: backends,
 		// Deterministic failure detection: the prober stays quiet (the
 		// initial round marked everyone up) and the first data-path
@@ -389,7 +340,7 @@ func regexpMatch(text, expr string) bool {
 func TestFleetDrainSemantics(t *testing.T) {
 	clean := newFleetNode(t, "clean")
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
-	lb, err := balancer.New(balancer.Options{
+	lb, err := New(Options{
 		Backends:       []string{a.ts.URL, b.ts.URL},
 		HealthInterval: 10 * time.Millisecond,
 		HealthTimeout:  time.Second, // default interval/2 is too twitchy under test load
@@ -433,7 +384,7 @@ func TestFleetDrainSemantics(t *testing.T) {
 		survivor = b
 	}
 	// What SIGTERM does, without the process exit racing the test.
-	owner.srv.draining.Store(true)
+	owner.node.Drain()
 
 	// The prober must notice and demote it to draining (not down).
 	deadline := time.Now().Add(2 * time.Second)
@@ -461,14 +412,9 @@ func TestFleetDrainSemantics(t *testing.T) {
 			t.Fatalf("session %s during drain: %d", nid, resp.StatusCode)
 		}
 		drainClose(resp)
-		probe, err := http.Get(survivor.ts.URL + "/sessions/" + nid + "/watermark")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if probe.StatusCode != http.StatusOK {
+		if _, ok := survivor.watermark(t, nid); !ok {
 			t.Fatalf("session %s not on the surviving node", nid)
 		}
-		drainClose(probe)
 	}
 	// The draining node accumulated nothing new.
 	resp, err = http.Get(owner.ts.URL + "/sessions")
@@ -511,7 +457,7 @@ func TestFleetDrainSemantics(t *testing.T) {
 // lints clean.
 func TestFleetMetricsMergeAcceptance(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
-	lb, err := balancer.New(balancer.Options{
+	lb, err := New(Options{
 		Backends:       []string{a.ts.URL, b.ts.URL},
 		HealthInterval: time.Hour, // scrape comparisons need a quiet fleet
 	})
@@ -523,68 +469,17 @@ func TestFleetMetricsMergeAcceptance(t *testing.T) {
 	defer lbTS.Close()
 
 	for i, n := range []*fleetNode{a, b} {
-		_, body := sessionTrace(t, ran.Amarisoft(), uint64(60+i), 4*sim.Second)
+		body := sessionJSONL(t, ran.Amarisoft(), uint64(60+i), 4*sim.Second)
 		resp, err := http.Post(n.ts.URL+"/ingest?session=fed", "application/jsonl", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		drainClose(resp)
 	}
-
-	scrape := func(base string) ([]byte, obs.Snapshot) {
-		resp, err := http.Get(base + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		text, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := obs.ParseText(bytes.NewReader(text))
-		if err != nil {
-			t.Fatalf("scrape of %s does not parse: %v", base, err)
-		}
-		return text, snap
-	}
-
-	fleetText, fleetSnap := scrape(lbTS.URL)
-	if errs, _ := obs.Lint(bytes.NewReader(fleetText)); len(errs) > 0 {
-		t.Fatalf("fleet exposition fails lint: %v", errs)
-	}
+	fleetText := assertFleetIsMergeOfNodes(t, lbTS.URL, a, b)
 	for _, node := range []string{"a", "b"} {
-		if !strings.Contains(string(fleetText), `dominod_node_info{node="`+node+`"} 1`) {
+		if !strings.Contains(fleetText, `dominod_node_info{node="`+node+`"} 1`) {
 			t.Fatalf("node %s identity missing from fleet exposition:\n%s", node, fleetText)
-		}
-	}
-
-	_, snapA := scrape(a.ts.URL)
-	_, snapB := scrape(b.ts.URL)
-	want, err := obs.Merge(snapA, snapB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wf := range want.Families {
-		var got *obs.Family
-		for i := range fleetSnap.Families {
-			if fleetSnap.Families[i].Name == wf.Name {
-				got = &fleetSnap.Families[i]
-				break
-			}
-		}
-		if got == nil {
-			t.Fatalf("family %s missing from fleet exposition", wf.Name)
-		}
-		var gotBuf, wantBuf bytes.Buffer
-		if err := (obs.Snapshot{Families: []obs.Family{*got}}).WriteText(&gotBuf); err != nil {
-			t.Fatal(err)
-		}
-		if err := (obs.Snapshot{Families: []obs.Family{wf}}).WriteText(&wantBuf); err != nil {
-			t.Fatal(err)
-		}
-		if gotBuf.String() != wantBuf.String() {
-			t.Fatalf("family %s != Merge of per-node snapshots:\nfleet:\n%s\nmerge:\n%s",
-				wf.Name, gotBuf.String(), wantBuf.String())
 		}
 	}
 }
@@ -607,7 +502,7 @@ func TestFleetReadDifferential(t *testing.T) {
 	randomRows := func(node string, n int) []rcastore.Record {
 		rows := make([]rcastore.Record, n)
 		for i := range rows {
-			start := chaosFleetNow - sim.Time(1+rng.Intn(40))*sim.Minute
+			start := fleetNow - sim.Time(1+rng.Intn(40))*sim.Minute
 			r := rcastore.Record{
 				Session: fmt.Sprintf("%s-%03d", node, i),
 				Cell:    []string{"tdd", "fdd", "amarisoft"}[rng.Intn(3)],
@@ -637,23 +532,23 @@ func TestFleetReadDifferential(t *testing.T) {
 				global.Insert(r)
 			}
 		}
-		srv := newServer(testAnalyzer(t), serverOptions{
+		n := node.New(testAnalyzer(t), node.Options{
 			MaxStreams: 2, NodeID: name, Store: st,
-			Now: func() sim.Time { return chaosFleetNow },
+			Now: func() sim.Time { return fleetNow },
 		})
-		ts := httptest.NewServer(srv.routes())
+		ts := httptest.NewServer(n.Routes())
 		t.Cleanup(ts.Close)
 		return ts
 	}
 	stubMux := http.NewServeMux() // healthy, and 404 for everything else
 	stubMux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "node": "stub"})
+		ingest.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "node": "stub"})
 	})
 	stub := httptest.NewServer(stubMux)
 	t.Cleanup(stub.Close)
 	n0, dead, n1, n2 := storeNode("n0", true), storeNode("dead", false), storeNode("n1", true), storeNode("n2", true)
 
-	lb, err := balancer.New(balancer.Options{
+	lb, err := New(Options{
 		Backends:       []string{n0.URL, dead.URL, n1.URL, stub.URL, n2.URL},
 		HealthInterval: time.Hour,
 		FailThreshold:  1 << 30, // the dead node stays on the read path, failing
@@ -672,7 +567,7 @@ func TestFleetReadDifferential(t *testing.T) {
 		want map[string]any
 	}
 	var reads []read
-	from := chaosFleetNow - 30*sim.Minute
+	from := fleetNow - 30*sim.Minute
 	for _, cell := range []string{"", "fdd", "never_seen"} {
 		q := rcastore.Query{From: from, Cell: cell}
 		v := url.Values{"from": {strconv.FormatInt(int64(from), 10)}}
@@ -737,7 +632,7 @@ func TestFleetReadDifferential(t *testing.T) {
 				got, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				want := httptest.NewRecorder()
-				writeJSON(want, http.StatusOK, reads[i].want)
+				ingest.WriteJSON(want, http.StatusOK, reads[i].want)
 				if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want.Body.Bytes()) {
 					t.Errorf("GET %s: status %d, err %v\nfleet:\n%s\none store:\n%s",
 						reads[i].path, resp.StatusCode, err, got, want.Body.Bytes())
@@ -746,6 +641,20 @@ func TestFleetReadDifferential(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+
+	// A parameter error reaches the client in a node's own words: the
+	// balancer answers with the same status and error body a node gives
+	// directly, never an empty 200 merged from no answers.
+	for _, bad := range []string{
+		"/query?limit=abc", "/query?agg=top_chains&k=-1", "/query?agg=cause_rates&bucket=0",
+		"/query?last=bogus", "/query?agg=bogus", "/incidents/similar?fired=a&k=-1", "/incidents/similar",
+	} {
+		direct, viaLB := mustGet(t, n0.URL+bad), mustGet(t, lbTS.URL+bad)
+		want, got := readBody(t, direct), readBody(t, viaLB)
+		if direct.StatusCode != http.StatusBadRequest || viaLB.StatusCode != direct.StatusCode || got != want {
+			t.Errorf("GET %s: node answers %d %s, balancer %d %s", bad, direct.StatusCode, want, viaLB.StatusCode, got)
+		}
+	}
 
 	// A session no live node holds is a 404, not an empty answer.
 	resp, err := http.Get(lbTS.URL + "/incidents/similar?session=dead-003")

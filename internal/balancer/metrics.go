@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 
+	"github.com/domino5g/domino/internal/ingest"
 	"github.com/domino5g/domino/internal/obs"
 )
 
@@ -84,7 +85,7 @@ func (b *Balancer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	merged, err := obs.Merge(snaps...)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "merging fleet snapshots: "+err.Error())
+		ingest.WriteError(w, http.StatusInternalServerError, "merging fleet snapshots: "+err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

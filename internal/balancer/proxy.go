@@ -34,6 +34,11 @@ var errNoBackends = fmt.Errorf("no healthy backends")
 //     path takes over: probe watermark (now answered by the new
 //     pin), resend what is missing.
 func (b *Balancer) handleIngest(w http.ResponseWriter, r *http.Request) {
+	req, err := ingest.ParseRequest(r.Header)
+	if err != nil {
+		ingest.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	id := r.URL.Query().Get("session")
 	if id == "" {
 		// Affinity needs a name; mint one so even anonymous legacy
@@ -46,17 +51,15 @@ func (b *Balancer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 
-	resumable := r.Header.Get(ingest.HeaderSeq) != ""
-	sess.resumable = sess.resumable || resumable
+	sess.resumable = sess.resumable || req.Resumable
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		sess.contentType = ct
 	}
 	if err := b.ensureBackend(r.Context(), sess); err != nil {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, fmt.Sprintf("session %s: %v", id, err))
+		ingest.CodeUnavailable.Reject(w, fmt.Sprintf("session %s: %v", id, err))
 		return
 	}
-	b.forward(w, r, sess, id)
+	b.forward(w, r, req, sess, id)
 }
 
 // ensureBackend gives sess a live pin, failing it over when the
@@ -103,7 +106,7 @@ func (b *Balancer) replay(ctx context.Context, sess *lbSession, be *backend) err
 		return err
 	}
 	req.Header.Set("Content-Type", sess.contentType)
-	req.Header.Set(ingest.HeaderSeq, "0")
+	ingest.Request{Resumable: true}.SetHeaders(req.Header)
 	resp, err := b.client.Do(req)
 	if err != nil {
 		b.backendFailed(be, err)
@@ -126,7 +129,7 @@ func (b *Balancer) replay(ctx context.Context, sess *lbSession, be *backend) err
 // forward proxies one ingest chunk to the session's pinned backend,
 // teeing the body into the replay buffer and committing it only once
 // the backend acknowledges. Callers hold sess.mu.
-func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, sess *lbSession, id string) {
+func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.Request, sess *lbSession, id string) {
 	be := sess.backend
 	var pending *bytes.Buffer
 	var body io.Reader = r.Body
@@ -137,15 +140,11 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, sess *lbSessi
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		be.url+"/ingest?session="+url.QueryEscape(id), body)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		ingest.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	req.Header.Set("Content-Type", sess.contentType)
-	for _, h := range []string{ingest.HeaderSeq, ingest.HeaderEos} {
-		if v := r.Header.Get(h); v != "" {
-			req.Header.Set(h, v)
-		}
-	}
+	proto.SetHeaders(req.Header)
 	resp, err := b.client.Do(req)
 	if err != nil {
 		// The backend vanished under the stream. We cannot replay the
@@ -153,18 +152,14 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, sess *lbSessi
 		// client's retry loop, and let the failure feed health so the
 		// next attempt fails over.
 		b.backendFailed(be, err)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("backend lost mid-upload (%v); retry to fail over", err))
+		ingest.CodeUnavailable.Reject(w, fmt.Sprintf("backend lost mid-upload (%v); retry to fail over", err))
 		return
 	}
 	defer resp.Body.Close()
 	respBody, err := io.ReadAll(resp.Body)
 	if err != nil {
 		b.backendFailed(be, err)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("backend lost mid-response (%v); retry to fail over", err))
+		ingest.CodeUnavailable.Reject(w, fmt.Sprintf("backend lost mid-response (%v); retry to fail over", err))
 		return
 	}
 
@@ -196,10 +191,8 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, sess *lbSessi
 		// The backend is shedding or draining; reflect draining into
 		// the fleet view right away so the client's retry re-pins
 		// instead of bouncing off the same node.
-		if strings.Contains(string(respBody), "draining") {
-			if be.noteState(stateDraining, "") {
-				b.log.Info("backend draining (ingest reject)", "backend", be.url)
-			}
+		if ingest.ErrorCode(respBody) == ingest.CodeDraining && be.noteState(stateDraining, "") {
+			b.log.Info("backend draining (ingest reject)", "backend", be.url)
 		}
 	}
 	copyHeader(w, resp.Header, "Content-Type")
@@ -232,8 +225,7 @@ func (b *Balancer) handleWatermark(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
 		if err := b.ensureBackend(r.Context(), sess); err != nil {
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusServiceUnavailable, err.Error())
+			ingest.CodeUnavailable.Reject(w, err.Error())
 			return
 		}
 		b.passThrough(w, r.Context(), sess.backend, "/sessions/"+url.PathEscape(id)+"/watermark")
@@ -242,11 +234,11 @@ func (b *Balancer) handleWatermark(w http.ResponseWriter, r *http.Request) {
 	// Unknown to this balancer (admitted before a restart, or direct
 	// to a node): first backend that knows it wins.
 	for _, be := range b.reachable() {
-		if b.tryPassThrough(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark") {
+		if b.tryPassThrough(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark", true) {
 			return
 		}
 	}
-	httpError(w, http.StatusNotFound, "no such session")
+	ingest.WriteError(w, http.StatusNotFound, "no such session")
 }
 
 // handleReport routes to the owning backend, falling back to asking
@@ -258,16 +250,16 @@ func (b *Balancer) handleReport(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Lock()
 		be := sess.backend
 		sess.mu.Unlock()
-		if be != nil && be.State() != stateDown && b.tryPassThrough(w, r.Context(), be, path) {
+		if be != nil && be.State() != stateDown && b.tryPassThrough(w, r.Context(), be, path, true) {
 			return
 		}
 	}
 	for _, be := range b.reachable() {
-		if b.tryPassThrough(w, r.Context(), be, path) {
+		if b.tryPassThrough(w, r.Context(), be, path, true) {
 			return
 		}
 	}
-	httpError(w, http.StatusNotFound, "no such session")
+	ingest.WriteError(w, http.StatusNotFound, "no such session")
 }
 
 // reachable lists backends worth asking for reads: everything not
@@ -287,7 +279,7 @@ func (b *Balancer) passThrough(w http.ResponseWriter, ctx context.Context, be *b
 	resp, err := b.get(ctx, be, path)
 	if err != nil {
 		b.backendFailed(be, err)
-		httpError(w, http.StatusBadGateway, err.Error())
+		ingest.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	defer resp.Body.Close()
@@ -296,24 +288,39 @@ func (b *Balancer) passThrough(w http.ResponseWriter, ctx context.Context, be *b
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// tryPassThrough proxies a GET only if the backend answers 200;
-// a miss (404, error) leaves the ResponseWriter untouched so the
-// caller can try elsewhere.
-func (b *Balancer) tryPassThrough(w http.ResponseWriter, ctx context.Context, be *backend, path string) bool {
+// tryPassThrough proxies a GET if the backend answers — with only200,
+// only if it answers 200. A miss (transport error, or a non-200 under
+// only200) leaves the ResponseWriter untouched so the caller can try
+// elsewhere.
+func (b *Balancer) tryPassThrough(w http.ResponseWriter, ctx context.Context, be *backend, path string, only200 bool) bool {
 	resp, err := b.get(ctx, be, path)
 	if err != nil {
 		b.backendFailed(be, err)
 		return false
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if only200 && resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		return false
 	}
 	copyHeader(w, resp.Header, "Content-Type")
-	w.WriteHeader(http.StatusOK)
+	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 	return true
+}
+
+// relayFirst answers with whatever the first backend that answers at
+// all says — status, content type, body. The fan-out handlers use it
+// when no backend answered 200, so a parameter error reaches the client
+// in a node's own words (a 400 with its message) instead of as an empty
+// 200.
+func (b *Balancer) relayFirst(w http.ResponseWriter, ctx context.Context, pathAndQuery string) {
+	for _, be := range b.reachable() {
+		if b.tryPassThrough(w, ctx, be, pathAndQuery, false) {
+			return
+		}
+	}
+	ingest.WriteError(w, http.StatusServiceUnavailable, errNoBackends.Error())
 }
 
 func (b *Balancer) get(ctx context.Context, be *backend, pathAndQuery string) (*http.Response, error) {
@@ -328,7 +335,9 @@ func (b *Balancer) get(ctx context.Context, be *backend, pathAndQuery string) (*
 // returns the decoded 200-bodies with the backend each came from, both
 // in the order the backends were given — so a merge does not depend on
 // which node answered first. Individual failures are logged and
-// skipped: a degraded fleet still answers with what it has.
+// skipped: a degraded fleet still answers with what it has. When no
+// backend answered 200 the caller relays one node's answer (relayFirst)
+// rather than merge nothing into an empty 200.
 func fanGet[T any](b *Balancer, ctx context.Context, backends []*backend, pathAndQuery string) (answers []T, from []*backend) {
 	got := make([]*T, len(backends))
 	var wg sync.WaitGroup
@@ -385,7 +394,7 @@ func (b *Balancer) handleSessions(w http.ResponseWriter, r *http.Request) {
 	for i, k := range all {
 		out[i] = k.raw
 	}
-	writeJSON(w, http.StatusOK, out)
+	ingest.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleQuery fans /query across the fleet and merges per-node
@@ -408,6 +417,10 @@ func (b *Balancer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		var records []rcastore.Record
 		parts, _ := fanGet[recordsResp](b, r.Context(), b.reachable(), pathAndQuery)
+		if len(parts) == 0 {
+			b.relayFirst(w, r.Context(), pathAndQuery)
+			return
+		}
 		for _, part := range parts {
 			records = append(records, part.Records...)
 		}
@@ -418,7 +431,7 @@ func (b *Balancer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if records == nil {
 			records = []rcastore.Record{}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"records": records})
+		ingest.WriteJSON(w, http.StatusOK, map[string]any{"records": records})
 	case "top_chains":
 		k := 10
 		if v := r.URL.Query().Get("k"); v != "" {
@@ -429,6 +442,10 @@ func (b *Balancer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		byChain := map[string]*rcastore.ChainAgg{}
 		parts, _ := fanGet[chainsResp](b, r.Context(), b.reachable(), pathAndQuery)
+		if len(parts) == 0 {
+			b.relayFirst(w, r.Context(), pathAndQuery)
+			return
+		}
 		for _, part := range parts {
 			for _, c := range part.TopChains {
 				a := byChain[c.Chain]
@@ -454,18 +471,17 @@ func (b *Balancer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if k > 0 && len(out) > k {
 			out = out[:k]
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"top_chains": out})
+		ingest.WriteJSON(w, http.StatusOK, map[string]any{"top_chains": out})
 	case "cause_rates":
-		writeJSON(w, http.StatusOK, map[string]any{
-			"cause_rates": b.mergeCauseRates(r.Context(), pathAndQuery),
-		})
-	default:
-		// Let a backend phrase the error for unknown aggregations.
-		for _, be := range b.reachable() {
-			b.passThrough(w, r.Context(), be, pathAndQuery)
+		rates, ok := b.mergeCauseRates(r.Context(), pathAndQuery)
+		if !ok {
+			b.relayFirst(w, r.Context(), pathAndQuery)
 			return
 		}
-		httpError(w, http.StatusServiceUnavailable, errNoBackends.Error())
+		ingest.WriteJSON(w, http.StatusOK, map[string]any{"cause_rates": rates})
+	default:
+		// Let a backend phrase the error for unknown aggregations.
+		b.relayFirst(w, r.Context(), pathAndQuery)
 	}
 }
 
@@ -473,8 +489,9 @@ func (b *Balancer) handleQuery(w http.ResponseWriter, r *http.Request) {
 // per (cell, bucket, cause); Sessions and Minutes sum per (cell,
 // bucket) group — each node reports its group denominator on every
 // row, so per node the group values are taken once — and the rate is
-// re-derived from the merged numerator and denominator.
-func (b *Balancer) mergeCauseRates(ctx context.Context, pathAndQuery string) []rcastore.CauseBucket {
+// re-derived from the merged numerator and denominator. ok is false
+// when no backend answered.
+func (b *Balancer) mergeCauseRates(ctx context.Context, pathAndQuery string) (merged []rcastore.CauseBucket, ok bool) {
 	type ratesResp struct {
 		CauseRates []rcastore.CauseBucket `json:"cause_rates"`
 	}
@@ -490,6 +507,9 @@ func (b *Balancer) mergeCauseRates(ctx context.Context, pathAndQuery string) []r
 	sessions := map[groupKey]int{}
 	minutes := map[groupKey]float64{}
 	parts, _ := fanGet[ratesResp](b, ctx, b.reachable(), pathAndQuery)
+	if len(parts) == 0 {
+		return nil, false
+	}
 	for _, part := range parts {
 		grouped := map[groupKey]bool{}
 		for _, cb := range part.CauseRates {
@@ -522,7 +542,7 @@ func (b *Balancer) mergeCauseRates(ctx context.Context, pathAndQuery string) []r
 		}
 		return out[i].Cause < out[j].Cause
 	})
-	return out
+	return out, true
 }
 
 // handleSimilar fans nearest-incident lookups. A fired= probe fans
@@ -549,7 +569,7 @@ func (b *Balancer) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	if probeSession != "" {
 		owners, from := fanGet[similarResp](b, r.Context(), ask, "/incidents/similar?"+r.URL.RawQuery)
 		if len(owners) == 0 {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("session %q has no stored report on any node", probeSession))
+			ingest.WriteError(w, http.StatusNotFound, fmt.Sprintf("session %q has no stored report on any node", probeSession))
 			return
 		}
 		// The first node holding the session speaks for it. Any other
@@ -573,11 +593,7 @@ func (b *Balancer) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	if fired == nil {
 		// No backend produced an answer; surface the fleet state or
 		// the parameter error from a live node.
-		for _, be := range b.reachable() {
-			b.passThrough(w, r.Context(), be, fanQuery)
-			return
-		}
-		httpError(w, http.StatusServiceUnavailable, errNoBackends.Error())
+		b.relayFirst(w, r.Context(), fanQuery)
 		return
 	}
 	// Dedup (nothing stops a session from being stored on two nodes),
@@ -599,5 +615,5 @@ func (b *Balancer) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	if out == nil {
 		out = []rcastore.Match{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"fired": fired, "matches": out})
+	ingest.WriteJSON(w, http.StatusOK, map[string]any{"fired": fired, "matches": out})
 }

@@ -1,5 +1,6 @@
-// Package ingest is the retrying, resumable client side of dominod's
-// ingest protocol. It uploads a session trace with seeded jittered
+// Package ingest owns dominod's resumable-ingest protocol — the one
+// definition both tiers and the client read — and is its retrying
+// client. The client uploads a session trace with seeded jittered
 // exponential backoff and, when a connection drops mid-stream, resumes
 // from the server's record watermark instead of starting the session
 // over.
@@ -7,7 +8,8 @@
 // # Protocol
 //
 // A session upload is POST /ingest?session=ID with the trace stream as
-// the body. Two headers make it resumable:
+// the body. Two headers (ParseRequest / Request.SetHeaders) make it
+// resumable:
 //
 //   - X-Domino-Seq: the record index at which this body starts, where
 //     record 0 is the stream header. A request without the header is
@@ -25,10 +27,27 @@
 // offset meaningless — the server skips the already-accepted prefix
 // and counts the duplicates as deduped, not double-analyzed.
 //
-// Retry classification: transport errors, 429 (overload), 412 (seq
-// gap), and 5xx responses retry; 4xx contract violations (400, 404,
-// 409, 413, 415) fail permanently. A Retry-After header, when present,
-// overrides the computed backoff if longer.
+// # Server side
+//
+// A server keeps a Session (State, Accepted) per session ID and makes
+// two pure, HTTP-free decisions per request. Session.Admit, before the
+// body is read: proceed (skipping the already-accepted prefix), replay
+// the final report of a done session, or reject with a typed Code — its
+// doc comment carries the state table. Request.Settle, once the body
+// has ended (clean, interrupted, or over the size cap): acknowledge the
+// chunk with 202 + Watermark, complete the session with 200 + report,
+// suspend it at its watermark, or fail it. dominod's handler, dominolb
+// and the test stub all call these; none re-derives them.
+//
+// Every non-2xx answer is an ErrorBody: {"error": text} plus, on a
+// typed rejection, {"code": Code}. A Code fixes its HTTP status and
+// Retry-After hint (Code.Reject writes all three), so tiers tell each
+// other "draining" from "busy" by the code, never by matching text.
+//
+// Retry classification (Retryable): transport errors, 429 (overload),
+// 412 (seq gap), and 5xx responses retry; 4xx contract violations (400,
+// 404, 409, 413, 415) fail permanently. A Retry-After header, when
+// present, overrides the computed backoff if longer.
 package ingest
 
 import (
@@ -43,27 +62,6 @@ import (
 	"strconv"
 	"time"
 )
-
-// Protocol header and media-type names shared by client and server.
-const (
-	// HeaderSeq carries the record index at which the request body
-	// starts; record 0 is the stream header.
-	HeaderSeq = "X-Domino-Seq"
-	// HeaderEos marks the request that carries the end of the session.
-	HeaderEos = "X-Domino-Eos"
-
-	// ContentTypeBinary selects the binary columnar trace format.
-	ContentTypeBinary = "application/x-domino-trace"
-	// ContentTypeJSONL selects the JSONL trace format.
-	ContentTypeJSONL = "application/x-ndjson"
-)
-
-// Watermark is the GET /sessions/{id}/watermark response body.
-type Watermark struct {
-	Session  string `json:"session"`
-	Accepted int    `json:"accepted"`
-	State    string `json:"state"`
-}
 
 // Options configures a Client.
 type Options struct {
@@ -140,7 +138,7 @@ func (c *Client) Upload(ctx context.Context, session, contentType string, payloa
 		switch {
 		case err != nil:
 			lastErr = fmt.Errorf("ingest %s attempt %d: %w", session, stats.Attempts, err)
-		case retryableStatus(status):
+		case Retryable(status):
 			if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 				stats.ShedRetries++
 			}
@@ -158,7 +156,7 @@ func (c *Client) Upload(ctx context.Context, session, contentType string, payloa
 		// Resume from wherever the server got to. A failed probe keeps
 		// the previous offset — worst case we resend bytes the server
 		// dedups anyway.
-		if w, werr := c.watermark(ctx, session); werr == nil {
+		if w, werr := c.Watermark(ctx, session); werr == nil {
 			if w.Accepted > 0 {
 				stats.Resumed++
 			}
@@ -178,8 +176,7 @@ func (c *Client) post(ctx context.Context, session, contentType string, seq int,
 		return 0, 0, err
 	}
 	req.Header.Set("Content-Type", contentType)
-	req.Header.Set(HeaderSeq, strconv.Itoa(seq))
-	req.Header.Set(HeaderEos, "1")
+	Request{Seq: seq, Resumable: true, Eos: true}.SetHeaders(req.Header)
 	resp, err := c.opts.HTTPClient.Do(req)
 	if err != nil {
 		return 0, 0, err
@@ -197,10 +194,6 @@ func (c *Client) post(ctx context.Context, session, contentType string, seq int,
 // Watermark probes how many records the server has accepted for a
 // session. A session the server has never seen reports 0.
 func (c *Client) Watermark(ctx context.Context, session string) (Watermark, error) {
-	return c.watermark(ctx, session)
-}
-
-func (c *Client) watermark(ctx context.Context, session string) (Watermark, error) {
 	u := c.opts.BaseURL + "/sessions/" + url.PathEscape(session) + "/watermark"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -254,12 +247,6 @@ func (c *Client) backoff(n int, retryAfter time.Duration) time.Duration {
 		d = retryAfter
 	}
 	return d
-}
-
-func retryableStatus(status int) bool {
-	return status == http.StatusTooManyRequests ||
-		status == http.StatusPreconditionFailed ||
-		status/100 == 5
 }
 
 // trimRecords drops the first n newline-terminated records from a

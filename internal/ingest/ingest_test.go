@@ -3,7 +3,6 @@ package ingest
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,16 +14,17 @@ import (
 	"time"
 )
 
-// stubServer implements just enough of the dominod ingest contract for
-// client tests: it accepts whole records, can be scripted to fail a
-// request after swallowing k records, and serves the watermark.
+// stubServer is a scripted dominod stand-in for client tests: it treats
+// body lines as records, can be scripted to fail a request after
+// swallowing k records, and serves the watermark. What a request means
+// for the session is Session.Admit's and Request.Settle's call, exactly
+// as on a real node.
 type stubServer struct {
-	mu       sync.Mutex
-	accepted int      // records accepted so far (header = record 0)
-	records  []string // accepted record lines, in order
-	posts    []post   // every POST observed
-	script   []verdict
-	done     bool
+	mu      sync.Mutex
+	sess    Session  // the one session, as the protocol sees it
+	records []string // accepted record lines, in order
+	posts   []post   // every POST observed
+	script  []verdict
 }
 
 type post struct {
@@ -34,7 +34,7 @@ type post struct {
 }
 
 // verdict scripts one POST: swallow `take` records (-1 = all), then
-// answer `status` (0 = 200 on full consumption).
+// answer `status` (0 = whatever the protocol says).
 type verdict struct {
 	take       int
 	status     int
@@ -44,7 +44,11 @@ type verdict struct {
 func (s *stubServer) handler(t *testing.T) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
-		seq, _ := strconv.Atoi(r.Header.Get(HeaderSeq))
+		req, err := ParseRequest(r.Header)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
 		body, _ := io.ReadAll(r.Body)
 		lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
 		if len(body) == 0 {
@@ -52,23 +56,28 @@ func (s *stubServer) handler(t *testing.T) http.Handler {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		s.posts = append(s.posts, post{seq: seq, eos: r.Header.Get(HeaderEos) == "1", lines: len(lines)})
+		s.posts = append(s.posts, post{seq: req.Seq, eos: req.Eos, lines: len(lines)})
 		v := verdict{take: -1}
 		if len(s.script) > 0 {
 			v, s.script = s.script[0], s.script[1:]
 		}
-		if seq > s.accepted {
-			w.WriteHeader(http.StatusPreconditionFailed)
+		d := s.sess.Admit(req)
+		switch d.Action {
+		case Reject:
+			d.Code.Reject(w, "stub")
+			return
+		case Replay:
+			w.WriteHeader(http.StatusOK)
 			return
 		}
-		skip := s.accepted - seq // duplicate prefix: dedup, don't re-accept
 		take := len(lines)
 		if v.take >= 0 && v.take < take {
 			take = v.take
 		}
-		for i := skip; i < take; i++ {
-			s.records = append(s.records, lines[i])
-			s.accepted++
+		s.sess.State = StateActive
+		for _, line := range lines[min(d.Skip, take):take] {
+			s.records = append(s.records, line)
+			s.sess.Accepted++
 		}
 		if v.status != 0 {
 			if v.retryAfter > 0 {
@@ -77,13 +86,17 @@ func (s *stubServer) handler(t *testing.T) http.Handler {
 			w.WriteHeader(v.status)
 			return
 		}
-		s.done = true
-		w.WriteHeader(http.StatusOK)
+		if req.Settle(EndClean) == Complete {
+			s.sess.State = StateDone
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		WriteJSON(w, http.StatusAccepted, Watermark{Session: r.URL.Query().Get("session"), Accepted: s.sess.Accepted, State: s.sess.State})
 	})
 	mux.HandleFunc("GET /sessions/{id}/watermark", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		json.NewEncoder(w).Encode(Watermark{Session: r.PathValue("id"), Accepted: s.accepted, State: "active"})
+		WriteJSON(w, http.StatusOK, Watermark{Session: r.PathValue("id"), Accepted: s.sess.Accepted, State: StateActive})
 	})
 	return mux
 }
@@ -119,8 +132,8 @@ func TestUploadCleanFirstTry(t *testing.T) {
 	if stats.Attempts != 1 || stats.Resumed != 0 {
 		t.Fatalf("stats = %+v, want one clean attempt", stats)
 	}
-	if stub.accepted != 10 || !stub.done {
-		t.Fatalf("server accepted %d records, done=%v", stub.accepted, stub.done)
+	if stub.sess.Accepted != 10 || stub.sess.State != StateDone {
+		t.Fatalf("server accepted %d records, state %q", stub.sess.Accepted, stub.sess.State)
 	}
 }
 

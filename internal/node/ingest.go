@@ -1,0 +1,469 @@
+package node
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"mime"
+	"net/http"
+	"time"
+
+	"github.com/domino5g/domino/internal/ingest"
+	"github.com/domino5g/domino/internal/obs"
+	"github.com/domino5g/domino/internal/parallel"
+	"github.com/domino5g/domino/internal/rcastore"
+	"github.com/domino5g/domino/internal/trace"
+)
+
+// The negotiated ingest wire formats. formatBinary is the compact
+// columnar trace encoding (internal/trace.WriteBinary); formatJSONL is
+// the line-delimited compatibility path.
+const (
+	formatJSONL  = "jsonl"
+	formatBinary = "binary"
+)
+
+// jsonlContentTypes are the media types that select the JSONL decoder.
+var jsonlContentTypes = map[string]bool{
+	"application/jsonl":    true,
+	"application/x-ndjson": true,
+	"application/json":     true,
+}
+
+// supportedContentTypes is the 415 error's list of accepted media
+// types.
+const supportedContentTypes = ingest.ContentTypeBinary +
+	", application/jsonl, application/x-ndjson, application/json, application/octet-stream"
+
+// negotiateFormat maps an ingest request's Content-Type onto a decode
+// format: formatBinary, formatJSONL, or "" when the first body bytes
+// should be sniffed instead (no Content-Type, or the generic
+// octet-stream). Any other media type is an error the handler turns
+// into a 415.
+func negotiateFormat(r *http.Request) (string, error) {
+	ct := r.Header.Get("Content-Type")
+	if ct == "" {
+		return "", nil
+	}
+	mt, _, err := mime.ParseMediaType(ct)
+	if err != nil {
+		return "", fmt.Errorf("unparseable Content-Type %q (supported: %s)", ct, supportedContentTypes)
+	}
+	switch {
+	case mt == ingest.ContentTypeBinary:
+		return formatBinary, nil
+	case jsonlContentTypes[mt]:
+		return formatJSONL, nil
+	case mt == "application/octet-stream":
+		return "", nil
+	}
+	return "", fmt.Errorf("unsupported Content-Type %q (supported: %s)", mt, supportedContentTypes)
+}
+
+// reject answers an ingest request with a typed rejection, counted
+// under its reason when the code is one of the shed reasons.
+func (n *Node) reject(w http.ResponseWriter, code ingest.Code, msg string) {
+	if c := n.m.ingestRejected[code]; c != nil {
+		c.Inc()
+	}
+	code.Reject(w, msg)
+}
+
+func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
+	if n.draining.Load() {
+		n.reject(w, ingest.CodeDraining, "draining: this node is shutting down, retry elsewhere")
+		return
+	}
+	format, err := negotiateFormat(r)
+	if err != nil {
+		// Rejected before registration: an unsupported media type must
+		// not squat on its session ID or burn an admission slot.
+		ingest.WriteError(w, http.StatusUnsupportedMediaType, err.Error())
+		return
+	}
+	req, err := ingest.ParseRequest(r.Header)
+	if err != nil {
+		ingest.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+
+	// Admission before registration: a shed upload leaves no session
+	// behind, and a registered session is never parked waiting on a
+	// slot it may hold forever.
+	if err := n.limiter.AcquireTimeout(r.Context(), n.opts.AdmitWait); err != nil {
+		if errors.Is(err, parallel.ErrAcquireTimeout) {
+			n.reject(w, ingest.CodeOverload,
+				fmt.Sprintf("ingest capacity saturated (%d streams); retry after backoff", n.limiter.Cap()))
+			return
+		}
+		ingest.WriteError(w, http.StatusServiceUnavailable, "ingest capacity saturated and client gave up")
+		return
+	}
+	defer n.limiter.Release()
+
+	sess, id, d := n.admit(r.URL.Query().Get("session"), req)
+	switch {
+	case d.Action == ingest.Replay:
+		// Idempotent retry of a session that already completed: the
+		// client lost the final response, not the session. Serve the
+		// report again instead of failing the retry.
+		ingest.WriteJSON(w, http.StatusOK, n.reportPayload(sess))
+		return
+	case d.Code == ingest.CodeConflict:
+		n.reject(w, d.Code, fmt.Sprintf("session %q already exists", id))
+		return
+	case d.Code == ingest.CodeBusy:
+		n.reject(w, d.Code,
+			fmt.Sprintf("session %q is still owned by an interrupted upload; retry after backoff", id))
+		return
+	case d.Code == ingest.CodeSeqGap:
+		n.reject(w, d.Code,
+			fmt.Sprintf("sequence gap: body starts at record %d but session %q has accepted fewer; probe the watermark", req.Seq, id))
+		return
+	}
+	defer sess.ingesting.Store(false)
+	skip := d.Skip
+	if d.Resume {
+		n.m.ingestResumed.Inc()
+	}
+
+	// Body caps and slow-client deadlines: MaxBytesReader enforces
+	// MaxBody (the tracker tells an over-limit abort apart from any
+	// other read error, however the decoder wrapped it), and every
+	// chunk read below carries a StreamIdle deadline so a stalled
+	// client is disconnected instead of squatting on its admission
+	// slot.
+	var bodySrc io.Reader = r.Body
+	if n.opts.MaxBody > 0 {
+		bodySrc = http.MaxBytesReader(w, r.Body, n.opts.MaxBody)
+	}
+	lt := &limitTracker{r: bodySrc}
+	rc := http.NewResponseController(w)
+
+	// Build the negotiated decoder; with no (or a generic) Content-Type
+	// the first body bytes decide, so -stdin replays and bare curl
+	// octet-stream uploads still hit the right path.
+	// Binary readers recycle their block storage at depth 1: with the
+	// depth-one pipeline below, a batch is fully pushed (and its values
+	// copied into the analyzer's index) before the generation it lives
+	// in is decoded into again, so steady-state binary ingest allocates
+	// no per-record garbage.
+	var rr trace.RecordReader
+	switch format {
+	case formatBinary:
+		br := trace.NewBinaryStreamReader(lt)
+		br.Recycle(1)
+		rr = br
+	case formatJSONL:
+		rr = trace.NewStreamReader(lt)
+	default:
+		rr = trace.NewAutoStreamReader(lt)
+		if br, isBin := rr.(*trace.BinaryStreamReader); isBin {
+			br.Recycle(1)
+			format = formatBinary
+		} else {
+			format = formatJSONL
+		}
+	}
+	n.log.Debug("ingest started", "session", id, "format", format, "seq", req.Seq, "eos", req.Eos, "resumed", d.Resume)
+
+	// Records decode into a chunk and push in batches — one
+	// session-lock acquisition (and one pass of window evaluations) per
+	// chunk instead of per record, while /report snapshots interleave
+	// between chunks. The two phases pipeline at depth one on the
+	// work-stealing pool: the analyzer step for chunk N runs on a pool
+	// worker while this goroutine decodes chunk N+1 from the wire. Two
+	// buffers alternate so the chunk being decoded never aliases the
+	// chunk being pushed; each phase is timed into its latency
+	// histogram (decode covers the wire read, step the analyzer pushes,
+	// window evaluations included).
+	decodeSeconds := n.m.decodeSeconds[format]
+	ingestRecords := n.m.ingestRecords[format]
+	var bufs [2]*[]trace.Record
+	for i := range bufs {
+		bufs[i] = n.recPool.Get().(*[]trace.Record)
+		defer func(b *[]trace.Record) {
+			*b = (*b)[:0]
+			n.recPool.Put(b)
+		}(bufs[i])
+	}
+	var pending chan error
+	waitPending := func() error {
+		if pending == nil {
+			return nil
+		}
+		err := <-pending
+		pending = nil
+		return err
+	}
+	cur := 0
+	var readErr error
+	for readErr == nil {
+		if n.opts.StreamIdle > 0 {
+			_ = rc.SetReadDeadline(time.Now().Add(n.opts.StreamIdle))
+		}
+		decodeStart := time.Now()
+		var batch []trace.Record
+		batch, readErr = rr.ReadBatch((*bufs[cur])[:0])
+		decodeSeconds.Observe(time.Since(decodeStart).Seconds())
+		if skip > 0 && len(batch) > 0 {
+			// A resuming client replayed records the session already
+			// analyzed: dedup the prefix instead of double-counting.
+			dup := skip
+			if dup > len(batch) {
+				dup = len(batch)
+			}
+			batch = batch[dup:]
+			skip -= dup
+			n.m.ingestDeduped.Add(int64(dup))
+		}
+		if len(batch) == 0 {
+			continue
+		}
+		if err := waitPending(); err != nil {
+			n.fail(sess, err.Error())
+			ingest.WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		ch := make(chan error, 1)
+		pending = ch
+		n.exec.Submit(func(any) { ch <- n.pushChunk(sess, batch, ingestRecords) })
+		cur ^= 1
+	}
+	// Clear the read deadline before responding: the connection may be
+	// kept alive, and a stale deadline would poison its next request.
+	if n.opts.StreamIdle > 0 {
+		_ = rc.SetReadDeadline(time.Time{})
+	}
+	if err := waitPending(); err != nil {
+		n.fail(sess, err.Error())
+		ingest.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	// How the body ended decides what becomes of the session. An
+	// over-limit body is a permanent 413 (retrying the same payload
+	// cannot succeed; the tracker tells it apart from any other read
+	// error); any other read error suspends a resumable session — it
+	// stays active with its watermark intact so the client can resume —
+	// and fails a one-shot one.
+	end := ingest.EndClean
+	switch {
+	case readErr == io.EOF:
+	case lt.hit:
+		end = ingest.EndTooLarge
+	default:
+		end = ingest.EndInterrupted
+	}
+	switch req.Settle(end) {
+	case ingest.Ack:
+		// Clean chunk boundary on a resumable session: acknowledge the
+		// watermark and keep the session live for the next chunk.
+		p := sess.protocol()
+		ingest.WriteJSON(w, http.StatusAccepted, ingest.Watermark{Session: id, Accepted: p.Accepted, State: p.State})
+	case ingest.Suspend:
+		acc := sess.protocol().Accepted
+		n.m.ingestInterrupted.Inc()
+		n.log.Warn("ingest interrupted, session suspended",
+			"session", id, "accepted", acc, "err", readErr)
+		n.reject(w, ingest.CodeInterrupted,
+			fmt.Sprintf("stream interrupted after %d records (%v); resume from the watermark", acc, readErr))
+	case ingest.Fail:
+		if end == ingest.EndTooLarge {
+			n.fail(sess, fmt.Sprintf("request body exceeds the %d-byte ingest cap", n.opts.MaxBody))
+			n.reject(w, ingest.CodeBodyTooLarge,
+				fmt.Sprintf("request body exceeds the %d-byte ingest cap (-max-body)", n.opts.MaxBody))
+			return
+		}
+		n.fail(sess, readErr.Error())
+		ingest.WriteError(w, http.StatusBadRequest, readErr.Error())
+	case ingest.Complete:
+		n.complete(w, sess)
+	}
+}
+
+// complete closes a fully-uploaded session: final report, store
+// insert, journal append, and the 200 that carries the report.
+func (n *Node) complete(w http.ResponseWriter, sess *session) {
+	id := sess.id
+	sess.mu.Lock()
+	stats := sess.sa.Stats()
+	rep, err := sess.sa.Close()
+	if err != nil {
+		n.detachLocked(sess, ingest.StateFailed, err.Error())
+		sess.mu.Unlock()
+		n.m.sessionsFailed.Inc()
+		ingest.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	sess.final = rep
+	n.detachLocked(sess, ingest.StateDone, "")
+	sess.mu.Unlock()
+	n.m.sessionsDone.Inc()
+	n.m.lateDropped.Add(int64(stats.LateDropped))
+	// Persist the completed diagnosis into the fleet store, stamped so
+	// the session ends now and started a report-duration ago.
+	end := n.now()
+	insertStart := time.Now()
+	storeRec := rcastore.FromReport(id, end-rep.Duration, rep)
+	n.store.Insert(storeRec)
+	n.m.insertSeconds.Observe(time.Since(insertStart).Seconds())
+	if n.journal != nil {
+		// Write-ahead-journal the completed diagnosis: when this node
+		// dies before its next checkpoint, recovery replays the report
+		// instead of losing it. An append error is logged and counted
+		// but does not fail the session — the analysis succeeded and
+		// the in-memory store has it.
+		if err := n.journal.Append(storeRec); err != nil {
+			n.m.journalErrors.Inc()
+			n.log.Error("journal append failed", "session", id, "err", err)
+		} else {
+			n.maybeCheckpoint()
+		}
+	}
+	if sess.rec != nil {
+		sess.rec.Record(obs.Event{
+			Kind: obs.EvReportStored,
+			Wall: time.Now().UnixNano(),
+			Sim:  int64(rep.Duration),
+			N:    int64(rep.TotalChainEvents()),
+		})
+	}
+	n.log.Debug("session done",
+		"session", id, "cell", rep.CellName, "scenario", rep.Scenario,
+		"records", stats.Records, "windows", stats.Windows,
+		"late_dropped", stats.LateDropped, "chain_events", rep.TotalChainEvents())
+	ingest.WriteJSON(w, http.StatusOK, n.reportPayload(sess))
+}
+
+// pushChunk pushes one decoded chunk through the session's analyzer
+// under the session lock. It is the pipelined "step" phase of ingest,
+// submitted to the work-stealing pool so it overlaps with the
+// handler's decode of the next chunk; depth-one pipelining (the
+// handler waits for chunk N before submitting chunk N+1) keeps at most
+// one step per session in flight, so session locks never queue and
+// chunk order is preserved. records is the per-format accepted-records
+// counter for the session's negotiated wire format.
+func (n *Node) pushChunk(sess *session, recs []trace.Record, records *obs.Counter) error {
+	timed := 0
+	stepStart := time.Now()
+	sess.mu.Lock()
+	var pushErr error
+	pushed := 0
+	for _, rec := range recs {
+		if pushErr = sess.sa.Push(rec); pushErr != nil {
+			break
+		}
+		pushed++
+		if _, hasTime := rec.Time(); hasTime {
+			timed++
+		}
+	}
+	// Advance the resume watermark by decoded records actually pushed:
+	// a retrying client replays from here and the handler dedups the
+	// prefix, so the analyzer sees every record exactly once.
+	sess.proto.Accepted += pushed
+	if sess.rec != nil {
+		sess.rec.Record(obs.Event{
+			Kind: obs.EvIngestChunk,
+			Wall: time.Now().UnixNano(),
+			Sim:  int64(sess.sa.Watermark()),
+			N:    int64(len(recs)),
+		})
+	}
+	sess.mu.Unlock()
+	n.m.stepSeconds.Observe(time.Since(stepStart).Seconds())
+	n.m.recordsTotal.Add(int64(timed))
+	records.Add(int64(timed))
+	return pushErr
+}
+
+// maybeCheckpoint triggers an async store checkpoint every
+// CheckpointEvery journal appends. Checkpoints single-flight: if one
+// is still running, the trigger is dropped — the journal keeps
+// growing and the next multiple tries again.
+func (n *Node) maybeCheckpoint() {
+	every := n.opts.CheckpointEvery
+	if every <= 0 {
+		return
+	}
+	if n := n.journaled.Add(1); n%int64(every) != 0 {
+		return
+	}
+	go func() {
+		if !n.ckptMu.TryLock() {
+			return
+		}
+		defer n.ckptMu.Unlock()
+		if err := n.journal.Checkpoint(n.store, n.opts.CheckpointPath); err != nil {
+			n.m.journalErrors.Inc()
+			n.log.Error("checkpoint failed", "path", n.opts.CheckpointPath, "err", err)
+			return
+		}
+		n.log.Debug("store checkpointed", "path", n.opts.CheckpointPath, "rows", n.store.Len())
+	}()
+}
+
+// limitTracker marks when the wrapped body hit http.MaxBytesReader's
+// cap. Decoders wrap read errors in format-specific context, so the
+// handler cannot reliably errors.As the decode error itself; watching
+// the raw reader is exact.
+type limitTracker struct {
+	r   io.Reader
+	hit bool
+}
+
+func (lt *limitTracker) Read(p []byte) (int, error) {
+	n, err := lt.r.Read(p)
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			lt.hit = true
+		}
+	}
+	return n, err
+}
+
+// handleWatermark serves a session's resume point: how many records
+// (header included) the server has accepted. A retrying client probes
+// this and replays its stream from that index.
+func (n *Node) handleWatermark(w http.ResponseWriter, r *http.Request) {
+	sess := n.lookup(r.PathValue("id"))
+	if sess == nil {
+		ingest.WriteError(w, http.StatusNotFound, "no such session")
+		return
+	}
+	p := sess.protocol()
+	ingest.WriteJSON(w, http.StatusOK, ingest.Watermark{Session: sess.id, Accepted: p.Accepted, State: p.State})
+}
+
+// detachLocked finalizes a session's state, captures the summary and
+// report the read endpoints keep serving, and recycles the analyzer
+// into the pool. A failed session keeps the partial analysis computed
+// up to the failure point. sess.mu must be held.
+func (n *Node) detachLocked(sess *session, state ingest.State, errMsg string) {
+	sess.proto.State = state
+	sess.err = errMsg
+	sess.finished.Store(true)
+	if sa := sess.sa; sa != nil {
+		sess.stats = sa.Stats()
+		if hdr, ok := sa.Header(); ok {
+			sess.hdr, sess.hasHdr = hdr, true
+		}
+		if sess.final == nil {
+			sess.final = sa.Snapshot()
+		}
+		sess.sa = nil
+		sa.Reset()
+		n.saPool.Put(sa)
+	}
+}
+
+func (n *Node) fail(sess *session, msg string) {
+	sess.mu.Lock()
+	if sess.proto.State == ingest.StateActive {
+		n.detachLocked(sess, ingest.StateFailed, msg)
+		n.m.sessionsFailed.Inc()
+	}
+	sess.mu.Unlock()
+	n.log.Warn("session failed", "session", sess.id, "err", msg)
+}

@@ -1,0 +1,267 @@
+package node
+
+// White-box coverage of what only the node knows: that every typed
+// rejection it sends is the ingest package's (status, Retry-After, code)
+// and lands in the right counter, the lock discipline around admit, and
+// Shutdown. The HTTP-level acceptance suite — smoke, differentials,
+// chaos — drives this package through cmd/dominod's tests.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/domino5g/domino/internal/core"
+	"github.com/domino5g/domino/internal/ingest"
+	"github.com/domino5g/domino/internal/ran"
+	"github.com/domino5g/domino/internal/rcastore"
+	"github.com/domino5g/domino/internal/rtc"
+	"github.com/domino5g/domino/internal/sim"
+	"github.com/domino5g/domino/internal/trace"
+)
+
+func testAnalyzer(t testing.TB) *core.Analyzer {
+	t.Helper()
+	a, err := core.NewAnalyzer(core.DetectorConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+func sessionJSONL(t testing.TB, seed uint64, d sim.Time) []byte {
+	t.Helper()
+	sess, err := rtc.NewSession(rtc.DefaultSessionConfig(ran.Presets()[0], seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, sess.Run(d)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// firstLines returns the first n newline-terminated lines of body.
+func firstLines(body []byte, n int) []byte {
+	return bytes.Join(bytes.SplitAfterN(body, []byte("\n"), n+1)[:n], nil)
+}
+
+func post(t *testing.T, base, id string, req ingest.Request, body io.Reader) *http.Response {
+	t.Helper()
+	hr, err := http.NewRequest(http.MethodPost, base+"/ingest?session="+id, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set("Content-Type", ingest.ContentTypeJSONL)
+	req.SetHeaders(hr.Header)
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestRejectionsAreTheProtocols drives each rejection the node can
+// produce and checks the answer is exactly what the ingest code table
+// says — status, Retry-After, the code field beside the error text —
+// and that only the shed reasons are counted under
+// dominod_ingest_rejected_total.
+func TestRejectionsAreTheProtocols(t *testing.T) {
+	body := sessionJSONL(t, 3, 2*sim.Second)
+	oneShot, chunk := ingest.Request{Eos: true}, ingest.Request{Resumable: true}
+
+	n := New(testAnalyzer(t), Options{MaxStreams: 1, MaxBody: int64(len(body)) + 1, AdmitWait: 20 * time.Millisecond})
+	ts := httptest.NewServer(n.Routes())
+	defer ts.Close()
+
+	expect := func(what string, resp *http.Response, code ingest.Code) {
+		t.Helper()
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		var e ingest.ErrorBody
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatalf("%s: body %s: %v", what, raw, err)
+		}
+		want := httptest.NewRecorder()
+		code.Reject(want, e.Error)
+		if resp.StatusCode != want.Code || e.Code != code || e.Error == "" ||
+			resp.Header.Get("Retry-After") != want.Header().Get("Retry-After") || !bytes.Equal(raw, want.Body.Bytes()) {
+			t.Fatalf("%s: got %d Retry-After %q %s, want the %s rejection: %d Retry-After %q",
+				what, resp.StatusCode, resp.Header.Get("Retry-After"), raw, code, want.Code, want.Header().Get("Retry-After"))
+		}
+	}
+
+	resp := post(t, ts.URL, "s", oneShot, bytes.NewReader(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("clean ingest: %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+	expect("one-shot reuse of a done session", post(t, ts.URL, "s", oneShot, bytes.NewReader(body)), ingest.CodeConflict)
+	expect("chunk starting past a fresh session's watermark",
+		post(t, ts.URL, "gap", ingest.Request{Seq: 5, Resumable: true}, bytes.NewReader(body)), ingest.CodeSeqGap)
+	expect("body over the cap",
+		post(t, ts.URL, "big", oneShot, bytes.NewReader(append(body[:len(body):len(body)], body...))), ingest.CodeBodyTooLarge)
+	expect("resumable chunk the decoder chokes on",
+		post(t, ts.URL, "torn", chunk, strings.NewReader(string(firstLines(body, 3))+"not a record\n")), ingest.CodeInterrupted)
+	if wm := n.lookup("torn").protocol(); wm.State != ingest.StateActive || wm.Accepted != 3 {
+		t.Fatalf("suspended session = %+v, want active at 3", wm)
+	}
+
+	// Saturate the one slot, then knock.
+	pr, pw := io.Pipe()
+	held := make(chan *http.Response, 1)
+	go func() { held <- post(t, ts.URL, "holder", oneShot, pr) }()
+	pw.Write(firstLines(body, 1))
+	for n.limiter.InUse() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	expect("upload past a saturated limiter", post(t, ts.URL, "shed", oneShot, bytes.NewReader(body)), ingest.CodeOverload)
+	pw.Close()
+	(<-held).Body.Close()
+
+	n.Drain()
+	expect("upload to a draining node", post(t, ts.URL, "late", oneShot, bytes.NewReader(body)), ingest.CodeDraining)
+
+	for code, want := range map[ingest.Code]int64{
+		ingest.CodeOverload: 1, ingest.CodeBodyTooLarge: 1, ingest.CodeDraining: 1, ingest.CodeSeqGap: 1, ingest.CodeBusy: 0,
+	} {
+		if got := n.m.ingestRejected[code].Value(); got != want {
+			t.Errorf("dominod_ingest_rejected_total{reason=%q} = %d, want %d", code, got, want)
+		}
+	}
+	if len(n.m.ingestRejected) != len(ingest.ShedCodes()) {
+		t.Fatalf("rejected-reason series %d, want one per shed code", len(n.m.ingestRejected))
+	}
+	if got := n.m.ingestInterrupted.Value(); got != 1 {
+		t.Fatalf("interrupted counter = %d, want 1", got)
+	}
+}
+
+// TestAdmitHoldsTheFlagOnlyOnProceed pins the lock discipline around
+// the protocol's decisions: a request that proceeds owns the session's
+// upload flag; a replayed or rejected one holds nothing; and a session
+// whose interrupted upload never lets go is busy, not hung.
+func TestAdmitHoldsTheFlagOnlyOnProceed(t *testing.T) {
+	n := New(testAnalyzer(t), Options{MaxStreams: 2})
+	chunk := ingest.Request{Resumable: true}
+
+	sess, id, d := n.admit("a", chunk)
+	if d != (ingest.Decision{Action: ingest.Proceed}) || id != "a" || !sess.ingesting.Load() {
+		t.Fatalf("fresh session: %+v, flag held %v", d, sess.ingesting.Load())
+	}
+	sess.mu.Lock()
+	sess.proto.Accepted = 7
+	sess.mu.Unlock()
+	sess.ingesting.Store(false)
+
+	if _, _, d := n.admit("a", ingest.Request{Seq: 9, Resumable: true}); d.Code != ingest.CodeSeqGap || sess.ingesting.Load() {
+		t.Fatalf("gapped resume: %+v, flag held %v", d, sess.ingesting.Load())
+	}
+	if _, _, d := n.admit("a", ingest.Request{Eos: true}); d.Code != ingest.CodeConflict || sess.ingesting.Load() {
+		t.Fatalf("one-shot reuse: %+v, flag held %v", d, sess.ingesting.Load())
+	}
+	got, _, d := n.admit("a", ingest.Request{Seq: 4, Resumable: true})
+	if got != sess || d != (ingest.Decision{Action: ingest.Proceed, Resume: true, Skip: 3}) || !sess.ingesting.Load() {
+		t.Fatalf("resume below the watermark: %+v, flag held %v", d, sess.ingesting.Load())
+	}
+
+	// Still owned (the flag above was never released): the retry waits
+	// out the handover window and is told busy.
+	start := time.Now()
+	if _, _, d := n.admit("a", chunk); d.Code != ingest.CodeBusy || time.Since(start) < ingestHandoverWait {
+		t.Fatalf("owned session: %+v after %v, want busy after the handover wait", d, time.Since(start))
+	}
+
+	n.fail(sess, "boom")
+	sess.ingesting.Store(false)
+	fresh, _, d := n.admit("a", chunk)
+	if d != (ingest.Decision{Action: ingest.Proceed}) || fresh == sess || n.lookup("a") != fresh {
+		t.Fatalf("resume of a failed session: %+v, replaced %v", d, fresh != sess)
+	}
+
+	n.mustFinish(t, fresh)
+	if got, _, d := n.admit("a", chunk); d.Action != ingest.Replay || got != fresh || fresh.ingesting.Load() {
+		t.Fatalf("resume of a done session: %+v, flag held %v", d, fresh.ingesting.Load())
+	}
+}
+
+// mustFinish marks a session done the way complete does, minus the store.
+func (n *Node) mustFinish(t *testing.T, sess *session) {
+	t.Helper()
+	sess.mu.Lock()
+	n.detachLocked(sess, ingest.StateDone, "")
+	sess.mu.Unlock()
+	sess.ingesting.Store(false)
+}
+
+// TestShutdownDrainsThenCheckpoints pins Shutdown's order: the node
+// reports draining, the in-flight upload still completes, and only then
+// is the journal folded into the checkpoint and closed.
+func TestShutdownDrainsThenCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "store.spill")
+	st, j, _, err := rcastore.Recover(ckpt, filepath.Join(dir, "store.wal"), rcastore.Options{}, rcastore.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(testAnalyzer(t), Options{MaxStreams: 2, Store: st, Journal: j, CheckpointPath: ckpt})
+	ts := httptest.NewServer(n.Routes())
+	defer ts.Close()
+
+	body := sessionJSONL(t, 5, 2*sim.Second)
+	pr, pw := io.Pipe()
+	inflight := make(chan int, 1)
+	go func() {
+		resp := post(t, ts.URL, "inflight", ingest.Request{Eos: true}, pr)
+		resp.Body.Close()
+		inflight <- resp.StatusCode
+	}()
+	pw.Write(firstLines(body, 1))
+	for n.limiter.InUse() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shut <- n.Shutdown(ctx, ts.Config)
+	}()
+	for !n.draining.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned (%v) with an upload in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	pw.Write(body[len(firstLines(body, 1)):])
+	pw.Close()
+	if code := <-inflight; code != http.StatusOK {
+		t.Fatalf("in-flight upload finished with %d during drain", code)
+	}
+	if err := <-shut; err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := filepath.Glob(ckpt)
+	if err != nil || len(data) != 1 {
+		t.Fatalf("no checkpoint at %s", ckpt)
+	}
+	st2, j2, stats, err := rcastore.Recover(ckpt, filepath.Join(dir, "store.wal"), rcastore.Options{}, rcastore.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if st2.Len() != 1 || stats.CheckpointRows != 1 || stats.Replayed != 0 {
+		t.Fatalf("after shutdown: %d rows, recovery %+v; want the drained report in the checkpoint, journal empty", st2.Len(), stats)
+	}
+}

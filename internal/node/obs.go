@@ -1,6 +1,6 @@
-package main
+package node
 
-// This file is dominod's observability surface: the obs.Registry
+// This file is the node's observability surface: the obs.Registry
 // instruments behind /metrics (spec-valid Prometheus text exposition),
 // the per-session pipeline flight recorder behind
 // /debug/flightrec/{id}, the obs.Hooks implementations that feed both
@@ -13,19 +13,19 @@ package main
 import (
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
 	"time"
 
 	"github.com/domino5g/domino"
 	"github.com/domino5g/domino/internal/core"
+	"github.com/domino5g/domino/internal/ingest"
 	"github.com/domino5g/domino/internal/obs"
 )
 
-// metrics bundles dominod's registry and the instruments bumped on hot
+// metrics bundles the node's registry and the instruments bumped on hot
 // paths. Scrape-time instruments (GaugeFunc/CounterFunc closures over
-// server state) are registered by newServer, which owns that state.
+// node state) are registered by New, which owns that state.
 type metrics struct {
 	reg *obs.Registry
 	// names interns every causal-graph node name and chain signature so
@@ -62,12 +62,12 @@ type metrics struct {
 	insertSeconds *obs.Histogram
 
 	// Resumable-ingest and load-shedding instruments. ingestRejected is
-	// keyed by the rejection reason label value; read-only after
-	// newMetrics, so hot-path lookups are lock-free.
+	// keyed by rejection code, one series per ingest.ShedCodes entry;
+	// read-only after newMetrics, so hot-path lookups are lock-free.
 	ingestResumed     *obs.Counter
 	ingestDeduped     *obs.Counter
 	ingestInterrupted *obs.Counter
-	ingestRejected    map[string]*obs.Counter
+	ingestRejected    map[ingest.Code]*obs.Counter
 
 	// Write-ahead-journal instruments, fed by journalHooks plus the
 	// boot-time recovery stats.
@@ -78,10 +78,6 @@ type metrics struct {
 	journalDeduped     *obs.Counter
 	journalCheckpoints *obs.Counter
 }
-
-// rejectReasons is the label universe of dominod_ingest_rejected_total:
-// every way /ingest sheds a request before analyzing it.
-var rejectReasons = []string{"overload", "body_too_large", "draining", "seq_gap", "busy"}
 
 // ingestFormats is the label universe of the per-format ingest
 // instruments: the two wire formats /ingest negotiates.
@@ -121,7 +117,7 @@ func newMetrics(analyzer *core.Analyzer) *metrics {
 		ingestResumed:     reg.Counter("dominod_ingest_resumed_total", "Uploads that resumed an interrupted session from its watermark."),
 		ingestDeduped:     reg.Counter("dominod_ingest_deduped_records_total", "Replayed records skipped as already accepted during resumption."),
 		ingestInterrupted: reg.Counter("dominod_ingest_interrupted_total", "Resumable uploads interrupted mid-stream and suspended for retry."),
-		ingestRejected:    map[string]*obs.Counter{},
+		ingestRejected:    map[ingest.Code]*obs.Counter{},
 
 		journalAppends:     reg.Counter("dominod_journal_appends_total", "Reports appended to the RCA-store write-ahead journal."),
 		journalSyncs:       reg.Counter("dominod_journal_syncs_total", "Journal fsync batches flushed to stable storage."),
@@ -133,9 +129,9 @@ func newMetrics(analyzer *core.Analyzer) *metrics {
 
 	// One labeled series per load-shed reason, registered up front so
 	// scrapes see the full universe at zero.
-	for _, reason := range rejectReasons {
-		m.ingestRejected[reason] = reg.Counter("dominod_ingest_rejected_total",
-			"Ingest requests shed before analysis, by reason.", obs.L("reason", reason))
+	for _, code := range ingest.ShedCodes() {
+		m.ingestRejected[code] = reg.Counter("dominod_ingest_rejected_total",
+			"Ingest requests shed before analysis, by reason.", obs.L("reason", string(code)))
 	}
 
 	// One labeled series per negotiated wire format, registered up
@@ -234,7 +230,7 @@ func (h *pipelineHooks) ChainRunClosed(chain string, start, end int64, windows i
 }
 
 // storeHooks feeds RCA-store lifecycle events into the registry. It is
-// installed on the (possibly spill-reloaded) store by newServer.
+// installed on the (possibly spill-reloaded) store by New.
 type storeHooks struct {
 	obs.NopHooks
 	m *metrics
@@ -247,7 +243,7 @@ func (h *storeHooks) StoreQueried() { h.m.storeQueries.Inc() }
 func (h *storeHooks) StoreSpilled(rows int) { h.m.storeSpills.Inc() }
 
 // journalHooks feeds write-ahead-journal lifecycle events into the
-// registry. Installed on the recovered journal by newServer.
+// registry. Installed on the recovered journal by New.
 type journalHooks struct {
 	obs.NopHooks
 	m *metrics
@@ -271,12 +267,12 @@ func (h *journalHooks) JournalCheckpointed(rows int) { h.m.journalCheckpoints.In
 // registerGauges wires the scrape-time instruments that read live
 // server state: session/shard occupancy, admission-limiter slots, RCA
 // store shape, and the analyzer-pool hit ratio.
-func (s *server) registerGauges() {
-	reg := s.m.reg
+func (n *Node) registerGauges() {
+	reg := n.m.reg
 	reg.GaugeFunc("dominod_sessions_active", "Sessions currently ingesting.", func() float64 {
 		active := 0
-		for i := range s.shards {
-			sh := &s.shards[i]
+		for i := range n.shards {
+			sh := &n.shards[i]
 			sh.mu.Lock()
 			for _, sess := range sh.sessions {
 				if !sess.finished.Load() {
@@ -288,37 +284,37 @@ func (s *server) registerGauges() {
 		return float64(active)
 	})
 	reg.GaugeFunc("dominod_stream_slots", "Configured concurrent ingest capacity.",
-		func() float64 { return float64(s.limiter.Cap()) })
+		func() float64 { return float64(n.limiter.Cap()) })
 	reg.GaugeFunc("dominod_stream_slots_in_use", "Ingest slots currently held.",
-		func() float64 { return float64(s.limiter.InUse()) })
+		func() float64 { return float64(n.limiter.InUse()) })
 	reg.GaugeFunc("dominod_rcastore_rows", "Rows retained in the RCA store.",
-		func() float64 { return float64(s.store.Stats().Rows) })
+		func() float64 { return float64(n.store.Stats().Rows) })
 	reg.GaugeFunc("dominod_rcastore_chains", "Distinct chain signatures the RCA store has seen.",
-		func() float64 { return float64(s.store.Stats().Chains) })
+		func() float64 { return float64(n.store.Stats().Chains) })
 	reg.CounterFunc("dominod_rcastore_rows_inserted_total", "Rows ever inserted into the RCA store.",
-		func() float64 { return float64(s.store.Stats().InsertedRows) })
+		func() float64 { return float64(n.store.Stats().InsertedRows) })
 	reg.CounterFunc("dominod_rcastore_rows_evicted_total", "Rows evicted from the RCA store by retention.",
-		func() float64 { return float64(s.store.Stats().EvictedRows) })
+		func() float64 { return float64(n.store.Stats().EvictedRows) })
 	reg.GaugeFunc("dominod_draining", "1 while the node is draining for shutdown, else 0.", func() float64 {
-		if s.draining.Load() {
+		if n.draining.Load() {
 			return 1
 		}
 		return 0
 	})
-	if s.opts.NodeID != "" {
+	if n.opts.NodeID != "" {
 		reg.Gauge("dominod_node_info",
 			"Node identity; the value is always 1, the node ID rides in the label.",
-			obs.L("node", s.opts.NodeID)).Set(1)
+			obs.L("node", n.opts.NodeID)).Set(1)
 	}
 	reg.GaugeFunc("dominod_analyzer_pool_hit_ratio", "Fraction of analyzer checkouts served from the pool.", func() float64 {
-		gets := s.m.poolGets.Value()
+		gets := n.m.poolGets.Value()
 		if gets == 0 {
 			return 0
 		}
-		return 1 - float64(s.m.poolMisses.Value())/float64(gets)
+		return 1 - float64(n.m.poolMisses.Value())/float64(gets)
 	})
-	for i := range s.shards {
-		sh := &s.shards[i]
+	for i := range n.shards {
+		sh := &n.shards[i]
 		reg.GaugeFunc("dominod_shard_sessions", "Sessions registered per registry shard.", func() float64 {
 			sh.mu.Lock()
 			n := len(sh.sessions)
@@ -332,24 +328,24 @@ func (s *server) registerGauges() {
 // (format 0.0.4, with # HELP/# TYPE metadata). The output always
 // passes internal/obs.Lint — pinned by TestMetricsExposition and CI's
 // curl smoke.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.m.reg.Snapshot().WriteText(w)
+	_ = n.m.reg.Snapshot().WriteText(w)
 }
 
 // handleHealthz serves readiness plus the build identity surfaced in
 // domino_build_info. While the node drains for shutdown it reports
 // "draining" with a 503 so load balancers stop routing new sessions
 // here before the listener closes.
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	version, goVersion := buildInfo()
 	status, code := "ok", http.StatusOK
-	if s.draining.Load() {
+	if n.draining.Load() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]string{
+	ingest.WriteJSON(w, code, map[string]string{
 		"status":     status,
-		"node":       s.opts.NodeID,
+		"node":       n.opts.NodeID,
 		"version":    version,
 		"go_version": goVersion,
 	})
@@ -358,30 +354,17 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleFlightRec dumps a session's flight recorder as JSONL, oldest
 // event first. ?wall=0 omits the wall-clock column, leaving only the
 // deterministic fields — the replay-diff view.
-func (s *server) handleFlightRec(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookup(r.PathValue("id"))
+func (n *Node) handleFlightRec(w http.ResponseWriter, r *http.Request) {
+	sess := n.lookup(r.PathValue("id"))
 	if sess == nil {
-		httpError(w, http.StatusNotFound, "no such session")
+		ingest.WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	if sess.rec == nil {
-		httpError(w, http.StatusNotFound, "flight recorder disabled (-flightrec 0)")
+		ingest.WriteError(w, http.StatusNotFound, "flight recorder disabled (-flightrec 0)")
 		return
 	}
 	withWall := r.URL.Query().Get("wall") != "0"
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	_ = sess.rec.WriteJSONL(w, withWall)
-}
-
-// debugMux serves net/http/pprof on the -debug-addr listener, kept off
-// the public mux so profiling exposure is an explicit deployment
-// choice.
-func debugMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }
