@@ -8,7 +8,7 @@ GO ?= go
 # evaluator and compiled-DAG step microbenchmarks, and per-scenario
 # trace-generation throughput (root package), plus the event-scheduler
 # and trace-codec (JSONL and binary columnar) microbenchmarks
-# (internal/sim, internal/trace), the work-stealing batch executor
+# (internal/sim, internal/trace), the shared-queue batch executor
 # (internal/parallel), the fleet ingest benchmarks in both wire formats
 # (BenchmarkDominodIngest* in cmd/dominod, driving internal/node through
 # its HTTP surface) and the RCA-store insert, query, and write-ahead
@@ -27,7 +27,7 @@ BENCH_GATE_PKGS = . ./internal/sim ./internal/trace ./internal/parallel ./cmd/do
 # by benchdiff -floor, which also fails if the benchmark vanishes.
 BENCH_FLOORS = -floor 'BenchmarkDominodIngestBinary:records/s=2565718'
 
-.PHONY: build vet fmt fmt-check test bench bench-json bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check loc ci
+.PHONY: build vet fmt fmt-check test bench bench-json bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check bench-check loc ci
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,13 @@ examples-check:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
 
+# bench/ is its own module, so `./...` above never compiles it, yet it
+# imports internal/ packages and so pins their signatures. Vet it and
+# run its unit tests (seconds; they start no child processes).
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
 # The "least code" trend line: non-test and test Go lines per package
 # outside bench/, written to the committed LOC.txt so every PR's effect
 # on code size is in its diff.
@@ -131,4 +138,4 @@ loc:
 	sh scripts/loc.sh > LOC.txt
 	@tail -1 LOC.txt
 
-ci: build vet fmt-check test bench bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check loc
+ci: build vet fmt-check test bench bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check bench-check loc

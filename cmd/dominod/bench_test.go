@@ -18,7 +18,7 @@ import (
 // benchIngest measures fleet-shaped ingest: many concurrent session
 // uploads through the full HTTP path (Content-Type negotiation,
 // sharded registry, pooled per-session analyzers, pipelined chunk
-// steps on the work-stealing pool). Each iteration POSTs `sessions`
+// steps on the node's worker pool). Each iteration POSTs `sessions`
 // concurrent streams of one pre-generated 10 s trace in the given wire
 // format; records/s counts every data record analyzed across the fleet
 // per wall-clock second.

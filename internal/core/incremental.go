@@ -19,8 +19,7 @@ import (
 // and Eval computes the same 36-dim feature vector the batch path
 // computes for that window position.
 type WindowEvaluator struct {
-	cfg DetectorConfig
-	ix  *indexedTrace
+	ix *indexedTrace
 }
 
 // NewWindowEvaluator returns an empty evaluator for one session.
@@ -28,12 +27,12 @@ type WindowEvaluator struct {
 func (a *Analyzer) NewWindowEvaluator(hasGNBLog bool) *WindowEvaluator {
 	ix := &indexedTrace{cfg: a.cfg, hasGNBLog: hasGNBLog}
 	ix.roll.init(a.cfg)
-	return &WindowEvaluator{cfg: a.cfg, ix: ix}
+	return &WindowEvaluator{ix: ix}
 }
 
 // Reset empties the evaluator in place for a new session, keeping the
 // allocated series capacity — the recycling path for pooled fleet
-// ingest (see stream.Analyzer.Reset and cmd/dominod).
+// ingest (see stream.Analyzer.Reset and internal/node).
 func (e *WindowEvaluator) Reset(hasGNBLog bool) { e.ix.reset(hasGNBLog) }
 
 // Observe appends one record's samples to the index. Records should
@@ -74,13 +73,6 @@ func (e *WindowEvaluator) EvictBefore(cut sim.Time) { e.ix.evictBefore(cut) }
 // of both analysis drivers.
 func (e *WindowEvaluator) Eval(start sim.Time) FeatureVector {
 	return e.ix.evalWindow(start)
-}
-
-// EvalFull computes the same vector by re-aggregating every sample in
-// the window — the retained recompute oracle, free of cross-call
-// state. Differential tests pin Eval ≡ EvalFull across every scenario.
-func (e *WindowEvaluator) EvalFull(start sim.Time) FeatureVector {
-	return e.ix.evalWindowFull(e.cfg, start)
 }
 
 // Buffered returns the number of samples currently held — O(window)

@@ -7,16 +7,20 @@ import (
 	"github.com/domino5g/domino/internal/trace"
 )
 
-// This file is the retained full-recompute window evaluator: the
-// original O(window) implementation of the twenty Table 5 event
-// conditions, kept as the differential oracle for the rolling engine
-// in events.go (and as the fallback for the two bin-shaped conditions
-// when a custom geometry breaks bucket alignment). Unlike evalWindow
-// it reads only the raw series, carries no cross-call state, and may
-// be called for any window position in any order.
+// This file is the full-recompute window evaluator: the O(window)
+// implementation of the twenty Table 5 event conditions. It serves two
+// purposes. Production analysis falls back to its two bin-shaped
+// conditions (rateExceedsFull, mcsDegradedFull) whenever a window
+// geometry is not aligned to RateBin or MCSGroup, where the rolling
+// engine in events.go has no cached buckets to read. And the whole of
+// it is the differential oracle that engine is tested against. Unlike
+// evalWindow it reads only the raw series, carries no cross-call
+// state, and may be called for any window position in any order.
 
 // evalWindowFull computes the feature vector for [start, start+W) by
-// re-aggregating every sample in the window.
+// re-aggregating every sample in the window. Only tests call it whole;
+// it stays beside the two conditions production falls back to because
+// it is built from them.
 func (ix *indexedTrace) evalWindowFull(cfg DetectorConfig, start sim.Time) FeatureVector {
 	end := start + cfg.Window
 	v := FeatureVector{Start: start, End: end}
@@ -227,7 +231,9 @@ func tbsDrop(tbs []int, frac float64) bool {
 
 // rateExceedsFull implements event 14 by binning the window's samples
 // from scratch: the fraction of RateBin bins where the application
-// send rate exceeds the PHY-allocated rate.
+// send rate exceeds the PHY-allocated rate. It is the production path
+// for windows that do not start on a RateBin boundary (see
+// rateExceedsRolling), not only the oracle's.
 func (ix *indexedTrace) rateExceedsFull(di int, start, end sim.Time) bool {
 	return ix.rateExceedsFullCfg(di, start, end, ix.cfg)
 }
@@ -268,7 +274,9 @@ func (ix *indexedTrace) rateExceedsFullCfg(di int, start, end sim.Time, cfg Dete
 // mcsDegradedFull implements event 16 by grouping the window's own-UE
 // MCS samples from scratch: the channel is degraded when the 90th
 // percentile of group medians is below MCSP90Below and more than
-// MCSLowCount groups have a median below MCSMedianBelow.
+// MCSLowCount groups have a median below MCSMedianBelow. It is the
+// production path for windows whose edges split an MCSGroup bucket (see
+// mcsDegradedRolling), not only the oracle's.
 func (ix *indexedTrace) mcsDegradedFull(di int, start, end sim.Time) bool {
 	return ix.mcsDegradedFullCfg(di, start, end, ix.cfg)
 }

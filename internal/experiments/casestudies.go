@@ -202,9 +202,9 @@ func fig14SessionMetrics(set *trace.Set, o Options) []rcastore.Metric {
 // longitudinal query: each session is analyzed into a report, collapsed
 // into the fleet RCA store with the figure's trace-level rollups
 // attached as named metrics, and the table rendered entirely from
-// per-cell store queries. fig14Direct keeps the original trace-level
-// rendering as the oracle; the two are differentially tested
-// byte-identical.
+// per-cell store queries. The package's tests keep the original
+// trace-level rendering (fig14Direct) as the oracle; the two are
+// differentially tested byte-identical.
 func fig14(o Options) (Result, error) {
 	runs, err := runPresetSessions(fig14Presets(), o)
 	if err != nil {
@@ -242,39 +242,6 @@ func fig14(o Options) (Result, error) {
 			row = append(row, v)
 		}
 		tb.AddRow(row...)
-	}
-	return Result{
-		ID:    "fig14",
-		Title: "Fig. 14 — packet-to-TB mapping: per-frame delay spread across cells",
-		PaperRef: "paper: 100 MHz TDD packs frames into few TBs (small spread); 15 MHz FDD needs >10 TBs/frame " +
-			"(large spread); Amarisoft's poor UL forces low rate but spread persists",
-		Text: tb.String(),
-	}, nil
-}
-
-// fig14Direct is the original trace-level rendering of fig. 14, kept
-// verbatim as the oracle for the store-backed fig14: the two must
-// produce byte-identical tables.
-func fig14Direct(o Options) (Result, error) {
-	tb := stats.NewTable("Cell", "UL TBs/min", "median TB bytes", "frame delay-spread p50 (ms)", "p90")
-	runs, err := runPresetSessions(fig14Presets(), o)
-	if err != nil {
-		return Result{}, err
-	}
-	for _, run := range runs {
-		cfg, set := run.Cfg, run.Set
-		var tbBytes []float64
-		tbs := 0
-		for _, r := range set.DCI {
-			if r.Dir == netem.Uplink && r.OwnPRB > 0 {
-				tbs++
-				tbBytes = append(tbBytes, float64(r.UsedBits)/8)
-			}
-		}
-		spreads := frameSpreads(set, netem.Uplink)
-		c := stats.NewCDF(spreads)
-		tb.AddRow(cfg.Name, float64(tbs)/o.Duration.Seconds()*60,
-			stats.NewCDF(tbBytes).Median(), c.Median(), c.Quantile(0.9))
 	}
 	return Result{
 		ID:    "fig14",

@@ -42,25 +42,20 @@ type Options struct {
 	// produces identical artifact text for the same Seed.
 	Workers int
 
-	// exec, when set, is the shared work-stealing executor every
-	// fan-out in this options scope runs on. RunParallel installs one
-	// sized to Workers: because Executor.Map is caller-helps and
-	// nestable, the per-experiment session fan-outs ride the same pool
-	// — total parallelism stays bounded by Workers with no static
-	// outer×inner width split. Nil (the default) selects the plain
-	// parallel.ForEach pool per fan-out.
+	// exec is the shared pool every fan-out in this options scope runs
+	// on. runRunners installs one for Workers > 1: because Executor.Map
+	// is caller-helps and nestable, the per-experiment session fan-outs
+	// ride the same pool — total parallelism stays bounded by Workers
+	// with no static outer×inner width split. Nil is the pool of no
+	// workers: every fan-out runs in order on its caller.
 	exec *parallel.Executor
 }
 
-// forEach is the package's single fan-out primitive: indexed, with
-// ForEach's determinism contract (per-index output slots, lowest
-// failing index's error). It dispatches onto the shared executor when
-// one is installed and otherwise onto a one-shot ForEach pool.
+// forEach is the package's single fan-out primitive: indexed, with the
+// Executor's determinism contract (per-index output slots, lowest
+// failing index's error).
 func (o Options) forEach(n int, fn func(i int) error) error {
-	if o.exec != nil {
-		return o.exec.Map(n, func(i int, _ any) error { return fn(i) })
-	}
-	return parallel.ForEach(o.Workers, n, fn)
+	return o.exec.Map(n, func(i int, _ any) error { return fn(i) })
 }
 
 // Defaults fills zero fields.

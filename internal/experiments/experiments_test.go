@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/domino5g/domino/internal/netem"
 	"github.com/domino5g/domino/internal/sim"
+	"github.com/domino5g/domino/internal/stats"
 )
 
 // quickOpts keeps experiment tests fast: short calls, one session.
@@ -91,6 +93,39 @@ func TestCaseStudyRunnersProduceOutput(t *testing.T) {
 			t.Fatalf("%s: incomplete result", id)
 		}
 	}
+}
+
+// fig14Direct is the original trace-level rendering of fig. 14, kept
+// verbatim as the oracle for the store-backed fig14: the two must
+// produce byte-identical tables.
+func fig14Direct(o Options) (Result, error) {
+	tb := stats.NewTable("Cell", "UL TBs/min", "median TB bytes", "frame delay-spread p50 (ms)", "p90")
+	runs, err := runPresetSessions(fig14Presets(), o)
+	if err != nil {
+		return Result{}, err
+	}
+	for _, run := range runs {
+		cfg, set := run.Cfg, run.Set
+		var tbBytes []float64
+		tbs := 0
+		for _, r := range set.DCI {
+			if r.Dir == netem.Uplink && r.OwnPRB > 0 {
+				tbs++
+				tbBytes = append(tbBytes, float64(r.UsedBits)/8)
+			}
+		}
+		spreads := frameSpreads(set, netem.Uplink)
+		c := stats.NewCDF(spreads)
+		tb.AddRow(cfg.Name, float64(tbs)/o.Duration.Seconds()*60,
+			stats.NewCDF(tbBytes).Median(), c.Median(), c.Quantile(0.9))
+	}
+	return Result{
+		ID:    "fig14",
+		Title: "Fig. 14 — packet-to-TB mapping: per-frame delay spread across cells",
+		PaperRef: "paper: 100 MHz TDD packs frames into few TBs (small spread); 15 MHz FDD needs >10 TBs/frame " +
+			"(large spread); Amarisoft's poor UL forces low rate but spread persists",
+		Text: tb.String(),
+	}, nil
 }
 
 // TestFig14StoreQueryMatchesDirect differentially tests the

@@ -55,18 +55,19 @@ func RunParallel(ids []string, opts Options) ([]Result, error) {
 // runRunners is the worker-pool core of RunParallel, split out so tests
 // can inject failing runners without touching the registry.
 //
-// Workers is a total budget enforced by a single shared work-stealing
-// executor: the experiment fan-out and every per-experiment session
-// fan-out run as nested Map calls on the same pool. Because Map is
-// caller-helps, a worker blocked on an inner fan-out executes that
-// fan-out's tasks itself, so total parallelism stays at opts.Workers
-// with no static outer×inner width split (and no sequential tail when
-// one slow experiment remains — its sessions spread over the whole
-// pool). Worker counts never affect artifact bytes.
+// Workers is a total budget enforced by a single shared executor: the
+// experiment fan-out and every per-experiment session fan-out run as
+// nested Map calls on the same pool. Because Map is caller-helps, a
+// worker blocked on an inner fan-out executes that fan-out's tasks
+// itself, so total parallelism stays at opts.Workers with no static
+// outer×inner width split (and no sequential tail when one slow
+// experiment remains — its sessions spread over the whole pool). The
+// calling goroutine is one of the Workers, so the pool holds the rest.
+// Worker counts never affect artifact bytes.
 func runRunners(ids []string, runners []Runner, opts Options) ([]Result, error) {
 	opts = opts.Defaults()
 	if opts.Workers > 1 && opts.exec == nil {
-		ex := parallel.NewExecutor(opts.Workers, nil)
+		ex := parallel.NewExecutor(opts.Workers-1, nil)
 		defer ex.Close()
 		opts.exec = ex
 	}

@@ -3,7 +3,9 @@ package experiments
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/domino5g/domino/internal/sim"
 )
@@ -137,6 +139,35 @@ func TestRunRunnersErrorPropagation(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "experiments: b:") {
 			t.Fatalf("workers=%d: lowest failing ID not named: %v", workers, err)
+		}
+	}
+}
+
+// TestRunRunnersRespectsWorkerBudget pins -workers N as a total: the
+// calling goroutine counts as one of the N, across the experiment
+// fan-out and the session fan-outs nested inside it. Each leaf holds
+// its slot for a moment so that a pool one too wide is seen to overlap;
+// passing never depends on that timing.
+func TestRunRunnersRespectsWorkerBudget(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		var inFlight, peak atomic.Int64
+		runner := func(o Options) (Result, error) {
+			return Result{}, o.forEach(4, func(int) error {
+				n := inFlight.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				time.Sleep(5 * time.Millisecond)
+				inFlight.Add(-1)
+				return nil
+			})
+		}
+		ids := []string{"a", "b", "c", "d", "e", "f"}
+		runners := []Runner{runner, runner, runner, runner, runner, runner}
+		if _, err := runRunners(ids, runners, Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if p := peak.Load(); p > int64(workers) {
+			t.Errorf("Workers=%d: %d tasks in flight at once", workers, p)
 		}
 	}
 }

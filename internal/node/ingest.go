@@ -171,7 +171,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// session-lock acquisition (and one pass of window evaluations) per
 	// chunk instead of per record, while /report snapshots interleave
 	// between chunks. The two phases pipeline at depth one on the
-	// work-stealing pool: the analyzer step for chunk N runs on a pool
+	// node's worker pool: the analyzer step for chunk N runs on a pool
 	// worker while this goroutine decodes chunk N+1 from the wire. Two
 	// buffers alternate so the chunk being decoded never aliases the
 	// chunk being pushed; each phase is timed into its latency
@@ -337,7 +337,7 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 
 // pushChunk pushes one decoded chunk through the session's analyzer
 // under the session lock. It is the pipelined "step" phase of ingest,
-// submitted to the work-stealing pool so it overlaps with the
+// submitted to the node's worker pool so it overlaps with the
 // handler's decode of the next chunk; depth-one pipelining (the
 // handler waits for chunk N before submitting chunk N+1) keeps at most
 // one step per session in flight, so session locks never queue and

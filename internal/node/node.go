@@ -154,12 +154,14 @@ type Node struct {
 	opts    Options
 	log     *slog.Logger
 
-	// exec is the shared work-stealing pool the ingest path pipelines
+	// exec is the shared bounded-queue pool the ingest path pipelines
 	// analyzer steps onto: while a handler goroutine decodes chunk N+1
 	// from the wire, a pool worker pushes chunk N through the session's
-	// analyzer. It lives for the node's lifetime (Shutdown drains it); a
-	// closed pool degrades Submit to a synchronous call, so late uploads
-	// still complete.
+	// analyzer. Each session has at most one step queued, so the queue's
+	// bound is reached only with more streams in flight than it has
+	// room for, and then Submit holds the handler back. It lives for the
+	// node's lifetime (Shutdown drains it); a closed pool degrades
+	// Submit to a synchronous call, so late uploads still complete.
 	exec *parallel.Executor
 
 	// m holds the observability surface: the /metrics registry, its

@@ -7,368 +7,186 @@ import (
 	"sync/atomic"
 )
 
-// Executor is a work-stealing batch executor: a fixed pool of workers,
-// each owning a deque of splittable index-range tasks and a reusable
-// scratch value. Owners pop from the tail (LIFO, cache-warm); thieves
-// steal from the head (FIFO, the largest unsplit ranges). It differs
-// from ForEach in two ways that matter for fleet-scale work:
+// queuePerWorker bounds the queue at this many waiting tasks per
+// worker. A waiting closure pins what it captured (on the ingest path a
+// decoded record batch), so a producer that outruns the pool has to
+// block in Submit rather than grow memory.
+const queuePerWorker = 16
+
+// Executor is the package's one scheduling engine: a fixed set of
+// workers draining a single bounded queue, each handing its own
+// reusable scratch value to every task it runs, so per-core state is
+// built once per worker, not per task. Submit enqueues one function.
+// Map fans an index range out and is caller-helps, hence nestable: the
+// caller works through its own batch instead of sleeping, so a Map
+// inside a Map task cannot deadlock, and parallelism stays at the
+// worker count plus the outermost caller at any nesting depth.
 //
-//   - Map is caller-helps and therefore nestable: the calling
-//     goroutine executes tasks of its own batch (and steals them back
-//     from pool workers) instead of sleeping, so a Map inside a Map
-//     task cannot deadlock the pool — total parallelism stays bounded
-//     by the worker count instead of multiplying per nesting level.
-//   - Per-worker scratch survives across tasks and batches, so
-//     expensive per-core state (analyzers, buffers) is set up once per
-//     worker, not once per task (the "shared pooled analyzers" model).
-//
-// The determinism contract matches ForEach: every index gets its own
-// output slot, every index below the lowest failing one runs, and the
-// lowest failing index's error is returned.
+// Determinism contract: every index gets its own output slot, every
+// index below the lowest failing one runs, and that index's error is
+// returned. A caller that derives per-index randomness from the index
+// alone therefore gets byte-identical results at any pool width.
 type Executor struct {
-	deques []*deque // pool workers' deques, fixed
-	ghelp  sync.Mutex
-	help   []*deque // live caller-helper deques (Map callers)
-
-	// Parking: seq increments on every push so a worker that finds no
-	// work can detect pushes that raced with its scan before sleeping.
-	pmu      sync.Mutex
-	cond     *sync.Cond
-	seq      uint64
-	sleepers int
-	closed   bool
-
-	rr         atomic.Uint64 // round-robin Submit cursor
+	workers    int
+	queue      chan func(scratch any)
 	newScratch func() any
-	scratch    sync.Pool
-	wg         sync.WaitGroup
+	// spare lends scratch values to goroutines that are not workers, so
+	// repeated Maps do not rebuild theirs; it has room for one per worker.
+	spare chan any
+
+	// mu orders sends on queue against Close, which closes the channel
+	// and clears the field: a sender holds mu shared across its send,
+	// Close takes it exclusively. A nil queue is a closed pool.
+	mu sync.RWMutex
+	wg sync.WaitGroup
 }
 
-// task is one unit of deque work: either a [lo,hi) slice of a Map
-// batch (split further when popped) or a plain submitted function.
-type task struct {
-	batch  *mapBatch
-	lo, hi int
-	fn     func(scratch any)
-}
-
-type deque struct {
-	mu    sync.Mutex
-	tasks []task
-}
-
-func (d *deque) push(t task) {
-	d.mu.Lock()
-	d.tasks = append(d.tasks, t)
-	d.mu.Unlock()
-}
-
-// pop takes the newest task (owner side).
-func (d *deque) pop() (task, bool) {
-	d.mu.Lock()
-	n := len(d.tasks)
-	if n == 0 {
-		d.mu.Unlock()
-		return task{}, false
+// NewExecutor starts a pool of the given width (<= 0 selects
+// GOMAXPROCS). newScratch, when non-nil, builds each worker's scratch
+// value. Close the executor when done.
+func NewExecutor(workers int, newScratch func() any) *Executor {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	t := d.tasks[n-1]
-	d.tasks[n-1] = task{}
-	d.tasks = d.tasks[:n-1]
-	d.mu.Unlock()
-	return t, true
+	e := &Executor{
+		workers:    workers,
+		queue:      make(chan func(scratch any), workers*queuePerWorker),
+		newScratch: newScratch,
+		spare:      make(chan any, workers),
+	}
+	queue := e.queue
+	e.wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go func() {
+			defer e.wg.Done()
+			e.withScratch(func(scratch any) {
+				for fn := range queue {
+					fn(scratch)
+				}
+			})
+		}()
+	}
+	return e
 }
 
-// steal takes the oldest task (thief side) — for range tasks that is
-// the largest remaining span, so one steal moves half the work.
-func (d *deque) steal(match *mapBatch) (task, bool) {
-	d.mu.Lock()
-	for i := range d.tasks {
-		t := d.tasks[i]
-		if match != nil && t.batch != match {
-			continue
+// withScratch runs fn with a spare scratch value, or a new one when
+// none is spare, and leaves the value spare afterwards if there is room.
+func (e *Executor) withScratch(fn func(scratch any)) {
+	var scratch any
+	select {
+	case scratch = <-e.spare:
+	default:
+		if e.newScratch != nil {
+			scratch = e.newScratch()
 		}
-		copy(d.tasks[i:], d.tasks[i+1:])
-		d.tasks[len(d.tasks)-1] = task{}
-		d.tasks = d.tasks[:len(d.tasks)-1]
-		d.mu.Unlock()
-		return t, true
 	}
-	d.mu.Unlock()
-	return task{}, false
+	fn(scratch)
+	select {
+	case e.spare <- scratch:
+	default:
+	}
 }
 
-// mapBatch tracks one Map call across however many workers touch it.
+// Workers returns the pool width.
+func (e *Executor) Workers() int { return e.workers }
+
+// Close stops the pool once the workers have drained the queue; it is
+// idempotent. Map and Submit keep working on a closed executor: both
+// run everything on the caller.
+func (e *Executor) Close() {
+	e.mu.Lock()
+	if e.queue != nil {
+		close(e.queue)
+		e.queue = nil
+	}
+	e.mu.Unlock()
+	e.wg.Wait()
+}
+
+// Submit enqueues fn, blocking while the queue is full; work is never
+// dropped. A task must not Submit to its own pool: with every worker
+// blocked here nothing would drain the queue.
+func (e *Executor) Submit(fn func(scratch any)) {
+	e.mu.RLock()
+	if e.queue == nil {
+		e.mu.RUnlock()
+		e.withScratch(fn)
+		return
+	}
+	e.queue <- fn
+	e.mu.RUnlock()
+}
+
+// mapBatch is one Map call: its participants claim runs of grain
+// consecutive indices from next until the range is used up.
 type mapBatch struct {
-	fn      func(i int, scratch any) error
-	grain   int
-	pending atomic.Int64
-	done    chan struct{}
+	fn       func(i int, scratch any) error
+	n, grain int
+	next     atomic.Int64
+	left     sync.WaitGroup // counts indices not yet finished
 
 	failIdx atomic.Int64 // lowest failing index so far
 	mu      sync.Mutex
 	err     error
 }
 
-func (b *mapBatch) fail(i int, err error) {
-	b.mu.Lock()
-	if err != nil && int64(i) < b.failIdx.Load() {
-		b.failIdx.Store(int64(i))
-		b.err = err
-	}
-	b.mu.Unlock()
-}
-
-// skipFrom reports whether index i is above a known failure (indices
-// above the lowest failure may be skipped, exactly like ForEach).
-func (b *mapBatch) skipFrom(i int) bool {
-	return int64(i) > b.failIdx.Load()
-}
-
-func (b *mapBatch) finish(k int) {
-	if b.pending.Add(int64(-k)) == 0 {
-		close(b.done)
-	}
-}
-
-// NewExecutor starts a pool of the given width (<= 0 selects
-// GOMAXPROCS). newScratch, when non-nil, builds the per-worker scratch
-// value handed to every task a worker runs; helper goroutines joining
-// via Map draw scratches from a pool so the values are reused, not
-// rebuilt per call. Close the executor when done.
-func NewExecutor(workers int, newScratch func() any) *Executor {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e := &Executor{
-		deques:     make([]*deque, workers),
-		newScratch: newScratch,
-	}
-	e.cond = sync.NewCond(&e.pmu)
-	e.scratch.New = func() any {
-		if e.newScratch == nil {
-			return nil
-		}
-		return e.newScratch()
-	}
-	for i := range e.deques {
-		e.deques[i] = &deque{}
-	}
-	e.wg.Add(workers)
-	for i := range e.deques {
-		go e.worker(e.deques[i])
-	}
-	return e
-}
-
-// Workers returns the pool width.
-func (e *Executor) Workers() int { return len(e.deques) }
-
-// Close stops the pool after draining queued tasks. Map keeps working
-// on a closed executor (the caller runs its whole batch itself);
-// Submit runs the function synchronously.
-func (e *Executor) Close() {
-	e.pmu.Lock()
-	if e.closed {
-		e.pmu.Unlock()
-		return
-	}
-	e.closed = true
-	e.cond.Broadcast()
-	e.pmu.Unlock()
-	e.wg.Wait()
-}
-
-func (e *Executor) signal() {
-	e.pmu.Lock()
-	e.seq++
-	if e.sleepers > 0 {
-		e.cond.Signal()
-	}
-	e.pmu.Unlock()
-}
-
-func (e *Executor) loadSeq() uint64 {
-	e.pmu.Lock()
-	s := e.seq
-	e.pmu.Unlock()
-	return s
-}
-
-// park sleeps until a push happens after lastSeq was read, or the pool
-// closes. Returns false when the pool is closed.
-func (e *Executor) park(lastSeq uint64) bool {
-	e.pmu.Lock()
-	for e.seq == lastSeq && !e.closed {
-		e.sleepers++
-		e.cond.Wait()
-		e.sleepers--
-	}
-	open := !e.closed
-	e.pmu.Unlock()
-	return open
-}
-
-// stealAny scans every deque (pool then live helpers) for a task.
-func (e *Executor) stealAny(own *deque) (task, bool) {
-	for _, d := range e.deques {
-		if d == own {
-			continue
-		}
-		if t, ok := d.steal(nil); ok {
-			return t, ok
-		}
-	}
-	e.ghelp.Lock()
-	helpers := append([]*deque(nil), e.help...)
-	e.ghelp.Unlock()
-	for _, d := range helpers {
-		if t, ok := d.steal(nil); ok {
-			return t, ok
-		}
-	}
-	return task{}, false
-}
-
-func (e *Executor) worker(own *deque) {
-	defer e.wg.Done()
-	scratch := e.scratch.Get()
-	defer e.scratch.Put(scratch)
+// work claims and runs index runs until none are left. Runs are claimed
+// in increasing order and an index is skipped only when it lies above
+// one that already failed, so everything below the lowest failure runs.
+func (b *mapBatch) work(scratch any) {
 	for {
-		t, ok := own.pop()
-		if !ok {
-			seq := e.loadSeq()
-			t, ok = e.stealAny(own)
-			if !ok {
-				if !e.park(seq) {
-					// Closed: drain anything that raced in, then exit.
-					if t, ok = e.stealAny(own); !ok {
-						return
-					}
-				} else {
-					continue
+		lo := int(b.next.Add(int64(b.grain))) - b.grain
+		if lo >= b.n {
+			return
+		}
+		hi := min(lo+b.grain, b.n)
+		for i := lo; i < hi && int64(i) <= b.failIdx.Load(); i++ {
+			if err := b.fn(i, scratch); err != nil {
+				b.mu.Lock()
+				if int64(i) < b.failIdx.Load() {
+					b.failIdx.Store(int64(i))
+					b.err = err
 				}
+				b.mu.Unlock()
 			}
 		}
-		e.run(own, t, scratch)
+		b.left.Add(lo - hi)
 	}
 }
 
-// run executes one task, splitting range tasks down to the batch grain
-// and pushing the upper halves back for thieves.
-func (e *Executor) run(own *deque, t task, scratch any) {
-	if t.fn != nil {
-		t.fn(scratch)
-		return
-	}
-	b := t.batch
-	for t.hi-t.lo > b.grain {
-		mid := int(uint(t.lo+t.hi) >> 1)
-		own.push(task{batch: b, lo: mid, hi: t.hi})
-		e.signal()
-		t.hi = mid
-	}
-	for i := t.lo; i < t.hi; i++ {
-		if b.skipFrom(i) {
-			continue
-		}
-		if err := b.fn(i, scratch); err != nil {
-			b.fail(i, err)
-		}
-	}
-	b.finish(t.hi - t.lo)
-}
-
-// Map runs fn(0..n-1) across the pool and the calling goroutine and
-// waits for all of them, returning the error of the lowest failing
-// index (indices above it may be skipped). The caller helps: it
-// executes tasks of its own batch while waiting, so Map may be called
-// from inside a Map task without deadlocking, and a Map on a closed
-// (or zero-width) pool simply degenerates to a sequential loop on the
-// caller.
+// Map runs fn(0..n-1) and waits for all of them, returning the error of
+// the lowest failing index (indices above it may be skipped). The
+// caller invites the workers and then works through the batch itself,
+// so the batch finishes whether or not any worker joins: on a closed or
+// nil executor Map is a sequential loop on the caller.
 func (e *Executor) Map(n int, fn func(i int, scratch any) error) error {
 	if n <= 0 {
 		return nil
 	}
-	b := &mapBatch{fn: fn, grain: 1, done: make(chan struct{})}
+	if e == nil {
+		e = &Executor{}
+	}
+	// About four runs per participant evens out the load without
+	// paying for the shared counter once per index.
+	b := &mapBatch{fn: fn, n: n, grain: max(1, n/(4*(e.workers+1)))}
 	b.failIdx.Store(math.MaxInt64)
-	b.pending.Store(int64(n))
-	// Grain: split stops once a range is this small. n/(4*workers)
-	// leaves enough pieces for even load without per-index overhead.
-	if g := n / (4 * (len(e.deques) + 1)); g > 1 {
-		b.grain = g
-	}
-
-	// The caller's private deque is visible to pool thieves while the
-	// batch runs.
-	own := &deque{}
-	own.push(task{batch: b, lo: 0, hi: n})
-	e.ghelp.Lock()
-	e.help = append(e.help, own)
-	e.ghelp.Unlock()
-	e.signal()
-
-	scratch := e.scratch.Get()
-	for {
-		t, ok := own.pop()
-		if !ok {
-			// Steal back only this batch's tasks: helping an unrelated
-			// batch here could block this Map on foreign work.
-			t, ok = e.stealBatch(b, own)
+	b.left.Add(n)
+	// Invite one worker per run beyond the caller's first, without ever
+	// blocking: Map runs inside pool tasks, where waiting for queue room
+	// (or, hence TryRLock, for a Close in progress) could be waiting on
+	// the calling worker. An invitation picked up after the batch is
+	// used up claims nothing and returns.
+	work := b.work
+	if e.mu.TryRLock() {
+		for h := min(e.workers, (n-1)/b.grain); h > 0; h-- {
+			select {
+			case e.queue <- work:
+			default:
+			}
 		}
-		if !ok {
-			break
-		}
-		e.run(own, t, scratch)
+		e.mu.RUnlock()
 	}
-	<-b.done
-	e.scratch.Put(scratch)
-
-	e.ghelp.Lock()
-	for i, d := range e.help {
-		if d == own {
-			e.help = append(e.help[:i], e.help[i+1:]...)
-			break
-		}
-	}
-	e.ghelp.Unlock()
+	e.withScratch(work)
+	b.left.Wait()
 	return b.err
-}
-
-func (e *Executor) stealBatch(b *mapBatch, own *deque) (task, bool) {
-	for _, d := range e.deques {
-		if t, ok := d.steal(b); ok {
-			return t, ok
-		}
-	}
-	e.ghelp.Lock()
-	helpers := append([]*deque(nil), e.help...)
-	e.ghelp.Unlock()
-	for _, d := range helpers {
-		if d == own {
-			continue
-		}
-		if t, ok := d.steal(b); ok {
-			return t, ok
-		}
-	}
-	return task{}, false
-}
-
-// Submit enqueues one plain function on the pool (round-robin across
-// worker deques). It returns immediately; fn runs with the executing
-// worker's scratch. On a closed executor fn runs synchronously on the
-// caller with a pooled scratch — work is never dropped.
-func (e *Executor) Submit(fn func(scratch any)) {
-	e.pmu.Lock()
-	closed := e.closed
-	e.pmu.Unlock()
-	if closed || len(e.deques) == 0 {
-		scratch := e.scratch.Get()
-		fn(scratch)
-		e.scratch.Put(scratch)
-		return
-	}
-	d := e.deques[e.rr.Add(1)%uint64(len(e.deques))]
-	d.push(task{fn: fn})
-	e.signal()
 }

@@ -223,3 +223,104 @@ func BenchmarkBatchExecutor(b *testing.B) {
 	}
 	b.ReportMetric(float64(tasks)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
 }
+
+// blockWorkers occupies every worker of e with a task that waits for
+// the returned release to be closed and then runs then; it returns once
+// all of them are running.
+func blockWorkers(e *Executor, then func()) (release chan struct{}) {
+	release = make(chan struct{})
+	started := make(chan struct{})
+	for i := 0; i < e.Workers(); i++ {
+		e.Submit(func(any) {
+			started <- struct{}{}
+			<-release
+			then()
+		})
+	}
+	for i := 0; i < e.Workers(); i++ {
+		<-started
+	}
+	return release
+}
+
+// saturate fills e's queue to its bound and parks extra more Submits
+// behind it, reporting on the returned channel as each one gets through.
+// The workers must be blocked, or the queue would not stay full.
+func saturate(t *testing.T, e *Executor, extra int, task func(any)) (through chan struct{}) {
+	for i := 0; i < cap(e.queue); i++ {
+		e.Submit(task)
+	}
+	if len(e.queue) != e.Workers()*queuePerWorker {
+		t.Fatalf("queue holds %d tasks, want the bound %d", len(e.queue), e.Workers()*queuePerWorker)
+	}
+	through = make(chan struct{}, extra)
+	for i := 0; i < extra; i++ {
+		go func() {
+			e.Submit(task)
+			through <- struct{}{}
+		}()
+	}
+	select {
+	case <-through:
+		t.Fatal("Submit past the bound did not block")
+	case <-time.After(50 * time.Millisecond):
+	}
+	return through
+}
+
+// TestExecutorSubmitBackpressure reaches the queue's bound: with the
+// workers blocked and the queue full the next Submit waits, completes
+// once a worker frees, and nothing submitted is lost.
+func TestExecutorSubmitBackpressure(t *testing.T) {
+	e := NewExecutor(2, nil)
+	var ran atomic.Int64
+	count := func(any) { ran.Add(1) }
+	release := blockWorkers(e, func() { ran.Add(1) })
+	through := saturate(t, e, 1, count)
+	close(release)
+	select {
+	case <-through:
+	case <-time.After(30 * time.Second):
+		t.Fatal("blocked Submit never completed")
+	}
+	e.Close() // drains what is still queued
+	if got, want := ran.Load(), int64(2+2*queuePerWorker+1); got != want {
+		t.Fatalf("tasks run = %d, want %d", got, want)
+	}
+}
+
+// TestExecutorNestedMapWithFullQueue runs Maps from inside pool tasks
+// while the queue is full and more Submits wait behind it. Nothing
+// drains the queue until those Maps return, so an invitation that
+// waited for room would hang the pool.
+func TestExecutorNestedMapWithFullQueue(t *testing.T) {
+	e := NewExecutor(2, nil)
+	var ran, mapped atomic.Int64
+	nested := func() {
+		if err := e.Map(64, func(int, any) error {
+			mapped.Add(1)
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
+	}
+	release := blockWorkers(e, nested)
+	const extra = 3
+	through := saturate(t, e, extra, func(any) { ran.Add(1) })
+	nested() // from outside the pool too
+	close(release)
+	for i := 0; i < extra; i++ {
+		select {
+		case <-through:
+		case <-time.After(30 * time.Second):
+			t.Fatal("pool hung with a full queue")
+		}
+	}
+	e.Close()
+	if got := mapped.Load(); got != 3*64 {
+		t.Fatalf("mapped indices = %d, want %d", got, 3*64)
+	}
+	if got, want := ran.Load(), int64(2*queuePerWorker+extra); got != want {
+		t.Fatalf("submitted tasks run = %d, want %d", got, want)
+	}
+}

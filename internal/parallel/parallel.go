@@ -1,88 +1,36 @@
-// Package parallel provides the deterministic worker-pool primitive
-// underlying the experiment engine and the batch analyzer: indexed
-// fan-out whose observable results are independent of worker count.
-//
-// Determinism contract: ForEach gives every index its own output slot
-// (the callback writes results keyed by index, never by completion
-// order), runs every index exactly once on success, and reports the
-// error of the lowest failing index. A caller that derives all
-// per-index randomness from the index itself — not from shared mutable
-// state — therefore produces byte-identical results whether workers is
-// 1 or GOMAXPROCS.
+// Package parallel provides the worker pool underlying the experiment
+// engine, the batch analyzer and the ingest pipeline: Executor, whose
+// indexed fan-out gives results independent of worker count, ForEach as
+// its one-shot form, and Limiter for admitting open-ended work.
 package parallel
 
 import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// ForEach runs fn(0..n-1) across the given number of workers and waits
-// for all of them. workers <= 0 selects runtime.GOMAXPROCS(0); a single
-// worker degenerates to a plain sequential loop with no goroutines.
-//
-// Failures fail fast without giving up determinism: indices are
-// dispatched in increasing order, so every index below the lowest
-// failing one is guaranteed to run, the lowest failing index itself
-// always runs (nothing lower exists to cancel it), and its error is
-// the one returned; indices above a known failure may be skipped.
+// ForEach runs fn(0..n-1) across the given number of workers (<= 0
+// selects runtime.GOMAXPROCS(0)) and waits for all of them: it is Map,
+// under Map's determinism contract, on a pool that lives for the call.
+// The caller is one of the workers and the pool holds the rest, so a
+// single worker is a plain sequential loop with no goroutines.
 func ForEach(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	var pool *Executor
+	if workers = min(workers, n); workers > 1 {
+		pool = NewExecutor(workers-1, nil)
+		defer pool.Close()
 	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		next      atomic.Int64
-		failedIdx atomic.Int64
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		firstErr  error
-	)
-	failedIdx.Store(int64(n))
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int64(next.Add(1)) - 1
-				if i >= int64(n) || i > failedIdx.Load() {
-					return
-				}
-				if err := fn(int(i)); err != nil {
-					mu.Lock()
-					if i < failedIdx.Load() {
-						failedIdx.Store(i)
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	return pool.Map(n, func(i int, _ any) error { return fn(i) })
 }
 
 // Limiter is the open-ended counterpart of ForEach's bounded pool: a
 // counting semaphore for long-running services whose task count is not
-// known up front (e.g. cmd/dominod admitting session streams). Blocked
+// known up front (e.g. internal/node admitting session streams). Blocked
 // Acquire calls provide natural backpressure to the producer.
 type Limiter struct {
 	sem chan struct{}
@@ -127,10 +75,8 @@ var ErrAcquireTimeout = errors.New("parallel: limiter saturated, acquire timed o
 // ErrAcquireTimeout into a retryable rejection rather than holding the
 // producer hostage on a full semaphore.
 func (l *Limiter) AcquireTimeout(ctx context.Context, d time.Duration) error {
-	select {
-	case l.sem <- struct{}{}:
+	if l.TryAcquire() {
 		return nil
-	default:
 	}
 	if d <= 0 {
 		return l.Acquire(ctx)

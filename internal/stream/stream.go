@@ -83,7 +83,7 @@ type Stats struct {
 
 // Analyzer incrementally analyzes one session's record stream. It is
 // not safe for concurrent use; callers multiplexing sessions (e.g.
-// cmd/dominod) guard each session's Analyzer with its own lock.
+// internal/node) guard each session's Analyzer with its own lock.
 type Analyzer struct {
 	core *core.Analyzer
 	cfg  Config
@@ -114,7 +114,7 @@ func New(a *core.Analyzer, cfg Config) *Analyzer {
 // Reset rewinds the analyzer to its pre-header state so it can ingest
 // a new session, recycling the window evaluator's series arrays and
 // the incremental engine's scratch instead of reallocating them. This
-// is the fleet-ingest fast path: cmd/dominod keeps closed analyzers on
+// is the fleet-ingest fast path: internal/node keeps closed analyzers on
 // a bounded free-list (its analyzerPool, which unlike a sync.Pool
 // survives GC cycles) and Resets them per session, so steady-state
 // ingest allocates only the report it returns.
