@@ -27,7 +27,7 @@ BENCH_GATE_PKGS = . ./internal/sim ./internal/trace ./internal/parallel ./cmd/do
 # by benchdiff -floor, which also fails if the benchmark vanishes.
 BENCH_FLOORS = -floor 'BenchmarkDominodIngestBinary:records/s=2565718'
 
-.PHONY: build vet fmt fmt-check test bench bench-json bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check bench-check loc ci
+.PHONY: build vet fmt fmt-check test fuzz-smoke bench bench-json bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check bench-check loc ci
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,18 @@ fmt-check:
 # in-process fleets under the detector here.
 test:
 	$(GO) test -race ./...
+
+# Fuzz smoke: `go test` alone only replays each fuzz target's seeds.
+# This runs every parser that faces the network (both trace codecs) and
+# the block analysis path behind the binary one under the fuzzer for a
+# few seconds each — `-fuzz` takes one target and one package per run.
+# A failing input is written under the package's testdata/fuzz/.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzBinaryStreamReader$$' -fuzztime 5s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzBinaryRoundTrip$$' -fuzztime 5s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 5s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecDifferential$$' -fuzztime 5s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzPushBlock$$' -fuzztime 5s ./internal/stream
 
 # One iteration of every benchmark: regenerates every paper artifact
 # through the batch engine (sequential and parallel) as a smoke test.
@@ -138,4 +150,4 @@ loc:
 	sh scripts/loc.sh > LOC.txt
 	@tail -1 LOC.txt
 
-ci: build vet fmt-check test bench bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check bench-check loc
+ci: build vet fmt-check test fuzz-smoke bench bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check bench-check loc

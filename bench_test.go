@@ -140,6 +140,44 @@ func BenchmarkStreamAnalyzer(b *testing.B) {
 		b.ReportMetric(totalSamples*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		b.ReportMetric(float64(peak), "max-buffered-samples")
 	})
+	b.Run("block", func(b *testing.B) {
+		// The same session as the wire's columnar blocks, pushed whole:
+		// the path dominod's binary ingest takes.
+		var bin bytes.Buffer
+		if err := trace.WriteBinary(&bin, set); err != nil {
+			b.Fatal(err)
+		}
+		br := trace.NewBinaryStreamReader(&bin)
+		var blocks []*trace.Block
+		for {
+			blk, err := br.ReadBlock()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			blocks = append(blocks, blk)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		sa := stream.New(analyzer, stream.Config{})
+		var peak int
+		for i := 0; i < b.N; i++ {
+			sa.Reset()
+			for _, blk := range blocks {
+				if _, err := sa.PushBlock(blk, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := sa.Close(); err != nil {
+				b.Fatal(err)
+			}
+			peak = sa.Stats().MaxBuffered
+		}
+		b.ReportMetric(totalSamples*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		b.ReportMetric(float64(peak), "max-buffered-samples")
+	})
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -321,6 +321,107 @@ func TestResumableBinaryInterruptAndResend(t *testing.T) {
 	}
 }
 
+// encodeBinaryRecords encodes a header and records as one DMNTRCB1
+// stream, the way a collector's streaming writer would.
+func encodeBinaryRecords(t testing.TB, recs []trace.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewBinaryWriter(&buf)
+	for _, rec := range recs {
+		if err := w.WriteRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestResumableBinaryResumeMidBlock resumes a binary session from a
+// watermark that falls inside a block of the resent stream — header
+// plus 300 records accepted, so the resend's first 512-record block is
+// deduplicated up to its 300th record and analyzed from there — and
+// pins the watermark a failure in the middle of a block leaves behind.
+func TestResumableBinaryResumeMidBlock(t *testing.T) {
+	analyzer := testAnalyzer(t)
+	_, body := sessionTrace(t, ran.Presets()[1], 13, 10*sim.Second)
+	var recs []trace.Record // header first
+	for sr := trace.NewStreamReader(bytes.NewReader(body)); ; {
+		rec, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	full := encodeBinaryRecords(t, recs)
+	report := func(base, id string) []byte {
+		t.Helper()
+		resp, err := http.Get(base + "/report/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /report/%s: %d %v", id, resp.StatusCode, err)
+		}
+		return b
+	}
+
+	// The reference: the same session ID, uploaded in one piece to a
+	// node of its own.
+	ref := httptest.NewServer(node.New(analyzer, node.Options{MaxStreams: 2}).Routes())
+	defer ref.Close()
+	drainClose(postChunk(t, ref.URL, "mid", ingest.ContentTypeBinary, -1, false, bytes.NewReader(full)))
+
+	ts := httptest.NewServer(node.New(analyzer, node.Options{MaxStreams: 2}).Routes())
+	defer ts.Close()
+	const accepted = 1 + 300
+	var wm ingest.Watermark
+	resp := postChunk(t, ts.URL, "mid", ingest.ContentTypeBinary, 0, false, bytes.NewReader(encodeBinaryRecords(t, recs[:accepted])))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first chunk got %d", resp.StatusCode)
+	}
+	mustDecode(t, resp, &wm)
+	if wm.Accepted != accepted {
+		t.Fatalf("watermark %d after the first chunk, want %d", wm.Accepted, accepted)
+	}
+	resp = postChunk(t, ts.URL, "mid", ingest.ContentTypeBinary, 0, true, bytes.NewReader(full))
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("resend got %d: %s", resp.StatusCode, b)
+	}
+	drainClose(resp)
+	if got := metricValue(t, ts.URL, "dominod_ingest_deduped_records_total"); int(got) != accepted {
+		t.Fatalf("deduped %v records, want exactly the %d accepted", got, accepted)
+	}
+	if got, want := report(ts.URL, "mid"), report(ref.URL, "mid"); !bytes.Equal(got, want) {
+		t.Fatalf("report after a mid-block resume differs from the one-shot upload's:\n%s\n%s", got, want)
+	}
+
+	// A record that arrives after its window closed, 100 records into a
+	// block: the session fails having accepted exactly the records
+	// before it.
+	const late = 1 + 40*512 + 100 // header, 40 blocks, 100 records
+	if late >= len(recs) {
+		t.Fatalf("trace holds %d records, need more than %d", len(recs), late)
+	}
+	bad := append(append(append([]trace.Record(nil), recs[:late]...), recs[1]), recs[late:]...)
+	resp = postChunk(t, ts.URL, "late", ingest.ContentTypeBinary, -1, false, bytes.NewReader(encodeBinaryRecords(t, bad)))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("late record got %d, want 400", resp.StatusCode)
+	}
+	drainClose(resp)
+	getJSON(t, ts.URL+"/sessions/late/watermark", &wm)
+	if wm.State != "failed" || wm.Accepted != late {
+		t.Fatalf("after a late record at index %d: state %q, accepted %d", late, wm.State, wm.Accepted)
+	}
+}
+
 func TestTruncatedBinaryFailsSessionWithPartialReport(t *testing.T) {
 	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
 	ts := httptest.NewServer(srv.Routes())

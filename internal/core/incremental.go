@@ -43,23 +43,38 @@ func (e *WindowEvaluator) Reset(hasGNBLog bool) { e.ix.reset(hasGNBLog) }
 // still evaluates windows on correctly ordered series. Header records
 // are ignored.
 func (e *WindowEvaluator) Observe(rec trace.Record) {
+	ix := e.ix
 	switch {
 	case rec.DCI != nil:
-		e.ix.addDCI(*rec.DCI)
-		e.ix.restoreOrderDCI(*rec.DCI)
+		ix.addDCI(rec.DCI)
+		ix.restoreOrderDCI(dirIdx(rec.DCI.Dir))
 	case rec.GNB != nil:
-		e.ix.addGNB(*rec.GNB)
-		e.ix.restoreOrderGNB(*rec.GNB)
+		ix.addGNB(rec.GNB)
+		if rec.GNB.Kind == trace.GNBLogRLCRetx {
+			bubbleLast(ix.rlcAt[dirIdx(rec.GNB.Dir)], nil)
+		}
 	case rec.Packet != nil:
-		e.ix.addPacket(*rec.Packet)
-		e.ix.restoreOrderPacket(*rec.Packet)
+		ix.addPacket(rec.Packet)
+		ix.restoreOrderPacket(rec.Packet.Kind, rec.Packet.Dir)
 	case rec.Stats != nil:
-		e.ix.addStats(*rec.Stats)
-		e.ix.restoreOrderStats(*rec.Stats)
+		ix.addStats(rec.Stats)
+		ix.restoreOrderStats(sideIdx(rec.Stats.Local))
 	case rec.RRC != nil:
-		e.ix.addRRC(*rec.RRC)
-		e.ix.restoreOrderRRC()
+		ix.rrcAt = append(ix.rrcAt, rec.RRC.At)
+		bubbleLast(ix.rrcAt, nil)
 	}
+}
+
+// ObserveBlock appends rows [lo[s], hi[s]) of every series s of a
+// columnar block — a run of consecutive block records — with the same
+// effect as Observing each record the rows stand for. ordered promises
+// that the run, in the block's merged order, never steps back in time
+// and starts no earlier than every sample Observed so far
+// (stream.Analyzer.PushBlock knows this from its watermark walk); the
+// series are then extended in bulk. Without it each sample is
+// insertion-sorted back into place exactly as Observe does.
+func (e *WindowEvaluator) ObserveBlock(b *trace.Block, lo, hi *[trace.NumSeries]int, ordered bool) {
+	e.ix.observeBlock(b, lo, hi, ordered)
 }
 
 // EvictBefore drops samples older than cut (the start of the earliest

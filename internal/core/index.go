@@ -77,8 +77,19 @@ type indexedTrace struct {
 	stats    [2][]trace.WebRTCStatsRecord
 	statsCum [2]statsCums
 
+	// head holds, per series group, the index of the first live sample
+	// (see evictBefore). Queries binary-search [start, end) and
+	// cumulative reads subtract cum[lo-1], so neither looks at it.
+	head seriesHeads
+
 	roll    rollState
 	scratch evalScratch
+}
+
+// seriesHeads is one first-live-sample index per series group.
+type seriesHeads struct {
+	fwd, rev, rrc        int
+	app, dci, rlc, stats [2]int
 }
 
 // statsCums holds cumulative flag counts over one side's stats series:
@@ -118,14 +129,14 @@ func dirIdx(d netem.Direction) int {
 func newIndexedTrace(set *trace.Set, cfg DetectorConfig) *indexedTrace {
 	ix := &indexedTrace{cfg: cfg, hasGNBLog: set.HasGNBLog}
 	ix.roll.init(cfg)
-	for _, p := range set.Packets {
-		ix.addPacket(p)
+	for i := range set.Packets {
+		ix.addPacket(&set.Packets[i])
 	}
-	for _, r := range set.DCI {
-		ix.addDCI(r)
+	for i := range set.DCI {
+		ix.addDCI(&set.DCI[i])
 	}
-	for _, g := range set.GNBLogs {
-		ix.addGNB(g)
+	for i := range set.GNBLogs {
+		ix.addGNB(&set.GNBLogs[i])
 	}
 	// Batch construction appends DCI-flagged and gNB-logged RLC retx
 	// separately, so the merged series needs a sort; incremental
@@ -133,11 +144,11 @@ func newIndexedTrace(set *trace.Set, cfg DetectorConfig) *indexedTrace {
 	for i := range ix.rlcAt {
 		sort.Slice(ix.rlcAt[i], func(a, b int) bool { return ix.rlcAt[i][a] < ix.rlcAt[i][b] })
 	}
-	for _, r := range set.RRC {
-		ix.addRRC(r)
+	for i := range set.RRC {
+		ix.rrcAt = append(ix.rrcAt, set.RRC[i].At)
 	}
-	for _, s := range set.Stats {
-		ix.addStats(s)
+	for i := range set.Stats {
+		ix.addStats(&set.Stats[i])
 	}
 	return ix
 }
@@ -146,6 +157,7 @@ func newIndexedTrace(set *trace.Set, cfg DetectorConfig) *indexedTrace {
 // the allocated capacity — the pooling path for fleet-scale reuse.
 func (ix *indexedTrace) reset(hasGNBLog bool) {
 	ix.hasGNBLog = hasGNBLog
+	ix.head = seriesHeads{}
 	ix.fwdAt = ix.fwdAt[:0]
 	ix.fwdDelay = ix.fwdDelay[:0]
 	ix.fwdCumHigh = ix.fwdCumHigh[:0]
@@ -184,68 +196,116 @@ func (ix *indexedTrace) reset(hasGNBLog bool) {
 	ix.roll.reset()
 }
 
-func (ix *indexedTrace) addPacket(p trace.PacketRecord) {
-	if p.Kind == netem.KindRTCP {
-		d := p.Delay().Milliseconds()
-		ix.revAt = append(ix.revAt, p.SentAt)
+// The add* methods append one record's samples; the push* methods under
+// them take the fields as scalars, so the columnar path (observeBlock)
+// feeds them straight from a block's columns with no record in between.
+
+func (ix *indexedTrace) addPacket(p *trace.PacketRecord) {
+	ix.pushPacket(p.Kind, p.Dir, p.Size, p.SentAt, p.Arrived)
+}
+
+func (ix *indexedTrace) pushPacket(kind netem.MediaKind, dir netem.Direction, size int, sent, arrived sim.Time) {
+	if kind == netem.KindCross {
+		return
+	}
+	d := (arrived - sent).Milliseconds()
+	if kind == netem.KindRTCP {
+		ix.revAt = append(ix.revAt, sent)
 		ix.revDelay = append(ix.revDelay, d)
 		ix.revCumHigh = appendCum32(ix.revCumHigh, ix.delayHigh(d))
 		return
 	}
-	if p.Kind == netem.KindCross {
-		return
-	}
-	di := dirIdx(p.Dir)
-	d := p.Delay().Milliseconds()
-	ix.fwdAt = append(ix.fwdAt, p.SentAt)
+	di := dirIdx(dir)
+	ix.fwdAt = append(ix.fwdAt, sent)
 	ix.fwdDelay = append(ix.fwdDelay, d)
 	ix.fwdCumHigh = appendCum32(ix.fwdCumHigh, ix.delayHigh(d))
-	ix.appAt[di] = append(ix.appAt[di], p.SentAt)
-	ix.appBytes[di] = append(ix.appBytes[di], p.Size)
+	ix.appAt[di] = append(ix.appAt[di], sent)
+	ix.appBytes[di] = append(ix.appBytes[di], size)
 }
 
-func (ix *indexedTrace) addDCI(r trace.DCIRecord) {
-	di := dirIdx(r.Dir)
-	ix.dciAt[di] = append(ix.dciAt[di], r.At)
-	ix.dciOwn[di] = append(ix.dciOwn[di], r.OwnPRB)
-	ix.dciOther[di] = append(ix.dciOther[di], r.OtherPRB)
-	ix.dciMCS[di] = append(ix.dciMCS[di], r.MCS)
-	tbs := 0
-	if r.OwnPRB > 0 {
-		tbs = r.TBSBits
+func (ix *indexedTrace) addDCI(r *trace.DCIRecord) {
+	ix.pushDCI(dirIdx(r.Dir), r.At, r.OwnPRB, r.OtherPRB, r.MCS, r.TBSBits, r.HARQRetx, r.RLCRetx)
+}
+
+func (ix *indexedTrace) pushDCI(di int, at sim.Time, own, other, mcs, tbs int, harq, rlc bool) {
+	ix.dciAt[di] = append(ix.dciAt[di], at)
+	ix.dciOwn[di] = append(ix.dciOwn[di], own)
+	ix.dciOther[di] = append(ix.dciOther[di], other)
+	ix.dciMCS[di] = append(ix.dciMCS[di], mcs)
+	if own <= 0 {
+		tbs = 0
 	}
 	ix.dciTBS[di] = append(ix.dciTBS[di], tbs)
-	ix.dciHARQ[di] = append(ix.dciHARQ[di], r.HARQRetx)
-	ix.dciULUse[di] = append(ix.dciULUse[di], r.OwnPRB > 0)
-	ix.dciCumOwn[di] = appendCumSum64(ix.dciCumOwn[di], int64(r.OwnPRB))
-	ix.dciCumOther[di] = appendCumSum64(ix.dciCumOther[di], int64(r.OtherPRB))
-	ix.dciCumHARQ[di] = appendCum32(ix.dciCumHARQ[di], r.HARQRetx)
-	ix.dciCumULUse[di] = appendCum32(ix.dciCumULUse[di], r.OwnPRB > 0)
+	ix.dciHARQ[di] = append(ix.dciHARQ[di], harq)
+	ix.dciULUse[di] = append(ix.dciULUse[di], own > 0)
+	ix.dciCumOwn[di] = appendCumSum64(ix.dciCumOwn[di], int64(own))
+	ix.dciCumOther[di] = appendCumSum64(ix.dciCumOther[di], int64(other))
+	ix.dciCumHARQ[di] = appendCum32(ix.dciCumHARQ[di], harq)
+	ix.dciCumULUse[di] = appendCum32(ix.dciCumULUse[di], own > 0)
 	// The DCI RLC-retx annotation is gNB-internal knowledge: only
 	// private cells with base-station logs expose it (the paper's
 	// commercial cells detect no RLC retx for exactly this reason).
-	if r.RLCRetx && ix.hasGNBLog {
-		ix.rlcAt[di] = append(ix.rlcAt[di], r.At)
+	if rlc && ix.hasGNBLog {
+		ix.rlcAt[di] = append(ix.rlcAt[di], at)
 	}
 }
 
-func (ix *indexedTrace) addGNB(g trace.GNBLogRecord) {
+func (ix *indexedTrace) addGNB(g *trace.GNBLogRecord) {
 	if g.Kind == trace.GNBLogRLCRetx {
 		di := dirIdx(g.Dir)
 		ix.rlcAt[di] = append(ix.rlcAt[di], g.At)
 	}
 }
 
-func (ix *indexedTrace) addRRC(r trace.RRCRecord) {
-	ix.rrcAt = append(ix.rrcAt, r.At)
-}
-
-func (ix *indexedTrace) addStats(s trace.WebRTCStatsRecord) {
+func (ix *indexedTrace) addStats(s *trace.WebRTCStatsRecord) {
 	si := sideIdx(s.Local)
 	i := len(ix.stats[si])
 	ix.statsAt[si] = append(ix.statsAt[si], s.At)
-	ix.stats[si] = append(ix.stats[si], s)
+	ix.stats[si] = append(ix.stats[si], *s)
 	ix.appendStatsCums(si, i)
+}
+
+// observeBlock implements WindowEvaluator.ObserveBlock.
+func (ix *indexedTrace) observeBlock(b *trace.Block, lo, hi *[trace.NumSeries]int, ordered bool) {
+	// DCI rows and gNB rows both feed rlcAt, one series after the other
+	// rather than merged, so its new tail is re-sorted at the end.
+	rlcBase := [2]int{len(ix.rlcAt[0]), len(ix.rlcAt[1])}
+
+	d := &b.DCI
+	for i := lo[trace.SeriesDCI]; i < hi[trace.SeriesDCI]; i++ {
+		di, f := dirIdx(d.Dir[i]), d.Flags[i]
+		ix.pushDCI(di, d.At[i], d.OwnPRB[i], d.OtherPRB[i], d.MCS[i], d.TBSBits[i],
+			f&trace.DCIFlagHARQRetx != 0, f&trace.DCIFlagRLCRetx != 0)
+		if !ordered {
+			ix.restoreOrderDCI(di)
+		}
+	}
+	g := &b.GNB
+	for i := lo[trace.SeriesGNB]; i < hi[trace.SeriesGNB]; i++ {
+		if g.Kind[i] == trace.GNBLogRLCRetx {
+			di := dirIdx(g.Dir[i])
+			ix.rlcAt[di] = append(ix.rlcAt[di], g.At[i])
+		}
+	}
+	for di, base := range rlcBase {
+		sortTail(ix.rlcAt[di], base)
+	}
+	p := &b.Pkt
+	for i := lo[trace.SeriesPkt]; i < hi[trace.SeriesPkt]; i++ {
+		ix.pushPacket(p.Kind[i], p.Dir[i], p.Size[i], p.SentAt[i], p.Arrived[i])
+		if !ordered {
+			ix.restoreOrderPacket(p.Kind[i], p.Dir[i])
+		}
+	}
+	for i := lo[trace.SeriesStats]; i < hi[trace.SeriesStats]; i++ {
+		ix.addStats(&b.Stats[i])
+		if !ordered {
+			ix.restoreOrderStats(sideIdx(b.Stats[i].Local))
+		}
+	}
+	rrcBase := len(ix.rrcAt)
+	ix.rrcAt = append(ix.rrcAt, b.RRC.At[lo[trace.SeriesRRC]:hi[trace.SeriesRRC]]...)
+	sortTail(ix.rrcAt, rrcBase)
 }
 
 // statsFlagSet holds one stats record's per-sample condition flags —
@@ -338,28 +398,31 @@ func cum64(cum []int64, lo, hi int) int64 {
 	return v
 }
 
-// evictBefore drops every sample with timestamp < cut, compacting each
-// series in place so the backing arrays stay sized to the window
-// high-water mark instead of growing with the trace. Cumulative arrays
-// are rebased and the rolling cursors shifted alongside.
+// evictBefore retires every sample with timestamp < cut. Retiring only
+// advances the series group's head; the group's arrays are compacted in
+// place (cumulative arrays rebased, rolling cursors shifted alongside)
+// once the dead prefix is at least as long as the live part, so the
+// backing arrays stay within twice the window high-water mark instead
+// of growing with the trace.
 func (ix *indexedTrace) evictBefore(cut sim.Time) {
-	lo := cutIndex(ix.fwdAt, cut)
+	h := &ix.head
+	lo := dead(ix.fwdAt, &h.fwd, cut)
 	ix.fwdAt = shiftS(ix.fwdAt, lo)
 	ix.fwdDelay = shiftS(ix.fwdDelay, lo)
 	ix.fwdCumHigh = shiftCum32(ix.fwdCumHigh, lo)
 
-	lo = cutIndex(ix.revAt, cut)
+	lo = dead(ix.revAt, &h.rev, cut)
 	ix.revAt = shiftS(ix.revAt, lo)
 	ix.revDelay = shiftS(ix.revDelay, lo)
 	ix.revCumHigh = shiftCum32(ix.revCumHigh, lo)
 
 	for di := 0; di < 2; di++ {
-		lo = cutIndex(ix.appAt[di], cut)
+		lo = dead(ix.appAt[di], &h.app[di], cut)
 		ix.appAt[di] = shiftS(ix.appAt[di], lo)
 		ix.appBytes[di] = shiftS(ix.appBytes[di], lo)
 		ix.roll.appCur[di] = cursorShift(ix.roll.appCur[di], lo)
 
-		lo = cutIndex(ix.dciAt[di], cut)
+		lo = dead(ix.dciAt[di], &h.dci[di], cut)
 		ix.dciAt[di] = shiftS(ix.dciAt[di], lo)
 		ix.dciOwn[di] = shiftS(ix.dciOwn[di], lo)
 		ix.dciOther[di] = shiftS(ix.dciOther[di], lo)
@@ -373,15 +436,15 @@ func (ix *indexedTrace) evictBefore(cut sim.Time) {
 		ix.dciCumULUse[di] = shiftCum32(ix.dciCumULUse[di], lo)
 		ix.roll.dciCur[di] = cursorShift(ix.roll.dciCur[di], lo)
 
-		lo = cutIndex(ix.rlcAt[di], cut)
+		lo = dead(ix.rlcAt[di], &h.rlc[di], cut)
 		ix.rlcAt[di] = shiftS(ix.rlcAt[di], lo)
 	}
 
-	lo = cutIndex(ix.rrcAt, cut)
+	lo = dead(ix.rrcAt, &h.rrc, cut)
 	ix.rrcAt = shiftS(ix.rrcAt, lo)
 
 	for si := 0; si < 2; si++ {
-		lo = cutIndex(ix.statsAt[si], cut)
+		lo = dead(ix.statsAt[si], &h.stats[si], cut)
 		ix.statsAt[si] = shiftS(ix.statsAt[si], lo)
 		ix.stats[si] = shiftS(ix.stats[si], lo)
 		c := &ix.statsCum[si]
@@ -394,6 +457,20 @@ func (ix *indexedTrace) evictBefore(cut sim.Time) {
 		c.pushDrop = shiftCum32(c.pushDrop, lo)
 		ix.roll.statsCur[si] = cursorShift(ix.roll.statsCur[si], lo)
 	}
+}
+
+// dead advances *head past the samples of at older than cut and
+// returns how many leading samples the caller compacts away now: the
+// whole dead prefix once it has caught up with the live part (with
+// *head back at 0), else none.
+func dead(at []sim.Time, head *int, cut sim.Time) int {
+	*head += cutIndex(at[*head:], cut)
+	lo := *head
+	if lo < len(at)-lo {
+		return 0
+	}
+	*head = 0
+	return lo
 }
 
 // cutIndex returns the number of leading samples with timestamp < cut.
@@ -468,21 +545,44 @@ func bubbleLast(at []sim.Time, swap func(i, j int)) int {
 	return i
 }
 
+// sortTail insertion-sorts into place the samples appended to a
+// time-only series since it was base long (one comparison each when
+// they arrived in order).
+func sortTail(at []sim.Time, base int) {
+	for n := base + 1; n <= len(at); n++ {
+		bubbleLast(at[:n], nil)
+	}
+}
+
+// tailOrdered reports whether a series' last sample is not before its
+// predecessor — the in-order case, which the restoreOrder* methods
+// settle with this one comparison before they build a swap closure.
+func tailOrdered(at []sim.Time) bool {
+	n := len(at)
+	return n < 2 || at[n-1] >= at[n-2]
+}
+
 // restoreOrderPacket re-sorts the tail of the packet-derived series
-// after an out-of-order (but within-lateness) streamed packet and
-// repairs the cumulative arrays from the insertion point.
-func (ix *indexedTrace) restoreOrderPacket(p trace.PacketRecord) {
-	if p.Kind == netem.KindRTCP {
+// after an out-of-order (but within-lateness) streamed packet of the
+// given kind and direction, and repairs the cumulative arrays from the
+// insertion point.
+func (ix *indexedTrace) restoreOrderPacket(kind netem.MediaKind, dir netem.Direction) {
+	if kind == netem.KindRTCP {
+		if tailOrdered(ix.revAt) {
+			return
+		}
 		pos := bubbleLast(ix.revAt, func(i, j int) {
 			ix.revDelay[i], ix.revDelay[j] = ix.revDelay[j], ix.revDelay[i]
 		})
 		ix.rebuildDelayCum(ix.revDelay, ix.revCumHigh, pos)
 		return
 	}
-	if p.Kind == netem.KindCross {
+	if kind == netem.KindCross || tailOrdered(ix.fwdAt) {
+		// fwdAt and appAt[di] take the same timestamps, appAt[di] a
+		// subsequence of them: one in order means both are.
 		return
 	}
-	di := dirIdx(p.Dir)
+	di := dirIdx(dir)
 	pos := bubbleLast(ix.fwdAt, func(i, j int) {
 		ix.fwdDelay[i], ix.fwdDelay[j] = ix.fwdDelay[j], ix.fwdDelay[i]
 	})
@@ -494,9 +594,6 @@ func (ix *indexedTrace) restoreOrderPacket(p trace.PacketRecord) {
 
 // rebuildDelayCum recomputes a delay threshold-count array from pos on.
 func (ix *indexedTrace) rebuildDelayCum(delay []float64, cum []int32, pos int) {
-	if pos == len(delay)-1 {
-		return // appended in order; already extended by addPacket
-	}
 	var prev int32
 	if pos > 0 {
 		prev = cum[pos-1]
@@ -509,9 +606,13 @@ func (ix *indexedTrace) rebuildDelayCum(delay []float64, cum []int32, pos int) {
 	}
 }
 
-// restoreOrderDCI re-sorts the tail of the DCI-derived series.
-func (ix *indexedTrace) restoreOrderDCI(r trace.DCIRecord) {
-	di := dirIdx(r.Dir)
+// restoreOrderDCI re-sorts the tail of direction di's DCI-derived
+// series.
+func (ix *indexedTrace) restoreOrderDCI(di int) {
+	bubbleLast(ix.rlcAt[di], nil)
+	if tailOrdered(ix.dciAt[di]) {
+		return
+	}
 	pos := bubbleLast(ix.dciAt[di], func(i, j int) {
 		ix.dciOwn[di][i], ix.dciOwn[di][j] = ix.dciOwn[di][j], ix.dciOwn[di][i]
 		ix.dciOther[di][i], ix.dciOther[di][j] = ix.dciOther[di][j], ix.dciOther[di][i]
@@ -520,10 +621,7 @@ func (ix *indexedTrace) restoreOrderDCI(r trace.DCIRecord) {
 		ix.dciHARQ[di][i], ix.dciHARQ[di][j] = ix.dciHARQ[di][j], ix.dciHARQ[di][i]
 		ix.dciULUse[di][i], ix.dciULUse[di][j] = ix.dciULUse[di][j], ix.dciULUse[di][i]
 	})
-	if pos != len(ix.dciAt[di])-1 {
-		ix.rebuildDCICums(di, pos)
-	}
-	bubbleLast(ix.rlcAt[di], nil)
+	ix.rebuildDCICums(di, pos)
 }
 
 // rebuildDCICums recomputes direction di's cumulative arrays from pos.
@@ -552,25 +650,15 @@ func (ix *indexedTrace) rebuildDCICums(di, pos int) {
 	}
 }
 
-// restoreOrderGNB re-sorts the tail of the RLC-retx series.
-func (ix *indexedTrace) restoreOrderGNB(g trace.GNBLogRecord) {
-	if g.Kind == trace.GNBLogRLCRetx {
-		bubbleLast(ix.rlcAt[dirIdx(g.Dir)], nil)
+// restoreOrderStats re-sorts the tail of side si's stats series.
+func (ix *indexedTrace) restoreOrderStats(si int) {
+	if tailOrdered(ix.statsAt[si]) {
+		return
 	}
-}
-
-// restoreOrderRRC re-sorts the tail of the RRC series.
-func (ix *indexedTrace) restoreOrderRRC() { bubbleLast(ix.rrcAt, nil) }
-
-// restoreOrderStats re-sorts the tail of one side's stats series.
-func (ix *indexedTrace) restoreOrderStats(s trace.WebRTCStatsRecord) {
-	si := sideIdx(s.Local)
 	pos := bubbleLast(ix.statsAt[si], func(i, j int) {
 		ix.stats[si][i], ix.stats[si][j] = ix.stats[si][j], ix.stats[si][i]
 	})
-	if pos != len(ix.statsAt[si])-1 {
-		ix.rebuildStatsCums(si, pos)
-	}
+	ix.rebuildStatsCums(si, pos)
 }
 
 // rebuildStatsCums recomputes side si's cumulative flag counts from
@@ -627,12 +715,13 @@ func (ix *indexedTrace) rebuildStatsCums(si, pos int) {
 // buffered returns the number of samples currently held across all
 // series — the streaming analyzer's O(window) state measure.
 func (ix *indexedTrace) buffered() int {
-	n := len(ix.fwdAt) + len(ix.revAt) + len(ix.rrcAt)
+	h := &ix.head
+	n := len(ix.fwdAt) - h.fwd + len(ix.revAt) - h.rev + len(ix.rrcAt) - h.rrc
 	for di := range ix.dciAt {
-		n += len(ix.dciAt[di]) + len(ix.rlcAt[di])
+		n += len(ix.dciAt[di]) - h.dci[di] + len(ix.rlcAt[di]) - h.rlc[di]
 	}
 	for si := range ix.statsAt {
-		n += len(ix.statsAt[si])
+		n += len(ix.statsAt[si]) - h.stats[si]
 	}
 	return n
 }

@@ -143,49 +143,52 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Build the negotiated decoder; with no (or a generic) Content-Type
 	// the first body bytes decide, so -stdin replays and bare curl
 	// octet-stream uploads still hit the right path.
-	// Binary readers recycle their block storage at depth 1: with the
-	// depth-one pipeline below, a batch is fully pushed (and its values
-	// copied into the analyzer's index) before the generation it lives
-	// in is decoded into again, so steady-state binary ingest allocates
-	// no per-record garbage.
+	// The binary format is read block by block, in columns (br below),
+	// and never becomes Records. Its reader recycles block storage at
+	// depth 1: with the depth-one pipeline below, a block is fully pushed
+	// (its columns appended to the analyzer's index) before the
+	// generation it lives in is decoded into again, so steady-state
+	// binary ingest allocates no per-record garbage.
 	var rr trace.RecordReader
 	switch format {
 	case formatBinary:
-		br := trace.NewBinaryStreamReader(lt)
-		br.Recycle(1)
-		rr = br
+		rr = trace.NewBinaryStreamReader(lt)
 	case formatJSONL:
 		rr = trace.NewStreamReader(lt)
 	default:
 		rr = trace.NewAutoStreamReader(lt)
-		if br, isBin := rr.(*trace.BinaryStreamReader); isBin {
-			br.Recycle(1)
-			format = formatBinary
-		} else {
-			format = formatJSONL
-		}
+	}
+	br, _ := rr.(*trace.BinaryStreamReader)
+	format = formatJSONL
+	if br != nil {
+		format = formatBinary
+		br.Recycle(1)
 	}
 	n.log.Debug("ingest started", "session", id, "format", format, "seq", req.Seq, "eos", req.Eos, "resumed", d.Resume)
 
-	// Records decode into a chunk and push in batches — one
-	// session-lock acquisition (and one pass of window evaluations) per
-	// chunk instead of per record, while /report snapshots interleave
-	// between chunks. The two phases pipeline at depth one on the
-	// node's worker pool: the analyzer step for chunk N runs on a pool
-	// worker while this goroutine decodes chunk N+1 from the wire. Two
-	// buffers alternate so the chunk being decoded never aliases the
-	// chunk being pushed; each phase is timed into its latency
-	// histogram (decode covers the wire read, step the analyzer pushes,
-	// window evaluations included).
+	// The body decodes chunk by chunk — a wire block on the binary
+	// format, a batch of records on JSONL — and each chunk is pushed
+	// whole: one session-lock acquisition (and one pass of window
+	// evaluations) per chunk instead of per record, while /report
+	// snapshots interleave between chunks. The two phases pipeline at
+	// depth one on the node's worker pool: the analyzer step for chunk N
+	// runs on a pool worker while this goroutine decodes chunk N+1 from
+	// the wire. Two buffers alternate so the chunk being decoded never
+	// aliases the chunk being pushed (the binary reader's two recycled
+	// generations are the same arrangement); each phase is timed into
+	// its latency histogram (decode covers the wire read, step the
+	// analyzer pushes, window evaluations included).
 	decodeSeconds := n.m.decodeSeconds[format]
 	ingestRecords := n.m.ingestRecords[format]
 	var bufs [2]*[]trace.Record
-	for i := range bufs {
-		bufs[i] = n.recPool.Get().(*[]trace.Record)
-		defer func(b *[]trace.Record) {
-			*b = (*b)[:0]
-			n.recPool.Put(b)
-		}(bufs[i])
+	if br == nil {
+		for i := range bufs {
+			bufs[i] = n.recPool.Get().(*[]trace.Record)
+			defer func(b *[]trace.Record) {
+				*b = (*b)[:0]
+				n.recPool.Put(b)
+			}(bufs[i])
+		}
 	}
 	var pending chan error
 	waitPending := func() error {
@@ -203,21 +206,22 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 			_ = rc.SetReadDeadline(time.Now().Add(n.opts.StreamIdle))
 		}
 		decodeStart := time.Now()
-		var batch []trace.Record
-		batch, readErr = rr.ReadBatch((*bufs[cur])[:0])
+		var c chunk
+		if br != nil {
+			c.blk, readErr = br.ReadBlock()
+		} else {
+			c.recs, readErr = rr.ReadBatch((*bufs[cur])[:0])
+		}
 		decodeSeconds.Observe(time.Since(decodeStart).Seconds())
-		if skip > 0 && len(batch) > 0 {
+		size := c.len()
+		if skip > 0 && size > 0 {
 			// A resuming client replayed records the session already
 			// analyzed: dedup the prefix instead of double-counting.
-			dup := skip
-			if dup > len(batch) {
-				dup = len(batch)
-			}
-			batch = batch[dup:]
-			skip -= dup
-			n.m.ingestDeduped.Add(int64(dup))
+			c.skip = min(skip, size)
+			skip -= c.skip
+			n.m.ingestDeduped.Add(int64(c.skip))
 		}
-		if len(batch) == 0 {
+		if c.skip == size {
 			continue
 		}
 		if err := waitPending(); err != nil {
@@ -227,7 +231,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		ch := make(chan error, 1)
 		pending = ch
-		n.exec.Submit(func(any) { ch <- n.pushChunk(sess, batch, ingestRecords) })
+		n.exec.Submit(func(any) { ch <- n.pushChunk(sess, c, ingestRecords) })
 		cur ^= 1
 	}
 	// Clear the read deadline before responding: the connection may be
@@ -335,6 +339,22 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 	ingest.WriteJSON(w, http.StatusOK, n.reportPayload(sess))
 }
 
+// chunk is one decoded unit of an ingest body: a columnar block on the
+// binary format, a batch of records otherwise. Its first skip records
+// are a replayed prefix the session already has.
+type chunk struct {
+	blk  *trace.Block
+	recs []trace.Record
+	skip int
+}
+
+func (c *chunk) len() int {
+	if c.blk != nil {
+		return c.blk.Len()
+	}
+	return len(c.recs)
+}
+
 // pushChunk pushes one decoded chunk through the session's analyzer
 // under the session lock. It is the pipelined "step" phase of ingest,
 // submitted to the node's worker pool so it overlaps with the
@@ -343,19 +363,25 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 // one step per session in flight, so session locks never queue and
 // chunk order is preserved. records is the per-format accepted-records
 // counter for the session's negotiated wire format.
-func (n *Node) pushChunk(sess *session, recs []trace.Record, records *obs.Counter) error {
-	timed := 0
+func (n *Node) pushChunk(sess *session, c chunk, records *obs.Counter) error {
 	stepStart := time.Now()
 	sess.mu.Lock()
 	var pushErr error
-	pushed := 0
-	for _, rec := range recs {
-		if pushErr = sess.sa.Push(rec); pushErr != nil {
-			break
+	pushed, timed := 0, 0 // timed: pushed data records, the header left out
+	if c.blk != nil {
+		pushed, pushErr = sess.sa.PushBlock(c.blk, c.skip)
+		if c.blk.Header == nil {
+			timed = pushed
 		}
-		pushed++
-		if _, hasTime := rec.Time(); hasTime {
-			timed++
+	} else {
+		for _, rec := range c.recs[c.skip:] {
+			if pushErr = sess.sa.Push(rec); pushErr != nil {
+				break
+			}
+			pushed++
+			if rec.Header == nil {
+				timed++
+			}
 		}
 	}
 	// Advance the resume watermark by decoded records actually pushed:
@@ -367,7 +393,7 @@ func (n *Node) pushChunk(sess *session, recs []trace.Record, records *obs.Counte
 			Kind: obs.EvIngestChunk,
 			Wall: time.Now().UnixNano(),
 			Sim:  int64(sess.sa.Watermark()),
-			N:    int64(len(recs)),
+			N:    int64(c.len() - c.skip),
 		})
 	}
 	sess.mu.Unlock()
@@ -444,6 +470,7 @@ func (n *Node) detachLocked(sess *session, state ingest.State, errMsg string) {
 	sess.proto.State = state
 	sess.err = errMsg
 	sess.finished.Store(true)
+	n.queueFinished(sess)
 	if sa := sess.sa; sa != nil {
 		sess.stats = sa.Stats()
 		if hdr, ok := sa.Header(); ok {

@@ -67,6 +67,7 @@
 package node
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"io"
@@ -185,8 +186,15 @@ type Node struct {
 	// rejected while in-flight uploads finish.
 	draining atomic.Bool
 
-	shards  [registryShards]regShard
-	count   atomic.Int64 // live sessions across all shards
+	shards [registryShards]regShard
+	count  atomic.Int64 // live sessions across all shards
+	// finished queues the retained finished sessions, oldest-finished
+	// first (values are *session): what evict pops when the registry is
+	// over MaxSessions, so an eviction never scans a shard. Unused when
+	// MaxSessions is 0.
+	finMu    sync.Mutex
+	finished list.List
+
 	nextID  atomic.Int64 // anonymous-session ID allocator
 	nextSeq atomic.Int64 // global registration order
 	saPool  analyzerPool // recycled *stream.Analyzer
@@ -252,10 +260,11 @@ type session struct {
 	seq int64 // global registration order
 
 	// finished mirrors proto.State != ingest.StateActive for lock-free
-	// reads: the eviction scan checks it without taking sess.mu, so
-	// registration at the retention cap never contends with a session
-	// mid-chunk.
+	// reads: the active-sessions gauge checks it without taking sess.mu.
 	finished atomic.Bool
+	// evictAt is the session's place in the node's finished queue, nil
+	// while it is active or once it left the queue (guarded by finMu).
+	evictAt *list.Element
 
 	// ingesting serializes uploads: at most one POST drives a session's
 	// analyzer at a time, so a resumed session cannot race its own
@@ -433,6 +442,7 @@ func (n *Node) register(id string) (*session, string, bool) {
 		}
 		delete(sh.sessions, id)
 		n.count.Add(-1)
+		n.unqueue(old)
 	}
 	sess := &session{id: id, seq: n.nextSeq.Add(1), sa: n.saPool.Get()}
 	sess.proto.State = ingest.StateActive
@@ -518,31 +528,51 @@ func (n *Node) admit(id string, req ingest.Request) (*session, string, ingest.De
 	return sess, id, ingest.Decision{Action: ingest.Proceed}
 }
 
-// evict bounds retention: once MaxSessions is reached, the globally
-// oldest finished (done or failed) sessions are dropped. Active
-// sessions are never evicted; their count is already bounded by the
-// admission limiter plus waiting uploads. Shards are scanned without
-// any global lock — the bound is enforced within one session of exact.
+// queueFinished appends a session that just finished to the eviction
+// queue.
+func (n *Node) queueFinished(sess *session) {
+	if n.opts.MaxSessions <= 0 {
+		return
+	}
+	n.finMu.Lock()
+	sess.evictAt = n.finished.PushBack(sess)
+	n.finMu.Unlock()
+}
+
+// unqueue takes a session out of the eviction queue, if it is in it: a
+// failed session that register replaced would otherwise sit there —
+// report and all — until the registry next overflows.
+func (n *Node) unqueue(sess *session) {
+	n.finMu.Lock()
+	if sess.evictAt != nil {
+		n.finished.Remove(sess.evictAt)
+		sess.evictAt = nil
+	}
+	n.finMu.Unlock()
+}
+
+// evict bounds retention: once MaxSessions is exceeded, the sessions
+// that finished (done or failed) longest ago are dropped, popped off
+// the finished queue in O(1) each. Active sessions are never queued, so
+// never evicted; their count is already bounded by the admission
+// limiter plus waiting uploads. No lock is held across the pop and the
+// delete — the bound is enforced within one session of exact, and a
+// popped session that register replaced in between is skipped.
 func (n *Node) evict() {
 	max := n.opts.MaxSessions
 	if max <= 0 {
 		return
 	}
 	for n.count.Load() > int64(max) {
-		var oldest *session
-		for i := range n.shards {
-			sh := &n.shards[i]
-			sh.mu.Lock()
-			for _, sess := range sh.sessions {
-				if sess.finished.Load() && (oldest == nil || sess.seq < oldest.seq) {
-					oldest = sess
-				}
-			}
-			sh.mu.Unlock()
-		}
-		if oldest == nil {
+		n.finMu.Lock()
+		front := n.finished.Front()
+		if front == nil {
+			n.finMu.Unlock()
 			return
 		}
+		oldest := n.finished.Remove(front).(*session)
+		oldest.evictAt = nil
+		n.finMu.Unlock()
 		sh := n.shard(oldest.id)
 		sh.mu.Lock()
 		if sh.sessions[oldest.id] == oldest {

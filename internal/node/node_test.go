@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -263,5 +264,114 @@ func TestShutdownDrainsThenCheckpoints(t *testing.T) {
 	defer j2.Close()
 	if st2.Len() != 1 || stats.CheckpointRows != 1 || stats.Replayed != 0 {
 		t.Fatalf("after shutdown: %d rows, recovery %+v; want the drained report in the checkpoint, journal empty", st2.Len(), stats)
+	}
+}
+
+// TestEvictionQueue pins retention at the cap: the sessions dropped are
+// the ones that finished longest ago (not the ones registered first),
+// an active session is never dropped however old, a failed session that
+// a retry replaced leaves the queue with its ID.
+func TestEvictionQueue(t *testing.T) {
+	const max = 5
+	n := New(testAnalyzer(t), Options{MaxStreams: 8, MaxSessions: max})
+	reg := func(id string) *session {
+		t.Helper()
+		sess, _, ok := n.register(id)
+		if !ok {
+			t.Fatalf("register %q refused", id)
+		}
+		return sess
+	}
+	retained := func(ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			if n.lookup(id) == nil {
+				t.Fatalf("session %q evicted; registry holds %d", id, n.count.Load())
+			}
+		}
+	}
+
+	sess := map[string]*session{}
+	for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
+		sess[id] = reg(id)
+	}
+	// Six active sessions over a cap of five: nothing can go.
+	retained("a", "b", "c", "d", "e", "f")
+
+	// e, c, a finish in that order; the next registration is two over
+	// the cap and drops the two that finished first — not a, which
+	// registered before either.
+	n.mustFinish(t, sess["e"])
+	n.fail(sess["c"], "boom")
+	n.mustFinish(t, sess["a"])
+	reg("g")
+	if n.lookup("e") != nil || n.lookup("c") != nil {
+		t.Fatal("the two sessions that finished first were not the ones evicted")
+	}
+	retained("a", "b", "d", "f", "g")
+	if got := n.m.sessionsEvicted.Value(); got != 2 {
+		t.Fatalf("evicted %d sessions, want 2", got)
+	}
+
+	// A failed session replaced by a retry of its ID leaves the queue;
+	// its replacement is active and outlives the next overflow, which
+	// takes a — the oldest finished — instead.
+	n.fail(sess["b"], "boom")
+	b2 := reg("b")
+	if n.finished.Len() != 1 || sess["b"].evictAt != nil {
+		t.Fatalf("queue holds %d sessions after the failed one was replaced, want only a", n.finished.Len())
+	}
+	reg("h")
+	if n.lookup("a") != nil || n.lookup("b") != b2 {
+		t.Fatal("overflow after a replacement did not evict the oldest finished session")
+	}
+	retained("d", "f", "g", "h")
+}
+
+// TestEvictionConcurrentRegistrars runs eight registrars at once — under
+// -race in CI — each finishing what it registers. While they run, the
+// registry is over the cap by at most the sessions still inside
+// register; once they stop it is back within one of the cap, and the
+// session that stayed active throughout is still there.
+func TestEvictionConcurrentRegistrars(t *testing.T) {
+	const max, registrars, each = 16, 8, 300
+	n := New(testAnalyzer(t), Options{MaxStreams: registrars, MaxSessions: max})
+	if _, _, ok := n.register("keep"); !ok {
+		t.Fatal("register refused")
+	}
+	done := make(chan struct{})
+	for r := 0; r < registrars; r++ {
+		go func(r int) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < each; i++ {
+				s, _, ok := n.register(fmt.Sprintf("r%d-%d", r, i%50)) // IDs recur: failed ones get replaced
+				if !ok {
+					continue // the ID's previous session completed and is still retained
+				}
+				if c := n.count.Load(); c > max+registrars {
+					t.Errorf("registry at %d, cap %d with %d registrars", c, max, registrars)
+				}
+				if i%3 == 0 {
+					n.fail(s, "boom")
+				} else {
+					n.mustFinish(t, s)
+				}
+			}
+		}(r)
+	}
+	for r := 0; r < registrars; r++ {
+		<-done
+	}
+	if _, _, ok := n.register("last"); !ok {
+		t.Fatal("register refused")
+	}
+	if c := n.count.Load(); c > max+1 {
+		t.Fatalf("registry at %d after the registrars stopped, cap %d", c, max)
+	}
+	if n.lookup("keep") == nil || n.lookup("last") == nil {
+		t.Fatal("an active session was evicted")
+	}
+	if q := n.finished.Len(); q > max {
+		t.Fatalf("finished queue holds %d sessions, registry cap %d", q, max)
 	}
 }

@@ -1,8 +1,10 @@
 // Package stream is the incremental (operator-side, always-on) face of
 // the Domino detector: an Analyzer that consumes trace records one at
-// a time while the session is still running, slides the detection
-// window with O(window) buffered state instead of the whole trace, and
-// emits window results and collapsed event runs as they close.
+// a time (Push) or a decoded columnar block at a time (PushBlock, to
+// the same effect) while the session is still running, slides the
+// detection window with O(window) buffered state instead of the whole
+// trace, and emits window results and collapsed event runs as they
+// close.
 //
 // For the same records, a stream Analyzer's final report is identical
 // to the batch core.Analyzer.Analyze over the equivalent trace.Set —
@@ -164,27 +166,7 @@ func (s *Analyzer) Push(rec trace.Record) error {
 		return ErrClosed
 	}
 	if rec.Header != nil {
-		if s.hdr != nil {
-			return errors.New("stream: duplicate header")
-		}
-		if rec.Header.Duration < 0 {
-			return errors.New("stream: negative duration in header")
-		}
-		h := *rec.Header
-		s.hdr = &h
-		if s.eval != nil {
-			s.eval.Reset(h.HasGNBLog)
-			s.inc.Reset(h.CellName)
-		} else {
-			s.eval = s.core.NewWindowEvaluator(h.HasGNBLog)
-			s.inc = s.core.NewIncremental(h.CellName)
-		}
-		s.inc.SetScenario(h.Scenario)
-		s.inc.SetHooks(s.hooks)
-		if s.cfg.DropWindows {
-			s.inc.SetKeepWindows(false)
-		}
-		return nil
+		return s.pushHeader(rec.Header)
 	}
 	if s.hdr == nil {
 		return ErrNoHeader
@@ -193,27 +175,68 @@ func (s *Analyzer) Push(rec trace.Record) error {
 	if !ok {
 		return errors.New("stream: record without timestamp")
 	}
-	if t < 0 {
-		return fmt.Errorf("stream: negative record timestamp %v", t)
-	}
-	if t < s.emittedEnd() {
-		if s.cfg.DropLate {
-			s.stats.LateDropped++
-			return nil
-		}
-		return fmt.Errorf("%w: t=%v, already evaluated through %v (regenerate type-grouped legacy traces with the current writer, or raise Lateness)",
-			ErrLateRecord, t, s.emittedEnd())
+	if ok, err := s.admit(t); !ok {
+		return err
 	}
 	s.eval.Observe(rec)
 	s.stats.Records++
-	if b := s.eval.Buffered(); b > s.stats.MaxBuffered {
-		s.stats.MaxBuffered = b
-	}
+	s.noteBuffered()
 	if t > s.stats.Watermark {
 		s.stats.Watermark = t
 	}
 	s.advance(false)
 	return nil
+}
+
+func (s *Analyzer) pushHeader(hdr *trace.Header) error {
+	if s.hdr != nil {
+		return errors.New("stream: duplicate header")
+	}
+	if hdr.Duration < 0 {
+		return errors.New("stream: negative duration in header")
+	}
+	h := *hdr
+	s.hdr = &h
+	if s.eval != nil {
+		s.eval.Reset(h.HasGNBLog)
+		s.inc.Reset(h.CellName)
+	} else {
+		s.eval = s.core.NewWindowEvaluator(h.HasGNBLog)
+		s.inc = s.core.NewIncremental(h.CellName)
+	}
+	s.inc.SetScenario(h.Scenario)
+	s.inc.SetHooks(s.hooks)
+	if s.cfg.DropWindows {
+		s.inc.SetKeepWindows(false)
+	}
+	return nil
+}
+
+// admit applies the watermark contract to a data record's timestamp:
+// it reports whether the record is to be observed, and for one that is
+// not, the error that fails the stream (nil when DropLate counted and
+// discarded it).
+func (s *Analyzer) admit(t sim.Time) (bool, error) {
+	if t < 0 {
+		return false, fmt.Errorf("stream: negative record timestamp %v", t)
+	}
+	if t < s.emittedEnd() {
+		if s.cfg.DropLate {
+			s.stats.LateDropped++
+			return false, nil
+		}
+		return false, fmt.Errorf("%w: t=%v, already evaluated through %v (regenerate type-grouped legacy traces with the current writer, or raise Lateness)",
+			ErrLateRecord, t, s.emittedEnd())
+	}
+	return true, nil
+}
+
+// noteBuffered folds the evaluator's current sample count into
+// Stats.MaxBuffered.
+func (s *Analyzer) noteBuffered() {
+	if b := s.eval.Buffered(); b > s.stats.MaxBuffered {
+		s.stats.MaxBuffered = b
+	}
 }
 
 // PushBatch feeds a batch of records, stopping at the first error.
@@ -226,18 +249,107 @@ func (s *Analyzer) PushBatch(recs []trace.Record) error {
 	return nil
 }
 
+// PushBlock feeds the records a decoded columnar block stands for,
+// from the block's record skip on (a resuming upload replays a prefix
+// the session already has), with exactly the effect of Pushing each of
+// them: the same report, Stats, hook and callback sequence, and on a
+// bad record the same error. It returns how many records past skip it
+// consumed (observed, or dropped under DropLate) before stopping — the
+// index, past skip, of the record that failed.
+//
+// No Record is built. One walk over the tags takes each record's
+// timestamp from its series' time column, applies Push's checks, and
+// cuts the block into runs that end at the record whose arrival lets a
+// window close. A run goes to the window evaluator as one row range per
+// series, and only then is MaxBuffered sampled and advance called: the
+// sample count only grows between evictions, so its peaks are run ends.
+func (s *Analyzer) PushBlock(b *trace.Block, skip int) (int, error) {
+	if s.closed {
+		return 0, ErrClosed
+	}
+	if skip >= b.Len() {
+		return 0, nil
+	}
+	if b.Header != nil {
+		if err := s.pushHeader(b.Header); err != nil {
+			return 0, err
+		}
+		return 1, nil
+	}
+	if s.hdr == nil {
+		return 0, ErrNoHeader
+	}
+	times := b.Times()
+	var lo, hi [trace.NumSeries]int // the open run's rows, per series
+	for _, tag := range b.Tags[:skip] {
+		hi[tag]++
+	}
+	lo = hi
+	ordered := true
+	// flush hands the open run to the evaluator and starts the next.
+	flush := func() {
+		s.eval.ObserveBlock(b, &lo, &hi, ordered)
+		lo, ordered = hi, true
+		s.noteBuffered()
+	}
+	closeAt := s.nextClose()
+	for i, tag := range b.Tags[skip:] {
+		t := times[tag][hi[tag]]
+		if ok, err := s.admit(t); !ok {
+			flush()
+			if err != nil {
+				return i, err
+			}
+			hi[tag]++ // dropped late: the next run starts past it
+			lo = hi
+			continue
+		}
+		hi[tag]++
+		s.stats.Records++
+		if t < s.stats.Watermark {
+			ordered = false
+		} else {
+			s.stats.Watermark = t
+		}
+		if t >= closeAt {
+			flush()
+			s.advance(false)
+			closeAt = s.nextClose()
+		}
+	}
+	flush()
+	return len(b.Tags) - skip, nil
+}
+
+// lastStart returns the start of the final window position: fixed by
+// the header duration, and for an open-ended stream unbounded until
+// Close (flush) pins it to the watermark.
+func (s *Analyzer) lastStart(flush bool) sim.Time {
+	switch {
+	case s.hdr.Duration > 0:
+		return s.hdr.Duration - s.window
+	case flush:
+		return s.stats.Watermark - s.window
+	}
+	return sim.MaxTime - s.window
+}
+
+// nextClose returns the watermark at which the next window position
+// can be evaluated, sim.MaxTime when none remains before Close.
+func (s *Analyzer) nextClose() sim.Time {
+	if s.nextStart > s.lastStart(false) {
+		return sim.MaxTime
+	}
+	return s.nextStart + s.window + s.cfg.Lateness
+}
+
 // advance evaluates every window position that is safe to close. With
 // flush set (Close), remaining windows are evaluated regardless of the
 // watermark — no further records can arrive.
 func (s *Analyzer) advance(flush bool) {
-	lastStart := sim.MaxTime - s.window
-	if s.hdr.Duration > 0 {
-		lastStart = s.hdr.Duration - s.window
-	} else if flush {
-		lastStart = s.stats.Watermark - s.window
-	}
+	lastStart := s.lastStart(flush)
 	for s.nextStart <= lastStart {
-		if !flush && s.stats.Watermark < s.nextStart+s.window+s.cfg.Lateness {
+		if !flush && s.stats.Watermark < s.nextClose() {
 			return
 		}
 		s.eval.EvictBefore(s.nextStart)

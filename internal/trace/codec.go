@@ -58,6 +58,10 @@ func appendJSONString(dst []byte, s string) []byte {
 			switch b {
 			case '\\', '"':
 				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
 			case '\n':
 				dst = append(dst, '\\', 'n')
 			case '\r':
@@ -65,7 +69,7 @@ func appendJSONString(dst []byte, s string) []byte {
 			case '\t':
 				dst = append(dst, '\\', 't')
 			default:
-				// Control bytes other than \n, \r, \t, and the
+				// Control bytes other than \b, \f, \n, \r, \t, and the
 				// HTML-sensitive <, >, &.
 				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
 			}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 
-	"github.com/domino5g/domino/internal/netem"
 	"github.com/domino5g/domino/internal/sim"
 )
 
@@ -72,18 +71,9 @@ const (
 	maxBinaryFramePayload = 1 << 27
 )
 
-// Series indices; also the dictionary IDs of the series names because
-// the writer interns seriesNames first.
-const (
-	seriesDCI = iota
-	seriesGNB
-	seriesPkt
-	seriesStats
-	seriesRRC
-	numSeries
-)
-
-var seriesNames = [numSeries]string{"dci", "gnb", "pkt", "stats", "rrc"}
+// seriesNames are interned first by the writer, so a series' dictionary
+// ID is its Series* index.
+var seriesNames = [NumSeries]string{"dci", "gnb", "pkt", "stats", "rrc"}
 
 // BinaryWriter encodes a trace stream into the binary columnar format:
 // a header first, then records in timestamp order, Close to flush the
@@ -97,7 +87,7 @@ type BinaryWriter struct {
 
 	blockSize int
 	pend      []Record
-	lastAt    [numSeries]sim.Time
+	lastAt    [NumSeries]sim.Time
 	total     uint64
 
 	wroteHeader bool
@@ -273,21 +263,21 @@ func (w *BinaryWriter) flushBlock() {
 	}
 	// First pass: intern strings so the dict frame precedes the block,
 	// and split the block into per-series record lists.
-	var bySeries [numSeries][]Record
+	var bySeries [NumSeries][]Record
 	for _, rec := range w.pend {
 		switch {
 		case rec.DCI != nil:
-			bySeries[seriesDCI] = append(bySeries[seriesDCI], rec)
+			bySeries[SeriesDCI] = append(bySeries[SeriesDCI], rec)
 		case rec.GNB != nil:
 			w.intern(rec.GNB.Note)
-			bySeries[seriesGNB] = append(bySeries[seriesGNB], rec)
+			bySeries[SeriesGNB] = append(bySeries[SeriesGNB], rec)
 		case rec.Packet != nil:
-			bySeries[seriesPkt] = append(bySeries[seriesPkt], rec)
+			bySeries[SeriesPkt] = append(bySeries[SeriesPkt], rec)
 		case rec.Stats != nil:
-			bySeries[seriesStats] = append(bySeries[seriesStats], rec)
+			bySeries[SeriesStats] = append(bySeries[SeriesStats], rec)
 		case rec.RRC != nil:
 			w.intern(rec.RRC.Cause)
-			bySeries[seriesRRC] = append(bySeries[seriesRRC], rec)
+			bySeries[SeriesRRC] = append(bySeries[SeriesRRC], rec)
 		}
 	}
 	w.flushDict()
@@ -297,25 +287,25 @@ func (w *BinaryWriter) flushBlock() {
 	for _, rec := range w.pend {
 		switch {
 		case rec.DCI != nil:
-			b = append(b, seriesDCI)
+			b = append(b, SeriesDCI)
 		case rec.GNB != nil:
-			b = append(b, seriesGNB)
+			b = append(b, SeriesGNB)
 		case rec.Packet != nil:
-			b = append(b, seriesPkt)
+			b = append(b, SeriesPkt)
 		case rec.Stats != nil:
-			b = append(b, seriesStats)
+			b = append(b, SeriesStats)
 		case rec.RRC != nil:
-			b = append(b, seriesRRC)
+			b = append(b, SeriesRRC)
 		}
 	}
 
-	if recs := bySeries[seriesDCI]; len(recs) > 0 {
-		last := w.lastAt[seriesDCI]
+	if recs := bySeries[SeriesDCI]; len(recs) > 0 {
+		last := w.lastAt[SeriesDCI]
 		for _, r := range recs {
 			b = binary.AppendVarint(b, int64(r.DCI.At-last))
 			last = r.DCI.At
 		}
-		w.lastAt[seriesDCI] = last
+		w.lastAt[SeriesDCI] = last
 		for _, r := range recs {
 			b = binary.AppendVarint(b, int64(r.DCI.Dir))
 		}
@@ -354,13 +344,13 @@ func (w *BinaryWriter) flushBlock() {
 			b = append(b, f)
 		}
 	}
-	if recs := bySeries[seriesGNB]; len(recs) > 0 {
-		last := w.lastAt[seriesGNB]
+	if recs := bySeries[SeriesGNB]; len(recs) > 0 {
+		last := w.lastAt[SeriesGNB]
 		for _, r := range recs {
 			b = binary.AppendVarint(b, int64(r.GNB.At-last))
 			last = r.GNB.At
 		}
-		w.lastAt[seriesGNB] = last
+		w.lastAt[SeriesGNB] = last
 		for _, r := range recs {
 			b = binary.AppendVarint(b, int64(r.GNB.Kind))
 		}
@@ -377,13 +367,13 @@ func (w *BinaryWriter) flushBlock() {
 			b = binary.AppendUvarint(b, w.dict[r.GNB.Note])
 		}
 	}
-	if recs := bySeries[seriesPkt]; len(recs) > 0 {
-		last := w.lastAt[seriesPkt]
+	if recs := bySeries[SeriesPkt]; len(recs) > 0 {
+		last := w.lastAt[SeriesPkt]
 		for _, r := range recs {
 			b = binary.AppendVarint(b, int64(r.Packet.SentAt-last))
 			last = r.Packet.SentAt
 		}
-		w.lastAt[seriesPkt] = last
+		w.lastAt[SeriesPkt] = last
 		// Arrival is encoded relative to the same packet's send time:
 		// the one-way delay is small and positive in real traces.
 		for _, r := range recs {
@@ -402,13 +392,13 @@ func (w *BinaryWriter) flushBlock() {
 			b = binary.AppendVarint(b, int64(r.Packet.Size))
 		}
 	}
-	if recs := bySeries[seriesStats]; len(recs) > 0 {
-		last := w.lastAt[seriesStats]
+	if recs := bySeries[SeriesStats]; len(recs) > 0 {
+		last := w.lastAt[SeriesStats]
 		for _, r := range recs {
 			b = binary.AppendVarint(b, int64(r.Stats.At-last))
 			last = r.Stats.At
 		}
-		w.lastAt[seriesStats] = last
+		w.lastAt[SeriesStats] = last
 		for _, r := range recs {
 			var f byte
 			if r.Stats.Local {
@@ -452,13 +442,13 @@ func (w *BinaryWriter) flushBlock() {
 			b = binary.AppendUvarint(b, r.Stats.TotalSamples)
 		}
 	}
-	if recs := bySeries[seriesRRC]; len(recs) > 0 {
-		last := w.lastAt[seriesRRC]
+	if recs := bySeries[SeriesRRC]; len(recs) > 0 {
+		last := w.lastAt[SeriesRRC]
 		for _, r := range recs {
 			b = binary.AppendVarint(b, int64(r.RRC.At-last))
 			last = r.RRC.At
 		}
-		w.lastAt[seriesRRC] = last
+		w.lastAt[SeriesRRC] = last
 		for _, r := range recs {
 			var f byte
 			if r.RRC.Connected {
@@ -508,8 +498,8 @@ func (c *binCursor) fail(what string) {
 }
 
 func (c *binCursor) uvarint(what string) uint64 {
-	// Single-byte fast path: small deltas and enum-like fields are the
-	// overwhelming majority of the column data.
+	// Single-byte fast path, small enough to inline: counts, enum-like
+	// fields and dictionary references rarely need more.
 	if c.err == nil && c.off < len(c.b) && c.b[c.off] < 0x80 {
 		v := uint64(c.b[c.off])
 		c.off++
@@ -532,25 +522,8 @@ func (c *binCursor) uvarintSlow(what string) uint64 {
 }
 
 func (c *binCursor) varint(what string) int64 {
-	if c.err == nil && c.off < len(c.b) && c.b[c.off] < 0x80 {
-		u := uint64(c.b[c.off])
-		c.off++
-		return int64(u>>1) ^ -int64(u&1) // zigzag decode
-	}
-	return c.varintSlow(what)
-}
-
-func (c *binCursor) varintSlow(what string) int64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(c.b[c.off:])
-	if n <= 0 {
-		c.fail(what)
-		return 0
-	}
-	c.off += n
-	return v
+	u := c.uvarint(what)
+	return int64(u>>1) ^ -int64(u&1) // zigzag decode
 }
 
 func (c *binCursor) byte(what string) byte {
@@ -560,16 +533,6 @@ func (c *binCursor) byte(what string) byte {
 	}
 	v := c.b[c.off]
 	c.off++
-	return v
-}
-
-func (c *binCursor) float(what string) float64 {
-	if c.err != nil || c.off+8 > len(c.b) {
-		c.fail(what)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off:]))
-	c.off += 8
 	return v
 }
 
@@ -583,13 +546,98 @@ func (c *binCursor) bytes(n int, what string) []byte {
 	return v
 }
 
+// The column decoders below each resize dst to n rows (reusing its
+// backing array, see grow) and fill it from the cursor. They keep the
+// cursor's position in locals for the whole column, and after a
+// failure they leave the rows undefined — the block is discarded.
+
+// ints decodes a column of n varints, zigzag-decoded when signed. The
+// 1–3-byte encodings that carry nearly all column data (time deltas,
+// sizes, sequence numbers, RNTIs) are decoded in line; longer or
+// truncated ones take encoding/binary's general loop, which also
+// defines what is accepted.
+func ints[T ~int | ~int64 | ~uint32 | ~uint64](c *binCursor, dst []T, n int, signed bool, what string) []T {
+	dst = grow(dst, n)
+	if c.err != nil {
+		return dst
+	}
+	b, off := c.b, c.off
+	for i := range dst {
+		var u uint64
+		switch {
+		case off < len(b) && b[off] < 0x80:
+			u = uint64(b[off])
+			off++
+		case off+1 < len(b) && b[off+1] < 0x80:
+			u = uint64(b[off]&0x7f) | uint64(b[off+1])<<7
+			off += 2
+		case off+2 < len(b) && b[off+2] < 0x80:
+			u = uint64(b[off]&0x7f) | uint64(b[off+1]&0x7f)<<7 | uint64(b[off+2])<<14
+			off += 3
+		default:
+			v, w := binary.Uvarint(b[off:])
+			if w <= 0 {
+				c.fail(what)
+				return dst
+			}
+			u = v
+			off += w
+		}
+		if signed {
+			u = u>>1 ^ -(u & 1) // zigzag decode
+		}
+		dst[i] = T(u)
+	}
+	c.off = off
+	return dst
+}
+
+// times decodes a column of zigzag deltas against *last (the series'
+// previous timestamp, carried across blocks) into absolute times.
+func times(c *binCursor, dst []sim.Time, n int, last *sim.Time, what string) []sim.Time {
+	dst = ints(c, dst, n, true, what)
+	t := *last
+	for i, d := range dst {
+		t += d
+		dst[i] = t
+	}
+	*last = t
+	return dst
+}
+
+func flags(c *binCursor, dst []uint8, n int, what string) []uint8 {
+	dst = grow(dst, n)
+	copy(dst, c.bytes(n, what))
+	return dst
+}
+
+// strings decodes a column of dictionary references.
+func (sr *BinaryStreamReader) strings(c *binCursor, dst []string, n int, what string) []string {
+	dst = grow(dst, n)
+	for i := range dst {
+		id := c.uvarint(what)
+		if c.err != nil {
+			break
+		}
+		if id >= uint64(len(sr.dict)) {
+			c.err = fmt.Errorf("trace: binary: %s references unknown dict id %d", what, id)
+			break
+		}
+		dst[i] = sr.dict[id]
+	}
+	return dst
+}
+
 // BinaryStreamReader decodes a binary columnar trace incrementally,
-// one block at a time. It implements RecordReader: Next yields the
-// header record first and then every data record in the stream's
-// (merged timestamp) order, exactly like the JSONL StreamReader over
-// the equivalent JSONL encoding. Decoded blocks use freshly allocated
-// backing storage, so records stay valid after the reader advances —
-// unless the consumer opts into bounded batch lifetimes with Recycle.
+// one block at a time. ReadBlock yields the blocks as they are on the
+// wire, in columns; the RecordReader methods materialise Records from
+// the same decoded block: Next yields the header record first and then
+// every data record in the stream's (merged timestamp) order, exactly
+// like the JSONL StreamReader over the equivalent JSONL encoding.
+// Decoded blocks use freshly allocated backing storage, so what a call
+// returned stays valid after the reader advances — unless the consumer
+// opts into bounded lifetimes with Recycle. A consumer uses either
+// ReadBlock or the RecordReader methods on one reader, not both.
 type BinaryStreamReader struct {
 	r   *bufio.Reader
 	buf []byte // frame payload scratch, reused across frames
@@ -601,24 +649,29 @@ type BinaryStreamReader struct {
 	started bool // magic consumed
 	endSeen bool
 
-	recs   []Record // pending decoded block (freshly allocated)
-	pos    int
-	hdrRec [1]Record // backs the one-element header batch from ReadBatch
-	lastAt [numSeries]sim.Time
+	recs   []Record  // records materialised from the last decoded frame
+	pos    int       // next of recs to hand out
+	hdrRec [1]Record // backs the one-element header batch
+	lastAt [NumSeries]sim.Time
 	total  uint64
 
-	// ring, when non-empty, holds the recycled block-storage
-	// generations enabled by Recycle; ringPos is the generation the
-	// next block decodes into.
-	ring    []blockStorage
-	ringPos int
+	// ring, when non-empty, holds the recycled storage generations
+	// enabled by Recycle; ringPos is the generation the next block
+	// uses. scratch is the column intermediate Records are materialised
+	// from; no caller sees it, so one is enough.
+	ring     []blockStorage
+	ringPos  int
+	scratch  Block
+	statInts []uint64 // a block's stats integer columns, before transposition
 
 	err error
 }
 
-// blockStorage is one generation of decoded-block backing arrays,
-// reused round-robin when the consumer opts into Recycle.
+// blockStorage is one generation of decoded-block backing arrays: the
+// columns ReadBlock hands out, or the Records (and the structs they
+// point at) ReadBatch and Next hand out.
 type blockStorage struct {
+	blk   Block
 	recs  []Record
 	dcis  []DCIRecord
 	gnbs  []GNBLogRecord
@@ -627,14 +680,15 @@ type blockStorage struct {
 	rrcs  []RRCRecord
 }
 
-// Recycle trades the default batch-lives-forever guarantee for an
+// Recycle trades the default lives-forever guarantee for an
 // allocation-free steady state: block storage is reused round-robin
-// across depth+1 generations, so records from a ReadBatch (or Next)
-// call are overwritten in place once depth further blocks have been
-// decoded. Consumers that copy what they keep — dominod's ingest
-// pipeline pushes a batch through the analyzer (which copies record
-// values into its index) while decoding the next — run with depth 1
-// and no per-record garbage. Call before the first read; depth <= 0
+// across depth+1 generations, so the block from a ReadBlock call (or
+// the records from a ReadBatch or Next call) stays intact while depth
+// further blocks are decoded and is overwritten in place by the one
+// after. Consumers that copy what they keep — dominod's ingest
+// pipeline pushes a block through the analyzer (which appends its
+// columns to its index) while decoding the next — run with depth 1 and
+// no per-record garbage. Call before the first read; depth <= 0
 // restores fresh allocation per block.
 func (sr *BinaryStreamReader) Recycle(depth int) {
 	if depth <= 0 {
@@ -643,6 +697,20 @@ func (sr *BinaryStreamReader) Recycle(depth int) {
 	}
 	sr.ring = make([]blockStorage, depth+1)
 	sr.ringPos = 0
+}
+
+// storage returns the generation the next block decodes into: the next
+// ring slot under Recycle, a fresh one otherwise.
+func (sr *BinaryStreamReader) storage() *blockStorage {
+	if len(sr.ring) == 0 {
+		return &blockStorage{}
+	}
+	st := &sr.ring[sr.ringPos]
+	sr.ringPos++
+	if sr.ringPos == len(sr.ring) {
+		sr.ringPos = 0
+	}
+	return st
 }
 
 // grow returns s resized to n elements, reusing its backing array when
@@ -684,141 +752,156 @@ func (sr *BinaryStreamReader) failf(format string, args ...any) error {
 	return sr.fail(fmt.Errorf("trace: binary: "+format, args...))
 }
 
+// ReadBlock returns the next block in columnar form: the header block
+// first, then one wire block per call. A nil block with io.EOF marks a
+// clean end of stream (after a valid end frame); any other error —
+// including plain truncation — is terminal and repeated on later
+// calls.
+func (sr *BinaryStreamReader) ReadBlock() (*Block, error) {
+	if sr.err != nil {
+		return nil, sr.err
+	}
+	hdr, payload, err := sr.nextFrame()
+	if err != nil {
+		return nil, err
+	}
+	if hdr != nil {
+		return &Block{Header: hdr}, nil
+	}
+	st := sr.storage()
+	if err := sr.decodeBlock(payload, &st.blk); err != nil {
+		return nil, err
+	}
+	return &st.blk, nil
+}
+
+// fill materialises the next frame's records into sr.recs.
+func (sr *BinaryStreamReader) fill() error {
+	if sr.err != nil {
+		return sr.err
+	}
+	hdr, payload, err := sr.nextFrame()
+	if err != nil {
+		return err
+	}
+	sr.pos = 0
+	if hdr != nil {
+		sr.hdrRec[0] = Record{Header: hdr}
+		sr.recs = sr.hdrRec[:]
+		return nil
+	}
+	// Stats rows are decoded straight into the generation the records
+	// will point at; the other series go through the scratch columns.
+	st, b := sr.storage(), &sr.scratch
+	b.Stats = st.stats
+	if err := sr.decodeBlock(payload, b); err != nil {
+		return err
+	}
+	st.stats = b.Stats
+	sr.recs = st.records(b)
+	return nil
+}
+
 // Next returns the next record. It returns io.EOF at a clean end of
 // stream (after a valid end frame); any other error — including plain
 // truncation — is terminal and repeated on later calls.
 func (sr *BinaryStreamReader) Next() (Record, error) {
-	if sr.err != nil {
-		return Record{}, sr.err
-	}
-	if sr.pos < len(sr.recs) {
-		rec := sr.recs[sr.pos]
-		sr.pos++
-		return rec, nil
-	}
-	for {
-		rec, n, err := sr.nextFrame()
-		if err != nil {
+	if sr.pos >= len(sr.recs) {
+		if err := sr.fill(); err != nil {
 			return Record{}, err
 		}
-		if rec != nil {
-			return *rec, nil
-		}
-		if n > 0 { // block decoded
-			rec := sr.recs[sr.pos]
-			sr.pos++
-			return rec, nil
-		}
 	}
+	rec := sr.recs[sr.pos]
+	sr.pos++
+	return rec, nil
 }
 
 // ReadBatch returns the next batch of records: the header record (as a
 // one-element batch) first, then one whole block per call. dst is
-// ignored — the binary decoder returns freshly allocated block storage
-// each call, so the batch stays valid while later batches are read. A
-// nil batch with io.EOF marks a clean end of stream.
+// ignored — the batch lives in the reader's block storage, fresh per
+// block (so it stays valid while later batches are read) unless
+// Recycle bounded its lifetime. A nil batch with io.EOF marks a clean
+// end of stream.
 func (sr *BinaryStreamReader) ReadBatch(dst []Record) ([]Record, error) {
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	if sr.pos < len(sr.recs) {
-		batch := sr.recs[sr.pos:]
-		sr.pos = len(sr.recs)
-		return batch, nil
-	}
-	for {
-		rec, n, err := sr.nextFrame()
-		if err != nil {
+	if sr.pos >= len(sr.recs) {
+		if err := sr.fill(); err != nil {
 			return nil, err
 		}
-		if rec != nil {
-			sr.hdrRec[0] = *rec
-			return sr.hdrRec[:], nil
-		}
-		if n > 0 {
-			batch := sr.recs[sr.pos:]
-			sr.pos = len(sr.recs)
-			return batch, nil
-		}
 	}
+	batch := sr.recs[sr.pos:]
+	sr.pos = len(sr.recs)
+	return batch, nil
 }
 
-// nextFrame consumes one frame. It returns a non-nil record for a
-// header frame, n > 0 with sr.recs/sr.pos primed for a block frame,
-// and (nil, 0, nil) for bookkeeping frames (dict, end) the caller
-// should loop past.
-func (sr *BinaryStreamReader) nextFrame() (*Record, int, error) {
+// nextFrame consumes frames up to the next one that carries records.
+// It returns the header for the header frame, else the payload of a
+// block frame (valid until the next call); dict and end frames are
+// bookkeeping it loops past.
+func (sr *BinaryStreamReader) nextFrame() (*Header, []byte, error) {
 	if !sr.started {
 		magic := make([]byte, len(binaryMagic))
 		if _, err := io.ReadFull(sr.r, magic); err != nil {
-			return nil, 0, sr.failf("short magic header: %v", err)
+			return nil, nil, sr.failf("short magic header: %v", err)
 		}
 		if !bytes.Equal(magic, []byte(binaryMagic)) {
-			return nil, 0, sr.failf("bad magic %q (not a binary domino trace, or unsupported version)", magic)
+			return nil, nil, sr.failf("bad magic %q (not a binary domino trace, or unsupported version)", magic)
 		}
 		sr.started = true
 	}
-	kind, err := sr.r.ReadByte()
-	if err == io.EOF {
+	for {
+		kind, err := sr.r.ReadByte()
+		if err == io.EOF {
+			if sr.endSeen {
+				return nil, nil, sr.fail(io.EOF)
+			}
+			return nil, nil, sr.failf("truncated stream: missing end frame")
+		}
+		if err != nil {
+			return nil, nil, sr.fail(err)
+		}
 		if sr.endSeen {
-			return nil, 0, sr.fail(io.EOF)
+			return nil, nil, sr.failf("trailing data after end frame")
 		}
-		return nil, 0, sr.failf("truncated stream: missing end frame")
-	}
-	if err != nil {
-		return nil, 0, sr.fail(err)
-	}
-	if sr.endSeen {
-		return nil, 0, sr.failf("trailing data after end frame")
-	}
-	plen, err := binary.ReadUvarint(sr.r)
-	if err != nil {
-		return nil, 0, sr.failf("frame length: %v", err)
-	}
-	if plen > maxBinaryFramePayload {
-		return nil, 0, sr.failf("frame payload %d exceeds limit", plen)
-	}
-	if uint64(cap(sr.buf)) < plen {
-		sr.buf = make([]byte, plen)
-	}
-	payload := sr.buf[:plen]
-	if _, err := io.ReadFull(sr.r, payload); err != nil {
-		return nil, 0, sr.failf("truncated frame payload: %v", err)
-	}
-	switch kind {
-	case frameDict:
-		if err := sr.decodeDict(payload); err != nil {
-			return nil, 0, err
-		}
-		return nil, 0, nil
-	case frameHeader:
-		rec, err := sr.decodeHeader(payload)
+		plen, err := binary.ReadUvarint(sr.r)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, sr.failf("frame length: %v", err)
 		}
-		return rec, 0, nil
-	case frameBlock:
-		if sr.hdr == nil {
-			return nil, 0, sr.failf("block before header frame")
+		if plen > maxBinaryFramePayload {
+			return nil, nil, sr.failf("frame payload %d exceeds limit", plen)
 		}
-		n, err := sr.decodeBlock(payload)
-		if err != nil {
-			return nil, 0, err
+		if uint64(cap(sr.buf)) < plen {
+			sr.buf = make([]byte, plen)
 		}
-		return nil, n, nil
-	case frameEnd:
-		c := binCursor{b: payload}
-		want := c.uvarint("end frame count")
-		if c.err != nil {
-			return nil, 0, sr.fail(c.err)
+		payload := sr.buf[:plen]
+		if _, err := io.ReadFull(sr.r, payload); err != nil {
+			return nil, nil, sr.failf("truncated frame payload: %v", err)
 		}
-		if want != sr.total {
-			return nil, 0, sr.failf("record count mismatch: end frame says %d, decoded %d", want, sr.total)
+		switch kind {
+		case frameDict:
+			if err := sr.decodeDict(payload); err != nil {
+				return nil, nil, err
+			}
+		case frameHeader:
+			hdr, err := sr.decodeHeader(payload)
+			return hdr, nil, err
+		case frameBlock:
+			if sr.hdr == nil {
+				return nil, nil, sr.failf("block before header frame")
+			}
+			return nil, payload, nil
+		case frameEnd:
+			c := binCursor{b: payload}
+			want := c.uvarint("end frame count")
+			if c.err != nil {
+				return nil, nil, sr.fail(c.err)
+			}
+			if want != sr.total {
+				return nil, nil, sr.failf("record count mismatch: end frame says %d, decoded %d", want, sr.total)
+			}
+			sr.endSeen = true
+		default:
+			return nil, nil, sr.failf("unknown frame kind %d", kind)
 		}
-		sr.endSeen = true
-		return nil, 0, nil
-	default:
-		return nil, 0, sr.failf("unknown frame kind %d", kind)
 	}
 }
 
@@ -857,7 +940,7 @@ func (sr *BinaryStreamReader) dictString(id uint64, what string) (string, error)
 	return sr.dict[id], nil
 }
 
-func (sr *BinaryStreamReader) decodeHeader(payload []byte) (*Record, error) {
+func (sr *BinaryStreamReader) decodeHeader(payload []byte) (*Header, error) {
 	if sr.hdr != nil {
 		return nil, sr.failf("duplicate header frame")
 	}
@@ -883,276 +966,147 @@ func (sr *BinaryStreamReader) decodeHeader(payload []byte) (*Record, error) {
 		}
 	}
 	sr.hdr = &hdr
-	return &Record{Header: &hdr}, nil
+	return sr.hdr, nil
 }
 
-func (sr *BinaryStreamReader) decodeBlock(payload []byte) (int, error) {
-	c := binCursor{b: payload}
+// decodeBlock decodes one block frame into b, column by column: the
+// wire is field-major per series, and so is the Block.
+func (sr *BinaryStreamReader) decodeBlock(payload []byte, b *Block) error {
+	c := &binCursor{b: payload}
 	n := c.uvarint("block count")
 	if c.err != nil {
-		return 0, sr.fail(c.err)
+		return sr.fail(c.err)
 	}
 	if n == 0 || n > maxBinaryFramePayload {
-		return 0, sr.failf("implausible block record count %d", n)
+		return sr.failf("implausible block record count %d", n)
 	}
 	tags := c.bytes(int(n), "block tags")
 	if c.err != nil {
-		return 0, sr.fail(c.err)
+		return sr.fail(c.err)
 	}
-	var counts [numSeries]int
+	// A tag is the dictionary ID of a series name, and a series name is
+	// only recognized at the ID that equals its index (decodeDict), so a
+	// valid tag is its own series index.
+	var counts [NumSeries]int
 	for _, t := range tags {
 		if int(t) >= len(sr.seriesOf) || sr.seriesOf[t] < 0 {
-			return 0, sr.failf("block tag %d is not an interned series name", t)
+			return sr.failf("block tag %d is not an interned series name", t)
 		}
-		counts[sr.seriesOf[t]]++
+		counts[t]++
+	}
+	b.Header = nil
+	b.Tags = append(b.Tags[:0], tags...)
+
+	m, d := counts[SeriesDCI], &b.DCI
+	d.At = times(c, d.At, m, &sr.lastAt[SeriesDCI], "dci at")
+	d.Dir = ints(c, d.Dir, m, true, "dci dir")
+	d.RNTI = ints(c, d.RNTI, m, false, "dci rnti")
+	d.OwnPRB = ints(c, d.OwnPRB, m, true, "dci own_prb")
+	d.OtherPRB = ints(c, d.OtherPRB, m, true, "dci other_prb")
+	d.MCS = ints(c, d.MCS, m, true, "dci mcs")
+	d.TBSBits = ints(c, d.TBSBits, m, true, "dci tbs_bits")
+	d.UsedBits = ints(c, d.UsedBits, m, true, "dci used_bits")
+	d.Flags = flags(c, d.Flags, m, "dci flags")
+
+	m, g := counts[SeriesGNB], &b.GNB
+	g.At = times(c, g.At, m, &sr.lastAt[SeriesGNB], "gnb at")
+	g.Kind = ints(c, g.Kind, m, true, "gnb kind")
+	g.Dir = ints(c, g.Dir, m, true, "gnb dir")
+	g.BufferBytes = ints(c, g.BufferBytes, m, true, "gnb buffer_bytes")
+	g.RNTI = ints(c, g.RNTI, m, false, "gnb rnti")
+	g.Note = sr.strings(c, g.Note, m, "gnb note")
+
+	m, p := counts[SeriesPkt], &b.Pkt
+	p.SentAt = times(c, p.SentAt, m, &sr.lastAt[SeriesPkt], "pkt sent_at")
+	// Arrival is encoded relative to the same packet's send time.
+	p.Arrived = ints(c, p.Arrived, m, true, "pkt delay")
+	for i, sent := range p.SentAt {
+		p.Arrived[i] += sent
+	}
+	p.Seq = ints(c, p.Seq, m, false, "pkt seq")
+	p.Kind = ints(c, p.Kind, m, true, "pkt kind")
+	p.Dir = ints(c, p.Dir, m, true, "pkt dir")
+	p.Size = ints(c, p.Size, m, true, "pkt size")
+
+	// The stats section is decoded whole — the flag bytes, the eleven
+	// float columns and the seven integer columns are each contiguous —
+	// and then transposed into rows.
+	m = counts[SeriesStats]
+	b.StatsAt = times(c, b.StatsAt, m, &sr.lastAt[SeriesStats], "stats at")
+	b.Stats = grow(b.Stats, m)
+	fl := c.bytes(m, "stats flags")
+	fp := c.bytes(11*8*m, "stats float columns")
+	sr.statInts = ints(c, sr.statInts, 7*m, false, "stats integer columns")
+	if c.err == nil {
+		f := func(col, i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(fp[8*(col*m+i):])) }
+		u := func(col, i int) uint64 { return sr.statInts[col*m+i] }
+		n := func(col, i int) int { return int(u(col, i)>>1 ^ -(u(col, i) & 1)) } // zigzag decode
+		for i, at := range b.StatsAt {
+			b.Stats[i] = WebRTCStatsRecord{
+				At: at, Local: fl[i]&StatsFlagLocal != 0, FrozenNow: fl[i]&StatsFlagFrozen != 0,
+				InboundFPS: f(0, i), OutboundFPS: f(1, i), VideoJBDelayMs: f(2, i), AudioJBDelayMs: f(3, i),
+				MinJBDelayMs: f(4, i), FreezeTotalMs: f(5, i), TargetBitrateBps: f(6, i), PushbackRateBps: f(7, i),
+				TrendlineSlope: f(8, i), TrendlineThreshold: f(9, i), AckedBitrateBps: f(10, i),
+				OutboundHeight: n(0, i), InboundHeight: n(1, i), OutstandingBytes: n(2, i), CongestionWindow: n(3, i),
+				GCCNetState: GCCState(n(4, i)), ConcealedSamples: u(5, i), TotalSamples: u(6, i),
+			}
+		}
 	}
 
-	// Backing storage: fresh per block by default, so records handed
-	// out stay valid while the reader advances (dominod pipelines a
-	// block's analyzer push against the next block's decode); drawn
-	// from the recycle ring when the consumer bounded batch lifetimes
-	// with Recycle. Every field of every element is overwritten below,
-	// so reused arrays need no zeroing.
-	var st *blockStorage
-	if len(sr.ring) > 0 {
-		st = &sr.ring[sr.ringPos]
-		sr.ringPos++
-		if sr.ringPos == len(sr.ring) {
-			sr.ringPos = 0
-		}
-	} else {
-		st = &blockStorage{}
-	}
-	st.recs = grow(st.recs, int(n))
-	recs := st.recs
-	var dcis []DCIRecord
-	var gnbs []GNBLogRecord
-	var pkts []PacketRecord
-	var stats []WebRTCStatsRecord
-	var rrcs []RRCRecord
+	m, r := counts[SeriesRRC], &b.RRC
+	r.At = times(c, r.At, m, &sr.lastAt[SeriesRRC], "rrc at")
+	r.Flags = flags(c, r.Flags, m, "rrc flags")
+	r.RNTI = ints(c, r.RNTI, m, false, "rrc rnti")
+	r.Cause = sr.strings(c, r.Cause, m, "rrc cause")
 
-	if m := counts[seriesDCI]; m > 0 {
-		st.dcis = grow(st.dcis, m)
-		dcis = st.dcis
-		last := sr.lastAt[seriesDCI]
-		for i := range dcis {
-			last += sim.Time(c.varint("dci at"))
-			dcis[i].At = last
-		}
-		sr.lastAt[seriesDCI] = last
-		for i := range dcis {
-			dcis[i].Dir = netem.Direction(c.varint("dci dir"))
-		}
-		for i := range dcis {
-			dcis[i].RNTI = uint32(c.uvarint("dci rnti"))
-		}
-		for i := range dcis {
-			dcis[i].OwnPRB = int(c.varint("dci own_prb"))
-		}
-		for i := range dcis {
-			dcis[i].OtherPRB = int(c.varint("dci other_prb"))
-		}
-		for i := range dcis {
-			dcis[i].MCS = int(c.varint("dci mcs"))
-		}
-		for i := range dcis {
-			dcis[i].TBSBits = int(c.varint("dci tbs_bits"))
-		}
-		for i := range dcis {
-			dcis[i].UsedBits = int(c.varint("dci used_bits"))
-		}
-		for i := range dcis {
-			f := c.byte("dci flags")
-			dcis[i].HARQRetx = f&1 != 0
-			dcis[i].RLCRetx = f&2 != 0
-			dcis[i].Proactive = f&4 != 0
-			dcis[i].Unused = f&8 != 0
-		}
-	}
-	if m := counts[seriesGNB]; m > 0 {
-		st.gnbs = grow(st.gnbs, m)
-		gnbs = st.gnbs
-		last := sr.lastAt[seriesGNB]
-		for i := range gnbs {
-			last += sim.Time(c.varint("gnb at"))
-			gnbs[i].At = last
-		}
-		sr.lastAt[seriesGNB] = last
-		for i := range gnbs {
-			gnbs[i].Kind = GNBLogKind(c.varint("gnb kind"))
-		}
-		for i := range gnbs {
-			gnbs[i].Dir = netem.Direction(c.varint("gnb dir"))
-		}
-		for i := range gnbs {
-			gnbs[i].BufferBytes = int(c.varint("gnb buffer_bytes"))
-		}
-		for i := range gnbs {
-			gnbs[i].RNTI = uint32(c.uvarint("gnb rnti"))
-		}
-		for i := range gnbs {
-			id := c.uvarint("gnb note")
-			if c.err != nil {
-				break
-			}
-			s, err := sr.dictString(id, "gnb note")
-			if err != nil {
-				return 0, err
-			}
-			gnbs[i].Note = s
-		}
-	}
-	if m := counts[seriesPkt]; m > 0 {
-		st.pkts = grow(st.pkts, m)
-		pkts = st.pkts
-		last := sr.lastAt[seriesPkt]
-		for i := range pkts {
-			last += sim.Time(c.varint("pkt sent_at"))
-			pkts[i].SentAt = last
-		}
-		sr.lastAt[seriesPkt] = last
-		for i := range pkts {
-			pkts[i].Arrived = pkts[i].SentAt + sim.Time(c.varint("pkt delay"))
-		}
-		for i := range pkts {
-			pkts[i].Seq = c.uvarint("pkt seq")
-		}
-		for i := range pkts {
-			pkts[i].Kind = netem.MediaKind(c.varint("pkt kind"))
-		}
-		for i := range pkts {
-			pkts[i].Dir = netem.Direction(c.varint("pkt dir"))
-		}
-		for i := range pkts {
-			pkts[i].Size = int(c.varint("pkt size"))
-		}
-	}
-	if m := counts[seriesStats]; m > 0 {
-		st.stats = grow(st.stats, m)
-		stats = st.stats
-		last := sr.lastAt[seriesStats]
-		for i := range stats {
-			last += sim.Time(c.varint("stats at"))
-			stats[i].At = last
-		}
-		sr.lastAt[seriesStats] = last
-		for i := range stats {
-			f := c.byte("stats flags")
-			stats[i].Local = f&1 != 0
-			stats[i].FrozenNow = f&2 != 0
-		}
-		for i := range stats {
-			stats[i].InboundFPS = c.float("stats inbound_fps")
-		}
-		for i := range stats {
-			stats[i].OutboundFPS = c.float("stats outbound_fps")
-		}
-		for i := range stats {
-			stats[i].VideoJBDelayMs = c.float("stats video_jb_delay_ms")
-		}
-		for i := range stats {
-			stats[i].AudioJBDelayMs = c.float("stats audio_jb_delay_ms")
-		}
-		for i := range stats {
-			stats[i].MinJBDelayMs = c.float("stats min_jb_delay_ms")
-		}
-		for i := range stats {
-			stats[i].FreezeTotalMs = c.float("stats freeze_total_ms")
-		}
-		for i := range stats {
-			stats[i].TargetBitrateBps = c.float("stats target_bitrate_bps")
-		}
-		for i := range stats {
-			stats[i].PushbackRateBps = c.float("stats pushback_rate_bps")
-		}
-		for i := range stats {
-			stats[i].TrendlineSlope = c.float("stats trendline_slope")
-		}
-		for i := range stats {
-			stats[i].TrendlineThreshold = c.float("stats trendline_threshold")
-		}
-		for i := range stats {
-			stats[i].AckedBitrateBps = c.float("stats acked_bitrate_bps")
-		}
-		for i := range stats {
-			stats[i].OutboundHeight = int(c.varint("stats outbound_height"))
-		}
-		for i := range stats {
-			stats[i].InboundHeight = int(c.varint("stats inbound_height"))
-		}
-		for i := range stats {
-			stats[i].OutstandingBytes = int(c.varint("stats outstanding_bytes"))
-		}
-		for i := range stats {
-			stats[i].CongestionWindow = int(c.varint("stats congestion_window"))
-		}
-		for i := range stats {
-			stats[i].GCCNetState = GCCState(c.varint("stats gcc_net_state"))
-		}
-		for i := range stats {
-			stats[i].ConcealedSamples = c.uvarint("stats concealed_samples")
-		}
-		for i := range stats {
-			stats[i].TotalSamples = c.uvarint("stats total_samples")
-		}
-	}
-	if m := counts[seriesRRC]; m > 0 {
-		st.rrcs = grow(st.rrcs, m)
-		rrcs = st.rrcs
-		last := sr.lastAt[seriesRRC]
-		for i := range rrcs {
-			last += sim.Time(c.varint("rrc at"))
-			rrcs[i].At = last
-		}
-		sr.lastAt[seriesRRC] = last
-		for i := range rrcs {
-			f := c.byte("rrc flags")
-			rrcs[i].Connected = f&1 != 0
-		}
-		for i := range rrcs {
-			rrcs[i].RNTI = uint32(c.uvarint("rrc rnti"))
-		}
-		for i := range rrcs {
-			id := c.uvarint("rrc cause")
-			if c.err != nil {
-				break
-			}
-			s, err := sr.dictString(id, "rrc cause")
-			if err != nil {
-				return 0, err
-			}
-			rrcs[i].Cause = s
-		}
-	}
 	if c.err != nil {
-		return 0, sr.fail(c.err)
+		return sr.fail(c.err)
 	}
 	if c.off != len(payload) {
-		return 0, sr.failf("block frame has %d trailing bytes", len(payload)-c.off)
+		return sr.failf("block frame has %d trailing bytes", len(payload)-c.off)
 	}
+	sr.total += n
+	return nil
+}
 
-	var next [numSeries]int
-	for i, t := range tags {
-		switch sr.seriesOf[t] {
-		case seriesDCI:
-			recs[i] = Record{DCI: &dcis[next[seriesDCI]]}
-			next[seriesDCI]++
-		case seriesGNB:
-			recs[i] = Record{GNB: &gnbs[next[seriesGNB]]}
-			next[seriesGNB]++
-		case seriesPkt:
-			recs[i] = Record{Packet: &pkts[next[seriesPkt]]}
-			next[seriesPkt]++
-		case seriesStats:
-			recs[i] = Record{Stats: &stats[next[seriesStats]]}
-			next[seriesStats]++
-		case seriesRRC:
-			recs[i] = Record{RRC: &rrcs[next[seriesRRC]]}
-			next[seriesRRC]++
+// records materialises b's rows as Records in merged stream order,
+// backed by st's arrays — except the stats rows, which are rows already
+// and are pointed at where they are (fill has them decoded into
+// st.stats).
+func (st *blockStorage) records(b *Block) []Record {
+	st.recs = grow(st.recs, len(b.Tags))
+	st.dcis = grow(st.dcis, len(b.DCI.At))
+	for i := range st.dcis {
+		st.dcis[i] = b.DCI.Record(i)
+	}
+	st.gnbs = grow(st.gnbs, len(b.GNB.At))
+	for i := range st.gnbs {
+		st.gnbs[i] = b.GNB.Record(i)
+	}
+	st.pkts = grow(st.pkts, len(b.Pkt.SentAt))
+	for i := range st.pkts {
+		st.pkts[i] = b.Pkt.Record(i)
+	}
+	st.rrcs = grow(st.rrcs, len(b.RRC.At))
+	for i := range st.rrcs {
+		st.rrcs[i] = b.RRC.Record(i)
+	}
+	var next [NumSeries]int
+	for i, t := range b.Tags {
+		k := next[t]
+		next[t]++
+		switch t {
+		case SeriesDCI:
+			st.recs[i] = Record{DCI: &st.dcis[k]}
+		case SeriesGNB:
+			st.recs[i] = Record{GNB: &st.gnbs[k]}
+		case SeriesPkt:
+			st.recs[i] = Record{Packet: &st.pkts[k]}
+		case SeriesStats:
+			st.recs[i] = Record{Stats: &b.Stats[k]}
+		case SeriesRRC:
+			st.recs[i] = Record{RRC: &st.rrcs[k]}
 		}
 	}
-	sr.recs = recs
-	sr.pos = 0
-	sr.total += n
-	return int(n), nil
+	return st.recs
 }

@@ -491,6 +491,8 @@ func TestBinaryRecycle(t *testing.T) {
 		}
 	}
 
+	t.Run("blocks", func(t *testing.T) { testRecycleBlocks(t, enc, want) })
+
 	// The reuse is real: after the ring wraps, an earlier batch's
 	// backing storage holds later records.
 	sr := NewBinaryStreamReader(bytes.NewReader(enc))
@@ -523,6 +525,60 @@ func TestBinaryRecycle(t *testing.T) {
 	}
 	if !overwritten {
 		t.Fatal("Recycle(1) never reused the first block's storage")
+	}
+}
+
+// testRecycleBlocks is TestBinaryRecycle's ReadBlock case: a block
+// holds the fresh-storage decode's values (want, header included),
+// stays intact while depth further blocks are decoded, and only the
+// block after those reuses its storage.
+func testRecycleBlocks(t *testing.T, enc []byte, want []Record) {
+	want = want[1:]
+	// values materialises a block's records into storage of their own.
+	values := func(b *Block) []Record {
+		c := *b
+		c.Stats = append([]WebRTCStatsRecord(nil), b.Stats...)
+		return new(blockStorage).records(&c)
+	}
+
+	for _, depth := range []int{1, 3} {
+		sr := NewBinaryStreamReader(bytes.NewReader(enc))
+		sr.Recycle(depth)
+		if hdr, err := sr.ReadBlock(); err != nil || hdr.Header == nil || hdr.Len() != 1 {
+			t.Fatalf("depth %d: first block = %+v, %v; want the header block", depth, hdr, err)
+		}
+		var blocks []*Block
+		var snaps [][]Record
+		n := 0
+		for {
+			b, err := sr.ReadBlock()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := values(b)
+			if !reflect.DeepEqual(snap, want[n:n+b.Len()]) {
+				t.Fatalf("depth %d: block %d diverges from the fresh-storage decode", depth, len(blocks))
+			}
+			n += b.Len()
+			blocks, snaps = append(blocks, b), append(snaps, snap)
+			k := len(blocks) - 1
+			for back := 1; back <= depth && back <= k; back++ {
+				if !reflect.DeepEqual(values(blocks[k-back]), snaps[k-back]) {
+					t.Fatalf("depth %d: block %d overwritten after only %d further ReadBlocks", depth, k-back, back)
+				}
+			}
+			if k > depth {
+				if blocks[k-depth-1] != b {
+					t.Fatalf("depth %d: block %d did not reuse block %d's storage", depth, k, k-depth-1)
+				}
+			}
+		}
+		if n != len(want) || len(blocks) <= depth+1 {
+			t.Fatalf("depth %d: %d records in %d blocks, want %d records in more than %d blocks", depth, n, len(blocks), len(want), depth+1)
+		}
 	}
 }
 

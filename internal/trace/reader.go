@@ -19,10 +19,12 @@ type RecordReader interface {
 	// ReadBatch returns the next batch of records, nil + io.EOF at a
 	// clean end of stream. The JSONL reader fills dst's backing array
 	// (growing a default-sized one when dst has no capacity); the
-	// binary reader ignores dst and returns freshly allocated block
-	// storage, one block per call. A non-empty batch is returned with
-	// a nil error even when the stream ends or fails right after it;
-	// the terminal error resurfaces on the following call.
+	// binary reader ignores dst and returns one block per call from
+	// its own storage — fresh per block, or reused round-robin once
+	// the consumer called BinaryStreamReader.Recycle. A non-empty
+	// batch is returned with a nil error even when the stream ends or
+	// fails right after it; the terminal error resurfaces on the
+	// following call.
 	ReadBatch(dst []Record) ([]Record, error)
 }
 
