@@ -50,15 +50,17 @@ test:
 	$(GO) test -race ./...
 
 # Fuzz smoke: `go test` alone only replays each fuzz target's seeds.
-# This runs every parser that faces the network (both trace codecs) and
-# the block analysis path behind the binary one under the fuzzer for a
-# few seconds each — `-fuzz` takes one target and one package per run.
+# This runs every parser that faces the network (both trace codecs,
+# JSONL by record and by block) and the block analysis path behind them
+# under the fuzzer for a few seconds each — `-fuzz` takes one target and
+# one package per run.
 # A failing input is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryStreamReader$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryRoundTrip$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecDifferential$$' -fuzztime 5s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzJSONLBlock$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzPushBlock$$' -fuzztime 5s ./internal/stream
 
 # One iteration of every benchmark: regenerates every paper artifact

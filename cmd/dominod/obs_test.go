@@ -81,6 +81,42 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestJSONLSlowLinesCounter pins what the node says about a producer
+// whose lines the fast decoder does not take: nothing for the trace
+// encoder's own output, and one count per line that went through
+// encoding/json — here, lines with an escape in a string.
+func TestJSONLSlowLinesCounter(t *testing.T) {
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
+	ts := httptest.NewServer(srv.Routes())
+	defer ts.Close()
+	_, body := sessionTrace(t, ran.Amarisoft(), 62, 4*sim.Second)
+	upload := func(id string, body []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/ingest?session="+id, "application/jsonl", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest %s: %d", id, resp.StatusCode)
+		}
+	}
+	const name = "dominod_ingest_jsonl_slow_lines_total"
+	upload("canonical", body)
+	if got := metricValue(t, ts.URL, name); got != 0 {
+		t.Fatalf("%s = %v after a canonical upload, want 0", name, got)
+	}
+	const planted = 7
+	escaped := bytes.Replace(body, []byte(`"Note":""`), []byte(`"Note":"\u0041"`), planted)
+	if bytes.Count(escaped, []byte(`\u0041`)) != planted {
+		t.Fatalf("trace has fewer than %d gNB log lines", planted)
+	}
+	upload("foreign", escaped)
+	if got := metricValue(t, ts.URL, name); got != planted {
+		t.Fatalf("%s = %v after %d escaped lines, want %d", name, got, planted, planted)
+	}
+}
+
 // TestFlightRecorderDeterminism pins the flight-recorder replay-diff
 // contract: two fresh servers fed the same fixed-seed session body
 // produce byte-identical /debug/flightrec dumps once wall-clock

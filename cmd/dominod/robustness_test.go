@@ -422,6 +422,43 @@ func TestResumableBinaryResumeMidBlock(t *testing.T) {
 	}
 }
 
+// TestResumableJSONLResumeMidBlock is the same resume on JSONL, where
+// the blocks are the server's own (256 lines of the request body): the
+// client resends from a sequence number below the watermark, so the
+// part to deduplicate ends inside the resend's first block.
+func TestResumableJSONLResumeMidBlock(t *testing.T) {
+	analyzer := testAnalyzer(t)
+	_, body := sessionTrace(t, ran.Presets()[1], 13, 10*sim.Second)
+	ref := httptest.NewServer(node.New(analyzer, node.Options{MaxStreams: 2}).Routes())
+	defer ref.Close()
+	drainClose(postChunk(t, ref.URL, "mid", "application/jsonl", -1, false, bytes.NewReader(body)))
+
+	ts := httptest.NewServer(node.New(analyzer, node.Options{MaxStreams: 2}).Routes())
+	defer ts.Close()
+	const accepted, resendFrom = 1 + 300, 100 // lines, the header included
+	var wm ingest.Watermark
+	resp := postChunk(t, ts.URL, "mid", "application/jsonl", 0, false, bytes.NewReader(jsonlPrefix(t, body, accepted)))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first chunk got %d", resp.StatusCode)
+	}
+	mustDecode(t, resp, &wm)
+	if wm.Accepted != accepted {
+		t.Fatalf("watermark %d after the first chunk, want %d", wm.Accepted, accepted)
+	}
+	resp = postChunk(t, ts.URL, "mid", "application/jsonl", resendFrom, true, bytes.NewReader(body[len(jsonlPrefix(t, body, resendFrom)):]))
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("resend got %d: %s", resp.StatusCode, b)
+	}
+	drainClose(resp)
+	if got := metricValue(t, ts.URL, "dominod_ingest_deduped_records_total"); int(got) != accepted-resendFrom {
+		t.Fatalf("deduped %v records, want the %d resent below the watermark", got, accepted-resendFrom)
+	}
+	if got, want := fetchReport(t, ts.URL, "mid"), fetchReport(t, ref.URL, "mid"); !bytes.Equal(got, want) {
+		t.Fatalf("report after a mid-block resume differs from the one-shot upload's:\n%s\n%s", got, want)
+	}
+}
+
 func TestTruncatedBinaryFailsSessionWithPartialReport(t *testing.T) {
 	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
 	ts := httptest.NewServer(srv.Routes())

@@ -87,16 +87,17 @@ type Balancer struct {
 
 // lbSession is the balancer's routing state for one session: its pin,
 // how much the pinned backend has acknowledged, and the acknowledged
-// byte prefix kept for failover replay.
+// chunk bodies kept for failover replay.
 type lbSession struct {
 	mu          sync.Mutex
 	id          string
 	backend     *backend
 	contentType string
-	resumable   bool // client speaks the seq/watermark protocol
-	accepted    int  // records the pinned backend has acknowledged
-	buf         []byte
-	overflow    bool // buffer gave up (too large); failover needs client resend
+	resumable   bool     // client speaks the seq/watermark protocol
+	accepted    int      // records the pinned backend has acknowledged
+	chunks      [][]byte // acknowledged bodies in order: the replay buffer
+	buffered    int      // their total length
+	overflow    bool     // buffer gave up (too large); failover needs client resend
 	done        bool
 	failovers   int
 }
@@ -304,7 +305,7 @@ func (b *Balancer) handleLBSessions(w http.ResponseWriter, r *http.Request) {
 	for _, s := range table {
 		s.mu.Lock()
 		e := entry{
-			Session: s.id, Accepted: s.accepted, Buffered: len(s.buf),
+			Session: s.id, Accepted: s.accepted, Buffered: s.buffered,
 			Overflow: s.overflow, Done: s.done, Failovers: s.failovers,
 		}
 		if s.backend != nil {

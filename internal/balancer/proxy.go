@@ -83,17 +83,29 @@ func (b *Balancer) ensureBackend(ctx context.Context, sess *lbSession) error {
 	b.m.failovers.Inc()
 	sess.failovers++
 	b.log.Warn("session failover", "session", sess.id, "from", cur.url, "to", next.url,
-		"replay_bytes", len(sess.buf), "accepted", sess.accepted)
-	if len(sess.buf) > 0 && !sess.overflow {
+		"replay_bytes", sess.buffered, "accepted", sess.accepted)
+	if sess.buffered > 0 && !sess.overflow {
 		if err := b.replay(ctx, sess, next); err != nil {
 			return fmt.Errorf("failover replay: %w", err)
 		}
 	} else {
 		sess.accepted = 0
-		sess.buf = nil
+		sess.dropReplay()
 	}
 	sess.backend = next
 	return nil
+}
+
+// dropReplay forgets the acknowledged chunks kept for failover replay.
+func (s *lbSession) dropReplay() { s.chunks, s.buffered = nil, 0 }
+
+// replayBody streams the acknowledged chunks back to back.
+func (s *lbSession) replayBody() io.ReadCloser {
+	parts := make([]io.Reader, len(s.chunks))
+	for i, c := range s.chunks {
+		parts[i] = bytes.NewReader(c)
+	}
+	return io.NopCloser(io.MultiReader(parts...))
 }
 
 // replay re-ingests a session's acknowledged prefix into a fresh
@@ -101,10 +113,15 @@ func (b *Balancer) ensureBackend(ctx context.Context, sess *lbSession) error {
 // the stream continues where the client left off.
 func (b *Balancer) replay(ctx context.Context, sess *lbSession, be *backend) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		be.url+"/ingest?session="+url.QueryEscape(sess.id), bytes.NewReader(sess.buf))
+		be.url+"/ingest?session="+url.QueryEscape(sess.id), sess.replayBody())
 	if err != nil {
 		return err
 	}
+	// The body is a list, so say how long it is and how to start it over
+	// (a reused connection the backend already closed), as net/http works
+	// out by itself for a single bytes.Reader.
+	req.ContentLength = int64(sess.buffered)
+	req.GetBody = func() (io.ReadCloser, error) { return sess.replayBody(), nil }
 	req.Header.Set("Content-Type", sess.contentType)
 	ingest.Request{Resumable: true}.SetHeaders(req.Header)
 	resp, err := b.client.Do(req)
@@ -122,19 +139,24 @@ func (b *Balancer) replay(ctx context.Context, sess *lbSession, be *backend) err
 		return fmt.Errorf("backend %s watermark: %w", be.url, err)
 	}
 	sess.accepted = wm.Accepted
-	b.m.replayedBytes.Add(int64(len(sess.buf)))
+	b.m.replayedBytes.Add(int64(sess.buffered))
 	return nil
 }
 
 // forward proxies one ingest chunk to the session's pinned backend,
-// teeing the body into the replay buffer and committing it only once
-// the backend acknowledges. Callers hold sess.mu.
+// teeing the body into a buffer of its own that joins the replay list
+// only once the backend acknowledges: a chunk costs a chunk, however
+// long the session already is. Callers hold sess.mu.
 func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.Request, sess *lbSession, id string) {
 	be := sess.backend
 	var pending *bytes.Buffer
 	var body io.Reader = r.Body
 	if sess.resumable && !sess.overflow && b.opts.ReplayMax > 0 {
-		pending = &bytes.Buffer{}
+		var sized []byte
+		if n := r.ContentLength; n > 0 && n <= b.opts.ReplayMax {
+			sized = make([]byte, 0, n)
+		}
+		pending = bytes.NewBuffer(sized)
 		body = io.TeeReader(r.Body, pending)
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
@@ -171,7 +193,7 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.
 			sess.done = true
 			b.active.Add(-1)
 		}
-		sess.buf = nil
+		sess.dropReplay()
 		sess.overflow = false
 	case http.StatusAccepted:
 		// Chunk acknowledged: commit the teed bytes to the replay
@@ -181,9 +203,16 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.
 			sess.accepted = wm.Accepted
 		}
 		if pending != nil {
-			sess.buf = append(sess.buf, pending.Bytes()...)
-			if int64(len(sess.buf)) > b.opts.ReplayMax {
-				sess.buf = nil
+			chunk := pending.Bytes()
+			if cap(chunk) > len(chunk) {
+				// A body of undeclared length grew its buffer by doubling;
+				// keep the bytes, not the slack.
+				chunk = bytes.Clone(chunk)
+			}
+			sess.chunks = append(sess.chunks, chunk)
+			sess.buffered += len(chunk)
+			if int64(sess.buffered) > b.opts.ReplayMax {
+				sess.dropReplay()
 				sess.overflow = true
 			}
 		}

@@ -142,13 +142,14 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	// Build the negotiated decoder; with no (or a generic) Content-Type
 	// the first body bytes decide, so -stdin replays and bare curl
-	// octet-stream uploads still hit the right path.
-	// The binary format is read block by block, in columns (br below),
-	// and never becomes Records. Its reader recycles block storage at
-	// depth 1: with the depth-one pipeline below, a block is fully pushed
-	// (its columns appended to the analyzer's index) before the
-	// generation it lives in is decoded into again, so steady-state
-	// binary ingest allocates no per-record garbage.
+	// octet-stream uploads still hit the right path. Either format is
+	// read block by block, in columns, and never becomes Records. Block
+	// storage is recycled at depth 1: with the depth-one pipeline below, a
+	// block is fully pushed (its columns appended to the analyzer's
+	// index) before the generation it lives in is decoded into again, so
+	// steady-state ingest allocates no per-record garbage. A JSONL
+	// reader's two generations come from the node's pool: a live chunk is
+	// a handful of blocks, too few to grow thirty columns anew for.
 	var rr trace.RecordReader
 	switch format {
 	case formatBinary:
@@ -158,38 +159,32 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	default:
 		rr = trace.NewAutoStreamReader(lt)
 	}
-	br, _ := rr.(*trace.BinaryStreamReader)
-	format = formatJSONL
-	if br != nil {
+	var jsonl *trace.StreamReader
+	switch sr := rr.(type) {
+	case *trace.BinaryStreamReader:
 		format = formatBinary
-		br.Recycle(1)
+		sr.Recycle(1)
+	case *trace.StreamReader:
+		format, jsonl = formatJSONL, sr
+		ring := n.ringPool.Get().(*trace.BlockRing)
+		defer n.ringPool.Put(ring)
+		sr.RecycleInto(ring)
 	}
+	br := rr.(blockReader)
 	n.log.Debug("ingest started", "session", id, "format", format, "seq", req.Seq, "eos", req.Eos, "resumed", d.Resume)
 
-	// The body decodes chunk by chunk — a wire block on the binary
-	// format, a batch of records on JSONL — and each chunk is pushed
-	// whole: one session-lock acquisition (and one pass of window
-	// evaluations) per chunk instead of per record, while /report
-	// snapshots interleave between chunks. The two phases pipeline at
-	// depth one on the node's worker pool: the analyzer step for chunk N
-	// runs on a pool worker while this goroutine decodes chunk N+1 from
-	// the wire. Two buffers alternate so the chunk being decoded never
-	// aliases the chunk being pushed (the binary reader's two recycled
-	// generations are the same arrangement); each phase is timed into
-	// its latency histogram (decode covers the wire read, step the
-	// analyzer pushes, window evaluations included).
+	// The body decodes block by block — a wire block on the binary
+	// format, up to 256 lines on JSONL — and each block is pushed whole:
+	// one session-lock acquisition (and one pass of window evaluations)
+	// per block instead of per record, while /report snapshots interleave
+	// between blocks. The two phases pipeline at depth one on the node's
+	// worker pool: the analyzer step for block N runs on a pool worker
+	// while this goroutine decodes block N+1 from the wire, into the
+	// reader's other generation; each phase is timed into its latency
+	// histogram (decode covers the wire read, step the analyzer pushes,
+	// window evaluations included).
 	decodeSeconds := n.m.decodeSeconds[format]
 	ingestRecords := n.m.ingestRecords[format]
-	var bufs [2]*[]trace.Record
-	if br == nil {
-		for i := range bufs {
-			bufs[i] = n.recPool.Get().(*[]trace.Record)
-			defer func(b *[]trace.Record) {
-				*b = (*b)[:0]
-				n.recPool.Put(b)
-			}(bufs[i])
-		}
-	}
 	var pending chan error
 	waitPending := func() error {
 		if pending == nil {
@@ -199,49 +194,48 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		pending = nil
 		return err
 	}
-	cur := 0
-	var readErr error
-	for readErr == nil {
+	var readErr, pushErr error
+	for readErr == nil && pushErr == nil {
 		if n.opts.StreamIdle > 0 {
 			_ = rc.SetReadDeadline(time.Now().Add(n.opts.StreamIdle))
 		}
 		decodeStart := time.Now()
 		var c chunk
-		if br != nil {
-			c.blk, readErr = br.ReadBlock()
-		} else {
-			c.recs, readErr = rr.ReadBatch((*bufs[cur])[:0])
-		}
+		c.blk, readErr = br.ReadBlock()
 		decodeSeconds.Observe(time.Since(decodeStart).Seconds())
-		size := c.len()
-		if skip > 0 && size > 0 {
+		if c.blk == nil {
+			continue
+		}
+		if size := c.blk.Len(); skip > 0 {
 			// A resuming client replayed records the session already
 			// analyzed: dedup the prefix instead of double-counting.
 			c.skip = min(skip, size)
 			skip -= c.skip
 			n.m.ingestDeduped.Add(int64(c.skip))
+			if c.skip == size {
+				continue
+			}
 		}
-		if c.skip == size {
-			continue
+		if pushErr = waitPending(); pushErr == nil {
+			ch := make(chan error, 1)
+			pending = ch
+			n.exec.Submit(func(any) { ch <- n.pushChunk(sess, c, ingestRecords) })
 		}
-		if err := waitPending(); err != nil {
-			n.fail(sess, err.Error())
-			ingest.WriteError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		ch := make(chan error, 1)
-		pending = ch
-		n.exec.Submit(func(any) { ch <- n.pushChunk(sess, c, ingestRecords) })
-		cur ^= 1
+	}
+	if pushErr == nil {
+		pushErr = waitPending()
 	}
 	// Clear the read deadline before responding: the connection may be
 	// kept alive, and a stale deadline would poison its next request.
 	if n.opts.StreamIdle > 0 {
 		_ = rc.SetReadDeadline(time.Time{})
 	}
-	if err := waitPending(); err != nil {
-		n.fail(sess, err.Error())
-		ingest.WriteError(w, http.StatusBadRequest, err.Error())
+	if jsonl != nil {
+		n.m.jsonlSlowLines.Add(int64(jsonl.SlowLines()))
+	}
+	if pushErr != nil {
+		n.fail(sess, pushErr.Error())
+		ingest.WriteError(w, http.StatusBadRequest, pushErr.Error())
 		return
 	}
 	// How the body ended decides what becomes of the session. An
@@ -339,20 +333,16 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 	ingest.WriteJSON(w, http.StatusOK, n.reportPayload(sess))
 }
 
-// chunk is one decoded unit of an ingest body: a columnar block on the
-// binary format, a batch of records otherwise. Its first skip records
+// blockReader is what the ingest pipeline needs of either trace reader.
+type blockReader interface {
+	ReadBlock() (*trace.Block, error)
+}
+
+// chunk is one decoded block of an ingest body. Its first skip records
 // are a replayed prefix the session already has.
 type chunk struct {
 	blk  *trace.Block
-	recs []trace.Record
 	skip int
-}
-
-func (c *chunk) len() int {
-	if c.blk != nil {
-		return c.blk.Len()
-	}
-	return len(c.recs)
 }
 
 // pushChunk pushes one decoded chunk through the session's analyzer
@@ -366,23 +356,10 @@ func (c *chunk) len() int {
 func (n *Node) pushChunk(sess *session, c chunk, records *obs.Counter) error {
 	stepStart := time.Now()
 	sess.mu.Lock()
-	var pushErr error
-	pushed, timed := 0, 0 // timed: pushed data records, the header left out
-	if c.blk != nil {
-		pushed, pushErr = sess.sa.PushBlock(c.blk, c.skip)
-		if c.blk.Header == nil {
-			timed = pushed
-		}
-	} else {
-		for _, rec := range c.recs[c.skip:] {
-			if pushErr = sess.sa.Push(rec); pushErr != nil {
-				break
-			}
-			pushed++
-			if rec.Header == nil {
-				timed++
-			}
-		}
+	pushed, pushErr := sess.sa.PushBlock(c.blk, c.skip)
+	timed := pushed // pushed data records, the header left out
+	if c.blk.Header != nil {
+		timed = 0
 	}
 	// Advance the resume watermark by decoded records actually pushed:
 	// a retrying client replays from here and the handler dedups the
@@ -393,7 +370,7 @@ func (n *Node) pushChunk(sess *session, c chunk, records *obs.Counter) error {
 			Kind: obs.EvIngestChunk,
 			Wall: time.Now().UnixNano(),
 			Sim:  int64(sess.sa.Watermark()),
-			N:    int64(c.len() - c.skip),
+			N:    int64(c.blk.Len() - c.skip),
 		})
 	}
 	sess.mu.Unlock()

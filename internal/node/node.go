@@ -195,10 +195,10 @@ type Node struct {
 	finMu    sync.Mutex
 	finished list.List
 
-	nextID  atomic.Int64 // anonymous-session ID allocator
-	nextSeq atomic.Int64 // global registration order
-	saPool  analyzerPool // recycled *stream.Analyzer
-	recPool sync.Pool    // recycled *[]trace.Record ingest chunks
+	nextID   atomic.Int64 // anonymous-session ID allocator
+	nextSeq  atomic.Int64 // global registration order
+	saPool   analyzerPool // recycled *stream.Analyzer
+	ringPool sync.Pool    // recycled *trace.BlockRing, one per JSONL upload in flight
 }
 
 // analyzerPool is a bounded free-list of detached stream analyzers.
@@ -245,10 +245,6 @@ func (p *analyzerPool) Put(sa *stream.Analyzer) {
 // registryShards is the session-registry fan-out; a power of two so
 // the hash mixes cheaply.
 const registryShards = 16
-
-// ingestChunk is how many decoded records are pushed per session-lock
-// acquisition (and the capacity of pooled record buffers).
-const ingestChunk = 256
 
 type regShard struct {
 	mu       sync.Mutex
@@ -343,10 +339,7 @@ func New(analyzer *core.Analyzer, opts Options) *Node {
 		newFn:  func() *stream.Analyzer { return NewStream(analyzer, opts) },
 		onMiss: func() { n.m.poolMisses.Inc() },
 	}
-	n.recPool.New = func() any {
-		buf := make([]trace.Record, 0, ingestChunk)
-		return &buf
-	}
+	n.ringPool.New = func() any { return trace.NewBlockRing(1) }
 	n.registerGauges()
 	return n
 }

@@ -67,6 +67,7 @@ type metrics struct {
 	ingestResumed     *obs.Counter
 	ingestDeduped     *obs.Counter
 	ingestInterrupted *obs.Counter
+	jsonlSlowLines    *obs.Counter
 	ingestRejected    map[ingest.Code]*obs.Counter
 
 	// Write-ahead-journal instruments, fed by journalHooks plus the
@@ -117,6 +118,7 @@ func newMetrics(analyzer *core.Analyzer) *metrics {
 		ingestResumed:     reg.Counter("dominod_ingest_resumed_total", "Uploads that resumed an interrupted session from its watermark."),
 		ingestDeduped:     reg.Counter("dominod_ingest_deduped_records_total", "Replayed records skipped as already accepted during resumption."),
 		ingestInterrupted: reg.Counter("dominod_ingest_interrupted_total", "Resumable uploads interrupted mid-stream and suspended for retry."),
+		jsonlSlowLines:    reg.Counter("dominod_ingest_jsonl_slow_lines_total", "JSONL lines outside the fast decoder's subset, decoded through encoding/json."),
 		ingestRejected:    map[ingest.Code]*obs.Counter{},
 
 		journalAppends:     reg.Counter("dominod_journal_appends_total", "Reports appended to the RCA-store write-ahead journal."),

@@ -103,14 +103,17 @@ func viaRecords(a *core.Analyzer, cfg Config, enc []byte) outcome {
 	})
 }
 
-// viaBlocks is the block path: ReadBlock, then PushBlock.
-func viaBlocks(a *core.Analyzer, cfg Config, enc []byte) outcome {
+// blockReader is either trace reader, as internal/node reads it.
+type blockReader interface {
+	ReadBlock() (*trace.Block, error)
+}
+
+// pushBlocks is the block path: ReadBlock, then PushBlock.
+func pushBlocks(a *core.Analyzer, cfg Config, br blockReader) outcome {
 	return analyze(a, cfg, func(s *Analyzer) (int, error) {
-		sr := trace.NewBinaryStreamReader(bytes.NewReader(enc))
-		sr.Recycle(1)
 		n := 0
 		for {
-			blk, err := sr.ReadBlock()
+			blk, err := br.ReadBlock()
 			if err == io.EOF {
 				return n, nil
 			}
@@ -119,6 +122,40 @@ func viaBlocks(a *core.Analyzer, cfg Config, enc []byte) outcome {
 			}
 			k, err := s.PushBlock(blk, 0)
 			n += k
+			if err != nil {
+				return n, err
+			}
+		}
+	})
+}
+
+// viaBlocks is the block path over a binary stream.
+func viaBlocks(a *core.Analyzer, cfg Config, enc []byte) outcome {
+	sr := trace.NewBinaryStreamReader(bytes.NewReader(enc))
+	sr.Recycle(1)
+	return pushBlocks(a, cfg, sr)
+}
+
+// viaJSONLBlocks is the block path over a JSONL stream.
+func viaJSONLBlocks(a *core.Analyzer, cfg Config, jsonl []byte) outcome {
+	sr := trace.NewStreamReader(bytes.NewReader(jsonl))
+	sr.Recycle(1)
+	return pushBlocks(a, cfg, sr)
+}
+
+// viaJSONLRecords is the record path over a JSONL stream: Next, then
+// Push, line by line as `dominod -stdin` reads a pipe.
+func viaJSONLRecords(a *core.Analyzer, cfg Config, jsonl []byte) outcome {
+	return analyze(a, cfg, func(s *Analyzer) (int, error) {
+		sr := trace.NewStreamReader(bytes.NewReader(jsonl))
+		for n := 0; ; n++ {
+			rec, err := sr.Next()
+			if err == io.EOF {
+				return n, nil
+			}
+			if err == nil {
+				err = s.Push(rec)
+			}
 			if err != nil {
 				return n, err
 			}
@@ -164,6 +201,44 @@ func encodeBinary(t testing.TB, hdr trace.Header, recs []trace.Record) []byte {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// encodeJSONL writes the stream one line per record, in the order
+// given, as encoding/json renders it — which is the trace encoder's
+// form byte for byte.
+func encodeJSONL(t testing.TB, hdr trace.Header, recs []trace.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	line := func(typ string, data any) {
+		if err := enc.Encode(struct {
+			Type string `json:"type"`
+			Data any    `json:"data"`
+		}{typ, data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	line("header", struct {
+		CellName  string   `json:"cell_name"`
+		Scenario  string   `json:"scenario,omitempty"`
+		Duration  sim.Time `json:"duration_us"`
+		HasGNBLog bool     `json:"has_gnb_log"`
+	}{hdr.CellName, hdr.Scenario, hdr.Duration, hdr.HasGNBLog})
+	for _, rec := range recs {
+		switch {
+		case rec.DCI != nil:
+			line("dci", rec.DCI)
+		case rec.GNB != nil:
+			line("gnb", rec.GNB)
+		case rec.Packet != nil:
+			line("pkt", rec.Packet)
+		case rec.Stats != nil:
+			line("stats", rec.Stats)
+		case rec.RRC != nil:
+			line("rrc", rec.RRC)
+		}
 	}
 	return buf.Bytes()
 }
@@ -234,21 +309,25 @@ func TestPushBlockMatchesPush(t *testing.T) {
 		cases := []struct {
 			name string
 			cfg  Config
-			enc  []byte
+			hdr  trace.Header
+			recs []trace.Record
 		}{
-			{"ordered", Config{}, encodeBinary(t, hdr, recs)},
-			{"lateness-shuffled", Config{Lateness: slack}, encodeBinary(t, hdr, shuffleWithin(recs, slack))},
-			{"drop-late", Config{DropLate: true}, encodeBinary(t, hdr, plant(plant(recs, lateBlock+block/2), lateBlock))},
-			{"drop-windows", Config{DropWindows: true}, encodeBinary(t, hdr, recs)},
-			{"open-ended", Config{}, encodeBinary(t, open, recs)},
-			{"late-first", Config{}, encodeBinary(t, hdr, plant(recs, lateBlock))},
-			{"late-middle", Config{}, encodeBinary(t, hdr, plant(recs, lateBlock+block/2))},
-			{"late-last", Config{}, encodeBinary(t, hdr, plant(recs, lateBlock+block-1))},
+			{"ordered", Config{}, hdr, recs},
+			{"lateness-shuffled", Config{Lateness: slack}, hdr, shuffleWithin(recs, slack)},
+			{"drop-late", Config{DropLate: true}, hdr, plant(plant(recs, lateBlock+block/2), lateBlock)},
+			{"drop-windows", Config{DropWindows: true}, hdr, recs},
+			{"open-ended", Config{}, open, recs},
+			{"late-first", Config{}, hdr, plant(recs, lateBlock)},
+			{"late-middle", Config{}, hdr, plant(recs, lateBlock+block/2)},
+			{"late-last", Config{}, hdr, plant(recs, lateBlock+block-1)},
 		}
 		for _, c := range cases {
 			t.Run(name+"/"+c.name, func(t *testing.T) {
-				want := viaRecords(analyzer, c.cfg, c.enc)
-				diffOutcomes(t, want, viaBlocks(analyzer, c.cfg, c.enc))
+				enc := encodeBinary(t, c.hdr, c.recs)
+				want := viaRecords(analyzer, c.cfg, enc)
+				diffOutcomes(t, want, viaBlocks(analyzer, c.cfg, enc))
+				// The same stream as JSONL lines, read in 256-line blocks.
+				diffOutcomes(t, want, viaJSONLBlocks(analyzer, c.cfg, encodeJSONL(t, c.hdr, c.recs)))
 				// The cases mean what they say.
 				switch c.name {
 				case "drop-late":
@@ -267,6 +346,26 @@ func TestPushBlockMatchesPush(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestJSONLDuplicateHeader pins what becomes of a second header line
+// in the middle of a JSONL block: it reaches the analyzer as a record of
+// its own, after every record before it, on the block path as on the
+// record path.
+func TestJSONLDuplicateHeader(t *testing.T) {
+	analyzer, err := core.NewAnalyzer(core.DetectorConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := records(t, simulate(t, ran.Amarisoft(), 5, 3*sim.Second))
+	const at = 700 // in the third 256-line block
+	jsonl := encodeJSONL(t, *all[0].Header, all[1:1+at])
+	jsonl = append(jsonl, encodeJSONL(t, *all[0].Header, all[1+at:])...)
+	want := viaJSONLRecords(analyzer, Config{}, jsonl)
+	if want.err != "stream: duplicate header" || want.accepted != 1+at {
+		t.Fatalf("record path: err %q after %d records", want.err, want.accepted)
+	}
+	diffOutcomes(t, want, viaJSONLBlocks(analyzer, Config{}, jsonl))
 }
 
 // TestPushBlockSkip pins the resume contract: PushBlock(b, k) is the

@@ -62,6 +62,64 @@ func (b *Block) Len() int {
 	return len(b.Tags)
 }
 
+// appendRow appends the data row of the given kind as the block's next
+// record.
+func (b *Block) appendRow(kind int, r *lineRow) {
+	b.Tags = append(b.Tags, uint8(kind))
+	switch kind {
+	case SeriesDCI:
+		b.DCI.append(&r.dci)
+	case SeriesGNB:
+		b.GNB.append(&r.gnb)
+	case SeriesPkt:
+		b.Pkt.append(&r.pkt)
+	case SeriesStats:
+		b.Stats, b.StatsAt = append(b.Stats, r.stats), append(b.StatsAt, r.stats.At)
+	case SeriesRRC:
+		b.RRC.append(&r.rrc)
+	}
+}
+
+// reset empties the block, keeping every column's backing array.
+func (b *Block) reset() {
+	b.Header, b.Tags, b.Stats, b.StatsAt = nil, b.Tags[:0], b.Stats[:0], b.StatsAt[:0]
+	d, g, p, r := &b.DCI, &b.GNB, &b.Pkt, &b.RRC
+	d.At, d.Dir, d.RNTI, d.OwnPRB, d.OtherPRB = d.At[:0], d.Dir[:0], d.RNTI[:0], d.OwnPRB[:0], d.OtherPRB[:0]
+	d.MCS, d.TBSBits, d.UsedBits, d.Flags = d.MCS[:0], d.TBSBits[:0], d.UsedBits[:0], d.Flags[:0]
+	g.At, g.Kind, g.Dir, g.BufferBytes, g.RNTI, g.Note = g.At[:0], g.Kind[:0], g.Dir[:0], g.BufferBytes[:0], g.RNTI[:0], g.Note[:0]
+	p.SentAt, p.Arrived, p.Seq, p.Kind, p.Dir, p.Size = p.SentAt[:0], p.Arrived[:0], p.Seq[:0], p.Kind[:0], p.Dir[:0], p.Size[:0]
+	r.At, r.Flags, r.RNTI, r.Cause = r.At[:0], r.Flags[:0], r.RNTI[:0], r.Cause[:0]
+}
+
+// BlockRing is block storage a StreamReader decodes into round-robin
+// (see StreamReader.Recycle). It outlives the reader, so a consumer of
+// many short streams keeps one per stream in flight instead of growing
+// thirty columns anew for each.
+type BlockRing struct {
+	blks []Block
+	pos  int
+}
+
+// NewBlockRing returns a ring of depth+1 generations; for depth <= 0,
+// the nil ring, which allocates a block per call.
+func NewBlockRing(depth int) *BlockRing {
+	if depth <= 0 {
+		return nil
+	}
+	return &BlockRing{blks: make([]Block, depth+1)}
+}
+
+// next returns the generation the next block decodes into, emptied.
+func (r *BlockRing) next() *Block {
+	if r == nil {
+		return &Block{}
+	}
+	b := &r.blks[r.pos]
+	r.pos = (r.pos + 1) % len(r.blks)
+	b.reset()
+	return b
+}
+
 // Times returns each series' primary-timestamp column (send time for
 // packets), indexed by series.
 func (b *Block) Times() [NumSeries][]sim.Time {
@@ -79,6 +137,22 @@ type DCIColumns struct {
 	TBSBits  []int
 	UsedBits []int
 	Flags    []uint8 // DCIFlag* bits
+}
+
+// flag returns bit when set, else 0.
+func flag(set bool, bit uint8) uint8 {
+	if set {
+		return bit
+	}
+	return 0
+}
+
+func (c *DCIColumns) append(r *DCIRecord) {
+	c.At, c.Dir, c.RNTI = append(c.At, r.At), append(c.Dir, r.Dir), append(c.RNTI, r.RNTI)
+	c.OwnPRB, c.OtherPRB, c.MCS = append(c.OwnPRB, r.OwnPRB), append(c.OtherPRB, r.OtherPRB), append(c.MCS, r.MCS)
+	c.TBSBits, c.UsedBits = append(c.TBSBits, r.TBSBits), append(c.UsedBits, r.UsedBits)
+	c.Flags = append(c.Flags, flag(r.HARQRetx, DCIFlagHARQRetx)|flag(r.RLCRetx, DCIFlagRLCRetx)|
+		flag(r.Proactive, DCIFlagProactive)|flag(r.Unused, DCIFlagUnused))
 }
 
 // Record materialises row i.
@@ -103,6 +177,11 @@ type GNBColumns struct {
 	Note        []string
 }
 
+func (c *GNBColumns) append(r *GNBLogRecord) {
+	c.At, c.Kind, c.Dir = append(c.At, r.At), append(c.Kind, r.Kind), append(c.Dir, r.Dir)
+	c.BufferBytes, c.RNTI, c.Note = append(c.BufferBytes, r.BufferBytes), append(c.RNTI, r.RNTI), append(c.Note, r.Note)
+}
+
 // Record materialises row i.
 func (c *GNBColumns) Record(i int) GNBLogRecord {
 	return GNBLogRecord{
@@ -121,6 +200,11 @@ type PacketColumns struct {
 	Size    []int
 }
 
+func (c *PacketColumns) append(r *PacketRecord) {
+	c.SentAt, c.Arrived, c.Seq = append(c.SentAt, r.SentAt), append(c.Arrived, r.Arrived), append(c.Seq, r.Seq)
+	c.Kind, c.Dir, c.Size = append(c.Kind, r.Kind), append(c.Dir, r.Dir), append(c.Size, r.Size)
+}
+
 // Record materialises row i.
 func (c *PacketColumns) Record(i int) PacketRecord {
 	return PacketRecord{
@@ -135,6 +219,11 @@ type RRCColumns struct {
 	Flags []uint8 // RRCFlag* bits
 	RNTI  []uint32
 	Cause []string
+}
+
+func (c *RRCColumns) append(r *RRCRecord) {
+	c.At, c.Flags = append(c.At, r.At), append(c.Flags, flag(r.Connected, RRCFlagConnected))
+	c.RNTI, c.Cause = append(c.RNTI, r.RNTI), append(c.Cause, r.Cause)
 }
 
 // Record materialises row i.

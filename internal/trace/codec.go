@@ -1,12 +1,15 @@
 package trace
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 	"unsafe"
 
-	"github.com/domino5g/domino/internal/netem"
 	"github.com/domino5g/domino/internal/sim"
 )
 
@@ -16,16 +19,24 @@ import (
 // the reflection path WriteJSONL used before (json.Marshal of each
 // record wrapped in the {"type","data"} envelope, HTML-escaped), so
 // golden traces are unchanged while encoding drops from ~3 allocations
-// per record to zero and decoding from ~13 to one (the record struct).
+// per record to zero.
 //
 // Decoder: a field-scanning parser for the exact shape the encoder
-// emits (compact envelope, known field names, JSON-conformant scalars).
-// It accepts a strict subset of what encoding/json accepts; on any
-// deviation — unknown or case-folded field names, escaped strings,
-// nulls, exotic numbers — the caller falls back to the stdlib path,
-// which therefore stays both the semantic oracle (differential tests in
-// codec_test.go pin fast == stdlib on everything the fast path accepts)
-// and the handler of foreign telemetry.
+// emits (compact envelope, known field names, JSON-conformant scalars),
+// driven by a member list read off each record struct, so a row decodes
+// into storage the caller supplies: StreamReader.Next copies it into the
+// one Record it hands out, ReadBlock appends it to a block's columns.
+// After each value the separator and the key the encoder writes next
+// are matched as one literal (`,"Dir":`), and a plain integer (at most
+// 18 digits, no leading zero, ended by a byte no number token contains)
+// is parsed in the same pass that scans it; a member anywhere else, or
+// spaced, takes the key scan, any other number the token scan and
+// strconv. The decoder accepts a strict subset of what encoding/json
+// accepts; on any deviation — unknown or case-folded field names,
+// escaped strings, nulls, exotic numbers — the caller falls back to the
+// stdlib path, which therefore stays both the semantic oracle
+// (differential tests in codec_test.go pin fast == stdlib on everything
+// the fast path accepts) and the handler of foreign telemetry.
 
 const hexDigits = "0123456789abcdef"
 
@@ -318,16 +329,18 @@ type lineParser struct {
 	buf []byte
 	pos int
 	ok  bool
+	// prev is what the string member of the row being filled held on the
+	// previous line of its type: an equal value is reused rather than
+	// allocated again (a gNB log repeats a handful of notes).
+	prev string
 }
 
 func (p *lineParser) skipWS() {
 	for p.pos < len(p.buf) {
-		switch p.buf[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
+		if c := p.buf[p.pos]; c > ' ' || (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
 			return
 		}
+		p.pos++
 	}
 }
 
@@ -337,6 +350,15 @@ func (p *lineParser) expect(c byte) {
 		return
 	}
 	p.ok = false
+}
+
+// lit consumes s when the input continues with exactly those bytes.
+func (p *lineParser) lit(s string) bool {
+	if len(p.buf)-p.pos >= len(s) && string(p.buf[p.pos:p.pos+len(s)]) == s {
+		p.pos += len(s)
+		return true
+	}
+	return false
 }
 
 // key scans a JSON object key and returns its raw bytes. Keys with
@@ -386,6 +408,9 @@ func (p *lineParser) stringValue() string {
 				// let it.
 				p.ok = false
 				return ""
+			}
+			if string(raw) == p.prev {
+				return p.prev
 			}
 			return string(raw)
 		case c == '\\' || c < 0x20:
@@ -477,10 +502,47 @@ func validJSONNumber(b []byte) bool {
 	return i == len(b)
 }
 
+// digits parses the plain decimal integer at the cursor in one pass: at
+// most 18 digits (so it cannot overflow an int64), no leading zero (the
+// JSON grammar), and the byte after it must not continue a number
+// token. Anything else leaves the cursor where it was and reports
+// false; the caller then takes the numberToken route, which knows the
+// whole grammar and every overflow.
+func (p *lineParser) digits() (uint64, bool) {
+	i, end := p.pos, min(len(p.buf), p.pos+19)
+	var v uint64
+	for ; i < end && isDigit(p.buf[i]); i++ {
+		v = v*10 + uint64(p.buf[i]-'0')
+	}
+	if n := i - p.pos; n == 0 || n > 18 || (n > 1 && p.buf[p.pos] == '0') {
+		return 0, false
+	}
+	if i < len(p.buf) {
+		switch p.buf[i] {
+		case '-', '+', '.', 'e', 'E':
+			return 0, false
+		}
+	}
+	p.pos = i
+	return v, true
+}
+
 // i64 parses an integer value. Fractional or exponent forms bail out:
 // encoding/json errors on them for integer fields, and the fallback
 // produces that error.
 func (p *lineParser) i64() int64 {
+	start := p.pos
+	neg := p.pos < len(p.buf) && p.buf[p.pos] == '-'
+	if neg {
+		p.pos++
+	}
+	if v, ok := p.digits(); ok {
+		if neg {
+			return -int64(v)
+		}
+		return int64(v)
+	}
+	p.pos = start
 	tok := p.numberToken()
 	if !p.ok {
 		return 0
@@ -500,6 +562,13 @@ func (p *lineParser) i64() int64 {
 }
 
 func (p *lineParser) u64(bits int) uint64 {
+	start := p.pos
+	if v, ok := p.digits(); ok {
+		if v>>bits == 0 {
+			return v
+		}
+		p.pos = start
+	}
 	tok := p.numberToken()
 	if !p.ok {
 		return 0
@@ -532,12 +601,10 @@ func (p *lineParser) f64() float64 {
 }
 
 func (p *lineParser) boolValue() bool {
-	if len(p.buf)-p.pos >= 4 && string(p.buf[p.pos:p.pos+4]) == "true" {
-		p.pos += 4
+	if p.lit("true") {
 		return true
 	}
-	if len(p.buf)-p.pos >= 5 && string(p.buf[p.pos:p.pos+5]) == "false" {
-		p.pos += 5
+	if p.lit("false") {
 		return false
 	}
 	p.ok = false
@@ -557,9 +624,7 @@ func (p *lineParser) beginObject() bool {
 	return p.ok
 }
 
-// fieldKey parses `"key":`, leaving the cursor at the value. The
-// begin/key/end helpers keep the per-type decoders closure-free — a
-// callback-driven scan would cost one closure allocation per record.
+// fieldKey parses `"key":`, leaving the cursor at the value.
 func (p *lineParser) fieldKey() []byte {
 	k := p.key()
 	if !p.ok {
@@ -594,265 +659,235 @@ func (p *lineParser) endField() bool {
 	}
 }
 
-func decodeHeaderData(p *lineParser) *Header {
-	h := &Header{}
-	if !p.beginObject() {
-		return h
-	}
-	for p.ok {
-		switch string(p.fieldKey()) {
-		case "cell_name":
-			h.CellName = p.stringValue()
-		case "scenario":
-			h.Scenario = p.stringValue()
-		case "duration_us":
-			h.Duration = sim.Time(p.i64())
-		case "has_gnb_log":
-			h.HasGNBLog = p.boolValue()
-		default:
-			p.ok = false
-		}
-		if !p.ok || p.endField() {
-			break
-		}
-	}
-	return h
+// rowField is one member of a record type's JSON object: its key as the
+// encoder writes it after another member (`,"Dir":`), and where in the
+// row, and as what, its value is stored.
+type rowField struct {
+	lit  string
+	off  uintptr
+	kind reflect.Kind
 }
 
-func decodeDCIData(p *lineParser) *DCIRecord {
-	v := &DCIRecord{}
-	if !p.beginObject() {
-		return v
-	}
-	for p.ok {
-		switch string(p.fieldKey()) {
-		case "At":
-			v.At = sim.Time(p.i64())
-		case "Dir":
-			v.Dir = netem.Direction(p.i64())
-		case "RNTI":
-			v.RNTI = uint32(p.u64(32))
-		case "OwnPRB":
-			v.OwnPRB = int(p.i64())
-		case "OtherPRB":
-			v.OtherPRB = int(p.i64())
-		case "MCS":
-			v.MCS = int(p.i64())
-		case "TBSBits":
-			v.TBSBits = int(p.i64())
-		case "UsedBits":
-			v.UsedBits = int(p.i64())
-		case "HARQRetx":
-			v.HARQRetx = p.boolValue()
-		case "RLCRetx":
-			v.RLCRetx = p.boolValue()
-		case "Proactive":
-			v.Proactive = p.boolValue()
-		case "Unused":
-			v.Unused = p.boolValue()
+// rowFieldsOf lists a row type's members from the struct itself, the
+// way encoding/json — the oracle — reads it: keyed by json tag or else
+// field name, in declaration order, which is the order the encoder
+// writes them in. The struct is therefore the only place that names a
+// record type's fields to the decoder.
+func rowFieldsOf(row any) []rowField {
+	t := reflect.TypeOf(row)
+	fs := make([]rowField, t.NumField())
+	for i := range fs {
+		sf := t.Field(i)
+		name, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		if name == "" {
+			name = sf.Name
+		}
+		switch sf.Type.Kind() {
+		case reflect.Int64, reflect.Int, reflect.Uint32, reflect.Uint64, reflect.Float64, reflect.Bool, reflect.String:
 		default:
-			p.ok = false
+			panic("trace: no fast decoder for " + t.Name() + "." + sf.Name)
 		}
-		if !p.ok || p.endField() {
-			break
-		}
+		fs[i] = rowField{lit: `,"` + name + `":`, off: sf.Offset, kind: sf.Type.Kind()}
 	}
-	return v
+	return fs
 }
 
-func decodeGNBData(p *lineParser) *GNBLogRecord {
-	v := &GNBLogRecord{}
-	if !p.beginObject() {
-		return v
-	}
-	for p.ok {
-		switch string(p.fieldKey()) {
-		case "At":
-			v.At = sim.Time(p.i64())
-		case "Kind":
-			v.Kind = GNBLogKind(p.i64())
-		case "Dir":
-			v.Dir = netem.Direction(p.i64())
-		case "BufferBytes":
-			v.BufferBytes = int(p.i64())
-		case "RNTI":
-			v.RNTI = uint32(p.u64(32))
-		case "Note":
-			v.Note = p.stringValue()
-		default:
-			p.ok = false
-		}
-		if !p.ok || p.endField() {
-			break
+var (
+	headerFields = rowFieldsOf(jsonHeader{})
+	dciFields    = rowFieldsOf(DCIRecord{})
+	gnbFields    = rowFieldsOf(GNBLogRecord{})
+	pktFields    = rowFieldsOf(PacketRecord{})
+	statsFields  = rowFieldsOf(WebRTCStatsRecord{})
+	rrcFields    = rowFieldsOf(RRCRecord{})
+)
+
+// member consumes `"key":` and returns the key's index in fields, or -1
+// with ok cleared for a key the row does not have.
+func (p *lineParser) member(fields []rowField) int {
+	k := p.fieldKey()
+	for i := range fields {
+		if lit := fields[i].lit; lit[2:len(lit)-2] == string(k) {
+			return i
 		}
 	}
-	return v
+	p.ok = false
+	return -1
 }
 
-func decodePacketData(p *lineParser) *PacketRecord {
-	v := &PacketRecord{}
+// decodeRow decodes the members of the JSON object at the cursor into
+// *row, whose type fields was listed from. Members the object lacks are
+// left zero; of a repeated member the last one wins, as in the oracle.
+// After each value the separator and the key the encoder would write
+// next are tried as one literal; a member in any other place or form —
+// the first, one reordered, repeated or skipped, whitespace before the
+// comma or the colon — goes through the separator and key scans.
+func decodeRow[T any](p *lineParser, row *T, fields []rowField) {
+	*row = *new(T)
 	if !p.beginObject() {
-		return v
+		return
 	}
-	for p.ok {
-		switch string(p.fieldKey()) {
-		case "Seq":
-			v.Seq = p.u64(64)
-		case "Kind":
-			v.Kind = netem.MediaKind(p.i64())
-		case "Dir":
-			v.Dir = netem.Direction(p.i64())
-		case "Size":
-			v.Size = int(p.i64())
-		case "SentAt":
-			v.SentAt = sim.Time(p.i64())
-		case "Arrived":
-			v.Arrived = sim.Time(p.i64())
+	base := unsafe.Pointer(row)
+	for i := p.member(fields); i >= 0; {
+		at := unsafe.Add(base, fields[i].off)
+		switch fields[i].kind {
+		case reflect.Int64:
+			*(*int64)(at) = p.i64()
+		case reflect.Int:
+			*(*int)(at) = int(p.i64())
+		case reflect.Uint32:
+			*(*uint32)(at) = uint32(p.u64(32))
+		case reflect.Uint64:
+			*(*uint64)(at) = p.u64(64)
+		case reflect.Float64:
+			*(*float64)(at) = p.f64()
+		case reflect.Bool:
+			*(*bool)(at) = p.boolValue()
+		case reflect.String:
+			*(*string)(at) = p.stringValue()
+		}
+		switch {
+		case !p.ok:
+			return
+		case i+1 < len(fields) && p.lit(fields[i+1].lit):
+			i++
+			p.skipWS()
+		case p.endField():
+			return
 		default:
-			p.ok = false
-		}
-		if !p.ok || p.endField() {
-			break
+			i = p.member(fields)
 		}
 	}
-	return v
 }
 
-func decodeStatsData(p *lineParser) *WebRTCStatsRecord {
-	v := &WebRTCStatsRecord{}
-	if !p.beginObject() {
-		return v
-	}
-	for p.ok {
-		switch string(p.fieldKey()) {
-		case "At":
-			v.At = sim.Time(p.i64())
-		case "Local":
-			v.Local = p.boolValue()
-		case "InboundFPS":
-			v.InboundFPS = p.f64()
-		case "OutboundFPS":
-			v.OutboundFPS = p.f64()
-		case "OutboundHeight":
-			v.OutboundHeight = int(p.i64())
-		case "InboundHeight":
-			v.InboundHeight = int(p.i64())
-		case "VideoJBDelayMs":
-			v.VideoJBDelayMs = p.f64()
-		case "AudioJBDelayMs":
-			v.AudioJBDelayMs = p.f64()
-		case "MinJBDelayMs":
-			v.MinJBDelayMs = p.f64()
-		case "FrozenNow":
-			v.FrozenNow = p.boolValue()
-		case "FreezeTotalMs":
-			v.FreezeTotalMs = p.f64()
-		case "ConcealedSamples":
-			v.ConcealedSamples = p.u64(64)
-		case "TotalSamples":
-			v.TotalSamples = p.u64(64)
-		case "TargetBitrateBps":
-			v.TargetBitrateBps = p.f64()
-		case "PushbackRateBps":
-			v.PushbackRateBps = p.f64()
-		case "OutstandingBytes":
-			v.OutstandingBytes = int(p.i64())
-		case "CongestionWindow":
-			v.CongestionWindow = int(p.i64())
-		case "GCCNetState":
-			v.GCCNetState = GCCState(p.i64())
-		case "TrendlineSlope":
-			v.TrendlineSlope = p.f64()
-		case "TrendlineThreshold":
-			v.TrendlineThreshold = p.f64()
-		case "AckedBitrateBps":
-			v.AckedBitrateBps = p.f64()
-		default:
-			p.ok = false
-		}
-		if !p.ok || p.endField() {
-			break
-		}
-	}
-	return v
+// lineHeader is the kind of a header line; a data line's kind is its
+// series index.
+const lineHeader = NumSeries
+
+// lineRow is the scratch a line decodes into: the member of the line's
+// kind is filled, the others are left as they were.
+type lineRow struct {
+	hdr   jsonHeader
+	dci   DCIRecord
+	gnb   GNBLogRecord
+	pkt   PacketRecord
+	stats WebRTCStatsRecord
+	rrc   RRCRecord
 }
 
-func decodeRRCData(p *lineParser) *RRCRecord {
-	v := &RRCRecord{}
-	if !p.beginObject() {
-		return v
-	}
-	for p.ok {
-		switch string(p.fieldKey()) {
-		case "At":
-			v.At = sim.Time(p.i64())
-		case "Connected":
-			v.Connected = p.boolValue()
-		case "RNTI":
-			v.RNTI = uint32(p.u64(32))
-		case "Cause":
-			v.Cause = p.stringValue()
-		default:
-			p.ok = false
-		}
-		if !p.ok || p.endField() {
-			break
-		}
-	}
-	return v
+// header returns the decoded header line.
+func (r *lineRow) header() *Header {
+	return &Header{CellName: r.hdr.CellName, Scenario: r.hdr.Scenario, Duration: sim.Time(r.hdr.Duration), HasGNBLog: r.hdr.HasGNBLog}
 }
 
-// fastDecodeLine decodes one envelope line on the fast path. ok=false
-// means only "not fast-path material": the caller must re-decode the
-// line through the encoding/json oracle, which yields the identical
-// record for valid inputs and the authoritative error for invalid ones.
-func fastDecodeLine(line []byte) (Record, bool) {
+// record materialises the data row of the given kind as a Record.
+func (r *lineRow) record(kind int) Record {
+	switch kind {
+	case SeriesDCI:
+		v := r.dci
+		return Record{DCI: &v}
+	case SeriesGNB:
+		v := r.gnb
+		return Record{GNB: &v}
+	case SeriesPkt:
+		v := r.pkt
+		return Record{Packet: &v}
+	case SeriesStats:
+		v := r.stats
+		return Record{Stats: &v}
+	default:
+		v := r.rrc
+		return Record{RRC: &v}
+	}
+}
+
+// fastDecode decodes one envelope line into the row on the fast path
+// and returns its kind. ok=false means only "not fast-path material":
+// the caller must re-decode the line through the encoding/json oracle
+// (slowDecode), which yields the identical row for valid inputs and the
+// authoritative error for invalid ones.
+func (r *lineRow) fastDecode(line []byte) (kind int, ok bool) {
 	p := lineParser{buf: line, ok: true}
 	p.skipWS()
-	p.expect('{')
-	p.skipWS()
-	if k := p.key(); !p.ok || string(k) != "type" {
-		return Record{}, false
+	if !p.lit(`{"type":`) {
+		p.expect('{')
+		p.skipWS()
+		if k := p.key(); !p.ok || string(k) != "type" {
+			return 0, false
+		}
+		p.skipWS()
+		p.expect(':')
 	}
-	p.skipWS()
-	p.expect(':')
 	p.skipWS()
 	// The type tag is scanned as raw bytes (key() is exactly a
 	// no-escape string scan), so dispatching allocates nothing.
 	typ := p.key()
-	p.skipWS()
-	p.expect(',')
-	p.skipWS()
-	if k := p.key(); !p.ok || string(k) != "data" {
-		return Record{}, false
+	if !p.lit(`,"data":`) {
+		p.skipWS()
+		p.expect(',')
+		p.skipWS()
+		if k := p.key(); !p.ok || string(k) != "data" {
+			return 0, false
+		}
+		p.skipWS()
+		p.expect(':')
 	}
-	p.skipWS()
-	p.expect(':')
 	if !p.ok {
-		return Record{}, false
+		return 0, false
 	}
-	var rec Record
 	switch string(typ) {
 	case "header":
-		rec.Header = decodeHeaderData(&p)
+		kind = lineHeader
+		decodeRow(&p, &r.hdr, headerFields)
 	case "dci":
-		rec.DCI = decodeDCIData(&p)
+		kind = SeriesDCI
+		decodeRow(&p, &r.dci, dciFields)
 	case "gnb":
-		rec.GNB = decodeGNBData(&p)
+		kind, p.prev = SeriesGNB, r.gnb.Note
+		decodeRow(&p, &r.gnb, gnbFields)
 	case "pkt":
-		rec.Packet = decodePacketData(&p)
+		kind = SeriesPkt
+		decodeRow(&p, &r.pkt, pktFields)
 	case "stats":
-		rec.Stats = decodeStatsData(&p)
+		kind = SeriesStats
+		decodeRow(&p, &r.stats, statsFields)
 	case "rrc":
-		rec.RRC = decodeRRCData(&p)
+		kind, p.prev = SeriesRRC, r.rrc.Cause
+		decodeRow(&p, &r.rrc, rrcFields)
 	default:
-		return Record{}, false
+		return 0, false
 	}
 	p.skipWS()
 	p.expect('}')
 	p.skipWS()
-	if !p.ok || p.pos != len(p.buf) {
-		return Record{}, false
+	return kind, p.ok && p.pos == len(p.buf)
+}
+
+// slowDecode is fastDecode through encoding/json: the oracle of the
+// differential tests, and the decoder of foreign telemetry.
+func (r *lineRow) slowDecode(line []byte) (int, error) {
+	var l jsonLine
+	if err := json.Unmarshal(line, &l); err != nil {
+		return 0, err
 	}
-	return rec, true
+	switch l.Type {
+	case "header":
+		r.hdr = jsonHeader{}
+		return lineHeader, json.Unmarshal(l.Data, &r.hdr)
+	case "dci":
+		r.dci = DCIRecord{}
+		return SeriesDCI, json.Unmarshal(l.Data, &r.dci)
+	case "gnb":
+		r.gnb = GNBLogRecord{}
+		return SeriesGNB, json.Unmarshal(l.Data, &r.gnb)
+	case "pkt":
+		r.pkt = PacketRecord{}
+		return SeriesPkt, json.Unmarshal(l.Data, &r.pkt)
+	case "stats":
+		r.stats = WebRTCStatsRecord{}
+		return SeriesStats, json.Unmarshal(l.Data, &r.stats)
+	case "rrc":
+		r.rrc = RRCRecord{}
+		return SeriesRRC, json.Unmarshal(l.Data, &r.rrc)
+	}
+	return 0, fmt.Errorf("unknown record type %q", l.Type)
 }

@@ -135,6 +135,36 @@ func BenchmarkCodecDecode(b *testing.B) {
 		b.ReportMetric(float64(len(lines))*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
 		b.ReportMetric(float64(allocs)/float64(len(lines)*b.N), "allocs/rec")
 	})
+	// block is the dominod ingest hot path: the same lines as a stream,
+	// read in columns with the storage recycled, one reader per
+	// iteration as dominod has one per upload.
+	b.Run("block", func(b *testing.B) {
+		stream := append(bytes.Join(lines, []byte("\n")), '\n')
+		reader := bytes.NewReader(stream)
+		b.ReportAllocs()
+		b.ResetTimer()
+		var allocs uint64
+		for i := 0; i < b.N; i++ {
+			allocs += mallocsDelta(func() {
+				reader.Reset(stream)
+				sr := NewStreamReader(reader)
+				sr.Recycle(1)
+				n := 0
+				for {
+					blk, err := sr.ReadBlock()
+					if err != nil {
+						if err != io.EOF || n != len(lines) {
+							b.Fatalf("decoded %d records: %v", n, err)
+						}
+						break
+					}
+					n += blk.Len()
+				}
+			})
+		}
+		b.ReportMetric(float64(len(lines))*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
+		b.ReportMetric(float64(allocs)/float64(len(lines)*b.N), "allocs/rec")
+	})
 	b.Run("stdjson", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -534,12 +534,7 @@ func TestBinaryRecycle(t *testing.T) {
 // block after those reuses its storage.
 func testRecycleBlocks(t *testing.T, enc []byte, want []Record) {
 	want = want[1:]
-	// values materialises a block's records into storage of their own.
-	values := func(b *Block) []Record {
-		c := *b
-		c.Stats = append([]WebRTCStatsRecord(nil), b.Stats...)
-		return new(blockStorage).records(&c)
-	}
+	values := BlockRecords
 
 	for _, depth := range []int{1, 3} {
 		sr := NewBinaryStreamReader(bytes.NewReader(enc))
@@ -615,6 +610,38 @@ func TestBinaryDecodeRecycledAllocs(t *testing.T) {
 	})
 	if perRec := allocs / float64(n); perRec > 0.02 {
 		t.Fatalf("recycled binary decode allocates %.4f allocs/record (total %.0f for %d records)", perRec, allocs, n)
+	}
+}
+
+// TestJSONLBlockDecodeAllocs is the same contract on JSONL: once the
+// ring's columns have grown, ReadBlock over canonical lines allocates
+// nothing. The corpus' strings are the empty gNB note, which costs
+// nothing, and one RRC cause, which the decoder reuses from the previous
+// RRC line instead of allocating it again; a Note or Cause that differs
+// from the line before costs its one string.
+func TestJSONLBlockDecodeAllocs(t *testing.T) {
+	var input []byte
+	for i := 0; i < 3; i++ {
+		for _, rec := range benchCorpus() {
+			var err error
+			if input, err = fastEncodeRecord(input, rec); err != nil {
+				t.Fatal(err)
+			}
+			input = append(input, '\n')
+		}
+	}
+	sr := NewStreamReader(bytes.NewReader(input))
+	sr.Recycle(1)
+	read := func() {
+		if b, err := sr.ReadBlock(); err != nil || b.Len() != jsonlBlockLines {
+			t.Fatalf("block of %d, %v", b.Len(), err)
+		}
+	}
+	for i := 0; i < 4; i++ { // grow both generations, and the scanner
+		read()
+	}
+	if allocs := testing.AllocsPerRun(40, read); allocs != 0 {
+		t.Fatalf("steady-state JSONL ReadBlock allocates %v per block, want 0", allocs)
 	}
 }
 

@@ -1,0 +1,18 @@
+package trace
+
+// What the external tests (package trace_test, which may import the
+// scenario catalog where this package's own tests cannot) share with
+// the internal ones.
+var (
+	FastAcceptLines = fastAcceptLines
+	FastBailLines   = fastBailLines
+	JSONLFuzzSeeds  = jsonlFuzzSeeds
+)
+
+// BlockRecords materialises a block's records into storage of their
+// own, in stream order.
+func BlockRecords(b *Block) []Record {
+	c := *b
+	c.Stats = append([]WebRTCStatsRecord(nil), b.Stats...)
+	return new(blockStorage).records(&c)
+}

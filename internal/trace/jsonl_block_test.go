@@ -1,0 +1,220 @@
+package trace_test
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/domino5g/domino/internal/scenario"
+	"github.com/domino5g/domino/internal/sim"
+	"github.com/domino5g/domino/internal/trace"
+)
+
+// viaNext drains a JSONL stream record by record.
+func viaNext(input []byte) (recs []trace.Record, err error) {
+	sr := trace.NewStreamReader(bytes.NewReader(input))
+	for {
+		rec, err := sr.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// viaBlocks drains the same stream block by block at the given Recycle
+// depth, materialising each block's records before the next is read,
+// and also returns the block sizes.
+func viaBlocks(input []byte, depth int) (recs []trace.Record, sizes []int, err error) {
+	sr := trace.NewStreamReader(bytes.NewReader(input))
+	sr.Recycle(depth)
+	for {
+		b, err := sr.ReadBlock()
+		if err == io.EOF {
+			return recs, sizes, nil
+		}
+		if err != nil {
+			return recs, sizes, err
+		}
+		sizes = append(sizes, b.Len())
+		if b.Header != nil {
+			h := *b.Header
+			recs = append(recs, trace.Record{Header: &h})
+		} else {
+			recs = append(recs, trace.BlockRecords(b)...)
+		}
+	}
+}
+
+// diffBlocksAndNext requires ReadBlock and Next to yield the same
+// records and the same terminal error over input, and returns them with
+// the block sizes.
+func diffBlocksAndNext(t testing.TB, input []byte) ([]trace.Record, []int, error) {
+	t.Helper()
+	want, wantErr := viaNext(input)
+	var sizes []int
+	for _, depth := range []int{0, 1} {
+		got, blocks, err := viaBlocks(input, depth)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("depth %d: error\nblocks %v\nnext   %v", depth, err, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("depth %d: %d records from blocks, %d from Next", depth, len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("depth %d: record %d\nblocks %+v\nnext   %+v", depth, i, got[i], want[i])
+			}
+		}
+		sizes = blocks
+	}
+	return want, sizes, wantErr
+}
+
+// canonicalLines is a header line and n data lines of every type in the
+// encoder's own form.
+func canonicalLines(n int) []string {
+	lines := []string{`{"type":"header","data":{"cell_name":"c","duration_us":0,"has_gnb_log":true}}`}
+	for i := 0; len(lines) <= n; i++ {
+		lines = append(lines,
+			fmt.Sprintf(`{"type":"dci","data":{"At":%d,"Dir":1,"RNTI":70,"OwnPRB":%d,"OtherPRB":3,"MCS":4,"TBSBits":5,"UsedBits":6,"HARQRetx":true,"RLCRetx":false,"Proactive":true,"Unused":false}}`, i, i%50),
+			fmt.Sprintf(`{"type":"pkt","data":{"Seq":%d,"Kind":1,"Dir":0,"Size":1200,"SentAt":%d,"Arrived":%d}}`, i, i, i+9000),
+			fmt.Sprintf(`{"type":"gnb","data":{"At":%d,"Kind":0,"Dir":1,"BufferBytes":%d,"RNTI":0,"Note":"n%d"}}`, i, 100*i, i%3),
+			fmt.Sprintf(`{"type":"stats","data":{"At":%d,"Local":true,"InboundFPS":29.97,"TargetBitrateBps":2.5e+06,"GCCNetState":1}}`, i),
+			fmt.Sprintf(`{"type":"rrc","data":{"At":%d,"Connected":%t,"RNTI":70,"Cause":"inactivity"}}`, i, i%2 == 0))
+	}
+	return lines[:n+1]
+}
+
+func join(lines []string) []byte { return []byte(strings.Join(lines, "\n") + "\n") }
+
+// plantLine returns lines with line inserted as data line at (the
+// header is line 0).
+func plantLine(lines []string, at int, line string) []string {
+	out := append([]string(nil), lines[:at+1]...)
+	return append(append(out, line), lines[at+1:]...)
+}
+
+// TestJSONLReadBlockMatchesNext pins the JSONL block path to the record
+// path: whatever the stream — every registered scenario's trace, each
+// hand-picked fast-path and fallback line, a malformed line anywhere in
+// a block, a second header — records materialised from ReadBlock equal
+// Next's one for one, and the stream ends in the same error.
+func TestJSONLReadBlockMatchesNext(t *testing.T) {
+	for i, name := range scenario.Names() {
+		sc, err := scenario.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := sc.Build(uint64(31 + i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteJSONL(&buf, sess.Run(3*sim.Second)); err != nil {
+			t.Fatal(err)
+		}
+		recs, sizes, err := diffBlocksAndNext(t, buf.Bytes())
+		if err != nil || len(sizes) < 4 {
+			t.Fatalf("%s: %d records in %d blocks, err %v", name, len(recs), len(sizes), err)
+		}
+	}
+
+	const block = 256
+	lines := canonicalLines(3 * block)
+	for _, line := range append(append([]string(nil), trace.FastAcceptLines...), trace.FastBailLines...) {
+		diffBlocksAndNext(t, join(plantLine(lines, block+7, line)))
+	}
+
+	t.Run("malformed", func(t *testing.T) {
+		for _, at := range []int{block, block + block/2, 2*block - 1} {
+			recs, sizes, err := diffBlocksAndNext(t, join(plantLine(lines, at, `{"type":"dci","data":{"At":`)))
+			wantErr := fmt.Sprintf("trace: line %d: unexpected end of JSON input", at+2)
+			if err == nil || err.Error() != wantErr || len(recs) != at+1 {
+				t.Fatalf("planted at %d: %d records, err %v; want %d records, %s", at, len(recs), err, at+1, wantErr)
+			}
+			// The block ends before the bad line; an empty one is not returned.
+			want := []int{1, block}
+			if at > block {
+				want = append(want, at-block)
+			}
+			if !reflect.DeepEqual(sizes, want) {
+				t.Fatalf("planted at %d: block sizes %v, want %v", at, sizes, want)
+			}
+		}
+	})
+
+	t.Run("header mid-stream", func(t *testing.T) {
+		_, sizes, err := diffBlocksAndNext(t, join(plantLine(lines, block+9, lines[0])))
+		if want := []int{1, block, 9, 1, block, block - 9}; err != nil || !reflect.DeepEqual(sizes, want) {
+			t.Fatalf("block sizes %v, err %v; want %v", sizes, err, want)
+		}
+	})
+
+	t.Run("recycle", func(t *testing.T) {
+		sr := trace.NewStreamReader(bytes.NewReader(join(canonicalLines(6 * block))))
+		sr.Recycle(1)
+		var blocks []*trace.Block
+		var snaps [][]trace.Record
+		for {
+			b, err := sr.ReadBlock()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Header != nil {
+				continue
+			}
+			blocks, snaps = append(blocks, b), append(snaps, trace.BlockRecords(b))
+			k := len(blocks) - 1
+			if k >= 1 && !reflect.DeepEqual(trace.BlockRecords(blocks[k-1]), snaps[k-1]) {
+				t.Fatalf("block %d overwritten by the next ReadBlock", k-1)
+			}
+			if k >= 2 && blocks[k-2] != b {
+				t.Fatalf("block %d did not reuse block %d's storage", k, k-2)
+			}
+		}
+		if len(blocks) != 6 {
+			t.Fatalf("%d blocks, want 6", len(blocks))
+		}
+	})
+}
+
+// TestStreamReaderLineCap pins the longest line the reader takes: 1 MiB
+// less the newline, through Next and ReadBlock alike.
+func TestStreamReaderLineCap(t *testing.T) {
+	line := func(n int) string {
+		const head, tail = `{"type":"gnb","data":{"Note":"`, `"}}`
+		return head + strings.Repeat("a", n-len(head)-len(tail)) + tail
+	}
+	input := join([]string{canonicalLines(0)[0], line(1<<20 - 1), line(1 << 20)})
+	recs, sizes, err := diffBlocksAndNext(t, input)
+	const wantErr = "trace: line 3: bufio.Scanner: token too long"
+	if err == nil || err.Error() != wantErr || len(recs) != 2 || len(recs[1].GNB.Note) < 1<<20-64 {
+		t.Fatalf("%d records, err %v; want 2 records, %s", len(recs), err, wantErr)
+	}
+	if want := []int{1, 1}; !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("block sizes %v, want %v", sizes, want)
+	}
+}
+
+// FuzzJSONLBlock feeds arbitrary bytes to the JSONL reader twice, as
+// blocks and as records: identical records and error, whatever the
+// stream.
+func FuzzJSONLBlock(f *testing.F) {
+	for _, seed := range trace.JSONLFuzzSeeds(f) {
+		f.Add(seed)
+	}
+	f.Add(string(join(plantLine(canonicalLines(300), 280, `{"type":"rrc","data":{"Cause":"aAb"}}`))))
+	f.Fuzz(func(t *testing.T, input string) {
+		diffBlocksAndNext(t, []byte(input))
+	})
+}

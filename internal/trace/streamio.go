@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -59,21 +58,35 @@ func (r Record) IsZero() bool {
 		r.Packet == nil && r.Stats == nil && r.RRC == nil
 }
 
-// StreamReader decodes a JSONL trace incrementally, one record per
-// Next call, without buffering the full set. It accepts exactly the
+// StreamReader decodes a JSONL trace incrementally — one record per
+// Next call, or up to jsonlBlockLines of them per ReadBlock call, in
+// columns — without buffering the full set. It accepts exactly the
 // format WriteJSONL produces and keeps the same per-line error
-// reporting as the batch ReadJSONL (which is built on top of it).
+// reporting as the batch ReadJSONL (which is built on top of it). A
+// consumer uses either ReadBlock or the RecordReader methods on one
+// reader, not both.
 type StreamReader struct {
 	sc     *bufio.Scanner
 	lineNo int
 	hdr    *Header
 	err    error
+
+	row  lineRow // what every line decodes into
+	slow int     // lines the fast tier left to encoding/json
+
+	ring    *BlockRing // ReadBlock's storage; nil allocates a block per call
+	pending *Header    // a header line that cut the previous block short
 }
+
+// maxJSONLLine caps one line; a longer one fails the stream with
+// bufio.ErrTooLong. The scanner starts far below the cap and grows to
+// it on demand: an ingest request is typically a fraction of it.
+const maxJSONLLine = 1 << 20
 
 // NewStreamReader returns a streaming decoder over r.
 func NewStreamReader(r io.Reader) *StreamReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), maxJSONLLine)
 	return &StreamReader{sc: sc}
 }
 
@@ -88,11 +101,18 @@ func (sr *StreamReader) Header() (Header, bool) {
 // Line returns the number of lines consumed so far.
 func (sr *StreamReader) Line() int { return sr.lineNo }
 
-// Next returns the next record. It returns io.EOF at a clean end of
-// stream; any other error is terminal and repeated on later calls.
-func (sr *StreamReader) Next() (Record, error) {
+// SlowLines returns how many of the lines consumed so far were not in
+// the fast decoder's subset (whitespace aside: reordered or unknown
+// keys, escapes, nulls, exotic numbers, malformed lines) and went
+// through encoding/json, at several times the cost.
+func (sr *StreamReader) SlowLines() int { return sr.slow }
+
+// decodeLine scans the next line into sr.row and returns its kind. It
+// returns io.EOF at a clean end of stream; any other error is terminal
+// and repeated on later calls.
+func (sr *StreamReader) decodeLine() (int, error) {
 	if sr.err != nil {
-		return Record{}, sr.err
+		return 0, sr.err
 	}
 	if !sr.sc.Scan() {
 		if err := sr.sc.Err(); err != nil {
@@ -100,67 +120,86 @@ func (sr *StreamReader) Next() (Record, error) {
 		} else {
 			sr.err = io.EOF
 		}
-		return Record{}, sr.err
+		return 0, sr.err
 	}
 	sr.lineNo++
 	// Fast path: field-scanning decoder for canonically encoded lines
 	// (the overwhelming case — WriteJSONL output and dominod ingest).
-	// Anything it does not recognize falls through to the reflection
-	// path below, which doubles as the differential-test oracle.
-	if rec, ok := fastDecodeLine(sr.sc.Bytes()); ok {
-		if rec.Header != nil {
-			sr.hdr = rec.Header
+	// Anything it does not recognize goes through the reflection path,
+	// which doubles as the differential-test oracle.
+	kind, ok := sr.row.fastDecode(sr.sc.Bytes())
+	if !ok {
+		sr.slow++
+		var err error
+		if kind, err = sr.row.slowDecode(sr.sc.Bytes()); err != nil {
+			sr.err = fmt.Errorf("trace: line %d: %w", sr.lineNo, err)
+			return 0, sr.err
 		}
-		return rec, nil
 	}
-	fail := func(err error) (Record, error) {
-		sr.err = fmt.Errorf("trace: line %d: %w", sr.lineNo, err)
-		return Record{}, sr.err
+	if kind == lineHeader {
+		sr.hdr = sr.row.header()
 	}
-	var line jsonLine
-	if err := json.Unmarshal(sr.sc.Bytes(), &line); err != nil {
-		return fail(err)
-	}
-	switch line.Type {
-	case "header":
-		var h jsonHeader
-		if err := json.Unmarshal(line.Data, &h); err != nil {
-			return fail(err)
-		}
-		hdr := Header{CellName: h.CellName, Scenario: h.Scenario, Duration: sim.Time(h.Duration), HasGNBLog: h.HasGNBLog}
-		sr.hdr = &hdr
-		return Record{Header: &hdr}, nil
-	case "dci":
-		var v DCIRecord
-		if err := json.Unmarshal(line.Data, &v); err != nil {
-			return fail(err)
-		}
-		return Record{DCI: &v}, nil
-	case "gnb":
-		var v GNBLogRecord
-		if err := json.Unmarshal(line.Data, &v); err != nil {
-			return fail(err)
-		}
-		return Record{GNB: &v}, nil
-	case "pkt":
-		var v PacketRecord
-		if err := json.Unmarshal(line.Data, &v); err != nil {
-			return fail(err)
-		}
-		return Record{Packet: &v}, nil
-	case "stats":
-		var v WebRTCStatsRecord
-		if err := json.Unmarshal(line.Data, &v); err != nil {
-			return fail(err)
-		}
-		return Record{Stats: &v}, nil
-	case "rrc":
-		var v RRCRecord
-		if err := json.Unmarshal(line.Data, &v); err != nil {
-			return fail(err)
-		}
-		return Record{RRC: &v}, nil
-	default:
-		return fail(fmt.Errorf("unknown record type %q", line.Type))
-	}
+	return kind, nil
 }
+
+// Next returns the next record. It returns io.EOF at a clean end of
+// stream; any other error is terminal and repeated on later calls.
+func (sr *StreamReader) Next() (Record, error) {
+	kind, err := sr.decodeLine()
+	if err != nil {
+		return Record{}, err
+	}
+	if kind == lineHeader {
+		return Record{Header: sr.hdr}, nil
+	}
+	return sr.row.record(kind), nil
+}
+
+// jsonlBlockLines is how many lines ReadBlock decodes into one block.
+const jsonlBlockLines = 256
+
+// ReadBlock returns the next lines in columnar form, the unit
+// stream.Analyzer.PushBlock consumes: a header line as a header block,
+// else up to jsonlBlockLines data lines. A header line arriving after
+// data lines ends their block and is the next call's block; a line that
+// fails to decode likewise ends the block before it, and its error is
+// the next call's. A nil block with io.EOF marks a clean end of stream.
+// Blocks are freshly allocated unless Recycle bounded their lifetime.
+func (sr *StreamReader) ReadBlock() (*Block, error) {
+	if h := sr.pending; h != nil {
+		sr.pending = nil
+		return &Block{Header: h}, nil
+	}
+	var b *Block
+	for b == nil || len(b.Tags) < jsonlBlockLines {
+		kind, err := sr.decodeLine()
+		switch { // what ends a block is the next call's
+		case err != nil && b == nil:
+			return nil, err
+		case err != nil:
+			return b, nil
+		case kind == lineHeader && b == nil:
+			return &Block{Header: sr.hdr}, nil
+		case kind == lineHeader:
+			sr.pending = sr.hdr
+			return b, nil
+		}
+		if b == nil {
+			b = sr.ring.next()
+		}
+		b.appendRow(kind, &sr.row)
+	}
+	return b, nil
+}
+
+// Recycle is BinaryStreamReader.Recycle for ReadBlock: block storage is
+// reused round-robin across depth+1 generations, so a block stays
+// intact while depth further blocks are read and is overwritten in
+// place by the one after. Call before the first read; depth <= 0
+// restores a fresh block per call.
+func (sr *StreamReader) Recycle(depth int) { sr.ring = NewBlockRing(depth) }
+
+// RecycleInto is Recycle with generations the caller owns and may hand
+// to the next reader when this one is done: a short upload then reuses
+// columns already grown instead of growing its own.
+func (sr *StreamReader) RecycleInto(ring *BlockRing) { sr.ring = ring }

@@ -163,19 +163,28 @@ func TestReadJSONLFailsFastOnMissingHeader(t *testing.T) {
 	}
 }
 
+// jsonlFuzzSeeds is the seed corpus of the JSONL stream fuzz targets.
+func jsonlFuzzSeeds(t testing.TB) []string {
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, sampleSet()); err != nil {
+		t.Fatal(err)
+	}
+	return []string{
+		buf.String(),
+		"",
+		`{"type":"header","data":{}}` + "\n",
+		`{"type":"pkt","data":{"SentAt":-1}}`,
+		strings.Repeat(`{"type":"rrc","data":{}}`+"\n", 3),
+	}
+}
+
 // FuzzReadJSONL feeds arbitrary bytes to both readers: neither may
 // panic, and they must agree on input acceptability (ReadJSONL is
 // built on StreamReader, so a divergence means the wrapper broke).
 func FuzzReadJSONL(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, sampleSet()); err != nil {
-		f.Fatal(err)
+	for _, seed := range jsonlFuzzSeeds(f) {
+		f.Add(seed)
 	}
-	f.Add(buf.String())
-	f.Add("")
-	f.Add(`{"type":"header","data":{}}` + "\n")
-	f.Add(`{"type":"pkt","data":{"SentAt":-1}}`)
-	f.Add(strings.Repeat(`{"type":"rrc","data":{}}`+"\n", 3))
 	f.Fuzz(func(t *testing.T, input string) {
 		_, batchErr := ReadJSONL(strings.NewReader(input))
 
