@@ -50,10 +50,11 @@ test:
 	$(GO) test -race ./...
 
 # Fuzz smoke: `go test` alone only replays each fuzz target's seeds.
-# This runs every parser that faces the network (both trace codecs,
-# JSONL by record and by block) and the block analysis path behind them
-# under the fuzzer for a few seconds each — `-fuzz` takes one target and
-# one package per run.
+# This runs every parser that faces the network or the disk (both trace
+# codecs, JSONL by record and by block, the balancer's /metrics scrape
+# parser, the RCA-store checkpoint loader) and the block analysis path
+# behind them under the fuzzer for a few seconds each — `-fuzz` takes
+# one target and one package per run.
 # A failing input is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryStreamReader$$' -fuzztime 5s ./internal/trace
@@ -62,6 +63,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecDifferential$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONLBlock$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzPushBlock$$' -fuzztime 5s ./internal/stream
+	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 5s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/rcastore
 
 # One iteration of every benchmark: regenerates every paper artifact
 # through the batch engine (sequential and parallel) as a smoke test.
@@ -81,9 +84,11 @@ bench-json:
 
 # Perf-regression gate: run the gated benchmarks fresh, convert to
 # JSON (BENCH_fresh.json), and compare against the committed
-# BENCH_scenarios.json baseline. Fails (exit 1) when any throughput
-# metric drops — or allocation metric grows — by more than 30%, and
-# when a baselined benchmark vanishes. The report lands in
+# BENCH_scenarios.json baseline. Fails (exit 1) on what a host other
+# than the baseline's can decide: an allocation metric that grows by
+# more than 30%, a broken zero-alloc contract, a baselined benchmark
+# that vanished, a floor not cleared. Throughput (/s) rows are printed
+# beside the baseline as information. The report lands in
 # BENCH_diff.txt; CI uploads both artifacts.
 bench-diff:
 	$(GO) test -bench='$(BENCH_GATE_PATTERN)' -benchtime=3x -count=5 -run='^$$' $(BENCH_GATE_PKGS) > BENCH_raw.txt

@@ -45,20 +45,21 @@ func TestBenchdiffPass(t *testing.T) {
 	}
 }
 
-func TestBenchdiffThroughputRegression(t *testing.T) {
+func TestBenchdiffThroughputNotGated(t *testing.T) {
+	// A 40% throughput drop is what a busier host does to an unchanged
+	// tree: it is shown beside the baseline and never fails.
 	current := strings.ReplaceAll(baselineDoc, `"sim-s/s":1000`, `"sim-s/s":600`)
 	code, out := runDiff(t, baselineDoc, current)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\n%s", code, out)
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0 (/s rows are information)\n%s", code, out)
 	}
-	if !strings.Contains(out, "REGRESSED") || !strings.Contains(out, "sim-s/s") {
-		t.Fatalf("regression not reported:\n%s", out)
+	if !strings.Contains(out, "-40.0%  info") || strings.Contains(out, "REGRESSED") {
+		t.Fatalf("throughput drop not reported as information:\n%s", out)
 	}
 }
 
 func TestBenchdiffNsOpNotGated(t *testing.T) {
-	// ns/op tripling alone must not fail the gate (throughput metrics
-	// carry the contract).
+	// ns/op tripling alone must not fail the gate.
 	current := strings.ReplaceAll(baselineDoc, `"ns/op":1e7`, `"ns/op":3e7`)
 	code, out := runDiff(t, baselineDoc, current)
 	if code != 0 {
@@ -142,7 +143,7 @@ func TestBenchdiffNewBenchmarkIsAdvisory(t *testing.T) {
 }
 
 func TestBenchdiffImprovementHint(t *testing.T) {
-	current := strings.ReplaceAll(baselineDoc, `"sim-s/s":1000`, `"sim-s/s":2000`)
+	current := strings.ReplaceAll(baselineDoc, `"rec/s":2000000,"allocs/rec":1`, `"rec/s":2000000,"allocs/rec":0.5`)
 	code, out := runDiff(t, baselineDoc, current)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\n%s", code, out)
@@ -160,14 +161,14 @@ func TestBenchdiffGateSummaryLine(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	last := lines[len(lines)-1]
-	if !strings.HasPrefix(last, "gate summary: PASS") || !strings.Contains(last, "6 gated metric(s) compared, 6 ok, 0 regressed") {
+	if !strings.HasPrefix(last, "gate summary: PASS") || !strings.Contains(last, "2 gated metric(s) compared, 2 ok, 0 regressed") {
 		t.Fatalf("summary line wrong: %q", last)
 	}
 
 	// Regressions and vanished benchmarks flip the verdict and counts.
 	current := `{"benchmarks":[
 		{"name":"BenchmarkScenarioTraceGen/amarisoft","iterations":1,"metrics":{"ns/op":1e7,"records/s":1000000,"sim-s/s":600}},
-		{"name":"BenchmarkCodecEncode/fast","iterations":1,"metrics":{"rec/s":5000000,"allocs/rec":0}}
+		{"name":"BenchmarkCodecEncode/fast","iterations":1,"metrics":{"rec/s":5000000,"allocs/rec":1}}
 	]}`
 	code, out = runDiff(t, baselineDoc, current)
 	if code != 1 {
@@ -181,13 +182,16 @@ func TestBenchdiffGateSummaryLine(t *testing.T) {
 }
 
 func TestBenchdiffThreshold(t *testing.T) {
-	// 25% drop passes at the default 30% gate, fails at 20%.
-	current := strings.ReplaceAll(baselineDoc, `"sim-s/s":1000`, `"sim-s/s":750`)
-	if code, out := runDiff(t, baselineDoc, current); code != 0 {
-		t.Fatalf("exit = %d, want 0 at default gate\n%s", code, out)
+	// The allocation tolerance is the constant 30%: 25% growth passes,
+	// 35% fails.
+	grow := func(to string) string {
+		return strings.ReplaceAll(baselineDoc, `"rec/s":2000000,"allocs/rec":1`, `"rec/s":2000000,"allocs/rec":`+to)
 	}
-	if code, out := runDiff(t, baselineDoc, current, "-max-regress", "0.2"); code != 1 {
-		t.Fatalf("exit = %d, want 1 at 20%% gate\n%s", code, out)
+	if code, out := runDiff(t, baselineDoc, grow("1.25")); code != 0 {
+		t.Fatalf("exit = %d, want 0 at 25%% growth\n%s", code, out)
+	}
+	if code, out := runDiff(t, baselineDoc, grow("1.35")); code != 1 {
+		t.Fatalf("exit = %d, want 1 at 35%% growth\n%s", code, out)
 	}
 }
 
@@ -294,7 +298,7 @@ func TestBenchdiffUsageErrors(t *testing.T) {
 	dir := t.TempDir()
 	b := writeDoc(t, dir, "base.json", baselineDoc)
 	c := writeDoc(t, dir, "cur.json", baselineDoc)
-	if code := run([]string{"-baseline", b, "-current", c, "-max-regress", "1.5"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("bad threshold: exit = %d, want 2", code)
+	if code := run([]string{"-baseline", b, "-current", c, "-max-regress", "0.2"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("the deleted -max-regress flag: exit = %d, want 2", code)
 	}
 }

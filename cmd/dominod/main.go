@@ -21,18 +21,22 @@
 // single session from standard input and prints the final report,
 // mirroring cmd/domino but via the streaming path.
 //
-// Durability: with -store-spill (or an explicit -store-journal) every
-// completed report is also appended to a crash-consistent write-ahead
-// journal, fsync-batched per -store-sync and folded into an
-// atomic-rename checkpoint every -checkpoint-every reports and at
-// shutdown. After a crash the store recovers byte-identical to a
-// graceful shutdown: checkpoint load, journal tail replay (a torn
-// final record is discarded), session-level dedup across the
-// checkpoint crash window. SIGTERM drains in-flight sessions up to
-// -drain before the final checkpoint, with /healthz reporting
-// "draining" so routers fail over first. Store retention is bounded by
-// -store-blocks; -store-spill FILE reloads history at boot and, with
-// the journal off, spills it back on shutdown.
+// Durability: persistence is on when a journal path resolves —
+// -store-journal FILE, or -store-spill FILE (the journal is then
+// FILE.wal) — and there is one path through it. Every completed report
+// is appended to a crash-consistent write-ahead journal, fsync-batched
+// per -store-sync and folded into an atomic-rename checkpoint
+// (-store-spill FILE, default <journal>.ckpt) every -checkpoint-every
+// reports and at shutdown. Both files are the CRC-framed segments of
+// internal/rcastore; GET /query is the JSON view of what they hold.
+// After a crash the store recovers byte-identical to a graceful
+// shutdown: checkpoint load, journal replay (a torn final frame is
+// discarded), session-level dedup across the checkpoint crash window.
+// SIGTERM drains in-flight sessions up to -drain before the final
+// checkpoint, with /healthz reporting "draining" so routers fail over
+// first. Store retention is bounded by -store-blocks. -store-journal
+// off alone means no persistence; with -store-spill it is a usage
+// error, because a checkpoint is only ever written through the journal.
 package main
 
 import (
@@ -69,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	lateness := fs.Duration("lateness", 0, "accepted record out-of-orderness (e.g. 100ms)")
 	dropLate := fs.Bool("drop-late", false, "count and drop too-late records instead of failing the stream")
 	storeBlocks := fs.Int("store-blocks", 4096, "retained RCA-store blocks of 256 reports each (0 = unbounded)")
-	storeSpill := fs.String("store-spill", "", "RCA-store spill file: loaded at startup if present, written at shutdown")
+	storeSpill := fs.String("store-spill", "", "RCA-store checkpoint file: recovered at startup with its journal, rewritten every -checkpoint-every reports and at shutdown")
 	stdin := fs.Bool("stdin", false, "analyze one session from standard input and exit")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (disabled when empty)")
@@ -154,10 +158,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if journalPath == "off" {
 		journalPath = ""
 	}
-	switch {
-	case !*stdin && journalPath != "":
-		// Durable mode: crash-recover checkpoint + journal tail, then
-		// keep journaling. The spill file doubles as the checkpoint.
+	if journalPath == "" && *storeSpill != "" {
+		fmt.Fprintln(stderr, "dominod: -store-spill needs the journal: a checkpoint is written only through it (drop -store-journal off, or drop -store-spill for no persistence)")
+		return 2
+	}
+	if !*stdin && journalPath != "" {
+		// Crash-recover checkpoint + journal, then keep journaling;
+		// Shutdown writes the final checkpoint.
 		ckptPath := *storeSpill
 		if ckptPath == "" {
 			ckptPath = journalPath + ".ckpt"
@@ -178,19 +185,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"checkpoint", ckptPath, "journal", journalPath,
 			"checkpoint_rows", rstats.CheckpointRows, "replayed", rstats.Replayed,
 			"deduped", rstats.Deduped, "torn_tail", rstats.TornTail)
-	case *storeSpill != "":
-		if f, err := os.Open(*storeSpill); err == nil {
-			st, err := rcastore.Load(f, rcastore.Options{MaxBlocks: *storeBlocks})
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(stderr, "dominod: loading RCA store spill %s: %v\n", *storeSpill, err)
-				return 1
-			}
-			opts.Store = st
-		} else if !os.IsNotExist(err) {
-			fmt.Fprintln(stderr, "dominod:", err)
-			return 1
-		}
 	}
 
 	if *stdin {
@@ -239,36 +233,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "dominod:", err)
 			return 1
 		}
-		if opts.Journal == nil && *storeSpill != "" {
-			if err := spillStore(n.Store(), *storeSpill); err != nil {
-				fmt.Fprintln(stderr, "dominod: spilling RCA store:", err)
-				return 1
-			}
-			logger.Info("RCA store spilled", "path", *storeSpill, "stats", n.Store().Stats().String())
-		}
 		logger.Info("shut down")
 		return 0
 	}
-}
-
-// spillStore writes the store atomically: spill to a temp file in the
-// target directory, then rename over the destination.
-func spillStore(st *rcastore.Store, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := st.Spill(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // runStdin analyzes a single session from standard input through the

@@ -412,6 +412,23 @@ func TestRunStdin(t *testing.T) {
 	}
 }
 
+// TestSpillNeedsJournal: the one persistence path is the journal's, so
+// asking for a checkpoint file with the journal off is a usage error,
+// not a second, unsynced way to write one.
+func TestSpillNeedsJournal(t *testing.T) {
+	var out, errOut bytes.Buffer
+	spill := t.TempDir() + "/fleet.spill"
+	if code := run([]string{"-store-spill", spill, "-store-journal", "off"}, &out, &errOut); code != 2 {
+		t.Fatalf("exit %d, want 2; stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "-store-spill needs the journal") {
+		t.Fatalf("stderr does not say why: %s", errOut.String())
+	}
+	if _, err := os.Stat(spill); err == nil {
+		t.Fatal("a refused invocation wrote the checkpoint file")
+	}
+}
+
 // TestQueryAndSimilarEndpoints exercises the longitudinal store path:
 // completed sessions are auto-persisted, /query serves records and
 // aggregations that match batch analysis, and /incidents/similar ranks
@@ -545,18 +562,13 @@ func TestQueryAndSimilarEndpoints(t *testing.T) {
 		t.Fatalf("/metrics missing dominod_rcastore_rows 3:\n%s", body)
 	}
 
-	// Spill the live store and reload it the way run() does at boot:
-	// the reloaded history must answer queries identically.
-	path := t.TempDir() + "/fleet.jsonl"
-	if err := spillStore(srv.Store(), path); err != nil {
+	// Spill the live store as a checkpoint does and reload it: the
+	// reloaded history must answer queries identically.
+	var spill bytes.Buffer
+	if err := srv.Store().Spill(&spill); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := rcastore.Load(f, rcastore.Options{})
-	f.Close()
+	loaded, err := rcastore.Load(&spill, rcastore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
-// Command rcaquery runs longitudinal queries over a spilled fleet RCA
-// store offline — the same query engine dominod serves on /query and
-// /incidents/similar, pointed at a file instead of a live service.
+// Command rcaquery runs longitudinal queries over a fleet RCA store's
+// checkpoint file offline — the same query engine dominod serves on
+// /query and /incidents/similar, pointed at a file instead of a live
+// service. The checkpoint is binary (internal/rcastore's CRC-framed
+// segments); rcaquery, like /query, is how to read it as text or JSON.
 //
 // Usage:
 //
-//	rcaquery -store fleet.jsonl [filters] [action]
+//	rcaquery -store fleet.spill [filters] [action]
 //
 // Filters (combine freely):
 //
@@ -27,9 +29,9 @@
 //
 // Examples (the README cookbook):
 //
-//	rcaquery -store fleet.jsonl -last 1h -top-chains 5
-//	rcaquery -store fleet.jsonl -cause ul_scheduling -cause-rates 10m
-//	rcaquery -store fleet.jsonl -similar s0042 -k 3
+//	rcaquery -store fleet.spill -last 1h -top-chains 5
+//	rcaquery -store fleet.spill -cause ul_scheduling -cause-rates 10m
+//	rcaquery -store fleet.spill -similar s0042 -k 3
 package main
 
 import (
@@ -52,7 +54,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rcaquery", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	storePath := fs.String("store", "", "spilled RCA store (JSONL, written by dominod -store-spill or Store.Spill)")
+	storePath := fs.String("store", "", "RCA-store checkpoint file (written by dominod -store-spill or Store.Spill)")
 	cell := fs.String("cell", "", "filter: exact cell name")
 	scenario := fs.String("scenario", "", "filter: exact scenario name")
 	cause := fs.String("cause", "", "filter: cause class with at least one chain run")

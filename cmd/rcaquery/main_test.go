@@ -33,7 +33,7 @@ func writeFixtureStore(t *testing.T) string {
 		"ul_scheduling --> target_bitrate_down", "ul_scheduling", 7)
 	mk("s3", "fdd", "harq-storm", 60, []string{"harq_retx"},
 		"harq_retx --> jitter_buffer_drain", "harq_retx", 1)
-	path := filepath.Join(t.TempDir(), "fleet.jsonl")
+	path := filepath.Join(t.TempDir(), "fleet.spill")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -145,10 +145,10 @@ func TestBadInvocations(t *testing.T) {
 	if _, _, code := runCLI(t); code != 2 {
 		t.Fatalf("missing -store: exit %d, want 2", code)
 	}
-	if _, _, code := runCLI(t, "-store", "does-not-exist.jsonl"); code != 1 {
+	if _, _, code := runCLI(t, "-store", "does-not-exist.spill"); code != 1 {
 		t.Fatalf("missing file: exit %d, want 1", code)
 	}
-	bad := filepath.Join(t.TempDir(), "bad.jsonl")
+	bad := filepath.Join(t.TempDir(), "bad.spill")
 	if err := os.WriteFile(bad, []byte("not a store\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}

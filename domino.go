@@ -214,9 +214,11 @@ func NewScenarioSession(s Scenario, seed uint64) (*Session, error) { return s.Bu
 // the defaults (256-row blocks, unbounded retention).
 func NewRCAStore(opts RCAStoreOptions) *RCAStore { return rcastore.New(opts) }
 
-// LoadRCAStore rebuilds a store from a spilled JSONL stream (written by
-// RCAStore.Spill or dominod -store-spill). Loading and re-spilling an
-// unevicted store is byte-identical.
+// LoadRCAStore rebuilds a store from a checkpoint stream (written by
+// RCAStore.Spill or dominod -store-spill): one segment of CRC-framed,
+// dictionary-coded frames, the same frames dominod's journal holds. A
+// cut or corrupt stream is an error, never a shorter store. Loading and
+// re-spilling an unevicted store is byte-identical.
 func LoadRCAStore(r io.Reader, opts RCAStoreOptions) (*RCAStore, error) {
 	return rcastore.Load(r, opts)
 }

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -180,6 +182,59 @@ func TestFSJournalWriteFaults(t *testing.T) {
 	fs.FailSyncs(1)
 	if err := j.Sync(); err == nil {
 		t.Fatal("armed sync fault did not surface")
+	}
+}
+
+// TestFSJournalFailedWriteDropsItsNames is the hazard a dictionary-
+// coded journal adds: an append that fails takes its first-use names
+// with it, so a later row must not refer to a dict frame that never
+// reached the file. The journal starts a new segment after a failed
+// write; recovery then sees exactly the appends that succeeded, with
+// their own strings.
+func TestFSJournalFailedWriteDropsItsNames(t *testing.T) {
+	dir := t.TempDir()
+	wal := filepath.Join(dir, "w.wal")
+	fs := &FS{}
+	j, err := rcastore.OpenJournal(wal, rcastore.JournalOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(session string) rcastore.Record {
+		return rcastore.Record{Session: session, Cell: "fdd", Scenario: "grant-starvation",
+			Fired:   []string{"ul_scheduling", "harq_retx"},
+			Chains:  []rcastore.ChainRuns{{Chain: "ul_scheduling --> target_bitrate_down", Runs: 2}},
+			Causes:  []rcastore.CauseRuns{{Cause: "ul_scheduling", Runs: 2}},
+			Metrics: []rcastore.Metric{{Name: "deg_per_min", Value: 1.5}}}
+	}
+	if err := j.Append(rec("before")); err != nil {
+		t.Fatal(err)
+	}
+	fs.FailWrites(1)
+	if err := j.Append(fresh("lost")); err == nil {
+		t.Fatal("armed write fault did not surface")
+	}
+	want := []rcastore.Record{rec("before"), fresh("kept-1"), rec("kept-2"), fresh("kept-3")}
+	for _, r := range want[1:] {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	st, j2, stats, err := rcastore.Recover(filepath.Join(dir, "none.ckpt"), wal, rcastore.Options{}, rcastore.JournalOptions{})
+	if err != nil {
+		t.Fatalf("recovery after a failed append: %v", err)
+	}
+	j2.Close()
+	if stats.TornTail || stats.Replayed != len(want) {
+		t.Fatalf("stats = %+v, want %d rows replayed and no torn tail", stats, len(want))
+	}
+	for _, w := range want {
+		got := st.Query(rcastore.Query{Session: w.Session})
+		sort.Strings(w.Fired)
+		if len(got) != 1 || !reflect.DeepEqual(got[0], w) {
+			t.Fatalf("session %s recovered as %+v, want %+v", w.Session, got, w)
+		}
 	}
 }
 

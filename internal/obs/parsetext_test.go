@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 // roundTripRegistry builds a registry exercising every metric kind and
 // the exposition escapes, returns its snapshot.
-func roundTripSnapshot(t *testing.T) Snapshot {
+func roundTripSnapshot(t testing.TB) Snapshot {
 	t.Helper()
 	r := NewRegistry()
 	c := r.Counter("rt_requests_total", "Requests handled.", L("node", "a"), L("path", `with "quotes" and \slash`))
@@ -144,4 +145,38 @@ func TestParseTextIgnoresCommentsAndTimestamps(t *testing.T) {
 	if len(snap.Families) != 1 || snap.Families[0].Samples[0].Value != 7 {
 		t.Fatalf("snapshot: %+v", snap)
 	}
+}
+
+// FuzzParseText: the scrape parser faces backends over the network, so
+// it must never panic, and any text it accepts is a snapshot that
+// WriteText renders back into text ParseText reads as the same
+// snapshot — the federation seam loses nothing on the way through.
+func FuzzParseText(f *testing.F) {
+	var seed bytes.Buffer
+	if err := roundTripSnapshot(f).WriteText(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.String())
+	f.Add("# HELP a A.\n# TYPE a counter\na{node=\"n1\"} 3 1700000000\n")
+	f.Add("# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"1\"} 0\nh_bucket{le=\"+Inf\"} 2\nh_sum 3.5\nh_count 2\n")
+	f.Add("# HELP g G.\n# TYPE g gauge\ng NaN\ng{k=\"v\"} -Inf\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		snap, err := ParseText(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := snap.WriteText(&out); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseText(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("WriteText of an accepted snapshot does not parse: %v\ninput:\n%s\nrendered:\n%s", err, text, out.String())
+		}
+		// Compared as printed: a NaN gauge is a legal sample, and NaN is
+		// not DeepEqual to itself.
+		if want, got := fmt.Sprintf("%+v", snap), fmt.Sprintf("%+v", again); got != want {
+			t.Fatalf("ParseText(WriteText(s)) != s\ninput:\n%s\ns:     %s\nagain: %s", text, want, got)
+		}
+	})
 }

@@ -121,9 +121,9 @@ func BenchmarkRCAStoreQuery(b *testing.B) {
 }
 
 // BenchmarkRCAStoreJournalAppend measures the write-ahead journal's
-// append path at the default group-commit batch (SyncEvery 64): CRC
-// framing + JSON encode + batched fsync, the per-report durability tax
-// dominod pays on session completion.
+// append path at the default group-commit batch (SyncEvery 64):
+// interning + frame encode + batched fsync, the per-report durability
+// tax dominod pays on session completion.
 func BenchmarkRCAStoreJournalAppend(b *testing.B) {
 	recs := synthRecords(256)
 	j, err := OpenJournal(b.TempDir()+"/bench.wal", JournalOptions{SyncEvery: 64})
@@ -141,8 +141,8 @@ func BenchmarkRCAStoreJournalAppend(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkRCAStoreJournalReplay measures cold-start recovery: decode
-// + CRC-verify + dedup-check + insert for a 4096-record journal with
+// BenchmarkRCAStoreJournalReplay measures cold-start recovery: CRC
+// verify + frame decode + dedup-check + insert for a 4096-record journal with
 // no checkpoint, the worst-case restart cost per record.
 func BenchmarkRCAStoreJournalReplay(b *testing.B) {
 	recs := synthRecords(4096)

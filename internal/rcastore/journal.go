@@ -1,34 +1,32 @@
 package rcastore
 
 // This file is the store's durability layer: a crash-consistent
-// write-ahead journal plus checkpoint/recover. The spill file
-// (Store.Spill) remains the checkpoint format; the journal records
+// write-ahead journal plus checkpoint/recover. The journal records
 // every report inserted since the last checkpoint, so a crash loses at
 // most the appends an operator chose not to fsync yet (SyncEvery > 1)
 // instead of everything since boot.
 //
-// Layout on disk:
+// Both files are segments of the frames segment.go defines:
 //
-//	checkpoint  — a Spill stream, replaced atomically (tmp + rename)
-//	journal     — one framed line per Record appended since the last
-//	              checkpoint: crc32(payload) as 8 hex chars, a space,
-//	              the Record as JSON, '\n'
+//	checkpoint  — one Spill segment, replaced atomically (tmp + rename)
+//	journal     — the segments appended since the last checkpoint. A
+//	              segment begins lazily, on the first append after open,
+//	              after a checkpoint and after a failed write, so an
+//	              idle journal is 0 bytes and a row only ever refers to
+//	              dict frames written before it in its own segment.
 //
-// Recovery loads the checkpoint, replays the journal tail, tolerates a
-// torn final record (a crash mid-append), and deduplicates by session
-// ID so the crash window between "checkpoint renamed" and "journal
-// truncated" cannot double-insert. The recovered store spills
-// byte-identically to a gracefully shut-down one — pinned by
+// Recovery loads the checkpoint, replays the journal, tolerates a torn
+// final frame (a crash mid-append), and deduplicates by session ID so
+// the crash window between "checkpoint renamed" and "journal truncated"
+// cannot double-insert. The recovered store spills byte-identically to
+// a gracefully shut-down one — pinned by
 // TestJournalRecoverMatchesGracefulSpill.
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"strconv"
 	"sync"
 
 	"github.com/domino5g/domino/internal/obs"
@@ -102,11 +100,16 @@ type Journal struct {
 	mu        sync.Mutex
 	fs        FS
 	f         File
-	path      string
 	opts      JournalOptions
-	buf       []byte
 	sinceSync int
 	closed    bool
+
+	// The open segment: its dictionaries, and whether its start frame and
+	// every dict frame so far are known to have been written.
+	tables    tables
+	inSegment bool
+	enc       encoder
+	row       row
 }
 
 // OpenJournal opens (creating if absent) a journal for appending.
@@ -118,11 +121,8 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rcastore: opening journal: %w", err)
 	}
-	return &Journal{fs: opts.FS, f: f, path: path, opts: opts}, nil
+	return &Journal{fs: opts.FS, f: f, opts: opts, tables: newTables()}, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // SetHooks installs (or replaces) the journal's observability hooks.
 // Recovery runs before a service's metrics exist, so dominod recovers
@@ -133,27 +133,46 @@ func (j *Journal) SetHooks(h obs.Hooks) {
 	j.mu.Unlock()
 }
 
-// Append frames and writes one record, fsyncing per the SyncEvery
-// policy. An error leaves the journal usable: the failed entry may be
-// torn on disk, which recovery tolerates at the tail.
+// Append writes one record — and, in the same write, a start frame if
+// a segment must begin and a dict frame for every name the segment has
+// not seen — fsyncing per the SyncEvery policy. An error leaves the
+// journal usable: the failed entry may be torn on disk, which recovery
+// tolerates at the tail, and the next append begins a new segment.
 func (j *Journal) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("rcastore: encoding journal record: %w", err)
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return fmt.Errorf("rcastore: journal closed")
 	}
-	j.buf = j.buf[:0]
-	j.buf = appendCRC(j.buf, payload)
-	j.buf = append(j.buf, ' ')
-	j.buf = append(j.buf, payload...)
-	j.buf = append(j.buf, '\n')
-	if _, err := j.f.Write(j.buf); err != nil {
+	e, dicts := &j.enc, j.tables.all()
+	e.out = e.out[:0]
+	if !j.inSegment {
+		for _, d := range dicts {
+			d.names = d.names[:0]
+			clear(d.index)
+		}
+		e.start()
+	}
+	// Until the write lands the segment is not one to append to: a dict
+	// frame that never reached the file must not be referred to later.
+	j.inSegment = false
+	var before [numDicts]int
+	for which, d := range dicts {
+		before[which] = len(d.names)
+	}
+	j.tables.intern(&rec, &j.row)
+	for which, d := range dicts {
+		e.dict(which, d.names[before[which]:])
+	}
+	e.row(&j.row)
+	if err := e.err; err != nil {
+		e.err = nil
+		return err
+	}
+	if _, err := j.f.Write(e.out); err != nil {
 		return fmt.Errorf("rcastore: journal append: %w", err)
 	}
+	j.inSegment = true
 	if j.opts.Hooks != nil {
 		j.opts.Hooks.JournalAppended(1)
 	}
@@ -177,6 +196,8 @@ func (j *Journal) Sync() error {
 func (j *Journal) syncLocked() error {
 	j.sinceSync = 0
 	if err := j.f.Sync(); err != nil {
+		// The kernel may have dropped what the sync failed to write.
+		j.inSegment = false
 		return fmt.Errorf("rcastore: journal sync: %w", err)
 	}
 	if j.opts.Hooks != nil {
@@ -247,6 +268,7 @@ func (j *Journal) Checkpoint(st *Store, checkpointPath string) error {
 	if err := j.f.Truncate(0); err != nil {
 		return fmt.Errorf("rcastore: truncating journal after checkpoint: %w", err)
 	}
+	j.inSegment = false
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("rcastore: syncing truncated journal: %w", err)
 	}
@@ -292,7 +314,7 @@ func Recover(checkpointPath, journalPath string, opts Options, jopts JournalOpti
 	}
 	stats.CheckpointRows = st.Len()
 
-	goodOffset, torn, err := replayJournal(fs, journalPath, st, &stats)
+	goodOffset, err := replayJournal(fs, journalPath, st, &stats)
 	if err != nil {
 		return nil, nil, stats, err
 	}
@@ -301,8 +323,8 @@ func Recover(checkpointPath, journalPath string, opts Options, jopts JournalOpti
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	if torn {
-		// Drop the torn record so the next append starts a clean frame.
+	if stats.TornTail {
+		// Drop the torn frame so the next append starts a clean one.
 		if err := j.f.Truncate(goodOffset); err != nil {
 			j.Close()
 			return nil, nil, stats, fmt.Errorf("rcastore: truncating torn journal tail: %w", err)
@@ -332,96 +354,54 @@ func loadCheckpoint(fs FS, path string, opts Options) (*Store, error) {
 	return st, nil
 }
 
-// replayJournal replays journalPath into st, skipping records whose
-// session is already stored. It returns the offset of the end of the
-// last valid record and whether a torn tail follows it. A malformed
-// record that is NOT the final one is corruption and fails recovery —
-// torn writes can only happen at the tail.
-func replayJournal(fs FS, path string, st *Store, stats *RecoveryStats) (int64, bool, error) {
+// replayJournal replays journalPath into st, skipping rows whose
+// session is already stored, and returns the offset of the end of the
+// last whole frame. Only the tail may be torn: a file that ends inside
+// a frame, bytes that start no frame, or a bad checksum on the very
+// last frame set stats.TornTail. A bad checksum with anything after it,
+// or a checksummed frame that makes no sense, is corruption and fails
+// recovery.
+func replayJournal(fs FS, path string, st *Store, stats *RecoveryStats) (int64, error) {
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, false, nil
+			return 0, nil
 		}
-		return 0, false, fmt.Errorf("rcastore: opening journal: %w", err)
+		return 0, fmt.Errorf("rcastore: opening journal: %w", err)
 	}
-	data, err := io.ReadAll(f)
-	f.Close()
-	if err != nil {
-		return 0, false, fmt.Errorf("rcastore: reading journal: %w", err)
+	defer f.Close()
+	fr := newFrameReader(f)
+	if err := fr.legacy(); err != nil {
+		return 0, err
 	}
-
-	seen := st.sessionSet()
-	var goodOffset int64
-	entry := 0
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		lineEnd := nl
-		if nl < 0 {
-			lineEnd = len(data)
-		}
-		line := data[:lineEnd]
-		entry++
-		rec, derr := decodeJournalLine(line)
-		if nl < 0 {
-			// No commit newline: the final record was torn mid-write,
-			// whatever its bytes happen to decode as.
-			stats.TornTail = true
-			stats.TornBytes = int64(len(data))
-			return goodOffset, true, nil
-		}
-		if derr != nil {
-			// A bad record is only a crash artifact at the very tail;
-			// earlier it is corruption and recovery must not guess.
-			if len(bytes.TrimSpace(data[nl+1:])) > 0 {
-				return 0, false, fmt.Errorf("rcastore: journal entry %d corrupt: %v", entry, derr)
+	d := decoder{st: st, seen: st.sessionSet(), stats: stats}
+	for {
+		at := fr.off
+		kind, p, err := fr.next()
+		switch {
+		case err == nil:
+			err = d.frame(kind, p)
+		case err == io.EOF:
+			return at, nil
+		case errors.Is(err, errChecksum):
+			if _, last := fr.r.Peek(1); last == nil {
+				break // something follows the bad frame: not a torn write
 			}
-			stats.TornTail = true
-			stats.TornBytes = int64(len(data))
-			return goodOffset, true, nil
+			fallthrough
+		case errors.Is(err, errTorn):
+			rest, err := io.Copy(io.Discard, fr.r)
+			if err != nil {
+				return 0, fmt.Errorf("rcastore: reading journal: %w", err)
+			}
+			stats.TornTail, stats.TornBytes = true, fr.pos-at+rest
+			return at, nil
+		default:
+			return 0, fmt.Errorf("rcastore: reading journal: %w", err)
 		}
-		if _, dup := seen[rec.Session]; dup {
-			stats.Deduped++
-		} else {
-			st.Insert(rec)
-			seen[rec.Session] = struct{}{}
-			stats.Replayed++
+		if err != nil {
+			return 0, fmt.Errorf("rcastore: journal frame at offset %d corrupt: %w", at, err)
 		}
-		goodOffset += int64(nl + 1)
-		data = data[nl+1:]
 	}
-	return goodOffset, false, nil
-}
-
-// decodeJournalLine validates one framed journal line ("crc8hex
-// payload") and decodes its record.
-func decodeJournalLine(line []byte) (Record, error) {
-	if len(line) < 10 || line[8] != ' ' {
-		return Record{}, fmt.Errorf("short or unframed line (%d bytes)", len(line))
-	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return Record{}, fmt.Errorf("bad frame checksum field: %v", err)
-	}
-	payload := line[9:]
-	if got := crc32.ChecksumIEEE(payload); got != uint32(want) {
-		return Record{}, fmt.Errorf("checksum mismatch: frame says %08x, payload is %08x", want, got)
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, fmt.Errorf("decoding record: %v", err)
-	}
-	return rec, nil
-}
-
-// appendCRC appends crc32(payload) as 8 lower-case hex characters.
-func appendCRC(dst, payload []byte) []byte {
-	const hexdigits = "0123456789abcdef"
-	sum := crc32.ChecksumIEEE(payload)
-	for shift := 28; shift >= 0; shift -= 4 {
-		dst = append(dst, hexdigits[(sum>>uint(shift))&0xF])
-	}
-	return dst
 }
 
 // sessionSet returns the set of session IDs currently retained —

@@ -27,7 +27,7 @@ func journalFleet(n int) []Record {
 	return recs
 }
 
-func spillBytes(t *testing.T, s *Store) []byte {
+func spillBytes(t testing.TB, s *Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := s.Spill(&buf); err != nil {
@@ -118,13 +118,14 @@ func TestJournalRecoverFresh(t *testing.T) {
 }
 
 // TestJournalTornTail pins crash-mid-append behavior: a partial final
-// record is discarded, everything before it replays, and the repaired
+// frame is discarded, everything before it replays, and the repaired
 // journal accepts new appends cleanly.
 func TestJournalTornTail(t *testing.T) {
-	for _, tear := range []string{
-		"cut-mid-payload",  // no newline at all
-		"bad-crc-tail",     // newline present, checksum wrong
-		"short-frame-tail", // newline present, frame too short
+	rowFrame := frames(func(e *encoder) { e.row(&row{session: "torn"}) })
+	for tear, tail := range map[string]string{
+		"cut-mid-payload":  rowFrame[:len(rowFrame)/2], // the file ends inside the frame
+		"bad-crc-tail":     flipLast(rowFrame),         // whole frame, checksum wrong
+		"short-frame-tail": rowFrame[:1],               // a kind byte and no length
 	} {
 		t.Run(tear, func(t *testing.T) {
 			dir := t.TempDir()
@@ -142,20 +143,11 @@ func TestJournalTornTail(t *testing.T) {
 			}
 			j.Close()
 
-			var tail []byte
-			switch tear {
-			case "cut-mid-payload":
-				tail = []byte(`deadbeef {"session":"torn`)
-			case "bad-crc-tail":
-				tail = []byte("00000000 {\"session\":\"torn\"}\n")
-			case "short-frame-tail":
-				tail = []byte("xx\n")
-			}
 			f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.Write(tail)
+			f.WriteString(tail)
 			f.Close()
 
 			st, j2, stats, err := Recover(ckpt, jpath, Options{}, JournalOptions{})
@@ -187,7 +179,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
-// TestJournalMidCorruption: a bad record that is not the final one is
+// TestJournalMidCorruption: a bad frame that is not the final one is
 // corruption, and recovery must refuse to guess.
 func TestJournalMidCorruption(t *testing.T) {
 	dir := t.TempDir()
@@ -206,9 +198,18 @@ func TestJournalMidCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	lines[1] = []byte("00000000 {\"session\":\"forged\"}\n")
-	if err := os.WriteFile(jpath, bytes.Join(lines, nil), 0o644); err != nil {
+	// Forge the second row: same length, one payload byte changed, so the
+	// frames after it still parse.
+	ends, kinds := frameEnds(t, data)
+	rows := 0
+	for k, kind := range kinds {
+		if kind == frameRow {
+			if rows++; rows == 2 {
+				data[ends[k]-5] ^= 0x01
+			}
+		}
+	}
+	if err := os.WriteFile(jpath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, _, err = Recover(filepath.Join(dir, "none.ckpt"), jpath, Options{}, JournalOptions{})

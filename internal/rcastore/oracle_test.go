@@ -35,7 +35,7 @@ func oracleQuery(s *Store, q Query) []Record {
 }
 
 func oracleSimilar(s *Store, fired []string, q Query, k int) []Match {
-	probe := make([]uint64, (s.nodeUniverseLocked()+63)/64)
+	probe := make([]uint64, (len(s.nodes.names)+63)/64)
 	unknown := 0
 	for _, n := range fired {
 		id, ok := s.nodes.lookup(n)

@@ -14,8 +14,11 @@
 // collapsed run counts, per-cause-class rollups, and optional named
 // numeric metrics. Records live in fixed-size column blocks with
 // block-level time/cell/scenario pruning indexes; memory is bounded by
-// evicting whole blocks oldest-first, and a JSONL spill format
-// (Store.Spill / Load) carries history across restarts byte-identically.
+// evicting whole blocks oldest-first, and one stored-row codec
+// (segment.go: CRC-framed, dictionary-coded frames) carries history
+// across restarts byte-identically, as a checkpoint (Store.Spill /
+// Load) and as a write-ahead journal (Journal / Recover). The JSON view
+// of a row is Record, which is what the query surface serves.
 //
 // The query layer (query.go) matches typed predicates — time range,
 // cell, scenario, cause class, fired-node mask, session — and
@@ -247,7 +250,7 @@ func (b *block) repack(stride int) {
 	if stride <= b.stride {
 		return
 	}
-	wide := make([]uint64, 0, cap(b.fired)/maxInt(b.stride, 1)*stride)
+	wide := make([]uint64, 0, cap(b.fired)/max(b.stride, 1)*stride)
 	for i := 0; i < b.n; i++ {
 		wide = append(wide, b.row(i)...)
 		for k := b.stride; k < stride; k++ {
@@ -255,13 +258,6 @@ func (b *block) repack(stride int) {
 		}
 	}
 	b.fired, b.stride = wide, stride
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func setMaskBit(mask *[]uint64, id int) {
@@ -281,8 +277,8 @@ type Store struct {
 	mu   sync.RWMutex
 	opts Options
 
-	nodes, cells, scens    *dict
-	chains, causes, mnames *dict
+	tables
+	scratch row // Insert's interned row, reused under mu
 
 	blocks []*block
 
@@ -308,12 +304,7 @@ func New(opts Options) *Store {
 	return &Store{
 		opts:   opts.defaults(),
 		latest: map[string]rowAt{},
-		nodes:  newDict(),
-		cells:  newDict(),
-		scens:  newDict(),
-		chains: newDict(),
-		causes: newDict(),
-		mnames: newDict(),
+		tables: newTables(),
 	}
 }
 
@@ -335,67 +326,59 @@ func (s *Store) SetHooks(h obs.Hooks) {
 func (s *Store) Insert(rec Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.intern(&rec, &s.scratch)
+	s.appendRowLocked(&s.scratch)
+}
 
-	// Intern everything first so the needed stride is known before the
-	// row is appended.
-	cellID := s.cells.id(rec.Cell)
-	scenID := s.scens.id(rec.Scenario)
-	nodeIDs := make([]int, len(rec.Fired))
-	maxNode := -1
-	for i, n := range rec.Fired {
-		nodeIDs[i] = s.nodes.id(n)
-		if nodeIDs[i] > maxNode {
-			maxNode = nodeIDs[i]
-		}
-	}
-	stride := (s.nodeUniverseLocked() + 63) / 64
-	if stride == 0 {
-		stride = 1
-	}
+// insertRow appends a row the decoder has already resolved to this
+// store's dictionary IDs.
+func (s *Store) insertRow(r *row) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.appendRowLocked(r)
+}
 
+func (s *Store) appendRowLocked(r *row) {
+	// The node universe is interned by now, so the needed stride is
+	// known before the row is appended.
+	stride := max((len(s.nodes.names)+63)/64, 1)
 	b := s.openBlockLocked(stride)
 	if stride > b.stride {
 		b.repack(stride)
 	}
 
-	b.sessions = append(b.sessions, rec.Session)
-	b.cellIDs = append(b.cellIDs, uint32(cellID))
-	b.scenIDs = append(b.scenIDs, uint32(scenID))
-	b.starts = append(b.starts, rec.Start)
-	b.ends = append(b.ends, rec.End)
+	b.sessions = append(b.sessions, r.session)
+	b.cellIDs = append(b.cellIDs, r.cell)
+	b.scenIDs = append(b.scenIDs, r.scen)
+	b.starts = append(b.starts, r.start)
+	b.ends = append(b.ends, r.end)
 	rowStart := len(b.fired)
 	for k := 0; k < b.stride; k++ {
 		b.fired = append(b.fired, 0)
 	}
-	row := b.fired[rowStart:]
-	for _, id := range nodeIDs {
-		row[id/64] |= 1 << uint(id%64)
+	bits := b.fired[rowStart:]
+	for _, id := range r.fired {
+		bits[id/64] |= 1 << (id % 64)
 	}
-	for _, c := range rec.Chains {
-		b.chainIDs = append(b.chainIDs, uint32(s.chains.id(c.Chain)))
-		b.chainRuns = append(b.chainRuns, uint32(c.Runs))
-	}
+	b.chainIDs = append(b.chainIDs, r.chainIDs...)
+	b.chainRuns = append(b.chainRuns, r.chainRuns...)
 	b.chainOff = append(b.chainOff, uint32(len(b.chainIDs)))
-	for _, c := range rec.Causes {
-		b.causeIDs = append(b.causeIDs, uint32(s.causes.id(c.Cause)))
-		b.causeRuns = append(b.causeRuns, uint32(c.Runs))
-	}
+	b.causeIDs = append(b.causeIDs, r.causeIDs...)
+	b.causeRuns = append(b.causeRuns, r.causeRuns...)
 	b.causeOff = append(b.causeOff, uint32(len(b.causeIDs)))
-	for _, m := range rec.Metrics {
-		b.metricIDs = append(b.metricIDs, uint32(s.mnames.id(m.Name)))
-		b.metricVals = append(b.metricVals, m.Value)
-	}
+	b.metricIDs = append(b.metricIDs, r.metricIDs...)
+	b.metricVals = append(b.metricVals, r.metricVals...)
 	b.metricOff = append(b.metricOff, uint32(len(b.metricIDs)))
 
-	if b.n == 0 || rec.Start < b.minStart {
-		b.minStart = rec.Start
+	if b.n == 0 || r.start < b.minStart {
+		b.minStart = r.start
 	}
-	if b.n == 0 || rec.Start > b.maxStart {
-		b.maxStart = rec.Start
+	if b.n == 0 || r.start > b.maxStart {
+		b.maxStart = r.start
 	}
-	setMaskBit(&b.cellMask, cellID)
-	setMaskBit(&b.scenMask, scenID)
-	s.latest[rec.Session] = rowAt{b, b.n}
+	setMaskBit(&b.cellMask, int(r.cell))
+	setMaskBit(&b.scenMask, int(r.scen))
+	s.latest[r.session] = rowAt{b, b.n}
 	b.n++
 	s.insertedRows++
 	if s.opts.Hooks != nil {
@@ -411,9 +394,6 @@ func (s *Store) InsertReport(session string, start sim.Time, rep *core.Report, m
 	rec.Metrics = metrics
 	s.Insert(rec)
 }
-
-// nodeUniverseLocked is the current fired-node dictionary size.
-func (s *Store) nodeUniverseLocked() int { return len(s.nodes.names) }
 
 func (s *Store) openBlockLocked(stride int) *block {
 	if n := len(s.blocks); n > 0 && s.blocks[n-1].n < s.opts.BlockRows {
@@ -509,6 +489,23 @@ func (s *Store) NodeNames() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return append([]string(nil), s.nodes.names...)
+}
+
+// view points r at record i's columns: fired node IDs ascending (so
+// the form is independent of block stride), the sparse columns aliased,
+// not copied.
+func (b *block) view(i int, r *row) {
+	r.session, r.cell, r.scen = b.sessions[i], b.cellIDs[i], b.scenIDs[i]
+	r.start, r.end = b.starts[i], b.ends[i]
+	r.fired = r.fired[:0]
+	for w, word := range b.row(i) {
+		for ; word != 0; word &= word - 1 {
+			r.fired = append(r.fired, uint32(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	r.chainIDs, r.chainRuns = b.chainIDs[b.chainOff[i]:b.chainOff[i+1]], b.chainRuns[b.chainOff[i]:b.chainOff[i+1]]
+	r.causeIDs, r.causeRuns = b.causeIDs[b.causeOff[i]:b.causeOff[i+1]], b.causeRuns[b.causeOff[i]:b.causeOff[i+1]]
+	r.metricIDs, r.metricVals = b.metricIDs[b.metricOff[i]:b.metricOff[i+1]], b.metricVals[b.metricOff[i]:b.metricOff[i+1]]
 }
 
 // materialize rebuilds the Record stored at block b, row i. The

@@ -96,8 +96,8 @@ func TestEmptyStoreQueries(t *testing.T) {
 	if err := s.Spill(&buf); err != nil {
 		t.Fatalf("empty store Spill: %v", err)
 	}
-	if n := strings.Count(buf.String(), "\n"); n != 1 {
-		t.Fatalf("empty store spill has %d lines, want 1 (header only)", n)
+	if loaded, err := Load(&buf, Options{}); err != nil || loaded.Len() != 0 {
+		t.Fatalf("empty store spill reloads as %v, %v; want an empty store", loaded, err)
 	}
 }
 
@@ -325,8 +325,8 @@ func TestSpillReloadRoundTrip(t *testing.T) {
 		t.Fatalf("re-Spill: %v", err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("spill -> load -> spill is not byte-identical:\n--- first ---\n%s--- second ---\n%s",
-			first.String(), second.String())
+		t.Fatalf("spill -> load -> spill is not byte-identical:\n--- first ---\n%x\n--- second ---\n%x",
+			first.Bytes(), second.Bytes())
 	}
 	if !reflect.DeepEqual(loaded.Query(Query{}), s.Query(Query{})) {
 		t.Fatal("loaded store's records differ from the source store's")
@@ -355,23 +355,56 @@ func TestLoadReEvicts(t *testing.T) {
 	}
 }
 
+// frames builds a byte stream with the package's own encoder.
+func frames(build func(e *encoder)) string {
+	var e encoder
+	build(&e)
+	return string(e.out)
+}
+
+// flipLast inverts the last byte: of a frame, a byte of its checksum.
+func flipLast(s string) string { return s[:len(s)-1] + string([]byte{s[len(s)-1] ^ 0xFF}) }
+
 func TestLoadErrors(t *testing.T) {
+	whole := frames(func(e *encoder) {
+		e.start()
+		e.dict(dictCells, []string{"tdd"})
+		e.dict(dictScens, []string{""})
+		e.row(&row{session: "x"})
+		e.end(1)
+	})
+	if _, err := Load(strings.NewReader(whole), Options{}); err != nil {
+		t.Fatalf("the well-formed control does not load: %v", err)
+	}
 	cases := []struct {
-		name, in string
+		name, in, want string
 	}{
-		{"empty", ""},
-		{"not json", "hello\n"},
-		{"wrong format", `{"rcastore":99,"nodes":[],"cells":[],"scenarios":[],"chains":[],"causes":[],"metrics":[]}` + "\n"},
-		{"bad row json", `{"rcastore":1,"nodes":[],"cells":["tdd"],"scenarios":[""],"chains":[],"causes":[],"metrics":[]}` + "\nnot-json\n"},
-		{"cell out of range", `{"rcastore":1,"nodes":[],"cells":[],"scenarios":[],"chains":[],"causes":[],"metrics":[]}` + "\n" +
-			`{"session":"x","cell":7,"scenario":0,"start_us":0,"end_us":1}` + "\n"},
-		{"node out of range", `{"rcastore":1,"nodes":[],"cells":["tdd"],"scenarios":[""],"chains":[],"causes":[],"metrics":[]}` + "\n" +
-			`{"session":"x","cell":0,"scenario":0,"start_us":0,"end_us":1,"fired":[3]}` + "\n"},
-		{"duplicate dict entry", `{"rcastore":1,"nodes":["a","a"],"cells":[],"scenarios":[],"chains":[],"causes":[],"metrics":[]}` + "\n"},
+		{"empty", "", "without an end frame"},
+		{"not a segment", "hello\n", "unknown frame kind"},
+		{"wrong magic", frames(func(e *encoder) { e.p = append(e.p, "DMNTRCB1"...); e.frame(frameStart) }), "not an rcastore segment"},
+		{"wrong version", frames(func(e *encoder) { e.p = append(e.p, segmentMagic+"\x63"...); e.frame(frameStart) }), "version 99"},
+		{"row before start", frames(func(e *encoder) { e.row(&row{session: "x"}) }), "outside a segment"},
+		{"cell out of range", frames(func(e *encoder) { e.start(); e.row(&row{session: "x", cell: 7}); e.end(1) }), "cell ID out of range"},
+		{"node out of range", frames(func(e *encoder) {
+			e.start()
+			e.dict(dictCells, []string{"tdd"})
+			e.dict(dictScens, []string{""})
+			e.row(&row{session: "x", fired: []uint32{3}})
+			e.end(1)
+		}), "node ID out of range"},
+		{"duplicate dict entry", frames(func(e *encoder) { e.start(); e.dict(dictNodes, []string{"a", "a"}); e.end(0) }), "duplicate node"},
+		{"unknown dictionary", frames(func(e *encoder) { e.start(); e.dict(numDicts, []string{"a"}); e.end(0) }), "unknown dictionary"},
+		{"trailing bytes in a row", frames(func(e *encoder) { e.start(); e.p = append(e.p, 0); e.end(0) }), "trailing bytes"},
+		{"missing end frame", whole[:len(whole)-7], "without an end frame"},
+		{"wrong end count", frames(func(e *encoder) { e.start(); e.end(3) }), "counts 3 rows"},
+		{"data after end", whole + frames(func(e *encoder) { e.start() }), "after the end frame"},
+		{"bad checksum", flipLast(whole), "checksum"},
+		{"cut mid-frame", whole[:len(whole)-3], "ends inside a frame"},
 	}
 	for _, tc := range cases {
-		if _, err := Load(strings.NewReader(tc.in), Options{}); err == nil {
-			t.Errorf("Load(%s) succeeded, want error", tc.name)
+		_, err := Load(strings.NewReader(tc.in), Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Load(%s) = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }

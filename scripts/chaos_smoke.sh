@@ -25,6 +25,8 @@ WORK="$(mktemp -d)"
 DOMINOD_PID=""
 cleanup() {
     [ -n "$DOMINOD_PID" ] && kill "$DOMINOD_PID" 2>/dev/null || true
+    # A SIGTERMed dominod is still writing its final checkpoint.
+    [ -n "$DOMINOD_PID" ] && wait "$DOMINOD_PID" 2>/dev/null || true
     rm -rf "$BIN_DIR" "$WORK"
 }
 trap cleanup EXIT INT TERM

@@ -35,6 +35,8 @@ WORK="$(mktemp -d)"
 PIDS=""
 cleanup() {
     for p in $PIDS; do kill "$p" 2>/dev/null || true; done
+    # A SIGTERMed dominod is still writing its final checkpoint into WORK.
+    for p in $PIDS; do wait "$p" 2>/dev/null || true; done
     rm -rf "$BIN_DIR" "$WORK"
 }
 trap cleanup EXIT INT TERM

@@ -26,6 +26,8 @@ BIN_DIR="$(mktemp -d)"
 DOMINOD_PID=""
 cleanup() {
     [ -n "$DOMINOD_PID" ] && kill "$DOMINOD_PID" 2>/dev/null || true
+    # A SIGTERMed dominod is still writing its final checkpoint.
+    [ -n "$DOMINOD_PID" ] && wait "$DOMINOD_PID" 2>/dev/null || true
     rm -rf "$BIN_DIR"
 }
 trap cleanup EXIT INT TERM
