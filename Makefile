@@ -27,7 +27,7 @@ BENCH_GATE_PKGS = . ./internal/sim ./internal/trace ./internal/parallel ./cmd/do
 # by benchdiff -floor, which also fails if the benchmark vanishes.
 BENCH_FLOORS = -floor 'BenchmarkDominodIngestBinary:records/s=2565718'
 
-.PHONY: build vet fmt fmt-check test fuzz-smoke bench bench-json bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check bench-check loc ci
+.PHONY: build vet fmt fmt-check test fuzz-smoke bench bench-json bench-diff bench-pair dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check bench-check loc ci
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,16 @@ bench-diff:
 	$(GO) test -bench='$(BENCH_GATE_PATTERN)' -benchtime=3x -count=5 -run='^$$' $(BENCH_GATE_PKGS) > BENCH_raw.txt
 	$(GO) run ./cmd/benchjson < BENCH_raw.txt > BENCH_fresh.json && rm -f BENCH_raw.txt
 	$(GO) run ./cmd/benchdiff -baseline BENCH_scenarios.json -current BENCH_fresh.json $(BENCH_FLOORS) -o BENCH_diff.txt
+
+# The comparison a shared host can decide: N alternating runs of the
+# repo benchmark (bench/fleetbench, as BENCHMARK.json runs it) on REF and
+# on the working tree, printed as medians, quartiles, wins and a verdict
+# per workload and metric — the block a CHANGES.md entry pastes. About
+# half a minute per run: four workloads × ten pairs is some forty minutes.
+#   make bench-pair REF=HEAD~1 WORKLOADS="bulk-binary fleet-live" N=10
+bench-pair:
+	@test -n "$(REF)" || { echo 'usage: make bench-pair REF=<commit> [WORKLOADS="bulk-binary ..."] [N=10]'; exit 2; }
+	WORKLOADS="$(WORKLOADS)" N="$(N)" sh scripts/bench_pair.sh "$(REF)"
 
 # End-to-end smoke of the live ingest service: start a node
 # (internal/node, as cmd/dominod wires it), POST 8 concurrent generated

@@ -16,9 +16,9 @@ import (
 )
 
 // benchIngest measures fleet-shaped ingest: many concurrent session
-// uploads through the full HTTP path (Content-Type negotiation,
-// sharded registry, pooled per-session analyzers, pipelined chunk
-// steps on the node's worker pool). Each iteration POSTs `sessions`
+// uploads through the full HTTP path (Content-Type negotiation, the
+// session table, pooled per-session analyzers, each block decoded and
+// stepped on its request's goroutine). Each iteration POSTs `sessions`
 // concurrent streams of one pre-generated 10 s trace in the given wire
 // format; records/s counts every data record analyzed across the fleet
 // per wall-clock second.

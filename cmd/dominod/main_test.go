@@ -99,38 +99,7 @@ func TestDominodSmoke(t *testing.T) {
 	}
 
 	for _, c := range cases {
-		batch, err := analyzer.Analyze(c.set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep node.ReportPayload
-		getJSON(t, ts.URL+"/report/"+c.id, &rep)
-		if rep.State != "done" {
-			t.Fatalf("%s: state %q (error %q)", c.id, rep.State, rep.Error)
-		}
-		if rep.Cell != c.set.CellName {
-			t.Fatalf("%s: cell %q, want %q", c.id, rep.Cell, c.set.CellName)
-		}
-		if rep.Windows != len(batch.Windows) {
-			t.Fatalf("%s: %d windows, batch %d", c.id, rep.Windows, len(batch.Windows))
-		}
-		if rep.ChainEvents != batch.TotalChainEvents() {
-			t.Fatalf("%s: %d chain events, batch %d", c.id, rep.ChainEvents, batch.TotalChainEvents())
-		}
-		wantDeg := batch.DegradationEventsPerMinute(domino.ConsequenceClasses())
-		if rep.DegradationPerMin != wantDeg {
-			t.Fatalf("%s: degradation %v/min, batch %v/min", c.id, rep.DegradationPerMin, wantDeg)
-		}
-		for _, cause := range domino.CauseClasses() {
-			if rep.Causes[cause].Events != batch.EventCount(cause) {
-				t.Fatalf("%s cause %s: %d events, batch %d", c.id, cause, rep.Causes[cause].Events, batch.EventCount(cause))
-			}
-		}
-		for _, cons := range domino.ConsequenceClasses() {
-			if rep.Consequences[cons].Events != batch.EventCount(cons) {
-				t.Fatalf("%s consequence %s: %d events, batch %d", c.id, cons, rep.Consequences[cons].Events, batch.EventCount(cons))
-			}
-		}
+		checkAgainstBatch(t, analyzer, ts.URL, c.id, c.set)
 	}
 
 	var infos []node.SessionInfo
@@ -158,6 +127,44 @@ func TestDominodSmoke(t *testing.T) {
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, metrics)
+		}
+	}
+}
+
+// checkAgainstBatch asserts the node's report for a finished session
+// equals batch analysis of the same trace.
+func checkAgainstBatch(t testing.TB, analyzer *core.Analyzer, base, id string, set *trace.Set) {
+	t.Helper()
+	batch, err := analyzer.Analyze(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep node.ReportPayload
+	getJSON(t, base+"/report/"+id, &rep)
+	if rep.State != "done" {
+		t.Fatalf("%s: state %q (error %q)", id, rep.State, rep.Error)
+	}
+	if rep.Cell != set.CellName {
+		t.Fatalf("%s: cell %q, want %q", id, rep.Cell, set.CellName)
+	}
+	if rep.Windows != len(batch.Windows) {
+		t.Fatalf("%s: %d windows, batch %d", id, rep.Windows, len(batch.Windows))
+	}
+	if rep.ChainEvents != batch.TotalChainEvents() {
+		t.Fatalf("%s: %d chain events, batch %d", id, rep.ChainEvents, batch.TotalChainEvents())
+	}
+	wantDeg := batch.DegradationEventsPerMinute(domino.ConsequenceClasses())
+	if rep.DegradationPerMin != wantDeg {
+		t.Fatalf("%s: degradation %v/min, batch %v/min", id, rep.DegradationPerMin, wantDeg)
+	}
+	for _, cause := range domino.CauseClasses() {
+		if rep.Causes[cause].Events != batch.EventCount(cause) {
+			t.Fatalf("%s cause %s: %d events, batch %d", id, cause, rep.Causes[cause].Events, batch.EventCount(cause))
+		}
+	}
+	for _, cons := range domino.ConsequenceClasses() {
+		if rep.Consequences[cons].Events != batch.EventCount(cons) {
+			t.Fatalf("%s consequence %s: %d events, batch %d", id, cons, rep.Consequences[cons].Events, batch.EventCount(cons))
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // spec-valid Prometheus text exposition (HELP/TYPE metadata, counters
 // suffixed _total, well-formed histograms) as checked by the same
 // linter the CI smoke runs, and it carries the build-info and
-// per-shard series.
+// session-table series.
 func TestMetricsExposition(t *testing.T) {
 	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2, FlightRec: 1024})
 	ts := httptest.NewServer(srv.Routes())
@@ -70,7 +70,8 @@ func TestMetricsExposition(t *testing.T) {
 		"dominod_ingest_step_seconds_bucket{le=\"+Inf\"}",
 		"dominod_sessions_done_total 2",
 		"dominod_node_events_total{node=",
-		"dominod_shard_sessions{shard=\"0\"}",
+		"dominod_sessions_registered 2",
+		"dominod_sessions_active 0",
 		"domino_build_info{version=",
 		fmt.Sprintf("go_version=%q", runtime.Version()),
 		"dominod_analyzer_pool_hit_ratio ",

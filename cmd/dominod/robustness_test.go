@@ -8,7 +8,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +19,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -404,8 +407,9 @@ func TestResumableBinaryResumeMidBlock(t *testing.T) {
 	}
 
 	// A record that arrives after its window closed, 100 records into a
-	// block: the session fails having accepted exactly the records
-	// before it.
+	// block: the session fails having analyzed exactly the records
+	// before it (the header is not one of them), and its resume point is
+	// a fresh session's.
 	const late = 1 + 40*512 + 100 // header, 40 blocks, 100 records
 	if late >= len(recs) {
 		t.Fatalf("trace holds %d records, need more than %d", len(recs), late)
@@ -416,9 +420,11 @@ func TestResumableBinaryResumeMidBlock(t *testing.T) {
 		t.Fatalf("late record got %d, want 400", resp.StatusCode)
 	}
 	drainClose(resp)
+	var failed node.ReportPayload
+	getJSON(t, ts.URL+"/report/late", &failed)
 	getJSON(t, ts.URL+"/sessions/late/watermark", &wm)
-	if wm.State != "failed" || wm.Accepted != late {
-		t.Fatalf("after a late record at index %d: state %q, accepted %d", late, wm.State, wm.Accepted)
+	if wm.State != "failed" || wm.Accepted != 0 || failed.Records != late-1 {
+		t.Fatalf("after a late record at index %d: state %q, watermark %d, %d records analyzed", late, wm.State, wm.Accepted, failed.Records)
 	}
 }
 
@@ -457,6 +463,180 @@ func TestResumableJSONLResumeMidBlock(t *testing.T) {
 	if got, want := fetchReport(t, ts.URL, "mid"), fetchReport(t, ref.URL, "mid"); !bytes.Equal(got, want) {
 		t.Fatalf("report after a mid-block resume differs from the one-shot upload's:\n%s\n%s", got, want)
 	}
+}
+
+// traceRecords decodes a JSONL trace into its records, the header first.
+func traceRecords(t testing.TB, body []byte) []trace.Record {
+	t.Helper()
+	var recs []trace.Record
+	for sr := trace.NewStreamReader(bytes.NewReader(body)); ; {
+		rec, err := sr.Next()
+		if err == io.EOF {
+			return recs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// TestConcurrentUploadsPollsAndScrapes is the -race pin of the node's
+// concurrency: requests are its only goroutines, so sixteen uploaders —
+// four calls × both wire formats × one-shot or resumable in three
+// chunks — a /sessions poller and a /metrics scraper share one session
+// table and eight admission slots, and every report still equals batch
+// analysis, with nothing left active and no slot held at the end.
+func TestConcurrentUploadsPollsAndScrapes(t *testing.T) {
+	analyzer := testAnalyzer(t)
+	ts := httptest.NewServer(node.New(analyzer, node.Options{MaxStreams: 8}).Routes())
+	defer ts.Close()
+
+	type part struct {
+		seq  int // < 0: one-shot
+		eos  bool
+		body []byte
+	}
+	type upload struct {
+		id, contentType string
+		set             *trace.Set
+		parts           []part
+	}
+	var uploads []upload
+	for ci, cell := range ran.Presets() {
+		set, body := sessionTrace(t, cell, uint64(40+ci), 6*sim.Second)
+		recs := traceRecords(t, body)
+		n := len(recs) // records, the header one of them: JSONL lines
+		var jsonl, binary []part
+		for k, prev := 0, 0; k < 3; k++ {
+			cut := n * (k + 1) / 3
+			// A JSONL chunk is the next lines; a binary chunk is a whole
+			// stream from record 0 that the node skips the prefix of.
+			jsonl = append(jsonl, part{prev, k == 2, body[len(jsonlPrefix(t, body, prev)):len(jsonlPrefix(t, body, cut))]})
+			binary = append(binary, part{0, k == 2, encodeBinaryRecords(t, recs[:cut])})
+			prev = cut
+		}
+		whole := binary[2].body
+		uploads = append(uploads,
+			upload{fmt.Sprintf("c%d-jsonl", ci), ingest.ContentTypeJSONL, set, []part{{-1, true, body}}},
+			upload{fmt.Sprintf("c%d-binary", ci), ingest.ContentTypeBinary, set, []part{{-1, true, whole}}},
+			upload{fmt.Sprintf("c%d-jsonl-chunked", ci), ingest.ContentTypeJSONL, set, jsonl},
+			upload{fmt.Sprintf("c%d-binary-chunked", ci), ingest.ContentTypeBinary, set, binary})
+	}
+
+	stop := make(chan struct{})
+	var readers, senders sync.WaitGroup
+	for _, path := range []string{"/sessions", "/metrics"} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+				drainClose(resp)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s: %d", path, resp.StatusCode)
+				}
+			}
+		}()
+	}
+	for _, u := range uploads {
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for _, p := range u.parts {
+				req, err := http.NewRequest(http.MethodPost, ts.URL+"/ingest?session="+u.id, bytes.NewReader(p.body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				req.Header.Set("Content-Type", u.contentType)
+				if p.seq >= 0 {
+					ingest.Request{Seq: p.seq, Resumable: true, Eos: p.eos}.SetHeaders(req.Header)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Errorf("%s: %v", u.id, err)
+					return
+				}
+				drainClose(resp)
+				if want := map[bool]int{false: http.StatusAccepted, true: http.StatusOK}[p.eos]; resp.StatusCode != want {
+					t.Errorf("%s chunk at %d: %d, want %d", u.id, p.seq, resp.StatusCode, want)
+					return
+				}
+			}
+		}()
+	}
+	senders.Wait()
+	close(stop)
+	readers.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	for _, u := range uploads {
+		checkAgainstBatch(t, analyzer, ts.URL, u.id, u.set)
+	}
+	waitFor(t, "every admission slot to be released", func() bool { return slotsInUse(t, ts.URL) == 0 })
+	if active, registered := metricValue(t, ts.URL, "dominod_sessions_active"), metricValue(t, ts.URL, "dominod_sessions_registered"); active != 0 || int(registered) != len(uploads) {
+		t.Fatalf("%v sessions active of %v registered, want 0 of %d", active, registered, len(uploads))
+	}
+}
+
+// dropFirstPost loses the first upload before it reaches the server, the
+// way a keep-alive connection that died between calls does.
+type dropFirstPost struct{ dropped bool }
+
+func (d *dropFirstPost) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && !d.dropped {
+		d.dropped = true
+		return nil, errors.New("connection reset by peer")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRetryOfFailedSessionStartsOver pins that a failed session's
+// watermark is the one its replacement is measured against: a client
+// whose first attempt is lost probes it before retrying, and must be
+// told 0 — not the dead session's count, which Admit answers with a 412
+// that tells it to probe again — so the second attempt lands.
+func TestRetryOfFailedSessionStartsOver(t *testing.T) {
+	analyzer := testAnalyzer(t)
+	ts := httptest.NewServer(node.New(analyzer, node.Options{MaxStreams: 2}).Routes())
+	defer ts.Close()
+	set, body := sessionTrace(t, ran.Presets()[0], 17, 5*sim.Second)
+
+	broken := append(bytes.Clone(jsonlPrefix(t, body, 1000)), "not jsonl\n"...)
+	resp := postChunk(t, ts.URL, "call", "application/jsonl", -1, false, bytes.NewReader(broken))
+	drainClose(resp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("broken upload: %d, want 400", resp.StatusCode)
+	}
+	var wm ingest.Watermark
+	getJSON(t, ts.URL+"/sessions/call/watermark", &wm)
+	if wm.State != ingest.StateFailed || wm.Accepted != 0 {
+		t.Fatalf("failed session's watermark = %+v, want failed at 0", wm)
+	}
+
+	c := ingest.New(ingest.Options{
+		BaseURL:    ts.URL,
+		HTTPClient: &http.Client{Transport: &dropFirstPost{}},
+		Retries:    3,
+		Sleep:      func(time.Duration) {},
+	})
+	stats, err := c.Upload(context.Background(), "call", ingest.ContentTypeJSONL, body)
+	if err != nil || stats.Attempts != 2 || stats.Resumed != 0 {
+		t.Fatalf("retry over a failed session: %+v, %v; want success on the second attempt, from record 0", stats, err)
+	}
+	checkAgainstBatch(t, analyzer, ts.URL, "call", set)
 }
 
 func TestTruncatedBinaryFailsSessionWithPartialReport(t *testing.T) {

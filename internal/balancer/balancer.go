@@ -28,6 +28,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,7 +76,13 @@ type Balancer struct {
 
 	mu       sync.Mutex
 	sessions map[string]*lbSession
-	order    []string // session admission order, for /lb/sessions
+	admitted uint64 // entries ever created: the next one's place in /lb/sessions
+	// finished queues the table's done entries, oldest-done first; past
+	// retainDone the oldest are dropped from the table, so it is bounded
+	// by the live sessions plus that constant. A live entry is never in
+	// it.
+	finished   []*lbSession
+	retainDone int
 	// active counts table entries whose done is still false, kept where
 	// done flips so the gauge need not walk and lock the table.
 	active atomic.Int64
@@ -85,12 +92,18 @@ type Balancer struct {
 	done   sync.WaitGroup
 }
 
+// doneRetained is how many completed sessions the routing table keeps
+// for late retries and /lb/sessions; an older one is unknown to the
+// balancer again, and a request for it asks the fleet or re-pins by HRW.
+const doneRetained = 4096
+
 // lbSession is the balancer's routing state for one session: its pin,
 // how much the pinned backend has acknowledged, and the acknowledged
 // chunk bodies kept for failover replay.
 type lbSession struct {
 	mu          sync.Mutex
 	id          string
+	seq         uint64 // admission order
 	backend     *backend
 	contentType string
 	resumable   bool     // client speaks the seq/watermark protocol
@@ -132,11 +145,12 @@ func New(opts Options) (*Balancer, error) {
 		client = &http.Client{}
 	}
 	b := &Balancer{
-		opts:     opts,
-		client:   client,
-		log:      opts.Log,
-		sessions: map[string]*lbSession{},
-		stop:     make(chan struct{}),
+		opts:       opts,
+		client:     client,
+		log:        opts.Log,
+		sessions:   map[string]*lbSession{},
+		retainDone: doneRetained,
+		stop:       make(chan struct{}),
 	}
 	seen := map[string]bool{}
 	for _, u := range opts.Backends {
@@ -190,13 +204,31 @@ func (b *Balancer) session(id string) *lbSession {
 	defer b.mu.Unlock()
 	s := b.sessions[id]
 	if s == nil {
-		s = &lbSession{id: id}
+		b.admitted++
+		s = &lbSession{id: id, seq: b.admitted}
 		b.sessions[id] = s
-		b.order = append(b.order, id)
 		b.m.sessionsTotal.Inc()
 		b.active.Add(1)
 	}
 	return s
+}
+
+// retire marks a session done — its final report went out — and drops
+// the oldest done entries past the table's bound. Callers hold sess.mu
+// (the one place a session lock is held while the table's is taken).
+func (b *Balancer) retire(sess *lbSession) {
+	sess.done = true
+	b.active.Add(-1)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.finished = append(b.finished, sess)
+	for len(b.finished) > b.retainDone {
+		old := b.finished[0]
+		b.finished[0], b.finished = nil, b.finished[1:]
+		if b.sessions[old.id] == old { // not re-admitted since
+			delete(b.sessions, old.id)
+		}
+	}
 }
 
 // lookup returns the routing entry for id, or nil.
@@ -295,13 +327,13 @@ func (b *Balancer) handleLBSessions(w http.ResponseWriter, r *http.Request) {
 		Failovers int    `json:"failovers"`
 	}
 	b.mu.Lock()
-	ids := append([]string(nil), b.order...)
-	table := make([]*lbSession, len(ids))
-	for i, id := range ids {
-		table[i] = b.sessions[id]
+	table := make([]*lbSession, 0, len(b.sessions))
+	for _, s := range b.sessions {
+		table = append(table, s)
 	}
 	b.mu.Unlock()
-	out := make([]entry, 0, len(ids))
+	sort.Slice(table, func(i, j int) bool { return table[i].seq < table[j].seq })
+	out := make([]entry, 0, len(table))
 	for _, s := range table {
 		s.mu.Lock()
 		e := entry{

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -650,4 +651,73 @@ func TestSessionsActiveGaugeMatchesTableWalk(t *testing.T) {
 	// done and is not counted down twice.
 	mustPost(t, ts.URL, "g-1", seqs[1], true, chunks[1], http.StatusOK)
 	check("after a replayed completion", n/3)
+}
+
+// TestRoutingTableRetainsBoundedDone reaches the table's bound: with
+// room for three done entries, the oldest completed sessions leave the
+// table as newer ones complete, in completion order, while a live
+// session — one that already failed over — keeps its entry, its replay
+// buffer and its place in the active gauge however many finish around
+// it. A dropped session is merely unknown to the balancer again: its
+// watermark and report still come from the fleet.
+func TestRoutingTableRetainsBoundedDone(t *testing.T) {
+	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
+	lb, ts := newTestBalancer(t, Options{}, a, b)
+	lb.retainDone = 3
+
+	payload := sessionJSONL(t, ran.Presets()[0], 29, 3*sim.Second)
+	chunks, seqs := splitLines(payload, 3)
+	mustPost(t, ts.URL, "live", seqs[0], false, chunks[0], http.StatusAccepted)
+	owner, _ := ownerAndOther(lb, "live", a, b)
+	owner.kill()
+	drainClose(postChunk(t, ts.URL, "live", ingest.ContentTypeJSONL, seqs[1], false, bytes.NewReader(chunks[1]))) // 503: feeds health
+	mustPost(t, ts.URL, "live", seqs[1], false, chunks[1], http.StatusAccepted)
+
+	const finished = 7
+	for i := 0; i < finished; i++ {
+		mustPost(t, ts.URL, "d-"+strconv.Itoa(i), 0, true, payload, http.StatusOK)
+	}
+
+	var table []struct {
+		Session   string `json:"session"`
+		Done      bool   `json:"done"`
+		Failovers int    `json:"failovers"`
+		Buffered  int    `json:"buffered_bytes"`
+	}
+	if err := json.Unmarshal([]byte(readBody(t, mustGet(t, ts.URL+"/lb/sessions"))), &table); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range table {
+		got = append(got, e.Session)
+	}
+	if want := []string{"live", "d-4", "d-5", "d-6"}; !slices.Equal(got, want) {
+		t.Fatalf("/lb/sessions lists %v, want %v: the live session and the last three done, in admission order", got, want)
+	}
+	if e := table[0]; e.Done || e.Failovers != 1 || e.Buffered != len(chunks[0])+len(chunks[1]) {
+		t.Fatalf("live session after the reaping: %+v, want one failover and both chunks buffered", e)
+	}
+	text := readBody(t, mustGet(t, ts.URL+"/metrics"))
+	for _, line := range []string{"dominolb_sessions_active 1\n", fmt.Sprintf("dominolb_sessions_total %d\n", finished+1)} {
+		if !strings.Contains(text, line) {
+			t.Fatalf("exposition lacks %q", line)
+		}
+	}
+
+	// The dropped session is the fleet's to answer for; the live one
+	// finishes as if nothing had been reaped.
+	var wm ingest.Watermark
+	if err := json.Unmarshal([]byte(readBody(t, mustGet(t, ts.URL+"/sessions/d-0/watermark"))), &wm); err != nil || wm.State != ingest.StateDone {
+		t.Fatalf("watermark of a dropped session: %+v, %v", wm, err)
+	}
+	if want := cleanReport(t, "d-0", payload); !bytes.Equal(fetchReport(t, ts.URL, "d-0"), want) {
+		t.Fatal("report of a dropped session diverged from clean ingest")
+	}
+	report := mustPost(t, ts.URL, "live", seqs[2], true, chunks[2], http.StatusOK)
+	if want := cleanReport(t, "live", payload); !bytes.Equal(report, want) {
+		t.Fatalf("failed-over report diverged from clean ingest\nclean: %s\nfleet: %s", want, report)
+	}
+	if lb.lookup("d-4") != nil || lb.lookup("live") == nil || len(lb.sessions) != 3 {
+		t.Fatalf("table holds %d entries after the live session finished, want d-5, d-6 and live", len(lb.sessions))
+	}
 }

@@ -190,8 +190,7 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.
 		// Final report: the session is complete, the buffer has done
 		// its job. A client that lost the 200 resends and gets it again.
 		if !sess.done {
-			sess.done = true
-			b.active.Add(-1)
+			b.retire(sess)
 		}
 		sess.dropReplay()
 		sess.overflow = false

@@ -220,6 +220,17 @@ type Session struct {
 	Accepted int
 }
 
+// Watermark is the record index the session's next chunk is measured
+// against and a probe is answered with: what an active or done session
+// has accepted, and 0 for one the server has never seen or that failed —
+// a fresh session replaces it, and that has accepted nothing.
+func (s Session) Watermark() int {
+	if s.State == StateActive || s.State == StateDone {
+		return s.Accepted
+	}
+	return 0
+}
+
 // Action is what a server does with an ingest request.
 type Action uint8
 
@@ -257,21 +268,19 @@ type Decision struct {
 //	failed   fresh session   fresh session (seq 0 only)   412 seq_gap
 //
 // A fresh session has accepted nothing, so for (none) and failed the
-// watermark a resumable request is measured against is 0.
+// watermark a resumable request is measured against is 0 (Watermark).
 func (s Session) Admit(r Request) Decision {
 	live := s.State == StateActive || s.State == StateDone
-	if !live {
-		s.Accepted = 0
-	}
+	wm := s.Watermark()
 	switch {
 	case !r.Resumable && live:
 		return Decision{Action: Reject, Code: CodeConflict}
 	case r.Resumable && s.State == StateDone:
 		return Decision{Action: Replay}
-	case r.Seq > s.Accepted:
+	case r.Seq > wm:
 		return Decision{Action: Reject, Code: CodeSeqGap}
 	}
-	return Decision{Action: Proceed, Resume: live, Skip: s.Accepted - r.Seq}
+	return Decision{Action: Proceed, Resume: live, Skip: wm - r.Seq}
 }
 
 // End is how the server's read of a request body ended.

@@ -26,7 +26,9 @@ func TestAdmitTable(t *testing.T) {
 		seq       int
 	}
 	// A session that is not live (never seen, or failed) has accepted
-	// nothing, so its watermark is 0 whatever Accepted still says.
+	// nothing, so its watermark is 0 whatever Accepted still says — to
+	// Admit and to a probe alike.
+	probe := map[State]int{"": 0, StateActive: wm, StateDone: wm, StateFailed: 0}
 	want := map[cell]Decision{
 		{"", false, 0}: proceed(false, 0),
 		{"", true, 0}:  proceed(false, 0),
@@ -56,6 +58,9 @@ func TestAdmitTable(t *testing.T) {
 		sess := Session{State: c.state}
 		if c.state != "" {
 			sess.Accepted = wm
+		}
+		if got := sess.Watermark(); got != probe[c.state] {
+			t.Errorf("state %q accepted %d: watermark %d, want %d", c.state, sess.Accepted, got, probe[c.state])
 		}
 		for _, eos := range []bool{false, true} {
 			req := Request{Seq: c.seq, Resumable: c.resumable, Eos: eos || !c.resumable}

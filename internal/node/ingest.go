@@ -101,7 +101,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer n.limiter.Release()
 
-	sess, id, d := n.admit(r.URL.Query().Get("session"), req)
+	sess, id, d := n.admit(r.Context(), r.URL.Query().Get("session"), req)
 	switch {
 	case d.Action == ingest.Replay:
 		// Idempotent retry of a session that already completed: the
@@ -121,7 +121,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("sequence gap: body starts at record %d but session %q has accepted fewer; probe the watermark", req.Seq, id))
 		return
 	}
-	defer sess.ingesting.Store(false)
+	defer sess.release()
 	skip := d.Skip
 	if d.Resume {
 		n.m.ingestResumed.Inc()
@@ -144,12 +144,12 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// the first body bytes decide, so -stdin replays and bare curl
 	// octet-stream uploads still hit the right path. Either format is
 	// read block by block, in columns, and never becomes Records. Block
-	// storage is recycled at depth 1: with the depth-one pipeline below, a
+	// storage is recycled (depth 1 is the trace API's recycling mode): a
 	// block is fully pushed (its columns appended to the analyzer's
-	// index) before the generation it lives in is decoded into again, so
-	// steady-state ingest allocates no per-record garbage. A JSONL
-	// reader's two generations come from the node's pool: a live chunk is
-	// a handful of blocks, too few to grow thirty columns anew for.
+	// index) before the next one is decoded, so steady-state ingest
+	// allocates no per-record garbage. A JSONL reader's generations come
+	// from the node's pool: a live chunk is a handful of blocks, too few
+	// to grow thirty columns anew for.
 	var rr trace.RecordReader
 	switch format {
 	case formatBinary:
@@ -174,56 +174,38 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	n.log.Debug("ingest started", "session", id, "format", format, "seq", req.Seq, "eos", req.Eos, "resumed", d.Resume)
 
 	// The body decodes block by block — a wire block on the binary
-	// format, up to 256 lines on JSONL — and each block is pushed whole:
-	// one session-lock acquisition (and one pass of window evaluations)
-	// per block instead of per record, while /report snapshots interleave
-	// between blocks. The two phases pipeline at depth one on the node's
-	// worker pool: the analyzer step for block N runs on a pool worker
-	// while this goroutine decodes block N+1 from the wire, into the
-	// reader's other generation; each phase is timed into its latency
-	// histogram (decode covers the wire read, step the analyzer pushes,
-	// window evaluations included).
+	// format, up to 256 lines on JSONL — and each block is pushed whole
+	// before the next is read: one session-lock acquisition (and one pass
+	// of window evaluations) per block instead of per record, while
+	// /report snapshots interleave between blocks. Each phase is timed
+	// into its latency histogram (decode covers the wire read, step the
+	// analyzer push, window evaluations included).
 	decodeSeconds := n.m.decodeSeconds[format]
 	ingestRecords := n.m.ingestRecords[format]
-	var pending chan error
-	waitPending := func() error {
-		if pending == nil {
-			return nil
-		}
-		err := <-pending
-		pending = nil
-		return err
-	}
 	var readErr, pushErr error
 	for readErr == nil && pushErr == nil {
 		if n.opts.StreamIdle > 0 {
 			_ = rc.SetReadDeadline(time.Now().Add(n.opts.StreamIdle))
 		}
 		decodeStart := time.Now()
-		var c chunk
-		c.blk, readErr = br.ReadBlock()
+		var blk *trace.Block
+		blk, readErr = br.ReadBlock()
 		decodeSeconds.Observe(time.Since(decodeStart).Seconds())
-		if c.blk == nil {
+		if blk == nil {
 			continue
 		}
-		if size := c.blk.Len(); skip > 0 {
+		dup := 0
+		if skip > 0 {
 			// A resuming client replayed records the session already
 			// analyzed: dedup the prefix instead of double-counting.
-			c.skip = min(skip, size)
-			skip -= c.skip
-			n.m.ingestDeduped.Add(int64(c.skip))
-			if c.skip == size {
+			dup = min(skip, blk.Len())
+			skip -= dup
+			n.m.ingestDeduped.Add(int64(dup))
+			if dup == blk.Len() {
 				continue
 			}
 		}
-		if pushErr = waitPending(); pushErr == nil {
-			ch := make(chan error, 1)
-			pending = ch
-			n.exec.Submit(func(any) { ch <- n.pushChunk(sess, c, ingestRecords) })
-		}
-	}
-	if pushErr == nil {
-		pushErr = waitPending()
+		pushErr = n.pushChunk(sess, blk, dup, ingestRecords)
 	}
 	// Clear the read deadline before responding: the connection may be
 	// kept alive, and a stale deadline would poison its next request.
@@ -289,6 +271,7 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 	if err != nil {
 		n.detachLocked(sess, ingest.StateFailed, err.Error())
 		sess.mu.Unlock()
+		n.queueFinished(sess)
 		n.m.sessionsFailed.Inc()
 		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
@@ -296,6 +279,7 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 	sess.final = rep
 	n.detachLocked(sess, ingest.StateDone, "")
 	sess.mu.Unlock()
+	n.queueFinished(sess)
 	n.m.sessionsDone.Inc()
 	n.m.lateDropped.Add(int64(stats.LateDropped))
 	// Persist the completed diagnosis into the fleet store, stamped so
@@ -333,32 +317,24 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 	ingest.WriteJSON(w, http.StatusOK, n.reportPayload(sess))
 }
 
-// blockReader is what the ingest pipeline needs of either trace reader.
+// blockReader is what the ingest loop needs of either trace reader.
 type blockReader interface {
 	ReadBlock() (*trace.Block, error)
 }
 
-// chunk is one decoded block of an ingest body. Its first skip records
-// are a replayed prefix the session already has.
-type chunk struct {
-	blk  *trace.Block
-	skip int
-}
-
-// pushChunk pushes one decoded chunk through the session's analyzer
-// under the session lock. It is the pipelined "step" phase of ingest,
-// submitted to the node's worker pool so it overlaps with the
-// handler's decode of the next chunk; depth-one pipelining (the
-// handler waits for chunk N before submitting chunk N+1) keeps at most
-// one step per session in flight, so session locks never queue and
-// chunk order is preserved. records is the per-format accepted-records
-// counter for the session's negotiated wire format.
-func (n *Node) pushChunk(sess *session, c chunk, records *obs.Counter) error {
+// pushChunk pushes one decoded block through the session's analyzer
+// under the session lock — the "step" phase of ingest — minus its first
+// skip records, a replayed prefix the session already has. The caller
+// holds the session's upload slot, so steps never queue on the lock
+// behind each other, only behind a /report snapshot. records is the
+// per-format accepted-records counter for the session's negotiated wire
+// format.
+func (n *Node) pushChunk(sess *session, blk *trace.Block, skip int, records *obs.Counter) error {
 	stepStart := time.Now()
 	sess.mu.Lock()
-	pushed, pushErr := sess.sa.PushBlock(c.blk, c.skip)
+	pushed, pushErr := sess.sa.PushBlock(blk, skip)
 	timed := pushed // pushed data records, the header left out
-	if c.blk.Header != nil {
+	if blk.Header != nil {
 		timed = 0
 	}
 	// Advance the resume watermark by decoded records actually pushed:
@@ -370,7 +346,7 @@ func (n *Node) pushChunk(sess *session, c chunk, records *obs.Counter) error {
 			Kind: obs.EvIngestChunk,
 			Wall: time.Now().UnixNano(),
 			Sim:  int64(sess.sa.Watermark()),
-			N:    int64(c.blk.Len() - c.skip),
+			N:    int64(blk.Len() - skip),
 		})
 	}
 	sess.mu.Unlock()
@@ -436,18 +412,18 @@ func (n *Node) handleWatermark(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p := sess.protocol()
-	ingest.WriteJSON(w, http.StatusOK, ingest.Watermark{Session: sess.id, Accepted: p.Accepted, State: p.State})
+	ingest.WriteJSON(w, http.StatusOK, ingest.Watermark{Session: sess.id, Accepted: p.Watermark(), State: p.State})
 }
 
 // detachLocked finalizes a session's state, captures the summary and
 // report the read endpoints keep serving, and recycles the analyzer
 // into the pool. A failed session keeps the partial analysis computed
-// up to the failure point. sess.mu must be held.
+// up to the failure point. sess.mu must be held; once it is dropped the
+// caller queues the session for eviction (queueFinished takes the table
+// lock, which comes before a session's).
 func (n *Node) detachLocked(sess *session, state ingest.State, errMsg string) {
 	sess.proto.State = state
 	sess.err = errMsg
-	sess.finished.Store(true)
-	n.queueFinished(sess)
 	if sa := sess.sa; sa != nil {
 		sess.stats = sa.Stats()
 		if hdr, ok := sa.Header(); ok {
@@ -464,10 +440,14 @@ func (n *Node) detachLocked(sess *session, state ingest.State, errMsg string) {
 
 func (n *Node) fail(sess *session, msg string) {
 	sess.mu.Lock()
-	if sess.proto.State == ingest.StateActive {
+	failed := sess.proto.State == ingest.StateActive
+	if failed {
 		n.detachLocked(sess, ingest.StateFailed, msg)
-		n.m.sessionsFailed.Inc()
 	}
 	sess.mu.Unlock()
+	if failed {
+		n.queueFinished(sess)
+		n.m.sessionsFailed.Inc()
+	}
 	n.log.Warn("session failed", "session", sess.id, "err", msg)
 }

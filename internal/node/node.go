@@ -1,6 +1,9 @@
 // Package node is the dominod analysis node as a library: the session
-// registry, the decode ∥ step ingest pipeline, the HTTP handlers, the
-// /metrics registry and flight recorder, and drain/checkpoint shutdown.
+// table, the ingest handler that decodes a body block by block and steps
+// each block through its session's analyzer, the other HTTP handlers,
+// the /metrics registry and flight recorder, and drain/checkpoint
+// shutdown. Concurrency comes from requests and nothing else: a request
+// is net/http's goroutine, and ingest starts none of its own.
 // cmd/dominod wires flags, store recovery and signals around it; tests
 // and the balancer's fleet tests run it in-process.
 //
@@ -144,26 +147,17 @@ type Options struct {
 }
 
 // Node multiplexes concurrent session streams over one shared
-// analyzer and keeps aggregate counters across them. The session
-// registry is sharded by session-ID hash so fleet-scale concurrent
-// ingest never serializes on one registry lock, and per-session
-// analyzer state (window evaluator series, incremental scratch) is
-// recycled through the bounded analyzerPool free-list once a session
-// finishes. Create with New, serve Routes, stop with Shutdown.
+// analyzer and keeps aggregate counters across them. What bounds it is
+// the admission limiter: at most MaxStreams ingest requests run at once,
+// each decoding and stepping its own body on its own goroutine. Sessions
+// live in one table under one lock, which a request takes once or twice;
+// per-session analyzer state (window evaluator series, incremental
+// scratch) is recycled through the bounded analyzerPool free-list once a
+// session finishes. Create with New, serve Routes, stop with Shutdown.
 type Node struct {
 	limiter *parallel.Limiter
 	opts    Options
 	log     *slog.Logger
-
-	// exec is the shared bounded-queue pool the ingest path pipelines
-	// analyzer steps onto: while a handler goroutine decodes chunk N+1
-	// from the wire, a pool worker pushes chunk N through the session's
-	// analyzer. Each session has at most one step queued, so the queue's
-	// bound is reached only with more streams in flight than it has
-	// room for, and then Submit holds the handler back. It lives for the
-	// node's lifetime (Shutdown drains it); a closed pool degrades
-	// Submit to a synchronous call, so late uploads still complete.
-	exec *parallel.Executor
 
 	// m holds the observability surface: the /metrics registry, its
 	// hot-path instruments, and the flight-recorder name table.
@@ -186,17 +180,17 @@ type Node struct {
 	// rejected while in-flight uploads finish.
 	draining atomic.Bool
 
-	shards [registryShards]regShard
-	count  atomic.Int64 // live sessions across all shards
+	// mu guards the session table: sessions, the finished queue and
+	// nextSeq. Lock order is mu → session.mu, never the reverse.
+	mu       sync.Mutex
+	sessions map[string]*session
 	// finished queues the retained finished sessions, oldest-finished
-	// first (values are *session): what evict pops when the registry is
-	// over MaxSessions, so an eviction never scans a shard. Unused when
-	// MaxSessions is 0.
-	finMu    sync.Mutex
+	// first (values are *session): what register pops when the table is
+	// over MaxSessions. Every table entry not in it is active.
 	finished list.List
+	nextSeq  int64 // registration order
 
 	nextID   atomic.Int64 // anonymous-session ID allocator
-	nextSeq  atomic.Int64 // global registration order
 	saPool   analyzerPool // recycled *stream.Analyzer
 	ringPool sync.Pool    // recycled *trace.BlockRing, one per JSONL upload in flight
 }
@@ -242,30 +236,20 @@ func (p *analyzerPool) Put(sa *stream.Analyzer) {
 	p.mu.Unlock()
 }
 
-// registryShards is the session-registry fan-out; a power of two so
-// the hash mixes cheaply.
-const registryShards = 16
-
-type regShard struct {
-	mu       sync.Mutex
-	sessions map[string]*session
-}
-
 type session struct {
 	id  string
-	seq int64 // global registration order
+	seq int64 // registration order
 
-	// finished mirrors proto.State != ingest.StateActive for lock-free
-	// reads: the active-sessions gauge checks it without taking sess.mu.
-	finished atomic.Bool
 	// evictAt is the session's place in the node's finished queue, nil
-	// while it is active or once it left the queue (guarded by finMu).
+	// while it is active or once it left the queue (guarded by Node.mu).
 	evictAt *list.Element
 
-	// ingesting serializes uploads: at most one POST drives a session's
-	// analyzer at a time, so a resumed session cannot race its own
-	// abandoned predecessor request.
-	ingesting atomic.Bool
+	// upload serializes uploads: the one POST that may drive the
+	// session's analyzer is the one whose token sits in this one-slot
+	// channel (put there by register or acquireIngest, taken out by
+	// release), so a resumed session cannot race its own abandoned
+	// predecessor request.
+	upload chan struct{}
 
 	mu sync.Mutex
 	sa *stream.Analyzer // non-nil while ingesting; recycled after
@@ -297,19 +281,22 @@ func (sess *session) protocol() ingest.Session {
 	return sess.proto
 }
 
+// release gives the session's upload slot back.
+func (sess *session) release() { <-sess.upload }
+
 // New builds a Node around a compiled analyzer.
 func New(analyzer *core.Analyzer, opts Options) *Node {
 	if opts.Log == nil {
 		opts.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	n := &Node{
-		limiter: parallel.NewLimiter(opts.MaxStreams),
-		exec:    parallel.NewExecutor(0, nil),
-		opts:    opts,
-		log:     opts.Log,
-		m:       newMetrics(analyzer),
-		store:   opts.Store,
-		now:     opts.Now,
+		limiter:  parallel.NewLimiter(opts.MaxStreams),
+		opts:     opts,
+		log:      opts.Log,
+		m:        newMetrics(analyzer),
+		store:    opts.Store,
+		now:      opts.Now,
+		sessions: map[string]*session{},
 	}
 	if n.store == nil {
 		n.store = rcastore.New(rcastore.Options{MaxBlocks: opts.StoreBlocks})
@@ -326,9 +313,6 @@ func New(analyzer *core.Analyzer, opts Options) *Node {
 	}
 	if n.now == nil {
 		n.now = func() sim.Time { return sim.Time(time.Now().UnixMicro()) }
-	}
-	for i := range n.shards {
-		n.shards[i].sessions = map[string]*session{}
 	}
 	poolCap := opts.MaxStreams
 	if poolCap < 1 {
@@ -383,15 +367,13 @@ func (n *Node) Store() *rcastore.Store { return n.store }
 func (n *Node) Drain() { n.draining.Store(true) }
 
 // Shutdown stops the node gracefully: it drains, lets srv's in-flight
-// uploads run until ctx ends (then cuts them), stops the step pool, and
-// — when journaling — writes the final checkpoint and closes the
-// journal.
+// uploads run until ctx ends (then cuts them), and — when journaling —
+// writes the final checkpoint and closes the journal.
 func (n *Node) Shutdown(ctx context.Context, srv *http.Server) error {
 	n.Drain()
 	if err := srv.Shutdown(ctx); err != nil {
 		n.log.Warn("drain deadline exceeded, cutting in-flight sessions", "err", err)
 	}
-	n.exec.Close()
 	if n.journal == nil {
 		return nil
 	}
@@ -405,53 +387,53 @@ func (n *Node) Shutdown(ctx context.Context, srv *http.Server) error {
 	return nil
 }
 
-func (n *Node) shard(id string) *regShard {
-	// FNV-1a over the session ID.
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return &n.shards[h&(registryShards-1)]
-}
-
 // register creates a fresh session under id (allocating one when
-// empty), replacing a failed predecessor. It reports false when id
+// empty), replacing a failed predecessor, and evicts down to
+// MaxSessions in the same critical section. It reports false when id
 // names a session the protocol does not let a fresh upload replace.
 func (n *Node) register(id string) (*session, string, bool) {
 	if id == "" {
 		id = fmt.Sprintf("s%04d", n.nextID.Add(1))
 	}
-	sh := n.shard(id)
-	sh.mu.Lock()
-	if old, exists := sh.sessions[id]; exists {
+	// The analyzer and the flight recorder are taken before the table
+	// lock: a pool miss builds an analyzer and a recorder is a ring to
+	// zero, which is no time to hold it.
+	sa := n.saPool.Get()
+	n.m.poolGets.Inc()
+	var rec *obs.FlightRecorder
+	if n.opts.FlightRec > 0 {
+		rec = obs.NewFlightRecorder(n.opts.FlightRec, n.m.names)
+	}
+	n.mu.Lock()
+	if old := n.sessions[id]; old != nil {
 		// A failed ingest must not squat on its ID: collectors retry
 		// the same call ID, and only an active or completed session is
 		// worth protecting from replacement. That is the protocol's
 		// answer to a one-shot upload over the old session, so ask it.
 		if old.protocol().Admit(ingest.Request{}).Action != ingest.Proceed {
-			sh.mu.Unlock()
+			n.mu.Unlock()
+			n.saPool.Put(sa)
 			return nil, id, false
 		}
-		delete(sh.sessions, id)
-		n.count.Add(-1)
-		n.unqueue(old)
+		// The replaced session leaves the eviction queue with its ID; it
+		// would otherwise sit there, report and all, until the table next
+		// overflows.
+		if old.evictAt != nil {
+			n.finished.Remove(old.evictAt)
+			old.evictAt = nil
+		}
 	}
-	sess := &session{id: id, seq: n.nextSeq.Add(1), sa: n.saPool.Get()}
+	n.nextSeq++
+	sess := &session{id: id, seq: n.nextSeq, sa: sa, rec: rec, upload: make(chan struct{}, 1)}
+	// Born holding its upload slot: the registering request owns the
+	// session from the instant it is visible, so a racing resume attempt
+	// can never drive the same analyzer.
+	sess.upload <- struct{}{}
 	sess.proto.State = ingest.StateActive
-	// Born ingesting: the registering request holds the upload flag
-	// from the instant the session is visible, so a racing resume
-	// attempt can never drive the same analyzer.
-	sess.ingesting.Store(true)
-	n.m.poolGets.Inc()
-	if n.opts.FlightRec > 0 {
-		sess.rec = obs.NewFlightRecorder(n.opts.FlightRec, n.m.names)
-	}
-	sess.sa.SetHooks(&pipelineHooks{m: n.m, rec: sess.rec})
-	sh.sessions[id] = sess
-	sh.mu.Unlock()
-	n.count.Add(1)
-	n.evict()
+	sa.SetHooks(&pipelineHooks{m: n.m, rec: rec})
+	n.sessions[id] = sess
+	n.evictLocked()
+	n.mu.Unlock()
 	n.m.sessionsTotal.Inc()
 	return sess, id, true
 }
@@ -462,46 +444,48 @@ func (n *Node) register(id string) (*session, string, bool) {
 // with a retryable 503.
 const ingestHandoverWait = 2 * time.Second
 
-// acquireIngest takes the session's upload-serialization flag. A
-// retry can race the handler it is replacing: the client saw the
-// connection reset, but the server side of that upload is still
-// draining toward its own read error and holds the flag. Waiting here
-// keeps that handover invisible to well-behaved clients; a session
-// still owned after ingestHandoverWait is genuinely busy.
-func acquireIngest(sess *session) bool {
-	deadline := time.Now().Add(ingestHandoverWait)
-	for !sess.ingesting.CompareAndSwap(false, true) {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
+// acquireIngest takes the session's upload slot. A retry can race the
+// handler it is replacing: the client saw the connection reset, but the
+// server side of that upload is still draining toward its own read
+// error and holds the slot. Waiting here keeps that handover invisible
+// to well-behaved clients; a session still owned after
+// ingestHandoverWait is genuinely busy, and a client that gave up (ctx)
+// stops waiting with the same answer.
+func acquireIngest(ctx context.Context, sess *session) bool {
+	wait := time.NewTimer(ingestHandoverWait)
+	defer wait.Stop()
+	select {
+	case sess.upload <- struct{}{}:
+		return true
+	case <-wait.C:
+	case <-ctx.Done():
 	}
-	return true
+	return false
 }
 
 // admit resolves an ingest request onto a session and returns the
-// protocol's decision for it. On Proceed the session's ingesting flag
-// is held by the caller; on Replay sess is the completed session; on
+// protocol's decision for it. On Proceed the session's upload slot is
+// held by the caller; on Replay sess is the completed session; on
 // Reject nothing is held. The decisions are ingest.Session.Admit's —
 // this function only arranges the locks and the handover around them.
-func (n *Node) admit(id string, req ingest.Request) (*session, string, ingest.Decision) {
+func (n *Node) admit(ctx context.Context, id string, req ingest.Request) (*session, string, ingest.Decision) {
 	if req.Resumable && id != "" {
 		if sess := n.lookup(id); sess != nil {
 			switch sess.protocol().State {
 			case ingest.StateDone:
 				return sess, id, ingest.Decision{Action: ingest.Replay}
 			case ingest.StateActive:
-				if !acquireIngest(sess) {
+				if !acquireIngest(ctx, sess) {
 					return sess, id, ingest.Decision{Action: ingest.Reject, Code: ingest.CodeBusy}
 				}
-				// Decide under the flag: the previous upload may have
+				// Decide under the slot: the previous upload may have
 				// advanced, finished or failed the session before
 				// releasing it.
 				d := sess.protocol().Admit(req)
 				if d.Action == ingest.Proceed && d.Resume {
 					return sess, id, d
 				}
-				sess.ingesting.Store(false)
+				sess.release()
 				if d.Action != ingest.Proceed {
 					return sess, id, d
 				}
@@ -522,67 +506,43 @@ func (n *Node) admit(id string, req ingest.Request) (*session, string, ingest.De
 }
 
 // queueFinished appends a session that just finished to the eviction
-// queue.
+// queue. Callers hold no locks: the state flipped under the session's
+// own lock, since dropped, so a retry may have replaced a failed session
+// in between — then it is out of the table with nothing to queue for.
 func (n *Node) queueFinished(sess *session) {
-	if n.opts.MaxSessions <= 0 {
-		return
+	n.mu.Lock()
+	if n.sessions[sess.id] == sess {
+		sess.evictAt = n.finished.PushBack(sess)
 	}
-	n.finMu.Lock()
-	sess.evictAt = n.finished.PushBack(sess)
-	n.finMu.Unlock()
+	n.mu.Unlock()
 }
 
-// unqueue takes a session out of the eviction queue, if it is in it: a
-// failed session that register replaced would otherwise sit there —
-// report and all — until the registry next overflows.
-func (n *Node) unqueue(sess *session) {
-	n.finMu.Lock()
-	if sess.evictAt != nil {
-		n.finished.Remove(sess.evictAt)
-		sess.evictAt = nil
-	}
-	n.finMu.Unlock()
-}
-
-// evict bounds retention: once MaxSessions is exceeded, the sessions
-// that finished (done or failed) longest ago are dropped, popped off
-// the finished queue in O(1) each. Active sessions are never queued, so
-// never evicted; their count is already bounded by the admission
-// limiter plus waiting uploads. No lock is held across the pop and the
-// delete — the bound is enforced within one session of exact, and a
-// popped session that register replaced in between is skipped.
-func (n *Node) evict() {
+// evictLocked bounds retention: while the table holds more than
+// MaxSessions, the session that finished (done or failed) longest ago is
+// dropped, popped off the finished queue in O(1). Active sessions are
+// never queued, so never evicted; their count is already bounded by the
+// admission limiter plus suspended uploads. register runs it in the
+// critical section that inserted (n.mu held), so after a registration
+// the table holds at most MaxSessions sessions, or only active ones.
+func (n *Node) evictLocked() {
 	max := n.opts.MaxSessions
-	if max <= 0 {
-		return
-	}
-	for n.count.Load() > int64(max) {
-		n.finMu.Lock()
+	for max > 0 && len(n.sessions) > max {
 		front := n.finished.Front()
 		if front == nil {
-			n.finMu.Unlock()
 			return
 		}
 		oldest := n.finished.Remove(front).(*session)
 		oldest.evictAt = nil
-		n.finMu.Unlock()
-		sh := n.shard(oldest.id)
-		sh.mu.Lock()
-		if sh.sessions[oldest.id] == oldest {
-			delete(sh.sessions, oldest.id)
-			n.count.Add(-1)
-			n.m.sessionsEvicted.Inc()
-			if oldest.rec != nil {
-				oldest.rec.Record(obs.Event{Kind: obs.EvSessionEvicted, Wall: time.Now().UnixNano()})
-			}
+		delete(n.sessions, oldest.id)
+		n.m.sessionsEvicted.Inc()
+		if oldest.rec != nil {
+			oldest.rec.Record(obs.Event{Kind: obs.EvSessionEvicted, Wall: time.Now().UnixNano()})
 		}
-		sh.mu.Unlock()
 	}
 }
 
 func (n *Node) lookup(id string) *session {
-	sh := n.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.sessions[id]
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.sessions[id]
 }

@@ -11,7 +11,6 @@ package node
 // is read.
 
 import (
-	"fmt"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -267,23 +266,19 @@ func (h *journalHooks) JournalReplayed(replayed, deduped int) {
 func (h *journalHooks) JournalCheckpointed(rows int) { h.m.journalCheckpoints.Inc() }
 
 // registerGauges wires the scrape-time instruments that read live
-// server state: session/shard occupancy, admission-limiter slots, RCA
+// server state: session-table occupancy, admission-limiter slots, RCA
 // store shape, and the analyzer-pool hit ratio.
 func (n *Node) registerGauges() {
 	reg := n.m.reg
 	reg.GaugeFunc("dominod_sessions_active", "Sessions currently ingesting.", func() float64 {
-		active := 0
-		for i := range n.shards {
-			sh := &n.shards[i]
-			sh.mu.Lock()
-			for _, sess := range sh.sessions {
-				if !sess.finished.Load() {
-					active++
-				}
-			}
-			sh.mu.Unlock()
-		}
-		return float64(active)
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return float64(len(n.sessions) - n.finished.Len())
+	})
+	reg.GaugeFunc("dominod_sessions_registered", "Sessions in the session table, active and retained finished ones.", func() float64 {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return float64(len(n.sessions))
 	})
 	reg.GaugeFunc("dominod_stream_slots", "Configured concurrent ingest capacity.",
 		func() float64 { return float64(n.limiter.Cap()) })
@@ -315,15 +310,6 @@ func (n *Node) registerGauges() {
 		}
 		return 1 - float64(n.m.poolMisses.Value())/float64(gets)
 	})
-	for i := range n.shards {
-		sh := &n.shards[i]
-		reg.GaugeFunc("dominod_shard_sessions", "Sessions registered per registry shard.", func() float64 {
-			sh.mu.Lock()
-			n := len(sh.sessions)
-			sh.mu.Unlock()
-			return float64(n)
-		}, obs.L("shard", fmt.Sprintf("%d", i)))
-	}
 }
 
 // handleMetrics serves the registry as Prometheus text exposition

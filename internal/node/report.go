@@ -111,15 +111,12 @@ func (n *Node) reportPayload(sess *session) ReportPayload {
 }
 
 func (n *Node) handleSessions(w http.ResponseWriter, r *http.Request) {
-	var all []*session
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.mu.Lock()
-		for _, sess := range sh.sessions {
-			all = append(all, sess)
-		}
-		sh.mu.Unlock()
+	n.mu.Lock()
+	all := make([]*session, 0, len(n.sessions))
+	for _, sess := range n.sessions {
+		all = append(all, sess)
 	}
+	n.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
 	infos := make([]SessionInfo, 0, len(all))
 	for _, sess := range all {
