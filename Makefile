@@ -11,13 +11,15 @@ GO ?= go
 # (internal/sim, internal/trace), the shared-queue batch executor
 # (internal/parallel), the fleet ingest benchmarks in both wire formats
 # (BenchmarkDominodIngest* in cmd/dominod, driving internal/node through
-# its HTTP surface) and the RCA-store insert, query, and write-ahead
-# journal append/replay benchmarks (internal/rcastore). Every benchmark processes a sizable batch per
+# its HTTP surface), the RCA-store insert, query, answer-encode and
+# write-ahead journal append/replay benchmarks (internal/rcastore) and the
+# balancer's scan-and-splice of two backends' answers
+# (internal/balancer). Every benchmark processes a sizable batch per
 # iteration, and the gate runs -count=5 with benchjson keeping the best
 # of the repeats — on shared hardware interference only makes numbers
 # worse, so best-of-5 is the stable estimate to gate on.
-BENCH_GATE_PATTERN = BenchmarkStreamAnalyzer|BenchmarkScenarioTraceGen|BenchmarkEngine|BenchmarkCodec|BenchmarkWindowEval|BenchmarkIncrementalStep|BenchmarkDominodIngest|BenchmarkRCAStore|BenchmarkBatchExecutor
-BENCH_GATE_PKGS = . ./internal/sim ./internal/trace ./internal/parallel ./cmd/dominod ./internal/rcastore
+BENCH_GATE_PATTERN = BenchmarkStreamAnalyzer|BenchmarkScenarioTraceGen|BenchmarkEngine|BenchmarkCodec|BenchmarkWindowEval|BenchmarkIncrementalStep|BenchmarkDominodIngest|BenchmarkRCAStore|BenchmarkBatchExecutor|BenchmarkFanoutMerge
+BENCH_GATE_PKGS = . ./internal/sim ./internal/trace ./internal/parallel ./cmd/dominod ./internal/rcastore ./internal/balancer
 
 # Absolute perf contracts the binary ingest fast path must clear on
 # every run, on top of the relative gate: the negotiated binary format
@@ -52,9 +54,9 @@ test:
 # Fuzz smoke: `go test` alone only replays each fuzz target's seeds.
 # This runs every parser that faces the network or the disk (both trace
 # codecs, JSONL by record and by block, the balancer's /metrics scrape
-# parser, the RCA-store checkpoint loader) and the block analysis path
-# behind them under the fuzzer for a few seconds each — `-fuzz` takes
-# one target and one package per run.
+# parser and its fan-out answer scanner, the RCA-store checkpoint loader)
+# and the block analysis path behind them under the fuzzer for a few
+# seconds each — `-fuzz` takes one target and one package per run.
 # A failing input is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryStreamReader$$' -fuzztime 5s ./internal/trace
@@ -65,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPushBlock$$' -fuzztime 5s ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/rcastore
+	$(GO) test -run '^$$' -fuzz '^FuzzFanoutScan$$' -fuzztime 5s ./internal/balancer
 
 # One iteration of every benchmark: regenerates every paper artifact
 # through the batch engine (sequential and parallel) as a smoke test.

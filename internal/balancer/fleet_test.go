@@ -648,6 +648,7 @@ func TestFleetReadDifferential(t *testing.T) {
 	for _, bad := range []string{
 		"/query?limit=abc", "/query?agg=top_chains&k=-1", "/query?agg=cause_rates&bucket=0",
 		"/query?last=bogus", "/query?agg=bogus", "/incidents/similar?fired=a&k=-1", "/incidents/similar",
+		"/incidents/similar?session=n0-007&k=-1",
 	} {
 		direct, viaLB := mustGet(t, n0.URL+bad), mustGet(t, lbTS.URL+bad)
 		want, got := readBody(t, direct), readBody(t, viaLB)

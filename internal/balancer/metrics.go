@@ -20,7 +20,8 @@ type metrics struct {
 	proxyErrors   *obs.Counter
 	healthProbes  *obs.Counter
 	probeFailures *obs.Counter
-	scrapeErrors  map[string]*obs.Counter // by backend URL
+	scrapeErrors  map[string]*obs.Counter   // by backend URL
+	fanoutSeconds map[string]*obs.Histogram // by kind of merged read
 }
 
 func newMetrics(b *Balancer) *metrics {
@@ -39,7 +40,13 @@ func newMetrics(b *Balancer) *metrics {
 			"Active health probes issued."),
 		probeFailures: reg.Counter("dominolb_health_probe_failures_total",
 			"Active health probes that failed."),
-		scrapeErrors: map[string]*obs.Counter{},
+		scrapeErrors:  map[string]*obs.Counter{},
+		fanoutSeconds: map[string]*obs.Histogram{},
+	}
+	for _, kind := range []string{"records", "top_chains", "cause_rates", "similar"} {
+		m.fanoutSeconds[kind] = reg.Histogram("dominolb_fanout_seconds",
+			"Wall time of one merged fleet read, from fanning it out to the slowest backend's answer merged, by kind of read.",
+			nil, obs.L("kind", kind))
 	}
 	reg.GaugeFunc("dominolb_backends", "Backends configured.",
 		func() float64 { return float64(len(b.backends)) })

@@ -2,6 +2,7 @@ package balancer
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,8 +12,9 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"github.com/domino5g/domino/internal/ingest"
 	"github.com/domino5g/domino/internal/rcastore"
@@ -359,15 +361,79 @@ func (b *Balancer) get(ctx context.Context, be *backend, pathAndQuery string) (*
 	return b.client.Do(req)
 }
 
-// fanGet issues one GET to each of the given backends, all at once, and
-// returns the decoded 200-bodies with the backend each came from, both
-// in the order the backends were given — so a merge does not depend on
-// which node answered first. Individual failures are logged and
+// part is one backend's 200 answer to a fan-out read: the body, and what
+// scanAnswer kept of it. Parts are pooled, so a steady read mix reads
+// into and scans into memory it already has.
+type part struct {
+	be   *backend
+	body []byte
+	scanned
+}
+
+var parts = sync.Pool{New: func() any { return new(part) }}
+
+// A part that grew past either bound is left to the collector, so one
+// huge answer does not pin its size for good.
+const (
+	partKeepBody = 1 << 20
+	partKeepRows = 4096
+	partPresize  = 64 << 20
+)
+
+// release returns p to the pool and reports whether the pool took it.
+func (p *part) release() bool {
+	keep := cap(p.body) <= partKeepBody && cap(p.rows) <= partKeepRows
+	if keep {
+		p.be, p.fired = nil, nil
+		parts.Put(p)
+	}
+	return keep
+}
+
+func release(answers []*part) {
+	for _, p := range answers {
+		p.release()
+	}
+}
+
+// read fills p.body with the response's body, sized in one step from the
+// Content-Length a node sends instead of by doubling.
+func (p *part) read(resp *http.Response) error {
+	p.body = p.body[:0]
+	if n := resp.ContentLength; n >= int64(cap(p.body)) {
+		// The spare byte is where the read that meets EOF lands. A length
+		// past partPresize is taken on trust only that far.
+		p.body = make([]byte, 0, min(n, partPresize)+1)
+	}
+	for {
+		if len(p.body) == cap(p.body) {
+			p.body = append(p.body, 0)[:len(p.body)]
+		}
+		n, err := resp.Body.Read(p.body[len(p.body):cap(p.body)])
+		p.body = p.body[:len(p.body)+n]
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// fan issues one GET to each of the given backends, all at once, and
+// returns the 200-answers, each scanned for the array under rowsKey (left
+// as bytes when rowsKey is ""), in the order the backends were given — so
+// a merge does not depend on which node answered first. Individual
+// failures, a body that does not scan among them, are logged and
 // skipped: a degraded fleet still answers with what it has. When no
 // backend answered 200 the caller relays one node's answer (relayFirst)
-// rather than merge nothing into an empty 200.
-func fanGet[T any](b *Balancer, ctx context.Context, backends []*backend, pathAndQuery string) (answers []T, from []*backend) {
-	got := make([]*T, len(backends))
+// rather than merge nothing into an empty 200; refused says some backend
+// answered a 4xx other than 404, which is an answer about the request
+// and not about what that node holds. The caller releases the parts once
+// the answer that refers to them is written.
+func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, rowsKey string) (answers []*part, refused bool) {
+	got := make([]*part, len(backends))
+	var bad atomic.Bool
 	var wg sync.WaitGroup
 	for i, be := range backends {
 		wg.Add(1)
@@ -379,36 +445,61 @@ func fanGet[T any](b *Balancer, ctx context.Context, backends []*backend, pathAn
 				return
 			}
 			defer resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				v := new(T)
-				if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-					b.log.Warn("fan-out decode failed", "backend", be.url, "path", pathAndQuery, "err", err)
-				} else {
-					got[i] = v
+			if resp.StatusCode != http.StatusOK {
+				if resp.StatusCode/100 == 4 && resp.StatusCode != http.StatusNotFound {
+					bad.Store(true)
 				}
+				io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+				return
 			}
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+			p := parts.Get().(*part)
+			p.be = be
+			if err = p.read(resp); err == nil && rowsKey != "" {
+				err = scanAnswer(p.body, rowsKey, &p.scanned)
+			}
+			if err != nil {
+				b.log.Warn("fan-out read failed", "backend", be.url, "path", pathAndQuery, "err", err)
+				p.release()
+				return
+			}
+			got[i] = p
 		}(i, be)
 	}
 	wg.Wait()
-	for i, v := range got {
-		if v != nil {
-			answers, from = append(answers, *v), append(from, backends[i])
+	for _, p := range got {
+		if p != nil {
+			answers = append(answers, p)
 		}
 	}
-	return answers, from
+	return answers, bad.Load()
+}
+
+// answer writes a merged answer and notes, under kind, what the read
+// took from its fan-out to the end of the merge.
+func (b *Balancer) answer(w http.ResponseWriter, kind string, start time.Time, merge func(dst []byte) []byte) {
+	ingest.WriteAppended(w, func(dst []byte) []byte {
+		dst = merge(dst)
+		b.m.fanoutSeconds[kind].Observe(time.Since(start).Seconds())
+		return dst
+	})
 }
 
 // handleSessions fans /sessions across the fleet and merges the
 // per-node session summaries, ordered by session id.
 func (b *Balancer) handleSessions(w http.ResponseWriter, r *http.Request) {
-	parts, _ := fanGet[[]json.RawMessage](b, r.Context(), b.reachable(), "/sessions")
+	answers, _ := b.fan(r.Context(), b.reachable(), "/sessions", "")
+	defer release(answers)
 	type keyed struct {
 		id  string
 		raw json.RawMessage
 	}
 	var all []keyed
-	for _, part := range parts {
+	for _, p := range answers {
+		var part []json.RawMessage
+		if err := json.Unmarshal(p.body, &part); err != nil {
+			b.log.Warn("fan-out decode failed", "backend", p.be.url, "path", "/sessions", "err", err)
+			continue
+		}
 		for _, raw := range part {
 			var peek struct {
 				Session string `json:"session"`
@@ -428,101 +519,156 @@ func (b *Balancer) handleSessions(w http.ResponseWriter, r *http.Request) {
 // handleQuery fans /query across the fleet and merges per-node
 // results into fleet-wide answers: records interleave by start time,
 // top_chains re-aggregate by chain, cause_rates re-derive rates from
-// summed runs over summed session minutes.
+// summed runs over summed session minutes. Records are not decoded on
+// the way: the rows that rank are copied out of the nodes' answers.
 func (b *Balancer) handleQuery(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	pathAndQuery := "/query"
 	if r.URL.RawQuery != "" {
 		pathAndQuery += "?" + r.URL.RawQuery
 	}
-	switch agg := r.URL.Query().Get("agg"); agg {
+	// kind names the read in dominolb_fanout_seconds, and is the member
+	// of a node's answer that holds its rows.
+	kind := r.URL.Query().Get("agg")
+	switch kind {
 	case "":
-		limit := 0
-		if v := r.URL.Query().Get("limit"); v != "" {
-			limit, _ = strconv.Atoi(v)
-		}
-		type recordsResp struct {
-			Records []rcastore.Record `json:"records"`
-		}
-		var records []rcastore.Record
-		parts, _ := fanGet[recordsResp](b, r.Context(), b.reachable(), pathAndQuery)
-		if len(parts) == 0 {
-			b.relayFirst(w, r.Context(), pathAndQuery)
-			return
-		}
-		for _, part := range parts {
-			records = append(records, part.Records...)
-		}
-		sort.SliceStable(records, func(i, j int) bool { return rcastore.RecordLess(&records[i], &records[j]) })
-		if limit > 0 && len(records) > limit {
-			records = records[:limit]
-		}
-		if records == nil {
-			records = []rcastore.Record{}
-		}
-		ingest.WriteJSON(w, http.StatusOK, map[string]any{"records": records})
-	case "top_chains":
-		k := 10
-		if v := r.URL.Query().Get("k"); v != "" {
-			k, _ = strconv.Atoi(v)
-		}
-		type chainsResp struct {
-			TopChains []rcastore.ChainAgg `json:"top_chains"`
-		}
-		byChain := map[string]*rcastore.ChainAgg{}
-		parts, _ := fanGet[chainsResp](b, r.Context(), b.reachable(), pathAndQuery)
-		if len(parts) == 0 {
-			b.relayFirst(w, r.Context(), pathAndQuery)
-			return
-		}
-		for _, part := range parts {
-			for _, c := range part.TopChains {
-				a := byChain[c.Chain]
-				if a == nil {
-					cp := c
-					byChain[c.Chain] = &cp
-					continue
-				}
-				a.Runs += c.Runs
-				a.Sessions += c.Sessions
-			}
-		}
-		out := make([]rcastore.ChainAgg, 0, len(byChain))
-		for _, a := range byChain {
-			out = append(out, *a)
-		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Runs != out[j].Runs {
-				return out[i].Runs > out[j].Runs
-			}
-			return out[i].Chain < out[j].Chain
-		})
-		if k > 0 && len(out) > k {
-			out = out[:k]
-		}
-		ingest.WriteJSON(w, http.StatusOK, map[string]any{"top_chains": out})
-	case "cause_rates":
-		rates, ok := b.mergeCauseRates(r.Context(), pathAndQuery)
-		if !ok {
-			b.relayFirst(w, r.Context(), pathAndQuery)
-			return
-		}
-		ingest.WriteJSON(w, http.StatusOK, map[string]any{"cause_rates": rates})
+		kind = "records"
+	case "top_chains", "cause_rates":
 	default:
 		// Let a backend phrase the error for unknown aggregations.
 		b.relayFirst(w, r.Context(), pathAndQuery)
+		return
 	}
+	answers, _ := b.fan(r.Context(), b.reachable(), pathAndQuery, kind)
+	defer release(answers)
+	if len(answers) == 0 {
+		b.relayFirst(w, r.Context(), pathAndQuery)
+		return
+	}
+	// A count no node would accept never gets here: every node answered
+	// it 400, which the relay above passed on.
+	count := func(name string, def int) int {
+		if v := r.URL.Query().Get(name); v != "" {
+			def, _ = strconv.Atoi(v)
+		}
+		return def
+	}
+	b.answer(w, kind, start, func(dst []byte) []byte {
+		switch kind {
+		case "top_chains":
+			return rcastore.AppendTopChainsAnswer(dst, mergeTopChains(answers, count("k", 10)))
+		case "cause_rates":
+			return rcastore.AppendCauseRatesAnswer(dst, mergeCauseRates(answers))
+		}
+		return mergeRecords(dst, answers, count("limit", 0))
+	})
+}
+
+// byRecord and byMatch order scanned rows as rcastore.RecordLess and
+// MatchLess order the rows they were: FuzzFanoutScan holds each pair
+// together.
+func byRecord(a, b *row) int {
+	if c := cmp.Compare(a.start, b.start); c != 0 {
+		return c
+	}
+	return bytes.Compare(a.session, b.session)
+}
+
+func byMatch(a, b *row) int {
+	if c := cmp.Compare(a.distance, b.distance); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.start, a.start); c != 0 { // the more recent first
+		return c
+	}
+	return bytes.Compare(a.session, b.session)
+}
+
+// allRows lists the answers' rows, backend by backend.
+func allRows(answers []*part) []*row {
+	n := 0
+	for _, p := range answers {
+		n += len(p.rows)
+	}
+	rows := make([]*row, 0, n)
+	for _, p := range answers {
+		for i := range p.rows {
+			rows = append(rows, &p.rows[i])
+		}
+	}
+	return rows
+}
+
+// mergeRecords appends the fleet's answer to a records read: every
+// answer's rows in the order one store would give them, cut at limit.
+func mergeRecords(dst []byte, answers []*part, limit int) []byte {
+	rows := allRows(answers)
+	slices.SortStableFunc(rows, byRecord)
+	if limit > 0 && len(rows) > limit {
+		rows = rows[:limit]
+	}
+	return rcastore.AppendRecordsSplice(dst, len(rows), func(i int) []byte { return rows[i].raw })
+}
+
+// mergeSimilar appends the fleet's answer to a similar-incident read
+// about the signature fired: the answers' matches without the probe
+// session and without a session's second copy (nothing stops a session
+// from being stored on two nodes), re-ranked in the order each node
+// ranked its own, cut at k.
+func mergeSimilar(dst, fired []byte, answers []*part, probeSession string, k int) []byte {
+	all := allRows(answers)
+	rows, seen := all[:0], make(map[string]bool, len(all))
+	for _, r := range all {
+		if string(r.session) != probeSession && !seen[string(r.session)] {
+			seen[string(r.session)] = true
+			rows = append(rows, r)
+		}
+	}
+	slices.SortStableFunc(rows, byMatch)
+	if k > 0 && len(rows) > k {
+		rows = rows[:k]
+	}
+	return rcastore.AppendSimilarSplice(dst, fired, len(rows), func(i int) []byte { return rows[i].raw })
+}
+
+// mergeTopChains sums the answers' chain rows by chain and re-ranks them
+// by runs, ties by signature, cut at k.
+func mergeTopChains(answers []*part, k int) []rcastore.ChainAgg {
+	byChain := map[string]*rcastore.ChainAgg{}
+	for _, p := range answers {
+		for i := range p.rows {
+			r := &p.rows[i]
+			a := byChain[string(r.chain)]
+			if a == nil {
+				a = &rcastore.ChainAgg{Chain: string(r.chain)}
+				byChain[a.Chain] = a
+			}
+			a.Runs += r.runs
+			a.Sessions += r.sessions
+		}
+	}
+	out := make([]rcastore.ChainAgg, 0, len(byChain))
+	for _, a := range byChain {
+		out = append(out, *a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Runs != out[j].Runs {
+			return out[i].Runs > out[j].Runs
+		}
+		return out[i].Chain < out[j].Chain
+	})
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
 }
 
 // mergeCauseRates re-aggregates per-node cause-rate buckets. Runs sum
 // per (cell, bucket, cause); Sessions and Minutes sum per (cell,
 // bucket) group — each node reports its group denominator on every
 // row, so per node the group values are taken once — and the rate is
-// re-derived from the merged numerator and denominator. ok is false
-// when no backend answered.
-func (b *Balancer) mergeCauseRates(ctx context.Context, pathAndQuery string) (merged []rcastore.CauseBucket, ok bool) {
-	type ratesResp struct {
-		CauseRates []rcastore.CauseBucket `json:"cause_rates"`
-	}
+// re-derived from the merged numerator and denominator.
+func mergeCauseRates(answers []*part) []rcastore.CauseBucket {
 	type groupKey struct {
 		cell   string
 		bucket int64
@@ -534,19 +680,16 @@ func (b *Balancer) mergeCauseRates(ctx context.Context, pathAndQuery string) (me
 	runs := map[cellKey]int{}
 	sessions := map[groupKey]int{}
 	minutes := map[groupKey]float64{}
-	parts, _ := fanGet[ratesResp](b, ctx, b.reachable(), pathAndQuery)
-	if len(parts) == 0 {
-		return nil, false
-	}
-	for _, part := range parts {
+	for _, p := range answers {
 		grouped := map[groupKey]bool{}
-		for _, cb := range part.CauseRates {
-			g := groupKey{cell: cb.Cell, bucket: int64(cb.Bucket)}
-			runs[cellKey{groupKey: g, cause: cb.Cause}] += cb.Runs
+		for i := range p.rows {
+			r := &p.rows[i]
+			g := groupKey{cell: string(r.cell), bucket: r.bucket}
+			runs[cellKey{groupKey: g, cause: string(r.cause)}] += r.runs
 			if !grouped[g] {
 				grouped[g] = true
-				sessions[g] += cb.Sessions
-				minutes[g] += cb.Minutes
+				sessions[g] += r.sessions
+				minutes[g] += r.minutes
 			}
 		}
 	}
@@ -570,7 +713,7 @@ func (b *Balancer) mergeCauseRates(ctx context.Context, pathAndQuery string) (me
 		}
 		return out[i].Cause < out[j].Cause
 	})
-	return out, true
+	return out
 }
 
 // handleSimilar fans nearest-incident lookups. A fired= probe fans
@@ -579,10 +722,7 @@ func (b *Balancer) mergeCauseRates(ctx context.Context, pathAndQuery string) (me
 // own matches, the others answer 404 from their session index; those
 // are then asked with the explicit signature, so each node scans once.
 func (b *Balancer) handleSimilar(w http.ResponseWriter, r *http.Request) {
-	type similarResp struct {
-		Fired   []string         `json:"fired"`
-		Matches []rcastore.Match `json:"matches"`
-	}
+	start := time.Now()
 	k := 5
 	if v := r.URL.Query().Get("k"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil {
@@ -592,31 +732,41 @@ func (b *Balancer) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	probeSession := q.Get("session")
 	ask := b.reachable()
-	var fired []string
-	var matches []rcastore.Match
+	var answers []*part
+	defer func() { release(answers) }()
 	if probeSession != "" {
-		owners, from := fanGet[similarResp](b, r.Context(), ask, "/incidents/similar?"+r.URL.RawQuery)
-		if len(owners) == 0 {
+		asIs := "/incidents/similar?" + r.URL.RawQuery
+		owners, refused := b.fan(r.Context(), ask, asIs, "matches")
+		answers = owners
+		switch {
+		case len(owners) == 0 && refused:
+			// Not "nobody holds it": the nodes turned the request itself
+			// down (a bad k). Let one say so in its own words.
+			b.relayFirst(w, r.Context(), asIs)
+			return
+		case len(owners) == 0:
 			ingest.WriteError(w, http.StatusNotFound, fmt.Sprintf("session %q has no stored report on any node", probeSession))
 			return
 		}
 		// The first node holding the session speaks for it. Any other
 		// holder is asked again below like the rest of the fleet, with
 		// the first one's signature.
-		fired, matches = owners[0].Fired, owners[0].Matches
-		ask = slices.DeleteFunc(ask, func(be *backend) bool { return be == from[0] })
+		release(owners[1:])
+		answers = owners[:1]
+		ask = slices.DeleteFunc(ask, func(be *backend) bool { return be == owners[0].be })
 		// Rewrite the query for them: explicit signature, no session
 		// (they do not hold it).
 		q.Del("session")
-		q.Set("fired", strings.Join(fired, ","))
+		q.Set("fired", string(bytes.Join(owners[0].firedNames, []byte(","))))
 	}
 	fanQuery := "/incidents/similar?" + q.Encode()
-	parts, _ := fanGet[similarResp](b, r.Context(), ask, fanQuery)
-	for _, part := range parts {
+	rest, _ := b.fan(r.Context(), ask, fanQuery, "matches")
+	answers = append(answers, rest...)
+	var fired []byte
+	for _, p := range answers {
 		if fired == nil {
-			fired = part.Fired
+			fired = p.fired
 		}
-		matches = append(matches, part.Matches...)
 	}
 	if fired == nil {
 		// No backend produced an answer; surface the fleet state or
@@ -624,24 +774,7 @@ func (b *Balancer) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		b.relayFirst(w, r.Context(), fanQuery)
 		return
 	}
-	// Dedup (nothing stops a session from being stored on two nodes),
-	// drop the probe itself, and re-rank in the order each node ranked
-	// its own.
-	seen := map[string]bool{}
-	out := matches[:0]
-	for _, m := range matches {
-		if m.Session == probeSession || seen[m.Session] {
-			continue
-		}
-		seen[m.Session] = true
-		out = append(out, m)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return rcastore.MatchLess(&out[i], &out[j]) })
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	if out == nil {
-		out = []rcastore.Match{}
-	}
-	ingest.WriteJSON(w, http.StatusOK, map[string]any{"fired": fired, "matches": out})
+	b.answer(w, "similar", start, func(dst []byte) []byte {
+		return mergeSimilar(dst, fired, answers, probeSession, k)
+	})
 }

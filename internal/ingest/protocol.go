@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 )
 
 // Protocol header and media-type names shared by client and server.
@@ -154,6 +155,30 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// answerBufs recycles the buffers WriteAppended renders into. One that
+// grew past answerBufKeep is left to the collector, so a single huge
+// answer does not pin its size for good.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const answerBufKeep = 1 << 20
+
+// WriteAppended answers 200 with the JSON that render appends to the
+// buffer it is given, laid out as WriteJSON would have, in one write
+// with its Content-Length: the query surface renders by appending
+// (rcastore's answer encoders on a node, the splice in dominolb), so the
+// size a reflecting encoder only finds by streaming is known up front.
+func WriteAppended(w http.ResponseWriter, render func(dst []byte) []byte) {
+	buf := answerBufs.Get().(*[]byte)
+	*buf = render((*buf)[:0])
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*buf)
+	if cap(*buf) <= answerBufKeep {
+		answerBufs.Put(buf)
+	}
 }
 
 // WriteError writes a plain (untyped) error body.

@@ -198,14 +198,16 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	switch agg := r.URL.Query().Get("agg"); agg {
 	case "":
-		ingest.WriteJSON(w, http.StatusOK, map[string]any{"records": n.store.Query(q)})
+		records := n.store.Query(q)
+		ingest.WriteAppended(w, func(dst []byte) []byte { return rcastore.AppendRecordsAnswer(dst, records) })
 	case "top_chains":
 		k, err := intParam(r, "k", 10)
 		if err != nil {
 			ingest.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		ingest.WriteJSON(w, http.StatusOK, map[string]any{"top_chains": n.store.TopChains(q, k)})
+		chains := n.store.TopChains(q, k)
+		ingest.WriteAppended(w, func(dst []byte) []byte { return rcastore.AppendTopChainsAnswer(dst, chains) })
 	case "cause_rates":
 		bucket := 10 * time.Minute
 		if v := r.URL.Query().Get("bucket"); v != "" {
@@ -216,9 +218,8 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			bucket = d
 		}
-		ingest.WriteJSON(w, http.StatusOK, map[string]any{
-			"cause_rates": n.store.CauseRates(q, sim.Time(bucket/time.Microsecond)),
-		})
+		rates := n.store.CauseRates(q, sim.Time(bucket/time.Microsecond))
+		ingest.WriteAppended(w, func(dst []byte) []byte { return rcastore.AppendCauseRatesAnswer(dst, rates) })
 	default:
 		ingest.WriteError(w, http.StatusBadRequest, fmt.Sprintf("unknown agg %q (want top_chains or cause_rates)", agg))
 	}
@@ -263,5 +264,5 @@ func (n *Node) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	if len(out) > k {
 		out = out[:k]
 	}
-	ingest.WriteJSON(w, http.StatusOK, map[string]any{"fired": fired, "matches": out})
+	ingest.WriteAppended(w, func(dst []byte) []byte { return rcastore.AppendSimilarAnswer(dst, fired, out) })
 }

@@ -19,7 +19,7 @@ import (
 
 func oracleQuery(s *Store, q Query) []Record {
 	var out []Record
-	s.scanLocked(s.compileLocked(q), func(b *block, i int) {
+	s.scanLocked(q, func(b *block, i int) {
 		out = append(out, s.materializeLocked(b, i))
 	})
 	sort.SliceStable(out, func(i, j int) bool {
@@ -46,7 +46,7 @@ func oracleSimilar(s *Store, fired []string, q Query, k int) []Match {
 		probe[id/64] |= 1 << uint(id%64)
 	}
 	out := []Match{} // never nil: an empty answer encodes as [], not null
-	s.scanLocked(s.compileLocked(q), func(b *block, i int) {
+	s.scanLocked(q, func(b *block, i int) {
 		row := b.row(i)
 		d := unknown
 		for w := 0; w < len(probe) || w < len(row); w++ {
@@ -91,7 +91,7 @@ func oracleFired(s *Store, session string) (Record, bool) {
 func oracleTopChains(s *Store, q Query, k int) []ChainAgg {
 	runs := map[uint32]int{}
 	sessions := map[uint32]int{}
-	s.scanLocked(s.compileLocked(q), func(b *block, i int) {
+	s.scanLocked(q, func(b *block, i int) {
 		for j := b.chainOff[i]; j < b.chainOff[i+1]; j++ {
 			runs[b.chainIDs[j]] += int(b.chainRuns[j])
 			sessions[b.chainIDs[j]]++
@@ -125,7 +125,7 @@ func oracleCauseRates(s *Store, q Query, bucket sim.Time) []CauseBucket {
 	runs := map[cellKey]int{}
 	sessions := map[groupKey]int{}
 	minutes := map[groupKey]float64{}
-	s.scanLocked(s.compileLocked(q), func(b *block, i int) {
+	s.scanLocked(q, func(b *block, i int) {
 		bs := sim.Time(0)
 		if bucket > 0 {
 			bs = b.starts[i] / bucket * bucket

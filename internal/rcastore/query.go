@@ -32,7 +32,8 @@ type Query struct {
 
 // compiled is a query resolved against the store dictionaries. ok=false
 // means some predicate names an unknown dictionary entry and the query
-// matches nothing.
+// matches nothing. It is some 180 bytes and consulted once per row, so
+// its methods take it by pointer.
 type compiled struct {
 	q                Query
 	cellID, scenID   int
@@ -81,7 +82,7 @@ func (s *Store) compileLocked(q Query) compiled {
 }
 
 // blockMatch prunes whole blocks on the block-level indexes.
-func (c compiled) blockMatch(b *block) bool {
+func (c *compiled) blockMatch(b *block) bool {
 	if b.n == 0 {
 		return false
 	}
@@ -100,7 +101,7 @@ func (c compiled) blockMatch(b *block) bool {
 	return true
 }
 
-func (c compiled) rowMatch(b *block, i int) bool {
+func (c *compiled) rowMatch(b *block, i int) bool {
 	if st := b.starts[i]; st < c.q.From || (c.q.To != 0 && st >= c.q.To) {
 		return false
 	}
@@ -140,9 +141,10 @@ func (c compiled) rowMatch(b *block, i int) bool {
 	return true
 }
 
-// scanLocked streams every matching (block, row) pair in insertion
+// scanLocked streams every (block, row) pair matching q in insertion
 // order. The caller must hold at least the read lock.
-func (s *Store) scanLocked(c compiled, visit func(b *block, i int)) {
+func (s *Store) scanLocked(q Query, visit func(b *block, i int)) {
+	c := s.compileLocked(q)
 	if !c.ok {
 		return
 	}
@@ -276,7 +278,7 @@ func (s *Store) Query(q Query) []Record {
 	defer s.mu.RUnlock()
 	s.queriedLocked()
 	sel := kBest{k: q.Limit, less: func(a, b *Match) bool { return RecordLess(&a.Record, &b.Record) }}
-	s.scanLocked(s.compileLocked(q), func(b *block, i int) { sel.offer(b, i, 0) })
+	s.scanLocked(q, func(b *block, i int) { sel.offer(b, i, 0) })
 	var out []Record
 	for _, c := range sel.ranked() {
 		out = append(out, s.materializeLocked(c.b, c.i))
@@ -305,7 +307,7 @@ func (s *Store) TopChains(q Query, k int) []ChainAgg {
 	// matching record lists it, whatever its run count.
 	runs := make([]int, len(s.chains.names))
 	sessions := make([]int, len(s.chains.names))
-	s.scanLocked(s.compileLocked(q), func(b *block, i int) {
+	s.scanLocked(q, func(b *block, i int) {
 		for j := b.chainOff[i]; j < b.chainOff[i+1]; j++ {
 			runs[b.chainIDs[j]] += int(b.chainRuns[j])
 			sessions[b.chainIDs[j]]++
@@ -372,7 +374,7 @@ func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 		listed   []bool
 	}
 	groups := map[groupKey]*group{}
-	s.scanLocked(s.compileLocked(q), func(b *block, i int) {
+	s.scanLocked(q, func(b *block, i int) {
 		key := groupKey{cell: b.cellIDs[i]}
 		if bucket > 0 {
 			key.bucket = b.starts[i] / bucket * bucket
@@ -454,7 +456,7 @@ func (s *Store) Similar(fired []string, q Query, k int) []Match {
 		probe[id/64] |= 1 << uint(id%64)
 	}
 	sel := kBest{k: k, less: MatchLess}
-	s.scanLocked(s.compileLocked(q), func(b *block, i int) {
+	s.scanLocked(q, func(b *block, i int) {
 		row := b.row(i)
 		d := unknown
 		n := len(row)

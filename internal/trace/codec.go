@@ -53,10 +53,10 @@ func init() {
 	}
 }
 
-// appendJSONString appends s as a JSON string literal exactly as
+// AppendJSONString appends s as a JSON string literal exactly as
 // json.Marshal renders it (HTML escaping on, invalid UTF-8 replaced,
 // U+2028/U+2029 escaped).
-func appendJSONString(dst []byte, s string) []byte {
+func AppendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -109,10 +109,10 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// appendJSONFloat appends f exactly as json.Marshal renders float64
+// AppendJSONFloat appends f exactly as json.Marshal renders float64
 // values. It reports false for NaN and infinities, which JSON cannot
 // represent (json.Marshal errors on them).
-func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
+func AppendJSONFloat(dst []byte, f float64) ([]byte, bool) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return dst, false
 	}
@@ -143,7 +143,7 @@ type encBuf struct {
 func (e *encBuf) raw(s string) { e.b = append(e.b, s...) }
 func (e *encBuf) i64(v int64)  { e.b = strconv.AppendInt(e.b, v, 10) }
 func (e *encBuf) u64(v uint64) { e.b = strconv.AppendUint(e.b, v, 10) }
-func (e *encBuf) str(s string) { e.b = appendJSONString(e.b, s) }
+func (e *encBuf) str(s string) { e.b = AppendJSONString(e.b, s) }
 func (e *encBuf) boolv(v bool) {
 	if v {
 		e.b = append(e.b, "true"...)
@@ -153,7 +153,7 @@ func (e *encBuf) boolv(v bool) {
 }
 func (e *encBuf) f64(v float64) {
 	var ok bool
-	e.b, ok = appendJSONFloat(e.b, v)
+	e.b, ok = AppendJSONFloat(e.b, v)
 	if !ok {
 		e.badNum = true
 	}
