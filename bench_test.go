@@ -308,9 +308,8 @@ func BenchmarkScenarioCatalog(b *testing.B)       { benchExperiment(b, "scenario
 
 // BenchmarkScenarioTraceGen measures trace-generation throughput per
 // registered scenario: one simulated call per iteration, reporting
-// emitted trace records per wall-clock second. Together with
-// BenchmarkStreamAnalyzer these feed `make bench-json`
-// (BENCH_scenarios.json), the perf-trajectory artifact CI uploads.
+// emitted trace records per wall-clock second. fleetbench's
+// scenario.gen_records_per_s is the figure that is kept.
 func BenchmarkScenarioTraceGen(b *testing.B) {
 	for _, name := range scenario.Names() {
 		b.Run(name, func(b *testing.B) {

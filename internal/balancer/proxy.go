@@ -148,18 +148,26 @@ func (b *Balancer) replay(ctx context.Context, sess *lbSession, be *backend) err
 // forward proxies one ingest chunk to the session's pinned backend,
 // teeing the body into a buffer of its own that joins the replay list
 // only once the backend acknowledges: a chunk costs a chunk, however
-// long the session already is. Callers hold sess.mu.
+// long the session already is. A chunk whose declared length would take
+// the list past ReplayMax is not teed at all: its acknowledgement ends
+// the session's replay, so keeping it would cost its size to keep
+// nothing. Callers hold sess.mu.
 func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.Request, sess *lbSession, id string) {
 	be := sess.backend
 	var pending *bytes.Buffer
 	var body io.Reader = r.Body
+	tooLong := false
 	if sess.resumable && !sess.overflow && b.opts.ReplayMax > 0 {
-		var sized []byte
-		if n := r.ContentLength; n > 0 && n <= b.opts.ReplayMax {
-			sized = make([]byte, 0, n)
+		n := r.ContentLength
+		tooLong = int64(sess.buffered)+n > b.opts.ReplayMax
+		if !tooLong {
+			var sized []byte
+			if n > 0 {
+				sized = make([]byte, 0, n)
+			}
+			pending = bytes.NewBuffer(sized)
+			body = io.TeeReader(r.Body, pending)
 		}
-		pending = bytes.NewBuffer(sized)
-		body = io.TeeReader(r.Body, pending)
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		be.url+"/ingest?session="+url.QueryEscape(id), body)
@@ -211,11 +219,12 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.
 				chunk = bytes.Clone(chunk)
 			}
 			sess.chunks = append(sess.chunks, chunk)
-			sess.buffered += len(chunk)
-			if int64(sess.buffered) > b.opts.ReplayMax {
-				sess.dropReplay()
-				sess.overflow = true
-			}
+			sess.buffered += len(chunk) // a body of undeclared length can still pass the cap
+			tooLong = int64(sess.buffered) > b.opts.ReplayMax
+		}
+		if tooLong {
+			sess.dropReplay()
+			sess.overflow = true
 		}
 	case http.StatusServiceUnavailable:
 		// The backend is shedding or draining; reflect draining into

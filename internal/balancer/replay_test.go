@@ -192,6 +192,28 @@ func TestReplayListFailover(t *testing.T) {
 		if e := lbTableEntry(t, ts.URL, id); e.Buffered != 0 || !e.Overflow {
 			t.Fatalf("over the cap: %+v, want the list dropped", e)
 		}
+
+		// A chunk whose declared length alone is past the cap ends the same
+		// way, and the balancer does not buffer it on the way through. With
+		// the collector off, proxying it allocates under twice its size:
+		// 1.4× measured, all of it the in-process node starting a session,
+		// where an unsized tee doubling its way up added another 3.4×.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		req := httptest.NewRequest(http.MethodPost, "/ingest?session=oversize", bytes.NewReader(payload))
+		req.Header.Set("Content-Type", ingest.ContentTypeJSONL)
+		ingest.Request{Resumable: true}.SetHeaders(req.Header)
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		lb.Routes().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if e := lbTableEntry(t, ts.URL, "oversize"); rec.Code != http.StatusAccepted || e.Buffered != 0 || !e.Overflow {
+			t.Fatalf("oversize chunk: status %d, %+v, want 202 and the list dropped", rec.Code, e)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 2*uint64(len(payload)) {
+			t.Fatalf("proxying a %d-byte chunk that cannot be kept allocated %d bytes", len(payload), got)
+		}
+
 		owner, other := ownerAndOther(lb, id, a, b)
 		owner.kill()
 		client := ingest.New(ingest.Options{

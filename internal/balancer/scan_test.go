@@ -283,14 +283,13 @@ func TestPartPoolDropsOversized(t *testing.T) {
 	}
 }
 
-// BenchmarkFanoutMerge measures the balancer's share of a merged read
-// once the bodies are in: scanning two backends' 50-row answers and
-// writing the fleet's, into buffers that are reused as the pool reuses
-// them. An op is 64 such reads, so that the few allocations the test
-// binary's background goroutines make during a 3-op gate run do not
-// show in the per-op figure.
-func BenchmarkFanoutMerge(b *testing.B) {
-	const reads = 64
+// mergeReads are the balancer's share of a merged read once the bodies
+// are in — scanning two backends' 50-row answers and writing the fleet's,
+// into buffers reused as the pool reuses them — one func per answer
+// shape, with 1.3 × the allocations per fan-out it measured in PR 20:
+// records 1 (the row-pointer slice that is sorted), similar 103 (that
+// slice, and the session-dedup map with a key per row).
+func mergeReads(tb testing.TB) []mergeRead {
 	rng := rand.New(rand.NewSource(7))
 	var recordBodies, similarBodies [][]byte
 	for i := 0; i < 2; i++ {
@@ -300,36 +299,73 @@ func BenchmarkFanoutMerge(b *testing.B) {
 			rows[j].Session = fmt.Sprintf("p%d-%05d", i, j)
 			recs = append(recs, rows[j].Record)
 		}
-		recordBodies = append(recordBodies, wireJSON(b, map[string]any{"records": recs}, false))
-		similarBodies = append(similarBodies, wireJSON(b, map[string]any{"fired": []string{"a", "b"}, "matches": rows}, false))
+		recordBodies = append(recordBodies, wireJSON(tb, map[string]any{"records": recs}, false))
+		similarBodies = append(similarBodies, wireJSON(tb, map[string]any{"fired": []string{"a", "b"}, "matches": rows}, false))
 	}
+	var reads []mergeRead
 	for _, read := range []struct {
 		name, rowsKey string
+		maxAllocs     float64
 		bodies        [][]byte
 		merge         func(dst []byte, answers []*part) []byte
 	}{
-		{"records", "records", recordBodies, func(dst []byte, answers []*part) []byte { return mergeRecords(dst, answers, 50) }},
-		{"similar", "matches", similarBodies, func(dst []byte, answers []*part) []byte {
+		{"records", "records", 1.3, recordBodies, func(dst []byte, answers []*part) []byte { return mergeRecords(dst, answers, 50) }},
+		{"similar", "matches", 133.9, similarBodies, func(dst []byte, answers []*part) []byte {
 			return mergeSimilar(dst, answers[0].fired, answers, "p0-00007", 5)
 		}},
 	} {
-		b.Run(read.name, func(b *testing.B) {
-			answers := []*part{{body: read.bodies[0]}, {body: read.bodies[1]}}
-			var out []byte
-			once := func() {
-				for _, p := range answers {
-					if err := scanAnswer(p.body, read.rowsKey, &p.scanned); err != nil {
-						b.Fatal(err)
-					}
+		answers := []*part{{body: read.bodies[0]}, {body: read.bodies[1]}}
+		var out []byte
+		once := func() []byte {
+			for _, p := range answers {
+				if err := scanAnswer(p.body, read.rowsKey, &p.scanned); err != nil {
+					tb.Fatal(err)
 				}
-				out = read.merge(out[:0], answers)
 			}
-			once() // the buffers grow here, as a pooled part's have by its second use
-			b.SetBytes(reads * int64(len(read.bodies[0])+len(read.bodies[1])))
+			out = read.merge(out[:0], answers)
+			return out
+		}
+		once() // the buffers grow here, as a pooled part's have by its second use
+		reads = append(reads, mergeRead{read.name, read.maxAllocs, len(read.bodies[0]) + len(read.bodies[1]), once})
+	}
+	return reads
+}
+
+type mergeRead struct {
+	name      string
+	maxAllocs float64
+	bytesIn   int
+	once      func() []byte
+}
+
+// TestFanoutMergeAllocs: a merged read allocates per answer, not per row
+// scanned or byte copied.
+func TestFanoutMergeAllocs(t *testing.T) {
+	const reads = 64
+	for _, read := range mergeReads(t) {
+		got := testing.AllocsPerRun(5, func() {
+			for i := 0; i < reads; i++ {
+				read.once()
+			}
+		}) / reads
+		if got > read.maxAllocs {
+			t.Errorf("%s: %.2f allocs per fan-out, ceiling %.2f", read.name, got, read.maxAllocs)
+		} else {
+			t.Logf("%s: %.2f allocs per fan-out", read.name, got)
+		}
+	}
+}
+
+// BenchmarkFanoutMerge measures the same reads' time and bytes per second.
+func BenchmarkFanoutMerge(b *testing.B) {
+	for _, read := range mergeReads(b) {
+		b.Run(read.name, func(b *testing.B) {
+			b.SetBytes(int64(read.bytesIn))
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N*reads; i++ {
-				once()
+			var out []byte
+			for i := 0; i < b.N; i++ {
+				out = read.once()
 			}
 			if !json.Valid(out) {
 				b.Fatalf("merged answer is not JSON:\n%s", out)

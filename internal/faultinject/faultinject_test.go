@@ -10,6 +10,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/domino5g/domino/internal/rcastore"
 )
@@ -40,6 +41,25 @@ func (c *captureServer) body(i int) []byte {
 	return c.bodies[i]
 }
 
+// await returns once n requests are recorded. A torn upload's handler
+// returns some time after its client saw the error — possibly after the
+// next attempt's — and bodies are kept in the order handlers finish, so
+// a test that reads them by attempt waits here between attempts.
+func (c *captureServer) await(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		got := len(c.bodies)
+		c.mu.Unlock()
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server recorded %d requests, want %d", got, n)
+		}
+	}
+}
+
 func post(t *testing.T, cl *http.Client, url string, payload []byte) (*http.Response, error) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(payload))
@@ -63,11 +83,13 @@ func TestTransportFaultSchedule(t *testing.T) {
 		resp.Body.Close()
 		t.Fatal("reset attempt must error")
 	}
+	capture.await(t, 1)
 	// Attempt 2: corrupt — client-visible error, server gets prefix + garbage.
 	if resp, err := post(t, cl, srv.URL, payload); err == nil {
 		resp.Body.Close()
 		t.Fatal("corrupt attempt must error")
 	}
+	capture.await(t, 2)
 	// Attempt 3: delay — slow but successful.
 	resp, err := post(t, cl, srv.URL, payload)
 	if err != nil {

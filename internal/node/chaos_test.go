@@ -1,4 +1,4 @@
-package main
+package node_test
 
 // The chaos differential: every registered scenario is ingested twice —
 // once over a clean transport, once through a seeded fault injector

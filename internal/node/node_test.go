@@ -4,7 +4,7 @@ package node
 // rejection it sends is the ingest package's (status, Retry-After, code)
 // and lands in the right counter, the lock discipline around admit, and
 // Shutdown. The HTTP-level acceptance suite — smoke, differentials,
-// chaos — drives this package through cmd/dominod's tests.
+// chaos — is package node_test, in the files beside this one.
 
 import (
 	"bytes"

@@ -16,7 +16,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"github.com/domino5g/domino"
 	"github.com/domino5g/domino/internal/core"
 	"github.com/domino5g/domino/internal/ingest"
 	"github.com/domino5g/domino/internal/obs"
@@ -147,11 +146,11 @@ func newMetrics(analyzer *core.Analyzer) *metrics {
 	// One labeled series per cause/consequence class node, registered up
 	// front so scrapes see the full universe at zero and hook-time
 	// lookups never mutate the map.
-	for _, n := range domino.CauseClasses() {
+	for _, n := range core.CauseClasses() {
 		m.nodeEvents[n] = reg.Counter("dominod_node_events_total",
 			"Collapsed node event runs by causal-graph node.", obs.L("node", n), obs.L("class", "cause"))
 	}
-	for _, n := range domino.ConsequenceClasses() {
+	for _, n := range core.ConsequenceClasses() {
 		m.nodeEvents[n] = reg.Counter("dominod_node_events_total",
 			"Collapsed node event runs by causal-graph node.", obs.L("node", n), obs.L("class", "consequence"))
 	}

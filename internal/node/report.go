@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/domino5g/domino"
 	"github.com/domino5g/domino/internal/core"
 	"github.com/domino5g/domino/internal/ingest"
 	"github.com/domino5g/domino/internal/rcastore"
@@ -83,7 +82,7 @@ func (n *Node) snapshot(sess *session) (*core.Report, SessionInfo) {
 	}
 	if rep != nil {
 		info.ChainEvents = rep.TotalChainEvents()
-		info.DegradationPerMin = rep.DegradationEventsPerMinute(domino.ConsequenceClasses())
+		info.DegradationPerMin = rep.DegradationEventsPerMinute(core.ConsequenceClasses())
 	}
 	return rep, info
 }
@@ -98,10 +97,10 @@ func (n *Node) reportPayload(sess *session) ReportPayload {
 	if rep == nil {
 		return p
 	}
-	for _, c := range domino.CauseClasses() {
+	for _, c := range core.CauseClasses() {
 		p.Causes[c] = NodeStat{Events: rep.EventCount(c), PerMinute: rep.EventsPerMinute(c)}
 	}
-	for _, c := range domino.ConsequenceClasses() {
+	for _, c := range core.ConsequenceClasses() {
 		p.Consequences[c] = NodeStat{Events: rep.EventCount(c), PerMinute: rep.EventsPerMinute(c)}
 	}
 	for _, cc := range rep.TopChains(10) {

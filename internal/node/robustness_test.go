@@ -1,4 +1,4 @@
-package main
+package node_test
 
 // Fault-tolerance coverage for the ingest surface: load shedding,
 // body caps, slot-leak regressions, the resumable-session contract

@@ -14,7 +14,7 @@
 //  1. Hot-path operations — Counter.Add, Gauge.Set, Histogram.Observe,
 //     FlightRecorder.Record — allocate nothing and take no locks, so
 //     instrumentation-on is the default without breaking the perf
-//     contract (bench-diff gates this in CI).
+//     contract (TestHotPathZeroAlloc pins this).
 //  2. The package depends only on the standard library: it sits below
 //     every other internal package and any of them may import it.
 //  3. Snapshots are plain serializable values: Merge(a, b) of two node

@@ -81,32 +81,43 @@ func BenchmarkRCAStoreInsert(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(recs))/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkRCAStoreQuery measures each read on its own over 25 000
-// rows — the history fleetbench's query-mix preloads per node — so a
-// change to one read's cost shows as that read's ns/op and allocs/op.
-func BenchmarkRCAStoreQuery(b *testing.B) {
+// queryReads is the store BenchmarkRCAStoreQuery and TestQueryAllocs read
+// — 25 000 rows, the history fleetbench's query-mix preloads per node —
+// and each read on its own with its allocation ceiling: 1.3 × the
+// allocs per query measured on this fixture in PR 20, which were 486, 9,
+// 652, 52 and 10 in the order below.
+func queryReads() []queryRead {
 	recs := synthRecords(25000)
 	s := New(Options{BlockRows: 256})
 	for _, r := range recs {
 		s.Insert(r)
 	}
 	probe := []string{"harq_retx", "forward_delay_up", "jitter_buffer_drain", "cross_traffic"}
-	for _, read := range []struct {
-		name string
-		rows func() int
-	}{
-		{"records_limit50", func() int { return len(s.Query(Query{Cause: "harq_retx", Limit: 50})) }},
-		{"top_chains", func() int { return len(s.TopChains(Query{}, 5)) }},
-		{"cause_rates", func() int { return len(s.CauseRates(Query{Cell: "fdd"}, 60*sim.Minute)) }},
-		{"similar_k5", func() int { return len(s.Similar(probe, Query{}, 5)) }},
-		{"fired", func() int {
+	return []queryRead{
+		{"records_limit50", 631, func() int { return len(s.Query(Query{Cause: "harq_retx", Limit: 50})) }},
+		{"top_chains", 11, func() int { return len(s.TopChains(Query{}, 5)) }},
+		{"cause_rates", 847, func() int { return len(s.CauseRates(Query{Cell: "fdd"}, 60*sim.Minute)) }},
+		{"similar_k5", 67, func() int { return len(s.Similar(probe, Query{}, 5)) }},
+		{"fired", 13, func() int {
 			// The oldest session: the far end of a backwards walk.
 			if _, ok := s.Fired(recs[0].Session); ok {
 				return 1
 			}
 			return 0
 		}},
-	} {
+	}
+}
+
+type queryRead struct {
+	name      string
+	maxAllocs float64
+	rows      func() int
+}
+
+// BenchmarkRCAStoreQuery measures each read on its own, so a change to
+// one read's cost shows as that read's ns/op.
+func BenchmarkRCAStoreQuery(b *testing.B) {
+	for _, read := range queryReads() {
 		b.Run(read.name, func(b *testing.B) {
 			b.ReportAllocs()
 			rows := 0
@@ -117,6 +128,19 @@ func BenchmarkRCAStoreQuery(b *testing.B) {
 				b.Fatal("benchmark read matched nothing")
 			}
 		})
+	}
+}
+
+// TestQueryAllocs: a read allocates its answer and a bounded heap, not
+// per row scanned — top_chains and fired stay near ten allocations over
+// 25 000 rows.
+func TestQueryAllocs(t *testing.T) {
+	for _, read := range queryReads() {
+		if got := testing.AllocsPerRun(5, func() { read.rows() }); got > read.maxAllocs {
+			t.Errorf("%s: %.0f allocs per query, ceiling %.0f", read.name, got, read.maxAllocs)
+		} else {
+			t.Logf("%s: %.0f allocs per query", read.name, got)
+		}
 	}
 }
 
@@ -141,29 +165,35 @@ func BenchmarkRCAStoreJournalAppend(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkRCAStoreJournalReplay measures cold-start recovery: CRC
-// verify + frame decode + dedup-check + insert for a 4096-record journal with
-// no checkpoint, the worst-case restart cost per record.
-func BenchmarkRCAStoreJournalReplay(b *testing.B) {
-	recs := synthRecords(4096)
-	dir := b.TempDir()
-	jpath := dir + "/bench.wal"
-	j, err := OpenJournal(jpath, JournalOptions{SyncEvery: 1 << 20})
+// benchJournal writes recs to a journal with no checkpoint beside it —
+// the worst-case restart — and returns the paths Recover takes.
+func benchJournal(tb testing.TB, recs []Record) (ckpt, wal string) {
+	dir := tb.TempDir()
+	wal = dir + "/bench.wal"
+	j, err := OpenJournal(wal, JournalOptions{SyncEvery: 1 << 20})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, r := range recs {
 		if err := j.Append(r); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := j.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return dir + "/none.ckpt", wal
+}
+
+// BenchmarkRCAStoreJournalReplay measures cold-start recovery: CRC
+// verify + frame decode + dedup-check + insert for a 4096-record journal.
+func BenchmarkRCAStoreJournalReplay(b *testing.B) {
+	recs := synthRecords(4096)
+	ckpt, wal := benchJournal(b, recs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, j2, stats, err := Recover(dir+"/none.ckpt", jpath, Options{BlockRows: 256}, JournalOptions{})
+		st, j2, stats, err := Recover(ckpt, wal, Options{BlockRows: 256}, JournalOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,4 +203,53 @@ func BenchmarkRCAStoreJournalReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*len(recs))/b.Elapsed().Seconds(), "records/s")
+}
+
+// TestWritePathAllocs bounds what a report costs on its way into the
+// store and the journal and back out at a restart, over the benchmarks'
+// fixtures. Each ceiling is 1.3 × the allocations per report measured in
+// PR 20: Insert 0.273, Journal.Append 0 (the benchmark's 16 allocs/op at
+// three iterations were the dictionary filling), Recover 1.307.
+func TestWritePathAllocs(t *testing.T) {
+	recs := synthRecords(4096)
+	perReport := func(name string, ceiling float64, reports int, f func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(3, f) / float64(reports); got > ceiling {
+			t.Errorf("%s: %.3f allocs per report, ceiling %.3f", name, got, ceiling)
+		} else {
+			t.Logf("%s: %.3f allocs per report", name, got)
+		}
+	}
+
+	perReport("Insert", 0.355, len(recs), func() {
+		s := New(Options{BlockRows: 256, MaxBlocks: 8})
+		for _, r := range recs {
+			s.Insert(r)
+		}
+	})
+
+	// Append once every name is in the journal's dictionary: the frame is
+	// built in the journal's own buffer.
+	j, err := OpenJournal(t.TempDir()+"/bench.wal", JournalOptions{SyncEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	appendAll := func() {
+		for _, r := range recs[:256] {
+			if err := j.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	perReport("Journal.Append", 0, 256, appendAll)
+
+	ckpt, wal := benchJournal(t, recs)
+	perReport("Recover", 1.699, len(recs), func() {
+		st, j2, _, err := Recover(ckpt, wal, Options{BlockRows: 256}, JournalOptions{})
+		if err != nil || st.Len() != len(recs) {
+			t.Fatalf("recovered %d of %d reports: %v", st.Len(), len(recs), err)
+		}
+		j2.Close()
+	})
 }

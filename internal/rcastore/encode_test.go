@@ -31,26 +31,10 @@ var awkward = []string{
 
 var awkwardFloats = []float64{0, 1e-9, 1e21, -0.000001, 1e-6, 1e-7, 999999999999999900000, 0.1, -2.5, 123456789.125, 1e20, 5e-324}
 
-func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
-	sameRecords := func(recs []Record) bool {
-		return bytes.Equal(AppendRecordsAnswer(nil, recs), stdAnswer(t, map[string]any{"records": recs}))
-	}
-	sameChains := func(rows []ChainAgg) bool {
-		return bytes.Equal(AppendTopChainsAnswer(nil, rows), stdAnswer(t, map[string]any{"top_chains": rows}))
-	}
-	sameRates := func(rows []CauseBucket) bool {
-		return bytes.Equal(AppendCauseRatesAnswer(nil, rows), stdAnswer(t, map[string]any{"cause_rates": rows}))
-	}
-	sameSimilar := func(fired []string, matches []Match) bool {
-		return bytes.Equal(AppendSimilarAnswer(nil, fired, matches), stdAnswer(t, map[string]any{"fired": fired, "matches": matches}))
-	}
-
-	// Seeded: every awkward string in every string position, every
-	// awkward float in both float positions, nil against empty at every
-	// level, scenario present and omitted.
-	var recs []Record
-	var chains []ChainAgg
-	var rates []CauseBucket
+// answerFixtures seeds the four answer shapes: every awkward string in
+// every string position, every awkward float in both float positions,
+// nil against empty at every level, scenario present and omitted.
+func answerFixtures() (recs []Record, chains []ChainAgg, rates []CauseBucket, matches []Match) {
 	for i, s := range awkward {
 		f := awkwardFloats[i%len(awkwardFloats)]
 		recs = append(recs, Record{
@@ -73,10 +57,46 @@ func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
 		Record{Session: "scenario", Cell: "c", Scenario: "rush-hour"},
 		Record{Session: "one-of-each", Fired: []string{"a"}, Chains: []ChainRuns{{}}, Causes: []CauseRuns{{}}, Metrics: []Metric{{}}},
 	)
-	matches := make([]Match, len(recs))
+	matches = make([]Match, len(recs))
 	for i, r := range recs {
 		matches[i] = Match{Record: r, Distance: i - 3}
 	}
+	return recs, chains, rates, matches
+}
+
+// TestAnswerEncodersZeroAlloc: rendering an answer into a buffer that
+// has grown to its size allocates nothing, whatever escapes, floats and
+// omissions the rows hold — a node's pooled answer buffer is such a
+// buffer from its second query on.
+func TestAnswerEncodersZeroAlloc(t *testing.T) {
+	recs, chains, rates, matches := answerFixtures()
+	for name, render := range map[string]func(dst []byte) []byte{
+		"records":     func(dst []byte) []byte { return AppendRecordsAnswer(dst, recs) },
+		"top_chains":  func(dst []byte) []byte { return AppendTopChainsAnswer(dst, chains) },
+		"cause_rates": func(dst []byte) []byte { return AppendCauseRatesAnswer(dst, rates) },
+		"similar":     func(dst []byte) []byte { return AppendSimilarAnswer(dst, awkward, matches) },
+	} {
+		buf := render(nil)
+		if allocs := testing.AllocsPerRun(20, func() { buf = render(buf[:0]) }); allocs != 0 {
+			t.Errorf("%s: %v allocs per answer, want 0", name, allocs)
+		}
+	}
+}
+
+func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
+	sameRecords := func(recs []Record) bool {
+		return bytes.Equal(AppendRecordsAnswer(nil, recs), stdAnswer(t, map[string]any{"records": recs}))
+	}
+	sameChains := func(rows []ChainAgg) bool {
+		return bytes.Equal(AppendTopChainsAnswer(nil, rows), stdAnswer(t, map[string]any{"top_chains": rows}))
+	}
+	sameRates := func(rows []CauseBucket) bool {
+		return bytes.Equal(AppendCauseRatesAnswer(nil, rows), stdAnswer(t, map[string]any{"cause_rates": rows}))
+	}
+	sameSimilar := func(fired []string, matches []Match) bool {
+		return bytes.Equal(AppendSimilarAnswer(nil, fired, matches), stdAnswer(t, map[string]any{"fired": fired, "matches": matches}))
+	}
+	recs, chains, rates, matches := answerFixtures()
 	for name, ok := range map[string]bool{
 		"records":           sameRecords(recs),
 		"records nil":       sameRecords(nil),
@@ -122,8 +142,7 @@ func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
 }
 
 // BenchmarkRCAStoreEncode measures rendering each answer shape into a
-// buffer the caller reuses, as the node does per query: one allocation
-// at most, whatever the row count.
+// buffer the caller reuses, as the node does per query.
 func BenchmarkRCAStoreEncode(b *testing.B) {
 	recs := synthRecords(50)
 	matches := make([]Match, 5)

@@ -5,8 +5,8 @@ import (
 )
 
 // The scheduler microbenchmarks process a fixed batch of events per
-// iteration so that even a -benchtime=1x run (the CI perf gate) yields
-// a statistically meaningful events/s figure.
+// iteration so that even a -benchtime=1x run (`make bench`) yields a
+// meaningful events/s figure.
 
 const benchEvents = 1 << 17 // 131072 events per iteration
 

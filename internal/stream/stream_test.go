@@ -708,3 +708,48 @@ func TestLateAccounting(t *testing.T) {
 		diffReports(t, clean, dirty)
 	})
 }
+
+// TestSessionAllocs is the whole-session counterpart of
+// TestBlockIngestAllocs' steady-state zero: a recycled analyzer allocates
+// for what a call reports — windows, runs, the report — and not per
+// record. A 10 s Amarisoft call of 10 725 records cost 196 allocations
+// pushed record by record (the benchmark's 883 at three iterations
+// included the index growing once) and 2 244 analysed in batch, where a
+// fresh index grows to the whole trace (PR 20); ceilings are 1.3 × those.
+func TestSessionAllocs(t *testing.T) {
+	a, err := core.NewAnalyzer(core.DetectorConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := simulate(t, ran.Amarisoft(), 1, 10*sim.Second)
+	recs := records(t, set)
+	s := New(a, Config{})
+	for _, path := range []struct {
+		name    string
+		ceiling float64
+		run     func() error
+	}{
+		{"Push", 254, func() error {
+			s.Reset()
+			for _, rec := range recs {
+				if err := s.Push(rec); err != nil {
+					return err
+				}
+			}
+			_, err := s.Close()
+			return err
+		}},
+		{"Analyze", 2917, func() error { _, err := a.Analyze(set); return err }},
+	} {
+		got := testing.AllocsPerRun(3, func() {
+			if err := path.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > path.ceiling {
+			t.Errorf("%s: %.0f allocs per session, ceiling %.0f", path.name, got, path.ceiling)
+		} else {
+			t.Logf("%s: %.0f allocs per session of %d records", path.name, got, len(recs))
+		}
+	}
+}

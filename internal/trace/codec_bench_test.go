@@ -13,8 +13,9 @@ import (
 
 // benchCorpus builds a synthetic record mix shaped like a real session
 // trace (mostly DCI, then packets, stats, gNB logs, RRC) for codec
-// benchmarks. The fast/stdjson sub-benchmark pairs keep the before and
-// after of the hand-rolled codec side by side in BENCH_scenarios.json.
+// benchmarks and allocation tests. The fast/stdjson sub-benchmark pairs
+// keep the hand-rolled codec and the encoding/json path it replaced side
+// by side in one `go test -bench` run.
 func benchCorpus() []Record {
 	const groups = 500
 	recs := make([]Record, 0, groups*9)
@@ -59,8 +60,7 @@ func mallocsDelta(fn func()) uint64 {
 }
 
 // BenchmarkCodecEncode compares the hand-rolled append encoder against
-// the encoding/json path it replaced (rec/s and allocs/rec are the
-// gated metrics).
+// the encoding/json path it replaced.
 func BenchmarkCodecEncode(b *testing.B) {
 	recs := benchCorpus()
 	b.Run("fast", func(b *testing.B) {
@@ -140,25 +140,13 @@ func BenchmarkCodecDecode(b *testing.B) {
 	// iteration as dominod has one per upload.
 	b.Run("block", func(b *testing.B) {
 		stream := append(bytes.Join(lines, []byte("\n")), '\n')
-		reader := bytes.NewReader(stream)
 		b.ReportAllocs()
 		b.ResetTimer()
 		var allocs uint64
 		for i := 0; i < b.N; i++ {
 			allocs += mallocsDelta(func() {
-				reader.Reset(stream)
-				sr := NewStreamReader(reader)
-				sr.Recycle(1)
-				n := 0
-				for {
-					blk, err := sr.ReadBlock()
-					if err != nil {
-						if err != io.EOF || n != len(lines) {
-							b.Fatalf("decoded %d records: %v", n, err)
-						}
-						break
-					}
-					n += blk.Len()
+				if n, err := drainJSONLBlocks(stream); err != io.EOF || n != len(lines) {
+					b.Fatalf("decoded %d records: %v", n, err)
 				}
 			})
 		}
@@ -183,9 +171,24 @@ func BenchmarkCodecDecode(b *testing.B) {
 	})
 }
 
+// drainJSONLBlocks reads stream to its end through a fresh reader with
+// recycled block storage, as a node reads one upload, and returns the
+// records read and the error that ended the read.
+func drainJSONLBlocks(stream []byte) (n int, err error) {
+	sr := NewStreamReader(bytes.NewReader(stream))
+	sr.Recycle(1)
+	for {
+		blk, err := sr.ReadBlock()
+		if err != nil {
+			return n, err
+		}
+		n += blk.Len()
+	}
+}
+
 // BenchmarkCodecBinaryEncode measures the binary columnar encoder on
 // the same corpus as BenchmarkCodecEncode, so the JSONL and binary
-// rows sit side by side in BENCH_scenarios.json.
+// rows compare record for record.
 func BenchmarkCodecBinaryEncode(b *testing.B) {
 	recs := benchCorpus()
 	hdr := Header{CellName: "bench", Duration: sim.Second}

@@ -645,9 +645,35 @@ func TestJSONLBlockDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestBinaryDecodeAllocs bounds the decoder's per-record allocation
-// cost: block-granular backing arrays only, well under one allocation
-// per record (the JSONL decoder's floor).
+// TestJSONLReadBlockAllocsPerRecord bounds a whole upload where
+// TestJSONLBlockDecodeAllocs pins the steady state at zero: reader,
+// scanner buffer and both block generations included, reading the
+// corpus costs 0.0849 allocations per record (340 for 4 005 lines, PR
+// 20), and the ceiling is 1.3 × that.
+func TestJSONLReadBlockAllocsPerRecord(t *testing.T) {
+	var stream []byte
+	for _, rec := range benchCorpus() {
+		var err error
+		if stream, err = fastEncodeRecord(stream, rec); err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, '\n')
+	}
+	var n int
+	allocs := testing.AllocsPerRun(10, func() {
+		var err error
+		if n, err = drainJSONLBlocks(stream); err != io.EOF {
+			t.Fatal(err)
+		}
+	})
+	if perRec := allocs / float64(n); perRec > 0.1103 {
+		t.Fatalf("JSONL ReadBlock allocates %.4f per record (%.0f for %d records), ceiling 0.1103", perRec, allocs, n)
+	}
+}
+
+// TestBinaryDecodeAllocs bounds the record path's allocation cost from a
+// fresh reader: block-granular backing arrays only, 0.0227 allocations
+// per record on the corpus (91 for 4 005, PR 20), ceiling 1.3 × that.
 func TestBinaryDecodeAllocs(t *testing.T) {
 	recs := benchCorpus()
 	enc, err := encodeStream(Header{CellName: "bench"}, recs)
@@ -671,8 +697,22 @@ func TestBinaryDecodeAllocs(t *testing.T) {
 			n += len(batch)
 		}
 	})
-	perRec := allocs / float64(n)
-	if perRec > 0.2 {
-		t.Fatalf("binary decode allocates %.3f allocs/record (total %.0f for %d records)", perRec, allocs, n)
+	if perRec := allocs / float64(n); perRec > 0.0295 {
+		t.Fatalf("binary decode allocates %.4f allocs/record (total %.0f for %d records), ceiling 0.0295", perRec, allocs, n)
+	}
+}
+
+// TestBinaryEncodeAllocs is the writer's side of the same bound: frame
+// buffers, per block and per stream, not per record — 0.0699 per record
+// on the corpus (280 for 4 005, the output buffer's growth included).
+func TestBinaryEncodeAllocs(t *testing.T) {
+	recs := benchCorpus()
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := encodeStream(Header{CellName: "bench", Duration: sim.Second}, recs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRec := allocs / float64(len(recs)); perRec > 0.0908 {
+		t.Fatalf("binary encode allocates %.4f allocs/record (total %.0f for %d records), ceiling 0.0908", perRec, allocs, len(recs))
 	}
 }
