@@ -42,9 +42,11 @@ type Options struct {
 	// Backends are the dominod base URLs fronted by this balancer,
 	// e.g. "http://127.0.0.1:9101". At least one is required.
 	Backends []string
-	// Client issues proxied and health requests; default is a fresh
-	// http.Client with no global timeout (ingest bodies are long-lived
-	// streams; probes and scrapes get per-request context deadlines).
+	// Client issues proxied and health requests; default is a client
+	// on the balancer's own transport, which keeps idleConnsPerBackend
+	// connections to each backend, with no global timeout (ingest bodies
+	// are long-lived streams; probes and scrapes get per-request context
+	// deadlines).
 	Client *http.Client
 	// HealthInterval is the active probe period (default 1s).
 	HealthInterval time.Duration
@@ -91,6 +93,13 @@ type Balancer struct {
 	stop   chan struct{}
 	done   sync.WaitGroup
 }
+
+// idleConnsPerBackend is how many idle connections the balancer's own
+// transport keeps to one backend: a node's default -max-streams, the most
+// forwards a backend runs at once. http.DefaultTransport keeps two, so
+// every concurrent forward past the second dialed a connection and closed
+// it after one request.
+const idleConnsPerBackend = 64
 
 // doneRetained is how many completed sessions the routing table keeps
 // for late retries and /lb/sessions; an older one is unknown to the
@@ -142,7 +151,9 @@ func New(opts Options) (*Balancer, error) {
 	}
 	client := opts.Client
 	if client == nil {
-		client = &http.Client{}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConns, tr.MaxIdleConnsPerHost = 0, idleConnsPerBackend // bounded per backend, not in total
+		client = &http.Client{Transport: tr}
 	}
 	b := &Balancer{
 		opts:       opts,
@@ -171,8 +182,9 @@ func New(opts Options) (*Balancer, error) {
 	return b, nil
 }
 
-// Close stops the health prober. In-flight proxied requests finish on
-// their own.
+// Close stops the health prober and drops the balancer's own idle
+// connections (a caller's Client is the caller's to close). In-flight
+// proxied requests finish on their own.
 func (b *Balancer) Close() {
 	select {
 	case <-b.stop:
@@ -180,6 +192,9 @@ func (b *Balancer) Close() {
 		close(b.stop)
 	}
 	b.done.Wait()
+	if b.opts.Client == nil {
+		b.client.CloseIdleConnections()
+	}
 }
 
 // Routes returns the balancer's HTTP surface.

@@ -11,12 +11,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -719,5 +721,76 @@ func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	}
 	if lb.lookup("d-4") != nil || lb.lookup("live") == nil || len(lb.sessions) != 3 {
 		t.Fatalf("table holds %d entries after the live session finished, want d-5, d-6 and live", len(lb.sessions))
+	}
+}
+
+// TestForwardsReuseBackendConnections pins the balancer's own transport:
+// eight forwards in flight at once open at most eight connections to the
+// backend, and a second such wave opens none — http.DefaultTransport,
+// which keeps two idle connections per host, dialed six again.
+func TestForwardsReuseBackendConnections(t *testing.T) {
+	const forwards = 8
+	var (
+		opened  atomic.Int64
+		arrived sync.WaitGroup
+		release chan struct{}
+	)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, `{"status":"ok","node":"stub"}`)
+	})
+	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		arrived.Done()
+		<-release // until the whole wave is in flight
+		io.WriteString(w, "{}")
+	})
+	backend := httptest.NewUnstartedServer(mux)
+	backend.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	backend.Start()
+	defer backend.Close()
+	lb, err := New(Options{Backends: []string{backend.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	front := httptest.NewServer(lb.Routes())
+	defer front.Close()
+
+	wave := func(n int) {
+		arrived.Add(forwards)
+		release = make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < forwards; i++ {
+			wg.Add(1)
+			go func(id string) {
+				defer wg.Done()
+				resp, err := http.Post(front.URL+"/ingest?session="+id, ingest.ContentTypeJSONL, strings.NewReader("{}\n"))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				drainClose(resp)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("session %s: status %d", id, resp.StatusCode)
+				}
+			}(fmt.Sprintf("wave%d-%d", n, i))
+		}
+		arrived.Wait()
+		close(release)
+		wg.Wait()
+	}
+	wave(1)
+	first := opened.Load()
+	if first > forwards+1 { // the start-up probe's connection may still count
+		t.Fatalf("first wave: %d connections opened for %d forwards", first, forwards)
+	}
+	wave(2)
+	if again := opened.Load() - first; again != 0 {
+		t.Fatalf("second wave opened %d connections; the first left %d idle", again, forwards)
 	}
 }

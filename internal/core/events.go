@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"github.com/domino5g/domino/internal/sim"
-)
+import "github.com/domino5g/domino/internal/sim"
 
 // evalWindow computes the 36-dim feature vector for [start, start+W)
 // using the rolling aggregates: count/sum conditions read two entries
@@ -230,7 +226,7 @@ func (ix *indexedTrace) rateExceedsRolling(di int, start, end sim.Time) bool {
 	base := int64(start / cfg.RateBin)
 	exceed := 0
 	for b := 0; b < bins; b++ {
-		if ix.roll.rateApp[di].get(base+int64(b)) > ix.roll.rateTBS[di].get(base+int64(b)) {
+		if sum(&ix.roll.rateApp[di], base+int64(b)) > sum(&ix.roll.rateTBS[di], base+int64(b)) {
 			exceed++
 		}
 	}
@@ -240,7 +236,9 @@ func (ix *indexedTrace) rateExceedsRolling(di int, start, end sim.Time) bool {
 // mcsDegradedRolling implements event 16 over the cached per-bucket
 // medians when both window edges are bucket-aligned (a queried bucket
 // must be complete before its median is cached, so the window end may
-// not split one); otherwise it falls back to the full recompute.
+// not split one) and every bucket's histogram is exact; otherwise it
+// falls back to the full recompute. A median is an MCS value, so the
+// window's 90th percentile over them is read from their counts too.
 func (ix *indexedTrace) mcsDegradedRolling(di int, start, end sim.Time) bool {
 	cfg := &ix.cfg
 	if start%cfg.MCSGroup != 0 || (end-start)%cfg.MCSGroup != 0 {
@@ -248,23 +246,25 @@ func (ix *indexedTrace) mcsDegradedRolling(di int, start, end sim.Time) bool {
 	}
 	first := int64(start / cfg.MCSGroup)
 	last := int64((end - 1) / cfg.MCSGroup)
-	medians := ix.scratch.medians[:0]
-	low := 0
+	var medians [mcsLevels]int
+	groups, low := 0, 0
 	for b := first; b <= last; b++ {
-		m, n := ix.roll.mcs[di].median(b)
+		m, n, ok := mcsMedian(&ix.roll.mcs[di], b)
+		if !ok {
+			return ix.mcsDegradedFull(di, start, end)
+		}
 		if n == 0 {
 			continue
 		}
-		medians = append(medians, m)
-		if m < cfg.MCSMedianBelow {
+		medians[m]++
+		groups++
+		if float64(m) < cfg.MCSMedianBelow {
 			low++
 		}
 	}
-	ix.scratch.medians = medians
-	if len(medians) == 0 {
+	if groups == 0 {
 		return false
 	}
-	sort.Float64s(medians)
-	p90 := medians[int(0.90*float64(len(medians)-1))]
-	return p90 < cfg.MCSP90Below && low > cfg.MCSLowCount
+	p90 := rankValue(&medians, int(0.90*float64(groups-1)))
+	return float64(p90) < cfg.MCSP90Below && low > cfg.MCSLowCount
 }

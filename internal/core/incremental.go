@@ -46,22 +46,16 @@ func (e *WindowEvaluator) Observe(rec trace.Record) {
 	ix := e.ix
 	switch {
 	case rec.DCI != nil:
-		ix.addDCI(rec.DCI)
-		ix.restoreOrderDCI(dirIdx(rec.DCI.Dir))
+		ix.addDCI(rec.DCI, false)
 	case rec.GNB != nil:
-		ix.addGNB(rec.GNB)
-		if rec.GNB.Kind == trace.GNBLogRLCRetx {
-			bubbleLast(ix.rlcAt[dirIdx(rec.GNB.Dir)], nil)
-		}
+		ix.addGNB(rec.GNB, false)
 	case rec.Packet != nil:
-		ix.addPacket(rec.Packet)
-		ix.restoreOrderPacket(rec.Packet.Kind, rec.Packet.Dir)
+		ix.addPacket(rec.Packet, false)
 	case rec.Stats != nil:
-		ix.addStats(rec.Stats)
-		ix.restoreOrderStats(sideIdx(rec.Stats.Local))
+		ix.fillStats([]trace.WebRTCStatsRecord{*rec.Stats}, false)
 	case rec.RRC != nil:
 		ix.rrcAt = append(ix.rrcAt, rec.RRC.At)
-		bubbleLast(ix.rrcAt, nil)
+		sortTail(ix.rrcAt, len(ix.rrcAt)-1, nil)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/domino5g/domino/internal/netem"
@@ -10,10 +11,10 @@ import (
 
 // indexedTrace holds a trace as binary-searchable per-source series so
 // window evaluation is O(window) instead of O(trace). It is built in
-// one shot from a full Set (batch analysis) or grown record-by-record
-// and pruned from the front (streaming analysis) — evalWindow works
-// identically on both because it only ever reads the [start, end)
-// slice of each series.
+// one shot from a full Set (batch analysis) or grown a run of block rows
+// (or one record) at a time and pruned from the front (streaming
+// analysis) — evalWindow works identically on both because it only ever
+// reads the [start, end) slice of each series.
 //
 // Alongside the raw series it maintains rolling aggregates so that
 // evaluating the next window position costs O(samples-in-step) for the
@@ -21,11 +22,13 @@ import (
 // full window:
 //
 //   - cumulative count/sum arrays parallel to each series (window
-//     aggregate = two array reads after the binary search);
+//     aggregate = two array reads after the binary search), extended once
+//     per run by the one pass that also repairs them after a late sample;
 //   - monotonic min/max deques for the argmax-before-argmin conditions
 //     (events 1–2, 13), fed by per-series cursors as windows advance;
 //   - per-time-bucket caches for the bin-shaped conditions (events 14
-//     and 16), with bucket medians computed once per completed bucket.
+//     and 16): a sum per rate bin, a count per MCS value per MCS group,
+//     from which a completed group's median is read once.
 //
 // The cursor-fed structures assume evalWindow is called with
 // non-decreasing window starts (the only access pattern batch and
@@ -82,8 +85,9 @@ type indexedTrace struct {
 	// cumulative reads subtract cum[lo-1], so neither looks at it.
 	head seriesHeads
 
-	roll    rollState
-	scratch evalScratch
+	roll rollState
+
+	dciRows [2][]int32 // fillDCI's scratch: a run's rows, per direction
 }
 
 // seriesHeads is one first-live-sample index per series group.
@@ -103,11 +107,6 @@ type statsCums struct {
 	pushNeq    []int32 // pushback below target by the configured fraction
 	targetDrop []int32 // pair: relative target-bitrate drop
 	pushDrop   []int32 // pair: relative pushback-rate drop
-}
-
-// evalScratch holds reusable per-evaluation buffers.
-type evalScratch struct {
-	medians []float64
 }
 
 func sideIdx(local bool) int {
@@ -130,26 +129,24 @@ func newIndexedTrace(set *trace.Set, cfg DetectorConfig) *indexedTrace {
 	ix := &indexedTrace{cfg: cfg, hasGNBLog: set.HasGNBLog}
 	ix.roll.init(cfg)
 	for i := range set.Packets {
-		ix.addPacket(&set.Packets[i])
+		ix.addPacket(&set.Packets[i], true)
 	}
 	for i := range set.DCI {
-		ix.addDCI(&set.DCI[i])
+		ix.addDCI(&set.DCI[i], true)
 	}
+	// Batch construction appends DCI-flagged and gNB-logged RLC retx a
+	// whole trace after the other, so the merged series takes a full
+	// sort, not the insertion of a run into a sorted tail.
 	for i := range set.GNBLogs {
-		ix.addGNB(&set.GNBLogs[i])
+		ix.addGNB(&set.GNBLogs[i], true)
 	}
-	// Batch construction appends DCI-flagged and gNB-logged RLC retx
-	// separately, so the merged series needs a sort; incremental
-	// construction receives records time-merged and stays sorted.
 	for i := range ix.rlcAt {
 		sort.Slice(ix.rlcAt[i], func(a, b int) bool { return ix.rlcAt[i][a] < ix.rlcAt[i][b] })
 	}
 	for i := range set.RRC {
 		ix.rrcAt = append(ix.rrcAt, set.RRC[i].At)
 	}
-	for i := range set.Stats {
-		ix.addStats(&set.Stats[i])
-	}
+	ix.fillStats(set.Stats, true)
 	return ix
 }
 
@@ -196,121 +193,249 @@ func (ix *indexedTrace) reset(hasGNBLog bool) {
 	ix.roll.reset()
 }
 
-// The add* methods append one record's samples; the push* methods under
-// them take the fields as scalars, so the columnar path (observeBlock)
-// feeds them straight from a block's columns with no record in between.
+// A fill appends rows [lo, hi) of one series of a block — a run — to the
+// index: it counts the run's rows per series group, grows each of the
+// group's value columns once and fills them by index. An add* method
+// appends one record's samples. Both then settle each group they
+// touched from its old length on: the cumulative arrays are grown once
+// and extended in one pass that carries the sums in locals. ordered
+// promises that no new sample is earlier than its group's tail or than
+// the one before it; without it the new tail is insertion-sorted into
+// place first and the cumulative arrays are redone from the lowest
+// position that moved.
+//
+// An add* method is not a fill of a one-row run: Observe and batch
+// construction have records, not columns, and a run's set-up around one
+// row made BenchmarkWindowEval 73 % slower (CHANGES.md, PR 21).
 
-func (ix *indexedTrace) addPacket(p *trace.PacketRecord) {
-	ix.pushPacket(p.Kind, p.Dir, p.Size, p.SentAt, p.Arrived)
-}
-
-func (ix *indexedTrace) pushPacket(kind netem.MediaKind, dir netem.Direction, size int, sent, arrived sim.Time) {
-	if kind == netem.KindCross {
-		return
-	}
-	d := (arrived - sent).Milliseconds()
-	if kind == netem.KindRTCP {
-		ix.revAt = append(ix.revAt, sent)
-		ix.revDelay = append(ix.revDelay, d)
-		ix.revCumHigh = appendCum32(ix.revCumHigh, ix.delayHigh(d))
-		return
-	}
-	di := dirIdx(dir)
-	ix.fwdAt = append(ix.fwdAt, sent)
-	ix.fwdDelay = append(ix.fwdDelay, d)
-	ix.fwdCumHigh = appendCum32(ix.fwdCumHigh, ix.delayHigh(d))
-	ix.appAt[di] = append(ix.appAt[di], sent)
-	ix.appBytes[di] = append(ix.appBytes[di], size)
-}
-
-func (ix *indexedTrace) addDCI(r *trace.DCIRecord) {
-	ix.pushDCI(dirIdx(r.Dir), r.At, r.OwnPRB, r.OtherPRB, r.MCS, r.TBSBits, r.HARQRetx, r.RLCRetx)
-}
-
-func (ix *indexedTrace) pushDCI(di int, at sim.Time, own, other, mcs, tbs int, harq, rlc bool) {
-	ix.dciAt[di] = append(ix.dciAt[di], at)
-	ix.dciOwn[di] = append(ix.dciOwn[di], own)
-	ix.dciOther[di] = append(ix.dciOther[di], other)
-	ix.dciMCS[di] = append(ix.dciMCS[di], mcs)
-	if own <= 0 {
-		tbs = 0
-	}
-	ix.dciTBS[di] = append(ix.dciTBS[di], tbs)
-	ix.dciHARQ[di] = append(ix.dciHARQ[di], harq)
-	ix.dciULUse[di] = append(ix.dciULUse[di], own > 0)
-	ix.dciCumOwn[di] = appendCumSum64(ix.dciCumOwn[di], int64(own))
-	ix.dciCumOther[di] = appendCumSum64(ix.dciCumOther[di], int64(other))
-	ix.dciCumHARQ[di] = appendCum32(ix.dciCumHARQ[di], harq)
-	ix.dciCumULUse[di] = appendCum32(ix.dciCumULUse[di], own > 0)
-	// The DCI RLC-retx annotation is gNB-internal knowledge: only
-	// private cells with base-station logs expose it (the paper's
-	// commercial cells detect no RLC retx for exactly this reason).
-	if rlc && ix.hasGNBLog {
-		ix.rlcAt[di] = append(ix.rlcAt[di], at)
+func (ix *indexedTrace) addPacket(p *trace.PacketRecord, ordered bool) {
+	d := (p.Arrived - p.SentAt).Milliseconds()
+	switch p.Kind {
+	case netem.KindCross:
+	case netem.KindRTCP:
+		rev := len(ix.revAt)
+		ix.revAt, ix.revDelay = append(ix.revAt, p.SentAt), append(ix.revDelay, d)
+		ix.revCumHigh = ix.settleDelay(ix.revAt, ix.revDelay, ix.revCumHigh, rev, ordered)
+	default:
+		di := dirIdx(p.Dir)
+		fwd, app := len(ix.fwdAt), len(ix.appAt[di])
+		ix.fwdAt, ix.fwdDelay = append(ix.fwdAt, p.SentAt), append(ix.fwdDelay, d)
+		ix.appAt[di], ix.appBytes[di] = append(ix.appAt[di], p.SentAt), append(ix.appBytes[di], p.Size)
+		ix.fwdCumHigh = ix.settleDelay(ix.fwdAt, ix.fwdDelay, ix.fwdCumHigh, fwd, ordered)
+		ix.settleApp(di, app, ordered)
 	}
 }
 
-func (ix *indexedTrace) addGNB(g *trace.GNBLogRecord) {
-	if g.Kind == trace.GNBLogRLCRetx {
-		di := dirIdx(g.Dir)
-		ix.rlcAt[di] = append(ix.rlcAt[di], g.At)
-	}
-}
-
-func (ix *indexedTrace) addStats(s *trace.WebRTCStatsRecord) {
-	si := sideIdx(s.Local)
-	i := len(ix.stats[si])
-	ix.statsAt[si] = append(ix.statsAt[si], s.At)
-	ix.stats[si] = append(ix.stats[si], *s)
-	ix.appendStatsCums(si, i)
-}
-
-// observeBlock implements WindowEvaluator.ObserveBlock.
-func (ix *indexedTrace) observeBlock(b *trace.Block, lo, hi *[trace.NumSeries]int, ordered bool) {
-	// DCI rows and gNB rows both feed rlcAt, one series after the other
-	// rather than merged, so its new tail is re-sorted at the end.
-	rlcBase := [2]int{len(ix.rlcAt[0]), len(ix.rlcAt[1])}
-
-	d := &b.DCI
-	for i := lo[trace.SeriesDCI]; i < hi[trace.SeriesDCI]; i++ {
-		di, f := dirIdx(d.Dir[i]), d.Flags[i]
-		ix.pushDCI(di, d.At[i], d.OwnPRB[i], d.OtherPRB[i], d.MCS[i], d.TBSBits[i],
-			f&trace.DCIFlagHARQRetx != 0, f&trace.DCIFlagRLCRetx != 0)
-		if !ordered {
-			ix.restoreOrderDCI(di)
+func (ix *indexedTrace) fillPackets(p *trace.PacketColumns, lo, hi int, ordered bool) {
+	var nFwd, nRev int
+	var nApp [2]int
+	for i := lo; i < hi; i++ {
+		switch p.Kind[i] {
+		case netem.KindCross:
+		case netem.KindRTCP:
+			nRev++
+		default:
+			nFwd++
+			nApp[dirIdx(p.Dir[i])]++
 		}
 	}
-	g := &b.GNB
-	for i := lo[trace.SeriesGNB]; i < hi[trace.SeriesGNB]; i++ {
+	fwd, rev := len(ix.fwdAt), len(ix.revAt)
+	app := [2]int{len(ix.appAt[0]), len(ix.appAt[1])}
+	ix.fwdAt, ix.fwdDelay = grow(ix.fwdAt, nFwd), grow(ix.fwdDelay, nFwd)
+	ix.revAt, ix.revDelay = grow(ix.revAt, nRev), grow(ix.revDelay, nRev)
+	for di, n := range nApp {
+		ix.appAt[di], ix.appBytes[di] = grow(ix.appAt[di], n), grow(ix.appBytes[di], n)
+	}
+	fwdAt, fwdDelay, revAt, revDelay := ix.fwdAt[fwd:], ix.fwdDelay[fwd:], ix.revAt[rev:], ix.revDelay[rev:]
+	appAt := [2][]sim.Time{ix.appAt[0][app[0]:], ix.appAt[1][app[1]:]}
+	appBytes := [2][]int{ix.appBytes[0][app[0]:], ix.appBytes[1][app[1]:]}
+	var f, r int
+	var a [2]int
+	for i := lo; i < hi; i++ {
+		sent := p.SentAt[i]
+		d := (p.Arrived[i] - sent).Milliseconds()
+		switch p.Kind[i] {
+		case netem.KindCross:
+		case netem.KindRTCP:
+			revAt[r], revDelay[r] = sent, d
+			r++
+		default:
+			fwdAt[f], fwdDelay[f] = sent, d
+			f++
+			di := dirIdx(p.Dir[i])
+			appAt[di][a[di]], appBytes[di][a[di]] = sent, p.Size[i]
+			a[di]++
+		}
+	}
+	ix.fwdCumHigh = ix.settleDelay(ix.fwdAt, ix.fwdDelay, ix.fwdCumHigh, fwd, ordered)
+	ix.revCumHigh = ix.settleDelay(ix.revAt, ix.revDelay, ix.revCumHigh, rev, ordered)
+	for di, base := range app {
+		ix.settleApp(di, base, ordered)
+	}
+}
+
+// settleDelay settles a delay series that was base long before the new
+// samples, and returns its cumulative array.
+func (ix *indexedTrace) settleDelay(at []sim.Time, delay []float64, cumHigh []int32, base int, ordered bool) []int32 {
+	cumHigh = grow(cumHigh, len(at)-base)
+	if !ordered {
+		base = sortTail(at, base, func(i, j int) { swap(delay, i, j) })
+	}
+	ix.rebuildDelayCum(delay, cumHigh, base)
+	return cumHigh
+}
+
+// settleApp settles direction di's send-rate series (no cumulative
+// array), which was base long before the new samples.
+func (ix *indexedTrace) settleApp(di, base int, ordered bool) {
+	if !ordered {
+		sortTail(ix.appAt[di], base, func(i, j int) { swap(ix.appBytes[di], i, j) })
+	}
+}
+
+func (ix *indexedTrace) addDCI(r *trace.DCIRecord, ordered bool) {
+	di := dirIdx(r.Dir)
+	base, rlc := len(ix.dciAt[di]), len(ix.rlcAt[di])
+	tbs := r.TBSBits
+	if r.OwnPRB <= 0 {
+		tbs = 0
+	}
+	ix.dciAt[di], ix.dciOwn[di], ix.dciOther[di] = append(ix.dciAt[di], r.At), append(ix.dciOwn[di], r.OwnPRB), append(ix.dciOther[di], r.OtherPRB)
+	ix.dciMCS[di], ix.dciTBS[di] = append(ix.dciMCS[di], r.MCS), append(ix.dciTBS[di], tbs)
+	ix.dciHARQ[di], ix.dciULUse[di] = append(ix.dciHARQ[di], r.HARQRetx), append(ix.dciULUse[di], r.OwnPRB > 0)
+	if r.RLCRetx && ix.hasGNBLog {
+		ix.rlcAt[di] = append(ix.rlcAt[di], r.At)
+	}
+	ix.settleDCI(di, base, rlc, ordered)
+}
+
+func (ix *indexedTrace) fillDCI(d *trace.DCIColumns, lo, hi int, ordered bool) {
+	// Split the run's rows by direction with no branch on it — a call's
+	// directions alternate too irregularly to predict: every row goes
+	// into the next slot of both lists, and only its own list moves on.
+	up, down := grow(ix.dciRows[0][:0], hi-lo), grow(ix.dciRows[1][:0], hi-lo)
+	ix.dciRows = [2][]int32{up, down}
+	nUp, nDown := 0, 0
+	for i := lo; i < hi; i++ {
+		up[nUp], down[nDown] = int32(i), int32(i)
+		di := dirIdx(d.Dir[i])
+		nUp, nDown = nUp+1-di, nDown+di
+	}
+	for di, rows := range [2][]int32{up[:nUp], down[:nDown]} {
+		k := len(rows)
+		if k == 0 {
+			continue
+		}
+		base, rlc := len(ix.dciAt[di]), len(ix.rlcAt[di])
+		ix.dciAt[di], ix.dciOwn[di], ix.dciOther[di] = grow(ix.dciAt[di], k), grow(ix.dciOwn[di], k), grow(ix.dciOther[di], k)
+		ix.dciMCS[di], ix.dciTBS[di] = grow(ix.dciMCS[di], k), grow(ix.dciTBS[di], k)
+		ix.dciHARQ[di], ix.dciULUse[di] = grow(ix.dciHARQ[di], k), grow(ix.dciULUse[di], k)
+		at, own, other := ix.dciAt[di][base:][:k], ix.dciOwn[di][base:][:k], ix.dciOther[di][base:][:k]
+		mcs, tbs := ix.dciMCS[di][base:][:k], ix.dciTBS[di][base:][:k]
+		harq, use := ix.dciHARQ[di][base:][:k], ix.dciULUse[di][base:][:k]
+		for j, i := range rows {
+			o, t, f := d.OwnPRB[i], d.TBSBits[i], d.Flags[i]
+			if o <= 0 {
+				t = 0
+			}
+			at[j], own[j], other[j], mcs[j], tbs[j] = d.At[i], o, d.OtherPRB[i], d.MCS[i], t
+			harq[j], use[j] = f&trace.DCIFlagHARQRetx != 0, o > 0
+			// The DCI RLC-retx annotation is gNB-internal knowledge: only
+			// private cells with base-station logs expose it (the paper's
+			// commercial cells detect no RLC retx for exactly this reason).
+			if f&trace.DCIFlagRLCRetx != 0 && ix.hasGNBLog {
+				ix.rlcAt[di] = append(ix.rlcAt[di], d.At[i])
+			}
+		}
+		ix.settleDCI(di, base, rlc, ordered)
+	}
+}
+
+// settleDCI settles direction di's DCI-derived series, which were base
+// (rlcAt: rlc) long before the new samples.
+func (ix *indexedTrace) settleDCI(di, base, rlc int, ordered bool) {
+	at := ix.dciAt[di]
+	n := len(at) - base
+	ix.dciCumOwn[di], ix.dciCumOther[di] = grow(ix.dciCumOwn[di], n), grow(ix.dciCumOther[di], n)
+	ix.dciCumHARQ[di], ix.dciCumULUse[di] = grow(ix.dciCumHARQ[di], n), grow(ix.dciCumULUse[di], n)
+	if !ordered {
+		sortTail(ix.rlcAt[di], rlc, nil)
+		base = sortTail(at, base, func(i, j int) {
+			swap(ix.dciOwn[di], i, j)
+			swap(ix.dciOther[di], i, j)
+			swap(ix.dciMCS[di], i, j)
+			swap(ix.dciTBS[di], i, j)
+			swap(ix.dciHARQ[di], i, j)
+			swap(ix.dciULUse[di], i, j)
+		})
+	}
+	ix.rebuildDCICums(di, base)
+}
+
+func (ix *indexedTrace) addGNB(g *trace.GNBLogRecord, ordered bool) {
+	if g.Kind != trace.GNBLogRLCRetx {
+		return
+	}
+	di := dirIdx(g.Dir)
+	ix.rlcAt[di] = append(ix.rlcAt[di], g.At)
+	if !ordered {
+		sortTail(ix.rlcAt[di], len(ix.rlcAt[di])-1, nil)
+	}
+}
+
+// fillGNB sorts its rows into rlcAt whatever the run's order: the run's
+// DCI rows feed that series too, one series after the other rather than
+// merged.
+func (ix *indexedTrace) fillGNB(g *trace.GNBColumns, lo, hi int) {
+	base := [2]int{len(ix.rlcAt[0]), len(ix.rlcAt[1])}
+	for i := lo; i < hi; i++ {
 		if g.Kind[i] == trace.GNBLogRLCRetx {
 			di := dirIdx(g.Dir[i])
 			ix.rlcAt[di] = append(ix.rlcAt[di], g.At[i])
 		}
 	}
-	for di, base := range rlcBase {
-		sortTail(ix.rlcAt[di], base)
+	for di, from := range base {
+		sortTail(ix.rlcAt[di], from, nil)
 	}
-	p := &b.Pkt
-	for i := lo[trace.SeriesPkt]; i < hi[trace.SeriesPkt]; i++ {
-		ix.pushPacket(p.Kind[i], p.Dir[i], p.Size[i], p.SentAt[i], p.Arrived[i])
-		if !ordered {
-			ix.restoreOrderPacket(p.Kind[i], p.Dir[i])
-		}
-	}
-	for i := lo[trace.SeriesStats]; i < hi[trace.SeriesStats]; i++ {
-		ix.addStats(&b.Stats[i])
-		if !ordered {
-			ix.restoreOrderStats(sideIdx(b.Stats[i].Local))
-		}
-	}
-	rrcBase := len(ix.rrcAt)
-	ix.rrcAt = append(ix.rrcAt, b.RRC.At[lo[trace.SeriesRRC]:hi[trace.SeriesRRC]]...)
-	sortTail(ix.rrcAt, rrcBase)
 }
 
-// statsFlagSet holds one stats record's per-sample condition flags —
-// the single definition both the append path and the out-of-order
-// rebuild path count from.
+func (ix *indexedTrace) fillStats(recs []trace.WebRTCStatsRecord, ordered bool) {
+	base := [2]int{len(ix.stats[0]), len(ix.stats[1])}
+	for i := range recs {
+		si := sideIdx(recs[i].Local)
+		ix.statsAt[si], ix.stats[si] = append(ix.statsAt[si], recs[i].At), append(ix.stats[si], recs[i])
+	}
+	for si, from := range base {
+		n := len(ix.stats[si]) - from
+		c := &ix.statsCum[si]
+		c.resDown, c.drain, c.overuse, c.cwndFull = grow(c.resDown, n), grow(c.drain, n), grow(c.overuse, n), grow(c.cwndFull, n)
+		c.pushNeq, c.targetDrop, c.pushDrop = grow(c.pushNeq, n), grow(c.targetDrop, n), grow(c.pushDrop, n)
+		if !ordered {
+			from = sortTail(ix.statsAt[si], from, func(i, j int) { swap(ix.stats[si], i, j) })
+		}
+		ix.rebuildStatsCums(si, from)
+	}
+}
+
+// observeBlock implements WindowEvaluator.ObserveBlock.
+func (ix *indexedTrace) observeBlock(b *trace.Block, lo, hi *[trace.NumSeries]int, ordered bool) {
+	ix.fillDCI(&b.DCI, lo[trace.SeriesDCI], hi[trace.SeriesDCI], ordered)
+	ix.fillGNB(&b.GNB, lo[trace.SeriesGNB], hi[trace.SeriesGNB])
+	ix.fillPackets(&b.Pkt, lo[trace.SeriesPkt], hi[trace.SeriesPkt], ordered)
+	ix.fillStats(b.Stats[lo[trace.SeriesStats]:hi[trace.SeriesStats]], ordered)
+	rrc := len(ix.rrcAt)
+	ix.rrcAt = append(ix.rrcAt, b.RRC.At[lo[trace.SeriesRRC]:hi[trace.SeriesRRC]]...)
+	sortTail(ix.rrcAt, rrc, nil)
+}
+
+// grow extends s by n elements, which the caller sets.
+func grow[S ~[]E, E any](s S, n int) S {
+	return slices.Grow(s, n)[:len(s)+n]
+}
+
+func swap[E any](s []E, i, j int) { s[i], s[j] = s[j], s[i] }
+
+// statsFlagSet holds one stats record's per-sample condition flags.
 type statsFlagSet struct {
 	resDown, drain, overuse, cwndFull, pushNeq, targetDrop, pushDrop bool
 }
@@ -331,48 +456,8 @@ func (ix *indexedTrace) statsFlags(r, p *trace.WebRTCStatsRecord) statsFlagSet {
 	}
 }
 
-// delayHigh is the event 11–12 threshold flag, shared between the
-// append path and the out-of-order rebuild path.
+// delayHigh is the event 11–12 threshold flag.
 func (ix *indexedTrace) delayHigh(d float64) bool { return d > ix.cfg.DelayUpMs }
-
-// appendStatsCums extends side si's cumulative flag counts for the
-// record at index i (which must be the last one).
-func (ix *indexedTrace) appendStatsCums(si, i int) {
-	c := &ix.statsCum[si]
-	var p *trace.WebRTCStatsRecord
-	if i > 0 {
-		p = &ix.stats[si][i-1]
-	}
-	f := ix.statsFlags(&ix.stats[si][i], p)
-	c.resDown = appendCum32(c.resDown, f.resDown)
-	c.drain = appendCum32(c.drain, f.drain)
-	c.overuse = appendCum32(c.overuse, f.overuse)
-	c.cwndFull = appendCum32(c.cwndFull, f.cwndFull)
-	c.pushNeq = appendCum32(c.pushNeq, f.pushNeq)
-	c.targetDrop = appendCum32(c.targetDrop, f.targetDrop)
-	c.pushDrop = appendCum32(c.pushDrop, f.pushDrop)
-}
-
-// appendCum32 extends a cumulative count array by one flag.
-func appendCum32(cum []int32, flag bool) []int32 {
-	var prev int32
-	if n := len(cum); n > 0 {
-		prev = cum[n-1]
-	}
-	if flag {
-		prev++
-	}
-	return append(cum, prev)
-}
-
-// appendCumSum64 extends a cumulative sum array by one value.
-func appendCumSum64(cum []int64, v int64) []int64 {
-	var prev int64
-	if n := len(cum); n > 0 {
-		prev = cum[n-1]
-	}
-	return append(cum, prev+v)
-}
 
 // cum32 returns the flag count over series indices [lo, hi).
 func cum32(cum []int32, lo, hi int) int {
@@ -529,67 +614,25 @@ func cursorShift(cur, lo int) int {
 	return cur - lo
 }
 
-// bubbleLast restores sortedness after one sample was appended to a
-// time series, swapping the parallel value arrays alongside and
-// returning the insertion position. The walk is O(displacement), which
-// a streaming caller bounds by its lateness slack; for in-order input
-// it is a single comparison.
-func bubbleLast(at []sim.Time, swap func(i, j int)) int {
-	i := len(at) - 1
-	for ; i > 0 && at[i] < at[i-1]; i-- {
-		at[i], at[i-1] = at[i-1], at[i]
-		if swap != nil {
-			swap(i, i-1)
+// sortTail insertion-sorts into place the samples appended to a time
+// series since it was base long, calling swapValues (when not nil) to
+// move the parallel value columns alongside, and returns the lowest position
+// that changed — base when they arrived in order, which costs one
+// comparison each. The walk is O(displacement) per sample, which a
+// streaming caller bounds by its lateness slack.
+func sortTail(at []sim.Time, base int, swapValues func(i, j int)) int {
+	low := base
+	for n := max(base, 1); n < len(at); n++ {
+		i := n
+		for ; i > 0 && at[i] < at[i-1]; i-- {
+			at[i], at[i-1] = at[i-1], at[i]
+			if swapValues != nil {
+				swapValues(i, i-1)
+			}
 		}
+		low = min(low, i)
 	}
-	return i
-}
-
-// sortTail insertion-sorts into place the samples appended to a
-// time-only series since it was base long (one comparison each when
-// they arrived in order).
-func sortTail(at []sim.Time, base int) {
-	for n := base + 1; n <= len(at); n++ {
-		bubbleLast(at[:n], nil)
-	}
-}
-
-// tailOrdered reports whether a series' last sample is not before its
-// predecessor — the in-order case, which the restoreOrder* methods
-// settle with this one comparison before they build a swap closure.
-func tailOrdered(at []sim.Time) bool {
-	n := len(at)
-	return n < 2 || at[n-1] >= at[n-2]
-}
-
-// restoreOrderPacket re-sorts the tail of the packet-derived series
-// after an out-of-order (but within-lateness) streamed packet of the
-// given kind and direction, and repairs the cumulative arrays from the
-// insertion point.
-func (ix *indexedTrace) restoreOrderPacket(kind netem.MediaKind, dir netem.Direction) {
-	if kind == netem.KindRTCP {
-		if tailOrdered(ix.revAt) {
-			return
-		}
-		pos := bubbleLast(ix.revAt, func(i, j int) {
-			ix.revDelay[i], ix.revDelay[j] = ix.revDelay[j], ix.revDelay[i]
-		})
-		ix.rebuildDelayCum(ix.revDelay, ix.revCumHigh, pos)
-		return
-	}
-	if kind == netem.KindCross || tailOrdered(ix.fwdAt) {
-		// fwdAt and appAt[di] take the same timestamps, appAt[di] a
-		// subsequence of them: one in order means both are.
-		return
-	}
-	di := dirIdx(dir)
-	pos := bubbleLast(ix.fwdAt, func(i, j int) {
-		ix.fwdDelay[i], ix.fwdDelay[j] = ix.fwdDelay[j], ix.fwdDelay[i]
-	})
-	ix.rebuildDelayCum(ix.fwdDelay, ix.fwdCumHigh, pos)
-	bubbleLast(ix.appAt[di], func(i, j int) {
-		ix.appBytes[di][i], ix.appBytes[di][j] = ix.appBytes[di][j], ix.appBytes[di][i]
-	})
+	return low
 }
 
 // rebuildDelayCum recomputes a delay threshold-count array from pos on.
@@ -606,59 +649,26 @@ func (ix *indexedTrace) rebuildDelayCum(delay []float64, cum []int32, pos int) {
 	}
 }
 
-// restoreOrderDCI re-sorts the tail of direction di's DCI-derived
-// series.
-func (ix *indexedTrace) restoreOrderDCI(di int) {
-	bubbleLast(ix.rlcAt[di], nil)
-	if tailOrdered(ix.dciAt[di]) {
-		return
-	}
-	pos := bubbleLast(ix.dciAt[di], func(i, j int) {
-		ix.dciOwn[di][i], ix.dciOwn[di][j] = ix.dciOwn[di][j], ix.dciOwn[di][i]
-		ix.dciOther[di][i], ix.dciOther[di][j] = ix.dciOther[di][j], ix.dciOther[di][i]
-		ix.dciMCS[di][i], ix.dciMCS[di][j] = ix.dciMCS[di][j], ix.dciMCS[di][i]
-		ix.dciTBS[di][i], ix.dciTBS[di][j] = ix.dciTBS[di][j], ix.dciTBS[di][i]
-		ix.dciHARQ[di][i], ix.dciHARQ[di][j] = ix.dciHARQ[di][j], ix.dciHARQ[di][i]
-		ix.dciULUse[di][i], ix.dciULUse[di][j] = ix.dciULUse[di][j], ix.dciULUse[di][i]
-	})
-	ix.rebuildDCICums(di, pos)
-}
-
 // rebuildDCICums recomputes direction di's cumulative arrays from pos.
 func (ix *indexedTrace) rebuildDCICums(di, pos int) {
+	own, other, harq, use := ix.dciOwn[di], ix.dciOther[di], ix.dciHARQ[di], ix.dciULUse[di]
+	cumOwn, cumOther, cumHARQ, cumUse := ix.dciCumOwn[di], ix.dciCumOther[di], ix.dciCumHARQ[di], ix.dciCumULUse[di]
 	var pOwn, pOther int64
 	var pHARQ, pUse int32
 	if pos > 0 {
-		pOwn = ix.dciCumOwn[di][pos-1]
-		pOther = ix.dciCumOther[di][pos-1]
-		pHARQ = ix.dciCumHARQ[di][pos-1]
-		pUse = ix.dciCumULUse[di][pos-1]
+		pOwn, pOther, pHARQ, pUse = cumOwn[pos-1], cumOther[pos-1], cumHARQ[pos-1], cumUse[pos-1]
 	}
-	for i := pos; i < len(ix.dciAt[di]); i++ {
-		pOwn += int64(ix.dciOwn[di][i])
-		pOther += int64(ix.dciOther[di][i])
-		if ix.dciHARQ[di][i] {
+	for i := pos; i < len(own); i++ {
+		pOwn += int64(own[i])
+		pOther += int64(other[i])
+		if harq[i] {
 			pHARQ++
 		}
-		if ix.dciULUse[di][i] {
+		if use[i] {
 			pUse++
 		}
-		ix.dciCumOwn[di][i] = pOwn
-		ix.dciCumOther[di][i] = pOther
-		ix.dciCumHARQ[di][i] = pHARQ
-		ix.dciCumULUse[di][i] = pUse
+		cumOwn[i], cumOther[i], cumHARQ[i], cumUse[i] = pOwn, pOther, pHARQ, pUse
 	}
-}
-
-// restoreOrderStats re-sorts the tail of side si's stats series.
-func (ix *indexedTrace) restoreOrderStats(si int) {
-	if tailOrdered(ix.statsAt[si]) {
-		return
-	}
-	pos := bubbleLast(ix.statsAt[si], func(i, j int) {
-		ix.stats[si][i], ix.stats[si][j] = ix.stats[si][j], ix.stats[si][i]
-	})
-	ix.rebuildStatsCums(si, pos)
 }
 
 // rebuildStatsCums recomputes side si's cumulative flag counts from

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"math"
 
 	"github.com/domino5g/domino/internal/sim"
 )
@@ -12,9 +12,13 @@ import (
 // consume samples as window ends advance (so every structure covers
 // exactly the samples with timestamp below the last evaluated window
 // end), and retire drops entries that slid out of the window start.
-// Everything here is allocation-free at steady state: deques and
-// bucket rings reuse their backing arrays, and completed MCS buckets
-// recycle their sample slices through a free list.
+//
+// A cursor consumes a run — the samples between two window ends — in one
+// loop over the index's columns: a series is time-ordered, so the bucket
+// a sample falls in is looked up (one division) only when the sample
+// leaves the bucket the previous one was in. Everything here is
+// allocation-free at steady state: deques and bucket rings reuse their
+// backing arrays, and an MCS bucket is a fixed-size count histogram.
 
 // rollState carries the cursors and cursor-fed aggregates of one
 // indexedTrace.
@@ -71,6 +75,10 @@ func (r *rollState) reset() {
 	}
 }
 
+// noBucket is the bucket end before a run's first sample: below every
+// timestamp, so that sample looks its bucket up.
+const noBucket = sim.Time(math.MinInt64)
+
 // advance consumes every sample with timestamp < end into the rolling
 // structures. end must be non-decreasing across calls.
 func (ix *indexedTrace) advanceRoll(end sim.Time) {
@@ -79,44 +87,55 @@ func (ix *indexedTrace) advanceRoll(end sim.Time) {
 		return
 	}
 	for si := 0; si < 2; si++ {
-		at := ix.statsAt[si]
-		cur := r.statsCur[si]
-		for cur < len(at) && at[cur] < end {
-			rec := &ix.stats[si][cur]
-			seq := r.statsSeq[si]
-			r.statsSeq[si]++
-			r.inFPSMax[si].push(at[cur], seq, rec.InboundFPS)
-			r.inFPSMin[si].push(at[cur], seq, rec.InboundFPS)
-			r.outFPSMax[si].push(at[cur], seq, rec.OutboundFPS)
-			r.outFPSMin[si].push(at[cur], seq, rec.OutboundFPS)
-			cur++
+		at, recs := ix.statsAt[si], ix.stats[si]
+		cur, seq := r.statsCur[si], r.statsSeq[si]
+		for ; cur < len(at) && at[cur] < end; cur, seq = cur+1, seq+1 {
+			t, in, out := at[cur], recs[cur].InboundFPS, recs[cur].OutboundFPS
+			r.inFPSMax[si].push(t, seq, in)
+			r.inFPSMin[si].push(t, seq, in)
+			r.outFPSMax[si].push(t, seq, out)
+			r.outFPSMin[si].push(t, seq, out)
 		}
-		r.statsCur[si] = cur
+		r.statsCur[si], r.statsSeq[si] = cur, seq
 	}
 	for di := 0; di < 2; di++ {
-		at := ix.dciAt[di]
-		cur := r.dciCur[di]
-		for cur < len(at) && at[cur] < end {
-			seq := r.dciSeq[di]
-			r.dciSeq[di]++
-			if tbs := ix.dciTBS[di][cur]; tbs > 0 {
-				v := float64(tbs)
-				r.tbsMax[di].push(at[cur], seq, v)
-				r.tbsMin[di].push(at[cur], seq, v)
-				r.rateTBS[di].add(at[cur], v)
+		at, tbs, own, mcs := ix.dciAt[di], ix.dciTBS[di], ix.dciOwn[di], ix.dciMCS[di]
+		tbsMax, tbsMin, rate, groups := &r.tbsMax[di], &r.tbsMin[di], &r.rateTBS[di], &r.mcs[di]
+		var (
+			bin      *float64   // rate's bucket for samples before binEnd
+			group    *mcsBucket // groups' bucket for samples before groupEnd
+			binEnd   = noBucket
+			groupEnd = noBucket
+		)
+		cur, seq := r.dciCur[di], r.dciSeq[di]
+		for ; cur < len(at) && at[cur] < end; cur, seq = cur+1, seq+1 {
+			t := at[cur]
+			if b := tbs[cur]; b > 0 {
+				v := float64(b)
+				tbsMax.push(t, seq, v)
+				tbsMin.push(t, seq, v)
+				if t >= binEnd {
+					bin, binEnd = rate.bucket(t)
+				}
+				*bin += v
 			}
-			if ix.dciOwn[di][cur] > 0 {
-				r.mcs[di].add(at[cur], float64(ix.dciMCS[di][cur]))
+			// != 0, not > 0: the rule mcsDegradedFull groups by.
+			if own[cur] != 0 {
+				if t >= groupEnd {
+					group, groupEnd = groups.bucket(t)
+				}
+				group.add(mcs[cur])
 			}
-			cur++
 		}
-		r.dciCur[di] = cur
+		r.dciCur[di], r.dciSeq[di] = cur, seq
 
-		at = ix.appAt[di]
-		cur = r.appCur[di]
-		for cur < len(at) && at[cur] < end {
-			r.rateApp[di].add(at[cur], float64(ix.appBytes[di][cur]*8))
-			cur++
+		at, size := ix.appAt[di], ix.appBytes[di]
+		rate, binEnd = &r.rateApp[di], noBucket
+		for cur = r.appCur[di]; cur < len(at) && at[cur] < end; cur++ {
+			if t := at[cur]; t >= binEnd {
+				bin, binEnd = rate.bucket(t)
+			}
+			*bin += float64(size[cur] * 8)
 		}
 		r.appCur[di] = cur
 	}
@@ -142,185 +161,169 @@ func (ix *indexedTrace) retireRoll(start sim.Time) {
 // extrema is a monotonic deque tracking the window maximum (or, with
 // isMin, minimum) of one series, preserving the earliest attaining
 // sample so argmax-before-argmin conditions evaluate exactly as a full
-// scan would. Entries live in at/seq/val[head:]; the dead prefix is
-// compacted away once it dominates the backing array.
+// scan would. Entries live in ents[head:]; the dead prefix is compacted
+// away once it dominates the backing array.
 type extrema struct {
-	at    []sim.Time
-	seq   []int64
-	val   []float64
+	ents  []extremum
 	head  int
 	isMin bool
 }
 
+// extremum is one deque entry: a sample's time, consume sequence number
+// and value.
+type extremum struct {
+	at  sim.Time
+	seq int64
+	val float64
+}
+
 func (d *extrema) push(at sim.Time, seq int64, v float64) {
-	n := len(d.val)
+	n := len(d.ents)
 	for n > d.head {
-		last := d.val[n-1]
+		last := d.ents[n-1].val
 		if (d.isMin && last > v) || (!d.isMin && last < v) {
 			n--
 			continue
 		}
 		break
 	}
-	d.at = append(d.at[:n], at)
-	d.seq = append(d.seq[:n], seq)
-	d.val = append(d.val[:n], v)
+	d.ents = append(d.ents[:n], extremum{at, seq, v})
 }
 
 func (d *extrema) retire(cut sim.Time) {
-	for d.head < len(d.at) && d.at[d.head] < cut {
+	for d.head < len(d.ents) && d.ents[d.head].at < cut {
 		d.head++
 	}
-	if d.head > 32 && d.head*2 >= len(d.at) {
-		n := copy(d.at, d.at[d.head:])
-		copy(d.seq, d.seq[d.head:])
-		copy(d.val, d.val[d.head:])
-		d.at, d.seq, d.val = d.at[:n], d.seq[:n], d.val[:n]
+	if d.head > 32 && d.head*2 >= len(d.ents) {
+		d.ents = d.ents[:copy(d.ents, d.ents[d.head:])]
 		d.head = 0
 	}
 }
 
-func (d *extrema) empty() bool { return d.head >= len(d.at) }
+func (d *extrema) empty() bool { return d.head >= len(d.ents) }
 
 // front returns the consume sequence and value of the window extremum.
-func (d *extrema) front() (int64, float64) { return d.seq[d.head], d.val[d.head] }
+func (d *extrema) front() (int64, float64) { return d.ents[d.head].seq, d.ents[d.head].val }
 
-func (d *extrema) clear() {
-	d.at, d.seq, d.val = d.at[:0], d.seq[:0], d.val[:0]
-	d.head = 0
-}
+func (d *extrema) clear() { d.ents, d.head = d.ents[:0], 0 }
 
-// binSums accumulates a value sum per fixed-width absolute time bucket
-// (bucket b covers [b*width, (b+1)*width)). Live buckets are
-// sums[head:], with base the bucket index of sums[head].
-type binSums struct {
+// buckets is a ring of fixed-width absolute time buckets (bucket b
+// covers [b*width, (b+1)*width)). Live buckets are items[head:], with
+// base the bucket index of items[head]; the dead prefix is compacted away
+// once it dominates the backing array.
+type buckets[T any] struct {
 	width sim.Time
 	base  int64
-	sums  []float64
+	items []T
 	head  int
 }
 
-func (b *binSums) add(at sim.Time, v float64) {
+// bucket returns at's bucket, appending empty buckets up to it, and the
+// bucket's end: it is also the bucket of every later sample before end.
+// The pointer holds until the next call.
+func (b *buckets[T]) bucket(at sim.Time) (*T, sim.Time) {
 	idx := int64(at / b.width)
-	if b.head == len(b.sums) {
+	if b.head == len(b.items) {
 		b.base = idx
 	}
-	for idx >= b.base+int64(len(b.sums)-b.head) {
-		b.sums = append(b.sums, 0)
+	for idx >= b.base+int64(len(b.items)-b.head) {
+		var empty T
+		b.items = append(b.items, empty)
 	}
-	b.sums[b.head+int(idx-b.base)] += v
+	return &b.items[b.head+int(idx-b.base)], sim.Time(idx+1) * b.width
 }
 
-// get returns the sum for absolute bucket idx (0 when out of range).
-func (b *binSums) get(idx int64) float64 {
-	if b.head == len(b.sums) || idx < b.base || idx >= b.base+int64(len(b.sums)-b.head) {
-		return 0
+// get returns absolute bucket idx, nil when it is out of range.
+func (b *buckets[T]) get(idx int64) *T {
+	if idx < b.base || idx >= b.base+int64(len(b.items)-b.head) {
+		return nil
 	}
-	return b.sums[b.head+int(idx-b.base)]
+	return &b.items[b.head+int(idx-b.base)]
 }
 
-func (b *binSums) retire(cut sim.Time) {
-	for b.head < len(b.sums) && (b.base+1)*int64(b.width) <= int64(cut) {
+func (b *buckets[T]) retire(cut sim.Time) {
+	for b.head < len(b.items) && (b.base+1)*int64(b.width) <= int64(cut) {
 		b.head++
 		b.base++
 	}
-	if b.head > 32 && b.head*2 >= len(b.sums) {
-		n := copy(b.sums, b.sums[b.head:])
-		b.sums = b.sums[:n]
+	if b.head > 32 && b.head*2 >= len(b.items) {
+		b.items = b.items[:copy(b.items, b.items[b.head:])]
 		b.head = 0
 	}
 }
 
-func (b *binSums) clear() {
-	b.sums = b.sums[:0]
-	b.head = 0
-	b.base = 0
+func (b *buckets[T]) clear() { b.items, b.head, b.base = b.items[:0], 0, 0 }
+
+// binSums accumulates a value sum per rate bin.
+type binSums = buckets[float64]
+
+// sum returns the sum of absolute bin idx (0 when out of range).
+func sum(b *binSums, idx int64) float64 {
+	if p := b.get(idx); p != nil {
+		return *p
+	}
+	return 0
 }
 
-// mcsBuckets caches per-bucket MCS samples (own-allocation slots only)
-// and their medians: a bucket's median is computed once, when a window
-// evaluation first reads the completed bucket, by sorting its samples
-// in place. Sample slices of retired buckets are recycled.
-type mcsBuckets struct {
-	width   sim.Time
-	base    int64
-	buckets []mcsBucket
-	head    int
-	free    [][]float64
-}
+// mcsLevels bounds the MCS values a bucket counts: NR's MCS index is a
+// 5-bit field (TS 38.214 §5.1.3.1).
+const mcsLevels = 32
 
+// mcsBuckets caches the own-allocation MCS samples of each MCS group as
+// a count per MCS value, and the group's median, read from the
+// cumulative counts when a window evaluation first reads the completed
+// bucket.
+type mcsBuckets = buckets[mcsBucket]
+
+// mcsBucket is one bucket's histogram. It is exact — the counts are the
+// bucket's samples — unless a sample fell outside [0, mcsLevels) or a
+// count reached its ceiling; a window that reads such a bucket is
+// recomputed from the series by mcsDegradedFull.
 type mcsBucket struct {
-	vals   []float64
-	median float64
-	sorted bool
+	counts  [mcsLevels]uint16
+	n       int32
+	median  uint8
+	cached  bool // median is set
+	inexact bool
 }
 
-func (m *mcsBuckets) add(at sim.Time, v float64) {
-	idx := int64(at / m.width)
-	if m.head == len(m.buckets) {
-		m.base = idx
+func (b *mcsBucket) add(mcs int) {
+	b.n++
+	if uint(mcs) >= mcsLevels || b.counts[mcs] == math.MaxUint16 {
+		b.inexact = true
+		return
 	}
-	for idx >= m.base+int64(len(m.buckets)-m.head) {
-		var vals []float64
-		if n := len(m.free); n > 0 {
-			vals = m.free[n-1]
-			m.free = m.free[:n-1]
-		}
-		m.buckets = append(m.buckets, mcsBucket{vals: vals})
-	}
-	b := &m.buckets[m.head+int(idx-m.base)]
-	b.vals = append(b.vals, v)
+	b.counts[mcs]++
 }
 
-// median returns the cached median and sample count for absolute
-// bucket idx; count 0 means the bucket is empty or out of range. The
-// bucket must be complete (every sample with a timestamp inside it
-// already consumed), which holds for any bucket below the last
-// advanced window end.
-func (m *mcsBuckets) median(idx int64) (float64, int) {
-	if m.head == len(m.buckets) || idx < m.base || idx >= m.base+int64(len(m.buckets)-m.head) {
-		return 0, 0
+// mcsMedian returns the median MCS and the sample count of absolute
+// bucket idx: the sample of rank int(0.5·(n-1)), as the oracle's
+// percentile picks it from the sorted samples. Count 0 means the bucket
+// is empty or out of range; ok false that its histogram is not exact.
+// The bucket must be complete (every sample with a timestamp inside it
+// already consumed), which holds for any bucket below the last advanced
+// window end.
+func mcsMedian(m *mcsBuckets, idx int64) (median, n int, ok bool) {
+	b := m.get(idx)
+	if b == nil {
+		return 0, 0, true
 	}
-	b := &m.buckets[m.head+int(idx-m.base)]
-	if len(b.vals) == 0 {
-		return 0, 0
+	if b.inexact {
+		return 0, int(b.n), false
 	}
-	if !b.sorted {
-		sort.Float64s(b.vals)
-		b.median = b.vals[int(0.5*float64(len(b.vals)-1))]
-		b.sorted = true
+	if !b.cached && b.n > 0 {
+		b.median, b.cached = uint8(rankValue(&b.counts, int(0.5*float64(b.n-1)))), true
 	}
-	return b.median, len(b.vals)
+	return int(b.median), int(b.n), true
 }
 
-func (m *mcsBuckets) retire(cut sim.Time) {
-	for m.head < len(m.buckets) && (m.base+1)*int64(m.width) <= int64(cut) {
-		b := &m.buckets[m.head]
-		if b.vals != nil {
-			m.free = append(m.free, b.vals[:0])
-		}
-		*b = mcsBucket{}
-		m.head++
-		m.base++
+// rankValue returns the value of 0-based rank k among the samples a
+// histogram counts, which must number more than k.
+func rankValue[C uint16 | int](counts *[mcsLevels]C, k int) int {
+	v, below := 0, int(counts[0])
+	for below <= k {
+		v++
+		below += int(counts[v])
 	}
-	if m.head > 16 && m.head*2 >= len(m.buckets) {
-		n := copy(m.buckets, m.buckets[m.head:])
-		for i := n; i < len(m.buckets); i++ {
-			m.buckets[i] = mcsBucket{}
-		}
-		m.buckets = m.buckets[:n]
-		m.head = 0
-	}
-}
-
-func (m *mcsBuckets) clear() {
-	for i := range m.buckets {
-		if vals := m.buckets[i].vals; vals != nil {
-			m.free = append(m.free, vals[:0])
-		}
-		m.buckets[i] = mcsBucket{}
-	}
-	m.buckets = m.buckets[:0]
-	m.head = 0
-	m.base = 0
+	return v
 }

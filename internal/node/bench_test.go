@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -107,6 +108,58 @@ func TestIngestAllocsPerRecord(t *testing.T) {
 		} else {
 			t.Logf("%s: %.5f allocs per record (%.0f per upload of %.0f records)", format.name, got, got*records, records)
 		}
+	}
+}
+
+// TestIngestBytesPerChunk bounds the bytes a live chunk costs the node
+// beyond its records: a resumable JSONL session in twenty requests, as
+// fleet-live sends a call, with the node's pools warm. A request borrows
+// its block storage and its 64 KiB line buffer from the ring pool: the
+// ceiling is 1.3 × the 42.5 KB PR 21 measured (HTTP client and report
+// growth included), and a reader that makes its own line buffer measures
+// 108 KB.
+func TestIngestBytesPerChunk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a quarter of its Puts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	_, jsonl := sessionTrace(t, ran.Amarisoft(), 21, 10*sim.Second)
+	lines := bytes.SplitAfter(jsonl, []byte("\n"))
+	lines = lines[:len(lines)-1] // nothing follows the last newline
+	const chunks = 20
+	var seq [chunks]int
+	var body [chunks][]byte
+	for c := range body {
+		seq[c] = c * len(lines) / chunks
+		body[c] = bytes.Join(lines[seq[c]:(c+1)*len(lines)/chunks], nil)
+	}
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 1, MaxSessions: 64})
+	ts := httptest.NewServer(srv.Routes())
+	defer ts.Close()
+	session := func(id string) {
+		for c := 0; c < chunks; c++ {
+			resp := postChunk(t, ts.URL, id, "application/jsonl", seq[c], c == chunks-1, bytes.NewReader(body[c]))
+			drainClose(resp)
+			if want := map[bool]int{false: http.StatusAccepted, true: http.StatusOK}[c == chunks-1]; resp.StatusCode != want {
+				t.Fatalf("chunk %d: status %d, want %d", c, resp.StatusCode, want)
+			}
+		}
+	}
+	session("warm-0")
+	session("warm-1")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const sessions = 4
+	for i := 0; i < sessions; i++ {
+		session(fmt.Sprintf("live-%d", i))
+	}
+	runtime.ReadMemStats(&after)
+	perChunk := float64(after.TotalAlloc-before.TotalAlloc) / (sessions * chunks)
+	const ceiling = 55 << 10
+	if perChunk > ceiling {
+		t.Errorf("%.0f bytes allocated per chunk, ceiling %d", perChunk, ceiling)
+	} else {
+		t.Logf("%.0f bytes allocated per chunk (client and test included)", perChunk)
 	}
 }
 

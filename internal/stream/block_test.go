@@ -245,14 +245,13 @@ func encodeJSONL(t testing.TB, hdr trace.Header, recs []trace.Record) []byte {
 
 // shuffleWithin reorders recs so that no record is displaced past a
 // record slack or more later than it: consecutive stretches spanning
-// under slack are reversed — short ones and ones long enough to invert
-// the sparse series (two stats samples of one side) too.
-func shuffleWithin(recs []trace.Record, slack sim.Time) []trace.Record {
+// under slack, of at most the record counts given in turn, are reversed.
+func shuffleWithin(recs []trace.Record, slack sim.Time, counts ...int) []trace.Record {
 	out := append([]trace.Record(nil), recs...)
 	for lo, n := 0, 0; lo < len(out); n++ {
 		t0, _ := out[lo].Time()
 		hi := lo + 1
-		for hi < len(out) && hi-lo < [...]int{3, 150, 20}[n%3] {
+		for hi < len(out) && hi-lo < counts[n%len(counts)] {
 			if t, _ := out[hi].Time(); t-t0 >= slack {
 				break
 			}
@@ -262,6 +261,27 @@ func shuffleWithin(recs []trace.Record, slack sim.Time) []trace.Record {
 			out[i], out[j] = out[j], out[i]
 		}
 		lo = hi
+	}
+	return out
+}
+
+// alternateDirections returns recs with the direction of every DCI row
+// and of every packet the opposite of the one before it in its series,
+// so that a run of block rows changes direction at every row.
+func alternateDirections(recs []trace.Record) []trace.Record {
+	out := append([]trace.Record(nil), recs...)
+	var dci, pkt netem.Direction
+	for i, rec := range out {
+		switch {
+		case rec.DCI != nil:
+			r := *rec.DCI
+			r.Dir, dci = dci, 1-dci
+			out[i].DCI = &r
+		case rec.Packet != nil:
+			r := *rec.Packet
+			r.Dir, pkt = pkt, 1-pkt
+			out[i].Packet = &r
+		}
 	}
 	return out
 }
@@ -287,7 +307,8 @@ func TestPushBlockMatchesPush(t *testing.T) {
 	const (
 		dur   = 12 * sim.Second
 		slack = 200 * sim.Millisecond
-		block = 512 // records per wire block
+		step  = 500 * sim.Millisecond // the default detector's
+		block = 512                   // records per wire block
 	)
 	for i, name := range scenario.Names() {
 		sc, err := scenario.ByName(name)
@@ -313,7 +334,12 @@ func TestPushBlockMatchesPush(t *testing.T) {
 			recs []trace.Record
 		}{
 			{"ordered", Config{}, hdr, recs},
-			{"lateness-shuffled", Config{Lateness: slack}, hdr, shuffleWithin(recs, slack)},
+			// Short stretches, and ones long enough to invert the sparse
+			// series (two stats samples of one side) too.
+			{"lateness-shuffled", Config{Lateness: slack}, hdr, shuffleWithin(recs, slack, 3, 150, 20)},
+			// Every run between two window closes arrives backwards, whole.
+			{"unordered-run", Config{Lateness: step + slack}, hdr, shuffleWithin(recs, step+slack, len(recs))},
+			{"direction-per-row", Config{}, hdr, alternateDirections(recs)},
 			{"drop-late", Config{DropLate: true}, hdr, plant(plant(recs, lateBlock+block/2), lateBlock)},
 			{"drop-windows", Config{DropWindows: true}, hdr, recs},
 			{"open-ended", Config{}, open, recs},
@@ -429,13 +455,17 @@ func FuzzPushBlock(f *testing.F) {
 	}
 	// small is the seed FuzzBinaryStreamReader starts from; windowed
 	// spans 7 s at a record every 50 ms per series, so windows close and
-	// samples are evicted while it streams.
+	// samples are evicted while it streams, and carries what event 16's
+	// count histograms cannot hold: MCS values out of their range, PRB
+	// counts below zero. (A group with more rows than a histogram's
+	// counter counts is internal/core's to test: as a seed its 65 537
+	// rows cost a tenth of a second an execution.)
 	small, windowed := trace.NewCollector("testcell", true), trace.NewCollector("testcell", true)
 	small.Set.Duration, windowed.Set.Duration = sim.Second, 7*sim.Second
 	for c, n := range map[*trace.Collector]int{small: 1, windowed: 140} {
 		for i := 0; i < n; i++ {
 			at := sim.Time(i) * 50 * sim.Millisecond
-			c.OnDCI(trace.DCIRecord{At: at + 2*sim.Millisecond, RNTI: 7, OwnPRB: 10 - i%11, OtherPRB: i % 40, MCS: 12, TBSBits: 8000 >> (i % 5), RLCRetx: i%9 == 0, HARQRetx: i%4 == 0})
+			c.OnDCI(trace.DCIRecord{At: at + 2*sim.Millisecond, RNTI: 7, OwnPRB: 10 - i%12, OtherPRB: i % 40, MCS: [...]int{12, 12, 12, -3, 32, 1 << 40}[i%6], TBSBits: 8000 >> (i % 5), RLCRetx: i%9 == 0, HARQRetx: i%4 == 0})
 			c.OnGNBLog(trace.GNBLogRecord{At: at + 3*sim.Millisecond, Kind: trace.GNBLogKind(i % 3), Note: "x"})
 			c.OnPacket(trace.PacketRecord{Seq: uint64(i), Kind: netem.MediaKind(i % 4), Size: 1200, SentAt: at, Arrived: at + sim.Time(30+i)*sim.Millisecond})
 			c.OnStats(trace.WebRTCStatsRecord{At: at + 50*sim.Millisecond, Local: i%2 == 0, InboundFPS: float64(30 - i%25), TargetBitrateBps: 1e6})

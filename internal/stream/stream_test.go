@@ -712,10 +712,10 @@ func TestLateAccounting(t *testing.T) {
 // TestSessionAllocs is the whole-session counterpart of
 // TestBlockIngestAllocs' steady-state zero: a recycled analyzer allocates
 // for what a call reports — windows, runs, the report — and not per
-// record. A 10 s Amarisoft call of 10 725 records cost 196 allocations
-// pushed record by record (the benchmark's 883 at three iterations
-// included the index growing once) and 2 244 analysed in batch, where a
-// fresh index grows to the whole trace (PR 20); ceilings are 1.3 × those.
+// record. A 10 s Amarisoft call of 10 725 records costs 184 allocations
+// pushed record by record and 814 analysed in batch, where a fresh index
+// grows to the whole trace (PR 21; 196 and 2 244 while an MCS group kept
+// its samples in a slice of its own); ceilings are 1.3 × those.
 func TestSessionAllocs(t *testing.T) {
 	a, err := core.NewAnalyzer(core.DetectorConfig{}, nil)
 	if err != nil {
@@ -729,7 +729,7 @@ func TestSessionAllocs(t *testing.T) {
 		ceiling float64
 		run     func() error
 	}{
-		{"Push", 254, func() error {
+		{"Push", 239, func() error {
 			s.Reset()
 			for _, rec := range recs {
 				if err := s.Push(rec); err != nil {
@@ -739,7 +739,7 @@ func TestSessionAllocs(t *testing.T) {
 			_, err := s.Close()
 			return err
 		}},
-		{"Analyze", 2917, func() error { _, err := a.Analyze(set); return err }},
+		{"Analyze", 1058, func() error { _, err := a.Analyze(set); return err }},
 	} {
 		got := testing.AllocsPerRun(3, func() {
 			if err := path.run(); err != nil {

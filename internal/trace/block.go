@@ -98,6 +98,7 @@ func (b *Block) reset() {
 type BlockRing struct {
 	blks []Block
 	pos  int
+	scan []byte // a JSONL reader's line buffer, made at first use
 }
 
 // NewBlockRing returns a ring of depth+1 generations; for depth <= 0,
@@ -118,6 +119,18 @@ func (r *BlockRing) next() *Block {
 	r.pos = (r.pos + 1) % len(r.blks)
 	b.reset()
 	return b
+}
+
+// scanBuffer returns the buffer a JSONL reader's scanner starts on: the
+// ring's own, kept from reader to reader, or for the nil ring a new one.
+func (r *BlockRing) scanBuffer() []byte {
+	if r == nil {
+		return make([]byte, jsonlScanBuffer)
+	}
+	if r.scan == nil {
+		r.scan = make([]byte, jsonlScanBuffer)
+	}
+	return r.scan
 }
 
 // Times returns each series' primary-timestamp column (send time for

@@ -66,7 +66,8 @@ func (r Record) IsZero() bool {
 // consumer uses either ReadBlock or the RecordReader methods on one
 // reader, not both.
 type StreamReader struct {
-	sc     *bufio.Scanner
+	r      io.Reader
+	sc     *bufio.Scanner // made at the first line, over the ring's buffer
 	lineNo int
 	hdr    *Header
 	err    error
@@ -79,16 +80,16 @@ type StreamReader struct {
 }
 
 // maxJSONLLine caps one line; a longer one fails the stream with
-// bufio.ErrTooLong. The scanner starts far below the cap and grows to
-// it on demand: an ingest request is typically a fraction of it.
-const maxJSONLLine = 1 << 20
+// bufio.ErrTooLong. The scanner starts at jsonlScanBuffer, far below the
+// cap, and grows to it on demand: an ingest request is typically a
+// fraction of it.
+const (
+	maxJSONLLine    = 1 << 20
+	jsonlScanBuffer = 64 << 10
+)
 
 // NewStreamReader returns a streaming decoder over r.
-func NewStreamReader(r io.Reader) *StreamReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxJSONLLine)
-	return &StreamReader{sc: sc}
-}
+func NewStreamReader(r io.Reader) *StreamReader { return &StreamReader{r: r} }
 
 // Header returns the stream header once it has been read.
 func (sr *StreamReader) Header() (Header, bool) {
@@ -113,6 +114,10 @@ func (sr *StreamReader) SlowLines() int { return sr.slow }
 func (sr *StreamReader) decodeLine() (int, error) {
 	if sr.err != nil {
 		return 0, sr.err
+	}
+	if sr.sc == nil {
+		sr.sc = bufio.NewScanner(sr.r)
+		sr.sc.Buffer(sr.ring.scanBuffer(), maxJSONLLine)
 	}
 	if !sr.sc.Scan() {
 		if err := sr.sc.Err(); err != nil {
@@ -201,5 +206,6 @@ func (sr *StreamReader) Recycle(depth int) { sr.ring = NewBlockRing(depth) }
 
 // RecycleInto is Recycle with generations the caller owns and may hand
 // to the next reader when this one is done: a short upload then reuses
-// columns already grown instead of growing its own.
+// columns already grown, and the line scanner's buffer, instead of
+// growing its own.
 func (sr *StreamReader) RecycleInto(ring *BlockRing) { sr.ring = ring }

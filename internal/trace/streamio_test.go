@@ -94,6 +94,8 @@ func TestMalformedJSONL(t *testing.T) {
 		{"empty line", header + "\n\n", false},
 		{"not json", "not json at all\n", false},
 		{"wrong data shape", header + "\n" + `{"type":"dci","data":[1,2,3]}` + "\n", false},
+		// internal/core counts MCS values, so it relies on this one.
+		{"fractional MCS", header + "\n" + `{"type":"dci","data":{"At":5,"OwnPRB":3,"MCS":12.5}}` + "\n", false},
 		{"header with bad duration", `{"type":"header","data":{"duration_us":"soon"}}` + "\n", false},
 		{"valid record", header + "\n" + `{"type":"rrc","data":{"At":5,"Connected":true}}` + "\n", true},
 	}
