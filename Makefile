@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt fmt-check test fuzz-smoke bench bench-pair obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check bench-check loc loc-check ci
+.PHONY: build vet fmt fmt-check test fuzz-smoke bench bench-pair obs-smoke chaos-smoke fleet-smoke examples-check bench-check loc loc-check ci
 
 build:
 	$(GO) build ./...
@@ -84,16 +84,9 @@ chaos-smoke:
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
-# Documentation gates — CI fails on doc drift like it fails on tests.
-# doclint: every package needs a package comment; every exported façade
-# symbol (root package) needs a doc comment. mdcheck: relative links in
-# the top-level docs must resolve.
-doclint:
-	$(GO) run ./cmd/doclint -symbols .
-	$(GO) run ./cmd/doclint ./internal/... ./cmd/...
-
-mdcheck:
-	$(GO) run ./cmd/mdcheck README.md ARCHITECTURE.md ROADMAP.md
+# Documentation gates are tests in the root package (tree_test.go:
+# package comments, façade doc comments, relative links in the top-level
+# docs), so `test` above is where doc drift fails.
 
 # Build and vet the documented examples by name: a façade change that
 # breaks one then fails a step that says "examples", not a wildcard.
@@ -119,4 +112,4 @@ loc:
 loc-check: loc
 	git diff --exit-code -- LOC.txt
 
-ci: build vet fmt-check test fuzz-smoke bench obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check bench-check loc-check
+ci: build vet fmt-check test fuzz-smoke bench obs-smoke chaos-smoke fleet-smoke examples-check bench-check loc-check

@@ -7,6 +7,7 @@
 //
 //	domino -trace call.jsonl [-graph chains.txt] [-codegen out.go] [-v]
 //	domino -trace call.dmnt
+//	tracegen -cell amarisoft | domino -trace -
 //
 // Without -graph the paper's default Fig. 9 graph (24 chains) is used.
 // -codegen writes the generated Go detector for the graph and exits.
@@ -30,13 +31,13 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("domino", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	tracePath := fs.String("trace", "", "path to a trace set, JSONL or binary (required unless -codegen)")
+	tracePath := fs.String("trace", "", "path to a trace set, JSONL or binary, or - for standard input (required unless -codegen)")
 	graphPath := fs.String("graph", "", "path to a causal-chain DSL file (default: built-in Fig. 9 graph)")
 	codegen := fs.String("codegen", "", "write the generated Go detector to this path and exit")
 	verbose := fs.Bool("v", false, "print per-window chain matches")
@@ -77,17 +78,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	f, err := os.Open(*tracePath)
-	if err != nil {
-		return fail(err)
+	in := stdin
+	if *tracePath != "-" {
+		f, err := os.Open(*tracePath)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
+		in = f
 	}
 	analyzer, err := domino.NewAnalyzer(domino.DetectorConfig{}, graph)
 	if err != nil {
-		f.Close()
 		return fail(err)
 	}
-	report, err := domino.StreamRecords(f, domino.NewStreamAnalyzer(analyzer, domino.StreamConfig{}))
-	f.Close()
+	report, err := domino.StreamRecords(in, domino.NewStreamAnalyzer(analyzer, domino.StreamConfig{}))
 	if err != nil {
 		return fail(fmt.Errorf("streaming trace: %w", err))
 	}

@@ -49,9 +49,15 @@ func TestFlagValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	traceBytes, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		name       string
 		args       []string
+		stdin      string
 		code       int
 		wantStdout string
 		wantStderr string
@@ -105,6 +111,20 @@ func TestFlagValidation(t *testing.T) {
 			wantStderr: "streaming trace",
 		},
 		{
+			name:       "malformed trace on stdin",
+			args:       []string{"-trace", "-"},
+			stdin:      "garbage\n",
+			code:       1,
+			wantStderr: "streaming trace",
+		},
+		{
+			name:       "analyze trace on stdin",
+			args:       []string{"-trace", "-"},
+			stdin:      string(traceBytes),
+			code:       0,
+			wantStdout: "degradation events/min",
+		},
+		{
 			name:       "analyze trace",
 			args:       []string{"-trace", tracePath},
 			code:       0,
@@ -120,9 +140,12 @@ func TestFlagValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			code := run(tc.args, &stdout, &stderr)
+			code := run(tc.args, strings.NewReader(tc.stdin), &stdout, &stderr)
 			if code != tc.code {
 				t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, tc.code, stdout.String(), stderr.String())
+			}
+			if code != 0 && stdout.Len() > 0 {
+				t.Fatalf("exit %d, yet a report on stdout:\n%s", code, stdout.String())
 			}
 			if tc.wantStdout != "" && !strings.Contains(stdout.String(), tc.wantStdout) {
 				t.Fatalf("stdout missing %q:\n%s", tc.wantStdout, stdout.String())
@@ -161,7 +184,7 @@ func TestBinaryTraceMatchesJSONL(t *testing.T) {
 	outputs := make([]string, 2)
 	for i, p := range []string{jsonlPath, binPath} {
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-trace", p, "-v"}, &stdout, &stderr); code != 0 {
+		if code := run([]string{"-trace", p, "-v"}, nil, &stdout, &stderr); code != 0 {
 			t.Fatalf("%s: exit %d: %s", p, code, stderr.String())
 		}
 		outputs[i] = stdout.String()
@@ -177,7 +200,7 @@ func TestCodegenWritesDetector(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "detect.go")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-codegen", out}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-codegen", out}, nil, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	src, err := os.ReadFile(out)

@@ -13,13 +13,11 @@
 //	        [-store-spill FILE] [-store-journal FILE] [-store-sync 1]
 //	        [-checkpoint-every 1024] [-fixed-clock 0]
 //	        [-debug-addr :6060] [-log-format text|json] [-v]
-//	dominod -stdin < call.jsonl
 //
 // -debug-addr serves net/http/pprof on a separate listener. Logging
 // goes through log/slog (-log-format json for structured output, -v
-// for per-session debug events). With -stdin the service analyzes a
-// single session from standard input and prints the final report,
-// mirroring cmd/domino but via the streaming path.
+// for per-session debug events). To analyze one capture offline, pipe
+// it to cmd/domino (-trace -), which runs the same streaming analyzer.
 //
 // Durability: persistence is on when a journal path resolves —
 // -store-journal FILE, or -store-spill FILE (the journal is then
@@ -56,14 +54,13 @@ import (
 	"github.com/domino5g/domino/internal/node"
 	"github.com/domino5g/domino/internal/rcastore"
 	"github.com/domino5g/domino/internal/sim"
-	"github.com/domino5g/domino/internal/stream"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dominod", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8077", "listen address")
@@ -74,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dropLate := fs.Bool("drop-late", false, "count and drop too-late records instead of failing the stream")
 	storeBlocks := fs.Int("store-blocks", 4096, "retained RCA-store blocks of 256 reports each (0 = unbounded)")
 	storeSpill := fs.String("store-spill", "", "RCA-store checkpoint file: recovered at startup with its journal, rewritten every -checkpoint-every reports and at shutdown")
-	stdin := fs.Bool("stdin", false, "analyze one session from standard input and exit")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (disabled when empty)")
 	flightRec := fs.Int("flightrec", 1024, "per-session flight-recorder capacity in events (0 disables)")
@@ -162,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dominod: -store-spill needs the journal: a checkpoint is written only through it (drop -store-journal off, or drop -store-spill for no persistence)")
 		return 2
 	}
-	if !*stdin && journalPath != "" {
+	if journalPath != "" {
 		// Crash-recover checkpoint + journal, then keep journaling;
 		// Shutdown writes the final checkpoint.
 		ckptPath := *storeSpill
@@ -187,9 +183,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"deduped", rstats.Deduped, "torn_tail", rstats.TornTail)
 	}
 
-	if *stdin {
-		return runStdin(node.NewStream(analyzer, opts), os.Stdin, stdout, stderr)
-	}
 	n := node.New(analyzer, opts)
 
 	// ReadTimeout deliberately stays 0: ingest bodies are long-lived
@@ -236,35 +229,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logger.Info("shut down")
 		return 0
 	}
-}
-
-// runStdin analyzes a single session from standard input through the
-// streaming path and prints the final report.
-func runStdin(sa *stream.Analyzer, in io.Reader, stdout, stderr io.Writer) int {
-	rep, err := domino.StreamRecords(in, sa)
-	if err != nil {
-		fmt.Fprintln(stderr, "dominod:", err)
-		return 1
-	}
-	stats := sa.Stats()
-
-	fmt.Fprintf(stdout, "session: %s (%v, %d records, %d windows, peak buffer %d samples)\n\n",
-		rep.CellName, rep.Duration, stats.Records, stats.Windows, stats.MaxBuffered)
-	fmt.Fprintln(stdout, "5G causes (events/min):")
-	for _, c := range domino.CauseClasses() {
-		fmt.Fprintf(stdout, "  %-18s %6.2f\n", c, rep.EventsPerMinute(c))
-	}
-	fmt.Fprintln(stdout, "\nWebRTC consequences (events/min):")
-	for _, c := range domino.ConsequenceClasses() {
-		fmt.Fprintf(stdout, "  %-22s %6.2f\n", c, rep.EventsPerMinute(c))
-	}
-	fmt.Fprintf(stdout, "\ndegradation events/min: %.2f\n",
-		rep.DegradationEventsPerMinute(domino.ConsequenceClasses()))
-	fmt.Fprintln(stdout, "\ntop matched chains:")
-	for _, cc := range rep.TopChains(10) {
-		fmt.Fprintf(stdout, "  %4d×  %s\n", cc.Events, cc.Chain.String())
-	}
-	return 0
 }
 
 // debugMux serves net/http/pprof on the -debug-addr listener, kept off

@@ -1,8 +1,10 @@
-// Command promlint validates Prometheus text exposition (format
-// 0.0.4) read from files or standard input, using the same checks
-// dominod's /metrics output is tested against (internal/obs.Lint):
-// HELP/TYPE metadata before samples, contiguous families, counters
-// suffixed _total, and well-formed cumulative histograms.
+// Command promlint validates a dominod or dominolb /metrics scrape
+// (Prometheus text exposition 0.0.4 as obs.Snapshot.WriteText lays it
+// out) read from files or standard input, using the checks the tests
+// hold that output to and dominolb holds its backends to
+// (internal/obs.Lint): HELP then TYPE before samples, contiguous
+// families, counters suffixed _total and non-negative, and well-formed
+// cumulative histograms.
 //
 //	curl -s localhost:8077/metrics | promlint
 //	promlint scrape1.txt scrape2.txt
@@ -49,10 +51,10 @@ func lintOne(name string, r io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%s: %v\n", name, e)
 	}
 	if len(errs) > 0 {
-		fmt.Fprintf(stdout, "%s: %d problems (%d families, %d samples)\n",
+		fmt.Fprintf(stdout, "%s: %d problems (%d families, %d series)\n",
 			name, len(errs), stats.Families, stats.Samples)
 		return 1
 	}
-	fmt.Fprintf(stdout, "%s: ok (%d families, %d samples)\n", name, stats.Families, stats.Samples)
+	fmt.Fprintf(stdout, "%s: ok (%d families, %d series)\n", name, stats.Families, stats.Samples)
 	return 0
 }

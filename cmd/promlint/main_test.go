@@ -34,7 +34,7 @@ func TestRunFiles(t *testing.T) {
 	if code := run([]string{good}, &out, &errOut); code != 0 {
 		t.Fatalf("valid scrape: exit %d, out:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "ok (2 families, 5 samples)") {
+	if !strings.Contains(out.String(), "ok (2 families, 2 series)") {
 		t.Fatalf("summary missing: %s", out.String())
 	}
 

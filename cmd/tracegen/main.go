@@ -33,12 +33,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/domino5g/domino"
 	"github.com/domino5g/domino/internal/ingest"
-	"github.com/domino5g/domino/internal/trace"
 )
 
 func main() {
@@ -56,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	format := fs.String("format", "jsonl", "trace encoding: jsonl or binary")
 	out := fs.String("o", "-", "output path ('-' for stdout)")
-	csvDir := fs.String("csv", "", "also write packets.csv/dci.csv/stats.csv into this directory")
 	upload := fs.String("upload", "", "dominod base URL to upload the trace to (e.g. http://127.0.0.1:8077)")
 	session := fs.String("session", "", "session ID for -upload (default <scenario>-<seed>)")
 	retries := fs.Int("retries", 5, "with -upload: retry a failed upload this many times")
@@ -178,13 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			w = f
 		}
 		if err := write(w, set); err != nil {
-			return fail(err)
-		}
-	}
-	if *csvDir != "" {
-		if err := trace.WriteCSVBundle(func(name string) (io.WriteCloser, error) {
-			return os.Create(filepath.Join(*csvDir, name))
-		}, set); err != nil {
 			return fail(err)
 		}
 	}

@@ -2,10 +2,6 @@ package domino
 
 import (
 	"bytes"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -193,29 +189,5 @@ func TestPublicClassesAndPresets(t *testing.T) {
 	}
 	if DefaultDetectorConfig().Window != 5*Second {
 		t.Fatal("default window must be the paper's 5 s")
-	}
-}
-
-// TestInternalNeverImportsFacade pins ARCHITECTURE.md's dependency
-// discipline: the root package re-exports internal/*, so an internal
-// package (its tests included) that imports it back depends on everything.
-func TestInternalNeverImportsFacade(t *testing.T) {
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		for _, imp := range f.Imports {
-			if imp.Path.Value == `"github.com/domino5g/domino"` {
-				t.Errorf("%s imports the root façade", path)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

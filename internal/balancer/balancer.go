@@ -18,7 +18,8 @@
 //
 // The balancer also serves the fleet read surface: GET /metrics
 // scrapes every backend, obs.ParseText-parses and obs.Merges the
-// snapshots into one lint-clean exposition; /sessions, /query and
+// snapshots into one lint-clean exposition (a scrape that breaks a rule
+// obs.Lint holds is a failed scrape, not merged); /sessions, /query and
 // /incidents/similar fan out and merge; /report/{id} routes to the
 // owning node.
 package balancer

@@ -549,6 +549,37 @@ func TestMetricsFederation(t *testing.T) {
 	}
 }
 
+// TestMetricsFederationSkipsInvalidScrape: a backend whose exposition
+// breaks a Snapshot rule (here bucket counts that go down) is a failed
+// scrape like any other — skipped and counted — so what the balancer
+// re-serves still lints.
+func TestMetricsFederationSkipsInvalidScrape(t *testing.T) {
+	good := newFleetNode(t, "good")
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		ingest.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "node": "bad"})
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "# HELP bad_seconds Goes down.\n# TYPE bad_seconds histogram\n"+
+			"bad_seconds_bucket{le=\"1\"} 5\nbad_seconds_bucket{le=\"2\"} 3\nbad_seconds_bucket{le=\"+Inf\"} 5\n"+
+			"bad_seconds_sum 4\nbad_seconds_count 5\n")
+	})
+	bad := httptest.NewServer(mux)
+	t.Cleanup(bad.Close)
+	lb, ts := newTestBalancer(t, Options{}, good, &fleetNode{ts: bad})
+
+	text := assertFleetIsMergeOfNodes(t, ts.URL, good)
+	if strings.Contains(text, "bad_seconds") {
+		t.Fatalf("the invalid scrape was merged into the fleet exposition:\n%s", text)
+	}
+	if got := lb.m.scrapeErrors[bad.URL].Value(); got != 1 {
+		t.Fatalf("scrape errors for the invalid backend = %d, want 1", got)
+	}
+	if got := lb.m.scrapeErrors[good.ts.URL].Value(); got != 0 {
+		t.Fatalf("scrape errors for the valid backend = %d, want 0", got)
+	}
+}
+
 func TestHealthzAggregation(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)

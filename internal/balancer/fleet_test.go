@@ -489,9 +489,10 @@ func TestFleetMetricsMergeAcceptance(t *testing.T) {
 // nodes must be, byte for byte, what one store holding every live
 // node's rows answers. The fleet is deliberately unwell — one backend
 // dies after the balancer has seen it up and fails every read from then
-// on, another is healthy but answers 404 to everything — and the reads
-// run from several clients at once, so the concurrent fan-out sees both
-// failure kinds on every request.
+// on, another is healthy but answers 404 to everything, a third answers
+// as a node does but indented with tabs — and the reads run from several
+// clients at once, so the concurrent fan-out sees every failure kind on
+// every request.
 func TestFleetReadDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	nodeNames := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -547,9 +548,32 @@ func TestFleetReadDifferential(t *testing.T) {
 	stub := httptest.NewServer(stubMux)
 	t.Cleanup(stub.Close)
 	n0, dead, n1, n2 := storeNode("n0", true), storeNode("dead", false), storeNode("n1", true), storeNode("n2", true)
+	// A node's answers with the layout changed: JSON still, but not what
+	// scanAnswer takes, so its rows are skipped like the dead node's.
+	tabbed := storeNode("tabbed", false)
+	tabs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		resp, err := http.Get(tabbed.URL + r.URL.RequestURI())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var buf bytes.Buffer
+		if resp.StatusCode == http.StatusOK && json.Indent(&buf, body, "", "\t") == nil {
+			body = buf.Bytes()
+		}
+		w.WriteHeader(resp.StatusCode)
+		w.Write(body)
+	}))
+	t.Cleanup(tabs.Close)
 
 	lb, err := New(Options{
-		Backends:       []string{n0.URL, dead.URL, n1.URL, stub.URL, n2.URL},
+		Backends:       []string{n0.URL, dead.URL, n1.URL, stub.URL, tabs.URL, n2.URL},
 		HealthInterval: time.Hour,
 		FailThreshold:  1 << 30, // the dead node stays on the read path, failing
 	})

@@ -77,8 +77,10 @@ func newMetrics(b *Balancer) *metrics {
 // handleMetrics serves the fleet exposition: the balancer's own
 // snapshot merged with every reachable backend's scraped-and-reparsed
 // snapshot, rendered as one lint-clean Prometheus text document.
-// Backends that fail to scrape are skipped and counted — a degraded
-// fleet still exposes itself.
+// Backends that fail to scrape — unreachable, or serving text ParseText
+// rejects, which is whatever Lint would — are skipped and counted: a
+// degraded fleet still exposes itself, and one bad backend cannot make
+// the fleet's document invalid.
 func (b *Balancer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snaps := []obs.Snapshot{b.m.reg.Snapshot()}
 	for _, be := range b.reachable() {

@@ -433,8 +433,8 @@ func (p *part) read(resp *http.Response) error {
 // returns the 200-answers, each scanned for the array under rowsKey (left
 // as bytes when rowsKey is ""), in the order the backends were given — so
 // a merge does not depend on which node answered first. Individual
-// failures, a body that does not scan among them, are logged and
-// skipped: a degraded fleet still answers with what it has. When no
+// failures, a body that does not scan (JSON in another layout than a
+// node's among them), are logged and skipped: a degraded fleet still answers with what it has. When no
 // backend answered 200 the caller relays one node's answer (relayFirst)
 // rather than merge nothing into an empty 200; refused says some backend
 // answered a 4xx other than 404, which is an answer about the request

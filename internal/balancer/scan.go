@@ -1,7 +1,6 @@
 package balancer
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -10,8 +9,10 @@ import (
 )
 
 // This file reads what a backend answers to a fan-out read without
-// building it: one strict pass over the body checks that it is JSON and
-// keeps, for each element of the array the merge is about, where the
+// building it: one strict pass over the body checks that it is JSON laid
+// out as every node lays it out (rcastore.Append…Answer: json.Encoder's
+// two-space indent and closing newline, and nothing else between tokens)
+// and keeps, for each element of the array the merge is about, where the
 // element's bytes are and the few members a merge ranks or sums by. A
 // merged answer is then those bytes copied in rank order
 // (rcastore.AppendRecordsSplice and AppendSimilarSplice) — a node lays
@@ -47,19 +48,18 @@ const maxScanDepth = 32
 var lines = "\n" + strings.Repeat("  ", maxScanDepth+1)
 
 type scanner struct {
-	b     []byte
-	pos   int
-	canon bool
+	b   []byte
+	pos int
 }
 
 // scanAnswer walks body, an object, filling a from it: the elements of
 // the array under rowsKey (null counts as empty) and the "fired" array.
 // It succeeds only on a body encoding/json would have accepted, to the
-// last byte.
+// last byte, and whose every gap is the canonical one: a span copied
+// into a merged answer is then laid out for its place already.
 func scanAnswer(body []byte, rowsKey string, a *scanned) error {
 	a.rows, a.fired, a.firedNames = a.rows[:0], nil, a.firedNames[:0]
-	s := scanner{b: body, canon: true}
-	s.skip()
+	s := scanner{b: body}
 	// Structure is ASCII, so bytes that are not UTF-8 can only sit inside
 	// a string, where encoding/json would swap them for U+FFFD: a rewrite
 	// a copied span cannot follow.
@@ -87,28 +87,10 @@ func scanAnswer(body []byte, rowsKey string, a *scanned) error {
 		}
 		return s.value(1)
 	})
-	if s.skip(); !ok || s.pos != len(body) {
-		return fmt.Errorf("not a JSON answer at byte %d of %d", s.pos, len(body))
-	}
-	if !s.canon {
-		// Some gap between tokens is not what json.Encoder's two-space
-		// indent writes (a node's always is): lay the spans out again, so
-		// that whoever copies one need not ask where it came from.
-		for i := range a.rows {
-			a.rows[i].raw = reindent(a.rows[i].raw, 2)
-		}
-		if a.fired != nil {
-			a.fired = reindent(a.fired, 1)
-		}
+	if !ok || string(body[s.pos:]) != "\n" {
+		return fmt.Errorf("not a canonical JSON answer at byte %d of %d", s.pos, len(body))
 	}
 	return nil
-}
-
-// reindent lays out a scanned value for a place at depth.
-func reindent(raw []byte, depth int) []byte {
-	var buf bytes.Buffer
-	_ = json.Indent(&buf, raw, lines[1:1+2*depth], "  ") // raw scanned as JSON: Indent cannot fail
-	return buf.Bytes()
 }
 
 // row scans one array element, an object at depth 2, keeping the
@@ -152,44 +134,13 @@ func (s *scanner) row(r *row) bool {
 
 func (s *scanner) at(c byte) bool { return s.pos < len(s.b) && s.b[s.pos] == c }
 
-func space(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\r' }
-
-// skip passes whitespace.
-func (s *scanner) skip() {
-	for s.pos < len(s.b) && space(s.b[s.pos]) {
-		s.pos++
-	}
-}
-
-// The gaps json.Encoder's two-space indent leaves between tokens: a
-// line break and depth indents (any depth >= 0), nothing (before a colon
-// or comma), one space (after a colon).
-const (
-	gapNone  = -1
-	gapSpace = -2
-)
-
-// gap passes the whitespace before the next token and notes when it is
-// not the canonical gap, want. Nearly half of an indented answer is
-// such gaps, so the canonical one followed by a token — all a node's
-// answer holds — is matched in one comparison.
-func (s *scanner) gap(want int) {
-	canon := ""
-	switch {
-	case want >= 0:
-		canon = lines[:1+2*want]
-	case want == gapSpace:
-		canon = " "
-	}
-	if rest := s.b[s.pos:]; len(rest) > len(canon) && string(rest[:len(canon)]) == canon && !space(rest[len(canon)]) {
-		s.pos += len(canon)
-		return
-	}
-	start := s.pos
-	if s.skip(); string(s.b[start:s.pos]) != canon {
-		s.canon = false
-	}
-}
+// line passes the gap json.Encoder's two-space indent leaves before a
+// token on a line of its own at depth: a line break and depth indents.
+// Nearly half of an indented answer is such gaps, so each is matched in
+// one comparison; the other gaps are nothing (before a colon or comma)
+// and one space (after a colon). Whatever reads the token after a gap
+// fails on whitespace, so a gap any wider fails the scan.
+func (s *scanner) line(depth int) bool { return s.literal(lines[:1+2*depth]) }
 
 // value checks any JSON value sitting at depth.
 func (s *scanner) value(depth int) bool {
@@ -230,11 +181,9 @@ func (s *scanner) object(depth int, member func(key []byte) bool) bool {
 		if !ok {
 			return false
 		}
-		if s.gap(gapNone); !s.at(':') {
+		if !s.literal(": ") {
 			return false
 		}
-		s.pos++
-		s.gap(gapSpace)
 		if member != nil {
 			return member(key)
 		}
@@ -263,29 +212,20 @@ func (s *scanner) list(end byte, depth int, item func() bool) bool {
 		return false
 	}
 	s.pos++
-	if s.at(end) { // "[]" and "{}" are canonical with nothing inside
+	if s.at(end) { // "[]" and "{}" have nothing inside
 		s.pos++
 		return true
 	}
-	s.gap(depth + 1)
-	if s.at(end) {
-		s.canon = false
-		s.pos++
-		return true
-	}
-	for item() {
-		if !s.at(',') { // canonical: the closing line; anything else leaves a comma
-			if s.gap(depth); s.at(end) {
-				s.pos++
-				return true
-			}
-			s.canon = false
+	for s.line(depth+1) && item() {
+		if s.at(',') {
+			s.pos++
+			continue
 		}
-		if !s.at(',') {
+		if !s.line(depth) || !s.at(end) { // the closing line
 			return false
 		}
 		s.pos++
-		s.gap(depth + 1)
+		return true
 	}
 	return false
 }

@@ -19,7 +19,7 @@ import (
 )
 
 // wireJSON is a body as a node writes it (ingest.WriteJSON's layout) or,
-// compact, as some other encoder might.
+// compact, as some other encoder might — which the scan rejects.
 func wireJSON(t testing.TB, v any, compact bool) []byte {
 	t.Helper()
 	if compact {
@@ -69,7 +69,7 @@ func spliced(t testing.TB, bodies [][]byte, rowsKey string, merge func(answers [
 	for _, body := range bodies {
 		p := &part{body: body}
 		if err := scanAnswer(p.body, rowsKey, &p.scanned); err != nil {
-			t.Fatalf("a body built by encoding/json does not scan: %v\n%s", err, body)
+			t.Fatalf("a body laid out as json.Encoder's indent lays it out does not scan: %v\n%s", err, body)
 		}
 		answers = append(answers, p)
 	}
@@ -91,13 +91,12 @@ func checkSpliceDifferential(t *testing.T, seed int64) {
 	fired := []string{"a", "<b>", "c\td"}
 	for i := 0; i < backends; i++ {
 		rows := scanRows(rng, rng.Intn(8))
-		compact := rng.Intn(3) == 0
 		var recs []rcastore.Record // nil: a node's "records": null
 		for _, m := range rows {
 			recs = append(recs, m.Record)
 		}
-		recordBodies = append(recordBodies, wireJSON(t, map[string]any{"records": recs}, compact))
-		similarBodies = append(similarBodies, wireJSON(t, map[string]any{"fired": fired, "matches": rows}, compact))
+		recordBodies = append(recordBodies, wireJSON(t, map[string]any{"records": recs}, false))
+		similarBodies = append(similarBodies, wireJSON(t, map[string]any{"fired": fired, "matches": rows}, false))
 		var gotRecs struct{ Records []rcastore.Record }
 		var gotRows struct{ Matches []rcastore.Match }
 		if err := json.Unmarshal(recordBodies[i], &gotRecs); err != nil {
@@ -147,9 +146,11 @@ func checkSpliceDifferential(t *testing.T, seed int64) {
 
 // FuzzFanoutScan: the scanner parses whatever a backend returns. For any
 // bytes it must not panic, and when it accepts a body, the body is JSON
-// and every span it kept lies inside it. For bodies encoding/json built
-// from seeded rows, the splice is the old decode-and-re-encode merge,
-// byte for byte.
+// in the one layout a node writes — so a body that differs from an
+// accepted one only in whitespace is rejected — and what it kept of the
+// body is what decoding it keeps. For bodies encoding/json built from
+// seeded rows, the splice is the old decode-and-re-encode merge, byte
+// for byte.
 func FuzzFanoutScan(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	rows := scanRows(rng, 6)
@@ -168,14 +169,20 @@ func FuzzFanoutScan(f *testing.F) {
 	} {
 		f.Add([]byte(body), int64(10+i))
 	}
+	f.Add([]byte("{\n  \"records\": [\n    {\n      \"session\": \"a\"\n    }\n  ]\n}\n"), int64(40))
+	f.Add([]byte("{\n\t\"records\": [\n\t\t{\n\t\t\t\"session\": \"a\"\n\t\t}\n\t]\n}\n"), int64(41))
 	f.Fuzz(func(t *testing.T, body []byte, seed int64) {
 		for _, rowsKey := range []string{"records", "matches", "top_chains", "cause_rates"} {
 			var a scanned
 			if err := scanAnswer(body, rowsKey, &a); err != nil {
 				continue
 			}
-			if !json.Valid(body) {
+			var compact, canon bytes.Buffer
+			if json.Compact(&compact, body) != nil {
 				t.Fatalf("scanned as %s, but is not JSON: %q", rowsKey, body)
+			}
+			if _ = json.Indent(&canon, compact.Bytes(), "", "  "); canon.String()+"\n" != string(body) {
+				t.Fatalf("scanned as %s, but is not laid out as json.Encoder's indent lays it out: %q", rowsKey, body)
 			}
 			for _, r := range a.rows {
 				if !json.Valid(r.raw) || r.raw[0] != '{' {

@@ -141,7 +141,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 
 	// Build the negotiated decoder; with no (or a generic) Content-Type
-	// the first body bytes decide, so -stdin replays and bare curl
+	// the first body bytes decide, so piped replays and bare curl
 	// octet-stream uploads still hit the right path. Either format is
 	// read block by block, in columns, and never becomes Records. Block
 	// storage is recycled (depth 1 is the trace API's recycling mode): a

@@ -319,28 +319,22 @@ func New(analyzer *core.Analyzer, opts Options) *Node {
 		poolCap = 1
 	}
 	n.saPool = analyzerPool{
-		free:   make([]*stream.Analyzer, 0, poolCap),
-		newFn:  func() *stream.Analyzer { return NewStream(analyzer, opts) },
+		free: make([]*stream.Analyzer, 0, poolCap),
+		// One session's streaming analyzer. Pipeline counters and
+		// flight-recorder events ride on obs.Hooks installed per session
+		// at registration (see register), not on the analyzer itself —
+		// the pooled analyzer clears its hooks on Reset. Per-window
+		// results are not retained: the node serves event-run statistics,
+		// so a session's report stays bounded by its event runs however
+		// long the call lasts.
+		newFn: func() *stream.Analyzer {
+			return stream.New(analyzer, stream.Config{Lateness: opts.Lateness, DropLate: opts.DropLate, DropWindows: true})
+		},
 		onMiss: func() { n.m.poolMisses.Inc() },
 	}
 	n.ringPool.New = func() any { return trace.NewBlockRing(1) }
 	n.registerGauges()
 	return n
-}
-
-// NewStream builds one session's streaming analyzer the way the node
-// configures it (cmd/dominod's -stdin mode uses the same). Pipeline
-// counters and flight-recorder events ride on obs.Hooks installed per
-// session at registration (see register), not on the analyzer itself —
-// the pooled analyzer clears its hooks on Reset. Per-window results are
-// not retained: the node serves event-run statistics, so a session's
-// report stays bounded by its event runs however long the call lasts.
-func NewStream(analyzer *core.Analyzer, opts Options) *stream.Analyzer {
-	return stream.New(analyzer, stream.Config{
-		Lateness:    opts.Lateness,
-		DropLate:    opts.DropLate,
-		DropWindows: true,
-	})
 }
 
 // Routes returns the node's HTTP surface.

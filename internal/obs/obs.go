@@ -448,7 +448,8 @@ func Merge(snaps ...Snapshot) (Snapshot, error) {
 // WriteText renders the snapshot in Prometheus text exposition format
 // (version 0.0.4): a # HELP and # TYPE line per family, then one line
 // per sample, with histogram samples expanded to _bucket/_sum/_count.
-// The output always passes Lint.
+// The output of a snapshot that breaks no rule (violations: what
+// ParseText returns, and a Merge of such) passes Lint.
 func (s Snapshot) WriteText(w io.Writer) error {
 	var b []byte
 	for _, f := range s.Families {

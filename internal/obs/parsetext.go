@@ -9,15 +9,17 @@ import (
 	"strings"
 )
 
-// This file is the scrape half of the dominolb federation seam:
-// ParseText turns a backend's /metrics text back into the Snapshot it
-// was rendered from, so the balancer can obs.Merge per-node snapshots
-// into one fleet exposition. It is the inverse of Snapshot.WriteText
-// and is deliberately strict — it parses the dialect WriteText emits
-// (HELP then TYPE then contiguous samples, counter/gauge/histogram
-// only), not arbitrary Prometheus text. Anything else is an error,
-// because a half-parsed snapshot would merge into silently wrong
-// fleet numbers.
+// This file is the one reader of exposition text, and the scrape half
+// of the dominolb federation seam: ParseText turns a backend's /metrics
+// text back into the Snapshot it was rendered from, so the balancer can
+// obs.Merge per-node snapshots into one fleet exposition. It is the
+// inverse of Snapshot.WriteText and is deliberately strict — it parses
+// the dialect WriteText emits (HELP then TYPE then contiguous samples,
+// counter/gauge/histogram only), not arbitrary Prometheus text.
+// Anything else is an error, because a half-parsed snapshot would merge
+// into silently wrong fleet numbers. What the text cannot get wrong but
+// the numbers can is Snapshot.violations (promlint.go), which ParseText
+// and Lint both apply to what parse returns.
 
 // parseHist accumulates one histogram series (one non-le label
 // signature) while its _bucket/_sum/_count lines stream past.
@@ -40,13 +42,27 @@ type parseFam struct {
 }
 
 // ParseText parses a Prometheus text exposition document written by
-// Snapshot.WriteText back into the equivalent Snapshot. Family and
-// sample order follow the document; histogram series are reassembled
-// from their _bucket/_sum/_count lines and validated (le bounds
-// ascending, +Inf present and equal to _count). ParseText(w) after
-// s.WriteText(w) yields s again, so scrape → parse → Merge →
-// WriteText composes losslessly across nodes.
+// Snapshot.WriteText back into the equivalent Snapshot, and fails on
+// the first format or Snapshot rule it breaks: what ParseText accepts,
+// Lint finds nothing in. ParseText(w) after s.WriteText(w) yields s
+// again, so scrape → parse → Merge → WriteText composes losslessly
+// across nodes.
 func ParseText(r io.Reader) (Snapshot, error) {
+	snap, err := parse(r)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	if errs := snap.violations(); len(errs) > 0 {
+		return Snapshot{}, errs[0]
+	}
+	return snap, nil
+}
+
+// parse is the state machine over the text. Family and sample order
+// follow the document; histogram series are reassembled from their
+// _bucket/_sum/_count lines and checked for what only the text shows
+// (le bounds ascending and finite, +Inf present and equal to _count).
+func parse(r io.Reader) (Snapshot, error) {
 	fams := map[string]*parseFam{}
 	var order []*parseFam
 	var cur *parseFam
@@ -120,10 +136,14 @@ func ParseText(r io.Reader) (Snapshot, error) {
 			return fail("sample %q outside histogram %q block", name, cur.fam.Name)
 		}
 		var le string
+		haveLE := false
 		series := labels[:0:0]
 		for _, l := range labels {
 			if l.Key == "le" {
-				le = l.Value
+				if haveLE {
+					return fail(`duplicate label "le"`)
+				}
+				le, haveLE = l.Value, true
 				continue
 			}
 			series = append(series, l)
@@ -139,7 +159,7 @@ func ParseText(r io.Reader) (Snapshot, error) {
 		}
 		switch suffix {
 		case "_bucket":
-			if le == "" {
+			if !haveLE {
 				return fail("%s_bucket without le label", cur.fam.Name)
 			}
 			n, ierr := sampleInt(val)

@@ -40,6 +40,11 @@ func TestParseTextRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip diverged:\ngot  %+v\nwant %+v\ninput:\n%s", got, want, buf.String())
 	}
+	// The rules ran on the way in; on a scrape that keeps them they cost
+	// no error, map or label signature.
+	if n := testing.AllocsPerRun(10, func() { _ = got.violations() }); n != 0 {
+		t.Fatalf("%v allocations to check a valid snapshot's rules, want 0", n)
+	}
 	// And the parsed snapshot re-renders byte-identically.
 	var again bytes.Buffer
 	if err := got.WriteText(&again); err != nil {
@@ -118,6 +123,7 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 		{"inf count mismatch", "# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 0\nh_count 3\n", "!= _count"},
 		{"buckets out of order", "# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"10\"} 0\nh_bucket{le=\"5\"} 0\n", "out of order"},
 		{"fractional bucket count", "# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1.5\n", "integral"},
+		{"two le labels", "# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"1\",le=\"+Inf\"} 0\n", `duplicate label "le"`},
 		{"unterminated labels", "# HELP a A.\n# TYPE a gauge\na{x=\"1\" 1\n", "unterminated"},
 	}
 	for _, tc := range cases {
@@ -149,8 +155,9 @@ func TestParseTextIgnoresCommentsAndTimestamps(t *testing.T) {
 
 // FuzzParseText: the scrape parser faces backends over the network, so
 // it must never panic, and any text it accepts is a snapshot that
-// WriteText renders back into text ParseText reads as the same
-// snapshot — the federation seam loses nothing on the way through.
+// WriteText renders back into text that lints clean and that ParseText
+// reads as the same snapshot — the federation seam loses nothing on the
+// way through and re-serves nothing invalid.
 func FuzzParseText(f *testing.F) {
 	var seed bytes.Buffer
 	if err := roundTripSnapshot(f).WriteText(&seed); err != nil {
@@ -160,6 +167,7 @@ func FuzzParseText(f *testing.F) {
 	f.Add("# HELP a A.\n# TYPE a counter\na{node=\"n1\"} 3 1700000000\n")
 	f.Add("# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"1\"} 0\nh_bucket{le=\"+Inf\"} 2\nh_sum 3.5\nh_count 2\n")
 	f.Add("# HELP g G.\n# TYPE g gauge\ng NaN\ng{k=\"v\"} -Inf\n")
+	f.Add("# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_count 2\n# HELP c C.\n# TYPE c counter\nc{a=\"1\",a=\"2\"} -1\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		snap, err := ParseText(strings.NewReader(text))
 		if err != nil {
@@ -168,6 +176,9 @@ func FuzzParseText(f *testing.F) {
 		var out bytes.Buffer
 		if err := snap.WriteText(&out); err != nil {
 			t.Fatal(err)
+		}
+		if errs, _ := Lint(bytes.NewReader(out.Bytes())); len(errs) > 0 {
+			t.Fatalf("WriteText of an accepted snapshot does not lint: %v\ninput:\n%s\nrendered:\n%s", errs, text, out.String())
 		}
 		again, err := ParseText(bytes.NewReader(out.Bytes()))
 		if err != nil {

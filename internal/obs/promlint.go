@@ -1,241 +1,110 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 )
 
-// This file is the Prometheus text-exposition validator: the format
-// contract for every /metrics surface in the repo. The unit tests run
-// dominod's output through it, cmd/promlint exposes it to CI's curl
-// smoke, and Snapshot.WriteText promises to satisfy it.
+// This file is the format contract for every /metrics surface in the
+// repo: the rules a Snapshot must keep for its exposition to be valid,
+// Lint, which reports every one a document breaks, and the tokenizer
+// parse (parsetext.go) reads lines with. The unit tests run dominod's
+// output through Lint, cmd/promlint exposes it to the smoke scripts,
+// and Snapshot.WriteText of a Snapshot with no violations satisfies it.
 
-// LintStats summarizes a validated exposition document.
+// LintStats summarizes a validated exposition document. Samples counts
+// series: a histogram's _bucket/_sum/_count lines are one.
 type LintStats struct {
 	Families int
 	Samples  int
 }
 
-// lintFamily tracks one family's declared metadata and running
-// histogram state while linting.
-type lintFamily struct {
-	name      string
-	help, typ string
-	closed    bool // a later family started; no more samples allowed
-	samples   int
-	// per non-le label signature: previous le and cumulative count, and
-	// whether the +Inf bucket was seen.
-	hist map[string]*lintHist
-}
-
-type lintHist struct {
-	lastLE    float64
-	lastCount float64
-	haveInf   bool
-	infCount  float64
-	sawCount  bool
-	countVal  float64
-}
-
-// Lint validates a Prometheus text-exposition document against the
-// format rules this repo holds every /metrics endpoint to:
-//
-//   - every sample belongs to a family declared by # HELP and # TYPE
-//     lines that precede it, and one family's samples are contiguous;
-//   - metric and label names are well-formed, label values use only
-//     the \\, \", \n escapes, values parse as Go floats;
-//   - counter families are named *_total;
-//   - histogram buckets carry le labels that strictly ascend per
-//     series with nondecreasing cumulative counts, end at +Inf, and
-//     agree with the series' _count sample.
-//
-// It returns the accumulated problems (empty means valid) plus
-// document statistics.
+// Lint validates a Prometheus text-exposition document: it parses it
+// as ParseText does, so a document outside the dialect WriteText emits
+// is one error naming the line, and then reports every Snapshot rule
+// the parsed document breaks (see violations). Empty means valid, and
+// that ParseText accepts the document.
 func Lint(r io.Reader) ([]error, LintStats) {
+	snap, err := parse(r)
+	if err != nil {
+		return []error{err}, LintStats{}
+	}
+	stats := LintStats{Families: len(snap.Families)}
+	for _, f := range snap.Families {
+		stats.Samples += len(f.Samples)
+	}
+	return snap.violations(), stats
+}
+
+// violations reports every rule about the data, not the text, that s
+// breaks: family and label names well-formed, no label twice on one
+// sample, HELP non-empty, counters named *_total and non-negative,
+// histogram bucket counts non-negative, nondecreasing and no greater
+// than the series count (the +Inf bucket). Merge of Snapshots that
+// keep them keeps them; a valid one costs no allocation.
+func (s Snapshot) violations() []error {
 	var errs []error
-	var stats LintStats
-	fams := map[string]*lintFamily{}
-	var current *lintFamily
-	addErr := func(line int, format string, a ...any) {
-		errs = append(errs, fmt.Errorf("line %d: %s", line, fmt.Sprintf(format, a...)))
+	bad := func(format string, a ...any) {
+		errs = append(errs, fmt.Errorf("obs: "+format, a...))
 	}
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if strings.TrimSpace(line) == "" {
-			continue
+	for _, f := range s.Families {
+		if !nameOK(f.Name) {
+			bad("invalid metric name %q", f.Name)
 		}
-		if strings.HasPrefix(line, "#") {
-			kind, name, rest, ok := parseMetaLine(line)
-			if !ok {
-				continue // plain comment
-			}
-			f := fams[name]
-			if f == nil {
-				f = &lintFamily{name: name, hist: map[string]*lintHist{}}
-				fams[name] = f
-				stats.Families++
-			}
-			if !nameOK(name) {
-				addErr(lineNo, "invalid metric name %q", name)
-			}
-			switch kind {
-			case "HELP":
-				if f.help != "" {
-					addErr(lineNo, "duplicate HELP for %q", name)
-				}
-				if rest == "" {
-					addErr(lineNo, "empty HELP text for %q", name)
-				}
-				f.help = rest
-			case "TYPE":
-				if f.typ != "" {
-					addErr(lineNo, "duplicate TYPE for %q", name)
-				}
-				if f.samples > 0 {
-					addErr(lineNo, "TYPE for %q after its samples", name)
-				}
-				switch rest {
-				case "counter", "gauge", "histogram", "summary", "untyped":
-				default:
-					addErr(lineNo, "unknown TYPE %q for %q", rest, name)
-				}
-				if rest == "counter" && !strings.HasSuffix(name, "_total") {
-					addErr(lineNo, "counter %q must be named *_total", name)
-				}
-				f.typ = rest
-			}
-			continue
+		if f.Help == "" {
+			bad("empty HELP text for %q", f.Name)
 		}
-
-		name, labels, valStr, perr := parseSampleLine(line)
-		if perr != nil {
-			addErr(lineNo, "%v", perr)
-			continue
+		if f.Type == TypeCounter && !strings.HasSuffix(f.Name, "_total") {
+			bad("counter %q must be named *_total", f.Name)
 		}
-		stats.Samples++
-		famName, suffix := familyOf(name, fams)
-		f := fams[famName]
-		if f == nil || f.typ == "" || f.help == "" {
-			addErr(lineNo, "sample %q before # HELP and # TYPE for %q", name, famName)
-			continue
-		}
-		if f.closed {
-			addErr(lineNo, "samples for %q not contiguous", famName)
-		}
-		if current != nil && current != f {
-			current.closed = true
-		}
-		current = f
-		f.samples++
-
-		seen := map[string]bool{}
-		le := ""
-		var nonLE strings.Builder
-		for _, l := range labels {
-			if !nameOK(l.Key) || strings.Contains(l.Key, ":") {
-				addErr(lineNo, "invalid label name %q", l.Key)
-			}
-			if seen[l.Key] {
-				addErr(lineNo, "duplicate label %q", l.Key)
-			}
-			seen[l.Key] = true
-			if l.Key == "le" {
-				le = l.Value
-			} else {
-				nonLE.WriteString(l.Key)
-				nonLE.WriteByte('=')
-				nonLE.WriteString(strconv.Quote(l.Value))
-				nonLE.WriteByte(',')
-			}
-		}
-		val, verr := strconv.ParseFloat(valStr, 64)
-		if verr != nil {
-			addErr(lineNo, "bad value %q", valStr)
-			continue
-		}
-
-		switch f.typ {
-		case "histogram":
-			h := f.hist[nonLE.String()]
-			if h == nil {
-				h = &lintHist{lastLE: math.Inf(-1)}
-				f.hist[nonLE.String()] = h
-			}
-			switch suffix {
-			case "_bucket":
-				if le == "" {
-					addErr(lineNo, "%s_bucket without le label", famName)
-					break
+		for _, smp := range f.Samples {
+			for i, l := range smp.Labels {
+				if !nameOK(l.Key) || strings.Contains(l.Key, ":") {
+					bad("%s: invalid label name %q", f.Name, l.Key)
 				}
-				bound, berr := strconv.ParseFloat(le, 64)
-				if berr != nil {
-					addErr(lineNo, "bad le %q", le)
-					break
+				for _, prev := range smp.Labels[:i] {
+					if prev.Key == l.Key {
+						bad("%s: duplicate label %q", f.Name, l.Key)
+						break
+					}
 				}
-				if bound <= h.lastLE {
-					addErr(lineNo, "%s buckets out of order: le=%q after le=%v", famName, le, h.lastLE)
-				}
-				if val < h.lastCount {
-					addErr(lineNo, "%s bucket counts not cumulative at le=%q", famName, le)
-				}
-				h.lastLE, h.lastCount = bound, val
-				if math.IsInf(bound, 1) {
-					h.haveInf, h.infCount = true, val
-				}
-			case "_sum":
-			case "_count":
-				h.sawCount, h.countVal = true, val
-			case "":
-				addErr(lineNo, "histogram %q sample without _bucket/_sum/_count suffix", famName)
 			}
-		case "counter":
-			if suffix != "" {
-				addErr(lineNo, "counter family %q has suffixed sample %q", famName, name)
-			}
-			if val < 0 {
-				addErr(lineNo, "counter %q is negative", name)
-			}
-		default:
-			if suffix != "" {
-				addErr(lineNo, "%s family %q has suffixed sample %q", f.typ, famName, name)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		errs = append(errs, fmt.Errorf("reading exposition: %w", err))
-	}
-	for _, f := range fams {
-		if f.typ == "" && f.help == "" {
-			continue
-		}
-		if f.samples == 0 {
-			// Declared but sampleless families are legal (a histogram
-			// with no observations still emits samples, so this only
-			// catches HELP/TYPE with nothing under them — allowed).
-			continue
-		}
-		if f.typ == "histogram" {
-			for sig, h := range f.hist {
-				if !h.haveInf {
-					errs = append(errs, fmt.Errorf("histogram %s{%s}: no +Inf bucket", f.name, strings.TrimSuffix(sig, ",")))
+			switch f.Type {
+			case TypeCounter:
+				if smp.Value < 0 {
+					bad("counter %s is negative", seriesName(f.Name, smp.Labels))
 				}
-				if h.haveInf && h.sawCount && h.infCount != h.countVal {
-					errs = append(errs, fmt.Errorf("histogram %s{%s}: +Inf bucket %v != _count %v",
-						f.name, strings.TrimSuffix(sig, ","), h.infCount, h.countVal))
+			case TypeHistogram:
+				var prev int64
+				for _, b := range smp.Buckets {
+					switch {
+					case b.Count < 0:
+						bad("histogram %s: negative bucket count at le=%q", seriesName(f.Name, smp.Labels), fmtFloat(b.LE))
+					case b.Count < prev:
+						bad("histogram %s: bucket counts not cumulative at le=%q", seriesName(f.Name, smp.Labels), fmtFloat(b.LE))
+					}
+					prev = b.Count
+				}
+				switch {
+				case smp.Count < 0:
+					bad("histogram %s: negative count", seriesName(f.Name, smp.Labels))
+				case smp.Count < prev:
+					bad("histogram %s: bucket count %d above the +Inf bucket's %d", seriesName(f.Name, smp.Labels), prev, smp.Count)
 				}
 			}
 		}
 	}
-	return errs, stats
+	return errs
+}
+
+// seriesName names one series of a family in a message.
+func seriesName(family string, labels []Label) string {
+	if len(labels) == 0 {
+		return family
+	}
+	return family + "{" + strings.TrimSuffix(labelKey(labels), ",") + "}"
 }
 
 // parseMetaLine splits a "# HELP name text" / "# TYPE name type" line.
@@ -251,22 +120,6 @@ func parseMetaLine(line string) (kind, name, rest string, ok bool) {
 	}
 	name, rest, _ = strings.Cut(body, " ")
 	return kind, name, rest, true
-}
-
-// familyOf resolves a sample name to its declared family: exact match
-// first, then the histogram/summary suffixes.
-func familyOf(name string, fams map[string]*lintFamily) (family, suffix string) {
-	if _, ok := fams[name]; ok {
-		return name, ""
-	}
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		if base, ok := strings.CutSuffix(name, suf); ok {
-			if f, exists := fams[base]; exists && (f.typ == "histogram" || f.typ == "summary") {
-				return base, suf
-			}
-		}
-	}
-	return name, ""
 }
 
 // parseSampleLine parses `name{k="v",...} value [timestamp]`.

@@ -29,11 +29,27 @@ func TestLintValidDocument(t *testing.T) {
 	if stats.Families != 3 {
 		t.Fatalf("families = %d, want 3", stats.Families)
 	}
-	if stats.Samples != 8 {
-		t.Fatalf("samples = %d, want 8", stats.Samples)
+	if stats.Samples != 4 {
+		t.Fatalf("samples = %d, want 4 (a histogram series is one)", stats.Samples)
 	}
 }
 
+// TestLintReportsEveryRule: ParseText stops at the first rule a scrape
+// breaks, Lint names them all.
+func TestLintReportsEveryRule(t *testing.T) {
+	doc := "# HELP c\n# TYPE c counter\nc{a=\"1\",a=\"2\"} -1\n"
+	errs, stats := Lint(strings.NewReader(doc))
+	if len(errs) != 4 || stats != (LintStats{Families: 1, Samples: 1}) {
+		t.Fatalf("want the 4 rules broken (HELP, _total, duplicate label, negative) over 1 family / 1 series, got %v, %+v", errs, stats)
+	}
+	_, err := ParseText(strings.NewReader(doc))
+	if err == nil || err.Error() != errs[0].Error() {
+		t.Fatalf("ParseText error %v, want Lint's first: %v", err, errs[0])
+	}
+}
+
+// TestLintInvalidDocuments: every document here is an error from Lint
+// and from ParseText — one reader, one set of rules.
 func TestLintInvalidDocuments(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -81,6 +97,21 @@ func TestLintInvalidDocuments(t *testing.T) {
 			"not cumulative",
 		},
 		{
+			"bucket above +Inf",
+			"# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"0.1\"} 5\nh_bucket{le=\"+Inf\"} 4\nh_sum 1\nh_count 4\n",
+			"above the +Inf bucket",
+		},
+		{
+			"negative bucket count",
+			"# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"0.1\"} -1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\n",
+			"negative bucket count",
+		},
+		{
+			"empty HELP",
+			"# HELP g\n# TYPE g gauge\ng 1\n",
+			"empty HELP",
+		},
+		{
 			"missing +Inf bucket",
 			"# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"0.1\"} 1\nh_sum 1\nh_count 1\n",
 			"no +Inf bucket",
@@ -93,7 +124,7 @@ func TestLintInvalidDocuments(t *testing.T) {
 		{
 			"interleaved families",
 			"# HELP a A.\n# TYPE a gauge\n# HELP b B.\n# TYPE b gauge\na 1\nb 1\na 2\n",
-			"not contiguous",
+			`sample "a" outside family "b" block`,
 		},
 		{
 			"duplicate TYPE",
@@ -103,7 +134,7 @@ func TestLintInvalidDocuments(t *testing.T) {
 		{
 			"unknown TYPE",
 			"# HELP g G.\n# TYPE g matrix\ng 1\n",
-			"unknown TYPE",
+			"unsupported TYPE",
 		},
 		{
 			"duplicate label",
@@ -118,6 +149,9 @@ func TestLintInvalidDocuments(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if snap, err := ParseText(strings.NewReader(tc.doc)); err == nil {
+				t.Errorf("ParseText accepted the document as %+v", snap)
+			}
 			errs, _ := Lint(strings.NewReader(tc.doc))
 			if len(errs) == 0 {
 				t.Fatalf("document accepted, want error containing %q", tc.wantErr)

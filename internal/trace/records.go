@@ -2,7 +2,7 @@
 // consumes: the record schemas mirror the paper's six data sources
 // (NR-Scope DCI telemetry, gNB logs, packet captures at both clients,
 // and the instrumented WebRTC client's 50 ms statistics), plus the
-// merged TraceSet container and its CSV/JSONL serialization.
+// merged TraceSet container and its JSONL and binary serializations.
 package trace
 
 import (

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 
@@ -139,58 +138,5 @@ func TestPacketRecordDelay(t *testing.T) {
 	p := PacketRecord{SentAt: sim.Millisecond, Arrived: 5 * sim.Millisecond}
 	if p.Delay() != 4*sim.Millisecond {
 		t.Fatal("Delay")
-	}
-}
-
-func TestCSVExports(t *testing.T) {
-	set := sampleSet()
-	var pkts, dci, st bytes.Buffer
-	if err := WritePacketsCSV(&pkts, set); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteDCICSV(&dci, set); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteStatsCSV(&st, set); err != nil {
-		t.Fatal(err)
-	}
-	// Header + one row per record.
-	lines := func(b *bytes.Buffer) int { return strings.Count(b.String(), "\n") }
-	if lines(&pkts) != 1+len(set.Packets) {
-		t.Fatalf("packets CSV has %d lines", lines(&pkts))
-	}
-	if lines(&dci) != 1+len(set.DCI) {
-		t.Fatalf("dci CSV has %d lines", lines(&dci))
-	}
-	if lines(&st) != 1+len(set.Stats) {
-		t.Fatalf("stats CSV has %d lines", lines(&st))
-	}
-	if !strings.Contains(pkts.String(), "delay_ms") || !strings.Contains(pkts.String(), "video") {
-		t.Fatalf("packets CSV malformed:\n%s", pkts.String())
-	}
-	if !strings.Contains(st.String(), "local") || !strings.Contains(st.String(), "remote") {
-		t.Fatal("stats CSV missing sides")
-	}
-}
-
-type closableBuffer struct{ bytes.Buffer }
-
-func (c *closableBuffer) Close() error { return nil }
-
-func TestCSVBundle(t *testing.T) {
-	set := sampleSet()
-	got := map[string]*closableBuffer{}
-	err := WriteCSVBundle(func(name string) (io.WriteCloser, error) {
-		b := &closableBuffer{}
-		got[name] = b
-		return b, nil
-	}, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"packets.csv", "dci.csv", "stats.csv"} {
-		if got[name] == nil || got[name].Len() == 0 {
-			t.Fatalf("bundle part %s missing or empty", name)
-		}
 	}
 }

@@ -1,0 +1,177 @@
+package domino
+
+// Contracts on the tree itself, held by `go test .`: the dependency
+// discipline and the documentation gates ARCHITECTURE.md states. Each is
+// a walk of the checkout, so each failure names a file and a line.
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// walkGoFiles parses every Go file of the module the contracts cover —
+// the root package, internal/... and cmd/... (bench/ is its own module,
+// examples/ are programs to read) — and hands each to visit in path
+// order, so one directory's files arrive together.
+func walkGoFiles(t *testing.T, fset *token.FileSet, visit func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			top, _, _ := strings.Cut(filepath.ToSlash(path), "/")
+			if (top != "." && top != "internal" && top != "cmd") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInternalNeverImportsFacade pins ARCHITECTURE.md's dependency
+// discipline: the root package re-exports internal/*, so an internal
+// package (its tests included) that imports it back depends on everything.
+func TestInternalNeverImportsFacade(t *testing.T) {
+	fset := token.NewFileSet()
+	walkGoFiles(t, fset, func(path string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if strings.HasPrefix(path, "internal/") && imp.Path.Value == `"github.com/domino5g/domino"` {
+				t.Errorf("%s: imports the root façade", fset.Position(imp.Pos()))
+			}
+		}
+	})
+}
+
+// TestTreeIsDocumented: every package (test files aside) carries a
+// package comment, and every exported top-level symbol of the root
+// façade — the surface godoc shows a user — carries a doc comment.
+func TestTreeIsDocumented(t *testing.T) {
+	fset := token.NewFileSet()
+	type pkg struct {
+		clause     token.Pos // of the directory's first file
+		documented bool
+	}
+	pkgs := map[string]*pkg{}
+	walkGoFiles(t, fset, func(path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		dir := filepath.Dir(path)
+		if pkgs[dir] == nil {
+			pkgs[dir] = &pkg{clause: f.Package}
+		}
+		if f.Doc != nil {
+			pkgs[dir].documented = true
+		}
+		if dir == "." {
+			for _, decl := range f.Decls {
+				undocumented(t, fset, decl)
+			}
+		}
+	})
+	for dir, p := range pkgs {
+		if !p.documented {
+			t.Errorf("%s: package in %s has no package comment", fset.Position(p.clause), dir)
+		}
+	}
+}
+
+// undocumented reports the exported names a top-level declaration
+// exposes without a doc comment. A group doc on a parenthesized
+// const/var/type block covers its specs; a doc on the individual spec
+// also counts.
+func undocumented(t *testing.T, fset *token.FileSet, decl ast.Decl) {
+	bad := func(pos token.Pos, kind, name string) {
+		t.Errorf("%s: exported %s %s has no doc comment", fset.Position(pos), kind, name)
+	}
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Name.IsExported() && d.Doc == nil && (d.Recv == nil || exportedRecv(d.Recv)) {
+			kind := "function"
+			if d.Recv != nil {
+				kind = "method"
+			}
+			bad(d.Pos(), kind, d.Name.Name)
+		}
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				if s.Name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
+					bad(s.Pos(), "type", s.Name.Name)
+				}
+			case *ast.ValueSpec:
+				for _, n := range s.Names {
+					if n.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
+						bad(n.Pos(), "value", n.Name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// exportedRecv reports whether a method's receiver type is exported —
+// methods on unexported types are not part of the documented surface.
+func exportedRecv(recv *ast.FieldList) bool {
+	if len(recv.List) == 0 {
+		return false
+	}
+	t := recv.List[0].Type
+	for {
+		switch x := t.(type) {
+		case *ast.StarExpr:
+			t = x.X
+		case *ast.IndexExpr:
+			t = x.X
+		case *ast.Ident:
+			return x.IsExported()
+		default:
+			return false
+		}
+	}
+}
+
+// TestDocLinksResolve: the documentation set cannot drift from the tree
+// it describes. For every [text](target) whose target is not a URL or a
+// pure #fragment, the file or directory must exist.
+func TestDocLinksResolve(t *testing.T) {
+	link := regexp.MustCompile(`\]\(([^)\s]+)\)`)
+	for _, md := range []string{"README.md", "ARCHITECTURE.md", "ROADMAP.md"} {
+		data, err := os.ReadFile(md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range link.FindAllStringSubmatch(line, -1) {
+				target, _, _ := strings.Cut(m[1], "#")
+				if target == "" || strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
+					continue
+				}
+				if _, err := os.Stat(target); err != nil {
+					t.Errorf("%s:%d: broken link %q", md, i+1, m[1])
+				}
+			}
+		}
+	}
+}
