@@ -29,8 +29,9 @@ test:
 # This runs every parser that faces the network or the disk (both trace
 # codecs, JSONL by record and by block, the balancer's /metrics scrape
 # parser and its fan-out answer scanner, the RCA-store checkpoint loader)
-# and the block analysis path behind them under the fuzzer for a few
-# seconds each — `-fuzz` takes one target and one package per run.
+# and the block analysis path behind them, and the RCA store's in-block
+# row selection against a plain loop, under the fuzzer for a few seconds
+# each — `-fuzz` takes one target and one package per run.
 # A failing input is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryStreamReader$$' -fuzztime 5s ./internal/trace
@@ -41,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPushBlock$$' -fuzztime 5s ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/rcastore
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreSelect$$' -fuzztime 5s ./internal/rcastore
 	$(GO) test -run '^$$' -fuzz '^FuzzFanoutScan$$' -fuzztime 5s ./internal/balancer
 
 # One iteration of every benchmark, so none can rot unseen. It compares

@@ -133,15 +133,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 1
 			}
 			probe = rec.Fired
+			q.NotSession = *similar // the probe itself is not an answer
 		}
 		tb := stats.NewTable("Distance", "Session", "Cell", "Scenario", "Start (µs)", "Chain runs")
-		rows := 0
-		for _, m := range st.Similar(probe, q, *k+1) {
-			if m.Session == *similar || rows == *k {
-				continue // the probe itself is not an answer
-			}
+		for _, m := range st.Similar(probe, q, *k) {
 			tb.AddRow(m.Distance, m.Session, m.Cell, m.Scenario, int64(m.Start), m.TotalChainRuns())
-			rows++
 		}
 		fmt.Fprint(stdout, tb.String())
 	default:

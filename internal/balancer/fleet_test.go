@@ -691,3 +691,55 @@ func TestFleetReadDifferential(t *testing.T) {
 		t.Fatalf("similar for a session only the dead node held: status %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestFleetSimilarProbeStoredTwice: the node that owns a probe session
+// holds it twice and holds the probe's five nearest incidents too. The
+// fleet's k=5 is those five — the owner answers k rows, not k minus the
+// probe's second row — and k=0 is every other row of the fleet, ranked
+// as one store ranks them.
+func TestFleetSimilarProbeStoredTwice(t *testing.T) {
+	global := rcastore.New(rcastore.Options{})
+	var urls []string
+	for _, name := range []string{"own", "far"} {
+		st := rcastore.New(rcastore.Options{BlockRows: 4})
+		row := func(session string, minute int, fired ...string) {
+			start := fleetNow - sim.Time(60-minute)*sim.Minute
+			r := rcastore.Record{Session: session, Cell: "tdd", Start: start, End: start + sim.Minute, Fired: fired}
+			st.Insert(r)
+			global.Insert(r)
+		}
+		for i := 0; i < 6; i++ {
+			if name == "own" {
+				row(fmt.Sprintf("near%d", i), 2+i, "a", "b", "c")
+			} else {
+				row(fmt.Sprintf("far%d", i), 2+i, "d")
+			}
+		}
+		if name == "own" {
+			row("probe", 1, "a", "b")
+			row("probe", 20, "a", "b")
+		}
+		ts := httptest.NewServer(node.New(testAnalyzer(t), node.Options{NodeID: name, Store: st}).Routes())
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	lb, err := New(Options{Backends: urls, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	lbTS := httptest.NewServer(lb.Routes())
+	defer lbTS.Close()
+	for k, rows := range map[int]int{5: 5, 0: 12} {
+		matches := global.Similar([]string{"a", "b"}, rcastore.Query{NotSession: "probe"}, k)
+		if len(matches) != rows {
+			t.Fatalf("k=%d: the reference store answers %d rows, want %d", k, len(matches), rows)
+		}
+		want := httptest.NewRecorder()
+		ingest.WriteJSON(want, http.StatusOK, map[string]any{"fired": []string{"a", "b"}, "matches": matches})
+		resp := mustGet(t, fmt.Sprintf("%s/incidents/similar?session=probe&k=%d", lbTS.URL, k))
+		if got := readBody(t, resp); resp.StatusCode != http.StatusOK || got != want.Body.String() {
+			t.Errorf("k=%d: status %d\nfleet:\n%s\none store:\n%s", k, resp.StatusCode, got, want.Body.String())
+		}
+	}
+}

@@ -398,6 +398,67 @@ func TestLiveSnapshotDuringIngest(t *testing.T) {
 	}
 }
 
+// TestSimilarProbeStoredTwice: a probe session stored twice on the node
+// costs the answer no rows — k matches come back while k others exist,
+// and k=0 asks for all of them, as it does of the store.
+func TestSimilarProbeStoredTwice(t *testing.T) {
+	st := rcastore.New(rcastore.Options{BlockRows: 4})
+	row := func(session string, minute int, fired ...string) {
+		start := sim.Time(minute) * sim.Minute
+		st.Insert(rcastore.Record{Session: session, Cell: "tdd", Start: start, End: start + sim.Minute, Fired: fired})
+	}
+	row("probe", 1, "a", "b")
+	for i := 0; i < 7; i++ {
+		row(fmt.Sprintf("other%d", i), 2+i, "a", "b", "c")
+	}
+	row("probe", 20, "a", "b")
+	ts := httptest.NewServer(node.New(testAnalyzer(t), node.Options{Store: st}).Routes())
+	defer ts.Close()
+	for k, want := range map[string]int{"5": 5, "7": 7, "9": 7, "0": 7} {
+		var got struct {
+			Matches []rcastore.Match `json:"matches"`
+		}
+		getJSON(t, ts.URL+"/incidents/similar?session=probe&k="+k, &got)
+		if len(got.Matches) != want {
+			t.Errorf("k=%s: %d matches, want %d", k, len(got.Matches), want)
+		}
+		for i, m := range got.Matches {
+			// Every other row is at distance 1; the most recent ranks first.
+			if m.Session != fmt.Sprintf("other%d", 6-i) {
+				t.Errorf("k=%s: match %d is %s", k, i, m.Session)
+			}
+		}
+	}
+}
+
+// TestQueryBadBoundsNameFrom: with from and to both malformed the 400
+// names from, every time.
+func TestQueryBadBoundsNameFrom(t *testing.T) {
+	ts := httptest.NewServer(node.New(testAnalyzer(t), node.Options{}).Routes())
+	defer ts.Close()
+	bodies := map[string]int{}
+	for i := 0; i < 100; i++ {
+		resp, err := http.Get(ts.URL + "/query?to=later&from=earlier")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", resp.StatusCode)
+		}
+		bodies[string(body)]++
+	}
+	if len(bodies) != 1 {
+		t.Fatalf("100 requests with both bounds bad, %d different bodies: %v", len(bodies), bodies)
+	}
+	for body := range bodies {
+		if !strings.Contains(body, `bad from \"earlier\"`) {
+			t.Fatalf("the 400 does not name from: %s", body)
+		}
+	}
+}
+
 // TestQueryAndSimilarEndpoints exercises the longitudinal store path:
 // completed sessions are auto-persisted, /query serves records and
 // aggregations that match batch analysis, and /incidents/similar ranks

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -134,36 +135,40 @@ func (n *Node) handleReport(w http.ResponseWriter, r *http.Request) {
 	ingest.WriteJSON(w, http.StatusOK, n.reportPayload(sess))
 }
 
-// parseQuery maps /query and /incidents/similar URL parameters onto a
-// store query. from/to are absolute microsecond timestamps; last is a
-// duration back from the fleet clock.
-func (n *Node) parseQuery(r *http.Request) (rcastore.Query, error) {
+// parseQuery maps /query and /incidents/similar URL parameters (parsed
+// once by the handler) onto a store query. from/to are absolute
+// microsecond timestamps; last is a duration back from the fleet clock.
+func (n *Node) parseQuery(p url.Values) (rcastore.Query, error) {
 	q := rcastore.Query{
-		Cell:     r.URL.Query().Get("cell"),
-		Scenario: r.URL.Query().Get("scenario"),
-		Session:  r.URL.Query().Get("session"),
-		Cause:    r.URL.Query().Get("cause"),
+		Cell:     p.Get("cell"),
+		Scenario: p.Get("scenario"),
+		Session:  p.Get("session"),
+		Cause:    p.Get("cause"),
 	}
-	if v := r.URL.Query().Get("fired"); v != "" {
+	if v := p.Get("fired"); v != "" {
 		q.FiredAll = strings.Split(v, ",")
 	}
-	for name, dst := range map[string]*sim.Time{"from": &q.From, "to": &q.To} {
-		if v := r.URL.Query().Get(name); v != "" {
+	// from before to: with both bad, the 400 always names from.
+	for _, bound := range []struct {
+		name string
+		dst  *sim.Time
+	}{{"from", &q.From}, {"to", &q.To}} {
+		if v := p.Get(bound.name); v != "" {
 			us, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				return q, fmt.Errorf("bad %s %q: want microseconds since epoch", name, v)
+				return q, fmt.Errorf("bad %s %q: want microseconds since epoch", bound.name, v)
 			}
-			*dst = sim.Time(us)
+			*bound.dst = sim.Time(us)
 		}
 	}
-	if v := r.URL.Query().Get("last"); v != "" {
+	if v := p.Get("last"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			return q, fmt.Errorf("bad last %q: want a positive duration like 1h", v)
 		}
 		q.From = n.now() - sim.Time(d/time.Microsecond)
 	}
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := p.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			return q, fmt.Errorf("bad limit %q", v)
@@ -173,8 +178,8 @@ func (n *Node) parseQuery(r *http.Request) (rcastore.Query, error) {
 	return q, nil
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
+func intParam(p url.Values, name string, def int) (int, error) {
+	v := p.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -190,17 +195,18 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 // (ranked by total chain runs, top k) or agg=cause_rates (per-cell
 // cause-class rates over bucket-sized time buckets).
 func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, err := n.parseQuery(r)
+	p := r.URL.Query()
+	q, err := n.parseQuery(p)
 	if err != nil {
 		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	switch agg := r.URL.Query().Get("agg"); agg {
+	switch agg := p.Get("agg"); agg {
 	case "":
 		records := n.store.Query(q)
 		ingest.WriteAppended(w, func(dst []byte) []byte { return rcastore.AppendRecordsAnswer(dst, records) })
 	case "top_chains":
-		k, err := intParam(r, "k", 10)
+		k, err := intParam(p, "k", 10)
 		if err != nil {
 			ingest.WriteError(w, http.StatusBadRequest, err.Error())
 			return
@@ -209,7 +215,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ingest.WriteAppended(w, func(dst []byte) []byte { return rcastore.AppendTopChainsAnswer(dst, chains) })
 	case "cause_rates":
 		bucket := 10 * time.Minute
-		if v := r.URL.Query().Get("bucket"); v != "" {
+		if v := p.Get("bucket"); v != "" {
 			d, err := time.ParseDuration(v)
 			if err != nil || d <= 0 {
 				ingest.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad bucket %q: want a positive duration like 10m", v))
@@ -227,15 +233,17 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 // handleSimilar serves nearest-prior-incident lookups: the probe
 // signature comes from an already-stored session (session=) or an
 // explicit fired= node list, and candidates rank by fired-node Hamming
-// distance, ties to the most recent.
+// distance, ties to the most recent. A stored probe is trivially its own
+// nearest incident, so the store leaves that session's rows out.
 func (n *Node) handleSimilar(w http.ResponseWriter, r *http.Request) {
-	k, err := intParam(r, "k", 5)
+	p := r.URL.Query()
+	k, err := intParam(p, "k", 5)
 	if err != nil {
 		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var fired []string
-	probeSession := r.URL.Query().Get("session")
+	probeSession := p.Get("session")
 	switch {
 	case probeSession != "":
 		rec, ok := n.store.Fired(probeSession)
@@ -244,24 +252,13 @@ func (n *Node) handleSimilar(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		fired = rec.Fired
-	case r.URL.Query().Get("fired") != "":
-		fired = strings.Split(r.URL.Query().Get("fired"), ",")
+	case p.Get("fired") != "":
+		fired = strings.Split(p.Get("fired"), ",")
 	default:
 		ingest.WriteError(w, http.StatusBadRequest, "want session=ID or fired=node,node,...")
 		return
 	}
-	q := rcastore.Query{Cell: r.URL.Query().Get("cell"), Scenario: r.URL.Query().Get("scenario")}
-	matches := n.store.Similar(fired, q, k+1)
-	// The probe session is trivially its own nearest incident; drop it.
-	out := matches[:0]
-	for _, m := range matches {
-		if probeSession != "" && m.Session == probeSession {
-			continue
-		}
-		out = append(out, m)
-	}
-	if len(out) > k {
-		out = out[:k]
-	}
-	ingest.WriteAppended(w, func(dst []byte) []byte { return rcastore.AppendSimilarAnswer(dst, fired, out) })
+	q := rcastore.Query{Cell: p.Get("cell"), Scenario: p.Get("scenario"), NotSession: probeSession}
+	matches := n.store.Similar(fired, q, k)
+	ingest.WriteAppended(w, func(dst []byte) []byte { return rcastore.AppendSimilarAnswer(dst, fired, matches) })
 }

@@ -81,11 +81,20 @@ func BenchmarkRCAStoreInsert(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(recs))/b.Elapsed().Seconds(), "records/s")
 }
 
-// queryReads is the store BenchmarkRCAStoreQuery and TestQueryAllocs read
-// — 25 000 rows, the history fleetbench's query-mix preloads per node —
-// and each read on its own with its allocation ceiling: 1.3 × the
-// allocs per query measured on this fixture in PR 20, which were 486, 9,
-// 652, 52 and 10 in the order below.
+// queryReads is what BenchmarkRCAStoreQuery and TestQueryAllocs read,
+// each read on its own with its allocation ceiling, over two stores of
+// 25 000 rows — the history fleetbench's query-mix preloads per node.
+//
+// The first arrives in time order and is read with no time bound, so
+// every block is either skipped or read whole. Its ceilings are 1.3 × the
+// allocs per query measured on it in PR 20, which were 486, 9, 652, 52
+// and 10 in the order below.
+//
+// The second arrives as that preload does — starts spread over 24 h in
+// no order, so every block spans the day — and is read with the
+// benchmark's grid: the last hour, the last six, all of it, over every
+// cell and over one. These reads select rows inside blocks. Their
+// ceilings are 1.3 × the allocs measured in PR 23 (shuffledAllocs).
 func queryReads() []queryRead {
 	recs := synthRecords(25000)
 	s := New(Options{BlockRows: 256})
@@ -93,7 +102,7 @@ func queryReads() []queryRead {
 		s.Insert(r)
 	}
 	probe := []string{"harq_retx", "forward_delay_up", "jitter_buffer_drain", "cross_traffic"}
-	return []queryRead{
+	reads := []queryRead{
 		{"records_limit50", 631, func() int { return len(s.Query(Query{Cause: "harq_retx", Limit: 50})) }},
 		{"top_chains", 11, func() int { return len(s.TopChains(Query{}, 5)) }},
 		{"cause_rates", 847, func() int { return len(s.CauseRates(Query{Cell: "fdd"}, 60*sim.Minute)) }},
@@ -106,6 +115,40 @@ func queryReads() []queryRead {
 			return 0
 		}},
 	}
+
+	const day = 24 * 60 * sim.Minute
+	sh := New(Options{BlockRows: 256})
+	for i, r := range recs {
+		// 7919 is coprime to the row count: a permutation of evenly spaced
+		// starts, consecutive arrivals some seven hours apart.
+		r.Start = sim.Time(i*7919%len(recs)) * day / sim.Time(len(recs))
+		r.End = r.Start + sim.Minute
+		sh.Insert(r)
+	}
+	for si, span := range []sim.Time{60 * sim.Minute, 6 * 60 * sim.Minute, day} {
+		for ci, cell := range []string{"", "fdd"} {
+			q := Query{From: day - span, To: day, Cell: cell}
+			rq := q
+			rq.Cause, rq.Limit = "harq_retx", 50
+			name := fmt.Sprintf("shuffled/%dh/cell=%s/", span/(60*sim.Minute), cell)
+			max := shuffledAllocs[si][ci]
+			reads = append(reads,
+				queryRead{name + "records_limit50", max[0], func() int { return len(sh.Query(rq)) }},
+				queryRead{name + "top_chains", max[1], func() int { return len(sh.TopChains(q, 5)) }},
+				queryRead{name + "cause_rates", max[2], func() int { return len(sh.CauseRates(q, 60*sim.Minute)) }},
+				queryRead{name + "similar_k5", max[3], func() int { return len(sh.Similar(probe, q, 5)) }},
+			)
+		}
+	}
+	return reads
+}
+
+// shuffledAllocs[span][cell] holds the ceilings of the four reads of one
+// cell of the shuffled store's grid, in queryReads' order.
+var shuffledAllocs = [3][2][4]float64{
+	{{643, 13, 28, 70}, {650, 13, 14, 71}},   // measured 495, 10, 22, 54 and 500, 10, 11, 55
+	{{652, 13, 115, 75}, {655, 13, 36, 70}},  // 502, 10, 89, 58 and 504, 10, 28, 54
+	{{639, 13, 404, 71}, {620, 13, 115, 70}}, // 492, 10, 311, 55 and 477, 10, 89, 54
 }
 
 type queryRead struct {
@@ -209,7 +252,9 @@ func BenchmarkRCAStoreJournalReplay(b *testing.B) {
 // store and the journal and back out at a restart, over the benchmarks'
 // fixtures. Each ceiling is 1.3 × the allocations per report measured in
 // PR 20: Insert 0.273, Journal.Append 0 (the benchmark's 16 allocs/op at
-// three iterations were the dictionary filling), Recover 1.307.
+// three iterations were the dictionary filling), Recover 1.307. Sealing a
+// full block adds five allocations per 256 reports to Insert and Recover
+// (0.293 and 1.327 in PR 23) under the same ceilings.
 func TestWritePathAllocs(t *testing.T) {
 	recs := synthRecords(4096)
 	perReport := func(name string, ceiling float64, reports int, f func()) {

@@ -3,24 +3,66 @@ package rcastore
 import (
 	"bytes"
 	"fmt"
-	"math/bits"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/domino5g/domino/internal/sim"
 )
 
-// The read path selects k rows and looks sessions up in an index. The
-// oracles below are the implementations it replaced — collect every
-// match, sort.SliceStable, cut; walk the rows backwards; aggregate into
-// maps — kept so the property test can demand the same answers.
+// The read path selects the rows of a sealed block through its (cell,
+// start) order, keeps k of them in a heap and looks sessions up in an
+// index. The oracles below share none of that: they materialise every
+// retained row once, test each Record against the whole predicate as
+// Query's doc states it, and then do what the read path replaced —
+// collect every match, sort.SliceStable, cut; aggregate into maps keyed
+// by name; count a Hamming distance over sets of strings.
 
-func oracleQuery(s *Store, q Query) []Record {
+// retainedRows materialises the store's rows in insertion order.
+func retainedRows(s *Store) []Record {
+	var rows []Record
+	for _, b := range s.blocks {
+		for i := 0; i < b.n; i++ {
+			rows = append(rows, s.materializeLocked(b, i))
+		}
+	}
+	return rows
+}
+
+func refMatch(r *Record, q Query) bool {
+	if r.Start < q.From || (q.To != 0 && r.Start >= q.To) {
+		return false
+	}
+	if (q.Cell != "" && r.Cell != q.Cell) || (q.Scenario != "" && r.Scenario != q.Scenario) || (q.Session != "" && r.Session != q.Session) {
+		return false
+	}
+	for _, node := range q.FiredAll {
+		if !slices.Contains(r.Fired, node) {
+			return false
+		}
+	}
+	return q.Cause == "" || slices.ContainsFunc(r.Causes, func(c CauseRuns) bool { return c.Cause == q.Cause && c.Runs > 0 })
+}
+
+// refScan is the reference scan: every retained row, in insertion order,
+// against the whole predicate.
+func refScan(rows []Record, q Query, visit func(r *Record)) {
+	for i := range rows {
+		if refMatch(&rows[i], q) {
+			visit(&rows[i])
+		}
+	}
+}
+
+func oracleQuery(rows []Record, q Query) []Record {
 	var out []Record
-	s.scanLocked(q, func(b *block, i int) {
-		out = append(out, s.materializeLocked(b, i))
+	refScan(rows, q, func(r *Record) {
+		if q.NotSession == "" || r.Session != q.NotSession {
+			out = append(out, *r)
+		}
 	})
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
@@ -34,32 +76,25 @@ func oracleQuery(s *Store, q Query) []Record {
 	return out
 }
 
-func oracleSimilar(s *Store, fired []string, q Query, k int) []Match {
-	probe := make([]uint64, (len(s.nodes.names)+63)/64)
-	unknown := 0
+func oracleSimilar(rows []Record, fired []string, q Query, k int) []Match {
+	probe := map[string]bool{}
 	for _, n := range fired {
-		id, ok := s.nodes.lookup(n)
-		if !ok {
-			unknown++
-			continue
-		}
-		probe[id/64] |= 1 << uint(id%64)
+		probe[n] = true
 	}
 	out := []Match{} // never nil: an empty answer encodes as [], not null
-	s.scanLocked(q, func(b *block, i int) {
-		row := b.row(i)
-		d := unknown
-		for w := 0; w < len(probe) || w < len(row); w++ {
-			var have, want uint64
-			if w < len(row) {
-				have = row[w]
-			}
-			if w < len(probe) {
-				want = probe[w]
-			}
-			d += bits.OnesCount64(have ^ want)
+	refScan(rows, q, func(r *Record) {
+		if q.NotSession != "" && r.Session == q.NotSession {
+			return
 		}
-		out = append(out, Match{Record: s.materializeLocked(b, i), Distance: d})
+		d := len(probe)
+		for _, n := range r.Fired {
+			if probe[n] {
+				d--
+			} else {
+				d++
+			}
+		}
+		out = append(out, Match{Record: *r, Distance: d})
 	})
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Distance != out[j].Distance {
@@ -88,18 +123,20 @@ func oracleFired(s *Store, session string) (Record, bool) {
 	return Record{}, false
 }
 
-func oracleTopChains(s *Store, q Query, k int) []ChainAgg {
-	runs := map[uint32]int{}
-	sessions := map[uint32]int{}
-	s.scanLocked(q, func(b *block, i int) {
-		for j := b.chainOff[i]; j < b.chainOff[i+1]; j++ {
-			runs[b.chainIDs[j]] += int(b.chainRuns[j])
-			sessions[b.chainIDs[j]]++
+func oracleTopChains(rows []Record, q Query, k int) []ChainAgg {
+	by := map[string]*ChainAgg{}
+	refScan(rows, q, func(r *Record) {
+		for _, c := range r.Chains {
+			if by[c.Chain] == nil {
+				by[c.Chain] = &ChainAgg{Chain: c.Chain}
+			}
+			by[c.Chain].Runs += c.Runs
+			by[c.Chain].Sessions++
 		}
 	})
-	out := make([]ChainAgg, 0, len(runs))
-	for id, n := range runs {
-		out = append(out, ChainAgg{Chain: s.chains.name(id), Runs: n, Sessions: sessions[id]})
+	out := make([]ChainAgg, 0, len(by))
+	for _, a := range by {
+		out = append(out, *a)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Runs != out[j].Runs {
@@ -113,34 +150,35 @@ func oracleTopChains(s *Store, q Query, k int) []ChainAgg {
 	return out
 }
 
-func oracleCauseRates(s *Store, q Query, bucket sim.Time) []CauseBucket {
+func oracleCauseRates(rows []Record, q Query, bucket sim.Time) []CauseBucket {
 	type groupKey struct {
-		cell   uint32
+		cell   string
 		bucket sim.Time
 	}
 	type cellKey struct {
 		groupKey
-		cause uint32
+		cause string
 	}
 	runs := map[cellKey]int{}
 	sessions := map[groupKey]int{}
 	minutes := map[groupKey]float64{}
-	s.scanLocked(q, func(b *block, i int) {
-		bs := sim.Time(0)
+	refScan(rows, q, func(r *Record) {
+		g := groupKey{cell: r.Cell}
 		if bucket > 0 {
-			bs = b.starts[i] / bucket * bucket
+			g.bucket = r.Start / bucket * bucket
 		}
-		g := groupKey{cell: b.cellIDs[i], bucket: bs}
 		sessions[g]++
-		minutes[g] += (b.ends[i] - b.starts[i]).Seconds() / 60
-		for k := b.causeOff[i]; k < b.causeOff[i+1]; k++ {
-			runs[cellKey{groupKey: g, cause: b.causeIDs[k]}] += int(b.causeRuns[k])
+		// Summed in insertion order, as the store does: float addition does
+		// not commute, and the answers must agree to the bit.
+		minutes[g] += (r.End - r.Start).Seconds() / 60
+		for _, c := range r.Causes {
+			runs[cellKey{groupKey: g, cause: c.Cause}] += c.Runs
 		}
 	})
 	out := make([]CauseBucket, 0, len(runs))
 	for k, n := range runs {
 		cb := CauseBucket{
-			Cell: s.cells.name(k.cell), Bucket: k.bucket, Cause: s.causes.name(k.cause),
+			Cell: k.cell, Bucket: k.bucket, Cause: k.cause,
 			Runs: n, Sessions: sessions[k.groupKey], Minutes: minutes[k.groupKey],
 		}
 		if cb.Minutes > 0 {
@@ -160,27 +198,46 @@ func oracleCauseRates(s *Store, q Query, bucket sim.Time) []CauseBucket {
 	return out
 }
 
+// wideNodes outnumber a bitset word: the row that fires them all widens
+// the open block's fired matrix under the rows already in it, and leaves
+// the blocks sealed before it at the narrower stride.
+var wideNodes = func() []string {
+	names := make([]string, 70)
+	for i := range names {
+		names[i] = fmt.Sprintf("x%02d", i)
+	}
+	return names
+}()
+
 // randomRecords draws n rows from a universe small enough that every
 // kind of tie occurs: sessions repeat (some with the same Start — a
 // full-key tie only scan order breaks — some with a later one), starts
-// collide across sessions, and fired sets repeat so distances tie.
+// collide across sessions and arrive in no order, a few of them
+// negative, and fired sets repeat so distances tie. Row n/2 fires
+// wideNodes, and later rows a few of them.
 func randomRecords(rng *rand.Rand, n int) []Record {
 	cells := []string{"tdd", "fdd", "amarisoft"}
 	nodes := []string{"a", "b", "c", "d", "e", "f", "g"}
 	chains := []string{"a --> b", "c --> d", "e --> f --> g", "a --> g"}
 	out := make([]Record, n)
 	for i := range out {
-		start := sim.Time(rng.Intn(n/2+1)) * sim.Minute
+		start := sim.Time(rng.Intn(n/2+1)-4) * sim.Minute
 		r := Record{
 			Session: fmt.Sprintf("s%03d", rng.Intn(n*2/3+1)),
 			Cell:    cells[rng.Intn(len(cells))],
 			Start:   start,
-			End:     start + sim.Time(1+rng.Intn(3))*sim.Minute,
+			End:     start + sim.Time(1+rng.Intn(3*int(sim.Minute))), // session minutes that do not sum exactly
 		}
 		for _, name := range nodes {
 			if rng.Intn(2) == 0 {
 				r.Fired = append(r.Fired, name)
 			}
+		}
+		switch {
+		case i == n/2:
+			r.Fired = append(r.Fired, wideNodes...)
+		case i > n/2 && rng.Intn(3) == 0:
+			r.Fired = append(r.Fired, wideNodes[rng.Intn(len(wideNodes))])
 		}
 		// A chain or cause may be listed with zero runs: it still belongs
 		// in the aggregations' answers.
@@ -193,21 +250,55 @@ func randomRecords(rng *rand.Rand, n int) []Record {
 	return out
 }
 
+// readGrid is the predicates checkReads asks: every time range — open
+// ends, To = 0, From > To, bounds on a stored start, negative and extreme
+// bounds — with no cell and with each of two, then each other predicate
+// on its own.
+func readGrid(recs []Record, rng *rand.Rand) []Query {
+	at := recs[rng.Intn(len(recs))].Start // a stored start, often a repeated one
+	var grid []Query
+	for _, span := range [][2]sim.Time{
+		{0, 0},
+		{3 * sim.Minute, sim.Time(len(recs)/3) * sim.Minute},
+		{at, 0},
+		{0, at},
+		{at, at + 1},
+		{at, at},
+		{at + 1, 0},
+		{10 * sim.Minute, 5 * sim.Minute},
+		{-3 * sim.Minute, 2 * sim.Minute},
+		{-10 * sim.Minute, -sim.Minute},
+		{math.MinInt64, math.MaxInt64},
+		{math.MinInt64, math.MinInt64},
+		{math.MaxInt64, 0},
+		{0, math.MaxInt64},
+	} {
+		for _, cell := range []string{"", "fdd", "amarisoft"} {
+			grid = append(grid, Query{From: span[0], To: span[1], Cell: cell})
+		}
+	}
+	session := recs[rng.Intn(len(recs))].Session
+	return append(grid,
+		Query{Cause: "a"},
+		Query{FiredAll: []string{"a", "c"}},
+		Query{FiredAll: []string{"a", wideNodes[69]}},
+		Query{Session: session},
+		Query{NotSession: session},
+		Query{NotSession: session, Cell: "fdd", From: at},
+		Query{Cell: "never_seen"},
+	)
+}
+
 // checkReads compares every read with its oracle over a grid of
 // predicates, probes and bounds.
 func checkReads(t *testing.T, s *Store, recs []Record, rng *rand.Rand) {
 	t.Helper()
-	n := s.Len()
-	bounds := []int{0, 1, 5, n, n + 1}
-	queries := []Query{
-		{},
-		{Cell: "fdd"},
-		{Cause: "a"},
-		{From: 3 * sim.Minute, To: sim.Time(len(recs)/3) * sim.Minute},
-		{FiredAll: []string{"a", "c"}},
-		{Session: recs[rng.Intn(len(recs))].Session},
-		{Cell: "never_seen"},
+	rows := retainedRows(s)
+	n := len(rows)
+	if n != s.Len() {
+		t.Fatalf("walked %d rows, Len() = %d", n, s.Len())
 	}
+	bounds := []int{0, 5, 1, n, n + 1}
 	probes := [][]string{
 		nil,
 		{"a", "b", "c"},
@@ -215,24 +306,36 @@ func checkReads(t *testing.T, s *Store, recs []Record, rng *rand.Rand) {
 		{"a", "never_seen", "also_unknown"},
 		recs[rng.Intn(len(recs))].Fired,
 	}
-	for _, q := range queries {
+	for _, q := range readGrid(recs, rng) {
+		var got, want []Record
+		s.scanLocked(q, func(b *block, i int) { got = append(got, s.materializeLocked(b, i)) })
+		refScan(rows, q, func(r *Record) { want = append(want, *r) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scan(%+v) visits sessions %v, the reference scan %v", q, sessions(got), sessions(want))
+		}
+		// A time range changes which rows are scanned, which the check above
+		// settles: two cuts and one probe of each read suffice behind it.
+		bounds, probes := bounds, probes
+		if q.From != 0 || q.To != 0 {
+			bounds, probes = bounds[:2], probes[1:2]
+		}
 		for _, k := range bounds {
 			lq := q
 			lq.Limit = k
-			if got, want := s.Query(lq), oracleQuery(s, lq); !reflect.DeepEqual(got, want) {
+			if got, want := s.Query(lq), oracleQuery(rows, lq); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Query(%+v): sessions %v, oracle %v", lq, sessions(got), sessions(want))
 			}
 			for _, probe := range probes {
-				if got, want := s.Similar(probe, q, k), oracleSimilar(s, probe, q, k); !reflect.DeepEqual(got, want) {
+				if got, want := s.Similar(probe, q, k), oracleSimilar(rows, probe, q, k); !reflect.DeepEqual(got, want) {
 					t.Fatalf("Similar(%v, %+v, %d):\n got  %+v\n want %+v", probe, q, k, got, want)
 				}
 			}
-			if got, want := s.TopChains(q, k), oracleTopChains(s, q, k); !reflect.DeepEqual(got, want) {
+			if got, want := s.TopChains(q, k), oracleTopChains(rows, q, k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("TopChains(%+v, %d) = %+v, oracle %+v", q, k, got, want)
 			}
 		}
 		for _, bucket := range []sim.Time{0, 5 * sim.Minute} {
-			if got, want := s.CauseRates(q, bucket), oracleCauseRates(s, q, bucket); !reflect.DeepEqual(got, want) {
+			if got, want := s.CauseRates(q, bucket), oracleCauseRates(rows, q, bucket); !reflect.DeepEqual(got, want) {
 				t.Fatalf("CauseRates(%+v, %v) = %+v, oracle %+v", q, bucket, got, want)
 			}
 		}
@@ -271,13 +374,25 @@ func checkIndex(t *testing.T, s *Store) {
 
 func TestReadsMatchSortEverythingOracles(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		recs := randomRecords(rng, 90+rng.Intn(60))
-		for _, opts := range []Options{
-			{BlockRows: 16},
-			{BlockRows: 8, MaxBlocks: 5}, // most of the history evicted
+		for _, c := range []struct {
+			name string
+			rows int
+			opts Options
+		}{
+			{"max0", 90, Options{BlockRows: 16}},
+			{"max5", 90, Options{BlockRows: 8, MaxBlocks: 5}}, // most of the history evicted
+			{"rows1", 40, Options{BlockRows: 1}},              // every block sealed
+			{"rows3", 90, Options{BlockRows: 3}},
+			{"rows3max20", 90, Options{BlockRows: 3, MaxBlocks: 20}}, // the widening row retained, its elders not
+			{"rows256", 600, Options{BlockRows: 256}},
 		} {
-			t.Run(fmt.Sprintf("seed%d/max%d", seed, opts.MaxBlocks), func(t *testing.T) {
+			if c.rows > 500 && seed > 2 {
+				continue // a second of reads a run: two seeds of it
+			}
+			rng := rand.New(rand.NewSource(seed))
+			recs := randomRecords(rng, c.rows+rng.Intn(60))
+			opts := c.opts
+			t.Run(fmt.Sprintf("seed%d/%s", seed, c.name), func(t *testing.T) {
 				s := New(opts)
 				for i, r := range recs {
 					s.Insert(r)
@@ -287,8 +402,17 @@ func TestReadsMatchSortEverythingOracles(t *testing.T) {
 				}
 				checkIndex(t, s)
 				checkReads(t, s, recs, rng)
+				// The fixture reaches what it is for: sealed blocks and (nothing
+				// evicted) fired matrices of two widths.
+				first, last := s.blocks[0], s.blocks[len(s.blocks)-1]
+				if first.order == nil {
+					t.Fatal("the first block is not sealed")
+				}
+				if opts.MaxBlocks == 0 && first.stride == last.stride {
+					t.Fatalf("every block has stride %d: no repack happened", first.stride)
+				}
 
-				// Spill → Load rebuilds the index through Insert.
+				// Spill → Load rebuilds the index and the orders through Insert.
 				var buf bytes.Buffer
 				if err := s.Spill(&buf); err != nil {
 					t.Fatal(err)
@@ -340,4 +464,68 @@ func TestFiredIndexFollowsEviction(t *testing.T) {
 		t.Fatalf("Fired resolved an evicted row: %+v", r)
 	}
 	checkIndex(t, s)
+}
+
+// FuzzStoreSelect: whatever the rows' starts and cells, the block size
+// and the bounds, scanLocked visits the rows a loop over the inserted
+// rows selects, in insertion order. Each pair of data bytes is one row: a
+// start in [-128, 127] and one of four cells; cell picks the asked cell,
+// none, or one no row has.
+func FuzzStoreSelect(f *testing.F) {
+	shuffled := []byte{9, 0, 3, 1, 9, 1, 0xfd, 0, 3, 0, 7, 2, 3, 1, 0, 3, 9, 0, 0x80, 2, 0x7f, 1, 5, 0}
+	for _, span := range [][2]int64{
+		{0, 0}, {3, 9}, {9, 3}, {3, 3}, {-3, 4}, {-128, -2}, {0, 127},
+		{math.MinInt64, math.MaxInt64}, {math.MinInt64, math.MinInt64}, {math.MaxInt64, 0}, {0, math.MaxInt64},
+	} {
+		for cell := byte(0); cell < 6; cell += 5 {
+			f.Add(span[0], span[1], cell, byte(3), shuffled)
+		}
+	}
+	f.Add(int64(3), int64(0), byte(1), byte(0), shuffled)
+	cells := []string{"a", "b", "c", "d", "", "never_seen"}
+	f.Fuzz(func(t *testing.T, from, to int64, cell, blockRows byte, data []byte) {
+		data = data[:min(len(data), 2*48)]
+		q := Query{From: sim.Time(from), To: sim.Time(to), Cell: cells[int(cell)%len(cells)]}
+		s := New(Options{BlockRows: 1 + int(blockRows)%8})
+		var want []string
+		for i := 0; i+1 < len(data); i += 2 {
+			r := Record{Session: fmt.Sprint(i / 2), Start: sim.Time(int8(data[i])), Cell: cells[data[i+1]%4]}
+			s.Insert(r)
+			if r.Start >= q.From && (q.To == 0 || r.Start < q.To) && (q.Cell == "" || r.Cell == q.Cell) {
+				want = append(want, r.Session)
+			}
+		}
+		var got []string
+		s.scanLocked(q, func(b *block, i int) { got = append(got, b.sessions[i]) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("%+v over %v at BlockRows %d: scan visits %v, want %v", q, data, s.opts.BlockRows, got, want)
+		}
+	})
+}
+
+// TestSealHoldsLargeBlocks: the order's element type holds any row index
+// a block can have — a 70 000-row block does not wrap at 65 536.
+func TestSealHoldsLargeBlocks(t *testing.T) {
+	const rows = 70000
+	s := New(Options{BlockRows: rows})
+	for i := 0; i < rows; i++ {
+		s.Insert(Record{Session: "s", Cell: "c", Start: sim.Time(rows - i)}) // newest first: the order is the reverse of arrival
+	}
+	b := s.blocks[0]
+	if len(b.order) != rows || b.order[0] != rows-1 || b.order[rows-1] != 0 {
+		t.Fatalf("order of a %d-row block: %d entries, want row %d first and row 0 last", rows, len(b.order), rows-1)
+	}
+	if got := s.Query(Query{From: 1, To: 11, Cell: "c"}); len(got) != 10 || got[0].Start != 1 {
+		t.Fatalf("the ten oldest starts: %d rows, first %+v", len(got), got[:min(len(got), 1)])
+	}
+	var last int
+	s.scanLocked(Query{From: 100, To: 70001}, func(_ *block, i int) {
+		if i < last {
+			t.Fatalf("row %d visited after row %d", i, last)
+		}
+		last = i
+	})
+	if last != rows-100 {
+		t.Fatalf("last row visited %d, want %d", last, rows-100)
+	}
 }

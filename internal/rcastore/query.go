@@ -2,6 +2,7 @@ package rcastore
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/domino5g/domino/internal/sim"
@@ -18,6 +19,10 @@ type Query struct {
 	Cell     string
 	Scenario string
 	Session  string
+	// NotSession keeps one session's rows out of what Query and Similar
+	// return — a stored probe is trivially its own nearest incident. Like
+	// Limit, it does not affect aggregations.
+	NotSession string
 	// Cause matches records whose cause rollups include this cause
 	// class with at least one run.
 	Cause string
@@ -41,6 +46,7 @@ type compiled struct {
 	hasCell, hasScen bool
 	hasCause         bool
 	want             []uint64 // fired-node superset mask
+	plain            bool     // nothing for restMatch to ask
 	ok               bool
 }
 
@@ -78,6 +84,7 @@ func (s *Store) compileLocked(q Query) compiled {
 		}
 		c.want[id/64] |= 1 << uint(id%64)
 	}
+	c.plain = !c.hasScen && q.Session == "" && !c.hasCause && len(c.want) == 0
 	return c
 }
 
@@ -101,13 +108,17 @@ func (c *compiled) blockMatch(b *block) bool {
 	return true
 }
 
-func (c *compiled) rowMatch(b *block, i int) bool {
+// inSpan is the half of the row predicate a sealed block's order
+// answers for many rows at once: start inside [From, To), cell equal.
+func (c *compiled) inSpan(b *block, i int) bool {
 	if st := b.starts[i]; st < c.q.From || (c.q.To != 0 && st >= c.q.To) {
 		return false
 	}
-	if c.hasCell && int(b.cellIDs[i]) != c.cellID {
-		return false
-	}
+	return !c.hasCell || int(b.cellIDs[i]) == c.cellID
+}
+
+// restMatch is the other half, asked row by row.
+func (c *compiled) restMatch(b *block, i int) bool {
 	if c.hasScen && int(b.scenIDs[i]) != c.scenID {
 		return false
 	}
@@ -141,20 +152,61 @@ func (c *compiled) rowMatch(b *block, i int) bool {
 	return true
 }
 
+// mark sets in sel the rows of sealed block b that pass inSpan: per
+// stretch of a wanted cell, the rows between two binary searches of its
+// sorted starts.
+func (c *compiled) mark(b *block, sel []uint64) {
+	lo := 0
+	for _, ce := range b.cells {
+		if !c.hasCell || int(ce.cell) == c.cellID {
+			// A bound that cuts no row of the block is not searched for.
+			starts := b.sorted[lo:ce.end]
+			from, to := 0, len(starts)
+			if c.q.From > b.minStart {
+				from, _ = slices.BinarySearch(starts, c.q.From)
+			}
+			if c.q.To != 0 && c.q.To <= b.maxStart {
+				to, _ = slices.BinarySearch(starts, c.q.To)
+			}
+			for j := lo + from; j < lo+to; j++ {
+				sel[b.order[j]/64] |= 1 << (b.order[j] % 64)
+			}
+		}
+		lo = ce.end
+	}
+}
+
 // scanLocked streams every (block, row) pair matching q in insertion
-// order. The caller must hold at least the read lock.
+// order. In a sealed block it tests only the rows mark selects — walking
+// the bitmap, not the order, is what keeps them in insertion order; the
+// open block, and a sealed one the range covers whole with no cell
+// asked, have nothing to skip and loop over their rows. The caller must
+// hold at least the read lock.
 func (s *Store) scanLocked(q Query, visit func(b *block, i int)) {
 	c := s.compileLocked(q)
 	if !c.ok {
 		return
 	}
+	sel := make([]uint64, (s.opts.BlockRows+63)/64)
 	for _, b := range s.blocks {
 		if !c.blockMatch(b) {
 			continue
 		}
-		for i := 0; i < b.n; i++ {
-			if c.rowMatch(b, i) {
-				visit(b, i)
+		if b.order == nil || (!c.hasCell && b.minStart >= q.From && (q.To == 0 || b.maxStart < q.To)) {
+			for i := 0; i < b.n; i++ {
+				if c.inSpan(b, i) && (c.plain || c.restMatch(b, i)) {
+					visit(b, i)
+				}
+			}
+			continue
+		}
+		c.mark(b, sel)
+		for w, word := range sel {
+			sel[w] = 0
+			for ; word != 0; word &= word - 1 {
+				if i := w*64 + bits.TrailingZeros64(word); c.plain || c.restMatch(b, i) {
+					visit(b, i)
+				}
 			}
 		}
 	}
@@ -191,48 +243,66 @@ func MatchLess(a, b *Match) bool {
 	return a.Session < b.Session
 }
 
-// cand is one scanned row competing for a place in a result. Until the
-// row wins, m carries only its ranking key (Session, Start, Distance);
-// winners are materialised from where the row sits.
+// cand is one scanned row competing for a place in a result: its
+// ranking key and where the row sits, from which winners are
+// materialised.
 type cand struct {
-	m Match
+	session string
+	start   sim.Time
+	d       int
 	rowAt
 	seq int // scan position: the final tie-break
 }
 
-// kBest selects the k first rows of a scan under less, ties going to
-// the row scanned first — what a stable sort of every scanned row
-// followed by a cut at k yields — in O(rows · log k) comparisons and k
-// cands of memory. k <= 0 keeps every row.
+// kBest selects the k first rows of a scan under one of the two result
+// orders: MatchLess when recentFirst, else RecordLess — Query offers
+// every row at distance 0, so both are "distance, start one way or the
+// other, session". Ties go to the row scanned first: what a stable sort
+// of every scanned row followed by a cut at k yields, in O(rows · log k)
+// comparisons and k cands of memory. k <= 0 keeps every row. Rows of
+// session skip, when set, are not kept.
 type kBest struct {
-	k    int
-	less func(a, b *Match) bool
-	next cand   // the row on offer, built in place to spare a copy
-	kept []cand // bounded: a heap whose root is the worst row kept
+	k           int
+	recentFirst bool
+	skip        string
+	seq         int
+	kept        []cand // bounded: a heap whose root is the worst row kept
 }
 
 func (s *kBest) before(a, b *cand) bool {
-	if s.less(&a.m, &b.m) {
-		return true
+	if a.d != b.d {
+		return a.d < b.d
 	}
-	if s.less(&b.m, &a.m) {
-		return false
+	if a.start != b.start {
+		return (a.start < b.start) != s.recentFirst
+	}
+	if a.session != b.session {
+		return a.session < b.session
 	}
 	return a.seq < b.seq
 }
 
-// offer considers row i of block b at distance d.
+// offer considers row i of block b at distance d. Against a full heap
+// most rows lose to its root on distance or start alone, before their
+// session is read or a cand built.
 func (s *kBest) offer(b *block, i, d int) {
-	c := &s.next
-	c.m.Session, c.m.Start, c.m.Distance = b.sessions[i], b.starts[i], d
-	c.rowAt = rowAt{b, i}
-	c.seq++
-	if s.k <= 0 {
-		s.kept = append(s.kept, *c)
+	s.seq++
+	full := s.k > 0 && len(s.kept) == s.k
+	if full {
+		root := &s.kept[0]
+		if st := b.starts[i]; d > root.d || d == root.d && st != root.start && (st > root.start) != s.recentFirst {
+			return
+		}
+	}
+	c := cand{b.sessions[i], b.starts[i], d, rowAt{b, i}, s.seq}
+	if c.session == s.skip && s.skip != "" {
 		return
 	}
-	if len(s.kept) < s.k {
-		s.kept = append(s.kept, *c)
+	if !full {
+		s.kept = append(s.kept, c)
+		if s.k <= 0 {
+			return
+		}
 		// Sift the new leaf up past every better row.
 		for j := len(s.kept) - 1; j > 0; {
 			up := (j - 1) / 2
@@ -244,11 +314,11 @@ func (s *kBest) offer(b *block, i, d int) {
 		}
 		return
 	}
-	if !s.before(c, &s.kept[0]) {
+	if !s.before(&c, &s.kept[0]) {
 		return
 	}
 	// Replace the worst kept row and sift down towards the leaves.
-	s.kept[0] = *c
+	s.kept[0] = c
 	for j := 0; ; {
 		worst := j
 		for _, kid := range [2]int{2*j + 1, 2*j + 2} {
@@ -277,7 +347,7 @@ func (s *Store) Query(q Query) []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.queriedLocked()
-	sel := kBest{k: q.Limit, less: func(a, b *Match) bool { return RecordLess(&a.Record, &b.Record) }}
+	sel := kBest{k: q.Limit, skip: q.NotSession}
 	s.scanLocked(q, func(b *block, i int) { sel.offer(b, i, 0) })
 	var out []Record
 	for _, c := range sel.ranked() {
@@ -455,7 +525,7 @@ func (s *Store) Similar(fired []string, q Query, k int) []Match {
 		}
 		probe[id/64] |= 1 << uint(id%64)
 	}
-	sel := kBest{k: k, less: MatchLess}
+	sel := kBest{k: k, recentFirst: true, skip: q.NotSession}
 	s.scanLocked(q, func(b *block, i int) {
 		row := b.row(i)
 		d := unknown
@@ -478,7 +548,7 @@ func (s *Store) Similar(fired []string, q Query, k int) []Match {
 	ranked := sel.ranked()
 	out := make([]Match, 0, len(ranked))
 	for _, c := range ranked {
-		out = append(out, Match{Record: s.materializeLocked(c.b, c.i), Distance: c.m.Distance})
+		out = append(out, Match{Record: s.materializeLocked(c.b, c.i), Distance: c.d})
 	}
 	return out
 }

@@ -13,8 +13,10 @@
 // core.FeatureBits plays for the 36 detector features), per-chain
 // collapsed run counts, per-cause-class rollups, and optional named
 // numeric metrics. Records live in fixed-size column blocks with
-// block-level time/cell/scenario pruning indexes; memory is bounded by
-// evicting whole blocks oldest-first, and one stored-row codec
+// block-level time/cell/scenario pruning indexes and, once a block is
+// full, its rows' (cell, start) order, so a read finds the rows inside a
+// time range with binary searches instead of testing each; memory is
+// bounded by evicting whole blocks oldest-first, and one stored-row codec
 // (segment.go: CRC-framed, dictionary-coded frames) carries history
 // across restarts byte-identically, as a checkpoint (Store.Spill /
 // Load) and as a write-ahead journal (Journal / Recover). The JSON view
@@ -28,8 +30,10 @@
 package rcastore
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -201,7 +205,8 @@ func (d *dict) name(i uint32) string { return d.names[i] }
 // variable-width ones (chain runs, cause rollups, metrics), and a flat
 // bitset matrix for fired nodes (stride words per row). Blocks carry
 // min/max-start bounds and cell/scenario presence bitmaps so queries
-// skip whole blocks without touching rows.
+// skip whole blocks without touching rows, and a full block carries its
+// rows' (cell, start) order so queries skip rows inside it (seal).
 type block struct {
 	n        int
 	sessions []string
@@ -224,6 +229,46 @@ type block struct {
 
 	minStart, maxStart sim.Time
 	cellMask, scenMask []uint64
+
+	// Set by seal, nil while the block is open: order lists the rows by
+	// (cell id, start, row), sorted holds their starts in that order, and
+	// cells gives each cell present the end of its stretch of both (it
+	// begins where the previous one ends). Derived state, never stored.
+	order  []uint32
+	sorted []sim.Time
+	cells  []cellEnd
+}
+
+// cellEnd closes one cell's stretch of a sealed block's order.
+type cellEnd struct {
+	cell uint32
+	end  int
+}
+
+// seal builds the (cell, start) order of a block that will take no more
+// rows.
+func (b *block) seal() {
+	b.order = make([]uint32, b.n)
+	for i := range b.order {
+		b.order[i] = uint32(i)
+	}
+	slices.SortFunc(b.order, func(i, j uint32) int {
+		if c := cmp.Compare(b.cellIDs[i], b.cellIDs[j]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.starts[i], b.starts[j]); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	b.sorted = make([]sim.Time, b.n)
+	for j, i := range b.order {
+		b.sorted[j] = b.starts[i]
+		if k := len(b.cells) - 1; k < 0 || b.cells[k].cell != b.cellIDs[i] {
+			b.cells = append(b.cells, cellEnd{cell: b.cellIDs[i]})
+		}
+		b.cells[len(b.cells)-1].end = j + 1
+	}
 }
 
 func newBlock(rows, stride int) *block {
@@ -318,8 +363,9 @@ func (s *Store) SetHooks(h obs.Hooks) {
 }
 
 // Insert appends one record. Records may arrive in any time order —
-// the store is ordered by arrival, and block time bounds (not sort
-// order) drive query pruning — but retention is arrival-ordered too:
+// the store is ordered by arrival, and block time bounds plus each full
+// block's own (cell, start) order drive query pruning — but retention is
+// arrival-ordered too:
 // when MaxBlocks is exceeded the oldest-inserted block is dropped
 // whole. Insert normalizes nothing beyond what it stores; use
 // FromReport for canonically sorted records.
@@ -380,6 +426,9 @@ func (s *Store) appendRowLocked(r *row) {
 	setMaskBit(&b.scenMask, int(r.scen))
 	s.latest[r.session] = rowAt{b, b.n}
 	b.n++
+	if b.n == s.opts.BlockRows {
+		b.seal()
+	}
 	s.insertedRows++
 	if s.opts.Hooks != nil {
 		s.opts.Hooks.StoreInserted(1)
