@@ -137,12 +137,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *format == "binary" {
 		write = domino.WriteTraceBinary
 	}
+	// Serialize once: what is uploaded and what is written are the same
+	// bytes.
+	var buf bytes.Buffer
+	if err := write(&buf, set); err != nil {
+		return fail(err)
+	}
 	if *upload != "" {
-		// Serialize once; the ingest client owns retry and resume.
-		var buf bytes.Buffer
-		if err := write(&buf, set); err != nil {
-			return fail(err)
-		}
+		// The ingest client owns retry and resume.
 		contentType := ingest.ContentTypeJSONL
 		if *format == "binary" {
 			contentType = ingest.ContentTypeBinary
@@ -174,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			defer f.Close()
 			w = f
 		}
-		if err := write(w, set); err != nil {
+		if _, err := w.Write(buf.Bytes()); err != nil {
 			return fail(err)
 		}
 	}

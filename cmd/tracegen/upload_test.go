@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -56,9 +58,10 @@ func TestUploadRetriesAgainstFlakyServer(t *testing.T) {
 	defer ts.Close()
 
 	var stdout, stderr bytes.Buffer
+	kept := filepath.Join(t.TempDir(), "call.jsonl")
 	code := run([]string{
 		"-cell", "mosolabs", "-duration", "2", "-seed", "9",
-		"-upload", ts.URL, "-session", "flaky-call",
+		"-upload", ts.URL, "-session", "flaky-call", "-o", kept,
 		"-retries", "4", "-backoff", "1ms",
 	}, &stdout, &stderr)
 	if code != 0 {
@@ -76,7 +79,11 @@ func TestUploadRetriesAgainstFlakyServer(t *testing.T) {
 		t.Fatalf("summary missing client stats: %s", stderr.String())
 	}
 	if stdout.Len() != 0 {
-		t.Fatalf("upload-only run wrote %d bytes to stdout", stdout.Len())
+		t.Fatalf("upload run wrote %d bytes to stdout", stdout.Len())
+	}
+	// -o beside -upload keeps the bytes that were uploaded.
+	if file, err := os.ReadFile(kept); err != nil || !bytes.Equal(file, flaky.body) {
+		t.Fatalf("kept file (%d bytes, %v) differs from the uploaded body (%d bytes)", len(file), err, len(flaky.body))
 	}
 
 	// The delivered body is the same trace a plain file run produces.

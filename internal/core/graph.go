@@ -69,9 +69,6 @@ func (g *Graph) Aliases() map[string][]string { return g.aliases }
 // Nodes returns all node names in first-mention order.
 func (g *Graph) Nodes() []string { return append([]string(nil), g.order...) }
 
-// Successors returns the direct successors of a node.
-func (g *Graph) Successors(name string) []string { return g.edges[name] }
-
 // Kind classifies a node by its connectivity.
 func (g *Graph) Kind(name string) NodeKind {
 	hasOut := len(g.edges[name]) > 0

@@ -94,22 +94,6 @@ func (r *Report) ChainRatios(causes, consequences []string) map[string]map[strin
 	return out
 }
 
-// FrequencyTable computes Fig. 10: collapsed events per minute for the
-// given nodes, in their given order.
-func (r *Report) FrequencyTable(nodes []string) []NodeFrequency {
-	out := make([]NodeFrequency, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, NodeFrequency{Node: n, PerMinute: r.EventsPerMinute(n)})
-	}
-	return out
-}
-
-// NodeFrequency is one Fig. 10 bar.
-type NodeFrequency struct {
-	Node      string
-	PerMinute float64
-}
-
 // TopChains returns the chains with the most collapsed events,
 // descending, up to n.
 func (r *Report) TopChains(n int) []ChainCount {

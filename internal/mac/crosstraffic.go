@@ -132,6 +132,3 @@ func (ct *CrossTraffic) DemandPRBs(now sim.Time, slotDuration sim.Time) int {
 	}
 	return d
 }
-
-// ActiveBursts returns the number of live background bursts (telemetry).
-func (ct *CrossTraffic) ActiveBursts() int { return len(ct.burstEnds) }

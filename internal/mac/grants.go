@@ -28,15 +28,6 @@ type GrantConfig struct {
 	ProactiveBytes int `json:"proactive_bytes,omitempty"`
 }
 
-// DefaultGrantConfig returns a mid-range request–grant configuration.
-func DefaultGrantConfig() GrantConfig {
-	return GrantConfig{
-		SchedulingDelay: 12 * sim.Millisecond,
-		BSRPeriod:       2 * sim.Millisecond,
-		MaxGrantBytes:   12000,
-	}
-}
-
 // Grant is an uplink transmission opportunity for the experiment UE.
 type Grant struct {
 	// UsableAt is the earliest slot time the grant can be used.

@@ -40,18 +40,6 @@ func (n Numerology) SlotsPerSecond() int {
 	return int(sim.Second / n.SlotDuration())
 }
 
-// SubcarrierSpacingHz returns the SCS in Hz.
-func (n Numerology) SubcarrierSpacingHz() int {
-	switch n {
-	case SCS15kHz:
-		return 15_000
-	case SCS30kHz:
-		return 30_000
-	default:
-		panic(fmt.Sprintf("phy: unsupported numerology %d", n))
-	}
-}
-
 // String implements fmt.Stringer.
 func (n Numerology) String() string {
 	switch n {

@@ -271,9 +271,6 @@ func (c *Cell) SetMaxUEShare(share float64) {
 	c.cfg.MaxUEShare = share
 }
 
-// TotalPRB returns the carrier's PRB count.
-func (c *Cell) TotalPRB() int { return c.totalPRB }
-
 // Config returns the cell configuration.
 func (c *Cell) Config() CellConfig { return c.cfg }
 
@@ -546,9 +543,6 @@ type DirStats struct {
 
 // ULStats returns uplink counters.
 func (c *Cell) ULStats() DirStats { return statsOf(c.ul) }
-
-// DLStats returns downlink counters.
-func (c *Cell) DLStats() DirStats { return statsOf(c.dl) }
 
 func statsOf(d *direction) DirStats {
 	return DirStats{

@@ -532,14 +532,6 @@ func (s *Store) Len() int {
 	return n
 }
 
-// NodeNames returns every fired-node name the store has seen, in
-// dictionary (first-seen) order.
-func (s *Store) NodeNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.nodes.names...)
-}
-
 // view points r at record i's columns: fired node IDs ascending (so
 // the form is independent of block stride), the sparse columns aliased,
 // not copied.

@@ -31,8 +31,8 @@ func (d Direction) netem() netem.Direction {
 }
 
 // Target is the set of live simulation handles a Dynamic acts on: the
-// event engine plus the session's cell and wired legs. Scenario.ApplyTo
-// builds one from an rtc.Session; tests may assemble their own.
+// event engine plus the session's cell and wired legs. Scenario.Build
+// makes one of the rtc.Session it builds; tests may assemble their own.
 type Target struct {
 	Engine *sim.Engine
 	Cell   *ran.Cell

@@ -84,22 +84,6 @@ func (s Scenario) Build(seed uint64) (*rtc.Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	s.applyTo(sess)
-	return sess, nil
-}
-
-// ApplyTo arms the scenario's dynamics on an already-built session
-// (engine still at time zero). Use Build unless the session needs
-// extra wiring first.
-func (s Scenario) ApplyTo(sess *rtc.Session) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	s.applyTo(sess)
-	return nil
-}
-
-func (s Scenario) applyTo(sess *rtc.Session) {
 	t := &Target{
 		Engine:  sess.Engine,
 		Cell:    sess.Cell,
@@ -109,6 +93,7 @@ func (s Scenario) applyTo(sess *rtc.Session) {
 	for _, d := range s.Dynamics {
 		d.Apply(t)
 	}
+	return sess, nil
 }
 
 // dynEnvelope is the serialized form of one dynamic: a type tag and

@@ -9,23 +9,24 @@ import (
 	"strings"
 	"unicode/utf8"
 	"unsafe"
-
-	"github.com/domino5g/domino/internal/sim"
 )
 
-// This file is the hand-rolled JSONL codec for the trace hot path.
+// This file is the JSONL codec for the trace hot path. Both halves are
+// driven by one member list per record type, read off the record struct
+// (rowFieldsOf): the struct is where a field is named, and nothing here
+// names one.
 //
-// Encoder: append-based writers that produce byte-identical output to
-// the reflection path WriteJSONL used before (json.Marshal of each
-// record wrapped in the {"type","data"} envelope, HTML-escaped), so
-// golden traces are unchanged while encoding drops from ~3 allocations
-// per record to zero.
+// Encoder: appendRow walks the member list and appends each value, which
+// is byte for byte what json.Marshal of the record wrapped in the
+// {"type","data"} envelope (HTML-escaped) produces — the encoding/json
+// oracle in codec_test.go and the digests in golden_test.go pin that —
+// at zero allocations per record.
 //
 // Decoder: a field-scanning parser for the exact shape the encoder
 // emits (compact envelope, known field names, JSON-conformant scalars),
-// driven by a member list read off each record struct, so a row decodes
-// into storage the caller supplies: StreamReader.Next copies it into the
-// one Record it hands out, ReadBlock appends it to a block's columns.
+// walking the same member list, so a row decodes into storage the caller
+// supplies: StreamReader.Next copies it into the one Record it hands
+// out, ReadBlock appends it to a block's columns.
 // After each value the separator and the key the encoder writes next
 // are matched as one literal (`,"Dir":`), and a plain integer (at most
 // 18 digits, no leading zero, ended by a byte no number token contains)
@@ -133,32 +134,6 @@ func AppendJSONFloat(dst []byte, f float64) ([]byte, bool) {
 	return dst, true
 }
 
-// encBuf accumulates one encoded line; float errors are latched so the
-// append chains stay branch-light.
-type encBuf struct {
-	b      []byte
-	badNum bool
-}
-
-func (e *encBuf) raw(s string) { e.b = append(e.b, s...) }
-func (e *encBuf) i64(v int64)  { e.b = strconv.AppendInt(e.b, v, 10) }
-func (e *encBuf) u64(v uint64) { e.b = strconv.AppendUint(e.b, v, 10) }
-func (e *encBuf) str(s string) { e.b = AppendJSONString(e.b, s) }
-func (e *encBuf) boolv(v bool) {
-	if v {
-		e.b = append(e.b, "true"...)
-	} else {
-		e.b = append(e.b, "false"...)
-	}
-}
-func (e *encBuf) f64(v float64) {
-	var ok bool
-	e.b, ok = AppendJSONFloat(e.b, v)
-	if !ok {
-		e.badNum = true
-	}
-}
-
 // errUnsupportedFloat mirrors json.Marshal's refusal of NaN/Inf.
 type errUnsupportedFloat struct{}
 
@@ -166,158 +141,65 @@ func (errUnsupportedFloat) Error() string {
 	return "trace: unsupported float value (NaN or Inf) in record"
 }
 
-// appendHeaderLine appends the encoded header envelope (no newline).
-func appendHeaderLine(dst []byte, h *Header) []byte {
-	e := encBuf{b: dst}
-	e.raw(`{"type":"header","data":{"cell_name":`)
-	e.str(h.CellName)
-	if h.Scenario != "" { // omitempty, matching jsonHeader
-		e.raw(`,"scenario":`)
-		e.str(h.Scenario)
+// appendRow appends the envelope line (no newline) of type typ whose
+// data object is *row, walking the member list decodeRow reads the line
+// back with: every member in declaration order, an omitempty string
+// skipped when empty. A NaN or an infinity fails the line, as in
+// json.Marshal, and dst comes back as it was.
+func appendRow[T any](dst []byte, typ string, row *T, fields []rowField) ([]byte, error) {
+	b := append(append(append(dst, `{"type":"`...), typ...), `","data":{`...)
+	open, base := len(b), unsafe.Pointer(row)
+	for i := range fields {
+		f, at := &fields[i], unsafe.Add(base, fields[i].off)
+		if f.omitEmpty && *(*string)(at) == "" {
+			continue
+		}
+		if len(b) == open {
+			b = append(b, f.lit[1:]...) // the object's first member: no comma
+		} else {
+			b = append(b, f.lit...)
+		}
+		switch f.kind {
+		case reflect.Int64:
+			b = strconv.AppendInt(b, *(*int64)(at), 10)
+		case reflect.Int:
+			b = strconv.AppendInt(b, int64(*(*int)(at)), 10)
+		case reflect.Uint32:
+			b = strconv.AppendUint(b, uint64(*(*uint32)(at)), 10)
+		case reflect.Uint64:
+			b = strconv.AppendUint(b, *(*uint64)(at), 10)
+		case reflect.Float64:
+			var ok bool
+			if b, ok = AppendJSONFloat(b, *(*float64)(at)); !ok {
+				return dst, errUnsupportedFloat{}
+			}
+		case reflect.Bool:
+			b = strconv.AppendBool(b, *(*bool)(at))
+		case reflect.String:
+			b = AppendJSONString(b, *(*string)(at))
+		}
 	}
-	e.raw(`,"duration_us":`)
-	e.i64(int64(h.Duration))
-	e.raw(`,"has_gnb_log":`)
-	e.boolv(h.HasGNBLog)
-	e.raw(`}}`)
-	return e.b
+	return append(b, "}}"...), nil
 }
 
-// appendDCILine appends the encoded DCI record envelope (no newline).
-func appendDCILine(dst []byte, r *DCIRecord) []byte {
-	e := encBuf{b: dst}
-	e.raw(`{"type":"dci","data":{"At":`)
-	e.i64(int64(r.At))
-	e.raw(`,"Dir":`)
-	e.i64(int64(r.Dir))
-	e.raw(`,"RNTI":`)
-	e.u64(uint64(r.RNTI))
-	e.raw(`,"OwnPRB":`)
-	e.i64(int64(r.OwnPRB))
-	e.raw(`,"OtherPRB":`)
-	e.i64(int64(r.OtherPRB))
-	e.raw(`,"MCS":`)
-	e.i64(int64(r.MCS))
-	e.raw(`,"TBSBits":`)
-	e.i64(int64(r.TBSBits))
-	e.raw(`,"UsedBits":`)
-	e.i64(int64(r.UsedBits))
-	e.raw(`,"HARQRetx":`)
-	e.boolv(r.HARQRetx)
-	e.raw(`,"RLCRetx":`)
-	e.boolv(r.RLCRetx)
-	e.raw(`,"Proactive":`)
-	e.boolv(r.Proactive)
-	e.raw(`,"Unused":`)
-	e.boolv(r.Unused)
-	e.raw(`}}`)
-	return e.b
-}
-
-// appendGNBLine appends the encoded gNB-log record envelope.
-func appendGNBLine(dst []byte, r *GNBLogRecord) []byte {
-	e := encBuf{b: dst}
-	e.raw(`{"type":"gnb","data":{"At":`)
-	e.i64(int64(r.At))
-	e.raw(`,"Kind":`)
-	e.i64(int64(r.Kind))
-	e.raw(`,"Dir":`)
-	e.i64(int64(r.Dir))
-	e.raw(`,"BufferBytes":`)
-	e.i64(int64(r.BufferBytes))
-	e.raw(`,"RNTI":`)
-	e.u64(uint64(r.RNTI))
-	e.raw(`,"Note":`)
-	e.str(r.Note)
-	e.raw(`}}`)
-	return e.b
-}
-
-// appendPacketLine appends the encoded packet record envelope.
-func appendPacketLine(dst []byte, r *PacketRecord) []byte {
-	e := encBuf{b: dst}
-	e.raw(`{"type":"pkt","data":{"Seq":`)
-	e.u64(r.Seq)
-	e.raw(`,"Kind":`)
-	e.i64(int64(r.Kind))
-	e.raw(`,"Dir":`)
-	e.i64(int64(r.Dir))
-	e.raw(`,"Size":`)
-	e.i64(int64(r.Size))
-	e.raw(`,"SentAt":`)
-	e.i64(int64(r.SentAt))
-	e.raw(`,"Arrived":`)
-	e.i64(int64(r.Arrived))
-	e.raw(`}}`)
-	return e.b
-}
-
-// appendStatsLine appends the encoded WebRTC stats record envelope. The
-// error mirrors json.Marshal's NaN/Inf rejection.
-func appendStatsLine(dst []byte, r *WebRTCStatsRecord) ([]byte, error) {
-	e := encBuf{b: dst}
-	e.raw(`{"type":"stats","data":{"At":`)
-	e.i64(int64(r.At))
-	e.raw(`,"Local":`)
-	e.boolv(r.Local)
-	e.raw(`,"InboundFPS":`)
-	e.f64(r.InboundFPS)
-	e.raw(`,"OutboundFPS":`)
-	e.f64(r.OutboundFPS)
-	e.raw(`,"OutboundHeight":`)
-	e.i64(int64(r.OutboundHeight))
-	e.raw(`,"InboundHeight":`)
-	e.i64(int64(r.InboundHeight))
-	e.raw(`,"VideoJBDelayMs":`)
-	e.f64(r.VideoJBDelayMs)
-	e.raw(`,"AudioJBDelayMs":`)
-	e.f64(r.AudioJBDelayMs)
-	e.raw(`,"MinJBDelayMs":`)
-	e.f64(r.MinJBDelayMs)
-	e.raw(`,"FrozenNow":`)
-	e.boolv(r.FrozenNow)
-	e.raw(`,"FreezeTotalMs":`)
-	e.f64(r.FreezeTotalMs)
-	e.raw(`,"ConcealedSamples":`)
-	e.u64(r.ConcealedSamples)
-	e.raw(`,"TotalSamples":`)
-	e.u64(r.TotalSamples)
-	e.raw(`,"TargetBitrateBps":`)
-	e.f64(r.TargetBitrateBps)
-	e.raw(`,"PushbackRateBps":`)
-	e.f64(r.PushbackRateBps)
-	e.raw(`,"OutstandingBytes":`)
-	e.i64(int64(r.OutstandingBytes))
-	e.raw(`,"CongestionWindow":`)
-	e.i64(int64(r.CongestionWindow))
-	e.raw(`,"GCCNetState":`)
-	e.i64(int64(r.GCCNetState))
-	e.raw(`,"TrendlineSlope":`)
-	e.f64(r.TrendlineSlope)
-	e.raw(`,"TrendlineThreshold":`)
-	e.f64(r.TrendlineThreshold)
-	e.raw(`,"AckedBitrateBps":`)
-	e.f64(r.AckedBitrateBps)
-	e.raw(`}}`)
-	if e.badNum {
-		return dst, errUnsupportedFloat{}
+// appendLine appends the envelope line of a header or data record.
+func appendLine(dst []byte, rec Record) ([]byte, error) {
+	switch {
+	case rec.Header != nil:
+		h := jsonHeader(*rec.Header)
+		return appendRow(dst, "header", &h, headerFields)
+	case rec.DCI != nil:
+		return appendRow(dst, "dci", rec.DCI, dciFields)
+	case rec.GNB != nil:
+		return appendRow(dst, "gnb", rec.GNB, gnbFields)
+	case rec.Packet != nil:
+		return appendRow(dst, "pkt", rec.Packet, pktFields)
+	case rec.Stats != nil:
+		return appendRow(dst, "stats", rec.Stats, statsFields)
+	case rec.RRC != nil:
+		return appendRow(dst, "rrc", rec.RRC, rrcFields)
 	}
-	return e.b, nil
-}
-
-// appendRRCLine appends the encoded RRC record envelope.
-func appendRRCLine(dst []byte, r *RRCRecord) []byte {
-	e := encBuf{b: dst}
-	e.raw(`{"type":"rrc","data":{"At":`)
-	e.i64(int64(r.At))
-	e.raw(`,"Connected":`)
-	e.boolv(r.Connected)
-	e.raw(`,"RNTI":`)
-	e.u64(uint64(r.RNTI))
-	e.raw(`,"Cause":`)
-	e.str(r.Cause)
-	e.raw(`}}`)
-	return e.b
+	return dst, nil
 }
 
 // --- Decoder fast path ---
@@ -660,34 +542,40 @@ func (p *lineParser) endField() bool {
 }
 
 // rowField is one member of a record type's JSON object: its key as the
-// encoder writes it after another member (`,"Dir":`), and where in the
-// row, and as what, its value is stored.
+// encoder writes it after another member (`,"Dir":`), where in the row,
+// and as what, its value is stored, and whether the encoder leaves an
+// empty one out.
 type rowField struct {
-	lit  string
-	off  uintptr
-	kind reflect.Kind
+	lit       string
+	off       uintptr
+	kind      reflect.Kind
+	omitEmpty bool
 }
 
 // rowFieldsOf lists a row type's members from the struct itself, the
 // way encoding/json — the oracle — reads it: keyed by json tag or else
-// field name, in declaration order, which is the order the encoder
-// writes them in. The struct is therefore the only place that names a
-// record type's fields to the decoder.
+// field name, in declaration order, an omitempty string left out when
+// empty. The struct is therefore the only place that names a record
+// type's fields to the JSONL codec, encoder and decoder both.
 func rowFieldsOf(row any) []rowField {
 	t := reflect.TypeOf(row)
 	fs := make([]rowField, t.NumField())
 	for i := range fs {
 		sf := t.Field(i)
-		name, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		name, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
 		if name == "" {
 			name = sf.Name
 		}
-		switch sf.Type.Kind() {
+		kind := sf.Type.Kind()
+		switch kind {
 		case reflect.Int64, reflect.Int, reflect.Uint32, reflect.Uint64, reflect.Float64, reflect.Bool, reflect.String:
 		default:
-			panic("trace: no fast decoder for " + t.Name() + "." + sf.Name)
+			panic("trace: no fast codec for " + t.Name() + "." + sf.Name)
 		}
-		fs[i] = rowField{lit: `,"` + name + `":`, off: sf.Offset, kind: sf.Type.Kind()}
+		if opts != "" && (opts != "omitempty" || kind != reflect.String) {
+			panic("trace: no fast codec for the json options of " + t.Name() + "." + sf.Name)
+		}
+		fs[i] = rowField{lit: `,"` + name + `":`, off: sf.Offset, kind: kind, omitEmpty: opts != ""}
 	}
 	return fs
 }
@@ -776,7 +664,8 @@ type lineRow struct {
 
 // header returns the decoded header line.
 func (r *lineRow) header() *Header {
-	return &Header{CellName: r.hdr.CellName, Scenario: r.hdr.Scenario, Duration: sim.Time(r.hdr.Duration), HasGNBLog: r.hdr.HasGNBLog}
+	h := Header(r.hdr)
+	return &h
 }
 
 // record materialises the data row of the given kind as a Record.

@@ -72,7 +72,7 @@ func BenchmarkCodecEncode(b *testing.B) {
 			allocs += mallocsDelta(func() {
 				for k := range recs {
 					var err error
-					buf, err = fastEncodeRecord(buf[:0], recs[k])
+					buf, err = appendLine(buf[:0], recs[k])
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -113,7 +113,7 @@ func BenchmarkCodecDecode(b *testing.B) {
 	recs := benchCorpus()
 	lines := make([][]byte, len(recs))
 	for i := range recs {
-		line, err := fastEncodeRecord(nil, recs[i])
+		line, err := appendLine(nil, recs[i])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,6 +22,13 @@ import (
 // identical — codec_binary_test.go and the root-package scenario
 // differential pin that, mirroring PR 4's fast-vs-stdlib pattern.
 //
+// A block on the wire is a trace.Block, column for column, and both
+// directions go through one: the writer pends records in a Block's
+// columns and flushBlock writes them with one put* call per column, the
+// reader's decodeBlock fills a Block with one call per column in the
+// same order. A record field is named once on each side (a stats field
+// once for both, in wireColumns).
+//
 // Layout (all integers varint-encoded unless noted):
 //
 //	stream := magic frame*
@@ -76,19 +83,20 @@ const (
 var seriesNames = [NumSeries]string{"dci", "gnb", "pkt", "stats", "rrc"}
 
 // BinaryWriter encodes a trace stream into the binary columnar format:
-// a header first, then records in timestamp order, Close to flush the
-// final partial block and the end frame. The zero value is not usable;
-// use NewBinaryWriter.
+// a header first, then records in timestamp order — copied into the
+// pending block's columns, which go out every defaultBinaryBlockSize
+// records — and Close to flush the final partial block and the end
+// frame. The zero value is not usable; use NewBinaryWriter.
 type BinaryWriter struct {
 	w      *bufio.Writer
 	dict   map[string]uint64
 	nextID uint64
 	fresh  []string // strings interned since the last dict frame
 
-	blockSize int
-	pend      []Record
-	lastAt    [NumSeries]sim.Time
-	total     uint64
+	blk      Block    // the records pending, in the columns flushBlock writes
+	statInts []uint64 // their stats integer columns, transposed
+	lastAt   [NumSeries]sim.Time
+	total    uint64
 
 	wroteHeader bool
 	closed      bool
@@ -103,13 +111,7 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	if !ok {
 		bw = bufio.NewWriterSize(w, 1<<16)
 	}
-	return &BinaryWriter{
-		w:         bw,
-		dict:      make(map[string]uint64, 16),
-		blockSize: defaultBinaryBlockSize,
-		pend:      make([]Record, 0, defaultBinaryBlockSize),
-		scratch:   make([]byte, 0, 1<<14),
-	}
+	return &BinaryWriter{w: bw, dict: make(map[string]uint64, 16), scratch: make([]byte, 0, 1<<14)}
 }
 
 func (w *BinaryWriter) intern(s string) uint64 {
@@ -213,12 +215,32 @@ func (w *BinaryWriter) WriteRecord(rec Record) error {
 		w.err = fmt.Errorf("trace: binary: record before header")
 		return w.err
 	}
-	if rec.IsZero() {
+	// Strings are interned as they arrive, so dictionary IDs follow the
+	// stream's order; the dict frame goes out ahead of the block.
+	b := &w.blk
+	switch {
+	case rec.DCI != nil:
+		b.Tags = append(b.Tags, SeriesDCI)
+		b.DCI.append(rec.DCI)
+	case rec.GNB != nil:
+		w.intern(rec.GNB.Note)
+		b.Tags = append(b.Tags, SeriesGNB)
+		b.GNB.append(rec.GNB)
+	case rec.Packet != nil:
+		b.Tags = append(b.Tags, SeriesPkt)
+		b.Pkt.append(rec.Packet)
+	case rec.Stats != nil:
+		b.Tags = append(b.Tags, SeriesStats)
+		b.Stats, b.StatsAt = append(b.Stats, *rec.Stats), append(b.StatsAt, rec.Stats.At)
+	case rec.RRC != nil:
+		w.intern(rec.RRC.Cause)
+		b.Tags = append(b.Tags, SeriesRRC)
+		b.RRC.append(rec.RRC)
+	default:
 		w.err = fmt.Errorf("trace: binary: empty record")
 		return w.err
 	}
-	w.pend = append(w.pend, rec)
-	if len(w.pend) >= w.blockSize {
+	if len(b.Tags) >= defaultBinaryBlockSize {
 		w.flushBlock()
 	}
 	return w.err
@@ -248,223 +270,132 @@ func (w *BinaryWriter) Close() error {
 	return w.err
 }
 
-func appendFloatCol(b []byte, recs []Record, get func(Record) float64) []byte {
-	for _, r := range recs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(get(r)))
+// The column encoders below are the column decoders (ints, times,
+// strings) turned around; a flags column is its bytes.
+
+// putInts appends a column of varints, zigzag-encoded when signed.
+func putInts[T ~int | ~int64 | ~uint32 | ~uint64](b []byte, col []T, signed bool) []byte {
+	for _, v := range col {
+		if signed {
+			b = binary.AppendVarint(b, int64(v))
+		} else {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
 	}
 	return b
 }
 
-// flushBlock encodes the pending records as (optionally) a dict frame
-// followed by one block frame.
+// putTimes appends a column of times as zigzag deltas against *last
+// (the series' previous timestamp, carried across blocks).
+func putTimes(b []byte, col []sim.Time, last *sim.Time) []byte {
+	t := *last
+	for _, at := range col {
+		b = binary.AppendVarint(b, int64(at-t))
+		t = at
+	}
+	*last = t
+	return b
+}
+
+// putStrings appends a column of dictionary references; WriteRecord
+// interned every string of it.
+func (w *BinaryWriter) putStrings(b []byte, col []string) []byte {
+	for _, s := range col {
+		b = binary.AppendUvarint(b, w.dict[s])
+	}
+	return b
+}
+
+// The stats section is a time column, a flags column, then statsFloats
+// float columns and statsSigned + statsUnsigned integer columns.
+const statsFloats, statsSigned, statsUnsigned = 11, 5, 2
+
+// wireColumns lists the fields of a stats row behind those columns, in
+// wire order. The writer and decodeBlock both transpose through it, so
+// it is the one place that names them to the binary codec.
+func (r *WebRTCStatsRecord) wireColumns() (f [statsFloats]*float64, n [statsSigned]*int, u [statsUnsigned]*uint64) {
+	return [...]*float64{&r.InboundFPS, &r.OutboundFPS, &r.VideoJBDelayMs, &r.AudioJBDelayMs, &r.MinJBDelayMs, &r.FreezeTotalMs,
+			&r.TargetBitrateBps, &r.PushbackRateBps, &r.TrendlineSlope, &r.TrendlineThreshold, &r.AckedBitrateBps},
+		[...]*int{&r.OutboundHeight, &r.InboundHeight, &r.OutstandingBytes, &r.CongestionWindow, (*int)(&r.GCCNetState)},
+		[...]*uint64{&r.ConcealedSamples, &r.TotalSamples}
+}
+
+// flushBlock writes the pending block as (optionally) a dict frame
+// followed by one block frame: decodeBlock, column for column.
 func (w *BinaryWriter) flushBlock() {
-	if w.err != nil || len(w.pend) == 0 {
+	blk := &w.blk
+	if w.err != nil || len(blk.Tags) == 0 {
 		return
 	}
-	// First pass: intern strings so the dict frame precedes the block,
-	// and split the block into per-series record lists.
-	var bySeries [NumSeries][]Record
-	for _, rec := range w.pend {
-		switch {
-		case rec.DCI != nil:
-			bySeries[SeriesDCI] = append(bySeries[SeriesDCI], rec)
-		case rec.GNB != nil:
-			w.intern(rec.GNB.Note)
-			bySeries[SeriesGNB] = append(bySeries[SeriesGNB], rec)
-		case rec.Packet != nil:
-			bySeries[SeriesPkt] = append(bySeries[SeriesPkt], rec)
-		case rec.Stats != nil:
-			bySeries[SeriesStats] = append(bySeries[SeriesStats], rec)
-		case rec.RRC != nil:
-			w.intern(rec.RRC.Cause)
-			bySeries[SeriesRRC] = append(bySeries[SeriesRRC], rec)
-		}
-	}
 	w.flushDict()
+	b := binary.AppendUvarint(w.scratch[:0], uint64(len(blk.Tags)))
+	b = append(b, blk.Tags...)
 
-	b := w.scratch[:0]
-	b = binary.AppendUvarint(b, uint64(len(w.pend)))
-	for _, rec := range w.pend {
-		switch {
-		case rec.DCI != nil:
-			b = append(b, SeriesDCI)
-		case rec.GNB != nil:
-			b = append(b, SeriesGNB)
-		case rec.Packet != nil:
-			b = append(b, SeriesPkt)
-		case rec.Stats != nil:
-			b = append(b, SeriesStats)
-		case rec.RRC != nil:
-			b = append(b, SeriesRRC)
-		}
-	}
+	d := &blk.DCI
+	b = putTimes(b, d.At, &w.lastAt[SeriesDCI])
+	b = putInts(b, d.Dir, true)
+	b = putInts(b, d.RNTI, false)
+	b = putInts(b, d.OwnPRB, true)
+	b = putInts(b, d.OtherPRB, true)
+	b = putInts(b, d.MCS, true)
+	b = putInts(b, d.TBSBits, true)
+	b = putInts(b, d.UsedBits, true)
+	b = append(b, d.Flags...)
 
-	if recs := bySeries[SeriesDCI]; len(recs) > 0 {
-		last := w.lastAt[SeriesDCI]
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.DCI.At-last))
-			last = r.DCI.At
+	g := &blk.GNB
+	b = putTimes(b, g.At, &w.lastAt[SeriesGNB])
+	b = putInts(b, g.Kind, true)
+	b = putInts(b, g.Dir, true)
+	b = putInts(b, g.BufferBytes, true)
+	b = putInts(b, g.RNTI, false)
+	b = w.putStrings(b, g.Note)
+
+	p := &blk.Pkt
+	b = putTimes(b, p.SentAt, &w.lastAt[SeriesPkt])
+	// Arrival is encoded relative to the same packet's send time: the
+	// one-way delay is small and positive in real traces.
+	for i, sent := range p.SentAt {
+		p.Arrived[i] -= sent
+	}
+	b = putInts(b, p.Arrived, true)
+	b = putInts(b, p.Seq, false)
+	b = putInts(b, p.Kind, true)
+	b = putInts(b, p.Dir, true)
+	b = putInts(b, p.Size, true)
+
+	// The stats rows are transposed into the section's columns: the
+	// flag bytes and the fixed-width floats in place, the integers
+	// through statInts.
+	m := len(blk.Stats)
+	b = putTimes(b, blk.StatsAt, &w.lastAt[SeriesStats])
+	fl, fp := len(b), len(b)+m
+	b = append(b, make([]byte, m+statsFloats*8*m)...)
+	w.statInts = grow(w.statInts, (statsSigned+statsUnsigned)*m)
+	for i := range blk.Stats {
+		row := &blk.Stats[i]
+		b[fl+i] = flag(row.Local, StatsFlagLocal) | flag(row.FrozenNow, StatsFlagFrozen)
+		f, n, u := row.wireColumns()
+		for col, v := range f {
+			binary.LittleEndian.PutUint64(b[fp+8*(col*m+i):], math.Float64bits(*v))
 		}
-		w.lastAt[SeriesDCI] = last
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.DCI.Dir))
+		for col, v := range n {
+			z := int64(*v)
+			w.statInts[col*m+i] = uint64(z)<<1 ^ uint64(z>>63) // zigzag encode
 		}
-		for _, r := range recs {
-			b = binary.AppendUvarint(b, uint64(r.DCI.RNTI))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.DCI.OwnPRB))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.DCI.OtherPRB))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.DCI.MCS))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.DCI.TBSBits))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.DCI.UsedBits))
-		}
-		for _, r := range recs {
-			var f byte
-			if r.DCI.HARQRetx {
-				f |= 1
-			}
-			if r.DCI.RLCRetx {
-				f |= 2
-			}
-			if r.DCI.Proactive {
-				f |= 4
-			}
-			if r.DCI.Unused {
-				f |= 8
-			}
-			b = append(b, f)
+		for col, v := range u {
+			w.statInts[(len(n)+col)*m+i] = *v
 		}
 	}
-	if recs := bySeries[SeriesGNB]; len(recs) > 0 {
-		last := w.lastAt[SeriesGNB]
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.GNB.At-last))
-			last = r.GNB.At
-		}
-		w.lastAt[SeriesGNB] = last
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.GNB.Kind))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.GNB.Dir))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.GNB.BufferBytes))
-		}
-		for _, r := range recs {
-			b = binary.AppendUvarint(b, uint64(r.GNB.RNTI))
-		}
-		for _, r := range recs {
-			b = binary.AppendUvarint(b, w.dict[r.GNB.Note])
-		}
-	}
-	if recs := bySeries[SeriesPkt]; len(recs) > 0 {
-		last := w.lastAt[SeriesPkt]
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.Packet.SentAt-last))
-			last = r.Packet.SentAt
-		}
-		w.lastAt[SeriesPkt] = last
-		// Arrival is encoded relative to the same packet's send time:
-		// the one-way delay is small and positive in real traces.
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.Packet.Arrived-r.Packet.SentAt))
-		}
-		for _, r := range recs {
-			b = binary.AppendUvarint(b, r.Packet.Seq)
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.Packet.Kind))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.Packet.Dir))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.Packet.Size))
-		}
-	}
-	if recs := bySeries[SeriesStats]; len(recs) > 0 {
-		last := w.lastAt[SeriesStats]
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.Stats.At-last))
-			last = r.Stats.At
-		}
-		w.lastAt[SeriesStats] = last
-		for _, r := range recs {
-			var f byte
-			if r.Stats.Local {
-				f |= 1
-			}
-			if r.Stats.FrozenNow {
-				f |= 2
-			}
-			b = append(b, f)
-		}
-		b = appendFloatCol(b, recs, func(r Record) float64 { return r.Stats.InboundFPS })
-		b = appendFloatCol(b, recs, func(r Record) float64 { return r.Stats.OutboundFPS })
-		b = appendFloatCol(b, recs, func(r Record) float64 { return r.Stats.VideoJBDelayMs })
-		b = appendFloatCol(b, recs, func(r Record) float64 { return r.Stats.AudioJBDelayMs })
-		b = appendFloatCol(b, recs, func(r Record) float64 { return r.Stats.MinJBDelayMs })
-		b = appendFloatCol(b, recs, func(r Record) float64 { return r.Stats.FreezeTotalMs })
-		b = appendFloatCol(b, recs, func(r Record) float64 { return r.Stats.TargetBitrateBps })
-		b = appendFloatCol(b, recs, func(r Record) float64 { return r.Stats.PushbackRateBps })
-		b = appendFloatCol(b, recs, func(r Record) float64 { return r.Stats.TrendlineSlope })
-		b = appendFloatCol(b, recs, func(r Record) float64 { return r.Stats.TrendlineThreshold })
-		b = appendFloatCol(b, recs, func(r Record) float64 { return r.Stats.AckedBitrateBps })
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.Stats.OutboundHeight))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.Stats.InboundHeight))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.Stats.OutstandingBytes))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.Stats.CongestionWindow))
-		}
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.Stats.GCCNetState))
-		}
-		for _, r := range recs {
-			b = binary.AppendUvarint(b, r.Stats.ConcealedSamples)
-		}
-		for _, r := range recs {
-			b = binary.AppendUvarint(b, r.Stats.TotalSamples)
-		}
-	}
-	if recs := bySeries[SeriesRRC]; len(recs) > 0 {
-		last := w.lastAt[SeriesRRC]
-		for _, r := range recs {
-			b = binary.AppendVarint(b, int64(r.RRC.At-last))
-			last = r.RRC.At
-		}
-		w.lastAt[SeriesRRC] = last
-		for _, r := range recs {
-			var f byte
-			if r.RRC.Connected {
-				f |= 1
-			}
-			b = append(b, f)
-		}
-		for _, r := range recs {
-			b = binary.AppendUvarint(b, uint64(r.RRC.RNTI))
-		}
-		for _, r := range recs {
-			b = binary.AppendUvarint(b, w.dict[r.RRC.Cause])
-		}
-	}
-	w.total += uint64(len(w.pend))
-	w.pend = w.pend[:0]
+	b = putInts(b, w.statInts, false)
+
+	r := &blk.RRC
+	b = putTimes(b, r.At, &w.lastAt[SeriesRRC])
+	b = append(b, r.Flags...)
+	b = putInts(b, r.RNTI, false)
+	b = w.putStrings(b, r.Cause)
+
+	w.total += uint64(len(blk.Tags))
+	blk.reset()
 	w.emitFrame(frameBlock, b)
 }
 
@@ -1028,27 +959,29 @@ func (sr *BinaryStreamReader) decodeBlock(payload []byte, b *Block) error {
 	p.Dir = ints(c, p.Dir, m, true, "pkt dir")
 	p.Size = ints(c, p.Size, m, true, "pkt size")
 
-	// The stats section is decoded whole — the flag bytes, the eleven
-	// float columns and the seven integer columns are each contiguous —
-	// and then transposed into rows.
+	// The stats section is decoded whole — the flag bytes, the float
+	// columns and the integer columns are each contiguous — and then
+	// transposed into rows.
 	m = counts[SeriesStats]
 	b.StatsAt = times(c, b.StatsAt, m, &sr.lastAt[SeriesStats], "stats at")
 	b.Stats = grow(b.Stats, m)
 	fl := c.bytes(m, "stats flags")
-	fp := c.bytes(11*8*m, "stats float columns")
-	sr.statInts = ints(c, sr.statInts, 7*m, false, "stats integer columns")
+	fp := c.bytes(statsFloats*8*m, "stats float columns")
+	sr.statInts = ints(c, sr.statInts, (statsSigned+statsUnsigned)*m, false, "stats integer columns")
 	if c.err == nil {
-		f := func(col, i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(fp[8*(col*m+i):])) }
-		u := func(col, i int) uint64 { return sr.statInts[col*m+i] }
-		n := func(col, i int) int { return int(u(col, i)>>1 ^ -(u(col, i) & 1)) } // zigzag decode
 		for i, at := range b.StatsAt {
-			b.Stats[i] = WebRTCStatsRecord{
-				At: at, Local: fl[i]&StatsFlagLocal != 0, FrozenNow: fl[i]&StatsFlagFrozen != 0,
-				InboundFPS: f(0, i), OutboundFPS: f(1, i), VideoJBDelayMs: f(2, i), AudioJBDelayMs: f(3, i),
-				MinJBDelayMs: f(4, i), FreezeTotalMs: f(5, i), TargetBitrateBps: f(6, i), PushbackRateBps: f(7, i),
-				TrendlineSlope: f(8, i), TrendlineThreshold: f(9, i), AckedBitrateBps: f(10, i),
-				OutboundHeight: n(0, i), InboundHeight: n(1, i), OutstandingBytes: n(2, i), CongestionWindow: n(3, i),
-				GCCNetState: GCCState(n(4, i)), ConcealedSamples: u(5, i), TotalSamples: u(6, i),
+			row := &b.Stats[i]
+			*row = WebRTCStatsRecord{At: at, Local: fl[i]&StatsFlagLocal != 0, FrozenNow: fl[i]&StatsFlagFrozen != 0}
+			f, n, u := row.wireColumns()
+			for col, v := range f {
+				*v = math.Float64frombits(binary.LittleEndian.Uint64(fp[8*(col*m+i):]))
+			}
+			for col, v := range n {
+				z := sr.statInts[col*m+i]
+				*v = int(z>>1 ^ -(z & 1)) // zigzag decode
+			}
+			for col, v := range u {
+				*v = sr.statInts[(len(n)+col)*m+i]
 			}
 		}
 	}

@@ -41,7 +41,8 @@ func oracleDecodeLine(line []byte) (Record, error) {
 		if err := json.Unmarshal(l.Data, &h); err != nil {
 			return Record{}, err
 		}
-		return Record{Header: &Header{CellName: h.CellName, Scenario: h.Scenario, Duration: sim.Time(h.Duration), HasGNBLog: h.HasGNBLog}}, nil
+		hdr := Header(h)
+		return Record{Header: &hdr}, nil
 	case "dci":
 		var v DCIRecord
 		return Record{DCI: &v}, json.Unmarshal(l.Data, &v)
@@ -80,25 +81,6 @@ type errUnknownType string
 
 func (e errUnknownType) Error() string { return "unknown record type " + string(e) }
 
-// fastEncodeRecord dispatches to the append encoder for one record.
-func fastEncodeRecord(dst []byte, rec Record) ([]byte, error) {
-	switch {
-	case rec.Header != nil:
-		return appendHeaderLine(dst, rec.Header), nil
-	case rec.DCI != nil:
-		return appendDCILine(dst, rec.DCI), nil
-	case rec.GNB != nil:
-		return appendGNBLine(dst, rec.GNB), nil
-	case rec.Packet != nil:
-		return appendPacketLine(dst, rec.Packet), nil
-	case rec.Stats != nil:
-		return appendStatsLine(dst, rec.Stats)
-	case rec.RRC != nil:
-		return appendRRCLine(dst, rec.RRC), nil
-	}
-	return dst, nil
-}
-
 func recordTypeName(rec Record) string {
 	switch {
 	case rec.Header != nil:
@@ -120,7 +102,7 @@ func recordTypeName(rec Record) string {
 func recordPayload(rec Record) any {
 	switch {
 	case rec.Header != nil:
-		return jsonHeader{CellName: rec.Header.CellName, Scenario: rec.Header.Scenario, Duration: int64(rec.Header.Duration), HasGNBLog: rec.Header.HasGNBLog}
+		return jsonHeader(*rec.Header)
 	case rec.DCI != nil:
 		return *rec.DCI
 	case rec.GNB != nil:
@@ -139,7 +121,7 @@ func recordPayload(rec Record) any {
 // record, including error agreement (NaN/Inf).
 func checkEncodeMatchesOracle(t *testing.T, rec Record) {
 	t.Helper()
-	fast, fastErr := fastEncodeRecord(nil, rec)
+	fast, fastErr := appendLine(nil, rec)
 	want, oracleErr := oracleLine(t, recordTypeName(rec), recordPayload(rec))
 	if (fastErr == nil) != (oracleErr == nil) {
 		t.Fatalf("error disagreement: fast=%v oracle=%v for %+v", fastErr, oracleErr, rec)
@@ -344,12 +326,11 @@ func TestEncodeAllocs(t *testing.T) {
 	stats := WebRTCStatsRecord{At: 555, InboundFPS: 29.97, TargetBitrateBps: 2.5e6}
 	buf := make([]byte, 0, 4096)
 	if avg := testing.AllocsPerRun(200, func() {
-		buf = appendDCILine(buf[:0], &dci)
-		buf = appendPacketLine(buf[:0], &pkt)
-		var err error
-		buf, err = appendStatsLine(buf[:0], &stats)
-		if err != nil {
-			t.Fatal(err)
+		for _, rec := range []Record{{DCI: &dci}, {Packet: &pkt}, {Stats: &stats}} {
+			var err error
+			if buf, err = appendLine(buf[:0], rec); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}); avg != 0 {
 		t.Fatalf("encode allocates %v/record-batch, want 0", avg)

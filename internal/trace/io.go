@@ -27,13 +27,14 @@ type jsonLine struct {
 	Data json.RawMessage `json:"data"`
 }
 
+// jsonHeader is Header with the header line's keys: the two convert.
 type jsonHeader struct {
 	CellName string `json:"cell_name"`
 	// Scenario is omitted when empty so pre-scenario traces round-trip
 	// byte-identically.
-	Scenario  string `json:"scenario,omitempty"`
-	Duration  int64  `json:"duration_us"`
-	HasGNBLog bool   `json:"has_gnb_log"`
+	Scenario  string   `json:"scenario,omitempty"`
+	Duration  sim.Time `json:"duration_us"`
+	HasGNBLog bool     `json:"has_gnb_log"`
 }
 
 // forEachMerged yields every record of the set (header excluded) in
@@ -97,40 +98,24 @@ func forEachMerged(set *Set, fn func(Record) error) error {
 
 // WriteJSONL serializes the set: a header line, then every record in
 // timestamp order. The caller's set is not mutated. Lines are built by
-// the hand-rolled append encoder in codec.go — byte-identical to the
-// reflection-based encoding this replaced (codec_test.go pins that
+// the append encoder in codec.go — byte-identical to the
+// reflection-based encoding it replaced (codec_test.go pins that
 // against the encoding/json oracle) with zero allocations per record.
 func WriteJSONL(w io.Writer, set *Set) error {
 	bw := bufio.NewWriter(w)
 	buf := make([]byte, 0, 1024)
-	hdr := Header{CellName: set.CellName, Scenario: set.Scenario, Duration: set.Duration, HasGNBLog: set.HasGNBLog}
-	buf = appendHeaderLine(buf[:0], &hdr)
-	buf = append(buf, '\n')
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	err := forEachMerged(set, func(rec Record) error {
-		var encErr error
-		switch {
-		case rec.DCI != nil:
-			buf = appendDCILine(buf[:0], rec.DCI)
-		case rec.GNB != nil:
-			buf = appendGNBLine(buf[:0], rec.GNB)
-		case rec.Packet != nil:
-			buf = appendPacketLine(buf[:0], rec.Packet)
-		case rec.Stats != nil:
-			buf, encErr = appendStatsLine(buf[:0], rec.Stats)
-		case rec.RRC != nil:
-			buf = appendRRCLine(buf[:0], rec.RRC)
-		}
-		if encErr != nil {
-			return encErr
+	line := func(rec Record) (err error) {
+		if buf, err = appendLine(buf[:0], rec); err != nil {
+			return err
 		}
 		buf = append(buf, '\n')
-		_, werr := bw.Write(buf)
-		return werr
-	})
-	if err != nil {
+		_, err = bw.Write(buf)
+		return err
+	}
+	if err := line(Record{Header: &Header{CellName: set.CellName, Scenario: set.Scenario, Duration: set.Duration, HasGNBLog: set.HasGNBLog}}); err != nil {
+		return err
+	}
+	if err := forEachMerged(set, line); err != nil {
 		return err
 	}
 	return bw.Flush()

@@ -99,9 +99,6 @@ func (sr *StreamReader) Header() (Header, bool) {
 	return *sr.hdr, true
 }
 
-// Line returns the number of lines consumed so far.
-func (sr *StreamReader) Line() int { return sr.lineNo }
-
 // SlowLines returns how many of the lines consumed so far were not in
 // the fast decoder's subset (whitespace aside: reordered or unknown
 // keys, escapes, nulls, exotic numbers, malformed lines) and went
