@@ -32,6 +32,7 @@ test:
 # and the block analysis path behind them, and the RCA store's in-block
 # row selection against a plain loop, under the fuzzer for a few seconds
 # each — `-fuzz` takes one target and one package per run.
+# FuzzFastNumber holds the JSONL number parsers to encoding/json.
 # A failing input is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryStreamReader$$' -fuzztime 5s ./internal/trace
@@ -39,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecDifferential$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONLBlock$$' -fuzztime 5s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzFastNumber$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzPushBlock$$' -fuzztime 5s ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/rcastore

@@ -6,6 +6,7 @@ package balancer
 // live in fleet_test.go and share the helpers here.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -415,24 +416,41 @@ func TestDrainStopsNewSessionsWhileFailingOverPinned(t *testing.T) {
 
 // TestDrainingCodeRepinsOtherCodesDoNot pins how the balancer reads a
 // node's 503: only the typed draining rejection marks the backend
-// draining (so the client's retry re-pins); any other 503 — here an
-// interrupted-body suspension whose text even contains the word
-// "draining" — leaves the backend up and the pin where it was.
+// draining (so the client's retry re-pins); any other 503 — here a busy
+// session whose text even contains the word "draining" — leaves the
+// backend up and the pin where it was.
 func TestDrainingCodeRepinsOtherCodesDoNot(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b) // no prober: only the data path can notice
 
-	const id = "code-sess"
+	const id = "not-draining"
 	payload := sessionJSONL(t, ran.Presets()[0], 24, 3*sim.Second)
 	chunks, seqs := splitLines(payload, 3)
 	mustPost(t, ts.URL, id, seqs[0], false, chunks[0], http.StatusAccepted)
 	owner, other := ownerAndOther(lb, id, a, b)
 
-	// A resumable chunk the decoder chokes on suspends the session: 503,
-	// code interrupted, and the decode error quotes the offending type.
-	torn := mustPost(t, ts.URL, id, seqs[1], false, []byte(`{"type":"draining"}`+"\n"), http.StatusServiceUnavailable)
-	if ingest.ErrorCode(torn) != ingest.CodeInterrupted || !strings.Contains(string(torn), "draining") {
-		t.Fatalf("torn chunk answered %s, want code interrupted quoting the bad type", torn)
+	// An upload sent to the node directly, all but the last line of its
+	// body written and the body held open, owns the session there once
+	// its first block lands: the node answers the balancer's chunk, when
+	// its hand-over wait runs out, with 503 busy, naming the session.
+	pr, pw := io.Pipe()
+	held := make(chan *http.Response, 1)
+	go func() { held <- postChunk(t, owner.ts.URL, id, ingest.ContentTypeJSONL, seqs[1], false, pr) }()
+	last := bytes.LastIndexByte(chunks[1][:len(chunks[1])-1], '\n') + 1
+	go pw.Write(chunks[1][:last])
+	for wm, _ := owner.watermark(t, id); wm.Accepted == seqs[1]; wm, _ = owner.watermark(t, id) {
+		time.Sleep(time.Millisecond)
+	}
+	busy := mustPost(t, ts.URL, id, seqs[1], false, chunks[1], http.StatusServiceUnavailable)
+	if ingest.ErrorCode(busy) != ingest.CodeBusy || !strings.Contains(string(busy), "draining") {
+		t.Fatalf("chunk behind the held upload answered %s, want code busy naming the session", busy)
+	}
+	pw.Write(chunks[1][last:])
+	pw.Close()
+	resp := <-held
+	drainClose(resp)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("held chunk: %d", resp.StatusCode)
 	}
 	if st := backendOf(t, lb, owner).State(); st != stateUp {
 		t.Fatalf("a non-draining 503 moved the backend to %v", st)
@@ -458,6 +476,61 @@ func TestDrainingCodeRepinsOtherCodesDoNot(t *testing.T) {
 	}
 	if want := cleanReport(t, id, payload); !bytes.Equal(report, want) {
 		t.Fatalf("re-pinned report diverged from clean ingest\nclean: %s\nfleet: %s", want, report)
+	}
+}
+
+// TestMalformedChunkPassesThrough pins a chunk whose bytes arrive whole
+// but do not decode, through dominolb: the node's 400 malformed reaches
+// the client, which does not retry it, and the backend stays up. A chunk
+// torn on its way in is a 503: the forward to the node tears with it.
+func TestMalformedChunkPassesThrough(t *testing.T) {
+	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
+	lb, ts := newTestBalancer(t, Options{}, a, b)
+	payload := sessionJSONL(t, ran.Presets()[0], 26, 3*sim.Second)
+	set, err := trace.ReadJSONL(bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin bytes.Buffer
+	if err := trace.WriteBinary(&bin, set); err != nil {
+		t.Fatal(err)
+	}
+	garbled := bin.Bytes()
+	copy(garbled[len(garbled)/2:], bytes.Repeat([]byte{0x01}, 16))
+	bad := append(bytes.Join(bytes.SplitAfter(payload, []byte("\n"))[:40], nil), "not a record\n"...)
+
+	if body := mustPost(t, ts.URL, "direct", 0, true, bad, http.StatusBadRequest); ingest.ErrorCode(body) != ingest.CodeMalformed {
+		t.Fatalf("malformed chunk answered %s, want code malformed", body)
+	}
+	for _, c := range []struct {
+		id, contentType string
+		payload         []byte
+	}{{"jsonl", ingest.ContentTypeJSONL, bad}, {"binary", ingest.ContentTypeBinary, garbled}} {
+		client := ingest.New(ingest.Options{BaseURL: ts.URL, Retries: 3, Sleep: func(time.Duration) {}})
+		stats, err := client.Upload(context.Background(), c.id, c.contentType, c.payload)
+		if err == nil || stats.Attempts != 1 || !strings.Contains(err.Error(), "permanent failure, server returned 400") {
+			t.Fatalf("%s: upload of a malformed chunk: %+v, %v; want a permanent 400 on the first attempt", c.id, stats, err)
+		}
+		if st := lb.lookup(c.id).backend.State(); st != stateUp {
+			t.Fatalf("%s: a malformed chunk moved its backend to %v", c.id, st)
+		}
+	}
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /ingest?session=torn HTTP/1.1\r\nHost: lb\r\nContent-Type: %s\r\n%s: 0\r\n"+
+		"Transfer-Encoding: chunked\r\n\r\n%x\r\n%s", ingest.ContentTypeJSONL, ingest.HeaderSeq, len(bad)+1, bad)
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainClose(resp)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("torn chunk through the balancer: %d, want 503", resp.StatusCode)
 	}
 }
 

@@ -34,8 +34,8 @@
 // body is read: proceed (skipping the already-accepted prefix), replay
 // the final report of a done session, or reject with a typed Code — its
 // doc comment carries the state table. Request.Settle, once the body
-// has ended (clean, interrupted, or over the size cap): acknowledge the
-// chunk with 202 + Watermark, complete the session with 200 + report,
+// has ended (clean, torn, undecodable, or over the size cap): acknowledge
+// the chunk with 202 + Watermark, complete the session with 200 + report,
 // suspend it at its watermark, or fail it. dominod's handler, dominolb
 // and the test stub all call these; none re-derives them.
 //

@@ -68,6 +68,9 @@ const (
 	CodeBusy Code = "busy"
 	// CodeConflict: a one-shot upload reused the ID of a live session.
 	CodeConflict Code = "conflict"
+	// CodeMalformed: the body arrived whole and does not decode; resending
+	// the same bytes cannot succeed.
+	CodeMalformed Code = "malformed"
 	// CodeInterrupted: a resumable body was torn mid-stream; the session
 	// is suspended at its watermark.
 	CodeInterrupted Code = "interrupted"
@@ -92,6 +95,7 @@ var codes = []codeSpec{
 	{CodeSeqGap, http.StatusPreconditionFailed, "", true},
 	{CodeBusy, http.StatusServiceUnavailable, "1", true},
 	{CodeConflict, http.StatusConflict, "", false},
+	{CodeMalformed, http.StatusBadRequest, "", false},
 	{CodeInterrupted, http.StatusServiceUnavailable, "1", false},
 	{CodeUnavailable, http.StatusServiceUnavailable, "1", false},
 }
@@ -315,10 +319,12 @@ type End uint8
 const (
 	// EndClean: read to EOF with every record accepted.
 	EndClean End = iota
-	// EndInterrupted: a transport or decode error cut the body short.
+	// EndInterrupted: a transport error cut the body short.
 	EndInterrupted
 	// EndTooLarge: the body ran past the server's size cap.
 	EndTooLarge
+	// EndMalformed: the body arrived whole and does not decode.
+	EndMalformed
 )
 
 // Outcome is what a request leaves behind once its body has ended.
@@ -336,14 +342,15 @@ const (
 	// active at its watermark and the answer is CodeInterrupted.
 	Suspend
 	// Fail: the session cannot continue. The answer is
-	// CodeBodyTooLarge after EndTooLarge, else a plain 400.
+	// CodeBodyTooLarge after EndTooLarge, CodeMalformed after
+	// EndMalformed, else a plain 400.
 	Fail
 )
 
 // Settle decides what the end of a request's body does to its session.
 func (r Request) Settle(end End) Outcome {
 	switch {
-	case end == EndTooLarge:
+	case end == EndTooLarge || end == EndMalformed:
 		return Fail
 	case end == EndInterrupted && r.Resumable:
 		return Suspend

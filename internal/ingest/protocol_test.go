@@ -90,6 +90,10 @@ func TestSettleTable(t *testing.T) {
 		{Request{Resumable: true}, EndTooLarge, Fail},
 		{Request{Resumable: true, Eos: true}, EndTooLarge, Fail},
 		{Request{Eos: true}, EndTooLarge, Fail},
+
+		{Request{Resumable: true}, EndMalformed, Fail},
+		{Request{Resumable: true, Eos: true}, EndMalformed, Fail},
+		{Request{Eos: true}, EndMalformed, Fail},
 	} {
 		if got := tc.req.Settle(tc.end); got != tc.want {
 			t.Errorf("%+v ending %d: outcome %d, want %d", tc.req, tc.end, got, tc.want)
@@ -132,6 +136,7 @@ func TestCodeTable(t *testing.T) {
 		{CodeSeqGap, 412, "", true},
 		{CodeBusy, 503, "1", true},
 		{CodeConflict, 409, "", false},
+		{CodeMalformed, 400, "", false},
 		{CodeInterrupted, 503, "1", true},
 		{CodeUnavailable, 503, "1", true},
 	} {

@@ -207,6 +207,15 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		pushErr = n.pushChunk(sess, blk, dup, ingestRecords)
 	}
+	// A body the decoder stopped on is read to its end, under the same cap
+	// and one more idle deadline: a clean EOF behind the bad bytes makes
+	// the payload malformed, a transport error makes it torn.
+	if readErr != io.EOF && pushErr == nil && !lt.torn {
+		if n.opts.StreamIdle > 0 {
+			_ = rc.SetReadDeadline(time.Now().Add(n.opts.StreamIdle))
+		}
+		_, _ = io.Copy(io.Discard, lt)
+	}
 	// Clear the read deadline before responding: the connection may be
 	// kept alive, and a stale deadline would poison its next request.
 	if n.opts.StreamIdle > 0 {
@@ -221,18 +230,20 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// How the body ended decides what becomes of the session. An
-	// over-limit body is a permanent 413 (retrying the same payload
-	// cannot succeed; the tracker tells it apart from any other read
-	// error); any other read error suspends a resumable session — it
-	// stays active with its watermark intact so the client can resume —
-	// and fails a one-shot one.
+	// over-limit body is a permanent 413 and one that arrived whole but
+	// does not decode a permanent 400 (retrying the same payload cannot
+	// succeed); a torn one suspends a resumable session — it stays active
+	// with its watermark intact so the client can resume — and fails a
+	// one-shot one.
 	end := ingest.EndClean
 	switch {
 	case readErr == io.EOF:
 	case lt.hit:
 		end = ingest.EndTooLarge
-	default:
+	case lt.torn:
 		end = ingest.EndInterrupted
+	default:
+		end = ingest.EndMalformed
 	}
 	switch req.Settle(end) {
 	case ingest.Ack:
@@ -255,6 +266,10 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		n.fail(sess, readErr.Error())
+		if end == ingest.EndMalformed {
+			n.reject(w, ingest.CodeMalformed, readErr.Error())
+			return
+		}
 		ingest.WriteError(w, http.StatusBadRequest, readErr.Error())
 	case ingest.Complete:
 		n.complete(w, sess)
@@ -382,22 +397,22 @@ func (n *Node) maybeCheckpoint() {
 	}()
 }
 
-// limitTracker marks when the wrapped body hit http.MaxBytesReader's
-// cap. Decoders wrap read errors in format-specific context, so the
-// handler cannot reliably errors.As the decode error itself; watching
-// the raw reader is exact.
+// limitTracker marks when the wrapped body failed with anything but
+// EOF (torn) and when that was http.MaxBytesReader's cap (hit). Decoders
+// wrap read errors in format-specific context, and fail on bad bytes
+// too, so the handler cannot reliably tell either from the decode error
+// itself; watching the raw reader is exact.
 type limitTracker struct {
-	r   io.Reader
-	hit bool
+	r         io.Reader
+	hit, torn bool
 }
 
 func (lt *limitTracker) Read(p []byte) (int, error) {
 	n, err := lt.r.Read(p)
-	if err != nil {
+	if err != nil && err != io.EOF {
+		lt.torn = true
 		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			lt.hit = true
-		}
+		lt.hit = lt.hit || errors.As(err, &mbe)
 	}
 	return n, err
 }

@@ -7,11 +7,13 @@ package node
 // chaos — is package node_test, in the files beside this one.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -53,6 +55,29 @@ func sessionJSONL(t testing.TB, seed uint64, d sim.Time) []byte {
 // firstLines returns the first n newline-terminated lines of body.
 func firstLines(body []byte, n int) []byte {
 	return bytes.Join(bytes.SplitAfterN(body, []byte("\n"), n+1)[:n], nil)
+}
+
+// postTorn sends an ingest request whose chunked body stops partway: it
+// promises a byte more than body and then shuts its sending half, so the
+// node reads a torn transfer and can still answer.
+func postTorn(t *testing.T, base, id string, req ingest.Request, contentType string, body []byte) *http.Response {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	h := http.Header{"Content-Type": {contentType}, "Transfer-Encoding": {"chunked"}}
+	req.SetHeaders(h)
+	fmt.Fprintf(conn, "POST /ingest?session=%s HTTP/1.1\r\nHost: node\r\n", id)
+	h.Write(conn)
+	fmt.Fprintf(conn, "\r\n%x\r\n%s", len(body)+1, body)
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
 
 func post(t *testing.T, base, id string, req ingest.Request, body io.Reader) *http.Response {
@@ -110,8 +135,12 @@ func TestRejectionsAreTheProtocols(t *testing.T) {
 		post(t, ts.URL, "gap", ingest.Request{Seq: 5, Resumable: true}, bytes.NewReader(body)), ingest.CodeSeqGap)
 	expect("body over the cap",
 		post(t, ts.URL, "big", oneShot, bytes.NewReader(append(body[:len(body):len(body)], body...))), ingest.CodeBodyTooLarge)
-	expect("resumable chunk the decoder chokes on",
-		post(t, ts.URL, "torn", chunk, strings.NewReader(string(firstLines(body, 3))+"not a record\n")), ingest.CodeInterrupted)
+	bad := append(firstLines(body, 3), "not a record\n"...)
+	expect("resumable chunk the decoder chokes on", post(t, ts.URL, "bad", chunk, bytes.NewReader(bad)), ingest.CodeMalformed)
+	if wm := n.lookup("bad").protocol(); wm.State != ingest.StateFailed {
+		t.Fatalf("session of a malformed chunk = %+v, want failed", wm)
+	}
+	expect("the same chunk torn after the bad line", postTorn(t, ts.URL, "torn", chunk, ingest.ContentTypeJSONL, bad), ingest.CodeInterrupted)
 	if wm := n.lookup("torn").protocol(); wm.State != ingest.StateActive || wm.Accepted != 3 {
 		t.Fatalf("suspended session = %+v, want active at 3", wm)
 	}
@@ -143,6 +172,54 @@ func TestRejectionsAreTheProtocols(t *testing.T) {
 	}
 	if got := n.m.ingestInterrupted.Value(); got != 1 {
 		t.Fatalf("interrupted counter = %d, want 1", got)
+	}
+}
+
+// TestMalformedChunkIsNotRetried pins what a retrying client sees of a
+// resumable chunk whose bytes arrive whole but do not decode — a JSONL
+// line that is not a record, a binary block overwritten with garbage: a
+// 400 malformed after its first attempt, and a failed session. The same
+// binary bytes torn mid-transfer still suspend the session with a 503.
+func TestMalformedChunkIsNotRetried(t *testing.T) {
+	n := New(testAnalyzer(t), Options{MaxStreams: 2})
+	ts := httptest.NewServer(n.Routes())
+	defer ts.Close()
+	body := sessionJSONL(t, 5, 3*sim.Second)
+	set, err := trace.ReadJSONL(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin bytes.Buffer
+	if err := trace.WriteBinary(&bin, set); err != nil {
+		t.Fatal(err)
+	}
+	garbled := bin.Bytes()
+	copy(garbled[len(garbled)/2:], bytes.Repeat([]byte{0x01}, 16))
+
+	for _, c := range []struct {
+		id, contentType string
+		payload         []byte
+	}{
+		{"jsonl", ingest.ContentTypeJSONL, append(firstLines(body, 40), "not a record\n"...)},
+		{"binary", ingest.ContentTypeBinary, garbled},
+	} {
+		client := ingest.New(ingest.Options{BaseURL: ts.URL, Retries: 3, Sleep: func(time.Duration) {}})
+		stats, err := client.Upload(context.Background(), c.id, c.contentType, c.payload)
+		if err == nil || stats.Attempts != 1 || !strings.Contains(err.Error(), "permanent failure, server returned 400") {
+			t.Fatalf("%s: upload of a malformed chunk: %+v, %v; want a permanent 400 on the first attempt", c.id, stats, err)
+		}
+		if p := n.lookup(c.id).protocol(); p.State != ingest.StateFailed {
+			t.Fatalf("%s: session %+v, want failed", c.id, p)
+		}
+	}
+	resp := postTorn(t, ts.URL, "binary-torn", ingest.Request{Resumable: true, Eos: true}, ingest.ContentTypeBinary, garbled)
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || ingest.ErrorCode(raw) != ingest.CodeInterrupted {
+		t.Fatalf("torn binary chunk: %d %s, want 503 interrupted", resp.StatusCode, raw)
+	}
+	if p := n.lookup("binary-torn").protocol(); p.State != ingest.StateActive || p.Accepted == 0 {
+		t.Fatalf("torn binary chunk left %+v, want active at its watermark", p)
 	}
 }
 

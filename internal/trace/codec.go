@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -27,17 +28,23 @@ import (
 // walking the same member list, so a row decodes into storage the caller
 // supplies: StreamReader.Next copies it into the one Record it hands
 // out, ReadBlock appends it to a block's columns.
-// After each value the separator and the key the encoder writes next
-// are matched as one literal (`,"Dir":`), and a plain integer (at most
-// 18 digits, no leading zero, ended by a byte no number token contains)
-// is parsed in the same pass that scans it; a member anywhere else, or
-// spaced, takes the key scan, any other number the token scan and
-// strconv. The decoder accepts a strict subset of what encoding/json
-// accepts; on any deviation — unknown or case-folded field names,
-// escaped strings, nulls, exotic numbers — the caller falls back to the
-// stdlib path, which therefore stays both the semantic oracle
-// (differential tests in codec_test.go pin fast == stdlib on everything
-// the fast path accepts) and the handler of foreign telemetry.
+// The literal tier reads the encoder's shape a word at a time: the
+// envelope's `{"type":` and `,"data":` are one 8-byte compare each; each
+// member's key with its separator (`,"Dir":`, or `{"At":` for the
+// object's first) is compared as at most three little-endian words under
+// masks precomputed from the member list; true and false are 4- and
+// 5-byte constants; a plain integer (at most 18 digits, no leading zero,
+// ended by a byte no number token contains) is parsed in the pass that
+// scans it, and a float of at most 15 significant digits and a decimal
+// exponent within ±22 is one exact multiplication or division (Clinger's
+// fast path). A member anywhere else, or spaced, takes the key scan, any
+// other number the token scan and strconv. The decoder accepts a strict
+// subset of what encoding/json accepts; on any deviation — unknown or
+// case-folded field names, escaped strings, nulls, exotic numbers — the
+// caller falls back to the stdlib path, which therefore stays both the
+// semantic oracle (differential tests in codec_test.go pin fast ==
+// stdlib on everything the fast path accepts) and the handler of foreign
+// telemetry.
 
 const hexDigits = "0123456789abcdef"
 
@@ -234,10 +241,19 @@ func (p *lineParser) expect(c byte) {
 	p.ok = false
 }
 
-// lit consumes s when the input continues with exactly those bytes.
-func (p *lineParser) lit(s string) bool {
-	if len(p.buf)-p.pos >= len(s) && string(p.buf[p.pos:p.pos+len(s)]) == s {
-		p.pos += len(s)
+// The literal tier's constants, as the little-endian words they are
+// compared as.
+var (
+	typeWord  = binary.LittleEndian.Uint64([]byte(`{"type":`))
+	dataWord  = binary.LittleEndian.Uint64([]byte(`,"data":`))
+	trueWord  = binary.LittleEndian.Uint32([]byte("true"))
+	falseWord = binary.LittleEndian.Uint32([]byte("fals"))
+)
+
+// word consumes the 8 bytes at the cursor when they are w.
+func (p *lineParser) word(w uint64) bool {
+	if len(p.buf)-p.pos >= 8 && binary.LittleEndian.Uint64(p.buf[p.pos:]) == w {
+		p.pos += 8
 		return true
 	}
 	return false
@@ -384,47 +400,48 @@ func validJSONNumber(b []byte) bool {
 	return i == len(b)
 }
 
-// digits parses the plain decimal integer at the cursor in one pass: at
-// most 18 digits (so it cannot overflow an int64), no leading zero (the
-// JSON grammar), and the byte after it must not continue a number
-// token. Anything else leaves the cursor where it was and reports
-// false; the caller then takes the numberToken route, which knows the
-// whole grammar and every overflow.
-func (p *lineParser) digits() (uint64, bool) {
-	i, end := p.pos, min(len(p.buf), p.pos+19)
-	var v uint64
-	for ; i < end && isDigit(p.buf[i]); i++ {
-		v = v*10 + uint64(p.buf[i]-'0')
+// plainInt parses the plain decimal integer b starts with in one pass:
+// an optional minus, 1–18 digits (so it cannot overflow an int64), no
+// leading zero (the JSON grammar), and the byte after it not one that
+// continues a number token. It returns the value and the bytes it
+// spans, or a width of 0 for anything else; the caller then takes the
+// numberToken route, which knows the whole grammar and every overflow.
+func plainInt(b []byte) (v int64, n int) {
+	if len(b) > 0 && b[0] == '-' {
+		n = 1
 	}
-	if n := i - p.pos; n == 0 || n > 18 || (n > 1 && p.buf[p.pos] == '0') {
-		return 0, false
+	start, end := n, min(len(b), n+19)
+	var u uint64
+	for ; n < end; n++ {
+		d := b[n] - '0'
+		if d > 9 {
+			break
+		}
+		u = u*10 + uint64(d)
 	}
-	if i < len(p.buf) {
-		switch p.buf[i] {
+	if d := n - start; d == 0 || d > 18 || (d > 1 && b[start] == '0') {
+		return 0, 0
+	}
+	if n < len(b) {
+		switch b[n] {
 		case '-', '+', '.', 'e', 'E':
-			return 0, false
+			return 0, 0
 		}
 	}
-	p.pos = i
-	return v, true
+	if start == 1 {
+		return -int64(u), n
+	}
+	return int64(u), n
 }
 
 // i64 parses an integer value. Fractional or exponent forms bail out:
 // encoding/json errors on them for integer fields, and the fallback
 // produces that error.
 func (p *lineParser) i64() int64 {
-	start := p.pos
-	neg := p.pos < len(p.buf) && p.buf[p.pos] == '-'
-	if neg {
-		p.pos++
+	if v, n := plainInt(p.buf[p.pos:]); n > 0 {
+		p.pos += n
+		return v
 	}
-	if v, ok := p.digits(); ok {
-		if neg {
-			return -int64(v)
-		}
-		return int64(v)
-	}
-	p.pos = start
 	tok := p.numberToken()
 	if !p.ok {
 		return 0
@@ -444,12 +461,9 @@ func (p *lineParser) i64() int64 {
 }
 
 func (p *lineParser) u64(bits int) uint64 {
-	start := p.pos
-	if v, ok := p.digits(); ok {
-		if v>>bits == 0 {
-			return v
-		}
-		p.pos = start
+	if v, n := plainInt(p.buf[p.pos:]); n > 0 && p.buf[p.pos] != '-' && uint64(v)>>bits == 0 {
+		p.pos += n
+		return uint64(v)
 	}
 	tok := p.numberToken()
 	if !p.ok {
@@ -474,6 +488,9 @@ func (p *lineParser) f64() float64 {
 	if !p.ok {
 		return 0
 	}
+	if v, ok := exactFloat(tok); ok {
+		return v
+	}
 	v, err := strconv.ParseFloat(tokString(tok), 64)
 	if err != nil {
 		p.ok = false
@@ -482,11 +499,80 @@ func (p *lineParser) f64() float64 {
 	return v
 }
 
-func (p *lineParser) boolValue() bool {
-	if p.lit("true") {
-		return true
+// exactPow10 are the powers of ten a float64 holds exactly.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// exactFloat converts a grammar-valid number token by Clinger's fast
+// path: a significand of at most 15 digits (leading zeros are not
+// significant, trailing ones are) is exact in a float64, as is 10^k for
+// k ≤ 22, so one multiplication or division of the two rounds once and
+// gives strconv.ParseFloat's answer. Any other token is declined.
+func exactFloat(tok []byte) (float64, bool) {
+	i, neg := 0, tok[0] == '-'
+	if neg {
+		i++
 	}
-	if p.lit("false") {
+	var m uint64
+	nd, exp := 0, 0 // significant digits in m; the power of ten it is scaled by
+	frac := false
+	for ; i < len(tok); i++ {
+		c := tok[i]
+		if c == '.' {
+			frac = true
+			continue
+		}
+		if !isDigit(c) {
+			break
+		}
+		if nd > 0 || c != '0' {
+			m, nd = m*10+uint64(c-'0'), nd+1
+		}
+		if frac {
+			exp--
+		}
+	}
+	if i < len(tok) { // the exponent: 'e' or 'E', a sign, digits
+		i++
+		sign := tok[i]
+		if sign == '+' || sign == '-' {
+			i++
+		}
+		e := 0
+		for ; i < len(tok); i++ {
+			if e < 1e9 { // past that no line's fraction digits bring it back to ±22
+				e = e*10 + int(tok[i]-'0')
+			}
+		}
+		if sign == '-' {
+			e = -e
+		}
+		exp += e
+	}
+	if nd > 15 || exp < -22 || exp > 22 {
+		return 0, false
+	}
+	f := float64(m)
+	if exp < 0 {
+		f /= exactPow10[-exp]
+	} else {
+		f *= exactPow10[exp]
+	}
+	if neg {
+		f = -f
+	}
+	return f, true
+}
+
+// boolValue reads true or false as a 4- or 5-byte constant.
+func (p *lineParser) boolValue() bool {
+	b := p.buf[p.pos:]
+	switch {
+	case len(b) >= 4 && binary.LittleEndian.Uint32(b) == trueWord:
+		p.pos += 4
+		return true
+	case len(b) >= 5 && binary.LittleEndian.Uint32(b) == falseWord && b[4] == 'e':
+		p.pos += 5
 		return false
 	}
 	p.ok = false
@@ -542,14 +628,35 @@ func (p *lineParser) endField() bool {
 }
 
 // rowField is one member of a record type's JSON object: its key as the
-// encoder writes it after another member (`,"Dir":`), where in the row,
-// and as what, its value is stored, and whether the encoder leaves an
-// empty one out.
+// encoder writes it after another member (`,"Dir":`), that key again as
+// the little-endian words the literal tier compares (the bytes past its
+// end masked off), where in the row, and as what, its value is stored,
+// and whether the encoder leaves an empty one out.
 type rowField struct {
 	lit       string
+	key, mask [3]uint64
+	load      int // bytes the word compare reads: len(lit) rounded up to a word
 	off       uintptr
 	kind      reflect.Kind
 	omitEmpty bool
+}
+
+// keyAt reports whether b starts with the member's key literal, its
+// separator replaced by lead: ',' after another member, '{' opening the
+// object. A b shorter than the words the compare loads is compared byte
+// by byte, so no load reads past it.
+func (f *rowField) keyAt(b []byte, lead byte) bool {
+	if len(b) < f.load {
+		return len(b) >= len(f.lit) && b[0] == lead && string(b[1:len(f.lit)]) == f.lit[1:]
+	}
+	x := (binary.LittleEndian.Uint64(b) ^ f.key[0] ^ uint64(lead^',')) & f.mask[0]
+	if f.load > 8 {
+		x |= (binary.LittleEndian.Uint64(b[8:]) ^ f.key[1]) & f.mask[1]
+	}
+	if f.load > 16 {
+		x |= (binary.LittleEndian.Uint64(b[16:]) ^ f.key[2]) & f.mask[2]
+	}
+	return x == 0
 }
 
 // rowFieldsOf lists a row type's members from the struct itself, the
@@ -575,7 +682,16 @@ func rowFieldsOf(row any) []rowField {
 		if opts != "" && (opts != "omitempty" || kind != reflect.String) {
 			panic("trace: no fast codec for the json options of " + t.Name() + "." + sf.Name)
 		}
-		fs[i] = rowField{lit: `,"` + name + `":`, off: sf.Offset, kind: kind, omitEmpty: opts != ""}
+		lit := `,"` + name + `":`
+		if len(lit) > 8*len(fs[i].key) {
+			panic("trace: key too long for the literal tier: " + t.Name() + "." + sf.Name)
+		}
+		f := rowField{lit: lit, load: (len(lit) + 7) &^ 7, off: sf.Offset, kind: kind, omitEmpty: opts != ""}
+		for j := range len(lit) {
+			f.key[j/8] |= uint64(lit[j]) << (j % 8 * 8)
+			f.mask[j/8] |= 0xff << (j % 8 * 8)
+		}
+		fs[i] = f
 	}
 	return fs
 }
@@ -605,17 +721,25 @@ func (p *lineParser) member(fields []rowField) int {
 // decodeRow decodes the members of the JSON object at the cursor into
 // *row, whose type fields was listed from. Members the object lacks are
 // left zero; of a repeated member the last one wins, as in the oracle.
-// After each value the separator and the key the encoder would write
-// next are tried as one literal; a member in any other place or form —
-// the first, one reordered, repeated or skipped, whitespace before the
-// comma or the colon — goes through the separator and key scans.
+// The object's brace and first key, and after each value the separator
+// and the key the encoder would write next, are tried as one literal; a
+// member in any other place or form — one reordered, repeated or
+// skipped, whitespace before the brace, the comma or the colon — goes
+// through the separator and key scans.
 func decodeRow[T any](p *lineParser, row *T, fields []rowField) {
 	*row = *new(T)
-	if !p.beginObject() {
+	i := 0
+	switch {
+	case fields[0].keyAt(p.buf[p.pos:], '{'):
+		p.pos += len(fields[0].lit)
+		p.skipWS()
+	case !p.beginObject():
 		return
+	default:
+		i = p.member(fields)
 	}
 	base := unsafe.Pointer(row)
-	for i := p.member(fields); i >= 0; {
+	for i >= 0 {
 		at := unsafe.Add(base, fields[i].off)
 		switch fields[i].kind {
 		case reflect.Int64:
@@ -636,8 +760,9 @@ func decodeRow[T any](p *lineParser, row *T, fields []rowField) {
 		switch {
 		case !p.ok:
 			return
-		case i+1 < len(fields) && p.lit(fields[i+1].lit):
+		case i+1 < len(fields) && fields[i+1].keyAt(p.buf[p.pos:], ','):
 			i++
+			p.pos += len(fields[i].lit)
 			p.skipWS()
 		case p.endField():
 			return
@@ -697,7 +822,7 @@ func (r *lineRow) record(kind int) Record {
 func (r *lineRow) fastDecode(line []byte) (kind int, ok bool) {
 	p := lineParser{buf: line, ok: true}
 	p.skipWS()
-	if !p.lit(`{"type":`) {
+	if !p.word(typeWord) {
 		p.expect('{')
 		p.skipWS()
 		if k := p.key(); !p.ok || string(k) != "type" {
@@ -710,7 +835,7 @@ func (r *lineRow) fastDecode(line []byte) (kind int, ok bool) {
 	// The type tag is scanned as raw bytes (key() is exactly a
 	// no-escape string scan), so dispatching allocates nothing.
 	typ := p.key()
-	if !p.lit(`,"data":`) {
+	if !p.word(dataWord) {
 		p.skipWS()
 		p.expect(',')
 		p.skipWS()

@@ -3,8 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -302,6 +306,22 @@ func FuzzCodecDifferential(f *testing.F) {
 	f.Add(`{"type":"stats","data":{"InboundFPS":1e-7}}`)
 	f.Add(`{"type":"dci","data":{"At":-1,"Unused":true}}`)
 	f.Add(`{"type":"rrc","data":{"Cause":"«utf8»"}}`)
+	// The literal tier's edges: 18 digits are the integer parser's, 19 the
+	// token scan's; a last key with fewer bytes left than its words load
+	// (`,"Cause":` loads 16 bytes, 13 are left), behind a wrong separator,
+	// or fewer than the key itself; a bool cut short; the first member missing; the header's
+	// omitempty member present and absent; floats either side of the
+	// exact bounds.
+	f.Add(`{"type":"dci","data":{"At":-123456789012345678,"Dir":1,"RNTI":123456789012345678}}`)
+	f.Add(`{"type":"pkt","data":{"Seq":1234567890123456789,"Kind":-1234567890123456789}}`)
+	f.Add(`{"type":"rrc","data":{"At":5,"Connected":true,"RNTI":70,"Cause":""}}`)
+	f.Add(`{"type":"rrc","data":{"At":5,"Connected":true,"RNTI":70;"Cause":""}}`)
+	f.Add(`{"type":"rrc","data":{"At":5,"Connected":true,"RNTI":70,"Cau`)
+	f.Add(`{"type":"rrc","data":{"At":5,"Connected":fals`)
+	f.Add(`{"type":"dci","data":{"Dir":1,"RNTI":70,"OwnPRB":2}}`)
+	f.Add(`{"type":"header","data":{"cell_name":"c","scenario":"s","duration_us":5,"has_gnb_log":true}}`)
+	f.Add(`{"type":"header","data":{"cell_name":"c","duration_us":5,"has_gnb_log":false}}`)
+	f.Add(`{"type":"stats","data":{"At":1,"Local":false,"InboundFPS":999999999999999e22,"OutboundFPS":9007199254740993,"OutboundHeight":1,"InboundHeight":2,"VideoJBDelayMs":-0,"AudioJBDelayMs":1e23}}`)
 	f.Fuzz(func(t *testing.T, line string) {
 		rec, ok := fastDecodeLine([]byte(line))
 		if !ok {
@@ -315,6 +335,102 @@ func FuzzCodecDifferential(f *testing.F) {
 			t.Fatalf("decode mismatch on %q:\nfast:   %+v\noracle: %+v", line, rec, want)
 		}
 		checkEncodeMatchesOracle(t, rec)
+	})
+}
+
+// TestExactFloatMatchesStrconv holds the float fast path to strconv bit
+// for bit: significands of 1–17 digits scaled by 10^-25…10^25, written
+// positionally and with an exponent, both signs, and the corners. The
+// fast path must take exactly the tokens of at most 15 significant
+// digits and a decimal exponent within ±22, and on each give
+// strconv.ParseFloat's float64.
+func TestExactFloatMatchesStrconv(t *testing.T) {
+	check := func(tok string, exact bool) {
+		t.Helper()
+		want, err := strconv.ParseFloat(tok, 64)
+		if err != nil || !validJSONNumber([]byte(tok)) {
+			t.Fatalf("%s is not a test token: %v", tok, err)
+		}
+		got, ok := exactFloat([]byte(tok))
+		if ok != exact {
+			t.Fatalf("%s: fast path took it %v, want %v", tok, ok, exact)
+		}
+		if ok && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: fast path %v (%#x), strconv %v (%#x)", tok, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for nd := 1; nd <= 17; nd++ {
+		for trial := 0; trial < 4; trial++ {
+			sig := []byte(strings.Repeat("9", nd))
+			if trial > 0 {
+				sig[0] = byte('1' + rng.Intn(9))
+				for i := 1; i < nd; i++ {
+					sig[i] = byte('0' + rng.Intn(10))
+				}
+			}
+			s := string(sig)
+			for k := -25; k <= 25; k++ { // the token's value is s × 10^k
+				exact := nd <= 15 && k >= -22 && k <= 22
+				var pos string // positional, its trailing zeros significant
+				switch {
+				case k >= 0:
+					pos = s + strings.Repeat("0", k)
+					exact = nd+k <= 15
+				case nd+k > 0:
+					pos = s[:nd+k] + "." + s[nd+k:]
+				default:
+					pos = "0." + strings.Repeat("0", -k-nd) + s
+				}
+				for _, sign := range []string{"", "-"} {
+					check(sign+s+"e"+strconv.Itoa(k), nd <= 15 && k >= -22 && k <= 22)
+					if nd > 1 {
+						check(fmt.Sprintf("%s%s.%sE%+d", sign, s[:1], s[1:], k+nd-1), nd <= 15 && k >= -22 && k <= 22)
+					}
+					check(sign+pos, exact)
+				}
+			}
+		}
+	}
+	for tok, exact := range map[string]bool{
+		"-0": true, "0e0": true, "-0.000e-30": false, "1e22": true, "1e23": false,
+		"9007199254740993": false, "90071992547409.9": true, "900719925474099.3": false, "0.0000000000000000000001": true,
+	} {
+		check(tok, exact)
+	}
+}
+
+// FuzzFastNumber places arbitrary bytes as the value of an int, a uint64
+// and a float member of a stats line, each in the literal tier's path:
+// whatever the fast tier accepts, encoding/json must accept with the
+// identical record, a float's sign of zero included.
+func FuzzFastNumber(f *testing.F) {
+	for _, v := range []string{
+		"0", "-0", "7", "-1", "123456789012345678", "-123456789012345678", "1234567890123456789",
+		"9223372036854775808", "18446744073709551615", "18446744073709551616", "01", "-", "1.",
+		".5", "+1", "1e", "1e+400", "0e0", "1.5", "-2.5e-9", "1e22", "1e23", "9007199254740993",
+		"29.97", "true", "null", "1,", "1}", "",
+	} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		for _, line := range []string{
+			`{"type":"stats","data":{"At":` + v + `,"Local":true}}`,
+			`{"type":"stats","data":{"At":1,"Local":true,"InboundFPS":` + v + `,"OutboundFPS":2}}`,
+			`{"type":"stats","data":{"FreezeTotalMs":1,"ConcealedSamples":` + v + `,"TotalSamples":2}}`,
+		} {
+			rec, ok := fastDecodeLine([]byte(line))
+			if !ok {
+				continue
+			}
+			want, err := oracleDecodeLine([]byte(line))
+			if err != nil {
+				t.Fatalf("fast tier accepted %s, encoding/json rejects it: %v", line, err)
+			}
+			if !reflect.DeepEqual(rec, want) || math.Float64bits(rec.Stats.InboundFPS) != math.Float64bits(want.Stats.InboundFPS) {
+				t.Fatalf("decode mismatch on %s:\nfast:   %+v\noracle: %+v", line, rec.Stats, want.Stats)
+			}
+		}
 	})
 }
 
