@@ -1,9 +1,10 @@
 // Command dominolb fronts a fleet of dominod backends with a
 // failure-aware routing tier: sessions are pinned to healthy nodes by
 // rendezvous hashing, an active health checker distinguishes dead
-// nodes from draining ones, sessions on lost nodes fail over through
-// the resumable-ingest contract, and GET /metrics serves the whole
-// fleet's merged Prometheus exposition.
+// nodes from draining ones, a session on a lost node is re-pinned and
+// resent by its client through the resumable-ingest contract (the
+// balancer keeps no copy of any body), and GET /metrics serves the
+// whole fleet's merged Prometheus exposition.
 //
 // Usage:
 //
@@ -55,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	healthInterval := fs.Duration("health-interval", time.Second, "active /healthz probe period")
 	healthTimeout := fs.Duration("health-timeout", 500*time.Millisecond, "per-probe timeout")
 	failThreshold := fs.Int("health-fails", 3, "consecutive probe failures that mark a backend down")
-	replayMax := fs.Int64("replay-max", 64<<20, "per-session failover replay buffer cap in bytes (negative disables buffering)")
 	scrapeTimeout := fs.Duration("scrape-timeout", 5*time.Second, "per-backend /metrics scrape timeout during federation")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	verbose := fs.Bool("v", false, "log per-session routing events (debug level)")
@@ -88,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		HealthInterval: *healthInterval,
 		HealthTimeout:  *healthTimeout,
 		FailThreshold:  *failThreshold,
-		ReplayMax:      *replayMax,
 		ScrapeTimeout:  *scrapeTimeout,
 		Log:            logger,
 	})

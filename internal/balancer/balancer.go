@@ -6,15 +6,14 @@
 // analyzer is stateful, so every chunk of a session must land on the
 // same node. An active health checker probes each backend's /healthz,
 // distinguishing down (stop routing, fail sessions over) from
-// draining (no new sessions, in-flight ones finish). When a pinned
-// backend dies mid-session the balancer re-pins the session and
-// drives re-ingest through the resumable-ingest contract: it replays
-// the backend-acknowledged prefix from its per-session replay buffer
-// at seq 0 (the new node's watermark), or — when no aligned buffer
-// exists — answers the client with a retryable 503 so the
-// internal/ingest backoff path resends from scratch. Either way a
-// mid-upload kill -9 of a backend still yields a final report
-// byte-identical to clean single-node analysis.
+// draining (no new sessions, in-flight ones finish). The balancer
+// streams each chunk through and keeps none of it: when a pinned
+// backend dies or drains mid-session, the session is re-pinned by HRW
+// over the surviving nodes, and the client's own resumable-ingest path
+// recovers it — a retryable 503, a watermark probe that the new pin
+// answers with 0, and a resend from there. A mid-upload kill -9 of a
+// backend still yields a final report byte-identical to clean
+// single-node analysis.
 //
 // The balancer also serves the fleet read surface: GET /metrics
 // scrapes every backend, obs.ParseText-parses and obs.Merges the
@@ -57,11 +56,6 @@ type Options struct {
 	// backend down (default 3). Proxy-observed transport errors count
 	// toward it too, so data-path failures shorten detection.
 	FailThreshold int
-	// ReplayMax caps one session's failover replay buffer in bytes;
-	// a session that outgrows it falls back to client resend via
-	// retryable 503. 0 means the 64 MiB default; negative disables
-	// buffering entirely.
-	ReplayMax int64
 	// ScrapeTimeout bounds one backend /metrics scrape during
 	// federation (default 5s).
 	ScrapeTimeout time.Duration
@@ -107,22 +101,16 @@ const idleConnsPerBackend = 64
 // balancer again, and a request for it asks the fleet or re-pins by HRW.
 const doneRetained = 4096
 
-// lbSession is the balancer's routing state for one session: its pin,
-// how much the pinned backend has acknowledged, and the acknowledged
-// chunk bodies kept for failover replay.
+// lbSession is the balancer's routing state for one session: its pin
+// and how often it moved. It holds none of the session's bytes; how
+// far ingest got is the owning node's watermark.
 type lbSession struct {
-	mu          sync.Mutex
-	id          string
-	seq         uint64 // admission order
-	backend     *backend
-	contentType string
-	resumable   bool     // client speaks the seq/watermark protocol
-	accepted    int      // records the pinned backend has acknowledged
-	chunks      [][]byte // acknowledged bodies in order: the replay buffer
-	buffered    int      // their total length
-	overflow    bool     // buffer gave up (too large); failover needs client resend
-	done        bool
-	failovers   int
+	mu        sync.Mutex
+	id        string
+	seq       uint64 // admission order
+	backend   *backend
+	done      bool
+	failovers int
 }
 
 // New builds a Balancer, runs one synchronous health round so routing
@@ -140,9 +128,6 @@ func New(opts Options) (*Balancer, error) {
 	}
 	if opts.FailThreshold <= 0 {
 		opts.FailThreshold = 3
-	}
-	if opts.ReplayMax == 0 {
-		opts.ReplayMax = 64 << 20
 	}
 	if opts.ScrapeTimeout <= 0 {
 		opts.ScrapeTimeout = 5 * time.Second
@@ -330,15 +315,12 @@ func (b *Balancer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLBSessions exposes the routing table — which backend owns
-// each session, how far ingest got, and how often it failed over.
+// each session, whether it finished, and how often it failed over.
 // Debug surface for tests and runbooks, not part of the dominod API.
 func (b *Balancer) handleLBSessions(w http.ResponseWriter, r *http.Request) {
 	type entry struct {
 		Session   string `json:"session"`
 		Backend   string `json:"backend"`
-		Accepted  int    `json:"accepted"`
-		Buffered  int    `json:"buffered_bytes"`
-		Overflow  bool   `json:"overflow,omitempty"`
 		Done      bool   `json:"done"`
 		Failovers int    `json:"failovers"`
 	}
@@ -352,10 +334,7 @@ func (b *Balancer) handleLBSessions(w http.ResponseWriter, r *http.Request) {
 	out := make([]entry, 0, len(table))
 	for _, s := range table {
 		s.mu.Lock()
-		e := entry{
-			Session: s.id, Accepted: s.accepted, Buffered: s.buffered,
-			Overflow: s.overflow, Done: s.done, Failovers: s.failovers,
-		}
+		e := entry{Session: s.id, Done: s.done, Failovers: s.failovers}
 		if s.backend != nil {
 			e.Backend = s.backend.url
 		}

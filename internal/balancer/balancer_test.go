@@ -1,7 +1,7 @@
 package balancer
 
 // Routing tests against real in-process dominod nodes (internal/node):
-// pinning, failover by replay and by client resend, drain, the typed
+// pinning, failover by client resend, drain, the typed
 // draining rejection, and the read surface. The long fleet differentials
 // live in fleet_test.go and share the helpers here.
 
@@ -132,6 +132,21 @@ func splitLines(payload []byte, n int) (chunks [][]byte, seqs []int) {
 	return chunks, seqs
 }
 
+// resend finishes a session the way a client recovers from a failover:
+// the real client probes the watermark and resends from there.
+func resend(t *testing.T, base, id, contentType string, payload []byte) ingest.UploadStats {
+	t.Helper()
+	client := ingest.New(ingest.Options{
+		BaseURL: base, Retries: 4, Backoff: time.Millisecond, Seed: 7,
+		Sleep: func(time.Duration) {},
+	})
+	stats, err := client.Upload(context.Background(), id, contentType, payload)
+	if err != nil {
+		t.Fatalf("resend %s: %v (stats %+v)", id, err, stats)
+	}
+	return stats
+}
+
 // cleanReport is what a single healthy node answers for the payload:
 // the reference every failover path must reproduce byte for byte.
 func cleanReport(t *testing.T, id string, payload []byte) []byte {
@@ -227,6 +242,29 @@ func mustPost(t *testing.T, base, id string, seq int, eos bool, body []byte, wan
 	return []byte(got)
 }
 
+// postTorn sends an ingest request whose chunked body stops partway: it
+// promises a byte more than body and then shuts its sending half, so
+// the server reads a torn transfer and can still answer.
+func postTorn(t *testing.T, base, id string, req ingest.Request, contentType string, body []byte) *http.Response {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	h := http.Header{"Content-Type": {contentType}, "Transfer-Encoding": {"chunked"}}
+	req.SetHeaders(h)
+	fmt.Fprintf(conn, "POST /ingest?session=%s HTTP/1.1\r\nHost: lb\r\n", id)
+	h.Write(conn)
+	fmt.Fprintf(conn, "\r\n%x\r\n%s", len(body)+1, body)
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 func drainClose(resp *http.Response) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -288,86 +326,6 @@ func TestHRWPinningIsStableAndMovesMinimally(t *testing.T) {
 	}
 }
 
-func TestChunkedFailoverReplaysAcknowledgedPrefix(t *testing.T) {
-	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
-	lb, ts := newTestBalancer(t, Options{}, a, b)
-
-	const id = "replay-sess"
-	payload := sessionJSONL(t, ran.Presets()[0], 21, 3*sim.Second)
-	chunks, seqs := splitLines(payload, 3)
-	mustPost(t, ts.URL, id, seqs[0], false, chunks[0], http.StatusAccepted)
-
-	owner, other := ownerAndOther(lb, id, a, b)
-	if wm, ok := owner.watermark(t, id); !ok || wm.Accepted != seqs[1] {
-		t.Fatalf("owner watermark %+v (held %v), want %d accepted", wm, ok, seqs[1])
-	}
-
-	// Kill the owner hard; the next chunk's proxy attempt fails, feeds
-	// health (threshold 1), and the retry fails over with replay.
-	owner.kill()
-	resp := postChunk(t, ts.URL, id, ingest.ContentTypeJSONL, seqs[1], false, bytes.NewReader(chunks[1]))
-	body := readBody(t, resp)
-	if resp.StatusCode != http.StatusServiceUnavailable || ingest.ErrorCode([]byte(body)) != ingest.CodeUnavailable {
-		t.Fatalf("chunk against dead backend: %d %s, want 503 code unavailable", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
-
-	mustPost(t, ts.URL, id, seqs[1], false, chunks[1], http.StatusAccepted)
-	if wm, ok := other.watermark(t, id); !ok || wm.Accepted != seqs[2] {
-		t.Fatalf("survivor watermark %+v (held %v), want the replayed prefix plus the chunk: %d", wm, ok, seqs[2])
-	}
-
-	report := mustPost(t, ts.URL, id, seqs[2], true, chunks[2], http.StatusOK)
-	if want := cleanReport(t, id, payload); !bytes.Equal(report, want) {
-		t.Fatalf("failed-over report diverged from clean ingest\nclean: %s\nfleet: %s", want, report)
-	}
-	if got := fetchReport(t, other.ts.URL, id); !bytes.Equal(got, report) {
-		t.Fatalf("survivor does not hold the report the balancer served: %s", got)
-	}
-	if v := lb.m.failovers.Value(); v != 1 {
-		t.Fatalf("failovers counter = %d, want 1", v)
-	}
-
-	// The routing table surfaces what happened.
-	table := readBody(t, mustGet(t, ts.URL+"/lb/sessions"))
-	if !strings.Contains(table, `"failovers": 1`) || !strings.Contains(table, `"done": true`) {
-		t.Fatalf("/lb/sessions: %s", table)
-	}
-}
-
-func TestClientResendFailoverWhenBufferOverflows(t *testing.T) {
-	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
-	// ReplayMax negative: no balancer-side buffering at all — failover
-	// must go through the client's watermark-probe + resend path.
-	lb, ts := newTestBalancer(t, Options{ReplayMax: -1}, a, b)
-
-	const id = "resend-sess"
-	payload := sessionJSONL(t, ran.Presets()[0], 22, 3*sim.Second)
-	chunks, seqs := splitLines(payload, 3)
-	mustPost(t, ts.URL, id, seqs[0], false, chunks[0], http.StatusAccepted)
-	owner, other := ownerAndOther(lb, id, a, b)
-	owner.kill()
-
-	// The real client drives recovery end to end: 503 → backoff →
-	// watermark probe (answered by the new pin: 0) → full resend.
-	client := ingest.New(ingest.Options{
-		BaseURL: ts.URL, Retries: 4, Backoff: time.Millisecond, Seed: 7,
-		Sleep: func(time.Duration) {},
-	})
-	stats, err := client.Upload(context.Background(), id, ingest.ContentTypeJSONL, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ShedRetries == 0 {
-		t.Fatalf("stats = %+v, expected shed retries through the failover", stats)
-	}
-	if got, want := fetchReport(t, other.ts.URL, id), cleanReport(t, id, payload); !bytes.Equal(got, want) {
-		t.Fatalf("survivor's report diverged from clean ingest\nclean: %s\nfleet: %s", want, got)
-	}
-}
-
 func TestDrainStopsNewSessionsWhileFailingOverPinned(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
@@ -404,11 +362,11 @@ func TestDrainStopsNewSessionsWhileFailingOverPinned(t *testing.T) {
 		t.Fatalf("draining node accumulated %d sessions, want just the pre-drain one", n)
 	}
 
-	// The pinned in-flight session finishes via failover replay.
-	report := mustPost(t, ts.URL, pinnedID, seqs[1], true, chunks[1], http.StatusOK)
-	if got := fetchReport(t, b.ts.URL, pinnedID); !bytes.Equal(got, report) {
-		t.Fatalf("failed-over session is not on the survivor: %s", got)
-	}
+	// The pinned in-flight session fails over: its next chunk is a seq
+	// gap on b, which has never seen it, and the client resends it all.
+	mustPost(t, ts.URL, pinnedID, seqs[1], true, chunks[1], http.StatusPreconditionFailed)
+	resend(t, ts.URL, pinnedID, ingest.ContentTypeJSONL, payload)
+	report := fetchReport(t, b.ts.URL, pinnedID)
 	if want := cleanReport(t, pinnedID, payload); !bytes.Equal(report, want) {
 		t.Fatalf("drained-through report diverged from clean ingest\nclean: %s\nfleet: %s", want, report)
 	}
@@ -460,8 +418,8 @@ func TestDrainingCodeRepinsOtherCodesDoNot(t *testing.T) {
 		t.Fatal("session re-pinned after a non-draining 503")
 	}
 
-	// The node's typed draining rejection passes through, marks the
-	// backend, and the retry fails over with replay.
+	// The node's typed draining rejection passes through and marks the
+	// backend; the retry re-pins, and the client resends from 0.
 	owner.node.Drain()
 	rejected := mustPost(t, ts.URL, id, seqs[2], true, chunks[2], http.StatusServiceUnavailable)
 	if ingest.ErrorCode(rejected) != ingest.CodeDraining {
@@ -470,10 +428,12 @@ func TestDrainingCodeRepinsOtherCodesDoNot(t *testing.T) {
 	if st := backendOf(t, lb, owner).State(); st != stateDraining {
 		t.Fatalf("backend state after a draining rejection = %v, want draining", st)
 	}
-	report := mustPost(t, ts.URL, id, seqs[2], true, chunks[2], http.StatusOK)
+	mustPost(t, ts.URL, id, seqs[2], true, chunks[2], http.StatusPreconditionFailed)
 	if lb.lookup(id).backend.url != other.ts.URL {
 		t.Fatal("session still pinned to the draining node")
 	}
+	resend(t, ts.URL, id, ingest.ContentTypeJSONL, payload)
+	report := fetchReport(t, other.ts.URL, id)
 	if want := cleanReport(t, id, payload); !bytes.Equal(report, want) {
 		t.Fatalf("re-pinned report diverged from clean ingest\nclean: %s\nfleet: %s", want, report)
 	}
@@ -482,7 +442,7 @@ func TestDrainingCodeRepinsOtherCodesDoNot(t *testing.T) {
 // TestMalformedChunkPassesThrough pins a chunk whose bytes arrive whole
 // but do not decode, through dominolb: the node's 400 malformed reaches
 // the client, which does not retry it, and the backend stays up. A chunk
-// torn on its way in is a 503: the forward to the node tears with it.
+// torn on its way in is a 503 interrupted, as the node would answer it.
 func TestMalformedChunkPassesThrough(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
@@ -516,21 +476,9 @@ func TestMalformedChunkPassesThrough(t *testing.T) {
 		}
 	}
 
-	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "POST /ingest?session=torn HTTP/1.1\r\nHost: lb\r\nContent-Type: %s\r\n%s: 0\r\n"+
-		"Transfer-Encoding: chunked\r\n\r\n%x\r\n%s", ingest.ContentTypeJSONL, ingest.HeaderSeq, len(bad)+1, bad)
-	conn.(*net.TCPConn).CloseWrite()
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainClose(resp)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("torn chunk through the balancer: %d, want 503", resp.StatusCode)
+	resp := postTorn(t, ts.URL, "torn", ingest.Request{Resumable: true}, ingest.ContentTypeJSONL, bad)
+	if body := readBody(t, resp); resp.StatusCode != http.StatusServiceUnavailable || ingest.ErrorCode([]byte(body)) != ingest.CodeInterrupted {
+		t.Fatalf("torn chunk through the balancer: %d %s, want 503 interrupted", resp.StatusCode, body)
 	}
 }
 
@@ -762,10 +710,10 @@ func TestSessionsActiveGaugeMatchesTableWalk(t *testing.T) {
 // TestRoutingTableRetainsBoundedDone reaches the table's bound: with
 // room for three done entries, the oldest completed sessions leave the
 // table as newer ones complete, in completion order, while a live
-// session — one that already failed over — keeps its entry, its replay
-// buffer and its place in the active gauge however many finish around
-// it. A dropped session is merely unknown to the balancer again: its
-// watermark and report still come from the fleet.
+// session — one that already failed over — keeps its entry and its
+// place in the active gauge however many finish around it. A dropped
+// session is merely unknown to the balancer again: its watermark and
+// report still come from the fleet.
 func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
@@ -777,7 +725,7 @@ func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	owner, _ := ownerAndOther(lb, "live", a, b)
 	owner.kill()
 	drainClose(postChunk(t, ts.URL, "live", ingest.ContentTypeJSONL, seqs[1], false, bytes.NewReader(chunks[1]))) // 503: feeds health
-	mustPost(t, ts.URL, "live", seqs[1], false, chunks[1], http.StatusAccepted)
+	mustPost(t, ts.URL, "live", seqs[1], false, chunks[1], http.StatusPreconditionFailed)                         // re-pinned: a gap on the fresh node
 
 	const finished = 7
 	for i := 0; i < finished; i++ {
@@ -788,7 +736,6 @@ func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 		Session   string `json:"session"`
 		Done      bool   `json:"done"`
 		Failovers int    `json:"failovers"`
-		Buffered  int    `json:"buffered_bytes"`
 	}
 	if err := json.Unmarshal([]byte(readBody(t, mustGet(t, ts.URL+"/lb/sessions"))), &table); err != nil {
 		t.Fatal(err)
@@ -800,8 +747,8 @@ func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	if want := []string{"live", "d-4", "d-5", "d-6"}; !slices.Equal(got, want) {
 		t.Fatalf("/lb/sessions lists %v, want %v: the live session and the last three done, in admission order", got, want)
 	}
-	if e := table[0]; e.Done || e.Failovers != 1 || e.Buffered != len(chunks[0])+len(chunks[1]) {
-		t.Fatalf("live session after the reaping: %+v, want one failover and both chunks buffered", e)
+	if e := table[0]; e.Done || e.Failovers != 1 {
+		t.Fatalf("live session after the reaping: %+v, want live after one failover", e)
 	}
 	text := readBody(t, mustGet(t, ts.URL+"/metrics"))
 	for _, line := range []string{"dominolb_sessions_active 1\n", fmt.Sprintf("dominolb_sessions_total %d\n", finished+1)} {
@@ -819,7 +766,8 @@ func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	if want := cleanReport(t, "d-0", payload); !bytes.Equal(fetchReport(t, ts.URL, "d-0"), want) {
 		t.Fatal("report of a dropped session diverged from clean ingest")
 	}
-	report := mustPost(t, ts.URL, "live", seqs[2], true, chunks[2], http.StatusOK)
+	resend(t, ts.URL, "live", ingest.ContentTypeJSONL, payload)
+	report := fetchReport(t, ts.URL, "live")
 	if want := cleanReport(t, "live", payload); !bytes.Equal(report, want) {
 		t.Fatalf("failed-over report diverged from clean ingest\nclean: %s\nfleet: %s", want, report)
 	}

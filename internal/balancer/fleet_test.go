@@ -74,11 +74,11 @@ func (g *gatedReader) Read(p []byte) (int, error) {
 
 // TestFleetChaosDifferential is the acceptance test for the fleet
 // tier: 4 dominod nodes behind the balancer, every scenario in both
-// wire formats, two seeded mid-stream backend kills (one recovered by
-// balancer-side watermark replay, one by the client's retryable-503
-// resend path), and at the end every one of the 28 reports fetched
-// through the balancer must equal the clean single-node report byte
-// for byte.
+// wire formats, two seeded mid-stream backend kills (one at a chunk
+// boundary, one mid-body, both recovered by the client's resend after
+// the balancer re-pins), and at the end every one of the 28 reports
+// fetched through the balancer must equal the clean single-node report
+// byte for byte.
 func TestFleetChaosDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet chaos differential is the long acceptance test")
@@ -110,14 +110,14 @@ func TestFleetChaosDifferential(t *testing.T) {
 	lbTS := httptest.NewServer(lb.Routes())
 	defer lbTS.Close()
 
-	// Seeded kill schedule: one JSONL session dies at a chunk boundary
-	// (balancer replay recovers it), one binary session dies mid-body
-	// (the client's resend path recovers it).
+	// Seeded kill schedule: one JSONL session dies at a chunk boundary,
+	// one binary session dies mid-body; the client's resend recovers
+	// both.
 	rng := rand.New(rand.NewSource(4242))
-	killReplayAt := rng.Intn(len(names))
-	killResendAt := rng.Intn(len(names))
-	for killResendAt == killReplayAt {
-		killResendAt = rng.Intn(len(names))
+	killBoundaryAt := rng.Intn(len(names))
+	killMidBodyAt := rng.Intn(len(names))
+	for killMidBodyAt == killBoundaryAt {
+		killMidBodyAt = rng.Intn(len(names))
 	}
 	killed := 0
 
@@ -191,10 +191,10 @@ func TestFleetChaosDifferential(t *testing.T) {
 			}
 
 			switch {
-			case i == killReplayAt && f.name == "jsonl":
+			case i == killBoundaryAt && f.name == "jsonl":
 				// Stream in chunks; kill the owner between chunks. The
-				// balancer replays its acknowledged buffer into a
-				// survivor and the stream continues.
+				// balancer re-pins the session to a survivor, which has
+				// never seen it, and the client resends it from there.
 				chunks, seqs := splitLines(payload, 3)
 				resp := postChunk(t, lbTS.URL, id, f.contentType, seqs[0], false, bytes.NewReader(chunks[0]))
 				if resp.StatusCode != http.StatusAccepted {
@@ -206,24 +206,23 @@ func TestFleetChaosDifferential(t *testing.T) {
 				markDead(victim)
 				killed++
 				// First post-kill chunk bounces (503, marks the node
-				// down), the retry fails over with replay.
+				// down); the retry re-pins and is a seq gap on the
+				// survivor; the client resends the session from 0.
 				resp = postChunk(t, lbTS.URL, id, f.contentType, seqs[1], false, bytes.NewReader(chunks[1]))
 				if resp.StatusCode != http.StatusServiceUnavailable {
 					t.Fatalf("%s chunk against killed node: %d, want 503", id, resp.StatusCode)
 				}
 				drainClose(resp)
 				resp = postChunk(t, lbTS.URL, id, f.contentType, seqs[1], false, bytes.NewReader(chunks[1]))
-				if resp.StatusCode != http.StatusAccepted {
-					t.Fatalf("%s failover chunk: %d", id, resp.StatusCode)
+				if resp.StatusCode != http.StatusPreconditionFailed {
+					t.Fatalf("%s chunk on the fresh pin: %d, want 412", id, resp.StatusCode)
 				}
 				drainClose(resp)
-				resp = postChunk(t, lbTS.URL, id, f.contentType, seqs[2], true, bytes.NewReader(chunks[2]))
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("%s eos after failover: %d", id, resp.StatusCode)
+				if stats, err := uploader(int64(1000*i+fi)).Upload(context.Background(), id, f.contentType, payload); err != nil {
+					t.Fatalf("%s: resend after kill: %v (stats %+v)", id, err, stats)
 				}
-				drainClose(resp)
 
-			case i == killResendAt && f.name == "binary":
+			case i == killMidBodyAt && f.name == "binary":
 				// Kill the owner while the very first request is
 				// mid-body: nothing was ever acknowledged, so recovery
 				// must come from the client resending after the
@@ -432,18 +431,15 @@ func TestFleetDrainSemantics(t *testing.T) {
 		t.Fatalf("draining node sessions = %+v, want only %q", infos, id)
 	}
 
-	// The pinned session finishes: a draining dominod rejects the next
-	// chunk, so the balancer fails it over (replay) to the survivor.
+	// The pinned session finishes: a draining dominod rejects every
+	// ingest POST, so the balancer re-pins it to the survivor, where its
+	// next chunk is a seq gap, and the client resends it from 0.
 	resp = postChunk(t, lbTS.URL, id, ingest.ContentTypeJSONL, seqs[1], false, bytes.NewReader(chunks[1]))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("chunk 1 during drain: %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusPreconditionFailed {
+		t.Fatalf("chunk 1 during drain: %d, want 412", resp.StatusCode)
 	}
 	drainClose(resp)
-	resp = postChunk(t, lbTS.URL, id, ingest.ContentTypeJSONL, seqs[2], true, bytes.NewReader(chunks[2]))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("eos during drain: %d", resp.StatusCode)
-	}
-	drainClose(resp)
+	resend(t, lbTS.URL, id, ingest.ContentTypeJSONL, payload.Bytes())
 
 	want := fetchReport(t, clean.ts.URL, id)
 	got := fetchReport(t, lbTS.URL, id)

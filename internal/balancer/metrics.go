@@ -16,7 +16,6 @@ type metrics struct {
 	reg           *obs.Registry
 	sessionsTotal *obs.Counter
 	failovers     *obs.Counter
-	replayedBytes *obs.Counter
 	proxyErrors   *obs.Counter
 	healthProbes  *obs.Counter
 	probeFailures *obs.Counter
@@ -32,8 +31,6 @@ func newMetrics(b *Balancer) *metrics {
 			"Sessions admitted at the balancer."),
 		failovers: reg.Counter("dominolb_failovers_total",
 			"Sessions re-pinned to a surviving backend after their node left the fleet."),
-		replayedBytes: reg.Counter("dominolb_replayed_bytes_total",
-			"Bytes replayed from balancer-side buffers into fresh backends during failover."),
 		proxyErrors: reg.Counter("dominolb_proxy_errors_total",
 			"Proxied requests that failed at the transport layer."),
 		healthProbes: reg.Counter("dominolb_health_probes_total",

@@ -25,16 +25,17 @@ import (
 var errNoBackends = fmt.Errorf("no healthy backends")
 
 // handleIngest admits a session (or the next chunk of one), pins it
-// to a backend, and proxies the body. Failure handling is the point:
+// to a backend, and streams the body through. Failure handling is the
+// client's resumable-ingest path, with the balancer only re-pinning:
 //
 //   - if the pinned backend is down or draining when the chunk
-//     arrives, the session fails over first — the balancer re-pins by
-//     HRW over the surviving nodes and replays its acknowledged
-//     prefix at seq 0, which is exactly the new node's watermark;
+//     arrives, the session is re-pinned by HRW over the surviving
+//     nodes first; the fresh node has never seen it, so a chunk past
+//     record 0 is its 412 seq gap, and the client probes the watermark
+//     (0 there) and resends from the start;
 //   - if the backend dies under an in-flight proxy, the client gets a
-//     retryable 503 + Retry-After and the internal/ingest backoff
-//     path takes over: probe watermark (now answered by the new
-//     pin), resend what is missing.
+//     retryable 503 + Retry-After, the failure feeds health, and the
+//     retry's watermark probe re-pins the same way.
 func (b *Balancer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	req, err := ingest.ParseRequest(r.Header)
 	if err != nil {
@@ -48,25 +49,20 @@ func (b *Balancer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		id = fmt.Sprintf("lb-%d", b.nextID.Add(1))
 	}
 	sess := b.session(id)
-	// One chunk at a time per session: the protocol is sequential and
-	// a concurrent duplicate would corrupt replay accounting.
+	// One chunk at a time per session: the protocol is sequential, and
+	// a concurrent duplicate could land on a pin the other re-pinned.
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-
-	sess.resumable = sess.resumable || req.Resumable
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		sess.contentType = ct
-	}
-	if err := b.ensureBackend(r.Context(), sess); err != nil {
+	if err := b.ensureBackend(sess); err != nil {
 		ingest.CodeUnavailable.Reject(w, fmt.Sprintf("session %s: %v", id, err))
 		return
 	}
 	b.forward(w, r, req, sess, id)
 }
 
-// ensureBackend gives sess a live pin, failing it over when the
-// current one left the fleet. Callers hold sess.mu.
-func (b *Balancer) ensureBackend(ctx context.Context, sess *lbSession) error {
+// ensureBackend gives sess a live pin, re-pinning it when the current
+// one left the fleet. Callers hold sess.mu.
+func (b *Balancer) ensureBackend(sess *lbSession) error {
 	cur := sess.backend
 	if cur != nil && cur.State() == stateUp {
 		return nil
@@ -75,114 +71,73 @@ func (b *Balancer) ensureBackend(ctx context.Context, sess *lbSession) error {
 	if next == nil {
 		return errNoBackends
 	}
-	if cur == nil {
-		sess.backend = next
-		return nil
-	}
-	// Failover. The new node has never seen this session (watermark
-	// 0): replay the acknowledged prefix if we still hold it aligned,
-	// otherwise reset so the client's own resend starts from scratch.
-	b.m.failovers.Inc()
-	sess.failovers++
-	b.log.Warn("session failover", "session", sess.id, "from", cur.url, "to", next.url,
-		"replay_bytes", sess.buffered, "accepted", sess.accepted)
-	if sess.buffered > 0 && !sess.overflow {
-		if err := b.replay(ctx, sess, next); err != nil {
-			return fmt.Errorf("failover replay: %w", err)
-		}
-	} else {
-		sess.accepted = 0
-		sess.dropReplay()
+	if cur != nil {
+		b.m.failovers.Inc()
+		sess.failovers++
+		b.log.Warn("session failover", "session", sess.id, "from", cur.url, "to", next.url)
 	}
 	sess.backend = next
 	return nil
 }
 
-// dropReplay forgets the acknowledged chunks kept for failover replay.
-func (s *lbSession) dropReplay() { s.chunks, s.buffered = nil, 0 }
-
-// replayBody streams the acknowledged chunks back to back.
-func (s *lbSession) replayBody() io.ReadCloser {
-	parts := make([]io.Reader, len(s.chunks))
-	for i, c := range s.chunks {
-		parts[i] = bytes.NewReader(c)
-	}
-	return io.NopCloser(io.MultiReader(parts...))
+// clientBody is a client's request body on its way to a backend. It
+// remembers the first read error other than EOF, so a forward that
+// fails can tell the client's torn body from the backend's death. The
+// transport reads it on a goroutine of its own.
+type clientBody struct {
+	r   io.Reader
+	mu  sync.Mutex
+	err error
 }
 
-// replay re-ingests a session's acknowledged prefix into a fresh
-// backend: one POST at seq 0 (the new node's watermark), no EOS, so
-// the stream continues where the client left off.
-func (b *Balancer) replay(ctx context.Context, sess *lbSession, be *backend) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		be.url+"/ingest?session="+url.QueryEscape(sess.id), sess.replayBody())
-	if err != nil {
-		return err
+func (c *clientBody) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	if err != nil && err != io.EOF {
+		c.mu.Lock()
+		if c.err == nil {
+			c.err = err
+		}
+		c.mu.Unlock()
 	}
-	// The body is a list, so say how long it is and how to start it over
-	// (a reused connection the backend already closed), as net/http works
-	// out by itself for a single bytes.Reader.
-	req.ContentLength = int64(sess.buffered)
-	req.GetBody = func() (io.ReadCloser, error) { return sess.replayBody(), nil }
-	req.Header.Set("Content-Type", sess.contentType)
-	ingest.Request{Resumable: true}.SetHeaders(req.Header)
-	resp, err := b.client.Do(req)
-	if err != nil {
-		b.backendFailed(be, err)
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("backend %s answered %d: %s", be.url, resp.StatusCode, bytes.TrimSpace(body))
-	}
-	var wm ingest.Watermark
-	if err := json.Unmarshal(body, &wm); err != nil {
-		return fmt.Errorf("backend %s watermark: %w", be.url, err)
-	}
-	sess.accepted = wm.Accepted
-	b.m.replayedBytes.Add(int64(sess.buffered))
-	return nil
+	return n, err
 }
 
-// forward proxies one ingest chunk to the session's pinned backend,
-// teeing the body into a buffer of its own that joins the replay list
-// only once the backend acknowledges: a chunk costs a chunk, however
-// long the session already is. A chunk whose declared length would take
-// the list past ReplayMax is not teed at all: its acknowledgement ends
-// the session's replay, so keeping it would cost its size to keep
-// nothing. Callers hold sess.mu.
+// torn returns the first read error the body met, or nil.
+func (c *clientBody) torn() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+// forward streams one ingest chunk to the session's pinned backend and
+// relays the answer. Callers hold sess.mu.
 func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.Request, sess *lbSession, id string) {
 	be := sess.backend
-	var pending *bytes.Buffer
-	var body io.Reader = r.Body
-	tooLong := false
-	if sess.resumable && !sess.overflow && b.opts.ReplayMax > 0 {
-		n := r.ContentLength
-		tooLong = int64(sess.buffered)+n > b.opts.ReplayMax
-		if !tooLong {
-			var sized []byte
-			if n > 0 {
-				sized = make([]byte, 0, n)
-			}
-			pending = bytes.NewBuffer(sized)
-			body = io.TeeReader(r.Body, pending)
-		}
-	}
+	body := &clientBody{r: r.Body}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		be.url+"/ingest?session="+url.QueryEscape(id), body)
 	if err != nil {
 		ingest.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	req.Header.Set("Content-Type", sess.contentType)
+	copyHeader(req.Header, r.Header, "Content-Type")
 	proto.SetHeaders(req.Header)
 	resp, err := b.client.Do(req)
 	if err != nil {
-		// The backend vanished under the stream. We cannot replay the
-		// client's body (it is half-consumed); hand the failure to the
-		// client's retry loop, and let the failure feed health so the
-		// next attempt fails over.
+		if body.torn() != nil || r.Context().Err() != nil {
+			// The client's body tore, or the client left: the backend is
+			// not at fault. Answer as a node answers a torn body.
+			msg := fmt.Sprintf("stream interrupted on its way in (%v); resume from the watermark", err)
+			if proto.Settle(ingest.EndInterrupted) == ingest.Suspend {
+				ingest.CodeInterrupted.Reject(w, msg)
+			} else {
+				ingest.WriteError(w, http.StatusBadRequest, msg)
+			}
+			return
+		}
+		// The backend vanished under the stream. Hand the failure to
+		// the client's retry loop, and let it feed health so the next
+		// attempt fails over.
 		b.backendFailed(be, err)
 		ingest.CodeUnavailable.Reject(w, fmt.Sprintf("backend lost mid-upload (%v); retry to fail over", err))
 		return
@@ -197,34 +152,10 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.
 
 	switch resp.StatusCode {
 	case http.StatusOK:
-		// Final report: the session is complete, the buffer has done
-		// its job. A client that lost the 200 resends and gets it again.
+		// Final report: the session is complete. A client that lost
+		// the 200 resends and gets it again.
 		if !sess.done {
 			b.retire(sess)
-		}
-		sess.dropReplay()
-		sess.overflow = false
-	case http.StatusAccepted:
-		// Chunk acknowledged: commit the teed bytes to the replay
-		// buffer and advance the acknowledged watermark.
-		var wm ingest.Watermark
-		if json.Unmarshal(respBody, &wm) == nil {
-			sess.accepted = wm.Accepted
-		}
-		if pending != nil {
-			chunk := pending.Bytes()
-			if cap(chunk) > len(chunk) {
-				// A body of undeclared length grew its buffer by doubling;
-				// keep the bytes, not the slack.
-				chunk = bytes.Clone(chunk)
-			}
-			sess.chunks = append(sess.chunks, chunk)
-			sess.buffered += len(chunk) // a body of undeclared length can still pass the cap
-			tooLong = int64(sess.buffered) > b.opts.ReplayMax
-		}
-		if tooLong {
-			sess.dropReplay()
-			sess.overflow = true
 		}
 	case http.StatusServiceUnavailable:
 		// The backend is shedding or draining; reflect draining into
@@ -234,8 +165,8 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.
 			b.log.Info("backend draining (ingest reject)", "backend", be.url)
 		}
 	}
-	copyHeader(w, resp.Header, "Content-Type")
-	copyHeader(w, resp.Header, "Retry-After")
+	copyHeader(w.Header(), resp.Header, "Content-Type")
+	copyHeader(w.Header(), resp.Header, "Retry-After")
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(respBody)
 }
@@ -248,9 +179,9 @@ func (b *Balancer) backendFailed(be *backend, err error) {
 	}
 }
 
-func copyHeader(w http.ResponseWriter, h http.Header, name string) {
-	if v := h.Get(name); v != "" {
-		w.Header().Set(name, v)
+func copyHeader(dst, src http.Header, name string) {
+	if v := src.Get(name); v != "" {
+		dst.Set(name, v)
 	}
 }
 
@@ -263,7 +194,7 @@ func (b *Balancer) handleWatermark(w http.ResponseWriter, r *http.Request) {
 	if sess := b.lookup(id); sess != nil {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
-		if err := b.ensureBackend(r.Context(), sess); err != nil {
+		if err := b.ensureBackend(sess); err != nil {
 			ingest.CodeUnavailable.Reject(w, err.Error())
 			return
 		}
@@ -322,7 +253,7 @@ func (b *Balancer) passThrough(w http.ResponseWriter, ctx context.Context, be *b
 		return
 	}
 	defer resp.Body.Close()
-	copyHeader(w, resp.Header, "Content-Type")
+	copyHeader(w.Header(), resp.Header, "Content-Type")
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 }
@@ -342,7 +273,7 @@ func (b *Balancer) tryPassThrough(w http.ResponseWriter, ctx context.Context, be
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		return false
 	}
-	copyHeader(w, resp.Header, "Content-Type")
+	copyHeader(w.Header(), resp.Header, "Content-Type")
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 	return true
