@@ -562,7 +562,7 @@ func TestQueryAndSimilarEndpoints(t *testing.T) {
 	// Parameter validation.
 	for _, bad := range []string{
 		"/query?from=notanumber", "/query?last=-5m", "/query?agg=bogus",
-		"/query?agg=cause_rates&bucket=0s", "/incidents/similar",
+		"/query?agg=cause_rates&bucket=0s", "/query?agg=cause_rates&bucket=500ns", "/incidents/similar",
 	} {
 		resp, err := http.Get(ts.URL + bad)
 		if err != nil {

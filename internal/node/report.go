@@ -217,8 +217,10 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		bucket := 10 * time.Minute
 		if v := p.Get("bucket"); v != "" {
 			d, err := time.ParseDuration(v)
-			if err != nil || d <= 0 {
-				ingest.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad bucket %q: want a positive duration like 10m", v))
+			// The store keeps time in microseconds: a shorter bucket would be 0,
+			// which CauseRates reads as "one bucket".
+			if err != nil || d < time.Microsecond {
+				ingest.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad bucket %q: want a duration like 10m, at least the store's 1µs resolution", v))
 				return
 			}
 			bucket = d

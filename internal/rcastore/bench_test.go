@@ -87,14 +87,15 @@ func BenchmarkRCAStoreInsert(b *testing.B) {
 //
 // The first arrives in time order and is read with no time bound, so
 // every block is either skipped or read whole. Its ceilings are 1.3 × the
-// allocs per query measured on it in PR 20, which were 486, 9, 652, 52
-// and 10 in the order below.
+// allocs per query measured on it once reads folded a sealed block's
+// spans, which were 485, 9, 652, 51 and 10 in the order below.
 //
 // The second arrives as that preload does — starts spread over 24 h in
 // no order, so every block spans the day — and is read with the
 // benchmark's grid: the last hour, the last six, all of it, over every
 // cell and over one. These reads select rows inside blocks. Their
-// ceilings are 1.3 × the allocs measured in PR 23 (shuffledAllocs).
+// ceilings are 1.3 × the allocs measured at the same point
+// (shuffledAllocs).
 func queryReads() []queryRead {
 	recs := synthRecords(25000)
 	s := New(Options{BlockRows: 256})
@@ -103,10 +104,10 @@ func queryReads() []queryRead {
 	}
 	probe := []string{"harq_retx", "forward_delay_up", "jitter_buffer_drain", "cross_traffic"}
 	reads := []queryRead{
-		{"records_limit50", 631, func() int { return len(s.Query(Query{Cause: "harq_retx", Limit: 50})) }},
+		{"records_limit50", 630, func() int { return len(s.Query(Query{Cause: "harq_retx", Limit: 50})) }},
 		{"top_chains", 11, func() int { return len(s.TopChains(Query{}, 5)) }},
 		{"cause_rates", 847, func() int { return len(s.CauseRates(Query{Cell: "fdd"}, 60*sim.Minute)) }},
-		{"similar_k5", 67, func() int { return len(s.Similar(probe, Query{}, 5)) }},
+		{"similar_k5", 66, func() int { return len(s.Similar(probe, Query{}, 5)) }},
 		{"fired", 13, func() int {
 			// The oldest session: the far end of a backwards walk.
 			if _, ok := s.Fired(recs[0].Session); ok {
@@ -146,9 +147,9 @@ func queryReads() []queryRead {
 // shuffledAllocs[span][cell] holds the ceilings of the four reads of one
 // cell of the shuffled store's grid, in queryReads' order.
 var shuffledAllocs = [3][2][4]float64{
-	{{643, 13, 28, 70}, {650, 13, 14, 71}},   // measured 495, 10, 22, 54 and 500, 10, 11, 55
-	{{652, 13, 115, 75}, {655, 13, 36, 70}},  // 502, 10, 89, 58 and 504, 10, 28, 54
-	{{639, 13, 404, 71}, {620, 13, 115, 70}}, // 492, 10, 311, 55 and 477, 10, 89, 54
+	{{642, 11, 27, 68}, {648, 11, 13, 70}},   // measured 494, 9, 21, 53 and 499, 9, 10, 54
+	{{651, 11, 114, 74}, {653, 11, 35, 68}},  // 501, 9, 88, 57 and 503, 9, 27, 53
+	{{638, 11, 403, 70}, {618, 11, 114, 68}}, // 491, 9, 310, 54 and 476, 9, 88, 53
 }
 
 type queryRead struct {
@@ -253,8 +254,9 @@ func BenchmarkRCAStoreJournalReplay(b *testing.B) {
 // fixtures. Each ceiling is 1.3 × the allocations per report measured in
 // PR 20: Insert 0.273, Journal.Append 0 (the benchmark's 16 allocs/op at
 // three iterations were the dictionary filling), Recover 1.307. Sealing a
-// full block adds five allocations per 256 reports to Insert and Recover
-// (0.293 and 1.327 in PR 23) under the same ceilings.
+// full block moves its columns into (cell, start) order, which allocates
+// each column afresh: Insert 0.348 and Recover 1.381, under the same
+// ceilings.
 func TestWritePathAllocs(t *testing.T) {
 	recs := synthRecords(4096)
 	perReport := func(name string, ceiling float64, reports int, f func()) {

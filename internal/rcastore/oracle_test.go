@@ -2,6 +2,7 @@ package rcastore
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -25,11 +26,20 @@ import (
 func retainedRows(s *Store) []Record {
 	var rows []Record
 	for _, b := range s.blocks {
-		for i := 0; i < b.n; i++ {
+		for _, i := range byInsertion(b) {
 			rows = append(rows, s.materializeLocked(b, i))
 		}
 	}
 	return rows
+}
+
+// byInsertion lists a block's rows in the order they were inserted.
+func byInsertion(b *block) []int {
+	at := make([]int, b.n)
+	for i, k := range b.order {
+		at[k] = i
+	}
+	return at
 }
 
 func refMatch(r *Record, q Query) bool {
@@ -55,6 +65,20 @@ func refScan(rows []Record, q Query, visit func(r *Record)) {
 			visit(&rows[i])
 		}
 	}
+}
+
+// visited is every row of q's spans, put in insertion order. A sealed
+// block's rows are in (cell, start) order, so what the reference scan can
+// check is the set: each matching row exactly once.
+func visited(s *Store, q Query) []rowAt {
+	var out []rowAt
+	s.scanLocked(q, func(b *block, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out = append(out, rowAt{b, i})
+		}
+	})
+	slices.SortFunc(out, func(x, y rowAt) int { return cmp.Compare(x.b.seq+int(x.b.order[x.i]), y.b.seq+int(y.b.order[y.i])) })
+	return out
 }
 
 func oracleQuery(rows []Record, q Query) []Record {
@@ -114,8 +138,9 @@ func oracleSimilar(rows []Record, fired []string, q Query, k int) []Match {
 func oracleFired(s *Store, session string) (Record, bool) {
 	for bi := len(s.blocks) - 1; bi >= 0; bi-- {
 		b := s.blocks[bi]
-		for i := b.n - 1; i >= 0; i-- {
-			if b.sessions[i] == session {
+		at := byInsertion(b)
+		for k := b.n - 1; k >= 0; k-- {
+			if i := at[k]; b.sessions[i] == session {
 				return s.materializeLocked(b, i), true
 			}
 		}
@@ -161,16 +186,14 @@ func oracleCauseRates(rows []Record, q Query, bucket sim.Time) []CauseBucket {
 	}
 	runs := map[cellKey]int{}
 	sessions := map[groupKey]int{}
-	minutes := map[groupKey]float64{}
+	micros := map[groupKey]sim.Time{}
 	refScan(rows, q, func(r *Record) {
 		g := groupKey{cell: r.Cell}
 		if bucket > 0 {
-			g.bucket = r.Start / bucket * bucket
+			g.bucket = r.Start - (r.Start%bucket+bucket)%bucket // floored, negative starts too
 		}
 		sessions[g]++
-		// Summed in insertion order, as the store does: float addition does
-		// not commute, and the answers must agree to the bit.
-		minutes[g] += (r.End - r.Start).Seconds() / 60
+		micros[g] += r.End - r.Start
 		for _, c := range r.Causes {
 			runs[cellKey{groupKey: g, cause: c.Cause}] += c.Runs
 		}
@@ -179,7 +202,7 @@ func oracleCauseRates(rows []Record, q Query, bucket sim.Time) []CauseBucket {
 	for k, n := range runs {
 		cb := CauseBucket{
 			Cell: k.cell, Bucket: k.bucket, Cause: k.cause,
-			Runs: n, Sessions: sessions[k.groupKey], Minutes: minutes[k.groupKey],
+			Runs: n, Sessions: sessions[k.groupKey], Minutes: float64(micros[k.groupKey]) / float64(sim.Minute),
 		}
 		if cb.Minutes > 0 {
 			cb.RunsPerMin = float64(n) / cb.Minutes
@@ -211,8 +234,8 @@ var wideNodes = func() []string {
 
 // randomRecords draws n rows from a universe small enough that every
 // kind of tie occurs: sessions repeat (some with the same Start — a
-// full-key tie only scan order breaks — some with a later one), starts
-// collide across sessions and arrive in no order, a few of them
+// full-key tie only insertion position breaks — some with a later one),
+// starts collide across sessions and arrive in no order, a few of them
 // negative, and fired sets repeat so distances tie. Row n/2 fires
 // wideNodes, and later rows a few of them.
 func randomRecords(rng *rand.Rand, n int) []Record {
@@ -308,7 +331,9 @@ func checkReads(t *testing.T, s *Store, recs []Record, rng *rand.Rand) {
 	}
 	for _, q := range readGrid(recs, rng) {
 		var got, want []Record
-		s.scanLocked(q, func(b *block, i int) { got = append(got, s.materializeLocked(b, i)) })
+		for _, at := range visited(s, q) {
+			got = append(got, s.materializeLocked(at.b, at.i))
+		}
 		refScan(rows, q, func(r *Record) { want = append(want, *r) })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("scan(%+v) visits sessions %v, the reference scan %v", q, sessions(got), sessions(want))
@@ -405,7 +430,7 @@ func TestReadsMatchSortEverythingOracles(t *testing.T) {
 				// The fixture reaches what it is for: sealed blocks and (nothing
 				// evicted) fired matrices of two widths.
 				first, last := s.blocks[0], s.blocks[len(s.blocks)-1]
-				if first.order == nil {
+				if first.cells == nil {
 					t.Fatal("the first block is not sealed")
 				}
 				if opts.MaxBlocks == 0 && first.stride == last.stride {
@@ -426,6 +451,99 @@ func TestReadsMatchSortEverythingOracles(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestAggregatesIgnoreInsertionOrder: the same rows inserted in two
+// orders, two rows to a block and 256, give equal TopChains and
+// CauseRates answers, Minutes to the bit. A sealed block is read in its
+// own (cell, start) order, so an aggregate that depended on the order it
+// saw rows in would differ here: the rows' session minutes do not sum
+// exactly as floats.
+func TestAggregatesIgnoreInsertionOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	recs := randomRecords(rng, 300)
+	shuffled := slices.Clone(recs)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	var stores []*Store
+	for _, rows := range []int{2, 256} {
+		for _, in := range [][]Record{recs, shuffled} {
+			s := New(Options{BlockRows: rows})
+			for _, r := range in {
+				s.Insert(r)
+			}
+			stores = append(stores, s)
+		}
+	}
+	for _, q := range readGrid(recs, rng) {
+		for i, s := range stores[1:] {
+			if got, want := s.TopChains(q, 0), stores[0].TopChains(q, 0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("store %d: TopChains(%+v) = %+v, the first store's %+v", i+1, q, got, want)
+			}
+			for _, bucket := range []sim.Time{0, 5 * sim.Minute} {
+				if got, want := s.CauseRates(q, bucket), stores[0].CauseRates(q, bucket); !reflect.DeepEqual(got, want) {
+					t.Fatalf("store %d: CauseRates(%+v, %v) = %+v, the first store's %+v", i+1, q, bucket, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTiesBreakOnInsertionPosition: two rows equal on every ranking key
+// (start, session, fired set) resolve to the one inserted first in Query
+// and Similar, with and without a cut at k, before and after Spill →
+// Load. One pair sits in a sealed block whose (cell, start) order puts the
+// second row first; the other straddles a seal boundary.
+func TestTiesBreakOnInsertionPosition(t *testing.T) {
+	opts := Options{BlockRows: 2}
+	s := New(opts)
+	row := func(session, cell, scen string, m int, fired ...string) {
+		start := sim.Time(m) * sim.Minute
+		s.Insert(Record{Session: session, Cell: cell, Scenario: scen, Start: start, End: start + sim.Minute, Fired: fired})
+	}
+	row("f0", "b", "", 100, "z") // cells b and a get IDs 0 and 1
+	row("f1", "a", "", 100, "z")
+	row("x", "a", "first", 10, "p") // block 1, sealed as [second, first]
+	row("x", "b", "second", 10, "p")
+	row("f2", "a", "", 100, "z")
+	row("y", "a", "first", 20, "p")  // the last row of sealed block 2
+	row("y", "a", "second", 20, "p") // the first of open block 3
+	if b := s.blocks[1]; b.order[0] != 1 {
+		t.Fatalf("block 1 holds its rows in order %v, want the second-inserted first", b.order)
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		for _, m := range []sim.Time{10, 20} {
+			q := Query{From: m * sim.Minute, To: (m + 1) * sim.Minute}
+			for _, k := range []int{0, 1} {
+				lq := q
+				lq.Limit = k
+				var got []string
+				for _, r := range s.Query(lq) {
+					got = append(got, r.Scenario)
+				}
+				for _, m := range s.Similar([]string{"p"}, q, k) {
+					got = append(got, m.Scenario)
+				}
+				want := []string{"first", "second", "first", "second"}
+				if k == 1 {
+					want = []string{"first", "first"}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, %+v, k=%d: Query then Similar give %v, want %v", when, q, k, got, want)
+				}
+			}
+		}
+	}
+	check(s, "as inserted")
+	var buf bytes.Buffer
+	if err := s.Spill(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(loaded, "after Spill → Load")
 }
 
 // TestFiredIndexFollowsEviction pins the index's eviction rule on one
@@ -467,8 +585,8 @@ func TestFiredIndexFollowsEviction(t *testing.T) {
 }
 
 // FuzzStoreSelect: whatever the rows' starts and cells, the block size
-// and the bounds, scanLocked visits the rows a loop over the inserted
-// rows selects, in insertion order. Each pair of data bytes is one row: a
+// and the bounds, scanLocked's spans hold the rows a loop over the
+// inserted rows selects, each once. Each pair of data bytes is one row: a
 // start in [-128, 127] and one of four cells; cell picks the asked cell,
 // none, or one no row has.
 func FuzzStoreSelect(f *testing.F) {
@@ -496,7 +614,9 @@ func FuzzStoreSelect(f *testing.F) {
 			}
 		}
 		var got []string
-		s.scanLocked(q, func(b *block, i int) { got = append(got, b.sessions[i]) })
+		for _, at := range visited(s, q) {
+			got = append(got, at.b.sessions[at.i])
+		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("%+v over %v at BlockRows %d: scan visits %v, want %v", q, data, s.opts.BlockRows, got, want)
 		}
@@ -518,14 +638,8 @@ func TestSealHoldsLargeBlocks(t *testing.T) {
 	if got := s.Query(Query{From: 1, To: 11, Cell: "c"}); len(got) != 10 || got[0].Start != 1 {
 		t.Fatalf("the ten oldest starts: %d rows, first %+v", len(got), got[:min(len(got), 1)])
 	}
-	var last int
-	s.scanLocked(Query{From: 100, To: 70001}, func(_ *block, i int) {
-		if i < last {
-			t.Fatalf("row %d visited after row %d", i, last)
-		}
-		last = i
-	})
-	if last != rows-100 {
-		t.Fatalf("last row visited %d, want %d", last, rows-100)
+	at := visited(s, Query{From: 100, To: 70001})
+	if first, last := at[0], at[len(at)-1]; len(at) != rows-99 || first.b.order[first.i] != 0 || last.b.order[last.i] != rows-100 {
+		t.Fatalf("visited %d rows, want the rows inserted 0th to %dth", len(at), rows-100)
 	}
 }

@@ -1,6 +1,7 @@
 package rcastore
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -117,7 +118,7 @@ func (c *compiled) inSpan(b *block, i int) bool {
 	return !c.hasCell || int(b.cellIDs[i]) == c.cellID
 }
 
-// restMatch is the other half, asked row by row.
+// restMatch is the other half, asked row by row unless c is plain.
 func (c *compiled) restMatch(b *block, i int) bool {
 	if c.hasScen && int(b.scenIDs[i]) != c.scenID {
 		return false
@@ -152,62 +153,60 @@ func (c *compiled) restMatch(b *block, i int) bool {
 	return true
 }
 
-// mark sets in sel the rows of sealed block b that pass inSpan: per
-// stretch of a wanted cell, the rows between two binary searches of its
-// sorted starts.
-func (c *compiled) mark(b *block, sel []uint64) {
-	lo := 0
-	for _, ce := range b.cells {
-		if !c.hasCell || int(ce.cell) == c.cellID {
-			// A bound that cuts no row of the block is not searched for.
-			starts := b.sorted[lo:ce.end]
-			from, to := 0, len(starts)
-			if c.q.From > b.minStart {
-				from, _ = slices.BinarySearch(starts, c.q.From)
-			}
-			if c.q.To != 0 && c.q.To <= b.maxStart {
-				to, _ = slices.BinarySearch(starts, c.q.To)
-			}
-			for j := lo + from; j < lo+to; j++ {
-				sel[b.order[j]/64] |= 1 << (b.order[j] % 64)
-			}
+// runs calls span with the runs of rows in a stretch [lo, hi) that
+// restMatch passes, and inSpan too when open.
+func (c *compiled) runs(b *block, lo, hi int, open bool, span func(b *block, lo, hi int)) {
+	for i := lo; i < hi; i++ {
+		j := i
+		if c.plain && !open {
+			j = hi // nothing to ask
 		}
-		lo = ce.end
+		for j < hi && (!open || c.inSpan(b, j)) && (c.plain || c.restMatch(b, j)) {
+			j++
+		}
+		if i < j {
+			span(b, i, j)
+		}
+		i = j // the row at j, if any, does not match
 	}
 }
 
-// scanLocked streams every (block, row) pair matching q in insertion
-// order. In a sealed block it tests only the rows mark selects — walking
-// the bitmap, not the order, is what keeps them in insertion order; the
-// open block, and a sealed one the range covers whole with no cell
-// asked, have nothing to skip and loop over their rows. The caller must
-// hold at least the read lock.
-func (s *Store) scanLocked(q Query, visit func(b *block, i int)) {
+// scanLocked calls span with every run [lo, hi) of a block's rows that
+// matches q. A sealed block's rows are in (cell, start) order, so those of
+// a wanted cell inside [From, To) are one stretch, cut by two binary
+// searches of its starts; the open block is one stretch whose rows are
+// asked inSpan. Each read folds the runs with a loop of its own, and none
+// depends on the order it sees rows in: kBest breaks its last tie on
+// insertion position and CauseRates sums integers. The caller must hold
+// at least the read lock.
+func (s *Store) scanLocked(q Query, span func(b *block, lo, hi int)) {
 	c := s.compileLocked(q)
 	if !c.ok {
 		return
 	}
-	sel := make([]uint64, (s.opts.BlockRows+63)/64)
 	for _, b := range s.blocks {
 		if !c.blockMatch(b) {
 			continue
 		}
-		if b.order == nil || (!c.hasCell && b.minStart >= q.From && (q.To == 0 || b.maxStart < q.To)) {
-			for i := 0; i < b.n; i++ {
-				if c.inSpan(b, i) && (c.plain || c.restMatch(b, i)) {
-					visit(b, i)
-				}
-			}
+		if b.cells == nil {
+			c.runs(b, 0, b.n, true, span)
 			continue
 		}
-		c.mark(b, sel)
-		for w, word := range sel {
-			sel[w] = 0
-			for ; word != 0; word &= word - 1 {
-				if i := w*64 + bits.TrailingZeros64(word); c.plain || c.restMatch(b, i) {
-					visit(b, i)
+		lo := 0
+		for _, ce := range b.cells {
+			if !c.hasCell || int(ce.cell) == c.cellID {
+				// A bound that cuts no row of the block is not searched for.
+				starts := b.starts[lo:ce.end]
+				from, to := 0, len(starts)
+				if c.q.From > b.minStart {
+					from, _ = slices.BinarySearch(starts, c.q.From)
 				}
+				if c.q.To != 0 && c.q.To <= b.maxStart {
+					to, _ = slices.BinarySearch(starts, c.q.To)
+				}
+				c.runs(b, lo+from, lo+to, false, span)
 			}
+			lo = ce.end
 		}
 	}
 }
@@ -245,27 +244,26 @@ func MatchLess(a, b *Match) bool {
 
 // cand is one scanned row competing for a place in a result: its
 // ranking key and where the row sits, from which winners are
-// materialised.
+// materialised and the last tie is broken.
 type cand struct {
 	session string
 	start   sim.Time
 	d       int
 	rowAt
-	seq int // scan position: the final tie-break
 }
 
 // kBest selects the k first rows of a scan under one of the two result
 // orders: MatchLess when recentFirst, else RecordLess — Query offers
 // every row at distance 0, so both are "distance, start one way or the
-// other, session". Ties go to the row scanned first: what a stable sort
-// of every scanned row followed by a cut at k yields, in O(rows · log k)
+// other, session". Ties go to the row inserted first, as a stable sort of
+// every match in insertion order and a cut at k would have it, so the
+// order rows are offered in does not matter. O(rows · log k)
 // comparisons and k cands of memory. k <= 0 keeps every row. Rows of
 // session skip, when set, are not kept.
 type kBest struct {
 	k           int
 	recentFirst bool
 	skip        string
-	seq         int
 	kept        []cand // bounded: a heap whose root is the worst row kept
 }
 
@@ -279,14 +277,13 @@ func (s *kBest) before(a, b *cand) bool {
 	if a.session != b.session {
 		return a.session < b.session
 	}
-	return a.seq < b.seq
+	return a.b.seq+int(a.b.order[a.i]) < b.b.seq+int(b.b.order[b.i])
 }
 
 // offer considers row i of block b at distance d. Against a full heap
 // most rows lose to its root on distance or start alone, before their
 // session is read or a cand built.
 func (s *kBest) offer(b *block, i, d int) {
-	s.seq++
 	full := s.k > 0 && len(s.kept) == s.k
 	if full {
 		root := &s.kept[0]
@@ -294,7 +291,7 @@ func (s *kBest) offer(b *block, i, d int) {
 			return
 		}
 	}
-	c := cand{b.sessions[i], b.starts[i], d, rowAt{b, i}, s.seq}
+	c := cand{b.sessions[i], b.starts[i], d, rowAt{b, i}}
 	if c.session == s.skip && s.skip != "" {
 		return
 	}
@@ -335,7 +332,7 @@ func (s *kBest) offer(b *block, i, d int) {
 }
 
 // ranked returns the kept rows best first. before is a total order
-// (seq is unique), so the sort need not be stable.
+// (insertion positions are unique), so the sort need not be stable.
 func (s *kBest) ranked() []cand {
 	sort.Slice(s.kept, func(i, j int) bool { return s.before(&s.kept[i], &s.kept[j]) })
 	return s.kept
@@ -348,7 +345,11 @@ func (s *Store) Query(q Query) []Record {
 	defer s.mu.RUnlock()
 	s.queriedLocked()
 	sel := kBest{k: q.Limit, skip: q.NotSession}
-	s.scanLocked(q, func(b *block, i int) { sel.offer(b, i, 0) })
+	s.scanLocked(q, func(b *block, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sel.offer(b, i, 0)
+		}
+	})
 	var out []Record
 	for _, c := range sel.ranked() {
 		out = append(out, s.materializeLocked(c.b, c.i))
@@ -377,8 +378,9 @@ func (s *Store) TopChains(q Query, k int) []ChainAgg {
 	// matching record lists it, whatever its run count.
 	runs := make([]int, len(s.chains.names))
 	sessions := make([]int, len(s.chains.names))
-	s.scanLocked(q, func(b *block, i int) {
-		for j := b.chainOff[i]; j < b.chainOff[i+1]; j++ {
+	s.scanLocked(q, func(b *block, lo, hi int) {
+		// A run's rows are consecutive, so their chain entries are too.
+		for j := b.chainOff[lo]; j < b.chainOff[hi]; j++ {
 			runs[b.chainIDs[j]] += int(b.chainRuns[j])
 			sessions[b.chainIDs[j]]++
 		}
@@ -405,7 +407,8 @@ func (s *Store) TopChains(q Query, k int) []ChainAgg {
 // longitudinal cause-rate surface.
 type CauseBucket struct {
 	Cell string `json:"cell"`
-	// Bucket is the bucket's start on the fleet timeline.
+	// Bucket is the bucket's start on the fleet timeline, at or before
+	// every start in it: a negative start is floored, not truncated.
 	Bucket sim.Time `json:"bucket_us"`
 	Cause  string   `json:"cause"`
 	// Runs sums the cause's chain runs over the bucket's sessions;
@@ -414,9 +417,10 @@ type CauseBucket struct {
 	// across buckets.
 	Runs     int `json:"runs"`
 	Sessions int `json:"sessions"`
-	// Minutes is the group's total session minutes — the RunsPerMin
-	// denominator, carried explicitly so a fleet tier can re-derive the
-	// rate after summing Runs and Minutes across nodes.
+	// Minutes is the group's total session minutes, summed exactly in µs
+	// and divided once by sim.Minute, so no row order changes it: the
+	// RunsPerMin denominator, carried explicitly so a fleet tier can
+	// re-derive the rate after summing Runs and Minutes across nodes.
 	Minutes float64 `json:"minutes"`
 	// RunsPerMin normalizes Runs by the group's total session minutes.
 	RunsPerMin float64 `json:"runs_per_min"`
@@ -439,26 +443,38 @@ func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 	// some record of the group lists it, whatever its run count.
 	type group struct {
 		sessions int
-		minutes  float64
+		micros   sim.Time // the sum of End − Start
 		runs     []int
 		listed   []bool
 	}
 	groups := map[groupKey]*group{}
-	s.scanLocked(q, func(b *block, i int) {
-		key := groupKey{cell: b.cellIDs[i]}
-		if bucket > 0 {
-			key.bucket = b.starts[i] / bucket * bucket
-		}
-		g := groups[key]
-		if g == nil {
-			g = &group{runs: make([]int, len(s.causes.names)), listed: make([]bool, len(s.causes.names))}
-			groups[key] = g
-		}
-		g.sessions++
-		g.minutes += (b.ends[i] - b.starts[i]).Seconds() / 60
-		for k := b.causeOff[i]; k < b.causeOff[i+1]; k++ {
-			g.runs[b.causeIDs[k]] += int(b.causeRuns[k])
-			g.listed[b.causeIDs[k]] = true
+	s.scanLocked(q, func(b *block, lo, hi int) {
+		// g holds key.cell's starts in [key.bucket, end): a sealed block's run
+		// is one cell's rows in start order, so it asks the map once a bucket.
+		var g *group
+		var key groupKey
+		var end sim.Time
+		for i := lo; i < hi; i++ {
+			if st := b.starts[i]; g == nil || b.cellIDs[i] != key.cell || st < key.bucket || st >= end {
+				key, end = groupKey{cell: b.cellIDs[i]}, math.MaxInt64
+				if bucket > 0 {
+					// Floored: truncation would put a negative start in a later bucket.
+					if key.bucket = st / bucket * bucket; key.bucket > st {
+						key.bucket -= bucket
+					}
+					end = key.bucket + bucket
+				}
+				if g = groups[key]; g == nil {
+					g = &group{runs: make([]int, len(s.causes.names)), listed: make([]bool, len(s.causes.names))}
+					groups[key] = g
+				}
+			}
+			g.sessions++
+			g.micros += b.ends[i] - b.starts[i]
+			for k := b.causeOff[i]; k < b.causeOff[i+1]; k++ {
+				g.runs[b.causeIDs[k]] += int(b.causeRuns[k])
+				g.listed[b.causeIDs[k]] = true
+			}
 		}
 	})
 	out := []CauseBucket{}
@@ -473,10 +489,10 @@ func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 				Cause:    s.causes.names[id],
 				Runs:     g.runs[id],
 				Sessions: g.sessions,
-				Minutes:  g.minutes,
+				Minutes:  float64(g.micros) / float64(sim.Minute),
 			}
-			if g.minutes > 0 {
-				cb.RunsPerMin = float64(cb.Runs) / g.minutes
+			if cb.Minutes > 0 {
+				cb.RunsPerMin = float64(cb.Runs) / cb.Minutes
 			}
 			out = append(out, cb)
 		}
@@ -526,24 +542,27 @@ func (s *Store) Similar(fired []string, q Query, k int) []Match {
 		probe[id/64] |= 1 << uint(id%64)
 	}
 	sel := kBest{k: k, recentFirst: true, skip: q.NotSession}
-	s.scanLocked(q, func(b *block, i int) {
-		row := b.row(i)
-		d := unknown
-		n := len(row)
-		if len(probe) > n {
-			n = len(probe)
-		}
-		for w := 0; w < n; w++ {
-			var have, want uint64
-			if w < len(row) {
-				have = row[w]
+	s.scanLocked(q, func(b *block, lo, hi int) {
+		// Latest start first, so a row tying a kept one's distance loses on start.
+		for i := hi - 1; i >= lo; i-- {
+			row := b.row(i)
+			d := unknown
+			n := len(row)
+			if len(probe) > n {
+				n = len(probe)
 			}
-			if w < len(probe) {
-				want = probe[w]
+			for w := 0; w < n; w++ {
+				var have, want uint64
+				if w < len(row) {
+					have = row[w]
+				}
+				if w < len(probe) {
+					want = probe[w]
+				}
+				d += bits.OnesCount64(have ^ want)
 			}
-			d += bits.OnesCount64(have ^ want)
+			sel.offer(b, i, d)
 		}
-		sel.offer(b, i, d)
 	})
 	ranked := sel.ranked()
 	out := make([]Match, 0, len(ranked))
@@ -563,5 +582,5 @@ func (s *Store) Fired(session string) (Record, bool) {
 	if !ok {
 		return Record{}, false
 	}
-	return s.materializeLocked(at.b, at.i), true
+	return s.materializeLocked(at.b, slices.Index(at.b.order, uint32(at.i))), true
 }

@@ -478,9 +478,14 @@ func (s *Store) Spill(w io.Writer) error {
 	}
 	rows := 0
 	var r row
+	var at []uint32 // at[k] is the row inserted kth
 	for _, b := range s.blocks {
-		for i := 0; i < b.n; i++ {
-			b.view(i, &r)
+		at = slices.Grow(at[:0], b.n)[:b.n]
+		for i, k := range b.order {
+			at[k] = uint32(i)
+		}
+		for _, i := range at {
+			b.view(int(i), &r)
 			e.row(&r)
 			if len(e.out) >= spillFlushBytes {
 				if _, err := w.Write(e.out); err != nil {

@@ -14,8 +14,8 @@
 // collapsed run counts, per-cause-class rollups, and optional named
 // numeric metrics. Records live in fixed-size column blocks with
 // block-level time/cell/scenario pruning indexes and, once a block is
-// full, its rows' (cell, start) order, so a read finds the rows inside a
-// time range with binary searches instead of testing each; memory is
+// full, its rows moved into (cell, start) order, so a read finds the rows
+// inside a time range with binary searches instead of testing each; memory is
 // bounded by evicting whole blocks oldest-first, and one stored-row codec
 // (segment.go: CRC-framed, dictionary-coded frames) carries history
 // across restarts byte-identically, as a checkpoint (Store.Spill /
@@ -205,8 +205,8 @@ func (d *dict) name(i uint32) string { return d.names[i] }
 // variable-width ones (chain runs, cause rollups, metrics), and a flat
 // bitset matrix for fired nodes (stride words per row). Blocks carry
 // min/max-start bounds and cell/scenario presence bitmaps so queries
-// skip whole blocks without touching rows, and a full block carries its
-// rows' (cell, start) order so queries skip rows inside it (seal).
+// skip whole blocks without touching rows, and a full block holds its
+// rows in (cell, start) order so queries skip rows inside it (sealed).
 type block struct {
 	n        int
 	sessions []string
@@ -230,28 +230,26 @@ type block struct {
 	minStart, maxStart sim.Time
 	cellMask, scenMask []uint64
 
-	// Set by seal, nil while the block is open: order lists the rows by
-	// (cell id, start, row), sorted holds their starts in that order, and
-	// cells gives each cell present the end of its stretch of both (it
-	// begins where the previous one ends). Derived state, never stored.
-	order  []uint32
-	sorted []sim.Time
-	cells  []cellEnd
+	// seq counts the rows the store took before the block opened and row i
+	// was the block's order[i]th, so seq + order[i] is its insertion
+	// position. cells, set by seal, gives each cell present the end of its
+	// stretch of rows (it begins where the previous one ends). Derived
+	// state, never stored: Spill writes the rows in insertion order.
+	seq   int
+	order []uint32
+	cells []cellEnd
 }
 
-// cellEnd closes one cell's stretch of a sealed block's order.
+// cellEnd closes one cell's stretch of a sealed block's rows.
 type cellEnd struct {
 	cell uint32
 	end  int
 }
 
-// seal builds the (cell, start) order of a block that will take no more
-// rows.
+// seal moves the rows of a block that will take no more into (cell id,
+// start, insertion) order, every column once; order keeps where each
+// row came from.
 func (b *block) seal() {
-	b.order = make([]uint32, b.n)
-	for i := range b.order {
-		b.order[i] = uint32(i)
-	}
 	slices.SortFunc(b.order, func(i, j uint32) int {
 		if c := cmp.Compare(b.cellIDs[i], b.cellIDs[j]); c != 0 {
 			return c
@@ -261,18 +259,44 @@ func (b *block) seal() {
 		}
 		return cmp.Compare(i, j)
 	})
-	b.sorted = make([]sim.Time, b.n)
-	for j, i := range b.order {
-		b.sorted[j] = b.starts[i]
-		if k := len(b.cells) - 1; k < 0 || b.cells[k].cell != b.cellIDs[i] {
-			b.cells = append(b.cells, cellEnd{cell: b.cellIDs[i]})
+	b.sessions, b.cellIDs, b.scenIDs = gather(b.sessions, b.order, 1), gather(b.cellIDs, b.order, 1), gather(b.scenIDs, b.order, 1)
+	b.starts, b.ends, b.fired = gather(b.starts, b.order, 1), gather(b.ends, b.order, 1), gather(b.fired, b.order, b.stride)
+	b.chainOff, b.chainIDs, b.chainRuns = gatherRuns(b.order, b.chainOff, b.chainIDs, b.chainRuns)
+	b.causeOff, b.causeIDs, b.causeRuns = gatherRuns(b.order, b.causeOff, b.causeIDs, b.causeRuns)
+	b.metricOff, b.metricIDs, b.metricVals = gatherRuns(b.order, b.metricOff, b.metricIDs, b.metricVals)
+	for i, cell := range b.cellIDs {
+		if k := len(b.cells) - 1; k < 0 || b.cells[k].cell != cell {
+			b.cells = append(b.cells, cellEnd{cell: cell})
 		}
-		b.cells[len(b.cells)-1].end = j + 1
+		b.cells[len(b.cells)-1].end = i + 1
 	}
 }
 
-func newBlock(rows, stride int) *block {
-	b := &block{stride: stride}
+// gather returns the rows of a column of w elements a row in order.
+func gather[T any](col []T, order []uint32, w int) []T {
+	out := make([]T, 0, len(col))
+	for _, i := range order {
+		out = append(out, col[int(i)*w:int(i+1)*w]...)
+	}
+	return out
+}
+
+// gatherRuns returns the rows of a variable-width column in order: the
+// offsets and the two value arrays they index.
+func gatherRuns[V any](order, off, ids []uint32, vals []V) ([]uint32, []uint32, []V) {
+	toff := append(make([]uint32, 0, len(off)), 0)
+	tids, tvals := make([]uint32, 0, len(ids)), make([]V, 0, len(vals))
+	for _, i := range order {
+		tids = append(tids, ids[off[i]:off[i+1]]...)
+		tvals = append(tvals, vals[off[i]:off[i+1]]...)
+		toff = append(toff, uint32(len(tids)))
+	}
+	return toff, tids, tvals
+}
+
+func newBlock(rows, stride, seq int) *block {
+	b := &block{stride: stride, seq: seq}
+	b.order = make([]uint32, 0, rows)
 	b.sessions = make([]string, 0, rows)
 	b.cellIDs = make([]uint32, 0, rows)
 	b.scenIDs = make([]uint32, 0, rows)
@@ -327,10 +351,10 @@ type Store struct {
 
 	blocks []*block
 
-	// latest maps a session to the row its most recent Insert wrote, so
-	// Fired is a lookup, not a scan. Evicting a block deletes the entries
-	// that still point into it; a session re-inserted since points at a
-	// newer block and stays.
+	// latest maps a session to the row its most recent Insert wrote (i is
+	// an entry of the block's order), so Fired is a lookup, not a scan.
+	// Evicting a block deletes the entries that still point into it; a
+	// session re-inserted since points at a newer block and stays.
 	latest map[string]rowAt
 
 	insertedRows  int
@@ -363,9 +387,9 @@ func (s *Store) SetHooks(h obs.Hooks) {
 }
 
 // Insert appends one record. Records may arrive in any time order —
-// the store is ordered by arrival, and block time bounds plus each full
+// blocks fill in arrival order, and block time bounds plus each full
 // block's own (cell, start) order drive query pruning — but retention is
-// arrival-ordered too:
+// arrival-ordered:
 // when MaxBlocks is exceeded the oldest-inserted block is dropped
 // whole. Insert normalizes nothing beyond what it stores; use
 // FromReport for canonically sorted records.
@@ -393,6 +417,7 @@ func (s *Store) appendRowLocked(r *row) {
 		b.repack(stride)
 	}
 
+	b.order = append(b.order, uint32(b.n))
 	b.sessions = append(b.sessions, r.session)
 	b.cellIDs = append(b.cellIDs, r.cell)
 	b.scenIDs = append(b.scenIDs, r.scen)
@@ -448,7 +473,7 @@ func (s *Store) openBlockLocked(stride int) *block {
 	if n := len(s.blocks); n > 0 && s.blocks[n-1].n < s.opts.BlockRows {
 		return s.blocks[n-1]
 	}
-	b := newBlock(s.opts.BlockRows, stride)
+	b := newBlock(s.opts.BlockRows, stride, s.insertedRows)
 	s.blocks = append(s.blocks, b)
 	return b
 }

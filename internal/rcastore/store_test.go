@@ -241,6 +241,9 @@ func TestTopChainsAndCauseRates(t *testing.T) {
 	s.Insert(rec("c", "fdd", "", 1, nil,
 		[]ChainRuns{{Chain: chainB, Runs: 1}},
 		[]CauseRuns{{Cause: "ul_scheduling", Runs: 1}}))
+	// −90 s belongs to the minute bucket at −120 s, not to the one at −60 s.
+	s.Insert(Record{Session: "d", Cell: "tdd", Start: -90 * sim.Second, End: -30 * sim.Second,
+		Causes: []CauseRuns{{Cause: "harq_retx", Runs: 1}}})
 
 	top := s.TopChains(Query{}, 1)
 	if len(top) != 1 || top[0].Chain != chainA || top[0].Runs != 6 || top[0].Sessions != 2 {
@@ -251,11 +254,12 @@ func TestTopChainsAndCauseRates(t *testing.T) {
 		t.Fatalf("TopChains cell=fdd = %+v", top)
 	}
 
-	rates := s.CauseRates(Query{}, sim.Minute)
-	// Expect (fdd,1m,ul), (tdd,0,harq), (tdd,0,ul), (tdd,1m,harq) in
-	// (cell, bucket, cause) order.
+	rates := s.CauseRates(Query{From: -10 * sim.Minute}, sim.Minute) // From 0 would leave d out
+	// Expect (fdd,1m,ul), (tdd,-2m,harq), (tdd,0,harq), (tdd,0,ul),
+	// (tdd,1m,harq) in (cell, bucket, cause) order.
 	want := []CauseBucket{
 		{Cell: "fdd", Bucket: sim.Minute, Cause: "ul_scheduling", Runs: 1, Sessions: 1, Minutes: 1, RunsPerMin: 1},
+		{Cell: "tdd", Bucket: -2 * sim.Minute, Cause: "harq_retx", Runs: 1, Sessions: 1, Minutes: 1, RunsPerMin: 1},
 		{Cell: "tdd", Bucket: 0, Cause: "harq_retx", Runs: 2, Sessions: 1, Minutes: 1, RunsPerMin: 2},
 		{Cell: "tdd", Bucket: 0, Cause: "ul_scheduling", Runs: 5, Sessions: 1, Minutes: 1, RunsPerMin: 5},
 		{Cell: "tdd", Bucket: sim.Minute, Cause: "harq_retx", Runs: 4, Sessions: 1, Minutes: 1, RunsPerMin: 4},
