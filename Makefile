@@ -33,6 +33,7 @@ test:
 # row selection against a plain loop, under the fuzzer for a few seconds
 # each — `-fuzz` takes one target and one package per run.
 # FuzzFastNumber holds the JSONL number parsers to encoding/json.
+# FuzzRollingMatchesOracle holds the window evaluator to a full recompute.
 # A failing input is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryStreamReader$$' -fuzztime 5s ./internal/trace
@@ -42,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONLBlock$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzFastNumber$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzPushBlock$$' -fuzztime 5s ./internal/stream
+	$(GO) test -run '^$$' -fuzz '^FuzzRollingMatchesOracle$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/rcastore
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreSelect$$' -fuzztime 5s ./internal/rcastore

@@ -1,16 +1,23 @@
 package core
 
 import (
+	"fmt"
+
 	"github.com/domino5g/domino/internal/sim"
 )
 
 // DetectorConfig holds the window geometry and every event-condition
 // threshold of Table 5. Users override individual fields to tune
 // detection for their deployment; zero values select paper defaults.
+// NewAnalyzer rejects a configuration that breaks a rule its fields
+// state.
 type DetectorConfig struct {
-	// Window is the sliding-window length W (paper: 5 s).
+	// Window is the sliding-window length W (paper: 5 s). It must be a
+	// multiple of MCSGroup.
 	Window sim.Time
-	// Step is the window advance Δt (paper: 0.5 s).
+	// Step is the window advance Δt (paper: 0.5 s). Windows start at 0
+	// and every Step after, so it must be a multiple of both RateBin and
+	// MCSGroup.
 	Step sim.Time
 
 	// FPSHigh/FPSLow: frame-rate drop needs max > FPSHigh before a
@@ -36,15 +43,19 @@ type DetectorConfig struct {
 	// RateExceedFrac: fraction of window bins where app rate exceeds
 	// TBS rate (event 14; paper 0.1).
 	RateExceedFrac float64
-	// RateBin is the bin width for event 14.
+	// RateBin is the bin width for event 14 (positive).
 	RateBin sim.Time
 	// CrossFrac: other-UE PRBs exceed this fraction of own PRBs
 	// (event 15; paper 0.2).
 	CrossFrac float64
-	// MCSGroup is the grouping window for event 16 (paper 50 ms).
+	// MCSGroup is the grouping window for event 16 (paper 50 ms;
+	// positive).
 	MCSGroup sim.Time
 	// MCSP90Below / MCSMedianBelow / MCSLowCount: event 16 thresholds
-	// (paper: p90 < 20, median < 10 in more than 10 groups).
+	// (paper: p90 < 20, median < 10 in more than 10 groups). Both MCS
+	// thresholds lie in (0, 31]: MCS is a 5-bit index, and the index
+	// saturates a value outside 0–31 to that range, which changes no
+	// comparison against such a threshold.
 	MCSP90Below    float64
 	MCSMedianBelow float64
 	MCSLowCount    int
@@ -135,4 +146,28 @@ func (c DetectorConfig) normalize() DetectorConfig {
 		c.HARQCount = d.HARQCount
 	}
 	return c
+}
+
+// validate rejects a normalized configuration the rolling engine cannot
+// evaluate exactly: every window must start on a rate-bin and an
+// MCS-group boundary and end on an MCS-group boundary, and an MCS
+// threshold must lie where saturating MCS to 0–31 keeps its verdicts.
+func (c DetectorConfig) validate() error {
+	switch {
+	case c.RateBin <= 0:
+		return fmt.Errorf("core: RateBin %v must be positive", c.RateBin)
+	case c.MCSGroup <= 0:
+		return fmt.Errorf("core: MCSGroup %v must be positive", c.MCSGroup)
+	case c.Step%c.RateBin != 0:
+		return fmt.Errorf("core: Step %v must be a multiple of RateBin %v", c.Step, c.RateBin)
+	case c.Step%c.MCSGroup != 0:
+		return fmt.Errorf("core: Step %v must be a multiple of MCSGroup %v", c.Step, c.MCSGroup)
+	case c.Window%c.MCSGroup != 0:
+		return fmt.Errorf("core: Window %v must be a multiple of MCSGroup %v", c.Window, c.MCSGroup)
+	case !(c.MCSMedianBelow > 0 && c.MCSMedianBelow <= mcsLevels-1):
+		return fmt.Errorf("core: MCSMedianBelow %v must be in (0, %d]", c.MCSMedianBelow, mcsLevels-1)
+	case !(c.MCSP90Below > 0 && c.MCSP90Below <= mcsLevels-1):
+		return fmt.Errorf("core: MCSP90Below %v must be in (0, %d]", c.MCSP90Below, mcsLevels-1)
+	}
+	return nil
 }

@@ -24,8 +24,14 @@ type Analyzer struct {
 }
 
 // NewAnalyzer builds an analyzer. A nil graph selects the paper's
-// default Fig. 9 graph; a zero config selects Table 5 thresholds.
+// default Fig. 9 graph; a zero config selects Table 5 thresholds. A
+// geometry or MCS threshold DetectorConfig rules out is an error that
+// names the rule.
 func NewAnalyzer(cfg DetectorConfig, graph *Graph) (*Analyzer, error) {
+	cfg = cfg.normalize()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if graph == nil {
 		graph = DefaultGraph()
 	}
@@ -34,7 +40,7 @@ func NewAnalyzer(cfg DetectorConfig, graph *Graph) (*Analyzer, error) {
 	}
 	chains := graph.EnumerateChains()
 	return &Analyzer{
-		cfg:    cfg.normalize(),
+		cfg:    cfg,
 		graph:  graph,
 		chains: chains,
 		comp:   compileGraph(graph, chains),

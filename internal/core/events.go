@@ -10,10 +10,12 @@ import "github.com/domino5g/domino/internal/sim"
 // window span — they group by window-relative sample index, which has
 // no incremental form — and they do so allocation-free.
 //
-// Window starts must be non-decreasing across calls (the pattern both
-// batch Analyze and the streaming analyzer produce). evalWindowFull is
-// the retained position-independent oracle; differential tests pin the
-// two byte-identical across every scenario.
+// Window starts must be multiples of Step, non-decreasing across calls
+// (the pattern both batch Analyze and the streaming analyzer produce);
+// DetectorConfig's alignment rules then put every start on a rate-bin
+// and MCS-group boundary and every end on an MCS-group boundary.
+// Differential tests pin it byte-identical to a full recompute from the
+// trace across every scenario.
 func (ix *indexedTrace) evalWindow(start sim.Time) FeatureVector {
 	cfg := &ix.cfg
 	end := start + cfg.Window
@@ -159,9 +161,8 @@ func extremaDropFrac(maxD, minD *extrema, frac float64) bool {
 	return minV < frac*maxV && maxSeq < minSeq
 }
 
-// groupUptrendAt is the single rolling-path implementation of the
-// Appendix-D grouped-mean uptrend (kept semantically identical to the
-// oracle's groupedUptrend at eps=0): split the cnt window samples
+// groupUptrendAt is the one implementation of the Appendix-D
+// grouped-mean uptrend: split the cnt window samples
 // starting at index lo into groups of n, summing sample k via get,
 // and report any consecutive group-mean increase. The callback does
 // not escape, so the scan allocates nothing.
@@ -207,17 +208,12 @@ func (ix *indexedTrace) delayUptrendRolling(at []sim.Time, delay []float64, cumH
 }
 
 // rateExceedsRolling implements event 14 over the cached per-bin sums
-// when the window start is bin-aligned (always true when Step is a
-// multiple of RateBin, as in the paper's geometry); otherwise it falls
-// back to the full recompute.
+// of the window's whole bins (its start is bin-aligned).
 func (ix *indexedTrace) rateExceedsRolling(di int, start, end sim.Time) bool {
 	cfg := &ix.cfg
 	bins := int((end - start) / cfg.RateBin)
 	if bins == 0 {
 		return false
-	}
-	if start%cfg.RateBin != 0 {
-		return ix.rateExceedsFull(di, start, end)
 	}
 	appLo, appHi := window(ix.appAt[di], start, end)
 	if appHi == appLo {
@@ -234,25 +230,17 @@ func (ix *indexedTrace) rateExceedsRolling(di int, start, end sim.Time) bool {
 }
 
 // mcsDegradedRolling implements event 16 over the cached per-bucket
-// medians when both window edges are bucket-aligned (a queried bucket
-// must be complete before its median is cached, so the window end may
-// not split one) and every bucket's histogram is exact; otherwise it
-// falls back to the full recompute. A median is an MCS value, so the
-// window's 90th percentile over them is read from their counts too.
+// medians (both window edges are bucket-aligned, so every bucket it
+// reads is complete). A median is an MCS value, so the window's 90th
+// percentile over them is read from their counts too.
 func (ix *indexedTrace) mcsDegradedRolling(di int, start, end sim.Time) bool {
 	cfg := &ix.cfg
-	if start%cfg.MCSGroup != 0 || (end-start)%cfg.MCSGroup != 0 {
-		return ix.mcsDegradedFull(di, start, end)
-	}
 	first := int64(start / cfg.MCSGroup)
 	last := int64((end - 1) / cfg.MCSGroup)
 	var medians [mcsLevels]int
 	groups, low := 0, 0
 	for b := first; b <= last; b++ {
-		m, n, ok := mcsMedian(&ix.roll.mcs[di], b)
-		if !ok {
-			return ix.mcsDegradedFull(di, start, end)
-		}
+		m, n := mcsMedian(&ix.roll.mcs[di], b)
 		if n == 0 {
 			continue
 		}

@@ -18,7 +18,7 @@ func evalOne(t *testing.T, set *trace.Set) FeatureVector {
 	cfg := DefaultDetectorConfig()
 	ix := newIndexedTrace(set, cfg)
 	v := ix.evalWindow(0)
-	if full := ix.evalWindowFull(cfg, 0); full.Bits != v.Bits {
+	if full := oracleWindow(set, cfg, 0); full.Bits != v.Bits {
 		t.Fatalf("rolling evaluation diverged from full recompute:\nrolling: %v\nfull:    %v",
 			v.Active(), full.Active())
 	}
@@ -346,6 +346,21 @@ func TestEvent16ChannelDegrades(t *testing.T) {
 	}))
 	if v.Has("ul_channel_degrades") {
 		t.Fatal("brief dip misdetected as persistent degradation")
+	}
+}
+
+// TestAnalyzeRejectsNegativeTime: a row stamped before 0 would join the
+// first MCS group (a bucket index truncates toward zero), so batch
+// analysis refuses the trace, as the streaming analyzer refuses the row.
+func TestAnalyzeRejectsNegativeTime(t *testing.T) {
+	set := dciSeries(func(_ int, r *trace.DCIRecord) { r.MCS = 5 })
+	set.DCI = append([]trace.DCIRecord{{At: -30 * sim.Millisecond, Dir: netem.Uplink, OwnPRB: 20, MCS: 5}}, set.DCI...)
+	a, err := NewAnalyzer(DetectorConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Analyze(set); err == nil {
+		t.Fatal("a DCI row at -30 ms analyzed")
 	}
 }
 

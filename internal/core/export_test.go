@@ -1,11 +1,14 @@
 package core
 
-import "github.com/domino5g/domino/internal/sim"
+import (
+	"github.com/domino5g/domino/internal/sim"
+	"github.com/domino5g/domino/internal/trace"
+)
 
-// EvalFull computes the same vector as Eval by re-aggregating every
-// sample in the window — the recompute oracle, free of cross-call
-// state, exported to the external test package only. Differential
-// tests pin Eval ≡ EvalFull across every scenario.
-func (e *WindowEvaluator) EvalFull(start sim.Time) FeatureVector {
-	return e.ix.evalWindowFull(e.ix.cfg, start)
+// OracleWindow computes the vector Eval computes for [start, start+W)
+// by re-aggregating every sample of the sorted set in the window — the
+// full-recompute oracle (oracle_internal_test.go), exported to the
+// external test package only. cfg must be normalized (Analyzer.Config).
+func OracleWindow(set *trace.Set, cfg DetectorConfig, start sim.Time) FeatureVector {
+	return oracleWindow(set, cfg, start)
 }

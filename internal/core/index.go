@@ -32,9 +32,7 @@ import (
 //
 // The cursor-fed structures assume evalWindow is called with
 // non-decreasing window starts (the only access pattern batch and
-// streaming analysis produce). evalWindowFull is the retained
-// position-independent recompute path, pinned equal by differential
-// tests.
+// streaming analysis produce).
 type indexedTrace struct {
 	cfg       DetectorConfig // normalized; ingest-time thresholds
 	hasGNBLog bool
@@ -56,12 +54,12 @@ type indexedTrace struct {
 
 	// Per-direction DCI-derived series ordered by time.
 	dciAt    [2][]sim.Time
-	dciOwn   [2][]int // own-UE PRBs
-	dciOther [2][]int // other-UE PRBs
-	dciMCS   [2][]int
-	dciTBS   [2][]int  // bits
-	dciHARQ  [2][]bool // HARQ retx flag
-	dciULUse [2][]bool // own transmission
+	dciOwn   [2][]int   // own-UE PRBs
+	dciOther [2][]int   // other-UE PRBs
+	dciMCS   [2][]uint8 // saturated to 0–31, see mcsIndex
+	dciTBS   [2][]int   // bits
+	dciHARQ  [2][]bool  // HARQ retx flag
+	dciULUse [2][]bool  // own transmission
 
 	// Cumulative DCI aggregates: PRB sums, HARQ-retx and own-use counts.
 	dciCumOwn   [2][]int64
@@ -293,6 +291,13 @@ func (ix *indexedTrace) settleApp(di, base int, ordered bool) {
 	}
 }
 
+// mcsIndex saturates a DCI row's MCS to the 5-bit range event 16's
+// histograms count. Saturation is monotone, so a group's median and the
+// window's 90th percentile over medians come out as the saturated true
+// values, and every comparison with a threshold in (0, 31] — the range
+// DetectorConfig admits — is the one the raw values give.
+func mcsIndex(mcs int) uint8 { return uint8(min(max(mcs, 0), mcsLevels-1)) }
+
 func (ix *indexedTrace) addDCI(r *trace.DCIRecord, ordered bool) {
 	di := dirIdx(r.Dir)
 	base, rlc := len(ix.dciAt[di]), len(ix.rlcAt[di])
@@ -301,7 +306,7 @@ func (ix *indexedTrace) addDCI(r *trace.DCIRecord, ordered bool) {
 		tbs = 0
 	}
 	ix.dciAt[di], ix.dciOwn[di], ix.dciOther[di] = append(ix.dciAt[di], r.At), append(ix.dciOwn[di], r.OwnPRB), append(ix.dciOther[di], r.OtherPRB)
-	ix.dciMCS[di], ix.dciTBS[di] = append(ix.dciMCS[di], r.MCS), append(ix.dciTBS[di], tbs)
+	ix.dciMCS[di], ix.dciTBS[di] = append(ix.dciMCS[di], mcsIndex(r.MCS)), append(ix.dciTBS[di], tbs)
 	ix.dciHARQ[di], ix.dciULUse[di] = append(ix.dciHARQ[di], r.HARQRetx), append(ix.dciULUse[di], r.OwnPRB > 0)
 	if r.RLCRetx && ix.hasGNBLog {
 		ix.rlcAt[di] = append(ix.rlcAt[di], r.At)
@@ -338,7 +343,7 @@ func (ix *indexedTrace) fillDCI(d *trace.DCIColumns, lo, hi int, ordered bool) {
 			if o <= 0 {
 				t = 0
 			}
-			at[j], own[j], other[j], mcs[j], tbs[j] = d.At[i], o, d.OtherPRB[i], d.MCS[i], t
+			at[j], own[j], other[j], mcs[j], tbs[j] = d.At[i], o, d.OtherPRB[i], mcsIndex(d.MCS[i]), t
 			harq[j], use[j] = f&trace.DCIFlagHARQRetx != 0, o > 0
 			// The DCI RLC-retx annotation is gNB-internal knowledge: only
 			// private cells with base-station logs expose it (the paper's

@@ -119,7 +119,8 @@ func (ix *indexedTrace) advanceRoll(end sim.Time) {
 				}
 				*bin += v
 			}
-			// != 0, not > 0: the rule mcsDegradedFull groups by.
+			// != 0, not > 0: event 16 groups a row by a nonzero PRB count,
+			// so a malformed negative one carries an MCS sample too.
 			if own[cur] != 0 {
 				if t >= groupEnd {
 					group, groupEnd = groups.bucket(t)
@@ -275,51 +276,39 @@ const mcsLevels = 32
 // bucket.
 type mcsBuckets = buckets[mcsBucket]
 
-// mcsBucket is one bucket's histogram. It is exact — the counts are the
-// bucket's samples — unless a sample fell outside [0, mcsLevels) or a
-// count reached its ceiling; a window that reads such a bucket is
-// recomputed from the series by mcsDegradedFull.
+// mcsBucket is one bucket's histogram of the (saturated, see mcsIndex)
+// MCS values its samples carry: always exact, as no count can pass n.
 type mcsBucket struct {
-	counts  [mcsLevels]uint16
-	n       int32
-	median  uint8
-	cached  bool // median is set
-	inexact bool
+	counts [mcsLevels]int32
+	n      int32
+	median uint8
+	cached bool // median is set
 }
 
-func (b *mcsBucket) add(mcs int) {
+func (b *mcsBucket) add(mcs uint8) {
 	b.n++
-	if uint(mcs) >= mcsLevels || b.counts[mcs] == math.MaxUint16 {
-		b.inexact = true
-		return
-	}
 	b.counts[mcs]++
 }
 
 // mcsMedian returns the median MCS and the sample count of absolute
-// bucket idx: the sample of rank int(0.5·(n-1)), as the oracle's
-// percentile picks it from the sorted samples. Count 0 means the bucket
-// is empty or out of range; ok false that its histogram is not exact.
-// The bucket must be complete (every sample with a timestamp inside it
-// already consumed), which holds for any bucket below the last advanced
-// window end.
-func mcsMedian(m *mcsBuckets, idx int64) (median, n int, ok bool) {
+// bucket idx: the sample of rank int(0.5·(n-1)) of the sorted samples.
+// Count 0 means the bucket is empty or out of range. The bucket must be
+// complete (every sample with a timestamp inside it already consumed),
+// which holds for any bucket below the last advanced window end.
+func mcsMedian(m *mcsBuckets, idx int64) (median, n int) {
 	b := m.get(idx)
 	if b == nil {
-		return 0, 0, true
-	}
-	if b.inexact {
-		return 0, int(b.n), false
+		return 0, 0
 	}
 	if !b.cached && b.n > 0 {
 		b.median, b.cached = uint8(rankValue(&b.counts, int(0.5*float64(b.n-1)))), true
 	}
-	return int(b.median), int(b.n), true
+	return int(b.median), int(b.n)
 }
 
 // rankValue returns the value of 0-based rank k among the samples a
 // histogram counts, which must number more than k.
-func rankValue[C uint16 | int](counts *[mcsLevels]C, k int) int {
+func rankValue[C int32 | int](counts *[mcsLevels]C, k int) int {
 	v, below := 0, int(counts[0])
 	for below <= k {
 		v++

@@ -10,8 +10,8 @@ import (
 )
 
 // Query is the typed predicate set every store read accepts. Zero
-// fields match everything, so Query{} selects the whole retained
-// history.
+// fields match everything but From, whose 0 keeps out records that
+// start before time 0: Query{} selects every other retained record.
 type Query struct {
 	// From/To bound the record start time: a record matches when
 	// From <= Start, and Start < To when To is nonzero.

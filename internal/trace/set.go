@@ -124,16 +124,29 @@ func (s *Set) StatsSide(local bool) []WebRTCStatsRecord {
 }
 
 // Validate performs consistency checks a downstream consumer relies on:
-// sorted series and sane timestamps. It returns the first problem found.
+// sorted DCI and stats series, and sane timestamps — none before time 0,
+// where window analysis starts, as the streaming path also requires. It
+// returns the first problem found.
 func (s *Set) Validate() error {
-	for i := 1; i < len(s.DCI); i++ {
-		if s.DCI[i].At < s.DCI[i-1].At {
-			return fmt.Errorf("trace: DCI records unsorted at index %d", i)
-		}
-	}
-	for i := 1; i < len(s.Stats); i++ {
-		if s.Stats[i].At < s.Stats[i-1].At {
-			return fmt.Errorf("trace: stats records unsorted at index %d", i)
+	for _, series := range []struct {
+		name   string
+		n      int
+		at     func(int) sim.Time
+		sorted bool // order checked too
+	}{
+		{"DCI", len(s.DCI), func(i int) sim.Time { return s.DCI[i].At }, true},
+		{"gNB log", len(s.GNBLogs), func(i int) sim.Time { return s.GNBLogs[i].At }, false},
+		{"packet", len(s.Packets), func(i int) sim.Time { return s.Packets[i].SentAt }, false},
+		{"stats", len(s.Stats), func(i int) sim.Time { return s.Stats[i].At }, true},
+		{"RRC", len(s.RRC), func(i int) sim.Time { return s.RRC[i].At }, false},
+	} {
+		for i := 0; i < series.n; i++ {
+			switch at := series.at(i); {
+			case at < 0:
+				return fmt.Errorf("trace: %s record %d has negative timestamp %v", series.name, i, at)
+			case series.sorted && i > 0 && at < series.at(i-1):
+				return fmt.Errorf("trace: %s records unsorted at index %d", series.name, i)
+			}
 		}
 	}
 	for i, p := range s.Packets {

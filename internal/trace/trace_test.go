@@ -83,15 +83,27 @@ func TestStatsSide(t *testing.T) {
 }
 
 func TestValidateCatchesBadData(t *testing.T) {
-	set := sampleSet()
-	set.Packets[0].Arrived = set.Packets[0].SentAt - sim.Millisecond
-	if err := set.Validate(); err == nil {
-		t.Fatal("negative transit accepted")
-	}
-	set2 := sampleSet()
-	set2.Duration = -1
-	if err := set2.Validate(); err == nil {
-		t.Fatal("negative duration accepted")
+	for _, tc := range []struct {
+		name  string
+		spoil func(*Set)
+	}{
+		{"negative transit", func(s *Set) { s.Packets[0].Arrived = s.Packets[0].SentAt - sim.Millisecond }},
+		{"negative duration", func(s *Set) { s.Duration = -1 }},
+		{"unsorted DCI", func(s *Set) { s.DCI[1].At = 0 }},
+		{"unsorted stats", func(s *Set) { s.Stats[1].At = sim.Millisecond }},
+		// Window analysis starts at 0: a bucket index truncated toward
+		// zero would fold -30 ms into the first MCS group.
+		{"negative DCI time", func(s *Set) { s.DCI[0].At = -30 * sim.Millisecond }},
+		{"negative gNB log time", func(s *Set) { s.GNBLogs[0].At = -1 }},
+		{"negative packet send time", func(s *Set) { s.Packets[0].SentAt = -1 }},
+		{"negative stats time", func(s *Set) { s.Stats[0].At = -1 }},
+		{"negative RRC time", func(s *Set) { s.RRC[0].At = -1 }},
+	} {
+		set := sampleSet()
+		tc.spoil(set)
+		if err := set.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
