@@ -78,7 +78,8 @@ func benchIngest(b *testing.B, contentType string, body []byte, recordsPerSessio
 // warm: the analysis is pooled and the decode recycles its blocks, so
 // what is left is per request and per window, not per record. One upload
 // at a time, so the count does not depend on how uploads interleave.
-// Ceilings are 1.3 × what PR 20 measured on the benchmarks' 10 s trace.
+// Ceilings are 1.3 × what was measured on the benchmarks' 10 s trace,
+// with either reader on a ring borrowed from the node's pool.
 func TestIngestAllocsPerRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a quarter of its Puts; the ring pool's misses then show as allocations")
@@ -94,7 +95,7 @@ func TestIngestAllocsPerRecord(t *testing.T) {
 		ceiling           float64
 	}{
 		{"jsonl", "application/jsonl", jsonl, 0.0224},                         // measured 0.01730: 205 per upload of 11 849 records
-		{"binary", "application/x-domino-trace", binaryTrace(t, set), 0.0287}, // measured 0.02211: 262 per upload
+		{"binary", "application/x-domino-trace", binaryTrace(t, set), 0.0233}, // measured 0.01789: 212 per upload
 	} {
 		i := 0
 		got := testing.AllocsPerRun(8, func() {

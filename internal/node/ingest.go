@@ -144,12 +144,12 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// the first body bytes decide, so piped replays and bare curl
 	// octet-stream uploads still hit the right path. Either format is
 	// read block by block, in columns, and never becomes Records. Block
-	// storage is recycled (depth 1 is the trace API's recycling mode): a
-	// block is fully pushed (its columns appended to the analyzer's
-	// index) before the next one is decoded, so steady-state ingest
-	// allocates no per-record garbage. A JSONL reader's generations come
-	// from the node's pool: a live chunk is a handful of blocks, too few
-	// to grow thirty columns anew for.
+	// storage is recycled: a block is fully pushed (its columns appended
+	// to the analyzer's index) before the next one is decoded, so
+	// steady-state ingest allocates no per-record garbage. The
+	// generations come from the node's pool, for either format: a live
+	// chunk is a handful of blocks, too few to grow thirty columns anew
+	// for.
 	var rr trace.RecordReader
 	switch format {
 	case formatBinary:
@@ -160,17 +160,14 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		rr = trace.NewAutoStreamReader(lt)
 	}
 	var jsonl *trace.StreamReader
-	switch sr := rr.(type) {
-	case *trace.BinaryStreamReader:
-		format = formatBinary
-		sr.Recycle(1)
-	case *trace.StreamReader:
+	format = formatBinary
+	if sr, ok := rr.(*trace.StreamReader); ok {
 		format, jsonl = formatJSONL, sr
-		ring := n.ringPool.Get().(*trace.BlockRing)
-		defer n.ringPool.Put(ring)
-		sr.RecycleInto(ring)
 	}
 	br := rr.(blockReader)
+	ring := n.ringPool.Get().(*trace.BlockRing)
+	defer n.ringPool.Put(ring)
+	br.RecycleInto(ring)
 	n.log.Debug("ingest started", "session", id, "format", format, "seq", req.Seq, "eos", req.Eos, "resumed", d.Resume)
 
 	// The body decodes block by block — a wire block on the binary
@@ -335,6 +332,7 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 // blockReader is what the ingest loop needs of either trace reader.
 type blockReader interface {
 	ReadBlock() (*trace.Block, error)
+	RecycleInto(*trace.BlockRing)
 }
 
 // pushChunk pushes one decoded block through the session's analyzer

@@ -192,7 +192,7 @@ type Node struct {
 
 	nextID   atomic.Int64 // anonymous-session ID allocator
 	saPool   analyzerPool // recycled *stream.Analyzer
-	ringPool sync.Pool    // recycled *trace.BlockRing, one per JSONL upload in flight
+	ringPool sync.Pool    // recycled *trace.BlockRing, one per upload in flight
 }
 
 // analyzerPool is a bounded free-list of detached stream analyzers.
@@ -295,21 +295,12 @@ func New(analyzer *core.Analyzer, opts Options) *Node {
 		log:      opts.Log,
 		m:        newMetrics(analyzer),
 		store:    opts.Store,
+		journal:  opts.Journal,
 		now:      opts.Now,
 		sessions: map[string]*session{},
 	}
 	if n.store == nil {
 		n.store = rcastore.New(rcastore.Options{MaxBlocks: opts.StoreBlocks})
-	}
-	n.store.SetHooks(&storeHooks{m: n.m})
-	if opts.Journal != nil {
-		n.journal = opts.Journal
-		n.journal.SetHooks(&journalHooks{m: n.m})
-	}
-	if opts.Recovery != nil {
-		// Recovery ran before this registry existed; surface its stats.
-		n.m.journalReplayed.Add(int64(opts.Recovery.Replayed))
-		n.m.journalDeduped.Add(int64(opts.Recovery.Deduped))
 	}
 	if n.now == nil {
 		n.now = func() sim.Time { return sim.Time(time.Now().UnixMicro()) }

@@ -3,8 +3,8 @@ package node
 // This file is the node's observability surface: the obs.Registry
 // instruments behind /metrics (spec-valid Prometheus text exposition),
 // the per-session pipeline flight recorder behind
-// /debug/flightrec/{id}, the obs.Hooks implementations that feed both
-// from the stream/core/rcastore seams, and the /healthz build-info
+// /debug/flightrec/{id}, the obs.Hooks implementation that feeds both
+// from the stream/core seam, and the /healthz build-info
 // payload. Everything on the ingest hot path — counters, histogram
 // observations, flight-recorder writes — is allocation-free; scrape-
 // time work (snapshotting, GaugeFunc scans) happens only when /metrics
@@ -19,6 +19,7 @@ import (
 	"github.com/domino5g/domino/internal/core"
 	"github.com/domino5g/domino/internal/ingest"
 	"github.com/domino5g/domino/internal/obs"
+	"github.com/domino5g/domino/internal/rcastore"
 )
 
 // metrics bundles the node's registry and the instruments bumped on hot
@@ -45,9 +46,6 @@ type metrics struct {
 	poolGets   *obs.Counter
 	poolMisses *obs.Counter
 
-	storeQueries *obs.Counter
-	storeSpills  *obs.Counter
-
 	// ingestRecords and decodeSeconds are the per-wire-format ingest
 	// instruments, keyed by the format label value ("jsonl" or
 	// "binary"). Both series of each family are registered up front so
@@ -68,14 +66,9 @@ type metrics struct {
 	jsonlSlowLines    *obs.Counter
 	ingestRejected    map[ingest.Code]*obs.Counter
 
-	// Write-ahead-journal instruments, fed by journalHooks plus the
-	// boot-time recovery stats.
-	journalAppends     *obs.Counter
-	journalSyncs       *obs.Counter
-	journalErrors      *obs.Counter
-	journalReplayed    *obs.Counter
-	journalDeduped     *obs.Counter
-	journalCheckpoints *obs.Counter
+	// journalErrors counts the journal failures the node sees; the
+	// journal's own totals are its Stats, read at scrape time.
+	journalErrors *obs.Counter
 }
 
 // ingestFormats is the label universe of the per-format ingest
@@ -104,9 +97,6 @@ func newMetrics(analyzer *core.Analyzer) *metrics {
 		poolGets:   reg.Counter("dominod_analyzer_pool_gets_total", "Analyzer checkouts from the session pool."),
 		poolMisses: reg.Counter("dominod_analyzer_pool_misses_total", "Analyzer checkouts that had to allocate a new analyzer."),
 
-		storeQueries: reg.Counter("dominod_rcastore_queries_total", "RCA-store query evaluations."),
-		storeSpills:  reg.Counter("dominod_rcastore_spills_total", "RCA-store spill writes."),
-
 		ingestRecords: map[string]*obs.Counter{},
 		decodeSeconds: map[string]*obs.Histogram{},
 
@@ -119,12 +109,7 @@ func newMetrics(analyzer *core.Analyzer) *metrics {
 		jsonlSlowLines:    reg.Counter("dominod_ingest_jsonl_slow_lines_total", "JSONL lines outside the fast decoder's subset, decoded through encoding/json."),
 		ingestRejected:    map[ingest.Code]*obs.Counter{},
 
-		journalAppends:     reg.Counter("dominod_journal_appends_total", "Reports appended to the RCA-store write-ahead journal."),
-		journalSyncs:       reg.Counter("dominod_journal_syncs_total", "Journal fsync batches flushed to stable storage."),
-		journalErrors:      reg.Counter("dominod_journal_errors_total", "Journal append or checkpoint failures."),
-		journalReplayed:    reg.Counter("dominod_journal_replayed_total", "Journal records replayed into the store at recovery."),
-		journalDeduped:     reg.Counter("dominod_journal_deduped_total", "Journal records skipped at recovery as already checkpointed."),
-		journalCheckpoints: reg.Counter("dominod_journal_checkpoints_total", "Atomic store checkpoints written."),
+		journalErrors: reg.Counter("dominod_journal_errors_total", "Journal append or checkpoint failures."),
 	}
 
 	// One labeled series per load-shed reason, registered up front so
@@ -229,44 +214,10 @@ func (h *pipelineHooks) ChainRunClosed(chain string, start, end int64, windows i
 	h.record(obs.Event{Kind: obs.EvChainRunClosed, Sim: end, NameID: h.m.names.ID(chain), N: int64(windows)})
 }
 
-// storeHooks feeds RCA-store lifecycle events into the registry. It is
-// installed on the (possibly spill-reloaded) store by New.
-type storeHooks struct {
-	obs.NopHooks
-	m *metrics
-}
-
-// StoreQueried implements obs.Hooks.
-func (h *storeHooks) StoreQueried() { h.m.storeQueries.Inc() }
-
-// StoreSpilled implements obs.Hooks.
-func (h *storeHooks) StoreSpilled(rows int) { h.m.storeSpills.Inc() }
-
-// journalHooks feeds write-ahead-journal lifecycle events into the
-// registry. Installed on the recovered journal by New.
-type journalHooks struct {
-	obs.NopHooks
-	m *metrics
-}
-
-// JournalAppended implements obs.Hooks.
-func (h *journalHooks) JournalAppended(records int) { h.m.journalAppends.Add(int64(records)) }
-
-// JournalSynced implements obs.Hooks.
-func (h *journalHooks) JournalSynced() { h.m.journalSyncs.Inc() }
-
-// JournalReplayed implements obs.Hooks.
-func (h *journalHooks) JournalReplayed(replayed, deduped int) {
-	h.m.journalReplayed.Add(int64(replayed))
-	h.m.journalDeduped.Add(int64(deduped))
-}
-
-// JournalCheckpointed implements obs.Hooks.
-func (h *journalHooks) JournalCheckpointed(rows int) { h.m.journalCheckpoints.Inc() }
-
 // registerGauges wires the scrape-time instruments that read live
-// server state: session-table occupancy, admission-limiter slots, RCA
-// store shape, and the analyzer-pool hit ratio.
+// server state: session-table occupancy, admission-limiter slots, the
+// RCA store's and journal's Stats, the boot recovery, and the
+// analyzer-pool hit ratio.
 func (n *Node) registerGauges() {
 	reg := n.m.reg
 	reg.GaugeFunc("dominod_sessions_active", "Sessions currently ingesting.", func() float64 {
@@ -291,6 +242,24 @@ func (n *Node) registerGauges() {
 		func() float64 { return float64(n.store.Stats().InsertedRows) })
 	reg.CounterFunc("dominod_rcastore_rows_evicted_total", "Rows evicted from the RCA store by retention.",
 		func() float64 { return float64(n.store.Stats().EvictedRows) })
+	reg.CounterFunc("dominod_rcastore_queries_total", "RCA-store query evaluations.",
+		func() float64 { return float64(n.store.Stats().Queries) })
+	reg.CounterFunc("dominod_rcastore_spills_total", "RCA-store spill writes.",
+		func() float64 { return float64(n.store.Stats().Spills) })
+	reg.CounterFunc("dominod_journal_appends_total", "Reports appended to the RCA-store write-ahead journal.",
+		func() float64 { return float64(n.journal.Stats().Appends) })
+	reg.CounterFunc("dominod_journal_syncs_total", "Journal fsync batches flushed to stable storage.",
+		func() float64 { return float64(n.journal.Stats().Syncs) })
+	var recovery rcastore.RecoveryStats
+	if n.opts.Recovery != nil {
+		recovery = *n.opts.Recovery
+	}
+	reg.CounterFunc("dominod_journal_replayed_total", "Journal records replayed into the store at recovery.",
+		func() float64 { return float64(recovery.Replayed) })
+	reg.CounterFunc("dominod_journal_deduped_total", "Journal records skipped at recovery as already checkpointed.",
+		func() float64 { return float64(recovery.Deduped) })
+	reg.CounterFunc("dominod_journal_checkpoints_total", "Atomic store checkpoints written.",
+		func() float64 { return float64(n.journal.Stats().Checkpoints) })
 	reg.GaugeFunc("dominod_draining", "1 while the node is draining for shutdown, else 0.", func() float64 {
 		if n.draining.Load() {
 			return 1

@@ -746,6 +746,166 @@ func TestJournalWiredThroughServer(t *testing.T) {
 	})
 }
 
+// TestStoreAndJournalMetrics pins the store and journal families to the
+// Stats they export: a crash-window recovery (the checkpoint holds the
+// first three of five journaled reports), one upload, a read of each
+// kind, and the shutdown checkpoint.
+func TestStoreAndJournalMetrics(t *testing.T) {
+	dir := t.TempDir()
+	ckpt, wal := filepath.Join(dir, "store.spill"), filepath.Join(dir, "store.wal")
+	checkpointed := rcastore.New(rcastore.Options{})
+	j, err := rcastore.OpenJournal(wal, rcastore.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		rec := rcastore.Record{Session: fmt.Sprintf("r%d", i), Cell: "c", Start: sim.Time(i) * sim.Second, End: sim.Time(i+1) * sim.Second, Fired: []string{"sinr_drop"}}
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if i < 3 {
+			checkpointed.Insert(rec)
+		}
+	}
+	j.Close()
+	var spill bytes.Buffer
+	if err := checkpointed.Spill(&spill); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, spill.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, j, stats, err := rcastore.Recover(ckpt, wal, rcastore.Options{}, rcastore.JournalOptions{})
+	if err != nil || stats.Replayed != 2 || stats.Deduped != 3 {
+		t.Fatalf("recovery %+v, %v; want 2 replayed, 3 deduped", stats, err)
+	}
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2, Store: st, Journal: j, CheckpointPath: ckpt, Recovery: &stats})
+	ts := httptest.NewServer(srv.Routes())
+	defer ts.Close()
+
+	_, body := sessionTrace(t, ran.Presets()[0], 30, 2*sim.Second)
+	resp := postChunk(t, ts.URL, "live", "application/jsonl", -1, false, bytes.NewReader(body))
+	drainClose(resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest got %d", resp.StatusCode)
+	}
+	// /incidents/similar?session= reads twice: the probe, then the ranking.
+	for _, q := range []string{"/query", "/query?agg=top_chains", "/query?agg=cause_rates", "/incidents/similar?session=r0"} {
+		resp, err := http.Get(ts.URL + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainClose(resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d", q, resp.StatusCode)
+		}
+	}
+	if err := srv.Shutdown(context.Background(), &http.Server{}); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]float64{
+		"dominod_journal_replayed_total":    2,
+		"dominod_journal_deduped_total":     3,
+		"dominod_journal_appends_total":     1,
+		"dominod_journal_syncs_total":       1,
+		"dominod_journal_checkpoints_total": 1,
+		"dominod_rcastore_queries_total":    5,
+		"dominod_rcastore_spills_total":     1,
+	} {
+		if got := metricValue(t, ts.URL, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// stallFS is the host filesystem with fsyncs held until release closes;
+// the first one held reports on parked.
+type stallFS struct {
+	rcastore.OsFS
+	parked, release chan struct{}
+}
+
+func (fs *stallFS) OpenFile(name string, flag int, perm os.FileMode) (rcastore.File, error) {
+	f, err := fs.OsFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return stallFile{f, fs}, nil
+}
+
+type stallFile struct {
+	rcastore.File
+	fs *stallFS
+}
+
+func (f stallFile) Sync() error {
+	select {
+	case f.fs.parked <- struct{}{}:
+	default:
+	}
+	<-f.fs.release
+	return f.File.Sync()
+}
+
+// TestScrapeDuringJournalFsync pins that a scrape never waits on an
+// fsync: while an upload is parked in its journal fsync, /metrics answers
+// within a second, showing the append and not yet the sync.
+func TestScrapeDuringJournalFsync(t *testing.T) {
+	fs := &stallFS{parked: make(chan struct{}, 1), release: make(chan struct{})}
+	dir := t.TempDir()
+	j, err := rcastore.OpenJournal(filepath.Join(dir, "store.wal"), rcastore.JournalOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2, Journal: j, CheckpointPath: filepath.Join(dir, "store.spill")})
+	ts := httptest.NewServer(srv.Routes())
+	defer ts.Close()
+	var once sync.Once
+	release := func() { once.Do(func() { close(fs.release) }) }
+	defer release()
+
+	_, body := sessionTrace(t, ran.Presets()[0], 31, 2*sim.Second)
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/ingest?session=held", "application/jsonl", bytes.NewReader(body))
+		if err == nil {
+			drainClose(resp)
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+		}
+		done <- err
+	}()
+	select {
+	case <-fs.parked:
+	case err := <-done:
+		t.Fatalf("the upload finished (%v) without an fsync", err)
+	}
+
+	resp, err := (&http.Client{Timeout: time.Second}).Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("scrape during a held fsync: %v", err)
+	}
+	scrape, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\ndominod_journal_appends_total 1\n", "\ndominod_journal_syncs_total 0\n"} {
+		if !strings.Contains(string(scrape), want) {
+			t.Errorf("scrape during a held fsync lacks %q", strings.TrimSpace(want))
+		}
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("held upload: %v", err)
+	}
+	if got := metricValue(t, ts.URL, "dominod_journal_syncs_total"); got != 1 {
+		t.Fatalf("dominod_journal_syncs_total = %v after the fsync, want 1", got)
+	}
+}
+
 // metricValue scrapes base's /metrics and returns the value of the
 // unlabelled sample name.
 func metricValue(t testing.TB, base, name string) float64 {

@@ -1,15 +1,14 @@
 package obs
 
-// Hooks is the seam the pipeline's hot layers publish stage events
-// through: internal/core fires the node/chain run transitions,
-// internal/stream the window evaluations, internal/rcastore the store
-// lifecycle. Every publishing site is nil-guarded, so a layer with no
-// hooks installed pays one predictable branch and nothing else — the
-// zero-alloc benchmark numbers are unchanged when observability is
-// disabled, and implementations are expected to stay allocation-free
-// so they remain unchanged when it is enabled (cmd/dominod's
-// implementation records into a FlightRecorder and bumps registry
-// counters, both zero-alloc).
+// Hooks is the per-session pipeline seam: internal/core fires the
+// node/chain run transitions and internal/stream the window
+// evaluations of one session, the events a flight recorder keeps
+// (cmd/dominod's implementation records into a FlightRecorder and bumps
+// registry counters, both zero-alloc). A layer's totals are not hooks
+// but its Stats, read at scrape time. Every publishing site is
+// nil-guarded, so a layer with no hooks installed pays one predictable
+// branch and nothing else, and implementations are expected to stay
+// allocation-free so the zero-alloc numbers hold with hooks on.
 //
 // Times are sim.Time microseconds as int64 — obs sits below
 // internal/sim and keeps its stdlib-only dependency rule.
@@ -29,26 +28,6 @@ type Hooks interface {
 	ChainRunOpened(chain string, at int64)
 	// ChainRunClosed fires when a chain run closes.
 	ChainRunClosed(chain string, start, end int64, windows int)
-	// StoreInserted fires after rows are inserted into the RCA store.
-	StoreInserted(rows int)
-	// StoreEvicted fires when retention evicts rows from the RCA store.
-	StoreEvicted(rows int)
-	// StoreQueried fires once per RCA-store query evaluation.
-	StoreQueried()
-	// StoreSpilled fires after a spill write, with the rows written.
-	StoreSpilled(rows int)
-	// JournalAppended fires after records are appended to the RCA
-	// store's write-ahead journal.
-	JournalAppended(records int)
-	// JournalSynced fires after the journal fsyncs (per the batching
-	// policy, so appends-per-sync is JournalAppended/JournalSynced).
-	JournalSynced()
-	// JournalReplayed fires once per recovery with the records replayed
-	// into the store and the duplicates skipped.
-	JournalReplayed(replayed, deduped int)
-	// JournalCheckpointed fires after an atomic checkpoint write, with
-	// the rows persisted.
-	JournalCheckpointed(rows int)
 }
 
 // NopHooks implements Hooks with no-ops; embed it to implement only
@@ -69,27 +48,3 @@ func (NopHooks) ChainRunOpened(chain string, at int64) {}
 
 // ChainRunClosed implements Hooks.
 func (NopHooks) ChainRunClosed(chain string, start, end int64, windows int) {}
-
-// StoreInserted implements Hooks.
-func (NopHooks) StoreInserted(rows int) {}
-
-// StoreEvicted implements Hooks.
-func (NopHooks) StoreEvicted(rows int) {}
-
-// StoreQueried implements Hooks.
-func (NopHooks) StoreQueried() {}
-
-// StoreSpilled implements Hooks.
-func (NopHooks) StoreSpilled(rows int) {}
-
-// JournalAppended implements Hooks.
-func (NopHooks) JournalAppended(records int) {}
-
-// JournalSynced implements Hooks.
-func (NopHooks) JournalSynced() {}
-
-// JournalReplayed implements Hooks.
-func (NopHooks) JournalReplayed(replayed, deduped int) {}
-
-// JournalCheckpointed implements Hooks.
-func (NopHooks) JournalCheckpointed(rows int) {}

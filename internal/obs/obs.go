@@ -5,9 +5,9 @@
 // future dominolb uses to collapse N node snapshots into one fleet
 // view, spec-valid Prometheus text exposition (with a Lint validator
 // the tests and cmd/promlint share), a lock-free per-session pipeline
-// flight recorder, and the nil-safe Hooks interface the hot layers
-// (internal/core, internal/stream, internal/rcastore) publish stage
-// events through.
+// flight recorder, and the nil-safe Hooks interface the per-session
+// pipeline (internal/core, internal/stream) publishes stage events
+// through.
 //
 // Design constraints, in order:
 //

@@ -28,8 +28,7 @@ import (
 	"io"
 	"os"
 	"sync"
-
-	"github.com/domino5g/domino/internal/obs"
+	"sync/atomic"
 )
 
 // File is the subset of *os.File the journal needs. It exists so fault
@@ -69,7 +68,8 @@ func (OsFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, ne
 // Remove implements FS.
 func (OsFS) Remove(name string) error { return os.Remove(name) }
 
-// JournalOptions parameterize a journal.
+// JournalOptions parameterize a journal; what it has done is read from
+// Journal.Stats.
 type JournalOptions struct {
 	// FS is the filesystem the journal writes through; nil selects
 	// OsFS.
@@ -78,9 +78,6 @@ type JournalOptions struct {
 	// appends (group commit). <= 1 (the default) syncs every append —
 	// a report acked to the journal is durable before Append returns.
 	SyncEvery int
-	// Hooks, if set, observes journal lifecycle events (appends, syncs,
-	// replay, checkpoints). Must not call back into the journal.
-	Hooks obs.Hooks
 }
 
 func (o JournalOptions) defaults() JournalOptions {
@@ -110,6 +107,31 @@ type Journal struct {
 	inSegment bool
 	enc       encoder
 	row       row
+
+	// Atomics, so Stats never waits on mu: Append holds it across its
+	// fsync.
+	appends, syncs, checkpoints atomic.Int64
+}
+
+// JournalStats counts a journal's work since it was opened.
+type JournalStats struct {
+	// Appends counts records written; Syncs the fsyncs the SyncEvery
+	// policy and Sync made, so Appends/Syncs is the group-commit batch;
+	// Checkpoints the checkpoints written and published.
+	Appends, Syncs, Checkpoints int
+}
+
+// Stats returns the journal's counts without taking its lock, so a
+// scrape never waits on an fsync. A nil journal has none.
+func (j *Journal) Stats() JournalStats {
+	if j == nil {
+		return JournalStats{}
+	}
+	return JournalStats{
+		Appends:     int(j.appends.Load()),
+		Syncs:       int(j.syncs.Load()),
+		Checkpoints: int(j.checkpoints.Load()),
+	}
 }
 
 // OpenJournal opens (creating if absent) a journal for appending.
@@ -122,15 +144,6 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 		return nil, fmt.Errorf("rcastore: opening journal: %w", err)
 	}
 	return &Journal{fs: opts.FS, f: f, opts: opts, tables: newTables()}, nil
-}
-
-// SetHooks installs (or replaces) the journal's observability hooks.
-// Recovery runs before a service's metrics exist, so dominod recovers
-// first and wires hooks afterwards.
-func (j *Journal) SetHooks(h obs.Hooks) {
-	j.mu.Lock()
-	j.opts.Hooks = h
-	j.mu.Unlock()
 }
 
 // Append writes one record — and, in the same write, a start frame if
@@ -173,9 +186,7 @@ func (j *Journal) Append(rec Record) error {
 		return fmt.Errorf("rcastore: journal append: %w", err)
 	}
 	j.inSegment = true
-	if j.opts.Hooks != nil {
-		j.opts.Hooks.JournalAppended(1)
-	}
+	j.appends.Add(1)
 	j.sinceSync++
 	if j.sinceSync >= j.opts.SyncEvery {
 		return j.syncLocked()
@@ -200,9 +211,7 @@ func (j *Journal) syncLocked() error {
 		j.inSegment = false
 		return fmt.Errorf("rcastore: journal sync: %w", err)
 	}
-	if j.opts.Hooks != nil {
-		j.opts.Hooks.JournalSynced()
-	}
+	j.syncs.Add(1)
 	return nil
 }
 
@@ -272,9 +281,7 @@ func (j *Journal) Checkpoint(st *Store, checkpointPath string) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("rcastore: syncing truncated journal: %w", err)
 	}
-	if j.opts.Hooks != nil {
-		j.opts.Hooks.JournalCheckpointed(st.Len())
-	}
+	j.checkpoints.Add(1)
 	return nil
 }
 
@@ -329,9 +336,6 @@ func Recover(checkpointPath, journalPath string, opts Options, jopts JournalOpti
 			j.Close()
 			return nil, nil, stats, fmt.Errorf("rcastore: truncating torn journal tail: %w", err)
 		}
-	}
-	if jopts.Hooks != nil {
-		jopts.Hooks.JournalReplayed(stats.Replayed, stats.Deduped)
 	}
 	return st, j, stats, nil
 }

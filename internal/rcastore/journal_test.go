@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/domino5g/domino/internal/obs"
 )
 
 // journalFleet builds n records with distinct sessions and enough
@@ -264,45 +262,41 @@ func TestJournalCheckpointCrashWindow(t *testing.T) {
 	}
 }
 
-// journalHookCounter counts journal hook firings.
-type journalHookCounter struct {
-	obs.NopHooks
-	appends, syncs, checkpoints int
-	replayed, deduped           int
-}
-
-func (h *journalHookCounter) JournalAppended(n int)   { h.appends += n }
-func (h *journalHookCounter) JournalSynced()          { h.syncs++ }
-func (h *journalHookCounter) JournalCheckpointed(int) { h.checkpoints++ }
-func (h *journalHookCounter) JournalReplayed(r, d int) {
-	h.replayed += r
-	h.deduped += d
-}
-
-// TestJournalSyncBatching pins the group-commit policy: SyncEvery n
-// fsyncs once per n appends, and Sync/Close flush the remainder.
+// TestJournalSyncBatching pins the group-commit policy and the counts
+// Stats reports for it: SyncEvery n fsyncs once per n appends, Sync
+// flushes the remainder, and a checkpoint counts once.
 func TestJournalSyncBatching(t *testing.T) {
 	dir := t.TempDir()
-	hooks := &journalHookCounter{}
-	j, err := OpenJournal(filepath.Join(dir, "w.wal"), JournalOptions{SyncEvery: 4, Hooks: hooks})
+	j, err := OpenJournal(filepath.Join(dir, "w.wal"), JournalOptions{SyncEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer j.Close()
+	st := New(Options{})
 	for _, r := range journalFleet(10) {
+		st.Insert(r)
 		if err := j.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if hooks.appends != 10 || hooks.syncs != 2 {
-		t.Fatalf("appends=%d syncs=%d, want 10 appends / 2 batched syncs", hooks.appends, hooks.syncs)
+	if got := j.Stats(); got != (JournalStats{Appends: 10, Syncs: 2}) {
+		t.Fatalf("stats %+v, want 10 appends / 2 batched syncs", got)
 	}
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if hooks.syncs != 3 {
-		t.Fatalf("explicit Sync did not flush: syncs=%d", hooks.syncs)
+	if got := j.Stats(); got.Syncs != 3 {
+		t.Fatalf("explicit Sync did not flush: syncs=%d", got.Syncs)
 	}
-	j.Close()
+	if err := j.Checkpoint(st, filepath.Join(dir, "w.ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Stats(); got != (JournalStats{Appends: 10, Syncs: 3, Checkpoints: 1}) {
+		t.Fatalf("stats after a checkpoint %+v, want 10 appends / 3 syncs / 1 checkpoint", got)
+	}
+	if (*Journal)(nil).Stats() != (JournalStats{}) {
+		t.Fatal("a nil journal reports counts")
+	}
 }
 
 // failFile wraps a File, failing writes after a byte budget — a local

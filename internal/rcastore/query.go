@@ -211,14 +211,6 @@ func (s *Store) scanLocked(q Query, span func(b *block, lo, hi int)) {
 	}
 }
 
-// queriedLocked fires the StoreQueried hook once per query
-// evaluation. The caller must hold at least the read lock.
-func (s *Store) queriedLocked() {
-	if s.opts.Hooks != nil {
-		s.opts.Hooks.StoreQueried()
-	}
-}
-
 // RecordLess is the (Start, Session) order Query returns records in. It
 // is exported so a fleet tier merging per-node answers ranks them
 // exactly as one store would.
@@ -343,7 +335,7 @@ func (s *kBest) ranked() []cand {
 func (s *Store) Query(q Query) []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.queriedLocked()
+	s.queries.Add(1)
 	sel := kBest{k: q.Limit, skip: q.NotSession}
 	s.scanLocked(q, func(b *block, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -373,7 +365,7 @@ type ChainAgg struct {
 func (s *Store) TopChains(q Query, k int) []ChainAgg {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.queriedLocked()
+	s.queries.Add(1)
 	// Indexed by chain dictionary ID; a chain is in the answer when some
 	// matching record lists it, whatever its run count.
 	runs := make([]int, len(s.chains.names))
@@ -433,7 +425,7 @@ type CauseBucket struct {
 func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.queriedLocked()
+	s.queries.Add(1)
 	type groupKey struct {
 		cell   uint32
 		bucket sim.Time
@@ -527,7 +519,7 @@ type Match struct {
 func (s *Store) Similar(fired []string, q Query, k int) []Match {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.queriedLocked()
+	s.queries.Add(1)
 	var probe []uint64
 	unknown := 0
 	for _, n := range fired {
@@ -577,7 +569,7 @@ func (s *Store) Similar(fired []string, q Query, k int) []Match {
 func (s *Store) Fired(session string) (Record, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.queriedLocked()
+	s.queries.Add(1)
 	at, ok := s.latest[session]
 	if !ok {
 		return Record{}, false

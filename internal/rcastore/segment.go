@@ -503,9 +503,7 @@ func (s *Store) Spill(w io.Writer) error {
 	if _, err := w.Write(e.out); err != nil {
 		return err
 	}
-	if s.opts.Hooks != nil {
-		s.opts.Hooks.StoreSpilled(rows)
-	}
+	s.spills.Add(1)
 	return nil
 }
 

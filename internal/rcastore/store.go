@@ -36,9 +36,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/domino5g/domino/internal/core"
-	"github.com/domino5g/domino/internal/obs"
 	"github.com/domino5g/domino/internal/sim"
 )
 
@@ -51,11 +51,6 @@ type Options struct {
 	// MaxBlocks caps retained blocks; once exceeded, whole blocks are
 	// evicted oldest-first (insertion order). 0 retains everything.
 	MaxBlocks int
-	// Hooks, if set, observes store lifecycle events (inserts,
-	// evictions, queries, spills). Implementations must be cheap and
-	// must not call back into the store — hooks fire with the store
-	// lock held.
-	Hooks obs.Hooks
 }
 
 func (o Options) defaults() Options {
@@ -360,6 +355,10 @@ type Store struct {
 	insertedRows  int
 	evictedRows   int
 	evictedBlocks int
+
+	// queries and spills count reads and Spills, which run concurrently
+	// under the read lock, so they are atomics.
+	queries, spills atomic.Int64
 }
 
 // rowAt locates one stored row.
@@ -375,15 +374,6 @@ func New(opts Options) *Store {
 		latest: map[string]rowAt{},
 		tables: newTables(),
 	}
-}
-
-// SetHooks installs (or replaces) the store's observability hooks —
-// the path for attaching hooks to a store reloaded from a spill, where
-// Options were consumed by Load before the hooks existed.
-func (s *Store) SetHooks(h obs.Hooks) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.opts.Hooks = h
 }
 
 // Insert appends one record. Records may arrive in any time order —
@@ -455,9 +445,6 @@ func (s *Store) appendRowLocked(r *row) {
 		b.seal()
 	}
 	s.insertedRows++
-	if s.opts.Hooks != nil {
-		s.opts.Hooks.StoreInserted(1)
-	}
 
 	s.evictLocked()
 }
@@ -484,9 +471,6 @@ func (s *Store) evictLocked() {
 	}
 	for len(s.blocks) > s.opts.MaxBlocks {
 		old := s.blocks[0]
-		if s.opts.Hooks != nil {
-			s.opts.Hooks.StoreEvicted(old.n)
-		}
 		for _, session := range old.sessions {
 			if s.latest[session].b == old {
 				delete(s.latest, session)
@@ -505,6 +489,10 @@ type Stats struct {
 	Rows, Blocks               int
 	InsertedRows               int
 	EvictedRows, EvictedBlocks int
+	// Queries counts read entry-point calls (Query, TopChains,
+	// CauseRates, Similar, Fired) and Spills the Spill calls that wrote
+	// a whole segment, since New or Load.
+	Queries, Spills int
 	// Nodes..MetricNames are dictionary cardinalities (these count
 	// every name ever seen, eviction does not shrink them).
 	Nodes, Cells, Scenarios, Chains, Causes, MetricNames int
@@ -522,6 +510,8 @@ func (s *Store) Stats() Stats {
 		InsertedRows:  s.insertedRows,
 		EvictedRows:   s.evictedRows,
 		EvictedBlocks: s.evictedBlocks,
+		Queries:       int(s.queries.Load()),
+		Spills:        int(s.spills.Load()),
 		Nodes:         len(s.nodes.names),
 		Cells:         len(s.cells.names),
 		Scenarios:     len(s.scens.names),

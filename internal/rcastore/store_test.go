@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/domino5g/domino/internal/core"
-	"github.com/domino5g/domino/internal/obs"
 	"github.com/domino5g/domino/internal/sim"
 )
 
@@ -434,32 +433,16 @@ func TestInsertReport(t *testing.T) {
 	}
 }
 
-// storeHooks counts obs hook invocations for TestStoreHooks.
-type storeHooks struct {
-	obs.NopHooks
-	inserted, evicted, queries, spilledRows int
-}
-
-func (h *storeHooks) StoreInserted(rows int) { h.inserted += rows }
-func (h *storeHooks) StoreEvicted(rows int)  { h.evicted += rows }
-func (h *storeHooks) StoreQueried()          { h.queries++ }
-func (h *storeHooks) StoreSpilled(rows int)  { h.spilledRows += rows }
-
-// TestStoreHooks pins the store's observability seam: hook tallies
-// agree with Stats() across inserts, whole-block evictions, every
-// query entry point, and spills.
+// TestStoreHooks pins the store's activity totals in Stats: inserts and
+// whole-block evictions, one query per read entry point, one spill per
+// Spill.
 func TestStoreHooks(t *testing.T) {
-	h := &storeHooks{}
-	s := New(Options{BlockRows: 2, MaxBlocks: 2, Hooks: h})
+	s := New(Options{BlockRows: 2, MaxBlocks: 2})
 	for i := 0; i < 7; i++ {
 		s.Insert(rec(fmt.Sprintf("s%d", i), "cell", "scen", i, []string{"sinr_drop"}, nil, nil))
 	}
-	st := s.Stats()
-	if h.inserted != st.InsertedRows {
-		t.Fatalf("StoreInserted saw %d rows, stats %d", h.inserted, st.InsertedRows)
-	}
-	if h.evicted != st.EvictedRows || h.evicted == 0 {
-		t.Fatalf("StoreEvicted saw %d rows, stats %d", h.evicted, st.EvictedRows)
+	if st := s.Stats(); st.InsertedRows != 7 || st.EvictedRows != 4 || st.Queries != 0 || st.Spills != 0 {
+		t.Fatalf("after 7 inserts into 2 blocks of 2: %+v", st)
 	}
 
 	s.Query(Query{})
@@ -467,15 +450,15 @@ func TestStoreHooks(t *testing.T) {
 	s.CauseRates(Query{}, sim.Minute)
 	s.Similar([]string{"sinr_drop"}, Query{}, 1)
 	s.Fired("s6")
-	if h.queries != 5 {
-		t.Fatalf("StoreQueried fired %d times, want 5 (one per entry point)", h.queries)
+	if got := s.Stats().Queries; got != 5 {
+		t.Fatalf("Queries = %d, want 5 (one per entry point)", got)
 	}
 
 	var buf bytes.Buffer
 	if err := s.Spill(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if h.spilledRows != s.Len() {
-		t.Fatalf("StoreSpilled saw %d rows, store retains %d", h.spilledRows, s.Len())
+	if st := s.Stats(); st.Spills != 1 || st.Queries != 5 {
+		t.Fatalf("after one Spill: %d spills, %d queries; want 1 and 5", st.Spills, st.Queries)
 	}
 }

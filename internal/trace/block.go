@@ -51,6 +51,15 @@ type Block struct {
 	Stats   []WebRTCStatsRecord
 	StatsAt []sim.Time // Stats[i].At, as a column
 	RRC     RRCColumns
+
+	// The Records a binary reader's Next and ReadBatch hand out, and the
+	// rows they point at (with Stats): a ring generation holds them, so
+	// Recycle bounds their lifetime as it does a ReadBlock block's.
+	recs []Record
+	dcis []DCIRecord
+	gnbs []GNBLogRecord
+	pkts []PacketRecord
+	rrcs []RRCRecord
 }
 
 // Len is the number of records the block stands for; the header block
@@ -91,10 +100,10 @@ func (b *Block) reset() {
 	r.At, r.Flags, r.RNTI, r.Cause = r.At[:0], r.Flags[:0], r.RNTI[:0], r.Cause[:0]
 }
 
-// BlockRing is block storage a StreamReader decodes into round-robin
-// (see StreamReader.Recycle). It outlives the reader, so a consumer of
-// many short streams keeps one per stream in flight instead of growing
-// thirty columns anew for each.
+// BlockRing is block storage either reader decodes into round-robin
+// (see BinaryStreamReader.Recycle). It outlives the reader, so a
+// consumer of many short streams keeps one per stream in flight instead
+// of growing thirty columns anew for each.
 type BlockRing struct {
 	blks []Block
 	pos  int

@@ -586,63 +586,33 @@ type BinaryStreamReader struct {
 	lastAt [NumSeries]sim.Time
 	total  uint64
 
-	// ring, when non-empty, holds the recycled storage generations
-	// enabled by Recycle; ringPos is the generation the next block
-	// uses. scratch is the column intermediate Records are materialised
-	// from; no caller sees it, so one is enough.
-	ring     []blockStorage
-	ringPos  int
-	scratch  Block
+	// ring is the generations ReadBlock decodes into, and the record path
+	// materialises into; nil is a new block per frame. own is the columns
+	// the record path decodes a frame into: no caller sees them, so one
+	// set is enough.
+	ring     *BlockRing
+	own      Block
 	statInts []uint64 // a block's stats integer columns, before transposition
 
 	err error
 }
 
-// blockStorage is one generation of decoded-block backing arrays: the
-// columns ReadBlock hands out, or the Records (and the structs they
-// point at) ReadBatch and Next hand out.
-type blockStorage struct {
-	blk   Block
-	recs  []Record
-	dcis  []DCIRecord
-	gnbs  []GNBLogRecord
-	pkts  []PacketRecord
-	stats []WebRTCStatsRecord
-	rrcs  []RRCRecord
-}
-
 // Recycle trades the default lives-forever guarantee for an
 // allocation-free steady state: block storage is reused round-robin
 // across depth+1 generations, so the block from a ReadBlock call (or
-// the records from a ReadBatch or Next call) stays intact while depth
-// further blocks are decoded and is overwritten in place by the one
-// after. Consumers that copy what they keep — dominod's ingest
-// pipeline pushes a block through the analyzer (which appends its
-// columns to its index) while decoding the next — run with depth 1 and
-// no per-record garbage. Call before the first read; depth <= 0
-// restores fresh allocation per block.
-func (sr *BinaryStreamReader) Recycle(depth int) {
-	if depth <= 0 {
-		sr.ring = nil
-		return
-	}
-	sr.ring = make([]blockStorage, depth+1)
-	sr.ringPos = 0
-}
+// the records from a ReadBatch or Next call, which live in their
+// block's generation) stays intact while depth further blocks are
+// decoded and is overwritten in place by the one after. Consumers that
+// copy what they keep — dominod's ingest pipeline pushes a block
+// through the analyzer (which appends its columns to its index) while
+// decoding the next — run with depth 1 and no per-record garbage. Call
+// before the first read; depth <= 0 restores fresh allocation per
+// block.
+func (sr *BinaryStreamReader) Recycle(depth int) { sr.ring = NewBlockRing(depth) }
 
-// storage returns the generation the next block decodes into: the next
-// ring slot under Recycle, a fresh one otherwise.
-func (sr *BinaryStreamReader) storage() *blockStorage {
-	if len(sr.ring) == 0 {
-		return &blockStorage{}
-	}
-	st := &sr.ring[sr.ringPos]
-	sr.ringPos++
-	if sr.ringPos == len(sr.ring) {
-		sr.ringPos = 0
-	}
-	return st
-}
+// RecycleInto is Recycle with generations the caller owns and may hand
+// to the next reader, of either format, when this one is done.
+func (sr *BinaryStreamReader) RecycleInto(ring *BlockRing) { sr.ring = ring }
 
 // grow returns s resized to n elements, reusing its backing array when
 // it is big enough. Callers overwrite every element, so stale contents
@@ -699,11 +669,11 @@ func (sr *BinaryStreamReader) ReadBlock() (*Block, error) {
 	if hdr != nil {
 		return &Block{Header: hdr}, nil
 	}
-	st := sr.storage()
-	if err := sr.decodeBlock(payload, &st.blk); err != nil {
+	b := sr.ring.next()
+	if err := sr.decodeBlock(payload, b); err != nil {
 		return nil, err
 	}
-	return &st.blk, nil
+	return b, nil
 }
 
 // fill materialises the next frame's records into sr.recs.
@@ -722,14 +692,19 @@ func (sr *BinaryStreamReader) fill() error {
 		return nil
 	}
 	// Stats rows are decoded straight into the generation the records
-	// will point at; the other series go through the scratch columns.
-	st, b := sr.storage(), &sr.scratch
-	b.Stats = st.stats
+	// will point at; the other series go through the reader's own
+	// columns. Without a ring, the generation is only its arrays, which
+	// the records keep; the Block itself stays on the stack.
+	gen, b := new(Block), &sr.own
+	if sr.ring != nil {
+		gen = sr.ring.next()
+	}
+	b.Stats = gen.Stats
 	if err := sr.decodeBlock(payload, b); err != nil {
 		return err
 	}
-	st.stats = b.Stats
-	sr.recs = st.records(b)
+	gen.Stats = b.Stats
+	sr.recs = gen.records(b)
 	return nil
 }
 
@@ -1002,27 +977,27 @@ func (sr *BinaryStreamReader) decodeBlock(payload []byte, b *Block) error {
 	return nil
 }
 
-// records materialises b's rows as Records in merged stream order,
-// backed by st's arrays — except the stats rows, which are rows already
-// and are pointed at where they are (fill has them decoded into
-// st.stats).
-func (st *blockStorage) records(b *Block) []Record {
-	st.recs = grow(st.recs, len(b.Tags))
-	st.dcis = grow(st.dcis, len(b.DCI.At))
-	for i := range st.dcis {
-		st.dcis[i] = b.DCI.Record(i)
+// records materialises the rows of b's columns as Records in merged
+// stream order, backed by g's record arrays — except the stats rows,
+// which are rows already and are pointed at where they are, in g.Stats
+// (fill has them decoded there).
+func (g *Block) records(b *Block) []Record {
+	g.recs = grow(g.recs, len(b.Tags))
+	g.dcis = grow(g.dcis, len(b.DCI.At))
+	for i := range g.dcis {
+		g.dcis[i] = b.DCI.Record(i)
 	}
-	st.gnbs = grow(st.gnbs, len(b.GNB.At))
-	for i := range st.gnbs {
-		st.gnbs[i] = b.GNB.Record(i)
+	g.gnbs = grow(g.gnbs, len(b.GNB.At))
+	for i := range g.gnbs {
+		g.gnbs[i] = b.GNB.Record(i)
 	}
-	st.pkts = grow(st.pkts, len(b.Pkt.SentAt))
-	for i := range st.pkts {
-		st.pkts[i] = b.Pkt.Record(i)
+	g.pkts = grow(g.pkts, len(b.Pkt.SentAt))
+	for i := range g.pkts {
+		g.pkts[i] = b.Pkt.Record(i)
 	}
-	st.rrcs = grow(st.rrcs, len(b.RRC.At))
-	for i := range st.rrcs {
-		st.rrcs[i] = b.RRC.Record(i)
+	g.rrcs = grow(g.rrcs, len(b.RRC.At))
+	for i := range g.rrcs {
+		g.rrcs[i] = b.RRC.Record(i)
 	}
 	var next [NumSeries]int
 	for i, t := range b.Tags {
@@ -1030,16 +1005,16 @@ func (st *blockStorage) records(b *Block) []Record {
 		next[t]++
 		switch t {
 		case SeriesDCI:
-			st.recs[i] = Record{DCI: &st.dcis[k]}
+			g.recs[i] = Record{DCI: &g.dcis[k]}
 		case SeriesGNB:
-			st.recs[i] = Record{GNB: &st.gnbs[k]}
+			g.recs[i] = Record{GNB: &g.gnbs[k]}
 		case SeriesPkt:
-			st.recs[i] = Record{Packet: &st.pkts[k]}
+			g.recs[i] = Record{Packet: &g.pkts[k]}
 		case SeriesStats:
-			st.recs[i] = Record{Stats: &b.Stats[k]}
+			g.recs[i] = Record{Stats: &g.Stats[k]}
 		case SeriesRRC:
-			st.recs[i] = Record{RRC: &st.rrcs[k]}
+			g.recs[i] = Record{RRC: &g.rrcs[k]}
 		}
 	}
-	return st.recs
+	return g.recs
 }

@@ -12,7 +12,6 @@ var (
 // BlockRecords materialises a block's records into storage of their
 // own, in stream order.
 func BlockRecords(b *Block) []Record {
-	c := *b
-	c.Stats = append([]WebRTCStatsRecord(nil), b.Stats...)
-	return new(blockStorage).records(&c)
+	g := &Block{Stats: append([]WebRTCStatsRecord(nil), b.Stats...)}
+	return g.records(b)
 }
