@@ -83,10 +83,10 @@ type Balancer struct {
 	// active counts table entries whose done is still false, kept where
 	// done flips so the gauge need not walk and lock the table.
 	active atomic.Int64
+	nextID uint64 // anonymous-session ID allocator, under mu
 
-	nextID atomic.Uint64
-	stop   chan struct{}
-	done   sync.WaitGroup
+	stop chan struct{}
+	done sync.WaitGroup
 }
 
 // idleConnsPerBackend is how many idle connections the balancer's own
@@ -96,9 +96,10 @@ type Balancer struct {
 // it after one request.
 const idleConnsPerBackend = 64
 
-// doneRetained is how many completed sessions the routing table keeps
-// for late retries and /lb/sessions; an older one is unknown to the
-// balancer again, and a request for it asks the fleet or re-pins by HRW.
+// doneRetained is how many finished sessions — completed or failed —
+// the routing table keeps for late retries and /lb/sessions; an older
+// one is unknown to the balancer again, and a request for it asks the
+// fleet or re-pins by HRW.
 const doneRetained = 4096
 
 // lbSession is the balancer's routing state for one session: its pin
@@ -199,10 +200,17 @@ func (b *Balancer) Routes() *http.ServeMux {
 }
 
 // session returns the routing entry for id, creating it on first
-// sight.
+// sight. Affinity needs a name, so an empty id mints one the table does
+// not hold: anonymous legacy uploads route consistently too.
 func (b *Balancer) session(id string) *lbSession {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	for id == "" {
+		b.nextID++
+		if id = fmt.Sprintf("lb-%d", b.nextID); b.sessions[id] != nil {
+			id = "" // a client named a session so
+		}
+	}
 	s := b.sessions[id]
 	if s == nil {
 		b.admitted++
@@ -214,7 +222,7 @@ func (b *Balancer) session(id string) *lbSession {
 	return s
 }
 
-// retire marks a session done — its final report went out — and drops
+// retire marks a session done — its final answer went out — and drops
 // the oldest done entries past the table's bound. Callers hold sess.mu
 // (the one place a session lock is held while the table's is taken).
 func (b *Balancer) retire(sess *lbSession) {

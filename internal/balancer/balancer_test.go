@@ -441,8 +441,11 @@ func TestDrainingCodeRepinsOtherCodesDoNot(t *testing.T) {
 
 // TestMalformedChunkPassesThrough pins a chunk whose bytes arrive whole
 // but do not decode, through dominolb: the node's 400 malformed reaches
-// the client, which does not retry it, and the backend stays up. A chunk
-// torn on its way in is a 503 interrupted, as the node would answer it.
+// the client, which does not retry it, the backend stays up, and the
+// routing entry is retired — done, out of the active gauge. A one-shot
+// body torn on its way in is the balancer's own final 400 and retires
+// its entry too; a resumable one is a 503 interrupted, as the node would
+// answer it, and its entry stays live.
 func TestMalformedChunkPassesThrough(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
@@ -475,11 +478,37 @@ func TestMalformedChunkPassesThrough(t *testing.T) {
 			t.Fatalf("%s: a malformed chunk moved its backend to %v", c.id, st)
 		}
 	}
+	resp := postTorn(t, ts.URL, "torn-oneshot", ingest.Request{Eos: true}, ingest.ContentTypeJSONL, bad)
+	if body := readBody(t, resp); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("torn one-shot body through the balancer: %d %s, want 400", resp.StatusCode, body)
+	}
+	activeIs := func(when string, want int) {
+		t.Helper()
+		if line := fmt.Sprintf("dominolb_sessions_active %d\n", want); !strings.Contains(readBody(t, mustGet(t, ts.URL+"/metrics")), line) {
+			t.Fatalf("%s: exposition lacks %q", when, line)
+		}
+	}
+	done := func(id string) bool {
+		s := lb.lookup(id)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.done
+	}
+	for _, id := range []string{"direct", "jsonl", "binary", "torn-oneshot"} {
+		if !done(id) {
+			t.Fatalf("%s: a failed session's routing entry is still live", id)
+		}
+	}
+	activeIs("after the failed sessions", 0)
 
-	resp := postTorn(t, ts.URL, "torn", ingest.Request{Resumable: true}, ingest.ContentTypeJSONL, bad)
+	resp = postTorn(t, ts.URL, "torn", ingest.Request{Resumable: true}, ingest.ContentTypeJSONL, bad)
 	if body := readBody(t, resp); resp.StatusCode != http.StatusServiceUnavailable || ingest.ErrorCode([]byte(body)) != ingest.CodeInterrupted {
 		t.Fatalf("torn chunk through the balancer: %d %s, want 503 interrupted", resp.StatusCode, body)
 	}
+	if done("torn") {
+		t.Fatal("a suspended session's routing entry was retired")
+	}
+	activeIs("after the suspended session", 1)
 }
 
 // assertFleetIsMergeOfNodes pins the federation criterion: the
@@ -708,8 +737,8 @@ func TestSessionsActiveGaugeMatchesTableWalk(t *testing.T) {
 }
 
 // TestRoutingTableRetainsBoundedDone reaches the table's bound: with
-// room for three done entries, the oldest completed sessions leave the
-// table as newer ones complete, in completion order, while a live
+// room for three done entries, the oldest finished sessions leave the
+// table as newer ones finish — complete or fail — in that order, while a live
 // session — one that already failed over — keeps its entry and its
 // place in the active gauge however many finish around it. A dropped
 // session is merely unknown to the balancer again: its watermark and
@@ -727,8 +756,12 @@ func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	drainClose(postChunk(t, ts.URL, "live", ingest.ContentTypeJSONL, seqs[1], false, bytes.NewReader(chunks[1]))) // 503: feeds health
 	mustPost(t, ts.URL, "live", seqs[1], false, chunks[1], http.StatusPreconditionFailed)                         // re-pinned: a gap on the fresh node
 
-	const finished = 7
+	const finished, failed = 7, 5 // d-5 fails: it counts against the bound like the rest
 	for i := 0; i < finished; i++ {
+		if i == failed {
+			mustPost(t, ts.URL, "d-"+strconv.Itoa(i), 0, true, []byte("not a record\n"), http.StatusBadRequest)
+			continue
+		}
 		mustPost(t, ts.URL, "d-"+strconv.Itoa(i), 0, true, payload, http.StatusOK)
 	}
 
@@ -749,6 +782,9 @@ func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	}
 	if e := table[0]; e.Done || e.Failovers != 1 {
 		t.Fatalf("live session after the reaping: %+v, want live after one failover", e)
+	}
+	if e := table[2]; !e.Done {
+		t.Fatalf("failed session after the reaping: %+v, want done", e)
 	}
 	text := readBody(t, mustGet(t, ts.URL+"/metrics"))
 	for _, line := range []string{"dominolb_sessions_active 1\n", fmt.Sprintf("dominolb_sessions_total %d\n", finished+1)} {
@@ -773,6 +809,25 @@ func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	}
 	if lb.lookup("d-4") != nil || lb.lookup("live") == nil || len(lb.sessions) != 3 {
 		t.Fatalf("table holds %d entries after the live session finished, want d-5, d-6 and live", len(lb.sessions))
+	}
+}
+
+// TestMintedSessionIDSkipsClientIDs: an anonymous upload's minted ID
+// never names a session a client already posted under its own name.
+func TestMintedSessionIDSkipsClientIDs(t *testing.T) {
+	a := newFleetNode(t, "a")
+	lb, ts := newTestBalancer(t, Options{}, a)
+	payload := sessionJSONL(t, ran.Presets()[0], 30, 2*sim.Second)
+	mustPost(t, ts.URL, "lb-1", -1, true, payload, http.StatusOK)
+	resp, err := http.Post(ts.URL+"/ingest", ingest.ContentTypeJSONL, bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK || !strings.Contains(body, `"session": "lb-2"`) {
+		t.Fatalf("anonymous upload beside the client's done lb-1: %d %s, want 200 as lb-2", resp.StatusCode, body)
+	}
+	if lb.lookup("lb-1") == nil || lb.lookup("lb-2") == nil {
+		t.Fatal("routing table lacks lb-1 or lb-2")
 	}
 }
 

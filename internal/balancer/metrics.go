@@ -47,7 +47,7 @@ func newMetrics(b *Balancer) *metrics {
 	}
 	reg.GaugeFunc("dominolb_backends", "Backends configured.",
 		func() float64 { return float64(len(b.backends)) })
-	reg.GaugeFunc("dominolb_sessions_active", "Sessions the balancer is routing that have not completed.",
+	reg.GaugeFunc("dominolb_sessions_active", "Sessions the balancer is routing that have had no final answer (a report or a permanent failure).",
 		func() float64 { return float64(b.active.Load()) })
 	for _, be := range b.backends {
 		be := be

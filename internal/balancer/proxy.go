@@ -42,22 +42,16 @@ func (b *Balancer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	id := r.URL.Query().Get("session")
-	if id == "" {
-		// Affinity needs a name; mint one so even anonymous legacy
-		// uploads route consistently.
-		id = fmt.Sprintf("lb-%d", b.nextID.Add(1))
-	}
-	sess := b.session(id)
+	sess := b.session(r.URL.Query().Get("session"))
 	// One chunk at a time per session: the protocol is sequential, and
 	// a concurrent duplicate could land on a pin the other re-pinned.
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if err := b.ensureBackend(sess); err != nil {
-		ingest.CodeUnavailable.Reject(w, fmt.Sprintf("session %s: %v", id, err))
+		ingest.CodeUnavailable.Reject(w, fmt.Sprintf("session %s: %v", sess.id, err))
 		return
 	}
-	b.forward(w, r, req, sess, id)
+	b.forward(w, r, req, sess)
 }
 
 // ensureBackend gives sess a live pin, re-pinning it when the current
@@ -111,11 +105,11 @@ func (c *clientBody) torn() error {
 
 // forward streams one ingest chunk to the session's pinned backend and
 // relays the answer. Callers hold sess.mu.
-func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.Request, sess *lbSession, id string) {
+func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.Request, sess *lbSession) {
 	be := sess.backend
 	body := &clientBody{r: r.Body}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		be.url+"/ingest?session="+url.QueryEscape(id), body)
+		be.url+"/ingest?session="+url.QueryEscape(sess.id), body)
 	if err != nil {
 		ingest.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -131,6 +125,7 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.
 			if proto.Settle(ingest.EndInterrupted) == ingest.Suspend {
 				ingest.CodeInterrupted.Reject(w, msg)
 			} else {
+				b.settle(sess, http.StatusBadRequest)
 				ingest.WriteError(w, http.StatusBadRequest, msg)
 			}
 			return
@@ -150,25 +145,30 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.
 		return
 	}
 
-	switch resp.StatusCode {
-	case http.StatusOK:
-		// Final report: the session is complete. A client that lost
-		// the 200 resends and gets it again.
-		if !sess.done {
-			b.retire(sess)
-		}
-	case http.StatusServiceUnavailable:
-		// The backend is shedding or draining; reflect draining into
-		// the fleet view right away so the client's retry re-pins
-		// instead of bouncing off the same node.
-		if ingest.ErrorCode(respBody) == ingest.CodeDraining && be.noteState(stateDraining, "") {
-			b.log.Info("backend draining (ingest reject)", "backend", be.url)
-		}
+	// The backend is shedding or draining; reflect draining into the
+	// fleet view right away so the client's retry re-pins instead of
+	// bouncing off the same node.
+	if resp.StatusCode == http.StatusServiceUnavailable && ingest.ErrorCode(respBody) == ingest.CodeDraining &&
+		be.noteState(stateDraining, "") {
+		b.log.Info("backend draining (ingest reject)", "backend", be.url)
 	}
+	b.settle(sess, resp.StatusCode)
 	copyHeader(w.Header(), resp.Header, "Content-Type")
 	copyHeader(w.Header(), resp.Header, "Retry-After")
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(respBody)
+}
+
+// settle retires sess once status is a final answer for it: its report
+// (200; a client that lost it resends and gets it again), or a failure
+// no resend of the chunk mends — every non-retryable rejection but a 409,
+// which is about another upload's live session. Callers hold sess.mu.
+func (b *Balancer) settle(sess *lbSession, status int) {
+	final := status == http.StatusOK ||
+		(status >= 400 && status != http.StatusConflict && !ingest.Retryable(status))
+	if final && !sess.done {
+		b.retire(sess)
+	}
 }
 
 // backendFailed folds a data-path failure into backend health.

@@ -239,13 +239,7 @@ func (inc *Incremental) Step(v FeatureVector) (WindowResult, []EventRun, []Chain
 				}
 			}
 		} else if inc.openNodeSet[nid] {
-			run := inc.openNode[nid]
-			rep.NodeEvents[name] = append(rep.NodeEvents[name], run)
-			closedNodes = append(closedNodes, run)
-			inc.openNodeSet[nid] = false
-			if inc.hooks != nil {
-				inc.hooks.NodeRunClosed(name, int64(run.Start), int64(run.End), run.Windows)
-			}
+			closedNodes = inc.closeNode(nid, closedNodes)
 		}
 	}
 	// Update chain runs.
@@ -263,50 +257,53 @@ func (inc *Incremental) Step(v FeatureVector) (WindowResult, []EventRun, []Chain
 				}
 			}
 		} else if inc.openChainSet[ci] {
-			run := inc.openChain[ci]
-			rep.ChainEvents[ci+1] = append(rep.ChainEvents[ci+1], run)
-			closedChains = append(closedChains, run)
-			inc.openChainSet[ci] = false
-			if inc.hooks != nil {
-				inc.hooks.ChainRunClosed(cg.chainSigs[ci], int64(run.Start), int64(run.End), run.Windows)
-			}
+			closedChains = inc.closeChain(ci, closedChains)
 		}
 	}
 	return wr, closedNodes, closedChains
+}
+
+// closeNode ends node nid's open run: the report gets it, the hook hears
+// of it, and it is returned appended to closed.
+func (inc *Incremental) closeNode(nid int, closed []EventRun) []EventRun {
+	run, name := inc.openNode[nid], inc.a.comp.nodes[nid]
+	inc.rep.NodeEvents[name] = append(inc.rep.NodeEvents[name], run)
+	inc.openNodeSet[nid] = false
+	if inc.hooks != nil {
+		inc.hooks.NodeRunClosed(name, int64(run.Start), int64(run.End), run.Windows)
+	}
+	return append(closed, run)
+}
+
+// closeChain is closeNode for chain ci's open run.
+func (inc *Incremental) closeChain(ci int, closed []ChainRun) []ChainRun {
+	run := inc.openChain[ci]
+	inc.rep.ChainEvents[ci+1] = append(inc.rep.ChainEvents[ci+1], run)
+	inc.openChainSet[ci] = false
+	if inc.hooks != nil {
+		inc.hooks.ChainRunClosed(inc.a.comp.chainSigs[ci], int64(run.Start), int64(run.End), run.Windows)
+	}
+	return append(closed, run)
 }
 
 // Finish closes every run still open, stamps the session duration, and
 // returns the final report plus the runs closed here. The Incremental
 // must not be used afterwards (Reset rewinds it for a new session).
 func (inc *Incremental) Finish(duration sim.Time) (*Report, []EventRun, []ChainRun) {
-	cg := &inc.a.comp
-	rep := inc.rep
-	rep.Duration = duration
+	inc.rep.Duration = duration
 	var closedNodes []EventRun
-	for nid, name := range cg.nodes {
-		if inc.openNodeSet[nid] {
-			run := inc.openNode[nid]
-			rep.NodeEvents[name] = append(rep.NodeEvents[name], run)
-			closedNodes = append(closedNodes, run)
-			inc.openNodeSet[nid] = false
-			if inc.hooks != nil {
-				inc.hooks.NodeRunClosed(name, int64(run.Start), int64(run.End), run.Windows)
-			}
+	for nid, open := range inc.openNodeSet {
+		if open {
+			closedNodes = inc.closeNode(nid, closedNodes)
 		}
 	}
 	var closedChains []ChainRun
-	for ci := range cg.chainNodes {
-		if inc.openChainSet[ci] {
-			run := inc.openChain[ci]
-			rep.ChainEvents[ci+1] = append(rep.ChainEvents[ci+1], run)
-			closedChains = append(closedChains, run)
-			inc.openChainSet[ci] = false
-			if inc.hooks != nil {
-				inc.hooks.ChainRunClosed(cg.chainSigs[ci], int64(run.Start), int64(run.End), run.Windows)
-			}
+	for ci, open := range inc.openChainSet {
+		if open {
+			closedChains = inc.closeChain(ci, closedChains)
 		}
 	}
-	return rep, closedNodes, closedChains
+	return inc.rep, closedNodes, closedChains
 }
 
 // Snapshot returns a point-in-time copy of the report with runs still

@@ -248,6 +248,30 @@ func TestIngestRejections(t *testing.T) {
 	if rep.State != "done" {
 		t.Fatalf("retried session state %q", rep.State)
 	}
+
+	// A minted ID never names a client's own session. The anonymous
+	// upload above was s0001; with the client's s0002 done and s0003
+	// failed, the next anonymous upload is neither refused as a conflict
+	// nor allowed to replace the failed session.
+	for id, payload := range map[string]io.Reader{"s0002": bytes.NewReader(body), "s0003": strings.NewReader("broken\n")} {
+		resp, err = http.Post(ts.URL+"/ingest?session="+id, "application/jsonl", payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	resp, err = http.Post(ts.URL+"/ingest", "application/jsonl", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil || resp.StatusCode != http.StatusOK || rep.Session != "s0004" {
+		t.Fatalf("anonymous upload beside the client's s0002 and s0003: %d, session %q, %v; want 200 as s0004", resp.StatusCode, rep.Session, err)
+	}
+	resp.Body.Close()
+	getJSON(t, ts.URL+"/report/s0003", &rep)
+	if rep.State != "failed" {
+		t.Fatalf("the client's failed s0003 is %q after an anonymous upload", rep.State)
+	}
 }
 
 // TestFailedSessionKeepsPartialReport pins the recycling path: when a

@@ -39,7 +39,7 @@
 //	GET  /healthz                  readiness probe + build identity; reports
 //	                               "draining" (503) once Drain was called
 //
-// Session bodies are analyzed record-by-record as they upload, so a
+// Session bodies are analyzed block by block as they upload, so a
 // live collector can keep one chunked POST open for the whole call and
 // poll /report/{id} for diagnosis in flight. Admission is bounded by
 // Options.MaxStreams (a parallel.Limiter): saturation past an
@@ -180,8 +180,8 @@ type Node struct {
 	// rejected while in-flight uploads finish.
 	draining atomic.Bool
 
-	// mu guards the session table: sessions, the finished queue and
-	// nextSeq. Lock order is mu → session.mu, never the reverse.
+	// mu guards the session table: sessions, the finished queue, nextSeq
+	// and nextID. Lock order is mu → session.mu, never the reverse.
 	mu       sync.Mutex
 	sessions map[string]*session
 	// finished queues the retained finished sessions, oldest-finished
@@ -189,8 +189,8 @@ type Node struct {
 	// over MaxSessions. Every table entry not in it is active.
 	finished list.List
 	nextSeq  int64 // registration order
+	nextID   int64 // anonymous-session ID allocator
 
-	nextID   atomic.Int64 // anonymous-session ID allocator
 	saPool   analyzerPool // recycled *stream.Analyzer
 	ringPool sync.Pool    // recycled *trace.BlockRing, one per upload in flight
 }
@@ -372,14 +372,12 @@ func (n *Node) Shutdown(ctx context.Context, srv *http.Server) error {
 	return nil
 }
 
-// register creates a fresh session under id (allocating one when
-// empty), replacing a failed predecessor, and evicts down to
-// MaxSessions in the same critical section. It reports false when id
-// names a session the protocol does not let a fresh upload replace.
+// register creates a fresh session under id (minting one the table
+// does not hold when empty), replacing a failed predecessor, and evicts
+// down to MaxSessions in the same critical section. It reports false
+// when id names a session the protocol does not let a fresh upload
+// replace.
 func (n *Node) register(id string) (*session, string, bool) {
-	if id == "" {
-		id = fmt.Sprintf("s%04d", n.nextID.Add(1))
-	}
 	// The analyzer and the flight recorder are taken before the table
 	// lock: a pool miss builds an analyzer and a recorder is a ring to
 	// zero, which is no time to hold it.
@@ -390,6 +388,12 @@ func (n *Node) register(id string) (*session, string, bool) {
 		rec = obs.NewFlightRecorder(n.opts.FlightRec, n.m.names)
 	}
 	n.mu.Lock()
+	for id == "" {
+		n.nextID++
+		if id = fmt.Sprintf("s%04d", n.nextID); n.sessions[id] != nil {
+			id = "" // a client named a session so
+		}
+	}
 	if old := n.sessions[id]; old != nil {
 		// A failed ingest must not squat on its ID: collectors retry
 		// the same call ID, and only an active or completed session is

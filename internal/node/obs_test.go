@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -84,8 +85,9 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestJSONLSlowLinesCounter pins what the node says about a producer
 // whose lines the fast decoder does not take: nothing for the trace
-// encoder's own output, and one count per line that went through
-// encoding/json — here, lines with an escape in a string.
+// encoder's own output, with \n or \r\n line ends alike, and one count
+// per line that went through encoding/json — here, lines with an escape
+// in a string, then lines spaced after a colon.
 func TestJSONLSlowLinesCounter(t *testing.T) {
 	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
 	ts := httptest.NewServer(srv.Routes())
@@ -107,6 +109,18 @@ func TestJSONLSlowLinesCounter(t *testing.T) {
 	if got := metricValue(t, ts.URL, name); got != 0 {
 		t.Fatalf("%s = %v after a canonical upload, want 0", name, got)
 	}
+	// The line scanner drops a \r before the \n: CRLF line ends are still
+	// the encoder's layout, and the report is the same.
+	upload("crlf", bytes.ReplaceAll(body, []byte("\n"), []byte("\r\n")))
+	if got := metricValue(t, ts.URL, name); got != 0 {
+		t.Fatalf("%s = %v after a CRLF upload, want 0", name, got)
+	}
+	var want, got node.ReportPayload
+	getJSON(t, ts.URL+"/report/canonical", &want)
+	getJSON(t, ts.URL+"/report/crlf", &got)
+	if got.Session = want.Session; !reflect.DeepEqual(got, want) {
+		t.Fatalf("CRLF upload's report differs:\nLF:   %+v\nCRLF: %+v", want, got)
+	}
 	const planted = 7
 	escaped := bytes.Replace(body, []byte(`"Note":""`), []byte(`"Note":"\u0041"`), planted)
 	if bytes.Count(escaped, []byte(`\u0041`)) != planted {
@@ -115,6 +129,15 @@ func TestJSONLSlowLinesCounter(t *testing.T) {
 	upload("foreign", escaped)
 	if got := metricValue(t, ts.URL, name); got != planted {
 		t.Fatalf("%s = %v after %d escaped lines, want %d", name, got, planted, planted)
+	}
+	const spacedLines = 5
+	spaced := bytes.Replace(body, []byte(`{"type":"dci"`), []byte(`{"type": "dci"`), spacedLines)
+	if bytes.Count(spaced, []byte(`": "`)) != spacedLines {
+		t.Fatalf("trace has fewer than %d DCI lines", spacedLines)
+	}
+	upload("spaced", spaced)
+	if got := metricValue(t, ts.URL, name); got != planted+spacedLines {
+		t.Fatalf("%s = %v after %d more spaced lines, want %d", name, got, spacedLines, planted+spacedLines)
 	}
 }
 

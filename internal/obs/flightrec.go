@@ -12,7 +12,7 @@ import (
 // node) and the deterministic sim.Time the pipeline was processing, so
 // a dump of a misbehaving session can be diffed against a replay of
 // the same trace: the sim-time-ordered event sequence is reproducible,
-// the wall column shows where real time was spent. cmd/dominod keeps
+// the wall column shows where real time was spent. internal/node keeps
 // one recorder per session and serves dumps at
 // GET /debug/flightrec/{session}.
 //

@@ -3,8 +3,8 @@ package obs
 // Hooks is the per-session pipeline seam: internal/core fires the
 // node/chain run transitions and internal/stream the window
 // evaluations of one session, the events a flight recorder keeps
-// (cmd/dominod's implementation records into a FlightRecorder and bumps
-// registry counters, both zero-alloc). A layer's totals are not hooks
+// (internal/node's implementation records into a FlightRecorder and
+// bumps registry counters, both zero-alloc). A layer's totals are not hooks
 // but its Stats, read at scrape time. Every publishing site is
 // nil-guarded, so a layer with no hooks installed pays one predictable
 // branch and nothing else, and implementations are expected to stay

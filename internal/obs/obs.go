@@ -1,9 +1,9 @@
 // Package obs is the self-contained observability kernel for the
 // Domino fleet: zero-allocation atomic metrics (counters, gauges,
 // fixed-bucket histograms) registered in a named Registry, a
-// point-in-time Snapshot API whose Merge is the federation seam a
-// future dominolb uses to collapse N node snapshots into one fleet
-// view, spec-valid Prometheus text exposition (with a Lint validator
+// point-in-time Snapshot API whose Merge is the federation seam
+// dominolb collapses its nodes' snapshots into one fleet view with,
+// spec-valid Prometheus text exposition (with a Lint validator
 // the tests and cmd/promlint share), a lock-free per-session pipeline
 // flight recorder, and the nil-safe Hooks interface the per-session
 // pipeline (internal/core, internal/stream) publishes stage events
@@ -36,7 +36,7 @@ import (
 
 // Label is one metric dimension (a Prometheus label pair). Labels are
 // fixed at registration; dynamic label values should be pre-registered
-// per known value (see cmd/dominod's per-node event counters) so the
+// per known value (see internal/node's per-node event counters) so the
 // increment path stays lock- and allocation-free.
 type Label struct {
 	Key   string `json:"key"`

@@ -360,14 +360,16 @@ func (s *Analyzer) advance(flush bool) {
 		}
 		s.stats.Windows++
 		s.nextStart += s.step
-		s.emit(wr, closedNodes, closedChains)
+		if s.cfg.OnWindow != nil {
+			s.cfg.OnWindow(wr)
+		}
+		s.emit(closedNodes, closedChains)
 	}
 }
 
-func (s *Analyzer) emit(wr core.WindowResult, nodes []core.EventRun, chains []core.ChainRun) {
-	if s.cfg.OnWindow != nil {
-		s.cfg.OnWindow(wr)
-	}
+// emit hands the runs that closed at a window, or at Close, to the
+// callbacks: node runs first, in graph-node order, then chain runs.
+func (s *Analyzer) emit(nodes []core.EventRun, chains []core.ChainRun) {
 	if s.cfg.OnNodeEvent != nil {
 		for _, r := range nodes {
 			s.cfg.OnNodeEvent(r)
@@ -412,15 +414,6 @@ func (s *Analyzer) Close() (*core.Report, error) {
 		duration = s.stats.Watermark
 	}
 	rep, closedNodes, closedChains := s.inc.Finish(duration)
-	if s.cfg.OnNodeEvent != nil {
-		for _, r := range closedNodes {
-			s.cfg.OnNodeEvent(r)
-		}
-	}
-	if s.cfg.OnChainEvent != nil {
-		for _, r := range closedChains {
-			s.cfg.OnChainEvent(r)
-		}
-	}
+	s.emit(closedNodes, closedChains)
 	return rep, nil
 }

@@ -54,7 +54,8 @@ type Block struct {
 
 	// The Records a binary reader's Next and ReadBatch hand out, and the
 	// rows they point at (with Stats): a ring generation holds them, so
-	// Recycle bounds their lifetime as it does a ReadBlock block's.
+	// Recycle or RecycleInto bounds their lifetime as it does a ReadBlock
+	// block's.
 	recs []Record
 	dcis []DCIRecord
 	gnbs []GNBLogRecord

@@ -23,28 +23,27 @@ import (
 // oracle in codec_test.go and the digests in golden_test.go pin that —
 // at zero allocations per record.
 //
-// Decoder: a field-scanning parser for the exact shape the encoder
-// emits (compact envelope, known field names, JSON-conformant scalars),
-// walking the same member list, so a row decodes into storage the caller
-// supplies: StreamReader.Next copies it into the one Record it hands
-// out, ReadBlock appends it to a block's columns.
-// The literal tier reads the encoder's shape a word at a time: the
-// envelope's `{"type":` and `,"data":` are one 8-byte compare each; each
-// member's key with its separator (`,"Dir":`, or `{"At":` for the
-// object's first) is compared as at most three little-endian words under
-// masks precomputed from the member list; true and false are 4- and
-// 5-byte constants; a plain integer (at most 18 digits, no leading zero,
-// ended by a byte no number token contains) is parsed in the pass that
-// scans it, and a float of at most 15 significant digits and a decimal
-// exponent within ±22 is one exact multiplication or division (Clinger's
-// fast path). A member anywhere else, or spaced, takes the key scan, any
-// other number the token scan and strconv. The decoder accepts a strict
-// subset of what encoding/json accepts; on any deviation — unknown or
-// case-folded field names, escaped strings, nulls, exotic numbers — the
-// caller falls back to the stdlib path, which therefore stays both the
-// semantic oracle (differential tests in codec_test.go pin fast ==
-// stdlib on everything the fast path accepts) and the handler of foreign
-// telemetry.
+// Decoder: two tiers. The fast tier is the encoder's mirror: it reads
+// the layout appendRow writes and nothing else — the compact envelope,
+// then the data members in declaration order, any of them absent, none
+// repeated, no whitespace anywhere — walking the same member list, so a
+// row decodes into storage the caller supplies: StreamReader.Next copies
+// it into the one Record it hands out, ReadBlock appends it to a block's
+// columns. It reads a word at a time: the envelope's `{"type":` and
+// `,"data":` are one 8-byte compare each; each member's key with its
+// separator (`,"Dir":`, or `{"At":` for the object's first) is compared
+// as at most three little-endian words under masks precomputed from the
+// member list; true and false are 4- and 5-byte constants; a plain
+// integer (at most 18 digits, no leading zero, ended by a byte no number
+// token contains) is parsed in the pass that scans it, and a float of at
+// most 15 significant digits and a decimal exponent within ±22 is one
+// exact multiplication or division (Clinger's fast path); any other
+// number takes the token scan and strconv. Every other line — spaced,
+// reordered or repeated members, unknown or case-folded field names,
+// escaped strings, nulls, exotic numbers — goes to the second tier,
+// encoding/json (slowDecode), which therefore stays both the semantic
+// oracle (differential tests in codec_test.go pin fast == stdlib on
+// everything the fast tier accepts) and the handler of foreign telemetry.
 
 const hexDigits = "0123456789abcdef"
 
@@ -224,24 +223,7 @@ type lineParser struct {
 	prev string
 }
 
-func (p *lineParser) skipWS() {
-	for p.pos < len(p.buf) {
-		if c := p.buf[p.pos]; c > ' ' || (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
-			return
-		}
-		p.pos++
-	}
-}
-
-func (p *lineParser) expect(c byte) {
-	if p.pos < len(p.buf) && p.buf[p.pos] == c {
-		p.pos++
-		return
-	}
-	p.ok = false
-}
-
-// The literal tier's constants, as the little-endian words they are
+// The fast tier's constants, as the little-endian words they are
 // compared as.
 var (
 	typeWord  = binary.LittleEndian.Uint64([]byte(`{"type":`))
@@ -259,8 +241,8 @@ func (p *lineParser) word(w uint64) bool {
 	return false
 }
 
-// key scans a JSON object key and returns its raw bytes. Keys with
-// escapes are not fast-path material.
+// key scans the envelope's type tag and returns its raw bytes. A tag
+// with escapes is not fast-path material.
 func (p *lineParser) key() []byte {
 	if p.pos >= len(p.buf) || p.buf[p.pos] != '"' {
 		p.ok = false
@@ -579,57 +561,9 @@ func (p *lineParser) boolValue() bool {
 	return false
 }
 
-// beginObject consumes the value's opening brace. It returns false for
-// an empty object (already fully consumed) or a parse failure.
-func (p *lineParser) beginObject() bool {
-	p.skipWS()
-	p.expect('{')
-	p.skipWS()
-	if p.ok && p.pos < len(p.buf) && p.buf[p.pos] == '}' {
-		p.pos++
-		return false
-	}
-	return p.ok
-}
-
-// fieldKey parses `"key":`, leaving the cursor at the value.
-func (p *lineParser) fieldKey() []byte {
-	k := p.key()
-	if !p.ok {
-		return nil
-	}
-	p.skipWS()
-	p.expect(':')
-	p.skipWS()
-	return k
-}
-
-// endField consumes the separator after a value: false means another
-// field follows, true means the object closed (or the line is not
-// fast-path material, flagged in p.ok).
-func (p *lineParser) endField() bool {
-	p.skipWS()
-	if p.pos >= len(p.buf) {
-		p.ok = false
-		return true
-	}
-	switch p.buf[p.pos] {
-	case ',':
-		p.pos++
-		p.skipWS()
-		return false
-	case '}':
-		p.pos++
-		return true
-	default:
-		p.ok = false
-		return true
-	}
-}
-
 // rowField is one member of a record type's JSON object: its key as the
 // encoder writes it after another member (`,"Dir":`), that key again as
-// the little-endian words the literal tier compares (the bytes past its
+// the little-endian words the fast tier compares (the bytes past its
 // end masked off), where in the row, and as what, its value is stored,
 // and whether the encoder leaves an empty one out.
 type rowField struct {
@@ -684,7 +618,7 @@ func rowFieldsOf(row any) []rowField {
 		}
 		lit := `,"` + name + `":`
 		if len(lit) > 8*len(fs[i].key) {
-			panic("trace: key too long for the literal tier: " + t.Name() + "." + sf.Name)
+			panic("trace: key too long for the fast tier: " + t.Name() + "." + sf.Name)
 		}
 		f := rowField{lit: lit, load: (len(lit) + 7) &^ 7, off: sf.Offset, kind: kind, omitEmpty: opts != ""}
 		for j := range len(lit) {
@@ -705,41 +639,21 @@ var (
 	rrcFields    = rowFieldsOf(RRCRecord{})
 )
 
-// member consumes `"key":` and returns the key's index in fields, or -1
-// with ok cleared for a key the row does not have.
-func (p *lineParser) member(fields []rowField) int {
-	k := p.fieldKey()
-	for i := range fields {
-		if lit := fields[i].lit; lit[2:len(lit)-2] == string(k) {
-			return i
-		}
-	}
-	p.ok = false
-	return -1
-}
-
-// decodeRow decodes the members of the JSON object at the cursor into
-// *row, whose type fields was listed from. Members the object lacks are
-// left zero; of a repeated member the last one wins, as in the oracle.
-// The object's brace and first key, and after each value the separator
-// and the key the encoder would write next, are tried as one literal; a
-// member in any other place or form — one reordered, repeated or
-// skipped, whitespace before the brace, the comma or the colon — goes
-// through the separator and key scans.
+// decodeRow decodes the JSON object at the cursor into *row, whose type
+// fields was listed from, reading exactly what appendRow writes: the
+// object's brace and first key, and after each value the separator and
+// the next key, as one literal each, in declaration order. Any member may
+// be absent and is left zero; none may repeat. The cursor stops after the
+// last value, or after the brace of an empty object, and the caller's
+// check of what follows fails a line with anything else there.
 func decodeRow[T any](p *lineParser, row *T, fields []rowField) {
 	*row = *new(T)
-	i := 0
-	switch {
-	case fields[0].keyAt(p.buf[p.pos:], '{'):
-		p.pos += len(fields[0].lit)
-		p.skipWS()
-	case !p.beginObject():
-		return
-	default:
-		i = p.member(fields)
-	}
-	base := unsafe.Pointer(row)
-	for i >= 0 {
+	base, lead := unsafe.Pointer(row), byte('{')
+	for i := range fields {
+		if !fields[i].keyAt(p.buf[p.pos:], lead) {
+			continue
+		}
+		p.pos += len(fields[i].lit)
 		at := unsafe.Add(base, fields[i].off)
 		switch fields[i].kind {
 		case reflect.Int64:
@@ -757,18 +671,14 @@ func decodeRow[T any](p *lineParser, row *T, fields []rowField) {
 		case reflect.String:
 			*(*string)(at) = p.stringValue()
 		}
-		switch {
-		case !p.ok:
+		if !p.ok {
 			return
-		case i+1 < len(fields) && fields[i+1].keyAt(p.buf[p.pos:], ','):
-			i++
-			p.pos += len(fields[i].lit)
-			p.skipWS()
-		case p.endField():
-			return
-		default:
-			i = p.member(fields)
 		}
+		lead = ','
+	}
+	if lead == '{' { // no member: only an empty object is fast-path material
+		p.ok = p.pos < len(p.buf) && p.buf[p.pos] == '{'
+		p.pos++
 	}
 }
 
@@ -814,38 +724,20 @@ func (r *lineRow) record(kind int) Record {
 	}
 }
 
-// fastDecode decodes one envelope line into the row on the fast path
-// and returns its kind. ok=false means only "not fast-path material":
+// fastDecode decodes one envelope line in appendRow's layout into the
+// row and returns its kind. ok=false means only "not fast-path material":
 // the caller must re-decode the line through the encoding/json oracle
 // (slowDecode), which yields the identical row for valid inputs and the
 // authoritative error for invalid ones.
 func (r *lineRow) fastDecode(line []byte) (kind int, ok bool) {
 	p := lineParser{buf: line, ok: true}
-	p.skipWS()
 	if !p.word(typeWord) {
-		p.expect('{')
-		p.skipWS()
-		if k := p.key(); !p.ok || string(k) != "type" {
-			return 0, false
-		}
-		p.skipWS()
-		p.expect(':')
+		return 0, false
 	}
-	p.skipWS()
 	// The type tag is scanned as raw bytes (key() is exactly a
 	// no-escape string scan), so dispatching allocates nothing.
 	typ := p.key()
-	if !p.word(dataWord) {
-		p.skipWS()
-		p.expect(',')
-		p.skipWS()
-		if k := p.key(); !p.ok || string(k) != "data" {
-			return 0, false
-		}
-		p.skipWS()
-		p.expect(':')
-	}
-	if !p.ok {
+	if !p.ok || !p.word(dataWord) {
 		return 0, false
 	}
 	switch string(typ) {
@@ -870,10 +762,7 @@ func (r *lineRow) fastDecode(line []byte) (kind int, ok bool) {
 	default:
 		return 0, false
 	}
-	p.skipWS()
-	p.expect('}')
-	p.skipWS()
-	return kind, p.ok && p.pos == len(p.buf)
+	return kind, p.ok && string(p.buf[p.pos:]) == "}}"
 }
 
 // slowDecode is fastDecode through encoding/json: the oracle of the

@@ -567,7 +567,7 @@ func (sr *BinaryStreamReader) strings(c *binCursor, dst []string, n int, what st
 // like the JSONL StreamReader over the equivalent JSONL encoding.
 // Decoded blocks use freshly allocated backing storage, so what a call
 // returned stays valid after the reader advances — unless the consumer
-// opts into bounded lifetimes with Recycle. A consumer uses either
+// opts into bounded lifetimes with Recycle or RecycleInto. A consumer uses either
 // ReadBlock or the RecordReader methods on one reader, not both.
 type BinaryStreamReader struct {
 	r   *bufio.Reader
@@ -602,16 +602,16 @@ type BinaryStreamReader struct {
 // across depth+1 generations, so the block from a ReadBlock call (or
 // the records from a ReadBatch or Next call, which live in their
 // block's generation) stays intact while depth further blocks are
-// decoded and is overwritten in place by the one after. Consumers that
-// copy what they keep — dominod's ingest pipeline pushes a block
-// through the analyzer (which appends its columns to its index) while
-// decoding the next — run with depth 1 and no per-record garbage. Call
-// before the first read; depth <= 0 restores fresh allocation per
-// block.
+// decoded and is overwritten in place by the one after. A consumer
+// that copies what it keeps before it reads on — stream.Analyzer.PushBlock
+// appends a block's columns to its index — needs depth 1 and makes no
+// per-record garbage. Call before the first read; depth <= 0 restores
+// fresh allocation per block.
 func (sr *BinaryStreamReader) Recycle(depth int) { sr.ring = NewBlockRing(depth) }
 
 // RecycleInto is Recycle with generations the caller owns and may hand
-// to the next reader, of either format, when this one is done.
+// to the next reader, of either format, when this one is done: dominod
+// lends each upload a depth-1 ring from its pool this way.
 func (sr *BinaryStreamReader) RecycleInto(ring *BlockRing) { sr.ring = ring }
 
 // grow returns s resized to n elements, reusing its backing array when
@@ -726,7 +726,7 @@ func (sr *BinaryStreamReader) Next() (Record, error) {
 // one-element batch) first, then one whole block per call. dst is
 // ignored — the batch lives in the reader's block storage, fresh per
 // block (so it stays valid while later batches are read) unless
-// Recycle bounded its lifetime. A nil batch with io.EOF marks a clean
+// Recycle or RecycleInto bounded its lifetime. A nil batch with io.EOF marks a clean
 // end of stream.
 func (sr *BinaryStreamReader) ReadBatch(dst []Record) ([]Record, error) {
 	if sr.pos >= len(sr.recs) {

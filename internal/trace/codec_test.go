@@ -227,68 +227,6 @@ func TestCodecEdgeValues(t *testing.T) {
 	checkEncodeMatchesOracle(t, Record{Packet: &PacketRecord{Seq: math.MaxUint64, Kind: netem.MediaKind(-3)}})
 }
 
-// fastAcceptLines are hand-picked lines in the fast decoder's subset.
-var fastAcceptLines = []string{
-	`{"type":"header","data":{"cell_name":"c","duration_us":5,"has_gnb_log":true}}`,
-	`{"type":"header","data":{"cell_name":"c","scenario":"s","duration_us":5,"has_gnb_log":false}}`,
-	`{"type":"dci","data":{"At":1,"Dir":0,"RNTI":70,"OwnPRB":2,"OtherPRB":3,"MCS":4,"TBSBits":5,"UsedBits":6,"HARQRetx":true,"RLCRetx":false,"Proactive":true,"Unused":false}}`,
-	`{"type":"dci","data":{"At":-9223372036854775808}}`,
-	`{"type":"pkt","data":{"Seq":18446744073709551615,"Size":-1}}`,
-	`{"type":"stats","data":{"InboundFPS":29.97,"TrendlineSlope":-1.5e-9,"At":123}}`,
-	`{"type":"rrc","data":{"At":5,"Connected":true,"Cause":"inactivity timer"}}`,
-	`{"type":"gnb","data":{"Note":"plain ascii"}}`,
-	` { "type" : "rrc" , "data" : { "At" : 7 } } `,
-	`{"type":"dci","data":{}}`,
-	// Duplicate key: last one wins in both decoders.
-	`{"type":"rrc","data":{"At":1,"At":2}}`,
-}
-
-// Lines the fast path must bail on (stdlib semantics the scanner
-// does not reimplement) — the production path still decodes or
-// rejects them via the fallback, so bailing just means "slow".
-var fastBailLines = []string{
-	`{"type":"rrc","data":{"at":5}}`,                    // case-folded key
-	`{"type":"rrc","data":{"At":null}}`,                 // null literal
-	`{"type":"rrc","data":{"At":1e2}}`,                  // exponent for int field
-	`{"type":"rrc","data":{"At":01}}`,                   // leading zero
-	`{"type":"rrc","data":{"Cause":"a\u0041b"}}`,        // escaped string
-	`{"type":"rrc","data":{"Bogus":1}}`,                 // unknown field
-	`{"type":"mystery","data":{}}`,                      // unknown type
-	`{"data":{"At":1},"type":"rrc"}`,                    // reordered envelope
-	`{"type":"rrc","data":{"At":1}}trailing`,            // trailing garbage
-	`{"type":"rrc","data":[1,2]}`,                       // wrong data shape
-	`{"type":"rrc","data":{"At":9223372036854775808}}`,  // int64 overflow
-	`{"type":"pkt","data":{"Seq":-1}}`,                  // negative uint
-	`{"type":"stats","data":{"InboundFPS":1.797e+309}}`, // float overflow
-}
-
-// TestFastDecodeSubsetAgreesWithOracle pins the fast decoder's subset
-// property on hand-picked lines: whenever the fast path accepts a line
-// the oracle must accept it with the identical record, and lines the
-// fast path rejects must still decode correctly through the fallback
-// (exercised via StreamReader in streamio_test.go).
-func TestFastDecodeSubsetAgreesWithOracle(t *testing.T) {
-	for _, line := range fastAcceptLines {
-		fast, ok := fastDecodeLine([]byte(line))
-		if !ok {
-			t.Fatalf("fast path rejected canonical line %s", line)
-		}
-		want, err := oracleDecodeLine([]byte(line))
-		if err != nil {
-			t.Fatalf("oracle rejected %s: %v", line, err)
-		}
-		if !reflect.DeepEqual(fast, want) {
-			t.Fatalf("decode mismatch on %s:\nfast:   %+v\noracle: %+v", line, fast, want)
-		}
-	}
-
-	for _, line := range fastBailLines {
-		if rec, ok := fastDecodeLine([]byte(line)); ok {
-			t.Fatalf("fast path accepted %s as %+v; it must defer to the oracle", line, rec)
-		}
-	}
-}
-
 // FuzzCodecDifferential feeds arbitrary line bytes to the fast decoder:
 // whenever it accepts, the oracle must agree record-for-record, and
 // re-encoding the record must match the oracle encoder byte-for-byte.
@@ -306,7 +244,7 @@ func FuzzCodecDifferential(f *testing.F) {
 	f.Add(`{"type":"stats","data":{"InboundFPS":1e-7}}`)
 	f.Add(`{"type":"dci","data":{"At":-1,"Unused":true}}`)
 	f.Add(`{"type":"rrc","data":{"Cause":"«utf8»"}}`)
-	// The literal tier's edges: 18 digits are the integer parser's, 19 the
+	// The fast tier's edges: 18 digits are the integer parser's, 19 the
 	// token scan's; a last key with fewer bytes left than its words load
 	// (`,"Cause":` loads 16 bytes, 13 are left), behind a wrong separator,
 	// or fewer than the key itself; a bool cut short; the first member missing; the header's
@@ -401,7 +339,7 @@ func TestExactFloatMatchesStrconv(t *testing.T) {
 }
 
 // FuzzFastNumber places arbitrary bytes as the value of an int, a uint64
-// and a float member of a stats line, each in the literal tier's path:
+// and a float member of a stats line, each in the fast tier's path:
 // whatever the fast tier accepts, encoding/json must accept with the
 // identical record, a float's sign of zero included.
 func FuzzFastNumber(f *testing.F) {

@@ -4,9 +4,10 @@ package trace
 // scenario catalog where this package's own tests cannot) share with
 // the internal ones.
 var (
-	FastAcceptLines = fastAcceptLines
-	FastBailLines   = fastBailLines
-	JSONLFuzzSeeds  = jsonlFuzzSeeds
+	GoldenSet        = goldenSet
+	FastDecodeLine   = fastDecodeLine
+	OracleDecodeLine = oracleDecodeLine
+	JSONLFuzzSeeds   = jsonlFuzzSeeds
 )
 
 // BlockRecords materialises a block's records into storage of their

@@ -13,6 +13,112 @@ import (
 	"github.com/domino5g/domino/internal/trace"
 )
 
+// fastAcceptLines are hand-picked lines in the fast decoder's subset:
+// appendRow's layout, with any member absent.
+var fastAcceptLines = []string{
+	`{"type":"header","data":{"cell_name":"c","duration_us":5,"has_gnb_log":true}}`,
+	`{"type":"header","data":{"cell_name":"c","scenario":"s","duration_us":5,"has_gnb_log":false}}`,
+	`{"type":"dci","data":{"At":1,"Dir":0,"RNTI":70,"OwnPRB":2,"OtherPRB":3,"MCS":4,"TBSBits":5,"UsedBits":6,"HARQRetx":true,"RLCRetx":false,"Proactive":true,"Unused":false}}`,
+	`{"type":"dci","data":{"At":-9223372036854775808}}`,
+	`{"type":"pkt","data":{"Seq":18446744073709551615,"Size":-1}}`,
+	`{"type":"stats","data":{"At":123,"InboundFPS":29.97,"TrendlineSlope":-1.5e-9}}`,
+	`{"type":"rrc","data":{"At":5,"Connected":true,"Cause":"inactivity timer"}}`,
+	`{"type":"gnb","data":{"Note":"plain ascii"}}`,
+	`{"type":"dci","data":{}}`,
+}
+
+// Lines the fast path must bail on: valid JSON in a layout appendRow
+// does not write, or stdlib semantics the scanner does not reimplement.
+// The production path still decodes or rejects them via the fallback,
+// so bailing just means "slow".
+var fastBailLines = []string{
+	` { "type" : "rrc" , "data" : { "At" : 7 } } `,                                   // spaced
+	`{"type":"stats","data":{"InboundFPS":29.97,"TrendlineSlope":-1.5e-9,"At":123}}`, // reordered members
+	`{"type":"rrc","data":{"At":1,"At":2}}`,                                          // repeated member
+	`{"type":"rrc","data":{"at":5}}`,                                                 // case-folded key
+	`{"type":"rrc","data":{"At":null}}`,                                              // null literal
+	`{"type":"rrc","data":{"At":1e2}}`,                                               // exponent for int field
+	`{"type":"rrc","data":{"At":01}}`,                                                // leading zero
+	`{"type":"rrc","data":{"Cause":"a\u0041b"}}`,                                     // escaped string
+	`{"type":"rrc","data":{"Bogus":1}}`,                                              // unknown field
+	`{"type":"mystery","data":{}}`,                                                   // unknown type
+	`{"data":{"At":1},"type":"rrc"}`,                                                 // reordered envelope
+	`{"type":"rrc","data":{"At":1}}trailing`,                                         // trailing garbage
+	`{"type":"rrc","data":[1,2]}`,                                                    // wrong data shape
+	`{"type":"rrc","data":{"At":9223372036854775808}}`,                               // int64 overflow
+	`{"type":"pkt","data":{"Seq":-1}}`,                                               // negative uint
+	`{"type":"stats","data":{"InboundFPS":1.797e+309}}`,                              // float overflow
+}
+
+// writeJSONL is what WriteJSONL writes for set.
+func writeJSONL(t *testing.T, set *trace.Set) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, set); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// scenarioSets runs each registered scenario for d, the i-th with seed
+// seed+i, and returns the traces with their names, in registration order.
+func scenarioSets(t *testing.T, seed uint64, d sim.Time) (names []string, sets []*trace.Set) {
+	t.Helper()
+	for i, name := range scenario.Names() {
+		sc, err := scenario.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := sc.Build(seed + uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, sets = append(names, name), append(sets, sess.Run(d))
+	}
+	return names, sets
+}
+
+// encoderLines returns every line WriteJSONL writes for the golden set
+// and for a short trace of each registered scenario.
+func encoderLines(t *testing.T) []string {
+	t.Helper()
+	_, sets := scenarioSets(t, 7, sim.Second)
+	var lines []string
+	for _, set := range append(sets, trace.GoldenSet()) {
+		lines = append(lines, strings.Split(strings.TrimSuffix(string(writeJSONL(t, set)), "\n"), "\n")...)
+	}
+	return lines
+}
+
+// TestFastDecodeSubsetAgreesWithOracle pins the fast decoder's subset:
+// every line the encoder writes without a string escape, and each
+// hand-picked accept line, is taken by the fast tier with the record
+// encoding/json decodes; an encoder line with an escape, and each bail
+// line, is left to encoding/json (whose decode of the bail lines
+// TestJSONLReadBlockMatchesNext runs through both read paths).
+func TestFastDecodeSubsetAgreesWithOracle(t *testing.T) {
+	for _, line := range append(encoderLines(t), fastAcceptLines...) {
+		fast, ok := trace.FastDecodeLine([]byte(line))
+		if escaped := strings.Contains(line, `\`); ok == escaped {
+			t.Fatalf("fast path took it %v, escaped %v: %s", ok, escaped, line)
+		} else if escaped {
+			continue
+		}
+		want, err := trace.OracleDecodeLine([]byte(line))
+		if err != nil {
+			t.Fatalf("oracle rejected %s: %v", line, err)
+		}
+		if !reflect.DeepEqual(fast, want) {
+			t.Fatalf("decode mismatch on %s:\nfast:   %+v\noracle: %+v", line, fast, want)
+		}
+	}
+	for _, line := range fastBailLines {
+		if rec, ok := trace.FastDecodeLine([]byte(line)); ok {
+			t.Fatalf("fast path accepted %s as %+v; it must defer to the oracle", line, rec)
+		}
+	}
+}
+
 // viaNext drains a JSONL stream record by record.
 func viaNext(input []byte) (recs []trace.Record, err error) {
 	sr := trace.NewStreamReader(bytes.NewReader(input))
@@ -107,28 +213,17 @@ func plantLine(lines []string, at int, line string) []string {
 // a block, a second header — records materialised from ReadBlock equal
 // Next's one for one, and the stream ends in the same error.
 func TestJSONLReadBlockMatchesNext(t *testing.T) {
-	for i, name := range scenario.Names() {
-		sc, err := scenario.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := sc.Build(uint64(31 + i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := trace.WriteJSONL(&buf, sess.Run(3*sim.Second)); err != nil {
-			t.Fatal(err)
-		}
-		recs, sizes, err := diffBlocksAndNext(t, buf.Bytes())
+	names, sets := scenarioSets(t, 31, 3*sim.Second)
+	for i, set := range sets {
+		recs, sizes, err := diffBlocksAndNext(t, writeJSONL(t, set))
 		if err != nil || len(sizes) < 4 {
-			t.Fatalf("%s: %d records in %d blocks, err %v", name, len(recs), len(sizes), err)
+			t.Fatalf("%s: %d records in %d blocks, err %v", names[i], len(recs), len(sizes), err)
 		}
 	}
 
 	const block = 256
 	lines := canonicalLines(3 * block)
-	for _, line := range append(append([]string(nil), trace.FastAcceptLines...), trace.FastBailLines...) {
+	for _, line := range append(append([]string(nil), fastAcceptLines...), fastBailLines...) {
 		diffBlocksAndNext(t, join(plantLine(lines, block+7, line)))
 	}
 

@@ -21,10 +21,10 @@ type RecordReader interface {
 	// (growing a default-sized one when dst has no capacity); the
 	// binary reader ignores dst and returns one block per call from
 	// its own storage — fresh per block, or reused round-robin once
-	// the consumer called BinaryStreamReader.Recycle. A non-empty
-	// batch is returned with a nil error even when the stream ends or
-	// fails right after it; the terminal error resurfaces on the
-	// following call.
+	// the consumer called BinaryStreamReader.Recycle or RecycleInto.
+	// A non-empty batch is returned with a nil error even when the
+	// stream ends or fails right after it; the terminal error
+	// resurfaces on the following call.
 	ReadBatch(dst []Record) ([]Record, error)
 }
 

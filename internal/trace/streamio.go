@@ -100,9 +100,9 @@ func (sr *StreamReader) Header() (Header, bool) {
 }
 
 // SlowLines returns how many of the lines consumed so far were not in
-// the fast decoder's subset (whitespace aside: reordered or unknown
-// keys, escapes, nulls, exotic numbers, malformed lines) and went
-// through encoding/json, at several times the cost.
+// the layout WriteJSONL writes (whitespace, reordered, repeated or
+// unknown keys, escapes, nulls, exotic numbers, malformed lines) and
+// went through encoding/json, at several times the cost.
 func (sr *StreamReader) SlowLines() int { return sr.slow }
 
 // decodeLine scans the next line into sr.row and returns its kind. It
@@ -166,7 +166,8 @@ const jsonlBlockLines = 256
 // data lines ends their block and is the next call's block; a line that
 // fails to decode likewise ends the block before it, and its error is
 // the next call's. A nil block with io.EOF marks a clean end of stream.
-// Blocks are freshly allocated unless Recycle bounded their lifetime.
+// Blocks are freshly allocated unless Recycle or RecycleInto bounded
+// their lifetime.
 func (sr *StreamReader) ReadBlock() (*Block, error) {
 	if h := sr.pending; h != nil {
 		sr.pending = nil

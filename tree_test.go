@@ -62,6 +62,40 @@ func TestInternalNeverImportsFacade(t *testing.T) {
 	})
 }
 
+// TestFuzzTargetsAreSmoked: `go test` only replays a fuzz target's
+// seeds, so every one outside bench/ must have its line in the Makefile's
+// fuzz-smoke recipe, naming its own package, or CI never fuzzes it.
+func TestFuzzTargetsAreSmoked(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recipe, _ := strings.Cut(string(mk), "\nfuzz-smoke:\n")
+	recipe, _, _ = strings.Cut(recipe, "\n\n")
+	smoked := map[string]bool{}
+	for _, m := range regexp.MustCompile(`-fuzz '\^(\w+)\$\$' .*\./(\S+)`).FindAllStringSubmatch(recipe, -1) {
+		smoked[m[2]+"."+m[1]] = true
+	}
+	if len(smoked) == 0 {
+		t.Fatal("no fuzz-smoke recipe lines found in the Makefile")
+	}
+	fset := token.NewFileSet()
+	walkGoFiles(t, fset, func(path string, f *ast.File) {
+		if !strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				continue
+			}
+			if dir := filepath.Dir(path); !smoked[dir+"."+fn.Name.Name] {
+				t.Errorf("%s: make fuzz-smoke does not run %s in ./%s", fset.Position(fn.Pos()), fn.Name.Name, dir)
+			}
+		}
+	})
+}
+
 // TestTreeIsDocumented: every package (test files aside) carries a
 // package comment, and every exported top-level symbol of the root
 // façade — the surface godoc shows a user — carries a doc comment.
