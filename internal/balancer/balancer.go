@@ -28,10 +28,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/domino5g/domino/internal/ingest"
@@ -71,19 +69,9 @@ type Balancer struct {
 	log      *slog.Logger
 	m        *metrics
 
-	mu       sync.Mutex
-	sessions map[string]*lbSession
-	admitted uint64 // entries ever created: the next one's place in /lb/sessions
-	// finished queues the table's done entries, oldest-done first; past
-	// retainDone the oldest are dropped from the table, so it is bounded
-	// by the live sessions plus that constant. A live entry is never in
-	// it.
-	finished   []*lbSession
-	retainDone int
-	// active counts table entries whose done is still false, kept where
-	// done flips so the gauge need not walk and lock the table.
-	active atomic.Int64
-	nextID uint64 // anonymous-session ID allocator, under mu
+	// sessions is the routing table, bounded by tableBound. Lock order
+	// is lbSession.mu → the table's lock, never the reverse.
+	sessions *ingest.Table[*lbSession]
 
 	stop chan struct{}
 	done sync.WaitGroup
@@ -96,11 +84,15 @@ type Balancer struct {
 // it after one request.
 const idleConnsPerBackend = 64
 
-// doneRetained is how many finished sessions — completed or failed —
-// the routing table keeps for late retries and /lb/sessions; an older
-// one is unknown to the balancer again, and a request for it asks the
-// fleet or re-pins by HRW.
-const doneRetained = 4096
+// tableBound is how many entries the routing table keeps past an
+// admission, or only live ones: finished sessions stay for late retries
+// and /lb/sessions until newer ones push them out. An evicted one is
+// unknown to the balancer again, and a request for it asks the fleet or
+// re-pins by HRW. mintFormat names anonymous uploads.
+const (
+	tableBound = 4096
+	mintFormat = "lb-%d"
+)
 
 // lbSession is the balancer's routing state for one session: its pin
 // and how often it moved. It holds none of the session's bytes; how
@@ -108,7 +100,6 @@ const doneRetained = 4096
 type lbSession struct {
 	mu        sync.Mutex
 	id        string
-	seq       uint64 // admission order
 	backend   *backend
 	done      bool
 	failovers int
@@ -143,12 +134,11 @@ func New(opts Options) (*Balancer, error) {
 		client = &http.Client{Transport: tr}
 	}
 	b := &Balancer{
-		opts:       opts,
-		client:     client,
-		log:        opts.Log,
-		sessions:   map[string]*lbSession{},
-		retainDone: doneRetained,
-		stop:       make(chan struct{}),
+		opts:     opts,
+		client:   client,
+		log:      opts.Log,
+		sessions: ingest.NewTable(mintFormat, tableBound, func(*lbSession) {}),
+		stop:     make(chan struct{}),
 	}
 	seen := map[string]bool{}
 	for _, u := range opts.Backends {
@@ -199,53 +189,8 @@ func (b *Balancer) Routes() *http.ServeMux {
 	return mux
 }
 
-// session returns the routing entry for id, creating it on first
-// sight. Affinity needs a name, so an empty id mints one the table does
-// not hold: anonymous legacy uploads route consistently too.
-func (b *Balancer) session(id string) *lbSession {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for id == "" {
-		b.nextID++
-		if id = fmt.Sprintf("lb-%d", b.nextID); b.sessions[id] != nil {
-			id = "" // a client named a session so
-		}
-	}
-	s := b.sessions[id]
-	if s == nil {
-		b.admitted++
-		s = &lbSession{id: id, seq: b.admitted}
-		b.sessions[id] = s
-		b.m.sessionsTotal.Inc()
-		b.active.Add(1)
-	}
-	return s
-}
-
-// retire marks a session done — its final answer went out — and drops
-// the oldest done entries past the table's bound. Callers hold sess.mu
-// (the one place a session lock is held while the table's is taken).
-func (b *Balancer) retire(sess *lbSession) {
-	sess.done = true
-	b.active.Add(-1)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.finished = append(b.finished, sess)
-	for len(b.finished) > b.retainDone {
-		old := b.finished[0]
-		b.finished[0], b.finished = nil, b.finished[1:]
-		if b.sessions[old.id] == old { // not re-admitted since
-			delete(b.sessions, old.id)
-		}
-	}
-}
-
 // lookup returns the routing entry for id, or nil.
-func (b *Balancer) lookup(id string) *lbSession {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sessions[id]
-}
+func (b *Balancer) lookup(id string) *lbSession { return b.sessions.Get(id) }
 
 // pick rendezvous-hashes a session onto the healthy backend set: each
 // (backend, session) pair scores fnv64a(backend + NUL + session) and
@@ -332,13 +277,7 @@ func (b *Balancer) handleLBSessions(w http.ResponseWriter, r *http.Request) {
 		Done      bool   `json:"done"`
 		Failovers int    `json:"failovers"`
 	}
-	b.mu.Lock()
-	table := make([]*lbSession, 0, len(b.sessions))
-	for _, s := range b.sessions {
-		table = append(table, s)
-	}
-	b.mu.Unlock()
-	sort.Slice(table, func(i, j int) bool { return table[i].seq < table[j].seq })
+	table := b.sessions.List()
 	out := make([]entry, 0, len(table))
 	for _, s := range table {
 		s.mu.Lock()

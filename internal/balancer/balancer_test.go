@@ -680,16 +680,14 @@ func TestSessionsActiveGaugeMatchesTableWalk(t *testing.T) {
 	lb, ts := newTestBalancer(t, Options{}, a, b)
 	check := func(when string, want int) {
 		t.Helper()
-		lb.mu.Lock()
 		walk := 0
-		for _, s := range lb.sessions {
+		for _, s := range lb.sessions.List() {
 			s.mu.Lock()
 			if !s.done {
 				walk++
 			}
 			s.mu.Unlock()
 		}
-		lb.mu.Unlock()
 		text := readBody(t, mustGet(t, ts.URL+"/metrics"))
 		if line := fmt.Sprintf("dominolb_sessions_active %d\n", walk); walk != want || !strings.Contains(text, line) {
 			t.Fatalf("%s: table walk counts %d active (want %d), exposition lacks %q", when, walk, want, line)
@@ -737,16 +735,16 @@ func TestSessionsActiveGaugeMatchesTableWalk(t *testing.T) {
 }
 
 // TestRoutingTableRetainsBoundedDone reaches the table's bound: with
-// room for three done entries, the oldest finished sessions leave the
-// table as newer ones finish — complete or fail — in that order, while a live
-// session — one that already failed over — keeps its entry and its
-// place in the active gauge however many finish around it. A dropped
-// session is merely unknown to the balancer again: its watermark and
-// report still come from the fleet.
+// room for four entries — the live session and three done ones — each
+// admission past it drops the session that finished earliest, complete
+// or failed, while a live session — one that already failed over —
+// keeps its entry and its place in the active gauge however many
+// finish around it. A dropped session is merely unknown to the balancer
+// again: its watermark and report still come from the fleet.
 func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
-	lb.retainDone = 3
+	lb.sessions = ingest.NewTable(mintFormat, 4, func(*lbSession) {})
 
 	payload := sessionJSONL(t, ran.Presets()[0], 29, 3*sim.Second)
 	chunks, seqs := splitLines(payload, 3)
@@ -807,8 +805,43 @@ func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	if want := cleanReport(t, "live", payload); !bytes.Equal(report, want) {
 		t.Fatalf("failed-over report diverged from clean ingest\nclean: %s\nfleet: %s", want, report)
 	}
-	if lb.lookup("d-4") != nil || lb.lookup("live") == nil || len(lb.sessions) != 3 {
-		t.Fatalf("table holds %d entries after the live session finished, want d-5, d-6 and live", len(lb.sessions))
+	if _, total := lb.sessions.Len(); lb.lookup("d-4") == nil || lb.lookup("live") == nil || total != 4 {
+		t.Fatalf("table holds %d entries after the live session finished, want live, d-4, d-5 and d-6", total)
+	}
+	// Finishing evicts nothing; the next admission drops d-4, the
+	// session that finished earliest.
+	mustPost(t, ts.URL, "d-7", 0, true, payload, http.StatusOK)
+	if _, total := lb.sessions.Len(); lb.lookup("d-4") != nil || lb.lookup("live") == nil || total != 4 {
+		t.Fatalf("table holds %d entries after one more admission, want live, d-5, d-6 and d-7", total)
+	}
+}
+
+// TestFailedEntryRevives: a fresh upload under the ID of a session that
+// failed replaces its routing entry, as the node replaces the failed
+// session — the revived entry is live, listed as not done and counted
+// in the active gauge, and the admission counts as a new session.
+func TestFailedEntryRevives(t *testing.T) {
+	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
+	_, ts := newTestBalancer(t, Options{}, a, b)
+	mustPost(t, ts.URL, "x", -1, true, []byte("not a record\n"), http.StatusBadRequest)
+	chunks, seqs := splitLines(sessionJSONL(t, ran.Presets()[0], 31, 2*sim.Second), 2)
+	mustPost(t, ts.URL, "x", seqs[0], false, chunks[0], http.StatusAccepted)
+
+	var table []struct {
+		Session string `json:"session"`
+		Done    bool   `json:"done"`
+	}
+	if err := json.Unmarshal([]byte(readBody(t, mustGet(t, ts.URL+"/lb/sessions"))), &table); err != nil {
+		t.Fatal(err)
+	}
+	if len(table) != 1 || table[0].Session != "x" || table[0].Done {
+		t.Fatalf("/lb/sessions lists %+v, want x live", table)
+	}
+	text := readBody(t, mustGet(t, ts.URL+"/metrics"))
+	for _, line := range []string{"dominolb_sessions_active 1\n", "dominolb_sessions_total 2\n"} {
+		if !strings.Contains(text, line) {
+			t.Fatalf("exposition lacks %q", line)
+		}
 	}
 }
 

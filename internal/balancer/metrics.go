@@ -48,7 +48,7 @@ func newMetrics(b *Balancer) *metrics {
 	reg.GaugeFunc("dominolb_backends", "Backends configured.",
 		func() float64 { return float64(len(b.backends)) })
 	reg.GaugeFunc("dominolb_sessions_active", "Sessions the balancer is routing that have had no final answer (a report or a permanent failure).",
-		func() float64 { return float64(b.active.Load()) })
+		func() float64 { live, _ := b.sessions.Len(); return float64(live) })
 	for _, be := range b.backends {
 		be := be
 		reg.GaugeFunc("dominolb_backend_up", "1 while the backend is healthy and routable.",

@@ -42,7 +42,11 @@ func (b *Balancer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess := b.session(r.URL.Query().Get("session"))
+	// Affinity needs a name, so an anonymous upload gets a minted one.
+	sess, _, fresh := b.sessions.Admit(r.URL.Query().Get("session"), func(id string) *lbSession { return &lbSession{id: id} })
+	if fresh {
+		b.m.sessionsTotal.Inc()
+	}
 	// One chunk at a time per session: the protocol is sequential, and
 	// a concurrent duplicate could land on a pin the other re-pinned.
 	sess.mu.Lock()
@@ -159,15 +163,23 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.
 	_, _ = w.Write(respBody)
 }
 
-// settle retires sess once status is a final answer for it: its report
-// (200; a client that lost it resends and gets it again), or a failure
-// no resend of the chunk mends — every non-retryable rejection but a 409,
-// which is about another upload's live session. Callers hold sess.mu.
+// settle finishes sess once status is a final answer for it: done on
+// its report (200; a client that lost it resends and gets it again),
+// failed on an answer no resend of the chunk mends — every non-retryable
+// rejection but a 409, which is about another upload's live session. A
+// failed entry is what the next upload under its ID replaces. Callers
+// hold sess.mu.
 func (b *Balancer) settle(sess *lbSession, status int) {
-	final := status == http.StatusOK ||
-		(status >= 400 && status != http.StatusConflict && !ingest.Retryable(status))
-	if final && !sess.done {
-		b.retire(sess)
+	how := ingest.StateDone
+	if status != http.StatusOK {
+		if status < 400 || status == http.StatusConflict || ingest.Retryable(status) {
+			return
+		}
+		how = ingest.StateFailed
+	}
+	if !sess.done {
+		sess.done = true
+		b.sessions.Finish(sess.id, sess, how)
 	}
 }
 
@@ -591,16 +603,7 @@ func mergeTopChains(answers []*part, k int) []rcastore.ChainAgg {
 	for _, a := range byChain {
 		out = append(out, *a)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Runs != out[j].Runs {
-			return out[i].Runs > out[j].Runs
-		}
-		return out[i].Chain < out[j].Chain
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return rcastore.RankChains(out, k)
 }
 
 // mergeCauseRates re-aggregates per-node cause-rate buckets. Runs sum
@@ -635,25 +638,12 @@ func mergeCauseRates(answers []*part) []rcastore.CauseBucket {
 	}
 	out := make([]rcastore.CauseBucket, 0, len(runs))
 	for k, n := range runs {
-		cb := rcastore.CauseBucket{
+		out = append(out, rcastore.CauseBucket{
 			Cell: k.cell, Bucket: sim.Time(k.bucket), Cause: k.cause,
 			Runs: n, Sessions: sessions[k.groupKey], Minutes: minutes[k.groupKey],
-		}
-		if cb.Minutes > 0 {
-			cb.RunsPerMin = float64(n) / cb.Minutes
-		}
-		out = append(out, cb)
+		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cell != out[j].Cell {
-			return out[i].Cell < out[j].Cell
-		}
-		if out[i].Bucket != out[j].Bucket {
-			return out[i].Bucket < out[j].Bucket
-		}
-		return out[i].Cause < out[j].Cause
-	})
-	return out
+	return rcastore.RateCauseBuckets(out)
 }
 
 // handleSimilar fans nearest-incident lookups. A fired= probe fans

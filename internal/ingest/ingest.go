@@ -48,6 +48,20 @@
 // 412 (seq gap), and 5xx responses retry; 4xx contract violations (400,
 // 404, 409, 413, 415) fail permanently. A Retry-After header, when
 // present, overrides the computed backoff if longer.
+//
+// # Session table
+//
+// Both tiers keep their sessions in a Table: dominod its sessions,
+// dominolb its routing entries. Admit resolves an ID under the table's
+// one lock; an empty ID mints one the table does not hold from the
+// tier's format (s%04d, lb-%d). A held live or done entry is returned; a
+// missing or failed one is replaced by a fresh entry — the only
+// replacement Session.Admit's state table allows. Finish records how an
+// entry ended, done or failed, and the table decides replacement and
+// retention from that record alone. After an admission the table holds
+// at most its bound, or only live entries: those that finished earliest
+// leave first, through the tier's drop callback, and a live entry never
+// does. List is in admission order; Len counts live and all entries.
 package ingest
 
 import (

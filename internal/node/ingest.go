@@ -283,7 +283,6 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 	if err != nil {
 		n.detachLocked(sess, ingest.StateFailed, err.Error())
 		sess.mu.Unlock()
-		n.queueFinished(sess)
 		n.m.sessionsFailed.Inc()
 		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
@@ -291,7 +290,6 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 	sess.final = rep
 	n.detachLocked(sess, ingest.StateDone, "")
 	sess.mu.Unlock()
-	n.queueFinished(sess)
 	n.m.sessionsDone.Inc()
 	n.m.lateDropped.Add(int64(stats.LateDropped))
 	// Persist the completed diagnosis into the fleet store, stamped so
@@ -431,11 +429,13 @@ func (n *Node) handleWatermark(w http.ResponseWriter, r *http.Request) {
 // detachLocked finalizes a session's state, captures the summary and
 // report the read endpoints keep serving, and recycles the analyzer
 // into the pool. A failed session keeps the partial analysis computed
-// up to the failure point. sess.mu must be held; once it is dropped the
-// caller queues the session for eviction (queueFinished takes the table
-// lock, which comes before a session's).
+// up to the failure point. sess.mu must be held: the session table
+// records the ending in the same critical section as the session, so
+// the table never holds a session as live that the protocol sees
+// finished.
 func (n *Node) detachLocked(sess *session, state ingest.State, errMsg string) {
 	sess.proto.State = state
+	n.sessions.Finish(sess.id, sess, state)
 	sess.err = errMsg
 	if sa := sess.sa; sa != nil {
 		sess.stats = sa.Stats()
@@ -459,7 +459,6 @@ func (n *Node) fail(sess *session, msg string) {
 	}
 	sess.mu.Unlock()
 	if failed {
-		n.queueFinished(sess)
 		n.m.sessionsFailed.Inc()
 	}
 	n.log.Warn("session failed", "session", sess.id, "err", msg)

@@ -70,7 +70,6 @@
 package node
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"io"
@@ -150,7 +149,7 @@ type Options struct {
 // analyzer and keeps aggregate counters across them. What bounds it is
 // the admission limiter: at most MaxStreams ingest requests run at once,
 // each decoding and stepping its own body on its own goroutine. Sessions
-// live in one table under one lock, which a request takes once or twice;
+// live in an ingest.Table, whose lock a request takes once or twice;
 // per-session analyzer state (window evaluator series, incremental
 // scratch) is recycled through the bounded analyzerPool free-list once a
 // session finishes. Create with New, serve Routes, stop with Shutdown.
@@ -180,16 +179,9 @@ type Node struct {
 	// rejected while in-flight uploads finish.
 	draining atomic.Bool
 
-	// mu guards the session table: sessions, the finished queue, nextSeq
-	// and nextID. Lock order is mu → session.mu, never the reverse.
-	mu       sync.Mutex
-	sessions map[string]*session
-	// finished queues the retained finished sessions, oldest-finished
-	// first (values are *session): what register pops when the table is
-	// over MaxSessions. Every table entry not in it is active.
-	finished list.List
-	nextSeq  int64 // registration order
-	nextID   int64 // anonymous-session ID allocator
+	// sessions is the session table, bounded by MaxSessions. Lock order
+	// is session.mu → the table's lock, never the reverse.
+	sessions *ingest.Table[*session]
 
 	saPool   analyzerPool // recycled *stream.Analyzer
 	ringPool sync.Pool    // recycled *trace.BlockRing, one per upload in flight
@@ -237,12 +229,7 @@ func (p *analyzerPool) Put(sa *stream.Analyzer) {
 }
 
 type session struct {
-	id  string
-	seq int64 // registration order
-
-	// evictAt is the session's place in the node's finished queue, nil
-	// while it is active or once it left the queue (guarded by Node.mu).
-	evictAt *list.Element
+	id string
 
 	// upload serializes uploads: the one POST that may drive the
 	// session's analyzer is the one whose token sits in this one-slot
@@ -290,15 +277,20 @@ func New(analyzer *core.Analyzer, opts Options) *Node {
 		opts.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	n := &Node{
-		limiter:  parallel.NewLimiter(opts.MaxStreams),
-		opts:     opts,
-		log:      opts.Log,
-		m:        newMetrics(analyzer),
-		store:    opts.Store,
-		journal:  opts.Journal,
-		now:      opts.Now,
-		sessions: map[string]*session{},
+		limiter: parallel.NewLimiter(opts.MaxStreams),
+		opts:    opts,
+		log:     opts.Log,
+		m:       newMetrics(analyzer),
+		store:   opts.Store,
+		journal: opts.Journal,
+		now:     opts.Now,
 	}
+	n.sessions = ingest.NewTable("s%04d", opts.MaxSessions, func(sess *session) {
+		n.m.sessionsEvicted.Inc() // a finished session past MaxSessions
+		if sess.rec != nil {
+			sess.rec.Record(obs.Event{Kind: obs.EvSessionEvicted, Wall: time.Now().UnixNano()})
+		}
+	})
 	if n.store == nil {
 		n.store = rcastore.New(rcastore.Options{MaxBlocks: opts.StoreBlocks})
 	}
@@ -372,11 +364,9 @@ func (n *Node) Shutdown(ctx context.Context, srv *http.Server) error {
 	return nil
 }
 
-// register creates a fresh session under id (minting one the table
-// does not hold when empty), replacing a failed predecessor, and evicts
-// down to MaxSessions in the same critical section. It reports false
-// when id names a session the protocol does not let a fresh upload
-// replace.
+// register creates a fresh session under id (minted when empty) in the
+// session table, replacing a failed predecessor. It reports false when id
+// names a session the protocol does not let a fresh upload replace.
 func (n *Node) register(id string) (*session, string, bool) {
 	// The analyzer and the flight recorder are taken before the table
 	// lock: a pool miss builds an analyzer and a recorder is a ring to
@@ -387,42 +377,20 @@ func (n *Node) register(id string) (*session, string, bool) {
 	if n.opts.FlightRec > 0 {
 		rec = obs.NewFlightRecorder(n.opts.FlightRec, n.m.names)
 	}
-	n.mu.Lock()
-	for id == "" {
-		n.nextID++
-		if id = fmt.Sprintf("s%04d", n.nextID); n.sessions[id] != nil {
-			id = "" // a client named a session so
-		}
+	sess, id, fresh := n.sessions.Admit(id, func(id string) *session {
+		sess := &session{id: id, sa: sa, rec: rec, upload: make(chan struct{}, 1)}
+		// Born holding its upload slot: the registering request owns the
+		// session from the instant it is visible, so a racing resume
+		// attempt can never drive the same analyzer.
+		sess.upload <- struct{}{}
+		sess.proto.State = ingest.StateActive
+		sa.SetHooks(&pipelineHooks{m: n.m, rec: rec})
+		return sess
+	})
+	if !fresh {
+		n.saPool.Put(sa)
+		return nil, id, false
 	}
-	if old := n.sessions[id]; old != nil {
-		// A failed ingest must not squat on its ID: collectors retry
-		// the same call ID, and only an active or completed session is
-		// worth protecting from replacement. That is the protocol's
-		// answer to a one-shot upload over the old session, so ask it.
-		if old.protocol().Admit(ingest.Request{}).Action != ingest.Proceed {
-			n.mu.Unlock()
-			n.saPool.Put(sa)
-			return nil, id, false
-		}
-		// The replaced session leaves the eviction queue with its ID; it
-		// would otherwise sit there, report and all, until the table next
-		// overflows.
-		if old.evictAt != nil {
-			n.finished.Remove(old.evictAt)
-			old.evictAt = nil
-		}
-	}
-	n.nextSeq++
-	sess := &session{id: id, seq: n.nextSeq, sa: sa, rec: rec, upload: make(chan struct{}, 1)}
-	// Born holding its upload slot: the registering request owns the
-	// session from the instant it is visible, so a racing resume attempt
-	// can never drive the same analyzer.
-	sess.upload <- struct{}{}
-	sess.proto.State = ingest.StateActive
-	sa.SetHooks(&pipelineHooks{m: n.m, rec: rec})
-	n.sessions[id] = sess
-	n.evictLocked()
-	n.mu.Unlock()
 	n.m.sessionsTotal.Inc()
 	return sess, id, true
 }
@@ -494,44 +462,4 @@ func (n *Node) admit(ctx context.Context, id string, req ingest.Request) (*sessi
 	return sess, id, ingest.Decision{Action: ingest.Proceed}
 }
 
-// queueFinished appends a session that just finished to the eviction
-// queue. Callers hold no locks: the state flipped under the session's
-// own lock, since dropped, so a retry may have replaced a failed session
-// in between — then it is out of the table with nothing to queue for.
-func (n *Node) queueFinished(sess *session) {
-	n.mu.Lock()
-	if n.sessions[sess.id] == sess {
-		sess.evictAt = n.finished.PushBack(sess)
-	}
-	n.mu.Unlock()
-}
-
-// evictLocked bounds retention: while the table holds more than
-// MaxSessions, the session that finished (done or failed) longest ago is
-// dropped, popped off the finished queue in O(1). Active sessions are
-// never queued, so never evicted; their count is already bounded by the
-// admission limiter plus suspended uploads. register runs it in the
-// critical section that inserted (n.mu held), so after a registration
-// the table holds at most MaxSessions sessions, or only active ones.
-func (n *Node) evictLocked() {
-	max := n.opts.MaxSessions
-	for max > 0 && len(n.sessions) > max {
-		front := n.finished.Front()
-		if front == nil {
-			return
-		}
-		oldest := n.finished.Remove(front).(*session)
-		oldest.evictAt = nil
-		delete(n.sessions, oldest.id)
-		n.m.sessionsEvicted.Inc()
-		if oldest.rec != nil {
-			oldest.rec.Record(obs.Event{Kind: obs.EvSessionEvicted, Wall: time.Now().UnixNano()})
-		}
-	}
-}
-
-func (n *Node) lookup(id string) *session {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sessions[id]
-}
+func (n *Node) lookup(id string) *session { return n.sessions.Get(id) }

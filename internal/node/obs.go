@@ -221,14 +221,12 @@ func (h *pipelineHooks) ChainRunClosed(chain string, start, end int64, windows i
 func (n *Node) registerGauges() {
 	reg := n.m.reg
 	reg.GaugeFunc("dominod_sessions_active", "Sessions currently ingesting.", func() float64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return float64(len(n.sessions) - n.finished.Len())
+		live, _ := n.sessions.Len()
+		return float64(live)
 	})
 	reg.GaugeFunc("dominod_sessions_registered", "Sessions in the session table, active and retained finished ones.", func() float64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return float64(len(n.sessions))
+		_, total := n.sessions.Len()
+		return float64(total)
 	})
 	reg.GaugeFunc("dominod_stream_slots", "Configured concurrent ingest capacity.",
 		func() float64 { return float64(n.limiter.Cap()) })

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -111,13 +110,7 @@ func (n *Node) reportPayload(sess *session) ReportPayload {
 }
 
 func (n *Node) handleSessions(w http.ResponseWriter, r *http.Request) {
-	n.mu.Lock()
-	all := make([]*session, 0, len(n.sessions))
-	for _, sess := range n.sessions {
-		all = append(all, sess)
-	}
-	n.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	all := n.sessions.List()
 	infos := make([]SessionInfo, 0, len(all))
 	for _, sess := range all {
 		_, info := n.snapshot(sess)

@@ -1,6 +1,7 @@
 package rcastore
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -383,16 +384,23 @@ func (s *Store) TopChains(q Query, k int) []ChainAgg {
 			out = append(out, ChainAgg{Chain: s.chains.names[id], Runs: runs[id], Sessions: n})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Runs != out[j].Runs {
-			return out[i].Runs > out[j].Runs
+	return RankChains(out, k)
+}
+
+// RankChains orders chain aggregates as TopChains answers — most runs
+// first, ties by chain — in place, and cuts them at k (k <= 0 keeps
+// all). Exported, as RecordLess is, for a fleet tier's merge.
+func RankChains(aggs []ChainAgg, k int) []ChainAgg {
+	slices.SortFunc(aggs, func(a, b ChainAgg) int {
+		if a.Runs != b.Runs {
+			return cmp.Compare(b.Runs, a.Runs)
 		}
-		return out[i].Chain < out[j].Chain
+		return cmp.Compare(a.Chain, b.Chain)
 	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
+	if k > 0 && len(aggs) > k {
+		aggs = aggs[:k]
 	}
-	return out
+	return aggs
 }
 
 // CauseBucket is one (cell, time bucket, cause class) cell of the
@@ -475,30 +483,38 @@ func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 			if !listed {
 				continue
 			}
-			cb := CauseBucket{
+			out = append(out, CauseBucket{
 				Cell:     s.cells.name(key.cell),
 				Bucket:   key.bucket,
 				Cause:    s.causes.names[id],
 				Runs:     g.runs[id],
 				Sessions: g.sessions,
 				Minutes:  float64(g.micros) / float64(sim.Minute),
-			}
-			if cb.Minutes > 0 {
-				cb.RunsPerMin = float64(cb.Runs) / cb.Minutes
-			}
-			out = append(out, cb)
+			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cell != out[j].Cell {
-			return out[i].Cell < out[j].Cell
+	return RateCauseBuckets(out)
+}
+
+// RateCauseBuckets derives each bucket's RunsPerMin and sorts them by
+// (cell, bucket, cause) in place, as CauseRates answers. Exported for a
+// fleet tier's merge.
+func RateCauseBuckets(buckets []CauseBucket) []CauseBucket {
+	for i := range buckets {
+		if cb := &buckets[i]; cb.Minutes > 0 {
+			cb.RunsPerMin = float64(cb.Runs) / cb.Minutes
 		}
-		if out[i].Bucket != out[j].Bucket {
-			return out[i].Bucket < out[j].Bucket
+	}
+	slices.SortFunc(buckets, func(a, b CauseBucket) int {
+		if c := cmp.Compare(a.Cell, b.Cell); c != 0 {
+			return c
 		}
-		return out[i].Cause < out[j].Cause
+		if c := cmp.Compare(a.Bucket, b.Bucket); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Cause, b.Cause)
 	})
-	return out
+	return buckets
 }
 
 // Match is one nearest-prior-incident result: a record plus its

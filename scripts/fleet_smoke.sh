@@ -218,5 +218,12 @@ grep -q 'dominod_node_info{node="n[0-9]"} 1' "$OUT_DIR/fleet-metrics.txt" || {
     echo "surviving backends' node identity missing from federation"; exit 1; }
 grep -q '[1-9][0-9]* shed-retries' "$TRACEGEN_LOG" || {
     echo "client never reported a shed-retry despite balancer 503s"; exit 1; }
+# Every session has its report, so neither tier's session table may
+# still hold one as live.
+for gauge in dominolb_sessions_active dominod_sessions_active; do
+    grep -qx "$gauge 0" "$OUT_DIR/fleet-metrics.txt" || {
+        echo "session table leak: $(grep "^$gauge " "$OUT_DIR/fleet-metrics.txt")"
+        exit 1; }
+done
 
 echo "fleet smoke OK: failover and drain are byte-identical to a clean run"
