@@ -14,7 +14,6 @@ import (
 // machine; everything else is plain counters on the data path.
 type metrics struct {
 	reg           *obs.Registry
-	sessionsTotal *obs.Counter
 	failovers     *obs.Counter
 	proxyErrors   *obs.Counter
 	healthProbes  *obs.Counter
@@ -25,10 +24,10 @@ type metrics struct {
 
 func newMetrics(b *Balancer) *metrics {
 	reg := obs.NewRegistry()
+	reg.CounterFunc("dominolb_sessions_total", "Sessions admitted at the balancer.",
+		func() float64 { return float64(b.sessions.Stats().Admitted) })
 	m := &metrics{
 		reg: reg,
-		sessionsTotal: reg.Counter("dominolb_sessions_total",
-			"Sessions admitted at the balancer."),
 		failovers: reg.Counter("dominolb_failovers_total",
 			"Sessions re-pinned to a surviving backend after their node left the fleet."),
 		proxyErrors: reg.Counter("dominolb_proxy_errors_total",

@@ -43,10 +43,7 @@ func (b *Balancer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Affinity needs a name, so an anonymous upload gets a minted one.
-	sess, _, fresh := b.sessions.Admit(r.URL.Query().Get("session"), func(id string) *lbSession { return &lbSession{id: id} })
-	if fresh {
-		b.m.sessionsTotal.Inc()
-	}
+	sess, _, _ := b.sessions.Admit(r.URL.Query().Get("session"), func(id string) *lbSession { return &lbSession{id: id} })
 	// One chunk at a time per session: the protocol is sequential, and
 	// a concurrent duplicate could land on a pin the other re-pinned.
 	sess.mu.Lock()

@@ -40,34 +40,34 @@ func (ix *indexedTrace) evalWindow(start sim.Time) FeatureVector {
 			v.Bits.Set(base + appOutFPS)
 		}
 		// 3: outbound resolution downtrend (adjacent-pair decrease).
-		if cum32(c.resDown, lo+1, hi) > 0 {
+		if cum(c[flagResDown], lo+1, hi) > 0 {
 			v.Bits.Set(base + appResDown)
 		}
 		// 4: jitter buffer drains to zero, strictly after the window's
 		// first sample time.
-		if cum32(c.drain, lo, hi) > 0 {
+		if cum(c[flagDrain], lo, hi) > 0 {
 			j := lo
 			for j < hi && ix.statsAt[si][j] == ix.statsAt[si][lo] {
 				j++
 			}
-			if cum32(c.drain, j, hi) > 0 {
+			if cum(c[flagDrain], j, hi) > 0 {
 				v.Bits.Set(base + appJBDrain)
 			}
 		}
 		// 5: target bitrate downtrend.
-		if cum32(c.targetDrop, lo+1, hi) > 0 {
+		if cum(c[flagTargetDrop], lo+1, hi) > 0 {
 			v.Bits.Set(base + appTargetDown)
 		}
 		// 6: GCC overuse entry.
-		if cum32(c.overuse, lo, hi) > 0 {
+		if cum(c[flagOveruse], lo, hi) > 0 {
 			v.Bits.Set(base + appOveruse)
 		}
 		// 7: pushback rate downtrend.
-		if cum32(c.pushDrop, lo+1, hi) > 0 {
+		if cum(c[flagPushDrop], lo+1, hi) > 0 {
 			v.Bits.Set(base + appPushDown)
 		}
 		// 8: congestion window full.
-		if cum32(c.cwndFull, lo, hi) > 0 {
+		if cum(c[flagCwndFull], lo, hi) > 0 {
 			v.Bits.Set(base + appCwndFull)
 		}
 		// 9: windowed outstanding-bytes uptrend.
@@ -75,7 +75,7 @@ func (ix *indexedTrace) evalWindow(start sim.Time) FeatureVector {
 			v.Bits.Set(base + appOutstanding)
 		}
 		// 10: pushback unequal to target.
-		if cum32(c.pushNeq, lo, hi) > 0 {
+		if cum(c[flagPushNeq], lo, hi) > 0 {
 			v.Bits.Set(base + appPushNeq)
 		}
 	}
@@ -105,8 +105,8 @@ func (ix *indexedTrace) evalWindow(start sim.Time) FeatureVector {
 			v.Bits.Set(base + cellRateExceeds)
 		}
 		// 15: cross traffic.
-		sumOwn := cum64(ix.dciCumOwn[di], lo, hi)
-		sumOther := cum64(ix.dciCumOther[di], lo, hi)
+		sumOwn := cum(ix.dciCumOwn[di], lo, hi)
+		sumOther := cum(ix.dciCumOther[di], lo, hi)
 		if sumOther > 0 && float64(sumOther) > cfg.CrossFrac*float64(max(sumOwn, 1)) {
 			v.Bits.Set(base + cellCross)
 		}
@@ -115,7 +115,7 @@ func (ix *indexedTrace) evalWindow(start sim.Time) FeatureVector {
 			v.Bits.Set(base + cellChanDegrade)
 		}
 		// 17: HARQ retransmissions.
-		if cum32(ix.dciCumHARQ[di], lo, hi) > cfg.HARQCount {
+		if int(cum(ix.dciCumHARQ[di], lo, hi)) > cfg.HARQCount {
 			v.Bits.Set(base + cellHARQ)
 		}
 		// 18: RLC retransmission (gNB log or DCI flag).
@@ -126,7 +126,7 @@ func (ix *indexedTrace) evalWindow(start sim.Time) FeatureVector {
 	}
 
 	// 19: uplink scheduling — any own uplink transmission in window.
-	if cum32(ix.dciCumULUse[0], dciLo[0], dciHi[0]) > 0 {
+	if cum(ix.dciCumULUse[0], dciLo[0], dciHi[0]) > 0 {
 		v.Bits.Set(fidULSched)
 	}
 	// 20: RRC state change (RNTI change).
@@ -201,7 +201,7 @@ func (ix *indexedTrace) delayUptrendRolling(at []sim.Time, delay []float64, cumH
 	if hi-lo < 2*n {
 		return false
 	}
-	if cum32(cumHigh, lo, hi) == 0 {
+	if cum(cumHigh, lo, hi) == 0 {
 		return false
 	}
 	return groupUptrendAt(lo, hi-lo, n, func(k int) float64 { return delay[k] })

@@ -25,9 +25,7 @@ type WindowEvaluator struct {
 // NewWindowEvaluator returns an empty evaluator for one session.
 // hasGNBLog gates RLC-retx visibility exactly like trace.Set.HasGNBLog.
 func (a *Analyzer) NewWindowEvaluator(hasGNBLog bool) *WindowEvaluator {
-	ix := &indexedTrace{cfg: a.cfg, hasGNBLog: hasGNBLog}
-	ix.roll.init(a.cfg)
-	return &WindowEvaluator{ix: ix}
+	return &WindowEvaluator{ix: newIndex(a.cfg, hasGNBLog)}
 }
 
 // Reset empties the evaluator in place for a new session, keeping the
@@ -55,7 +53,7 @@ func (e *WindowEvaluator) Observe(rec trace.Record) {
 		ix.fillStats([]trace.WebRTCStatsRecord{*rec.Stats}, false)
 	case rec.RRC != nil:
 		ix.rrcAt = append(ix.rrcAt, rec.RRC.At)
-		sortTail(ix.rrcAt, len(ix.rrcAt)-1, nil)
+		ix.groups[grpRRC].sortTail(len(ix.rrcAt) - 1)
 	}
 }
 

@@ -73,39 +73,72 @@ type indexedTrace struct {
 	// RNTI change times.
 	rrcAt []sim.Time
 
-	// Stats per side ordered by time.
+	// Stats per side ordered by time, and per side and flag (statsFlags)
+	// the cumulative count of samples raising it.
 	statsAt  [2][]sim.Time
 	stats    [2][]trace.WebRTCStatsRecord
-	statsCum [2]statsCums
+	statsCum [2][numStatsFlags][]int32
 
-	// head holds, per series group, the index of the first live sample
-	// (see evictBefore). Queries binary-search [start, end) and
-	// cumulative reads subtract cum[lo-1], so neither looks at it.
-	head seriesHeads
+	// groups declares every column above once, in the series group it
+	// moves with (see newIndex).
+	groups [numGroups]seriesGroup
 
 	roll rollState
 
 	dciRows [2][]int32 // fillDCI's scratch: a run's rows, per direction
 }
 
-// seriesHeads is one first-live-sample index per series group.
-type seriesHeads struct {
-	fwd, rev, rrc        int
-	app, dci, rlc, stats [2]int
+// The series groups, as indices into indexedTrace.groups: a group per
+// direction (di) or side (si) takes two consecutive slots.
+const (
+	grpFwd = iota
+	grpRev
+	grpRRC
+	grpApp                 // + di
+	grpDCI    = grpApp + 2 // + di
+	grpRLC    = grpDCI + 2 // + di
+	grpStats  = grpRLC + 2 // + si
+	numGroups = grpStats + 2
+)
+
+// A seriesGroup is one time column and every column that moves with it.
+// It serves the bookkeeping that touches every column alike — reset,
+// eviction and the insertion sort of a late sample — while the row
+// writes and the window reads use the typed columns directly.
+type seriesGroup struct {
+	at     *[]sim.Time
+	values []column // one value per sample of at, swapped with it
+	cums   []column // cumulative arrays over the values, rebuilt by the settles
+	// head is the index of the first live sample (see evictBefore).
+	// Queries binary-search [start, end) and cumulative reads subtract
+	// cum[lo-1], so neither looks at it.
+	head   int
+	cursor *int // the rolling consume cursor into the group, if any
 }
 
-// statsCums holds cumulative flag counts over one side's stats series:
-// cum[i] counts samples (or adjacent pairs, attributed to the later
-// index) matching the condition over series[0..i].
-type statsCums struct {
-	resDown    []int32 // pair: outbound height decreased
-	drain      []int32 // jitter buffer at or below drain threshold
-	overuse    []int32 // GCC overuse state
-	cwndFull   []int32 // outstanding exceeds congestion window
-	pushNeq    []int32 // pushback below target by the configured fraction
-	targetDrop []int32 // pair: relative target-bitrate drop
-	pushDrop   []int32 // pair: relative pushback-rate drop
+// column is a series column as its seriesGroup sees it.
+type column interface {
+	truncate()
+	shift(lo int) // drop the first lo entries
+	swap(i, j int)
 }
+
+// col adapts a value column; holding only the field's address, it
+// fits an interface value without an allocation.
+type col[T any] struct{ s *[]T }
+
+func values[T any](s *[]T) column { return col[T]{s} }
+
+func (c col[T]) truncate()     { *c.s = (*c.s)[:0] }
+func (c col[T]) shift(lo int)  { *c.s = (*c.s)[:copy(*c.s, (*c.s)[lo:])] }
+func (c col[T]) swap(i, j int) { (*c.s)[i], (*c.s)[j] = (*c.s)[j], (*c.s)[i] }
+
+// cumCol adapts a cumulative column, which a shift rebases.
+type cumCol[T int32 | int64] struct{ col[T] }
+
+func cums[T int32 | int64](s *[]T) column { return cumCol[T]{col[T]{s}} }
+
+func (c cumCol[T]) shift(lo int) { *c.s = shiftCum(*c.s, lo) }
 
 func sideIdx(local bool) int {
 	if local {
@@ -121,11 +154,34 @@ func dirIdx(d netem.Direction) int {
 	return 1
 }
 
-// newIndexedTrace builds the index for the given (normalized) detector
-// configuration. The set must be sorted.
-func newIndexedTrace(set *trace.Set, cfg DetectorConfig) *indexedTrace {
-	ix := &indexedTrace{cfg: cfg, hasGNBLog: set.HasGNBLog}
+// newIndex returns an empty index for the given (normalized) detector
+// configuration, its columns declared in their series groups.
+func newIndex(cfg DetectorConfig, hasGNBLog bool) *indexedTrace {
+	ix := &indexedTrace{cfg: cfg, hasGNBLog: hasGNBLog}
 	ix.roll.init(cfg)
+	g, r := &ix.groups, &ix.roll
+	g[grpFwd] = seriesGroup{at: &ix.fwdAt, values: []column{values(&ix.fwdDelay)}, cums: []column{cums(&ix.fwdCumHigh)}}
+	g[grpRev] = seriesGroup{at: &ix.revAt, values: []column{values(&ix.revDelay)}, cums: []column{cums(&ix.revCumHigh)}}
+	g[grpRRC] = seriesGroup{at: &ix.rrcAt}
+	for d := 0; d < 2; d++ {
+		g[grpApp+d] = seriesGroup{at: &ix.appAt[d], values: []column{values(&ix.appBytes[d])}, cursor: &r.appCur[d]}
+		g[grpDCI+d] = seriesGroup{at: &ix.dciAt[d], cursor: &r.dciCur[d],
+			values: []column{values(&ix.dciOwn[d]), values(&ix.dciOther[d]), values(&ix.dciMCS[d]),
+				values(&ix.dciTBS[d]), values(&ix.dciHARQ[d]), values(&ix.dciULUse[d])},
+			cums: []column{cums(&ix.dciCumOwn[d]), cums(&ix.dciCumOther[d]), cums(&ix.dciCumHARQ[d]), cums(&ix.dciCumULUse[d])}}
+		g[grpRLC+d] = seriesGroup{at: &ix.rlcAt[d]}
+		g[grpStats+d] = seriesGroup{at: &ix.statsAt[d], values: []column{values(&ix.stats[d])}, cums: make([]column, numStatsFlags), cursor: &r.statsCur[d]}
+		for f := range ix.statsCum[d] {
+			g[grpStats+d].cums[f] = cums(&ix.statsCum[d][f])
+		}
+	}
+	return ix
+}
+
+// newIndexedTrace builds the index of a whole set for the given
+// (normalized) detector configuration. The set must be sorted.
+func newIndexedTrace(set *trace.Set, cfg DetectorConfig) *indexedTrace {
+	ix := newIndex(cfg, set.HasGNBLog)
 	for i := range set.Packets {
 		ix.addPacket(&set.Packets[i], true)
 	}
@@ -152,41 +208,15 @@ func newIndexedTrace(set *trace.Set, cfg DetectorConfig) *indexedTrace {
 // the allocated capacity — the pooling path for fleet-scale reuse.
 func (ix *indexedTrace) reset(hasGNBLog bool) {
 	ix.hasGNBLog = hasGNBLog
-	ix.head = seriesHeads{}
-	ix.fwdAt = ix.fwdAt[:0]
-	ix.fwdDelay = ix.fwdDelay[:0]
-	ix.fwdCumHigh = ix.fwdCumHigh[:0]
-	ix.revAt = ix.revAt[:0]
-	ix.revDelay = ix.revDelay[:0]
-	ix.revCumHigh = ix.revCumHigh[:0]
-	for di := 0; di < 2; di++ {
-		ix.appAt[di] = ix.appAt[di][:0]
-		ix.appBytes[di] = ix.appBytes[di][:0]
-		ix.dciAt[di] = ix.dciAt[di][:0]
-		ix.dciOwn[di] = ix.dciOwn[di][:0]
-		ix.dciOther[di] = ix.dciOther[di][:0]
-		ix.dciMCS[di] = ix.dciMCS[di][:0]
-		ix.dciTBS[di] = ix.dciTBS[di][:0]
-		ix.dciHARQ[di] = ix.dciHARQ[di][:0]
-		ix.dciULUse[di] = ix.dciULUse[di][:0]
-		ix.dciCumOwn[di] = ix.dciCumOwn[di][:0]
-		ix.dciCumOther[di] = ix.dciCumOther[di][:0]
-		ix.dciCumHARQ[di] = ix.dciCumHARQ[di][:0]
-		ix.dciCumULUse[di] = ix.dciCumULUse[di][:0]
-		ix.rlcAt[di] = ix.rlcAt[di][:0]
-	}
-	ix.rrcAt = ix.rrcAt[:0]
-	for si := 0; si < 2; si++ {
-		ix.statsAt[si] = ix.statsAt[si][:0]
-		ix.stats[si] = ix.stats[si][:0]
-		c := &ix.statsCum[si]
-		c.resDown = c.resDown[:0]
-		c.drain = c.drain[:0]
-		c.overuse = c.overuse[:0]
-		c.cwndFull = c.cwndFull[:0]
-		c.pushNeq = c.pushNeq[:0]
-		c.targetDrop = c.targetDrop[:0]
-		c.pushDrop = c.pushDrop[:0]
+	for i := range ix.groups {
+		g := &ix.groups[i]
+		*g.at, g.head = (*g.at)[:0], 0
+		for _, c := range g.values {
+			c.truncate()
+		}
+		for _, c := range g.cums {
+			c.truncate()
+		}
 	}
 	ix.roll.reset()
 }
@@ -213,14 +243,16 @@ func (ix *indexedTrace) addPacket(p *trace.PacketRecord, ordered bool) {
 	case netem.KindRTCP:
 		rev := len(ix.revAt)
 		ix.revAt, ix.revDelay = append(ix.revAt, p.SentAt), append(ix.revDelay, d)
-		ix.revCumHigh = ix.settleDelay(ix.revAt, ix.revDelay, ix.revCumHigh, rev, ordered)
+		ix.revCumHigh = ix.settleDelay(grpRev, ix.revDelay, ix.revCumHigh, rev, ordered)
 	default:
 		di := dirIdx(p.Dir)
 		fwd, app := len(ix.fwdAt), len(ix.appAt[di])
 		ix.fwdAt, ix.fwdDelay = append(ix.fwdAt, p.SentAt), append(ix.fwdDelay, d)
 		ix.appAt[di], ix.appBytes[di] = append(ix.appAt[di], p.SentAt), append(ix.appBytes[di], p.Size)
-		ix.fwdCumHigh = ix.settleDelay(ix.fwdAt, ix.fwdDelay, ix.fwdCumHigh, fwd, ordered)
-		ix.settleApp(di, app, ordered)
+		ix.fwdCumHigh = ix.settleDelay(grpFwd, ix.fwdDelay, ix.fwdCumHigh, fwd, ordered)
+		if !ordered {
+			ix.groups[grpApp+di].sortTail(app)
+		}
 	}
 }
 
@@ -265,30 +297,24 @@ func (ix *indexedTrace) fillPackets(p *trace.PacketColumns, lo, hi int, ordered 
 			a[di]++
 		}
 	}
-	ix.fwdCumHigh = ix.settleDelay(ix.fwdAt, ix.fwdDelay, ix.fwdCumHigh, fwd, ordered)
-	ix.revCumHigh = ix.settleDelay(ix.revAt, ix.revDelay, ix.revCumHigh, rev, ordered)
-	for di, base := range app {
-		ix.settleApp(di, base, ordered)
+	ix.fwdCumHigh = ix.settleDelay(grpFwd, ix.fwdDelay, ix.fwdCumHigh, fwd, ordered)
+	ix.revCumHigh = ix.settleDelay(grpRev, ix.revDelay, ix.revCumHigh, rev, ordered)
+	if !ordered {
+		ix.groups[grpApp].sortTail(app[0])
+		ix.groups[grpApp+1].sortTail(app[1])
 	}
 }
 
-// settleDelay settles a delay series that was base long before the new
-// samples, and returns its cumulative array.
-func (ix *indexedTrace) settleDelay(at []sim.Time, delay []float64, cumHigh []int32, base int, ordered bool) []int32 {
-	cumHigh = grow(cumHigh, len(at)-base)
+// settleDelay settles group g's delay series, which was base long
+// before the new samples, and returns its cumulative array. (A send-rate
+// series has no cumulative array: settling it is its sortTail.)
+func (ix *indexedTrace) settleDelay(g int, delay []float64, cumHigh []int32, base int, ordered bool) []int32 {
+	cumHigh = grow(cumHigh, len(delay)-base)
 	if !ordered {
-		base = sortTail(at, base, func(i, j int) { swap(delay, i, j) })
+		base = ix.groups[g].sortTail(base)
 	}
 	ix.rebuildDelayCum(delay, cumHigh, base)
 	return cumHigh
-}
-
-// settleApp settles direction di's send-rate series (no cumulative
-// array), which was base long before the new samples.
-func (ix *indexedTrace) settleApp(di, base int, ordered bool) {
-	if !ordered {
-		sortTail(ix.appAt[di], base, func(i, j int) { swap(ix.appBytes[di], i, j) })
-	}
 }
 
 // mcsIndex saturates a DCI row's MCS to the 5-bit range event 16's
@@ -359,20 +385,12 @@ func (ix *indexedTrace) fillDCI(d *trace.DCIColumns, lo, hi int, ordered bool) {
 // settleDCI settles direction di's DCI-derived series, which were base
 // (rlcAt: rlc) long before the new samples.
 func (ix *indexedTrace) settleDCI(di, base, rlc int, ordered bool) {
-	at := ix.dciAt[di]
-	n := len(at) - base
+	n := len(ix.dciAt[di]) - base
 	ix.dciCumOwn[di], ix.dciCumOther[di] = grow(ix.dciCumOwn[di], n), grow(ix.dciCumOther[di], n)
 	ix.dciCumHARQ[di], ix.dciCumULUse[di] = grow(ix.dciCumHARQ[di], n), grow(ix.dciCumULUse[di], n)
 	if !ordered {
-		sortTail(ix.rlcAt[di], rlc, nil)
-		base = sortTail(at, base, func(i, j int) {
-			swap(ix.dciOwn[di], i, j)
-			swap(ix.dciOther[di], i, j)
-			swap(ix.dciMCS[di], i, j)
-			swap(ix.dciTBS[di], i, j)
-			swap(ix.dciHARQ[di], i, j)
-			swap(ix.dciULUse[di], i, j)
-		})
+		ix.groups[grpRLC+di].sortTail(rlc)
+		base = ix.groups[grpDCI+di].sortTail(base)
 	}
 	ix.rebuildDCICums(di, base)
 }
@@ -384,7 +402,7 @@ func (ix *indexedTrace) addGNB(g *trace.GNBLogRecord, ordered bool) {
 	di := dirIdx(g.Dir)
 	ix.rlcAt[di] = append(ix.rlcAt[di], g.At)
 	if !ordered {
-		sortTail(ix.rlcAt[di], len(ix.rlcAt[di])-1, nil)
+		ix.groups[grpRLC+di].sortTail(len(ix.rlcAt[di]) - 1)
 	}
 }
 
@@ -400,7 +418,7 @@ func (ix *indexedTrace) fillGNB(g *trace.GNBColumns, lo, hi int) {
 		}
 	}
 	for di, from := range base {
-		sortTail(ix.rlcAt[di], from, nil)
+		ix.groups[grpRLC+di].sortTail(from)
 	}
 }
 
@@ -412,11 +430,11 @@ func (ix *indexedTrace) fillStats(recs []trace.WebRTCStatsRecord, ordered bool) 
 	}
 	for si, from := range base {
 		n := len(ix.stats[si]) - from
-		c := &ix.statsCum[si]
-		c.resDown, c.drain, c.overuse, c.cwndFull = grow(c.resDown, n), grow(c.drain, n), grow(c.overuse, n), grow(c.cwndFull, n)
-		c.pushNeq, c.targetDrop, c.pushDrop = grow(c.pushNeq, n), grow(c.targetDrop, n), grow(c.pushDrop, n)
+		for f, c := range ix.statsCum[si] {
+			ix.statsCum[si][f] = grow(c, n)
+		}
 		if !ordered {
-			from = sortTail(ix.statsAt[si], from, func(i, j int) { swap(ix.stats[si], i, j) })
+			from = ix.groups[grpStats+si].sortTail(from)
 		}
 		ix.rebuildStatsCums(si, from)
 	}
@@ -430,7 +448,7 @@ func (ix *indexedTrace) observeBlock(b *trace.Block, lo, hi *[trace.NumSeries]in
 	ix.fillStats(b.Stats[lo[trace.SeriesStats]:hi[trace.SeriesStats]], ordered)
 	rrc := len(ix.rrcAt)
 	ix.rrcAt = append(ix.rrcAt, b.RRC.At[lo[trace.SeriesRRC]:hi[trace.SeriesRRC]]...)
-	sortTail(ix.rrcAt, rrc, nil)
+	ix.groups[grpRRC].sortTail(rrc)
 }
 
 // grow extends s by n elements, which the caller sets.
@@ -438,114 +456,83 @@ func grow[S ~[]E, E any](s S, n int) S {
 	return slices.Grow(s, n)[:len(s)+n]
 }
 
-func swap[E any](s []E, i, j int) { s[i], s[j] = s[j], s[i] }
+// The stats flags: per-sample (or, marked pair, adjacent-pair)
+// conditions whose cumulative counts statsCum holds.
+const (
+	flagResDown    = iota // pair: outbound height decreased
+	flagDrain             // jitter buffer at or below drain threshold
+	flagOveruse           // GCC overuse state
+	flagCwndFull          // outstanding exceeds congestion window
+	flagPushNeq           // pushback below target by the configured fraction
+	flagTargetDrop        // pair: relative target-bitrate drop
+	flagPushDrop          // pair: relative pushback-rate drop
+	numStatsFlags
+)
 
-// statsFlagSet holds one stats record's per-sample condition flags.
-type statsFlagSet struct {
-	resDown, drain, overuse, cwndFull, pushNeq, targetDrop, pushDrop bool
-}
-
-// statsFlags evaluates the flag conditions for record r with (possibly
-// nil) predecessor p; pair conditions are attributed to the later
-// record.
-func (ix *indexedTrace) statsFlags(r, p *trace.WebRTCStatsRecord) statsFlagSet {
+// statsFlags returns the flags record r raises with (possibly nil)
+// predecessor p, bit f for flag f; pair conditions are attributed to
+// the later record.
+func (ix *indexedTrace) statsFlags(r, p *trace.WebRTCStatsRecord) uint8 {
 	cfg := &ix.cfg
-	return statsFlagSet{
-		resDown:    p != nil && r.OutboundHeight < p.OutboundHeight,
-		drain:      r.VideoJBDelayMs <= cfg.JBDrainMs,
-		overuse:    r.GCCNetState == trace.GCCOveruse,
-		cwndFull:   r.CongestionWindow > 0 && r.OutstandingBytes > r.CongestionWindow,
-		pushNeq:    r.PushbackRateBps < r.TargetBitrateBps*(1-cfg.PushbackNeqFrac),
-		targetDrop: p != nil && p.TargetBitrateBps > 0 && r.TargetBitrateBps < p.TargetBitrateBps*(1-cfg.RelDrop),
-		pushDrop:   p != nil && p.PushbackRateBps > 0 && r.PushbackRateBps < p.PushbackRateBps*(1-cfg.RelDrop),
+	var m uint8
+	set := func(f int, on bool) {
+		if on {
+			m |= 1 << f
+		}
 	}
+	set(flagResDown, p != nil && r.OutboundHeight < p.OutboundHeight)
+	set(flagDrain, r.VideoJBDelayMs <= cfg.JBDrainMs)
+	set(flagOveruse, r.GCCNetState == trace.GCCOveruse)
+	set(flagCwndFull, r.CongestionWindow > 0 && r.OutstandingBytes > r.CongestionWindow)
+	set(flagPushNeq, r.PushbackRateBps < r.TargetBitrateBps*(1-cfg.PushbackNeqFrac))
+	set(flagTargetDrop, p != nil && p.TargetBitrateBps > 0 && r.TargetBitrateBps < p.TargetBitrateBps*(1-cfg.RelDrop))
+	set(flagPushDrop, p != nil && p.PushbackRateBps > 0 && r.PushbackRateBps < p.PushbackRateBps*(1-cfg.RelDrop))
+	return m
 }
 
 // delayHigh is the event 11–12 threshold flag.
 func (ix *indexedTrace) delayHigh(d float64) bool { return d > ix.cfg.DelayUpMs }
 
-// cum32 returns the flag count over series indices [lo, hi).
-func cum32(cum []int32, lo, hi int) int {
+// cum returns the aggregate of a cumulative array over series indices
+// [lo, hi).
+func cum[T int32 | int64](c []T, lo, hi int) T {
 	if hi <= lo {
 		return 0
 	}
-	v := cum[hi-1]
+	v := c[hi-1]
 	if lo > 0 {
-		v -= cum[lo-1]
-	}
-	return int(v)
-}
-
-// cum64 returns the value sum over series indices [lo, hi).
-func cum64(cum []int64, lo, hi int) int64 {
-	if hi <= lo {
-		return 0
-	}
-	v := cum[hi-1]
-	if lo > 0 {
-		v -= cum[lo-1]
+		v -= c[lo-1]
 	}
 	return v
 }
 
 // evictBefore retires every sample with timestamp < cut. Retiring only
-// advances the series group's head; the group's arrays are compacted in
-// place (cumulative arrays rebased, rolling cursors shifted alongside)
-// once the dead prefix is at least as long as the live part, so the
-// backing arrays stay within twice the window high-water mark instead
-// of growing with the trace.
+// advances the series group's head; the group's columns are compacted
+// in place (cumulative arrays rebased, the rolling cursor shifted
+// alongside) once the dead prefix is at least as long as the live part,
+// so the backing arrays stay within twice the window high-water mark
+// instead of growing with the trace.
 func (ix *indexedTrace) evictBefore(cut sim.Time) {
-	h := &ix.head
-	lo := dead(ix.fwdAt, &h.fwd, cut)
-	ix.fwdAt = shiftS(ix.fwdAt, lo)
-	ix.fwdDelay = shiftS(ix.fwdDelay, lo)
-	ix.fwdCumHigh = shiftCum32(ix.fwdCumHigh, lo)
-
-	lo = dead(ix.revAt, &h.rev, cut)
-	ix.revAt = shiftS(ix.revAt, lo)
-	ix.revDelay = shiftS(ix.revDelay, lo)
-	ix.revCumHigh = shiftCum32(ix.revCumHigh, lo)
-
-	for di := 0; di < 2; di++ {
-		lo = dead(ix.appAt[di], &h.app[di], cut)
-		ix.appAt[di] = shiftS(ix.appAt[di], lo)
-		ix.appBytes[di] = shiftS(ix.appBytes[di], lo)
-		ix.roll.appCur[di] = cursorShift(ix.roll.appCur[di], lo)
-
-		lo = dead(ix.dciAt[di], &h.dci[di], cut)
-		ix.dciAt[di] = shiftS(ix.dciAt[di], lo)
-		ix.dciOwn[di] = shiftS(ix.dciOwn[di], lo)
-		ix.dciOther[di] = shiftS(ix.dciOther[di], lo)
-		ix.dciMCS[di] = shiftS(ix.dciMCS[di], lo)
-		ix.dciTBS[di] = shiftS(ix.dciTBS[di], lo)
-		ix.dciHARQ[di] = shiftS(ix.dciHARQ[di], lo)
-		ix.dciULUse[di] = shiftS(ix.dciULUse[di], lo)
-		ix.dciCumOwn[di] = shiftCum64(ix.dciCumOwn[di], lo)
-		ix.dciCumOther[di] = shiftCum64(ix.dciCumOther[di], lo)
-		ix.dciCumHARQ[di] = shiftCum32(ix.dciCumHARQ[di], lo)
-		ix.dciCumULUse[di] = shiftCum32(ix.dciCumULUse[di], lo)
-		ix.roll.dciCur[di] = cursorShift(ix.roll.dciCur[di], lo)
-
-		lo = dead(ix.rlcAt[di], &h.rlc[di], cut)
-		ix.rlcAt[di] = shiftS(ix.rlcAt[di], lo)
-	}
-
-	lo = dead(ix.rrcAt, &h.rrc, cut)
-	ix.rrcAt = shiftS(ix.rrcAt, lo)
-
-	for si := 0; si < 2; si++ {
-		lo = dead(ix.statsAt[si], &h.stats[si], cut)
-		ix.statsAt[si] = shiftS(ix.statsAt[si], lo)
-		ix.stats[si] = shiftS(ix.stats[si], lo)
-		c := &ix.statsCum[si]
-		c.resDown = shiftCum32(c.resDown, lo)
-		c.drain = shiftCum32(c.drain, lo)
-		c.overuse = shiftCum32(c.overuse, lo)
-		c.cwndFull = shiftCum32(c.cwndFull, lo)
-		c.pushNeq = shiftCum32(c.pushNeq, lo)
-		c.targetDrop = shiftCum32(c.targetDrop, lo)
-		c.pushDrop = shiftCum32(c.pushDrop, lo)
-		ix.roll.statsCur[si] = cursorShift(ix.roll.statsCur[si], lo)
+	for i := range ix.groups {
+		g := &ix.groups[i]
+		lo := dead(*g.at, &g.head, cut)
+		if lo == 0 {
+			continue
+		}
+		col[sim.Time]{g.at}.shift(lo)
+		for _, c := range g.values {
+			c.shift(lo)
+		}
+		for _, c := range g.cums {
+			c.shift(lo)
+		}
+		// Every evicted sample was already consumed (eviction cuts below
+		// the last evaluated window end), so the cursor never goes
+		// negative on the analysis paths; the clamp keeps a stray early
+		// eviction harmless.
+		if g.cursor != nil {
+			*g.cursor = max(*g.cursor-lo, 0)
+		}
 	}
 }
 
@@ -568,71 +555,35 @@ func cutIndex(at []sim.Time, cut sim.Time) int {
 	return sort.Search(len(at), func(i int) bool { return at[i] >= cut })
 }
 
-// shiftS drops the first lo elements of a series in place.
-func shiftS[T any](s []T, lo int) []T {
-	if lo == 0 {
-		return s
+// shiftCum drops the first lo > 0 entries of a cumulative array,
+// rebasing the remainder so c[i] again aggregates from the new first
+// sample. The flag of a former pair condition at the new index 0 may
+// reference an evicted predecessor; window queries only ever read pairs
+// from index lo+1 on, so the stale contribution cancels out of every
+// range.
+func shiftCum[T int32 | int64](c []T, lo int) []T {
+	base := c[lo-1]
+	c = c[:copy(c, c[lo:])]
+	for i := range c {
+		c[i] -= base
 	}
-	n := copy(s, s[lo:])
-	return s[:n]
+	return c
 }
 
-// shiftCum32 drops the first lo entries of a cumulative array, rebasing
-// the remainder so cum[i] again aggregates from the new first sample.
-// The flag of a former pair condition at the new index 0 may reference
-// an evicted predecessor; window queries only ever read pairs from
-// index lo+1 on, so the stale contribution cancels out of every range.
-func shiftCum32(cum []int32, lo int) []int32 {
-	if lo == 0 {
-		return cum
-	}
-	base := cum[lo-1]
-	n := copy(cum, cum[lo:])
-	cum = cum[:n]
-	for i := range cum {
-		cum[i] -= base
-	}
-	return cum
-}
-
-func shiftCum64(cum []int64, lo int) []int64 {
-	if lo == 0 {
-		return cum
-	}
-	base := cum[lo-1]
-	n := copy(cum, cum[lo:])
-	cum = cum[:n]
-	for i := range cum {
-		cum[i] -= base
-	}
-	return cum
-}
-
-// cursorShift moves a rolling consume cursor left with its series.
-// Every evicted sample was already consumed (eviction cuts below the
-// last evaluated window end), so the cursor never goes negative on the
-// analysis paths; the clamp keeps a stray early eviction harmless.
-func cursorShift(cur, lo int) int {
-	if cur < lo {
-		return 0
-	}
-	return cur - lo
-}
-
-// sortTail insertion-sorts into place the samples appended to a time
-// series since it was base long, calling swapValues (when not nil) to
-// move the parallel value columns alongside, and returns the lowest position
-// that changed — base when they arrived in order, which costs one
-// comparison each. The walk is O(displacement) per sample, which a
-// streaming caller bounds by its lateness slack.
-func sortTail(at []sim.Time, base int, swapValues func(i, j int)) int {
-	low := base
+// sortTail insertion-sorts into place the samples appended to the
+// group's time column since it was base long, moving the value columns
+// alongside, and returns the lowest position that changed — base when
+// they arrived in order, which costs one comparison each. The walk is
+// O(displacement) per sample, which a streaming caller bounds by its
+// lateness slack.
+func (g *seriesGroup) sortTail(base int) int {
+	at, low := *g.at, base
 	for n := max(base, 1); n < len(at); n++ {
 		i := n
 		for ; i > 0 && at[i] < at[i-1]; i-- {
 			at[i], at[i-1] = at[i-1], at[i]
-			if swapValues != nil {
-				swapValues(i, i-1)
+			for _, c := range g.values {
+				c.swap(i, i-1)
 			}
 		}
 		low = min(low, i)
@@ -641,16 +592,16 @@ func sortTail(at []sim.Time, base int, swapValues func(i, j int)) int {
 }
 
 // rebuildDelayCum recomputes a delay threshold-count array from pos on.
-func (ix *indexedTrace) rebuildDelayCum(delay []float64, cum []int32, pos int) {
+func (ix *indexedTrace) rebuildDelayCum(delay []float64, cumHigh []int32, pos int) {
 	var prev int32
 	if pos > 0 {
-		prev = cum[pos-1]
+		prev = cumHigh[pos-1]
 	}
 	for i := pos; i < len(delay); i++ {
 		if ix.delayHigh(delay[i]) {
 			prev++
 		}
-		cum[i] = prev
+		cumHigh[i] = prev
 	}
 }
 
@@ -679,64 +630,39 @@ func (ix *indexedTrace) rebuildDCICums(di, pos int) {
 // rebuildStatsCums recomputes side si's cumulative flag counts from
 // pos on (an insertion at pos also changes the pair flag at pos+1).
 func (ix *indexedTrace) rebuildStatsCums(si, pos int) {
-	c := &ix.statsCum[si]
-	var resDown, drain, overuse, cwndFull, pushNeq, targetDrop, pushDrop int32
+	c, recs := &ix.statsCum[si], ix.stats[si]
+	var run [numStatsFlags]int32
 	if pos > 0 {
-		resDown = c.resDown[pos-1]
-		drain = c.drain[pos-1]
-		overuse = c.overuse[pos-1]
-		cwndFull = c.cwndFull[pos-1]
-		pushNeq = c.pushNeq[pos-1]
-		targetDrop = c.targetDrop[pos-1]
-		pushDrop = c.pushDrop[pos-1]
+		for f := range run {
+			run[f] = c[f][pos-1]
+		}
 	}
-	for i := pos; i < len(ix.stats[si]); i++ {
+	for i := pos; i < len(recs); i++ {
 		var p *trace.WebRTCStatsRecord
 		if i > 0 {
-			p = &ix.stats[si][i-1]
+			p = &recs[i-1]
 		}
-		f := ix.statsFlags(&ix.stats[si][i], p)
-		if f.resDown {
-			resDown++
+		m := ix.statsFlags(&recs[i], p)
+		for f := range run {
+			run[f] += int32(m >> f & 1)
+			c[f][i] = run[f]
 		}
-		if f.drain {
-			drain++
-		}
-		if f.overuse {
-			overuse++
-		}
-		if f.cwndFull {
-			cwndFull++
-		}
-		if f.pushNeq {
-			pushNeq++
-		}
-		if f.targetDrop {
-			targetDrop++
-		}
-		if f.pushDrop {
-			pushDrop++
-		}
-		c.resDown[i] = resDown
-		c.drain[i] = drain
-		c.overuse[i] = overuse
-		c.cwndFull[i] = cwndFull
-		c.pushNeq[i] = pushNeq
-		c.targetDrop[i] = targetDrop
-		c.pushDrop[i] = pushDrop
 	}
 }
 
 // buffered returns the number of samples currently held across all
-// series — the streaming analyzer's O(window) state measure.
+// series — the streaming analyzer's O(window) state measure. A media
+// packet's send-rate sample twins its forward-delay one and is counted
+// once. The stream reads it after every record, so it names its groups:
+// a walk of the list took nearly twice as long.
 func (ix *indexedTrace) buffered() int {
-	h := &ix.head
-	n := len(ix.fwdAt) - h.fwd + len(ix.revAt) - h.rev + len(ix.rrcAt) - h.rrc
-	for di := range ix.dciAt {
-		n += len(ix.dciAt[di]) - h.dci[di] + len(ix.rlcAt[di]) - h.rlc[di]
+	g := &ix.groups
+	n := len(ix.fwdAt) - g[grpFwd].head + len(ix.revAt) - g[grpRev].head + len(ix.rrcAt) - g[grpRRC].head
+	for d := range ix.dciAt {
+		n += len(ix.dciAt[d]) - g[grpDCI+d].head + len(ix.rlcAt[d]) - g[grpRLC+d].head
 	}
-	for si := range ix.statsAt {
-		n += len(ix.statsAt[si]) - h.stats[si]
+	for s := range ix.statsAt {
+		n += len(ix.statsAt[s]) - g[grpStats+s].head
 	}
 	return n
 }

@@ -42,10 +42,20 @@ type rollState struct {
 	mcs     [2]mcsBuckets
 	rateApp [2]binSums
 	rateTBS [2]binSums
+
+	// structures lists every deque and bucket ring above once, for
+	// reset and retire.
+	structures []windowed
 }
 
-// init wires the bucket widths from the (normalized) detector config
-// and flips the min deques into min mode.
+// windowed is a cursor-fed structure that holds a window's samples.
+type windowed interface {
+	clear()
+	retire(cut sim.Time) // drop what precedes cut
+}
+
+// init wires the bucket widths from the (normalized) detector config,
+// flips the min deques into min mode and lists the structures.
 func (r *rollState) init(cfg DetectorConfig) {
 	for i := 0; i < 2; i++ {
 		r.inFPSMin[i].isMin = true
@@ -54,24 +64,18 @@ func (r *rollState) init(cfg DetectorConfig) {
 		r.mcs[i].width = cfg.MCSGroup
 		r.rateApp[i].width = cfg.RateBin
 		r.rateTBS[i].width = cfg.RateBin
+		r.structures = append(r.structures, &r.inFPSMax[i], &r.inFPSMin[i], &r.outFPSMax[i], &r.outFPSMin[i],
+			&r.tbsMax[i], &r.tbsMin[i], &r.mcs[i], &r.rateApp[i], &r.rateTBS[i])
 	}
 }
 
 // reset empties every rolling structure in place, keeping capacity.
 func (r *rollState) reset() {
 	r.lastEnd = 0
-	for i := 0; i < 2; i++ {
-		r.statsCur[i], r.dciCur[i], r.appCur[i] = 0, 0, 0
-		r.statsSeq[i], r.dciSeq[i] = 0, 0
-		r.inFPSMax[i].clear()
-		r.inFPSMin[i].clear()
-		r.outFPSMax[i].clear()
-		r.outFPSMin[i].clear()
-		r.tbsMax[i].clear()
-		r.tbsMin[i].clear()
-		r.mcs[i].clear()
-		r.rateApp[i].clear()
-		r.rateTBS[i].clear()
+	r.statsCur, r.dciCur, r.appCur = [2]int{}, [2]int{}, [2]int{}
+	r.statsSeq, r.dciSeq = [2]int64{}, [2]int64{}
+	for _, w := range r.structures {
+		w.clear()
 	}
 }
 
@@ -145,17 +149,8 @@ func (ix *indexedTrace) advanceRoll(end sim.Time) {
 
 // retire drops rolling entries that precede the window start.
 func (ix *indexedTrace) retireRoll(start sim.Time) {
-	r := &ix.roll
-	for i := 0; i < 2; i++ {
-		r.inFPSMax[i].retire(start)
-		r.inFPSMin[i].retire(start)
-		r.outFPSMax[i].retire(start)
-		r.outFPSMin[i].retire(start)
-		r.tbsMax[i].retire(start)
-		r.tbsMin[i].retire(start)
-		r.mcs[i].retire(start)
-		r.rateApp[i].retire(start)
-		r.rateTBS[i].retire(start)
+	for _, w := range ix.roll.structures {
+		w.retire(start)
 	}
 }
 

@@ -32,8 +32,7 @@ func TestMCSHistogramMatchesSort(t *testing.T) {
 		groups := int(cfg.Window / cfg.MCSGroup)
 		hostile := [...]int{-1, -1 << 40, mcsLevels, 1 << 40}
 		rng := rand.New(rand.NewSource(16))
-		ix := &indexedTrace{cfg: cfg}
-		ix.roll.init(cfg)
+		ix := newIndex(cfg, false)
 		for trial := 0; trial < 400; trial++ {
 			outOfRange, crowded := trial%4 == 2, trial%32 == 3
 			ix.reset(false)

@@ -20,7 +20,14 @@ type Table[E comparable] struct {
 	entries  map[string]*tableSlot[E]
 	finished list.List // of *tableSlot[E], earliest Finish first
 	minted   int
-	admitted uint64
+	stats    TableStats
+}
+
+// TableStats are a table's totals since it was made: the entries it
+// admitted, the Finishes that ended a live entry done or failed, and the
+// finished entries the bound dropped.
+type TableStats struct {
+	Admitted, Done, Failed, Dropped uint64
 }
 
 type tableSlot[E comparable] struct {
@@ -57,14 +64,15 @@ func (t *Table[E]) Admit(id string, newEntry func(id string) E) (e E, _ string, 
 		}
 		t.finished.Remove(old.at)
 	}
-	t.admitted++
-	s := &tableSlot[E]{id: id, e: newEntry(id), seq: t.admitted, state: StateActive}
+	t.stats.Admitted++
+	s := &tableSlot[E]{id: id, e: newEntry(id), seq: t.stats.Admitted, state: StateActive}
 	t.entries[id] = s
 	var gone []E
 	for t.bound > 0 && len(t.entries) > t.bound && t.finished.Len() > 0 {
 		g := t.finished.Remove(t.finished.Front()).(*tableSlot[E])
 		delete(t.entries, g.id)
 		gone = append(gone, g.e)
+		t.stats.Dropped++
 	}
 	t.mu.Unlock()
 	for _, g := range gone {
@@ -81,6 +89,11 @@ func (t *Table[E]) Finish(id string, e E, how State) {
 	if s := t.entries[id]; s != nil && s.e == e && s.state == StateActive {
 		s.state = how
 		s.at = t.finished.PushBack(s)
+		if how == StateDone {
+			t.stats.Done++
+		} else {
+			t.stats.Failed++
+		}
 	}
 }
 
@@ -116,4 +129,11 @@ func (t *Table[E]) Len() (live, total int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.entries) - t.finished.Len(), len(t.entries)
+}
+
+// Stats returns the table's totals.
+func (t *Table[E]) Stats() TableStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.stats
 }

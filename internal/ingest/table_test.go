@@ -52,6 +52,7 @@ func TestTable(t *testing.T) {
 		// maxQueued bounds the finished queue at every step.
 		dropped   []string
 		maxQueued int
+		stats     TableStats // Stats at the end
 	}{{
 		name: "minting skips an ID a client named",
 		ops: []tableOp{
@@ -62,6 +63,7 @@ func TestTable(t *testing.T) {
 			admitOp("", "s0004", true), // a failed entry still holds its ID against minting
 		},
 		list: []string{"s0001", "s0002", "s0003", "s0004"}, live: 3, maxQueued: 1,
+		stats: TableStats{Admitted: 4, Failed: 1},
 	}, {
 		name: "a held live or done entry is returned, not replaced",
 		ops: []tableOp{
@@ -73,6 +75,7 @@ func TestTable(t *testing.T) {
 			admitOp("a", "a", false),
 		},
 		list: []string{"a"}, live: 0, maxQueued: 1,
+		stats: TableStats{Admitted: 1, Done: 1},
 	}, {
 		name: "a failed entry is replaced and leaves the finished queue",
 		ops: []tableOp{
@@ -82,6 +85,7 @@ func TestTable(t *testing.T) {
 			admitOp("a", "a", true),
 		},
 		list: []string{"b", "a"}, live: 2, maxQueued: 1,
+		stats: TableStats{Admitted: 3, Failed: 1},
 	}, {
 		name:  "the bound drops the earliest finished, in finish order, never a live entry",
 		bound: 3,
@@ -97,6 +101,7 @@ func TestTable(t *testing.T) {
 			admitOp("f", "f", true), // one over: d goes
 		},
 		list: []string{"b", "e", "f"}, live: 3, dropped: []string{"c", "a", "d"}, maxQueued: 3,
+		stats: TableStats{Admitted: 6, Done: 2, Failed: 1, Dropped: 3},
 	}, {
 		name:  "a replaced entry is not dropped again",
 		bound: 2,
@@ -109,11 +114,27 @@ func TestTable(t *testing.T) {
 			admitOp("c", "c", true),
 		},
 		list: []string{"a", "c"}, live: 2, dropped: []string{"b"}, maxQueued: 1,
+		stats: TableStats{Admitted: 4, Done: 1, Failed: 1, Dropped: 1},
+	}, {
+		name:  "Stats counts admissions, endings and drops",
+		bound: 2,
+		ops: []tableOp{
+			admitOp("a", "a", true),
+			finishOp("a", StateFailed),
+			admitOp("a", "a", true), // replaces the failed a: an admission, no drop
+			finishOp("a", StateDone),
+			finishOp("a", StateFailed), // not live: no ending
+			admitOp("b", "b", true),
+			admitOp("c", "c", true), // one over: a goes
+		},
+		list: []string{"b", "c"}, live: 2, dropped: []string{"a"}, maxQueued: 1,
+		stats: TableStats{Admitted: 4, Done: 1, Failed: 1, Dropped: 1},
 	}, {
 		name:  "fail and replace cycles keep the queue at one entry",
 		bound: 4,
 		ops:   failCycles("x", 10_000),
 		list:  []string{"x"}, live: 1, maxQueued: 1,
+		stats: TableStats{Admitted: 10_001, Failed: 10_000},
 	}} {
 		t.Run(c.name, func(t *testing.T) {
 			var dropped []string
@@ -149,6 +170,9 @@ func TestTable(t *testing.T) {
 			}
 			if maxQueued > c.maxQueued {
 				t.Errorf("finished queue reached %d entries, want at most %d", maxQueued, c.maxQueued)
+			}
+			if got := tb.Stats(); got != c.stats {
+				t.Errorf("Stats = %+v, want %+v", got, c.stats)
 			}
 		})
 	}

@@ -283,14 +283,12 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 	if err != nil {
 		n.detachLocked(sess, ingest.StateFailed, err.Error())
 		sess.mu.Unlock()
-		n.m.sessionsFailed.Inc()
 		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sess.final = rep
 	n.detachLocked(sess, ingest.StateDone, "")
 	sess.mu.Unlock()
-	n.m.sessionsDone.Inc()
 	n.m.lateDropped.Add(int64(stats.LateDropped))
 	// Persist the completed diagnosis into the fleet store, stamped so
 	// the session ends now and started a report-duration ago.
@@ -453,13 +451,9 @@ func (n *Node) detachLocked(sess *session, state ingest.State, errMsg string) {
 
 func (n *Node) fail(sess *session, msg string) {
 	sess.mu.Lock()
-	failed := sess.proto.State == ingest.StateActive
-	if failed {
+	if sess.proto.State == ingest.StateActive {
 		n.detachLocked(sess, ingest.StateFailed, msg)
 	}
 	sess.mu.Unlock()
-	if failed {
-		n.m.sessionsFailed.Inc()
-	}
 	n.log.Warn("session failed", "session", sess.id, "err", msg)
 }

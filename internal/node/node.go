@@ -276,21 +276,22 @@ func New(analyzer *core.Analyzer, opts Options) *Node {
 	if opts.Log == nil {
 		opts.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	n := &Node{
-		limiter: parallel.NewLimiter(opts.MaxStreams),
-		opts:    opts,
-		log:     opts.Log,
-		m:       newMetrics(analyzer),
-		store:   opts.Store,
-		journal: opts.Journal,
-		now:     opts.Now,
-	}
-	n.sessions = ingest.NewTable("s%04d", opts.MaxSessions, func(sess *session) {
-		n.m.sessionsEvicted.Inc() // a finished session past MaxSessions
+	// A finished session past MaxSessions leaves the table.
+	sessions := ingest.NewTable("s%04d", opts.MaxSessions, func(sess *session) {
 		if sess.rec != nil {
 			sess.rec.Record(obs.Event{Kind: obs.EvSessionEvicted, Wall: time.Now().UnixNano()})
 		}
 	})
+	n := &Node{
+		limiter:  parallel.NewLimiter(opts.MaxStreams),
+		opts:     opts,
+		log:      opts.Log,
+		m:        newMetrics(analyzer, sessions),
+		sessions: sessions,
+		store:    opts.Store,
+		journal:  opts.Journal,
+		now:      opts.Now,
+	}
 	if n.store == nil {
 		n.store = rcastore.New(rcastore.Options{MaxBlocks: opts.StoreBlocks})
 	}
@@ -391,7 +392,6 @@ func (n *Node) register(id string) (*session, string, bool) {
 		n.saPool.Put(sa)
 		return nil, id, false
 	}
-	n.m.sessionsTotal.Inc()
 	return sess, id, true
 }
 

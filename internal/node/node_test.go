@@ -426,7 +426,7 @@ func TestEvictionQueue(t *testing.T) {
 		t.Fatal("the two sessions that finished first were not the ones evicted")
 	}
 	retained("a", "b", "d", "f", "g")
-	if got := n.m.sessionsEvicted.Value(); got != 2 {
+	if got := n.sessions.Stats().Dropped; got != 2 {
 		t.Fatalf("evicted %d sessions, want 2", got)
 	}
 

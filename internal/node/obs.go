@@ -31,14 +31,10 @@ type metrics struct {
 	// flight-recorder slots stay pointer-free; frozen after newMetrics.
 	names *obs.NameTable
 
-	sessionsTotal   *obs.Counter
-	sessionsDone    *obs.Counter
-	sessionsFailed  *obs.Counter
-	sessionsEvicted *obs.Counter
-	recordsTotal    *obs.Counter
-	windowsTotal    *obs.Counter
-	lateDropped     *obs.Counter
-	chainEvents     *obs.Counter
+	recordsTotal *obs.Counter
+	windowsTotal *obs.Counter
+	lateDropped  *obs.Counter
+	chainEvents  *obs.Counter
 	// nodeEvents maps cause/consequence class nodes to their labeled
 	// counter; read-only after newMetrics, so hook lookups are lock-free.
 	nodeEvents map[string]*obs.Counter
@@ -75,24 +71,29 @@ type metrics struct {
 // instruments: the two wire formats /ingest negotiates.
 var ingestFormats = []string{formatJSONL, formatBinary}
 
-// newMetrics registers every statically-known instrument. The metric
-// names predate this registry (operators may already scrape them), so
-// they are pinned by TestDominodSmoke and must not change.
-func newMetrics(analyzer *core.Analyzer) *metrics {
+// newMetrics registers every statically-known instrument; the session
+// counters are the session table's Stats. The metric names predate this
+// registry (operators may already scrape them), so they are pinned by
+// TestDominodSmoke and must not change.
+func newMetrics(analyzer *core.Analyzer, sessions *ingest.Table[*session]) *metrics {
 	reg := obs.NewRegistry()
+	reg.CounterFunc("dominod_sessions_total", "Sessions registered since start.",
+		func() float64 { return float64(sessions.Stats().Admitted) })
+	reg.CounterFunc("dominod_sessions_done_total", "Sessions completed successfully.",
+		func() float64 { return float64(sessions.Stats().Done) })
+	reg.CounterFunc("dominod_sessions_failed_total", "Sessions that failed during ingest.",
+		func() float64 { return float64(sessions.Stats().Failed) })
+	reg.CounterFunc("dominod_sessions_evicted_total", "Finished sessions evicted from the registry.",
+		func() float64 { return float64(sessions.Stats().Dropped) })
 	m := &metrics{
 		reg:   reg,
 		names: obs.NewNameTable(),
 
-		sessionsTotal:   reg.Counter("dominod_sessions_total", "Sessions registered since start."),
-		sessionsDone:    reg.Counter("dominod_sessions_done_total", "Sessions completed successfully."),
-		sessionsFailed:  reg.Counter("dominod_sessions_failed_total", "Sessions that failed during ingest."),
-		sessionsEvicted: reg.Counter("dominod_sessions_evicted_total", "Finished sessions evicted from the registry."),
-		recordsTotal:    reg.Counter("dominod_records_total", "Trace records accepted across all sessions."),
-		windowsTotal:    reg.Counter("dominod_windows_total", "Detection windows evaluated."),
-		lateDropped:     reg.Counter("dominod_late_dropped_total", "Records dropped for arriving after their window closed."),
-		chainEvents:     reg.Counter("dominod_chain_events_total", "Collapsed causal-chain event runs."),
-		nodeEvents:      map[string]*obs.Counter{},
+		recordsTotal: reg.Counter("dominod_records_total", "Trace records accepted across all sessions."),
+		windowsTotal: reg.Counter("dominod_windows_total", "Detection windows evaluated."),
+		lateDropped:  reg.Counter("dominod_late_dropped_total", "Records dropped for arriving after their window closed."),
+		chainEvents:  reg.Counter("dominod_chain_events_total", "Collapsed causal-chain event runs."),
+		nodeEvents:   map[string]*obs.Counter{},
 
 		poolGets:   reg.Counter("dominod_analyzer_pool_gets_total", "Analyzer checkouts from the session pool."),
 		poolMisses: reg.Counter("dominod_analyzer_pool_misses_total", "Analyzer checkouts that had to allocate a new analyzer."),

@@ -8,9 +8,8 @@ import (
 )
 
 // queuePerWorker bounds the queue at this many waiting tasks per
-// worker. A waiting closure pins what it captured (on the ingest path a
-// decoded record batch), so a producer that outruns the pool has to
-// block in Submit rather than grow memory.
+// worker. A waiting closure pins what it captured, so a producer that
+// outruns the pool has to block in Submit rather than grow memory.
 const queuePerWorker = 16
 
 // Executor is the package's one scheduling engine: a fixed set of

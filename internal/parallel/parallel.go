@@ -1,7 +1,9 @@
 // Package parallel provides the worker pool underlying the experiment
-// engine, the batch analyzer and the ingest pipeline: Executor, whose
-// indexed fan-out gives results independent of worker count, ForEach as
-// its one-shot form, and Limiter for admitting open-ended work.
+// engine and the batch analyzer — Executor, whose indexed fan-out gives
+// results independent of worker count, and ForEach as its one-shot
+// form — and Limiter for admitting open-ended work, which is all the
+// node's ingest uses: an upload is decoded and analysed on its
+// request's own goroutine.
 package parallel
 
 import (
