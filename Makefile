@@ -97,11 +97,17 @@ fleet-smoke:
 # package comments, façade doc comments, relative links in the top-level
 # docs), so `test` above is where doc drift fails.
 
-# Build and vet the documented examples by name: a façade change that
-# breaks one then fails a step that says "examples", not a wildcard.
+# Build, vet and run the documented examples by name: a façade change
+# that breaks one, or leaves examples/streaming without its live
+# diagnosis, then fails a step that says "examples", not a wildcard.
 examples-check:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
+	@set -e; for p in $$($(GO) list ./examples/...); do \
+		echo "$(GO) run $$p"; out=$$($(GO) run $$p); \
+		case $$p in */streaming) echo "$$out" | grep -q 'live diagnosis' || \
+			{ echo "$$p printed no live diagnosis line" >&2; exit 1; };; esac; \
+	done
 
 # bench/ is its own module, so `./...` above never compiles it, yet it
 # imports internal/ packages and so pins their signatures. Vet it and

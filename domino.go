@@ -18,6 +18,7 @@
 // session while it is still running, holding only the sliding window:
 //
 //	sa := domino.NewStreamAnalyzer(analyzer, domino.StreamConfig{})
+//	sa.SetHooks(liveHooks) // a StreamHooks: runs as they open and close
 //	report, _ := domino.StreamRecords(jsonlStream, sa)
 //
 // cmd/dominod packages the same path as an always-on ingest service.
@@ -40,6 +41,7 @@ import (
 	"io"
 
 	"github.com/domino5g/domino/internal/core"
+	"github.com/domino5g/domino/internal/obs"
 	"github.com/domino5g/domino/internal/ran"
 	"github.com/domino5g/domino/internal/rcastore"
 	"github.com/domino5g/domino/internal/rtc"
@@ -101,9 +103,16 @@ type (
 	// StreamAnalyzer incrementally analyzes one session's record stream
 	// with O(window) buffered state.
 	StreamAnalyzer = stream.Analyzer
-	// StreamConfig parameterizes a StreamAnalyzer (lateness slack,
-	// live-emission callbacks).
+	// StreamConfig parameterizes a StreamAnalyzer (lateness slack, late
+	// records, per-window results in the report).
 	StreamConfig = stream.Config
+	// StreamHooks hears a StreamAnalyzer's live events — each window
+	// evaluated, each node and chain run as it opens and closes —
+	// installed with StreamAnalyzer.SetHooks.
+	StreamHooks = obs.Hooks
+	// NopStreamHooks implements StreamHooks with no-ops; embed it to
+	// implement only the events a caller observes.
+	NopStreamHooks = obs.NopHooks
 	// StreamStats counts a stream's progress.
 	StreamStats = stream.Stats
 

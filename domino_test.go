@@ -2,6 +2,7 @@ package domino
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -108,9 +109,18 @@ func TestAnalyzeBatchConcurrent(t *testing.T) {
 	}
 }
 
+// windowCounter is a StreamHooks that counts evaluated windows.
+type windowCounter struct {
+	NopStreamHooks
+	windows int
+}
+
+func (c *windowCounter) WindowEvaluated(start, end int64) { c.windows++ }
+
 // TestPublicStreamingMatchesBatch exercises the streaming façade: a
 // trace streamed record-by-record through NewStreamAnalyzer +
-// StreamRecords must reproduce the batch Analyze report.
+// StreamRecords must reproduce the batch Analyze report, and the hooks
+// must hear every window.
 func TestPublicStreamingMatchesBatch(t *testing.T) {
 	cell, err := PresetByName("fdd")
 	if err != nil {
@@ -135,16 +145,15 @@ func TestPublicStreamingMatchesBatch(t *testing.T) {
 	if err := WriteTrace(&buf, set); err != nil {
 		t.Fatal(err)
 	}
-	var windows int
-	sa := NewStreamAnalyzer(analyzer, StreamConfig{
-		OnWindow: func(WindowResult) { windows++ },
-	})
+	var hooks windowCounter
+	sa := NewStreamAnalyzer(analyzer, StreamConfig{})
+	sa.SetHooks(&hooks)
 	streamed, err := StreamRecords(&buf, sa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if windows != len(batch.Windows) {
-		t.Fatalf("streamed %d windows, batch %d", windows, len(batch.Windows))
+	if hooks.windows != len(batch.Windows) || !reflect.DeepEqual(streamed.Windows, batch.Windows) {
+		t.Fatalf("streamed %d windows (%d in the report), batch %d", hooks.windows, len(streamed.Windows), len(batch.Windows))
 	}
 	if streamed.TotalChainEvents() != batch.TotalChainEvents() {
 		t.Fatalf("chain events: stream %d, batch %d", streamed.TotalChainEvents(), batch.TotalChainEvents())

@@ -1,8 +1,8 @@
 // Streaming: analyze a call while it is "happening". A simulated
 // session is serialized to JSONL down one end of a pipe — standing in
 // for a live collector — and a streaming analyzer consumes it from the
-// other end record-by-record, printing root-cause diagnoses as each
-// detection window closes, long before the call ends. The final report
+// other end record-by-record, printing each root-cause chain as it
+// starts to match, long before the call ends. The final report
 // is identical to what batch analysis of the full trace would produce.
 package main
 
@@ -40,14 +40,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sa := domino.NewStreamAnalyzer(analyzer, domino.StreamConfig{
-		OnWindow: func(w domino.WindowResult) {
-			if len(w.Causes) > 0 {
-				fmt.Printf("  [%v, %v) live diagnosis: %v (chains %v)\n",
-					w.Vector.Start, w.Vector.End, w.Causes, w.ChainIDs)
-			}
-		},
-	})
+	sa := domino.NewStreamAnalyzer(analyzer, domino.StreamConfig{})
+	sa.SetHooks(liveDiagnosis{})
 	report, err := domino.StreamRecords(pr, sa)
 	if err != nil {
 		log.Fatal(err)
@@ -64,4 +58,12 @@ func main() {
 	}
 	fmt.Printf("\ndegradation events/min: %.2f\n",
 		report.DegradationEventsPerMinute(domino.ConsequenceClasses()))
+}
+
+// liveDiagnosis hears the analyzer's live events; of those it prints
+// one: a causal chain starting to match.
+type liveDiagnosis struct{ domino.NopStreamHooks }
+
+func (liveDiagnosis) ChainRunOpened(chain string, at int64) {
+	fmt.Printf("  from %v, live diagnosis: %s\n", domino.Time(at), chain)
 }

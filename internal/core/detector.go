@@ -194,8 +194,7 @@ func (a *Analyzer) Analyze(set *trace.Set) (*Report, error) {
 	for start := sim.Time(0); start <= end; start += a.cfg.Step {
 		inc.Step(ix.evalWindow(start))
 	}
-	rep, _, _ := inc.Finish(set.Duration)
-	return rep, nil
+	return inc.Finish(set.Duration), nil
 }
 
 // AnalyzeBatch analyzes independent trace sets concurrently across the

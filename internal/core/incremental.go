@@ -173,21 +173,29 @@ func (inc *Incremental) SetScenario(name string) { inc.rep.Scenario = name }
 // Hooks implementation keeps Step allocation-free.
 func (inc *Incremental) SetHooks(h obs.Hooks) { inc.hooks = h }
 
-// Step consumes the feature vector of the next window position and
-// returns its WindowResult together with the node and chain runs that
-// closed at this step (in graph-node and chain-ID order respectively).
-func (inc *Incremental) Step(v FeatureVector) (WindowResult, []EventRun, []ChainRun) {
+// Step consumes the feature vector of the next window position. What
+// it decides leaves the engine two ways only: the report (a
+// WindowResult when windows are kept, each run as it closes) and the
+// hooks (every run as it opens and closes).
+func (inc *Incremental) Step(v FeatureVector) {
 	cg := &inc.a.comp
-	rep := inc.rep
-	wr := WindowResult{Vector: v}
-
-	for i, mask := range cg.nodeMask {
-		inc.active[i] = v.Bits&mask != 0
+	for nid, name := range cg.nodes {
+		inc.active[nid] = v.Bits&cg.nodeMask[nid] != 0
+		if inc.active[nid] {
+			if inc.openNodeSet[nid] {
+				inc.openNode[nid].End = v.End
+				inc.openNode[nid].Windows++
+			} else {
+				inc.openNodeSet[nid] = true
+				inc.openNode[nid] = EventRun{Node: name, Start: v.Start, End: v.End, Windows: 1}
+				if inc.hooks != nil {
+					inc.hooks.NodeFired(name, int64(v.Start))
+				}
+			}
+		} else if inc.openNodeSet[nid] {
+			inc.closeNode(nid)
+		}
 	}
-
-	// Backward trace: for each active consequence, walk matched
-	// chains back to their causes.
-	anyCause := false
 	for ci, nodes := range cg.chainNodes {
 		m := true
 		for _, nid := range nodes {
@@ -197,6 +205,34 @@ func (inc *Incremental) Step(v FeatureVector) (WindowResult, []EventRun, []Chain
 			}
 		}
 		inc.matched[ci] = m
+		if m {
+			if inc.openChainSet[ci] {
+				inc.openChain[ci].End = v.End
+				inc.openChain[ci].Windows++
+			} else {
+				inc.openChainSet[ci] = true
+				inc.openChain[ci] = ChainRun{Chain: inc.a.chains[ci], Start: v.Start, End: v.End, Windows: 1}
+				if inc.hooks != nil {
+					inc.hooks.ChainRunOpened(cg.chainSigs[ci], int64(v.Start))
+				}
+			}
+		} else if inc.openChainSet[ci] {
+			inc.closeChain(ci)
+		}
+	}
+	if inc.keepWindows {
+		inc.rep.Windows = append(inc.rep.Windows, inc.windowResult(v))
+	}
+}
+
+// windowResult is the backward trace of the window Step just stepped:
+// the chains that matched, the active consequences, and the distinct
+// causes the matched chains lead back to.
+func (inc *Incremental) windowResult(v FeatureVector) WindowResult {
+	cg := &inc.a.comp
+	wr := WindowResult{Vector: v}
+	anyCause := false
+	for ci, m := range inc.matched {
 		if m {
 			wr.ChainIDs = append(wr.ChainIDs, ci+1)
 			if !inc.causeMark[cg.chainCauseID[ci]] {
@@ -218,90 +254,47 @@ func (inc *Incremental) Step(v FeatureVector) (WindowResult, []EventRun, []Chain
 			}
 		}
 	}
-	if inc.keepWindows {
-		rep.Windows = append(rep.Windows, wr)
-	}
-
-	// Update node runs.
-	var closedNodes []EventRun
-	for nid, name := range cg.nodes {
-		if inc.active[nid] {
-			if inc.openNodeSet[nid] {
-				inc.openNode[nid].End = v.End
-				inc.openNode[nid].Windows++
-			} else {
-				inc.openNodeSet[nid] = true
-				inc.openNode[nid] = EventRun{Node: name, Start: v.Start, End: v.End, Windows: 1}
-				if inc.hooks != nil {
-					inc.hooks.NodeFired(name, int64(v.Start))
-				}
-			}
-		} else if inc.openNodeSet[nid] {
-			closedNodes = inc.closeNode(nid, closedNodes)
-		}
-	}
-	// Update chain runs.
-	var closedChains []ChainRun
-	for ci := range cg.chainNodes {
-		if inc.matched[ci] {
-			if inc.openChainSet[ci] {
-				inc.openChain[ci].End = v.End
-				inc.openChain[ci].Windows++
-			} else {
-				inc.openChainSet[ci] = true
-				inc.openChain[ci] = ChainRun{Chain: inc.a.chains[ci], Start: v.Start, End: v.End, Windows: 1}
-				if inc.hooks != nil {
-					inc.hooks.ChainRunOpened(cg.chainSigs[ci], int64(v.Start))
-				}
-			}
-		} else if inc.openChainSet[ci] {
-			closedChains = inc.closeChain(ci, closedChains)
-		}
-	}
-	return wr, closedNodes, closedChains
+	return wr
 }
 
-// closeNode ends node nid's open run: the report gets it, the hook hears
-// of it, and it is returned appended to closed.
-func (inc *Incremental) closeNode(nid int, closed []EventRun) []EventRun {
+// closeNode ends node nid's open run: the report gets it and the hook
+// hears of it.
+func (inc *Incremental) closeNode(nid int) {
 	run, name := inc.openNode[nid], inc.a.comp.nodes[nid]
 	inc.rep.NodeEvents[name] = append(inc.rep.NodeEvents[name], run)
 	inc.openNodeSet[nid] = false
 	if inc.hooks != nil {
 		inc.hooks.NodeRunClosed(name, int64(run.Start), int64(run.End), run.Windows)
 	}
-	return append(closed, run)
 }
 
 // closeChain is closeNode for chain ci's open run.
-func (inc *Incremental) closeChain(ci int, closed []ChainRun) []ChainRun {
+func (inc *Incremental) closeChain(ci int) {
 	run := inc.openChain[ci]
 	inc.rep.ChainEvents[ci+1] = append(inc.rep.ChainEvents[ci+1], run)
 	inc.openChainSet[ci] = false
 	if inc.hooks != nil {
 		inc.hooks.ChainRunClosed(inc.a.comp.chainSigs[ci], int64(run.Start), int64(run.End), run.Windows)
 	}
-	return append(closed, run)
 }
 
-// Finish closes every run still open, stamps the session duration, and
-// returns the final report plus the runs closed here. The Incremental
-// must not be used afterwards (Reset rewinds it for a new session).
-func (inc *Incremental) Finish(duration sim.Time) (*Report, []EventRun, []ChainRun) {
+// Finish closes every run still open, in graph-node order and then
+// chain-ID order, stamps the session duration, and returns the final
+// report. The Incremental must not be used afterwards (Reset rewinds it
+// for a new session).
+func (inc *Incremental) Finish(duration sim.Time) *Report {
 	inc.rep.Duration = duration
-	var closedNodes []EventRun
 	for nid, open := range inc.openNodeSet {
 		if open {
-			closedNodes = inc.closeNode(nid, closedNodes)
+			inc.closeNode(nid)
 		}
 	}
-	var closedChains []ChainRun
 	for ci, open := range inc.openChainSet {
 		if open {
-			closedChains = inc.closeChain(ci, closedChains)
+			inc.closeChain(ci)
 		}
 	}
-	return inc.rep, closedNodes, closedChains
+	return inc.rep
 }
 
 // Snapshot returns a point-in-time copy of the report with runs still

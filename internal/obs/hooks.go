@@ -4,8 +4,10 @@ package obs
 // node/chain run transitions and internal/stream the window
 // evaluations of one session, the events a flight recorder keeps
 // (internal/node's implementation records into a FlightRecorder and
-// bumps registry counters, both zero-alloc). A layer's totals are not hooks
-// but its Stats, read at scrape time. Every publishing site is
+// bumps registry counters, both zero-alloc). It is the only live way
+// out of the detection engine — the other is the report — so library
+// callers install it too (the domino façade's StreamHooks). A layer's
+// totals are not hooks but its Stats, read at scrape time. Every publishing site is
 // nil-guarded, so a layer with no hooks installed pays one predictable
 // branch and nothing else, and implementations are expected to stay
 // allocation-free so the zero-alloc numbers hold with hooks on.

@@ -381,14 +381,9 @@ func (r *Registry) Snapshot() Snapshot {
 // through. Merging histograms with different bucket layouts, or one
 // name with conflicting types, is an error.
 func Merge(snaps ...Snapshot) (Snapshot, error) {
-	type accSample struct {
-		s     Sample
-		order int
-	}
 	type accFamily struct {
 		fam     Family
-		order   int
-		keys    map[string]*accSample
+		keys    map[string]*Sample
 		keyList []string
 	}
 	acc := map[string]*accFamily{}
@@ -398,9 +393,8 @@ func Merge(snaps ...Snapshot) (Snapshot, error) {
 			af := acc[f.Name]
 			if af == nil {
 				af = &accFamily{
-					fam:   Family{Name: f.Name, Help: f.Help, Type: f.Type},
-					order: len(order),
-					keys:  map[string]*accSample{},
+					fam:  Family{Name: f.Name, Help: f.Help, Type: f.Type},
+					keys: map[string]*Sample{},
 				}
 				acc[f.Name] = af
 				order = append(order, f.Name)
@@ -415,21 +409,21 @@ func Merge(snaps ...Snapshot) (Snapshot, error) {
 					cp := s
 					cp.Labels = append([]Label(nil), s.Labels...)
 					cp.Buckets = append([]Bucket(nil), s.Buckets...)
-					af.keys[key] = &accSample{s: cp}
+					af.keys[key] = &cp
 					af.keyList = append(af.keyList, key)
 					continue
 				}
-				as.s.Value += s.Value
-				as.s.Sum += s.Sum
-				as.s.Count += s.Count
-				if len(as.s.Buckets) != len(s.Buckets) {
+				as.Value += s.Value
+				as.Sum += s.Sum
+				as.Count += s.Count
+				if len(as.Buckets) != len(s.Buckets) {
 					return Snapshot{}, fmt.Errorf("obs: merge: %q bucket layouts differ", f.Name)
 				}
 				for i := range s.Buckets {
-					if as.s.Buckets[i].LE != s.Buckets[i].LE {
+					if as.Buckets[i].LE != s.Buckets[i].LE {
 						return Snapshot{}, fmt.Errorf("obs: merge: %q bucket bounds differ", f.Name)
 					}
-					as.s.Buckets[i].Count += s.Buckets[i].Count
+					as.Buckets[i].Count += s.Buckets[i].Count
 				}
 			}
 		}
@@ -438,7 +432,7 @@ func Merge(snaps ...Snapshot) (Snapshot, error) {
 	for _, name := range order {
 		af := acc[name]
 		for _, key := range af.keyList {
-			af.fam.Samples = append(af.fam.Samples, af.keys[key].s)
+			af.fam.Samples = append(af.fam.Samples, *af.keys[key])
 		}
 		out.Families = append(out.Families, af.fam)
 	}

@@ -449,13 +449,6 @@ func (s *Store) appendRowLocked(r *row) {
 	s.evictLocked()
 }
 
-// InsertReport is Insert ∘ FromReport, with optional metrics attached.
-func (s *Store) InsertReport(session string, start sim.Time, rep *core.Report, metrics []Metric) {
-	rec := FromReport(session, start, rep)
-	rec.Metrics = metrics
-	s.Insert(rec)
-}
-
 func (s *Store) openBlockLocked(stride int) *block {
 	if n := len(s.blocks); n > 0 && s.blocks[n-1].n < s.opts.BlockRows {
 		return s.blocks[n-1]

@@ -423,13 +423,15 @@ func TestInsertReport(t *testing.T) {
 		ChainEvents: map[int][]core.ChainRun{1: {{Chain: chain}}},
 	}
 	s := New(Options{})
-	s.InsertReport("sess-9", 5*sim.Minute, rep, []Metric{{Name: "kpi", Value: 1}})
+	rec := FromReport("sess-9", 5*sim.Minute, rep)
+	rec.Metrics = []Metric{{Name: "kpi", Value: 1}}
+	s.Insert(rec)
 	got := s.Query(Query{Cause: "cross_traffic"})
 	if len(got) != 1 || got[0].Session != "sess-9" {
-		t.Fatalf("InsertReport record not queryable: %+v", got)
+		t.Fatalf("inserted report not queryable: %+v", got)
 	}
 	if v, ok := got[0].Metric("kpi"); !ok || v != 1 {
-		t.Fatalf("InsertReport dropped metrics: %v %v", v, ok)
+		t.Fatalf("inserted report dropped metrics: %v %v", v, ok)
 	}
 }
 

@@ -23,12 +23,12 @@ import (
 type outcome struct {
 	report   string   // final report as JSON ("" when the stream failed)
 	stats    Stats    // at the failure point, or just before Close
-	calls    []string // hooks and On* callbacks, in order
+	calls    []string // hooks, in order
 	err      string   // first push (or Close) error
 	accepted int      // records pushed without error, header included
 }
 
-// callLog records the hook and callback sequence.
+// callLog records the hook sequence.
 type callLog struct {
 	obs.NopHooks
 	calls []string
@@ -52,9 +52,6 @@ func (l *callLog) ChainRunClosed(c string, s, e int64, w int) {
 // error), and collects the outcome.
 func analyze(a *core.Analyzer, cfg Config, push func(*Analyzer) (int, error)) outcome {
 	log := &callLog{}
-	cfg.OnWindow = func(w core.WindowResult) { log.add("OnWindow %+v", w) }
-	cfg.OnNodeEvent = func(r core.EventRun) { log.add("OnNodeEvent %+v", r) }
-	cfg.OnChainEvent = func(r core.ChainRun) { log.add("OnChainEvent %d %v %v %d", r.Chain.ID, r.Start, r.End, r.Windows) }
 	s := New(a, cfg)
 	s.SetHooks(log)
 	var out outcome
@@ -297,7 +294,7 @@ func plant(recs []trace.Record, at int) []trace.Record {
 // TestPushBlockMatchesPush is the block path's pinning test: over every
 // registered scenario and every analyzer configuration that changes
 // what a record does, ReadBlock+PushBlock and ReadBatch+Push yield the
-// same report bytes, Stats, hook/callback sequence, error and
+// same report bytes, Stats, hook sequence, error and
 // accepted-record count.
 func TestPushBlockMatchesPush(t *testing.T) {
 	analyzer, err := core.NewAnalyzer(core.DetectorConfig{}, nil)

@@ -3,8 +3,9 @@
 // a time (Push) or a decoded columnar block at a time (PushBlock, to
 // the same effect) while the session is still running, slides the
 // detection window with O(window) buffered state instead of the whole
-// trace, and emits window results and collapsed event runs as they
-// close.
+// trace, and announces each window evaluation and each event run as it
+// opens and closes on obs.Hooks. The report is the other way out: Close
+// returns it, and Snapshot returns it mid-session.
 //
 // For the same records, a stream Analyzer's final report is identical
 // to the batch core.Analyzer.Analyze over the equivalent trace.Set —
@@ -43,7 +44,8 @@ var (
 	ErrClosed = errors.New("stream: analyzer closed")
 )
 
-// Config parameterizes a streaming analyzer.
+// Config shapes a streaming analyzer's input contract and its report;
+// what the analysis finds leaves through the report and SetHooks' hooks.
 type Config struct {
 	// Lateness is the out-of-order slack: a window is held open until
 	// the watermark passes its end by this much. Zero (the default)
@@ -57,15 +59,6 @@ type Config struct {
 	// bounding report growth for very long sessions (event runs are
 	// always kept).
 	DropWindows bool
-
-	// OnWindow, if set, is called for every evaluated window, in order.
-	OnWindow func(core.WindowResult)
-	// OnNodeEvent, if set, is called for every collapsed node event run
-	// as it closes (including those closed by Close).
-	OnNodeEvent func(core.EventRun)
-	// OnChainEvent, if set, is called for every collapsed chain run as
-	// it closes.
-	OnChainEvent func(core.ChainRun)
 }
 
 // Stats counts a stream's progress.
@@ -125,16 +118,21 @@ func (s *Analyzer) Reset() {
 	s.nextStart = 0
 	s.stats = Stats{}
 	s.closed = false
-	s.hooks = nil
+	s.SetHooks(nil)
 }
 
 // SetHooks installs observability hooks on the pipeline (nil disables
 // them, the default): window evaluations fire here, node/chain run
-// transitions are forwarded to the incremental engine. Call before the
-// header record is pushed; Reset clears the hooks with the rest of the
-// per-session state so pooled analyzers never leak one session's hooks
-// into the next.
-func (s *Analyzer) SetHooks(h obs.Hooks) { s.hooks = h }
+// transitions in the incremental engine. Hooks installed mid-session
+// hear every event from the next one on. Reset clears the hooks with
+// the rest of the per-session state so pooled analyzers never leak one
+// session's hooks into the next.
+func (s *Analyzer) SetHooks(h obs.Hooks) {
+	s.hooks = h
+	if s.inc != nil {
+		s.inc.SetHooks(h)
+	}
+}
 
 // Header returns the stream's header once it has been pushed.
 func (s *Analyzer) Header() (trace.Header, bool) {
@@ -252,10 +250,10 @@ func (s *Analyzer) PushBatch(recs []trace.Record) error {
 // PushBlock feeds the records a decoded columnar block stands for,
 // from the block's record skip on (a resuming upload replays a prefix
 // the session already has), with exactly the effect of Pushing each of
-// them: the same report, Stats, hook and callback sequence, and on a
-// bad record the same error. It returns how many records past skip it
-// consumed (observed, or dropped under DropLate) before stopping — the
-// index, past skip, of the record that failed.
+// them: the same report, Stats and hook sequence, and on a bad record
+// the same error. It returns how many records past skip it consumed
+// (observed, or dropped under DropLate) before stopping — the index,
+// past skip, of the record that failed.
 //
 // No Record is built. One walk over the tags takes each record's
 // timestamp from its series' time column, applies Push's checks, and
@@ -353,32 +351,12 @@ func (s *Analyzer) advance(flush bool) {
 			return
 		}
 		s.eval.EvictBefore(s.nextStart)
-		v := s.eval.Eval(s.nextStart)
-		wr, closedNodes, closedChains := s.inc.Step(v)
+		s.inc.Step(s.eval.Eval(s.nextStart))
 		if s.hooks != nil {
 			s.hooks.WindowEvaluated(int64(s.nextStart), int64(s.nextStart+s.window))
 		}
 		s.stats.Windows++
 		s.nextStart += s.step
-		if s.cfg.OnWindow != nil {
-			s.cfg.OnWindow(wr)
-		}
-		s.emit(closedNodes, closedChains)
-	}
-}
-
-// emit hands the runs that closed at a window, or at Close, to the
-// callbacks: node runs first, in graph-node order, then chain runs.
-func (s *Analyzer) emit(nodes []core.EventRun, chains []core.ChainRun) {
-	if s.cfg.OnNodeEvent != nil {
-		for _, r := range nodes {
-			s.cfg.OnNodeEvent(r)
-		}
-	}
-	if s.cfg.OnChainEvent != nil {
-		for _, r := range chains {
-			s.cfg.OnChainEvent(r)
-		}
 	}
 }
 
@@ -413,7 +391,5 @@ func (s *Analyzer) Close() (*core.Report, error) {
 	if duration == 0 {
 		duration = s.stats.Watermark
 	}
-	rep, closedNodes, closedChains := s.inc.Finish(duration)
-	s.emit(closedNodes, closedChains)
-	return rep, nil
+	return s.inc.Finish(duration), nil
 }

@@ -175,7 +175,7 @@ func TestDifferentialAllScenarios(t *testing.T) {
 }
 
 // TestBatchedPushesAndCallbacks checks chunked ingestion and that the
-// callback stream reassembles into exactly the final report.
+// hooks announce exactly what the final report holds.
 func TestBatchedPushesAndCallbacks(t *testing.T) {
 	analyzer, err := core.NewAnalyzer(core.DetectorConfig{}, nil)
 	if err != nil {
@@ -188,14 +188,9 @@ func TestBatchedPushesAndCallbacks(t *testing.T) {
 	}
 	recs := records(t, set)
 
-	var windows []core.WindowResult
-	gotNodes := map[string][]core.EventRun{}
-	gotChains := map[int][]core.ChainRun{}
-	s := New(analyzer, Config{
-		OnWindow:     func(w core.WindowResult) { windows = append(windows, w) },
-		OnNodeEvent:  func(r core.EventRun) { gotNodes[r.Node] = append(gotNodes[r.Node], r) },
-		OnChainEvent: func(r core.ChainRun) { gotChains[r.Chain.ID] = append(gotChains[r.Chain.ID], r) },
-	})
+	h := &captureHooks{}
+	s := New(analyzer, Config{})
+	s.SetHooks(h)
 	for len(recs) > 0 {
 		n := 97
 		if n > len(recs) {
@@ -211,20 +206,39 @@ func TestBatchedPushesAndCallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffReports(t, batch, rep)
-	if !reflect.DeepEqual(windows, batch.Windows) {
-		t.Fatal("OnWindow stream diverged from batch windows")
+	if !reflect.DeepEqual(rep.Windows, batch.Windows) {
+		t.Fatal("report windows diverged from batch windows")
 	}
-	// Every run present in the report must have been emitted once.
-	for n, runs := range rep.NodeEvents {
-		if !reflect.DeepEqual(gotNodes[n], runs) {
-			t.Fatalf("node %s: emitted %+v, report %+v", n, gotNodes[n], runs)
+	h.matchReport(t, rep, s.Stats())
+}
+
+// TestHooksInstalledAfterHeader installs hooks once the session is
+// under way: they hear every window and every run closed from then on,
+// and here, where no run opens before the first window, all of them.
+func TestHooksInstalledAfterHeader(t *testing.T) {
+	analyzer, err := core.NewAnalyzer(core.DetectorConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := records(t, simulate(t, ran.TMobileFDD(), 3, 12*sim.Second))
+	h := &captureHooks{}
+	s := New(analyzer, Config{})
+	for i, rec := range recs {
+		if err := s.Push(rec); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			s.SetHooks(h)
 		}
 	}
-	for id, runs := range rep.ChainEvents {
-		if !reflect.DeepEqual(gotChains[id], runs) {
-			t.Fatalf("chain %d: emitted %+v, report %+v", id, gotChains[id], runs)
-		}
+	rep, err := s.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if rep.TotalChainEvents() == 0 {
+		t.Fatal("no chain run to hear: pick a session that degrades")
+	}
+	h.matchReport(t, rep, s.Stats())
 }
 
 // TestOpenEndedStream analyzes a stream whose header carries no
@@ -534,27 +548,65 @@ type captureHooks struct {
 	obs.NopHooks
 	windows     int
 	nodeFired   []string
-	nodeClosed  []string
 	chainOpened []string
-	chainClosed []string
+	// runs holds every closed run as announced, keyed by node name or
+	// chain signature (a chain run's Node is its signature).
+	runs map[string][]core.EventRun
+}
+
+func (h *captureHooks) closed(key string, start, end int64, windows int) {
+	if h.runs == nil {
+		h.runs = map[string][]core.EventRun{}
+	}
+	h.runs[key] = append(h.runs[key], core.EventRun{Node: key, Start: sim.Time(start), End: sim.Time(end), Windows: windows})
+}
+
+// matchReport checks that the hooks announced exactly what rep holds:
+// each run in the report by one close with its start, end and window
+// count, and nothing else; and one WindowEvaluated per window.
+func (h *captureHooks) matchReport(t *testing.T, rep *core.Report, st Stats) {
+	t.Helper()
+	if h.windows != st.Windows {
+		t.Fatalf("WindowEvaluated fired %d times, Stats().Windows = %d", h.windows, st.Windows)
+	}
+	want := map[string][]core.EventRun{}
+	for _, runs := range rep.NodeEvents {
+		for _, r := range runs {
+			want[r.Node] = append(want[r.Node], r)
+		}
+	}
+	for _, runs := range rep.ChainEvents {
+		for _, r := range runs {
+			sig := r.Chain.String()
+			want[sig] = append(want[sig], core.EventRun{Node: sig, Start: r.Start, End: r.End, Windows: r.Windows})
+		}
+	}
+	if len(h.runs) != len(want) {
+		t.Errorf("hooks announced runs of %d nodes and chains, the report has %d", len(h.runs), len(want))
+	}
+	for key, runs := range want {
+		if !reflect.DeepEqual(h.runs[key], runs) {
+			t.Errorf("%s: announced %+v, report %+v", key, h.runs[key], runs)
+		}
+	}
 }
 
 func (h *captureHooks) WindowEvaluated(start, end int64) { h.windows++ }
 func (h *captureHooks) NodeFired(node string, at int64)  { h.nodeFired = append(h.nodeFired, node) }
 func (h *captureHooks) NodeRunClosed(node string, start, end int64, windows int) {
-	h.nodeClosed = append(h.nodeClosed, node)
+	h.closed(node, start, end, windows)
 }
 func (h *captureHooks) ChainRunOpened(chain string, at int64) {
 	h.chainOpened = append(h.chainOpened, chain)
 }
 func (h *captureHooks) ChainRunClosed(chain string, start, end int64, windows int) {
-	h.chainClosed = append(h.chainClosed, chain)
+	h.closed(chain, start, end, windows)
 }
 
-// TestObsHooks pins the observability seam: hook counts agree with the
-// final report (every run that opened also closed), chain hooks carry
-// the DSL signature, and Reset clears the hooks with the rest of the
-// session state.
+// TestObsHooks pins the observability seam: the hooks announce what the
+// final report holds (every run that opened also closed), chain hooks
+// carry the DSL signature, and Reset clears the hooks with the rest of
+// the session state.
 func TestObsHooks(t *testing.T) {
 	analyzer, err := core.NewAnalyzer(core.DetectorConfig{}, nil)
 	if err != nil {
@@ -571,35 +623,28 @@ func TestObsHooks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := s.Stats()
 	rep, err := s.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if h.windows == 0 || h.windows < stats.Windows {
-		t.Fatalf("WindowEvaluated fired %d times, stats saw %d windows", h.windows, stats.Windows)
+	if h.windows == 0 {
+		t.Fatal("WindowEvaluated never fired")
 	}
+	h.matchReport(t, rep, s.Stats())
 	var nodeRuns int
 	for _, runs := range rep.NodeEvents {
 		nodeRuns += len(runs)
 	}
-	if len(h.nodeClosed) != nodeRuns {
-		t.Fatalf("NodeRunClosed fired %d times, report has %d runs", len(h.nodeClosed), nodeRuns)
-	}
-	if len(h.nodeFired) != len(h.nodeClosed) {
-		t.Fatalf("NodeFired %d != NodeRunClosed %d (Close must close every open run)",
-			len(h.nodeFired), len(h.nodeClosed))
+	if len(h.nodeFired) != nodeRuns {
+		t.Fatalf("NodeFired %d times, report has %d runs (Close must close every open run)", len(h.nodeFired), nodeRuns)
 	}
 	var chainRuns int
 	for _, runs := range rep.ChainEvents {
 		chainRuns += len(runs)
 	}
-	if len(h.chainClosed) != chainRuns {
-		t.Fatalf("ChainRunClosed fired %d times, report has %d runs", len(h.chainClosed), chainRuns)
-	}
-	if len(h.chainOpened) != len(h.chainClosed) {
-		t.Fatalf("ChainRunOpened %d != ChainRunClosed %d", len(h.chainOpened), len(h.chainClosed))
+	if len(h.chainOpened) != chainRuns {
+		t.Fatalf("ChainRunOpened %d times, report has %d runs", len(h.chainOpened), chainRuns)
 	}
 	for _, sig := range h.chainOpened {
 		if !strings.Contains(sig, " --> ") {
@@ -712,10 +757,12 @@ func TestLateAccounting(t *testing.T) {
 // TestSessionAllocs is the whole-session counterpart of
 // TestBlockIngestAllocs' steady-state zero: a recycled analyzer allocates
 // for what a call reports — windows, runs, the report — and not per
-// record. A 10 s Amarisoft call of 10 725 records costs 184 allocations
-// pushed record by record and 814 analysed in batch, where a fresh index
-// grows to the whole trace (PR 21; 196 and 2 244 while an MCS group kept
-// its samples in a slice of its own); ceilings are 1.3 × those.
+// record. A 10 s Amarisoft call of 10 726 records costs 163 allocations
+// pushed record by record and 808 analysed in batch, where a fresh index
+// grows to the whole trace (184 and 829 while a step also built a window
+// result the stream dropped and returned its closed runs in slices of
+// their own; 196 and 2 244 while an MCS group kept its samples in a
+// slice of its own); ceilings are 1.3 × those.
 func TestSessionAllocs(t *testing.T) {
 	a, err := core.NewAnalyzer(core.DetectorConfig{}, nil)
 	if err != nil {
@@ -729,7 +776,7 @@ func TestSessionAllocs(t *testing.T) {
 		ceiling float64
 		run     func() error
 	}{
-		{"Push", 239, func() error {
+		{"Push", 211, func() error {
 			s.Reset()
 			for _, rec := range recs {
 				if err := s.Push(rec); err != nil {
@@ -739,7 +786,7 @@ func TestSessionAllocs(t *testing.T) {
 			_, err := s.Close()
 			return err
 		}},
-		{"Analyze", 1058, func() error { _, err := a.Analyze(set); return err }},
+		{"Analyze", 1050, func() error { _, err := a.Analyze(set); return err }},
 	} {
 		got := testing.AllocsPerRun(3, func() {
 			if err := path.run(); err != nil {
