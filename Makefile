@@ -29,7 +29,8 @@ test:
 # This runs every fuzz target outside bench/ (TestFuzzTargetsAreSmoked in
 # tree_test.go fails on one left out): every parser that faces the
 # network or the disk (both trace codecs, JSONL by record and by block,
-# the ingest protocol headers, the balancer's /metrics scrape parser and
+# the ingest protocol headers, the read grammar both tiers parse /query
+# and /incidents/similar with, the balancer's /metrics scrape parser and
 # its fan-out answer scanner, the RCA-store checkpoint loader)
 # and the block analysis path behind them, and the RCA store's in-block
 # row selection against a plain loop, under the fuzzer for a few seconds
@@ -49,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/rcastore
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreSelect$$' -fuzztime 5s ./internal/rcastore
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRead$$' -fuzztime 5s ./internal/rcastore
 	$(GO) test -run '^$$' -fuzz '^FuzzFanoutScan$$' -fuzztime 5s ./internal/balancer
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 5s ./internal/ingest
 

@@ -181,8 +181,8 @@ func (b *Balancer) Routes() *http.ServeMux {
 	mux.HandleFunc("GET /sessions", b.handleSessions)
 	mux.HandleFunc("GET /sessions/{id}/watermark", b.handleWatermark)
 	mux.HandleFunc("GET /report/{id}", b.handleReport)
-	mux.HandleFunc("GET /query", b.handleQuery)
-	mux.HandleFunc("GET /incidents/similar", b.handleSimilar)
+	mux.HandleFunc("GET /query", b.handleRead)
+	mux.HandleFunc("GET /incidents/similar", b.handleRead)
 	mux.HandleFunc("GET /metrics", b.handleMetrics)
 	mux.HandleFunc("GET /healthz", b.handleHealthz)
 	mux.HandleFunc("GET /lb/sessions", b.handleLBSessions)

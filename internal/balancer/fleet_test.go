@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -480,6 +481,13 @@ func TestFleetMetricsMergeAcceptance(t *testing.T) {
 	}
 }
 
+// badReads are reads every node refuses with a 400.
+var badReads = []string{
+	"/query?limit=abc", "/query?agg=top_chains&k=-1", "/query?agg=cause_rates&bucket=0",
+	"/query?last=bogus", "/query?agg=bogus", "/incidents/similar?fired=a&k=-1", "/incidents/similar",
+	"/incidents/similar?session=n0-007&k=-1",
+}
+
 // TestFleetReadDifferential pins the merged read surface: what the
 // balancer answers for /query and /incidents/similar over a fleet of
 // nodes must be, byte for byte, what one store holding every live
@@ -665,11 +673,7 @@ func TestFleetReadDifferential(t *testing.T) {
 	// A parameter error reaches the client in a node's own words: the
 	// balancer answers with the same status and error body a node gives
 	// directly, never an empty 200 merged from no answers.
-	for _, bad := range []string{
-		"/query?limit=abc", "/query?agg=top_chains&k=-1", "/query?agg=cause_rates&bucket=0",
-		"/query?last=bogus", "/query?agg=bogus", "/incidents/similar?fired=a&k=-1", "/incidents/similar",
-		"/incidents/similar?session=n0-007&k=-1",
-	} {
+	for _, bad := range badReads {
 		direct, viaLB := mustGet(t, n0.URL+bad), mustGet(t, lbTS.URL+bad)
 		want, got := readBody(t, direct), readBody(t, viaLB)
 		if direct.StatusCode != http.StatusBadRequest || viaLB.StatusCode != direct.StatusCode || got != want {
@@ -736,6 +740,133 @@ func TestFleetSimilarProbeStoredTwice(t *testing.T) {
 		resp := mustGet(t, fmt.Sprintf("%s/incidents/similar?session=probe&k=%d", lbTS.URL, k))
 		if got := readBody(t, resp); resp.StatusCode != http.StatusOK || got != want.Body.String() {
 			t.Errorf("k=%d: status %d\nfleet:\n%s\none store:\n%s", k, resp.StatusCode, got, want.Body.String())
+		}
+	}
+}
+
+// TestFleetSimilarCleanProbe: a call that fired nothing is a probe like
+// any other. Its owner answers about the empty signature ("fired": null,
+// as the stored row has it), the other nodes are asked with an empty
+// fired=, and the fleet's answer is one store's, byte for byte.
+func TestFleetSimilarCleanProbe(t *testing.T) {
+	global := rcastore.New(rcastore.Options{})
+	var urls []string
+	for _, name := range []string{"own", "other"} {
+		st := rcastore.New(rcastore.Options{})
+		for i, fired := range [][]string{nil, {"a"}} {
+			session := fmt.Sprintf("%s%d", name, i)
+			if name == "own" && i == 0 {
+				session = "clean"
+			}
+			start := fleetNow - sim.Time(10+i)*sim.Minute
+			r := rcastore.Record{Session: session, Cell: "tdd", Start: start, End: start + sim.Minute, Fired: fired}
+			st.Insert(r)
+			global.Insert(r)
+		}
+		ts := httptest.NewServer(node.New(testAnalyzer(t), node.Options{NodeID: name, Store: st}).Routes())
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	lb, err := New(Options{Backends: urls, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	lbTS := httptest.NewServer(lb.Routes())
+	defer lbTS.Close()
+	rec, ok := global.Fired("clean")
+	if !ok || rec.Fired != nil {
+		t.Fatalf("the reference store's clean row: %+v, %v", rec, ok)
+	}
+	matches := global.Similar(rec.Fired, rcastore.Query{NotSession: "clean"}, 5)
+	if len(matches) != 3 {
+		t.Fatalf("the reference store answers %d matches, want 3: both nodes' rows", len(matches))
+	}
+	want := httptest.NewRecorder()
+	ingest.WriteJSON(want, http.StatusOK, map[string]any{"fired": rec.Fired, "matches": matches})
+	resp := mustGet(t, lbTS.URL+"/incidents/similar?session=clean")
+	if got := readBody(t, resp); resp.StatusCode != http.StatusOK || got != want.Body.String() {
+		t.Errorf("status %d\nfleet:\n%s\none store:\n%s", resp.StatusCode, got, want.Body.String())
+	}
+}
+
+// countingNode is a store node whose read traffic is counted: every
+// request but the balancer's health probes.
+type countingNode struct {
+	direct, counted *httptest.Server
+	asked           atomic.Int64
+}
+
+func newCountingNode(t *testing.T, name string) *countingNode {
+	st := rcastore.New(rcastore.Options{})
+	st.Insert(rcastore.Record{Session: name + "-007", Cell: "tdd", Start: fleetNow - sim.Minute, End: fleetNow, Fired: []string{"a"}})
+	routes := node.New(testAnalyzer(t), node.Options{NodeID: name, Store: st, Now: func() sim.Time { return fleetNow }}).Routes()
+	c := &countingNode{direct: httptest.NewServer(routes)}
+	c.counted = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			c.asked.Add(1)
+		}
+		routes.ServeHTTP(w, r)
+	}))
+	t.Cleanup(c.direct.Close)
+	t.Cleanup(c.counted.Close)
+	return c
+}
+
+// TestRejectedReadAsksNoBackend: the balancer parses a read as a node
+// does, so a read a node would refuse is refused at the balancer — the
+// node's status and bytes — without a request to any backend, and still
+// is with every backend down. A valid read no backend answers is a 503.
+func TestRejectedReadAsksNoBackend(t *testing.T) {
+	nodes := []*countingNode{newCountingNode(t, "n0"), newCountingNode(t, "n1")}
+	lb, err := New(Options{Backends: []string{nodes[0].counted.URL, nodes[1].counted.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	lbTS := httptest.NewServer(lb.Routes())
+	defer lbTS.Close()
+
+	refusals := map[string]string{}
+	for _, bad := range badReads {
+		direct, viaLB := mustGet(t, nodes[0].direct.URL+bad), mustGet(t, lbTS.URL+bad)
+		want, got := readBody(t, direct), readBody(t, viaLB)
+		if direct.StatusCode != http.StatusBadRequest || viaLB.StatusCode != direct.StatusCode || got != want {
+			t.Errorf("GET %s: node answers %d %s, balancer %d %s", bad, direct.StatusCode, want, viaLB.StatusCode, got)
+		}
+		refusals[bad] = want
+	}
+	for i, n := range nodes {
+		if asked := n.asked.Load(); asked != 0 {
+			t.Errorf("backend %d was asked %d times for reads the balancer refuses", i, asked)
+		}
+	}
+	// The fan-out path is live: a good read reaches both backends.
+	if resp := mustGet(t, lbTS.URL+"/query"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /query: status %d", resp.StatusCode)
+	} else {
+		drainClose(resp)
+	}
+	for i, n := range nodes {
+		if asked := n.asked.Load(); asked != 1 {
+			t.Errorf("backend %d was asked %d times for one good read, want 1", i, asked)
+		}
+	}
+
+	for _, n := range nodes {
+		n.counted.CloseClientConnections()
+		n.counted.Close()
+	}
+	for bad, want := range refusals {
+		resp := mustGet(t, lbTS.URL+bad)
+		if got := readBody(t, resp); resp.StatusCode != http.StatusBadRequest || got != want {
+			t.Errorf("GET %s with every backend down: %d %s, want 400 %s", bad, resp.StatusCode, got, want)
+		}
+	}
+	for _, good := range []string{"/query", "/query?agg=top_chains", "/incidents/similar?fired=a"} {
+		resp := mustGet(t, lbTS.URL+good)
+		if got := readBody(t, resp); resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(got, errNoBackends.Error()) {
+			t.Errorf("GET %s with every backend down: %d %s, want 503 %q", good, resp.StatusCode, got, errNoBackends)
 		}
 	}
 }

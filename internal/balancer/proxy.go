@@ -11,9 +11,7 @@ import (
 	"net/url"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/domino5g/domino/internal/ingest"
@@ -213,7 +211,7 @@ func (b *Balancer) handleWatermark(w http.ResponseWriter, r *http.Request) {
 	// Unknown to this balancer (admitted before a restart, or direct
 	// to a node): first backend that knows it wins.
 	for _, be := range b.reachable() {
-		if b.tryPassThrough(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark", true) {
+		if b.tryPassThrough(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark") {
 			return
 		}
 	}
@@ -229,12 +227,12 @@ func (b *Balancer) handleReport(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Lock()
 		be := sess.backend
 		sess.mu.Unlock()
-		if be != nil && be.State() != stateDown && b.tryPassThrough(w, r.Context(), be, path, true) {
+		if be != nil && be.State() != stateDown && b.tryPassThrough(w, r.Context(), be, path) {
 			return
 		}
 	}
 	for _, be := range b.reachable() {
-		if b.tryPassThrough(w, r.Context(), be, path, true) {
+		if b.tryPassThrough(w, r.Context(), be, path) {
 			return
 		}
 	}
@@ -267,18 +265,17 @@ func (b *Balancer) passThrough(w http.ResponseWriter, ctx context.Context, be *b
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// tryPassThrough proxies a GET if the backend answers — with only200,
-// only if it answers 200. A miss (transport error, or a non-200 under
-// only200) leaves the ResponseWriter untouched so the caller can try
-// elsewhere.
-func (b *Balancer) tryPassThrough(w http.ResponseWriter, ctx context.Context, be *backend, path string, only200 bool) bool {
+// tryPassThrough proxies a GET if the backend answers it 200. A miss (a
+// transport error or another status) leaves the ResponseWriter untouched
+// so the caller can try elsewhere.
+func (b *Balancer) tryPassThrough(w http.ResponseWriter, ctx context.Context, be *backend, path string) bool {
 	resp, err := b.get(ctx, be, path)
 	if err != nil {
 		b.backendFailed(be, err)
 		return false
 	}
 	defer resp.Body.Close()
-	if only200 && resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		return false
 	}
@@ -286,20 +283,6 @@ func (b *Balancer) tryPassThrough(w http.ResponseWriter, ctx context.Context, be
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 	return true
-}
-
-// relayFirst answers with whatever the first backend that answers at
-// all says — status, content type, body. The fan-out handlers use it
-// when no backend answered 200, so a parameter error reaches the client
-// in a node's own words (a 400 with its message) instead of as an empty
-// 200.
-func (b *Balancer) relayFirst(w http.ResponseWriter, ctx context.Context, pathAndQuery string) {
-	for _, be := range b.reachable() {
-		if b.tryPassThrough(w, ctx, be, pathAndQuery, false) {
-			return
-		}
-	}
-	ingest.WriteError(w, http.StatusServiceUnavailable, errNoBackends.Error())
 }
 
 func (b *Balancer) get(ctx context.Context, be *backend, pathAndQuery string) (*http.Response, error) {
@@ -374,15 +357,11 @@ func (p *part) read(resp *http.Response) error {
 // as bytes when rowsKey is ""), in the order the backends were given — so
 // a merge does not depend on which node answered first. Individual
 // failures, a body that does not scan (JSON in another layout than a
-// node's among them), are logged and skipped: a degraded fleet still answers with what it has. When no
-// backend answered 200 the caller relays one node's answer (relayFirst)
-// rather than merge nothing into an empty 200; refused says some backend
-// answered a 4xx other than 404, which is an answer about the request
-// and not about what that node holds. The caller releases the parts once
-// the answer that refers to them is written.
-func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, rowsKey string) (answers []*part, refused bool) {
+// node's among them), are logged and skipped: a degraded fleet still
+// answers with what it has. The caller releases the parts once the
+// answer that refers to them is written.
+func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, rowsKey string) (answers []*part) {
 	got := make([]*part, len(backends))
-	var bad atomic.Bool
 	var wg sync.WaitGroup
 	for i, be := range backends {
 		wg.Add(1)
@@ -395,9 +374,6 @@ func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, r
 			}
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
-				if resp.StatusCode/100 == 4 && resp.StatusCode != http.StatusNotFound {
-					bad.Store(true)
-				}
 				io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 				return
 			}
@@ -420,7 +396,7 @@ func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, r
 			answers = append(answers, p)
 		}
 	}
-	return answers, bad.Load()
+	return answers
 }
 
 // answer writes a merged answer and notes, under kind, what the read
@@ -436,7 +412,7 @@ func (b *Balancer) answer(w http.ResponseWriter, kind string, start time.Time, m
 // handleSessions fans /sessions across the fleet and merges the
 // per-node session summaries, ordered by session id.
 func (b *Balancer) handleSessions(w http.ResponseWriter, r *http.Request) {
-	answers, _ := b.fan(r.Context(), b.reachable(), "/sessions", "")
+	answers := b.fan(r.Context(), b.reachable(), "/sessions", "")
 	defer release(answers)
 	type keyed struct {
 		id  string
@@ -465,51 +441,63 @@ func (b *Balancer) handleSessions(w http.ResponseWriter, r *http.Request) {
 	ingest.WriteJSON(w, http.StatusOK, out)
 }
 
-// handleQuery fans /query across the fleet and merges per-node
-// results into fleet-wide answers: records interleave by start time,
-// top_chains re-aggregate by chain, cause_rates re-derive rates from
-// summed runs over summed session minutes. Records are not decoded on
-// the way: the rows that rank are copied out of the nodes' answers.
-func (b *Balancer) handleQuery(w http.ResponseWriter, r *http.Request) {
+// handleRead fans a read — /query or /incidents/similar — across the
+// fleet and merges the nodes' answers into the one a store holding all
+// their rows gives: records interleave by start time, top_chains
+// re-aggregate by chain, cause_rates re-derive rates from summed runs
+// over summed session minutes, matches re-rank. Rows are not decoded on
+// the way: the rows that rank are copied out of the nodes' answers. The
+// read is parsed as a node parses it (rcastore.ParseRead), so one a node
+// would reject gets the node's 400 here and no node is asked; a read no
+// node answers with a 200 is a 503.
+//
+// A session= probe goes to every node as it came: the node that stored
+// the session resolves its signature and answers with its own matches,
+// the others answer 404 from their session index; those are then asked
+// with the explicit signature, so each node scans once.
+func (b *Balancer) handleRead(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	pathAndQuery := "/query"
-	if r.URL.RawQuery != "" {
-		pathAndQuery += "?" + r.URL.RawQuery
-	}
-	// kind names the read in dominolb_fanout_seconds, and is the member
-	// of a node's answer that holds its rows.
-	kind := r.URL.Query().Get("agg")
-	switch kind {
-	case "":
-		kind = "records"
-	case "top_chains", "cause_rates":
-	default:
-		// Let a backend phrase the error for unknown aggregations.
-		b.relayFirst(w, r.Context(), pathAndQuery)
+	rd, err := rcastore.ParseRead(r.URL.Path, r.URL.Query(), sim.Time(start.UnixMicro()))
+	if err != nil {
+		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	answers, _ := b.fan(r.Context(), b.reachable(), pathAndQuery, kind)
-	defer release(answers)
+	rowsKey, ask := rd.Kind, b.reachable()
+	if rd.Kind == rcastore.KindSimilar {
+		rowsKey = "matches"
+	}
+	answers := b.fan(r.Context(), ask, r.URL.RequestURI(), rowsKey)
+	defer func() { release(answers) }()
+	if rd.Probe != "" {
+		if len(answers) == 0 {
+			ingest.WriteError(w, http.StatusNotFound, fmt.Sprintf("session %q has no stored report on any node", rd.Probe))
+			return
+		}
+		// The first node holding the session speaks for it. Any other
+		// holder is asked again like the rest of the fleet: with that
+		// one's signature and no session, which they do not hold.
+		release(answers[1:])
+		answers = answers[:1]
+		ask = slices.DeleteFunc(ask, func(be *backend) bool { return be == answers[0].be })
+		q := r.URL.Query()
+		q.Del("session")
+		q.Set("fired", string(bytes.Join(answers[0].firedNames, []byte(","))))
+		answers = append(answers, b.fan(r.Context(), ask, "/incidents/similar?"+q.Encode(), rowsKey)...)
+	}
 	if len(answers) == 0 {
-		b.relayFirst(w, r.Context(), pathAndQuery)
+		ingest.WriteError(w, http.StatusServiceUnavailable, errNoBackends.Error())
 		return
 	}
-	// A count no node would accept never gets here: every node answered
-	// it 400, which the relay above passed on.
-	count := func(name string, def int) int {
-		if v := r.URL.Query().Get(name); v != "" {
-			def, _ = strconv.Atoi(v)
-		}
-		return def
-	}
-	b.answer(w, kind, start, func(dst []byte) []byte {
-		switch kind {
-		case "top_chains":
-			return rcastore.AppendTopChainsAnswer(dst, mergeTopChains(answers, count("k", 10)))
-		case "cause_rates":
+	b.answer(w, rd.Kind, start, func(dst []byte) []byte {
+		switch rd.Kind {
+		case rcastore.KindTopChains:
+			return rcastore.AppendTopChainsAnswer(dst, mergeTopChains(answers, rd.K))
+		case rcastore.KindCauseRates:
 			return rcastore.AppendCauseRatesAnswer(dst, mergeCauseRates(answers))
+		case rcastore.KindSimilar:
+			return mergeSimilar(dst, answers[0].fired, answers, rd.Probe, rd.K)
 		}
-		return mergeRecords(dst, answers, count("limit", 0))
+		return mergeRecords(dst, answers, rd.Query.Limit)
 	})
 }
 
@@ -641,67 +629,4 @@ func mergeCauseRates(answers []*part) []rcastore.CauseBucket {
 		})
 	}
 	return rcastore.RateCauseBuckets(out)
-}
-
-// handleSimilar fans nearest-incident lookups. A fired= probe fans
-// directly. A session= probe goes to every node as it came: the node
-// that stored the session resolves its signature and answers with its
-// own matches, the others answer 404 from their session index; those
-// are then asked with the explicit signature, so each node scans once.
-func (b *Balancer) handleSimilar(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	k := 5
-	if v := r.URL.Query().Get("k"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			k = n
-		}
-	}
-	q := r.URL.Query()
-	probeSession := q.Get("session")
-	ask := b.reachable()
-	var answers []*part
-	defer func() { release(answers) }()
-	if probeSession != "" {
-		asIs := "/incidents/similar?" + r.URL.RawQuery
-		owners, refused := b.fan(r.Context(), ask, asIs, "matches")
-		answers = owners
-		switch {
-		case len(owners) == 0 && refused:
-			// Not "nobody holds it": the nodes turned the request itself
-			// down (a bad k). Let one say so in its own words.
-			b.relayFirst(w, r.Context(), asIs)
-			return
-		case len(owners) == 0:
-			ingest.WriteError(w, http.StatusNotFound, fmt.Sprintf("session %q has no stored report on any node", probeSession))
-			return
-		}
-		// The first node holding the session speaks for it. Any other
-		// holder is asked again below like the rest of the fleet, with
-		// the first one's signature.
-		release(owners[1:])
-		answers = owners[:1]
-		ask = slices.DeleteFunc(ask, func(be *backend) bool { return be == owners[0].be })
-		// Rewrite the query for them: explicit signature, no session
-		// (they do not hold it).
-		q.Del("session")
-		q.Set("fired", string(bytes.Join(owners[0].firedNames, []byte(","))))
-	}
-	fanQuery := "/incidents/similar?" + q.Encode()
-	rest, _ := b.fan(r.Context(), ask, fanQuery, "matches")
-	answers = append(answers, rest...)
-	var fired []byte
-	for _, p := range answers {
-		if fired == nil {
-			fired = p.fired
-		}
-	}
-	if fired == nil {
-		// No backend produced an answer; surface the fleet state or
-		// the parameter error from a live node.
-		b.relayFirst(w, r.Context(), fanQuery)
-		return
-	}
-	b.answer(w, "similar", start, func(dst []byte) []byte {
-		return mergeSimilar(dst, fired, answers, probeSession, k)
-	})
 }

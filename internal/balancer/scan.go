@@ -33,8 +33,8 @@ type row struct {
 // scanned is one backend answer after the pass.
 type scanned struct {
 	rows []row
-	// fired is the top-level "fired" array as written, nil when the
-	// answer has none or says null; firedNames are its strings.
+	// fired is the top-level "fired" member as written, an array or
+	// null, and nil when the answer has none; firedNames are its strings.
 	fired      []byte
 	firedNames [][]byte
 }
@@ -53,10 +53,12 @@ type scanner struct {
 }
 
 // scanAnswer walks body, an object, filling a from it: the elements of
-// the array under rowsKey (null counts as empty) and the "fired" array.
-// It succeeds only on a body encoding/json would have accepted, to the
-// last byte, and whose every gap is the canonical one: a span copied
-// into a merged answer is then laid out for its place already.
+// the array under rowsKey (null counts as empty) and the "fired" member,
+// which an answer under "matches" must have — it says which signature
+// the matches are about. It succeeds only on a body encoding/json would
+// have accepted, to the last byte, and whose every gap is the canonical
+// one: a span copied into a merged answer is then laid out for its place
+// already.
 func scanAnswer(body []byte, rowsKey string, a *scanned) error {
 	a.rows, a.fired, a.firedNames = a.rows[:0], nil, a.firedNames[:0]
 	s := scanner{b: body}
@@ -72,12 +74,9 @@ func scanAnswer(body []byte, rowsKey string, a *scanned) error {
 				return s.row(&a.rows[len(a.rows)-1])
 			})
 		case "fired":
-			a.fired, a.firedNames = nil, a.firedNames[:0]
-			if s.null() {
-				return true
-			}
 			start := s.pos
-			ok := s.array(1, func() bool {
+			a.firedNames = a.firedNames[:0]
+			ok := s.null() || s.array(1, func() bool {
 				name, ok := s.str()
 				a.firedNames = append(a.firedNames, name)
 				return ok
@@ -89,6 +88,9 @@ func scanAnswer(body []byte, rowsKey string, a *scanned) error {
 	})
 	if !ok || string(body[s.pos:]) != "\n" {
 		return fmt.Errorf("not a canonical JSON answer at byte %d of %d", s.pos, len(body))
+	}
+	if rowsKey == "matches" && a.fired == nil {
+		return fmt.Errorf("a similar answer without its fired signature")
 	}
 	return nil
 }

@@ -156,6 +156,7 @@ func FuzzFanoutScan(f *testing.F) {
 	rows := scanRows(rng, 6)
 	for _, compact := range []bool{false, true} {
 		f.Add(wireJSON(f, map[string]any{"fired": []string{"a", "b"}, "matches": rows}, compact), int64(1))
+		f.Add(wireJSON(f, map[string]any{"fired": []string(nil), "matches": rows[:1]}, compact), int64(5))
 		f.Add(wireJSON(f, map[string]any{"records": []rcastore.Record{rows[0].Record, rows[1].Record}}, compact), int64(2))
 		f.Add(wireJSON(f, map[string]any{"top_chains": []rcastore.ChainAgg{{Chain: "a --> b", Runs: 3, Sessions: 2}}}, compact), int64(3))
 		f.Add(wireJSON(f, map[string]any{"cause_rates": []rcastore.CauseBucket{{Cell: "fdd", Cause: "a", Runs: 1, Sessions: 1, Minutes: 1.5, RunsPerMin: 1 / 1.5}}}, compact), int64(4))
@@ -189,8 +190,11 @@ func FuzzFanoutScan(f *testing.F) {
 					t.Fatalf("row span %q of %q is not an object", r.raw, body)
 				}
 			}
-			if a.fired != nil && (!json.Valid(a.fired) || a.fired[0] != '[') {
-				t.Fatalf("fired span %q of %q is not an array", a.fired, body)
+			if a.fired != nil && (!json.Valid(a.fired) || a.fired[0] != '[' && string(a.fired) != "null") {
+				t.Fatalf("fired span %q of %q is neither null nor an array", a.fired, body)
+			}
+			if rowsKey == "matches" && a.fired == nil {
+				t.Fatalf("scanned as matches without a fired member: %q", body)
 			}
 			// What the scan kept is what decoding keeps (by exact member
 			// name: encoding/json also matches names case-folded into a
@@ -256,7 +260,7 @@ func TestQueryAnswersCarryContentLength(t *testing.T) {
 	}
 
 	// Each of those reads through the balancer was timed once, under its
-	// kind; a relayed parameter error is not a merged read.
+	// kind; a read the balancer rejects is not a merged read.
 	drainClose(mustGet(t, lbTS.URL+"/query?limit=abc"))
 	metrics := readBody(t, mustGet(t, lbTS.URL+"/metrics"))
 	for kind, reads := range map[string]int{"records": 3, "top_chains": 1, "cause_rates": 1, "similar": 2} {

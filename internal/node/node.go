@@ -57,12 +57,16 @@
 //	GET /query?agg=cause_rates&bucket=10m          per-cell cause rates over time
 //	GET /incidents/similar?session=s0042&k=3       prior incidents most like s0042
 //
-// /query accepts from/to (microsecond timestamps) or last (a duration
-// back from now), cell, scenario, cause, fired (comma-separated node
-// list, all required), session, and limit; agg selects top_chains
-// (with k) or cause_rates (with bucket) instead of raw records.
-// /incidents/similar probes by an existing session's signature
-// (session=) or an explicit fired= node list.
+// The parameters of both reads are defined once, by rcastore.ParseRead,
+// which dominolb parses them with too. /query accepts from/to
+// (microsecond timestamps) or last (a duration back from now), cell,
+// scenario, cause, fired (comma-separated node list, all required),
+// session, and limit; agg selects top_chains (with k, default 10) or
+// cause_rates (with bucket, default 10m) instead of raw records.
+// /incidents/similar (k, default 5; cell, scenario) probes by an
+// existing session's signature (session=) or an explicit fired= node
+// list, where an empty fired= is the empty signature of a call that
+// fired nothing.
 //
 // With Options.Journal every completed report is also appended to a
 // crash-consistent write-ahead journal and folded into an atomic-rename
@@ -328,8 +332,8 @@ func (n *Node) Routes() *http.ServeMux {
 	mux.HandleFunc("GET /sessions", n.handleSessions)
 	mux.HandleFunc("GET /sessions/{id}/watermark", n.handleWatermark)
 	mux.HandleFunc("GET /report/{id}", n.handleReport)
-	mux.HandleFunc("GET /query", n.handleQuery)
-	mux.HandleFunc("GET /incidents/similar", n.handleSimilar)
+	mux.HandleFunc("GET /query", n.handleRead)
+	mux.HandleFunc("GET /incidents/similar", n.handleRead)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
 	mux.HandleFunc("GET /debug/flightrec/{id}", n.handleFlightRec)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)

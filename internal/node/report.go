@@ -3,15 +3,10 @@ package node
 import (
 	"fmt"
 	"net/http"
-	"net/url"
-	"strconv"
-	"strings"
-	"time"
 
 	"github.com/domino5g/domino/internal/core"
 	"github.com/domino5g/domino/internal/ingest"
 	"github.com/domino5g/domino/internal/rcastore"
-	"github.com/domino5g/domino/internal/sim"
 )
 
 // SessionInfo is the summary view served by /sessions and embedded in
@@ -128,132 +123,24 @@ func (n *Node) handleReport(w http.ResponseWriter, r *http.Request) {
 	ingest.WriteJSON(w, http.StatusOK, n.reportPayload(sess))
 }
 
-// parseQuery maps /query and /incidents/similar URL parameters (parsed
-// once by the handler) onto a store query. from/to are absolute
-// microsecond timestamps; last is a duration back from the fleet clock.
-func (n *Node) parseQuery(p url.Values) (rcastore.Query, error) {
-	q := rcastore.Query{
-		Cell:     p.Get("cell"),
-		Scenario: p.Get("scenario"),
-		Session:  p.Get("session"),
-		Cause:    p.Get("cause"),
-	}
-	if v := p.Get("fired"); v != "" {
-		q.FiredAll = strings.Split(v, ",")
-	}
-	// from before to: with both bad, the 400 always names from.
-	for _, bound := range []struct {
-		name string
-		dst  *sim.Time
-	}{{"from", &q.From}, {"to", &q.To}} {
-		if v := p.Get(bound.name); v != "" {
-			us, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return q, fmt.Errorf("bad %s %q: want microseconds since epoch", bound.name, v)
-			}
-			*bound.dst = sim.Time(us)
-		}
-	}
-	if v := p.Get("last"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return q, fmt.Errorf("bad last %q: want a positive duration like 1h", v)
-		}
-		q.From = n.now() - sim.Time(d/time.Microsecond)
-	}
-	if v := p.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return q, fmt.Errorf("bad limit %q", v)
-		}
-		q.Limit = n
-	}
-	return q, nil
-}
-
-func intParam(p url.Values, name string, def int) (int, error) {
-	v := p.Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad %s %q", name, v)
-	}
-	return n, nil
-}
-
-// handleQuery serves longitudinal reads over the fleet RCA store:
-// matching records by default, or an aggregation when agg=top_chains
-// (ranked by total chain runs, top k) or agg=cause_rates (per-cell
-// cause-class rates over bucket-sized time buckets).
-func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
-	p := r.URL.Query()
-	q, err := n.parseQuery(p)
+// handleRead serves the read surface over the fleet RCA store: GET
+// /query and /incidents/similar, whose parameters rcastore.ParseRead
+// defines for this node and the balancer alike. A session= probe's
+// signature is the session's latest stored row, and a session the store
+// does not hold is a 404.
+func (n *Node) handleRead(w http.ResponseWriter, r *http.Request) {
+	rd, err := rcastore.ParseRead(r.URL.Path, r.URL.Query(), n.now())
 	if err != nil {
 		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	switch agg := p.Get("agg"); agg {
-	case "":
-		records := n.store.Query(q)
-		ingest.WriteAppended(w, func(dst []byte) []byte { return rcastore.AppendRecordsAnswer(dst, records) })
-	case "top_chains":
-		k, err := intParam(p, "k", 10)
-		if err != nil {
-			ingest.WriteError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		chains := n.store.TopChains(q, k)
-		ingest.WriteAppended(w, func(dst []byte) []byte { return rcastore.AppendTopChainsAnswer(dst, chains) })
-	case "cause_rates":
-		bucket := 10 * time.Minute
-		if v := p.Get("bucket"); v != "" {
-			d, err := time.ParseDuration(v)
-			// The store keeps time in microseconds: a shorter bucket would be 0,
-			// which CauseRates reads as "one bucket".
-			if err != nil || d < time.Microsecond {
-				ingest.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad bucket %q: want a duration like 10m, at least the store's 1µs resolution", v))
-				return
-			}
-			bucket = d
-		}
-		rates := n.store.CauseRates(q, sim.Time(bucket/time.Microsecond))
-		ingest.WriteAppended(w, func(dst []byte) []byte { return rcastore.AppendCauseRatesAnswer(dst, rates) })
-	default:
-		ingest.WriteError(w, http.StatusBadRequest, fmt.Sprintf("unknown agg %q (want top_chains or cause_rates)", agg))
-	}
-}
-
-// handleSimilar serves nearest-prior-incident lookups: the probe
-// signature comes from an already-stored session (session=) or an
-// explicit fired= node list, and candidates rank by fired-node Hamming
-// distance, ties to the most recent. A stored probe is trivially its own
-// nearest incident, so the store leaves that session's rows out.
-func (n *Node) handleSimilar(w http.ResponseWriter, r *http.Request) {
-	p := r.URL.Query()
-	k, err := intParam(p, "k", 5)
-	if err != nil {
-		ingest.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	var fired []string
-	probeSession := p.Get("session")
-	switch {
-	case probeSession != "":
-		rec, ok := n.store.Fired(probeSession)
+	if rd.Probe != "" {
+		rec, ok := n.store.Fired(rd.Probe)
 		if !ok {
-			ingest.WriteError(w, http.StatusNotFound, fmt.Sprintf("session %q has no stored report", probeSession))
+			ingest.WriteError(w, http.StatusNotFound, fmt.Sprintf("session %q has no stored report", rd.Probe))
 			return
 		}
-		fired = rec.Fired
-	case p.Get("fired") != "":
-		fired = strings.Split(p.Get("fired"), ",")
-	default:
-		ingest.WriteError(w, http.StatusBadRequest, "want session=ID or fired=node,node,...")
-		return
+		rd.Fired = rec.Fired
 	}
-	q := rcastore.Query{Cell: p.Get("cell"), Scenario: p.Get("scenario"), NotSession: probeSession}
-	matches := n.store.Similar(fired, q, k)
-	ingest.WriteAppended(w, func(dst []byte) []byte { return rcastore.AppendSimilarAnswer(dst, fired, matches) })
+	ingest.WriteAppended(w, func(dst []byte) []byte { return n.store.Answer(dst, rd) })
 }

@@ -1,0 +1,165 @@
+package rcastore
+
+import (
+	"errors"
+	"fmt"
+	"net/url"
+	"strconv"
+	"strings"
+	"time"
+
+	"github.com/domino5g/domino/internal/sim"
+)
+
+// This file is the read surface's requests — GET /query and
+// /incidents/similar — for both tiers: a node parses a read with
+// ParseRead and answers it with Store.Answer; the balancer parses it
+// with ParseRead too, so both refuse a read in the same words.
+
+// The kinds of read. Each but KindSimilar names its answer's rows member.
+const (
+	KindRecords    = "records"
+	KindTopChains  = "top_chains"
+	KindCauseRates = "cause_rates"
+	KindSimilar    = "similar"
+)
+
+// Read is one parsed read.
+type Read struct {
+	// Kind is one of the Kind constants.
+	Kind string
+	// Query holds the predicates; a similar read's NotSession is Probe.
+	Query Query
+	// K cuts top_chains and similar answers (0 = all).
+	K int
+	// Bucket is cause_rates' bucket width.
+	Bucket sim.Time
+	// Fired is a similar read's fired= signature, non-nil even when empty
+	// (a call that fired nothing). With Probe, a session= probe, it is nil
+	// until the caller resolves the session's signature (Store.Fired).
+	Fired []string
+	Probe string
+}
+
+// ParseRead parses a read: path is /query or /incidents/similar, p its
+// URL parameters, and now the clock last= counts back from. The error is
+// either tier's 400 message; parameters are checked in a fixed order.
+func ParseRead(path string, p url.Values, now sim.Time) (Read, error) {
+	switch path {
+	case "/query":
+		return parseQueryRead(p, now)
+	case "/incidents/similar":
+		return parseSimilarRead(p)
+	}
+	return Read{}, fmt.Errorf("unknown read %q (want /query or /incidents/similar)", path)
+}
+
+// parseQueryRead parses /query: from/to are microsecond timestamps, last
+// a duration back from now, and agg an aggregation instead of records.
+func parseQueryRead(p url.Values, now sim.Time) (Read, error) {
+	r := Read{Kind: KindRecords, Query: Query{
+		Cell:     p.Get("cell"),
+		Scenario: p.Get("scenario"),
+		Session:  p.Get("session"),
+		Cause:    p.Get("cause"),
+	}}
+	if v := p.Get("fired"); v != "" {
+		r.Query.FiredAll = strings.Split(v, ",")
+	}
+	// from before to: with both bad, the 400 always names from.
+	for _, bound := range []struct {
+		name string
+		dst  *sim.Time
+	}{{"from", &r.Query.From}, {"to", &r.Query.To}} {
+		if v := p.Get(bound.name); v != "" {
+			us, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return Read{}, fmt.Errorf("bad %s %q: want microseconds since epoch", bound.name, v)
+			}
+			*bound.dst = sim.Time(us)
+		}
+	}
+	if v := p.Get("last"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d <= 0 {
+			return Read{}, fmt.Errorf("bad last %q: want a positive duration like 1h", v)
+		}
+		r.Query.From = now - sim.Time(d/time.Microsecond)
+	}
+	var err error
+	if r.Query.Limit, err = count(p, "limit", 0); err != nil {
+		return Read{}, err
+	}
+	switch agg := p.Get("agg"); agg {
+	case "":
+	case KindTopChains:
+		r.Kind = agg
+		if r.K, err = count(p, "k", 10); err != nil {
+			return Read{}, err
+		}
+	case KindCauseRates:
+		r.Kind, r.Bucket = agg, sim.Time(10*time.Minute/time.Microsecond)
+		if v := p.Get("bucket"); v != "" {
+			d, err := time.ParseDuration(v)
+			// The store keeps time in microseconds: a shorter bucket would be 0,
+			// which CauseRates reads as "one bucket".
+			if err != nil || d < time.Microsecond {
+				return Read{}, fmt.Errorf("bad bucket %q: want a duration like 10m, at least the store's 1µs resolution", v)
+			}
+			r.Bucket = sim.Time(d / time.Microsecond)
+		}
+	default:
+		return Read{}, fmt.Errorf("unknown agg %q (want top_chains or cause_rates)", agg)
+	}
+	return r, nil
+}
+
+// parseSimilarRead parses /incidents/similar. A stored probe session is
+// trivially its own nearest incident, so its rows are left out.
+func parseSimilarRead(p url.Values) (Read, error) {
+	k, err := count(p, "k", 5)
+	if err != nil {
+		return Read{}, err
+	}
+	r := Read{Kind: KindSimilar, K: k, Query: Query{Cell: p.Get("cell"), Scenario: p.Get("scenario")}}
+	switch fired := p.Get("fired"); {
+	case p.Get("session") != "":
+		r.Probe = p.Get("session")
+		r.Query.NotSession = r.Probe
+	case fired != "":
+		r.Fired = strings.Split(fired, ",")
+	case p.Has("fired"):
+		r.Fired = []string{}
+	default:
+		return Read{}, errors.New("want session=ID or fired=node,node,...")
+	}
+	return r, nil
+}
+
+// count parses the non-negative integer parameter name, def when absent.
+func count(p url.Values, name string, def int) (int, error) {
+	v := p.Get(name)
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad %s %q", name, v)
+	}
+	return n, nil
+}
+
+// Answer runs r against the store and appends its answer. A similar read
+// is answered about r.Fired, so a Probe read's caller resolves the probe
+// first.
+func (s *Store) Answer(dst []byte, r Read) []byte {
+	switch r.Kind {
+	case KindTopChains:
+		return AppendTopChainsAnswer(dst, s.TopChains(r.Query, r.K))
+	case KindCauseRates:
+		return AppendCauseRatesAnswer(dst, s.CauseRates(r.Query, r.Bucket))
+	case KindSimilar:
+		return AppendSimilarAnswer(dst, r.Fired, s.Similar(r.Fired, r.Query, r.K))
+	}
+	return AppendRecordsAnswer(dst, s.Query(r.Query))
+}

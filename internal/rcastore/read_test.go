@@ -1,0 +1,105 @@
+package rcastore
+
+import (
+	"encoding/json"
+	"net/url"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/domino5g/domino/internal/sim"
+)
+
+// parseTarget parses a request target as both tiers' handlers do: the
+// path, and the parameters url.ParseQuery makes of the rest, errors
+// dropped as (*url.URL).Query drops them.
+func parseTarget(target string, now sim.Time) (Read, error) {
+	path, raw, _ := strings.Cut(target, "?")
+	p, _ := url.ParseQuery(raw)
+	return ParseRead(path, p, now)
+}
+
+// TestParseRead pins the grammar's defaults and what each parameter
+// lands in; the error wording is pinned by the node's and the fleet's
+// HTTP tests, which compare the two tiers' 400s.
+func TestParseRead(t *testing.T) {
+	const now = sim.Time(1_000_000_000)
+	for target, want := range map[string]Read{
+		"/query": {Kind: KindRecords},
+		"/query?cell=tdd&cause=a&fired=a,b&limit=3&to=9": {Kind: KindRecords, Query: Query{Cell: "tdd", Cause: "a", FiredAll: []string{"a", "b"}, Limit: 3, To: 9}},
+		"/query?last=1s&from=5":                          {Kind: KindRecords, Query: Query{From: now - sim.Second}},
+		"/query?agg=top_chains":                          {Kind: KindTopChains, K: 10},
+		"/query?agg=top_chains&k=0":                      {Kind: KindTopChains},
+		"/query?agg=cause_rates":                         {Kind: KindCauseRates, Bucket: 10 * sim.Minute},
+		"/query?agg=cause_rates&bucket=1500ns":           {Kind: KindCauseRates, Bucket: 1},
+		"/incidents/similar?fired=a,b&cell=tdd":          {Kind: KindSimilar, K: 5, Fired: []string{"a", "b"}, Query: Query{Cell: "tdd"}},
+		"/incidents/similar?fired=":                      {Kind: KindSimilar, K: 5, Fired: []string{}},
+		"/incidents/similar?session=s&fired=a&k=2":       {Kind: KindSimilar, K: 2, Probe: "s", Query: Query{NotSession: "s"}},
+	} {
+		got, err := parseTarget(target, now)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %+v, %v; want %+v", target, got, err, want)
+		}
+	}
+	for _, target := range []string{"/query?limit=-1", "/query?k=x&agg=top_chains", "/incidents/similar?session=", "/report/s"} {
+		if got, err := parseTarget(target, now); err == nil {
+			t.Errorf("%s: accepted as %+v", target, got)
+		}
+	}
+}
+
+// FuzzParseRead: ParseRead faces the network on both tiers. For any
+// request target it must not panic, and a read it accepts is one the
+// store can answer: a known kind, no negative count, a bucket of at
+// least the store's microsecond on cause_rates, and on similar exactly
+// one of a probe session and a signature. Its answer is JSON.
+func FuzzParseRead(f *testing.F) {
+	for _, target := range []string{
+		// The shapes of the fleet read differential's good reads.
+		"/query?from=1753998200000000&cause=a&limit=7",
+		"/query?cell=fdd&from=1753998200000000&cause=a&limit=0",
+		"/query?agg=cause_rates&bucket=10m&from=1753998200000000",
+		"/query?agg=top_chains&k=0&cell=never_seen&from=1753998200000000",
+		"/incidents/similar?cell=fdd&k=5&fired=a%2Cb%2Cc",
+		"/incidents/similar?k=40&fired=a%2Cnever_seen",
+		"/incidents/similar?k=1&session=n0-007",
+		"/incidents/similar?fired=", "/query?last=1h&agg=top_chains&k=5",
+		// Its bad reads, and the node's.
+		"/query?limit=abc", "/query?agg=top_chains&k=-1", "/query?agg=cause_rates&bucket=0",
+		"/query?last=bogus", "/query?agg=bogus", "/incidents/similar?fired=a&k=-1", "/incidents/similar",
+		"/incidents/similar?session=n0-007&k=-1", "/query?to=later&from=earlier", "/query?last=-5m",
+		"/query?agg=cause_rates&bucket=500ns", "/query?from=%zz", "/sessions",
+	} {
+		f.Add(target, int64(1_754_000_000_000_000))
+	}
+	st := New(Options{BlockRows: 2})
+	for i, fired := range [][]string{nil, {"a"}, {"a", "b"}} {
+		start := sim.Time(i) * sim.Minute
+		st.Insert(Record{Session: "s" + string(rune('0'+i)), Cell: "tdd", Start: start, End: start + sim.Minute,
+			Fired: fired, Chains: []ChainRuns{{Chain: "a --> b", Runs: 1}}, Causes: []CauseRuns{{Cause: "a", Runs: 1}}})
+	}
+	f.Fuzz(func(t *testing.T, target string, now int64) {
+		r, err := parseTarget(target, sim.Time(now))
+		if err != nil {
+			if r.Kind != "" {
+				t.Fatalf("%q refused (%v) with a read: %+v", target, err, r)
+			}
+			return
+		}
+		switch r.Kind {
+		case KindRecords, KindTopChains, KindCauseRates:
+		case KindSimilar:
+			if (r.Probe != "") == (r.Fired != nil) || r.Query.NotSession != r.Probe {
+				t.Fatalf("%q: a similar read wants one of a probe and a signature: %+v", target, r)
+			}
+		default:
+			t.Fatalf("%q: accepted as kind %q", target, r.Kind)
+		}
+		if r.K < 0 || r.Query.Limit < 0 || r.Kind == KindCauseRates && r.Bucket < 1 {
+			t.Fatalf("%q: accepted with k %d, limit %d, bucket %d", target, r.K, r.Query.Limit, r.Bucket)
+		}
+		if ans := st.Answer(nil, r); !json.Valid(ans) {
+			t.Fatalf("%q: the store's answer is not JSON: %s", target, ans)
+		}
+	})
+}
