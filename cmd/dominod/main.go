@@ -14,6 +14,8 @@
 //	        [-checkpoint-every 1024] [-fixed-clock 0]
 //	        [-debug-addr :6060] [-log-format text|json] [-v]
 //
+// -flightrec is each session's flight-recorder capacity in events,
+// rounded up to a power of two of at least 16; 0 disables the recorder.
 // -debug-addr serves net/http/pprof on a separate listener. Logging
 // goes through log/slog (-log-format json for structured output, -v
 // for per-session debug events). To analyze one capture offline, pipe
@@ -73,7 +75,7 @@ func run(args []string, stderr io.Writer) int {
 	storeSpill := fs.String("store-spill", "", "RCA-store checkpoint file: recovered at startup with its journal, rewritten every -checkpoint-every reports and at shutdown")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (disabled when empty)")
-	flightRec := fs.Int("flightrec", 1024, "per-session flight-recorder capacity in events (0 disables)")
+	flightRec := fs.Int("flightrec", 1024, "per-session flight-recorder capacity in events, rounded up to a power of two of at least 16 (0 disables)")
 	maxBody := fs.Int64("max-body", 256<<20, "maximum /ingest request body bytes (0 = unlimited)")
 	admitWait := fs.Duration("admit-wait", 2*time.Second, "bounded wait for an ingest slot before shedding with 429 (0 = block)")
 	streamIdle := fs.Duration("stream-idle", 5*time.Minute, "per-chunk read deadline on ingest bodies; slow clients are cut, not held (0 disables)")

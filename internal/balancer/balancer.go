@@ -137,7 +137,7 @@ func New(opts Options) (*Balancer, error) {
 		opts:     opts,
 		client:   client,
 		log:      opts.Log,
-		sessions: ingest.NewTable(mintFormat, tableBound, func(*lbSession) {}),
+		sessions: ingest.NewTable[*lbSession](mintFormat, tableBound),
 		stop:     make(chan struct{}),
 	}
 	seen := map[string]bool{}

@@ -744,7 +744,7 @@ func TestSessionsActiveGaugeMatchesTableWalk(t *testing.T) {
 func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
-	lb.sessions = ingest.NewTable(mintFormat, 4, func(*lbSession) {})
+	lb.sessions = ingest.NewTable[*lbSession](mintFormat, 4)
 
 	payload := sessionJSONL(t, ran.Presets()[0], 29, 3*sim.Second)
 	chunks, seqs := splitLines(payload, 3)

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -519,6 +520,13 @@ func TestFleetReadDifferential(t *testing.T) {
 					r.Fired = append(r.Fired, name)
 				}
 			}
+			// A share of the calls are clean, and every call n1 places
+			// in amarisoft is: n1's amarisoft groups list no cause, and
+			// the fleet must still count their sessions and minutes.
+			if rng.Intn(5) == 0 || node == "n1" && r.Cell == "amarisoft" {
+				rows[i] = r
+				continue
+			}
 			for _, ci := range rng.Perm(len(chains))[:1+rng.Intn(2)] {
 				runs := 1 + rng.Intn(4)
 				r.Chains = append(r.Chains, rcastore.ChainRuns{Chain: chains[ci], Runs: runs})
@@ -785,6 +793,58 @@ func TestFleetSimilarCleanProbe(t *testing.T) {
 	want := httptest.NewRecorder()
 	ingest.WriteJSON(want, http.StatusOK, map[string]any{"fired": rec.Fired, "matches": matches})
 	resp := mustGet(t, lbTS.URL+"/incidents/similar?session=clean")
+	if got := readBody(t, resp); resp.StatusCode != http.StatusOK || got != want.Body.String() {
+		t.Errorf("status %d\nfleet:\n%s\none store:\n%s", resp.StatusCode, got, want.Body.String())
+	}
+}
+
+// TestFleetCauseRatesCleanCalls: a node whose calls in a (cell, bucket)
+// group fired nothing still counts them in the fleet's denominators. In
+// tdd one node's call ran cause x twice and the other node's call was
+// clean: the fleet answers 2 sessions, 2 minutes and 1 run a minute, as
+// one store holding both calls does, not the busy node's 1, 1 and 2. In
+// fdd both nodes' calls were clean: the group is one cause "" row.
+func TestFleetCauseRatesCleanCalls(t *testing.T) {
+	global := rcastore.New(rcastore.Options{})
+	var urls []string
+	for _, name := range []string{"busy", "idle"} {
+		st := rcastore.New(rcastore.Options{})
+		for i, cell := range []string{"tdd", "fdd"} {
+			start := fleetNow - 5*sim.Minute
+			r := rcastore.Record{Session: fmt.Sprintf("%s%d", name, i), Cell: cell, Start: start, End: start + sim.Minute}
+			if name == "busy" && cell == "tdd" {
+				r.Fired = []string{"x"}
+				r.Chains = []rcastore.ChainRuns{{Chain: "x", Runs: 2}}
+				r.Causes = []rcastore.CauseRuns{{Cause: "x", Runs: 2}}
+			}
+			st.Insert(r)
+			global.Insert(r)
+		}
+		routes := node.New(testAnalyzer(t), node.Options{NodeID: name, Store: st, Now: func() sim.Time { return fleetNow }}).Routes()
+		ts := httptest.NewServer(routes)
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	lb, err := New(Options{Backends: urls, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	lbTS := httptest.NewServer(lb.Routes())
+	defer lbTS.Close()
+
+	from := fleetNow - 30*sim.Minute
+	rates := global.CauseRates(rcastore.Query{From: from}, 10*sim.Minute)
+	bucket := (fleetNow - 5*sim.Minute) / (10 * sim.Minute) * (10 * sim.Minute)
+	if want := []rcastore.CauseBucket{
+		{Cell: "fdd", Bucket: bucket, Sessions: 2, Minutes: 2},
+		{Cell: "tdd", Bucket: bucket, Cause: "x", Runs: 2, Sessions: 2, Minutes: 2, RunsPerMin: 1},
+	}; !reflect.DeepEqual(rates, want) {
+		t.Fatalf("the reference store answers %+v, want %+v", rates, want)
+	}
+	want := httptest.NewRecorder()
+	ingest.WriteJSON(want, http.StatusOK, map[string]any{"cause_rates": rates})
+	resp := mustGet(t, fmt.Sprintf("%s/query?agg=cause_rates&bucket=10m&from=%d", lbTS.URL, from))
 	if got := readBody(t, resp); resp.StatusCode != http.StatusOK || got != want.Body.String() {
 		t.Errorf("status %d\nfleet:\n%s\none store:\n%s", resp.StatusCode, got, want.Body.String())
 	}

@@ -595,7 +595,9 @@ func mergeTopChains(answers []*part, k int) []rcastore.ChainAgg {
 // per (cell, bucket, cause); Sessions and Minutes sum per (cell,
 // bucket) group — each node reports its group denominator on every
 // row, so per node the group values are taken once — and the rate is
-// re-derived from the merged numerator and denominator.
+// re-derived from the merged numerator and denominator. A node's clean
+// group comes as one cause "" row, which the merge keeps only for a
+// group no node lists a cause in, as one store answers.
 func mergeCauseRates(answers []*part) []rcastore.CauseBucket {
 	type groupKey struct {
 		cell   string
@@ -608,12 +610,14 @@ func mergeCauseRates(answers []*part) []rcastore.CauseBucket {
 	runs := map[cellKey]int{}
 	sessions := map[groupKey]int{}
 	minutes := map[groupKey]float64{}
+	causes := map[groupKey]bool{} // some node lists a cause in the group
 	for _, p := range answers {
 		grouped := map[groupKey]bool{}
 		for i := range p.rows {
 			r := &p.rows[i]
 			g := groupKey{cell: string(r.cell), bucket: r.bucket}
 			runs[cellKey{groupKey: g, cause: string(r.cause)}] += r.runs
+			causes[g] = causes[g] || len(r.cause) > 0
 			if !grouped[g] {
 				grouped[g] = true
 				sessions[g] += r.sessions
@@ -623,6 +627,9 @@ func mergeCauseRates(answers []*part) []rcastore.CauseBucket {
 	}
 	out := make([]rcastore.CauseBucket, 0, len(runs))
 	for k, n := range runs {
+		if k.cause == "" && causes[k.groupKey] {
+			continue
+		}
 		out = append(out, rcastore.CauseBucket{
 			Cell: k.cell, Bucket: sim.Time(k.bucket), Cause: k.cause,
 			Runs: n, Sessions: sessions[k.groupKey], Minutes: minutes[k.groupKey],

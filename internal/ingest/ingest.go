@@ -60,10 +60,9 @@
 // entry ended, done or failed, and the table decides replacement and
 // retention from that record alone. After an admission the table holds
 // at most its bound, or only live entries: those that finished earliest
-// leave first, through the tier's drop callback, and a live entry never
-// does. List is in admission order; Len counts live and all entries;
-// Stats totals the admissions, endings and drops, which each tier
-// serves as its session counters.
+// leave first, and a live entry never does. List is in admission order;
+// Len counts live and all entries; Stats totals the admissions, endings
+// and drops, which each tier serves as its session counters.
 package ingest
 
 import (

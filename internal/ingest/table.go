@@ -14,7 +14,6 @@ import (
 type Table[E comparable] struct {
 	mint  string // fmt format of a minted ID, one integer verb
 	bound int    // <= 0 keeps every entry
-	drop  func(E)
 
 	mu       sync.Mutex
 	entries  map[string]*tableSlot[E]
@@ -39,10 +38,9 @@ type tableSlot[E comparable] struct {
 }
 
 // NewTable returns an empty table minting IDs from mint and holding
-// bound entries. drop is called with each entry the bound pushes out,
-// once the admission has released the table's lock.
-func NewTable[E comparable](mint string, bound int, drop func(E)) *Table[E] {
-	return &Table[E]{mint: mint, bound: bound, drop: drop, entries: map[string]*tableSlot[E]{}}
+// bound entries.
+func NewTable[E comparable](mint string, bound int) *Table[E] {
+	return &Table[E]{mint: mint, bound: bound, entries: map[string]*tableSlot[E]{}}
 }
 
 // Admit returns the entry for id (minted when empty) and the id. A held
@@ -67,17 +65,11 @@ func (t *Table[E]) Admit(id string, newEntry func(id string) E) (e E, _ string, 
 	t.stats.Admitted++
 	s := &tableSlot[E]{id: id, e: newEntry(id), seq: t.stats.Admitted, state: StateActive}
 	t.entries[id] = s
-	var gone []E
 	for t.bound > 0 && len(t.entries) > t.bound && t.finished.Len() > 0 {
-		g := t.finished.Remove(t.finished.Front()).(*tableSlot[E])
-		delete(t.entries, g.id)
-		gone = append(gone, g.e)
+		delete(t.entries, t.finished.Remove(t.finished.Front()).(*tableSlot[E]).id)
 		t.stats.Dropped++
 	}
 	t.mu.Unlock()
-	for _, g := range gone {
-		t.drop(g)
-	}
 	return s.e, id, true
 }
 

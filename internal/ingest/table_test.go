@@ -48,8 +48,9 @@ func TestTable(t *testing.T) {
 		// order, and how many of those entries are live.
 		list []string
 		live int
-		// dropped is every entry the drop callback saw, in call order;
-		// maxQueued bounds the finished queue at every step.
+		// dropped is every entry an admission pushed out, admission by
+		// admission, each admission's in admission order; maxQueued
+		// bounds the finished queue at every step.
 		dropped   []string
 		maxQueued int
 		stats     TableStats // Stats at the end
@@ -100,7 +101,7 @@ func TestTable(t *testing.T) {
 			admitOp("e", "e", true), // two over: c and a go, d stays
 			admitOp("f", "f", true), // one over: d goes
 		},
-		list: []string{"b", "e", "f"}, live: 3, dropped: []string{"c", "a", "d"}, maxQueued: 3,
+		list: []string{"b", "e", "f"}, live: 3, dropped: []string{"a", "c", "d"}, maxQueued: 3,
 		stats: TableStats{Admitted: 6, Done: 2, Failed: 1, Dropped: 3},
 	}, {
 		name:  "a replaced entry is not dropped again",
@@ -138,16 +139,23 @@ func TestTable(t *testing.T) {
 	}} {
 		t.Run(c.name, func(t *testing.T) {
 			var dropped []string
-			tb := NewTable("s%04d", c.bound, func(e *tableEntry) { dropped = append(dropped, e.id) })
+			tb := NewTable[*tableEntry]("s%04d", c.bound)
 			maxQueued := 0
 			for i, op := range c.ops {
 				if op.how != "" {
 					tb.Finish(op.finish, tb.Get(op.finish), op.how)
 				} else {
-					held := tb.Get(op.admit)
+					before, held := tb.List(), tb.Get(op.admit)
 					e, id, fresh := tb.Admit(op.admit, func(id string) *tableEntry { return &tableEntry{id: id, gen: i} })
 					if id != op.want || fresh != op.fresh || e.id != id || fresh != (e.gen == i) || !fresh && e != held {
 						t.Fatalf("op %d: Admit(%q) = %+v, %q, fresh %v; want %q, fresh %v", i, op.admit, e, id, fresh, op.want, op.fresh)
+					}
+					// An entry held before the admission and gone after it,
+					// other than a failed one it replaced, was dropped.
+					for _, b := range before {
+						if b != held && tb.Get(b.id) != b {
+							dropped = append(dropped, b.id)
+						}
 					}
 					if live, total := tb.Len(); c.bound > 0 && total > c.bound && total != live {
 						t.Fatalf("op %d: %d entries, %d live, after an admission under a bound of %d", i, total, live, c.bound)
@@ -186,7 +194,7 @@ func TestTable(t *testing.T) {
 // still there at the end.
 func testTableConcurrent(t *testing.T) {
 	const bound, admitters, each = 16, 8, 300
-	tb := NewTable("s%04d", bound, func(*tableEntry) {})
+	tb := NewTable[*tableEntry]("s%04d", bound)
 	tb.Admit("keep", func(id string) *tableEntry { return &tableEntry{id: id} })
 	var wg sync.WaitGroup
 	for a := 0; a < admitters; a++ {

@@ -311,12 +311,14 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 		}
 	}
 	if sess.rec != nil {
+		sess.mu.Lock()
 		sess.rec.Record(obs.Event{
 			Kind: obs.EvReportStored,
 			Wall: time.Now().UnixNano(),
 			Sim:  int64(rep.Duration),
 			N:    int64(rep.TotalChainEvents()),
 		})
+		sess.mu.Unlock()
 	}
 	n.log.Debug("session done",
 		"session", id, "cell", rep.CellName, "scenario", rep.Scenario,

@@ -111,8 +111,9 @@ type Options struct {
 	// Store, when non-nil, seeds the node with preloaded history (a
 	// reloaded spill). Otherwise an empty store is created.
 	Store *rcastore.Store
-	// FlightRec is the per-session flight-recorder capacity in events;
-	// 0 (the zero value) disables flight recording.
+	// FlightRec is the per-session flight-recorder capacity in events,
+	// rounded up to a power of two of at least 16; 0 (the zero value)
+	// disables flight recording.
 	FlightRec int
 	// Now overrides the fleet clock (wall-clock microseconds) stamped
 	// onto persisted reports; nil selects time.Now. Tests inject a
@@ -260,8 +261,9 @@ type session struct {
 	hasHdr bool
 
 	// rec is the session's pipeline flight recorder (nil with
-	// FlightRec 0). It outlives the pooled analyzer so
-	// /debug/flightrec/{id} serves finished sessions too.
+	// FlightRec 0), recorded into and dumped under mu. It outlives the
+	// pooled analyzer so /debug/flightrec/{id} serves finished sessions
+	// too.
 	rec *obs.FlightRecorder
 }
 
@@ -281,11 +283,7 @@ func New(analyzer *core.Analyzer, opts Options) *Node {
 		opts.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	// A finished session past MaxSessions leaves the table.
-	sessions := ingest.NewTable("s%04d", opts.MaxSessions, func(sess *session) {
-		if sess.rec != nil {
-			sess.rec.Record(obs.Event{Kind: obs.EvSessionEvicted, Wall: time.Now().UnixNano()})
-		}
-	})
+	sessions := ingest.NewTable[*session]("s%04d", opts.MaxSessions)
 	n := &Node{
 		limiter:  parallel.NewLimiter(opts.MaxStreams),
 		opts:     opts,

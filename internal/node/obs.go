@@ -308,7 +308,10 @@ func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleFlightRec dumps a session's flight recorder as JSONL, oldest
 // event first. ?wall=0 omits the wall-clock column, leaving only the
-// deterministic fields — the replay-diff view.
+// deterministic fields — the replay-diff view. The dump is rendered
+// under the session lock, so it holds every retained event, and written
+// after it is released, so a slow reader never stalls the session's
+// ingest.
 func (n *Node) handleFlightRec(w http.ResponseWriter, r *http.Request) {
 	sess := n.lookup(r.PathValue("id"))
 	if sess == nil {
@@ -320,6 +323,9 @@ func (n *Node) handleFlightRec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	withWall := r.URL.Query().Get("wall") != "0"
+	sess.mu.Lock()
+	dump := sess.rec.AppendJSONL(nil, withWall)
+	sess.mu.Unlock()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = sess.rec.WriteJSONL(w, withWall)
+	_, _ = w.Write(dump)
 }

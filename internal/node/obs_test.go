@@ -2,6 +2,7 @@ package node_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -198,6 +199,94 @@ func TestFlightRecorderDeterminism(t *testing.T) {
 	}
 	if strings.Contains(first, `"wall_ns"`) {
 		t.Fatal("?wall=0 dump still carries wall_ns")
+	}
+}
+
+// TestFlightRecDumpDuringIngest pins that a dump taken while its
+// session ingests is exact: every dump of a 64-event ring, fetched in a
+// loop over a 20 s upload, is valid JSONL whose seq values run
+// consecutively from its first line, and a ring that has wrapped dumps
+// all 64 events — none skipped because the writer lapped the reader.
+func TestFlightRecDumpDuringIngest(t *testing.T) {
+	const capacity = 64
+	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2, FlightRec: capacity})
+	ts := httptest.NewServer(srv.Routes())
+	defer ts.Close()
+
+	_, body := sessionTrace(t, ran.Amarisoft(), 21, 20*sim.Second)
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/ingest?session=rec", "application/jsonl", pr)
+		if err == nil {
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("ingest: %d", resp.StatusCode)
+			}
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	go func() {
+		for _, l := range bytes.SplitAfter(body, []byte("\n")) {
+			pw.Write(l)
+		}
+		pw.Close()
+	}()
+
+	check := func(dump []byte) {
+		t.Helper()
+		lines := bytes.SplitAfter(dump, []byte("\n"))
+		lines = lines[:len(lines)-1] // the empty tail after the last newline
+		var first uint64
+		for i, line := range lines {
+			var ev struct {
+				Seq  *uint64 `json:"seq"`
+				Kind string  `json:"kind"`
+				Sim  *int64  `json:"sim_us"`
+			}
+			if err := json.Unmarshal(line, &ev); err != nil || ev.Seq == nil || ev.Kind == "" || ev.Sim == nil {
+				t.Fatalf("line %d of the dump is not an event (%v):\n%s", i, err, dump)
+			}
+			if i == 0 {
+				first = *ev.Seq
+			} else if *ev.Seq != first+uint64(i) {
+				t.Fatalf("line %d has seq %d after seq %d on line 0:\n%s", i, *ev.Seq, first, dump)
+			}
+		}
+		if first > 0 && len(lines) != capacity {
+			t.Fatalf("a wrapped ring dumped %d events, want %d:\n%s", len(lines), capacity, dump)
+		}
+	}
+	dumps := 0
+	for ingesting := true; ingesting; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingesting = false
+		default:
+		}
+		resp, err := http.Get(ts.URL + "/debug/flightrec/rec?wall=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dump, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusNotFound {
+			continue // not registered yet
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("flightrec: %d %s", resp.StatusCode, dump)
+		}
+		check(dump)
+		dumps++
+	}
+	if dumps < 2 {
+		t.Fatalf("%d dumps, want some during the upload and one after it", dumps)
 	}
 }
 

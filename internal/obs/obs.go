@@ -4,8 +4,8 @@
 // point-in-time Snapshot API whose Merge is the federation seam
 // dominolb collapses its nodes' snapshots into one fleet view with,
 // spec-valid Prometheus text exposition (with a Lint validator
-// the tests and cmd/promlint share), a lock-free per-session pipeline
-// flight recorder, and the nil-safe Hooks interface the per-session
+// the tests and cmd/promlint share), a per-session pipeline flight
+// recorder, and the nil-safe Hooks interface the per-session
 // pipeline (internal/core, internal/stream) publishes stage events
 // through.
 //
@@ -14,7 +14,9 @@
 //  1. Hot-path operations — Counter.Add, Gauge.Set, Histogram.Observe,
 //     FlightRecorder.Record — allocate nothing and take no locks, so
 //     instrumentation-on is the default without breaking the perf
-//     contract (TestHotPathZeroAlloc pins this).
+//     contract (TestHotPathZeroAlloc pins this). The metrics are
+//     atomics; Record takes no lock because its owner already holds
+//     one, the lock of the session the recorder belongs to.
 //  2. The package depends only on the standard library: it sits below
 //     every other internal package and any of them may import it.
 //  3. Snapshots are plain serializable values: Merge(a, b) of two node

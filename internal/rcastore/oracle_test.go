@@ -187,6 +187,7 @@ func oracleCauseRates(rows []Record, q Query, bucket sim.Time) []CauseBucket {
 	runs := map[cellKey]int{}
 	sessions := map[groupKey]int{}
 	micros := map[groupKey]sim.Time{}
+	listed := map[groupKey]bool{}
 	refScan(rows, q, func(r *Record) {
 		g := groupKey{cell: r.Cell}
 		if bucket > 0 {
@@ -196,8 +197,14 @@ func oracleCauseRates(rows []Record, q Query, bucket sim.Time) []CauseBucket {
 		micros[g] += r.End - r.Start
 		for _, c := range r.Causes {
 			runs[cellKey{groupKey: g, cause: c.Cause}] += c.Runs
+			listed[g] = true
 		}
 	})
+	for g := range sessions {
+		if !listed[g] { // every call in the group was clean
+			runs[cellKey{groupKey: g}] = 0
+		}
+	}
 	out := make([]CauseBucket, 0, len(runs))
 	for k, n := range runs {
 		cb := CauseBucket{

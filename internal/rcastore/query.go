@@ -404,7 +404,10 @@ func RankChains(aggs []ChainAgg, k int) []ChainAgg {
 }
 
 // CauseBucket is one (cell, time bucket, cause class) cell of the
-// longitudinal cause-rate surface.
+// longitudinal cause-rate surface. A (cell, bucket) group none of whose
+// records lists a cause — every call in it was clean — is one row with
+// Cause "" and Runs 0, so its Sessions and Minutes still reach a fleet
+// tier's denominators; a group with a cause has no "" row.
 type CauseBucket struct {
 	Cell string `json:"cell"`
 	// Bucket is the bucket's start on the fleet timeline, at or before
@@ -479,18 +482,17 @@ func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 	})
 	out := []CauseBucket{}
 	for key, g := range groups {
+		row := CauseBucket{Cell: s.cells.name(key.cell), Bucket: key.bucket,
+			Sessions: g.sessions, Minutes: float64(g.micros) / float64(sim.Minute)}
+		n := len(out)
 		for id, listed := range g.listed {
-			if !listed {
-				continue
+			if listed {
+				row.Cause, row.Runs = s.causes.names[id], g.runs[id]
+				out = append(out, row)
 			}
-			out = append(out, CauseBucket{
-				Cell:     s.cells.name(key.cell),
-				Bucket:   key.bucket,
-				Cause:    s.causes.names[id],
-				Runs:     g.runs[id],
-				Sessions: g.sessions,
-				Minutes:  float64(g.micros) / float64(sim.Minute),
-			})
+		}
+		if len(out) == n { // no record of the group lists a cause
+			out = append(out, row)
 		}
 	}
 	return RateCauseBuckets(out)

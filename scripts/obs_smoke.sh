@@ -9,7 +9,9 @@
 #   - /healthz reports ok with build identity
 #   - both sessions completed and the per-format ingest counters moved
 #   - the binary session's report matches its JSONL twin
-#   - /debug/flightrec/{session} serves the pipeline flight recording
+#   - /debug/flightrec/{session} serves the pipeline flight recording:
+#     consecutive seq values from its first line, with ingest_chunk,
+#     window_evaluated and report_stored events
 #   - the pprof endpoint yields a CPU profile
 # Artifacts (scrape, flight recording, profile) land in OUT_DIR
 # (default ./obs-smoke) so CI can upload them. Exit 0 only if every
@@ -82,8 +84,18 @@ grep -q 'domino_build_info{' "$OUT_DIR/metrics.txt" || {
 
 echo "== dumping flight recording"
 curl -fsS "http://$ADDR/debug/flightrec/smoke" >"$OUT_DIR/flightrec.jsonl"
-grep -q '"kind":"report_stored"' "$OUT_DIR/flightrec.jsonl" || {
-    echo "flight recording missing report_stored event"; exit 1; }
+# The dump is the whole retained recording: its seq values run
+# consecutively from its first line, none skipped.
+awk '{ if (!match($0, /^\{"seq":[0-9]+,/)) { print "line " NR " has no seq: " $0; exit 1 }
+       seq = substr($0, 8, RLENGTH - 8) + 0
+       if (NR == 1) first = seq
+       else if (seq != first + NR - 1) { print "line " NR " has seq " seq ", want " first + NR - 1; exit 1 } }
+     END { if (NR == 0) { print "empty flight recording"; exit 1 } }' "$OUT_DIR/flightrec.jsonl" || {
+    echo "flight recording is not consecutive"; exit 1; }
+for kind in ingest_chunk window_evaluated report_stored; do
+    grep -q "\"kind\":\"$kind\"" "$OUT_DIR/flightrec.jsonl" || {
+        echo "flight recording missing $kind event"; exit 1; }
+done
 echo "   $(wc -l < "$OUT_DIR/flightrec.jsonl") events recorded"
 
 echo "== capturing ${PROFILE_SECONDS}s CPU profile from pprof"
