@@ -48,7 +48,7 @@ func benchRunAll(b *testing.B, workers int) {
 	b.Helper()
 	opts := experiments.Options{Duration: benchDuration, Seed: 1, Sessions: 1, Workers: workers}
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.RunAll(opts)
+		results, err := experiments.RunParallel(experiments.IDs(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}

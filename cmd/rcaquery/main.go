@@ -109,8 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *showStats:
 		s := st.Stats()
 		fmt.Fprintf(stdout, "rows %d (inserted %d, evicted %d in %d blocks)\n", s.Rows, s.InsertedRows, s.EvictedRows, s.EvictedBlocks)
-		fmt.Fprintf(stdout, "dictionaries: %d nodes, %d chains, %d causes, %d cells, %d scenarios, %d metrics\n",
-			s.Nodes, s.Chains, s.Causes, s.Cells, s.Scenarios, s.MetricNames)
+		fmt.Fprintf(stdout, "dictionaries: %d nodes, %d chains, %d causes, %d cells, %d scenarios\n",
+			s.Nodes, s.Chains, s.Causes, s.Cells, s.Scenarios)
 		fmt.Fprintf(stdout, "timeline: start %d..%d µs\n", int64(s.MinStart), int64(s.MaxStart))
 	case *topChains > 0:
 		tb := stats.NewTable("Runs", "Sessions", "Chain")

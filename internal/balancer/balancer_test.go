@@ -450,7 +450,7 @@ func TestMalformedChunkPassesThrough(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
 	payload := sessionJSONL(t, ran.Presets()[0], 26, 3*sim.Second)
-	set, err := trace.ReadJSONL(bytes.NewReader(payload))
+	set, err := trace.ReadAuto(bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,6 +669,70 @@ func TestReportRoutesToOwner(t *testing.T) {
 		t.Fatalf("unknown report: %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestReadsDuringOpenChunk: with one chunked upload held open through
+// the balancer, after the node has taken part of it, the session's
+// report, its watermark and /lb/sessions still answer at once. That is
+// the node's live use — keep one POST open, poll /report/{id} — and it
+// needs the balancer to hold no lock of the session across the forward.
+func TestReadsDuringOpenChunk(t *testing.T) {
+	n := newFleetNode(t, "a")
+	_, ts := newTestBalancer(t, Options{}, n)
+	const id = "open-chunk"
+	payload := sessionJSONL(t, ran.Presets()[0], 31, 10*sim.Second)
+	half := bytes.LastIndexByte(payload[:len(payload)/2], '\n') + 1
+
+	pr, pw := io.Pipe()
+	// Cleanups run last-registered first: the upload ends before the
+	// servers close, whatever fails.
+	t.Cleanup(func() { pw.CloseWithError(io.ErrUnexpectedEOF) })
+	posted := make(chan *http.Response, 1)
+	go func() {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/ingest?session="+id, pr)
+		req.Header.Set("Content-Type", ingest.ContentTypeJSONL)
+		ingest.Request{Resumable: true, Eos: true}.SetHeaders(req.Header)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			pr.CloseWithError(err)
+			resp = nil
+		}
+		posted <- resp
+	}()
+	if _, err := pw.Write(payload[:half]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if wm, ok := n.watermark(t, id); ok && wm.Accepted > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the node took none of the open chunk")
+		}
+	}
+
+	reader := &http.Client{Timeout: 2 * time.Second}
+	for _, path := range []string{"/report/" + id, "/sessions/" + id + "/watermark", "/lb/sessions"} {
+		resp, err := reader.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s while a chunk is open: %v", path, err)
+		}
+		if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s while a chunk is open: %d %s", path, resp.StatusCode, body)
+		}
+	}
+
+	if _, err := pw.Write(payload[half:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	resp := <-posted
+	if resp == nil {
+		t.Fatal("the upload failed")
+	}
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload: %d %s", resp.StatusCode, body)
+	}
 }
 
 // TestSessionsActiveGaugeMatchesTableWalk pins the counted gauge to

@@ -94,7 +94,7 @@ func TestForwardRetainsNothing(t *testing.T) {
 // encodeBinary re-encodes a JSONL payload as one binary stream.
 func encodeBinary(t *testing.T, payload []byte) []byte {
 	t.Helper()
-	set, err := trace.ReadJSONL(bytes.NewReader(payload))
+	set, err := trace.ReadAuto(bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,27 +42,30 @@ func (b *Balancer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// Affinity needs a name, so an anonymous upload gets a minted one.
 	sess, _, _ := b.sessions.Admit(r.URL.Query().Get("session"), func(id string) *lbSession { return &lbSession{id: id} })
-	// One chunk at a time per session: the protocol is sequential, and
-	// a concurrent duplicate could land on a pin the other re-pinned.
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if err := b.ensureBackend(sess); err != nil {
+	be, err := b.pinned(sess)
+	if err != nil {
 		ingest.CodeUnavailable.Reject(w, fmt.Sprintf("session %s: %v", sess.id, err))
 		return
 	}
-	b.forward(w, r, req, sess)
+	b.forward(w, r, req, sess, be)
 }
 
-// ensureBackend gives sess a live pin, re-pinning it when the current
-// one left the fleet. Callers hold sess.mu.
-func (b *Balancer) ensureBackend(sess *lbSession) error {
+// pinned returns sess's live pin, re-pinning it first when the current
+// one left the fleet. It holds sess.mu only for that: no lock is held
+// across a request to a backend, so a read of the session never waits
+// behind an open upload. The node alone serializes a session's uploads,
+// through its upload slot: a second one waits for it, then is answered
+// 503 busy, whichever tier it came through.
+func (b *Balancer) pinned(sess *lbSession) (*backend, error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
 	cur := sess.backend
 	if cur != nil && cur.State() == stateUp {
-		return nil
+		return cur, nil
 	}
 	next := b.pick(sess.id)
 	if next == nil {
-		return errNoBackends
+		return nil, errNoBackends
 	}
 	if cur != nil {
 		b.m.failovers.Inc()
@@ -70,7 +73,7 @@ func (b *Balancer) ensureBackend(sess *lbSession) error {
 		b.log.Warn("session failover", "session", sess.id, "from", cur.url, "to", next.url)
 	}
 	sess.backend = next
-	return nil
+	return next, nil
 }
 
 // clientBody is a client's request body on its way to a backend. It
@@ -102,10 +105,9 @@ func (c *clientBody) torn() error {
 	return c.err
 }
 
-// forward streams one ingest chunk to the session's pinned backend and
-// relays the answer. Callers hold sess.mu.
-func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.Request, sess *lbSession) {
-	be := sess.backend
+// forward streams one ingest chunk to be, the session's pin, and
+// relays the answer.
+func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.Request, sess *lbSession, be *backend) {
 	body := &clientBody{r: r.Body}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		be.url+"/ingest?session="+url.QueryEscape(sess.id), body)
@@ -162,8 +164,7 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.
 // its report (200; a client that lost it resends and gets it again),
 // failed on an answer no resend of the chunk mends — every non-retryable
 // rejection but a 409, which is about another upload's live session. A
-// failed entry is what the next upload under its ID replaces. Callers
-// hold sess.mu.
+// failed entry is what the next upload under its ID replaces.
 func (b *Balancer) settle(sess *lbSession, status int) {
 	how := ingest.StateDone
 	if status != http.StatusOK {
@@ -172,6 +173,8 @@ func (b *Balancer) settle(sess *lbSession, status int) {
 		}
 		how = ingest.StateFailed
 	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
 	if !sess.done {
 		sess.done = true
 		b.sessions.Finish(sess.id, sess, how)
@@ -199,13 +202,12 @@ func copyHeader(dst, src http.Header, name string) {
 func (b *Balancer) handleWatermark(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if sess := b.lookup(id); sess != nil {
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		if err := b.ensureBackend(sess); err != nil {
+		be, err := b.pinned(sess)
+		if err != nil {
 			ingest.CodeUnavailable.Reject(w, err.Error())
 			return
 		}
-		b.passThrough(w, r.Context(), sess.backend, "/sessions/"+url.PathEscape(id)+"/watermark")
+		b.passThrough(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark")
 		return
 	}
 	// Unknown to this balancer (admitted before a restart, or direct

@@ -54,7 +54,6 @@ func scanRows(rng *rand.Rand, n int) []rcastore.Match {
 			r.Fired = []string{"a", "<b>"}
 			r.Chains = []rcastore.ChainRuns{{Chain: "a --> b", Runs: 1 + rng.Intn(3)}}
 			r.Causes = []rcastore.CauseRuns{{Cause: "a", Runs: 1}}
-			r.Metrics = []rcastore.Metric{{Name: "p50", Value: rng.Float64() * 1e-7}, {Name: "big", Value: 1e21}}
 		}
 		rows[i] = rcastore.Match{Record: r, Distance: rng.Intn(3)}
 	}

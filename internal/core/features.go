@@ -59,7 +59,7 @@ var cellEvents = []string{
 const NumFeatures = 36
 
 // Feature indices: the bit position of every canonical feature inside a
-// FeatureBits word, in FeatureNames order. Application events occupy
+// FeatureBits word, in featureNames order. Application events occupy
 // [fidAppBase(si), fidAppBase(si)+10) per side, cell events
 // [fidCellBase(di), fidCellBase(di)+6) per direction.
 const (
@@ -124,12 +124,6 @@ func init() {
 	}
 }
 
-// FeatureNames returns the 36 canonical feature names in stable order.
-// The table is computed once; callers receive a copy they may mutate.
-func FeatureNames() []string {
-	return append([]string(nil), featureNames...)
-}
-
 // FeatureID returns the bit index of a canonical feature name and
 // whether the name is one of the 36 features.
 func FeatureID(name string) (int, bool) {
@@ -138,7 +132,7 @@ func FeatureID(name string) (int, bool) {
 }
 
 // FeatureBits is a 36-bit set over the canonical features: bit i
-// corresponds to FeatureNames()[i]. The zero value has no features
+// corresponds to featureNames[i]. The zero value has no features
 // active.
 type FeatureBits uint64
 
@@ -183,29 +177,4 @@ func (v *FeatureVector) Set(name string, on bool) {
 	if i, ok := featureIndex[name]; ok {
 		v.Bits.Assign(i, on)
 	}
-}
-
-// Active returns the set of active features as a name→bool map — the
-// representation FeatureVector used before the bitset rewrite, kept
-// for reporting and codegen interop (GenerateGo's BackwardTrace takes
-// exactly this map).
-func (v FeatureVector) Active() map[string]bool {
-	out := make(map[string]bool, v.Bits.Count())
-	for i, n := range featureNames {
-		if v.Bits.Has(i) {
-			out[n] = true
-		}
-	}
-	return out
-}
-
-// NewFeatureVector builds a vector from a name→bool assignment,
-// ignoring unknown names. It is the inverse of Active, used by tests
-// and by callers replaying externally computed assignments.
-func NewFeatureVector(active map[string]bool) FeatureVector {
-	var v FeatureVector
-	for n, on := range active {
-		v.Set(n, on)
-	}
-	return v
 }

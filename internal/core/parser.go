@@ -92,32 +92,6 @@ func ParseChainsString(s string) (*Graph, error) {
 	return ParseChains(strings.NewReader(s))
 }
 
-// FormatGraph renders a graph back to DSL text (aliases first, then one
-// line per enumerated chain).
-func FormatGraph(g *Graph) string {
-	var b strings.Builder
-	var aliasNames []string
-	for name := range g.Aliases() {
-		aliasNames = append(aliasNames, name)
-	}
-	sortStrings(aliasNames)
-	for _, name := range aliasNames {
-		b.WriteString("alias ")
-		b.WriteString(name)
-		b.WriteString(" = ")
-		b.WriteString(strings.Join(g.Aliases()[name], " | "))
-		b.WriteString("\n")
-	}
-	if len(aliasNames) > 0 {
-		b.WriteString("\n")
-	}
-	for _, c := range g.EnumerateChains() {
-		b.WriteString(c.String())
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 func sortStrings(xs []string) {
 	for i := range xs {
 		for j := i + 1; j < len(xs); j++ {

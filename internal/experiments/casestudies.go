@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/domino5g/domino/internal/core"
 	"github.com/domino5g/domino/internal/netem"
 	"github.com/domino5g/domino/internal/ran"
-	"github.com/domino5g/domino/internal/rcastore"
 	"github.com/domino5g/domino/internal/rrc"
 	"github.com/domino5g/domino/internal/rtc"
 	"github.com/domino5g/domino/internal/sim"
@@ -160,88 +158,29 @@ func fig13(o Options) (Result, error) {
 	}, nil
 }
 
-// fig14Presets returns the three cells the packet↔TB comparison spans.
-func fig14Presets() []ran.CellConfig {
-	return []ran.CellConfig{ran.TMobileTDD(), ran.TMobileFDD(), ran.Amarisoft()}
-}
-
-// Metric names under which fig14's trace-level rollups are stored.
-const (
-	fig14MetricTBsPerMin   = "ul_tbs_per_min"
-	fig14MetricTBBytes     = "median_tb_bytes"
-	fig14MetricSpreadP50Ms = "frame_spread_p50_ms"
-	fig14MetricSpreadP90Ms = "frame_spread_p90_ms"
-)
-
-// fig14SessionMetrics computes one cell run's trace-level rollups: UL
-// transport blocks per minute, the median TB payload, and the
-// per-frame arrival delay-spread percentiles.
-func fig14SessionMetrics(set *trace.Set, o Options) []rcastore.Metric {
-	var tbBytes []float64
-	tbs := 0
-	for _, r := range set.DCI {
-		if r.Dir == netem.Uplink && r.OwnPRB > 0 {
-			tbs++
-			tbBytes = append(tbBytes, float64(r.UsedBits)/8)
-		}
-	}
-	// Delay spread: per video frame (send-time bursts), the span of
-	// its packets' arrival times.
-	c := stats.NewCDF(frameSpreads(set, netem.Uplink))
-	return []rcastore.Metric{
-		{Name: fig14MetricTBsPerMin, Value: float64(tbs) / o.Duration.Seconds() * 60},
-		{Name: fig14MetricTBBytes, Value: stats.NewCDF(tbBytes).Median()},
-		{Name: fig14MetricSpreadP50Ms, Value: c.Median()},
-		{Name: fig14MetricSpreadP90Ms, Value: c.Quantile(0.9)},
-	}
-}
-
 // fig14 reproduces the packet↔TB delay-spread comparison across cells:
 // the number of transport blocks a video frame spans and the resulting
-// intra-frame arrival spread. It is deliberately expressed as a
-// longitudinal query: each session is analyzed into a report, collapsed
-// into the fleet RCA store with the figure's trace-level rollups
-// attached as named metrics, and the table rendered entirely from
-// per-cell store queries. The package's tests keep the original
-// trace-level rendering (fig14Direct) as the oracle; the two are
-// differentially tested byte-identical.
+// intra-frame arrival spread, read off the trace of each of three cells.
 func fig14(o Options) (Result, error) {
-	runs, err := runPresetSessions(fig14Presets(), o)
-	if err != nil {
-		return Result{}, err
-	}
-	analyzer, err := core.NewAnalyzer(core.DetectorConfig{}, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	st := rcastore.New(rcastore.Options{})
-	for i, run := range runs {
-		rep, err := analyzer.Analyze(run.Set)
-		if err != nil {
-			return Result{}, err
-		}
-		// Synthetic fleet timeline: sessions a minute apart.
-		rec := rcastore.FromReport(fmt.Sprintf("fig14-s%02d", i), sim.Time(i)*sim.Minute, rep)
-		rec.Metrics = fig14SessionMetrics(run.Set, o)
-		st.Insert(rec)
-	}
-
 	tb := stats.NewTable("Cell", "UL TBs/min", "median TB bytes", "frame delay-spread p50 (ms)", "p90")
-	for _, cfg := range fig14Presets() {
-		recs := st.Query(rcastore.Query{Cell: cfg.Name})
-		if len(recs) != 1 {
-			return Result{}, fmt.Errorf("fig14: store query for cell %q matched %d sessions, want 1", cfg.Name, len(recs))
-		}
-		row := make([]any, 0, 5)
-		row = append(row, cfg.Name)
-		for _, name := range []string{fig14MetricTBsPerMin, fig14MetricTBBytes, fig14MetricSpreadP50Ms, fig14MetricSpreadP90Ms} {
-			v, ok := recs[0].Metric(name)
-			if !ok {
-				return Result{}, fmt.Errorf("fig14: stored session for cell %q is missing metric %q", cfg.Name, name)
+	runs, err := runPresetSessions([]ran.CellConfig{ran.TMobileTDD(), ran.TMobileFDD(), ran.Amarisoft()}, o)
+	if err != nil {
+		return Result{}, err
+	}
+	for _, run := range runs {
+		var tbBytes []float64
+		tbs := 0
+		for _, r := range run.Set.DCI {
+			if r.Dir == netem.Uplink && r.OwnPRB > 0 {
+				tbs++
+				tbBytes = append(tbBytes, float64(r.UsedBits)/8)
 			}
-			row = append(row, v)
 		}
-		tb.AddRow(row...)
+		// Delay spread: per video frame (send-time bursts), the span of
+		// its packets' arrival times.
+		c := stats.NewCDF(frameSpreads(run.Set, netem.Uplink))
+		tb.AddRow(run.Cfg.Name, float64(tbs)/o.Duration.Seconds()*60,
+			stats.NewCDF(tbBytes).Median(), c.Median(), c.Quantile(0.9))
 	}
 	return Result{
 		ID:    "fig14",

@@ -5,8 +5,9 @@
 // Tables 2 and 4), the extensibility demo (Fig. 11), and the
 // mechanism case studies (Figs. 12–22).
 //
-// Runners return formatted text artifacts; cmd/experiments prints them
-// and EXPERIMENTS.md records the paper-vs-measured comparison.
+// Runners return formatted text artifacts, each beside what the paper
+// reports; cmd/experiments prints them, and README's "Parallel
+// deterministic experiment engine" section describes how they run.
 package experiments
 
 import (
@@ -37,7 +38,7 @@ type Options struct {
 	// statistics (default 1; the paper used 14 across 4 cells).
 	Sessions int
 	// Workers is the worker-pool width used both to fan experiments
-	// out in RunAll/RunParallel and to fan sessions out inside a
+	// out in RunParallel and to fan sessions out inside a
 	// single experiment. Default 1 (fully sequential); any value
 	// produces identical artifact text for the same Seed.
 	Workers int
@@ -79,8 +80,8 @@ func (o Options) Defaults() Options {
 type Result struct {
 	ID    string
 	Title string
-	// PaperRef summarizes what the paper reports, for side-by-side
-	// comparison in EXPERIMENTS.md.
+	// PaperRef summarizes what the paper reports, printed beside Text
+	// by cmd/experiments for side-by-side comparison.
 	PaperRef string
 	// Text is the regenerated table/series. Deterministic in
 	// (Options.Seed, Options.Duration, Options.Sessions) and
@@ -130,11 +131,4 @@ func Run(id string, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	return out[0], nil
-}
-
-// RunAll executes every experiment, fanning out across opts.Workers
-// workers; results come back in registration order regardless of
-// completion order.
-func RunAll(opts Options) ([]Result, error) {
-	return RunParallel(IDs(), opts)
 }

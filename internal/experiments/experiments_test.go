@@ -4,9 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/domino5g/domino/internal/netem"
 	"github.com/domino5g/domino/internal/sim"
-	"github.com/domino5g/domino/internal/stats"
 )
 
 // quickOpts keeps experiment tests fast: short calls, one session.
@@ -92,64 +90,6 @@ func TestCaseStudyRunnersProduceOutput(t *testing.T) {
 		if len(res.Text) == 0 || res.Title == "" || res.PaperRef == "" {
 			t.Fatalf("%s: incomplete result", id)
 		}
-	}
-}
-
-// fig14Direct is the original trace-level rendering of fig. 14, kept
-// verbatim as the oracle for the store-backed fig14: the two must
-// produce byte-identical tables.
-func fig14Direct(o Options) (Result, error) {
-	tb := stats.NewTable("Cell", "UL TBs/min", "median TB bytes", "frame delay-spread p50 (ms)", "p90")
-	runs, err := runPresetSessions(fig14Presets(), o)
-	if err != nil {
-		return Result{}, err
-	}
-	for _, run := range runs {
-		cfg, set := run.Cfg, run.Set
-		var tbBytes []float64
-		tbs := 0
-		for _, r := range set.DCI {
-			if r.Dir == netem.Uplink && r.OwnPRB > 0 {
-				tbs++
-				tbBytes = append(tbBytes, float64(r.UsedBits)/8)
-			}
-		}
-		spreads := frameSpreads(set, netem.Uplink)
-		c := stats.NewCDF(spreads)
-		tb.AddRow(cfg.Name, float64(tbs)/o.Duration.Seconds()*60,
-			stats.NewCDF(tbBytes).Median(), c.Median(), c.Quantile(0.9))
-	}
-	return Result{
-		ID:    "fig14",
-		Title: "Fig. 14 — packet-to-TB mapping: per-frame delay spread across cells",
-		PaperRef: "paper: 100 MHz TDD packs frames into few TBs (small spread); 15 MHz FDD needs >10 TBs/frame " +
-			"(large spread); Amarisoft's poor UL forces low rate but spread persists",
-		Text: tb.String(),
-	}, nil
-}
-
-// TestFig14StoreQueryMatchesDirect differentially tests the
-// store-backed fig14 against the original trace-level rendering: the
-// report->record collapse, metric attachment, and per-cell store
-// queries must reproduce the direct table byte for byte.
-func TestFig14StoreQueryMatchesDirect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs three preset sessions twice")
-	}
-	o := quickOpts()
-	via, err := fig14(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := fig14Direct(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if via.Text != direct.Text {
-		t.Fatalf("store-backed fig14 diverged from the direct oracle:\nstore:\n%s\ndirect:\n%s", via.Text, direct.Text)
-	}
-	if via.Title != direct.Title || via.PaperRef != direct.PaperRef || via.ID != direct.ID {
-		t.Fatal("fig14 result metadata diverged from the direct oracle")
 	}
 }
 

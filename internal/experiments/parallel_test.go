@@ -75,20 +75,21 @@ func TestRunParallelDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesRunParallel pins RunAll to the batch engine: same
-// IDs, same order, same artifact bytes as per-ID Run calls.
+// TestRunAllMatchesRunParallel pins the batch engine over every ID:
+// results in registration order, the same artifact bytes as per-ID Run
+// calls.
 func TestRunAllMatchesRunParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full regeneration is slow")
 	}
 	opts := Options{Duration: 10 * sim.Second, Seed: 3, Workers: 4}
-	all, err := RunAll(opts)
+	all, err := RunParallel(IDs(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := IDs()
 	if len(all) != len(ids) {
-		t.Fatalf("RunAll returned %d results, want %d", len(all), len(ids))
+		t.Fatalf("RunParallel returned %d results, want %d", len(all), len(ids))
 	}
 	for i, res := range all {
 		if res.ID != ids[i] {
@@ -110,7 +111,7 @@ func TestRunAllMatchesRunParallel(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("table1 missing from RunAll output")
+		t.Fatal("table1 missing from the batch output")
 	}
 }
 

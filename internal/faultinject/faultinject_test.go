@@ -223,10 +223,9 @@ func TestFSJournalFailedWriteDropsItsNames(t *testing.T) {
 	}
 	fresh := func(session string) rcastore.Record {
 		return rcastore.Record{Session: session, Cell: "fdd", Scenario: "grant-starvation",
-			Fired:   []string{"ul_scheduling", "harq_retx"},
-			Chains:  []rcastore.ChainRuns{{Chain: "ul_scheduling --> target_bitrate_down", Runs: 2}},
-			Causes:  []rcastore.CauseRuns{{Cause: "ul_scheduling", Runs: 2}},
-			Metrics: []rcastore.Metric{{Name: "deg_per_min", Value: 1.5}}}
+			Fired:  []string{"ul_scheduling", "harq_retx"},
+			Chains: []rcastore.ChainRuns{{Chain: "ul_scheduling --> target_bitrate_down", Runs: 2}},
+			Causes: []rcastore.CauseRuns{{Cause: "ul_scheduling", Runs: 2}}}
 	}
 	if err := j.Append(rec("before")); err != nil {
 		t.Fatal(err)

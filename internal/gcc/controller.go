@@ -143,9 +143,6 @@ func (c *Controller) Tick(now sim.Time) {
 	c.pushback.Update(now, c.target, c.srttMs)
 }
 
-// TargetRate returns the bandwidth-estimator output (bps).
-func (c *Controller) TargetRate() float64 { return c.target }
-
 // PushbackRate returns the congestion-window constrained media rate (bps).
 func (c *Controller) PushbackRate() float64 { return c.pushback.Rate() }
 

@@ -71,8 +71,8 @@ func TestTrendlineStableDelayIsNormal(t *testing.T) {
 	if st != trace.GCCNormal {
 		t.Fatalf("state = %v for flat delay", st)
 	}
-	if math.Abs(tl.Slope()) > 0.01 {
-		t.Fatalf("slope = %v for flat delay", tl.Slope())
+	if math.Abs(tl.slope) > 0.01 {
+		t.Fatalf("slope = %v for flat delay", tl.slope)
 	}
 }
 
@@ -83,8 +83,8 @@ func TestTrendlineRampTriggersOveruse(t *testing.T) {
 	if st != trace.GCCOveruse {
 		t.Fatalf("state = %v for ramping delay, want overuse", st)
 	}
-	if tl.Slope() <= 0 {
-		t.Fatalf("slope = %v, want positive", tl.Slope())
+	if tl.slope <= 0 {
+		t.Fatalf("slope = %v, want positive", tl.slope)
 	}
 }
 
@@ -341,8 +341,8 @@ func TestControllerStableNetworkGrowsRate(t *testing.T) {
 		duration sim.Time
 		delayMs  float64
 	}{{10 * sim.Second, 30}})
-	if c.TargetRate() <= 500_000 {
-		t.Fatalf("target did not grow on a clean network: %v", c.TargetRate())
+	if c.target <= 500_000 {
+		t.Fatalf("target did not grow on a clean network: %v", c.target)
 	}
 	if c.State() == trace.GCCOveruse {
 		t.Fatal("clean network classified as overuse")
@@ -364,7 +364,7 @@ func TestControllerDelayRampCutsRate(t *testing.T) {
 		}
 		c.OnFeedback(now+100*sim.Millisecond, results)
 	}
-	before := c.TargetRate()
+	before := c.target
 	ramp := 0.0
 	for ; now < 8*sim.Second; now += 100 * sim.Millisecond {
 		ramp += 15
@@ -378,8 +378,8 @@ func TestControllerDelayRampCutsRate(t *testing.T) {
 		}
 		c.OnFeedback(now+100*sim.Millisecond, results)
 	}
-	if c.TargetRate() >= before {
-		t.Fatalf("target did not drop under delay ramp: %v -> %v", before, c.TargetRate())
+	if c.target >= before {
+		t.Fatalf("target did not drop under delay ramp: %v -> %v", before, c.target)
 	}
 	snap := c.Snapshot(now)
 	if snap.OveruseEvents == 0 {
@@ -405,8 +405,8 @@ func TestControllerLossCutsRate(t *testing.T) {
 		}
 		c.OnFeedback(now+100*sim.Millisecond, results)
 	}
-	if c.TargetRate() > 1_500_000 {
-		t.Fatalf("25%% loss did not constrain rate: %v", c.TargetRate())
+	if c.target > 1_500_000 {
+		t.Fatalf("25%% loss did not constrain rate: %v", c.target)
 	}
 }
 
@@ -417,7 +417,7 @@ func TestControllerFeedbackStallTriggersPushback(t *testing.T) {
 		duration sim.Time
 		delayMs  float64
 	}{{3 * sim.Second, 30}})
-	target := c.TargetRate()
+	target := c.target
 	// Now send without any feedback (RTCP path stalled): outstanding
 	// bytes pile up and Tick pushes the send rate down while the
 	// target stays put — the Fig. 22 signature.
@@ -430,8 +430,8 @@ func TestControllerFeedbackStallTriggersPushback(t *testing.T) {
 	if c.PushbackRate() >= target {
 		t.Fatalf("pushback rate %v did not drop below target %v during feedback stall", c.PushbackRate(), target)
 	}
-	if c.TargetRate() != target {
-		t.Fatalf("target rate should be unchanged by the stall: %v -> %v", target, c.TargetRate())
+	if c.target != target {
+		t.Fatalf("target rate should be unchanged by the stall: %v -> %v", target, c.target)
 	}
 	snap := c.Snapshot(4 * sim.Second)
 	if snap.OutstandingBytes <= snap.CongestionWindow {
@@ -464,10 +464,10 @@ func TestControllerBoundsProperty(t *testing.T) {
 			now += 100 * sim.Millisecond
 			c.OnFeedback(now, results)
 			cfg := DefaultAIMDConfig()
-			if c.TargetRate() < cfg.MinRateBps-1 || c.TargetRate() > cfg.MaxRateBps+1 {
+			if c.target < cfg.MinRateBps-1 || c.target > cfg.MaxRateBps+1 {
 				return false
 			}
-			if c.PushbackRate() > c.TargetRate()+1 {
+			if c.PushbackRate() > c.target+1 {
 				return false
 			}
 		}
@@ -521,7 +521,7 @@ func TestControllerSurvivesHeavyJitterAboveFloor(t *testing.T) {
 		c.OnFeedback(now+100*sim.Millisecond, results)
 	}
 	min := DefaultAIMDConfig().MinRateBps
-	if c.TargetRate() <= min*1.5 {
-		t.Fatalf("heavy jitter pinned rate near floor: %v", c.TargetRate())
+	if c.target <= min*1.5 {
+		t.Fatalf("heavy jitter pinned rate near floor: %v", c.target)
 	}
 }

@@ -159,9 +159,6 @@ func (t *Trendline) adaptThreshold(now sim.Time) {
 	}
 }
 
-// Slope returns the latest raw regression slope (ms of delay per ms).
-func (t *Trendline) Slope() float64 { return t.slope }
-
 // ModifiedTrend returns the gain-scaled trend compared to Threshold.
 func (t *Trendline) ModifiedTrend() float64 { return t.modified }
 

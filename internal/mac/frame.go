@@ -100,35 +100,6 @@ func (f FramePattern) HasDL(slot int64) bool {
 	return k == SlotDL || k == SlotSpecial || k == SlotBoth
 }
 
-// NextULSlot returns the first slot index >= from that carries uplink.
-func (f FramePattern) NextULSlot(from int64) int64 {
-	if f.fdd {
-		return from
-	}
-	n := int64(len(f.pattern))
-	for i := int64(0); i < n; i++ {
-		if f.HasUL(from + i) {
-			return from + i
-		}
-	}
-	panic("mac: TDD pattern has no uplink slot")
-}
-
-// ULSlotFraction returns the fraction of slots carrying uplink, used to
-// derate peak UL capacity in TDD.
-func (f FramePattern) ULSlotFraction() float64 {
-	if f.fdd {
-		return 1
-	}
-	ul := 0
-	for _, k := range f.pattern {
-		if k == SlotUL {
-			ul++
-		}
-	}
-	return float64(ul) / float64(len(f.pattern))
-}
-
 // String renders the pattern.
 func (f FramePattern) String() string {
 	if f.fdd {
@@ -149,6 +120,3 @@ type SlotClock struct {
 
 // SlotAt returns the slot index containing time t.
 func (c SlotClock) SlotAt(t sim.Time) int64 { return int64(t / c.SlotDuration) }
-
-// TimeOf returns the start time of slot index s.
-func (c SlotClock) TimeOf(s int64) sim.Time { return sim.Time(s) * c.SlotDuration }

@@ -141,6 +141,3 @@ func (s *ULScheduler) OnULSlot(now sim.Time, bufferedBytes int) (usableBytes int
 	s.pending = kept
 	return usableBytes, proactive
 }
-
-// PendingGrants returns the number of grants still in flight.
-func (s *ULScheduler) PendingGrants() int { return len(s.pending) }

@@ -42,11 +42,6 @@ type HARQConfig struct {
 	MaxAttempts int
 }
 
-// DefaultHARQConfig mirrors the Amarisoft configuration.
-func DefaultHARQConfig() HARQConfig {
-	return HARQConfig{RTT: 10 * sim.Millisecond, MaxAttempts: 5}
-}
-
 // HARQOutcome describes one concluded transport-block attempt, for
 // telemetry.
 type HARQOutcome struct {

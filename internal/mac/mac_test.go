@@ -24,9 +24,6 @@ func TestTDDPattern(t *testing.T) {
 	if p.String() != "DDDSU" {
 		t.Fatalf("String = %q", p.String())
 	}
-	if p.ULSlotFraction() != 0.2 {
-		t.Fatalf("UL fraction = %v", p.ULSlotFraction())
-	}
 }
 
 func TestTDDHasULDL(t *testing.T) {
@@ -37,21 +34,12 @@ func TestTDDHasULDL(t *testing.T) {
 	if !p.HasDL(0) || !p.HasDL(3) || p.HasDL(4) {
 		t.Fatal("HasDL wrong")
 	}
-	if p.NextULSlot(0) != 4 || p.NextULSlot(4) != 4 || p.NextULSlot(5) != 9 {
-		t.Fatal("NextULSlot wrong")
-	}
 }
 
 func TestFDDPattern(t *testing.T) {
 	p := FDD()
 	if !p.IsFDD() || p.Kind(17) != SlotBoth || !p.HasUL(3) || !p.HasDL(3) {
 		t.Fatal("FDD pattern wrong")
-	}
-	if p.NextULSlot(7) != 7 {
-		t.Fatal("FDD NextULSlot should be immediate")
-	}
-	if p.ULSlotFraction() != 1 {
-		t.Fatal("FDD UL fraction")
 	}
 }
 
@@ -69,10 +57,10 @@ func TestSlotClock(t *testing.T) {
 	if c.SlotAt(1250*sim.Microsecond) != 2 {
 		t.Fatal("SlotAt")
 	}
-	if c.TimeOf(4) != 2*sim.Millisecond {
-		t.Fatal("TimeOf")
-	}
 }
+
+// amarisoftHARQ is the Amarisoft cell's HARQ configuration.
+var amarisoftHARQ = HARQConfig{RTT: 10 * sim.Millisecond, MaxAttempts: 5}
 
 func mkTB(id uint64, mcs phy.MCS) *TB {
 	return &TB{ID: id, MCS: mcs, PRBs: 20, TBSBits: phy.TransportBlockSizeBits(mcs, 20)}
@@ -81,7 +69,7 @@ func mkTB(id uint64, mcs phy.MCS) *TB {
 func TestHARQAllDecodeAtHighSNR(t *testing.T) {
 	e := sim.NewEngine()
 	decoded := 0
-	h := NewHARQEntity(DefaultHARQConfig(), e, sim.NewRNG(1),
+	h := NewHARQEntity(amarisoftHARQ, e, sim.NewRNG(1),
 		func(*TB, sim.Time) { decoded++ }, nil, nil, nil)
 	e.Schedule(0, func() {
 		for i := 0; i < 200; i++ {
@@ -160,7 +148,7 @@ func TestHARQRetxTiming(t *testing.T) {
 func TestHARQOutcomeCallback(t *testing.T) {
 	e := sim.NewEngine()
 	var outcomes []HARQOutcome
-	h := NewHARQEntity(DefaultHARQConfig(), e, sim.NewRNG(4), nil, nil, nil,
+	h := NewHARQEntity(amarisoftHARQ, e, sim.NewRNG(4), nil, nil, nil,
 		func(o HARQOutcome) { outcomes = append(outcomes, o) })
 	e.Schedule(0, func() { h.Transmit(mkTB(1, 5), 40, sim.Millisecond) })
 	e.Run()

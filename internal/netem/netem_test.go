@@ -19,8 +19,8 @@ func TestPathBaseDelay(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("delivered %d packets", len(got))
 	}
-	if got[0].OneWayDelay() != 10*sim.Millisecond {
-		t.Fatalf("delay = %v, want 10ms", got[0].OneWayDelay())
+	if got[0].ArrivedAt-got[0].SentAt != 10*sim.Millisecond {
+		t.Fatalf("delay = %v, want 10ms", got[0].ArrivedAt-got[0].SentAt)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestPathScriptedDelayWindow(t *testing.T) {
 	e := sim.NewEngine()
 	var delays []sim.Time
 	p := NewPath(e, sim.NewRNG(4), PathConfig{BaseDelay: 5 * sim.Millisecond}, func(pk *Packet) {
-		delays = append(delays, pk.OneWayDelay())
+		delays = append(delays, pk.ArrivedAt-pk.SentAt)
 	})
 	p.ScriptExtraDelay(sim.Second, 2*sim.Second, 100*sim.Millisecond)
 	for _, at := range []sim.Time{500 * sim.Millisecond, 1500 * sim.Millisecond, 2500 * sim.Millisecond} {
@@ -110,29 +110,20 @@ func TestPathRateCapSerializes(t *testing.T) {
 	}
 }
 
+// TestChainComposition: segments joined the way a session joins its
+// legs, each delivering into the next one's Send, add their delays.
 func TestChainComposition(t *testing.T) {
 	e := sim.NewEngine()
 	var out []*Packet
-	link := Chain(func(pk *Packet) { out = append(out, pk) },
-		Factory(e, sim.NewRNG(6), PathConfig{BaseDelay: 3 * sim.Millisecond}),
-		Factory(e, sim.NewRNG(7), PathConfig{BaseDelay: 4 * sim.Millisecond}),
-	)
-	e.Schedule(0, func() { link.Send(&Packet{Size: 100, SentAt: 0}) })
+	last := NewPath(e, sim.NewRNG(7), PathConfig{BaseDelay: 4 * sim.Millisecond}, func(pk *Packet) { out = append(out, pk) })
+	first := NewPath(e, sim.NewRNG(6), PathConfig{BaseDelay: 3 * sim.Millisecond}, last.Send)
+	e.Schedule(0, func() { first.Send(&Packet{Size: 100, SentAt: 0}) })
 	e.Run()
 	if len(out) != 1 {
 		t.Fatalf("delivered %d", len(out))
 	}
-	if d := out[0].OneWayDelay(); d != 7*sim.Millisecond {
+	if d := out[0].ArrivedAt - out[0].SentAt; d != 7*sim.Millisecond {
 		t.Fatalf("chained delay = %v, want 7ms", d)
-	}
-}
-
-func TestChainEmpty(t *testing.T) {
-	var out []*Packet
-	link := Chain(func(pk *Packet) { out = append(out, pk) })
-	link.Send(&Packet{Seq: 9})
-	if len(out) != 1 || out[0].Seq != 9 {
-		t.Fatal("empty chain should pass packets straight through")
 	}
 }
 
@@ -156,7 +147,7 @@ func TestPathDelayProperty(t *testing.T) {
 		var last sim.Time
 		ok := true
 		p := NewPath(e, sim.NewRNG(seed), PathConfig{BaseDelay: base, JitterStd: 2 * sim.Millisecond}, func(pk *Packet) {
-			if pk.OneWayDelay() < base/2 {
+			if pk.ArrivedAt-pk.SentAt < base/2 {
 				ok = false
 			}
 			if pk.ArrivedAt < last {

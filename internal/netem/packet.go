@@ -83,9 +83,6 @@ type Packet struct {
 	Payload any
 }
 
-// OneWayDelay returns the packet's network transit time.
-func (p *Packet) OneWayDelay() sim.Time { return p.ArrivedAt - p.SentAt }
-
 // Link is a unidirectional packet conduit. Implementations (wired
 // paths, the RAN uplink/downlink) deliver packets to the sink passed at
 // construction, possibly delayed, reordered, or dropped.
@@ -96,36 +93,3 @@ type Link interface {
 
 // Sink consumes delivered packets.
 type Sink func(p *Packet)
-
-// Chain composes links so that packets delivered by first are fed into
-// next, returning the entry link. Used to join RAN and wired segments.
-type chained struct {
-	entry Link
-}
-
-func (c *chained) Send(p *Packet) { c.entry.Send(p) }
-
-// LinkFactory builds a link delivering into the given sink; used by
-// Chain to wire segments back-to-front.
-type LinkFactory func(sink Sink) Link
-
-// Chain wires factories left-to-right: packets enter the first segment
-// and exit the last into finalSink.
-func Chain(finalSink Sink, factories ...LinkFactory) Link {
-	sink := finalSink
-	var entry Link
-	for i := len(factories) - 1; i >= 0; i-- {
-		l := factories[i](sink)
-		entry = l
-		next := l
-		sink = func(p *Packet) { next.Send(p) }
-	}
-	if entry == nil {
-		return sinkLink(finalSink)
-	}
-	return entry
-}
-
-type sinkLink Sink
-
-func (s sinkLink) Send(p *Packet) { s(p) }

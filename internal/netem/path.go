@@ -87,11 +87,6 @@ func NewPath(engine *sim.Engine, rng *sim.RNG, cfg PathConfig, sink Sink) *Path 
 	return p
 }
 
-// Factory returns a LinkFactory for Chain composition.
-func Factory(engine *sim.Engine, rng *sim.RNG, cfg PathConfig) LinkFactory {
-	return func(sink Sink) Link { return NewPath(engine, rng, cfg, sink) }
-}
-
 // ScriptExtraDelay adds `extra` delay to every packet sent in
 // [start, end). Windows may overlap; their extras accumulate.
 func (p *Path) ScriptExtraDelay(start, end, extra sim.Time) {

@@ -185,7 +185,7 @@ func TestMalformedChunkIsNotRetried(t *testing.T) {
 	ts := httptest.NewServer(n.Routes())
 	defer ts.Close()
 	body := sessionJSONL(t, 5, 3*sim.Second)
-	set, err := trace.ReadJSONL(bytes.NewReader(body))
+	set, err := trace.ReadAuto(bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,11 +151,14 @@ func newMetrics(analyzer *core.Analyzer, sessions *ingest.Table[*session]) *metr
 	}
 
 	version, goVersion := buildInfo()
-	reg.Gauge("domino_build_info",
+	reg.GaugeFunc("domino_build_info",
 		"Build metadata; always 1. Version and Go toolchain ride in the labels.",
-		obs.L("version", version), obs.L("go_version", goVersion)).Set(1)
+		one, obs.L("version", version), obs.L("go_version", goVersion))
 	return m
 }
+
+// one is the value of the info gauges, whose labels carry the data.
+func one() float64 { return 1 }
 
 // buildInfo reports the main module version and Go toolchain from the
 // binary's embedded build information.
@@ -266,9 +269,9 @@ func (n *Node) registerGauges() {
 		return 0
 	})
 	if n.opts.NodeID != "" {
-		reg.Gauge("dominod_node_info",
+		reg.GaugeFunc("dominod_node_info",
 			"Node identity; the value is always 1, the node ID rides in the label.",
-			obs.L("node", n.opts.NodeID)).Set(1)
+			one, obs.L("node", n.opts.NodeID))
 	}
 	reg.GaugeFunc("dominod_analyzer_pool_hit_ratio", "Fraction of analyzer checkouts served from the pool.", func() float64 {
 		gets := n.m.poolGets.Value()

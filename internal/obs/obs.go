@@ -1,17 +1,17 @@
 // Package obs is the self-contained observability kernel for the
-// Domino fleet: zero-allocation atomic metrics (counters, gauges,
-// fixed-bucket histograms) registered in a named Registry, a
-// point-in-time Snapshot API whose Merge is the federation seam
-// dominolb collapses its nodes' snapshots into one fleet view with,
-// spec-valid Prometheus text exposition (with a Lint validator
-// the tests and cmd/promlint share), a per-session pipeline flight
+// Domino fleet: zero-allocation metrics (atomic counters and
+// fixed-bucket histograms, gauges computed at snapshot time) registered
+// in a named Registry, a point-in-time Snapshot API whose Merge is the
+// federation seam dominolb collapses its nodes' snapshots into one fleet
+// view with, spec-valid Prometheus text exposition (with a Lint
+// validator the tests and cmd/promlint share), a per-session pipeline flight
 // recorder, and the nil-safe Hooks interface the per-session
 // pipeline (internal/core, internal/stream) publishes stage events
 // through.
 //
 // Design constraints, in order:
 //
-//  1. Hot-path operations — Counter.Add, Gauge.Set, Histogram.Observe,
+//  1. Hot-path operations — Counter.Add, Histogram.Observe,
 //     FlightRecorder.Record — allocate nothing and take no locks, so
 //     instrumentation-on is the default without breaking the perf
 //     contract (TestHotPathZeroAlloc pins this). The metrics are
@@ -74,28 +74,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an atomic float64 gauge.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by d (d may be negative).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket cumulative histogram: observation counts
 // per upper bound plus a +Inf overflow bucket, a running sum, and a
 // total count. Buckets are fixed at registration so Observe is one
@@ -128,15 +106,6 @@ func (h *Histogram) Observe(v float64) {
 // Sum returns the running sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // LatencyBuckets is the default bucket layout for per-stage pipeline
 // latencies, in seconds: 1µs to 100ms in a 1-2.5-5 progression. The
 // pipeline's hot stages sit in the microsecond range; anything past
@@ -155,7 +124,6 @@ var LatencyBuckets = []float64{
 type sample struct {
 	labels []Label
 	ctr    *Counter
-	gauge  *Gauge
 	hist   *Histogram
 	fn     func() float64
 }
@@ -195,16 +163,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		s.ctr = &Counter{}
 	}
 	return s.ctr
-}
-
-// Gauge registers (and returns) a gauge. Registering the same
-// name+labels twice returns the existing gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.register(name, help, TypeGauge, labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at
@@ -357,8 +315,6 @@ func (r *Registry) Snapshot() Snapshot {
 				out.Value = s.fn()
 			case s.ctr != nil:
 				out.Value = float64(s.ctr.Value())
-			case s.gauge != nil:
-				out.Value = s.gauge.Value()
 			case s.hist != nil:
 				out.Buckets = make([]Bucket, len(s.hist.bounds))
 				var cum int64

@@ -14,18 +14,10 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if c.Value() != 4 {
 		t.Fatalf("counter = %d", c.Value())
 	}
-	g := reg.Gauge("g", "help")
-	g.Set(2.5)
-	g.Add(-0.5)
-	if g.Value() != 2.0 {
-		t.Fatalf("gauge = %v", g.Value())
-	}
+	reg.GaugeFunc("g", "help", func() float64 { return 2 })
 	h := reg.Histogram("h_seconds", "help", []float64{1, 10, 100})
 	for _, v := range []float64{0.5, 1, 5, 50, 500} {
 		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("hist count = %d", h.Count())
 	}
 	if h.Sum() != 556.5 {
 		t.Fatalf("hist sum = %v", h.Sum())
@@ -33,8 +25,13 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	snap := reg.Snapshot()
 	var hs *Sample
 	for i := range snap.Families {
-		if snap.Families[i].Name == "h_seconds" {
-			hs = &snap.Families[i].Samples[0]
+		switch f := &snap.Families[i]; f.Name {
+		case "g":
+			if f.Type != TypeGauge || f.Samples[0].Value != 2 {
+				t.Fatalf("gauge family = %+v", *f)
+			}
+		case "h_seconds":
+			hs = &f.Samples[0]
 		}
 	}
 	if hs == nil {
@@ -74,9 +71,10 @@ func TestRegistryIdempotentAndPanics(t *testing.T) {
 		fn()
 	}
 	mustPanic("counter without _total", func() { reg.Counter("bad", "h") })
-	mustPanic("invalid name", func() { reg.Gauge("0bad", "h") })
-	mustPanic("invalid label", func() { reg.Gauge("ok", "h", L("0bad", "v")) })
-	mustPanic("type conflict", func() { reg.Gauge("dup_total", "h") })
+	one := func() float64 { return 1 }
+	mustPanic("invalid name", func() { reg.GaugeFunc("0bad", "h", one) })
+	mustPanic("invalid label", func() { reg.GaugeFunc("ok", "h", one, L("0bad", "v")) })
+	mustPanic("type conflict", func() { reg.GaugeFunc("dup_total", "h", one) })
 	mustPanic("descending bounds", func() { reg.Histogram("hh", "h", []float64{2, 1}) })
 }
 
@@ -87,7 +85,7 @@ func TestSnapshotMergeFederation(t *testing.T) {
 	mk := func(sessions int64, lat []float64, cell string) Snapshot {
 		reg := NewRegistry()
 		reg.Counter("node_sessions_total", "sessions").Add(sessions)
-		reg.Gauge("node_active", "active").Set(float64(sessions % 3))
+		reg.GaugeFunc("node_active", "active", func() float64 { return float64(sessions % 3) })
 		reg.Counter("node_cell_total", "per cell", L("cell", cell)).Add(2)
 		h := reg.Histogram("node_latency_seconds", "lat", []float64{0.001, 0.01})
 		for _, v := range lat {
@@ -142,7 +140,7 @@ func TestSnapshotMergeFederation(t *testing.T) {
 		t.Fatal("merging mismatched bucket layouts did not error")
 	}
 	regA := NewRegistry()
-	regA.Gauge("conflict", "x").Set(1)
+	regA.GaugeFunc("conflict", "x", func() float64 { return 1 })
 	regB := NewRegistry()
 	regB.Histogram("conflict", "x", []float64{1}).Observe(1)
 	if _, err := Merge(regA.Snapshot(), regB.Snapshot()); err == nil {
@@ -153,7 +151,7 @@ func TestSnapshotMergeFederation(t *testing.T) {
 func TestWriteTextFormat(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total", "a counter").Add(2)
-	reg.Gauge("b", "a gauge with \\ and\nnewline", L("cell", `va"l\ue`)).Set(1.5)
+	reg.GaugeFunc("b", "a gauge with \\ and\nnewline", func() float64 { return 1.5 }, L("cell", `va"l\ue`))
 	reg.Histogram("lat_seconds", "latency", []float64{0.01, 0.1}).Observe(0.05)
 	var sb strings.Builder
 	if err := reg.Snapshot().WriteText(&sb); err != nil {
@@ -188,7 +186,6 @@ func TestWriteTextFormat(t *testing.T) {
 func TestHotPathZeroAlloc(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "h")
-	g := reg.Gauge("g", "h")
 	h := reg.Histogram("h_seconds", "h", nil)
 	names := NewNameTable()
 	names.Intern("dl_grant_starvation")
@@ -199,8 +196,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		fn   func()
 	}{
 		{"Counter.Add", func() { c.Add(1) }},
-		{"Gauge.Set", func() { g.Set(42) }},
-		{"Gauge.Add", func() { g.Add(1) }},
 		{"Histogram.Observe", func() { h.Observe(0.0023) }},
 		{"FlightRecorder.Record", func() {
 			rec.Record(Event{Kind: EvNodeFired, Wall: 1, Sim: 2, NameID: names.ID(name), N: 3})

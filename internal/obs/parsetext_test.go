@@ -16,8 +16,7 @@ func roundTripSnapshot(t testing.TB) Snapshot {
 	c := r.Counter("rt_requests_total", "Requests handled.", L("node", "a"), L("path", `with "quotes" and \slash`))
 	c.Add(41)
 	r.Counter("rt_requests_total", "Requests handled.", L("node", "b")).Add(1)
-	g := r.Gauge("rt_temperature", "Help with\nnewline and \\ backslash.")
-	g.Set(-3.25)
+	r.GaugeFunc("rt_temperature", "Help with\nnewline and \\ backslash.", func() float64 { return -3.25 })
 	h := r.Histogram("rt_latency_us", "Latency.", []float64{100, 1000, 10000}, L("shard", "0"))
 	for _, v := range []float64{50, 150, 2500, 99999} {
 		h.Observe(v)
@@ -61,7 +60,7 @@ func TestParseTextMergesAcrossNodes(t *testing.T) {
 	render := func(node string, requests int64) []byte {
 		r := NewRegistry()
 		r.Counter("fleet_requests_total", "Requests.", L("node", node)).Add(requests)
-		r.Gauge("fleet_sessions", "Active sessions.").Set(2)
+		r.GaugeFunc("fleet_sessions", "Active sessions.", func() float64 { return 2 })
 		h := r.Histogram("fleet_latency_us", "Latency.", []float64{10, 100})
 		h.Observe(5)
 		h.Observe(50)

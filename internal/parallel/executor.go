@@ -86,9 +86,6 @@ func (e *Executor) withScratch(fn func(scratch any)) {
 	}
 }
 
-// Workers returns the pool width.
-func (e *Executor) Workers() int { return e.workers }
-
 // Close stops the pool once the workers have drained the queue; it is
 // idempotent. Map and Submit keep working on a closed executor: both
 // run everything on the caller.

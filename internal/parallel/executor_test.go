@@ -232,14 +232,14 @@ func BenchmarkBatchExecutor(b *testing.B) {
 func blockWorkers(e *Executor, then func()) (release chan struct{}) {
 	release = make(chan struct{})
 	started := make(chan struct{})
-	for i := 0; i < e.Workers(); i++ {
+	for i := 0; i < e.workers; i++ {
 		e.Submit(func(any) {
 			started <- struct{}{}
 			<-release
 			then()
 		})
 	}
-	for i := 0; i < e.Workers(); i++ {
+	for i := 0; i < e.workers; i++ {
 		<-started
 	}
 	return release
@@ -252,8 +252,8 @@ func saturate(t *testing.T, e *Executor, extra int, task func(any)) (through cha
 	for i := 0; i < cap(e.queue); i++ {
 		e.Submit(task)
 	}
-	if len(e.queue) != e.Workers()*queuePerWorker {
-		t.Fatalf("queue holds %d tasks, want the bound %d", len(e.queue), e.Workers()*queuePerWorker)
+	if len(e.queue) != e.workers*queuePerWorker {
+		t.Fatalf("queue holds %d tasks, want the bound %d", len(e.queue), e.workers*queuePerWorker)
 	}
 	through = make(chan struct{}, extra)
 	for i := 0; i < extra; i++ {

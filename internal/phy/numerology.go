@@ -35,11 +35,6 @@ func (n Numerology) SlotDuration() sim.Time {
 	}
 }
 
-// SlotsPerSecond returns the slot rate.
-func (n Numerology) SlotsPerSecond() int {
-	return int(sim.Second / n.SlotDuration())
-}
-
 // String implements fmt.Stringer.
 func (n Numerology) String() string {
 	switch n {
@@ -83,12 +78,6 @@ func (n Numerology) PRBsForBandwidth(mhz int) (int, error) {
 	}
 	return prbs, nil
 }
-
-// SubcarriersPerPRB is fixed at 12 in NR.
-const SubcarriersPerPRB = 12
-
-// SymbolsPerSlot is fixed at 14 for normal cyclic prefix.
-const SymbolsPerSlot = 14
 
 // REPerPRBData is the usable resource elements per PRB per slot after
 // subtracting DMRS and control overhead, as in the TS 38.214 TBS

@@ -15,9 +15,6 @@ func TestNumerologySlotDuration(t *testing.T) {
 	if SCS30kHz.SlotDuration() != 500*sim.Microsecond {
 		t.Fatal("30 kHz slot != 0.5 ms")
 	}
-	if SCS15kHz.SlotsPerSecond() != 1000 || SCS30kHz.SlotsPerSecond() != 2000 {
-		t.Fatal("slots per second wrong")
-	}
 }
 
 func TestPRBsForBandwidthPaperCells(t *testing.T) {
@@ -133,13 +130,12 @@ func TestTBSRealisticMagnitudes(t *testing.T) {
 	// 273 PRBs at MCS 27 (100 MHz cell, great channel): per-slot TB in
 	// the tens of kilobytes, i.e. several hundred Mbit/s at 2000
 	// slots/s.
-	tbs := TransportBlockSizeBits(27, 273)
-	rate := RateForTBS(tbs, 2000)
+	rate := float64(TransportBlockSizeBits(27, 273)) * 2000
 	if rate < 200e6 || rate > 800e6 {
 		t.Fatalf("peak rate %v bps implausible for 100 MHz", rate)
 	}
 	// 51 PRBs at MCS 5 (20 MHz cell, weak channel): a few tens of Mbit/s max.
-	rate = RateForTBS(TransportBlockSizeBits(5, 51), 2000)
+	rate = float64(TransportBlockSizeBits(5, 51)) * 2000
 	if rate < 5e6 || rate > 50e6 {
 		t.Fatalf("weak-channel rate %v bps implausible", rate)
 	}

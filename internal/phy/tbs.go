@@ -78,9 +78,3 @@ func PRBsForBytes(m MCS, bytes, maxPRB int) int {
 	}
 	return n
 }
-
-// RateForTBS converts a per-slot TBS (bits) and slot duration into a
-// throughput in bits per second.
-func RateForTBS(tbsBits int, slotsPerSecond int) float64 {
-	return float64(tbsBits) * float64(slotsPerSecond)
-}

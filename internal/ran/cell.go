@@ -224,12 +224,6 @@ func (l dirLink) Send(p *netem.Packet) {
 // ULChannel exposes the uplink channel for scenario scripting.
 func (c *Cell) ULChannel() *phy.Channel { return c.ul.channel }
 
-// DLChannel exposes the downlink channel for scenario scripting.
-func (c *Cell) DLChannel() *phy.Channel { return c.dl.channel }
-
-// ULCross exposes the uplink cross-traffic generator for scripting.
-func (c *Cell) ULCross() *mac.CrossTraffic { return c.ul.cross }
-
 // DLCross exposes the downlink cross-traffic generator for scripting.
 func (c *Cell) DLCross() *mac.CrossTraffic { return c.dl.cross }
 
@@ -280,9 +274,6 @@ func (c *Cell) Stop() { c.ticker.Stop() }
 // ULBufferBytes returns the UE-side RLC buffer occupancy (the quantity
 // BSRs report and Fig. 12 plots).
 func (c *Cell) ULBufferBytes() int { return c.ul.tx.BufferedBytes() }
-
-// DLBufferBytes returns the gNB-side RLC buffer occupancy.
-func (c *Cell) DLBufferBytes() int { return c.dl.tx.BufferedBytes() }
 
 // onSlot is the per-slot main loop.
 func (c *Cell) onSlot(now sim.Time) {
@@ -501,32 +492,6 @@ func splitPRBs(own, cross, budget int) (ownPRB, crossPRB int) {
 		crossPRB = cross
 	}
 	return ownPRB, crossPRB
-}
-
-// DebugState exposes internal queue depths for tests and diagnostics.
-type DebugState struct {
-	ULBufferBytes   int
-	ULGrantCredit   int
-	ULPendingRetx   int
-	ULPendingGrants int
-	DLBufferBytes   int
-	DLPendingRetx   int
-	ULRxPendingSDUs int
-	DLRxPendingSDUs int
-}
-
-// Debug returns a snapshot of internal queue state.
-func (c *Cell) Debug() DebugState {
-	return DebugState{
-		ULBufferBytes:   c.ul.tx.BufferedBytes(),
-		ULGrantCredit:   c.ul.grantCredit,
-		ULPendingRetx:   len(c.ul.pendingRetx),
-		ULPendingGrants: c.ulSched.PendingGrants(),
-		DLBufferBytes:   c.dl.tx.BufferedBytes(),
-		DLPendingRetx:   len(c.dl.pendingRetx),
-		ULRxPendingSDUs: c.ul.rx.PendingSDUs(),
-		DLRxPendingSDUs: c.dl.rx.PendingSDUs(),
-	}
 }
 
 // DirStats summarizes a direction's counters for tests and telemetry.

@@ -44,7 +44,7 @@ func TestCellULDelivery(t *testing.T) {
 	// All packets experience the request-grant scheduling delay: one-way
 	// through the RAN must exceed a few ms but stay bounded.
 	for _, p := range *ulOut {
-		d := p.OneWayDelay()
+		d := p.ArrivedAt - p.SentAt
 		if d < sim.Millisecond {
 			t.Fatalf("UL delay %v implausibly low", d)
 		}
@@ -81,7 +81,7 @@ func TestCellULSlowerThanDL(t *testing.T) {
 		}
 		ds := make([]sim.Time, len(pkts))
 		for i, p := range pkts {
-			ds[i] = p.OneWayDelay()
+			ds[i] = p.ArrivedAt - p.SentAt
 		}
 		for i := range ds {
 			for j := i + 1; j < len(ds); j++ {
@@ -177,7 +177,7 @@ func TestCellCrossTrafficInflatesDelay(t *testing.T) {
 	mean := func(pkts []*netem.Packet) float64 {
 		var s float64
 		for _, p := range pkts {
-			s += p.OneWayDelay().Milliseconds()
+			s += (p.ArrivedAt - p.SentAt).Milliseconds()
 		}
 		return s / float64(len(pkts))
 	}
@@ -204,7 +204,7 @@ func TestCellRRCOutageBuffersAndRecovers(t *testing.T) {
 	}
 	var maxDelay sim.Time
 	for _, p := range *ulOut {
-		if d := p.OneWayDelay(); d > maxDelay {
+		if d := p.ArrivedAt - p.SentAt; d > maxDelay {
 			maxDelay = d
 		}
 	}
@@ -235,7 +235,7 @@ func TestCellProactiveGrantsReduceFirstPacketDelay(t *testing.T) {
 		if len(*out) != 1 {
 			t.Fatalf("%s: delivered %d", cfg.Name, len(*out))
 		}
-		return (*out)[0].OneWayDelay()
+		return (*out)[0].ArrivedAt - (*out)[0].SentAt
 	}
 	dPro, dNoPro := firstDelay(pro), firstDelay(noPro)
 	if dPro >= dNoPro {
@@ -289,7 +289,7 @@ func TestCellChannelDipBuildsBuffer(t *testing.T) {
 	}
 	var maxDelay sim.Time
 	for _, p := range *ulOut {
-		if d := p.OneWayDelay(); d > maxDelay {
+		if d := p.ArrivedAt - p.SentAt; d > maxDelay {
 			maxDelay = d
 		}
 	}

@@ -59,7 +59,6 @@ func synthRecords(n int) []Record {
 		for cause, runs := range seen {
 			r.Causes = append(r.Causes, CauseRuns{Cause: cause, Runs: runs})
 		}
-		r.Metrics = []Metric{{Name: "degradation_per_min", Value: float64(next(100)) / 10}}
 		out[i] = r
 	}
 	return out

@@ -152,19 +152,6 @@ func (e *answerEnc) record(r *Record) {
 		e.key(3, `"causes": `)
 		e.runs(len(r.Causes), 4, `"cause": `, func(i int) (string, int) { return r.Causes[i].Cause, r.Causes[i].Runs })
 	}
-	if len(r.Metrics) > 0 {
-		e.key(3, `"metrics": `)
-		for i, m := range r.Metrics {
-			e.elem(i, 4)
-			e.raw("{")
-			e.key(5, `"name": `)
-			e.str(m.Name)
-			e.key(5, `"value": `)
-			e.float(m.Value)
-			e.endObject(5)
-		}
-		e.endArray(4)
-	}
 }
 
 // AppendRecordsAnswer appends GET /query's answer without agg=.

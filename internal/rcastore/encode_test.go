@@ -36,13 +36,11 @@ var awkwardFloats = []float64{0, 1e-9, 1e21, -0.000001, 1e-6, 1e-7, 999999999999
 // nil against empty at every level, scenario present and omitted.
 func answerFixtures() (recs []Record, chains []ChainAgg, rates []CauseBucket, matches []Match) {
 	for i, s := range awkward {
-		f := awkwardFloats[i%len(awkwardFloats)]
 		recs = append(recs, Record{
 			Session: s, Cell: s, Scenario: s, Start: sim.Time(-i), End: sim.Time(i) * sim.Minute,
-			Fired:   []string{s, "x" + s},
-			Chains:  []ChainRuns{{Chain: s, Runs: i}, {Chain: s + s, Runs: -i}},
-			Causes:  []CauseRuns{{Cause: s, Runs: i}},
-			Metrics: []Metric{{Name: s, Value: f}, {Name: "m", Value: -f}},
+			Fired:  []string{s, "x" + s},
+			Chains: []ChainRuns{{Chain: s, Runs: i}, {Chain: s + s, Runs: -i}},
+			Causes: []CauseRuns{{Cause: s, Runs: i}},
 		})
 		chains = append(chains, ChainAgg{Chain: s, Runs: i, Sessions: i * i})
 	}
@@ -53,9 +51,9 @@ func answerFixtures() (recs []Record, chains []ChainAgg, rates []CauseBucket, ma
 	recs = append(recs,
 		Record{}, // everything omittable omitted
 		Record{Session: "nil-lists", Cell: "c"},
-		Record{Session: "empty-lists", Cell: "c", Fired: []string{}, Chains: []ChainRuns{}, Causes: []CauseRuns{}, Metrics: []Metric{}},
+		Record{Session: "empty-lists", Cell: "c", Fired: []string{}, Chains: []ChainRuns{}, Causes: []CauseRuns{}},
 		Record{Session: "scenario", Cell: "c", Scenario: "rush-hour"},
-		Record{Session: "one-of-each", Fired: []string{"a"}, Chains: []ChainRuns{{}}, Causes: []CauseRuns{{}}, Metrics: []Metric{{}}},
+		Record{Session: "one-of-each", Fired: []string{"a"}, Chains: []ChainRuns{{}}, Causes: []CauseRuns{{}}},
 	)
 	matches = make([]Match, len(recs))
 	for i, r := range recs {
@@ -124,8 +122,8 @@ func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
 
 	// A Match's distance comes after every member of the embedded record.
 	one := AppendSimilarAnswer(nil, []string{"a"}, matches[:1])
-	if d, m := bytes.Index(one, []byte(`"distance"`)), bytes.LastIndex(one, []byte(`"metrics"`)); m < 0 || d < m {
-		t.Errorf("distance at %d, metrics at %d: distance must come last\n%s", d, m, one)
+	if d, m := bytes.Index(one, []byte(`"distance"`)), bytes.LastIndex(one, []byte(`"causes"`)); m < 0 || d < m {
+		t.Errorf("distance at %d, causes at %d: distance must come last\n%s", d, m, one)
 	}
 
 	// An encoder appends: what the buffer held stays.

@@ -20,7 +20,6 @@ func journalFleet(n int) []Record {
 			[]string{"harq_retx", fmt.Sprintf("node_%d", i%7)},
 			[]ChainRuns{{Chain: fmt.Sprintf("chain_%d", i%5), Runs: 1 + i%4}},
 			[]CauseRuns{{Cause: "harq_retx", Runs: 1 + i%4}})
-		recs[i].Metrics = []Metric{{Name: "deg_per_min", Value: float64(i) / 3}}
 	}
 	return recs
 }

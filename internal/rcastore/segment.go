@@ -10,15 +10,17 @@ package rcastore
 // The checksum (IEEE) covers kind, length and payload. Frame kinds:
 //
 //	start (1): "DMNRCAS" + version byte. Opens a segment and empties
-//	           its six dictionaries.
+//	           its five dictionaries.
 //	dict  (2): which(1B) count, then count × (len, bytes). Names append
 //	           to dictionary `which` (nodes, cells, scenarios, chains,
-//	           causes, metric names) in ID order, always before the
-//	           first row that uses them.
+//	           causes) in ID order, always before the first row that
+//	           uses them.
 //	row   (3): session (len, bytes), cell ID, scenario ID, start
 //	           (zigzag), end−start (zigzag), fired node IDs (count,
-//	           IDs), chains and causes (count, (ID, runs) pairs),
-//	           metrics (count, (ID, 8-byte LE IEEE 754 bits) pairs).
+//	           IDs), chains and causes (count, (ID, runs) pairs), and
+//	           a final 0: version 1's count of named metrics, which the
+//	           store no longer keeps. A row with a nonzero count is
+//	           corrupt.
 //	end   (4): the segment's row count. Only a checkpoint has one: it is
 //	           how Load tells a whole file from a cut one.
 //
@@ -34,7 +36,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"slices"
 
 	"github.com/domino5g/domino/internal/sim"
@@ -63,26 +64,25 @@ const (
 	dictScens
 	dictChains
 	dictCauses
-	dictMetrics
 	numDicts
 )
 
-var dictKinds = [numDicts]string{"node", "cell", "scenario", "chain", "cause", "metric"}
+var dictKinds = [numDicts]string{"node", "cell", "scenario", "chain", "cause"}
 
-// tables are the six dictionaries a stored row refers to by ID. The
+// tables are the five dictionaries a stored row refers to by ID. The
 // store embeds one set; a journal keeps its own per segment.
 type tables struct {
-	nodes, cells, scens    *dict
-	chains, causes, mnames *dict
+	nodes, cells, scens *dict
+	chains, causes      *dict
 }
 
 func newTables() tables {
-	return tables{newDict(), newDict(), newDict(), newDict(), newDict(), newDict()}
+	return tables{newDict(), newDict(), newDict(), newDict(), newDict()}
 }
 
 // all lists the dictionaries by dict-frame index.
 func (t *tables) all() [numDicts]*dict {
-	return [numDicts]*dict{t.nodes, t.cells, t.scens, t.chains, t.causes, t.mnames}
+	return [numDicts]*dict{t.nodes, t.cells, t.scens, t.chains, t.causes}
 }
 
 // row is one stored record with its names resolved to dictionary IDs:
@@ -94,8 +94,6 @@ type row struct {
 	fired               []uint32
 	chainIDs, chainRuns []uint32
 	causeIDs, causeRuns []uint32
-	metricIDs           []uint32
-	metricVals          []float64
 }
 
 // intern resolves rec's names against t, growing it, into r (whose
@@ -117,11 +115,6 @@ func (t *tables) intern(rec *Record, r *row) {
 	for _, c := range rec.Causes {
 		r.causeIDs = append(r.causeIDs, uint32(t.causes.id(c.Cause)))
 		r.causeRuns = append(r.causeRuns, uint32(c.Runs))
-	}
-	r.metricIDs, r.metricVals = r.metricIDs[:0], r.metricVals[:0]
-	for _, m := range rec.Metrics {
-		r.metricIDs = append(r.metricIDs, uint32(t.mnames.id(m.Name)))
-		r.metricVals = append(r.metricVals, m.Value)
 	}
 }
 
@@ -181,12 +174,7 @@ func (e *encoder) row(r *row) {
 			p = binary.AppendUvarint(p, uint64(pairs[1][k]))
 		}
 	}
-	p = binary.AppendUvarint(p, uint64(len(r.metricIDs)))
-	for k, id := range r.metricIDs {
-		p = binary.AppendUvarint(p, uint64(id))
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(r.metricVals[k]))
-	}
-	e.p = p
+	e.p = append(p, 0) // version 1's named-metrics count, always 0
 	e.frame(frameRow)
 }
 
@@ -438,12 +426,8 @@ func (d *decoder) decodeRow(c *cursor) {
 	}
 	r.chainIDs, r.chainRuns = c.pairs(r.chainIDs[:0], r.chainRuns[:0], d.local[dictChains], dictChains)
 	r.causeIDs, r.causeRuns = c.pairs(r.causeIDs[:0], r.causeRuns[:0], d.local[dictCauses], dictCauses)
-	r.metricIDs, r.metricVals = r.metricIDs[:0], r.metricVals[:0]
-	for n := c.count(); n > 0; n-- {
-		r.metricIDs = append(r.metricIDs, c.id(d.local[dictMetrics], dictMetrics))
-		if v := c.take(8); v != nil {
-			r.metricVals = append(r.metricVals, math.Float64frombits(binary.LittleEndian.Uint64(v)))
-		}
+	if c.uvarint() != 0 {
+		c.fail("row carries named metrics")
 	}
 	if !c.done() {
 		return
@@ -463,7 +447,7 @@ func (d *decoder) decodeRow(c *cursor) {
 	}
 }
 
-// Spill writes the retained store as one checkpoint segment: the six
+// Spill writes the retained store as one checkpoint segment: the five
 // dictionaries in ID order, one row frame per record in insertion
 // order, and an end frame with the row count. The output is a pure
 // function of the store's state — spilling a reloaded spill reproduces

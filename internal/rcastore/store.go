@@ -11,9 +11,9 @@
 // (start/end), the set of causal-graph nodes that fired at least once
 // (packed as a dictionary-indexed bitset, the same uint64-word trick
 // core.FeatureBits plays for the 36 detector features), per-chain
-// collapsed run counts, per-cause-class rollups, and optional named
-// numeric metrics. Records live in fixed-size column blocks with
-// block-level time/cell/scenario pruning indexes and, once a block is
+// collapsed run counts and per-cause-class rollups. Records live in
+// fixed-size column blocks with block-level time/cell/scenario pruning
+// indexes and, once a block is
 // full, its rows moved into (cell, start) order, so a read finds the rows
 // inside a time range with binary searches instead of testing each; memory is
 // bounded by evicting whole blocks oldest-first, and one stored-row codec
@@ -75,14 +75,6 @@ type CauseRuns struct {
 	Runs  int    `json:"runs"`
 }
 
-// Metric is one named numeric rollup attached to a record — per-session
-// KPIs (delay quantiles, TB statistics) that longitudinal artifacts
-// query instead of re-simulating.
-type Metric struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
-
 // Record is one completed session's row: what fired, which chains
 // matched how often, and where the session sits on the fleet timeline.
 // Start/End are absolute fleet times (wall-clock microseconds in
@@ -103,22 +95,10 @@ type Record struct {
 	// Causes holds chain-run rollups per root cause class, sorted by
 	// cause.
 	Causes []CauseRuns `json:"causes,omitempty"`
-	// Metrics holds optional named numeric rollups, sorted by name.
-	Metrics []Metric `json:"metrics,omitempty"`
 }
 
 // Duration returns the record's fleet-timeline span.
 func (r Record) Duration() sim.Time { return r.End - r.Start }
-
-// Metric returns a named metric value and whether it is present.
-func (r Record) Metric(name string) (float64, bool) {
-	for _, m := range r.Metrics {
-		if m.Name == name {
-			return m.Value, true
-		}
-	}
-	return 0, false
-}
 
 // TotalChainRuns sums the record's collapsed chain runs.
 func (r Record) TotalChainRuns() int {
@@ -197,7 +177,7 @@ func (d *dict) name(i uint32) string { return d.names[i] }
 
 // block is one fixed-capacity run of records in columnar layout: plain
 // parallel arrays per fixed-width column, offset+values arrays for the
-// variable-width ones (chain runs, cause rollups, metrics), and a flat
+// variable-width ones (chain runs, cause rollups), and a flat
 // bitset matrix for fired nodes (stride words per row). Blocks carry
 // min/max-start bounds and cell/scenario presence bitmaps so queries
 // skip whole blocks without touching rows, and a full block holds its
@@ -219,8 +199,6 @@ type block struct {
 
 	chainOff, chainIDs, chainRuns []uint32
 	causeOff, causeIDs, causeRuns []uint32
-	metricOff, metricIDs          []uint32
-	metricVals                    []float64
 
 	minStart, maxStart sim.Time
 	cellMask, scenMask []uint64
@@ -258,7 +236,6 @@ func (b *block) seal() {
 	b.starts, b.ends, b.fired = gather(b.starts, b.order, 1), gather(b.ends, b.order, 1), gather(b.fired, b.order, b.stride)
 	b.chainOff, b.chainIDs, b.chainRuns = gatherRuns(b.order, b.chainOff, b.chainIDs, b.chainRuns)
 	b.causeOff, b.causeIDs, b.causeRuns = gatherRuns(b.order, b.causeOff, b.causeIDs, b.causeRuns)
-	b.metricOff, b.metricIDs, b.metricVals = gatherRuns(b.order, b.metricOff, b.metricIDs, b.metricVals)
 	for i, cell := range b.cellIDs {
 		if k := len(b.cells) - 1; k < 0 || b.cells[k].cell != cell {
 			b.cells = append(b.cells, cellEnd{cell: cell})
@@ -278,9 +255,9 @@ func gather[T any](col []T, order []uint32, w int) []T {
 
 // gatherRuns returns the rows of a variable-width column in order: the
 // offsets and the two value arrays they index.
-func gatherRuns[V any](order, off, ids []uint32, vals []V) ([]uint32, []uint32, []V) {
+func gatherRuns(order, off, ids, vals []uint32) ([]uint32, []uint32, []uint32) {
 	toff := append(make([]uint32, 0, len(off)), 0)
-	tids, tvals := make([]uint32, 0, len(ids)), make([]V, 0, len(vals))
+	tids, tvals := make([]uint32, 0, len(ids)), make([]uint32, 0, len(vals))
 	for _, i := range order {
 		tids = append(tids, ids[off[i]:off[i+1]]...)
 		tvals = append(tvals, vals[off[i]:off[i+1]]...)
@@ -300,7 +277,6 @@ func newBlock(rows, stride, seq int) *block {
 	b.fired = make([]uint64, 0, rows*stride)
 	b.chainOff = append(make([]uint32, 0, rows+1), 0)
 	b.causeOff = append(make([]uint32, 0, rows+1), 0)
-	b.metricOff = append(make([]uint32, 0, rows+1), 0)
 	return b
 }
 
@@ -427,9 +403,6 @@ func (s *Store) appendRowLocked(r *row) {
 	b.causeIDs = append(b.causeIDs, r.causeIDs...)
 	b.causeRuns = append(b.causeRuns, r.causeRuns...)
 	b.causeOff = append(b.causeOff, uint32(len(b.causeIDs)))
-	b.metricIDs = append(b.metricIDs, r.metricIDs...)
-	b.metricVals = append(b.metricVals, r.metricVals...)
-	b.metricOff = append(b.metricOff, uint32(len(b.metricIDs)))
 
 	if b.n == 0 || r.start < b.minStart {
 		b.minStart = r.start
@@ -486,9 +459,9 @@ type Stats struct {
 	// CauseRates, Similar, Fired) and Spills the Spill calls that wrote
 	// a whole segment, since New or Load.
 	Queries, Spills int
-	// Nodes..MetricNames are dictionary cardinalities (these count
-	// every name ever seen, eviction does not shrink them).
-	Nodes, Cells, Scenarios, Chains, Causes, MetricNames int
+	// Nodes..Causes are dictionary cardinalities (these count every
+	// name ever seen, eviction does not shrink them).
+	Nodes, Cells, Scenarios, Chains, Causes int
 	// MinStart/MaxStart bound the retained records' start times; both
 	// zero when the store is empty.
 	MinStart, MaxStart sim.Time
@@ -510,7 +483,6 @@ func (s *Store) Stats() Stats {
 		Scenarios:     len(s.scens.names),
 		Chains:        len(s.chains.names),
 		Causes:        len(s.causes.names),
-		MetricNames:   len(s.mnames.names),
 	}
 	first := true
 	for _, b := range s.blocks {
@@ -554,7 +526,6 @@ func (b *block) view(i int, r *row) {
 	}
 	r.chainIDs, r.chainRuns = b.chainIDs[b.chainOff[i]:b.chainOff[i+1]], b.chainRuns[b.chainOff[i]:b.chainOff[i+1]]
 	r.causeIDs, r.causeRuns = b.causeIDs[b.causeOff[i]:b.causeOff[i+1]], b.causeRuns[b.causeOff[i]:b.causeOff[i+1]]
-	r.metricIDs, r.metricVals = b.metricIDs[b.metricOff[i]:b.metricOff[i+1]], b.metricVals[b.metricOff[i]:b.metricOff[i+1]]
 }
 
 // materialize rebuilds the Record stored at block b, row i. The
@@ -581,9 +552,6 @@ func (s *Store) materializeLocked(b *block, i int) Record {
 	}
 	for k := b.causeOff[i]; k < b.causeOff[i+1]; k++ {
 		rec.Causes = append(rec.Causes, CauseRuns{Cause: s.causes.name(b.causeIDs[k]), Runs: int(b.causeRuns[k])})
-	}
-	for k := b.metricOff[i]; k < b.metricOff[i+1]; k++ {
-		rec.Metrics = append(rec.Metrics, Metric{Name: s.mnames.name(b.metricIDs[k]), Value: b.metricVals[k]})
 	}
 	return rec
 }

@@ -308,11 +308,9 @@ func TestSpillReloadRoundTrip(t *testing.T) {
 		[]string{"harq_retx", "jitter_buffer_drain"},
 		[]ChainRuns{{Chain: "harq_retx --> jitter_buffer_drain", Runs: 2}},
 		[]CauseRuns{{Cause: "harq_retx", Runs: 2}}))
-	r2 := rec("b", "fdd", "", 3, []string{"ul_scheduling"},
+	s.Insert(rec("b", "fdd", "", 3, []string{"ul_scheduling"},
 		[]ChainRuns{{Chain: "ul_scheduling --> target_bitrate_down", Runs: 1}},
-		[]CauseRuns{{Cause: "ul_scheduling", Runs: 1}})
-	r2.Metrics = []Metric{{Name: "frame_spread_p50_ms", Value: 3.75}, {Name: "ul_tbs_per_min", Value: 1234.5678901}}
-	s.Insert(r2)
+		[]CauseRuns{{Cause: "ul_scheduling", Runs: 1}}))
 	s.Insert(rec("c", "tdd", "grant-starvation", 1, []string{"ul_scheduling", "harq_retx"}, nil, nil))
 
 	var first bytes.Buffer
@@ -333,9 +331,6 @@ func TestSpillReloadRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(loaded.Query(Query{}), s.Query(Query{})) {
 		t.Fatal("loaded store's records differ from the source store's")
-	}
-	if v, ok := loaded.Query(Query{Session: "b"})[0].Metric("ul_tbs_per_min"); !ok || v != 1234.5678901 {
-		t.Fatalf("metric lost in round trip: %v %v", v, ok)
 	}
 }
 
@@ -423,15 +418,10 @@ func TestInsertReport(t *testing.T) {
 		ChainEvents: map[int][]core.ChainRun{1: {{Chain: chain}}},
 	}
 	s := New(Options{})
-	rec := FromReport("sess-9", 5*sim.Minute, rep)
-	rec.Metrics = []Metric{{Name: "kpi", Value: 1}}
-	s.Insert(rec)
+	s.Insert(FromReport("sess-9", 5*sim.Minute, rep))
 	got := s.Query(Query{Cause: "cross_traffic"})
 	if len(got) != 1 || got[0].Session != "sess-9" {
 		t.Fatalf("inserted report not queryable: %+v", got)
-	}
-	if v, ok := got[0].Metric("kpi"); !ok || v != 1 {
-		t.Fatalf("inserted report dropped metrics: %v %v", v, ok)
 	}
 }
 

@@ -102,26 +102,13 @@ func (tx *TxEntity) HasEligibleRetx(now sim.Time) bool {
 	return false
 }
 
-// OldestEnqueuedAt returns the enqueue time of the oldest buffered SDU
-// and true, or zero and false when the buffer is empty.
-func (tx *TxEntity) OldestEnqueuedAt() (sim.Time, bool) {
-	if len(tx.queue) == 0 {
-		return 0, false
-	}
-	return tx.queue[0].EnqueuedAt, true
-}
-
-// FillTB segments up to capacityBytes of buffered data into PDU
+// FillTBInto segments up to capacityBytes of buffered data into PDU
 // segments for one transport block, eligible retransmissions first
-// (matching gNB scheduler priority). It returns the segments and the
-// payload bytes consumed including per-segment header overhead.
-func (tx *TxEntity) FillTB(capacityBytes int, now sim.Time) (segs []Segment, used int) {
-	return tx.FillTBInto(nil, capacityBytes, now)
-}
-
-// FillTBInto is FillTB appending into buf (which the caller typically
-// recycles from a concluded transport block), so the steady-state slot
-// loop segments without allocating.
+// (matching gNB scheduler priority), appending them to buf (which the
+// caller typically recycles from a concluded transport block, so the
+// steady-state slot loop segments without allocating). It returns the
+// segments and the payload bytes consumed including per-segment header
+// overhead.
 func (tx *TxEntity) FillTBInto(buf []Segment, capacityBytes int, now sim.Time) (segs []Segment, used int) {
 	segs = buf
 	// Retransmissions first.
@@ -199,8 +186,6 @@ type RxEntity struct {
 	// win[(head+k) & (len(win)-1)]. len(win) is always a power of two.
 	win  []rxSDU
 	head int
-	// pendingCount tracks occupied ring entries (PendingSDUs).
-	pendingCount int
 
 	// HoLBlockedMax tracks the maximum burst released at once, a
 	// diagnostic for head-of-line blocking severity.
@@ -250,7 +235,6 @@ func (rx *RxEntity) Receive(segs []Segment, now sim.Time) {
 		st := rx.slot(s.SDU.SN - rx.nextSN)
 		if !st.active {
 			*st = rxSDU{sdu: s.SDU, total: s.SDU.Packet.Size, active: true}
-			rx.pendingCount++
 		}
 		if st.complete {
 			continue
@@ -276,7 +260,6 @@ func (rx *RxEntity) release(now sim.Time) {
 		*st = rxSDU{}
 		rx.head = (rx.head + 1) & (len(rx.win) - 1)
 		rx.nextSN++
-		rx.pendingCount--
 		rx.deliver(DeliveredPacket{
 			Packet:      pkt,
 			At:          now,
@@ -288,7 +271,3 @@ func (rx *RxEntity) release(now sim.Time) {
 		rx.HoLBlockedMax = burst
 	}
 }
-
-// PendingSDUs returns the number of SDUs buffered waiting for in-order
-// delivery (complete or partial).
-func (rx *RxEntity) PendingSDUs() int { return rx.pendingCount }

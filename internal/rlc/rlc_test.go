@@ -19,16 +19,13 @@ func TestTxEnqueueAndBuffer(t *testing.T) {
 	if tx.BufferedBytes() != 1500+2*SegmentHeaderBytes {
 		t.Fatalf("buffered = %d, want %d", tx.BufferedBytes(), 1500+2*SegmentHeaderBytes)
 	}
-	if at, ok := tx.OldestEnqueuedAt(); !ok || at != 0 {
-		t.Fatal("oldest enqueue time wrong")
-	}
 }
 
 func TestFillTBWholePackets(t *testing.T) {
 	tx := NewTxEntity()
 	tx.Enqueue(pkt(1, 1000), 0)
 	tx.Enqueue(pkt(2, 1000), 0)
-	segs, used := tx.FillTB(3000, 0)
+	segs, used := tx.FillTBInto(nil, 3000, 0)
 	if len(segs) != 2 {
 		t.Fatalf("segments = %d, want 2", len(segs))
 	}
@@ -48,11 +45,11 @@ func TestFillTBWholePackets(t *testing.T) {
 func TestFillTBSegmentsAcrossTBs(t *testing.T) {
 	tx := NewTxEntity()
 	tx.Enqueue(pkt(1, 1200), 0)
-	segs1, _ := tx.FillTB(500, 0)
+	segs1, _ := tx.FillTBInto(nil, 500, 0)
 	if len(segs1) != 1 || segs1[0].Last || segs1[0].Length != 500-SegmentHeaderBytes {
 		t.Fatalf("first segment %+v", segs1[0])
 	}
-	segs2, _ := tx.FillTB(10000, 0)
+	segs2, _ := tx.FillTBInto(nil, 10000, 0)
 	if len(segs2) != 1 || !segs2[0].Last {
 		t.Fatalf("second segment %+v", segs2)
 	}
@@ -67,7 +64,7 @@ func TestFillTBSegmentsAcrossTBs(t *testing.T) {
 func TestFillTBTooSmall(t *testing.T) {
 	tx := NewTxEntity()
 	tx.Enqueue(pkt(1, 100), 0)
-	segs, used := tx.FillTB(SegmentHeaderBytes, 0) // no room for any payload
+	segs, used := tx.FillTBInto(nil, SegmentHeaderBytes, 0) // no room for any payload
 	if len(segs) != 0 || used != 0 {
 		t.Fatalf("expected nothing, got %d segs", len(segs))
 	}
@@ -76,7 +73,7 @@ func TestFillTBTooSmall(t *testing.T) {
 func TestNackAndRetxPriority(t *testing.T) {
 	tx := NewTxEntity()
 	tx.Enqueue(pkt(1, 400), 0)
-	segs, _ := tx.FillTB(10000, 0)
+	segs, _ := tx.FillTBInto(nil, 10000, 0)
 	tx.Enqueue(pkt(2, 400), 0)
 	tx.Nack(segs, 50*sim.Millisecond)
 	if tx.RetxCount != 1 {
@@ -86,7 +83,7 @@ func TestNackAndRetxPriority(t *testing.T) {
 		t.Fatalf("buffered = %d, want %d", tx.BufferedBytes(), 800+2*SegmentHeaderBytes)
 	}
 	// Before eligibility, only new data goes out.
-	early, _ := tx.FillTB(405+SegmentHeaderBytes, 10*sim.Millisecond)
+	early, _ := tx.FillTBInto(nil, 405+SegmentHeaderBytes, 10*sim.Millisecond)
 	if len(early) != 1 || early[0].RLCRetx {
 		t.Fatalf("early fill should carry new data only: %+v", early)
 	}
@@ -97,7 +94,7 @@ func TestNackAndRetxPriority(t *testing.T) {
 	if !tx.HasEligibleRetx(60 * sim.Millisecond) {
 		t.Fatal("retx should be eligible")
 	}
-	late, _ := tx.FillTB(10000, 60*sim.Millisecond)
+	late, _ := tx.FillTBInto(nil, 10000, 60*sim.Millisecond)
 	if len(late) != 1 || !late[0].RLCRetx {
 		t.Fatalf("late fill should carry the retx: %+v", late)
 	}
@@ -109,7 +106,7 @@ func TestNackAndRetxPriority(t *testing.T) {
 func deliverAll(t *testing.T, tx *TxEntity, rx *RxEntity, capacity int, now sim.Time) {
 	t.Helper()
 	for tx.BufferedBytes() > 0 {
-		segs, _ := tx.FillTB(capacity, now)
+		segs, _ := tx.FillTBInto(nil, capacity, now)
 		if len(segs) == 0 {
 			t.Fatal("no progress draining buffer")
 		}
@@ -143,8 +140,8 @@ func TestRxHoLBlocking(t *testing.T) {
 	tx.Enqueue(pkt(2, 500), 0)
 	tx.Enqueue(pkt(3, 500), 0)
 
-	first, _ := tx.FillTB(500+SegmentHeaderBytes, 0) // carries SDU 1
-	rest, _ := tx.FillTB(10000, 0)                   // carries SDUs 2,3
+	first, _ := tx.FillTBInto(nil, 500+SegmentHeaderBytes, 0) // carries SDU 1
+	rest, _ := tx.FillTBInto(nil, 10000, 0)                   // carries SDUs 2,3
 
 	// SDU 1's TB fails HARQ: receiver gets 2,3 first — nothing may be
 	// delivered (head-of-line blocking).
@@ -152,13 +149,19 @@ func TestRxHoLBlocking(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("HoL violated: delivered %d early", len(got))
 	}
-	if rx.PendingSDUs() != 2 {
-		t.Fatalf("pending = %d, want 2", rx.PendingSDUs())
+	pending := 0
+	for _, st := range rx.win {
+		if st.active {
+			pending++
+		}
+	}
+	if pending != 2 {
+		t.Fatalf("pending = %d, want 2", pending)
 	}
 
 	// RLC retx of SDU 1 arrives much later: everything releases at once.
 	tx.Nack(first, 100*sim.Millisecond)
-	retx, _ := tx.FillTB(10000, 105*sim.Millisecond)
+	retx, _ := tx.FillTBInto(nil, 10000, 105*sim.Millisecond)
 	rx.Receive(retx, 105*sim.Millisecond)
 	if len(got) != 3 {
 		t.Fatalf("delivered %d after retx, want 3", len(got))
@@ -187,7 +190,7 @@ func TestRxDuplicateSegments(t *testing.T) {
 	rx := NewRxEntity(func(d DeliveredPacket) { got = append(got, d.Packet.Seq) })
 	tx := NewTxEntity()
 	tx.Enqueue(pkt(1, 500), 0)
-	segs, _ := tx.FillTB(10000, 0)
+	segs, _ := tx.FillTBInto(nil, 10000, 0)
 	rx.Receive(segs, 0)
 	rx.Receive(segs, sim.Millisecond) // duplicate delivery (HARQ+RLC race)
 	if len(got) != 1 {
@@ -218,7 +221,7 @@ func TestRLCDeliveryProperty(t *testing.T) {
 				capacity = int(caps[ci%len(caps)])%3000 + 20
 				ci++
 			}
-			segs, _ := tx.FillTB(capacity, 0)
+			segs, _ := tx.FillTBInto(nil, capacity, 0)
 			rx.Receive(segs, 0)
 		}
 		if tx.BufferedBytes() != 0 || len(got) != want {
@@ -246,7 +249,7 @@ func TestRLCSegmentationConservation(t *testing.T) {
 		tx.Enqueue(pkt(7, sz), 0)
 		total := 0
 		for guard := 0; tx.BufferedBytes() > 0 && guard < 10000; guard++ {
-			segs, used := tx.FillTB(capacity, 0)
+			segs, used := tx.FillTBInto(nil, capacity, 0)
 			sum := 0
 			for _, s := range segs {
 				total += s.Length

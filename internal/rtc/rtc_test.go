@@ -118,8 +118,8 @@ func TestWiredSessionHealthy(t *testing.T) {
 		t.Fatalf("wired concealment fraction %v", frac)
 	}
 	// GCC should have grown well past the start rate.
-	if s.Local.Controller().TargetRate() < 1_500_000 {
-		t.Fatalf("wired target rate stuck at %v", s.Local.Controller().TargetRate())
+	if rate := s.Local.Controller().Snapshot(30 * sim.Second).TargetRateBps; rate < 1_500_000 {
+		t.Fatalf("wired target rate stuck at %v", rate)
 	}
 }
 
@@ -188,8 +188,8 @@ func TestCellSessionAmarisoftULBitrateSuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(40 * sim.Second)
-	ulRate := s.Local.Controller().TargetRate()  // UL sender
-	dlRate := s.Remote.Controller().TargetRate() // DL sender
+	ulRate := s.Local.Controller().Snapshot(40 * sim.Second).TargetRateBps  // UL sender
+	dlRate := s.Remote.Controller().Snapshot(40 * sim.Second).TargetRateBps // DL sender
 	if ulRate >= dlRate {
 		t.Fatalf("poor UL channel should cap UL rate: UL %.0f vs DL %.0f", ulRate, dlRate)
 	}

@@ -38,9 +38,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // FromMilliseconds converts a float64 millisecond count to a Time.
 func FromMilliseconds(ms float64) Time { return Time(ms * float64(Millisecond)) }
 
-// FromSeconds converts a float64 second count to a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
 // String renders the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 
@@ -103,9 +100,6 @@ type Engine struct {
 	// stopped is set by Stop and halts the run loop after the current
 	// event completes.
 	stopped bool
-	// executed counts dispatched events, exposed for tests and for
-	// benchmark throughput reporting.
-	executed uint64
 }
 
 // NewEngine returns an Engine with the clock at zero.
@@ -115,9 +109,6 @@ func NewEngine() *Engine {
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
-
-// Executed returns the number of events dispatched so far.
-func (e *Engine) Executed() uint64 { return e.executed }
 
 func (e *Engine) less(a, b heapEntry) bool {
 	if a.at != b.at {
@@ -233,14 +224,6 @@ func (e *Engine) Schedule(at Time, fn func()) EventID {
 	return EventID{slot: si, gen: e.slots[si].gen}
 }
 
-// ScheduleAfter runs fn after delay d from the current time.
-func (e *Engine) ScheduleAfter(d Time, fn func()) EventID {
-	if d < 0 {
-		d = 0
-	}
-	return e.Schedule(e.now+d, fn)
-}
-
 // ScheduleArg runs fn(arg) at absolute time at. It is the zero-alloc
 // variant of Schedule for per-event work: the caller builds fn once
 // (e.g. per link or per HARQ entity) and passes the varying state as
@@ -264,8 +247,8 @@ func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) EventID {
 // Cancel removes a scheduled event from the queue immediately.
 // Canceling an already-executed or already-canceled event is a no-op:
 // the slot generation no longer matches. Because removal is eager, a
-// canceled event costs nothing at dispatch time and Pending() never
-// counts it. The id must come from this engine's Schedule/ScheduleArg
+// canceled event costs nothing at dispatch time and never sits in the
+// queue. The id must come from this engine's Schedule/ScheduleArg
 // (see EventID).
 func (e *Engine) Cancel(id EventID) {
 	if id.slot < 0 || int(id.slot) >= len(e.slots) {
@@ -294,7 +277,6 @@ func (e *Engine) step() bool {
 	fn, argFn, arg := s.fn, s.argFn, s.arg
 	e.freeSlot(ent.slot)
 	e.now = ent.at
-	e.executed++
 	if argFn != nil {
 		argFn(arg)
 	} else {
@@ -326,11 +308,6 @@ func (e *Engine) Run() {
 	for !e.stopped && e.step() {
 	}
 }
-
-// Pending returns the number of live scheduled events. Canceled events
-// are removed eagerly, so — unlike the old lazy-deletion queue — the
-// count never includes dead entries.
-func (e *Engine) Pending() int { return len(e.heap) }
 
 // Ticker repeatedly schedules fn every interval until canceled. The
 // callback receives the tick time. Tickers are the backbone of the

@@ -66,7 +66,7 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 		for j := range ids {
 			e.Cancel(ids[j])
 		}
-		if e.Pending() != 0 {
+		if len(e.heap) != 0 {
 			b.Fatal("cancel left events behind")
 		}
 	}

@@ -5,8 +5,9 @@ import "math"
 // RNG is a small, fast, deterministic pseudo-random generator
 // (splitmix64 core) with the distribution helpers the simulator needs.
 // We do not use math/rand so that the stream is stable across Go
-// releases: experiment outputs in EXPERIMENTS.md must be reproducible
-// bit-for-bit from a seed.
+// releases: experiment outputs (cmd/experiments; README's "Parallel
+// deterministic experiment engine") must be reproducible bit-for-bit
+// from a seed.
 type RNG struct {
 	state uint64
 	// Spare normal deviate from the Box–Muller pair.
@@ -108,32 +109,6 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 // LogNormal returns exp(Normal(mu, sigma)).
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
-}
-
-// Poisson returns a Poisson-distributed count with the given mean
-// (Knuth's method; means used in the simulator are small).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		// Normal approximation for large means keeps the loop bounded.
-		v := r.Normal(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // Jitter returns d scaled by a uniform factor in [1-frac, 1+frac],

@@ -106,24 +106,6 @@ func TestParetoLowerBound(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := NewRNG(6)
-	for _, mean := range []float64{0.5, 4, 100} {
-		const n = 50000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Fatalf("Poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-	if NewRNG(1).Poisson(0) != 0 {
-		t.Fatal("Poisson(0) != 0")
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	r := NewRNG(8)
 	for i := 0; i < 10000; i++ {

@@ -57,41 +57,12 @@ func (c *CDF) Quantile(p float64) float64 {
 // Median returns the 0.5 quantile.
 func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
-// Mean returns the sample mean.
-func (c *CDF) Mean() float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range c.sorted {
-		s += x
-	}
-	return s / float64(len(c.sorted))
-}
-
-// Min returns the smallest sample.
-func (c *CDF) Min() float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	return c.sorted[0]
-}
-
 // Max returns the largest sample.
 func (c *CDF) Max() float64 {
 	if len(c.sorted) == 0 {
 		return math.NaN()
 	}
 	return c.sorted[len(c.sorted)-1]
-}
-
-// Summary renders a one-line percentile summary.
-func (c *CDF) Summary() string {
-	if c.N() == 0 {
-		return "n=0"
-	}
-	return fmt.Sprintf("n=%d p10=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f",
-		c.N(), c.Quantile(0.10), c.Quantile(0.50), c.Quantile(0.90), c.Quantile(0.99), c.Max())
 }
 
 // Series samples the CDF at the given points, producing (x, P(X<=x))
@@ -116,19 +87,6 @@ func LogSpace(lo, hi float64, n int) []float64 {
 	for i := 0; i < n; i++ {
 		out[i] = x
 		x *= ratio
-	}
-	return out
-}
-
-// LinSpace returns n points linearly spaced between lo and hi.
-func LinSpace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
 	}
 	return out
 }

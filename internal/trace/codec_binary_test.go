@@ -143,7 +143,7 @@ func TestAutoStreamReaderSniffs(t *testing.T) {
 	}
 }
 
-// TestBinaryFailFast mirrors the ReadJSONL header-first tests: corrupt
+// TestBinaryFailFast mirrors the JSONL header-first tests: corrupt
 // or truncated streams must produce a terminal error, never a silent
 // short read.
 func TestBinaryFailFast(t *testing.T) {

@@ -121,18 +121,11 @@ func WriteJSONL(w io.Writer, set *Set) error {
 	return bw.Flush()
 }
 
-// ReadJSONL deserializes a set written by WriteJSONL. It is the batch
-// counterpart of NewStreamReader: the whole stream is drained into a
-// sorted Set. A stream whose first line is not a header fails
-// immediately — a missing header means the input is not a trace, and
-// draining gigabytes before saying so helps nobody.
-func ReadJSONL(r io.Reader) (*Set, error) {
-	return readSet(NewStreamReader(r))
-}
-
 // ReadAuto deserializes a set from either trace encoding, sniffing the
-// binary magic the way NewAutoStreamReader does. It is the batch entry
-// point for callers that accept files in both formats.
+// binary magic the way NewAutoStreamReader does: the whole stream is
+// drained into a sorted Set. A stream whose first record is not a
+// header fails immediately — a missing header means the input is not a
+// trace, and draining gigabytes before saying so helps nobody.
 func ReadAuto(r io.Reader) (*Set, error) {
 	return readSet(NewAutoStreamReader(r))
 }

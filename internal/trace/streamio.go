@@ -52,19 +52,12 @@ func (r Record) Time() (sim.Time, bool) {
 	return 0, false
 }
 
-// IsZero reports whether the record carries nothing.
-func (r Record) IsZero() bool {
-	return r.Header == nil && r.DCI == nil && r.GNB == nil &&
-		r.Packet == nil && r.Stats == nil && r.RRC == nil
-}
-
 // StreamReader decodes a JSONL trace incrementally — one record per
 // Next call, or up to jsonlBlockLines of them per ReadBlock call, in
 // columns — without buffering the full set. It accepts exactly the
-// format WriteJSONL produces and keeps the same per-line error
-// reporting as the batch ReadJSONL (which is built on top of it). A
-// consumer uses either ReadBlock or the RecordReader methods on one
-// reader, not both.
+// format WriteJSONL produces, with per-line error reporting; the batch
+// ReadAuto drains one for a JSONL stream. A consumer uses either
+// ReadBlock or the RecordReader methods on one reader, not both.
 type StreamReader struct {
 	r      io.Reader
 	sc     *bufio.Scanner // made at the first line, over the ring's buffer

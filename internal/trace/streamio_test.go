@@ -101,9 +101,9 @@ func TestMalformedJSONL(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, batchErr := ReadJSONL(strings.NewReader(tc.input))
+			_, batchErr := readSet(NewStreamReader(strings.NewReader(tc.input)))
 			recs, streamErr := drainStream(t, tc.input)
-			// ReadJSONL requires the header to come first (it fails
+			// The batch read requires the header to come first (it fails
 			// fast otherwise), so the streaming-side acceptability
 			// check is header-first too.
 			headerFirst := len(recs) > 0 && recs[0].Header != nil
@@ -136,9 +136,6 @@ func TestRecordTime(t *testing.T) {
 	if _, ok := (Record{}).Time(); ok {
 		t.Fatal("empty record has a timestamp")
 	}
-	if !(Record{}).IsZero() {
-		t.Fatal("empty record not zero")
-	}
 	p := &PacketRecord{SentAt: 3 * sim.Millisecond, Arrived: 9 * sim.Millisecond}
 	if at, ok := (Record{Packet: p}).Time(); !ok || at != 3*sim.Millisecond {
 		t.Fatalf("packet time = %v, %v", at, ok)
@@ -148,15 +145,15 @@ func TestRecordTime(t *testing.T) {
 	}
 }
 
-// TestReadJSONLFailsFastOnMissingHeader pins the fail-fast contract: a
-// stream whose first line is not a header is rejected with the
+// TestReadJSONLFailsFastOnMissingHeader pins the batch read's fail-fast
+// contract on a JSONL stream: a stream whose first line is not a header is rejected with the
 // missing-header error immediately, without draining (and potentially
 // choking on) the rest of the stream. The garbage second line proves
 // it: the old drain-everything behavior would have surfaced a line-2
 // parse error instead.
 func TestReadJSONLFailsFastOnMissingHeader(t *testing.T) {
 	input := `{"type":"dci","data":{"At":1}}` + "\nthis line is not json and must never be parsed\n"
-	_, err := ReadJSONL(strings.NewReader(input))
+	_, err := readSet(NewStreamReader(strings.NewReader(input)))
 	if err == nil {
 		t.Fatal("headerless stream accepted")
 	}
@@ -181,14 +178,14 @@ func jsonlFuzzSeeds(t testing.TB) []string {
 }
 
 // FuzzReadJSONL feeds arbitrary bytes to both readers: neither may
-// panic, and they must agree on input acceptability (ReadJSONL is
-// built on StreamReader, so a divergence means the wrapper broke).
+// panic, and they must agree on input acceptability (the batch read,
+// readSet, drains a StreamReader, so a divergence means it broke).
 func FuzzReadJSONL(f *testing.F) {
 	for _, seed := range jsonlFuzzSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		_, batchErr := ReadJSONL(strings.NewReader(input))
+		_, batchErr := readSet(NewStreamReader(strings.NewReader(input)))
 
 		sr := NewStreamReader(strings.NewReader(input))
 		var streamErr error
@@ -208,7 +205,7 @@ func FuzzReadJSONL(f *testing.F) {
 				headerFirst = rec.Header != nil
 			}
 			if !headerFirst {
-				// ReadJSONL stops at the first non-header first line;
+				// readSet stops at the first non-header first line;
 				// stop mirroring it here so both readers consume the
 				// same prefix.
 				break

@@ -113,7 +113,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := WriteJSONL(&buf, set); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := readSet(NewStreamReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +129,13 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLErrors(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("")); err == nil {
+	if _, err := readSet(NewStreamReader(strings.NewReader(""))); err == nil {
 		t.Fatal("empty input needs a header")
 	}
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
+	if _, err := readSet(NewStreamReader(strings.NewReader("not json\n"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{"type":"mystery","data":{}}` + "\n")); err == nil {
+	if _, err := readSet(NewStreamReader(strings.NewReader(`{"type":"mystery","data":{}}` + "\n"))); err == nil {
 		t.Fatal("unknown record type accepted")
 	}
 }

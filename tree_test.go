@@ -167,9 +167,12 @@ func undocumented(t *testing.T, fset *token.FileSet, decl ast.Decl) {
 
 // exportedRecv reports whether a method's receiver type is exported —
 // methods on unexported types are not part of the documented surface.
-func exportedRecv(recv *ast.FieldList) bool {
-	if len(recv.List) == 0 {
-		return false
+func exportedRecv(recv *ast.FieldList) bool { return ast.IsExported(recvName(recv)) }
+
+// recvName is the name of a method's receiver type, "" if it has none.
+func recvName(recv *ast.FieldList) string {
+	if recv == nil || len(recv.List) == 0 {
+		return ""
 	}
 	t := recv.List[0].Type
 	for {
@@ -179,10 +182,87 @@ func exportedRecv(recv *ast.FieldList) bool {
 		case *ast.IndexExpr:
 			t = x.X
 		case *ast.Ident:
-			return x.IsExported()
+			return x.Name
 		default:
-			return false
+			return ""
 		}
+	}
+}
+
+// TestInternalExportsHaveCallers: an exported function or method under
+// internal/ is API for the rest of the tree, so code that is not a test
+// must use it. Its name has to appear, outside its own declaration, in a
+// non-test file of the module or in any file under bench/ (its own
+// module, which imports internal/ packages). Names are matched, not
+// resolved: a method called through an interface counts wherever the
+// interface's method is called, and a common name passes on any use of
+// it. The check is there so that exports only tests call cannot grow
+// back; allowed lists the ones that stay without such a caller.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	allowed := map[string]string{
+		// Methods the standard library calls through an interface.
+		"String":        "fmt.Stringer",
+		"Error":         "error",
+		"MarshalJSON":   "json.Marshaler",
+		"UnmarshalJSON": "json.Unmarshaler",
+		"ServeHTTP":     "http.Handler",
+		// Test oracles: the plain definitions the optimized code is held to.
+		"internal/rcastore.RecordLess": "the order Query's records are tested against",
+		"internal/rcastore.MatchLess":  "the order Similar's matches are tested against",
+		// A package whose users are tests.
+		"internal/faultinject": "the fault-injecting FS and transport other packages' tests run the journal and the balancer over",
+	}
+	type export struct {
+		pos       token.Pos
+		dir, name string
+	}
+	var exports []export
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench/out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		inBench := strings.HasPrefix(path, "bench/")
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") && !inBench {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		declared := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				declared[fn.Name] = true
+				if strings.HasPrefix(path, "internal/") && fn.Name.IsExported() {
+					exports = append(exports, export{fn.Pos(), filepath.ToSlash(filepath.Dir(path)), fn.Name.Name})
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range exports {
+		if used[e.name] || allowed[e.name] != "" || allowed[e.dir] != "" || allowed[e.dir+"."+e.name] != "" {
+			continue
+		}
+		t.Errorf("%s: exported %s has no caller outside tests", fset.Position(e.pos), e.name)
 	}
 }
 
