@@ -37,6 +37,8 @@ test:
 # each — `-fuzz` takes one target and one package per run.
 # FuzzFastNumber holds the JSONL number parsers to encoding/json.
 # FuzzRollingMatchesOracle holds the window evaluator to a full recompute.
+# FuzzReportEncoder holds the node's report and /sessions encoders to
+# encoding/json.
 # A failing input is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryStreamReader$$' -fuzztime 5s ./internal/trace
@@ -53,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRead$$' -fuzztime 5s ./internal/rcastore
 	$(GO) test -run '^$$' -fuzz '^FuzzFanoutScan$$' -fuzztime 5s ./internal/balancer
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 5s ./internal/ingest
+	$(GO) test -run '^$$' -fuzz '^FuzzReportEncoder$$' -fuzztime 5s ./internal/node
 
 # One iteration of every benchmark, so none can rot unseen. It compares
 # nothing: the allocation contracts the benchmarks used to carry are

@@ -671,6 +671,88 @@ func TestReportRoutesToOwner(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestOneAnswerPerFinishedSession: a finished session has one answer. A
+// done session's completion 200, a later /report, the 200 that answers a
+// resent final chunk, and its /sessions row say the same thing byte for
+// byte; so do a failed session's /report, asked twice, and its row (a
+// failed session has no completion, and a resent chunk past its record 0
+// is a seq gap, not a report). Each report comes sized, not chunked, and
+// dominolb relays what a node answers direct.
+func TestOneAnswerPerFinishedSession(t *testing.T) {
+	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
+	_, lb := newTestBalancer(t, Options{}, b)
+	chunks, seqs := splitLines(sessionJSONL(t, ran.Presets()[0], 31, 8*sim.Second), 3)
+	last := len(chunks) - 1
+	bad := append(slices.Clone(chunks[1]), "not a record\n"...)
+	answers := map[string][][]byte{}
+	for tier, base := range map[string]string{"node": a.ts.URL, "dominolb": lb.URL} {
+		sized := func(what string, resp *http.Response) []byte {
+			t.Helper()
+			body := readBody(t, resp)
+			if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) > 0 {
+				t.Fatalf("%s %s: status %d, Content-Length %d, Transfer-Encoding %v for %d bytes: %s",
+					tier, what, resp.StatusCode, resp.ContentLength, resp.TransferEncoding, len(body), body)
+			}
+			return []byte(body)
+		}
+		// rowIs requires the session's /sessions row to be the report's
+		// summary as a []node.SessionInfo element is written.
+		rowIs := func(id string, report []byte) {
+			t.Helper()
+			var rows []json.RawMessage
+			if err := json.Unmarshal([]byte(readBody(t, mustGet(t, base+"/sessions"))), &rows); err != nil {
+				t.Fatal(err)
+			}
+			var p node.ReportPayload
+			if err := json.Unmarshal(report, &p); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := json.MarshalIndent(p.SessionInfo, "  ", "  ")
+			for _, row := range rows {
+				if bytes.Contains(row, []byte(`"session": "`+id+`"`)) {
+					if !bytes.Equal(row, want) {
+						t.Fatalf("%s %s: /sessions row\n%s\nis not the report's summary\n%s", tier, id, row, want)
+					}
+					return
+				}
+			}
+			t.Fatalf("%s: /sessions has no row for %s", tier, id)
+		}
+
+		for i := 0; i < last; i++ {
+			mustPost(t, base, "done", seqs[i], false, chunks[i], http.StatusAccepted)
+		}
+		final := func() *http.Response {
+			return postChunk(t, base, "done", ingest.ContentTypeJSONL, seqs[last], true, bytes.NewReader(chunks[last]))
+		}
+		done := sized("completion", final())
+		if later := sized("later /report", mustGet(t, base+"/report/done")); !bytes.Equal(later, done) {
+			t.Fatalf("%s: later /report\n%s\ndiffers from the completion\n%s", tier, later, done)
+		}
+		if replay := sized("replayed final chunk", final()); !bytes.Equal(replay, done) {
+			t.Fatalf("%s: replayed final chunk\n%s\ndiffers from the completion\n%s", tier, replay, done)
+		}
+		rowIs("done", done)
+
+		mustPost(t, base, "failed", 0, false, chunks[0], http.StatusAccepted)
+		mustPost(t, base, "failed", seqs[1], false, bad, http.StatusBadRequest)
+		failed := sized("failed /report", mustGet(t, base+"/report/failed"))
+		if again := sized("failed /report again", mustGet(t, base+"/report/failed")); !bytes.Equal(again, failed) {
+			t.Fatalf("%s: a failed session's report changed:\n%s\nthen\n%s", tier, failed, again)
+		}
+		if !bytes.Contains(failed, []byte(`"state": "failed"`)) || bytes.Contains(failed, []byte(`"records": 0,`)) {
+			t.Fatalf("%s: the failed session's report keeps no partial analysis: %s", tier, failed)
+		}
+		rowIs("failed", failed)
+		answers[tier] = [][]byte{done, failed}
+	}
+	for i, what := range []string{"done", "failed"} {
+		if !bytes.Equal(answers["node"][i], answers["dominolb"][i]) {
+			t.Fatalf("%s: dominolb answered\n%s\na node direct\n%s", what, answers["dominolb"][i], answers["node"][i])
+		}
+	}
+}
+
 // TestReadsDuringOpenChunk: with one chunked upload held open through
 // the balancer, after the node has taken part of it, the session's
 // report, its watermark and /lb/sessions still answer at once. That is

@@ -115,6 +115,9 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.
 		ingest.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	// A sized chunk goes on sized, not re-framed as chunked transfer
+	// encoding: the node then reads it in as few syscalls as it came.
+	req.ContentLength = r.ContentLength
 	copyHeader(req.Header, r.Header, "Content-Type")
 	proto.SetHeaders(req.Header)
 	resp, err := b.client.Do(req)
@@ -155,6 +158,7 @@ func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.
 	}
 	b.settle(sess, resp.StatusCode)
 	copyHeader(w.Header(), resp.Header, "Content-Type")
+	copyHeader(w.Header(), resp.Header, "Content-Length")
 	copyHeader(w.Header(), resp.Header, "Retry-After")
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(respBody)
@@ -253,7 +257,8 @@ func (b *Balancer) reachable() []*backend {
 	return out
 }
 
-// passThrough proxies one GET verbatim — status, content type, body.
+// passThrough proxies one GET verbatim — status, content type and
+// length, body.
 func (b *Balancer) passThrough(w http.ResponseWriter, ctx context.Context, be *backend, path string) {
 	resp, err := b.get(ctx, be, path)
 	if err != nil {
@@ -263,6 +268,7 @@ func (b *Balancer) passThrough(w http.ResponseWriter, ctx context.Context, be *b
 	}
 	defer resp.Body.Close()
 	copyHeader(w.Header(), resp.Header, "Content-Type")
+	copyHeader(w.Header(), resp.Header, "Content-Length")
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 }
@@ -282,6 +288,7 @@ func (b *Balancer) tryPassThrough(w http.ResponseWriter, ctx context.Context, be
 		return false
 	}
 	copyHeader(w.Header(), resp.Header, "Content-Type")
+	copyHeader(w.Header(), resp.Header, "Content-Length")
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 	return true

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/domino5g/domino/internal/core"
 	"github.com/domino5g/domino/internal/ingest"
 	"github.com/domino5g/domino/internal/obs"
 	"github.com/domino5g/domino/internal/parallel"
@@ -107,7 +109,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Idempotent retry of a session that already completed: the
 		// client lost the final response, not the session. Serve the
 		// report again instead of failing the retry.
-		ingest.WriteJSON(w, http.StatusOK, n.reportPayload(sess))
+		writeReport(w, sess)
 		return
 	case d.Code == ingest.CodeConflict:
 		n.reject(w, d.Code, fmt.Sprintf("session %q already exists", id))
@@ -281,13 +283,12 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 	stats := sess.sa.Stats()
 	rep, err := sess.sa.Close()
 	if err != nil {
-		n.detachLocked(sess, ingest.StateFailed, err.Error())
+		n.detachLocked(sess, ingest.StateFailed, err.Error(), nil)
 		sess.mu.Unlock()
 		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess.final = rep
-	n.detachLocked(sess, ingest.StateDone, "")
+	n.detachLocked(sess, ingest.StateDone, "", rep)
 	sess.mu.Unlock()
 	n.m.lateDropped.Add(int64(stats.LateDropped))
 	// Persist the completed diagnosis into the fleet store, stamped so
@@ -324,7 +325,7 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 		"session", id, "cell", rep.CellName, "scenario", rep.Scenario,
 		"records", stats.Records, "windows", stats.Windows,
 		"late_dropped", stats.LateDropped, "chain_events", rep.TotalChainEvents())
-	ingest.WriteJSON(w, http.StatusOK, n.reportPayload(sess))
+	writeReport(w, sess)
 }
 
 // blockReader is what the ingest loop needs of either trace reader.
@@ -426,35 +427,35 @@ func (n *Node) handleWatermark(w http.ResponseWriter, r *http.Request) {
 	ingest.WriteJSON(w, http.StatusOK, ingest.Watermark{Session: sess.id, Accepted: p.Watermark(), State: p.State})
 }
 
-// detachLocked finalizes a session's state, captures the summary and
-// report the read endpoints keep serving, and recycles the analyzer
-// into the pool. A failed session keeps the partial analysis computed
-// up to the failure point. sess.mu must be held: the session table
+// detachLocked finalizes a session's state, renders the /sessions row
+// and the report that the read endpoints, and a replayed final chunk,
+// keep serving, and recycles the analyzer into the pool. rep is the
+// final report; nil renders the analysis computed up to now, which is
+// what a failed session keeps. sess.mu must be held: the session table
 // records the ending in the same critical section as the session, so
 // the table never holds a session as live that the protocol sees
 // finished.
-func (n *Node) detachLocked(sess *session, state ingest.State, errMsg string) {
+func (n *Node) detachLocked(sess *session, state ingest.State, errMsg string, rep *core.Report) {
 	sess.proto.State = state
 	n.sessions.Finish(sess.id, sess, state)
-	sess.err = errMsg
-	if sa := sess.sa; sa != nil {
-		sess.stats = sa.Stats()
-		if hdr, ok := sa.Header(); ok {
-			sess.hdr, sess.hasHdr = hdr, true
-		}
-		if sess.final == nil {
-			sess.final = sa.Snapshot()
-		}
-		sess.sa = nil
-		sa.Reset()
-		n.saPool.Put(sa)
+	sa := sess.sa
+	if rep == nil {
+		rep = sa.Snapshot()
 	}
+	p := sess.payloadLocked(rep)
+	p.Error = errMsg
+	// Copied to size: a finished session holds them while it is retained.
+	sess.row = bytes.Clone(appendRow(nil, &p.SessionInfo))
+	sess.report = bytes.Clone(appendReport(nil, &p))
+	sess.sa = nil
+	sa.Reset()
+	n.saPool.Put(sa)
 }
 
 func (n *Node) fail(sess *session, msg string) {
 	sess.mu.Lock()
 	if sess.proto.State == ingest.StateActive {
-		n.detachLocked(sess, ingest.StateFailed, msg)
+		n.detachLocked(sess, ingest.StateFailed, msg, nil)
 	}
 	sess.mu.Unlock()
 	n.log.Warn("session failed", "session", sess.id, "err", msg)

@@ -250,15 +250,12 @@ type session struct {
 	// included, as record 0) pushed through the analyzer so far. A
 	// retrying client replays from there.
 	proto ingest.Session
-	err   string
-	final *core.Report
 
-	// Captured when the analyzer is detached at completion, so
-	// /sessions and /report keep serving finished sessions without
-	// pinning the (pooled) analyzer state.
-	stats  stream.Stats
-	hdr    trace.Header
-	hasHdr bool
+	// row and report are a finished session's /sessions row and /report
+	// answer, rendered once when the analyzer is detached: what the
+	// session keeps of its analysis, without pinning the (pooled)
+	// analyzer state or its report.
+	row, report []byte
 
 	// rec is the session's pipeline flight recorder (nil with
 	// FlightRec 0), recorded into and dumped under mu. It outlives the

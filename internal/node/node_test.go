@@ -307,7 +307,7 @@ func TestAdmitHoldsTheFlagOnlyOnProceed(t *testing.T) {
 func (n *Node) mustFinish(t *testing.T, sess *session) {
 	t.Helper()
 	sess.mu.Lock()
-	n.detachLocked(sess, ingest.StateDone, "")
+	n.detachLocked(sess, ingest.StateDone, "", nil)
 	sess.mu.Unlock()
 	sess.release()
 }

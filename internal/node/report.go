@@ -3,9 +3,11 @@ package node
 import (
 	"fmt"
 	"net/http"
+	"slices"
 
 	"github.com/domino5g/domino/internal/core"
 	"github.com/domino5g/domino/internal/ingest"
+	"github.com/domino5g/domino/internal/jsonenc"
 	"github.com/domino5g/domino/internal/rcastore"
 )
 
@@ -46,52 +48,55 @@ type ReportPayload struct {
 	TopChains    []ChainStat         `json:"top_chains"`
 }
 
-// snapshot returns the session's current report (final when done, live
-// snapshot while active) plus its summary info. Callers hold no locks.
-func (n *Node) snapshot(sess *session) (*core.Report, SessionInfo) {
+// answer appends the session's /report answer, or its /sessions row
+// when row is set: the bytes rendered when it finished, or, while it is
+// live, bytes rendered now from a snapshot of its analyzer. Callers hold
+// no locks.
+func (sess *session) answer(dst []byte, row bool) []byte {
 	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	stats := sess.stats
-	hdr, hasHdr := sess.hdr, sess.hasHdr
-	if sess.sa != nil {
-		stats = sess.sa.Stats()
-		hdr, hasHdr = sess.sa.Header()
+	if sess.sa == nil {
+		done := sess.report
+		if row {
+			done = sess.row
+		}
+		sess.mu.Unlock()
+		return append(dst, done...)
 	}
-	info := SessionInfo{
-		Session:     sess.id,
-		State:       sess.proto.State,
-		Error:       sess.err,
-		Records:     stats.Records,
-		Windows:     stats.Windows,
-		LateDropped: stats.LateDropped,
-		WatermarkUs: int64(stats.Watermark),
+	p := sess.payloadLocked(sess.sa.Snapshot())
+	sess.mu.Unlock()
+	if row {
+		return appendRow(dst, &p.SessionInfo)
 	}
-	if hasHdr {
-		info.Cell = hdr.CellName
-		info.Scenario = hdr.Scenario
-		info.DurationUs = int64(hdr.Duration)
-	}
-	rep := sess.final
-	if rep == nil && sess.sa != nil {
-		rep = sess.sa.Snapshot()
-	}
-	if rep != nil {
-		info.ChainEvents = rep.TotalChainEvents()
-		info.DegradationPerMin = rep.DegradationEventsPerMinute(core.ConsequenceClasses())
-	}
-	return rep, info
+	return appendReport(dst, &p)
 }
 
-func (n *Node) reportPayload(sess *session) ReportPayload {
-	rep, info := n.snapshot(sess)
+// payloadLocked is the session's report as its analyzer gives it now,
+// with rep its final report or a live snapshot (nil before the stream's
+// header). sess.mu is held and sess.sa set.
+func (sess *session) payloadLocked(rep *core.Report) ReportPayload {
+	stats := sess.sa.Stats()
 	p := ReportPayload{
-		SessionInfo:  info,
+		SessionInfo: SessionInfo{
+			Session:     sess.id,
+			State:       sess.proto.State,
+			Records:     stats.Records,
+			Windows:     stats.Windows,
+			LateDropped: stats.LateDropped,
+			WatermarkUs: int64(stats.Watermark),
+		},
 		Causes:       map[string]NodeStat{},
 		Consequences: map[string]NodeStat{},
+	}
+	if hdr, ok := sess.sa.Header(); ok {
+		p.Cell = hdr.CellName
+		p.Scenario = hdr.Scenario
+		p.DurationUs = int64(hdr.Duration)
 	}
 	if rep == nil {
 		return p
 	}
+	p.ChainEvents = rep.TotalChainEvents()
+	p.DegradationPerMin = rep.DegradationEventsPerMinute(core.ConsequenceClasses())
 	for _, c := range core.CauseClasses() {
 		p.Causes[c] = NodeStat{Events: rep.EventCount(c), PerMinute: rep.EventsPerMinute(c)}
 	}
@@ -104,14 +109,99 @@ func (n *Node) reportPayload(sess *session) ReportPayload {
 	return p
 }
 
+// appendReport appends p as ingest.WriteJSON writes it, trailing
+// newline included; TestReportEncoderMatchesEncodingJSON and
+// FuzzReportEncoder hold the two equal.
+func appendReport(dst []byte, p *ReportPayload) []byte {
+	e := jsonenc.Encoder{B: append(dst, '{')}
+	appendInfo(&e, &p.SessionInfo, 1)
+	e.Key(1, `"causes": `)
+	appendStats(&e, p.Causes)
+	e.Key(1, `"consequences": `)
+	appendStats(&e, p.Consequences)
+	if e.Array(`"top_chains": `, len(p.TopChains), p.TopChains == nil) {
+		for i, c := range p.TopChains {
+			e.Elem(i, 2)
+			e.Raw("{")
+			e.StrMember(3, `"chain": `, c.Chain)
+			e.IntMember(3, `"events": `, int64(c.Events))
+			e.EndObject(3)
+		}
+		e.EndArray(2)
+	}
+	return e.Close()
+}
+
+// appendRow appends info as an element of the /sessions array.
+func appendRow(dst []byte, info *SessionInfo) []byte {
+	e := jsonenc.Encoder{B: append(dst, '{')}
+	appendInfo(&e, info, 2)
+	e.EndObject(2)
+	return e.B
+}
+
+// appendInfo appends info's members to an open object whose members
+// sit at depth.
+func appendInfo(e *jsonenc.Encoder, info *SessionInfo, depth int) {
+	e.StrMember(depth, `"session": `, info.Session)
+	e.StrMember(depth, `"cell": `, info.Cell)
+	if info.Scenario != "" {
+		e.StrMember(depth, `"scenario": `, info.Scenario)
+	}
+	e.StrMember(depth, `"state": `, string(info.State))
+	if info.Error != "" {
+		e.StrMember(depth, `"error": `, info.Error)
+	}
+	e.IntMember(depth, `"records": `, int64(info.Records))
+	e.IntMember(depth, `"windows": `, int64(info.Windows))
+	if info.LateDropped != 0 {
+		e.IntMember(depth, `"late_dropped": `, int64(info.LateDropped))
+	}
+	e.IntMember(depth, `"watermark_us": `, info.WatermarkUs)
+	e.IntMember(depth, `"duration_us": `, info.DurationUs)
+	e.IntMember(depth, `"chain_events": `, int64(info.ChainEvents))
+	e.FloatMember(depth, `"degradation_events_per_min": `, info.DegradationPerMin)
+}
+
+// appendStats appends a cause or consequence map at depth 1, its
+// classes in key order as encoding/json orders a map's.
+func appendStats(e *jsonenc.Encoder, m map[string]NodeStat) {
+	if m == nil {
+		e.Raw("null")
+		return
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	e.Raw("{")
+	for _, k := range keys {
+		e.Key(2, "")
+		e.Str(k) // a map key, escaped as encoding/json escapes one
+		e.Raw(": {")
+		e.IntMember(3, `"events": `, int64(m[k].Events))
+		e.FloatMember(3, `"per_min": `, m[k].PerMinute)
+		e.EndObject(3)
+	}
+	e.EndObject(2)
+}
+
 func (n *Node) handleSessions(w http.ResponseWriter, r *http.Request) {
 	all := n.sessions.List()
-	infos := make([]SessionInfo, 0, len(all))
-	for _, sess := range all {
-		_, info := n.snapshot(sess)
-		infos = append(infos, info)
-	}
-	ingest.WriteJSON(w, http.StatusOK, infos)
+	ingest.WriteAppended(w, func(dst []byte) []byte {
+		if len(all) == 0 {
+			return append(dst, "[]\n"...)
+		}
+		e := jsonenc.Encoder{B: dst}
+		for i, sess := range all {
+			e.Elem(i, 1)
+			e.B = sess.answer(e.B, true)
+		}
+		e.EndArray(1)
+		e.Raw("\n")
+		return e.B
+	})
 }
 
 func (n *Node) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -120,7 +210,12 @@ func (n *Node) handleReport(w http.ResponseWriter, r *http.Request) {
 		ingest.WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	ingest.WriteJSON(w, http.StatusOK, n.reportPayload(sess))
+	writeReport(w, sess)
+}
+
+// writeReport answers 200 with the session's report.
+func writeReport(w http.ResponseWriter, sess *session) {
+	ingest.WriteAppended(w, func(dst []byte) []byte { return sess.answer(dst, false) })
 }
 
 // handleRead serves the read surface over the fleet RCA store: GET
