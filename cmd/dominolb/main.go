@@ -1,10 +1,12 @@
 // Command dominolb fronts a fleet of dominod backends with a
 // failure-aware routing tier: sessions are pinned to healthy nodes by
-// rendezvous hashing, an active health checker distinguishes dead
-// nodes from draining ones, a session on a lost node is re-pinned and
-// resent by its client through the resumable-ingest contract (the
-// balancer keeps no copy of any body), and GET /metrics serves the
-// whole fleet's merged Prometheus exposition.
+// rendezvous hashing, and each chunk (POST /ingest) and report read
+// (GET /report/{id}) is steered to its session's node with a 307, so
+// clients must be able to reach the -backend URLs. An active health
+// checker distinguishes dead nodes from draining ones, a session on a
+// lost node is re-pinned and resent by its client through the
+// resumable-ingest contract (the balancer carries no body), and
+// GET /metrics serves the whole fleet's merged Prometheus exposition.
 //
 // Usage:
 //
@@ -97,8 +99,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer lb.Close()
 
-	// Like dominod, ReadTimeout stays 0: proxied ingest bodies are
-	// long-lived streams.
+	// Like dominod, ReadTimeout stays 0: net/http drains an ingest body
+	// the steer left unread, and a client may send it slowly.
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           lb.Routes(),

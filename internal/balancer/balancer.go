@@ -7,20 +7,22 @@
 // same node. An active health checker probes each backend's /healthz,
 // distinguishing down (stop routing, fail sessions over) from
 // draining (no new sessions, in-flight ones finish). The balancer
-// streams each chunk through and keeps none of it: when a pinned
-// backend dies or drains mid-session, the session is re-pinned by HRW
-// over the surviving nodes, and the client's own resumable-ingest path
-// recovers it — a retryable 503, a watermark probe that the new pin
-// answers with 0, and a resend from there. A mid-upload kill -9 of a
-// backend still yields a final report byte-identical to clean
+// steers each chunk and each report read to the session's owner with a
+// 307 and carries none of it, so clients must be able to reach the
+// backend URLs. When a pinned backend dies or drains mid-session, the
+// session is re-pinned by HRW over the surviving nodes, and the
+// client's own resumable-ingest path recovers it — a failed upload to
+// the dead node, a watermark probe through the balancer that the new
+// pin answers with 0, and a resend from there. A mid-upload kill -9 of
+// a backend still yields a final report byte-identical to clean
 // single-node analysis.
 //
 // The balancer also serves the fleet read surface: GET /metrics
 // scrapes every backend, obs.ParseText-parses and obs.Merges the
 // snapshots into one lint-clean exposition (a scrape that breaks a rule
 // obs.Lint holds is a failed scrape, not merged); /sessions, /query and
-// /incidents/similar fan out and merge; /report/{id} routes to the
-// owning node.
+// /incidents/similar fan out and merge; a session's watermark is relayed
+// from its pin.
 package balancer
 
 import (
@@ -40,19 +42,21 @@ type Options struct {
 	// Backends are the dominod base URLs fronted by this balancer,
 	// e.g. "http://127.0.0.1:9101". At least one is required.
 	Backends []string
-	// Client issues proxied and health requests; default is a client
-	// on the balancer's own transport, which keeps idleConnsPerBackend
-	// connections to each backend, with no global timeout (ingest bodies
-	// are long-lived streams; probes and scrapes get per-request context
-	// deadlines).
+	// Client issues the requests the balancer sends a backend itself:
+	// probes, scrapes, fan-out reads and relayed watermarks. Default is a
+	// client on the balancer's own transport, which keeps
+	// idleConnsPerBackend connections to each backend, with no global
+	// timeout (probes and scrapes get per-request context deadlines).
 	Client *http.Client
 	// HealthInterval is the active probe period (default 1s).
 	HealthInterval time.Duration
 	// HealthTimeout bounds one probe (default HealthInterval/2).
 	HealthTimeout time.Duration
 	// FailThreshold is the consecutive probe failures that mark a
-	// backend down (default 3). Proxy-observed transport errors count
-	// toward it too, so data-path failures shorten detection.
+	// backend down (default 3). Transport errors of the requests the
+	// balancer relays count toward it too — a client's watermark probe
+	// after a failed upload among them — so data-path failures shorten
+	// detection.
 	FailThreshold int
 	// ScrapeTimeout bounds one backend /metrics scrape during
 	// federation (default 5s).
@@ -78,10 +82,10 @@ type Balancer struct {
 }
 
 // idleConnsPerBackend is how many idle connections the balancer's own
-// transport keeps to one backend: a node's default -max-streams, the most
-// forwards a backend runs at once. http.DefaultTransport keeps two, so
-// every concurrent forward past the second dialed a connection and closed
-// it after one request.
+// transport keeps to one backend: a node's default -max-streams, as many
+// concurrent reads as a busy fleet relays to one node. http.DefaultTransport
+// keeps two, so every concurrent read past the second dialed a connection
+// and closed it after one request.
 const idleConnsPerBackend = 64
 
 // tableBound is how many entries the routing table keeps past an
@@ -94,9 +98,10 @@ const (
 	mintFormat = "lb-%d"
 )
 
-// lbSession is the balancer's routing state for one session: its pin
-// and how often it moved. It holds none of the session's bytes; how
-// far ingest got is the owning node's watermark.
+// lbSession is the balancer's routing state for one session: its pin,
+// whether the balancer steered the request that ends it, and how often
+// it moved. It holds none of the session's bytes; how far ingest got,
+// and whether it succeeded, is the owning node's to say.
 type lbSession struct {
 	mu        sync.Mutex
 	id        string
@@ -161,7 +166,7 @@ func New(opts Options) (*Balancer, error) {
 
 // Close stops the health prober and drops the balancer's own idle
 // connections (a caller's Client is the caller's to close). In-flight
-// proxied requests finish on their own.
+// relayed reads finish on their own.
 func (b *Balancer) Close() {
 	select {
 	case <-b.stop:
@@ -268,8 +273,9 @@ func (b *Balancer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLBSessions exposes the routing table — which backend owns
-// each session, whether it finished, and how often it failed over.
-// Debug surface for tests and runbooks, not part of the dominod API.
+// each session, whether its ending request was steered, and how often
+// it failed over. Debug surface for tests and runbooks, not part of the
+// dominod API.
 func (b *Balancer) handleLBSessions(w http.ResponseWriter, r *http.Request) {
 	type entry struct {
 		Session   string `json:"session"`

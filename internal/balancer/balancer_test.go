@@ -1,8 +1,8 @@
 package balancer
 
 // Routing tests against real in-process dominod nodes (internal/node):
-// pinning, failover by client resend, drain, the typed
-// draining rejection, and the read surface. The long fleet differentials
+// pinning, failover by client resend, drain and the prober's re-pin,
+// and the read surface. The long fleet differentials
 // live in fleet_test.go and share the helpers here.
 
 import (
@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -213,22 +214,51 @@ func backendOf(t *testing.T, lb *Balancer, n *fleetNode) *backend {
 }
 
 // postChunk issues one ingest request with the resumable-contract
-// headers. seq < 0 omits them (the legacy one-shot contract).
+// headers, following the balancer's steer. seq < 0 omits them (the
+// legacy one-shot contract).
 func postChunk(t testing.TB, base, id, contentType string, seq int, eos bool, body io.Reader) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, base+"/ingest?session="+id, body)
+	resp, err := tryChunk(base, id, contentType, seq, eos, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return resp
+}
+
+// tryChunk is postChunk that hands a transport error back.
+func tryChunk(base, id, contentType string, seq int, eos bool, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodPost, base+"/ingest?session="+id, body)
+	if err != nil {
+		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
 	if seq >= 0 {
 		ingest.Request{Seq: seq, Resumable: true, Eos: eos}.SetHeaders(req.Header)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	return http.DefaultClient.Do(req)
+}
+
+// noFollow is a client that hands a redirect back instead of following it.
+var noFollow = &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+
+// steerTo asks the balancer where a request of a session goes — it sends
+// no body and does not follow — and returns the 307's Location.
+func steerTo(t testing.TB, base, id string, r ingest.Request) string {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, base+"/ingest?session="+url.QueryEscape(id), http.NoBody)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp
+	r.SetHeaders(req.Header)
+	resp, err := noFollow.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainClose(resp)
+	if resp.StatusCode != http.StatusTemporaryRedirect {
+		t.Fatalf("session %s: the balancer answered %d, want a 307", id, resp.StatusCode)
+	}
+	return resp.Header.Get("Location")
 }
 
 // mustPost posts one chunk and requires the given status.
@@ -263,6 +293,14 @@ func postTorn(t *testing.T, base, id string, req ingest.Request, contentType str
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// errorCode extracts the rejection code from an error body; "" when
+// the body carries none.
+func errorCode(body []byte) ingest.Code {
+	var e ingest.ErrorBody
+	_ = json.Unmarshal(body, &e) // not an error body: no code
+	return e.Code
 }
 
 func drainClose(resp *http.Response) {
@@ -372,97 +410,59 @@ func TestDrainStopsNewSessionsWhileFailingOverPinned(t *testing.T) {
 	}
 }
 
-// TestDrainingCodeRepinsOtherCodesDoNot pins how the balancer reads a
-// node's 503: only the typed draining rejection marks the backend
-// draining (so the client's retry re-pins); any other 503 — here a busy
-// session whose text even contains the word "draining" — leaves the
-// backend up and the pin where it was.
-func TestDrainingCodeRepinsOtherCodesDoNot(t *testing.T) {
+// TestDrainingOwnerRepinsOnProbe: the balancer learns of a drain from
+// its prober alone, since it never sees a node's answer to a chunk. A
+// chunk steered to an owner that has begun draining gets the node's own
+// 503 draining, and the backend stays up in the balancer's view with the
+// session on its pin; once a probe marks the node draining — within one
+// health interval — the next chunk is re-pinned to the other node, a seq
+// gap there, and the client resends the session from 0.
+func TestDrainingOwnerRepinsOnProbe(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
-	lb, ts := newTestBalancer(t, Options{}, a, b) // no prober: only the data path can notice
+	lb, ts := newTestBalancer(t, Options{}, a, b) // the test runs each probe round
 
-	const id = "not-draining"
+	const id = "drained-owner"
 	payload := sessionJSONL(t, ran.Presets()[0], 24, 3*sim.Second)
 	chunks, seqs := splitLines(payload, 3)
 	mustPost(t, ts.URL, id, seqs[0], false, chunks[0], http.StatusAccepted)
 	owner, other := ownerAndOther(lb, id, a, b)
 
-	// An upload sent to the node directly, all but the last line of its
-	// body written and the body held open, owns the session there once
-	// its first block lands: the node answers the balancer's chunk, when
-	// its hand-over wait runs out, with 503 busy, naming the session.
-	pr, pw := io.Pipe()
-	held := make(chan *http.Response, 1)
-	go func() { held <- postChunk(t, owner.ts.URL, id, ingest.ContentTypeJSONL, seqs[1], false, pr) }()
-	last := bytes.LastIndexByte(chunks[1][:len(chunks[1])-1], '\n') + 1
-	go pw.Write(chunks[1][:last])
-	for wm, _ := owner.watermark(t, id); wm.Accepted == seqs[1]; wm, _ = owner.watermark(t, id) {
-		time.Sleep(time.Millisecond)
-	}
-	busy := mustPost(t, ts.URL, id, seqs[1], false, chunks[1], http.StatusServiceUnavailable)
-	if ingest.ErrorCode(busy) != ingest.CodeBusy || !strings.Contains(string(busy), "draining") {
-		t.Fatalf("chunk behind the held upload answered %s, want code busy naming the session", busy)
-	}
-	pw.Write(chunks[1][last:])
-	pw.Close()
-	resp := <-held
-	drainClose(resp)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("held chunk: %d", resp.StatusCode)
-	}
-	if st := backendOf(t, lb, owner).State(); st != stateUp {
-		t.Fatalf("a non-draining 503 moved the backend to %v", st)
-	}
-	mustPost(t, ts.URL, id, seqs[1], false, chunks[1], http.StatusAccepted)
-	if lb.lookup(id).backend.url != owner.ts.URL || lb.m.failovers.Value() != 0 {
-		t.Fatal("session re-pinned after a non-draining 503")
-	}
-
-	// The node's typed draining rejection passes through and marks the
-	// backend; the retry re-pins, and the client resends from 0.
 	owner.node.Drain()
-	rejected := mustPost(t, ts.URL, id, seqs[2], true, chunks[2], http.StatusServiceUnavailable)
-	if ingest.ErrorCode(rejected) != ingest.CodeDraining {
-		t.Fatalf("drain rejection answered %s, want code draining", rejected)
+	if body := mustPost(t, ts.URL, id, seqs[1], false, chunks[1], http.StatusServiceUnavailable); errorCode(body) != ingest.CodeDraining {
+		t.Fatalf("chunk at the draining owner answered %s, want code draining", body)
 	}
+	if st := backendOf(t, lb, owner).State(); st != stateUp || lb.lookup(id).backend.url != owner.ts.URL {
+		t.Fatalf("before a probe the draining owner is %v to the balancer, want up and still the pin", st)
+	}
+	lb.probeAll()
 	if st := backendOf(t, lb, owner).State(); st != stateDraining {
-		t.Fatalf("backend state after a draining rejection = %v, want draining", st)
+		t.Fatalf("after a probe the draining owner is %v, want draining", st)
 	}
-	mustPost(t, ts.URL, id, seqs[2], true, chunks[2], http.StatusPreconditionFailed)
-	if lb.lookup(id).backend.url != other.ts.URL {
-		t.Fatal("session still pinned to the draining node")
+	mustPost(t, ts.URL, id, seqs[1], false, chunks[1], http.StatusPreconditionFailed)
+	if lb.lookup(id).backend.url != other.ts.URL || lb.m.failovers.Value() != 1 {
+		t.Fatal("session not re-pinned off the draining node")
 	}
 	resend(t, ts.URL, id, ingest.ContentTypeJSONL, payload)
-	report := fetchReport(t, other.ts.URL, id)
+	report := fetchReport(t, ts.URL, id)
 	if want := cleanReport(t, id, payload); !bytes.Equal(report, want) {
 		t.Fatalf("re-pinned report diverged from clean ingest\nclean: %s\nfleet: %s", want, report)
 	}
 }
 
 // TestMalformedChunkPassesThrough pins a chunk whose bytes arrive whole
-// but do not decode, through dominolb: the node's 400 malformed reaches
-// the client, which does not retry it, the backend stays up, and the
-// routing entry is retired — done, out of the active gauge. A one-shot
-// body torn on its way in is the balancer's own final 400 and retires
-// its entry too; a resumable one is a 503 interrupted, as the node would
-// answer it, and its entry stays live.
+// but do not decode, steered through dominolb: the node's 400 malformed
+// reaches the client, which does not retry it, the backend stays up, and
+// the routing entry is retired — done, out of the active gauge — since
+// the balancer steered the request that ended the session.
 func TestMalformedChunkPassesThrough(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
 	payload := sessionJSONL(t, ran.Presets()[0], 26, 3*sim.Second)
-	set, err := trace.ReadAuto(bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bin bytes.Buffer
-	if err := trace.WriteBinary(&bin, set); err != nil {
-		t.Fatal(err)
-	}
-	garbled := bin.Bytes()
+	garbled := encodeBinary(t, payload)
 	copy(garbled[len(garbled)/2:], bytes.Repeat([]byte{0x01}, 16))
 	bad := append(bytes.Join(bytes.SplitAfter(payload, []byte("\n"))[:40], nil), "not a record\n"...)
 
-	if body := mustPost(t, ts.URL, "direct", 0, true, bad, http.StatusBadRequest); ingest.ErrorCode(body) != ingest.CodeMalformed {
+	if body := mustPost(t, ts.URL, "direct", 0, true, bad, http.StatusBadRequest); errorCode(body) != ingest.CodeMalformed {
 		t.Fatalf("malformed chunk answered %s, want code malformed", body)
 	}
 	for _, c := range []struct {
@@ -478,37 +478,14 @@ func TestMalformedChunkPassesThrough(t *testing.T) {
 			t.Fatalf("%s: a malformed chunk moved its backend to %v", c.id, st)
 		}
 	}
-	resp := postTorn(t, ts.URL, "torn-oneshot", ingest.Request{Eos: true}, ingest.ContentTypeJSONL, bad)
-	if body := readBody(t, resp); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("torn one-shot body through the balancer: %d %s, want 400", resp.StatusCode, body)
-	}
-	activeIs := func(when string, want int) {
-		t.Helper()
-		if line := fmt.Sprintf("dominolb_sessions_active %d\n", want); !strings.Contains(readBody(t, mustGet(t, ts.URL+"/metrics")), line) {
-			t.Fatalf("%s: exposition lacks %q", when, line)
+	for _, e := range lbSessions(t, ts.URL) {
+		if !e.Done {
+			t.Fatalf("%s: a failed session's routing entry is still live", e.Session)
 		}
 	}
-	done := func(id string) bool {
-		s := lb.lookup(id)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.done
+	if line := "dominolb_sessions_active 0\n"; !strings.Contains(readBody(t, mustGet(t, ts.URL+"/metrics")), line) {
+		t.Fatalf("exposition lacks %q", line)
 	}
-	for _, id := range []string{"direct", "jsonl", "binary", "torn-oneshot"} {
-		if !done(id) {
-			t.Fatalf("%s: a failed session's routing entry is still live", id)
-		}
-	}
-	activeIs("after the failed sessions", 0)
-
-	resp = postTorn(t, ts.URL, "torn", ingest.Request{Resumable: true}, ingest.ContentTypeJSONL, bad)
-	if body := readBody(t, resp); resp.StatusCode != http.StatusServiceUnavailable || ingest.ErrorCode([]byte(body)) != ingest.CodeInterrupted {
-		t.Fatalf("torn chunk through the balancer: %d %s, want 503 interrupted", resp.StatusCode, body)
-	}
-	if done("torn") {
-		t.Fatal("a suspended session's routing entry was retired")
-	}
-	activeIs("after the suspended session", 1)
 }
 
 // assertFleetIsMergeOfNodes pins the federation criterion: the
@@ -677,7 +654,8 @@ func TestReportRoutesToOwner(t *testing.T) {
 // byte; so do a failed session's /report, asked twice, and its row (a
 // failed session has no completion, and a resent chunk past its record 0
 // is a seq gap, not a report). Each report comes sized, not chunked, and
-// dominolb relays what a node answers direct.
+// through dominolb — which steers a chunk or a report read to the node
+// and relays /sessions — the client gets what a node answers direct.
 func TestOneAnswerPerFinishedSession(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	_, lb := newTestBalancer(t, Options{}, b)
@@ -753,17 +731,20 @@ func TestOneAnswerPerFinishedSession(t *testing.T) {
 	}
 }
 
-// TestReadsDuringOpenChunk: with one chunked upload held open through
-// the balancer, after the node has taken part of it, the session's
-// report, its watermark and /lb/sessions still answer at once. That is
-// the node's live use — keep one POST open, poll /report/{id} — and it
-// needs the balancer to hold no lock of the session across the forward.
+// TestReadsDuringOpenChunk: with one chunked upload held open at the
+// owner the balancer steered it to, after the node has taken part of it,
+// the session's report, its watermark and /lb/sessions still answer at
+// once through the balancer. That is the node's live use — keep one POST
+// open, poll /report/{id} — and it needs the balancer to hold no lock of
+// the session while a chunk of it is open.
 func TestReadsDuringOpenChunk(t *testing.T) {
 	n := newFleetNode(t, "a")
 	_, ts := newTestBalancer(t, Options{}, n)
 	const id = "open-chunk"
 	payload := sessionJSONL(t, ran.Presets()[0], 31, 10*sim.Second)
 	half := bytes.LastIndexByte(payload[:len(payload)/2], '\n') + 1
+	proto := ingest.Request{Resumable: true, Eos: true}
+	owner := steerTo(t, ts.URL, id, proto)
 
 	pr, pw := io.Pipe()
 	// Cleanups run last-registered first: the upload ends before the
@@ -771,9 +752,9 @@ func TestReadsDuringOpenChunk(t *testing.T) {
 	t.Cleanup(func() { pw.CloseWithError(io.ErrUnexpectedEOF) })
 	posted := make(chan *http.Response, 1)
 	go func() {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/ingest?session="+id, pr)
+		req, _ := http.NewRequest(http.MethodPost, owner, pr)
 		req.Header.Set("Content-Type", ingest.ContentTypeJSONL)
-		ingest.Request{Resumable: true, Eos: true}.SetHeaders(req.Header)
+		proto.SetHeaders(req.Header)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			pr.CloseWithError(err)
@@ -882,11 +863,12 @@ func TestSessionsActiveGaugeMatchesTableWalk(t *testing.T) {
 
 // TestRoutingTableRetainsBoundedDone reaches the table's bound: with
 // room for four entries — the live session and three done ones — each
-// admission past it drops the session that finished earliest, complete
-// or failed, while a live session — one that already failed over —
-// keeps its entry and its place in the active gauge however many
-// finish around it. A dropped session is merely unknown to the balancer
-// again: its watermark and report still come from the fleet.
+// admission past it drops the session that finished earliest, whether
+// its node completed it or failed it, while a live session — one that
+// already failed over — keeps its entry and its place in the active
+// gauge however many finish around it. A dropped session is merely
+// unknown to the balancer again: its watermark and report still come
+// from the fleet.
 func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)
@@ -897,8 +879,12 @@ func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 	mustPost(t, ts.URL, "live", seqs[0], false, chunks[0], http.StatusAccepted)
 	owner, _ := ownerAndOther(lb, "live", a, b)
 	owner.kill()
-	drainClose(postChunk(t, ts.URL, "live", ingest.ContentTypeJSONL, seqs[1], false, bytes.NewReader(chunks[1]))) // 503: feeds health
-	mustPost(t, ts.URL, "live", seqs[1], false, chunks[1], http.StatusPreconditionFailed)                         // re-pinned: a gap on the fresh node
+	if resp, err := tryChunk(ts.URL, "live", ingest.ContentTypeJSONL, seqs[1], false, bytes.NewReader(chunks[1])); err == nil {
+		drainClose(resp)
+		t.Fatalf("chunk at the dead owner: %d, want a transport error", resp.StatusCode)
+	}
+	drainClose(mustGet(t, ts.URL+"/sessions/live/watermark"))                             // 502: feeds health
+	mustPost(t, ts.URL, "live", seqs[1], false, chunks[1], http.StatusPreconditionFailed) // re-pinned: a gap on the fresh node
 
 	const finished, failed = 7, 5 // d-5 fails: it counts against the bound like the rest
 	for i := 0; i < finished; i++ {
@@ -909,14 +895,7 @@ func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 		mustPost(t, ts.URL, "d-"+strconv.Itoa(i), 0, true, payload, http.StatusOK)
 	}
 
-	var table []struct {
-		Session   string `json:"session"`
-		Done      bool   `json:"done"`
-		Failovers int    `json:"failovers"`
-	}
-	if err := json.Unmarshal([]byte(readBody(t, mustGet(t, ts.URL+"/lb/sessions"))), &table); err != nil {
-		t.Fatal(err)
-	}
+	table := lbSessions(t, ts.URL)
 	var got []string
 	for _, e := range table {
 		got = append(got, e.Session)
@@ -963,28 +942,27 @@ func TestRoutingTableRetainsBoundedDone(t *testing.T) {
 }
 
 // TestFailedEntryRevives: a fresh upload under the ID of a session that
-// failed replaces its routing entry, as the node replaces the failed
-// session — the revived entry is live, listed as not done and counted
-// in the active gauge, and the admission counts as a new session.
+// failed at its node is steered to the same pin, where the node replaces
+// the failed session with a live one. The balancer, which never marks an
+// entry failed, keeps its one entry — done, since it steered the one-shot
+// upload that ended the failed session — and counts no second admission.
 func TestFailedEntryRevives(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
-	_, ts := newTestBalancer(t, Options{}, a, b)
+	lb, ts := newTestBalancer(t, Options{}, a, b)
 	mustPost(t, ts.URL, "x", -1, true, []byte("not a record\n"), http.StatusBadRequest)
+	pin := lb.lookup("x").backend
 	chunks, seqs := splitLines(sessionJSONL(t, ran.Presets()[0], 31, 2*sim.Second), 2)
 	mustPost(t, ts.URL, "x", seqs[0], false, chunks[0], http.StatusAccepted)
 
-	var table []struct {
-		Session string `json:"session"`
-		Done    bool   `json:"done"`
+	owner, _ := ownerAndOther(lb, "x", a, b)
+	if wm, ok := owner.watermark(t, "x"); !ok || wm.State != ingest.StateActive || wm.Accepted != seqs[1] || lb.lookup("x").backend != pin {
+		t.Fatalf("revived session at its pin: %+v (held %v), want active with %d accepted on the same pin", wm, ok, seqs[1])
 	}
-	if err := json.Unmarshal([]byte(readBody(t, mustGet(t, ts.URL+"/lb/sessions"))), &table); err != nil {
-		t.Fatal(err)
-	}
-	if len(table) != 1 || table[0].Session != "x" || table[0].Done {
-		t.Fatalf("/lb/sessions lists %+v, want x live", table)
+	if table := lbSessions(t, ts.URL); len(table) != 1 || table[0].Session != "x" || !table[0].Done {
+		t.Fatalf("/lb/sessions lists %+v, want x done", table)
 	}
 	text := readBody(t, mustGet(t, ts.URL+"/metrics"))
-	for _, line := range []string{"dominolb_sessions_active 1\n", "dominolb_sessions_total 2\n"} {
+	for _, line := range []string{"dominolb_sessions_active 0\n", "dominolb_sessions_total 1\n"} {
 		if !strings.Contains(text, line) {
 			t.Fatalf("exposition lacks %q", line)
 		}
@@ -1011,9 +989,10 @@ func TestMintedSessionIDSkipsClientIDs(t *testing.T) {
 }
 
 // TestForwardsReuseBackendConnections pins the balancer's own transport:
-// eight forwards in flight at once open at most eight connections to the
-// backend, and a second such wave opens none — http.DefaultTransport,
-// which keeps two idle connections per host, dialed six again.
+// eight reads it forwards at once — watermark probes relayed to the
+// backend — open at most eight connections to it, and a second such wave
+// opens none; http.DefaultTransport, which keeps two idle connections per
+// host, dialed six again.
 func TestForwardsReuseBackendConnections(t *testing.T) {
 	const forwards = 8
 	var (
@@ -1025,11 +1004,10 @@ func TestForwardsReuseBackendConnections(t *testing.T) {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, `{"status":"ok","node":"stub"}`)
 	})
-	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
+	mux.HandleFunc("GET /sessions/{id}/watermark", func(w http.ResponseWriter, r *http.Request) {
 		arrived.Done()
 		<-release // until the whole wave is in flight
-		io.WriteString(w, "{}")
+		fmt.Fprintf(w, `{"session":%q,"accepted":1,"state":"active"}`, r.PathValue("id"))
 	})
 	backend := httptest.NewUnstartedServer(mux)
 	backend.Config.ConnState = func(_ net.Conn, s http.ConnState) {
@@ -1055,7 +1033,7 @@ func TestForwardsReuseBackendConnections(t *testing.T) {
 			wg.Add(1)
 			go func(id string) {
 				defer wg.Done()
-				resp, err := http.Post(front.URL+"/ingest?session="+id, ingest.ContentTypeJSONL, strings.NewReader("{}\n"))
+				resp, err := http.Get(front.URL + "/sessions/" + id + "/watermark")
 				if err != nil {
 					t.Error(err)
 					return

@@ -78,9 +78,9 @@ func (g *gatedReader) Read(p []byte) (int, error) {
 // tier: 4 dominod nodes behind the balancer, every scenario in both
 // wire formats, two seeded mid-stream backend kills (one at a chunk
 // boundary, one mid-body, both recovered by the client's resend after
-// the balancer re-pins), and at the end every one of the 28 reports
-// fetched through the balancer must equal the clean single-node report
-// byte for byte.
+// the balancer, told by the client's watermark probe, re-pins), and at
+// the end every one of the 28 reports fetched through the balancer must
+// equal the clean single-node report byte for byte.
 func TestFleetChaosDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet chaos differential is the long acceptance test")
@@ -100,8 +100,8 @@ func TestFleetChaosDifferential(t *testing.T) {
 	lb, err := New(Options{
 		Backends: backends,
 		// Deterministic failure detection: the prober stays quiet (the
-		// initial round marked everyone up) and the first data-path
-		// error marks a node down.
+		// initial round marked everyone up) and the first relayed
+		// request that fails marks a node down.
 		HealthInterval: time.Hour,
 		FailThreshold:  1,
 	})
@@ -207,12 +207,19 @@ func TestFleetChaosDifferential(t *testing.T) {
 				victim.kill()
 				markDead(victim)
 				killed++
-				// First post-kill chunk bounces (503, marks the node
-				// down); the retry re-pins and is a seq gap on the
-				// survivor; the client resends the session from 0.
-				resp = postChunk(t, lbTS.URL, id, f.contentType, seqs[1], false, bytes.NewReader(chunks[1]))
-				if resp.StatusCode != http.StatusServiceUnavailable {
-					t.Fatalf("%s chunk against killed node: %d, want 503", id, resp.StatusCode)
+				// The first post-kill chunk is steered to the dead owner
+				// and fails at the client's transport; the client's
+				// watermark probe through the balancer finds the node
+				// gone (a 502, and the node down); the retry re-pins and
+				// is a seq gap on the survivor; the client resends the
+				// session from 0.
+				if resp, err := tryChunk(lbTS.URL, id, f.contentType, seqs[1], false, bytes.NewReader(chunks[1])); err == nil {
+					drainClose(resp)
+					t.Fatalf("%s chunk against killed node: %d, want a transport error", id, resp.StatusCode)
+				}
+				resp = mustGet(t, lbTS.URL+"/sessions/"+id+"/watermark")
+				if resp.StatusCode != http.StatusBadGateway {
+					t.Fatalf("%s watermark probe after the failed chunk: %d, want 502", id, resp.StatusCode)
 				}
 				drainClose(resp)
 				resp = postChunk(t, lbTS.URL, id, f.contentType, seqs[1], false, bytes.NewReader(chunks[1]))
@@ -226,9 +233,11 @@ func TestFleetChaosDifferential(t *testing.T) {
 
 			case i == killMidBodyAt && f.name == "binary":
 				// Kill the owner while the very first request is
-				// mid-body: nothing was ever acknowledged, so recovery
-				// must come from the client resending after the
-				// balancer's retryable 503.
+				// mid-body at it: nothing was ever acknowledged, so
+				// recovery must come from the client resending after its
+				// transport failed. The request goes where the balancer
+				// steers it.
+				owner := steerTo(t, lbTS.URL, id, ingest.Request{Resumable: true, Eos: true})
 				gate := make(chan struct{})
 				body := &gatedReader{
 					head: bytes.NewReader(payload[:len(payload)/2]),
@@ -245,7 +254,7 @@ func TestFleetChaosDifferential(t *testing.T) {
 					killed++
 					close(gate)
 				}()
-				req, err := http.NewRequest(http.MethodPost, lbTS.URL+"/ingest?session="+id, body)
+				req, err := http.NewRequest(http.MethodPost, owner, body)
 				if err != nil {
 					t.Fatal(err)
 				}

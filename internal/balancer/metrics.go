@@ -31,7 +31,7 @@ func newMetrics(b *Balancer) *metrics {
 		failovers: reg.Counter("dominolb_failovers_total",
 			"Sessions re-pinned to a surviving backend after their node left the fleet."),
 		proxyErrors: reg.Counter("dominolb_proxy_errors_total",
-			"Proxied requests that failed at the transport layer."),
+			"Requests relayed to a backend (watermarks, report and fan-out reads) that failed at the transport layer."),
 		healthProbes: reg.Counter("dominolb_health_probes_total",
 			"Active health probes issued."),
 		probeFailures: reg.Counter("dominolb_health_probe_failures_total",
@@ -46,7 +46,7 @@ func newMetrics(b *Balancer) *metrics {
 	}
 	reg.GaugeFunc("dominolb_backends", "Backends configured.",
 		func() float64 { return float64(len(b.backends)) })
-	reg.GaugeFunc("dominolb_sessions_active", "Sessions the balancer is routing that have had no final answer (a report or a permanent failure).",
+	reg.GaugeFunc("dominolb_sessions_active", "Sessions the balancer is routing whose ending request it has not steered yet.",
 		func() float64 { live, _ := b.sessions.Len(); return float64(live) })
 	for _, be := range b.backends {
 		be := be

@@ -22,18 +22,27 @@ import (
 // errNoBackends is returned when the healthy set is empty.
 var errNoBackends = fmt.Errorf("no healthy backends")
 
-// handleIngest admits a session (or the next chunk of one), pins it
-// to a backend, and streams the body through. Failure handling is the
-// client's resumable-ingest path, with the balancer only re-pinning:
+// handleIngest admits a session (or the next chunk of one), pins it to
+// a backend, and steers the request there: a 307 to the owner's
+// /ingest, which a net/http client or curl -L follows with the body and
+// the protocol headers. The balancer reads none of the body (net/http
+// drains what a client already sent, up to its own bound) and so never
+// sees the node's answer. Failure handling is the client's
+// resumable-ingest path, with the balancer only re-pinning:
 //
 //   - if the pinned backend is down or draining when the chunk
 //     arrives, the session is re-pinned by HRW over the surviving
 //     nodes first; the fresh node has never seen it, so a chunk past
 //     record 0 is its 412 seq gap, and the client probes the watermark
 //     (0 there) and resends from the start;
-//   - if the backend dies under an in-flight proxy, the client gets a
-//     retryable 503 + Retry-After, the failure feeds health, and the
-//     retry's watermark probe re-pins the same way.
+//   - if the backend dies under the client's upload, the client's
+//     transport fails, and its watermark probe through the balancer
+//     finds the node gone, which feeds health, so the retry re-pins
+//     the same way.
+//
+// The request that ends the session (Eos, which a one-shot request
+// always has) finishes its entry done as it is steered; a resend under
+// the ID gets the same entry and its pin, or a re-pin if the owner left.
 func (b *Balancer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	req, err := ingest.ParseRequest(r.Header)
 	if err != nil {
@@ -42,154 +51,56 @@ func (b *Balancer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// Affinity needs a name, so an anonymous upload gets a minted one.
 	sess, _, _ := b.sessions.Admit(r.URL.Query().Get("session"), func(id string) *lbSession { return &lbSession{id: id} })
-	be, err := b.pinned(sess)
+	be, err := b.pinned(sess, req.Eos)
 	if err != nil {
 		ingest.CodeUnavailable.Reject(w, fmt.Sprintf("session %s: %v", sess.id, err))
 		return
 	}
-	b.forward(w, r, req, sess, be)
+	steer(w, be.url+"/ingest?session="+url.QueryEscape(sess.id))
+}
+
+// steer answers with a 307 to loc, which a client follows with the same
+// method, body and headers.
+func steer(w http.ResponseWriter, loc string) {
+	w.Header().Set("Location", loc)
+	w.WriteHeader(http.StatusTemporaryRedirect)
 }
 
 // pinned returns sess's live pin, re-pinning it first when the current
-// one left the fleet. It holds sess.mu only for that: no lock is held
-// across a request to a backend, so a read of the session never waits
-// behind an open upload. The node alone serializes a session's uploads,
-// through its upload slot: a second one waits for it, then is answered
-// 503 busy, whichever tier it came through.
-func (b *Balancer) pinned(sess *lbSession) (*backend, error) {
+// one left the fleet, and finishes sess done when ending is set. It
+// holds sess.mu only for that, so a read of the session never waits
+// behind another request. The node alone serializes a session's
+// uploads, through its upload slot: a second one waits for it, then is
+// answered 503 busy.
+func (b *Balancer) pinned(sess *lbSession, ending bool) (*backend, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	cur := sess.backend
-	if cur != nil && cur.State() == stateUp {
-		return cur, nil
-	}
-	next := b.pick(sess.id)
-	if next == nil {
-		return nil, errNoBackends
-	}
-	if cur != nil {
-		b.m.failovers.Inc()
-		sess.failovers++
-		b.log.Warn("session failover", "session", sess.id, "from", cur.url, "to", next.url)
-	}
-	sess.backend = next
-	return next, nil
-}
-
-// clientBody is a client's request body on its way to a backend. It
-// remembers the first read error other than EOF, so a forward that
-// fails can tell the client's torn body from the backend's death. The
-// transport reads it on a goroutine of its own.
-type clientBody struct {
-	r   io.Reader
-	mu  sync.Mutex
-	err error
-}
-
-func (c *clientBody) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if err != nil && err != io.EOF {
-		c.mu.Lock()
-		if c.err == nil {
-			c.err = err
+	if cur == nil || cur.State() != stateUp {
+		next := b.pick(sess.id)
+		if next == nil {
+			return nil, errNoBackends
 		}
-		c.mu.Unlock()
-	}
-	return n, err
-}
-
-// torn returns the first read error the body met, or nil.
-func (c *clientBody) torn() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// forward streams one ingest chunk to be, the session's pin, and
-// relays the answer.
-func (b *Balancer) forward(w http.ResponseWriter, r *http.Request, proto ingest.Request, sess *lbSession, be *backend) {
-	body := &clientBody{r: r.Body}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		be.url+"/ingest?session="+url.QueryEscape(sess.id), body)
-	if err != nil {
-		ingest.WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	// A sized chunk goes on sized, not re-framed as chunked transfer
-	// encoding: the node then reads it in as few syscalls as it came.
-	req.ContentLength = r.ContentLength
-	copyHeader(req.Header, r.Header, "Content-Type")
-	proto.SetHeaders(req.Header)
-	resp, err := b.client.Do(req)
-	if err != nil {
-		if body.torn() != nil || r.Context().Err() != nil {
-			// The client's body tore, or the client left: the backend is
-			// not at fault. Answer as a node answers a torn body.
-			msg := fmt.Sprintf("stream interrupted on its way in (%v); resume from the watermark", err)
-			if proto.Settle(ingest.EndInterrupted) == ingest.Suspend {
-				ingest.CodeInterrupted.Reject(w, msg)
-			} else {
-				b.settle(sess, http.StatusBadRequest)
-				ingest.WriteError(w, http.StatusBadRequest, msg)
-			}
-			return
+		if cur != nil {
+			b.m.failovers.Inc()
+			sess.failovers++
+			b.log.Warn("session failover", "session", sess.id, "from", cur.url, "to", next.url)
 		}
-		// The backend vanished under the stream. Hand the failure to
-		// the client's retry loop, and let it feed health so the next
-		// attempt fails over.
-		b.backendFailed(be, err)
-		ingest.CodeUnavailable.Reject(w, fmt.Sprintf("backend lost mid-upload (%v); retry to fail over", err))
-		return
+		sess.backend = next
 	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		b.backendFailed(be, err)
-		ingest.CodeUnavailable.Reject(w, fmt.Sprintf("backend lost mid-response (%v); retry to fail over", err))
-		return
-	}
-
-	// The backend is shedding or draining; reflect draining into the
-	// fleet view right away so the client's retry re-pins instead of
-	// bouncing off the same node.
-	if resp.StatusCode == http.StatusServiceUnavailable && ingest.ErrorCode(respBody) == ingest.CodeDraining &&
-		be.noteState(stateDraining, "") {
-		b.log.Info("backend draining (ingest reject)", "backend", be.url)
-	}
-	b.settle(sess, resp.StatusCode)
-	copyHeader(w.Header(), resp.Header, "Content-Type")
-	copyHeader(w.Header(), resp.Header, "Content-Length")
-	copyHeader(w.Header(), resp.Header, "Retry-After")
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(respBody)
-}
-
-// settle finishes sess once status is a final answer for it: done on
-// its report (200; a client that lost it resends and gets it again),
-// failed on an answer no resend of the chunk mends — every non-retryable
-// rejection but a 409, which is about another upload's live session. A
-// failed entry is what the next upload under its ID replaces.
-func (b *Balancer) settle(sess *lbSession, status int) {
-	how := ingest.StateDone
-	if status != http.StatusOK {
-		if status < 400 || status == http.StatusConflict || ingest.Retryable(status) {
-			return
-		}
-		how = ingest.StateFailed
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if !sess.done {
+	if ending && !sess.done {
 		sess.done = true
-		b.sessions.Finish(sess.id, sess, how)
+		b.sessions.Finish(sess.id, sess, ingest.StateDone)
 	}
+	return sess.backend, nil
 }
 
-// backendFailed folds a data-path failure into backend health.
+// backendFailed folds the transport failure of a request the balancer
+// relayed to be into its health.
 func (b *Balancer) backendFailed(be *backend, err error) {
 	b.m.proxyErrors.Inc()
 	if be.noteFailure(b.opts.FailThreshold) {
-		b.log.Warn("backend down (proxy error)", "backend", be.url, "err", err)
+		b.log.Warn("backend down (relayed request failed)", "backend", be.url, "err", err)
 	}
 }
 
@@ -206,7 +117,7 @@ func copyHeader(dst, src http.Header, name string) {
 func (b *Balancer) handleWatermark(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if sess := b.lookup(id); sess != nil {
-		be, err := b.pinned(sess)
+		be, err := b.pinned(sess, false)
 		if err != nil {
 			ingest.CodeUnavailable.Reject(w, err.Error())
 			return
@@ -224,8 +135,11 @@ func (b *Balancer) handleWatermark(w http.ResponseWriter, r *http.Request) {
 	ingest.WriteError(w, http.StatusNotFound, "no such session")
 }
 
-// handleReport routes to the owning backend, falling back to asking
-// the fleet.
+// handleReport steers a pinned session's report read to its owner, as
+// handleIngest steers its chunks, unless the owner is down; a session
+// the balancer does not hold, or whose owner is down, is asked of the
+// fleet, and the first backend that has it answers through the
+// balancer.
 func (b *Balancer) handleReport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	path := "/report/" + url.PathEscape(id)
@@ -233,7 +147,8 @@ func (b *Balancer) handleReport(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Lock()
 		be := sess.backend
 		sess.mu.Unlock()
-		if be != nil && be.State() != stateDown && b.tryPassThrough(w, r.Context(), be, path) {
+		if be != nil && be.State() != stateDown {
+			steer(w, be.url+path)
 			return
 		}
 	}
@@ -314,12 +229,16 @@ type part struct {
 var parts = sync.Pool{New: func() any { return new(part) }}
 
 // A part that grew past either bound is left to the collector, so one
-// huge answer does not pin its size for good.
+// huge answer does not pin its size for good. partMaxBody bounds what one
+// answer may hold at all.
 const (
 	partKeepBody = 1 << 20
 	partKeepRows = 4096
-	partPresize  = 64 << 20
+	partMaxBody  = 64 << 20
 )
+
+// errPartTooLarge fails a part whose answer runs past partMaxBody.
+var errPartTooLarge = fmt.Errorf("answer longer than %d bytes", partMaxBody)
 
 // release returns p to the pool and reports whether the pool took it.
 func (p *part) release() bool {
@@ -338,21 +257,28 @@ func release(answers []*part) {
 }
 
 // read fills p.body with the response's body, sized in one step from the
-// Content-Length a node sends instead of by doubling.
+// Content-Length a node sends instead of by doubling. A body longer than
+// partMaxBody, sized or not, is errPartTooLarge.
 func (p *part) read(resp *http.Response) error {
+	if resp.ContentLength > partMaxBody {
+		return errPartTooLarge
+	}
 	p.body = p.body[:0]
 	if n := resp.ContentLength; n >= int64(cap(p.body)) {
-		// The spare byte is where the read that meets EOF lands. A length
-		// past partPresize is taken on trust only that far.
-		p.body = make([]byte, 0, min(n, partPresize)+1)
+		// The spare byte is where the read that meets EOF lands.
+		p.body = make([]byte, 0, n+1)
 	}
+	body := io.LimitReader(resp.Body, partMaxBody+1)
 	for {
 		if len(p.body) == cap(p.body) {
 			p.body = append(p.body, 0)[:len(p.body)]
 		}
-		n, err := resp.Body.Read(p.body[len(p.body):cap(p.body)])
+		n, err := body.Read(p.body[len(p.body):cap(p.body)])
 		p.body = p.body[:len(p.body)+n]
 		if err == io.EOF {
+			if len(p.body) > partMaxBody {
+				return errPartTooLarge
+			}
 			return nil
 		}
 		if err != nil {

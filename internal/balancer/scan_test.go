@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -290,6 +291,35 @@ func TestPartPoolDropsOversized(t *testing.T) {
 	p := &part{be: &backend{}, scanned: scanned{fired: []byte("[]")}}
 	if p.release(); p.be != nil || p.fired != nil {
 		t.Errorf("a released part still refers to its backend or its body: %+v", p)
+	}
+}
+
+// zeros reads as an endless run of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestPartReadIsBounded: a fan-out part holds at most partMaxBody bytes.
+// A longer answer fails its part, whether the node sized it or sent it
+// without a length; one of exactly partMaxBody bytes is read whole.
+func TestPartReadIsBounded(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		n, cl  int64 // bytes sent, Content-Length declared
+		failed bool
+	}{
+		{"unsized, past the bound", partMaxBody + 2, -1, true},
+		{"sized, past the bound", partMaxBody + 1, partMaxBody + 1, true},
+		{"sized, at the bound", partMaxBody, partMaxBody, false},
+	} {
+		p := &part{}
+		err := p.read(&http.Response{ContentLength: c.cl, Body: io.NopCloser(io.LimitReader(zeros{}, c.n))})
+		if (err != nil) != c.failed || (err == nil && int64(len(p.body)) != c.n) {
+			t.Errorf("%s: read kept %d bytes, error %v; want failed %v", c.name, len(p.body), err, c.failed)
+		}
 	}
 }
 

@@ -27,6 +27,12 @@
 // offset meaningless — the server skips the already-accepted prefix
 // and counts the duplicates as deduped, not double-analyzed.
 //
+// Through dominolb, POST /ingest and GET /report/{id} are answered with
+// a 307 Temporary Redirect to the node that owns the session. The
+// Client follows it as any net/http client does, replaying the body and
+// the headers to the node (so does curl -L); the watermark probe goes
+// through dominolb, which relays it and so learns of a dead node.
+//
 // # Server side
 //
 // A server keeps a Session (State, Accepted) per session ID and makes
@@ -36,13 +42,14 @@
 // doc comment carries the state table. Request.Settle, once the body
 // has ended (clean, torn, undecodable, or over the size cap): acknowledge
 // the chunk with 202 + Watermark, complete the session with 200 + report,
-// suspend it at its watermark, or fail it. dominod's handler, dominolb
-// and the test stub all call these; none re-derives them.
+// suspend it at its watermark, or fail it. dominod's handler and the
+// test stub call these; neither re-derives them. dominolb calls neither:
+// it steers each request to the node that decides.
 //
 // Every non-2xx answer is an ErrorBody: {"error": text} plus, on a
 // typed rejection, {"code": Code}. A Code fixes its HTTP status and
-// Retry-After hint (Code.Reject writes all three), so tiers tell each
-// other "draining" from "busy" by the code, never by matching text.
+// Retry-After hint (Code.Reject writes all three), so a client tells
+// "draining" from "busy" by the code, never by matching text.
 //
 // Retry classification (Retryable): transport errors, 429 (overload),
 // 412 (seq gap), and 5xx responses retry; 4xx contract violations (400,
@@ -104,9 +111,10 @@ type Options struct {
 type UploadStats struct {
 	Attempts int // POSTs issued, including the successful one
 	Resumed  int // retries that replayed from a nonzero watermark
-	// ShedRetries counts retries forced by load shedding or failover:
-	// 429s and 503s, the statuses dominod and dominolb answer with when
-	// telling the client "back off and try again".
+	// ShedRetries counts retries forced by load shedding or drain:
+	// 429s and 503s, the statuses dominod answers with (and dominolb,
+	// when it has no backend) to tell the client "back off and try
+	// again".
 	ShedRetries int
 }
 

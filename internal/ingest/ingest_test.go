@@ -201,8 +201,8 @@ func TestUploadHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestUploadBalancerShed503 is the dominolb failover contract from the
-// client's side: a balancer that loses a backend mid-upload answers
+// TestUploadBalancerShed503 is dominolb's one ingest rejection from the
+// client's side: a balancer with no backend to take the request answers
 // with a retryable 503 plus Retry-After, and the client must honor the
 // hint, retry, land the payload — and account the round as a shed
 // retry in UploadStats.

@@ -75,7 +75,7 @@ const (
 	// is suspended at its watermark.
 	CodeInterrupted Code = "interrupted"
 	// CodeUnavailable: the balancer has no backend to take the request
-	// right now, or lost it mid-request; the retry fails over.
+	// right now; a retry may find one.
 	CodeUnavailable Code = "unavailable"
 )
 
@@ -141,14 +141,6 @@ func Retryable(status int) bool {
 type ErrorBody struct {
 	Error string `json:"error"`
 	Code  Code   `json:"code,omitempty"`
-}
-
-// ErrorCode extracts the rejection code from an error body; "" when
-// the body carries none.
-func ErrorCode(body []byte) Code {
-	var e ErrorBody
-	_ = json.Unmarshal(body, &e) // not an error body: no code
-	return e.Code
 }
 
 // WriteJSON writes the response envelope both tiers share: indented

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -151,7 +152,7 @@ func TestCodeTable(t *testing.T) {
 		if tc.code.Retryable() != tc.retryable {
 			t.Errorf("%s: Retryable() = %v", tc.code, !tc.retryable)
 		}
-		if got := ErrorCode(w.Body.Bytes()); got != tc.code {
+		if got := errorCode(w.Body.Bytes()); got != tc.code {
 			t.Errorf("%s: body %s carries code %q", tc.code, w.Body, got)
 		}
 		if !strings.Contains(w.Body.String(), `"error": "why"`) {
@@ -166,10 +167,10 @@ func TestCodeTable(t *testing.T) {
 	// A plain error carries no code, and its bytes are the pre-code envelope.
 	w := httptest.NewRecorder()
 	WriteError(w, http.StatusBadRequest, "bad")
-	if got := w.Body.String(); got != "{\n  \"error\": \"bad\"\n}\n" || ErrorCode(w.Body.Bytes()) != "" {
+	if got := w.Body.String(); got != "{\n  \"error\": \"bad\"\n}\n" || errorCode(w.Body.Bytes()) != "" {
 		t.Fatalf("plain error body %q", got)
 	}
-	if ErrorCode([]byte("not json, but it says draining")) != "" {
+	if errorCode([]byte("not json, but it says draining")) != "" {
 		t.Fatal("a code was read out of a non-JSON body")
 	}
 }
@@ -240,4 +241,12 @@ func FuzzParseRequest(f *testing.F) {
 			t.Fatalf("%+v did not round-trip: %+v, %v", req, again, err)
 		}
 	})
+}
+
+// errorCode extracts the rejection code from an error body; "" when
+// the body carries none.
+func errorCode(body []byte) Code {
+	var e ErrorBody
+	_ = json.Unmarshal(body, &e) // not an error body: no code
+	return e.Code
 }

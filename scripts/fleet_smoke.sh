@@ -4,11 +4,15 @@
 #
 # Boots three dominod backends plus a dominolb in front of them, and a
 # separate clean single-node dominod as the reference, all pinned to
-# the same -fixed-clock. Then:
-#   - uploads four sessions concurrently through the balancer
+# the same -fixed-clock. The balancer steers every upload and report
+# read to the session's owner with a 307, which curl follows with -L and
+# tracegen's client as any net/http client does. Then:
+#   - uploads four sessions concurrently through the balancer, and
+#     checks that a chunk through it is a 307 to its owner
 #   - kill -9s the backend that owns a throttled in-flight upload and
-#     redelivers the session through the balancer (the client's
-#     retryable-503 path re-pins it onto a survivor)
+#     redelivers the session through the balancer (the client's failed
+#     upload and its watermark probe through the balancer mark the node
+#     down, and the retry is re-pinned onto a survivor)
 #   - SIGTERMs a second backend while another upload streams to it:
 #     the in-flight session must complete on the draining node while
 #     new sessions route elsewhere
@@ -112,11 +116,20 @@ for s in s1 s2 s3 s4; do
 done
 for p in $UP_PIDS; do wait "$p"; done
 
+echo "== a chunk through the balancer is a 307 to its owner"
+S1_ADDR="$(owner_of s1)"
+STEER="$(curl -s -o /dev/null -w '%{http_code} %{redirect_url}' \
+    -H 'Content-Type: application/jsonl' -H 'X-Domino-Seq: 0' \
+    --data-binary '{}' "http://$LB_ADDR/ingest?session=s1")"
+[ "$STEER" = "307 http://$S1_ADDR/ingest?session=s1" ] || {
+    echo "chunk through the balancer answered '$STEER', want a 307 to $S1_ADDR"
+    exit 1; }
+
 echo "== kill -9 the backend owning a throttled in-flight upload"
 "$BIN_DIR/tracegen" -cell tmobile-fdd -seed 21 -duration 10 \
     -o "$WORK/doomed.jsonl" 2>/dev/null
 set +e
-curl -fsS -X POST -H 'Content-Type: application/jsonl' --limit-rate 100K \
+curl -fsSL -X POST -H 'Content-Type: application/jsonl' --limit-rate 100K \
     --data-binary @"$WORK/doomed.jsonl" "http://$LB_ADDR/ingest?session=doomed" \
     >/dev/null 2>&1 &
 CURL_PID=$!
@@ -141,7 +154,7 @@ echo "== SIGTERM a second backend while an upload streams to it"
 curl -fsS -X POST -H 'Content-Type: application/jsonl' \
     --data-binary @"$WORK/drained.jsonl" \
     "http://$CLEAN_ADDR/ingest?session=drained" >"$WORK/drained.ref.json"
-curl -fsS -X POST -H 'Content-Type: application/jsonl' --limit-rate 500K \
+curl -fsSL -X POST -H 'Content-Type: application/jsonl' --limit-rate 500K \
     --data-binary @"$WORK/drained.jsonl" \
     "http://$LB_ADDR/ingest?session=drained" >"$OUT_DIR/report-drained.json" &
 CURL_PID=$!
@@ -164,12 +177,13 @@ cmp "$OUT_DIR/report-drained.json" "$WORK/drained.ref.json" || {
 echo "== saturating the last survivor so the client's shed path fires"
 # One node was killed and one drained away: every new session now pins
 # to the lone survivor, which has two ingest slots. Two throttled
-# uploads occupy both, so the third draws 429 + Retry-After through
-# the balancer and the client's shed-retry counter must move.
+# uploads occupy both, so the third, steered there too, draws 429 +
+# Retry-After from the node and the client's shed-retry counter must
+# move.
 for h in hog1 hog2; do
     "$BIN_DIR/tracegen" -cell amarisoft -seed 24 -duration 8 \
         -o "$WORK/$h.jsonl" 2>/dev/null
-    curl -fsS -X POST -H 'Content-Type: application/jsonl' --limit-rate 500K \
+    curl -fsSL -X POST -H 'Content-Type: application/jsonl' --limit-rate 500K \
         --data-binary @"$WORK/$h.jsonl" "http://$LB_ADDR/ingest?session=$h" \
         >/dev/null &
     HOG_PIDS="${HOG_PIDS:-} $!"
@@ -185,7 +199,7 @@ done
 
 echo "== verifying every report against the clean single-node run"
 for s in s1 s2 s3 s4 s5 doomed drained shed1; do
-    code="$(curl -s -o "$WORK/$s.fleet.json" -w '%{http_code}' \
+    code="$(curl -sL -o "$WORK/$s.fleet.json" -w '%{http_code}' \
         "http://$LB_ADDR/report/$s")"
     if [ "$code" != "200" ]; then
         # Lost with a dead node: the recovery contract is client
@@ -193,7 +207,7 @@ for s in s1 s2 s3 s4 s5 doomed drained shed1; do
         echo "   report $s lost with its node ($code), redelivering"
         # shellcheck disable=SC2046
         upload "http://$LB_ADDR" "$s" $(spec_of "$s")
-        curl -fsS "http://$LB_ADDR/report/$s" >"$WORK/$s.fleet.json"
+        curl -fsSL "http://$LB_ADDR/report/$s" >"$WORK/$s.fleet.json"
     fi
     if [ "$s" = "drained" ]; then
         cp "$WORK/drained.ref.json" "$WORK/$s.clean.json"
@@ -217,7 +231,7 @@ grep -q "dominolb_backend_up{backend=\"http://$VICTIM_ADDR\"} 0" \
 grep -q 'dominod_node_info{node="n[0-9]"} 1' "$OUT_DIR/fleet-metrics.txt" || {
     echo "surviving backends' node identity missing from federation"; exit 1; }
 grep -q '[1-9][0-9]* shed-retries' "$TRACEGEN_LOG" || {
-    echo "client never reported a shed-retry despite balancer 503s"; exit 1; }
+    echo "client never reported a shed-retry despite the survivor's 429s"; exit 1; }
 # Every session has its report, so neither tier's session table may
 # still hold one as live.
 for gauge in dominolb_sessions_active dominod_sessions_active; do
