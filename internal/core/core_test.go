@@ -3,6 +3,9 @@ package core
 import (
 	"go/parser"
 	"go/token"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -310,6 +313,41 @@ func TestMergeReports(t *testing.T) {
 	}
 }
 
+// TestMergeReportsKeepsSessionsApart: a merged report attributes a
+// consequence run only to chain runs of its own session, so its Table 2
+// row is the per-session rows weighted by their event counts.
+func TestMergeReportsKeepsSessionsApart(t *testing.T) {
+	a, _ := NewAnalyzer(DetectorConfig{}, nil)
+	rng := rand.New(rand.NewSource(1))
+	var reps []*Report
+	for range 4 {
+		inc := a.NewIncremental("")
+		for w := range 200 {
+			var b FeatureBits
+			for i := range NumFeatures {
+				b.Assign(i, rng.Intn(3) == 0)
+			}
+			inc.Step(FeatureVector{Start: sim.Time(w) * sim.Second, End: sim.Time(w+5) * sim.Second, Bits: b})
+		}
+		reps = append(reps, inc.Finish(204*sim.Second))
+	}
+	causes, cons := CauseClasses(), ConsequenceClasses()
+	got := MergeReports(reps).ConditionalProbabilities(causes, cons)
+	for _, c := range cons {
+		for _, cause := range append(causes, "unknown") {
+			var hits, events float64
+			for _, r := range reps {
+				n := float64(r.EventCount(c))
+				hits += r.ConditionalProbabilities(causes, cons)[c][cause] * n
+				events += n
+			}
+			if want := hits / events; math.Abs(got[c][cause]-want) > 1e-9 {
+				t.Errorf("P(%s | %s) = %.4f merged, %.4f over the sessions", cause, c, got[c][cause], want)
+			}
+		}
+	}
+}
+
 func TestGeneratedGoParses(t *testing.T) {
 	src := GenerateGo(DefaultGraph(), "detect")
 	fset := token.NewFileSet()
@@ -328,37 +366,62 @@ func TestGeneratedGoParses(t *testing.T) {
 	}
 }
 
+// TestGeneratedGoMatchesInterpreter: a window's ChainIDs, as
+// Incremental.Step matches them over the compiled graph, are the chains
+// whose every node NodeActive finds active by name — the predicate
+// GenerateGo emits. It checks every assignment of the Fig. 11 graph's
+// four features and a seeded sample of vectors on the default graph.
 func TestGeneratedGoMatchesInterpreter(t *testing.T) {
-	// Semantics parity on the Fig. 11 two-chain example: evaluate both
-	// the interpreter and a hand-executed reading of the generated
-	// structure for all 8 feature combinations.
-	text := `dl_rlc_retx --> forward_delay_up --> local_jitter_buffer_drain
+	fig11, err := ParseChainsString(`dl_rlc_retx --> forward_delay_up --> local_jitter_buffer_drain
 dl_harq_retx --> forward_delay_up --> local_jitter_buffer_drain
-`
-	g, err := ParseChainsString(text)
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chains := g.EnumerateChains()
-	for mask := 0; mask < 8; mask++ {
-		var v FeatureVector
-		v.Set("dl_rlc_retx", mask&1 != 0)
-		v.Set("dl_harq_retx", mask&2 != 0)
-		v.Set("forward_delay_up", mask&4 != 0)
-		v.Set("local_jitter_buffer_drain", true)
-		for _, c := range chains {
-			want := true
-			for _, n := range c.Nodes {
-				if !g.NodeActive(n, v) {
-					want = false
+	var every, sample []FeatureBits
+	for mask := range 16 {
+		var b FeatureBits
+		for k, name := range []string{"dl_rlc_retx", "dl_harq_retx", "forward_delay_up", "local_jitter_buffer_drain"} {
+			b.Assign(slices.Index(featureNames, name), mask&(1<<k) != 0)
+		}
+		every = append(every, b)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 2000 {
+		var b FeatureBits
+		density := rng.Float64()
+		for i := range NumFeatures {
+			b.Assign(i, rng.Float64() < density)
+		}
+		sample = append(sample, b)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		vecs []FeatureBits
+	}{{"fig11", fig11, every}, {"default", DefaultGraph(), sample}} {
+		a, err := NewAnalyzer(DetectorConfig{}, tc.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc := a.NewIncremental(tc.name)
+		matched := 0
+		for w, bits := range tc.vecs {
+			v := FeatureVector{Start: sim.Time(w), End: sim.Time(w + 1), Bits: bits}
+			inc.Step(v)
+			var want []int
+			for _, c := range a.Chains() {
+				if !slices.ContainsFunc(c.Nodes, func(n string) bool { return !tc.g.NodeActive(n, v) }) {
+					want = append(want, c.ID)
 				}
 			}
-			// The generated code matches a chain iff all nodes active —
-			// same predicate; spot-check the condition text exists.
-			src := GenerateGo(g, "d")
-			if want && !strings.Contains(src, c.String()) {
-				t.Fatalf("chain %q missing from generated code", c.String())
+			if got := inc.rep.Windows[w].ChainIDs; !slices.Equal(got, want) {
+				t.Fatalf("%s: features %v match chains %v, want %v", tc.name, v.Active(), got, want)
 			}
+			matched += len(want)
+		}
+		if matched == 0 {
+			t.Fatalf("%s: no vector matched a chain", tc.name)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/domino5g/domino/internal/parallel"
 	"github.com/domino5g/domino/internal/sim"
@@ -61,11 +62,10 @@ type compiledGraph struct {
 	causes       []string      // distinct chain causes, ascending
 }
 
-// compileGraph resolves the graph. A node's mask ORs the feature bits
-// of every canonical feature reachable through its alias expansion —
-// exactly Graph.NodeActive's recursion, evaluated once. Names that
-// reach no canonical feature get a zero mask and are never active,
-// matching the map-based evaluation of unknown features.
+// compileGraph resolves the graph, and is the one code that resolves a
+// feature or node name. A node's mask ORs the bits of every canonical
+// feature (a featureNames entry) its alias expansion reaches. Names that
+// reach none get a zero mask and are never active.
 func compileGraph(g *Graph, chains []Chain) compiledGraph {
 	nodes := g.Nodes()
 	id := make(map[string]int, len(nodes))
@@ -88,7 +88,7 @@ func compileGraph(g *Graph, chains []Chain) compiledGraph {
 			return m
 		}
 		var b FeatureBits
-		if i, ok := FeatureID(name); ok {
+		if i := slices.Index(featureNames, name); i >= 0 {
 			b.Set(i)
 		}
 		return b
@@ -107,7 +107,7 @@ func compileGraph(g *Graph, chains []Chain) compiledGraph {
 			cg.causes = append(cg.causes, c.Cause())
 		}
 	}
-	sortStrings(cg.causes)
+	slices.Sort(cg.causes)
 	for i, name := range cg.causes {
 		causeID[name] = i
 	}

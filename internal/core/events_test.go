@@ -50,7 +50,7 @@ func TestEvent1InboundFPSDrop(t *testing.T) {
 			r.InboundFPS = 10
 		}
 	}))
-	if !v.Has("local_inbound_framerate_down") {
+	if !has(v, "local_inbound_framerate_down") {
 		t.Fatal("fps drop not detected")
 	}
 	// Low before high (recovery): must NOT fire (argmax < argmin rule).
@@ -59,12 +59,12 @@ func TestEvent1InboundFPSDrop(t *testing.T) {
 			r.InboundFPS = 10
 		}
 	}))
-	if v.Has("local_inbound_framerate_down") {
+	if has(v, "local_inbound_framerate_down") {
 		t.Fatal("fps recovery misdetected as drop")
 	}
 	// Steady 30: no fire.
 	v = evalOne(t, statsSeries(func(int, *trace.WebRTCStatsRecord) {}))
-	if v.Has("local_inbound_framerate_down") {
+	if has(v, "local_inbound_framerate_down") {
 		t.Fatal("steady fps misdetected")
 	}
 }
@@ -75,7 +75,7 @@ func TestEvent2OutboundFPSDrop(t *testing.T) {
 			r.OutboundFPS = 20
 		}
 	}))
-	if !v.Has("local_outbound_framerate_down") {
+	if !has(v, "local_outbound_framerate_down") {
 		t.Fatal("outbound fps drop not detected")
 	}
 }
@@ -86,7 +86,7 @@ func TestEvent3ResolutionDown(t *testing.T) {
 			r.OutboundHeight = 360
 		}
 	}))
-	if !v.Has("local_outbound_resolution_down") {
+	if !has(v, "local_outbound_resolution_down") {
 		t.Fatal("resolution drop not detected")
 	}
 	// An upgrade is not a downtrend.
@@ -95,7 +95,7 @@ func TestEvent3ResolutionDown(t *testing.T) {
 			r.OutboundHeight = 720
 		}
 	}))
-	if v.Has("local_outbound_resolution_down") {
+	if has(v, "local_outbound_resolution_down") {
 		t.Fatal("resolution upgrade misdetected")
 	}
 }
@@ -106,11 +106,11 @@ func TestEvent4JitterBufferDrain(t *testing.T) {
 			r.VideoJBDelayMs = 0
 		}
 	}))
-	if !v.Has("local_jitter_buffer_drain") {
+	if !has(v, "local_jitter_buffer_drain") {
 		t.Fatal("drain not detected")
 	}
 	v = evalOne(t, statsSeries(func(int, *trace.WebRTCStatsRecord) {}))
-	if v.Has("local_jitter_buffer_drain") {
+	if has(v, "local_jitter_buffer_drain") {
 		t.Fatal("healthy buffer misdetected as drained")
 	}
 }
@@ -121,7 +121,7 @@ func TestEvent5TargetBitrateDown(t *testing.T) {
 			r.TargetBitrateBps = 1.2e6 // −40%
 		}
 	}))
-	if !v.Has("local_target_bitrate_down") {
+	if !has(v, "local_target_bitrate_down") {
 		t.Fatal("target drop not detected")
 	}
 	// Sub-epsilon noise (±1%) must not fire.
@@ -130,7 +130,7 @@ func TestEvent5TargetBitrateDown(t *testing.T) {
 			r.TargetBitrateBps = 1.99e6
 		}
 	}))
-	if v.Has("local_target_bitrate_down") {
+	if has(v, "local_target_bitrate_down") {
 		t.Fatal("estimator noise misdetected as drop")
 	}
 }
@@ -141,7 +141,7 @@ func TestEvent6GCCOveruse(t *testing.T) {
 			r.GCCNetState = trace.GCCOveruse
 		}
 	}))
-	if !v.Has("local_gcc_overuse") {
+	if !has(v, "local_gcc_overuse") {
 		t.Fatal("overuse entry not detected")
 	}
 }
@@ -152,7 +152,7 @@ func TestEvent7PushbackDown(t *testing.T) {
 			r.PushbackRateBps = 1e6
 		}
 	}))
-	if !v.Has("local_pushback_rate_down") {
+	if !has(v, "local_pushback_rate_down") {
 		t.Fatal("pushback drop not detected")
 	}
 }
@@ -163,7 +163,7 @@ func TestEvent8CwndFull(t *testing.T) {
 			r.OutstandingBytes = 60000 // > 50000 window
 		}
 	}))
-	if !v.Has("local_cwnd_full") {
+	if !has(v, "local_cwnd_full") {
 		t.Fatal("full window not detected")
 	}
 }
@@ -172,13 +172,13 @@ func TestEvent9OutstandingUp(t *testing.T) {
 	v := evalOne(t, statsSeries(func(i int, r *trace.WebRTCStatsRecord) {
 		r.OutstandingBytes = 10000 + i*400 // steady climb
 	}))
-	if !v.Has("local_outstanding_bytes_up") {
+	if !has(v, "local_outstanding_bytes_up") {
 		t.Fatal("outstanding uptrend not detected")
 	}
 	v = evalOne(t, statsSeries(func(i int, r *trace.WebRTCStatsRecord) {
 		r.OutstandingBytes = 50000 - i*400 // steady fall
 	}))
-	if v.Has("local_outstanding_bytes_up") {
+	if has(v, "local_outstanding_bytes_up") {
 		t.Fatal("downtrend misdetected as uptrend")
 	}
 }
@@ -189,7 +189,7 @@ func TestEvent10PushbackNeqTarget(t *testing.T) {
 			r.PushbackRateBps = r.TargetBitrateBps * 0.7
 		}
 	}))
-	if !v.Has("local_pushback_neq_target") {
+	if !has(v, "local_pushback_neq_target") {
 		t.Fatal("pushback≠target not detected")
 	}
 }
@@ -221,16 +221,16 @@ func TestEvent11ForwardDelayUp(t *testing.T) {
 	flat := func(int) sim.Time { return 30 * sim.Millisecond }
 	ramp := func(i int) sim.Time { return 30*sim.Millisecond + sim.Time(i)*400*sim.Microsecond }
 	v := evalOne(t, packetSeries(ramp, flat))
-	if !v.Has(FForwardDelayUp) {
+	if !has(v, "forward_delay_up") {
 		t.Fatal("forward ramp not detected")
 	}
-	if v.Has(FReverseDelayUp) {
+	if has(v, "reverse_delay_up") {
 		t.Fatal("flat reverse misdetected")
 	}
 	// Uptrend but below the 80 ms gate: no fire.
 	smallRamp := func(i int) sim.Time { return 30*sim.Millisecond + sim.Time(i)*50*sim.Microsecond }
 	v = evalOne(t, packetSeries(smallRamp, flat))
-	if v.Has(FForwardDelayUp) {
+	if has(v, "forward_delay_up") {
 		t.Fatal("sub-threshold ramp misdetected (max < 80 ms)")
 	}
 }
@@ -240,10 +240,10 @@ func TestEvent12ReverseDelayUp(t *testing.T) {
 	// RTCP sampled every 10th packet: 50 samples; need ≥ 2 groups of 10.
 	ramp := func(i int) sim.Time { return 30*sim.Millisecond + sim.Time(i)*2*sim.Millisecond }
 	v := evalOne(t, packetSeries(flat, ramp))
-	if !v.Has(FReverseDelayUp) {
+	if !has(v, "reverse_delay_up") {
 		t.Fatal("reverse ramp not detected")
 	}
-	if v.Has(FForwardDelayUp) {
+	if has(v, "forward_delay_up") {
 		t.Fatal("flat forward misdetected")
 	}
 }
@@ -269,7 +269,7 @@ func TestEvent13TBSDown(t *testing.T) {
 			r.TBSBits = 5000 // < 0.8 × 20000
 		}
 	}))
-	if !v.Has("ul_tbs_down") {
+	if !has(v, "ul_tbs_down") {
 		t.Fatal("TBS drop not detected")
 	}
 	// Rise (min before max): no fire.
@@ -278,7 +278,7 @@ func TestEvent13TBSDown(t *testing.T) {
 			r.TBSBits = 5000
 		}
 	}))
-	if v.Has("ul_tbs_down") {
+	if has(v, "ul_tbs_down") {
 		t.Fatal("TBS recovery misdetected as drop")
 	}
 }
@@ -301,7 +301,7 @@ func TestEvent14RateExceedsTBS(t *testing.T) {
 		})
 	}
 	v := evalOne(t, set)
-	if !v.Has("ul_rate_exceeds_tbs") {
+	if !has(v, "ul_rate_exceeds_tbs") {
 		t.Fatal("app-rate-exceeds-TBS not detected")
 	}
 }
@@ -310,13 +310,13 @@ func TestEvent15CrossTraffic(t *testing.T) {
 	v := evalOne(t, dciSeries(func(i int, r *trace.DCIRecord) {
 		r.OtherPRB = 10 // 50% of own 20
 	}))
-	if !v.Has("ul_cross_traffic") {
+	if !has(v, "ul_cross_traffic") {
 		t.Fatal("cross traffic not detected")
 	}
 	v = evalOne(t, dciSeries(func(i int, r *trace.DCIRecord) {
 		r.OtherPRB = 1 // 5% < 20% threshold
 	}))
-	if v.Has("ul_cross_traffic") {
+	if has(v, "ul_cross_traffic") {
 		t.Fatal("light cross traffic misdetected")
 	}
 }
@@ -333,7 +333,7 @@ func TestEvent16ChannelDegrades(t *testing.T) {
 			r.MCS = 4
 		}
 	}))
-	if !v.Has("ul_channel_degrades") {
+	if !has(v, "ul_channel_degrades") {
 		t.Fatal("persistently poor channel not detected")
 	}
 	// A 1.5 s dip inside an otherwise-healthy window does NOT satisfy
@@ -344,7 +344,7 @@ func TestEvent16ChannelDegrades(t *testing.T) {
 			r.MCS = 3
 		}
 	}))
-	if v.Has("ul_channel_degrades") {
+	if has(v, "ul_channel_degrades") {
 		t.Fatal("brief dip misdetected as persistent degradation")
 	}
 }
@@ -370,7 +370,7 @@ func TestEvent17HARQRetx(t *testing.T) {
 			r.HARQRetx = true
 		}
 	}))
-	if !v.Has("ul_harq_retx") {
+	if !has(v, "ul_harq_retx") {
 		t.Fatal("HARQ retx burst not detected")
 	}
 	v = evalOne(t, dciSeries(func(i int, r *trace.DCIRecord) {
@@ -378,7 +378,7 @@ func TestEvent17HARQRetx(t *testing.T) {
 			r.HARQRetx = true
 		}
 	}))
-	if v.Has("ul_harq_retx") {
+	if has(v, "ul_harq_retx") {
 		t.Fatal("single HARQ retx misdetected")
 	}
 }
@@ -389,7 +389,7 @@ func TestEvent18RLCRetx(t *testing.T) {
 		At: 2 * sim.Second, Kind: trace.GNBLogRLCRetx, Dir: netem.Uplink,
 	})
 	v := evalOne(t, set)
-	if !v.Has("ul_rlc_retx") {
+	if !has(v, "ul_rlc_retx") {
 		t.Fatal("RLC retx log entry not detected")
 	}
 }
@@ -404,7 +404,7 @@ func TestEvent18RLCRetxGatedByGNBLog(t *testing.T) {
 	})
 	set.HasGNBLog = false
 	v := evalOne(t, set)
-	if v.Has("ul_rlc_retx") {
+	if has(v, "ul_rlc_retx") {
 		t.Fatal("RLC retx detected without gNB logs (commercial cells cannot)")
 	}
 	// With gNB logs the same annotation counts.
@@ -414,19 +414,19 @@ func TestEvent18RLCRetxGatedByGNBLog(t *testing.T) {
 		}
 	})
 	v = evalOne(t, set2)
-	if !v.Has("ul_rlc_retx") {
+	if !has(v, "ul_rlc_retx") {
 		t.Fatal("RLC retx missed on a private-cell trace")
 	}
 }
 
 func TestEvent19ULScheduling(t *testing.T) {
 	v := evalOne(t, dciSeries(func(int, *trace.DCIRecord) {}))
-	if !v.Has(FULScheduling) {
+	if !has(v, "ul_scheduling") {
 		t.Fatal("uplink transmissions present but ul_scheduling false")
 	}
 	empty := &trace.Set{Duration: 5 * sim.Second}
 	v = evalOne(t, empty)
-	if v.Has(FULScheduling) {
+	if has(v, "ul_scheduling") {
 		t.Fatal("ul_scheduling true with no uplink activity")
 	}
 }
@@ -435,7 +435,7 @@ func TestEvent20RRCChange(t *testing.T) {
 	set := dciSeries(func(int, *trace.DCIRecord) {})
 	set.RRC = append(set.RRC, trace.RRCRecord{At: sim.Second, Connected: false})
 	v := evalOne(t, set)
-	if !v.Has(FRRCChange) {
+	if !has(v, "rrc_state_change") {
 		t.Fatal("RRC change not detected")
 	}
 }
@@ -454,10 +454,10 @@ func TestRemoteSideEventsIndependent(t *testing.T) {
 		set.Stats = append(set.Stats, local, remote)
 	}
 	v := evalOne(t, set)
-	if !v.Has("remote_jitter_buffer_drain") {
+	if !has(v, "remote_jitter_buffer_drain") {
 		t.Fatal("remote drain missed")
 	}
-	if v.Has("local_jitter_buffer_drain") {
+	if has(v, "local_jitter_buffer_drain") {
 		t.Fatal("local side contaminated by remote event")
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/domino5g/domino/internal/sim"
 	"github.com/domino5g/domino/internal/trace"
 )
@@ -14,6 +16,36 @@ func (v FeatureVector) Active() map[string]bool {
 		}
 	}
 	return out
+}
+
+// has reports whether the named feature fired in v. Names outside the
+// canonical 36 never have.
+func has(v FeatureVector, name string) bool {
+	i := slices.Index(featureNames, name)
+	return i >= 0 && v.Bits.Has(i)
+}
+
+// Assign sets or clears feature bit i.
+func (b *FeatureBits) Assign(i int, on bool) {
+	if on {
+		b.Set(i)
+	} else {
+		*b &^= 1 << uint(i)
+	}
+}
+
+// NodeActive evaluates a node (alias-aware) against a feature vector by
+// name: the oracle compileGraph's per-node masks are held to.
+func (g *Graph) NodeActive(name string, v FeatureVector) bool {
+	if members, ok := g.aliases[name]; ok {
+		for _, m := range members {
+			if g.NodeActive(m, v) {
+				return true
+			}
+		}
+		return false
+	}
+	return has(v, name)
 }
 
 // OracleWindow computes the vector Eval computes for [start, start+W)

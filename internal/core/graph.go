@@ -205,16 +205,3 @@ func (g *Graph) EnumerateChains() []Chain {
 	}
 	return chains
 }
-
-// NodeActive evaluates a node (alias-aware) against a feature vector.
-func (g *Graph) NodeActive(name string, v FeatureVector) bool {
-	if members, ok := g.aliases[name]; ok {
-		for _, m := range members {
-			if g.NodeActive(m, v) {
-				return true
-			}
-		}
-		return false
-	}
-	return v.Has(name)
-}

@@ -95,9 +95,12 @@ func (e *WindowEvaluator) Buffered() int { return e.ix.buffered() }
 // The causal DAG is pre-resolved once per Analyzer into index form
 // (integer node IDs, per-node feature bitmasks, per-chain node-ID
 // lists), so a Step touches no strings and no maps: node activation is
-// one mask test per node against the window's feature bits, and run
-// bookkeeping lives in flat per-node/per-chain arrays reused across
-// steps.
+// one mask test per node against the window's feature bits. Graph
+// nodes and chains are tracked alike, in one array reused across steps:
+// entry i < len(nodes) is node i, the rest are the chains in ID order.
+// A node and a chain differ only in their label, the report map a
+// closed run lands in and the hook it is announced on (see land and
+// announce).
 type Incremental struct {
 	a           *Analyzer
 	rep         *Report
@@ -106,31 +109,30 @@ type Incremental struct {
 
 	// Per-session scratch, sized to the compiled graph and reused
 	// across steps (and across sessions via Reset).
-	active       []bool // per node: active in current window
-	causeMark    []bool // per distinct cause: linked in current window
-	matched      []bool // per chain: fully matched in current window
-	openNode     []EventRun
-	openNodeSet  []bool
-	openChain    []ChainRun
-	openChainSet []bool
+	on        []bool // per node/chain: active/matched in current window
+	runs      []run  // per node/chain: its open run, if any
+	causeMark []bool // per distinct cause: linked in current window
+}
+
+// run is a node's or a chain's run of consecutive windows, open while
+// it keeps firing.
+type run struct {
+	start, end sim.Time
+	windows    int
+	open       bool
 }
 
 // NewIncremental starts an incremental analysis for one session.
 func (a *Analyzer) NewIncremental(cellName string) *Incremental {
-	cg := &a.comp
-	inc := &Incremental{
-		a:            a,
-		keepWindows:  true,
-		active:       make([]bool, len(cg.nodes)),
-		causeMark:    make([]bool, len(cg.causes)),
-		matched:      make([]bool, len(cg.chainNodes)),
-		openNode:     make([]EventRun, len(cg.nodes)),
-		openNodeSet:  make([]bool, len(cg.nodes)),
-		openChain:    make([]ChainRun, len(cg.chainNodes)),
-		openChainSet: make([]bool, len(cg.chainNodes)),
+	n := len(a.comp.nodes) + len(a.chains)
+	return &Incremental{
+		a:           a,
+		rep:         a.newReport(cellName),
+		keepWindows: true,
+		on:          make([]bool, n),
+		runs:        make([]run, n),
+		causeMark:   make([]bool, len(a.comp.causes)),
 	}
-	inc.rep = a.newReport(cellName)
-	return inc
 }
 
 // Reset rewinds the Incremental to a fresh session (a new report, no
@@ -140,12 +142,7 @@ func (inc *Incremental) Reset(cellName string) {
 	inc.rep = inc.a.newReport(cellName)
 	inc.keepWindows = true
 	inc.hooks = nil
-	for i := range inc.openNodeSet {
-		inc.openNodeSet[i] = false
-	}
-	for i := range inc.openChainSet {
-		inc.openChainSet[i] = false
-	}
+	clear(inc.runs)
 }
 
 func (a *Analyzer) newReport(cellName string) *Report {
@@ -176,48 +173,34 @@ func (inc *Incremental) SetHooks(h obs.Hooks) { inc.hooks = h }
 // Step consumes the feature vector of the next window position. What
 // it decides leaves the engine two ways only: the report (a
 // WindowResult when windows are kept, each run as it closes) and the
-// hooks (every run as it opens and closes).
+// hooks (every run as it opens and closes, nodes first, then chains).
 func (inc *Incremental) Step(v FeatureVector) {
 	cg := &inc.a.comp
-	for nid, name := range cg.nodes {
-		inc.active[nid] = v.Bits&cg.nodeMask[nid] != 0
-		if inc.active[nid] {
-			if inc.openNodeSet[nid] {
-				inc.openNode[nid].End = v.End
-				inc.openNode[nid].Windows++
-			} else {
-				inc.openNodeSet[nid] = true
-				inc.openNode[nid] = EventRun{Node: name, Start: v.Start, End: v.End, Windows: 1}
-				if inc.hooks != nil {
-					inc.hooks.NodeFired(name, int64(v.Start))
-				}
-			}
-		} else if inc.openNodeSet[nid] {
-			inc.closeNode(nid)
-		}
+	nodes := len(cg.nodes)
+	for nid, mask := range cg.nodeMask {
+		inc.on[nid] = v.Bits&mask != 0
 	}
-	for ci, nodes := range cg.chainNodes {
+	for ci, path := range cg.chainNodes {
 		m := true
-		for _, nid := range nodes {
-			if !inc.active[nid] {
+		for _, nid := range path {
+			if !inc.on[nid] {
 				m = false
 				break
 			}
 		}
-		inc.matched[ci] = m
-		if m {
-			if inc.openChainSet[ci] {
-				inc.openChain[ci].End = v.End
-				inc.openChain[ci].Windows++
-			} else {
-				inc.openChainSet[ci] = true
-				inc.openChain[ci] = ChainRun{Chain: inc.a.chains[ci], Start: v.Start, End: v.End, Windows: 1}
-				if inc.hooks != nil {
-					inc.hooks.ChainRunOpened(cg.chainSigs[ci], int64(v.Start))
-				}
-			}
-		} else if inc.openChainSet[ci] {
-			inc.closeChain(ci)
+		inc.on[nodes+ci] = m
+	}
+	for i, on := range inc.on {
+		r := &inc.runs[i]
+		switch {
+		case on && r.open:
+			r.end = v.End
+			r.windows++
+		case on:
+			*r = run{start: v.Start, end: v.End, windows: 1, open: true}
+			inc.announce(i, r, false)
+		case r.open:
+			inc.closeRun(i)
 		}
 	}
 	if inc.keepWindows {
@@ -232,7 +215,7 @@ func (inc *Incremental) windowResult(v FeatureVector) WindowResult {
 	cg := &inc.a.comp
 	wr := WindowResult{Vector: v}
 	anyCause := false
-	for ci, m := range inc.matched {
+	for ci, m := range inc.on[len(cg.nodes):] {
 		if m {
 			wr.ChainIDs = append(wr.ChainIDs, ci+1)
 			if !inc.causeMark[cg.chainCauseID[ci]] {
@@ -242,7 +225,7 @@ func (inc *Incremental) windowResult(v FeatureVector) WindowResult {
 		}
 	}
 	for _, nid := range cg.consequences {
-		if inc.active[nid] {
+		if inc.on[nid] {
 			wr.Consequences = append(wr.Consequences, cg.nodes[nid])
 		}
 	}
@@ -257,24 +240,42 @@ func (inc *Incremental) windowResult(v FeatureVector) WindowResult {
 	return wr
 }
 
-// closeNode ends node nid's open run: the report gets it and the hook
-// hears of it.
-func (inc *Incremental) closeNode(nid int) {
-	run, name := inc.openNode[nid], inc.a.comp.nodes[nid]
-	inc.rep.NodeEvents[name] = append(inc.rep.NodeEvents[name], run)
-	inc.openNodeSet[nid] = false
-	if inc.hooks != nil {
-		inc.hooks.NodeRunClosed(name, int64(run.Start), int64(run.End), run.Windows)
-	}
+// closeRun ends entry i's open run: the report gets it and the hook hears
+// of it.
+func (inc *Incremental) closeRun(i int) {
+	r := &inc.runs[i]
+	r.open = false
+	inc.land(inc.rep, i, r)
+	inc.announce(i, r, true)
 }
 
-// closeChain is closeNode for chain ci's open run.
-func (inc *Incremental) closeChain(ci int) {
-	run := inc.openChain[ci]
-	inc.rep.ChainEvents[ci+1] = append(inc.rep.ChainEvents[ci+1], run)
-	inc.openChainSet[ci] = false
-	if inc.hooks != nil {
-		inc.hooks.ChainRunClosed(inc.a.comp.chainSigs[ci], int64(run.Start), int64(run.End), run.Windows)
+// land appends entry i's run r to rep: a node's to NodeEvents under
+// its name, a chain's to ChainEvents under its ID.
+func (inc *Incremental) land(rep *Report, i int, r *run) {
+	cg := &inc.a.comp
+	if i < len(cg.nodes) {
+		name := cg.nodes[i]
+		rep.NodeEvents[name] = append(rep.NodeEvents[name], EventRun{Node: name, Start: r.start, End: r.end, Windows: r.windows})
+		return
+	}
+	ci := i - len(cg.nodes)
+	rep.ChainEvents[ci+1] = append(rep.ChainEvents[ci+1], ChainRun{Chain: inc.a.chains[ci], Start: r.start, End: r.end, Windows: r.windows})
+}
+
+// announce tells the hooks, if any, that entry i's run r opened or,
+// with closed, closed.
+func (inc *Incremental) announce(i int, r *run, closed bool) {
+	h, cg := inc.hooks, &inc.a.comp
+	switch {
+	case h == nil:
+	case i < len(cg.nodes) && closed:
+		h.NodeRunClosed(cg.nodes[i], int64(r.start), int64(r.end), r.windows)
+	case i < len(cg.nodes):
+		h.NodeFired(cg.nodes[i], int64(r.start))
+	case closed:
+		h.ChainRunClosed(cg.chainSigs[i-len(cg.nodes)], int64(r.start), int64(r.end), r.windows)
+	default:
+		h.ChainRunOpened(cg.chainSigs[i-len(cg.nodes)], int64(r.start))
 	}
 }
 
@@ -284,14 +285,9 @@ func (inc *Incremental) closeChain(ci int) {
 // for a new session).
 func (inc *Incremental) Finish(duration sim.Time) *Report {
 	inc.rep.Duration = duration
-	for nid, open := range inc.openNodeSet {
-		if open {
-			inc.closeNode(nid)
-		}
-	}
-	for ci, open := range inc.openChainSet {
-		if open {
-			inc.closeChain(ci)
+	for i := range inc.runs {
+		if inc.runs[i].open {
+			inc.closeRun(i)
 		}
 	}
 	return inc.rep
@@ -301,7 +297,6 @@ func (inc *Incremental) Finish(duration sim.Time) *Report {
 // open treated as closed now, for live inspection of an unfinished
 // session. The Incremental remains usable.
 func (inc *Incremental) Snapshot(asOf sim.Time) *Report {
-	cg := &inc.a.comp
 	rep := inc.rep
 	cp := &Report{
 		CellName:    rep.CellName,
@@ -318,14 +313,9 @@ func (inc *Incremental) Snapshot(asOf sim.Time) *Report {
 	for id, runs := range rep.ChainEvents {
 		cp.ChainEvents[id] = append([]ChainRun(nil), runs...)
 	}
-	for nid, name := range cg.nodes {
-		if inc.openNodeSet[nid] {
-			cp.NodeEvents[name] = append(cp.NodeEvents[name], inc.openNode[nid])
-		}
-	}
-	for ci := range cg.chainNodes {
-		if inc.openChainSet[ci] {
-			cp.ChainEvents[ci+1] = append(cp.ChainEvents[ci+1], inc.openChain[ci])
+	for i := range inc.runs {
+		if inc.runs[i].open {
+			inc.land(cp, i, &inc.runs[i])
 		}
 	}
 	return cp

@@ -91,13 +91,3 @@ func parseAlias(g *Graph, rest string) error {
 func ParseChainsString(s string) (*Graph, error) {
 	return ParseChains(strings.NewReader(s))
 }
-
-func sortStrings(xs []string) {
-	for i := range xs {
-		for j := i + 1; j < len(xs); j++ {
-			if xs[j] < xs[i] {
-				xs[i], xs[j] = xs[j], xs[i]
-			}
-		}
-	}
-}

@@ -123,7 +123,11 @@ type ChainCount struct {
 
 // MergeReports combines reports from multiple sessions (e.g. all
 // commercial-cell runs) into aggregate statistics by concatenating
-// event runs and durations. Chain sets must be identical.
+// event runs and durations. Each session's clock starts at 0, so its
+// runs are shifted by the summed durations of the sessions before it:
+// on the merged timeline no run overlaps another session's, and
+// ConditionalProbabilities attributes a consequence only within its own
+// session. Chain sets must be identical.
 func MergeReports(reports []*Report) *Report {
 	if len(reports) == 0 {
 		return &Report{NodeEvents: map[string][]EventRun{}, ChainEvents: map[int][]ChainRun{}}
@@ -135,13 +139,20 @@ func MergeReports(reports []*Report) *Report {
 		chains:      reports[0].chains,
 	}
 	for _, r := range reports {
-		merged.Duration += r.Duration
+		off := merged.Duration
 		for n, runs := range r.NodeEvents {
-			merged.NodeEvents[n] = append(merged.NodeEvents[n], runs...)
+			for _, e := range runs {
+				e.Start, e.End = e.Start+off, e.End+off
+				merged.NodeEvents[n] = append(merged.NodeEvents[n], e)
+			}
 		}
 		for id, runs := range r.ChainEvents {
-			merged.ChainEvents[id] = append(merged.ChainEvents[id], runs...)
+			for _, c := range runs {
+				c.Start, c.End = c.Start+off, c.End+off
+				merged.ChainEvents[id] = append(merged.ChainEvents[id], c)
+			}
 		}
+		merged.Duration += r.Duration
 	}
 	return merged
 }

@@ -256,20 +256,13 @@ func fig16(o Options) (Result, error) {
 	b.WriteString(tb.String())
 	fmt.Fprintf(&b, "\nwasted grant capacity: %.1f KB over %v (%.2f%% of granted)\n",
 		float64(st.WastedBytes)/1e3, o.Duration,
-		100*float64(st.WastedBytes)/float64(maxU64(st.GrantedBytes, 1)))
+		100*float64(st.WastedBytes)/float64(max(st.GrantedBytes, 1)))
 	return Result{
 		ID:       "fig16",
 		Title:    "Fig. 16 — proactive UL grants cut first-packet latency but waste capacity",
 		PaperRef: "paper: unused proactive grants (unfilled bars) and over-granted BSR grants waste bandwidth",
 		Text:     b.String(),
 	}, nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // fig17 reproduces the HARQ retransmission delay inflation.

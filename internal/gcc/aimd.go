@@ -1,6 +1,8 @@
 package gcc
 
 import (
+	"math"
+
 	"github.com/domino5g/domino/internal/sim"
 	"github.com/domino5g/domino/internal/trace"
 )
@@ -137,7 +139,7 @@ func (a *AIMD) Update(now sim.Time, detector trace.GCCState, ackedBps float64, r
 			a.rate += alpha
 		} else {
 			// Far from capacity: multiplicative probing.
-			gain := pow(a.cfg.MultiplicativeGainPerSecond, dt)
+			gain := math.Pow(a.cfg.MultiplicativeGainPerSecond, dt)
 			a.rate *= gain
 		}
 		if a.rateBeforeDrop > 0 && a.rate >= a.rateBeforeDrop {
@@ -164,10 +166,3 @@ func (a *AIMD) Update(now sim.Time, detector trace.GCCState, ackedBps float64, r
 
 // Rate returns the current target rate.
 func (a *AIMD) Rate() float64 { return a.rate }
-
-// pow is a small positive-base power helper (dt in [0,1]).
-func pow(base, exp float64) float64 {
-	// exp is small; use the identity base^exp = e^(exp·ln base) via the
-	// math package.
-	return mathPow(base, exp)
-}

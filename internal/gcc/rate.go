@@ -1,12 +1,6 @@
 package gcc
 
-import (
-	"math"
-
-	"github.com/domino5g/domino/internal/sim"
-)
-
-func mathPow(base, exp float64) float64 { return math.Pow(base, exp) }
+import "github.com/domino5g/domino/internal/sim"
 
 // AckedBitrate measures delivered throughput from transport feedback
 // over a sliding window — GCC's "acknowledged bitrate estimator".

@@ -150,19 +150,72 @@ func checkAgainstBatch(t testing.TB, analyzer *core.Analyzer, base, id string, s
 	if rep.ChainEvents != batch.TotalChainEvents() {
 		t.Fatalf("%s: %d chain events, batch %d", id, rep.ChainEvents, batch.TotalChainEvents())
 	}
-	wantDeg := batch.DegradationEventsPerMinute(core.ConsequenceClasses())
+	causes, consequences := analyzer.Graph().Causes(), analyzer.Graph().Consequences()
+	wantDeg := batch.DegradationEventsPerMinute(consequences)
 	if rep.DegradationPerMin != wantDeg {
 		t.Fatalf("%s: degradation %v/min, batch %v/min", id, rep.DegradationPerMin, wantDeg)
 	}
-	for _, cause := range core.CauseClasses() {
-		if rep.Causes[cause].Events != batch.EventCount(cause) {
-			t.Fatalf("%s cause %s: %d events, batch %d", id, cause, rep.Causes[cause].Events, batch.EventCount(cause))
+	if len(rep.Causes) != len(causes) || len(rep.Consequences) != len(consequences) {
+		t.Fatalf("%s: report lists causes %v and consequences %v, graph %v and %v", id, rep.Causes, rep.Consequences, causes, consequences)
+	}
+	for _, cause := range causes {
+		if got, ok := rep.Causes[cause]; !ok || got.Events != batch.EventCount(cause) {
+			t.Fatalf("%s cause %s: %d events (listed %v), batch %d", id, cause, got.Events, ok, batch.EventCount(cause))
 		}
 	}
-	for _, cons := range core.ConsequenceClasses() {
-		if rep.Consequences[cons].Events != batch.EventCount(cons) {
-			t.Fatalf("%s consequence %s: %d events, batch %d", id, cons, rep.Consequences[cons].Events, batch.EventCount(cons))
+	for _, cons := range consequences {
+		if got, ok := rep.Consequences[cons]; !ok || got.Events != batch.EventCount(cons) {
+			t.Fatalf("%s consequence %s: %d events (listed %v), batch %d", id, cons, got.Events, ok, batch.EventCount(cons))
 		}
+	}
+}
+
+// TestCustomGraphClasses: a node running examples/customchain's graph
+// reports that graph's causes and consequences, not the default
+// graph's: in /report, in degradation_events_per_min and in
+// dominod_node_events_total.
+func TestCustomGraphClasses(t *testing.T) {
+	g, err := core.ParseChainsString(`dl_rlc_retx --> forward_delay_up --> local_jitter_buffer_drain
+dl_harq_retx --> forward_delay_up --> local_jitter_buffer_drain
+ul_harq_retx --> forward_delay_up --> local_outbound_resolution_down
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyzer, err := core.NewAnalyzer(core.DetectorConfig{}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(node.New(analyzer, node.Options{MaxStreams: 1}).Routes())
+	defer ts.Close()
+	set, body := sessionTrace(t, ran.Amarisoft(), 3, 60*sim.Second)
+	resp, err := http.Post(ts.URL+"/ingest?session=custom", "application/jsonl", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d", resp.StatusCode)
+	}
+	checkAgainstBatch(t, analyzer, ts.URL, "custom", set)
+
+	batch, err := analyzer.Analyze(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drains := batch.EventCount("local_jitter_buffer_drain")
+	if drains == 0 || batch.DegradationEventsPerMinute(g.Consequences()) == 0 {
+		t.Fatal("the call has no run of local_jitter_buffer_drain: the test checks nothing")
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want := fmt.Sprintf(`dominod_node_events_total{node="local_jitter_buffer_drain",class="consequence"} %d`, drains)
+	if !strings.Contains(string(metrics), want+"\n") {
+		t.Fatalf("/metrics missing %q:\n%s", want, metrics)
 	}
 }
 

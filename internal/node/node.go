@@ -187,6 +187,9 @@ type Node struct {
 	// sessions is the session table, bounded by MaxSessions. Lock order
 	// is session.mu → the table's lock, never the reverse.
 	sessions *ingest.Table[*session]
+	// classes are the running graph's causes and consequences, which
+	// every session reports.
+	classes *classes
 
 	saPool   analyzerPool // recycled *stream.Analyzer
 	ringPool sync.Pool    // recycled *trace.BlockRing, one per upload in flight
@@ -245,6 +248,9 @@ type session struct {
 
 	mu sync.Mutex
 	sa *stream.Analyzer // non-nil while ingesting; recycled after
+	// classes are the node's graph classes (Node.classes), which the
+	// session's report counts.
+	classes *classes
 	// proto is the session as the ingest protocol sees it: its state
 	// and the resumable-ingest watermark — decoded records (header
 	// included, as record 0) pushed through the analyzer so far. A
@@ -287,6 +293,7 @@ func New(analyzer *core.Analyzer, opts Options) *Node {
 		log:      opts.Log,
 		m:        newMetrics(analyzer, sessions),
 		sessions: sessions,
+		classes:  graphClasses(analyzer.Graph()),
 		store:    opts.Store,
 		journal:  opts.Journal,
 		now:      opts.Now,
@@ -378,7 +385,7 @@ func (n *Node) register(id string) (*session, string, bool) {
 		rec = obs.NewFlightRecorder(n.opts.FlightRec, n.m.names)
 	}
 	sess, id, fresh := n.sessions.Admit(id, func(id string) *session {
-		sess := &session{id: id, sa: sa, rec: rec, upload: make(chan struct{}, 1)}
+		sess := &session{id: id, sa: sa, classes: n.classes, rec: rec, upload: make(chan struct{}, 1)}
 		// Born holding its upload slot: the registering request owns the
 		// session from the instant it is visible, so a racing resume
 		// attempt can never drive the same analyzer.

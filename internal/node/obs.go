@@ -129,14 +129,15 @@ func newMetrics(analyzer *core.Analyzer, sessions *ingest.Table[*session]) *metr
 			"Wall time decoding one ingest chunk, by negotiated wire format.", nil, obs.L("format", f))
 	}
 
-	// One labeled series per cause/consequence class node, registered up
-	// front so scrapes see the full universe at zero and hook-time
-	// lookups never mutate the map.
-	for _, n := range core.CauseClasses() {
+	// One labeled series per cause and consequence node of the running
+	// graph, registered up front so scrapes see the full universe at
+	// zero and hook-time lookups never mutate the map.
+	cl := graphClasses(analyzer.Graph())
+	for _, n := range cl.causes {
 		m.nodeEvents[n] = reg.Counter("dominod_node_events_total",
 			"Collapsed node event runs by causal-graph node.", obs.L("node", n), obs.L("class", "cause"))
 	}
-	for _, n := range core.ConsequenceClasses() {
+	for _, n := range cl.consequences {
 		m.nodeEvents[n] = reg.Counter("dominod_node_events_total",
 			"Collapsed node event runs by causal-graph node.", obs.L("node", n), obs.L("class", "consequence"))
 	}

@@ -48,6 +48,15 @@ type ReportPayload struct {
 	TopChains    []ChainStat         `json:"top_chains"`
 }
 
+// classes are the cause and consequence nodes of the graph the node
+// runs: the keys of a report's causes and consequences maps, and the
+// consequences its degradation rate counts.
+type classes struct{ causes, consequences []string }
+
+func graphClasses(g *core.Graph) *classes {
+	return &classes{causes: g.Causes(), consequences: g.Consequences()}
+}
+
 // answer appends the session's /report answer, or its /sessions row
 // when row is set: the bytes rendered when it finished, or, while it is
 // live, bytes rendered now from a snapshot of its analyzer. Callers hold
@@ -96,11 +105,11 @@ func (sess *session) payloadLocked(rep *core.Report) ReportPayload {
 		return p
 	}
 	p.ChainEvents = rep.TotalChainEvents()
-	p.DegradationPerMin = rep.DegradationEventsPerMinute(core.ConsequenceClasses())
-	for _, c := range core.CauseClasses() {
+	p.DegradationPerMin = rep.DegradationEventsPerMinute(sess.classes.consequences)
+	for _, c := range sess.classes.causes {
 		p.Causes[c] = NodeStat{Events: rep.EventCount(c), PerMinute: rep.EventsPerMinute(c)}
 	}
-	for _, c := range core.ConsequenceClasses() {
+	for _, c := range sess.classes.consequences {
 		p.Consequences[c] = NodeStat{Events: rep.EventCount(c), PerMinute: rep.EventsPerMinute(c)}
 	}
 	for _, cc := range rep.TopChains(10) {

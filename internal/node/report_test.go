@@ -54,7 +54,8 @@ var edgeFloats = []float64{
 // realPayload is the report of a real analyzed call, chains and all.
 func realPayload(t testing.TB) ReportPayload {
 	t.Helper()
-	sa := stream.New(testAnalyzer(t), stream.Config{DropWindows: true})
+	a := testAnalyzer(t)
+	sa := stream.New(a, stream.Config{DropWindows: true})
 	sr := trace.NewStreamReader(bytes.NewReader(sessionJSONL(t, 3, 20*sim.Second)))
 	for {
 		rec, err := sr.Next()
@@ -68,7 +69,7 @@ func realPayload(t testing.TB) ReportPayload {
 			t.Fatal(err)
 		}
 	}
-	sess := &session{id: "real", sa: sa, proto: ingest.Session{State: ingest.StateDone}}
+	sess := &session{id: "real", sa: sa, classes: graphClasses(a.Graph()), proto: ingest.Session{State: ingest.StateDone}}
 	rep, err := sa.Close()
 	if err != nil {
 		t.Fatal(err)

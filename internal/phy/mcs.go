@@ -1,6 +1,9 @@
 package phy
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MCS is a modulation-and-coding-scheme index (0..27 in the 64-QAM
 // table of TS 38.214 Table 5.1.3.1-1, which is what the paper's cells
@@ -149,14 +152,8 @@ var mcsSNRRequired = func() [28]float64 {
 		eff := MCS(i).SpectralEfficiency()
 		// Inverse Shannon with a 1.6× gap-to-capacity factor:
 		// eff = log2(1+snr)/1.6  =>  snr = 2^(1.6·eff) − 1.
-		lin := pow2(1.6*eff) - 1
-		out[i] = 10 * log10(lin)
+		lin := math.Exp2(1.6*eff) - 1
+		out[i] = 10 * math.Log10(lin)
 	}
 	return out
 }()
-
-func pow2(x float64) float64 {
-	// exp2 via math.Exp2 without importing math at package scope twice;
-	// small helper keeps the table init readable.
-	return exp2(x)
-}

@@ -1,10 +1,5 @@
 package phy
 
-import "math"
-
-func exp2(x float64) float64  { return math.Exp2(x) }
-func log10(x float64) float64 { return math.Log10(x) }
-
 // TransportBlockSizeBits computes the transport-block size in bits for
 // an allocation of nPRB resource blocks at the given MCS, following the
 // structure of the TS 38.214 §5.1.3.2 procedure: available resource

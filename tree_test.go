@@ -238,10 +238,13 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		// A declaration's own name is not a use, nor is a function's call
+		// to itself.
 		declared := map[*ast.Ident]bool{}
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok {
 				declared[fn.Name] = true
+				selfCalls(fn, declared)
 				if strings.HasPrefix(path, "internal/") && fn.Name.IsExported() {
 					exports = append(exports, export{fn.Pos(), filepath.ToSlash(filepath.Dir(path)), fn.Name.Name})
 				}
@@ -264,6 +267,31 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		}
 		t.Errorf("%s: exported %s has no caller outside tests", fset.Position(e.pos), e.name)
 	}
+}
+
+// selfCalls marks the identifiers with which fn names itself in its
+// own body: a plain function by its bare name, a method through its
+// receiver.
+func selfCalls(fn *ast.FuncDecl, mark map[*ast.Ident]bool) {
+	recv := ""
+	if fn.Recv != nil && len(fn.Recv.List[0].Names) > 0 {
+		recv = fn.Recv.List[0].Names[0].Name
+	}
+	sel := map[*ast.Ident]bool{}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			sel[n.Sel] = true
+			if x, ok := n.X.(*ast.Ident); ok && recv != "" && x.Name == recv && n.Sel.Name == fn.Name.Name {
+				mark[n.Sel] = true
+			}
+		case *ast.Ident:
+			if recv == "" && !sel[n] && n.Name == fn.Name.Name {
+				mark[n] = true
+			}
+		}
+		return true
+	})
 }
 
 // TestDocLinksResolve: the documentation set cannot drift from the tree
