@@ -36,6 +36,8 @@ test:
 # row selection against a plain loop, under the fuzzer for a few seconds
 # each — `-fuzz` takes one target and one package per run.
 # FuzzFastNumber holds the JSONL number parsers to encoding/json.
+# FuzzJSONLFraming holds the JSONL reader's whole-line tokens to
+# bufio.ScanLines' framing.
 # FuzzRollingMatchesOracle holds the window evaluator to a full recompute.
 # FuzzReportEncoder holds the node's report and /sessions encoders to
 # encoding/json.
@@ -47,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecDifferential$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONLBlock$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzFastNumber$$' -fuzztime 5s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzJSONLFraming$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzPushBlock$$' -fuzztime 5s ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzRollingMatchesOracle$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 5s ./internal/obs

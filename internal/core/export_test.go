@@ -25,6 +25,9 @@ func has(v FeatureVector, name string) bool {
 	return i >= 0 && v.Bits.Has(i)
 }
 
+// Has reports whether feature bit i is set.
+func (b FeatureBits) Has(i int) bool { return b&(1<<uint(i)) != 0 }
+
 // Assign sets or clears feature bit i.
 func (b *FeatureBits) Assign(i int, on bool) {
 	if on {

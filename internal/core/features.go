@@ -82,9 +82,6 @@ var featureNames = func() []string {
 // active.
 type FeatureBits uint64
 
-// Has reports whether feature bit i is set.
-func (b FeatureBits) Has(i int) bool { return b&(1<<uint(i)) != 0 }
-
 // Set sets feature bit i.
 func (b *FeatureBits) Set(i int) { *b |= 1 << uint(i) }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"github.com/domino5g/domino/internal/core"
 	"github.com/domino5g/domino/internal/ran"
@@ -65,14 +66,39 @@ func privatePresets() []ran.CellConfig {
 	return []ran.CellConfig{ran.Amarisoft(), ran.Mosolabs()}
 }
 
+// The preset groups fig10, table2, table4 and headline aggregate.
+const (
+	commercial = iota
+	private
+)
+
+var groupPresets = [...]func() []ran.CellConfig{commercial: commercialPresets, private: privatePresets}
+
+// groupReports is each preset group's merged report for one run of
+// runners, analyzed on the first ask: the artifacts that read a group
+// share one analysis of its grid, and one that asks while another
+// computes it waits.
+type groupReports [len(groupPresets)]func() (*core.Report, error)
+
+func newGroupReports(o Options) *groupReports {
+	var g groupReports
+	for i, presets := range groupPresets {
+		g[i] = sync.OnceValues(func() (*core.Report, error) { return analyzeGroup(presets(), o) })
+	}
+	return &g
+}
+
+// group returns the merged report of preset group g.
+func (o Options) group(g int) (*core.Report, error) { return o.groups[g]() }
+
 // fig10 regenerates Fig. 10: absolute occurrence frequency per minute
 // of 5G causes and WebRTC consequences, commercial vs private.
 func fig10(o Options) (Result, error) {
-	com, err := analyzeGroup(commercialPresets(), o)
+	com, err := o.group(commercial)
 	if err != nil {
 		return Result{}, err
 	}
-	priv, err := analyzeGroup(privatePresets(), o)
+	priv, err := o.group(private)
 	if err != nil {
 		return Result{}, err
 	}
@@ -104,13 +130,13 @@ func fig10(o Options) (Result, error) {
 func table2(o Options) (Result, error) {
 	var b strings.Builder
 	for _, group := range []struct {
-		name    string
-		presets []ran.CellConfig
+		name string
+		id   int
 	}{
-		{"Commercial 5G", commercialPresets()},
-		{"Private 5G", privatePresets()},
+		{"Commercial 5G", commercial},
+		{"Private 5G", private},
 	} {
-		rep, err := analyzeGroup(group.presets, o)
+		rep, err := o.group(group.id)
 		if err != nil {
 			return Result{}, err
 		}
@@ -144,13 +170,13 @@ func table2(o Options) (Result, error) {
 func table4(o Options) (Result, error) {
 	var b strings.Builder
 	for _, group := range []struct {
-		name    string
-		presets []ran.CellConfig
+		name string
+		id   int
 	}{
-		{"Commercial 5G", commercialPresets()},
-		{"Private 5G", privatePresets()},
+		{"Commercial 5G", commercial},
+		{"Private 5G", private},
 	} {
-		rep, err := analyzeGroup(group.presets, o)
+		rep, err := o.group(group.id)
 		if err != nil {
 			return Result{}, err
 		}
@@ -202,11 +228,11 @@ dl_harq_retx --> forward_delay_up --> local_jitter_buffer_drain
 // headline regenerates the §4.2 headline numbers: degradation events
 // per session-minute and dominant causes.
 func headline(o Options) (Result, error) {
-	com, err := analyzeGroup(commercialPresets(), o)
+	com, err := o.group(commercial)
 	if err != nil {
 		return Result{}, err
 	}
-	priv, err := analyzeGroup(privatePresets(), o)
+	priv, err := o.group(private)
 	if err != nil {
 		return Result{}, err
 	}

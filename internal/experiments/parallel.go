@@ -71,6 +71,7 @@ func runRunners(ids []string, runners []Runner, opts Options) ([]Result, error) 
 		defer ex.Close()
 		opts.exec = ex
 	}
+	opts.groups = newGroupReports(opts)
 	out := make([]Result, len(ids))
 	err := opts.forEach(len(ids), func(i int) error {
 		start := time.Now()

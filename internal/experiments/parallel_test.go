@@ -115,6 +115,28 @@ func TestRunAllMatchesRunParallel(t *testing.T) {
 	}
 }
 
+// TestSharedGroupsMatchLoneRuns pins the groups one run shares: the
+// four runners that read the preset groups, run together on two workers
+// (so one may wait on a group another is analyzing), render the bytes
+// each renders in a run of its own, which analyzes its groups itself.
+func TestSharedGroupsMatchLoneRuns(t *testing.T) {
+	ids := []string{"fig10", "table2", "table4", "headline"}
+	opts := Options{Duration: 8 * sim.Second, Seed: 5, Sessions: 2, Workers: 2}
+	shared, err := RunParallel(ids, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		alone, err := Run(id, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared[i].Text != alone.Text {
+			t.Fatalf("%s: shared groups render\n%s\nalone\n%s", id, shared[i].Text, alone.Text)
+		}
+	}
+}
+
 func TestRunParallelUnknownIDFailsFast(t *testing.T) {
 	_, err := RunParallel([]string{"fig11", "fig99"}, Options{Workers: 4})
 	if err == nil || !strings.Contains(err.Error(), "fig99") {

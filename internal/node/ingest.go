@@ -177,19 +177,22 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// before the next is read: one session-lock acquisition (and one pass
 	// of window evaluations) per block instead of per record, while
 	// /report snapshots interleave between blocks. Each phase is timed
-	// into its latency histogram (decode covers the wire read, step the
-	// analyzer push, window evaluations included).
-	decodeSeconds := n.m.decodeSeconds[format]
+	// into its latency histogram: body wait the time the decoder spent
+	// blocked reading the body, decode the rest of the decode, step the
+	// analyzer push, window evaluations included.
+	decodeSeconds, bodyWaitSeconds := n.m.decodeSeconds[format], n.m.bodyWaitSeconds[format]
 	ingestRecords := n.m.ingestRecords[format]
 	var readErr, pushErr error
 	for readErr == nil && pushErr == nil {
 		if n.opts.StreamIdle > 0 {
 			_ = rc.SetReadDeadline(time.Now().Add(n.opts.StreamIdle))
 		}
-		decodeStart := time.Now()
+		decodeStart, waitStart := time.Now(), lt.wait
 		var blk *trace.Block
 		blk, readErr = br.ReadBlock()
-		decodeSeconds.Observe(time.Since(decodeStart).Seconds())
+		wait := lt.wait - waitStart
+		decodeSeconds.Observe((time.Since(decodeStart) - wait).Seconds())
+		bodyWaitSeconds.Observe(wait.Seconds())
 		if blk == nil {
 			continue
 		}
@@ -398,14 +401,19 @@ func (n *Node) maybeCheckpoint() {
 // EOF (torn) and when that was http.MaxBytesReader's cap (hit). Decoders
 // wrap read errors in format-specific context, and fail on bad bytes
 // too, so the handler cannot reliably tell either from the decode error
-// itself; watching the raw reader is exact.
+// itself; watching the raw reader is exact. It also sums the time spent
+// blocked in the body's Read (wait), which the handler takes out of the
+// decode time.
 type limitTracker struct {
 	r         io.Reader
 	hit, torn bool
+	wait      time.Duration
 }
 
 func (lt *limitTracker) Read(p []byte) (int, error) {
+	start := time.Now()
 	n, err := lt.r.Read(p)
+	lt.wait += time.Since(start)
 	if err != nil && err != io.EOF {
 		lt.torn = true
 		var mbe *http.MaxBytesError

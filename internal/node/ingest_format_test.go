@@ -7,8 +7,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/domino5g/domino/internal/node"
 	"github.com/domino5g/domino/internal/ran"
@@ -169,6 +171,8 @@ func TestIngestPerFormatMetrics(t *testing.T) {
 		`dominod_ingest_records_total{format="jsonl"} 0`,
 		`dominod_ingest_decode_seconds_count{format="binary"} 0`,
 		`dominod_ingest_decode_seconds_count{format="jsonl"} 0`,
+		`dominod_ingest_body_wait_seconds_count{format="binary"} 0`,
+		`dominod_ingest_body_wait_seconds_count{format="jsonl"} 0`,
 	} {
 		if !strings.Contains(fresh, want) {
 			t.Fatalf("fresh /metrics missing %q:\n%s", want, fresh)
@@ -197,10 +201,78 @@ func TestIngestPerFormatMetrics(t *testing.T) {
 	}
 	// Each format observed at least one decode chunk.
 	for _, f := range []string{"jsonl", "binary"} {
-		zero := fmt.Sprintf(`dominod_ingest_decode_seconds_count{format=%q} 0`, f)
-		if strings.Contains(after, zero) {
-			t.Fatalf("decode histogram for %s never observed:\n%s", f, after)
+		for _, family := range []string{"decode", "body_wait"} {
+			zero := fmt.Sprintf(`dominod_ingest_%s_seconds_count{format=%q} 0`, family, f)
+			if strings.Contains(after, zero) {
+				t.Fatalf("%s histogram for %s never observed:\n%s", family, f, after)
+			}
 		}
+	}
+}
+
+// stallingBody delivers a body in parts, sleeping before each.
+type stallingBody struct {
+	parts [][]byte
+	stall time.Duration
+}
+
+func (b *stallingBody) Read(p []byte) (int, error) {
+	if len(b.parts) == 0 {
+		return 0, io.EOF
+	}
+	time.Sleep(b.stall)
+	n := copy(p, b.parts[0])
+	if b.parts[0] = b.parts[0][n:]; len(b.parts[0]) == 0 {
+		b.parts = b.parts[1:]
+	}
+	return n, nil
+}
+
+// TestDecodeHistogramLeavesOutBodyWait pins what the two decode-side
+// histograms split: an upload whose client stalls before each part
+// shows the stalls in dominod_ingest_body_wait_seconds, and the decode
+// histogram, which leaves them out, stays below that.
+func TestDecodeHistogramLeavesOutBodyWait(t *testing.T) {
+	ts := httptest.NewServer(node.New(testAnalyzer(t), node.Options{MaxStreams: 1}).Routes())
+	defer ts.Close()
+	_, body := sessionTrace(t, ran.Amarisoft(), 9, 4*sim.Second)
+	const parts, stall = 4, 50 * time.Millisecond
+	sb := &stallingBody{stall: stall}
+	for i := 0; i < parts; i++ {
+		sb.parts = append(sb.parts, body[i*len(body)/parts:(i+1)*len(body)/parts])
+	}
+	resp, err := http.Post(ts.URL+"/ingest?session=stall", "application/jsonl", sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %d", resp.StatusCode)
+	}
+	scrape, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer scrape.Body.Close()
+	text, _ := io.ReadAll(scrape.Body)
+	sum := func(family string) float64 {
+		prefix := fmt.Sprintf("dominod_ingest_%s_seconds_sum{format=\"jsonl\"} ", family)
+		for _, line := range strings.Split(string(text), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("no %s sum in:\n%s", family, text)
+		return 0
+	}
+	wait, decode := sum("body_wait"), sum("decode")
+	if wait < (parts-1)*stall.Seconds() || decode >= wait {
+		t.Fatalf("body wait %.3fs, decode %.3fs; want the wait at least %v and the decode below it", wait, decode, (parts-1)*stall)
 	}
 }
 

@@ -42,13 +42,14 @@ type metrics struct {
 	poolGets   *obs.Counter
 	poolMisses *obs.Counter
 
-	// ingestRecords and decodeSeconds are the per-wire-format ingest
-	// instruments, keyed by the format label value ("jsonl" or
-	// "binary"). Both series of each family are registered up front so
-	// scrapes see the full universe at zero; read-only after
+	// ingestRecords, decodeSeconds and bodyWaitSeconds are the
+	// per-wire-format ingest instruments, keyed by the format label value
+	// ("jsonl" or "binary"). Both series of each family are registered up
+	// front so scrapes see the full universe at zero; read-only after
 	// newMetrics, so hot-path lookups are lock-free.
-	ingestRecords map[string]*obs.Counter
-	decodeSeconds map[string]*obs.Histogram
+	ingestRecords   map[string]*obs.Counter
+	decodeSeconds   map[string]*obs.Histogram
+	bodyWaitSeconds map[string]*obs.Histogram
 
 	stepSeconds   *obs.Histogram
 	insertSeconds *obs.Histogram
@@ -98,8 +99,9 @@ func newMetrics(analyzer *core.Analyzer, sessions *ingest.Table[*session]) *metr
 		poolGets:   reg.Counter("dominod_analyzer_pool_gets_total", "Analyzer checkouts from the session pool."),
 		poolMisses: reg.Counter("dominod_analyzer_pool_misses_total", "Analyzer checkouts that had to allocate a new analyzer."),
 
-		ingestRecords: map[string]*obs.Counter{},
-		decodeSeconds: map[string]*obs.Histogram{},
+		ingestRecords:   map[string]*obs.Counter{},
+		decodeSeconds:   map[string]*obs.Histogram{},
+		bodyWaitSeconds: map[string]*obs.Histogram{},
 
 		stepSeconds:   reg.Histogram("dominod_ingest_step_seconds", "Wall time pushing one decoded chunk through the analyzer.", nil),
 		insertSeconds: reg.Histogram("dominod_store_insert_seconds", "Wall time inserting one completed report into the RCA store.", nil),
@@ -126,7 +128,9 @@ func newMetrics(analyzer *core.Analyzer, sessions *ingest.Table[*session]) *metr
 		m.ingestRecords[f] = reg.Counter("dominod_ingest_records_total",
 			"Trace records accepted, by negotiated ingest wire format.", obs.L("format", f))
 		m.decodeSeconds[f] = reg.Histogram("dominod_ingest_decode_seconds",
-			"Wall time decoding one ingest chunk, by negotiated wire format.", nil, obs.L("format", f))
+			"Wall time decoding one ingest chunk, the body wait left out, by negotiated wire format.", nil, obs.L("format", f))
+		m.bodyWaitSeconds[f] = reg.Histogram("dominod_ingest_body_wait_seconds",
+			"Wall time decoding one ingest chunk spent blocked reading the request body, by negotiated wire format.", nil, obs.L("format", f))
 	}
 
 	// One labeled series per cause and consequence node of the running

@@ -72,21 +72,52 @@ func (b *Block) Len() int {
 	return len(b.Tags)
 }
 
-// appendRow appends the data row of the given kind as the block's next
-// record.
-func (b *Block) appendRow(kind int, r *lineRow) {
+// add appends rec's data row as the block's next record and returns its
+// series, or -1 for a record with none.
+func (b *Block) add(rec Record) int {
+	kind := -1
+	switch {
+	case rec.DCI != nil:
+		kind = SeriesDCI
+		b.DCI.append(rec.DCI)
+	case rec.GNB != nil:
+		kind = SeriesGNB
+		b.GNB.append(rec.GNB)
+	case rec.Packet != nil:
+		kind = SeriesPkt
+		b.Pkt.append(rec.Packet)
+	case rec.Stats != nil:
+		kind = SeriesStats
+		b.Stats, b.StatsAt = append(b.Stats, *rec.Stats), append(b.StatsAt, rec.Stats.At)
+	case rec.RRC != nil:
+		kind = SeriesRRC
+		b.RRC.append(rec.RRC)
+	default:
+		return kind
+	}
 	b.Tags = append(b.Tags, uint8(kind))
+	return kind
+}
+
+// lastRecord materialises the block's last row, of series kind, as a
+// Record of its own.
+func (b *Block) lastRecord(kind int) Record {
 	switch kind {
 	case SeriesDCI:
-		b.DCI.append(&r.dci)
+		v := b.DCI.Record(len(b.DCI.At) - 1)
+		return Record{DCI: &v}
 	case SeriesGNB:
-		b.GNB.append(&r.gnb)
+		v := b.GNB.Record(len(b.GNB.At) - 1)
+		return Record{GNB: &v}
 	case SeriesPkt:
-		b.Pkt.append(&r.pkt)
+		v := b.Pkt.Record(len(b.Pkt.SentAt) - 1)
+		return Record{Packet: &v}
 	case SeriesStats:
-		b.Stats, b.StatsAt = append(b.Stats, r.stats), append(b.StatsAt, r.stats.At)
-	case SeriesRRC:
-		b.RRC.append(&r.rrc)
+		v := b.Stats[len(b.Stats)-1]
+		return Record{Stats: &v}
+	default:
+		v := b.RRC.Record(len(b.RRC.At) - 1)
+		return Record{RRC: &v}
 	}
 }
 
@@ -170,10 +201,17 @@ func flag(set bool, bit uint8) uint8 {
 	return 0
 }
 
+// append adds r as the last row. Every series appends a column per
+// statement: x = append(x, v) writes back only the length while x has room.
 func (c *DCIColumns) append(r *DCIRecord) {
-	c.At, c.Dir, c.RNTI = append(c.At, r.At), append(c.Dir, r.Dir), append(c.RNTI, r.RNTI)
-	c.OwnPRB, c.OtherPRB, c.MCS = append(c.OwnPRB, r.OwnPRB), append(c.OtherPRB, r.OtherPRB), append(c.MCS, r.MCS)
-	c.TBSBits, c.UsedBits = append(c.TBSBits, r.TBSBits), append(c.UsedBits, r.UsedBits)
+	c.At = append(c.At, r.At)
+	c.Dir = append(c.Dir, r.Dir)
+	c.RNTI = append(c.RNTI, r.RNTI)
+	c.OwnPRB = append(c.OwnPRB, r.OwnPRB)
+	c.OtherPRB = append(c.OtherPRB, r.OtherPRB)
+	c.MCS = append(c.MCS, r.MCS)
+	c.TBSBits = append(c.TBSBits, r.TBSBits)
+	c.UsedBits = append(c.UsedBits, r.UsedBits)
 	c.Flags = append(c.Flags, flag(r.HARQRetx, DCIFlagHARQRetx)|flag(r.RLCRetx, DCIFlagRLCRetx)|
 		flag(r.Proactive, DCIFlagProactive)|flag(r.Unused, DCIFlagUnused))
 }
@@ -201,8 +239,12 @@ type GNBColumns struct {
 }
 
 func (c *GNBColumns) append(r *GNBLogRecord) {
-	c.At, c.Kind, c.Dir = append(c.At, r.At), append(c.Kind, r.Kind), append(c.Dir, r.Dir)
-	c.BufferBytes, c.RNTI, c.Note = append(c.BufferBytes, r.BufferBytes), append(c.RNTI, r.RNTI), append(c.Note, r.Note)
+	c.At = append(c.At, r.At)
+	c.Kind = append(c.Kind, r.Kind)
+	c.Dir = append(c.Dir, r.Dir)
+	c.BufferBytes = append(c.BufferBytes, r.BufferBytes)
+	c.RNTI = append(c.RNTI, r.RNTI)
+	c.Note = append(c.Note, r.Note)
 }
 
 // Record materialises row i.
@@ -224,8 +266,12 @@ type PacketColumns struct {
 }
 
 func (c *PacketColumns) append(r *PacketRecord) {
-	c.SentAt, c.Arrived, c.Seq = append(c.SentAt, r.SentAt), append(c.Arrived, r.Arrived), append(c.Seq, r.Seq)
-	c.Kind, c.Dir, c.Size = append(c.Kind, r.Kind), append(c.Dir, r.Dir), append(c.Size, r.Size)
+	c.SentAt = append(c.SentAt, r.SentAt)
+	c.Arrived = append(c.Arrived, r.Arrived)
+	c.Seq = append(c.Seq, r.Seq)
+	c.Kind = append(c.Kind, r.Kind)
+	c.Dir = append(c.Dir, r.Dir)
+	c.Size = append(c.Size, r.Size)
 }
 
 // Record materialises row i.
@@ -245,8 +291,10 @@ type RRCColumns struct {
 }
 
 func (c *RRCColumns) append(r *RRCRecord) {
-	c.At, c.Flags = append(c.At, r.At), append(c.Flags, flag(r.Connected, RRCFlagConnected))
-	c.RNTI, c.Cause = append(c.RNTI, r.RNTI), append(c.Cause, r.Cause)
+	c.At = append(c.At, r.At)
+	c.Flags = append(c.Flags, flag(r.Connected, RRCFlagConnected))
+	c.RNTI = append(c.RNTI, r.RNTI)
+	c.Cause = append(c.Cause, r.Cause)
 }
 
 // Record materialises row i.

@@ -10,6 +10,9 @@ import (
 	"strings"
 	"unicode/utf8"
 	"unsafe"
+
+	"github.com/domino5g/domino/internal/netem"
+	"github.com/domino5g/domino/internal/sim"
 )
 
 // This file is the JSONL codec for the trace hot path. Both halves are
@@ -26,21 +29,24 @@ import (
 // Decoder: two tiers. The fast tier is the encoder's mirror: it reads
 // the layout appendRow writes and nothing else — the compact envelope,
 // then the data members in declaration order, any of them absent, none
-// repeated, no whitespace anywhere — walking the same member list, so a
-// row decodes into storage the caller supplies: StreamReader.Next copies
-// it into the one Record it hands out, ReadBlock appends it to a block's
-// columns. It reads a word at a time: the envelope's `{"type":` and
-// `,"data":` are one 8-byte compare each; each member's key with its
-// separator (`,"Dir":`, or `{"At":` for the object's first) is compared
-// as at most three little-endian words under masks precomputed from the
-// member list; true and false are 4- and 5-byte constants; a plain
-// integer (at most 18 digits, no leading zero, ended by a byte no number
-// token contains) is parsed in the pass that scans it, and a float of at
-// most 15 significant digits and a decimal exponent within ±22 is one
-// exact multiplication or division (Clinger's fast path); any other
-// number takes the token scan and strconv. Every other line — spaced,
-// reordered or repeated members, unknown or case-folded field names,
-// escaped strings, nulls, exotic numbers — goes to the second tier,
+// repeated, no whitespace anywhere — keyed by the same member list, and
+// writes each row where it is kept: a block's columns (the four column
+// series, each by a straight-line decoder), a block's stats row (decoded
+// in place by the member walk, decodeRow), or the header. It reads a
+// line where the scanner buffered it, among the lines after it, and
+// finds the line's end as it parses: `}}` and a newline. It reads a word
+// at a time: the envelope's `{"type":` and `,"data":` are one 8-byte
+// compare each; each member's key with its separator (`,"Dir":`, or
+// `{"At":` for the object's first) is compared as at most three
+// little-endian words under masks precomputed from the member list;
+// true and false are 4- and 5-byte constants; a plain integer (at most
+// 18 digits, no leading zero, ended by a byte no number token contains)
+// is parsed in the pass that scans it, and so is a float of at most 15
+// significant digits and a decimal exponent within ±22, converted by
+// one exact multiplication or division (Clinger's fast path); any other
+// number takes strconv. Every other line — spaced, reordered or
+// repeated members, unknown or case-folded field names, escaped
+// strings, nulls, exotic numbers — goes to the second tier,
 // encoding/json (slowDecode), which therefore stays both the semantic
 // oracle (differential tests in codec_test.go pin fast == stdlib on
 // everything the fast tier accepts) and the handler of foreign telemetry.
@@ -210,17 +216,16 @@ func appendLine(dst []byte, rec Record) ([]byte, error) {
 
 // --- Decoder fast path ---
 
-// lineParser scans one JSONL line. Any deviation from the fast-path
-// subset clears ok; the caller then re-decodes the line through
-// encoding/json, so bailing out is never an error by itself.
+// lineParser scans the JSONL line at its cursor, in a buffer that may
+// hold the lines after it too: no scan that succeeds crosses a newline.
+// Any deviation from the fast-path subset clears ok; the caller then
+// re-decodes the line through encoding/json, so bailing out is never an
+// error by itself.
 type lineParser struct {
-	buf []byte
-	pos int
-	ok  bool
-	// prev is what the string member of the row being filled held on the
-	// previous line of its type: an equal value is reused rather than
-	// allocated again (a gNB log repeats a handful of notes).
-	prev string
+	buf  []byte
+	pos  int
+	ok   bool
+	lead byte // the separator before the object's next member: '{' before its first, else ','
 }
 
 // The fast tier's constants, as the little-endian words they are
@@ -232,13 +237,13 @@ var (
 	falseWord = binary.LittleEndian.Uint32([]byte("fals"))
 )
 
-// word consumes the 8 bytes at the cursor when they are w.
-func (p *lineParser) word(w uint64) bool {
+// word consumes the 8 bytes at the cursor, which must be w.
+func (p *lineParser) word(w uint64) {
 	if len(p.buf)-p.pos >= 8 && binary.LittleEndian.Uint64(p.buf[p.pos:]) == w {
 		p.pos += 8
-		return true
+	} else {
+		p.ok = false
 	}
-	return false
 }
 
 // key scans the envelope's type tag and returns its raw bytes. A tag
@@ -267,10 +272,15 @@ func (p *lineParser) key() []byte {
 	return nil
 }
 
-// stringValue scans a JSON string with no escapes and valid UTF-8;
+// stringValue reads a JSON string with no escapes and valid UTF-8;
 // anything else bails to the stdlib path (which handles unescaping and
-// replacement exactly once, in one place).
-func (p *lineParser) stringValue() string {
+// replacement exactly once, in one place). A value equal to prev, what
+// the member held on the previous row of its series, is prev itself
+// rather than a new allocation (a gNB log repeats a handful of notes).
+func (p *lineParser) stringValue(f *rowField, prev string) string {
+	if !p.member(f) {
+		return ""
+	}
 	if p.pos >= len(p.buf) || p.buf[p.pos] != '"' {
 		p.ok = false
 		return ""
@@ -289,8 +299,8 @@ func (p *lineParser) stringValue() string {
 				p.ok = false
 				return ""
 			}
-			if string(raw) == p.prev {
-				return p.prev
+			if string(raw) == prev {
+				return prev
 			}
 			return string(raw)
 		case c == '\\' || c < 0x20:
@@ -319,75 +329,23 @@ func tokString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// numberToken scans the contiguous number-shaped token at the cursor
-// and validates it against the JSON number grammar (encoding/json
-// rejects "01", "+1", "1.", etc. — so must we, or the fast path would
-// accept inputs the oracle rejects).
+// numberToken consumes the number at the cursor and returns it, for
+// strconv; bytes that are not one fail the line.
 func (p *lineParser) numberToken() []byte {
-	start := p.pos
-	for p.pos < len(p.buf) {
-		switch c := p.buf[p.pos]; {
-		case isDigit(c), c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			p.pos++
-		default:
-			goto done
-		}
-	}
-done:
-	tok := p.buf[start:p.pos]
-	if !validJSONNumber(tok) {
-		p.ok = false
-		return nil
-	}
+	_, n, _ := scanNumber(p.buf[p.pos:])
+	tok := p.buf[p.pos : p.pos+n]
+	p.pos += n
+	p.ok = p.ok && n > 0
 	return tok
-}
-
-func validJSONNumber(b []byte) bool {
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && b[i] >= '1' && b[i] <= '9':
-		i++
-		for i < len(b) && isDigit(b[i]) {
-			i++
-		}
-	default:
-		return false
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if i >= len(b) || !isDigit(b[i]) {
-			return false
-		}
-		for i < len(b) && isDigit(b[i]) {
-			i++
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i >= len(b) || !isDigit(b[i]) {
-			return false
-		}
-		for i < len(b) && isDigit(b[i]) {
-			i++
-		}
-	}
-	return i == len(b)
 }
 
 // plainInt parses the plain decimal integer b starts with in one pass:
 // an optional minus, 1–18 digits (so it cannot overflow an int64), no
 // leading zero (the JSON grammar), and the byte after it not one that
 // continues a number token. It returns the value and the bytes it
-// spans, or a width of 0 for anything else; the caller then takes the
-// numberToken route, which knows the whole grammar and every overflow.
+// spans, or a width of 0 for anything else; the caller then takes
+// numberToken and strconv, which know the whole grammar and every
+// overflow.
 func plainInt(b []byte) (v int64, n int) {
 	if len(b) > 0 && b[0] == '-' {
 		n = 1
@@ -416,68 +374,48 @@ func plainInt(b []byte) (v int64, n int) {
 	return int64(u), n
 }
 
-// i64 parses an integer value. Fractional or exponent forms bail out:
-// encoding/json errors on them for integer fields, and the fallback
-// produces that error.
-func (p *lineParser) i64() int64 {
+// i64 reads an integer. Fractional or exponent forms bail out, as
+// strconv refuses them: encoding/json errors on them for integer
+// fields, and the fallback produces that error.
+func (p *lineParser) i64(f *rowField) int64 {
+	if !p.member(f) {
+		return 0
+	}
 	if v, n := plainInt(p.buf[p.pos:]); n > 0 {
 		p.pos += n
 		return v
 	}
-	tok := p.numberToken()
-	if !p.ok {
-		return 0
-	}
-	for _, c := range tok {
-		if c == '.' || c == 'e' || c == 'E' {
-			p.ok = false
-			return 0
-		}
-	}
-	v, err := strconv.ParseInt(tokString(tok), 10, 64)
-	if err != nil {
-		p.ok = false
-		return 0
-	}
+	v, err := strconv.ParseInt(tokString(p.numberToken()), 10, 64)
+	p.ok = p.ok && err == nil
 	return v
 }
 
-func (p *lineParser) u64(bits int) uint64 {
+// u64 reads an unsigned integer of the given bits.
+func (p *lineParser) u64(f *rowField, bits int) uint64 {
+	if !p.member(f) {
+		return 0
+	}
 	if v, n := plainInt(p.buf[p.pos:]); n > 0 && p.buf[p.pos] != '-' && uint64(v)>>bits == 0 {
 		p.pos += n
 		return uint64(v)
 	}
-	tok := p.numberToken()
-	if !p.ok {
-		return 0
-	}
-	for _, c := range tok {
-		if c == '.' || c == 'e' || c == 'E' || c == '-' {
-			p.ok = false
-			return 0
-		}
-	}
-	v, err := strconv.ParseUint(tokString(tok), 10, bits)
-	if err != nil {
-		p.ok = false
-		return 0
-	}
+	v, err := strconv.ParseUint(tokString(p.numberToken()), 10, bits)
+	p.ok = p.ok && err == nil
 	return v
 }
 
-func (p *lineParser) f64() float64 {
-	tok := p.numberToken()
-	if !p.ok {
+// f64 reads a float: the encoder's numbers in scanNumber's one pass,
+// any other from the bytes that pass spanned, through strconv.
+func (p *lineParser) f64(f *rowField) float64 {
+	if !p.member(f) {
 		return 0
 	}
-	if v, ok := exactFloat(tok); ok {
-		return v
+	v, n, exact := scanNumber(p.buf[p.pos:])
+	if !exact {
+		f, err := strconv.ParseFloat(tokString(p.buf[p.pos:p.pos+n]), 64)
+		v, p.ok = f, p.ok && err == nil // an empty token (n == 0) fails too
 	}
-	v, err := strconv.ParseFloat(tokString(tok), 64)
-	if err != nil {
-		p.ok = false
-		return 0
-	}
+	p.pos += n
 	return v
 }
 
@@ -485,69 +423,86 @@ func (p *lineParser) f64() float64 {
 var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
-// exactFloat converts a grammar-valid number token by Clinger's fast
-// path: a significand of at most 15 digits (leading zeros are not
-// significant, trailing ones are) is exact in a float64, as is 10^k for
-// k ≤ 22, so one multiplication or division of the two rounds once and
-// gives strconv.ParseFloat's answer. Any other token is declined.
-func exactFloat(tok []byte) (float64, bool) {
-	i, neg := 0, tok[0] == '-'
+// scanNumber scans the JSON number b starts with, checks it against the
+// grammar and converts it in one pass by Clinger's fast path: a
+// significand of at most 15 digits (leading zeros are not significant,
+// trailing ones are) and 10^k for k ≤ 22 are exact in a float64, so one
+// multiplication or division rounds once, as strconv.ParseFloat does.
+// n is the bytes the number spans, 0 when b does not start with one
+// ("01", "+1", "1.", "1-2"); exact reports whether v is its value.
+func scanNumber(b []byte) (v float64, n int, exact bool) {
+	neg := len(b) > 0 && b[0] == '-'
 	if neg {
-		i++
+		n++
 	}
 	var m uint64
 	nd, exp := 0, 0 // significant digits in m; the power of ten it is scaled by
-	frac := false
-	for ; i < len(tok); i++ {
-		c := tok[i]
-		if c == '.' {
-			frac = true
-			continue
-		}
-		if !isDigit(c) {
-			break
-		}
-		if nd > 0 || c != '0' {
-			m, nd = m*10+uint64(c-'0'), nd+1
-		}
-		if frac {
-			exp--
+	i := n
+	for ; n < len(b) && isDigit(b[n]); n++ {
+		if nd > 0 || b[n] != '0' {
+			m, nd = m*10+uint64(b[n]-'0'), nd+1
 		}
 	}
-	if i < len(tok) { // the exponent: 'e' or 'E', a sign, digits
-		i++
-		sign := tok[i]
-		if sign == '+' || sign == '-' {
-			i++
+	if n == i || (b[i] == '0' && n > i+1) {
+		return 0, 0, false // no integer part, or one with a leading zero
+	}
+	if n < len(b) && b[n] == '.' {
+		for n, i = n+1, n+1; n < len(b) && isDigit(b[n]); n++ {
+			if nd > 0 || b[n] != '0' {
+				m, nd = m*10+uint64(b[n]-'0'), nd+1
+			}
+			exp--
+		}
+		if n == i {
+			return 0, 0, false
+		}
+	}
+	if n < len(b) && b[n]|0x20 == 'e' {
+		n++
+		sign := byte('+')
+		if n < len(b) && (b[n] == '+' || b[n] == '-') {
+			sign, n = b[n], n+1
 		}
 		e := 0
-		for ; i < len(tok); i++ {
+		for i = n; n < len(b) && isDigit(b[n]); n++ {
 			if e < 1e9 { // past that no line's fraction digits bring it back to ±22
-				e = e*10 + int(tok[i]-'0')
+				e = e*10 + int(b[n]-'0')
 			}
+		}
+		if n == i {
+			return 0, 0, false
 		}
 		if sign == '-' {
 			e = -e
 		}
 		exp += e
 	}
-	if nd > 15 || exp < -22 || exp > 22 {
-		return 0, false
+	if n < len(b) {
+		switch b[n] {
+		case '-', '+', '.', 'e', 'E':
+			return 0, 0, false
+		}
 	}
-	f := float64(m)
+	if nd > 15 || exp < -22 || exp > 22 {
+		return 0, n, false
+	}
+	v = float64(m)
 	if exp < 0 {
-		f /= exactPow10[-exp]
+		v /= exactPow10[-exp]
 	} else {
-		f *= exactPow10[exp]
+		v *= exactPow10[exp]
 	}
 	if neg {
-		f = -f
+		v = -v
 	}
-	return f, true
+	return v, n, true
 }
 
 // boolValue reads true or false as a 4- or 5-byte constant.
-func (p *lineParser) boolValue() bool {
+func (p *lineParser) boolValue(f *rowField) bool {
+	if !p.member(f) {
+		return false
+	}
 	b := p.buf[p.pos:]
 	switch {
 	case len(b) >= 4 && binary.LittleEndian.Uint32(b) == trueWord:
@@ -639,46 +594,138 @@ var (
 	rrcFields    = rowFieldsOf(RRCRecord{})
 )
 
-// decodeRow decodes the JSON object at the cursor into *row, whose type
-// fields was listed from, reading exactly what appendRow writes: the
-// object's brace and first key, and after each value the separator and
-// the next key, as one literal each, in declaration order. Any member may
-// be absent and is left zero; none may repeat. The cursor stops after the
-// last value, or after the brace of an empty object, and the caller's
-// check of what follows fails a line with anything else there.
-func decodeRow[T any](p *lineParser, row *T, fields []rowField) {
-	*row = *new(T)
-	base, lead := unsafe.Pointer(row), byte('{')
-	for i := range fields {
-		if !fields[i].keyAt(p.buf[p.pos:], lead) {
-			continue
-		}
-		p.pos += len(fields[i].lit)
-		at := unsafe.Add(base, fields[i].off)
-		switch fields[i].kind {
-		case reflect.Int64:
-			*(*int64)(at) = p.i64()
-		case reflect.Int:
-			*(*int)(at) = int(p.i64())
-		case reflect.Uint32:
-			*(*uint32)(at) = uint32(p.u64(32))
-		case reflect.Uint64:
-			*(*uint64)(at) = p.u64(64)
-		case reflect.Float64:
-			*(*float64)(at) = p.f64()
-		case reflect.Bool:
-			*(*bool)(at) = p.boolValue()
-		case reflect.String:
-			*(*string)(at) = p.stringValue()
-		}
-		if !p.ok {
-			return
-		}
-		lead = ','
+// member consumes f's key, after the separator p.lead, when it is next:
+// each value reader starts with it, and returns zero for an absent f.
+func (p *lineParser) member(f *rowField) bool {
+	if !f.keyAt(p.buf[p.pos:], p.lead) {
+		return false
 	}
-	if lead == '{' { // no member: only an empty object is fast-path material
-		p.ok = p.pos < len(p.buf) && p.buf[p.pos] == '{'
-		p.pos++
+	p.pos += len(f.lit)
+	p.lead = ','
+	return true
+}
+
+// decodeRow decodes the members of the JSON object at the cursor into
+// *row, a zero row of the type fields was listed from, reading exactly
+// what appendRow writes: each member's separator and key as one
+// literal, in declaration order, any member absent and left zero. The
+// header and the stats series take this walk.
+func decodeRow[T any](p *lineParser, row *T, fields []rowField) {
+	base := unsafe.Pointer(row)
+	for i := range fields {
+		f, at := &fields[i], unsafe.Add(base, fields[i].off)
+		switch f.kind {
+		case reflect.Int64:
+			*(*int64)(at) = p.i64(f)
+		case reflect.Int:
+			*(*int)(at) = int(p.i64(f))
+		case reflect.Uint32:
+			*(*uint32)(at) = uint32(p.u64(f, 32))
+		case reflect.Uint64:
+			*(*uint64)(at) = p.u64(f, 64)
+		case reflect.Float64:
+			*(*float64)(at) = p.f64(f)
+		case reflect.Bool:
+			*(*bool)(at) = p.boolValue(f)
+		case reflect.String:
+			*(*string)(at) = p.stringValue(f, "")
+		}
+	}
+}
+
+// end consumes the closing braces (after the object's own, when it has
+// no member) and the line's end — "\n", "\r\n", or the end of the last
+// token, where a lone "\r" is one ScanLines drops too — and reports
+// whether the whole line was fast-path material.
+func (p *lineParser) end() bool {
+	rest, closing := p.buf[p.pos:], "}}"
+	if p.lead == '{' { // no member: only an empty object is fast-path material
+		closing = "{}}"
+	}
+	n := len(closing)
+	switch {
+	case !p.ok || len(rest) < n || string(rest[:n]) != closing:
+		p.ok, n = false, 0
+	case len(rest) == n:
+	case rest[n] == '\n':
+		n++
+	case rest[n] == '\r' && (len(rest) == n+1 || rest[n+1] == '\n'):
+		n = min(len(rest), n+2)
+	default:
+		p.ok, n = false, 0
+	}
+	p.pos += n
+	return p.ok
+}
+
+// The column series' decoders read their members in declaration order
+// into a row on the stack and, when the line ends as it must, append
+// the row to the block's columns. The keys are the member list's, by
+// position; TestFastTierReadsEveryMember catches a field left unread.
+
+func (p *lineParser) dci(c *DCIColumns) {
+	f := dciFields
+	r := DCIRecord{
+		At:        sim.Time(p.i64(&f[0])),
+		Dir:       netem.Direction(p.i64(&f[1])),
+		RNTI:      uint32(p.u64(&f[2], 32)),
+		OwnPRB:    int(p.i64(&f[3])),
+		OtherPRB:  int(p.i64(&f[4])),
+		MCS:       int(p.i64(&f[5])),
+		TBSBits:   int(p.i64(&f[6])),
+		UsedBits:  int(p.i64(&f[7])),
+		HARQRetx:  p.boolValue(&f[8]),
+		RLCRetx:   p.boolValue(&f[9]),
+		Proactive: p.boolValue(&f[10]),
+		Unused:    p.boolValue(&f[11]),
+	}
+	if p.end() {
+		c.append(&r)
+	}
+}
+
+func (p *lineParser) gnb(c *GNBColumns, prev *string) {
+	f := gnbFields
+	r := GNBLogRecord{
+		At:          sim.Time(p.i64(&f[0])),
+		Kind:        GNBLogKind(p.i64(&f[1])),
+		Dir:         netem.Direction(p.i64(&f[2])),
+		BufferBytes: int(p.i64(&f[3])),
+		RNTI:        uint32(p.u64(&f[4], 32)),
+		Note:        p.stringValue(&f[5], *prev),
+	}
+	if p.end() {
+		c.append(&r)
+		*prev = r.Note
+	}
+}
+
+func (p *lineParser) pkt(c *PacketColumns) {
+	f := pktFields
+	r := PacketRecord{
+		Seq:     p.u64(&f[0], 64),
+		Kind:    netem.MediaKind(p.i64(&f[1])),
+		Dir:     netem.Direction(p.i64(&f[2])),
+		Size:    int(p.i64(&f[3])),
+		SentAt:  sim.Time(p.i64(&f[4])),
+		Arrived: sim.Time(p.i64(&f[5])),
+	}
+	if p.end() {
+		c.append(&r)
+	}
+}
+
+func (p *lineParser) rrc(c *RRCColumns, prev *string) {
+	f := rrcFields
+	r := RRCRecord{
+		At:        sim.Time(p.i64(&f[0])),
+		Connected: p.boolValue(&f[1]),
+		RNTI:      uint32(p.u64(&f[2], 32)),
+		Cause:     p.stringValue(&f[3], *prev),
+	}
+	if p.end() {
+		c.append(&r)
+		*prev = r.Cause
 	}
 }
 
@@ -686,111 +733,95 @@ func decodeRow[T any](p *lineParser, row *T, fields []rowField) {
 // series index.
 const lineHeader = NumSeries
 
-// lineRow is the scratch a line decodes into: the member of the line's
-// kind is filled, the others are left as they were.
-type lineRow struct {
-	hdr   jsonHeader
-	dci   DCIRecord
-	gnb   GNBLogRecord
-	pkt   PacketRecord
-	stats WebRTCStatsRecord
-	rrc   RRCRecord
-}
-
-// header returns the decoded header line.
-func (r *lineRow) header() *Header {
-	h := Header(r.hdr)
-	return &h
-}
-
-// record materialises the data row of the given kind as a Record.
-func (r *lineRow) record(kind int) Record {
-	switch kind {
-	case SeriesDCI:
-		v := r.dci
-		return Record{DCI: &v}
-	case SeriesGNB:
-		v := r.gnb
-		return Record{GNB: &v}
-	case SeriesPkt:
-		v := r.pkt
-		return Record{Packet: &v}
-	case SeriesStats:
-		v := r.stats
-		return Record{Stats: &v}
-	default:
-		v := r.rrc
-		return Record{RRC: &v}
-	}
-}
-
-// fastDecode decodes one envelope line in appendRow's layout into the
-// row and returns its kind. ok=false means only "not fast-path material":
-// the caller must re-decode the line through the encoding/json oracle
-// (slowDecode), which yields the identical row for valid inputs and the
-// authoritative error for invalid ones.
-func (r *lineRow) fastDecode(line []byte) (kind int, ok bool) {
-	p := lineParser{buf: line, ok: true}
-	if !p.word(typeWord) {
-		return 0, false
-	}
+// decode decodes the line at the cursor into b, or sr.hdr for a header,
+// and returns its kind, the cursor at the next line. ok=false means
+// only "not fast-path material", with nothing appended: the caller
+// re-decodes the line through encoding/json (slowDecode), which yields
+// the identical row or the authoritative error.
+func (p *lineParser) decode(b *Block, sr *StreamReader) (kind int) {
 	// The type tag is scanned as raw bytes (key() is exactly a
 	// no-escape string scan), so dispatching allocates nothing.
+	p.word(typeWord)
 	typ := p.key()
-	if !p.ok || !p.word(dataWord) {
-		return 0, false
+	if p.word(dataWord); !p.ok {
+		return 0
 	}
+	p.lead = '{'
 	switch string(typ) {
 	case "header":
-		kind = lineHeader
-		decodeRow(&p, &r.hdr, headerFields)
+		var h jsonHeader
+		if decodeRow(p, &h, headerFields); p.end() {
+			hdr := Header(h)
+			sr.hdr = &hdr
+		}
+		return lineHeader
 	case "dci":
 		kind = SeriesDCI
-		decodeRow(&p, &r.dci, dciFields)
+		p.dci(&b.DCI)
 	case "gnb":
-		kind, p.prev = SeriesGNB, r.gnb.Note
-		decodeRow(&p, &r.gnb, gnbFields)
+		kind = SeriesGNB
+		p.gnb(&b.GNB, &sr.note)
 	case "pkt":
 		kind = SeriesPkt
-		decodeRow(&p, &r.pkt, pktFields)
+		p.pkt(&b.Pkt)
 	case "stats":
 		kind = SeriesStats
-		decodeRow(&p, &r.stats, statsFields)
+		b.Stats = append(b.Stats, WebRTCStatsRecord{}) // decoded in place
+		r := &b.Stats[len(b.Stats)-1]
+		if decodeRow(p, r, statsFields); p.end() {
+			b.StatsAt = append(b.StatsAt, r.At)
+		} else {
+			b.Stats = b.Stats[:len(b.Stats)-1]
+		}
 	case "rrc":
-		kind, p.prev = SeriesRRC, r.rrc.Cause
-		decodeRow(&p, &r.rrc, rrcFields)
+		kind = SeriesRRC
+		p.rrc(&b.RRC, &sr.cause)
 	default:
-		return 0, false
+		p.ok = false
 	}
-	return kind, p.ok && string(p.buf[p.pos:]) == "}}"
+	if p.ok {
+		b.Tags = append(b.Tags, uint8(kind))
+	}
+	return kind
 }
 
-// slowDecode is fastDecode through encoding/json: the oracle of the
-// differential tests, and the decoder of foreign telemetry.
-func (r *lineRow) slowDecode(line []byte) (int, error) {
+// slowDecode is decode through encoding/json, for one line: the oracle
+// of the differential tests, and the decoder of foreign telemetry.
+func slowDecode(line []byte, b *Block, sr *StreamReader) (int, error) {
 	var l jsonLine
 	if err := json.Unmarshal(line, &l); err != nil {
 		return 0, err
 	}
+	var rec Record
+	var err error
 	switch l.Type {
 	case "header":
-		r.hdr = jsonHeader{}
-		return lineHeader, json.Unmarshal(l.Data, &r.hdr)
+		var h *jsonHeader
+		if h, err = slowRow[jsonHeader](l.Data); err == nil {
+			sr.hdr = (*Header)(h)
+		}
+		return lineHeader, err
 	case "dci":
-		r.dci = DCIRecord{}
-		return SeriesDCI, json.Unmarshal(l.Data, &r.dci)
+		rec.DCI, err = slowRow[DCIRecord](l.Data)
 	case "gnb":
-		r.gnb = GNBLogRecord{}
-		return SeriesGNB, json.Unmarshal(l.Data, &r.gnb)
+		rec.GNB, err = slowRow[GNBLogRecord](l.Data)
 	case "pkt":
-		r.pkt = PacketRecord{}
-		return SeriesPkt, json.Unmarshal(l.Data, &r.pkt)
+		rec.Packet, err = slowRow[PacketRecord](l.Data)
 	case "stats":
-		r.stats = WebRTCStatsRecord{}
-		return SeriesStats, json.Unmarshal(l.Data, &r.stats)
+		rec.Stats, err = slowRow[WebRTCStatsRecord](l.Data)
 	case "rrc":
-		r.rrc = RRCRecord{}
-		return SeriesRRC, json.Unmarshal(l.Data, &r.rrc)
+		rec.RRC, err = slowRow[RRCRecord](l.Data)
+	default:
+		return 0, fmt.Errorf("unknown record type %q", l.Type)
 	}
-	return 0, fmt.Errorf("unknown record type %q", l.Type)
+	if err != nil {
+		return 0, err
+	}
+	return b.add(rec), nil
+}
+
+// slowRow unmarshals a line's data object into a new row.
+func slowRow[T any](data []byte) (*T, error) {
+	v := new(T)
+	return v, json.Unmarshal(data, v)
 }

@@ -218,25 +218,12 @@ func (w *BinaryWriter) WriteRecord(rec Record) error {
 	// Strings are interned as they arrive, so dictionary IDs follow the
 	// stream's order; the dict frame goes out ahead of the block.
 	b := &w.blk
-	switch {
-	case rec.DCI != nil:
-		b.Tags = append(b.Tags, SeriesDCI)
-		b.DCI.append(rec.DCI)
-	case rec.GNB != nil:
+	switch b.add(rec) {
+	case SeriesGNB:
 		w.intern(rec.GNB.Note)
-		b.Tags = append(b.Tags, SeriesGNB)
-		b.GNB.append(rec.GNB)
-	case rec.Packet != nil:
-		b.Tags = append(b.Tags, SeriesPkt)
-		b.Pkt.append(rec.Packet)
-	case rec.Stats != nil:
-		b.Tags = append(b.Tags, SeriesStats)
-		b.Stats, b.StatsAt = append(b.Stats, *rec.Stats), append(b.StatsAt, rec.Stats.At)
-	case rec.RRC != nil:
+	case SeriesRRC:
 		w.intern(rec.RRC.Cause)
-		b.Tags = append(b.Tags, SeriesRRC)
-		b.RRC.append(rec.RRC)
-	default:
+	case -1:
 		w.err = fmt.Errorf("trace: binary: empty record")
 		return w.err
 	}

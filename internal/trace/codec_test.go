@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -67,18 +68,32 @@ func oracleDecodeLine(line []byte) (Record, error) {
 	}
 }
 
+// lineScratch is the block fastDecodeLine decodes into, kept from call
+// to call and emptied as a StreamReader empties Next's.
+var lineScratch struct {
+	sync.Mutex
+	b Block
+}
+
 // fastDecodeLine is the fast tier alone, as a Record: what
 // StreamReader.Next returns for a line the tier accepts.
 func fastDecodeLine(line []byte) (Record, bool) {
-	var row lineRow
-	kind, ok := row.fastDecode(line)
+	lineScratch.Lock()
+	defer lineScratch.Unlock()
+	b := &lineScratch.b
+	if len(b.Tags) == jsonlBlockLines {
+		b.reset()
+	}
+	var sr StreamReader
+	p := lineParser{buf: line, ok: true}
+	kind := p.decode(b, &sr)
 	switch {
-	case !ok:
+	case !p.ok || p.pos != len(line):
 		return Record{}, false
 	case kind == lineHeader:
-		return Record{Header: row.header()}, true
+		return Record{Header: sr.hdr}, true
 	}
-	return row.record(kind), true
+	return b.lastRecord(kind), true
 }
 
 type errUnknownType string
@@ -286,10 +301,10 @@ func TestExactFloatMatchesStrconv(t *testing.T) {
 	check := func(tok string, exact bool) {
 		t.Helper()
 		want, err := strconv.ParseFloat(tok, 64)
-		if err != nil || !validJSONNumber([]byte(tok)) {
+		got, n, ok := scanNumber([]byte(tok))
+		if err != nil || n != len(tok) {
 			t.Fatalf("%s is not a test token: %v", tok, err)
 		}
-		got, ok := exactFloat([]byte(tok))
 		if ok != exact {
 			t.Fatalf("%s: fast path took it %v, want %v", tok, ok, exact)
 		}

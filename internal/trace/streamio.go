@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 
@@ -58,15 +59,23 @@ func (r Record) Time() (sim.Time, bool) {
 // format WriteJSONL produces, with per-line error reporting; the batch
 // ReadAuto drains one for a JSONL stream. A consumer uses either
 // ReadBlock or the RecordReader methods on one reader, not both.
+// Its scanner hands over every buffered whole line as one token; the
+// fast tier finds each line's end as it parses it, and only a line left
+// to encoding/json is searched for its newline. Lines, line numbers and
+// errors are bufio.ScanLines' (FuzzJSONLFraming pins it). A line decodes
+// into the block it belongs to: ReadBlock's, or Next's scratch block.
 type StreamReader struct {
 	r      io.Reader
 	sc     *bufio.Scanner // made at the first line, over the ring's buffer
+	tok    []byte         // the scanner's token: whole lines, the next from pos
+	pos    int
 	lineNo int
 	hdr    *Header
 	err    error
 
-	row  lineRow // what every line decodes into
-	slow int     // lines the fast tier left to encoding/json
+	note, cause string // the latest gNB note and RRC cause, for a later row to reuse
+	one         Block  // the rows Next decodes into, emptied every jsonlBlockLines
+	slow        int    // lines the fast tier left to encoding/json
 
 	ring    *BlockRing // ReadBlock's storage; nil allocates a block per call
 	pending *Header    // a header line that cut the previous block short
@@ -80,6 +89,19 @@ const (
 	maxJSONLLine    = 1 << 20
 	jsonlScanBuffer = 64 << 10
 )
+
+// scanLines splits at the buffer's last newline, and at the end of the
+// input takes the rest: it wants more input exactly when ScanLines does,
+// so the scanner reads, grows and fails with ErrTooLong as under it.
+func scanLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
 
 // NewStreamReader returns a streaming decoder over r.
 func NewStreamReader(r io.Reader) *StreamReader { return &StreamReader{r: r} }
@@ -98,41 +120,53 @@ func (sr *StreamReader) Header() (Header, bool) {
 // went through encoding/json, at several times the cost.
 func (sr *StreamReader) SlowLines() int { return sr.slow }
 
-// decodeLine scans the next line into sr.row and returns its kind. It
-// returns io.EOF at a clean end of stream; any other error is terminal
-// and repeated on later calls.
-func (sr *StreamReader) decodeLine() (int, error) {
+// decodeLine decodes the next line, appending a data line's row to b,
+// and returns its kind. It returns io.EOF at a clean end of stream; any
+// other error is terminal and repeated on later calls.
+func (sr *StreamReader) decodeLine(b *Block) (int, error) {
 	if sr.err != nil {
 		return 0, sr.err
 	}
-	if sr.sc == nil {
-		sr.sc = bufio.NewScanner(sr.r)
-		sr.sc.Buffer(sr.ring.scanBuffer(), maxJSONLLine)
-	}
-	if !sr.sc.Scan() {
-		if err := sr.sc.Err(); err != nil {
-			sr.err = fmt.Errorf("trace: line %d: %w", sr.lineNo+1, err)
-		} else {
-			sr.err = io.EOF
+	if sr.pos == len(sr.tok) {
+		if sr.sc == nil {
+			sr.sc = bufio.NewScanner(sr.r)
+			sr.sc.Buffer(sr.ring.scanBuffer(), maxJSONLLine)
+			sr.sc.Split(scanLines)
 		}
-		return 0, sr.err
-	}
-	sr.lineNo++
-	// Fast path: field-scanning decoder for canonically encoded lines
-	// (the overwhelming case — WriteJSONL output and dominod ingest).
-	// Anything it does not recognize goes through the reflection path,
-	// which doubles as the differential-test oracle.
-	kind, ok := sr.row.fastDecode(sr.sc.Bytes())
-	if !ok {
-		sr.slow++
-		var err error
-		if kind, err = sr.row.slowDecode(sr.sc.Bytes()); err != nil {
-			sr.err = fmt.Errorf("trace: line %d: %w", sr.lineNo, err)
+		if !sr.sc.Scan() {
+			if err := sr.sc.Err(); err != nil {
+				sr.err = fmt.Errorf("trace: line %d: %w", sr.lineNo+1, err)
+			} else {
+				sr.err = io.EOF
+			}
 			return 0, sr.err
 		}
+		sr.tok, sr.pos = sr.sc.Bytes(), 0
 	}
-	if kind == lineHeader {
-		sr.hdr = sr.row.header()
+	sr.lineNo++
+	// Fast path: the field-scanning decoder for canonically encoded
+	// lines (the overwhelming case — WriteJSONL output and dominod
+	// ingest). Anything it does not recognize goes through the
+	// reflection path, which doubles as the differential-test oracle.
+	p := lineParser{buf: sr.tok, pos: sr.pos, ok: true}
+	if kind := p.decode(b, sr); p.ok {
+		sr.pos = p.pos
+		return kind, nil
+	}
+	sr.slow++
+	line := sr.tok[sr.pos:]
+	if i := bytes.IndexByte(line, '\n'); i >= 0 {
+		line, sr.pos = line[:i], sr.pos+i+1
+	} else {
+		sr.pos = len(sr.tok)
+	}
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	kind, err := slowDecode(line, b, sr)
+	if err != nil {
+		sr.err = fmt.Errorf("trace: line %d: %w", sr.lineNo, err)
+		return 0, sr.err
 	}
 	return kind, nil
 }
@@ -140,14 +174,17 @@ func (sr *StreamReader) decodeLine() (int, error) {
 // Next returns the next record. It returns io.EOF at a clean end of
 // stream; any other error is terminal and repeated on later calls.
 func (sr *StreamReader) Next() (Record, error) {
-	kind, err := sr.decodeLine()
-	if err != nil {
-		return Record{}, err
+	if len(sr.one.Tags) == jsonlBlockLines {
+		sr.one.reset()
 	}
-	if kind == lineHeader {
+	kind, err := sr.decodeLine(&sr.one)
+	switch {
+	case err != nil:
+		return Record{}, err
+	case kind == lineHeader:
 		return Record{Header: sr.hdr}, nil
 	}
-	return sr.row.record(kind), nil
+	return sr.one.lastRecord(kind), nil
 }
 
 // jsonlBlockLines is how many lines ReadBlock decodes into one block.
@@ -166,24 +203,21 @@ func (sr *StreamReader) ReadBlock() (*Block, error) {
 		sr.pending = nil
 		return &Block{Header: h}, nil
 	}
-	var b *Block
-	for b == nil || len(b.Tags) < jsonlBlockLines {
-		kind, err := sr.decodeLine()
+	b := sr.ring.next()
+	for len(b.Tags) < jsonlBlockLines {
+		kind, err := sr.decodeLine(b)
 		switch { // what ends a block is the next call's
-		case err != nil && b == nil:
+		case err != nil && len(b.Tags) == 0:
 			return nil, err
 		case err != nil:
 			return b, nil
-		case kind == lineHeader && b == nil:
-			return &Block{Header: sr.hdr}, nil
+		case kind == lineHeader && len(b.Tags) == 0:
+			b.Header = sr.hdr
+			return b, nil
 		case kind == lineHeader:
 			sr.pending = sr.hdr
 			return b, nil
 		}
-		if b == nil {
-			b = sr.ring.next()
-		}
-		b.appendRow(kind, &sr.row)
 	}
 	return b, nil
 }
