@@ -101,27 +101,29 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		label += ", scenario " + report.Scenario
 	}
 	fmt.Fprintf(stdout, "trace: %s (%v, %d chains configured)\n\n", label, report.Duration, len(analyzer.Chains()))
+	// The classes are the running graph's own, in its first-mention order.
+	causes, consequences := analyzer.Graph().Causes(), analyzer.Graph().Consequences()
 	fmt.Fprintln(stdout, "5G causes (events/min):")
-	for _, c := range domino.CauseClasses() {
+	for _, c := range causes {
 		fmt.Fprintf(stdout, "  %-18s %6.2f\n", c, report.EventsPerMinute(c))
 	}
 	fmt.Fprintln(stdout, "\nWebRTC consequences (events/min):")
-	for _, c := range domino.ConsequenceClasses() {
+	for _, c := range consequences {
 		fmt.Fprintf(stdout, "  %-22s %6.2f\n", c, report.EventsPerMinute(c))
 	}
 	fmt.Fprintf(stdout, "\ndegradation events/min: %.2f\n",
-		report.DegradationEventsPerMinute(domino.ConsequenceClasses()))
+		report.DegradationEventsPerMinute(consequences))
 
 	fmt.Fprintln(stdout, "\ntop matched chains:")
 	for _, cc := range report.TopChains(10) {
 		fmt.Fprintf(stdout, "  %4d×  %s\n", cc.Events, cc.Chain.String())
 	}
 
-	probs := report.ConditionalProbabilities(domino.CauseClasses(), domino.ConsequenceClasses())
+	probs := report.ConditionalProbabilities(causes, consequences)
 	fmt.Fprintln(stdout, "\nP(cause | consequence):")
-	for _, cons := range domino.ConsequenceClasses() {
+	for _, cons := range consequences {
 		fmt.Fprintf(stdout, "  %s:\n", cons)
-		for _, cause := range domino.CauseClasses() {
+		for _, cause := range causes {
 			if p := probs[cons][cause]; p > 0 {
 				fmt.Fprintf(stdout, "    %-18s %5.1f%%\n", cause, p*100)
 			}

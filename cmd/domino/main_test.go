@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,5 +210,41 @@ func TestCodegenWritesDetector(t *testing.T) {
 	}
 	if !strings.Contains(string(src), "package detect") || !strings.Contains(string(src), "BackwardTrace") {
 		t.Fatalf("generated detector malformed:\n%.200s", src)
+	}
+}
+
+// TestCustomGraphClasses: with -graph the report lists the classes of
+// the graph it runs — its causes and consequences, each in the event
+// rates and the P(cause | consequence) block — and none of the default
+// graph's.
+func TestCustomGraphClasses(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := writeTestTrace(t, dir)
+	graph := filepath.Join(dir, "chains.txt")
+	dsl := "dl_rlc_retx --> forward_delay_up --> local_jitter_buffer_drain\n" +
+		"dl_harq_retx --> forward_delay_up --> local_jitter_buffer_drain\n"
+	if err := os.WriteFile(graph, []byte(dsl), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-trace", tracePath, "-graph", graph}, nil, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{
+		"5G causes (events/min):\n  dl_rlc_retx ",
+		"\n  dl_harq_retx ",
+		"WebRTC consequences (events/min):\n  local_jitter_buffer_drain ",
+		"P(cause | consequence):\n  local_jitter_buffer_drain:\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+	defaults := append(domino.CauseClasses(), domino.ConsequenceClasses()...)
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && slices.Contains(defaults, strings.TrimSuffix(f[0], ":")) {
+			t.Errorf("report lists the default graph's %s:\n%s", f[0], out)
+		}
 	}
 }

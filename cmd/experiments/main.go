@@ -3,15 +3,16 @@
 //
 // Usage:
 //
-//	experiments                  # run everything, sequentially
-//	experiments -parallel        # run everything across all cores
+//	experiments                  # run everything on one worker
+//	experiments -workers 0       # run everything across all cores
 //	experiments -workers 4 fig10 table2
 //	experiments -duration 120 -sessions 2 fig10
 //	experiments -list
 //
 // Artifact text is deterministic in -seed and independent of the
-// worker count; stdout is byte-identical between sequential and
-// parallel runs. Per-artifact wall-clock times go to stderr.
+// worker count; stdout is byte-identical at every -workers. Artifacts
+// print when the whole run ends; per-artifact wall-clock times go to
+// stderr.
 package main
 
 import (
@@ -30,7 +31,6 @@ func main() {
 	sessions := flag.Int("sessions", 1, "sessions per cell for aggregate statistics")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	workers := flag.Int("workers", 1, "worker-pool width (0 = all cores)")
-	par := flag.Bool("parallel", false, "shorthand for -workers 0: use all cores")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	flag.Parse()
 
@@ -41,16 +41,8 @@ func main() {
 		return
 	}
 
-	workersSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			workersSet = true
-		}
-	})
 	w := *workers
-	if (*par && !workersSet) || w <= 0 {
-		// -parallel is shorthand for "all cores" but an explicit
-		// -workers N always wins.
+	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	opts := experiments.Options{
@@ -65,27 +57,15 @@ func main() {
 		ids = experiments.IDs()
 	}
 	start := time.Now()
-	if w == 1 {
-		// Sequential runs stream each artifact as it completes, so
-		// long regenerations show progress and a late failure keeps
-		// the artifacts already printed.
-		for _, id := range ids {
-			res, err := experiments.Run(id, opts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				os.Exit(1)
-			}
-			printResult(res)
-		}
-	} else {
-		results, err := experiments.RunParallel(ids, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-		for _, res := range results {
-			printResult(res)
-		}
+	// One run at every width, so artifacts that analyze the same preset
+	// groups share them; the artifacts print when the run ends.
+	results, err := experiments.RunParallel(ids, opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		os.Exit(1)
+	}
+	for _, res := range results {
+		printResult(res)
 	}
 	fmt.Fprintf(os.Stderr, "%-10s %8.3fs  (%d artifacts, %d workers)\n",
 		"wall", time.Since(start).Seconds(), len(ids), w)

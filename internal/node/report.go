@@ -1,7 +1,6 @@
 package node
 
 import (
-	"fmt"
 	"net/http"
 	"slices"
 
@@ -229,22 +228,18 @@ func writeReport(w http.ResponseWriter, sess *session) {
 
 // handleRead serves the read surface over the fleet RCA store: GET
 // /query and /incidents/similar, whose parameters rcastore.ParseRead
-// defines for this node and the balancer alike. A session= probe's
-// signature is the session's latest stored row, and a session the store
-// does not hold is a 404.
+// defines for this node, the balancer and cmd/rcaquery alike. A
+// session= probe's signature is the session's latest stored row
+// (Store.Resolve), and a session the store does not hold is a 404.
 func (n *Node) handleRead(w http.ResponseWriter, r *http.Request) {
 	rd, err := rcastore.ParseRead(r.URL.Path, r.URL.Query(), n.now())
 	if err != nil {
 		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if rd.Probe != "" {
-		rec, ok := n.store.Fired(rd.Probe)
-		if !ok {
-			ingest.WriteError(w, http.StatusNotFound, fmt.Sprintf("session %q has no stored report", rd.Probe))
-			return
-		}
-		rd.Fired = rec.Fired
+	if err := n.store.Resolve(&rd); err != nil {
+		ingest.WriteError(w, http.StatusNotFound, err.Error())
+		return
 	}
 	ingest.WriteAppended(w, func(dst []byte) []byte { return n.store.Answer(dst, rd) })
 }

@@ -12,9 +12,10 @@ import (
 )
 
 // This file is the read surface's requests — GET /query and
-// /incidents/similar — for both tiers: a node parses a read with
-// ParseRead and answers it with Store.Answer; the balancer parses it
-// with ParseRead too, so both refuse a read in the same words.
+// /incidents/similar — for both tiers and the offline cmd/rcaquery: a
+// node and rcaquery parse a read with ParseRead, resolve its probe with
+// Store.Resolve and answer it with Store.Answer; the balancer parses it
+// with ParseRead too, so all three refuse a read in the same words.
 
 // The kinds of read. Each but KindSimilar names its answer's rows member.
 const (
@@ -149,9 +150,23 @@ func count(p url.Values, name string, def int) (int, error) {
 	return n, nil
 }
 
+// Resolve sets a session= probe read's Fired to the signature of the
+// probe's latest stored row; other reads are left as they are. The error,
+// for a session the store does not hold, is a node's 404 message.
+func (s *Store) Resolve(r *Read) error {
+	if r.Probe == "" {
+		return nil
+	}
+	rec, ok := s.Fired(r.Probe)
+	if !ok {
+		return fmt.Errorf("session %q has no stored report", r.Probe)
+	}
+	r.Fired = rec.Fired
+	return nil
+}
+
 // Answer runs r against the store and appends its answer. A similar read
-// is answered about r.Fired, so a Probe read's caller resolves the probe
-// first.
+// is answered about r.Fired, so a Probe read is resolved (Resolve) first.
 func (s *Store) Answer(dst []byte, r Read) []byte {
 	switch r.Kind {
 	case KindTopChains:

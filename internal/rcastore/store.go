@@ -100,15 +100,6 @@ type Record struct {
 // Duration returns the record's fleet-timeline span.
 func (r Record) Duration() sim.Time { return r.End - r.Start }
 
-// TotalChainRuns sums the record's collapsed chain runs.
-func (r Record) TotalChainRuns() int {
-	n := 0
-	for _, c := range r.Chains {
-		n += c.Runs
-	}
-	return n
-}
-
 // FromReport collapses a completed analysis report into a store record.
 // start places the session on the fleet timeline; the record ends at
 // start + report duration. Fired nodes, chain signatures, and cause

@@ -62,9 +62,6 @@ func TestFromReport(t *testing.T) {
 	if want := []CauseRuns{{Cause: "harq_retx", Runs: 3}}; !reflect.DeepEqual(r.Causes, want) {
 		t.Fatalf("Causes = %v, want %v", r.Causes, want)
 	}
-	if r.TotalChainRuns() != 3 {
-		t.Fatalf("TotalChainRuns = %d, want 3", r.TotalChainRuns())
-	}
 }
 
 func TestEmptyStoreQueries(t *testing.T) {

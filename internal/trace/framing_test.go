@@ -15,9 +15,21 @@ import (
 // scanLinesReader is the reference FuzzJSONLFraming holds StreamReader
 // to: bufio.Scanner with bufio.ScanLines over the same buffer sizes, and
 // each line decoded on its own by the fast tier or else encoding/json.
+// ScanLines is asked only once the data holds a newline or ends: before,
+// it would ask for more, and asking it after every short read of a
+// megabyte line would search that line once per read.
 func scanLinesReader(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, jsonlScanBuffer), maxJSONLLine)
+	searched := 0 // data[:searched] holds no newline
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if !atEOF && bytes.IndexByte(data[searched:], '\n') < 0 {
+			searched = len(data)
+			return 0, nil, nil
+		}
+		searched = 0
+		return bufio.ScanLines(data, atEOF)
+	})
 	var recs []Record
 	for sc.Scan() {
 		rec, ok := fastDecodeLine(sc.Bytes())
@@ -173,10 +185,10 @@ func TestJSONLFraming(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for shape := uint8(0); shape < 4; shape++ {
 				for _, sizes := range [][]byte{nil, {0}, {6, 200, 31}} {
-					if (sizes != nil || shape == 1) && len(input) > 1<<16 {
-						continue // short reads of a megabyte line cost the scanner quadratic time
-					}
 					for _, cut := range []int{0, len(input) / 3, len(framingLines[0]), len(framingLines[0]) + 1, len(input) - 1} {
+						if shape != 2 && cut != 0 {
+							continue // only shape 2 reads the cut
+						}
 						checkFraming(t, []byte(input), sizes, shape, cut)
 					}
 				}
@@ -265,6 +277,35 @@ func TestFastTierReadsEveryMember(t *testing.T) {
 						line, blocks, sr.SlowLines(), err, recordPayload(got), recordPayload(rec))
 				}
 			}
+		}
+	}
+}
+
+// sizedReader reads at most n bytes at a time.
+type sizedReader struct {
+	r io.Reader
+	n int
+}
+
+func (r sizedReader) Read(p []byte) (int, error) { return r.r.Read(p[:min(len(p), r.n)]) }
+
+// TestSplitSearchesEachByteOnce: the scanner hands the split the whole
+// partial line after every read, and the split searches only what it has
+// not searched before, so a 1 MiB line costs about its length in bytes
+// examined however short the reads.
+func TestSplitSearchesEachByteOnce(t *testing.T) {
+	input := []byte(gnbLine(maxJSONLLine-1) + "\n")
+	// Longest reads first: a split that searches the whole partial line
+	// again after every read fails at 1448-byte reads in a fraction of a
+	// second, where at 1-byte reads it would take minutes.
+	for _, n := range []int{len(input), 1448, 64, 1} {
+		sr := NewStreamReader(sizedReader{bytes.NewReader(input), n})
+		rec, err := sr.Next()
+		if _, end := sr.Next(); err != nil || rec.GNB == nil || end != io.EOF {
+			t.Fatalf("%d-byte reads: record %+v, errors %v then %v", n, rec, err, end)
+		}
+		if sr.lines.examined > 2*len(input) {
+			t.Fatalf("%d-byte reads: the split examined %d bytes of a %d-byte input", n, sr.lines.examined, len(input))
 		}
 	}
 }

@@ -67,6 +67,7 @@ func (r Record) Time() (sim.Time, bool) {
 type StreamReader struct {
 	r      io.Reader
 	sc     *bufio.Scanner // made at the first line, over the ring's buffer
+	lines  lineSplit      // sc's split
 	tok    []byte         // the scanner's token: whole lines, the next from pos
 	pos    int
 	lineNo int
@@ -90,16 +91,28 @@ const (
 	jsonlScanBuffer = 64 << 10
 )
 
-// scanLines splits at the buffer's last newline, and at the end of the
-// input takes the rest: it wants more input exactly when ScanLines does,
-// so the scanner reads, grows and fails with ErrTooLong as under it.
-func scanLines(data []byte, atEOF bool) (int, []byte, error) {
-	if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
-		return i + 1, data[:i+1], nil
+// lineSplit is a reader's split. It splits at the buffer's last
+// newline, and at the end of the input takes the rest: it wants more
+// input exactly when ScanLines does, so the scanner reads, grows and
+// fails with ErrTooLong as under it. The scanner hands it the whole
+// partial line again after every read; searched is how much of that
+// holds no newline, so a long line in short reads is searched once.
+// examined counts the bytes searched, for TestSplitSearchesEachByteOnce.
+type lineSplit struct{ searched, examined int }
+
+func (s *lineSplit) split(data []byte, atEOF bool) (int, []byte, error) {
+	tail := data[s.searched:]
+	s.examined += len(tail)
+	if i := bytes.LastIndexByte(tail, '\n'); i >= 0 {
+		n := s.searched + i + 1
+		s.searched = 0
+		return n, data[:n], nil
 	}
 	if atEOF && len(data) > 0 {
+		s.searched = 0
 		return len(data), data, nil
 	}
+	s.searched = len(data)
 	return 0, nil, nil
 }
 
@@ -131,7 +144,7 @@ func (sr *StreamReader) decodeLine(b *Block) (int, error) {
 		if sr.sc == nil {
 			sr.sc = bufio.NewScanner(sr.r)
 			sr.sc.Buffer(sr.ring.scanBuffer(), maxJSONLLine)
-			sr.sc.Split(scanLines)
+			sr.sc.Split(sr.lines.split)
 		}
 		if !sr.sc.Scan() {
 			if err := sr.sc.Err(); err != nil {

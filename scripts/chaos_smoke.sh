@@ -12,6 +12,9 @@
 #                 and shut down gracefully.
 # The final checkpoints of both runs must be byte-identical: recovery
 # plus re-delivery is indistinguishable from never having crashed.
+# Run A's reads, saved before its shutdown, must also be byte-identical
+# to rcaquery's answers over the checkpoint that shutdown writes: the
+# offline CLI and the live node speak one read grammar.
 # Artifacts (daemon logs, both checkpoints, the surviving journal)
 # land in OUT_DIR (default ./chaos-smoke) so CI can upload them.
 set -eu
@@ -33,8 +36,16 @@ trap cleanup EXIT INT TERM
 
 . "$(dirname "$0")/smoke_lib.sh"
 
-echo "== building dominod and tracegen"
-smoke_build ./cmd/dominod ./cmd/tracegen
+# READS are the reads compared between run A's node and rcaquery. No
+# last=: the node's clock is -fixed-clock, rcaquery's the store's
+# newest start.
+READS="/query /query?agg=top_chains /query?agg=cause_rates /incidents/similar?session=s1"
+read_file() { # $1 = read; prints a file name for its answer
+    printf '%s' "$1" | tr -c 'A-Za-z0-9' '_'
+}
+
+echo "== building dominod, tracegen and rcaquery"
+smoke_build ./cmd/dominod ./cmd/tracegen ./cmd/rcaquery
 
 echo "== run A: four sessions, graceful shutdown"
 start_dominod "$ADDR" "$WORK/a.spill" "$OUT_DIR/dominod-a.log"
@@ -43,10 +54,25 @@ upload "http://$ADDR" s1 amarisoft 11 10
 upload "http://$ADDR" s2 mosolabs 12 10
 upload "http://$ADDR" s3 tmobile-tdd 13 10
 upload "http://$ADDR" doomed tmobile-fdd 14 40
+mkdir -p "$WORK/get" "$WORK/cli"
+for read in $READS; do
+    curl -fsS "http://$ADDR$read" >"$WORK/get/$(read_file "$read")"
+done
 kill -TERM "$DOMINOD_PID"
 wait "$DOMINOD_PID" || true
 DOMINOD_PID=""
 [ -s "$WORK/a.spill" ] || { echo "run A left no checkpoint"; exit 1; }
+
+echo "== comparing run A's reads with rcaquery over its checkpoint"
+for read in $READS; do
+    f="$(read_file "$read")"
+    "$BIN_DIR/rcaquery" -store "$WORK/a.spill" "$read" >"$WORK/cli/$f"
+    cmp "$WORK/get/$f" "$WORK/cli/$f" || {
+        echo "rcaquery answers $read differently from GET"
+        cp "$WORK/get/$f" "$OUT_DIR/get-$f.json"
+        cp "$WORK/cli/$f" "$OUT_DIR/rcaquery-$f.json"
+        exit 1; }
+done
 
 echo "== run B: three sessions, then kill -9 mid-upload"
 start_dominod "$ADDR" "$WORK/b.spill" "$OUT_DIR/dominod-b.log"
@@ -97,4 +123,4 @@ cmp "$WORK/a.spill" "$WORK/b.spill" || {
 # truncates it: an empty journal is the proof the fold happened.
 [ ! -s "$WORK/b.spill.wal" ] || { echo "journal not truncated by final checkpoint"; exit 1; }
 
-echo "chaos smoke OK: crash recovery is byte-identical to a graceful run"
+echo "chaos smoke OK: crash recovery is byte-identical to a graceful run, rcaquery to GET"
