@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	u, err := url.Parse(cmp.Or(fs.Arg(0), "/query"))
 	var rd rcastore.Read
 	if err == nil {
-		rd, err = rcastore.ParseRead(u.Path, u.Query(), s.MaxStart)
+		rd, err = rcastore.ParseRead(u.Path, u.RawQuery, s.MaxStart)
 	}
 	if err != nil {
 		return fail(2, err)

@@ -149,6 +149,8 @@ func TestReadsMatchNode(t *testing.T) {
 		{"/incidents/similar?fired=a&k=-1", http.StatusBadRequest, 2},
 		{"/incidents/similar", http.StatusBadRequest, 2},
 		{"/incidents/similar?session=fx008&k=-1", http.StatusBadRequest, 2},
+		{"/query?cell=%zz", http.StatusBadRequest, 2},
+		{"/query?cell=tdd&limit=%zz", http.StatusBadRequest, 2},
 		{"/incidents/similar?session=nope", http.StatusNotFound, 1},
 	}
 	for _, c := range refusals {

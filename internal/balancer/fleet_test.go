@@ -496,6 +496,8 @@ var badReads = []string{
 	"/query?limit=abc", "/query?agg=top_chains&k=-1", "/query?agg=cause_rates&bucket=0",
 	"/query?last=bogus", "/query?agg=bogus", "/incidents/similar?fired=a&k=-1", "/incidents/similar",
 	"/incidents/similar?session=n0-007&k=-1",
+	// A malformed escape refuses the read; it does not drop the filter.
+	"/query?cell=%zz", "/query?cell=tdd&limit=%zz",
 }
 
 // TestFleetReadDifferential pins the merged read surface: what the

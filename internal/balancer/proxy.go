@@ -392,7 +392,7 @@ func (b *Balancer) handleSessions(w http.ResponseWriter, r *http.Request) {
 // with the explicit signature, so each node scans once.
 func (b *Balancer) handleRead(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	rd, err := rcastore.ParseRead(r.URL.Path, r.URL.Query(), sim.Time(start.UnixMicro()))
+	rd, err := rcastore.ParseRead(r.URL.Path, r.URL.RawQuery, sim.Time(start.UnixMicro()))
 	if err != nil {
 		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return

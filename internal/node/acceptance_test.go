@@ -640,6 +640,7 @@ func TestQueryAndSimilarEndpoints(t *testing.T) {
 	for _, bad := range []string{
 		"/query?from=notanumber", "/query?last=-5m", "/query?agg=bogus",
 		"/query?agg=cause_rates&bucket=0s", "/query?agg=cause_rates&bucket=500ns", "/incidents/similar",
+		"/query?cell=%zz", "/query?cell=tdd&limit=%zz", // a malformed escape, not a dropped filter
 	} {
 		resp, err := http.Get(ts.URL + bad)
 		if err != nil {

@@ -2,6 +2,7 @@ package rcastore
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/domino5g/domino/internal/sim"
@@ -103,17 +104,12 @@ func queryReads() []queryRead {
 	}
 	probe := []string{"harq_retx", "forward_delay_up", "jitter_buffer_drain", "cross_traffic"}
 	reads := []queryRead{
-		{"records_limit50", 630, func() int { return len(s.Query(Query{Cause: "harq_retx", Limit: 50})) }},
-		{"top_chains", 11, func() int { return len(s.TopChains(Query{}, 5)) }},
-		{"cause_rates", 847, func() int { return len(s.CauseRates(Query{Cell: "fdd"}, 60*sim.Minute)) }},
-		{"similar_k5", 66, func() int { return len(s.Similar(probe, Query{}, 5)) }},
-		{"fired", 13, func() int {
-			// The oldest session: the far end of a backwards walk.
-			if _, ok := s.Fired(recs[0].Session); ok {
-				return 1
-			}
-			return 0
-		}},
+		{"records_limit50", 630, s, Read{Kind: KindRecords, Query: Query{Cause: "harq_retx", Limit: 50}}},
+		{"top_chains", 11, s, Read{Kind: KindTopChains, K: 5}},
+		{"cause_rates", 847, s, Read{Kind: KindCauseRates, Query: Query{Cell: "fdd"}, Bucket: 60 * sim.Minute}},
+		{"similar_k5", 66, s, Read{Kind: KindSimilar, K: 5, Fired: probe}},
+		// The oldest session: the far end of a backwards walk.
+		{"fired", 13, s, Read{Probe: recs[0].Session}},
 	}
 
 	const day = 24 * 60 * sim.Minute
@@ -133,10 +129,10 @@ func queryReads() []queryRead {
 			name := fmt.Sprintf("shuffled/%dh/cell=%s/", span/(60*sim.Minute), cell)
 			max := shuffledAllocs[si][ci]
 			reads = append(reads,
-				queryRead{name + "records_limit50", max[0], func() int { return len(sh.Query(rq)) }},
-				queryRead{name + "top_chains", max[1], func() int { return len(sh.TopChains(q, 5)) }},
-				queryRead{name + "cause_rates", max[2], func() int { return len(sh.CauseRates(q, 60*sim.Minute)) }},
-				queryRead{name + "similar_k5", max[3], func() int { return len(sh.Similar(probe, q, 5)) }},
+				queryRead{name + "records_limit50", max[0], sh, Read{Kind: KindRecords, Query: rq}},
+				queryRead{name + "top_chains", max[1], sh, Read{Kind: KindTopChains, Query: q, K: 5}},
+				queryRead{name + "cause_rates", max[2], sh, Read{Kind: KindCauseRates, Query: q, Bucket: 60 * sim.Minute}},
+				queryRead{name + "similar_k5", max[3], sh, Read{Kind: KindSimilar, Query: q, K: 5, Fired: probe}},
 			)
 		}
 	}
@@ -151,14 +147,39 @@ var shuffledAllocs = [3][2][4]float64{
 	{{638, 11, 403, 70}, {618, 11, 114, 68}}, // 491, 9, 310, 54 and 476, 9, 88, 53
 }
 
+// queryRead is one read of st: a Read, or with no Kind the Fired lookup
+// of its Probe.
 type queryRead struct {
 	name      string
 	maxAllocs float64
-	rows      func() int
+	st        *Store
+	read      Read
+}
+
+// rows runs the read through the store's typed API, as a library
+// caller does, and counts the rows it returns.
+func (r queryRead) rows() int {
+	q := r.read.Query
+	switch r.read.Kind {
+	case KindRecords:
+		return len(r.st.Query(q))
+	case KindTopChains:
+		return len(r.st.TopChains(q, r.read.K))
+	case KindCauseRates:
+		return len(r.st.CauseRates(q, r.read.Bucket))
+	case KindSimilar:
+		return len(r.st.Similar(r.read.Fired, q, r.read.K))
+	}
+	if _, ok := r.st.Fired(r.read.Probe); ok {
+		return 1
+	}
+	return 0
 }
 
 // BenchmarkRCAStoreQuery measures each read on its own, so a change to
-// one read's cost shows as that read's ns/op.
+// one read's cost shows as that read's ns/op: through the typed API,
+// and (answer/…) as the node serves it, Store.Answer into a reused
+// buffer, whose bytes per op are the answer's size.
 func BenchmarkRCAStoreQuery(b *testing.B) {
 	for _, read := range queryReads() {
 		b.Run(read.name, func(b *testing.B) {
@@ -171,6 +192,38 @@ func BenchmarkRCAStoreQuery(b *testing.B) {
 				b.Fatal("benchmark read matched nothing")
 			}
 		})
+		if read.read.Kind == "" {
+			continue
+		}
+		b.Run("answer/"+read.name, func(b *testing.B) {
+			buf := read.st.Answer(nil, read.read)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = read.st.Answer(buf[:0], read.read)
+			}
+		})
+	}
+}
+
+// TestAnswerAllocs: a records or similar answer is written from the
+// columns into the caller's buffer, so a node's read allocates its
+// selection and no row — over the shuffled store's grid, records 1 (the
+// heap) and similar 2 (the heap and the probe), where materialising 50
+// Records cost some 440.
+func TestAnswerAllocs(t *testing.T) {
+	const ceiling = 4
+	for _, read := range queryReads() {
+		if !strings.HasPrefix(read.name, "shuffled/") || read.read.Kind != KindRecords && read.read.Kind != KindSimilar {
+			continue
+		}
+		buf := read.st.Answer(nil, read.read)
+		if got := testing.AllocsPerRun(5, func() { buf = read.st.Answer(buf[:0], read.read) }); got > ceiling {
+			t.Errorf("%s: %.0f allocs per answer, ceiling %d", read.name, got, ceiling)
+		} else {
+			t.Logf("%s: %.0f allocs per answer", read.name, got)
+		}
 	}
 }
 

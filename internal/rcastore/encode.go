@@ -10,6 +10,8 @@ import "github.com/domino5g/domino/internal/jsonenc"
 // a nil slice and [] for an empty one, a trailing newline), which
 // TestAnswerEncodersMatchEncodingJSON pins; what differs is the cost: no
 // reflection, no second indenting pass, no allocation beyond the buffer.
+// Records and matches are written straight from a block's columns and
+// the dictionaries' cached spellings (Store.Answer), never as Records.
 // The fleet tier leans on the layout being fixed: an array element a
 // node wrote sits in a dominolb answer byte for byte, so the balancer
 // copies the rows it ranks instead of decoding and re-encoding them
@@ -29,57 +31,73 @@ func (e *answerEnc) strings(ss []string, depth int) {
 	e.EndArray(depth)
 }
 
-// runs appends a non-empty array of {name, "runs"} objects — a record's
-// chains or causes — whose elements sit at depth.
-func (e *answerEnc) runs(n, depth int, name string, at func(i int) (string, int)) {
-	for i := 0; i < n; i++ {
-		s, runs := at(i)
-		e.Elem(i, depth)
-		e.Raw("{")
-		e.StrMember(depth+1, name, s)
-		e.IntMember(depth+1, `"runs": `, int64(runs))
-		e.EndObject(depth + 1)
+// rows appends the top-level member name, the array of the stored rows
+// ranked as Records or (matches) Matches encode. The caller holds at
+// least the store's read lock.
+func (e *answerEnc) rows(t *tables, name string, ranked []cand, isNil, matches bool) {
+	if !e.Array(name, len(ranked), isNil) {
+		return
 	}
-	e.EndArray(depth)
-}
-
-// record appends r as an array element at depth 2, left open so a Match
-// can add its distance after the embedded record's members.
-func (e *answerEnc) record(r *Record) {
-	e.Raw("{")
-	e.StrMember(3, `"session": `, r.Session)
-	e.StrMember(3, `"cell": `, r.Cell)
-	if r.Scenario != "" {
-		e.StrMember(3, `"scenario": `, r.Scenario)
-	}
-	e.IntMember(3, `"start_us": `, int64(r.Start))
-	e.IntMember(3, `"end_us": `, int64(r.End))
-	if len(r.Fired) > 0 {
-		e.Key(3, `"fired": `)
-		e.strings(r.Fired, 4)
-	}
-	if len(r.Chains) > 0 {
-		e.Key(3, `"chains": `)
-		e.runs(len(r.Chains), 4, `"chain": `, func(i int) (string, int) { return r.Chains[i].Chain, r.Chains[i].Runs })
-	}
-	if len(r.Causes) > 0 {
-		e.Key(3, `"causes": `)
-		e.runs(len(r.Causes), 4, `"cause": `, func(i int) (string, int) { return r.Causes[i].Cause, r.Causes[i].Runs })
-	}
-}
-
-// AppendRecordsAnswer appends GET /query's answer without agg=.
-func AppendRecordsAnswer(dst []byte, records []Record) []byte {
-	e := answerEnc{jsonenc.Encoder{B: append(dst, '{')}}
-	if e.Array(`"records": `, len(records), records == nil) {
-		for i := range records {
-			e.Elem(i, 2)
-			e.record(&records[i])
-			e.EndObject(3)
+	for n, c := range ranked {
+		e.Elem(n, 2)
+		e.row(t, c.b, c.i)
+		if matches {
+			e.IntMember(3, `"distance": `, int64(c.d))
 		}
-		e.EndArray(2)
+		e.EndObject(3)
 	}
-	return e.Close()
+	e.EndArray(2)
+}
+
+// row appends row i of block b as a Record element at depth 2, left open,
+// its names from their dictionaries' spellings.
+func (e *answerEnc) row(t *tables, b *block, i int) {
+	e.Raw("{")
+	e.StrMember(3, `"session": `, b.sessions[i])
+	e.Key(3, `"cell": `)
+	e.B = append(e.B, t.cells.spell[b.cellIDs[i]]...)
+	if scen := b.scenIDs[i]; t.scens.names[scen] != "" {
+		e.Key(3, `"scenario": `)
+		e.B = append(e.B, t.scens.spell[scen]...)
+	}
+	e.IntMember(3, `"start_us": `, int64(b.starts[i]))
+	e.IntMember(3, `"end_us": `, int64(b.ends[i]))
+	fired, n := b.row(i), 0
+	for _, id := range t.nodes.byName {
+		if firedHas(fired, id) {
+			if n == 0 {
+				e.Key(3, `"fired": `)
+			}
+			e.Elem(n, 4)
+			e.B = append(e.B, t.nodes.spell[id]...)
+			n++
+		}
+	}
+	if n > 0 {
+		e.EndArray(4)
+	}
+	lo, hi := b.chainOff[i], b.chainOff[i+1]
+	e.runs(`"chains": `, `"chain": `, t.chains, b.chainIDs[lo:hi], b.chainRuns[lo:hi])
+	lo, hi = b.causeOff[i], b.causeOff[i+1]
+	e.runs(`"causes": `, `"cause": `, t.causes, b.causeIDs[lo:hi], b.causeRuns[lo:hi])
+}
+
+// runs appends a row's member name — its chains or causes, entries of d
+// with their run counts — unless it has none.
+func (e *answerEnc) runs(name, entry string, d *dict, ids, runs []uint32) {
+	if len(ids) == 0 {
+		return
+	}
+	e.Key(3, name)
+	for k, id := range ids {
+		e.Elem(k, 4)
+		e.Raw("{")
+		e.Key(5, entry)
+		e.B = append(e.B, d.spell[id]...)
+		e.IntMember(5, `"runs": `, int64(runs[k]))
+		e.EndObject(5)
+	}
+	e.EndArray(4)
 }
 
 // AppendTopChainsAnswer appends the answer to agg=top_chains.
@@ -122,27 +140,8 @@ func AppendCauseRatesAnswer(dst []byte, rates []CauseBucket) []byte {
 	return e.Close()
 }
 
-// AppendSimilarAnswer appends GET /incidents/similar's answer: the probe
-// signature and the ranked matches.
-func AppendSimilarAnswer(dst []byte, fired []string, matches []Match) []byte {
-	e := answerEnc{jsonenc.Encoder{B: append(dst, '{')}}
-	if e.Array(`"fired": `, len(fired), fired == nil) {
-		e.strings(fired, 2)
-	}
-	if e.Array(`"matches": `, len(matches), matches == nil) {
-		for i := range matches {
-			e.Elem(i, 2)
-			e.record(&matches[i].Record)
-			e.IntMember(3, `"distance": `, int64(matches[i].Distance))
-			e.EndObject(3)
-		}
-		e.EndArray(2)
-	}
-	return e.Close()
-}
-
 // splice appends a non-empty array at depth 1 of n elements that are
-// already rendered, each as record or a Match is rendered above.
+// already rendered, each as row renders a record or a match.
 func (e *answerEnc) splice(n int, elem func(i int) []byte) {
 	for i := 0; i < n; i++ {
 		e.Elem(i, 2)
@@ -151,9 +150,9 @@ func (e *answerEnc) splice(n int, elem func(i int) []byte) {
 	e.EndArray(2)
 }
 
-// AppendRecordsSplice appends AppendRecordsAnswer's answer for n records
-// that are at hand as bytes: elem(i) is record i exactly as an answer of
-// these encoders holds it, brace to brace. It is how the fleet tier
+// AppendRecordsSplice appends a records answer (Store.Answer's) for n
+// records that are at hand as bytes: elem(i) is record i exactly as such
+// an answer holds it, brace to brace. It is how the fleet tier
 // writes the rows it took from its nodes' answers without decoding them.
 func AppendRecordsSplice(dst []byte, n int, elem func(i int) []byte) []byte {
 	e := answerEnc{jsonenc.Encoder{B: append(dst, '{')}}
@@ -163,9 +162,9 @@ func AppendRecordsSplice(dst []byte, n int, elem func(i int) []byte) []byte {
 	return e.Close()
 }
 
-// AppendSimilarSplice is AppendRecordsSplice for AppendSimilarAnswer's
-// answer: fired is the signature array and elem(i) match i, each as such
-// an answer holds it.
+// AppendSimilarSplice is AppendRecordsSplice for a similar answer: fired
+// is the signature array and elem(i) match i, each as such an answer
+// holds it.
 func AppendSimilarSplice(dst, fired []byte, n int, elem func(i int) []byte) []byte {
 	e := answerEnc{jsonenc.Encoder{B: append(dst, '{')}}
 	e.Key(1, `"fired": `)

@@ -3,6 +3,10 @@ package rcastore
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -31,10 +35,10 @@ var awkward = []string{
 
 var awkwardFloats = []float64{0, 1e-9, 1e21, -0.000001, 1e-6, 1e-7, 999999999999999900000, 0.1, -2.5, 123456789.125, 1e20, 5e-324}
 
-// answerFixtures seeds the four answer shapes: every awkward string in
-// every string position, every awkward float in both float positions,
-// nil against empty at every level, scenario present and omitted.
-func answerFixtures() (recs []Record, chains []ChainAgg, rates []CauseBucket, matches []Match) {
+// answerFixtures seeds the answer shapes: every awkward string in every
+// string position, every awkward float in both float positions, nil
+// against empty at every level, scenario present and omitted.
+func answerFixtures() (recs []Record, chains []ChainAgg, rates []CauseBucket) {
 	for i, s := range awkward {
 		recs = append(recs, Record{
 			Session: s, Cell: s, Scenario: s, Start: sim.Time(-i), End: sim.Time(i) * sim.Minute,
@@ -55,24 +59,19 @@ func answerFixtures() (recs []Record, chains []ChainAgg, rates []CauseBucket, ma
 		Record{Session: "scenario", Cell: "c", Scenario: "rush-hour"},
 		Record{Session: "one-of-each", Fired: []string{"a"}, Chains: []ChainRuns{{}}, Causes: []CauseRuns{{}}},
 	)
-	matches = make([]Match, len(recs))
-	for i, r := range recs {
-		matches[i] = Match{Record: r, Distance: i - 3}
-	}
-	return recs, chains, rates, matches
+	return recs, chains, rates
 }
 
-// TestAnswerEncodersZeroAlloc: rendering an answer into a buffer that
-// has grown to its size allocates nothing, whatever escapes, floats and
-// omissions the rows hold — a node's pooled answer buffer is such a
-// buffer from its second query on.
+// TestAnswerEncodersZeroAlloc: rendering an aggregation's answer into a
+// buffer that has grown to its size allocates nothing, whatever escapes,
+// floats and omissions the rows hold — a node's pooled answer buffer is
+// such a buffer from its second query on. Records and matches are
+// rendered by Store.Answer from the columns; TestAnswerAllocs bounds it.
 func TestAnswerEncodersZeroAlloc(t *testing.T) {
-	recs, chains, rates, matches := answerFixtures()
+	_, chains, rates := answerFixtures()
 	for name, render := range map[string]func(dst []byte) []byte{
-		"records":     func(dst []byte) []byte { return AppendRecordsAnswer(dst, recs) },
 		"top_chains":  func(dst []byte) []byte { return AppendTopChainsAnswer(dst, chains) },
 		"cause_rates": func(dst []byte) []byte { return AppendCauseRatesAnswer(dst, rates) },
-		"similar":     func(dst []byte) []byte { return AppendSimilarAnswer(dst, awkward, matches) },
 	} {
 		buf := render(nil)
 		if allocs := testing.AllocsPerRun(20, func() { buf = render(buf[:0]) }); allocs != 0 {
@@ -81,9 +80,23 @@ func TestAnswerEncodersZeroAlloc(t *testing.T) {
 	}
 }
 
+// storeOf holds recs, three rows to a block, so the fixtures sit in
+// sealed blocks and the open one.
+func storeOf(recs []Record) *Store {
+	s := New(Options{BlockRows: 3})
+	for _, r := range recs {
+		s.Insert(r)
+	}
+	return s
+}
+
+// everything is the predicate no stored row fails, negative starts too.
+var everything = Query{From: math.MinInt64}
+
 func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
 	sameRecords := func(recs []Record) bool {
-		return bytes.Equal(AppendRecordsAnswer(nil, recs), stdAnswer(t, map[string]any{"records": recs}))
+		s := storeOf(recs)
+		return bytes.Equal(s.Answer(nil, Read{Kind: KindRecords, Query: everything}), stdAnswer(t, map[string]any{"records": s.Query(everything)}))
 	}
 	sameChains := func(rows []ChainAgg) bool {
 		return bytes.Equal(AppendTopChainsAnswer(nil, rows), stdAnswer(t, map[string]any{"top_chains": rows}))
@@ -91,37 +104,40 @@ func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
 	sameRates := func(rows []CauseBucket) bool {
 		return bytes.Equal(AppendCauseRatesAnswer(nil, rows), stdAnswer(t, map[string]any{"cause_rates": rows}))
 	}
-	sameSimilar := func(fired []string, matches []Match) bool {
-		return bytes.Equal(AppendSimilarAnswer(nil, fired, matches), stdAnswer(t, map[string]any{"fired": fired, "matches": matches}))
+	sameSimilar := func(fired []string, recs []Record) bool {
+		s := storeOf(recs)
+		return bytes.Equal(s.Answer(nil, Read{Kind: KindSimilar, Fired: fired, Query: everything}),
+			stdAnswer(t, map[string]any{"fired": fired, "matches": s.Similar(fired, everything, 0)}))
 	}
-	recs, chains, rates, matches := answerFixtures()
+	recs, chains, rates := answerFixtures()
 	for name, ok := range map[string]bool{
-		"records":           sameRecords(recs),
-		"records nil":       sameRecords(nil),
-		"records empty":     sameRecords([]Record{}),
-		"records one":       sameRecords(recs[:1]),
-		"top_chains":        sameChains(chains),
-		"top_chains nil":    sameChains(nil),
-		"top_chains empty":  sameChains([]ChainAgg{}),
-		"cause_rates":       sameRates(rates),
-		"cause_rates nil":   sameRates(nil),
-		"cause_rates empty": sameRates([]CauseBucket{}),
-		"similar":           sameSimilar(awkward, matches),
-		"similar nil nil":   sameSimilar(nil, nil),
-		"similar empty":     sameSimilar([]string{}, []Match{}),
-		"similar nil fired": sameSimilar(nil, matches[:2]),
-		"similar no match":  sameSimilar([]string{"a"}, nil),
+		"records":             sameRecords(recs),
+		"records none":        sameRecords(nil),
+		"records one":         sameRecords(recs[:1]),
+		"top_chains":          sameChains(chains),
+		"top_chains nil":      sameChains(nil),
+		"top_chains empty":    sameChains([]ChainAgg{}),
+		"cause_rates":         sameRates(rates),
+		"cause_rates nil":     sameRates(nil),
+		"cause_rates empty":   sameRates([]CauseBucket{}),
+		"similar":             sameSimilar(awkward, recs),
+		"similar nil nil":     sameSimilar(nil, nil),
+		"similar empty":       sameSimilar([]string{}, nil),
+		"similar nil fired":   sameSimilar(nil, recs[:2]),
+		"similar empty fired": sameSimilar([]string{}, recs),
+		"similar no match":    sameSimilar([]string{"a"}, nil),
 	} {
 		if !ok {
 			t.Errorf("%s: encoder and encoding/json differ", name)
 		}
 	}
+	s := storeOf(recs)
 	if t.Failed() {
-		t.Logf("records:\n%s\nwant:\n%s", AppendRecordsAnswer(nil, recs), stdAnswer(t, map[string]any{"records": recs}))
+		t.Logf("records:\n%s\nwant:\n%s", s.Answer(nil, Read{Kind: KindRecords, Query: everything}), stdAnswer(t, map[string]any{"records": s.Query(everything)}))
 	}
 
 	// A Match's distance comes after every member of the embedded record.
-	one := AppendSimilarAnswer(nil, []string{"a"}, matches[:1])
+	one := s.Answer(nil, Read{Kind: KindSimilar, K: 1, Fired: []string{"a"}, Query: Query{Session: "one-of-each"}})
 	if d, m := bytes.Index(one, []byte(`"distance"`)), bytes.LastIndex(one, []byte(`"causes"`)); m < 0 || d < m {
 		t.Errorf("distance at %d, causes at %d: distance must come last\n%s", d, m, one)
 	}
@@ -129,6 +145,9 @@ func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
 	// An encoder appends: what the buffer held stays.
 	if got := AppendTopChainsAnswer([]byte("kept"), nil); !bytes.HasPrefix(got, []byte("kept{")) {
 		t.Errorf("AppendTopChainsAnswer dropped the buffer's contents: %q", got)
+	}
+	if got := s.Answer([]byte("kept"), Read{Kind: KindRecords}); !bytes.HasPrefix(got, []byte("kept{")) {
+		t.Errorf("Answer dropped the buffer's contents: %q", got)
 	}
 
 	// Random values of every shape.
@@ -139,40 +158,86 @@ func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
 	}
 }
 
-// BenchmarkRCAStoreEncode measures rendering each answer shape into a
-// buffer the caller reuses, as the node does per query.
+// BenchmarkRCAStoreEncode measures each answer shape of Store.Answer
+// over a 50-row store into a buffer the caller reuses, as the node does
+// per query: the store's rendering more than its selection.
 func BenchmarkRCAStoreEncode(b *testing.B) {
 	recs := synthRecords(50)
-	matches := make([]Match, 5)
-	for i := range matches {
-		matches[i] = Match{Record: recs[i], Distance: i}
-	}
-	var chains []ChainAgg
-	var rates []CauseBucket
-	for i := 0; i < 5; i++ {
-		chains = append(chains, ChainAgg{Chain: recs[i].Chains[0].Chain, Runs: 100 - i, Sessions: 40 - i})
-	}
-	for i := 0; i < 60; i++ {
-		rates = append(rates, CauseBucket{Cell: recs[i%50].Cell, Bucket: sim.Time(i/5) * 60 * sim.Minute, Cause: recs[i%50].Causes[0].Cause,
-			Runs: i, Sessions: 3 * i, Minutes: float64(i) * 1.5, RunsPerMin: 1 / 1.5})
-	}
+	s := storeOf(recs)
 	for _, shape := range []struct {
-		name   string
-		append func(dst []byte) []byte
+		name string
+		read Read
 	}{
-		{"records50", func(dst []byte) []byte { return AppendRecordsAnswer(dst, recs) }},
-		{"top_chains", func(dst []byte) []byte { return AppendTopChainsAnswer(dst, chains) }},
-		{"cause_rates", func(dst []byte) []byte { return AppendCauseRatesAnswer(dst, rates) }},
-		{"similar_k5", func(dst []byte) []byte { return AppendSimilarAnswer(dst, recs[0].Fired, matches) }},
+		{"records50", Read{Kind: KindRecords}},
+		{"top_chains", Read{Kind: KindTopChains, K: 5}},
+		{"cause_rates", Read{Kind: KindCauseRates, Bucket: 10 * sim.Minute}},
+		{"similar_k5", Read{Kind: KindSimilar, K: 5, Fired: recs[0].Fired}},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
-			buf := shape.append(nil)
+			buf := s.Answer(nil, shape.read)
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = shape.append(buf[:0])
+				buf = s.Answer(buf[:0], shape.read)
 			}
 		})
+	}
+}
+
+// TestAnswerDuringInserts: readers render answers while inserts grow
+// every dictionary — each row a new cell, scenario, node, chain and
+// cause, spelled awkwardly — and widen the fired matrix. A read touches
+// the spelling cache and the name order under the read lock only, so
+// under make test's -race this fails if either is written outside the
+// write lock or read outside the read lock. Every answer is JSON, and
+// the last equals encoding/json's.
+func TestAnswerDuringInserts(t *testing.T) {
+	s := New(Options{BlockRows: 4})
+	reads := []Read{
+		{Kind: KindRecords, Query: everything},
+		{Kind: KindRecords, Query: Query{From: math.MinInt64, Limit: 3}},
+		{Kind: KindSimilar, K: 5, Fired: []string{awkward[3] + "7", awkward[0] + "70"}, Query: everything},
+	}
+	var started, stopped sync.WaitGroup
+	done := make(chan struct{})
+	for _, r := range reads {
+		started.Add(1)
+		stopped.Add(1)
+		go func() {
+			defer stopped.Done()
+			var buf []byte
+			for n := 0; ; n++ {
+				if buf = s.Answer(buf[:0], r); !json.Valid(buf) {
+					t.Errorf("%+v: the answer is not JSON: %s", r, buf)
+				}
+				if n == 0 {
+					started.Done()
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	started.Wait()
+	for i := 0; i < 100; i++ {
+		name := fmt.Sprint(awkward[i%len(awkward)], i)
+		s.Insert(Record{Session: name, Cell: name, Scenario: name, Start: sim.Time(100 - i), End: sim.Time(200 - i),
+			Fired: []string{name, awkward[0] + "7"}, Chains: []ChainRuns{{Chain: name, Runs: i}}, Causes: []CauseRuns{{Cause: name, Runs: i}}})
+		runtime.Gosched()
+	}
+	close(done)
+	stopped.Wait()
+	for _, r := range reads {
+		want := map[string]any{"records": s.Query(r.Query)}
+		if r.Kind == KindSimilar {
+			want = map[string]any{"fired": r.Fired, "matches": s.Similar(r.Fired, r.Query, r.K)}
+		}
+		if got, want := s.Answer(nil, r), stdAnswer(t, want); !bytes.Equal(got, want) {
+			t.Errorf("%+v: Answer\n%s\nencoding/json\n%s", r, got, want)
+		}
 	}
 }

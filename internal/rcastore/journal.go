@@ -161,7 +161,7 @@ func (j *Journal) Append(rec Record) error {
 	e.out = e.out[:0]
 	if !j.inSegment {
 		for _, d := range dicts {
-			d.names = d.names[:0]
+			d.names, d.spell, d.byName = d.names[:0], d.spell[:0], d.byName[:0]
 			clear(d.index)
 		}
 		e.start()

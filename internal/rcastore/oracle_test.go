@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/domino5g/domino/internal/sim"
@@ -72,10 +73,11 @@ func refScan(rows []Record, q Query, visit func(r *Record)) {
 // check is the set: each matching row exactly once.
 func visited(s *Store, q Query) []rowAt {
 	var out []rowAt
-	s.scanLocked(q, func(b *block, lo, hi int) {
+	s.scanLocked(q, func(b *block, lo, hi int) bool {
 		for i := lo; i < hi; i++ {
 			out = append(out, rowAt{b, i})
 		}
+		return true
 	})
 	slices.SortFunc(out, func(x, y rowAt) int { return cmp.Compare(x.b.seq+int(x.b.order[x.i]), y.b.seq+int(y.b.order[y.i])) })
 	return out
@@ -244,19 +246,26 @@ var wideNodes = func() []string {
 // full-key tie only insertion position breaks — some with a later one),
 // starts collide across sessions and arrive in no order, a few of them
 // negative, and fired sets repeat so distances tie. Row n/2 fires
-// wideNodes, and later rows a few of them.
+// wideNodes, and later rows a few of them. Every dictionary also holds
+// the awkward names, so answers escape in every position: a row has an
+// awkward scenario, one cell in four is awkward, and half the rows fire
+// an awkward node, listed out of name order.
 func randomRecords(rng *rand.Rand, n int) []Record {
-	cells := []string{"tdd", "fdd", "amarisoft"}
+	cells := []string{"tdd", "fdd", "amarisoft", awkward[rng.Intn(len(awkward))]}
 	nodes := []string{"a", "b", "c", "d", "e", "f", "g"}
-	chains := []string{"a --> b", "c --> d", "e --> f --> g", "a --> g"}
+	chains := append([]string{"a --> b", "c --> d", "e --> f --> g", "a --> g"}, awkward...)
 	out := make([]Record, n)
 	for i := range out {
 		start := sim.Time(rng.Intn(n/2+1)-4) * sim.Minute
 		r := Record{
-			Session: fmt.Sprintf("s%03d", rng.Intn(n*2/3+1)),
-			Cell:    cells[rng.Intn(len(cells))],
-			Start:   start,
-			End:     start + sim.Time(1+rng.Intn(3*int(sim.Minute))), // session minutes that do not sum exactly
+			Session:  fmt.Sprintf("s%03d", rng.Intn(n*2/3+1)),
+			Cell:     cells[rng.Intn(len(cells))],
+			Scenario: awkward[rng.Intn(len(awkward))],
+			Start:    start,
+			End:      start + sim.Time(1+rng.Intn(3*int(sim.Minute))), // session minutes that do not sum exactly
+		}
+		if rng.Intn(2) == 0 {
+			r.Fired = append(r.Fired, awkward[rng.Intn(len(awkward))])
 		}
 		for _, name := range nodes {
 			if rng.Intn(2) == 0 {
@@ -272,8 +281,9 @@ func randomRecords(rng *rand.Rand, n int) []Record {
 		// A chain or cause may be listed with zero runs: it still belongs
 		// in the aggregations' answers.
 		for _, ci := range rng.Perm(len(chains))[:rng.Intn(3)] {
+			cause, _, _ := strings.Cut(chains[ci], " ")
 			r.Chains = append(r.Chains, ChainRuns{Chain: chains[ci], Runs: rng.Intn(4)})
-			r.Causes = append(r.Causes, CauseRuns{Cause: chains[ci][:1], Runs: rng.Intn(4)})
+			r.Causes = append(r.Causes, CauseRuns{Cause: cause, Runs: rng.Intn(4)})
 		}
 		out[i] = r
 	}
@@ -319,14 +329,28 @@ func readGrid(recs []Record, rng *rand.Rand) []Query {
 	)
 }
 
+// sameAnswer requires Store.Answer's bytes for r to be want.
+func sameAnswer(t *testing.T, s *Store, r Read, want []byte) {
+	t.Helper()
+	if got := s.Answer(nil, r); !bytes.Equal(got, want) {
+		t.Fatalf("Answer(%+v):\n%s\nencoding/json:\n%s", r, got, want)
+	}
+}
+
 // checkReads compares every read with its oracle over a grid of
-// predicates, probes and bounds.
+// predicates, probes and bounds, and the answers of records and similar
+// reads with encoding/json's of the oracle's rows.
 func checkReads(t *testing.T, s *Store, recs []Record, rng *rand.Rand) {
 	t.Helper()
 	rows := retainedRows(s)
 	n := len(rows)
 	if n != s.Len() {
 		t.Fatalf("walked %d rows, Len() = %d", n, s.Len())
+	}
+	for _, r := range rows {
+		if !slices.IsSorted(r.Fired) || len(slices.Compact(slices.Clone(r.Fired))) != len(r.Fired) {
+			t.Fatalf("row %s fires %q: want each node once, in name order", r.Session, r.Fired)
+		}
 	}
 	bounds := []int{0, 5, 1, n, n + 1}
 	probes := [][]string{
@@ -351,16 +375,29 @@ func checkReads(t *testing.T, s *Store, recs []Record, rng *rand.Rand) {
 		if q.From != 0 || q.To != 0 {
 			bounds, probes = bounds[:2], probes[1:2]
 		}
+		// encoding/json's answer, once per probe (-1: records) and length:
+		// the answers to q cut at any k are prefixes of one ranking.
+		std := map[[2]int][]byte{}
+		expect := func(probe, rows int, members map[string]any) []byte {
+			if std[[2]int{probe, rows}] == nil {
+				std[[2]int{probe, rows}] = stdAnswer(t, members)
+			}
+			return std[[2]int{probe, rows}]
+		}
 		for _, k := range bounds {
 			lq := q
 			lq.Limit = k
-			if got, want := s.Query(lq), oracleQuery(rows, lq); !reflect.DeepEqual(got, want) {
+			want := oracleQuery(rows, lq)
+			if got := s.Query(lq); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Query(%+v): sessions %v, oracle %v", lq, sessions(got), sessions(want))
 			}
-			for _, probe := range probes {
-				if got, want := s.Similar(probe, q, k), oracleSimilar(rows, probe, q, k); !reflect.DeepEqual(got, want) {
+			sameAnswer(t, s, Read{Kind: KindRecords, Query: lq}, expect(-1, len(want), map[string]any{"records": want}))
+			for p, probe := range probes {
+				want := oracleSimilar(rows, probe, q, k)
+				if got := s.Similar(probe, q, k); !reflect.DeepEqual(got, want) {
 					t.Fatalf("Similar(%v, %+v, %d):\n got  %+v\n want %+v", probe, q, k, got, want)
 				}
+				sameAnswer(t, s, Read{Kind: KindSimilar, Query: q, K: k, Fired: probe}, expect(p, len(want), map[string]any{"fired": probe, "matches": want}))
 			}
 			if got, want := s.TopChains(q, k), oracleTopChains(rows, q, k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("TopChains(%+v, %d) = %+v, oracle %+v", q, k, got, want)
@@ -525,12 +562,15 @@ func TestTiesBreakOnInsertionPosition(t *testing.T) {
 				lq := q
 				lq.Limit = k
 				var got []string
-				for _, r := range s.Query(lq) {
+				recs, matches := s.Query(lq), s.Similar([]string{"p"}, q, k)
+				for _, r := range recs {
 					got = append(got, r.Scenario)
 				}
-				for _, m := range s.Similar([]string{"p"}, q, k) {
+				for _, m := range matches {
 					got = append(got, m.Scenario)
 				}
+				sameAnswer(t, s, Read{Kind: KindRecords, Query: lq}, stdAnswer(t, map[string]any{"records": recs}))
+				sameAnswer(t, s, Read{Kind: KindSimilar, Query: q, K: k, Fired: []string{"p"}}, stdAnswer(t, map[string]any{"fired": []string{"p"}, "matches": matches}))
 				want := []string{"first", "second", "first", "second"}
 				if k == 1 {
 					want = []string{"first", "first"}

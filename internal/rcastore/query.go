@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"github.com/domino5g/domino/internal/sim"
 )
@@ -155,8 +154,9 @@ func (c *compiled) restMatch(b *block, i int) bool {
 }
 
 // runs calls span with the runs of rows in a stretch [lo, hi) that
-// restMatch passes, and inSpan too when open.
-func (c *compiled) runs(b *block, lo, hi int, open bool, span func(b *block, lo, hi int)) {
+// restMatch passes, and inSpan too when open, until span declines the
+// rest of the stretch.
+func (c *compiled) runs(b *block, lo, hi int, open bool, span func(b *block, lo, hi int) bool) {
 	for i := lo; i < hi; i++ {
 		j := i
 		if c.plain && !open {
@@ -165,8 +165,8 @@ func (c *compiled) runs(b *block, lo, hi int, open bool, span func(b *block, lo,
 		for j < hi && (!open || c.inSpan(b, j)) && (c.plain || c.restMatch(b, j)) {
 			j++
 		}
-		if i < j {
-			span(b, i, j)
+		if i < j && !span(b, i, j) {
+			return
 		}
 		i = j // the row at j, if any, does not match
 	}
@@ -178,9 +178,11 @@ func (c *compiled) runs(b *block, lo, hi int, open bool, span func(b *block, lo,
 // searches of its starts; the open block is one stretch whose rows are
 // asked inSpan. Each read folds the runs with a loop of its own, and none
 // depends on the order it sees rows in: kBest breaks its last tie on
-// insertion position and CauseRates sums integers. The caller must hold
-// at least the read lock.
-func (s *Store) scanLocked(q Query, span func(b *block, lo, hi int)) {
+// insertion position and CauseRates sums integers. span returns false to
+// skip the rest of its stretch, which only a read that knows the rest
+// cannot count does (recordsLocked). The caller must hold at least the
+// read lock.
+func (s *Store) scanLocked(q Query, span func(b *block, lo, hi int) bool) {
 	c := s.compileLocked(q)
 	if !c.ok {
 		return
@@ -273,22 +275,24 @@ func (s *kBest) before(a, b *cand) bool {
 	return a.b.seq+int(a.b.order[a.i]) < b.b.seq+int(b.b.order[b.i])
 }
 
-// offer considers row i of block b at distance d. Against a full heap
-// most rows lose to its root on distance or start alone, before their
-// session is read or a cand built.
-func (s *kBest) offer(b *block, i, d int) {
-	full := s.k > 0 && len(s.kept) == s.k
-	if full {
-		root := &s.kept[0]
-		if st := b.starts[i]; d > root.d || d == root.d && st != root.start && (st > root.start) != s.recentFirst {
-			return
-		}
+// admits reports whether a row at distance d starting at st may rank,
+// so a read's own loop turns most rows away on distance or start alone,
+// before their session is read or a cand built.
+func (s *kBest) admits(d int, st sim.Time) bool {
+	if s.k <= 0 || len(s.kept) < s.k {
+		return true
 	}
+	root := &s.kept[0]
+	return d < root.d || d == root.d && (st == root.start || (st < root.start) != s.recentFirst)
+}
+
+// offer considers row i of block b at distance d, a row admits let by.
+func (s *kBest) offer(b *block, i, d int) {
 	c := cand{b.sessions[i], b.starts[i], d, rowAt{b, i}}
 	if c.session == s.skip && s.skip != "" {
 		return
 	}
-	if !full {
+	if s.k <= 0 || len(s.kept) < s.k {
 		s.kept = append(s.kept, c)
 		if s.k <= 0 {
 			return
@@ -324,10 +328,24 @@ func (s *kBest) offer(b *block, i, d int) {
 	}
 }
 
+// newKBest returns an empty selection whose heap is allocated once up to
+// 64 rows; a larger k, a request's limit=, grows it as rows come.
+func newKBest(k int, recentFirst bool, skip string) kBest {
+	return kBest{k: k, recentFirst: recentFirst, skip: skip, kept: make([]cand, 0, min(max(k, 0), 64))}
+}
+
 // ranked returns the kept rows best first. before is a total order
 // (insertion positions are unique), so the sort need not be stable.
 func (s *kBest) ranked() []cand {
-	sort.Slice(s.kept, func(i, j int) bool { return s.before(&s.kept[i], &s.kept[j]) })
+	slices.SortFunc(s.kept, func(a, b cand) int {
+		switch {
+		case s.before(&a, &b):
+			return -1
+		case s.before(&b, &a):
+			return 1
+		}
+		return 0 // a row against itself
+	})
 	return s.kept
 }
 
@@ -337,17 +355,30 @@ func (s *Store) Query(q Query) []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.queries.Add(1)
-	sel := kBest{k: q.Limit, skip: q.NotSession}
-	s.scanLocked(q, func(b *block, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sel.offer(b, i, 0)
-		}
-	})
 	var out []Record
-	for _, c := range sel.ranked() {
+	for _, c := range s.recordsLocked(q) {
 		out = append(out, s.materializeLocked(c.b, c.i))
 	}
 	return out
+}
+
+// recordsLocked ranks Query's rows. A sealed stretch is in start order,
+// so the first row a full heap turns away ends it — one starting with the
+// root goes on, as session breaks that tie — and a read cut at k visits
+// about stretches + k rows.
+func (s *Store) recordsLocked(q Query) []cand {
+	sel := newKBest(q.Limit, false, q.NotSession)
+	s.scanLocked(q, func(b *block, lo, hi int) bool {
+		for i := lo; i < hi; i++ {
+			if sel.admits(0, b.starts[i]) {
+				sel.offer(b, i, 0)
+			} else if b.cells != nil {
+				return false
+			}
+		}
+		return true
+	})
+	return sel.ranked()
 }
 
 // ChainAgg is one chain's fleet-wide aggregate over a query's matches.
@@ -371,12 +402,13 @@ func (s *Store) TopChains(q Query, k int) []ChainAgg {
 	// matching record lists it, whatever its run count.
 	runs := make([]int, len(s.chains.names))
 	sessions := make([]int, len(s.chains.names))
-	s.scanLocked(q, func(b *block, lo, hi int) {
+	s.scanLocked(q, func(b *block, lo, hi int) bool {
 		// A run's rows are consecutive, so their chain entries are too.
 		for j := b.chainOff[lo]; j < b.chainOff[hi]; j++ {
 			runs[b.chainIDs[j]] += int(b.chainRuns[j])
 			sessions[b.chainIDs[j]]++
 		}
+		return true
 	})
 	out := []ChainAgg{}
 	for id, n := range sessions {
@@ -451,7 +483,7 @@ func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 		listed   []bool
 	}
 	groups := map[groupKey]*group{}
-	s.scanLocked(q, func(b *block, lo, hi int) {
+	s.scanLocked(q, func(b *block, lo, hi int) bool {
 		// g holds key.cell's starts in [key.bucket, end): a sealed block's run
 		// is one cell's rows in start order, so it asks the map once a bucket.
 		var g *group
@@ -479,6 +511,7 @@ func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 				g.listed[b.causeIDs[k]] = true
 			}
 		}
+		return true
 	})
 	out := []CauseBucket{}
 	for key, g := range groups {
@@ -538,48 +571,47 @@ func (s *Store) Similar(fired []string, q Query, k int) []Match {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.queries.Add(1)
-	var probe []uint64
-	unknown := 0
-	for _, n := range fired {
-		id, ok := s.nodes.lookup(n)
-		if !ok {
-			unknown++
-			continue
-		}
-		for id/64 >= len(probe) {
-			probe = append(probe, 0)
-		}
-		probe[id/64] |= 1 << uint(id%64)
-	}
-	sel := kBest{k: k, recentFirst: true, skip: q.NotSession}
-	s.scanLocked(q, func(b *block, lo, hi int) {
-		// Latest start first, so a row tying a kept one's distance loses on start.
-		for i := hi - 1; i >= lo; i-- {
-			row := b.row(i)
-			d := unknown
-			n := len(row)
-			if len(probe) > n {
-				n = len(probe)
-			}
-			for w := 0; w < n; w++ {
-				var have, want uint64
-				if w < len(row) {
-					have = row[w]
-				}
-				if w < len(probe) {
-					want = probe[w]
-				}
-				d += bits.OnesCount64(have ^ want)
-			}
-			sel.offer(b, i, d)
-		}
-	})
-	ranked := sel.ranked()
+	ranked := s.similarLocked(fired, q, k)
 	out := make([]Match, 0, len(ranked))
 	for _, c := range ranked {
 		out = append(out, Match{Record: s.materializeLocked(c.b, c.i), Distance: c.d})
 	}
 	return out
+}
+
+// similarLocked ranks Similar's rows. The probe is as wide as the
+// widest block; a row of a narrower one meets only zeros past its
+// stride, so those probe words are a constant with the unknown nodes,
+// and a row's distance is one loop over its own words.
+func (s *Store) similarLocked(fired []string, q Query, k int) []cand {
+	probe := make([]uint64, max((len(s.nodes.names)+63)/64, 1))
+	unknown := 0
+	for _, n := range fired {
+		if id, ok := s.nodes.lookup(n); ok {
+			probe[id/64] |= 1 << uint(id%64)
+		} else {
+			unknown++
+		}
+	}
+	sel := newKBest(k, true, q.NotSession)
+	s.scanLocked(q, func(b *block, lo, hi int) bool {
+		base, pad := unknown, probe[:b.stride]
+		for _, want := range probe[b.stride:] {
+			base += bits.OnesCount64(want)
+		}
+		// Latest start first, so a row tying a kept one's distance loses on start.
+		for i := hi - 1; i >= lo; i-- {
+			row, d := b.row(i), base
+			for w, want := range pad {
+				d += bits.OnesCount64(row[w] ^ want)
+			}
+			if sel.admits(d, b.starts[i]) {
+				sel.offer(b, i, d)
+			}
+		}
+		return true
+	})
+	return sel.ranked()
 }
 
 // Fired returns the most recently inserted record for a session and

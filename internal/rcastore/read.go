@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/domino5g/domino/internal/jsonenc"
 	"github.com/domino5g/domino/internal/sim"
 )
 
@@ -42,17 +43,22 @@ type Read struct {
 	Probe string
 }
 
-// ParseRead parses a read: path is /query or /incidents/similar, p its
-// URL parameters, and now the clock last= counts back from. The error is
-// either tier's 400 message; parameters are checked in a fixed order.
-func ParseRead(path string, p url.Values, now sim.Time) (Read, error) {
-	switch path {
-	case "/query":
-		return parseQueryRead(p, now)
-	case "/incidents/similar":
-		return parseSimilarRead(p)
+// ParseRead parses a read: path is /query or /incidents/similar, rawQuery
+// its query string, refused whole on a malformed escape, and now the clock
+// last= counts back from. The error is either tier's 400 message; checks
+// run in a fixed order.
+func ParseRead(path, rawQuery string, now sim.Time) (Read, error) {
+	if path != "/query" && path != "/incidents/similar" {
+		return Read{}, fmt.Errorf("unknown read %q (want /query or /incidents/similar)", path)
 	}
-	return Read{}, fmt.Errorf("unknown read %q (want /query or /incidents/similar)", path)
+	p, err := url.ParseQuery(rawQuery)
+	if err != nil {
+		return Read{}, fmt.Errorf("bad query string: %w", err)
+	}
+	if path == "/query" {
+		return parseQueryRead(p, now)
+	}
+	return parseSimilarRead(p)
 }
 
 // parseQueryRead parses /query: from/to are microsecond timestamps, last
@@ -173,8 +179,19 @@ func (s *Store) Answer(dst []byte, r Read) []byte {
 		return AppendTopChainsAnswer(dst, s.TopChains(r.Query, r.K))
 	case KindCauseRates:
 		return AppendCauseRatesAnswer(dst, s.CauseRates(r.Query, r.Bucket))
-	case KindSimilar:
-		return AppendSimilarAnswer(dst, r.Fired, s.Similar(r.Fired, r.Query, r.K))
 	}
-	return AppendRecordsAnswer(dst, s.Query(r.Query))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.queries.Add(1)
+	e := answerEnc{jsonenc.Encoder{B: append(dst, '{')}}
+	if r.Kind == KindSimilar {
+		if e.Array(`"fired": `, len(r.Fired), r.Fired == nil) {
+			e.strings(r.Fired, 2)
+		}
+		e.rows(&s.tables, `"matches": `, s.similarLocked(r.Fired, r.Query, r.K), false, true)
+	} else {
+		ranked := s.recordsLocked(r.Query)
+		e.rows(&s.tables, `"records": `, ranked, len(ranked) == 0, false)
+	}
+	return e.Close()
 }

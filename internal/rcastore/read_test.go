@@ -11,12 +11,10 @@ import (
 )
 
 // parseTarget parses a request target as both tiers' handlers do: the
-// path, and the parameters url.ParseQuery makes of the rest, errors
-// dropped as (*url.URL).Query drops them.
+// path, and the raw query string after it.
 func parseTarget(target string, now sim.Time) (Read, error) {
 	path, raw, _ := strings.Cut(target, "?")
-	p, _ := url.ParseQuery(raw)
-	return ParseRead(path, p, now)
+	return ParseRead(path, raw, now)
 }
 
 // TestParseRead pins the grammar's defaults and what each parameter
@@ -41,7 +39,10 @@ func TestParseRead(t *testing.T) {
 			t.Errorf("%s: %+v, %v; want %+v", target, got, err, want)
 		}
 	}
-	for _, target := range []string{"/query?limit=-1", "/query?k=x&agg=top_chains", "/incidents/similar?session=", "/report/s"} {
+	for _, target := range []string{"/query?limit=-1", "/query?k=x&agg=top_chains", "/incidents/similar?session=", "/report/s",
+		// A malformed escape refuses the read, whichever pair holds it.
+		"/query?cell=%zz", "/query?cell=tdd&limit=%zz", "/incidents/similar?fired=a&k=%2", "/query?a;b",
+	} {
 		if got, err := parseTarget(target, now); err == nil {
 			t.Errorf("%s: accepted as %+v", target, got)
 		}
@@ -49,7 +50,8 @@ func TestParseRead(t *testing.T) {
 }
 
 // FuzzParseRead: ParseRead faces the network on both tiers. For any
-// request target it must not panic, and a read it accepts is one the
+// request target it must not panic, it refuses every query string
+// url.ParseQuery does, and a read it accepts is one the
 // store can answer: a known kind, no negative count, a bucket of at
 // least the store's microsecond on cause_rates, and on similar exactly
 // one of a probe session and a signature. Its answer is JSON.
@@ -69,6 +71,7 @@ func FuzzParseRead(f *testing.F) {
 		"/query?last=bogus", "/query?agg=bogus", "/incidents/similar?fired=a&k=-1", "/incidents/similar",
 		"/incidents/similar?session=n0-007&k=-1", "/query?to=later&from=earlier", "/query?last=-5m",
 		"/query?agg=cause_rates&bucket=500ns", "/query?from=%zz", "/sessions",
+		"/query?cell=%zz", "/query?cell=tdd&limit=%zz",
 	} {
 		f.Add(target, int64(1_754_000_000_000_000))
 	}
@@ -80,6 +83,10 @@ func FuzzParseRead(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, target string, now int64) {
 		r, err := parseTarget(target, sim.Time(now))
+		path, raw, _ := strings.Cut(target, "?")
+		if _, bad := url.ParseQuery(raw); bad != nil && err == nil {
+			t.Fatalf("%q: accepted with a malformed query string (%v) on path %q", target, bad, path)
+		}
 		if err != nil {
 			if r.Kind != "" {
 				t.Fatalf("%q refused (%v) with a read: %+v", target, err, r)

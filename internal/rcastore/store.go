@@ -35,11 +35,13 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"github.com/domino5g/domino/internal/core"
 	"github.com/domino5g/domino/internal/sim"
+	"github.com/domino5g/domino/internal/trace"
 )
 
 // Options bound the store.
@@ -141,10 +143,14 @@ func FromReport(session string, start sim.Time, rep *core.Report) Record {
 // dict interns strings: names get dense IDs in first-seen order, the
 // IDs index the columnar arrays. Dictionaries only grow — IDs stay
 // valid for the life of the store (and across spill/reload, which
-// serializes them in order).
+// serializes them in order). Interning, under the write lock, also keeps
+// each name's JSON spelling (as jsonenc writes it) and byName, the IDs in
+// name order, so an answer under the read lock only indexes them.
 type dict struct {
-	names []string
-	index map[string]int
+	names  []string
+	index  map[string]int
+	spell  [][]byte
+	byName []uint32
 }
 
 func newDict() *dict { return &dict{index: map[string]int{}} }
@@ -156,6 +162,9 @@ func (d *dict) id(name string) int {
 	i := len(d.names)
 	d.names = append(d.names, name)
 	d.index[name] = i
+	d.spell = append(d.spell, trace.AppendJSONString(make([]byte, 0, len(name)+2), name))
+	at, _ := slices.BinarySearchFunc(d.byName, name, func(id uint32, name string) int { return strings.Compare(d.names[id], name) })
+	d.byName = slices.Insert(d.byName, at, uint32(i))
 	return i
 }
 
@@ -273,6 +282,11 @@ func newBlock(rows, stride, seq int) *block {
 
 // row returns record i's fired-bitset words.
 func (b *block) row(i int) []uint64 { return b.fired[i*b.stride : (i+1)*b.stride] }
+
+// firedHas reports whether a row's bitset, which may predate id, holds it.
+func firedHas(row []uint64, id uint32) bool {
+	return int(id/64) < len(row) && row[id/64]>>(id%64)&1 != 0
+}
 
 // repack widens the bitset matrix to a new stride, zero-extending every
 // existing row. Rare: it runs only when a record fires a node beyond
@@ -530,14 +544,11 @@ func (s *Store) materializeLocked(b *block, i int) Record {
 		End:      b.ends[i],
 	}
 	row := b.row(i)
-	for w, word := range row {
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			rec.Fired = append(rec.Fired, s.nodes.name(uint32(w*64+bit)))
-			word &= word - 1
+	for _, id := range s.nodes.byName {
+		if firedHas(row, id) {
+			rec.Fired = append(rec.Fired, s.nodes.names[id])
 		}
 	}
-	sort.Strings(rec.Fired)
 	for k := b.chainOff[i]; k < b.chainOff[i+1]; k++ {
 		rec.Chains = append(rec.Chains, ChainRuns{Chain: s.chains.name(b.chainIDs[k]), Runs: int(b.chainRuns[k])})
 	}
