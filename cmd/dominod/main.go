@@ -9,13 +9,16 @@
 //
 //	dominod [-addr :8077] [-graph chains.txt] [-max-streams 64]
 //	        [-lateness 0s] [-drop-late] [-flightrec 1024]
-//	        [-max-body N] [-admit-wait 2s] [-stream-idle 5m] [-drain 10s]
+//	        [-max-sessions 1024] [-store-blocks 4096] [-max-body 268435456]
+//	        [-admit-wait 2s] [-stream-idle 5m] [-drain 10s]
 //	        [-store-spill FILE] [-store-journal FILE] [-store-sync 1]
 //	        [-checkpoint-every 1024] [-fixed-clock 0]
 //	        [-debug-addr :6060] [-log-format text|json] [-v]
 //
-// -flightrec is each session's flight-recorder capacity in events,
-// rounded up to a power of two of at least 16; 0 disables the recorder.
+// The seven bounds — -max-streams, -max-sessions, -store-blocks,
+// -flightrec (events per session, rounded up to a power of two of at
+// least 16), -max-body, -admit-wait and -stream-idle — default to
+// node.DefaultOptions and are always on: a value ≤ 0 exits 2.
 // -debug-addr serves net/http/pprof on a separate listener. Logging
 // goes through log/slog (-log-format json for structured output, -v
 // for per-session debug events). To analyze one capture offline, pipe
@@ -49,6 +52,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"reflect"
 	"syscall"
 	"time"
 
@@ -65,29 +69,37 @@ func main() {
 func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dominod", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	opts := node.DefaultOptions()
 	addr := fs.String("addr", ":8077", "listen address")
 	graphPath := fs.String("graph", "", "path to a causal-chain DSL file (default: built-in Fig. 9 graph)")
-	maxStreams := fs.Int("max-streams", 64, "maximum concurrently ingesting session streams")
-	maxSessions := fs.Int("max-sessions", 1024, "retained sessions before the oldest finished ones are evicted")
+	fs.IntVar(&opts.MaxStreams, "max-streams", opts.MaxStreams, "maximum concurrently ingesting session streams")
+	fs.IntVar(&opts.MaxSessions, "max-sessions", opts.MaxSessions, "retained sessions before the oldest finished ones are evicted")
 	lateness := fs.Duration("lateness", 0, "accepted record out-of-orderness (e.g. 100ms)")
-	dropLate := fs.Bool("drop-late", false, "count and drop too-late records instead of failing the stream")
-	storeBlocks := fs.Int("store-blocks", 4096, "retained RCA-store blocks of 256 reports each (0 = unbounded)")
+	fs.BoolVar(&opts.DropLate, "drop-late", false, "count and drop too-late records instead of failing the stream")
+	fs.IntVar(&opts.StoreBlocks, "store-blocks", opts.StoreBlocks, "retained RCA-store blocks of 256 reports each")
 	storeSpill := fs.String("store-spill", "", "RCA-store checkpoint file: recovered at startup with its journal, rewritten every -checkpoint-every reports and at shutdown")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (disabled when empty)")
-	flightRec := fs.Int("flightrec", 1024, "per-session flight-recorder capacity in events, rounded up to a power of two of at least 16 (0 disables)")
-	maxBody := fs.Int64("max-body", 256<<20, "maximum /ingest request body bytes (0 = unlimited)")
-	admitWait := fs.Duration("admit-wait", 2*time.Second, "bounded wait for an ingest slot before shedding with 429 (0 = block)")
-	streamIdle := fs.Duration("stream-idle", 5*time.Minute, "per-chunk read deadline on ingest bodies; slow clients are cut, not held (0 disables)")
+	fs.IntVar(&opts.FlightRec, "flightrec", opts.FlightRec, "per-session flight-recorder capacity in events, rounded up to a power of two of at least 16")
+	fs.Int64Var(&opts.MaxBody, "max-body", opts.MaxBody, "maximum /ingest request body bytes")
+	fs.DurationVar(&opts.AdmitWait, "admit-wait", opts.AdmitWait, "bounded wait for an ingest slot before shedding with 429")
+	fs.DurationVar(&opts.StreamIdle, "stream-idle", opts.StreamIdle, "per-chunk read deadline on ingest bodies; slow clients are cut, not held")
 	drainWait := fs.Duration("drain", 10*time.Second, "SIGTERM drain deadline for in-flight sessions before the final checkpoint")
 	storeJournal := fs.String("store-journal", "", "RCA-store write-ahead journal path (default <store-spill>.wal when -store-spill is set; \"off\" disables)")
 	storeSync := fs.Int("store-sync", 1, "journal appends per fsync (group commit; 1 = every report durable on ack)")
 	checkpointEvery := fs.Int("checkpoint-every", 1024, "journal appends between automatic checkpoints (0 = checkpoint only at shutdown)")
 	fixedClock := fs.Int64("fixed-clock", 0, "fix the fleet clock to this microsecond timestamp for deterministic runs (0 = wall clock)")
-	nodeID := fs.String("node-id", "", "node identity surfaced on /healthz and as dominod_node_info{node=...} so merged fleet expositions attribute samples (default: hostname)")
+	fs.StringVar(&opts.NodeID, "node-id", "", "node identity surfaced on /healthz and as dominod_node_info{node=...} so merged fleet expositions attribute samples (default: hostname)")
 	verbose := fs.Bool("v", false, "log per-session lifecycle events (debug level)")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	// The node's bounds are always on; reflect reads each (int, int64 or Duration) as an Int.
+	for _, name := range []string{"max-streams", "max-sessions", "store-blocks", "flightrec", "max-body", "admit-wait", "stream-idle"} {
+		if v := fs.Lookup(name).Value; reflect.ValueOf(v.(flag.Getter).Get()).Int() <= 0 {
+			fmt.Fprintf(stderr, "dominod: -%s must be positive, got %s\n", name, v)
+			return 2
+		}
 	}
 
 	level := slog.LevelInfo
@@ -127,19 +139,8 @@ func run(args []string, stderr io.Writer) int {
 		return 1
 	}
 
-	opts := node.Options{
-		MaxStreams:  *maxStreams,
-		MaxSessions: *maxSessions,
-		Lateness:    sim.Time(*lateness / time.Microsecond),
-		DropLate:    *dropLate,
-		StoreBlocks: *storeBlocks,
-		FlightRec:   *flightRec,
-		MaxBody:     *maxBody,
-		AdmitWait:   *admitWait,
-		StreamIdle:  *streamIdle,
-		Log:         logger,
-		NodeID:      *nodeID,
-	}
+	opts.Lateness = sim.Time(*lateness / time.Microsecond)
+	opts.Log = logger
 	if opts.NodeID == "" {
 		if host, err := os.Hostname(); err == nil {
 			opts.NodeID = host
@@ -168,7 +169,7 @@ func run(args []string, stderr io.Writer) int {
 			ckptPath = journalPath + ".ckpt"
 		}
 		st, j, rstats, err := rcastore.Recover(ckptPath, journalPath,
-			rcastore.Options{MaxBlocks: *storeBlocks},
+			rcastore.Options{MaxBlocks: opts.StoreBlocks},
 			rcastore.JournalOptions{SyncEvery: *storeSync})
 		if err != nil {
 			fmt.Fprintln(stderr, "dominod: recovering RCA store:", err)
@@ -212,7 +213,7 @@ func run(args []string, stderr io.Writer) int {
 		defer dbg.Close()
 		logger.Info("pprof enabled", "addr", *debugAddr)
 	}
-	logger.Info("listening", "addr", *addr, "node", opts.NodeID, "stream_slots", *maxStreams, "chains", len(analyzer.Chains()))
+	logger.Info("listening", "addr", *addr, "node", opts.NodeID, "stream_slots", opts.MaxStreams, "chains", len(analyzer.Chains()))
 	select {
 	case err := <-errc:
 		fmt.Fprintln(stderr, "dominod:", err)

@@ -27,3 +27,30 @@ func TestSpillNeedsJournal(t *testing.T) {
 		t.Fatal("a refused invocation wrote the checkpoint file")
 	}
 }
+
+// TestBoundsMustBePositive: the node's bounds are always on, so each of
+// the seven bound flags refuses zero and a negative value with a usage
+// error that names it, before anything is recovered or served.
+func TestBoundsMustBePositive(t *testing.T) {
+	for _, c := range []struct{ flag, zero, negative string }{
+		{"max-streams", "0", "-1"},
+		{"max-sessions", "0", "-1"},
+		{"store-blocks", "0", "-1"},
+		{"flightrec", "0", "-16"},
+		{"max-body", "0", "-1"},
+		{"admit-wait", "0", "-1s"},
+		{"stream-idle", "0s", "-5m"},
+	} {
+		for _, v := range []string{c.zero, c.negative} {
+			var errOut bytes.Buffer
+			// The bad -log-format, checked after the bounds, makes a bound
+			// that slips through fail here instead of serving.
+			if code := run([]string{"-" + c.flag, v, "-log-format", "none"}, &errOut); code != 2 {
+				t.Fatalf("-%s %s: exit %d, want 2; stderr: %s", c.flag, v, code, errOut.String())
+			}
+			if want := "-" + c.flag + " must be positive"; !strings.Contains(errOut.String(), want) {
+				t.Fatalf("-%s %s: stderr does not say %q: %s", c.flag, v, want, errOut.String())
+			}
+		}
+	}
+}

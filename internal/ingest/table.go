@@ -13,7 +13,7 @@ import (
 // it while holding its own entry's lock.
 type Table[E comparable] struct {
 	mint  string // fmt format of a minted ID, one integer verb
-	bound int    // <= 0 keeps every entry
+	bound int
 
 	mu       sync.Mutex
 	entries  map[string]*tableSlot[E]
@@ -38,7 +38,7 @@ type tableSlot[E comparable] struct {
 }
 
 // NewTable returns an empty table minting IDs from mint and holding
-// bound entries.
+// bound entries, a positive number.
 func NewTable[E comparable](mint string, bound int) *Table[E] {
 	return &Table[E]{mint: mint, bound: bound, entries: map[string]*tableSlot[E]{}}
 }
@@ -65,7 +65,7 @@ func (t *Table[E]) Admit(id string, newEntry func(id string) E) (e E, _ string, 
 	t.stats.Admitted++
 	s := &tableSlot[E]{id: id, e: newEntry(id), seq: t.stats.Admitted, state: StateActive}
 	t.entries[id] = s
-	for t.bound > 0 && len(t.entries) > t.bound && t.finished.Len() > 0 {
+	for len(t.entries) > t.bound && t.finished.Len() > 0 {
 		delete(t.entries, t.finished.Remove(t.finished.Front()).(*tableSlot[E]).id)
 		t.stats.Dropped++
 	}

@@ -55,7 +55,8 @@ func TestTable(t *testing.T) {
 		maxQueued int
 		stats     TableStats // Stats at the end
 	}{{
-		name: "minting skips an ID a client named",
+		name:  "minting skips an ID a client named",
+		bound: 8,
 		ops: []tableOp{
 			admitOp("s0001", "s0001", true),
 			admitOp("", "s0002", true),
@@ -66,7 +67,8 @@ func TestTable(t *testing.T) {
 		list: []string{"s0001", "s0002", "s0003", "s0004"}, live: 3, maxQueued: 1,
 		stats: TableStats{Admitted: 4, Failed: 1},
 	}, {
-		name: "a held live or done entry is returned, not replaced",
+		name:  "a held live or done entry is returned, not replaced",
+		bound: 8,
 		ops: []tableOp{
 			admitOp("a", "a", true),
 			admitOp("a", "a", false),
@@ -78,7 +80,8 @@ func TestTable(t *testing.T) {
 		list: []string{"a"}, live: 0, maxQueued: 1,
 		stats: TableStats{Admitted: 1, Done: 1},
 	}, {
-		name: "a failed entry is replaced and leaves the finished queue",
+		name:  "a failed entry is replaced and leaves the finished queue",
+		bound: 8,
 		ops: []tableOp{
 			admitOp("a", "a", true),
 			admitOp("b", "b", true),
@@ -157,7 +160,7 @@ func TestTable(t *testing.T) {
 							dropped = append(dropped, b.id)
 						}
 					}
-					if live, total := tb.Len(); c.bound > 0 && total > c.bound && total != live {
+					if live, total := tb.Len(); total > c.bound && total != live {
 						t.Fatalf("op %d: %d entries, %d live, after an admission under a bound of %d", i, total, live, c.bound)
 					}
 				}

@@ -543,7 +543,8 @@ func TestQueryBadBoundsNameFrom(t *testing.T) {
 func TestQueryAndSimilarEndpoints(t *testing.T) {
 	analyzer := testAnalyzer(t)
 	const fleetNow = sim.Time(1_700_000_000_000_000) // fixed fleet clock, µs
-	srv := node.New(analyzer, node.Options{MaxStreams: 2, Now: func() sim.Time { return fleetNow }})
+	st := rcastore.New(rcastore.Options{})
+	srv := node.New(analyzer, node.Options{MaxStreams: 2, Store: st, Now: func() sim.Time { return fleetNow }})
 	ts := httptest.NewServer(srv.Routes())
 	defer ts.Close()
 
@@ -673,14 +674,14 @@ func TestQueryAndSimilarEndpoints(t *testing.T) {
 	// Spill the live store as a checkpoint does and reload it: the
 	// reloaded history must answer queries identically.
 	var spill bytes.Buffer
-	if err := srv.Store().Spill(&spill); err != nil {
+	if err := st.Spill(&spill); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := rcastore.Load(&spill, rcastore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(loaded.Query(rcastore.Query{}), srv.Store().Query(rcastore.Query{})) {
+	if !reflect.DeepEqual(loaded.Query(rcastore.Query{}), st.Query(rcastore.Query{})) {
 		t.Fatal("reloaded spill diverges from the live store")
 	}
 }

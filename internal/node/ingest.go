@@ -135,11 +135,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// chunk read below carries a StreamIdle deadline so a stalled
 	// client is disconnected instead of squatting on its admission
 	// slot.
-	var bodySrc io.Reader = r.Body
-	if n.opts.MaxBody > 0 {
-		bodySrc = http.MaxBytesReader(w, r.Body, n.opts.MaxBody)
-	}
-	lt := &limitTracker{r: bodySrc}
+	lt := &limitTracker{r: http.MaxBytesReader(w, r.Body, n.opts.MaxBody)}
 	rc := http.NewResponseController(w)
 
 	// Build the negotiated decoder; with no (or a generic) Content-Type
@@ -170,7 +166,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ring := n.ringPool.Get().(*trace.BlockRing)
 	defer n.ringPool.Put(ring)
 	br.RecycleInto(ring)
-	n.log.Debug("ingest started", "session", id, "format", format, "seq", req.Seq, "eos", req.Eos, "resumed", d.Resume)
+	n.opts.Log.Debug("ingest started", "session", id, "format", format, "seq", req.Seq, "eos", req.Eos, "resumed", d.Resume)
 
 	// The body decodes block by block — a wire block on the binary
 	// format, up to 256 lines on JSONL — and each block is pushed whole
@@ -184,9 +180,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ingestRecords := n.m.ingestRecords[format]
 	var readErr, pushErr error
 	for readErr == nil && pushErr == nil {
-		if n.opts.StreamIdle > 0 {
-			_ = rc.SetReadDeadline(time.Now().Add(n.opts.StreamIdle))
-		}
+		_ = rc.SetReadDeadline(time.Now().Add(n.opts.StreamIdle))
 		decodeStart, waitStart := time.Now(), lt.wait
 		var blk *trace.Block
 		blk, readErr = br.ReadBlock()
@@ -213,16 +207,12 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// and one more idle deadline: a clean EOF behind the bad bytes makes
 	// the payload malformed, a transport error makes it torn.
 	if readErr != io.EOF && pushErr == nil && !lt.torn {
-		if n.opts.StreamIdle > 0 {
-			_ = rc.SetReadDeadline(time.Now().Add(n.opts.StreamIdle))
-		}
+		_ = rc.SetReadDeadline(time.Now().Add(n.opts.StreamIdle))
 		_, _ = io.Copy(io.Discard, lt)
 	}
 	// Clear the read deadline before responding: the connection may be
 	// kept alive, and a stale deadline would poison its next request.
-	if n.opts.StreamIdle > 0 {
-		_ = rc.SetReadDeadline(time.Time{})
-	}
+	_ = rc.SetReadDeadline(time.Time{})
 	if jsonl != nil {
 		n.m.jsonlSlowLines.Add(int64(jsonl.SlowLines()))
 	}
@@ -256,7 +246,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case ingest.Suspend:
 		acc := sess.protocol().Accepted
 		n.m.ingestInterrupted.Inc()
-		n.log.Warn("ingest interrupted, session suspended",
+		n.opts.Log.Warn("ingest interrupted, session suspended",
 			"session", id, "accepted", acc, "err", readErr)
 		n.reject(w, ingest.CodeInterrupted,
 			fmt.Sprintf("stream interrupted after %d records (%v); resume from the watermark", acc, readErr))
@@ -296,7 +286,7 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 	n.m.lateDropped.Add(int64(stats.LateDropped))
 	// Persist the completed diagnosis into the fleet store, stamped so
 	// the session ends now and started a report-duration ago.
-	end := n.now()
+	end := n.opts.Now()
 	insertStart := time.Now()
 	storeRec := rcastore.FromReport(id, end-rep.Duration, rep)
 	n.store.Insert(storeRec)
@@ -309,22 +299,15 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 		// the in-memory store has it.
 		if err := n.journal.Append(storeRec); err != nil {
 			n.m.journalErrors.Inc()
-			n.log.Error("journal append failed", "session", id, "err", err)
+			n.opts.Log.Error("journal append failed", "session", id, "err", err)
 		} else {
 			n.maybeCheckpoint()
 		}
 	}
-	if sess.rec != nil {
-		sess.mu.Lock()
-		sess.rec.Record(obs.Event{
-			Kind: obs.EvReportStored,
-			Wall: time.Now().UnixNano(),
-			Sim:  int64(rep.Duration),
-			N:    int64(rep.TotalChainEvents()),
-		})
-		sess.mu.Unlock()
-	}
-	n.log.Debug("session done",
+	sess.mu.Lock()
+	sess.hooks.record(obs.Event{Kind: obs.EvReportStored, Sim: int64(rep.Duration), N: int64(rep.TotalChainEvents())})
+	sess.mu.Unlock()
+	n.opts.Log.Debug("session done",
 		"session", id, "cell", rep.CellName, "scenario", rep.Scenario,
 		"records", stats.Records, "windows", stats.Windows,
 		"late_dropped", stats.LateDropped, "chain_events", rep.TotalChainEvents())
@@ -356,14 +339,7 @@ func (n *Node) pushChunk(sess *session, blk *trace.Block, skip int, records *obs
 	// a retrying client replays from here and the handler dedups the
 	// prefix, so the analyzer sees every record exactly once.
 	sess.proto.Accepted += pushed
-	if sess.rec != nil {
-		sess.rec.Record(obs.Event{
-			Kind: obs.EvIngestChunk,
-			Wall: time.Now().UnixNano(),
-			Sim:  int64(sess.sa.Watermark()),
-			N:    int64(blk.Len() - skip),
-		})
-	}
+	sess.hooks.record(obs.Event{Kind: obs.EvIngestChunk, Sim: int64(sess.sa.Watermark()), N: int64(blk.Len() - skip)})
 	sess.mu.Unlock()
 	n.m.stepSeconds.Observe(time.Since(stepStart).Seconds())
 	n.m.recordsTotal.Add(int64(timed))
@@ -390,10 +366,10 @@ func (n *Node) maybeCheckpoint() {
 		defer n.ckptMu.Unlock()
 		if err := n.journal.Checkpoint(n.store, n.opts.CheckpointPath); err != nil {
 			n.m.journalErrors.Inc()
-			n.log.Error("checkpoint failed", "path", n.opts.CheckpointPath, "err", err)
+			n.opts.Log.Error("checkpoint failed", "path", n.opts.CheckpointPath, "err", err)
 			return
 		}
-		n.log.Debug("store checkpointed", "path", n.opts.CheckpointPath, "rows", n.store.Len())
+		n.opts.Log.Debug("store checkpointed", "path", n.opts.CheckpointPath, "rows", n.store.Len())
 	}()
 }
 
@@ -466,5 +442,5 @@ func (n *Node) fail(sess *session, msg string) {
 		n.detachLocked(sess, ingest.StateFailed, msg, nil)
 	}
 	sess.mu.Unlock()
-	n.log.Warn("session failed", "session", sess.id, "err", msg)
+	n.opts.Log.Warn("session failed", "session", sess.id, "err", msg)
 }

@@ -46,7 +46,7 @@
 // AdmitWait queue-wait sheds load with 429 + Retry-After instead of
 // blocking forever, request bodies are capped at MaxBody (413), and
 // clients stalled longer than StreamIdle between chunks are
-// disconnected.
+// disconnected. Every bound is always on; DefaultOptions declares them.
 //
 // Every completed session's report is also collapsed into the embedded
 // fleet RCA store (internal/rcastore), so diagnosis survives session
@@ -93,27 +93,28 @@ import (
 	"github.com/domino5g/domino/internal/trace"
 )
 
-// Options configures a Node.
+// Options configures a Node. Its seven bounds are always on: one left
+// zero runs at its DefaultOptions value, as cmd/dominod's flags do.
 type Options struct {
 	// MaxStreams bounds concurrently ingesting session streams.
 	MaxStreams int
 	// MaxSessions bounds retained sessions; past it the oldest finished
-	// ones are evicted. 0 retains everything.
+	// ones are evicted.
 	MaxSessions int
 	// Lateness is the accepted record out-of-orderness.
 	Lateness sim.Time
 	// DropLate counts and drops too-late records instead of failing the
 	// stream.
 	DropLate bool
-	// StoreBlocks bounds the fleet RCA store (256-report blocks,
-	// evicted oldest-first); 0 retains everything.
+	// StoreBlocks bounds the fleet RCA store New creates (256-report
+	// blocks, evicted oldest-first); a Store passed in keeps its own
+	// bound.
 	StoreBlocks int
 	// Store, when non-nil, seeds the node with preloaded history (a
 	// reloaded spill). Otherwise an empty store is created.
 	Store *rcastore.Store
 	// FlightRec is the per-session flight-recorder capacity in events,
-	// rounded up to a power of two of at least 16; 0 (the zero value)
-	// disables flight recording.
+	// rounded up to a power of two of at least 16.
 	FlightRec int
 	// Now overrides the fleet clock (wall-clock microseconds) stamped
 	// onto persisted reports; nil selects time.Now. Tests inject a
@@ -123,14 +124,14 @@ type Options struct {
 	Log *slog.Logger
 
 	// MaxBody caps /ingest request bodies in bytes; over-limit uploads
-	// get 413 and release their admission slot. 0 is unlimited.
+	// get 413 and release their admission slot.
 	MaxBody int64
 	// AdmitWait bounds the queue-wait for an ingest slot; saturation
-	// past it sheds with 429 + Retry-After. 0 blocks (legacy behavior).
+	// past it sheds with 429 + Retry-After.
 	AdmitWait time.Duration
 	// StreamIdle is the per-chunk read deadline on ingest bodies; a
 	// client stalled longer than this is disconnected instead of
-	// holding its slot. 0 disables.
+	// holding its slot.
 	StreamIdle time.Duration
 	// Journal, when non-nil, receives every record inserted into the
 	// store; with CheckpointPath it makes the store crash-consistent.
@@ -150,6 +151,26 @@ type Options struct {
 	NodeID string
 }
 
+// DefaultOptions declares the node's bounds: New's and cmd/dominod's defaults.
+func DefaultOptions() Options {
+	return Options{
+		MaxStreams:  64,
+		MaxSessions: 1024,
+		StoreBlocks: 4096,
+		FlightRec:   1024,
+		MaxBody:     256 << 20,
+		AdmitWait:   2 * time.Second,
+		StreamIdle:  5 * time.Minute,
+	}
+}
+
+// orDefault puts def in place of a bound that is not positive.
+func orDefault[T int | int64 | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
 // Node multiplexes concurrent session streams over one shared
 // analyzer and keeps aggregate counters across them. What bounds it is
 // the admission limiter: at most MaxStreams ingest requests run at once,
@@ -160,8 +181,8 @@ type Options struct {
 // session finishes. Create with New, serve Routes, stop with Shutdown.
 type Node struct {
 	limiter *parallel.Limiter
-	opts    Options
-	log     *slog.Logger
+	// opts are New's, every bound, Log and Now filled in.
+	opts Options
 
 	// m holds the observability surface: the /metrics registry, its
 	// hot-path instruments, and the flight-recorder name table.
@@ -171,7 +192,6 @@ type Node struct {
 	// report is collapsed into it, so diagnosis outlives both the
 	// pooled analyzer state and registry eviction.
 	store *rcastore.Store
-	now   func() sim.Time
 
 	// journal (nil when durability is off) write-ahead-logs every store
 	// insert; journaled counts appends since the last checkpoint and
@@ -263,11 +283,11 @@ type session struct {
 	// analyzer state or its report.
 	row, report []byte
 
-	// rec is the session's pipeline flight recorder (nil with
-	// FlightRec 0), recorded into and dumped under mu. It outlives the
-	// pooled analyzer so /debug/flightrec/{id} serves finished sessions
-	// too.
-	rec *obs.FlightRecorder
+	// hooks are the session's pipeline hooks, which its analyzer calls
+	// and the node records its own events through, and hold its flight
+	// recorder, recorded into and dumped under mu. They outlive the pooled
+	// analyzer so /debug/flightrec/{id} serves finished sessions too.
+	hooks pipelineHooks
 }
 
 // protocol reads the session's protocol state under its lock.
@@ -282,34 +302,36 @@ func (sess *session) release() { <-sess.upload }
 
 // New builds a Node around a compiled analyzer.
 func New(analyzer *core.Analyzer, opts Options) *Node {
+	def := DefaultOptions()
+	orDefault(&opts.MaxStreams, def.MaxStreams)
+	orDefault(&opts.MaxSessions, def.MaxSessions)
+	orDefault(&opts.StoreBlocks, def.StoreBlocks)
+	orDefault(&opts.FlightRec, def.FlightRec)
+	orDefault(&opts.MaxBody, def.MaxBody)
+	orDefault(&opts.AdmitWait, def.AdmitWait)
+	orDefault(&opts.StreamIdle, def.StreamIdle)
 	if opts.Log == nil {
 		opts.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
+	if opts.Now == nil {
+		opts.Now = func() sim.Time { return sim.Time(time.Now().UnixMicro()) }
 	}
 	// A finished session past MaxSessions leaves the table.
 	sessions := ingest.NewTable[*session]("s%04d", opts.MaxSessions)
 	n := &Node{
 		limiter:  parallel.NewLimiter(opts.MaxStreams),
 		opts:     opts,
-		log:      opts.Log,
 		m:        newMetrics(analyzer, sessions),
 		sessions: sessions,
 		classes:  graphClasses(analyzer.Graph()),
 		store:    opts.Store,
 		journal:  opts.Journal,
-		now:      opts.Now,
 	}
 	if n.store == nil {
 		n.store = rcastore.New(rcastore.Options{MaxBlocks: opts.StoreBlocks})
 	}
-	if n.now == nil {
-		n.now = func() sim.Time { return sim.Time(time.Now().UnixMicro()) }
-	}
-	poolCap := opts.MaxStreams
-	if poolCap < 1 {
-		poolCap = 1
-	}
 	n.saPool = analyzerPool{
-		free: make([]*stream.Analyzer, 0, poolCap),
+		free: make([]*stream.Analyzer, 0, opts.MaxStreams),
 		// One session's streaming analyzer. Pipeline counters and
 		// flight-recorder events ride on obs.Hooks installed per session
 		// at registration (see register), not on the analyzer itself —
@@ -342,9 +364,6 @@ func (n *Node) Routes() *http.ServeMux {
 	return mux
 }
 
-// Store is the node's fleet RCA store.
-func (n *Node) Store() *rcastore.Store { return n.store }
-
 // Drain flips the node to draining: /healthz answers 503 "draining" so
 // routers fail over first, and new ingest requests are rejected while
 // in-flight uploads finish.
@@ -356,7 +375,7 @@ func (n *Node) Drain() { n.draining.Store(true) }
 func (n *Node) Shutdown(ctx context.Context, srv *http.Server) error {
 	n.Drain()
 	if err := srv.Shutdown(ctx); err != nil {
-		n.log.Warn("drain deadline exceeded, cutting in-flight sessions", "err", err)
+		n.opts.Log.Warn("drain deadline exceeded, cutting in-flight sessions", "err", err)
 	}
 	if n.journal == nil {
 		return nil
@@ -367,7 +386,7 @@ func (n *Node) Shutdown(ctx context.Context, srv *http.Server) error {
 	if err := n.journal.Close(); err != nil {
 		return fmt.Errorf("closing journal: %w", err)
 	}
-	n.log.Info("RCA store checkpointed", "path", n.opts.CheckpointPath, "stats", n.store.Stats().String())
+	n.opts.Log.Info("RCA store checkpointed", "path", n.opts.CheckpointPath, "stats", n.store.Stats().String())
 	return nil
 }
 
@@ -380,18 +399,15 @@ func (n *Node) register(id string) (*session, string, bool) {
 	// zero, which is no time to hold it.
 	sa := n.saPool.Get()
 	n.m.poolGets.Inc()
-	var rec *obs.FlightRecorder
-	if n.opts.FlightRec > 0 {
-		rec = obs.NewFlightRecorder(n.opts.FlightRec, n.m.names)
-	}
+	hooks := pipelineHooks{m: n.m, rec: obs.NewFlightRecorder(n.opts.FlightRec, n.m.names)}
 	sess, id, fresh := n.sessions.Admit(id, func(id string) *session {
-		sess := &session{id: id, sa: sa, classes: n.classes, rec: rec, upload: make(chan struct{}, 1)}
+		sess := &session{id: id, sa: sa, classes: n.classes, hooks: hooks, upload: make(chan struct{}, 1)}
 		// Born holding its upload slot: the registering request owns the
 		// session from the instant it is visible, so a racing resume
 		// attempt can never drive the same analyzer.
 		sess.upload <- struct{}{}
 		sess.proto.State = ingest.StateActive
-		sa.SetHooks(&pipelineHooks{m: n.m, rec: rec})
+		sa.SetHooks(&sess.hooks)
 		return sess
 	})
 	if !fresh {

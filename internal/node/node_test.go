@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -93,6 +94,23 @@ func post(t *testing.T, base, id string, req ingest.Request, body io.Reader) *ht
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// TestZeroOptionsAreDefaults: New runs every bound a zero Options leaves
+// at its DefaultOptions value, and keeps a bound that is set.
+func TestZeroOptionsAreDefaults(t *testing.T) {
+	n := New(testAnalyzer(t), Options{})
+	got := n.opts
+	got.Log, got.Now = nil, nil
+	if def := DefaultOptions(); !reflect.DeepEqual(got, def) {
+		t.Fatalf("zero Options runs %+v, want %+v", got, def)
+	}
+	if n.limiter.Cap() != 64 || cap(n.saPool.free) != 64 {
+		t.Fatalf("%d stream slots and an analyzer pool of %d, want 64 each", n.limiter.Cap(), cap(n.saPool.free))
+	}
+	if n := New(testAnalyzer(t), Options{FlightRec: 16}); n.opts.FlightRec != 16 || n.opts.MaxBody != DefaultOptions().MaxBody {
+		t.Fatalf("FlightRec 16 runs %+v", n.opts)
+	}
 }
 
 // TestRejectionsAreTheProtocols drives each rejection the node can

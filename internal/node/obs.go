@@ -177,20 +177,18 @@ func buildInfo() (version, goVersion string) {
 
 // pipelineHooks is the per-session obs.Hooks implementation installed
 // on the pooled stream analyzer: every pipeline stage event bumps the
-// shared registry counters and (when enabled) lands in the session's
-// flight recorder. All methods run under the session lock (single
-// writer) and allocate nothing.
+// shared registry counters and lands in the session's flight recorder,
+// as the node's own ingest and store events do through record. All
+// methods run under the session lock (single writer) and allocate nothing.
 type pipelineHooks struct {
 	obs.NopHooks
 	m   *metrics
-	rec *obs.FlightRecorder // nil when -flightrec 0
+	rec *obs.FlightRecorder
 }
 
 func (h *pipelineHooks) record(ev obs.Event) {
-	if h.rec != nil {
-		ev.Wall = time.Now().UnixNano()
-		h.rec.Record(ev)
-	}
+	ev.Wall = time.Now().UnixNano()
+	h.rec.Record(ev)
 }
 
 // WindowEvaluated implements obs.Hooks.
@@ -326,13 +324,9 @@ func (n *Node) handleFlightRec(w http.ResponseWriter, r *http.Request) {
 		ingest.WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	if sess.rec == nil {
-		ingest.WriteError(w, http.StatusNotFound, "flight recorder disabled (-flightrec 0)")
-		return
-	}
 	withWall := r.URL.Query().Get("wall") != "0"
 	sess.mu.Lock()
-	dump := sess.rec.AppendJSONL(nil, withWall)
+	dump := sess.hooks.rec.AppendJSONL(nil, withWall)
 	sess.mu.Unlock()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	_, _ = w.Write(dump)

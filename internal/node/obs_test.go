@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/domino5g/domino/internal/node"
 	"github.com/domino5g/domino/internal/obs"
@@ -291,8 +292,7 @@ func TestFlightRecDumpDuringIngest(t *testing.T) {
 }
 
 // TestFlightRecEndpointEdges covers the non-happy flight-recorder
-// paths: the default dump carries wall clocks, unknown sessions 404,
-// and a server with -flightrec 0 reports the recorder disabled.
+// paths: the default dump carries wall clocks and unknown sessions 404.
 func TestFlightRecEndpointEdges(t *testing.T) {
 	srv := node.New(testAnalyzer(t), node.Options{MaxStreams: 2, FlightRec: 256})
 	ts := httptest.NewServer(srv.Routes())
@@ -323,23 +323,63 @@ func TestFlightRecEndpointEdges(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session: %d, want 404", resp.StatusCode)
 	}
+}
 
-	off := node.New(testAnalyzer(t), node.Options{MaxStreams: 2})
-	tsOff := httptest.NewServer(off.Routes())
-	defer tsOff.Close()
-	resp, err = http.Post(tsOff.URL+"/ingest?session=w", "application/jsonl", bytes.NewReader(body))
+// TestZeroOptionsServeTheShippedBounds: a zero node.Options is the node
+// dominod runs with no bound flag set. It records every session, it
+// admits DefaultOptions' MaxStreams uploads at once, and a saturated
+// node sheds uploads past its held slots with 429 instead of parking
+// them.
+func TestZeroOptionsServeTheShippedBounds(t *testing.T) {
+	ts := httptest.NewServer(node.New(testAnalyzer(t), node.Options{}).Routes())
+	defer ts.Close()
+	_, body := sessionTrace(t, ran.Mosolabs(), 9, 6*sim.Second)
+	resp := postChunk(t, ts.URL, "w", "application/jsonl", -1, false, bytes.NewReader(body))
+	drainClose(resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %d", resp.StatusCode)
+	}
+	resp, err := http.Get(ts.URL + "/debug/flightrec/w")
 	if err != nil {
 		t.Fatal(err)
 	}
+	dump, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	resp, err = http.Get(tsOff.URL + "/debug/flightrec/w")
-	if err != nil {
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(dump, []byte(`"report_stored"`)) {
+		t.Fatalf("flightrec: %d %s", resp.StatusCode, dump)
+	}
+	if got, want := metricValue(t, ts.URL, "dominod_stream_slots"), float64(node.DefaultOptions().MaxStreams); got != want || want != 64 {
+		t.Fatalf("dominod_stream_slots %v, want %v (64)", got, want)
+	}
+
+	// One slot, held by a stalled upload, and a short wait: both uploads
+	// behind it are shed.
+	shed := httptest.NewServer(node.New(testAnalyzer(t), node.Options{MaxStreams: 1, AdmitWait: 20 * time.Millisecond}).Routes())
+	defer shed.Close()
+	upload := func(id string, body io.Reader) int {
+		resp, err := http.Post(shed.URL+"/ingest?session="+id, "application/jsonl", body)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		drainClose(resp)
+		return resp.StatusCode
+	}
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	go upload("holder", pr)
+	if _, err := pw.Write(jsonlPrefix(t, body, 1)); err != nil {
 		t.Fatal(err)
 	}
-	b, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(b), "disabled") {
-		t.Fatalf("disabled recorder: %d %s", resp.StatusCode, b)
+	waitFor(t, "holder admitted", func() bool { return slotsInUse(t, shed.URL) == 1 })
+	codes := make(chan int, 2)
+	for _, id := range []string{"late-1", "late-2"} {
+		go func() { codes <- upload(id, bytes.NewReader(body)) }()
+	}
+	for range 2 {
+		if code := <-codes; code != http.StatusTooManyRequests {
+			t.Fatalf("upload past the held slot: %d, want 429", code)
+		}
 	}
 }
 

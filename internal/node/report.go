@@ -232,7 +232,7 @@ func writeReport(w http.ResponseWriter, sess *session) {
 // session= probe's signature is the session's latest stored row
 // (Store.Resolve), and a session the store does not hold is a 404.
 func (n *Node) handleRead(w http.ResponseWriter, r *http.Request) {
-	rd, err := rcastore.ParseRead(r.URL.Path, r.URL.RawQuery, n.now())
+	rd, err := rcastore.ParseRead(r.URL.Path, r.URL.RawQuery, n.opts.Now())
 	if err != nil {
 		ingest.WriteError(w, http.StatusBadRequest, err.Error())
 		return

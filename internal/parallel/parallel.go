@@ -32,18 +32,15 @@ func ForEach(workers, n int, fn func(i int) error) error {
 
 // Limiter is the open-ended counterpart of ForEach's bounded pool: a
 // counting semaphore for long-running services whose task count is not
-// known up front (e.g. internal/node admitting session streams). Blocked
-// Acquire calls provide natural backpressure to the producer.
+// known up front (e.g. internal/node admitting session streams), which
+// wait a bounded time for a slot and shed load past it.
 type Limiter struct {
 	sem chan struct{}
 }
 
 // NewLimiter returns a limiter admitting up to n concurrent holders;
-// n <= 0 selects runtime.GOMAXPROCS(0).
+// n must be positive.
 func NewLimiter(n int) *Limiter {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	return &Limiter{sem: make(chan struct{}, n)}
 }
 
@@ -53,35 +50,18 @@ func (l *Limiter) Cap() int { return cap(l.sem) }
 // InUse returns the number of slots currently held.
 func (l *Limiter) InUse() int { return len(l.sem) }
 
-// Acquire blocks until a slot is free or ctx is done, returning the
-// context's error in the latter case.
-func (l *Limiter) Acquire(ctx context.Context) error {
-	select {
-	case l.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // ErrAcquireTimeout reports that AcquireTimeout gave up waiting for a
-// slot. Services map it onto load-shedding responses (429) instead of
-// the unbounded blocking Acquire provides.
+// slot. Services map it onto load-shedding responses (429).
 var ErrAcquireTimeout = errors.New("parallel: limiter saturated, acquire timed out")
 
-// AcquireTimeout is the bounded-queue-wait variant of Acquire: it
-// waits at most d for a slot, returning ErrAcquireTimeout when the
-// limiter stays saturated and ctx.Err() when the caller gives up
-// first. d <= 0 degenerates to Acquire — wait as long as ctx allows.
-// A service that shed load on saturation calls this and converts
-// ErrAcquireTimeout into a retryable rejection rather than holding the
-// producer hostage on a full semaphore.
+// AcquireTimeout takes a slot, waiting at most d for one: it returns
+// ErrAcquireTimeout when the limiter stays saturated and ctx.Err() when
+// the caller gives up first. A service that sheds load on saturation
+// converts ErrAcquireTimeout into a retryable rejection rather than
+// holding the producer hostage on a full semaphore.
 func (l *Limiter) AcquireTimeout(ctx context.Context, d time.Duration) error {
 	if l.TryAcquire() {
 		return nil
-	}
-	if d <= 0 {
-		return l.Acquire(ctx)
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -105,5 +85,5 @@ func (l *Limiter) TryAcquire() bool {
 	}
 }
 
-// Release frees a slot taken by Acquire or TryAcquire.
+// Release frees a slot taken by AcquireTimeout or TryAcquire.
 func (l *Limiter) Release() { <-l.sem }

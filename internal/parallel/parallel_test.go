@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
@@ -103,7 +104,7 @@ func TestLimiterBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := l.Acquire(context.Background()); err != nil {
+			if err := l.AcquireTimeout(context.Background(), time.Minute); err != nil {
 				t.Error(err)
 				return
 			}
@@ -137,18 +138,15 @@ func TestLimiterTryAcquireAndContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := l.Acquire(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Acquire on canceled ctx: %v", err)
+	if err := l.AcquireTimeout(ctx, time.Minute); !errors.Is(err, context.Canceled) {
+		t.Fatalf("AcquireTimeout on canceled ctx: %v", err)
+	}
+	if err := l.AcquireTimeout(context.Background(), time.Millisecond); !errors.Is(err, ErrAcquireTimeout) {
+		t.Fatalf("AcquireTimeout past a full limiter: %v", err)
 	}
 	l.Release()
-	if err := l.Acquire(context.Background()); err != nil {
+	if err := l.AcquireTimeout(context.Background(), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	l.Release()
-}
-
-func TestLimiterDefaultCap(t *testing.T) {
-	if NewLimiter(0).Cap() < 1 {
-		t.Fatal("default cap must be at least 1")
-	}
 }

@@ -473,25 +473,31 @@ func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 		cell   uint32
 		bucket sim.Time
 	}
-	// One (cell, bucket) group per map entry; within it, runs and listed
-	// are indexed by cause dictionary ID. A cause is in the answer when
-	// some record of the group lists it, whatever its run count.
+	// groups holds the (cell, bucket) groups in the order met, at their
+	// indexes, tallies a row of slots per group, one per cause ID: its runs
+	// plus one once a record lists it, so a listed cause is answered
+	// whatever its run count. listed counts the nonzero slots.
 	type group struct {
+		key      groupKey
 		sessions int
 		micros   sim.Time // the sum of End − Start
-		runs     []int
-		listed   []bool
 	}
-	groups := map[groupKey]*group{}
+	width, listed := len(s.causes.names), 0
+	at := map[groupKey]int{}
+	var groups []group
+	var tallies []int
+	zeros := make([]int, width) // a new group's tally, appended without a temporary
 	s.scanLocked(q, func(b *block, lo, hi int) bool {
 		// g holds key.cell's starts in [key.bucket, end): a sealed block's run
 		// is one cell's rows in start order, so it asks the map once a bucket.
+		// g and tally point into groups and tallies, which grow only here.
 		var g *group
-		var key groupKey
+		var tally []int
 		var end sim.Time
 		for i := lo; i < hi; i++ {
-			if st := b.starts[i]; g == nil || b.cellIDs[i] != key.cell || st < key.bucket || st >= end {
-				key, end = groupKey{cell: b.cellIDs[i]}, math.MaxInt64
+			if st := b.starts[i]; g == nil || b.cellIDs[i] != g.key.cell || st < g.key.bucket || st >= end {
+				key := groupKey{cell: b.cellIDs[i]}
+				end = math.MaxInt64
 				if bucket > 0 {
 					// Floored: truncation would put a negative start in a later bucket.
 					if key.bucket = st / bucket * bucket; key.bucket > st {
@@ -499,28 +505,34 @@ func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 					}
 					end = key.bucket + bucket
 				}
-				if g = groups[key]; g == nil {
-					g = &group{runs: make([]int, len(s.causes.names)), listed: make([]bool, len(s.causes.names))}
-					groups[key] = g
+				gi, ok := at[key]
+				if !ok {
+					gi, at[key] = len(groups), len(groups)
+					groups = append(groups, group{key: key})
+					tallies = append(tallies, zeros...)
 				}
+				g, tally = &groups[gi], tallies[gi*width:(gi+1)*width]
 			}
 			g.sessions++
 			g.micros += b.ends[i] - b.starts[i]
 			for k := b.causeOff[i]; k < b.causeOff[i+1]; k++ {
-				g.runs[b.causeIDs[k]] += int(b.causeRuns[k])
-				g.listed[b.causeIDs[k]] = true
+				t := &tally[b.causeIDs[k]]
+				if *t == 0 {
+					*t, listed = 1, listed+1
+				}
+				*t += int(b.causeRuns[k])
 			}
 		}
 		return true
 	})
-	out := []CauseBucket{}
-	for key, g := range groups {
-		row := CauseBucket{Cell: s.cells.name(key.cell), Bucket: key.bucket,
+	out := make([]CauseBucket, 0, len(groups)+listed) // a row per listed cause, or one
+	for gi, g := range groups {
+		row := CauseBucket{Cell: s.cells.name(g.key.cell), Bucket: g.key.bucket,
 			Sessions: g.sessions, Minutes: float64(g.micros) / float64(sim.Minute)}
 		n := len(out)
-		for id, listed := range g.listed {
-			if listed {
-				row.Cause, row.Runs = s.causes.names[id], g.runs[id]
+		for id, t := range tallies[gi*width : (gi+1)*width] {
+			if t > 0 {
+				row.Cause, row.Runs = s.causes.names[id], t-1
 				out = append(out, row)
 			}
 		}

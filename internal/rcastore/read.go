@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -157,17 +158,21 @@ func count(p url.Values, name string, def int) (int, error) {
 }
 
 // Resolve sets a session= probe read's Fired to the signature of the
-// probe's latest stored row; other reads are left as they are. The error,
-// for a session the store does not hold, is a node's 404 message.
+// probe's latest stored row, read off the row's bitset; other reads are
+// left as they are. The error, for a session the store does not hold,
+// is a node's 404 message.
 func (s *Store) Resolve(r *Read) error {
 	if r.Probe == "" {
 		return nil
 	}
-	rec, ok := s.Fired(r.Probe)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.queries.Add(1)
+	at, ok := s.latest[r.Probe]
 	if !ok {
 		return fmt.Errorf("session %q has no stored report", r.Probe)
 	}
-	r.Fired = rec.Fired
+	r.Fired = s.firedLocked(at.b.row(slices.Index(at.b.order, uint32(at.i))))
 	return nil
 }
 

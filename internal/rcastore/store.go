@@ -543,12 +543,7 @@ func (s *Store) materializeLocked(b *block, i int) Record {
 		Start:    b.starts[i],
 		End:      b.ends[i],
 	}
-	row := b.row(i)
-	for _, id := range s.nodes.byName {
-		if firedHas(row, id) {
-			rec.Fired = append(rec.Fired, s.nodes.names[id])
-		}
-	}
+	rec.Fired = s.firedLocked(b.row(i))
 	for k := b.chainOff[i]; k < b.chainOff[i+1]; k++ {
 		rec.Chains = append(rec.Chains, ChainRuns{Chain: s.chains.name(b.chainIDs[k]), Runs: int(b.chainRuns[k])})
 	}
@@ -556,6 +551,25 @@ func (s *Store) materializeLocked(b *block, i int) Record {
 		rec.Causes = append(rec.Causes, CauseRuns{Cause: s.causes.name(b.causeIDs[k]), Runs: int(b.causeRuns[k])})
 	}
 	return rec
+}
+
+// firedLocked returns the node names a row's bitset holds, in name
+// order, or nil when it holds none.
+func (s *Store) firedLocked(row []uint64) []string {
+	n := 0
+	for _, w := range row {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return nil
+	}
+	fired := make([]string, 0, n)
+	for _, id := range s.nodes.byName {
+		if firedHas(row, id) {
+			fired = append(fired, s.nodes.names[id])
+		}
+	}
+	return fired
 }
 
 // String renders store stats for logs.
