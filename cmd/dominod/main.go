@@ -18,7 +18,11 @@
 // The seven bounds — -max-streams, -max-sessions, -store-blocks,
 // -flightrec (events per session, rounded up to a power of two of at
 // least 16), -max-body, -admit-wait and -stream-idle — default to
-// node.DefaultOptions and are always on: a value ≤ 0 exits 2.
+// node.DefaultOptions and are always on: a value ≤ 0 exits 2, as does
+// -store-sync below 1. -lateness, -checkpoint-every and -drain take 0
+// (no slack, checkpoint only at shutdown, no drain wait) and exit 2 on a
+// negative value: a negative slack would evaluate a window before the
+// watermark reached its end and fail in-order records as late.
 // -debug-addr serves net/http/pprof on a separate listener. Logging
 // goes through log/slog (-log-format json for structured output, -v
 // for per-session debug events). To analyze one capture offline, pipe
@@ -47,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -58,6 +61,7 @@ import (
 
 	"github.com/domino5g/domino"
 	"github.com/domino5g/domino/internal/node"
+	"github.com/domino5g/domino/internal/obs"
 	"github.com/domino5g/domino/internal/rcastore"
 	"github.com/domino5g/domino/internal/sim"
 )
@@ -87,36 +91,35 @@ func run(args []string, stderr io.Writer) int {
 	drainWait := fs.Duration("drain", 10*time.Second, "SIGTERM drain deadline for in-flight sessions before the final checkpoint")
 	storeJournal := fs.String("store-journal", "", "RCA-store write-ahead journal path (default <store-spill>.wal when -store-spill is set; \"off\" disables)")
 	storeSync := fs.Int("store-sync", 1, "journal appends per fsync (group commit; 1 = every report durable on ack)")
-	checkpointEvery := fs.Int("checkpoint-every", 1024, "journal appends between automatic checkpoints (0 = checkpoint only at shutdown)")
+	fs.IntVar(&opts.CheckpointEvery, "checkpoint-every", 1024, "journal appends between automatic checkpoints (0 = checkpoint only at shutdown)")
 	fixedClock := fs.Int64("fixed-clock", 0, "fix the fleet clock to this microsecond timestamp for deterministic runs (0 = wall clock)")
 	fs.StringVar(&opts.NodeID, "node-id", "", "node identity surfaced on /healthz and as dominod_node_info{node=...} so merged fleet expositions attribute samples (default: hostname)")
 	verbose := fs.Bool("v", false, "log per-session lifecycle events (debug level)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// The node's bounds are always on; reflect reads each (int, int64 or Duration) as an Int.
-	for _, name := range []string{"max-streams", "max-sessions", "store-blocks", "flightrec", "max-body", "admit-wait", "stream-idle"} {
-		if v := fs.Lookup(name).Value; reflect.ValueOf(v.(flag.Getter).Get()).Int() <= 0 {
-			fmt.Fprintf(stderr, "dominod: -%s must be positive, got %s\n", name, v)
-			return 2
+	// The node's bounds are always on and a journal syncs at least every
+	// append; a slack, a checkpoint cadence or a drain deadline may be 0,
+	// never negative. reflect reads each (int, int64 or Duration) as an Int.
+	below := func(least int64, rule string, names ...string) bool {
+		for _, name := range names {
+			if v := fs.Lookup(name).Value; reflect.ValueOf(v.(flag.Getter).Get()).Int() < least {
+				fmt.Fprintf(stderr, "dominod: -%s must be %s, got %s\n", name, rule, v)
+				return true
+			}
 		}
+		return false
 	}
-
-	level := slog.LevelInfo
-	if *verbose {
-		level = slog.LevelDebug
-	}
-	var handler slog.Handler
-	switch *logFormat {
-	case "text":
-		handler = slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level})
-	case "json":
-		handler = slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: level})
-	default:
-		fmt.Fprintf(stderr, "dominod: bad -log-format %q (want text or json)\n", *logFormat)
+	if below(1, "positive", "max-streams", "max-sessions", "store-blocks", "flightrec", "max-body", "admit-wait", "stream-idle", "store-sync") ||
+		below(0, "zero or more", "lateness", "checkpoint-every", "drain") {
 		return 2
 	}
-	logger := slog.New(handler)
+
+	logger, err := obs.NewLogger(stderr, *logFormat, *verbose)
+	if err != nil {
+		fmt.Fprintln(stderr, "dominod:", err)
+		return 2
+	}
 
 	graph := domino.DefaultGraph()
 	if *graphPath != "" {
@@ -178,7 +181,6 @@ func run(args []string, stderr io.Writer) int {
 		opts.Store = st
 		opts.Journal = j
 		opts.CheckpointPath = ckptPath
-		opts.CheckpointEvery = *checkpointEvery
 		opts.Recovery = &rstats
 		logger.Info("RCA store recovered",
 			"checkpoint", ckptPath, "journal", journalPath,

@@ -54,3 +54,31 @@ func TestBoundsMustBePositive(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderedInputFlagsRefuseNegatives: -store-sync syncs at least every
+// append, and -lateness, -checkpoint-every and -drain cannot be negative
+// (a negative slack would fail in-order records as late), so each such
+// value is a usage error that names the flag; the values fleetbench and
+// the docs pass stay legal.
+func TestOrderedInputFlagsRefuseNegatives(t *testing.T) {
+	for _, c := range []struct{ flag, value, says string }{
+		{"store-sync", "0", "-store-sync must be positive"},
+		{"store-sync", "-1", "-store-sync must be positive"},
+		{"lateness", "-1ms", "-lateness must be zero or more"},
+		{"checkpoint-every", "-1", "-checkpoint-every must be zero or more"},
+		{"drain", "-1s", "-drain must be zero or more"},
+		// Legal: these reach the -log-format check after the flags.
+		{"store-sync", "1", `bad -log-format "none"`},
+		{"lateness", "0", `bad -log-format "none"`},
+		{"checkpoint-every", "0", `bad -log-format "none"`},
+		{"drain", "0", `bad -log-format "none"`},
+	} {
+		var errOut bytes.Buffer
+		if code := run([]string{"-" + c.flag, c.value, "-log-format", "none"}, &errOut); code != 2 {
+			t.Fatalf("-%s %s: exit %d, want 2; stderr: %s", c.flag, c.value, code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), c.says) {
+			t.Fatalf("-%s %s: stderr does not say %q: %s", c.flag, c.value, c.says, errOut.String())
+		}
+	}
+}

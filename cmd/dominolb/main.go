@@ -12,7 +12,12 @@
 //
 //	dominolb -addr :8078 \
 //	  -backend http://127.0.0.1:9101 \
-//	  -backend http://127.0.0.1:9102,http://127.0.0.1:9103
+//	  -backend http://127.0.0.1:9102,http://127.0.0.1:9103 \
+//	  [-health-interval 1s] [-health-timeout 500ms] [-health-fails 3]
+//	  [-scrape-timeout 5s] [-log-format text|json] [-v]
+//
+// The four probe and scrape settings default to balancer.DefaultOptions
+// and are always on: a value ≤ 0 exits 2 before any backend is probed.
 package main
 
 import (
@@ -20,15 +25,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
+	"reflect"
 	"strings"
 	"syscall"
 	"time"
 
 	"github.com/domino5g/domino/internal/balancer"
+	"github.com/domino5g/domino/internal/obs"
 )
 
 func main() {
@@ -53,46 +59,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dominolb", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8078", "listen address")
-	var backends backendList
-	fs.Var(&backends, "backend", "dominod base URL; repeatable, and each occurrence may hold a comma-separated list")
-	healthInterval := fs.Duration("health-interval", time.Second, "active /healthz probe period")
-	healthTimeout := fs.Duration("health-timeout", 500*time.Millisecond, "per-probe timeout")
-	failThreshold := fs.Int("health-fails", 3, "consecutive probe failures that mark a backend down")
-	scrapeTimeout := fs.Duration("scrape-timeout", 5*time.Second, "per-backend /metrics scrape timeout during federation")
+	opts := balancer.DefaultOptions()
+	fs.Var((*backendList)(&opts.Backends), "backend", "dominod base URL; repeatable, and each occurrence may hold a comma-separated list")
+	fs.DurationVar(&opts.HealthInterval, "health-interval", opts.HealthInterval, "active /healthz probe period")
+	fs.DurationVar(&opts.HealthTimeout, "health-timeout", opts.HealthTimeout, "per-probe timeout")
+	fs.IntVar(&opts.FailThreshold, "health-fails", opts.FailThreshold, "consecutive probe failures that mark a backend down")
+	fs.DurationVar(&opts.ScrapeTimeout, "scrape-timeout", opts.ScrapeTimeout, "per-backend /metrics scrape timeout during federation")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	verbose := fs.Bool("v", false, "log per-session routing events (debug level)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if len(backends) == 0 {
+	if len(opts.Backends) == 0 {
 		fmt.Fprintln(stderr, "dominolb: at least one -backend is required")
 		return 2
 	}
-
-	level := slog.LevelInfo
-	if *verbose {
-		level = slog.LevelDebug
+	// The four settings are always on; reflect reads each (int or Duration) as an Int.
+	for _, name := range []string{"health-interval", "health-timeout", "health-fails", "scrape-timeout"} {
+		if v := fs.Lookup(name).Value; reflect.ValueOf(v.(flag.Getter).Get()).Int() <= 0 {
+			fmt.Fprintf(stderr, "dominolb: -%s must be positive, got %s\n", name, v)
+			return 2
+		}
 	}
-	var handler slog.Handler
-	switch *logFormat {
-	case "text":
-		handler = slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level})
-	case "json":
-		handler = slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: level})
-	default:
-		fmt.Fprintf(stderr, "dominolb: bad -log-format %q (want text or json)\n", *logFormat)
+
+	logger, err := obs.NewLogger(stderr, *logFormat, *verbose)
+	if err != nil {
+		fmt.Fprintln(stderr, "dominolb:", err)
 		return 2
 	}
-	logger := slog.New(handler)
 
-	lb, err := balancer.New(balancer.Options{
-		Backends:       backends,
-		HealthInterval: *healthInterval,
-		HealthTimeout:  *healthTimeout,
-		FailThreshold:  *failThreshold,
-		ScrapeTimeout:  *scrapeTimeout,
-		Log:            logger,
-	})
+	opts.Log = logger
+	lb, err := balancer.New(opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "dominolb:", err)
 		return 1
@@ -111,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Info("listening", "addr", *addr, "backends", len(backends))
+	logger.Info("listening", "addr", *addr, "backends", len(opts.Backends))
 	select {
 	case err := <-errc:
 		fmt.Fprintln(stderr, "dominolb:", err)

@@ -30,3 +30,28 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestSettingsMustBePositive: the balancer's probe and scrape settings
+// are always on, so each of the four flags refuses zero and a negative
+// value with a usage error that names it, before any backend is probed.
+func TestSettingsMustBePositive(t *testing.T) {
+	for _, c := range []struct{ flag, zero, negative string }{
+		{"health-interval", "0", "-1s"},
+		{"health-timeout", "0s", "-500ms"},
+		{"health-fails", "0", "-3"},
+		{"scrape-timeout", "0", "-5s"},
+	} {
+		for _, v := range []string{c.zero, c.negative} {
+			var stderr bytes.Buffer
+			// The bad -log-format, checked after the settings, makes one
+			// that slips through fail here instead of serving.
+			args := []string{"-backend", "http://127.0.0.1:9", "-" + c.flag, v, "-log-format", "none"}
+			if code := run(args, io.Discard, &stderr); code != 2 {
+				t.Fatalf("-%s %s: exit %d, want 2; stderr: %s", c.flag, v, code, &stderr)
+			}
+			if want := "-" + c.flag + " must be positive"; !strings.Contains(stderr.String(), want) {
+				t.Fatalf("-%s %s: stderr does not say %q: %s", c.flag, v, want, &stderr)
+			}
+		}
+	}
+}

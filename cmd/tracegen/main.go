@@ -23,7 +23,8 @@
 // (or in addition to) writing a file, using the resumable ingest
 // protocol: failed uploads retry with seeded, jittered exponential
 // backoff (-retries, -backoff) and resume from the server's watermark
-// rather than re-analyzing records it already accepted.
+// rather than re-analyzing records it already accepted. -duration and
+// -backoff ≤ 0 and -retries below 0 exit 2.
 package main
 
 import (
@@ -80,6 +81,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-24s cell=%-12s %s\n", s.Name, s.Cell, s.Description)
 		}
 		return 0
+	}
+	if *retries < 0 {
+		return usageErr("-retries must be >= 0, got %d", *retries)
+	}
+	if *backoff <= 0 {
+		return usageErr("-backoff must be > 0, got %v", *backoff)
 	}
 	if *duration <= 0 {
 		return usageErr("-duration must be > 0, got %d", *duration)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -126,6 +127,33 @@ func TestFlagValidation(t *testing.T) {
 				t.Fatalf("stderr missing %q:\n%s", tc.wantStderr, stderr.String())
 			}
 		})
+	}
+}
+
+// TestUploadSettingsMustBeInRange: -backoff ≤ 0 (once silently the
+// client's own delay) and -retries below 0 are usage errors that name
+// the flag, checked before a trace is generated; -retries 0 stays legal.
+func TestUploadSettingsMustBeInRange(t *testing.T) {
+	for _, c := range []struct {
+		flag, value string
+		code        int
+		says        string
+	}{
+		{"backoff", "0", 2, "-backoff must be > 0"},
+		{"backoff", "-50ms", 2, "-backoff must be > 0"},
+		{"retries", "-1", 2, "-retries must be >= 0"},
+		// Legal: these reach the -duration check after them.
+		{"retries", "0", 2, "-duration must be > 0"},
+		{"backoff", "1ms", 2, "-duration must be > 0"},
+	} {
+		var stderr bytes.Buffer
+		args := []string{"-" + c.flag, c.value, "-duration", "0"}
+		if code := run(args, io.Discard, &stderr); code != c.code {
+			t.Fatalf("-%s %s: exit %d, want %d; stderr: %s", c.flag, c.value, code, c.code, &stderr)
+		}
+		if !strings.Contains(stderr.String(), c.says) {
+			t.Fatalf("-%s %s: stderr does not say %q: %s", c.flag, c.value, c.says, &stderr)
+		}
 	}
 }
 

@@ -144,7 +144,8 @@ const DefaultChainsText = core.DefaultChainsText
 const Second = sim.Second
 
 // NewAnalyzer builds an analyzer; nil graph selects the default Fig. 9
-// graph and a zero config the paper's Table 5 thresholds. The returned
+// graph and a zero config field its Table 5 threshold. A value
+// DetectorConfig refuses is an error naming the field. The returned
 // Analyzer is immutable and safe for concurrent use.
 func NewAnalyzer(cfg DetectorConfig, g *Graph) (*Analyzer, error) {
 	return core.NewAnalyzer(cfg, g)

@@ -37,7 +37,9 @@ import (
 	"github.com/domino5g/domino/internal/ingest"
 )
 
-// Options configures a Balancer.
+// Options configures a Balancer. Its four probe and scrape settings are
+// always on: one left at zero or below runs at its DefaultOptions value,
+// as cmd/dominolb's flags do.
 type Options struct {
 	// Backends are the dominod base URLs fronted by this balancer,
 	// e.g. "http://127.0.0.1:9101". At least one is required.
@@ -48,20 +50,37 @@ type Options struct {
 	// idleConnsPerBackend connections to each backend, with no global
 	// timeout (probes and scrapes get per-request context deadlines).
 	Client *http.Client
-	// HealthInterval is the active probe period (default 1s).
+	// HealthInterval is the active probe period.
 	HealthInterval time.Duration
-	// HealthTimeout bounds one probe (default HealthInterval/2).
+	// HealthTimeout bounds one probe, whatever the interval.
 	HealthTimeout time.Duration
 	// FailThreshold is the consecutive probe failures that mark a
-	// backend down (default 3). Transport errors of the requests the
-	// balancer relays count toward it too — a client's watermark probe
-	// after a failed upload among them — so data-path failures shorten
-	// detection.
+	// backend down. Transport errors of the requests the balancer relays
+	// count toward it too — a client's watermark probe after a failed
+	// upload among them — so data-path failures shorten detection.
 	FailThreshold int
 	// ScrapeTimeout bounds one backend /metrics scrape during
-	// federation (default 5s).
+	// federation.
 	ScrapeTimeout time.Duration
 	Log           *slog.Logger
+}
+
+// DefaultOptions declares the balancer's probe and scrape settings: New's
+// and cmd/dominolb's defaults.
+func DefaultOptions() Options {
+	return Options{
+		HealthInterval: time.Second,
+		HealthTimeout:  500 * time.Millisecond,
+		FailThreshold:  3,
+		ScrapeTimeout:  5 * time.Second,
+	}
+}
+
+// orDefault puts def in place of a setting that is not positive.
+func orDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // Balancer routes sessions across a dominod fleet. Create with New,
@@ -114,21 +133,11 @@ type lbSession struct {
 // starts with a populated fleet view, and starts the background
 // prober.
 func New(opts Options) (*Balancer, error) {
-	if len(opts.Backends) == 0 {
-		return nil, fmt.Errorf("balancer: no backends configured")
-	}
-	if opts.HealthInterval <= 0 {
-		opts.HealthInterval = time.Second
-	}
-	if opts.HealthTimeout <= 0 {
-		opts.HealthTimeout = opts.HealthInterval / 2
-	}
-	if opts.FailThreshold <= 0 {
-		opts.FailThreshold = 3
-	}
-	if opts.ScrapeTimeout <= 0 {
-		opts.ScrapeTimeout = 5 * time.Second
-	}
+	def := DefaultOptions()
+	orDefault(&opts.HealthInterval, def.HealthInterval)
+	orDefault(&opts.HealthTimeout, def.HealthTimeout)
+	orDefault(&opts.FailThreshold, def.FailThreshold)
+	orDefault(&opts.ScrapeTimeout, def.ScrapeTimeout)
 	if opts.Log == nil {
 		opts.Log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 	}

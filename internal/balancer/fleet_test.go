@@ -41,16 +41,28 @@ import (
 // a chunk is in flight).
 func ownerOf(t *testing.T, nodes []*fleetNode, id string, deadline time.Duration) *fleetNode {
 	t.Helper()
-	stop := time.Now().Add(deadline)
-	for time.Now().Before(stop) {
+	n := findOwner(nodes, id, deadline)
+	if n == nil {
+		t.Fatalf("no node owns session %s", id)
+	}
+	return n
+}
+
+// findOwner is ownerOf for a goroutine, which cannot end the test: nil
+// when no node answers the session's watermark within deadline.
+func findOwner(nodes []*fleetNode, id string, deadline time.Duration) *fleetNode {
+	for stop := time.Now().Add(deadline); time.Now().Before(stop); time.Sleep(2 * time.Millisecond) {
 		for _, n := range nodes {
-			if _, ok := n.watermark(t, id); ok {
+			resp, err := http.Get(n.ts.URL + "/sessions/" + id + "/watermark")
+			if err != nil {
+				continue
+			}
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
 				return n
 			}
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("no node owns session %s", id)
 	return nil
 }
 
@@ -248,11 +260,15 @@ func TestFleetChaosDifferential(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					victim := ownerOf(t, alive(), id, 2*time.Second)
+					defer close(gate)
+					victim := findOwner(alive(), id, 2*time.Second)
+					if victim == nil {
+						t.Errorf("no node owns session %s", id)
+						return
+					}
 					victim.kill()
 					markDead(victim)
 					killed++
-					close(gate)
 				}()
 				req, err := http.NewRequest(http.MethodPost, owner, body)
 				if err != nil {
@@ -353,7 +369,7 @@ func TestFleetDrainSemantics(t *testing.T) {
 	lb, err := New(Options{
 		Backends:       []string{a.ts.URL, b.ts.URL},
 		HealthInterval: 10 * time.Millisecond,
-		HealthTimeout:  time.Second, // default interval/2 is too twitchy under test load
+		HealthTimeout:  time.Second, // a probe may outlast the 10 ms interval under test load
 		FailThreshold:  2,
 	})
 	if err != nil {

@@ -104,12 +104,6 @@ func (b *Balancer) backendFailed(be *backend, err error) {
 	}
 }
 
-func copyHeader(dst, src http.Header, name string) {
-	if v := src.Get(name); v != "" {
-		dst.Set(name, v)
-	}
-}
-
 // handleWatermark serves a session's resume point. For a session the
 // balancer routed, this runs failover first, so the answer reflects
 // the node the next POST will land on — that is what makes the
@@ -122,13 +116,13 @@ func (b *Balancer) handleWatermark(w http.ResponseWriter, r *http.Request) {
 			ingest.CodeUnavailable.Reject(w, err.Error())
 			return
 		}
-		b.passThrough(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark")
+		b.relay(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark", false)
 		return
 	}
 	// Unknown to this balancer (admitted before a restart, or direct
 	// to a node): first backend that knows it wins.
 	for _, be := range b.reachable() {
-		if b.tryPassThrough(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark") {
+		if b.relay(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark", true) {
 			return
 		}
 	}
@@ -153,7 +147,7 @@ func (b *Balancer) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for _, be := range b.reachable() {
-		if b.tryPassThrough(w, r.Context(), be, path) {
+		if b.relay(w, r.Context(), be, path, true) {
 			return
 		}
 	}
@@ -172,38 +166,30 @@ func (b *Balancer) reachable() []*backend {
 	return out
 }
 
-// passThrough proxies one GET verbatim — status, content type and
-// length, body.
-func (b *Balancer) passThrough(w http.ResponseWriter, ctx context.Context, be *backend, path string) {
+// relay proxies one GET verbatim — status, content type and length,
+// body — and says whether it answered w. With only200 a miss (a
+// transport error or a status other than 200) leaves w untouched so the
+// caller can try elsewhere; without it, every status is relayed and a
+// transport error is a 502.
+func (b *Balancer) relay(w http.ResponseWriter, ctx context.Context, be *backend, path string, only200 bool) bool {
 	resp, err := b.get(ctx, be, path)
 	if err != nil {
 		b.backendFailed(be, err)
-		ingest.WriteError(w, http.StatusBadGateway, err.Error())
-		return
+		if !only200 {
+			ingest.WriteError(w, http.StatusBadGateway, err.Error())
+		}
+		return !only200
 	}
 	defer resp.Body.Close()
-	copyHeader(w.Header(), resp.Header, "Content-Type")
-	copyHeader(w.Header(), resp.Header, "Content-Length")
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-}
-
-// tryPassThrough proxies a GET if the backend answers it 200. A miss (a
-// transport error or another status) leaves the ResponseWriter untouched
-// so the caller can try elsewhere.
-func (b *Balancer) tryPassThrough(w http.ResponseWriter, ctx context.Context, be *backend, path string) bool {
-	resp, err := b.get(ctx, be, path)
-	if err != nil {
-		b.backendFailed(be, err)
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if only200 && resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		return false
 	}
-	copyHeader(w.Header(), resp.Header, "Content-Type")
-	copyHeader(w.Header(), resp.Header, "Content-Length")
+	for _, h := range []string{"Content-Type", "Content-Length"} {
+		if v := resp.Header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
+	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 	return true

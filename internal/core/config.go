@@ -2,15 +2,19 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"github.com/domino5g/domino/internal/sim"
 )
 
 // DetectorConfig holds the window geometry and every event-condition
 // threshold of Table 5. Users override individual fields to tune
-// detection for their deployment; zero values select paper defaults.
-// NewAnalyzer rejects a configuration that breaks a rule its fields
-// state.
+// detection for their deployment. A zero field means its Table 5 value
+// (DefaultDetectorConfig), so zero itself cannot be asked for. NewAnalyzer
+// refuses, with an error naming the field, a negative field (each must be
+// positive), a RelDrop, PushbackNeqFrac or RateExceedFrac of 1 or more
+// (each would silence its event), and a configuration that breaks a rule
+// its fields state.
 type DetectorConfig struct {
 	// Window is the sliding-window length W (paper: 5 s). It must be a
 	// multiple of MCSGroup.
@@ -43,13 +47,12 @@ type DetectorConfig struct {
 	// RateExceedFrac: fraction of window bins where app rate exceeds
 	// TBS rate (event 14; paper 0.1).
 	RateExceedFrac float64
-	// RateBin is the bin width for event 14 (positive).
+	// RateBin is the bin width for event 14 (paper: 100 ms).
 	RateBin sim.Time
 	// CrossFrac: other-UE PRBs exceed this fraction of own PRBs
 	// (event 15; paper 0.2).
 	CrossFrac float64
-	// MCSGroup is the grouping window for event 16 (paper 50 ms;
-	// positive).
+	// MCSGroup is the grouping window for event 16 (paper 50 ms).
 	MCSGroup sim.Time
 	// MCSP90Below / MCSMedianBelow / MCSLowCount: event 16 thresholds
 	// (paper: p90 < 20, median < 10 in more than 10 groups). Both MCS
@@ -88,85 +91,46 @@ func DefaultDetectorConfig() DetectorConfig {
 	}
 }
 
-// normalize fills zero fields with defaults.
+// normalize fills each zero field with its DefaultDetectorConfig value,
+// the one place a threshold is valued.
 func (c DetectorConfig) normalize() DetectorConfig {
-	d := DefaultDetectorConfig()
-	if c.Window <= 0 {
-		c.Window = d.Window
-	}
-	if c.Step <= 0 {
-		c.Step = d.Step
-	}
-	if c.FPSHigh == 0 {
-		c.FPSHigh = d.FPSHigh
-	}
-	if c.FPSLow == 0 {
-		c.FPSLow = d.FPSLow
-	}
-	if c.JBDrainMs == 0 {
-		c.JBDrainMs = d.JBDrainMs
-	}
-	if c.RelDrop == 0 {
-		c.RelDrop = d.RelDrop
-	}
-	if c.PushbackNeqFrac == 0 {
-		c.PushbackNeqFrac = d.PushbackNeqFrac
-	}
-	if c.DelayUpMs == 0 {
-		c.DelayUpMs = d.DelayUpMs
-	}
-	if c.TrendGroup == 0 {
-		c.TrendGroup = d.TrendGroup
-	}
-	if c.TBSDropFrac == 0 {
-		c.TBSDropFrac = d.TBSDropFrac
-	}
-	if c.RateExceedFrac == 0 {
-		c.RateExceedFrac = d.RateExceedFrac
-	}
-	if c.RateBin == 0 {
-		c.RateBin = d.RateBin
-	}
-	if c.CrossFrac == 0 {
-		c.CrossFrac = d.CrossFrac
-	}
-	if c.MCSGroup == 0 {
-		c.MCSGroup = d.MCSGroup
-	}
-	if c.MCSP90Below == 0 {
-		c.MCSP90Below = d.MCSP90Below
-	}
-	if c.MCSMedianBelow == 0 {
-		c.MCSMedianBelow = d.MCSMedianBelow
-	}
-	if c.MCSLowCount == 0 {
-		c.MCSLowCount = d.MCSLowCount
-	}
-	if c.HARQCount == 0 {
-		c.HARQCount = d.HARQCount
+	v, def := reflect.ValueOf(&c).Elem(), reflect.ValueOf(DefaultDetectorConfig())
+	for i := range v.NumField() {
+		if v.Field(i).IsZero() {
+			v.Field(i).Set(def.Field(i))
+		}
 	}
 	return c
 }
 
-// validate rejects a normalized configuration the rolling engine cannot
-// evaluate exactly: every window must start on a rate-bin and an
-// MCS-group boundary and end on an MCS-group boundary, and an MCS
-// threshold must lie where saturating MCS to 0–31 keeps its verdicts.
+// validate refuses a normalized configuration that would pin an event
+// for every input — a field that is not positive, or a fraction of 1 or
+// more — and one the rolling engine cannot evaluate exactly: every
+// window must start on a rate-bin and an MCS-group boundary and end on
+// an MCS-group boundary, and an MCS threshold must lie where saturating
+// MCS to 0–31 keeps its verdicts.
 func (c DetectorConfig) validate() error {
+	v := reflect.ValueOf(c)
+	for i := range v.NumField() {
+		if f := v.Field(i); f.CanInt() && f.Int() <= 0 || f.CanFloat() && !(f.Float() > 0) {
+			return fmt.Errorf("core: %s %v must be positive", v.Type().Field(i).Name, f)
+		}
+	}
+	for _, name := range []string{"RelDrop", "PushbackNeqFrac", "RateExceedFrac"} {
+		if f := v.FieldByName(name).Float(); f >= 1 {
+			return fmt.Errorf("core: %s %v must be below 1", name, f)
+		}
+	}
 	switch {
-	case c.RateBin <= 0:
-		return fmt.Errorf("core: RateBin %v must be positive", c.RateBin)
-	case c.MCSGroup <= 0:
-		return fmt.Errorf("core: MCSGroup %v must be positive", c.MCSGroup)
 	case c.Step%c.RateBin != 0:
 		return fmt.Errorf("core: Step %v must be a multiple of RateBin %v", c.Step, c.RateBin)
 	case c.Step%c.MCSGroup != 0:
 		return fmt.Errorf("core: Step %v must be a multiple of MCSGroup %v", c.Step, c.MCSGroup)
 	case c.Window%c.MCSGroup != 0:
 		return fmt.Errorf("core: Window %v must be a multiple of MCSGroup %v", c.Window, c.MCSGroup)
-	case !(c.MCSMedianBelow > 0 && c.MCSMedianBelow <= mcsLevels-1):
+	case c.MCSMedianBelow > mcsLevels-1:
 		return fmt.Errorf("core: MCSMedianBelow %v must be in (0, %d]", c.MCSMedianBelow, mcsLevels-1)
-	case !(c.MCSP90Below > 0 && c.MCSP90Below <= mcsLevels-1):
+	case c.MCSP90Below > mcsLevels-1:
 		return fmt.Errorf("core: MCSP90Below %v must be in (0, %d]", c.MCSP90Below, mcsLevels-1)
 	}
 	return nil

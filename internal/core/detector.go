@@ -25,9 +25,9 @@ type Analyzer struct {
 }
 
 // NewAnalyzer builds an analyzer. A nil graph selects the paper's
-// default Fig. 9 graph; a zero config selects Table 5 thresholds. A
-// geometry or MCS threshold DetectorConfig rules out is an error that
-// names the rule.
+// default Fig. 9 graph; a zero field of cfg selects its Table 5 value. A
+// value DetectorConfig refuses is an error that names the field and the
+// rule.
 func NewAnalyzer(cfg DetectorConfig, graph *Graph) (*Analyzer, error) {
 	cfg = cfg.normalize()
 	if err := cfg.validate(); err != nil {

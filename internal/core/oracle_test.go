@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -193,6 +194,39 @@ func TestNewAnalyzerGeometry(t *testing.T) {
 				t.Fatalf("error %q does not name %q", err, tc.rule)
 			}
 		})
+	}
+}
+
+// TestNewAnalyzerRefusesOutOfRange: a negative value in any field of
+// DetectorConfig, and 1 in each of the three fractions, would pin an
+// event for every input, so NewAnalyzer refuses each with an error
+// naming the field; a fraction just below 1 is taken.
+func TestNewAnalyzerRefusesOutOfRange(t *testing.T) {
+	typ := reflect.TypeOf(core.DetectorConfig{})
+	for i := range typ.NumField() {
+		name := typ.Field(i).Name
+		var cfg core.DetectorConfig
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		if f.CanInt() {
+			f.SetInt(-1)
+		} else {
+			f.SetFloat(-1)
+		}
+		if _, err := core.NewAnalyzer(cfg, nil); err == nil || !strings.Contains(err.Error(), "core: "+name+" ") || !strings.Contains(err.Error(), "must be positive") {
+			t.Errorf("%s -1: err %v, want one naming %s as not positive", name, err, name)
+		}
+	}
+	for _, name := range []string{"RelDrop", "PushbackNeqFrac", "RateExceedFrac"} {
+		var cfg core.DetectorConfig
+		f := reflect.ValueOf(&cfg).Elem().FieldByName(name)
+		f.SetFloat(1)
+		if _, err := core.NewAnalyzer(cfg, nil); err == nil || !strings.Contains(err.Error(), "core: "+name+" 1 must be below 1") {
+			t.Errorf("%s 1: err %v, want one naming %s as not below 1", name, err, name)
+		}
+		f.SetFloat(math.Nextafter(1, 0))
+		if _, err := core.NewAnalyzer(cfg, nil); err != nil {
+			t.Errorf("%s just below 1: %v", name, err)
+		}
 	}
 }
 

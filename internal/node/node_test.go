@@ -83,17 +83,34 @@ func postTorn(t *testing.T, base, id string, req ingest.Request, contentType str
 
 func post(t *testing.T, base, id string, req ingest.Request, body io.Reader) *http.Response {
 	t.Helper()
-	hr, err := http.NewRequest(http.MethodPost, base+"/ingest?session="+id, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr.Header.Set("Content-Type", ingest.ContentTypeJSONL)
-	req.SetHeaders(hr.Header)
-	resp, err := http.DefaultClient.Do(hr)
+	resp, err := tryPost(base, id, req, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// tryPost is post for a goroutine, which cannot end the test: it returns
+// the error post fails the test with.
+func tryPost(base, id string, req ingest.Request, body io.Reader) (*http.Response, error) {
+	hr, err := http.NewRequest(http.MethodPost, base+"/ingest?session="+id, body)
+	if err != nil {
+		return nil, err
+	}
+	hr.Header.Set("Content-Type", ingest.ContentTypeJSONL)
+	req.SetHeaders(hr.Header)
+	return http.DefaultClient.Do(hr)
+}
+
+// waitAdmitted waits for an upload to take one of n's stream slots, and
+// fails the test if none does within 5 s.
+func waitAdmitted(t *testing.T, n *Node) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); n.limiter.InUse() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no upload took a stream slot within 5 s")
+		}
+	}
 }
 
 // TestZeroOptionsAreDefaults: New runs every bound a zero Options leaves
@@ -166,14 +183,20 @@ func TestRejectionsAreTheProtocols(t *testing.T) {
 	// Saturate the one slot, then knock.
 	pr, pw := io.Pipe()
 	held := make(chan *http.Response, 1)
-	go func() { held <- post(t, ts.URL, "holder", oneShot, pr) }()
+	go func() {
+		resp, err := tryPost(ts.URL, "holder", oneShot, pr)
+		if err != nil {
+			t.Error(err)
+		}
+		held <- resp
+	}()
 	pw.Write(firstLines(body, 1))
-	for n.limiter.InUse() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitAdmitted(t, n)
 	expect("upload past a saturated limiter", post(t, ts.URL, "shed", oneShot, bytes.NewReader(body)), ingest.CodeOverload)
 	pw.Close()
-	(<-held).Body.Close()
+	if resp := <-held; resp != nil {
+		resp.Body.Close()
+	}
 
 	n.Drain()
 	expect("upload to a draining node", post(t, ts.URL, "late", oneShot, bytes.NewReader(body)), ingest.CodeDraining)
@@ -355,14 +378,17 @@ func TestShutdownDrainsThenCheckpoints(t *testing.T) {
 	pr, pw := io.Pipe()
 	inflight := make(chan int, 1)
 	go func() {
-		resp := post(t, ts.URL, "inflight", ingest.Request{Eos: true}, pr)
+		resp, err := tryPost(ts.URL, "inflight", ingest.Request{Eos: true}, pr)
+		if err != nil {
+			t.Error(err)
+			inflight <- 0
+			return
+		}
 		resp.Body.Close()
 		inflight <- resp.StatusCode
 	}()
 	pw.Write(firstLines(body, 1))
-	for n.limiter.InUse() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitAdmitted(t, n)
 
 	shut := make(chan error, 1)
 	go func() {

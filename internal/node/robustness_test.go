@@ -35,19 +35,25 @@ import (
 // headers. seq < 0 omits X-Domino-Seq (the legacy one-shot contract).
 func postChunk(t testing.TB, url, session, contentType string, seq int, eos bool, body io.Reader) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/ingest?session="+session, body)
+	resp, err := tryPostChunk(url, session, contentType, seq, eos, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return resp
+}
+
+// tryPostChunk is postChunk for a goroutine, which cannot end the test:
+// it returns the error postChunk fails the test with.
+func tryPostChunk(url, session, contentType string, seq int, eos bool, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodPost, url+"/ingest?session="+session, body)
+	if err != nil {
+		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
 	if seq >= 0 {
 		ingest.Request{Seq: seq, Resumable: true, Eos: eos}.SetHeaders(req.Header)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	return http.DefaultClient.Do(req)
 }
 
 func drainClose(resp *http.Response) {
@@ -109,7 +115,12 @@ func TestIngestOverloadSheds429(t *testing.T) {
 	pr, pw := io.Pipe()
 	done := make(chan int, 1)
 	go func() {
-		resp := postChunk(t, ts.URL, "holder", "application/jsonl", -1, false, pr)
+		resp, err := tryPostChunk(ts.URL, "holder", "application/jsonl", -1, false, pr)
+		if err != nil {
+			t.Error(err)
+			done <- 0
+			return
+		}
 		defer drainClose(resp)
 		done <- resp.StatusCode
 	}()

@@ -28,6 +28,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"sort"
 	"strconv"
@@ -35,6 +36,23 @@ import (
 	"sync"
 	"sync/atomic"
 )
+
+// NewLogger builds a daemon's log/slog logger on w from its -log-format
+// ("text" or "json") and -v (debug level) flags. Any other format is an
+// error that names it.
+func NewLogger(w io.Writer, format string, verbose bool) (*slog.Logger, error) {
+	opts := &slog.HandlerOptions{Level: slog.LevelInfo}
+	if verbose {
+		opts.Level = slog.LevelDebug
+	}
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
+	}
+	return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
+}
 
 // Label is one metric dimension (a Prometheus label pair). Labels are
 // fixed at registration; dynamic label values should be pre-registered

@@ -294,6 +294,71 @@ func selfCalls(fn *ast.FuncDecl, mark map[*ast.Ident]bool) {
 	})
 }
 
+// TestGoroutinesNeverEndTheTest: t.Fatal, FailNow and SkipNow end only
+// the goroutine that calls them, so a test goroutine that calls a helper
+// of its own package that ends the test leaves the test waiting on a
+// result that never comes: a failed request hangs go test to its timeout
+// instead of failing it. go vet's testinggoroutine check sees only a
+// direct call; this sees a go statement whose call, or whose function
+// literal, calls such a helper by name, and names both positions. A
+// goroutine reports through t.Error or the channel it sends on.
+func TestGoroutinesNeverEndTheTest(t *testing.T) {
+	type site struct {
+		pos  token.Pos
+		pkg  string
+		name string
+	}
+	enders := map[string]token.Pos{} // "dir|package.func" → its first call that ends the test
+	var sites []site
+	fset := token.NewFileSet()
+	walkGoFiles(t, fset, func(path string, f *ast.File) {
+		if !strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		pkg := filepath.Dir(path) + "|" + f.Name.Name + "."
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						switch sel.Sel.Name {
+						case "Fatal", "Fatalf", "FailNow", "SkipNow":
+							if _, seen := enders[pkg+fn.Name.Name]; !seen {
+								enders[pkg+fn.Name.Name] = call.Pos()
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			g, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			ast.Inspect(g.Call, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok {
+						sites = append(sites, site{call.Pos(), pkg, id.Name})
+					}
+				}
+				return true
+			})
+			return true
+		})
+	})
+	for _, s := range sites {
+		if end, ok := enders[s.pkg+s.name]; ok {
+			t.Errorf("%s: a goroutine calls %s, which ends the test at %s; report through t.Error or a channel",
+				fset.Position(s.pos), s.name, fset.Position(end))
+		}
+	}
+}
+
 // TestDocLinksResolve: the documentation set cannot drift from the tree
 // it describes. For every [text](target) whose target is not a URL or a
 // pure #fragment, the file or directory must exist.
