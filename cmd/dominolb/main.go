@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&opts.HealthInterval, "health-interval", opts.HealthInterval, "active /healthz probe period")
 	fs.DurationVar(&opts.HealthTimeout, "health-timeout", opts.HealthTimeout, "per-probe timeout")
 	fs.IntVar(&opts.FailThreshold, "health-fails", opts.FailThreshold, "consecutive probe failures that mark a backend down")
-	fs.DurationVar(&opts.ScrapeTimeout, "scrape-timeout", opts.ScrapeTimeout, "per-backend /metrics scrape timeout during federation")
+	fs.DurationVar(&opts.ScrapeTimeout, "scrape-timeout", opts.ScrapeTimeout, "timeout of the whole federated /metrics scrape, which asks every backend at once")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	verbose := fs.Bool("v", false, "log per-session routing events (debug level)")
 	if err := fs.Parse(args); err != nil {

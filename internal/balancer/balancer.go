@@ -17,12 +17,17 @@
 // a backend still yields a final report byte-identical to clean
 // single-node analysis.
 //
-// The balancer also serves the fleet read surface: GET /metrics
-// scrapes every backend, obs.ParseText-parses and obs.Merges the
-// snapshots into one lint-clean exposition (a scrape that breaks a rule
-// obs.Lint holds is a failed scrape, not merged); /sessions, /query and
-// /incidents/similar fan out and merge; a session's watermark is relayed
-// from its pin.
+// The balancer also serves the fleet read surface, and reads more than
+// one backend one way: a fan-out that asks every reachable node at once
+// and keeps the 200 answers, each read under one bound, in backend
+// order. GET /metrics fans out under one ScrapeTimeout, then
+// obs.ParseText-parses and obs.Merges the snapshots into one lint-clean
+// exposition (a scrape that breaks a rule obs.Lint holds is a failed
+// scrape, not merged); /sessions, /query and /incidents/similar fan out
+// and merge; a report or watermark the balancer cannot steer or relay
+// from a pin is the fleet's first 200. A transport error of a request to
+// a node counts against the node's health only while the request is
+// live: a client that hung up, or a scrape past its timeout, does not.
 package balancer
 
 import (
@@ -55,12 +60,13 @@ type Options struct {
 	// HealthTimeout bounds one probe, whatever the interval.
 	HealthTimeout time.Duration
 	// FailThreshold is the consecutive probe failures that mark a
-	// backend down. Transport errors of the requests the balancer relays
-	// count toward it too — a client's watermark probe after a failed
-	// upload among them — so data-path failures shorten detection.
+	// backend down. Transport errors of the balancer's other requests to
+	// it count toward it too while their request is live — a client's
+	// watermark probe after a failed upload among them — so data-path
+	// failures shorten detection.
 	FailThreshold int
-	// ScrapeTimeout bounds one backend /metrics scrape during
-	// federation.
+	// ScrapeTimeout bounds the whole federated /metrics scrape, which
+	// asks every backend at once.
 	ScrapeTimeout time.Duration
 	Log           *slog.Logger
 }

@@ -607,6 +607,176 @@ func TestMetricsFederationSkipsInvalidScrape(t *testing.T) {
 	}
 }
 
+// hangingBackend is a backend that is up and answers paths in hold only
+// when the request is cancelled, signalling each arrival on arrived.
+func hangingBackend(t *testing.T, arrived chan<- struct{}, hold ...string) *fleetNode {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		ingest.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "node": "hung"})
+	})
+	for _, path := range hold {
+		mux.HandleFunc("GET "+path, func(w http.ResponseWriter, r *http.Request) {
+			if arrived != nil {
+				arrived <- struct{}{}
+			}
+			<-r.Context().Done()
+		})
+	}
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return &fleetNode{ts: ts}
+}
+
+// TestMetricsFederationIsConcurrent: the backends are scraped at once,
+// under one ScrapeTimeout, so three hung nodes cost the scrape that
+// timeout once and not three times. Each is one scrape error, and none
+// counts against its health: it was the scrape's timeout that cut it off.
+func TestMetricsFederationIsConcurrent(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	hung := []*fleetNode{hangingBackend(t, nil, "/metrics"), hangingBackend(t, nil, "/metrics"), hangingBackend(t, nil, "/metrics")}
+	lb, ts := newTestBalancer(t, Options{ScrapeTimeout: timeout, FailThreshold: 3}, hung...)
+
+	start := time.Now()
+	text := readBody(t, mustGet(t, ts.URL+"/metrics"))
+	if took := time.Since(start); took >= 2*timeout {
+		t.Fatalf("the fleet scrape took %v with %d hung backends, want under %v", took, len(hung), 2*timeout)
+	}
+	if errs, stats := obs.Lint(strings.NewReader(text)); len(errs) > 0 || !strings.Contains(text, "dominolb_backends 3\n") {
+		t.Fatalf("the exposition is not the balancer's own, lint-clean (%v, %d families):\n%s", errs, stats.Families, text)
+	}
+	for _, n := range hung {
+		if got := lb.m.scrapeErrors[n.ts.URL].Value(); got != 1 {
+			t.Errorf("scrape errors for %s = %d, want 1", n.ts.URL, got)
+		}
+		if st := backendOf(t, lb, n).State(); st != stateUp {
+			t.Errorf("%s is %v after a timed-out scrape, want up", n.ts.URL, st)
+		}
+	}
+	if got := lb.m.proxyErrors.Value(); got != 0 {
+		t.Errorf("dominolb_proxy_errors_total = %d after timed-out scrapes, want 0", got)
+	}
+}
+
+// TestClientCancelIsNotABackendFailure: a read whose client hangs up
+// before the backend answers fails its request to the backend, and that
+// says nothing about the backend. FailThreshold such reads inside one
+// probe interval leave it up and routable.
+func TestClientCancelIsNotABackendFailure(t *testing.T) {
+	arrived := make(chan struct{})
+	n := hangingBackend(t, arrived, "/query")
+	lb, err := New(Options{Backends: []string{n.ts.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lb.Close)
+	routes := lb.Routes()
+	handled := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		routes.ServeHTTP(w, r)
+		handled <- struct{}{}
+	}))
+	t.Cleanup(ts.Close)
+
+	for i := 0; i < lb.opts.FailThreshold; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/query", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			done <- err
+		}()
+		<-arrived // the balancer's read is at the backend
+		cancel()
+		if err := <-done; err == nil {
+			t.Fatal("a cancelled read got an answer")
+		}
+		select {
+		case <-handled:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the balancer still serves a read whose client hung up 5 s ago")
+		}
+	}
+	if st := backendOf(t, lb, n).State(); st != stateUp {
+		t.Fatalf("the backend is %v after %d reads its clients cancelled, want up", st, lb.opts.FailThreshold)
+	}
+	if got := lb.m.proxyErrors.Value(); got != 0 {
+		t.Fatalf("dominolb_proxy_errors_total = %d after cancelled reads, want 0", got)
+	}
+	go func() { <-handled }() // the steer below
+	if loc := steerTo(t, ts.URL, "after-cancel", ingest.Request{Resumable: true}); !strings.HasPrefix(loc, n.ts.URL+"/ingest") {
+		t.Fatalf("POST /ingest steered to %q, want the backend", loc)
+	}
+}
+
+// TestSessionsMergeIsWriteJSONOfRows: the fleet's /sessions is, byte for
+// byte, ingest.WriteJSON of every node's rows stable-sorted by session
+// id — live, done and failed sessions, ids that need escaping or are not
+// ASCII, one id two nodes hold (in backend order), a node with none —
+// and a node whose body is not laid out as a node lays it out is skipped.
+func TestSessionsMergeIsWriteJSONOfRows(t *testing.T) {
+	a, b, empty := newFleetNode(t, "a"), newFleetNode(t, "b"), newFleetNode(t, "empty")
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		ingest.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "node": "compact"})
+	})
+	mux.HandleFunc("GET /sessions", func(w http.ResponseWriter, r *http.Request) {
+		body, _ := json.Marshal([]node.SessionInfo{{Session: "compact", Cell: "fdd", State: ingest.StateDone}})
+		w.Write(body)
+	})
+	compact := httptest.NewServer(mux)
+	t.Cleanup(compact.Close)
+	_, lb := newTestBalancer(t, Options{}, a, &fleetNode{ts: compact}, b, empty)
+
+	chunks, seqs := splitLines(sessionJSONL(t, ran.Presets()[0], 32, 6*sim.Second), 3)
+	bad := append(slices.Clone(chunks[1]), "not a record\n"...)
+	q := url.QueryEscape
+	mustPost(t, a.ts.URL, q("done é✓"), 0, true, sessionJSONL(t, ran.Presets()[1], 33, 2*sim.Second), http.StatusOK)
+	mustPost(t, a.ts.URL, q(`live "<q>" & \`), 0, false, chunks[0], http.StatusAccepted)
+	mustPost(t, a.ts.URL, "twice", 0, true, sessionJSONL(t, ran.Presets()[0], 34, 2*sim.Second), http.StatusOK)
+	mustPost(t, b.ts.URL, q("failed\tтаб"), 0, false, chunks[0], http.StatusAccepted)
+	mustPost(t, b.ts.URL, q("failed\tтаб"), seqs[1], false, bad, http.StatusBadRequest)
+	mustPost(t, b.ts.URL, "twice", 0, true, sessionJSONL(t, ran.Presets()[2], 35, 3*sim.Second), http.StatusOK)
+	mustPost(t, b.ts.URL, "a-first", 0, true, sessionJSONL(t, ran.Presets()[0], 36, 2*sim.Second), http.StatusOK)
+
+	var rows []node.SessionInfo
+	for _, n := range []*fleetNode{a, b, empty} {
+		var part []node.SessionInfo
+		if err := json.Unmarshal([]byte(readBody(t, mustGet(t, n.ts.URL+"/sessions"))), &part); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, part...)
+	}
+	if len(rows) != 6 {
+		t.Fatalf("the nodes hold %d sessions, want 6", len(rows))
+	}
+	slices.SortStableFunc(rows, func(x, y node.SessionInfo) int { return strings.Compare(x.Session, y.Session) })
+	rec := httptest.NewRecorder()
+	ingest.WriteJSON(rec, http.StatusOK, rows)
+	resp := mustGet(t, lb.URL+"/sessions")
+	if got := readBody(t, resp); got != rec.Body.String() || resp.ContentLength != int64(len(got)) {
+		t.Fatalf("dominolb's /sessions (Content-Length %d)\n%s\nis not WriteJSON of the nodes' rows\n%s", resp.ContentLength, got, rec.Body)
+	}
+	for i, want := range []node.SessionInfo{
+		{Session: "a-first", State: ingest.StateDone}, {Session: "done é✓", State: ingest.StateDone},
+		{Session: "failed\tтаб", State: ingest.StateFailed}, {Session: `live "<q>" & \`, State: ingest.StateActive},
+		{Session: "twice", State: ingest.StateDone}, {Session: "twice", State: ingest.StateDone},
+	} {
+		if rows[i].Session != want.Session || rows[i].State != want.State {
+			t.Fatalf("row %d is %q %s, want %q %s", i, rows[i].Session, rows[i].State, want.Session, want.State)
+		}
+	}
+	if rows[4].Records == rows[5].Records {
+		t.Fatal("the two nodes' rows for one id cannot be told apart")
+	}
+}
+
 func TestHealthzAggregation(t *testing.T) {
 	a, b := newFleetNode(t, "a"), newFleetNode(t, "b")
 	lb, ts := newTestBalancer(t, Options{}, a, b)

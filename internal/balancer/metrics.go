@@ -1,8 +1,8 @@
 package balancer
 
 import (
+	"bytes"
 	"context"
-	"io"
 	"net/http"
 
 	"github.com/domino5g/domino/internal/ingest"
@@ -31,7 +31,7 @@ func newMetrics(b *Balancer) *metrics {
 		failovers: reg.Counter("dominolb_failovers_total",
 			"Sessions re-pinned to a surviving backend after their node left the fleet."),
 		proxyErrors: reg.Counter("dominolb_proxy_errors_total",
-			"Requests relayed to a backend (watermarks, report and fan-out reads) that failed at the transport layer."),
+			"Requests to a backend (relayed watermarks, fan-out reads and scrapes) that failed at the transport layer while their own request was live; each counts toward the backend's failure threshold."),
 		healthProbes: reg.Counter("dominolb_health_probes_total",
 			"Active health probes issued."),
 		probeFailures: reg.Counter("dominolb_health_probe_failures_total",
@@ -71,22 +71,36 @@ func newMetrics(b *Balancer) *metrics {
 }
 
 // handleMetrics serves the fleet exposition: the balancer's own
-// snapshot merged with every reachable backend's scraped-and-reparsed
-// snapshot, rendered as one lint-clean Prometheus text document.
-// Backends that fail to scrape — unreachable, or serving text ParseText
-// rejects, which is whatever Lint would — are skipped and counted: a
-// degraded fleet still exposes itself, and one bad backend cannot make
-// the fleet's document invalid.
+// snapshot merged, in backend order, with every reachable backend's
+// scraped-and-reparsed snapshot, rendered as one lint-clean Prometheus
+// text document. The backends are scraped at once, under one
+// ScrapeTimeout, so a hung node costs the scrape that timeout once.
+// Backends that fail to scrape — unreachable, timed out, or serving text
+// ParseText rejects, which is whatever Lint would — are skipped and
+// counted: a degraded fleet still exposes itself, and one bad backend
+// cannot make the fleet's document invalid.
 func (b *Balancer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snaps := []obs.Snapshot{b.m.reg.Snapshot()}
-	for _, be := range b.reachable() {
-		snap, err := b.scrape(r.Context(), be)
+	ctx, cancel := context.WithTimeout(r.Context(), b.opts.ScrapeTimeout)
+	defer cancel()
+	ask := b.reachable()
+	answers := b.fan(ctx, ask, "/metrics", "")
+	defer release(answers)
+	scraped := make(map[*backend]bool, len(answers))
+	for _, p := range answers {
+		snap, err := obs.ParseText(bytes.NewReader(p.body))
 		if err != nil {
-			b.m.scrapeErrors[be.url].Inc()
-			b.log.Warn("backend scrape failed", "backend", be.url, "err", err)
+			b.log.Warn("backend scrape does not parse", "backend", p.be.url, "err", err)
 			continue
 		}
 		snaps = append(snaps, snap)
+		scraped[p.be] = true
+	}
+	for _, be := range ask {
+		if !scraped[be] {
+			b.m.scrapeErrors[be.url].Inc()
+			b.log.Warn("backend scrape failed", "backend", be.url)
+		}
 	}
 	merged, err := obs.Merge(snaps...)
 	if err != nil {
@@ -96,24 +110,3 @@ func (b *Balancer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = merged.WriteText(w)
 }
-
-// scrape pulls one backend's /metrics and parses it back into a
-// snapshot — WriteText's inverse, the federation seam.
-func (b *Balancer) scrape(ctx context.Context, be *backend) (obs.Snapshot, error) {
-	ctx, cancel := context.WithTimeout(ctx, b.opts.ScrapeTimeout)
-	defer cancel()
-	resp, err := b.get(ctx, be, "/metrics")
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		return obs.Snapshot{}, errStatus(resp.StatusCode)
-	}
-	return obs.ParseText(resp.Body)
-}
-
-type errStatus int
-
-func (e errStatus) Error() string { return http.StatusText(int(e)) }

@@ -4,17 +4,16 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
 	"github.com/domino5g/domino/internal/ingest"
+	"github.com/domino5g/domino/internal/jsonenc"
 	"github.com/domino5g/domino/internal/rcastore"
 	"github.com/domino5g/domino/internal/sim"
 )
@@ -95,15 +94,6 @@ func (b *Balancer) pinned(sess *lbSession, ending bool) (*backend, error) {
 	return sess.backend, nil
 }
 
-// backendFailed folds the transport failure of a request the balancer
-// relayed to be into its health.
-func (b *Balancer) backendFailed(be *backend, err error) {
-	b.m.proxyErrors.Inc()
-	if be.noteFailure(b.opts.FailThreshold) {
-		b.log.Warn("backend down (relayed request failed)", "backend", be.url, "err", err)
-	}
-}
-
 // handleWatermark serves a session's resume point. For a session the
 // balancer routed, this runs failover first, so the answer reflects
 // the node the next POST will land on — that is what makes the
@@ -116,17 +106,12 @@ func (b *Balancer) handleWatermark(w http.ResponseWriter, r *http.Request) {
 			ingest.CodeUnavailable.Reject(w, err.Error())
 			return
 		}
-		b.relay(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark", false)
+		b.relay(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark")
 		return
 	}
 	// Unknown to this balancer (admitted before a restart, or direct
-	// to a node): first backend that knows it wins.
-	for _, be := range b.reachable() {
-		if b.relay(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark", true) {
-			return
-		}
-	}
-	ingest.WriteError(w, http.StatusNotFound, "no such session")
+	// to a node): the fleet is asked.
+	b.relayFirst(w, r, "/sessions/"+url.PathEscape(id)+"/watermark")
 }
 
 // handleReport steers a pinned session's report read to its owner, as
@@ -146,12 +131,7 @@ func (b *Balancer) handleReport(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	for _, be := range b.reachable() {
-		if b.relay(w, r.Context(), be, path, true) {
-			return
-		}
-	}
-	ingest.WriteError(w, http.StatusNotFound, "no such session")
+	b.relayFirst(w, r, path)
 }
 
 // reachable lists backends worth asking for reads: everything not
@@ -166,25 +146,15 @@ func (b *Balancer) reachable() []*backend {
 	return out
 }
 
-// relay proxies one GET verbatim — status, content type and length,
-// body — and says whether it answered w. With only200 a miss (a
-// transport error or a status other than 200) leaves w untouched so the
-// caller can try elsewhere; without it, every status is relayed and a
-// transport error is a 502.
-func (b *Balancer) relay(w http.ResponseWriter, ctx context.Context, be *backend, path string, only200 bool) bool {
+// relay proxies one GET to be verbatim — status (a 404 among them),
+// content type and length, body; a transport error is a 502.
+func (b *Balancer) relay(w http.ResponseWriter, ctx context.Context, be *backend, path string) {
 	resp, err := b.get(ctx, be, path)
 	if err != nil {
-		b.backendFailed(be, err)
-		if !only200 {
-			ingest.WriteError(w, http.StatusBadGateway, err.Error())
-		}
-		return !only200
+		ingest.WriteError(w, http.StatusBadGateway, err.Error())
+		return
 	}
 	defer resp.Body.Close()
-	if only200 && resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		return false
-	}
 	for _, h := range []string{"Content-Type", "Content-Length"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -192,15 +162,36 @@ func (b *Balancer) relay(w http.ResponseWriter, ctx context.Context, be *backend
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
-	return true
 }
 
+// relayFirst asks every reachable backend for path at once and answers
+// with the first 200 in backend order, or a 404 when none has one.
+func (b *Balancer) relayFirst(w http.ResponseWriter, r *http.Request, path string) {
+	answers := b.fan(r.Context(), b.reachable(), path, "")
+	defer release(answers)
+	if len(answers) == 0 {
+		ingest.WriteError(w, http.StatusNotFound, "no such session")
+		return
+	}
+	ingest.WriteAppended(w, func(dst []byte) []byte { return append(dst, answers[0].body...) })
+}
+
+// get issues one GET to be. Its transport error counts against be's
+// health only while ctx is live: a read whose client hung up, or a
+// scrape cut off by its timeout, says nothing about the node.
 func (b *Balancer) get(ctx context.Context, be *backend, pathAndQuery string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, be.url+pathAndQuery, nil)
-	if err != nil {
-		return nil, err
+	var resp *http.Response
+	if err == nil {
+		resp, err = b.client.Do(req)
 	}
-	return b.client.Do(req)
+	if err != nil && ctx.Err() == nil {
+		b.m.proxyErrors.Inc()
+		if be.noteFailure(b.opts.FailThreshold) {
+			b.log.Warn("backend down (request to it failed)", "backend", be.url, "err", err)
+		}
+	}
+	return resp, err
 }
 
 // part is one backend's 200 answer to a fan-out read: the body, and what
@@ -274,13 +265,14 @@ func (p *part) read(resp *http.Response) error {
 }
 
 // fan issues one GET to each of the given backends, all at once, and
-// returns the 200-answers, each scanned for the array under rowsKey (left
-// as bytes when rowsKey is ""), in the order the backends were given — so
-// a merge does not depend on which node answered first. Individual
-// failures, a body that does not scan (JSON in another layout than a
-// node's among them), are logged and skipped: a degraded fleet still
-// answers with what it has. The caller releases the parts once the
-// answer that refers to them is written.
+// returns the 200-answers, each scanned for the array under rowsKey (the
+// body itself when rowsKey is arrayBody; left as bytes when rowsKey is
+// ""), in the order the backends were given — so a merge does not depend
+// on which node answered first. It is how the balancer reads more than
+// one backend. Individual failures, a body that does not scan (JSON in
+// another layout than a node's among them), are logged and skipped: a
+// degraded fleet still answers with what it has. The caller releases the
+// parts once the answer that refers to them is written.
 func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, rowsKey string) (answers []*part) {
 	got := make([]*part, len(backends))
 	var wg sync.WaitGroup
@@ -290,7 +282,6 @@ func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, r
 			defer wg.Done()
 			resp, err := b.get(ctx, be, pathAndQuery)
 			if err != nil {
-				b.backendFailed(be, err)
 				return
 			}
 			defer resp.Body.Close()
@@ -333,33 +324,9 @@ func (b *Balancer) answer(w http.ResponseWriter, kind string, start time.Time, m
 // handleSessions fans /sessions across the fleet and merges the
 // per-node session summaries, ordered by session id.
 func (b *Balancer) handleSessions(w http.ResponseWriter, r *http.Request) {
-	answers := b.fan(r.Context(), b.reachable(), "/sessions", "")
+	answers := b.fan(r.Context(), b.reachable(), "/sessions", arrayBody)
 	defer release(answers)
-	type keyed struct {
-		id  string
-		raw json.RawMessage
-	}
-	var all []keyed
-	for _, p := range answers {
-		var part []json.RawMessage
-		if err := json.Unmarshal(p.body, &part); err != nil {
-			b.log.Warn("fan-out decode failed", "backend", p.be.url, "path", "/sessions", "err", err)
-			continue
-		}
-		for _, raw := range part {
-			var peek struct {
-				Session string `json:"session"`
-			}
-			_ = json.Unmarshal(raw, &peek)
-			all = append(all, keyed{id: peek.Session, raw: raw})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].id < all[j].id })
-	out := make([]json.RawMessage, len(all))
-	for i, k := range all {
-		out[i] = k.raw
-	}
-	ingest.WriteJSON(w, http.StatusOK, out)
+	ingest.WriteAppended(w, func(dst []byte) []byte { return mergeSessions(dst, answers) })
 }
 
 // handleRead fans a read — /query or /incidents/similar — across the
@@ -455,6 +422,25 @@ func allRows(answers []*part) []*row {
 		}
 	}
 	return rows
+}
+
+// mergeSessions appends the fleet's /sessions answer: every answer's rows
+// ordered by session id, a session two nodes hold once per node in
+// backend order, laid out as a node lays out its own.
+func mergeSessions(dst []byte, answers []*part) []byte {
+	rows := allRows(answers)
+	slices.SortStableFunc(rows, func(a, b *row) int { return bytes.Compare(a.session, b.session) })
+	if len(rows) == 0 {
+		return append(dst, "[]\n"...)
+	}
+	e := jsonenc.Encoder{B: dst}
+	for i, r := range rows {
+		e.Elem(i, 1)
+		e.B = append(e.B, r.raw...)
+	}
+	e.EndArray(1)
+	e.Raw("\n")
+	return e.B
 }
 
 // mergeRecords appends the fleet's answer to a records read: every

@@ -10,14 +10,14 @@ import (
 
 // This file reads what a backend answers to a fan-out read without
 // building it: one strict pass over the body checks that it is JSON laid
-// out as every node lays it out (rcastore.Append…Answer: json.Encoder's
-// two-space indent and closing newline, and nothing else between tokens)
-// and keeps, for each element of the array the merge is about, where the
-// element's bytes are and the few members a merge ranks or sums by. A
-// merged answer is then those bytes copied in rank order
-// (rcastore.AppendRecordsSplice and AppendSimilarSplice) — a node lays
-// an element out exactly as the balancer's answer holds it, so nothing
-// is decoded into a Record and encoded back.
+// out as every node lays it out (rcastore.Append…Answer and /sessions:
+// json.Encoder's two-space indent and closing newline, nothing else
+// between tokens) and keeps, for each element of the array the merge is
+// about, where the element's bytes are and the few members a merge ranks
+// or sums by. A merged answer is then those bytes copied in rank order
+// (rcastore.AppendRecordsSplice, AppendSimilarSplice, mergeSessions) — a
+// node lays an element out exactly as the balancer's answer holds it, so
+// nothing is decoded into a Record or a session row and encoded back.
 
 // row is one element of a scanned array. Members the element does not
 // have stay zero; strings are views of the body unless they held an
@@ -52,40 +52,52 @@ type scanner struct {
 	pos int
 }
 
+// arrayBody is the rowsKey of an answer that is itself the array of rows
+// — a node's /sessions — rather than an object holding it.
+const arrayBody = "[]"
+
 // scanAnswer walks body, an object, filling a from it: the elements of
 // the array under rowsKey (null counts as empty) and the "fired" member,
 // which an answer under "matches" must have — it says which signature
-// the matches are about. It succeeds only on a body encoding/json would
-// have accepted, to the last byte, and whose every gap is the canonical
-// one: a span copied into a merged answer is then laid out for its place
-// already.
+// the matches are about. Under arrayBody the body is the array instead.
+// It succeeds only on a body encoding/json would have accepted, to the
+// last byte, and whose every gap is the canonical one: a span copied
+// into a merged answer is then laid out for its place already.
 func scanAnswer(body []byte, rowsKey string, a *scanned) error {
 	a.rows, a.fired, a.firedNames = a.rows[:0], nil, a.firedNames[:0]
 	s := scanner{b: body}
+	rows := func(depth int) bool {
+		a.rows = a.rows[:0] // a repeated member: the last one counts, as it does when decoding
+		return s.array(depth, func() bool {
+			a.rows = append(a.rows, row{})
+			return s.row(&a.rows[len(a.rows)-1], depth+1)
+		})
+	}
 	// Structure is ASCII, so bytes that are not UTF-8 can only sit inside
 	// a string, where encoding/json would swap them for U+FFFD: a rewrite
 	// a copied span cannot follow.
-	ok := utf8.Valid(body) && s.at('{') && s.object(0, func(key []byte) bool {
-		switch string(key) {
-		case rowsKey:
-			a.rows = a.rows[:0] // a repeated member: the last one counts, as it does when decoding
-			return s.null() || s.array(1, func() bool {
-				a.rows = append(a.rows, row{})
-				return s.row(&a.rows[len(a.rows)-1])
-			})
-		case "fired":
-			start := s.pos
-			a.firedNames = a.firedNames[:0]
-			ok := s.null() || s.array(1, func() bool {
-				name, ok := s.str()
-				a.firedNames = append(a.firedNames, name)
+	ok := utf8.Valid(body)
+	if rowsKey == arrayBody {
+		ok = ok && rows(0)
+	} else {
+		ok = ok && s.at('{') && s.object(0, func(key []byte) bool {
+			switch string(key) {
+			case rowsKey:
+				return s.null() || rows(1)
+			case "fired":
+				start := s.pos
+				a.firedNames = a.firedNames[:0]
+				ok := s.null() || s.array(1, func() bool {
+					name, ok := s.str()
+					a.firedNames = append(a.firedNames, name)
+					return ok
+				})
+				a.fired = s.b[start:s.pos]
 				return ok
-			})
-			a.fired = s.b[start:s.pos]
-			return ok
-		}
-		return s.value(1)
-	})
+			}
+			return s.value(1)
+		})
+	}
 	if !ok || string(body[s.pos:]) != "\n" {
 		return fmt.Errorf("not a canonical JSON answer at byte %d of %d", s.pos, len(body))
 	}
@@ -95,11 +107,11 @@ func scanAnswer(body []byte, rowsKey string, a *scanned) error {
 	return nil
 }
 
-// row scans one array element, an object at depth 2, keeping the
-// members merges use and checking the rest.
-func (s *scanner) row(r *row) bool {
+// row scans one array element, an object at depth, keeping the members
+// merges use and checking the rest.
+func (s *scanner) row(r *row, depth int) bool {
 	start := s.pos
-	ok := s.at('{') && s.object(2, func(key []byte) (ok bool) {
+	ok := s.at('{') && s.object(depth, func(key []byte) (ok bool) {
 		var n int64
 		switch string(key) {
 		case "session":
@@ -126,7 +138,7 @@ func (s *scanner) row(r *row) bool {
 		case "minutes":
 			r.minutes, ok = s.float()
 		default:
-			ok = s.value(3)
+			ok = s.value(depth + 1)
 		}
 		return ok
 	})

@@ -142,6 +142,23 @@ func checkSpliceDifferential(t *testing.T, seed int64) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("seed %d: similar splice\n%s\ndecode, dedup, sort, encode\n%s", seed, got, want)
 	}
+
+	var sessionBodies [][]byte
+	infos := []node.SessionInfo{}
+	for i := 0; i < backends; i++ {
+		rows := []node.SessionInfo{} // a node's empty /sessions is [], not null
+		for _, m := range scanRows(rng, rng.Intn(6)) {
+			rows = append(rows, node.SessionInfo{Session: m.Session, Cell: m.Cell, Scenario: m.Scenario, State: ingest.StateDone, Records: m.Distance})
+		}
+		sessionBodies = append(sessionBodies, wireJSON(t, rows, false))
+		infos = append(infos, rows...)
+	}
+	sort.SliceStable(infos, func(i, j int) bool { return infos[i].Session < infos[j].Session })
+	want = wireJSON(t, infos, false)
+	got = spliced(t, sessionBodies, arrayBody, func(answers []*part) []byte { return mergeSessions(nil, answers) })
+	if !bytes.Equal(got, want) {
+		t.Errorf("seed %d: /sessions splice\n%s\ndecode, sort, encode\n%s", seed, got, want)
+	}
 }
 
 // FuzzFanoutScan: the scanner parses whatever a backend returns. For any
@@ -150,7 +167,7 @@ func checkSpliceDifferential(t *testing.T, seed int64) {
 // accepted one only in whitespace is rejected — and what it kept of the
 // body is what decoding it keeps. For bodies encoding/json built from
 // seeded rows, the splice is the old decode-and-re-encode merge, byte
-// for byte.
+// for byte. A /sessions body, the array itself, is held to the same.
 func FuzzFanoutScan(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	rows := scanRows(rng, 6)
@@ -172,8 +189,15 @@ func FuzzFanoutScan(f *testing.F) {
 	}
 	f.Add([]byte("{\n  \"records\": [\n    {\n      \"session\": \"a\"\n    }\n  ]\n}\n"), int64(40))
 	f.Add([]byte("{\n\t\"records\": [\n\t\t{\n\t\t\t\"session\": \"a\"\n\t\t}\n\t]\n}\n"), int64(41))
+	infos := []node.SessionInfo{{Session: `q"uo<te>`, Cell: "fdd", State: ingest.StateDone, Records: 3}, {Session: "héllo ✓", State: ingest.StateActive}}
+	for i, compact := range []bool{false, true} {
+		f.Add(wireJSON(f, infos, compact), int64(42+i))
+	}
+	for i, body := range []string{"[]\n", "null\n", "[\n  {\n    \"session\": \"a\"\n  }\n]\n", "[\n  {\n    \"session\": 1\n  }\n]\n", "[\n  1\n]\n"} {
+		f.Add([]byte(body), int64(44+i))
+	}
 	f.Fuzz(func(t *testing.T, body []byte, seed int64) {
-		for _, rowsKey := range []string{"records", "matches", "top_chains", "cause_rates"} {
+		for _, rowsKey := range []string{"records", "matches", "top_chains", "cause_rates", arrayBody} {
 			var a scanned
 			if err := scanAnswer(body, rowsKey, &a); err != nil {
 				continue
@@ -199,10 +223,17 @@ func FuzzFanoutScan(f *testing.F) {
 			// What the scan kept is what decoding keeps (by exact member
 			// name: encoding/json also matches names case-folded into a
 			// struct, which the scanner, like every dominod, does not).
-			var members map[string]json.RawMessage
+			array := body
+			if rowsKey != arrayBody {
+				var members map[string]json.RawMessage
+				if json.Unmarshal(body, &members) != nil {
+					t.Fatalf("scanned as %s, but does not decode: %q", rowsKey, body)
+				}
+				array = members[rowsKey]
+			}
 			var rows []map[string]json.RawMessage
-			if json.Unmarshal(body, &members) != nil || (members[rowsKey] != nil && json.Unmarshal(members[rowsKey], &rows) != nil) {
-				t.Fatalf("scanned as %s, but does not decode: %q", rowsKey, body)
+			if array != nil && json.Unmarshal(array, &rows) != nil {
+				t.Fatalf("scanned as %s, but its rows do not decode: %q", rowsKey, body)
 			}
 			if len(rows) != len(a.rows) {
 				t.Fatalf("%d rows scanned under %s, %d decoded: %q", len(a.rows), rowsKey, len(rows), body)

@@ -396,8 +396,10 @@ func TestShutdownDrainsThenCheckpoints(t *testing.T) {
 		defer cancel()
 		shut <- n.Shutdown(ctx, ts.Config)
 	}()
-	for !n.draining.Load() {
-		time.Sleep(time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); !n.draining.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Shutdown did not start draining within 5 s")
+		}
 	}
 	select {
 	case err := <-shut:

@@ -20,9 +20,11 @@
 #     shed with 429 + Retry-After and must retry its way in
 #   - asserts every session's report served by the balancer is
 #     byte-identical to the clean single-node run
+#   - asserts the balancer's merged /sessions lists every uploaded
+#     session, and as many rows as the surviving nodes hold together
 #   - lints the balancer's federated /metrics and asserts the failover
 #     and backend-health series moved
-# Artifacts (daemon logs, the federated scrape, reports) land in
+# Artifacts (daemon logs, the federated scrape, /sessions, reports) land in
 # OUT_DIR (default ./fleet-smoke) so CI can upload them.
 set -eu
 
@@ -219,6 +221,23 @@ for s in s1 s2 s3 s4 s5 doomed drained shed1; do
         exit 1; }
     cp "$WORK/$s.fleet.json" "$OUT_DIR/report-$s.json"
 done
+
+echo "== checking the balancer's merged /sessions against the survivors"
+curl -fsS "http://$LB_ADDR/sessions" >"$OUT_DIR/sessions.json"
+for s in s1 s2 s3 s4 s5 doomed drained shed1 hog1 hog2; do
+    grep -q "\"session\": \"$s\"" "$OUT_DIR/sessions.json" || {
+        echo "session $s is missing from the balancer's /sessions"; exit 1; }
+done
+NODE_ROWS=0
+for a in "$N1_ADDR" "$N2_ADDR" "$N3_ADDR"; do
+    if curl -fsS "http://$a/sessions" >"$WORK/sessions.node.json" 2>/dev/null; then
+        NODE_ROWS=$((NODE_ROWS + $(grep -c '"session":' "$WORK/sessions.node.json" || true)))
+    fi
+done
+LB_ROWS="$(grep -c '"session":' "$OUT_DIR/sessions.json" || true)"
+[ "$LB_ROWS" -eq "$NODE_ROWS" ] || {
+    echo "the balancer's /sessions has $LB_ROWS rows, the surviving nodes $NODE_ROWS"
+    exit 1; }
 
 echo "== linting the federated /metrics exposition"
 curl -fsS "http://$LB_ADDR/metrics" >"$OUT_DIR/fleet-metrics.txt"
