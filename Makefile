@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt fmt-check test fuzz-smoke bench bench-pair obs-smoke chaos-smoke fleet-smoke examples-check bench-check loc loc-check ci
+.PHONY: build vet fmt fmt-check test fuzz-smoke bench bench-pair micro-pair obs-smoke chaos-smoke fleet-smoke examples-check bench-check loc loc-check ci
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,15 @@ bench:
 bench-pair:
 	@test -n "$(REF)" || { echo 'usage: make bench-pair REF=<commit> [WORKLOADS="bulk-binary ..."] [N=10]'; exit 2; }
 	WORKLOADS="$(WORKLOADS)" N="$(N)" sh scripts/bench_pair.sh "$(REF)"
+
+# bench-pair's layer-level companion: one package's Go benchmarks, REF's
+# test binary and the working tree's each built once and run N times
+# alternately, printed as medians, quartiles and wins per benchmark and
+# metric. REF runs the working tree's test files of PKG. Not part of ci.
+#   make micro-pair REF=HEAD~1 PKG=./internal/trace BENCH=CodecDecodeScenario N=10
+micro-pair:
+	@test -n "$(REF)" -a -n "$(PKG)" -a -n "$(BENCH)" || { echo 'usage: make micro-pair REF=<commit> PKG=<./pkg> BENCH=<regexp> [N=10] [BENCHTIME=1s]'; exit 2; }
+	N="$(N)" BENCHTIME="$(BENCHTIME)" sh scripts/micro_pair.sh "$(REF)" "$(PKG)" "$(BENCH)"
 
 # Observability smoke: boot dominod with the pprof listener, ingest a
 # generated session, validate /metrics through cmd/promlint, dump the

@@ -2,11 +2,14 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // This file is the one reader of exposition text, and the scrape half
@@ -39,6 +42,45 @@ type parseFam struct {
 	// histogram series by labelKey, in first-seen order.
 	hist  map[string]*parseHist
 	hkeys []string
+	last  *parseHist // the series of the family's latest line
+}
+
+// maxTextLine caps one line of exposition text, its newline not
+// counted: a line this long fails the parse with bufio.ErrTooLong, as
+// it did bufio.Scanner's with a buffer of this size.
+const maxTextLine = 1 << 20
+
+// readDoc reads the document into one string, which parse takes every
+// line, name and unescaped label value out of as a substring. It stops
+// reading at a line of maxTextLine bytes, which parse refuses, so a line
+// with no end costs no more memory than that. A read error comes back
+// with the text read before it.
+func readDoc(r io.Reader) (string, error) {
+	size := 512
+	if n, ok := r.(interface{ Len() int }); ok {
+		size = n.Len() + 1 // and the read that finds the end
+	}
+	buf := make([]byte, 0, size)
+	var err error
+	for run := 0; run < maxTextLine && err == nil; { // run: the bytes since the last newline
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, len(buf))
+		}
+		var n int
+		n, err = r.Read(buf[len(buf):cap(buf)])
+		if i := bytes.LastIndexByte(buf[len(buf):len(buf)+n], '\n'); i >= 0 {
+			run = n - 1 - i
+		} else {
+			run += n
+		}
+		buf = buf[:len(buf)+n]
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	// buf is never written again: the string may share it, as
+	// strings.Builder's does.
+	return unsafe.String(unsafe.SliceData(buf), len(buf)), err
 }
 
 // ParseText parses a Prometheus text exposition document written by
@@ -63,19 +105,25 @@ func ParseText(r io.Reader) (Snapshot, error) {
 // _bucket/_sum/_count lines and checked for what only the text shows
 // (le bounds ascending and finite, +Inf present and equal to _count).
 func parse(r io.Reader) (Snapshot, error) {
+	text, readErr := readDoc(r)
+
 	fams := map[string]*parseFam{}
 	var order []*parseFam
 	var cur *parseFam
+	var scratch []Label // a histogram line's labels, which no sample keeps
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	lineNo := 0
 	fail := func(format string, a ...any) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("obs: parse line %d: %s", lineNo, fmt.Sprintf(format, a...))
 	}
-	for sc.Scan() {
+	for text != "" {
 		lineNo++
-		line := sc.Text()
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		if len(line) >= maxTextLine {
+			return Snapshot{}, fmt.Errorf("obs: parse: %w", bufio.ErrTooLong)
+		}
+		line = strings.TrimSuffix(line, "\r")
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
@@ -89,10 +137,7 @@ func parse(r io.Reader) (Snapshot, error) {
 				if fams[name] != nil {
 					return fail("family %q declared twice", name)
 				}
-				cur = &parseFam{
-					fam:  Family{Name: name, Help: unescapeHelp(rest)},
-					hist: map[string]*parseHist{},
-				}
+				cur = &parseFam{fam: Family{Name: name, Help: unescapeHelp(rest)}}
 				fams[name] = cur
 				order = append(order, cur)
 			case "TYPE":
@@ -112,7 +157,11 @@ func parse(r io.Reader) (Snapshot, error) {
 			continue
 		}
 
-		name, labels, valStr, err := parseSampleLine(line)
+		var dst []Label
+		if cur != nil && cur.fam.Type == TypeHistogram {
+			dst = scratch[:0]
+		}
+		name, labels, valStr, err := parseSampleLine(line, dst)
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -135,9 +184,10 @@ func parse(r io.Reader) (Snapshot, error) {
 		if !ok {
 			return fail("sample %q outside histogram %q block", name, cur.fam.Name)
 		}
+		scratch = labels
 		var le string
 		haveLE := false
-		series := labels[:0:0]
+		series := labels[:0] // labels without le, in place
 		for _, l := range labels {
 			if l.Key == "le" {
 				if haveLE {
@@ -148,14 +198,21 @@ func parse(r io.Reader) (Snapshot, error) {
 			}
 			series = append(series, l)
 		}
-		if len(series) == 0 {
-			series = nil // a le-only label set means an unlabeled series
-		}
-		h := cur.hist[labelKey(series)]
-		if h == nil {
-			h = &parseHist{labels: series, buckets: []Bucket{}}
-			cur.hist[labelKey(series)] = h
-			cur.hkeys = append(cur.hkeys, labelKey(series))
+		h := cur.last
+		if h == nil || !slices.Equal(h.labels, series) {
+			key := labelKey(series)
+			if h = cur.hist[key]; h == nil {
+				h = &parseHist{buckets: []Bucket{}}
+				if len(series) > 0 { // a le-only label set means an unlabeled series
+					h.labels = slices.Clone(series)
+				}
+				if cur.hist == nil {
+					cur.hist = map[string]*parseHist{}
+				}
+				cur.hist[key] = h
+				cur.hkeys = append(cur.hkeys, key)
+			}
+			cur.last = h
 		}
 		switch suffix {
 		case "_bucket":
@@ -193,8 +250,8 @@ func parse(r io.Reader) (Snapshot, error) {
 			return fail("histogram sample %q: want _bucket/_sum/_count suffix", name)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return Snapshot{}, fmt.Errorf("obs: parse: %w", err)
+	if readErr != nil {
+		return Snapshot{}, fmt.Errorf("obs: parse: %w", readErr)
 	}
 
 	var out Snapshot

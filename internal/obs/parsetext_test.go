@@ -190,3 +190,52 @@ func FuzzParseText(f *testing.F) {
 		}
 	})
 }
+
+// TestParseTextAllocs pins the scrape parser's allocations on a
+// document shaped like a dominod /metrics body (plain and labeled
+// counters, gauges, labeled histograms): it reads the document into one
+// string and parses every line, name and unescaped label value out of
+// it, and computes a histogram series' key once, so a line costs at most
+// its value fields (strings.Fields) beside what the snapshot keeps —
+// families, labeled samples, histogram series and their buckets. A
+// parser that makes a string or a read buffer per line, or a series key
+// per histogram line, allocates several times the line count (≈ 6 per
+// line before this ceiling).
+func TestParseTextAllocs(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < 24; i++ {
+		r.Counter(fmt.Sprintf("node_events_%d_total", i), "Events of one kind.").Add(int64(i * 1000))
+	}
+	for _, reason := range []string{"capacity", "draining", "bad_header", "too_large", "timeout", "conflict"} {
+		r.Counter("node_rejected_total", "Requests shed, by reason.", L("reason", reason)).Inc()
+	}
+	for i := 0; i < 9; i++ {
+		r.GaugeFunc(fmt.Sprintf("node_level_%d", i), "A level.", func() float64 { return float64(i) + 0.5 })
+	}
+	for _, format := range []string{"jsonl", "binary"} {
+		r.Counter("node_records_total", "Records, by format.", L("format", format)).Add(58638)
+		for _, name := range []string{"node_decode_seconds", "node_wait_seconds"} {
+			h := r.Histogram(name, "Wall time, by format.", nil, L("format", format))
+			for v := 1e-5; v < 10; v *= 1.7 {
+				h.Observe(v)
+			}
+		}
+	}
+	for _, name := range []string{"node_step_seconds", "node_insert_seconds"} {
+		r.Histogram(name, "Wall time.", nil).Observe(0.003)
+	}
+	var text bytes.Buffer
+	if err := r.Snapshot().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Count(text.Bytes(), []byte("\n"))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ParseText(bytes.NewReader(text.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(2*lines) {
+		t.Fatalf("ParseText of a %d-line, %d-byte document made %.0f allocations, want at most two per line", lines, text.Len(), allocs)
+	}
+	t.Logf("%d lines, %d bytes: %.0f allocations", lines, text.Len(), allocs)
+}

@@ -122,8 +122,9 @@ func parseMetaLine(line string) (kind, name, rest string, ok bool) {
 	return kind, name, rest, true
 }
 
-// parseSampleLine parses `name{k="v",...} value [timestamp]`.
-func parseSampleLine(line string) (name string, labels []Label, value string, err error) {
+// parseSampleLine parses `name{k="v",...} value [timestamp]`, appending
+// the labels to dst.
+func parseSampleLine(line string, dst []Label) (name string, labels []Label, value string, err error) {
 	i := 0
 	for i < len(line) && line[i] != '{' && line[i] != ' ' && line[i] != '\t' {
 		i++
@@ -152,7 +153,7 @@ func parseSampleLine(line string) (name string, labels []Label, value string, er
 		if end < 0 {
 			return "", nil, "", fmt.Errorf("unterminated label set")
 		}
-		labels, err = parseLabels(rest[1:end])
+		labels, err = parseLabels(dst, rest[1:end])
 		if err != nil {
 			return "", nil, "", err
 		}
@@ -170,9 +171,9 @@ func parseSampleLine(line string) (name string, labels []Label, value string, er
 	return name, labels, fields[0], nil
 }
 
-// parseLabels parses the interior of a label set.
-func parseLabels(s string) ([]Label, error) {
-	var out []Label
+// parseLabels parses the interior of a label set, appending to out. A
+// value without escapes is a substring of s.
+func parseLabels(out []Label, s string) ([]Label, error) {
 	for len(s) > 0 {
 		eq := strings.IndexByte(s, '=')
 		if eq < 0 {
@@ -184,13 +185,17 @@ func parseLabels(s string) ([]Label, error) {
 			return nil, fmt.Errorf("label %q value not quoted", key)
 		}
 		s = s[1:]
-		var val strings.Builder
-		closed := false
+		var val strings.Builder // the value once an escape is seen; until then s[:i]
+		escaped, closed, value := false, false, ""
 		for i := 0; i < len(s); i++ {
 			c := s[i]
 			if c == '\\' {
 				if i+1 >= len(s) {
 					return nil, fmt.Errorf("label %q: trailing backslash", key)
+				}
+				if !escaped {
+					val.WriteString(s[:i])
+					escaped = true
 				}
 				i++
 				switch s[i] {
@@ -206,16 +211,21 @@ func parseLabels(s string) ([]Label, error) {
 				continue
 			}
 			if c == '"' {
+				if value = s[:i]; escaped {
+					value = val.String()
+				}
 				s = s[i+1:]
 				closed = true
 				break
 			}
-			val.WriteByte(c)
+			if escaped {
+				val.WriteByte(c)
+			}
 		}
 		if !closed {
 			return nil, fmt.Errorf("label %q: unterminated value", key)
 		}
-		out = append(out, Label{Key: key, Value: val.String()})
+		out = append(out, Label{Key: key, Value: value})
 		s = strings.TrimPrefix(s, ",")
 	}
 	return out, nil

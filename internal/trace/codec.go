@@ -30,26 +30,32 @@ import (
 // the layout appendRow writes and nothing else — the compact envelope,
 // then the data members in declaration order, any of them absent, none
 // repeated, no whitespace anywhere — keyed by the same member list, and
-// writes each row where it is kept: a block's columns (the four column
-// series, each by a straight-line decoder), a block's stats row (decoded
-// in place by the member walk, decodeRow), or the header. It reads a
-// line where the scanner buffered it, among the lines after it, and
-// finds the line's end as it parses: `}}` and a newline. It reads a word
-// at a time: the envelope's `{"type":` and `,"data":` are one 8-byte
-// compare each; each member's key with its separator (`,"Dir":`, or
-// `{"At":` for the object's first) is compared as at most three
-// little-endian words under masks precomputed from the member list;
-// true and false are 4- and 5-byte constants; a plain integer (at most
-// 18 digits, no leading zero, ended by a byte no number token contains)
-// is parsed in the pass that scans it, and so is a float of at most 15
-// significant digits and a decimal exponent within ±22, converted by
-// one exact multiplication or division (Clinger's fast path); any other
-// number takes strconv. Every other line — spaced, reordered or
-// repeated members, unknown or case-folded field names, escaped
-// strings, nulls, exotic numbers — goes to the second tier,
-// encoding/json (slowDecode), which therefore stays both the semantic
-// oracle (differential tests in codec_test.go pin fast == stdlib on
-// everything the fast tier accepts) and the handler of foreign telemetry.
+// writes each row where it is kept: a block's columns, a block's stats
+// row (decoded in place), or the header. It reads a line where the
+// scanner buffered it, among the lines after it, and finds the line's
+// end as it parses: `}}` and a newline. It reads a word at a time: the
+// envelope's `{"type":` and `,"data":` are one 8-byte compare each; each
+// member's key with its separator (`,"Dir":`, or `{"At":` for the
+// object's first) is three little-endian words of a 24-byte window
+// under masks precomputed from the member list; true and false are 4-
+// and 5-byte constants; a plain integer (1–18 digits, no sign, no
+// leading zero, ended by ',' or '}') is parsed in the pass that scans
+// it. Those three reads are small enough for the compiler to inline, so
+// a member costs no call: the cursor stays in registers, and the one
+// member walk (decodeRow) calls out only for the rare rest — a key in a
+// token's last 24 bytes, any other integer, floats and strings. DCI and
+// packet lines, the bulk of a trace, are read by that walk unrolled
+// (dciInline, pktInline), every member inline and a site of its own,
+// and fall back to the walk for any line that is not all inline
+// material. A float of at most 15 significant digits and a decimal
+// exponent within ±22 is converted in its one scan by one exact
+// multiplication or division (Clinger's fast path); any other number
+// takes strconv. Every other line — spaced, reordered or repeated
+// members, unknown or case-folded field names, escaped strings, nulls,
+// exotic numbers — goes to the second tier, encoding/json (slowDecode),
+// which therefore stays both the semantic oracle (differential tests in
+// codec_test.go pin fast == stdlib on everything the fast tier accepts)
+// and the handler of foreign telemetry.
 
 const hexDigits = "0123456789abcdef"
 
@@ -272,49 +278,106 @@ func (p *lineParser) key() []byte {
 	return nil
 }
 
-// stringValue reads a JSON string with no escapes and valid UTF-8;
+// The value readers below take the line and the cursor at a member's
+// value and return the value and the cursor past it, or len(b) — where
+// no line ends, since "}}" follows every value — when it is not
+// fast-path material. A failed read thus hands the next reader a cursor
+// that fails it too, so a run of reads needs one check, at its end.
+// boolAt and digitsAt inline; the rest are the outlined slow halves.
+
+// boolAt reads true or false as a 4- or 5-byte constant, from a line
+// with room for the shortest bool member's end, `true}}`.
+func boolAt(b []byte, i int) (bool, int) {
+	if len(b)-i >= len("true}}") {
+		switch binary.LittleEndian.Uint32(b[i:]) {
+		case trueWord:
+			return true, i + 4
+		case falseWord:
+			if b[i+4] == 'e' {
+				return false, i + 5
+			}
+		}
+	}
+	return false, len(b)
+}
+
+// digitsAt reads the common integer: 1–18 plain digits (which every
+// integer member's storage holds, but for a uint32's range), no sign,
+// no leading zero, ended by ',' or '}'. Anything else is intAt's.
+func digitsAt(b []byte, i int) (uint64, int) {
+	j, v := i, uint64(0)
+	for ; j < len(b) && b[j]-'0' < 10; j++ {
+		v = v*10 + uint64(b[j]-'0')
+	}
+	if uint(j-i-1) >= 18 || j == len(b) || !intEnd[b[j]] || (b[i] == '0' && j > i+1) {
+		return 0, len(b)
+	}
+	return v, j
+}
+
+// intEnd marks the bytes that may end a member's value.
+var intEnd = [256]bool{',': true, '}': true}
+
+// intAt reads any other integer as f stores it: the bytes scanNumber
+// spans, through strconv, which knows every overflow and refuses
+// fractions and exponents as encoding/json does for an integer member.
+// The value comes back as the bits f's storage holds.
+func (f *rowField) intAt(b []byte, i int) (uint64, int) {
+	_, n, _ := scanNumber(b[i:])
+	tok := tokString(b[i : i+n])
+	if f.kind == reflect.Uint32 || f.kind == reflect.Uint64 {
+		if v, err := strconv.ParseUint(tok, 10, 8*int(f.size)); err == nil {
+			return v, i + n
+		}
+	} else if v, err := strconv.ParseInt(tok, 10, 64); err == nil {
+		return uint64(v), i + n
+	}
+	return 0, len(b) // an empty token (n == 0) fails too
+}
+
+// floatAt reads a float: the encoder's numbers in scanNumber's one
+// pass, any other from the bytes that pass spanned, through strconv.
+func floatAt(b []byte, i int) (float64, int) {
+	v, n, exact := scanNumber(b[i:])
+	if exact {
+		return v, i + n
+	}
+	if v, err := strconv.ParseFloat(tokString(b[i:i+n]), 64); err == nil {
+		return v, i + n
+	}
+	return 0, len(b) // an empty token (n == 0) fails too
+}
+
+// stringAt reads a JSON string with no escapes and valid UTF-8;
 // anything else bails to the stdlib path (which handles unescaping and
 // replacement exactly once, in one place). A value equal to prev, what
 // the member held on the previous row of its series, is prev itself
 // rather than a new allocation (a gNB log repeats a handful of notes).
-func (p *lineParser) stringValue(f *rowField, prev string) string {
-	if !p.member(f) {
-		return ""
+func stringAt(b []byte, i int, prev string) (string, int) {
+	if i == len(b) || b[i] != '"' {
+		return "", len(b)
 	}
-	if p.pos >= len(p.buf) || p.buf[p.pos] != '"' {
-		p.ok = false
-		return ""
-	}
-	p.pos++
-	start := p.pos
 	ascii := true
-	for p.pos < len(p.buf) {
-		switch c := p.buf[p.pos]; {
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
 		case c == '"':
-			raw := p.buf[start:p.pos]
-			p.pos++
+			raw := b[i+1 : j]
 			if !ascii && !utf8.Valid(raw) {
 				// encoding/json replaces invalid UTF-8 with U+FFFD;
 				// let it.
-				p.ok = false
-				return ""
+				return "", len(b)
 			}
 			if string(raw) == prev {
-				return prev
+				return prev, j + 1
 			}
-			return string(raw)
+			return string(raw), j + 1
 		case c == '\\' || c < 0x20:
-			p.ok = false
-			return ""
-		default:
-			if c >= utf8.RuneSelf {
-				ascii = false
-			}
-			p.pos++
+			return "", len(b)
+		case c >= utf8.RuneSelf:
+			ascii = false
 		}
 	}
-	p.ok = false
-	return ""
+	return "", len(b)
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
@@ -327,96 +390,6 @@ func tokString(b []byte) string {
 		return ""
 	}
 	return unsafe.String(&b[0], len(b))
-}
-
-// numberToken consumes the number at the cursor and returns it, for
-// strconv; bytes that are not one fail the line.
-func (p *lineParser) numberToken() []byte {
-	_, n, _ := scanNumber(p.buf[p.pos:])
-	tok := p.buf[p.pos : p.pos+n]
-	p.pos += n
-	p.ok = p.ok && n > 0
-	return tok
-}
-
-// plainInt parses the plain decimal integer b starts with in one pass:
-// an optional minus, 1–18 digits (so it cannot overflow an int64), no
-// leading zero (the JSON grammar), and the byte after it not one that
-// continues a number token. It returns the value and the bytes it
-// spans, or a width of 0 for anything else; the caller then takes
-// numberToken and strconv, which know the whole grammar and every
-// overflow.
-func plainInt(b []byte) (v int64, n int) {
-	if len(b) > 0 && b[0] == '-' {
-		n = 1
-	}
-	start, end := n, min(len(b), n+19)
-	var u uint64
-	for ; n < end; n++ {
-		d := b[n] - '0'
-		if d > 9 {
-			break
-		}
-		u = u*10 + uint64(d)
-	}
-	if d := n - start; d == 0 || d > 18 || (d > 1 && b[start] == '0') {
-		return 0, 0
-	}
-	if n < len(b) {
-		switch b[n] {
-		case '-', '+', '.', 'e', 'E':
-			return 0, 0
-		}
-	}
-	if start == 1 {
-		return -int64(u), n
-	}
-	return int64(u), n
-}
-
-// i64 reads an integer. Fractional or exponent forms bail out, as
-// strconv refuses them: encoding/json errors on them for integer
-// fields, and the fallback produces that error.
-func (p *lineParser) i64(f *rowField) int64 {
-	if !p.member(f) {
-		return 0
-	}
-	if v, n := plainInt(p.buf[p.pos:]); n > 0 {
-		p.pos += n
-		return v
-	}
-	v, err := strconv.ParseInt(tokString(p.numberToken()), 10, 64)
-	p.ok = p.ok && err == nil
-	return v
-}
-
-// u64 reads an unsigned integer of the given bits.
-func (p *lineParser) u64(f *rowField, bits int) uint64 {
-	if !p.member(f) {
-		return 0
-	}
-	if v, n := plainInt(p.buf[p.pos:]); n > 0 && p.buf[p.pos] != '-' && uint64(v)>>bits == 0 {
-		p.pos += n
-		return uint64(v)
-	}
-	v, err := strconv.ParseUint(tokString(p.numberToken()), 10, bits)
-	p.ok = p.ok && err == nil
-	return v
-}
-
-// f64 reads a float: the encoder's numbers in scanNumber's one pass,
-// any other from the bytes that pass spanned, through strconv.
-func (p *lineParser) f64(f *rowField) float64 {
-	if !p.member(f) {
-		return 0
-	}
-	v, n, exact := scanNumber(p.buf[p.pos:])
-	if !exact {
-		f, err := strconv.ParseFloat(tokString(p.buf[p.pos:p.pos+n]), 64)
-		v, p.ok = f, p.ok && err == nil // an empty token (n == 0) fails too
-	}
-	p.pos += n
-	return v
 }
 
 // exactPow10 are the powers of ten a float64 holds exactly.
@@ -498,24 +471,6 @@ func scanNumber(b []byte) (v float64, n int, exact bool) {
 	return v, n, true
 }
 
-// boolValue reads true or false as a 4- or 5-byte constant.
-func (p *lineParser) boolValue(f *rowField) bool {
-	if !p.member(f) {
-		return false
-	}
-	b := p.buf[p.pos:]
-	switch {
-	case len(b) >= 4 && binary.LittleEndian.Uint32(b) == trueWord:
-		p.pos += 4
-		return true
-	case len(b) >= 5 && binary.LittleEndian.Uint32(b) == falseWord && b[4] == 'e':
-		p.pos += 5
-		return false
-	}
-	p.ok = false
-	return false
-}
-
 // rowField is one member of a record type's JSON object: its key as the
 // encoder writes it after another member (`,"Dir":`), that key again as
 // the little-endian words the fast tier compares (the bytes past its
@@ -524,28 +479,40 @@ func (p *lineParser) boolValue(f *rowField) bool {
 type rowField struct {
 	lit       string
 	key, mask [3]uint64
-	load      int // bytes the word compare reads: len(lit) rounded up to a word
 	off       uintptr
+	size      uintptr // the value's storage, in bytes
+	max       uint64  // the largest plain integer the storage holds as is
 	kind      reflect.Kind
 	omitEmpty bool
 }
 
+// keyWindow is the bytes after's key compare loads: the three words of
+// the longest key literal rowFieldsOf admits.
+const keyWindow = 8 * len(rowField{}.key)
+
 // keyAt reports whether b starts with the member's key literal, its
 // separator replaced by lead: ',' after another member, '{' opening the
-// object. A b shorter than the words the compare loads is compared byte
-// by byte, so no load reads past it.
+// object. It is after's slow half, for a cursor among the last
+// keyWindow bytes of the scanner's token: byte by byte, so that no load
+// reads past it.
 func (f *rowField) keyAt(b []byte, lead byte) bool {
-	if len(b) < f.load {
-		return len(b) >= len(f.lit) && b[0] == lead && string(b[1:len(f.lit)]) == f.lit[1:]
+	return len(b) >= len(f.lit) && b[0] == lead && string(b[1:len(f.lit)]) == f.lit[1:]
+}
+
+// after returns the cursor past the member's key at b[i:], after lead,
+// comparing the keyWindow bytes there as three masked words. It returns
+// len(b), which fails a value reader, when the key is not there, or
+// when fewer than keyWindow bytes are left (keyAt's case).
+func (f *rowField) after(b []byte, i int, lead byte) int {
+	if len(b)-i >= keyWindow {
+		w := (*[keyWindow]byte)(b[i:])
+		if (binary.LittleEndian.Uint64(w[:8])^f.key[0]^uint64(lead^','))&f.mask[0]|
+			(binary.LittleEndian.Uint64(w[8:16])^f.key[1])&f.mask[1]|
+			(binary.LittleEndian.Uint64(w[16:])^f.key[2])&f.mask[2] == 0 {
+			return i + len(f.lit)
+		}
 	}
-	x := (binary.LittleEndian.Uint64(b) ^ f.key[0] ^ uint64(lead^',')) & f.mask[0]
-	if f.load > 8 {
-		x |= (binary.LittleEndian.Uint64(b[8:]) ^ f.key[1]) & f.mask[1]
-	}
-	if f.load > 16 {
-		x |= (binary.LittleEndian.Uint64(b[16:]) ^ f.key[2]) & f.mask[2]
-	}
-	return x == 0
+	return len(b)
 }
 
 // rowFieldsOf lists a row type's members from the struct itself, the
@@ -572,10 +539,13 @@ func rowFieldsOf(row any) []rowField {
 			panic("trace: no fast codec for the json options of " + t.Name() + "." + sf.Name)
 		}
 		lit := `,"` + name + `":`
-		if len(lit) > 8*len(fs[i].key) {
+		if len(lit) > keyWindow {
 			panic("trace: key too long for the fast tier: " + t.Name() + "." + sf.Name)
 		}
-		f := rowField{lit: lit, load: (len(lit) + 7) &^ 7, off: sf.Offset, kind: kind, omitEmpty: opts != ""}
+		f := rowField{lit: lit, off: sf.Offset, size: sf.Type.Size(), max: math.MaxUint64, kind: kind, omitEmpty: opts != ""}
+		if f.size == 4 {
+			f.max = math.MaxUint32
+		}
 		for j := range len(lit) {
 			f.key[j/8] |= uint64(lit[j]) << (j % 8 * 8)
 			f.mask[j/8] |= 0xff << (j % 8 * 8)
@@ -594,43 +564,100 @@ var (
 	rrcFields    = rowFieldsOf(RRCRecord{})
 )
 
-// member consumes f's key, after the separator p.lead, when it is next:
-// each value reader starts with it, and returns zero for an absent f.
-func (p *lineParser) member(f *rowField) bool {
-	if !f.keyAt(p.buf[p.pos:], p.lead) {
-		return false
-	}
-	p.pos += len(f.lit)
-	p.lead = ','
-	return true
-}
-
 // decodeRow decodes the members of the JSON object at the cursor into
 // *row, a zero row of the type fields was listed from, reading exactly
 // what appendRow writes: each member's separator and key as one
-// literal, in declaration order, any member absent and left zero. The
-// header and the stats series take this walk.
-func decodeRow[T any](p *lineParser, row *T, fields []rowField) {
-	base := unsafe.Pointer(row)
-	for i := range fields {
-		f, at := &fields[i], unsafe.Add(base, fields[i].off)
+// literal, in declaration order, any member absent and left zero. A
+// string member equal to prev is prev (stringAt). It is the one member
+// walk: the header, stats, gNB and RRC rows take it, and a DCI or packet
+// row that the inline decoders leave. The cursor stays in locals, the
+// key compare, a plain integer and a bool are inlined, and the rest
+// calls out: a key among the token's last keyWindow bytes, any other
+// integer, floats and strings.
+func decodeRow[T any](p *lineParser, row *T, fields []rowField, prev string) {
+	b, i, lead, base := p.buf, p.pos, p.lead, unsafe.Pointer(row)
+	for k := range fields {
+		f := &fields[k]
+		j := f.after(b, i, lead)
+		if j == len(b) {
+			if len(b)-i >= keyWindow || !f.keyAt(b[i:], lead) {
+				continue // absent
+			}
+			j = i + len(f.lit)
+		}
+		i, lead = j, ','
+		at := unsafe.Add(base, f.off)
 		switch f.kind {
-		case reflect.Int64:
-			*(*int64)(at) = p.i64(f)
-		case reflect.Int:
-			*(*int)(at) = int(p.i64(f))
-		case reflect.Uint32:
-			*(*uint32)(at) = uint32(p.u64(f, 32))
-		case reflect.Uint64:
-			*(*uint64)(at) = p.u64(f, 64)
-		case reflect.Float64:
-			*(*float64)(at) = p.f64(f)
 		case reflect.Bool:
-			*(*bool)(at) = p.boolValue(f)
+			*(*bool)(at), i = boolAt(b, i)
+		case reflect.Float64:
+			*(*float64)(at), i = floatAt(b, i)
 		case reflect.String:
-			*(*string)(at) = p.stringValue(f, "")
+			*(*string)(at), i = stringAt(b, i, prev)
+		default:
+			v, j := digitsAt(b, i)
+			if j == len(b) || v > f.max {
+				v, j = f.intAt(b, i)
+			}
+			if i = j; f.size == 4 {
+				*(*uint32)(at) = uint32(v)
+			} else {
+				*(*uint64)(at) = v
+			}
+		}
+		if i == len(b) {
+			p.ok = false
+			return
 		}
 	}
+	p.pos, p.lead = i, lead
+}
+
+// dciInline and pktInline are the walk unrolled for the bulk of a
+// trace, each member a site of its own, for an object whose every
+// member is there and inline material. They return its row and the
+// cursor past its last member; for any other object a zero row and
+// len(b), and decodeRow reads it from the start. They read the member
+// list by position, as the row type declares it, and take a member's
+// range from it. The round trips and TestWriteJSONLStaysFast catch a
+// member read into another's field, and FuzzCodecDifferential's windowed
+// decode a value the walk would refuse.
+
+func dciInline(b []byte, i int) (DCIRecord, int) {
+	f := dciFields
+	at, i := digitsAt(b, f[0].after(b, i, '{'))
+	dir, i := digitsAt(b, f[1].after(b, i, ','))
+	rnti, i := digitsAt(b, f[2].after(b, i, ','))
+	own, i := digitsAt(b, f[3].after(b, i, ','))
+	other, i := digitsAt(b, f[4].after(b, i, ','))
+	mcs, i := digitsAt(b, f[5].after(b, i, ','))
+	tbs, i := digitsAt(b, f[6].after(b, i, ','))
+	used, i := digitsAt(b, f[7].after(b, i, ','))
+	harq, i := boolAt(b, f[8].after(b, i, ','))
+	rlc, i := boolAt(b, f[9].after(b, i, ','))
+	proactive, i := boolAt(b, f[10].after(b, i, ','))
+	unused, i := boolAt(b, f[11].after(b, i, ','))
+	if i == len(b) || rnti > f[2].max {
+		return DCIRecord{}, len(b)
+	}
+	return DCIRecord{At: sim.Time(at), Dir: netem.Direction(dir), RNTI: uint32(rnti),
+		OwnPRB: int(own), OtherPRB: int(other), MCS: int(mcs), TBSBits: int(tbs), UsedBits: int(used),
+		HARQRetx: harq, RLCRetx: rlc, Proactive: proactive, Unused: unused}, i
+}
+
+func pktInline(b []byte, i int) (PacketRecord, int) {
+	f := pktFields
+	seq, i := digitsAt(b, f[0].after(b, i, '{'))
+	kind, i := digitsAt(b, f[1].after(b, i, ','))
+	dir, i := digitsAt(b, f[2].after(b, i, ','))
+	size, i := digitsAt(b, f[3].after(b, i, ','))
+	sent, i := digitsAt(b, f[4].after(b, i, ','))
+	arrived, i := digitsAt(b, f[5].after(b, i, ','))
+	if i == len(b) {
+		return PacketRecord{}, len(b)
+	}
+	return PacketRecord{Seq: seq, Kind: netem.MediaKind(kind), Dir: netem.Direction(dir),
+		Size: int(size), SentAt: sim.Time(sent), Arrived: sim.Time(arrived)}, i
 }
 
 // end consumes the closing braces (after the object's own, when it has
@@ -658,77 +685,6 @@ func (p *lineParser) end() bool {
 	return p.ok
 }
 
-// The column series' decoders read their members in declaration order
-// into a row on the stack and, when the line ends as it must, append
-// the row to the block's columns. The keys are the member list's, by
-// position; TestFastTierReadsEveryMember catches a field left unread.
-
-func (p *lineParser) dci(c *DCIColumns) {
-	f := dciFields
-	r := DCIRecord{
-		At:        sim.Time(p.i64(&f[0])),
-		Dir:       netem.Direction(p.i64(&f[1])),
-		RNTI:      uint32(p.u64(&f[2], 32)),
-		OwnPRB:    int(p.i64(&f[3])),
-		OtherPRB:  int(p.i64(&f[4])),
-		MCS:       int(p.i64(&f[5])),
-		TBSBits:   int(p.i64(&f[6])),
-		UsedBits:  int(p.i64(&f[7])),
-		HARQRetx:  p.boolValue(&f[8]),
-		RLCRetx:   p.boolValue(&f[9]),
-		Proactive: p.boolValue(&f[10]),
-		Unused:    p.boolValue(&f[11]),
-	}
-	if p.end() {
-		c.append(&r)
-	}
-}
-
-func (p *lineParser) gnb(c *GNBColumns, prev *string) {
-	f := gnbFields
-	r := GNBLogRecord{
-		At:          sim.Time(p.i64(&f[0])),
-		Kind:        GNBLogKind(p.i64(&f[1])),
-		Dir:         netem.Direction(p.i64(&f[2])),
-		BufferBytes: int(p.i64(&f[3])),
-		RNTI:        uint32(p.u64(&f[4], 32)),
-		Note:        p.stringValue(&f[5], *prev),
-	}
-	if p.end() {
-		c.append(&r)
-		*prev = r.Note
-	}
-}
-
-func (p *lineParser) pkt(c *PacketColumns) {
-	f := pktFields
-	r := PacketRecord{
-		Seq:     p.u64(&f[0], 64),
-		Kind:    netem.MediaKind(p.i64(&f[1])),
-		Dir:     netem.Direction(p.i64(&f[2])),
-		Size:    int(p.i64(&f[3])),
-		SentAt:  sim.Time(p.i64(&f[4])),
-		Arrived: sim.Time(p.i64(&f[5])),
-	}
-	if p.end() {
-		c.append(&r)
-	}
-}
-
-func (p *lineParser) rrc(c *RRCColumns, prev *string) {
-	f := rrcFields
-	r := RRCRecord{
-		At:        sim.Time(p.i64(&f[0])),
-		Connected: p.boolValue(&f[1]),
-		RNTI:      uint32(p.u64(&f[2], 32)),
-		Cause:     p.stringValue(&f[3], *prev),
-	}
-	if p.end() {
-		c.append(&r)
-		*prev = r.Cause
-	}
-}
-
 // lineHeader is the kind of a header line; a data line's kind is its
 // series index.
 const lineHeader = NumSeries
@@ -750,32 +706,56 @@ func (p *lineParser) decode(b *Block, sr *StreamReader) (kind int) {
 	switch string(typ) {
 	case "header":
 		var h jsonHeader
-		if decodeRow(p, &h, headerFields); p.end() {
+		if decodeRow(p, &h, headerFields, ""); p.end() {
 			hdr := Header(h)
 			sr.hdr = &hdr
 		}
 		return lineHeader
 	case "dci":
 		kind = SeriesDCI
-		p.dci(&b.DCI)
+		r, i := dciInline(p.buf, p.pos)
+		if i < len(p.buf) {
+			p.pos, p.lead = i, ','
+		} else {
+			decodeRow(p, &r, dciFields, "")
+		}
+		if p.end() {
+			b.DCI.append(&r)
+		}
 	case "gnb":
 		kind = SeriesGNB
-		p.gnb(&b.GNB, &sr.note)
+		var r GNBLogRecord
+		if decodeRow(p, &r, gnbFields, sr.note); p.end() {
+			b.GNB.append(&r)
+			sr.note = r.Note
+		}
 	case "pkt":
 		kind = SeriesPkt
-		p.pkt(&b.Pkt)
+		r, i := pktInline(p.buf, p.pos)
+		if i < len(p.buf) {
+			p.pos, p.lead = i, ','
+		} else {
+			decodeRow(p, &r, pktFields, "")
+		}
+		if p.end() {
+			b.Pkt.append(&r)
+		}
 	case "stats":
 		kind = SeriesStats
 		b.Stats = append(b.Stats, WebRTCStatsRecord{}) // decoded in place
 		r := &b.Stats[len(b.Stats)-1]
-		if decodeRow(p, r, statsFields); p.end() {
+		if decodeRow(p, r, statsFields, ""); p.end() {
 			b.StatsAt = append(b.StatsAt, r.At)
 		} else {
 			b.Stats = b.Stats[:len(b.Stats)-1]
 		}
 	case "rrc":
 		kind = SeriesRRC
-		p.rrc(&b.RRC, &sr.cause)
+		var r RRCRecord
+		if decodeRow(p, &r, rrcFields, sr.cause); p.end() {
+			b.RRC.append(&r)
+			sr.cause = r.Cause
+		}
 	default:
 		p.ok = false
 	}

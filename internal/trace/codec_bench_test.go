@@ -49,14 +49,25 @@ func benchCorpus() []Record {
 	return recs
 }
 
-// mallocsDelta runs fn and returns the exact heap-allocation count it
-// performed (single-threaded benchmarks only).
-func mallocsDelta(fn func()) uint64 {
+// benchRecords times b.N runs of fn, each over records records, and
+// reports ns/rec, rec/s and the exact heap allocations per record
+// (single-threaded benchmarks only). The allocation count's two
+// runtime.ReadMemStats calls stop the world, so they stay out of the
+// timed loop.
+func benchRecords(b *testing.B, records int, fn func()) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	fn()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fn()
+	}
+	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	n := float64(records) * float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/rec")
+	b.ReportMetric(n/b.Elapsed().Seconds(), "rec/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/rec")
 }
 
 // BenchmarkCodecEncode compares the hand-rolled append encoder against
@@ -65,45 +76,31 @@ func BenchmarkCodecEncode(b *testing.B) {
 	recs := benchCorpus()
 	b.Run("fast", func(b *testing.B) {
 		buf := make([]byte, 0, 1024)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var allocs uint64
-		for i := 0; i < b.N; i++ {
-			allocs += mallocsDelta(func() {
-				for k := range recs {
-					var err error
-					buf, err = appendLine(buf[:0], recs[k])
-					if err != nil {
-						b.Fatal(err)
-					}
+		benchRecords(b, len(recs), func() {
+			for k := range recs {
+				var err error
+				buf, err = appendLine(buf[:0], recs[k])
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
-		b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
-		b.ReportMetric(float64(allocs)/float64(len(recs)*b.N), "allocs/rec")
+			}
+		})
 	})
 	b.Run("stdjson", func(b *testing.B) {
 		var out bytes.Buffer
 		enc := json.NewEncoder(&out)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var allocs uint64
-		for i := 0; i < b.N; i++ {
-			allocs += mallocsDelta(func() {
-				out.Reset()
-				for k := range recs {
-					data, err := json.Marshal(recordPayload(recs[k]))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := enc.Encode(jsonLine{Type: recordTypeName(recs[k]), Data: data}); err != nil {
-						b.Fatal(err)
-					}
+		benchRecords(b, len(recs), func() {
+			out.Reset()
+			for k := range recs {
+				data, err := json.Marshal(recordPayload(recs[k]))
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
-		b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
-		b.ReportMetric(float64(allocs)/float64(len(recs)*b.N), "allocs/rec")
+				if err := enc.Encode(jsonLine{Type: recordTypeName(recs[k]), Data: data}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	})
 }
 
@@ -119,45 +116,34 @@ func BenchmarkCodecDecode(b *testing.B) {
 		}
 		lines[i] = line
 	}
-	// fast is the line decoder alone, into one block kept across
-	// iterations: no framing, no reader.
+	// fast is the line decoder alone over the lines in one buffer, as a
+	// scanner token holds them, into one block kept across iterations:
+	// no scanner, no reader.
 	b.Run("fast", func(b *testing.B) {
+		stream := append(bytes.Join(lines, []byte("\n")), '\n')
 		var blk Block
 		var sr StreamReader
-		b.ReportAllocs()
-		b.ResetTimer()
-		var allocs uint64
-		for i := 0; i < b.N; i++ {
-			allocs += mallocsDelta(func() {
-				blk.reset()
-				for _, line := range lines {
-					p := lineParser{buf: line, ok: true}
-					if p.decode(&blk, &sr); !p.ok || p.pos != len(line) {
-						b.Fatal("fast path rejected canonical line")
-					}
+		benchRecords(b, len(lines), func() {
+			blk.reset()
+			for pos := 0; pos < len(stream); {
+				p := lineParser{buf: stream, pos: pos, ok: true}
+				if p.decode(&blk, &sr); !p.ok {
+					b.Fatal("fast path rejected canonical line")
 				}
-			})
-		}
-		b.ReportMetric(float64(len(lines))*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
-		b.ReportMetric(float64(allocs)/float64(len(lines)*b.N), "allocs/rec")
+				pos = p.pos
+			}
+		})
 	})
 	// block is the dominod ingest hot path: the same lines as a stream,
 	// read in columns with the storage recycled, one reader per
 	// iteration as dominod has one per upload.
 	b.Run("block", func(b *testing.B) {
 		stream := append(bytes.Join(lines, []byte("\n")), '\n')
-		b.ReportAllocs()
-		b.ResetTimer()
-		var allocs uint64
-		for i := 0; i < b.N; i++ {
-			allocs += mallocsDelta(func() {
-				if n, err := drainJSONLBlocks(stream); err != io.EOF || n != len(lines) {
-					b.Fatalf("decoded %d records: %v", n, err)
-				}
-			})
-		}
-		b.ReportMetric(float64(len(lines))*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
-		b.ReportMetric(float64(allocs)/float64(len(lines)*b.N), "allocs/rec")
+		benchRecords(b, len(lines), func() {
+			if n, err := drainJSONLBlocks(stream); err != io.EOF || n != len(lines) {
+				b.Fatalf("decoded %d records: %v", n, err)
+			}
+		})
 	})
 	// block-pooled is block on one ring that every iteration's reader
 	// borrows, as a node lends its pooled rings to uploads: the columns
@@ -166,34 +152,20 @@ func BenchmarkCodecDecode(b *testing.B) {
 	b.Run("block-pooled", func(b *testing.B) {
 		stream := append(bytes.Join(lines, []byte("\n")), '\n')
 		ring := NewBlockRing(1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var allocs uint64
-		for i := 0; i < b.N; i++ {
-			allocs += mallocsDelta(func() {
-				if n, err := drainJSONLRing(stream, ring); err != io.EOF || n != len(lines) {
-					b.Fatalf("decoded %d records: %v", n, err)
-				}
-			})
-		}
-		b.ReportMetric(float64(len(lines))*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
-		b.ReportMetric(float64(allocs)/float64(len(lines)*b.N), "allocs/rec")
+		benchRecords(b, len(lines), func() {
+			if n, err := drainJSONLRing(stream, ring); err != io.EOF || n != len(lines) {
+				b.Fatalf("decoded %d records: %v", n, err)
+			}
+		})
 	})
 	b.Run("stdjson", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var allocs uint64
-		for i := 0; i < b.N; i++ {
-			allocs += mallocsDelta(func() {
-				for _, line := range lines {
-					if _, err := oracleDecodeLine(line); err != nil {
-						b.Fatal(err)
-					}
+		benchRecords(b, len(lines), func() {
+			for _, line := range lines {
+				if _, err := oracleDecodeLine(line); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
-		b.ReportMetric(float64(len(lines))*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
-		b.ReportMetric(float64(allocs)/float64(len(lines)*b.N), "allocs/rec")
+			}
+		})
 	})
 }
 
@@ -224,30 +196,22 @@ func BenchmarkCodecBinaryEncode(b *testing.B) {
 	recs := benchCorpus()
 	hdr := Header{CellName: "bench", Duration: sim.Second}
 	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	var allocs, bytesOut uint64
-	for i := 0; i < b.N; i++ {
-		allocs += mallocsDelta(func() {
-			buf.Reset()
-			w := NewBinaryWriter(&buf)
-			if err := w.WriteHeader(hdr); err != nil {
+	benchRecords(b, len(recs), func() {
+		buf.Reset()
+		w := NewBinaryWriter(&buf)
+		if err := w.WriteHeader(hdr); err != nil {
+			b.Fatal(err)
+		}
+		for k := range recs {
+			if err := w.WriteRecord(recs[k]); err != nil {
 				b.Fatal(err)
 			}
-			for k := range recs {
-				if err := w.WriteRecord(recs[k]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				b.Fatal(err)
-			}
-		})
-		bytesOut = uint64(buf.Len())
-	}
-	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
-	b.ReportMetric(float64(allocs)/float64(len(recs)*b.N), "allocs/rec")
-	b.ReportMetric(float64(bytesOut)/float64(len(recs)), "bytes/rec")
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.ReportMetric(float64(buf.Len())/float64(len(recs)), "bytes/rec")
 }
 
 // BenchmarkCodecBinaryDecode measures binary decode throughput over the
@@ -292,21 +256,14 @@ func benchBinaryDecode(b *testing.B, drain func(*BinaryStreamReader) (int, error
 		b.Fatal(err)
 	}
 	reader := bytes.NewReader(enc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var allocs uint64
-	for i := 0; i < b.N; i++ {
-		allocs += mallocsDelta(func() {
-			reader.Reset(enc)
-			n, err := drain(NewBinaryStreamReader(reader))
-			if err != io.EOF {
-				b.Fatal(err)
-			}
-			if n != len(recs)+1 {
-				b.Fatalf("decoded %d records", n)
-			}
-		})
-	}
-	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
-	b.ReportMetric(float64(allocs)/float64(len(recs)*b.N), "allocs/rec")
+	benchRecords(b, len(recs), func() {
+		reader.Reset(enc)
+		n, err := drain(NewBinaryStreamReader(reader))
+		if err != io.EOF {
+			b.Fatal(err)
+		}
+		if n != len(recs)+1 {
+			b.Fatalf("decoded %d records", n)
+		}
+	})
 }

@@ -76,8 +76,23 @@ var lineScratch struct {
 }
 
 // fastDecodeLine is the fast tier alone, as a Record: what
-// StreamReader.Next returns for a line the tier accepts.
-func fastDecodeLine(line []byte) (Record, bool) {
+// StreamReader.Next returns for a line the tier accepts, the line ending
+// the scanner's token.
+func fastDecodeLine(line []byte) (Record, bool) { return fastDecodeIn(line, len(line)) }
+
+// windowLine follows a line in fastDecodeWindowed's token.
+const windowLine = `{"type":"dci","data":{"At":1,"Dir":0,"RNTI":70,"OwnPRB":2,"OtherPRB":3,"MCS":4,"TBSBits":5,"UsedBits":6,"HARQRetx":true,"RLCRetx":false,"Proactive":true,"Unused":false}}`
+
+// fastDecodeWindowed is fastDecodeLine with another line after it in
+// the token, as in a multi-line read: every key has the full window the
+// inlined compare loads, and a DCI or packet line is read whole by its
+// unrolled decoder, which a line ending the token never is.
+func fastDecodeWindowed(line []byte) (Record, bool) {
+	return fastDecodeIn(append(append(append([]byte(nil), line...), '\n'), windowLine...), len(line)+1)
+}
+
+// fastDecodeIn decodes the token's first line, which must end at next.
+func fastDecodeIn(token []byte, next int) (Record, bool) {
 	lineScratch.Lock()
 	defer lineScratch.Unlock()
 	b := &lineScratch.b
@@ -85,10 +100,10 @@ func fastDecodeLine(line []byte) (Record, bool) {
 		b.reset()
 	}
 	var sr StreamReader
-	p := lineParser{buf: line, ok: true}
+	p := lineParser{buf: token, ok: true}
 	kind := p.decode(b, &sr)
 	switch {
-	case !p.ok || p.pos != len(line):
+	case !p.ok || p.pos != next:
 		return Record{}, false
 	case kind == lineHeader:
 		return Record{Header: sr.hdr}, true
@@ -274,9 +289,16 @@ func FuzzCodecDifferential(f *testing.F) {
 	f.Add(`{"type":"dci","data":{"Dir":1,"RNTI":70,"OwnPRB":2}}`)
 	f.Add(`{"type":"header","data":{"cell_name":"c","scenario":"s","duration_us":5,"has_gnb_log":true}}`)
 	f.Add(`{"type":"header","data":{"cell_name":"c","duration_us":5,"has_gnb_log":false}}`)
+	// A uint32 one past its range in a line the unrolled DCI decoder
+	// reads whole, and the same in the member walk.
+	f.Add(`{"type":"dci","data":{"At":1,"Dir":0,"RNTI":4294967296,"OwnPRB":2,"OtherPRB":3,"MCS":4,"TBSBits":5,"UsedBits":6,"HARQRetx":true,"RLCRetx":false,"Proactive":true,"Unused":false}}`)
+	f.Add(`{"type":"gnb","data":{"At":1,"Kind":0,"Dir":0,"BufferBytes":5,"RNTI":4294967296,"Note":""}}`)
 	f.Add(`{"type":"stats","data":{"At":1,"Local":false,"InboundFPS":999999999999999e22,"OutboundFPS":9007199254740993,"OutboundHeight":1,"InboundHeight":2,"VideoJBDelayMs":-0,"AudioJBDelayMs":1e23}}`)
 	f.Fuzz(func(t *testing.T, line string) {
 		rec, ok := fastDecodeLine([]byte(line))
+		if wrec, wok := fastDecodeWindowed([]byte(line)); wok != ok || !reflect.DeepEqual(wrec, rec) {
+			t.Fatalf("%q decodes differently ending the token (%v, %+v) and followed by a line (%v, %+v)", line, ok, rec, wok, wrec)
+		}
 		if !ok {
 			return // slow-path material; the fallback owns it
 		}
@@ -373,6 +395,9 @@ func FuzzFastNumber(f *testing.F) {
 			`{"type":"stats","data":{"FreezeTotalMs":1,"ConcealedSamples":` + v + `,"TotalSamples":2}}`,
 		} {
 			rec, ok := fastDecodeLine([]byte(line))
+			if wrec, wok := fastDecodeWindowed([]byte(line)); wok != ok || !reflect.DeepEqual(wrec, rec) {
+				t.Fatalf("%s decodes differently ending the token (%v) and followed by a line (%v)", line, ok, wok)
+			}
 			if !ok {
 				continue
 			}

@@ -8,6 +8,8 @@ var (
 	FastDecodeLine   = fastDecodeLine
 	OracleDecodeLine = oracleDecodeLine
 	JSONLFuzzSeeds   = jsonlFuzzSeeds
+	BenchRecords     = benchRecords
+	DrainJSONLRing   = drainJSONLRing
 )
 
 // BlockRecords materialises a block's records into storage of their

@@ -51,7 +51,7 @@ var fastBailLines = []string{
 }
 
 // writeJSONL is what WriteJSONL writes for set.
-func writeJSONL(t *testing.T, set *trace.Set) []byte {
+func writeJSONL(t testing.TB, set *trace.Set) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := trace.WriteJSONL(&buf, set); err != nil {
@@ -62,7 +62,7 @@ func writeJSONL(t *testing.T, set *trace.Set) []byte {
 
 // scenarioSets runs each registered scenario for d, the i-th with seed
 // seed+i, and returns the traces with their names, in registration order.
-func scenarioSets(t *testing.T, seed uint64, d sim.Time) (names []string, sets []*trace.Set) {
+func scenarioSets(t testing.TB, seed uint64, d sim.Time) (names []string, sets []*trace.Set) {
 	t.Helper()
 	for i, name := range scenario.Names() {
 		sc, err := scenario.ByName(name)
@@ -119,6 +119,47 @@ func TestFastDecodeSubsetAgreesWithOracle(t *testing.T) {
 	}
 }
 
+// TestWriteJSONLStaysFast: WriteJSONL writes the fast tier's own
+// layout, so every line of every registered scenario's trace is read by
+// the fast tier through ReadBlock (no slow line), and each line decodes
+// to the same row whether at least 24 bytes of the scanner's token
+// follow it — the inlined key compare's window — or it ends the token
+// with no newline, where the keys in its last 24 bytes take the
+// byte-by-byte compare.
+func TestWriteJSONLStaysFast(t *testing.T) {
+	names, sets := scenarioSets(t, 11, sim.Second)
+	for i, set := range sets {
+		stream := writeJSONL(t, set)
+		want, slow := readFast(t, stream)
+		if slow != 0 {
+			t.Fatalf("%s: %d of %d lines left the fast tier", names[i], slow, len(want))
+		}
+		lines := bytes.SplitAfter(stream, []byte("\n"))
+		for k, line := range lines[:len(want)] {
+			last := bytes.TrimSuffix(line, []byte("\n"))
+			followed := append(append([]byte(nil), line...), lines[(k+1)%len(want)]...)
+			for _, in := range [][]byte{last, followed} {
+				got, slow := readFast(t, in)
+				if slow != 0 || !reflect.DeepEqual(got[0], want[k]) {
+					t.Fatalf("%s line %d read as %q: %d slow lines\ngot  %+v\nwant %+v", names[i], k+1, in, slow, got[0], want[k])
+				}
+			}
+		}
+	}
+}
+
+// readFast reads input through ReadBlock and returns its records and
+// how many of its lines were left to encoding/json.
+func readFast(t *testing.T, input []byte) ([]trace.Record, int) {
+	t.Helper()
+	sr := trace.NewStreamReader(bytes.NewReader(input))
+	recs, _, err := drainBlocks(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, sr.SlowLines()
+}
+
 // viaNext drains a JSONL stream record by record.
 func viaNext(input []byte) (recs []trace.Record, err error) {
 	sr := trace.NewStreamReader(bytes.NewReader(input))
@@ -140,6 +181,11 @@ func viaNext(input []byte) (recs []trace.Record, err error) {
 func viaBlocks(input []byte, depth int) (recs []trace.Record, sizes []int, err error) {
 	sr := trace.NewStreamReader(bytes.NewReader(input))
 	sr.Recycle(depth)
+	return drainBlocks(sr)
+}
+
+// drainBlocks is viaBlocks on a reader of the caller's.
+func drainBlocks(sr *trace.StreamReader) (recs []trace.Record, sizes []int, err error) {
 	for {
 		b, err := sr.ReadBlock()
 		if err == io.EOF {
