@@ -221,7 +221,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return s.hist
 }
 
-var nameOK = func(name string) bool {
+// nameOK reports whether name is a valid metric or label name.
+func nameOK(name string) bool {
 	for i := 0; i < len(name); i++ {
 		c := name[i]
 		ok := c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||

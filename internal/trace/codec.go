@@ -10,9 +10,6 @@ import (
 	"strings"
 	"unicode/utf8"
 	"unsafe"
-
-	"github.com/domino5g/domino/internal/netem"
-	"github.com/domino5g/domino/internal/sim"
 )
 
 // This file is the JSONL codec for the trace hot path. Both halves are
@@ -42,15 +39,12 @@ import (
 // leading zero, ended by ',' or '}') is parsed in the pass that scans
 // it. Those three reads are small enough for the compiler to inline, so
 // a member costs no call: the cursor stays in registers, and the one
-// member walk (decodeRow) calls out only for the rare rest — a key in a
-// token's last 24 bytes, any other integer, floats and strings. DCI and
-// packet lines, the bulk of a trace, are read by that walk unrolled
-// (dciInline, pktInline), every member inline and a site of its own,
-// and fall back to the walk for any line that is not all inline
-// material. A float of at most 15 significant digits and a decimal
-// exponent within ±22 is converted in its one scan by one exact
-// multiplication or division (Clinger's fast path); any other number
-// takes strconv. Every other line — spaced, reordered or repeated
+// member walk (decodeRow), which reads every row type, calls out only
+// for the rare rest — a key in a token's last 24 bytes, any other
+// integer, floats and strings. A float of at most 15 significant digits
+// and a decimal exponent within ±22 is converted in its one scan by one
+// exact multiplication or division (Clinger's fast path); any other
+// number takes strconv. Every other line — spaced, reordered or repeated
 // members, unknown or case-folded field names, escaped strings, nulls,
 // exotic numbers — goes to the second tier, encoding/json (slowDecode),
 // which therefore stays both the semantic oracle (differential tests in
@@ -569,11 +563,11 @@ var (
 // what appendRow writes: each member's separator and key as one
 // literal, in declaration order, any member absent and left zero. A
 // string member equal to prev is prev (stringAt). It is the one member
-// walk: the header, stats, gNB and RRC rows take it, and a DCI or packet
-// row that the inline decoders leave. The cursor stays in locals, the
-// key compare, a plain integer and a bool are inlined, and the rest
-// calls out: a key among the token's last keyWindow bytes, any other
-// integer, floats and strings.
+// walk, for every row type, and the one place a member's range is
+// checked (f.max). The cursor stays in locals, the key compare, a plain
+// integer and a bool are inlined, and the rest calls out: a key among
+// the token's last keyWindow bytes, any other integer, floats and
+// strings.
 func decodeRow[T any](p *lineParser, row *T, fields []rowField, prev string) {
 	b, i, lead, base := p.buf, p.pos, p.lead, unsafe.Pointer(row)
 	for k := range fields {
@@ -611,53 +605,6 @@ func decodeRow[T any](p *lineParser, row *T, fields []rowField, prev string) {
 		}
 	}
 	p.pos, p.lead = i, lead
-}
-
-// dciInline and pktInline are the walk unrolled for the bulk of a
-// trace, each member a site of its own, for an object whose every
-// member is there and inline material. They return its row and the
-// cursor past its last member; for any other object a zero row and
-// len(b), and decodeRow reads it from the start. They read the member
-// list by position, as the row type declares it, and take a member's
-// range from it. The round trips and TestWriteJSONLStaysFast catch a
-// member read into another's field, and FuzzCodecDifferential's windowed
-// decode a value the walk would refuse.
-
-func dciInline(b []byte, i int) (DCIRecord, int) {
-	f := dciFields
-	at, i := digitsAt(b, f[0].after(b, i, '{'))
-	dir, i := digitsAt(b, f[1].after(b, i, ','))
-	rnti, i := digitsAt(b, f[2].after(b, i, ','))
-	own, i := digitsAt(b, f[3].after(b, i, ','))
-	other, i := digitsAt(b, f[4].after(b, i, ','))
-	mcs, i := digitsAt(b, f[5].after(b, i, ','))
-	tbs, i := digitsAt(b, f[6].after(b, i, ','))
-	used, i := digitsAt(b, f[7].after(b, i, ','))
-	harq, i := boolAt(b, f[8].after(b, i, ','))
-	rlc, i := boolAt(b, f[9].after(b, i, ','))
-	proactive, i := boolAt(b, f[10].after(b, i, ','))
-	unused, i := boolAt(b, f[11].after(b, i, ','))
-	if i == len(b) || rnti > f[2].max {
-		return DCIRecord{}, len(b)
-	}
-	return DCIRecord{At: sim.Time(at), Dir: netem.Direction(dir), RNTI: uint32(rnti),
-		OwnPRB: int(own), OtherPRB: int(other), MCS: int(mcs), TBSBits: int(tbs), UsedBits: int(used),
-		HARQRetx: harq, RLCRetx: rlc, Proactive: proactive, Unused: unused}, i
-}
-
-func pktInline(b []byte, i int) (PacketRecord, int) {
-	f := pktFields
-	seq, i := digitsAt(b, f[0].after(b, i, '{'))
-	kind, i := digitsAt(b, f[1].after(b, i, ','))
-	dir, i := digitsAt(b, f[2].after(b, i, ','))
-	size, i := digitsAt(b, f[3].after(b, i, ','))
-	sent, i := digitsAt(b, f[4].after(b, i, ','))
-	arrived, i := digitsAt(b, f[5].after(b, i, ','))
-	if i == len(b) {
-		return PacketRecord{}, len(b)
-	}
-	return PacketRecord{Seq: seq, Kind: netem.MediaKind(kind), Dir: netem.Direction(dir),
-		Size: int(size), SentAt: sim.Time(sent), Arrived: sim.Time(arrived)}, i
 }
 
 // end consumes the closing braces (after the object's own, when it has
@@ -713,13 +660,8 @@ func (p *lineParser) decode(b *Block, sr *StreamReader) (kind int) {
 		return lineHeader
 	case "dci":
 		kind = SeriesDCI
-		r, i := dciInline(p.buf, p.pos)
-		if i < len(p.buf) {
-			p.pos, p.lead = i, ','
-		} else {
-			decodeRow(p, &r, dciFields, "")
-		}
-		if p.end() {
+		var r DCIRecord
+		if decodeRow(p, &r, dciFields, ""); p.end() {
 			b.DCI.append(&r)
 		}
 	case "gnb":
@@ -731,13 +673,8 @@ func (p *lineParser) decode(b *Block, sr *StreamReader) (kind int) {
 		}
 	case "pkt":
 		kind = SeriesPkt
-		r, i := pktInline(p.buf, p.pos)
-		if i < len(p.buf) {
-			p.pos, p.lead = i, ','
-		} else {
-			decodeRow(p, &r, pktFields, "")
-		}
-		if p.end() {
+		var r PacketRecord
+		if decodeRow(p, &r, pktFields, ""); p.end() {
 			b.Pkt.append(&r)
 		}
 	case "stats":

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/domino5g/domino/internal/sim"
 )
@@ -73,8 +74,10 @@ const (
 	// consumer's watermark lag stays a fraction of a window.
 	defaultBinaryBlockSize = 512
 
-	// maxBinaryFramePayload bounds a single frame so a corrupt length
-	// prefix cannot make the reader attempt a multi-GB allocation.
+	// maxBinaryFramePayload bounds a single frame's length. The reader
+	// allocates for the payload bytes that arrive, not for the length
+	// a frame claims, so a corrupt or hostile prefix costs no more
+	// memory than the bytes behind it.
 	maxBinaryFramePayload = 1 << 27
 )
 
@@ -762,13 +765,23 @@ func (sr *BinaryStreamReader) nextFrame() (*Header, []byte, error) {
 		if plen > maxBinaryFramePayload {
 			return nil, nil, sr.failf("frame payload %d exceeds limit", plen)
 		}
-		if uint64(cap(sr.buf)) < plen {
-			sr.buf = make([]byte, plen)
+		// A payload longer than the buffer is read in pieces, the buffer
+		// growing as they arrive: a length the stream does not back
+		// costs at most twice the bytes received plus one step.
+		size, payload := int(plen), sr.buf[:0]
+		for len(payload) < size {
+			if len(payload) == cap(payload) {
+				payload = slices.Grow(payload, min(size-len(payload), max(cap(payload), 1<<14)))
+			}
+			n, err := io.ReadFull(sr.r, payload[len(payload):min(cap(payload), size)])
+			if payload = payload[:len(payload)+n]; err == io.EOF && len(payload) > 0 {
+				err = io.ErrUnexpectedEOF // what one read of the whole payload says
+			}
+			if err != nil {
+				return nil, nil, sr.failf("truncated frame payload: %v", err)
+			}
 		}
-		payload := sr.buf[:plen]
-		if _, err := io.ReadFull(sr.r, payload); err != nil {
-			return nil, nil, sr.failf("truncated frame payload: %v", err)
-		}
+		sr.buf = payload
 		switch kind {
 		case frameDict:
 			if err := sr.decodeDict(payload); err != nil {

@@ -6,8 +6,10 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"github.com/domino5g/domino/internal/netem"
@@ -214,6 +216,38 @@ func drainAll(r RecordReader) ([]Record, error) {
 			return out, err
 		}
 		out = append(out, rec)
+	}
+}
+
+// frameClaim is a stream whose header frame claims the largest payload
+// the reader admits and carries none of it: 13 bytes.
+var frameClaim = binary.AppendUvarint(append([]byte(binaryMagic), frameHeader), maxBinaryFramePayload)
+
+// TestFramePayloadGrowsWithBytes pins a frame's payload buffer to the
+// bytes that arrive, not the length the frame claims: the 13-byte
+// claim of a 128 MiB payload allocates under 1 MiB and fails as a
+// truncated payload, and a header frame sixty times the initial
+// buffer, read in pieces, still round-trips.
+func TestFramePayloadGrowsWithBytes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := drainAll(NewBinaryStreamReader(bytes.NewReader(frameClaim)))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated frame payload") {
+		t.Fatalf("claimed payload: err %v, want a truncated frame payload", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a %d-byte stream allocated %d B, want < 1 MiB", len(frameClaim), got)
+	}
+
+	hdr := Header{CellName: strings.Repeat("c", 60<<14), Duration: 5}
+	enc, err := encodeStream(hdr, []Record{{DCI: &DCIRecord{At: 1, RNTI: 70}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := drainReader(t, NewBinaryStreamReader(iotest.HalfReader(bytes.NewReader(enc))))
+	if len(recs) != 2 || !reflect.DeepEqual(*recs[0].Header, hdr) || *recs[1].DCI != (DCIRecord{At: 1, RNTI: 70}) {
+		t.Fatalf("a large header frame did not round-trip: %d records", len(recs))
 	}
 }
 
@@ -461,6 +495,7 @@ func FuzzBinaryStreamReader(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add([]byte(binaryMagic))
 	f.Add([]byte("{}"))
+	f.Add(frameClaim)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sr := NewBinaryStreamReader(bytes.NewReader(data))
 		for i := 0; ; i++ {

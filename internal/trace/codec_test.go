@@ -85,8 +85,8 @@ const windowLine = `{"type":"dci","data":{"At":1,"Dir":0,"RNTI":70,"OwnPRB":2,"O
 
 // fastDecodeWindowed is fastDecodeLine with another line after it in
 // the token, as in a multi-line read: every key has the full window the
-// inlined compare loads, and a DCI or packet line is read whole by its
-// unrolled decoder, which a line ending the token never is.
+// inlined compare (after) loads, where a line ending the token reads
+// its last keys byte by byte (keyAt).
 func fastDecodeWindowed(line []byte) (Record, bool) {
 	return fastDecodeIn(append(append(append([]byte(nil), line...), '\n'), windowLine...), len(line)+1)
 }
@@ -289,8 +289,9 @@ func FuzzCodecDifferential(f *testing.F) {
 	f.Add(`{"type":"dci","data":{"Dir":1,"RNTI":70,"OwnPRB":2}}`)
 	f.Add(`{"type":"header","data":{"cell_name":"c","scenario":"s","duration_us":5,"has_gnb_log":true}}`)
 	f.Add(`{"type":"header","data":{"cell_name":"c","duration_us":5,"has_gnb_log":false}}`)
-	// A uint32 one past its range in a line the unrolled DCI decoder
-	// reads whole, and the same in the member walk.
+	// A uint32 one past its range in an all-plain DCI line and in a gNB
+	// line, each of which the member walk reads with every key inline
+	// when a line follows it.
 	f.Add(`{"type":"dci","data":{"At":1,"Dir":0,"RNTI":4294967296,"OwnPRB":2,"OtherPRB":3,"MCS":4,"TBSBits":5,"UsedBits":6,"HARQRetx":true,"RLCRetx":false,"Proactive":true,"Unused":false}}`)
 	f.Add(`{"type":"gnb","data":{"At":1,"Kind":0,"Dir":0,"BufferBytes":5,"RNTI":4294967296,"Note":""}}`)
 	f.Add(`{"type":"stats","data":{"At":1,"Local":false,"InboundFPS":999999999999999e22,"OutboundFPS":9007199254740993,"OutboundHeight":1,"InboundHeight":2,"VideoJBDelayMs":-0,"AudioJBDelayMs":1e23}}`)

@@ -218,64 +218,80 @@ func FuzzJSONLFraming(f *testing.F) {
 // with a value of its own, none zero, and requires the line the encoder
 // writes for it to take the fast tier and decode to the same value —
 // also with each bool field false in turn, so two bools read from each
-// other's key show too. A struct field a straight-line decoder does not
-// read, or reads from another member's key, fails it.
+// other's key show too. Signed members are plain digits once (the
+// inlined digit read) and negative once (intAt). Each line is read both
+// ending the token, where its last keys take keyAt, and followed by
+// windowLine, where every key takes after's word compare. A struct field
+// the member walk does not read, or reads from another member's key,
+// fails it.
 func TestFastTierReadsEveryMember(t *testing.T) {
-	rows := []any{&Header{}, &DCIRecord{}, &GNBLogRecord{}, &PacketRecord{}, &WebRTCStatsRecord{}, &RRCRecord{}}
+	rows := []any{Header{}, DCIRecord{}, GNBLogRecord{}, PacketRecord{}, WebRTCStatsRecord{}, RRCRecord{}}
 	for _, row := range rows {
-		v := reflect.ValueOf(row).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			switch f := v.Field(i); f.Kind() {
-			case reflect.Int, reflect.Int64:
-				f.SetInt(int64(-1000 - i))
-			case reflect.Uint32, reflect.Uint64:
-				f.SetUint(uint64(2000 + i))
-			case reflect.Float64:
-				f.SetFloat(float64(i) + 0.25)
-			case reflect.Bool:
-				f.SetBool(true)
-			case reflect.String:
-				f.SetString(fmt.Sprintf("s%d", i))
-			default:
-				t.Fatalf("%s.%s: no value for kind %s", v.Type().Name(), v.Type().Field(i).Name, f.Kind())
+		for _, sign := range []int64{1, -1} {
+			v := reflect.New(reflect.TypeOf(row)).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				switch f := v.Field(i); f.Kind() {
+				case reflect.Int, reflect.Int64:
+					f.SetInt(sign * int64(1000+i))
+				case reflect.Uint32, reflect.Uint64:
+					f.SetUint(uint64(2000 + i))
+				case reflect.Float64:
+					f.SetFloat(float64(i) + 0.25)
+				case reflect.Bool:
+					f.SetBool(true)
+				case reflect.String:
+					f.SetString(fmt.Sprintf("s%d", i))
+				default:
+					t.Fatalf("%s.%s: no value for kind %s", v.Type().Name(), v.Type().Field(i).Name, f.Kind())
+				}
+			}
+			variants := []reflect.Value{v}
+			for i := 0; i < v.NumField(); i++ {
+				if v.Field(i).Kind() == reflect.Bool {
+					w := reflect.New(v.Type()).Elem()
+					w.Set(v)
+					w.Field(i).SetBool(false)
+					variants = append(variants, w)
+				}
+			}
+			for _, w := range variants {
+				checkFastMember(t, w)
 			}
 		}
-		variants := []reflect.Value{v}
-		for i := 0; i < v.NumField(); i++ {
-			if v.Field(i).Kind() == reflect.Bool {
-				w := reflect.New(v.Type()).Elem()
-				w.Set(v)
-				w.Field(i).SetBool(false)
-				variants = append(variants, w)
-			}
-		}
-		for _, w := range variants {
-			var rec Record
-			reflect.ValueOf(&rec).Elem().FieldByName(map[string]string{
-				"Header": "Header", "DCIRecord": "DCI", "GNBLogRecord": "GNB",
-				"PacketRecord": "Packet", "WebRTCStatsRecord": "Stats", "RRCRecord": "RRC",
-			}[w.Type().Name()]).Set(w.Addr())
-			line, err := appendLine(nil, rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, blocks := range []bool{false, true} {
-				sr := NewStreamReader(bytes.NewReader(append(line, '\n')))
-				var got Record
-				if blocks {
-					var b *Block
-					if b, err = sr.ReadBlock(); err == nil && b.Header != nil {
-						got = Record{Header: b.Header}
-					} else if err == nil {
-						got = BlockRecords(b)[0]
-					}
-				} else {
-					got, err = sr.Next()
+	}
+}
+
+// checkFastMember requires w's encoded line to decode to w on the fast
+// tier, through Next and ReadBlock, ending the token and followed by
+// windowLine.
+func checkFastMember(t *testing.T, w reflect.Value) {
+	t.Helper()
+	var rec Record
+	reflect.ValueOf(&rec).Elem().FieldByName(map[string]string{
+		"Header": "Header", "DCIRecord": "DCI", "GNBLogRecord": "GNB",
+		"PacketRecord": "Packet", "WebRTCStatsRecord": "Stats", "RRCRecord": "RRC",
+	}[w.Type().Name()]).Set(w.Addr())
+	line, err := appendLine(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, next := range []string{"", windowLine + "\n"} {
+		for _, blocks := range []bool{false, true} {
+			sr := NewStreamReader(strings.NewReader(string(line) + "\n" + next))
+			var got Record
+			if blocks {
+				var b *Block
+				if b, err = sr.ReadBlock(); err == nil && b.Header != nil {
+					got = Record{Header: b.Header}
+				} else if err == nil {
+					got = BlockRecords(b)[0]
 				}
-				if err != nil || sr.SlowLines() != 0 || !reflect.DeepEqual(got, rec) {
-					t.Fatalf("%s (blocks %v): %d slow lines, err %v\ngot  %+v\nwant %+v",
-						line, blocks, sr.SlowLines(), err, recordPayload(got), recordPayload(rec))
-				}
+			} else {
+				got, err = sr.Next()
+			}
+			if err != nil || sr.SlowLines() != 0 || !reflect.DeepEqual(got, rec) {
+				t.Fatalf("%s (blocks %v, windowed %v): %d slow lines, err %v\ngot  %+v\nwant %+v",
+					line, blocks, next != "", sr.SlowLines(), err, recordPayload(got), recordPayload(rec))
 			}
 		}
 	}
