@@ -30,11 +30,11 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	opts := experiments.Options{Duration: benchDuration, Seed: 1, Sessions: 1}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, opts)
+		res, err := experiments.RunParallel([]string{id}, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Text) == 0 {
+		if len(res[0].Text) == 0 {
 			b.Fatal("empty artifact")
 		}
 	}

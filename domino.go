@@ -197,18 +197,18 @@ func Presets() []CellConfig { return ran.Presets() }
 // "T-Mobile 15MHz FDD"); unknown names report the valid slugs.
 func PresetByName(name string) (CellConfig, error) { return ran.PresetByName(name) }
 
-// CellNames returns the registered cell preset slugs.
+// CellNames returns the cell preset slugs in Table 1 order.
 func CellNames() []string { return ran.CellNames() }
 
-// Scenarios returns the registered scenario catalog in registration
-// order: the four Table 1 presets followed by the degradation
-// scenarios, each provoking a different causal chain.
+// Scenarios returns the scenario catalog in its fixed order: the four
+// Table 1 presets followed by the degradation scenarios, each
+// provoking a different causal chain.
 func Scenarios() []Scenario { return scenario.All() }
 
-// ScenarioNames returns the registered scenario names.
+// ScenarioNames returns the catalog's scenario names in catalog order.
 func ScenarioNames() []string { return scenario.Names() }
 
-// ScenarioByName looks a registered scenario up case-insensitively;
+// ScenarioByName looks a catalog scenario up case-insensitively;
 // unknown names report the valid ones.
 func ScenarioByName(name string) (Scenario, error) { return scenario.ByName(name) }
 

@@ -13,19 +13,6 @@ import (
 	"github.com/domino5g/domino/internal/trace"
 )
 
-func init() {
-	register("fig12", fig12)
-	register("fig13", fig13)
-	register("fig14", fig14)
-	register("fig16", fig16)
-	register("fig17", fig17)
-	register("fig18", fig18)
-	register("fig19", fig19)
-	register("fig20", fig20)
-	register("fig21", fig21)
-	register("fig22", fig22)
-}
-
 // delayPhases summarizes media one-way delay (ms) before/during/after
 // an event window, for one direction.
 func delayPhases(set *trace.Set, dir netem.Direction, evStart, evEnd sim.Time) (before, during, after float64) {
@@ -102,7 +89,6 @@ func fig12(o Options) (Result, error) {
 	tb.AddRow("UL one-way delay (ms, p50/p90/p50)", before, during, after)
 	b.WriteString(tb.String())
 	return Result{
-		ID:       "fig12",
 		Title:    "Fig. 12 — channel degradation: MCS drop -> RLC buffer build-up -> delay surge -> recovery",
 		PaperRef: "paper: MCS collapses at the dip, BSR buffer grows, delay reaches ~380 ms, then drains back to ~30 ms",
 		Text:     b.String(),
@@ -151,7 +137,6 @@ func fig13(o Options) (Result, error) {
 	tb.AddRow("GCC overuse detected", "-", fmt.Sprintf("%v", overuse), "-")
 	b.WriteString(tb.String())
 	return Result{
-		ID:       "fig13",
 		Title:    "Fig. 13 — cross traffic: PRB crowd-out -> delay rise -> GCC overuse -> target-rate cut -> recovery",
 		PaperRef: "paper: delay climbs to ~250 ms, GCC detects overuse ~0.8 s after burst onset and multiplicatively decreases",
 		Text:     b.String(),
@@ -183,7 +168,6 @@ func fig14(o Options) (Result, error) {
 			stats.NewCDF(tbBytes).Median(), c.Median(), c.Quantile(0.9))
 	}
 	return Result{
-		ID:    "fig14",
 		Title: "Fig. 14 — packet-to-TB mapping: per-frame delay spread across cells",
 		PaperRef: "paper: 100 MHz TDD packs frames into few TBs (small spread); 15 MHz FDD needs >10 TBs/frame " +
 			"(large spread); Amarisoft's poor UL forces low rate but spread persists",
@@ -258,7 +242,6 @@ func fig16(o Options) (Result, error) {
 		float64(st.WastedBytes)/1e3, o.Duration,
 		100*float64(st.WastedBytes)/float64(max(st.GrantedBytes, 1)))
 	return Result{
-		ID:       "fig16",
 		Title:    "Fig. 16 — proactive UL grants cut first-packet latency but waste capacity",
 		PaperRef: "paper: unused proactive grants (unfilled bars) and over-granted BSR grants waste bandwidth",
 		Text:     b.String(),
@@ -292,7 +275,6 @@ func fig17(o Options) (Result, error) {
 			c.Median(), c.Quantile(0.9), c.Quantile(0.99))
 	}
 	return Result{
-		ID:       "fig17",
 		Title:    "Fig. 17 — HARQ retransmissions inflate packet delay by ~one HARQ RTT (10 ms) per attempt",
 		PaperRef: "paper: hundreds of HARQ retx per minute; each adds ~10 ms to the packets in the retransmitted TB",
 		Text:     tb.String(),
@@ -329,7 +311,6 @@ func fig18(o Options) (Result, error) {
 	tb.AddRow("UL delay before/during/after (ms)", fmt.Sprintf("%.1f / %.1f / %.1f", before, during, after))
 	b.WriteString(tb.String())
 	return Result{
-		ID:       "fig18",
 		Title:    "Fig. 18 — RLC retransmission adds ~105 ms and releases HoL-blocked packet bursts",
 		PaperRef: "paper: the RLC-recovered packet arrives ~105 ms late; blocked packets share one release timestamp",
 		Text:     b.String(),
@@ -362,7 +343,6 @@ func fig19(o Options) (Result, error) {
 	tb.AddRow("UL delay before/during/after (ms)", fmt.Sprintf("%.1f / %.1f / %.1f", before, during, after))
 	b.WriteString(tb.String())
 	return Result{
-		ID:       "fig19",
 		Title:    "Fig. 19 — RRC release halts the PHY ~300 ms; delay spikes toward 400 ms; RNTI changes",
 		PaperRef: "paper: complete PHY silence during the transition, buffered traffic spikes delay to ~400 ms",
 		Text:     b.String(),
@@ -401,7 +381,6 @@ func fig20(o Options) (Result, error) {
 	tb.AddRow("min inbound FPS during event", minFPS)
 	b.WriteString(tb.String())
 	return Result{
-		ID:       "fig20",
 		Title:    "Fig. 20 — delay surge drains the jitter buffer, freezing video and dropping frame rate",
 		PaperRef: "paper: delay to ~280 ms drains the buffer; video freezes; FPS recovers only after the buffer refills",
 		Text:     b.String(),
@@ -455,7 +434,6 @@ func fig21(o Options) (Result, error) {
 	tb.AddRow("min outbound FPS", fpsMin)
 	b.WriteString(tb.String())
 	return Result{
-		ID:       "fig21",
 		Title:    "Fig. 21 — delay ramp: trendline slope crosses threshold -> overuse -> multiplicative rate cut -> FPS/res drop",
 		PaperRef: "paper: slope exceeds adaptive threshold, overuse declared, target rate multiplicatively decreased, frame rate drops",
 		Text:     b.String(),
@@ -504,7 +482,6 @@ func fig22(o Options) (Result, error) {
 	tb.AddRow("min pushback rate during stall (Mbps)", pushMin/1e6)
 	b.WriteString(tb.String())
 	return Result{
-		ID:       "fig22",
 		Title:    "Fig. 22 — reverse-path (RTCP) delay alone triggers pushback-rate drops despite a stable target rate",
 		PaperRef: "paper: RTCP delay >300 ms accumulates outstanding bytes past the window; pushback rate and FPS drop",
 		Text:     b.String(),

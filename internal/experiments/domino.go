@@ -10,14 +10,6 @@ import (
 	"github.com/domino5g/domino/internal/stats"
 )
 
-func init() {
-	register("fig10", fig10)
-	register("table2", table2)
-	register("table4", table4)
-	register("fig11", fig11)
-	register("headline", headline)
-}
-
 // analyzeGroup runs Domino over sessions on the given presets and
 // merges the reports. The (preset × session) grid fans out across
 // o.Workers workers — one shared Analyzer serves all of them (it is
@@ -116,7 +108,6 @@ func fig10(o Options) (Result, error) {
 	}
 	b.WriteString(tb2.String())
 	return Result{
-		ID:    "fig10",
 		Title: "Fig. 10 — cause and consequence occurrence frequency per minute",
 		PaperRef: "paper commercial: cross 2.23, HARQ 3.28, UL-sched 1.39, poor-ch 0.97, RRC 0.10, RLC 0; " +
 			"private: poor-ch 5.83, UL-sched 5.83, HARQ 4.24, RLC 0.07; consequences: JB-drain rarest, " +
@@ -158,7 +149,6 @@ func table2(o Options) (Result, error) {
 		b.WriteString("\n")
 	}
 	return Result{
-		ID:    "table2",
 		Title: "Table 2 — P(cause | consequence), commercial vs private cells",
 		PaperRef: "paper: UL scheduling and HARQ prevalent in both groups; RLC retx only detectable on " +
 			"private (gNB-log) cells; RRC transitions only on the T-Mobile FDD cell",
@@ -196,7 +186,6 @@ func table4(o Options) (Result, error) {
 		b.WriteString("\n")
 	}
 	return Result{
-		ID:       "table4",
 		Title:    "Table 4 — each causal chain's share of all detected chains",
 		PaperRef: "paper: pushback chains dominate (HARQ 67%, poor channel 56% commercial); JB-drain chains are rare",
 		Text:     b.String(),
@@ -218,7 +207,6 @@ dl_harq_retx --> forward_delay_up --> local_jitter_buffer_drain
 	b.WriteString("\nGenerated Go detector:\n")
 	b.WriteString(core.GenerateGo(g, "detect"))
 	return Result{
-		ID:       "fig11",
 		Title:    "Fig. 11 — Domino generates detection code from text chain definitions",
 		PaperRef: "paper: generates Python; this reproduction generates Go with identical backward-trace semantics",
 		Text:     b.String(),
@@ -249,7 +237,6 @@ func headline(o Options) (Result, error) {
 		fmt.Fprintf(&b, "  %3d×  %s\n", cc.Events, cc.Chain.String())
 	}
 	return Result{
-		ID:       "headline",
 		Title:    "§4.2 headline — ~5 quality degradation events per session-minute",
 		PaperRef: "paper: ≈5 events/min; commercial dominated by retx (42%) and cross traffic (28%), private by UL scheduling (36%) and poor channel (37%)",
 		Text:     b.String(),

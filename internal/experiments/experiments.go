@@ -81,6 +81,7 @@ func (o Options) Defaults() Options {
 
 // Result is one regenerated artifact.
 type Result struct {
+	// ID is the artifact's catalog id; RunParallel sets it.
 	ID    string
 	Title string
 	// PaperRef summarizes what the paper reports, printed beside Text
@@ -99,39 +100,39 @@ type Result struct {
 // Runner regenerates one artifact.
 type Runner func(Options) (Result, error)
 
-var registry = map[string]Runner{}
-var registryOrder []string
-
-func register(id string, r Runner) {
-	if _, dup := registry[id]; dup {
-		panic("experiments: duplicate runner " + id)
-	}
-	registry[id] = r
-	registryOrder = append(registryOrder, id)
+// runners is the artifact catalog in the order IDs() lists it, and so
+// the order of cmd/experiments' -list and of a full run's stdout: the
+// case studies (Figs. 12–22), the Domino statistics, the longitudinal
+// study, the motivation experiments, and the scenario catalog.
+var runners = []struct {
+	id  string
+	run Runner
+}{
+	{"fig12", fig12}, {"fig13", fig13}, {"fig14", fig14}, {"fig16", fig16}, {"fig17", fig17},
+	{"fig18", fig18}, {"fig19", fig19}, {"fig20", fig20}, {"fig21", fig21}, {"fig22", fig22},
+	{"fig10", fig10}, {"table2", table2}, {"table4", table4}, {"fig11", fig11}, {"headline", headline},
+	{"fig8", fig8}, {"table3", table3},
+	{"table1", table1}, {"fig2", fig2}, {"fig3", fig3}, {"fig4", fig4}, {"fig5", fig5}, {"fig6", fig6},
+	{"scenarios", scenariosCatalog},
 }
 
-// IDs returns all experiment IDs in registration order.
-func IDs() []string { return append([]string(nil), registryOrder...) }
+// IDs returns all experiment IDs in catalog order.
+func IDs() []string {
+	out := make([]string, len(runners))
+	for i, r := range runners {
+		out[i] = r.id
+	}
+	return out
+}
 
 // lookup resolves an experiment ID.
 func lookup(id string) (Runner, error) {
-	r, ok := registry[id]
-	if !ok {
-		var known []string
-		for k := range registry {
-			known = append(known, k)
+	for _, r := range runners {
+		if r.id == id {
+			return r.run, nil
 		}
-		sort.Strings(known)
-		return nil, fmt.Errorf("experiments: unknown id %q (known: %s)", id, strings.Join(known, ", "))
 	}
-	return r, nil
-}
-
-// Run executes one experiment by ID.
-func Run(id string, opts Options) (Result, error) {
-	out, err := RunParallel([]string{id}, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return out[0], nil
+	known := IDs()
+	sort.Strings(known)
+	return nil, fmt.Errorf("experiments: unknown id %q (known: %s)", id, strings.Join(known, ", "))
 }

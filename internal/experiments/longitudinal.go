@@ -10,11 +10,6 @@ import (
 	"github.com/domino5g/domino/internal/stats"
 )
 
-func init() {
-	register("fig8", fig8)
-	register("table3", table3)
-}
-
 // fig8 regenerates Fig. 8: per-cell CDFs of one-way delay, target
 // bitrate, frame rate, and jitter-buffer delay for UL and DL streams.
 func fig8(o Options) (Result, error) {
@@ -56,7 +51,6 @@ func fig8(o Options) (Result, error) {
 		_ = s
 	}
 	return Result{
-		ID:    "fig8",
 		Title: "Fig. 8 — WebRTC performance metrics across the four 5G cells",
 		PaperRef: "paper: UL delay medians exceed DL everywhere except the T-Mobile FDD DL long tail; " +
 			"Amarisoft UL bitrate well below its DL; DL frame rates above UL",
@@ -82,7 +76,6 @@ func table3(o Options) (Result, error) {
 		add("DL", s.Remote.Video().ResolutionShares())
 	}
 	return Result{
-		ID:       "table3",
 		Title:    "Table 3 — video resolution distribution (fraction of time), UL vs DL",
 		PaperRef: "paper: healthy cells sit at 540p; the Amarisoft UL spends 35% at 360p due to its poor uplink",
 		Text:     tb.String(),

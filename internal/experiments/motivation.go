@@ -13,15 +13,6 @@ import (
 	"github.com/domino5g/domino/internal/zoomqss"
 )
 
-func init() {
-	register("table1", table1)
-	register("fig2", fig2)
-	register("fig3", fig3)
-	register("fig4", fig4)
-	register("fig5", fig5)
-	register("fig6", fig6)
-}
-
 // runCellSession runs one call on a preset and returns its trace.
 func runCellSession(cfg ran.CellConfig, duration sim.Time, seed uint64) (*rtc.Session, *trace.Set, error) {
 	s, err := rtc.NewSession(rtc.DefaultSessionConfig(cfg, seed))
@@ -68,7 +59,6 @@ func table1(o Options) (Result, error) {
 	// Zoom QSS row: per-minute records ≈ 1 (the API reports minutely).
 	tb.AddRow("Zoom API (campus)", "API", "-", 0.0, 0.0, 0.0, 1.0)
 	return Result{
-		ID:    "table1",
 		Title: "Table 1 — dataset overview: telemetry event rates per minute",
 		PaperRef: "paper: DCI 14k-38k/min, gNB 0-29k/min (Amarisoft only), " +
 			"packets 97k-132k/min, WebRTC 8.7k-13.2k/min",
@@ -114,7 +104,6 @@ func fig2(o Options) (Result, error) {
 		b.WriteString("\n")
 	}
 	return Result{
-		ID:       "fig2",
 		Title:    "Fig. 2 — one-way packet delay: 5G vs wired",
 		PaperRef: "paper: 5G inflates median delay by 1-2 orders of magnitude; p99 352/381 ms UL/DL",
 		Text:     b.String(),
@@ -145,7 +134,6 @@ func fig3(o Options) (Result, error) {
 	row("wired", wiredSet, false, "UL")
 	row("wired", wiredSet, true, "DL")
 	return Result{
-		ID:       "fig3",
 		Title:    "Fig. 3 — jitter-buffer delay: 5G vs wired (ITU-T: >150 ms impacts interactivity)",
 		PaperRef: "paper: 5G jitter-buffer delays frequently cross the 150 ms interactivity threshold; wired stays below",
 		Text:     tb.String(),
@@ -208,7 +196,6 @@ func fig4(o Options) (Result, error) {
 			return wiredS.Local.VideoBufferStats(o.Duration).FreezeTotalMs, o.Duration
 		})
 	return Result{
-		ID:       "fig4",
 		Title:    "Fig. 4 — concealed audio samples and video freezes: cellular vs wired",
 		PaperRef: "paper: ~12% audio concealed and 6 s frozen over 5G in 5 min; wired near zero",
 		Text:     tb.String(),
@@ -231,7 +218,6 @@ func fig5(o Options) (Result, error) {
 	text := zoomCDFRows("Outbound jitter (ms):", func(r zoomqss.Record) float64 { return r.OutboundJitterMs }, o) +
 		"\n" + zoomCDFRows("Inbound jitter (ms):", func(r zoomqss.Record) float64 { return r.InboundJitterMs }, o)
 	return Result{
-		ID:       "fig5",
 		Title:    "Fig. 5 — campus Zoom dataset: network jitter by access type",
 		PaperRef: "paper: jitter consistently higher on cellular than Wi-Fi and wired",
 		Text:     text,
@@ -243,7 +229,6 @@ func fig6(o Options) (Result, error) {
 	text := zoomCDFRows("Outbound loss (%):", func(r zoomqss.Record) float64 { return r.OutboundLossPct }, o) +
 		"\n" + zoomCDFRows("Inbound loss (%):", func(r zoomqss.Record) float64 { return r.InboundLossPct }, o)
 	return Result{
-		ID:       "fig6",
 		Title:    "Fig. 6 — campus Zoom dataset: packet loss by access type",
 		PaperRef: "paper: cellular shows significantly higher loss than wired/Wi-Fi",
 		Text:     text,

@@ -41,19 +41,20 @@ func DeriveSeed(base uint64, cellName string, sessionIdx int) uint64 {
 // burning simulation time; a runner failure surfaces as the error of
 // the lowest failing ID, matching the sequential path.
 func RunParallel(ids []string, opts Options) ([]Result, error) {
-	runners := make([]Runner, len(ids))
+	runs := make([]Runner, len(ids))
 	for i, id := range ids {
 		r, err := lookup(id)
 		if err != nil {
 			return nil, err
 		}
-		runners[i] = r
+		runs[i] = r
 	}
-	return runRunners(ids, runners, opts)
+	return runRunners(ids, runs, opts)
 }
 
 // runRunners is the worker-pool core of RunParallel, split out so tests
-// can inject failing runners without touching the registry.
+// can inject failing runners that are not in the catalog. It stamps
+// each result with its id.
 //
 // Workers is a total budget enforced by a single shared executor: the
 // experiment fan-out and every per-experiment session fan-out run as
@@ -64,7 +65,7 @@ func RunParallel(ids []string, opts Options) ([]Result, error) {
 // experiment remains — its sessions spread over the whole pool). The
 // calling goroutine is one of the Workers, so the pool holds the rest.
 // Worker counts never affect artifact bytes.
-func runRunners(ids []string, runners []Runner, opts Options) ([]Result, error) {
+func runRunners(ids []string, runs []Runner, opts Options) ([]Result, error) {
 	opts = opts.Defaults()
 	if opts.Workers > 1 && opts.exec == nil {
 		ex := parallel.NewExecutor(opts.Workers-1, nil)
@@ -75,11 +76,11 @@ func runRunners(ids []string, runners []Runner, opts Options) ([]Result, error) 
 	out := make([]Result, len(ids))
 	err := opts.forEach(len(ids), func(i int) error {
 		start := time.Now()
-		res, err := runners[i](opts)
+		res, err := runs[i](opts)
 		if err != nil {
 			return fmt.Errorf("experiments: %s: %w", ids[i], err)
 		}
-		res.Elapsed = time.Since(start)
+		res.ID, res.Elapsed = ids[i], time.Since(start)
 		out[i] = res
 		return nil
 	})

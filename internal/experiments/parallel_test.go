@@ -76,8 +76,7 @@ func TestRunParallelDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestRunAllMatchesRunParallel pins the batch engine over every ID:
-// results in registration order, the same artifact bytes as per-ID Run
-// calls.
+// results in catalog order, the same artifact bytes as one-ID calls.
 func TestRunAllMatchesRunParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full regeneration is slow")
@@ -93,11 +92,11 @@ func TestRunAllMatchesRunParallel(t *testing.T) {
 	}
 	for i, res := range all {
 		if res.ID != ids[i] {
-			t.Fatalf("slot %d holds %q, want registration order %q", i, res.ID, ids[i])
+			t.Fatalf("slot %d holds %q, want catalog order %q", i, res.ID, ids[i])
 		}
 	}
-	// Spot-check one artifact against a lone sequential Run.
-	single, err := Run("table1", Options{Duration: 10 * sim.Second, Seed: 3})
+	// Spot-check one artifact against a lone sequential run.
+	single, err := runOne("table1", Options{Duration: 10 * sim.Second, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +105,7 @@ func TestRunAllMatchesRunParallel(t *testing.T) {
 		if res.ID == "table1" {
 			found = true
 			if res.Text != single.Text {
-				t.Fatal("batch artifact differs from single sequential Run")
+				t.Fatal("batch artifact differs from single sequential run")
 			}
 		}
 	}
@@ -127,7 +126,7 @@ func TestSharedGroupsMatchLoneRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		alone, err := Run(id, opts)
+		alone, err := runOne(id, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,11 +9,7 @@ import (
 	"github.com/domino5g/domino/internal/stats"
 )
 
-func init() {
-	register("scenarios", scenariosCatalog)
-}
-
-// scenariosCatalog runs every registered scenario through the full
+// scenariosCatalog runs every catalog scenario through the full
 // pipeline — build, simulate, Domino analysis — and tabulates which
 // causes dominate each one. It is the extensibility counterpart of the
 // Table 1 aggregates: the same substrate, but over the whole scenario
@@ -71,7 +67,6 @@ func scenariosCatalog(o Options) (Result, error) {
 	fmt.Fprintf(&b, "\n%d scenarios registered (%d dynamic kinds available)\n",
 		len(scenarios), len(scenario.DynamicKinds()))
 	return Result{
-		ID:    "scenarios",
 		Title: "Scenario catalog — per-scenario root-cause profile over the registered workloads",
 		PaperRef: "extends Table 1/Fig. 10 beyond the four static cells: each registered scenario provokes " +
 			"a different causal chain of the Fig. 9 graph",

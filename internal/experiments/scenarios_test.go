@@ -10,7 +10,7 @@ import (
 // TestScenariosCatalogShape checks the catalog artifact covers every
 // registered scenario.
 func TestScenariosCatalogShape(t *testing.T) {
-	res, err := Run("scenarios", quickOpts())
+	res, err := runOne("scenarios", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,12 +27,12 @@ func TestScenariosCatalogShape(t *testing.T) {
 func TestScenariosCatalogWorkerInvariant(t *testing.T) {
 	opts := quickOpts()
 	opts.Workers = 1
-	seq, err := Run("scenarios", opts)
+	seq, err := runOne("scenarios", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = 4
-	par, err := Run("scenarios", opts)
+	par, err := runOne("scenarios", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

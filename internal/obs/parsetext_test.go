@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // roundTripRegistry builds a registry exercising every metric kind and
@@ -156,7 +157,9 @@ func TestParseTextIgnoresCommentsAndTimestamps(t *testing.T) {
 // it must never panic, and any text it accepts is a snapshot that
 // WriteText renders back into text that lints clean and that ParseText
 // reads as the same snapshot — the federation seam loses nothing on the
-// way through and re-serves nothing invalid.
+// way through and re-serves nothing invalid. A body that arrives one
+// byte per read parses as it does in one read: the same snapshot, or
+// the same error.
 func FuzzParseText(f *testing.F) {
 	var seed bytes.Buffer
 	if err := roundTripSnapshot(f).WriteText(&seed); err != nil {
@@ -169,6 +172,10 @@ func FuzzParseText(f *testing.F) {
 	f.Add("# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_count 2\n# HELP c C.\n# TYPE c counter\nc{a=\"1\",a=\"2\"} -1\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		snap, err := ParseText(strings.NewReader(text))
+		bytewise, bytewiseErr := ParseText(iotest.OneByteReader(strings.NewReader(text)))
+		if fmt.Sprint(bytewiseErr) != fmt.Sprint(err) || fmt.Sprintf("%+v", bytewise) != fmt.Sprintf("%+v", snap) {
+			t.Fatalf("one-byte reads parse differently\ninput:\n%s\nwhole: %+v, %v\nbytes: %+v, %v", text, snap, err, bytewise, bytewiseErr)
+		}
 		if err != nil {
 			return
 		}

@@ -1,6 +1,8 @@
 package ran
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/domino5g/domino/internal/netem"
@@ -321,7 +323,7 @@ func TestSplitPRBs(t *testing.T) {
 }
 
 func TestPresetByName(t *testing.T) {
-	for _, name := range []string{"fdd", "tdd", "amarisoft", "mosolabs"} {
+	for _, name := range []string{"fdd", "tdd", "amarisoft", "mosolabs", " tdd ", " T-Mobile 15MHz FDD "} {
 		if _, err := PresetByName(name); err != nil {
 			t.Fatalf("preset %q: %v", name, err)
 		}
@@ -332,6 +334,32 @@ func TestPresetByName(t *testing.T) {
 	for _, cfg := range Presets() {
 		if _, err := PresetByName(cfg.Name); err != nil {
 			t.Fatalf("full-name lookup %q failed", cfg.Name)
+		}
+	}
+}
+
+// TestCellCatalog pins the cell table: Table 1 order, which every
+// artifact rendered from Presets() follows, and one cell per lookup
+// name — a slug, alias or full name that two cells shared would
+// resolve to whichever comes first.
+func TestCellCatalog(t *testing.T) {
+	want := []string{"tmobile-tdd", "tmobile-fdd", "amarisoft", "mosolabs"}
+	if got := CellNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("CellNames() = %v, want %v", got, want)
+	}
+	seen := map[string]string{}
+	for _, e := range cells {
+		for _, n := range append([]string{e.slug, e.build().Name}, e.aliases...) {
+			key := strings.ToLower(n)
+			if prev, dup := seen[key]; dup {
+				t.Errorf("lookup name %q of %s also names %s", n, e.slug, prev)
+			}
+			seen[key] = e.slug
+		}
+		for _, n := range append([]string{e.slug}, e.aliases...) {
+			if n != strings.ToLower(n) {
+				t.Errorf("%s: slug or alias %q is not lowercase, so PresetByName never matches it", e.slug, n)
+			}
 		}
 	}
 }

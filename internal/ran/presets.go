@@ -2,6 +2,7 @@ package ran
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/domino5g/domino/internal/mac"
@@ -151,75 +152,49 @@ func Mosolabs() CellConfig {
 	}
 }
 
-// cellEntry is one registered cell: a stable slug, optional short
-// aliases, and the constructor producing a fresh CellConfig.
-type cellEntry struct {
+// cells is the cell catalog in Table 1 order, which is the Presets()
+// order, so every artifact rendered from Presets() keeps its historical
+// rows. Each cell has a stable slug, optional short aliases, and the
+// constructor producing a fresh CellConfig.
+var cells = []struct {
 	slug    string
 	aliases []string
 	build   func() CellConfig
+}{
+	{"tmobile-tdd", []string{"tdd"}, TMobileTDD},
+	{"tmobile-fdd", []string{"fdd"}, TMobileFDD},
+	{"amarisoft", nil, Amarisoft},
+	{"mosolabs", nil, Mosolabs},
 }
 
-// cellRegistry holds every registered cell in registration order. The
-// four Table 1 cells register below; scenario packages and tests may
-// RegisterCell additional bases.
-var cellRegistry []cellEntry
-
-// RegisterCell adds a cell constructor under a stable slug (plus
-// optional aliases). It panics on an empty slug, a nil constructor, or
-// a slug/alias collision — registration errors are programming bugs.
-func RegisterCell(slug string, build func() CellConfig, aliases ...string) {
-	if slug == "" || build == nil {
-		panic("ran: RegisterCell needs a slug and a constructor")
-	}
-	for _, n := range append([]string{slug}, aliases...) {
-		if _, err := PresetByName(n); err == nil {
-			panic("ran: duplicate cell registration " + n)
-		}
-	}
-	cellRegistry = append(cellRegistry, cellEntry{slug: strings.ToLower(slug), aliases: aliases, build: build})
-}
-
-func init() {
-	// Table 1 order: the registration order is the Presets() order, so
-	// every artifact rendered from Presets() keeps its historical rows.
-	RegisterCell("tmobile-tdd", TMobileTDD, "tdd")
-	RegisterCell("tmobile-fdd", TMobileFDD, "fdd")
-	RegisterCell("amarisoft", Amarisoft)
-	RegisterCell("mosolabs", Mosolabs)
-}
-
-// Presets returns every registered cell in registration order — for
-// the seed registry, the four paper cells in Table 1 order.
+// Presets returns the four paper cells in Table 1 order.
 func Presets() []CellConfig {
-	out := make([]CellConfig, len(cellRegistry))
-	for i, e := range cellRegistry {
+	out := make([]CellConfig, len(cells))
+	for i, e := range cells {
 		out[i] = e.build()
 	}
 	return out
 }
 
-// CellNames returns the registered cell slugs in registration order.
+// CellNames returns the cell slugs in Table 1 order.
 func CellNames() []string {
-	out := make([]string, len(cellRegistry))
-	for i, e := range cellRegistry {
+	out := make([]string, len(cells))
+	for i, e := range cells {
 		out[i] = e.slug
 	}
 	return out
 }
 
-// PresetByName looks up a registered cell case-insensitively by slug
+// PresetByName looks up a cell case-insensitively by slug
 // ("tmobile-fdd"), alias ("fdd"), or full Table 1 name ("T-Mobile
-// 15MHz FDD"). Unknown names report the valid slugs.
+// 15MHz FDD"), ignoring surrounding space. Unknown names report the
+// valid slugs.
 func PresetByName(name string) (CellConfig, error) {
 	n := strings.ToLower(strings.TrimSpace(name))
-	for _, e := range cellRegistry {
-		if n == e.slug || strings.EqualFold(name, e.build().Name) {
-			return e.build(), nil
-		}
-		for _, a := range e.aliases {
-			if n == strings.ToLower(a) {
-				return e.build(), nil
-			}
+	for _, e := range cells {
+		cfg := e.build()
+		if n == e.slug || n == strings.ToLower(cfg.Name) || slices.Contains(e.aliases, n) {
+			return cfg, nil
 		}
 	}
 	return CellConfig{}, fmt.Errorf("ran: unknown cell preset %q (valid: %s)",

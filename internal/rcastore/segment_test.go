@@ -3,11 +3,13 @@ package rcastore
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // frameEnds walks a well-formed byte stream and returns where each
@@ -182,7 +184,9 @@ func resealed(data []byte) []byte {
 }
 
 // FuzzLoad: Load never panics, and whatever it accepts is a store whose
-// spill loads again and re-spills byte-identically.
+// spill loads again and re-spills byte-identically. A checkpoint read
+// one byte at a time loads as it does in one read: the same re-spilled
+// bytes, or the same error.
 func FuzzLoad(f *testing.F) {
 	st := New(Options{BlockRows: 2})
 	f.Add(spillBytes(f, st))
@@ -195,6 +199,13 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte(`{"rcastore":1}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := Load(bytes.NewReader(data), Options{BlockRows: 2})
+		bytewise, bytewiseErr := Load(iotest.OneByteReader(bytes.NewReader(data)), Options{BlockRows: 2})
+		if fmt.Sprint(bytewiseErr) != fmt.Sprint(err) {
+			t.Fatalf("one-byte reads fail differently: %v, whole read: %v", bytewiseErr, err)
+		}
+		if err == nil && !bytes.Equal(spillBytes(t, bytewise), spillBytes(t, loaded)) {
+			t.Fatal("one-byte reads load a different store")
+		}
 		if err != nil {
 			if loaded, err = Load(bytes.NewReader(resealed(data)), Options{BlockRows: 2}); err != nil {
 				return

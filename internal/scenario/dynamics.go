@@ -58,38 +58,39 @@ type Dynamic interface {
 	Apply(t *Target)
 }
 
-// dynamicKinds maps a JSON type tag to a factory for decoding.
-var dynamicKinds = map[string]func() Dynamic{}
-
-// RegisterDynamic adds a decodable dynamic kind. It panics on a
-// duplicate tag — kind registration errors are programming bugs.
-func RegisterDynamic(kind string, factory func() Dynamic) {
-	if _, dup := dynamicKinds[kind]; dup {
-		panic("scenario: duplicate dynamic kind " + kind)
-	}
-	dynamicKinds[kind] = factory
+// dynamicKinds makes one zero value of each decodable dynamic type; a
+// type's JSON tag is its Kind().
+var dynamicKinds = []func() Dynamic{
+	func() Dynamic { return &SNRDip{} },
+	func() Dynamic { return &SNRRamp{} },
+	func() Dynamic { return &CrossTrafficBurst{} },
+	func() Dynamic { return &CrossTrafficPhase{} },
+	func() Dynamic { return &RRCRelease{} },
+	func() Dynamic { return &RRCFlakyPhase{} },
+	func() Dynamic { return &GrantPolicyShift{} },
+	func() Dynamic { return &UEShareDrop{} },
+	func() Dynamic { return &WiredDelaySurge{} },
 }
 
-// DynamicKinds returns the registered dynamic type tags, sorted.
+// newDynamic returns a zero dynamic of the given kind, or nil for an
+// unknown kind.
+func newDynamic(kind string) Dynamic {
+	for _, f := range dynamicKinds {
+		if d := f(); d.Kind() == kind {
+			return d
+		}
+	}
+	return nil
+}
+
+// DynamicKinds returns the decodable dynamic type tags, sorted.
 func DynamicKinds() []string {
-	out := make([]string, 0, len(dynamicKinds))
-	for k := range dynamicKinds {
-		out = append(out, k)
+	out := make([]string, len(dynamicKinds))
+	for i, f := range dynamicKinds {
+		out[i] = f().Kind()
 	}
 	sort.Strings(out)
 	return out
-}
-
-func init() {
-	RegisterDynamic("snr_dip", func() Dynamic { return &SNRDip{} })
-	RegisterDynamic("snr_ramp", func() Dynamic { return &SNRRamp{} })
-	RegisterDynamic("cross_traffic_burst", func() Dynamic { return &CrossTrafficBurst{} })
-	RegisterDynamic("cross_traffic_phase", func() Dynamic { return &CrossTrafficPhase{} })
-	RegisterDynamic("rrc_release", func() Dynamic { return &RRCRelease{} })
-	RegisterDynamic("rrc_flaky_phase", func() Dynamic { return &RRCFlakyPhase{} })
-	RegisterDynamic("grant_policy_shift", func() Dynamic { return &GrantPolicyShift{} })
-	RegisterDynamic("ue_share_drop", func() Dynamic { return &UEShareDrop{} })
-	RegisterDynamic("wired_delay_surge", func() Dynamic { return &WiredDelaySurge{} })
 }
 
 // windowErr validates a [start, end) interval.

@@ -10,11 +10,12 @@
 // them from JSON, and every layer knob that used to be frozen at
 // construction becomes a scheduled event on the simulation engine.
 //
-// Scenarios serialize to JSON, validate themselves, and live in a
-// package-level registry (the four Table 1 presets plus a catalog of
-// degradation scenarios, each provoking a different causal chain of
-// the paper's Fig. 9 graph). A registered scenario without dynamics
-// replays byte-identically to its base preset at the same seed.
+// Scenarios serialize to JSON and validate themselves. The package
+// declares a fixed catalog (catalog.go: the four Table 1 presets, then
+// degradation scenarios, each provoking a different causal chain of the
+// paper's Fig. 9 graph); a scenario outside it is a JSON file, read by
+// Parse. A catalog scenario without dynamics replays byte-identically
+// to its base preset at the same seed.
 package scenario
 
 import (
@@ -30,7 +31,7 @@ import (
 // schedule. The zero Dynamics slice reproduces the base preset
 // exactly.
 type Scenario struct {
-	// Name is the registry key (and the label carried by traces and
+	// Name is the catalog key (and the label carried by traces and
 	// reports generated from this scenario).
 	Name string
 	// Description is a one-line summary for catalogs and -list output.
@@ -130,7 +131,7 @@ func (s Scenario) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler, resolving each dynamic's
-// concrete type through the kind registry.
+// concrete type by its kind tag.
 func (s *Scenario) UnmarshalJSON(b []byte) error {
 	var in scenarioJSON
 	if err := json.Unmarshal(b, &in); err != nil {
@@ -138,12 +139,11 @@ func (s *Scenario) UnmarshalJSON(b []byte) error {
 	}
 	out := Scenario{Name: in.Name, Description: in.Description, Cell: in.Cell, Provokes: in.Provokes}
 	for i, env := range in.Dynamics {
-		factory, ok := dynamicKinds[env.Type]
-		if !ok {
+		d := newDynamic(env.Type)
+		if d == nil {
 			return fmt.Errorf("scenario %q: dynamic %d: unknown type %q (known: %v)",
 				in.Name, i, env.Type, DynamicKinds())
 		}
-		d := factory()
 		if len(env.Params) > 0 {
 			if err := json.Unmarshal(env.Params, d); err != nil {
 				return fmt.Errorf("scenario %q: dynamic %d (%s): %w", in.Name, i, env.Type, err)

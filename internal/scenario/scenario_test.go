@@ -9,9 +9,26 @@ import (
 	"github.com/domino5g/domino/internal/sim"
 )
 
+// TestRegistryLookup pins the catalog's order — the order of every
+// artifact and benchmark corpus built from Names() — and its lookups.
 func TestRegistryLookup(t *testing.T) {
-	if len(Names()) < 12 {
-		t.Fatalf("registry has %d scenarios, want the 4 presets + >=8 degradation scenarios", len(Names()))
+	want := []string{
+		"tmobile-tdd", "tmobile-fdd", "amarisoft", "mosolabs",
+		"midcall-snr-collapse", "rush-hour-cross-traffic", "flapping-rrc",
+		"grant-starvation", "ue-share-squeeze", "harq-storm", "rlc-cascade",
+		"jb-freeze-surge", "rtcp-stall", "worst-case-combined",
+	}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
+	}
+	// ByName matches case-insensitively, so two names that differ only
+	// in case would shadow one another.
+	seen := map[string]bool{}
+	for _, name := range Names() {
+		if seen[strings.ToLower(name)] {
+			t.Fatalf("scenario %q named twice (case-insensitively)", name)
+		}
+		seen[strings.ToLower(name)] = true
 	}
 	// Case-insensitive lookup.
 	for _, name := range []string{"amarisoft", "AMARISOFT", " Midcall-SNR-Collapse "} {
@@ -29,9 +46,11 @@ func TestRegistryLookup(t *testing.T) {
 			t.Fatalf("unknown-scenario error %q does not list %q", err, want)
 		}
 	}
-	// Registration order is stable: Table 1 first.
-	if got := Names()[:4]; !reflect.DeepEqual(got, []string{"tmobile-tdd", "tmobile-fdd", "amarisoft", "mosolabs"}) {
-		t.Fatalf("first four registered scenarios = %v, want Table 1 order", got)
+	// A lookup is a copy: changing what one returned leaves the next.
+	s, _ := ByName("harq-storm")
+	s.Dynamics[0].(*SNRDip).DepthDB = 1
+	if again, _ := ByName("harq-storm"); again.Dynamics[0].(*SNRDip).DepthDB != 24 {
+		t.Fatal("mutating a looked-up scenario changed the catalog")
 	}
 }
 
@@ -68,7 +87,7 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 			}
 		})
 	}
-	// Every registered scenario must of course validate.
+	// Every catalog scenario must validate: no lookup checks it.
 	for _, s := range All() {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("registered scenario %q invalid: %v", s.Name, err)
@@ -131,15 +150,10 @@ func TestParseValidScenario(t *testing.T) {
 	}
 }
 
-func TestRegisterPanicsOnDuplicate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register(Scenario{Name: "Amarisoft", Cell: "amarisoft"})
-}
-
+// TestDynamicKindsComplete pins the decodable kinds. DynamicKinds()
+// lists every factory's Kind(), so this also holds each factory to a
+// distinct tag: a duplicate would decode as whichever factory comes
+// first.
 func TestDynamicKindsComplete(t *testing.T) {
 	kinds := DynamicKinds()
 	want := []string{

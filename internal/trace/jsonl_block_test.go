@@ -60,8 +60,8 @@ func writeJSONL(t testing.TB, set *trace.Set) []byte {
 	return buf.Bytes()
 }
 
-// scenarioSets runs each registered scenario for d, the i-th with seed
-// seed+i, and returns the traces with their names, in registration order.
+// scenarioSets runs each catalog scenario for d, the i-th with seed
+// seed+i, and returns the traces with their names, in catalog order.
 func scenarioSets(t testing.TB, seed uint64, d sim.Time) (names []string, sets []*trace.Set) {
 	t.Helper()
 	for i, name := range scenario.Names() {

@@ -10,8 +10,10 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	pathpkg "path"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -191,9 +193,11 @@ func recvName(recv *ast.FieldList) string {
 
 // TestInternalExportsHaveCallers: an exported function or method under
 // internal/ is API for the rest of the tree, so code that is not a test
-// must use it. Its name has to appear, outside its own declaration, in a
-// non-test file of the module or in any file under bench/ (its own
-// module, which imports internal/ packages). Names are matched, not
+// must use it. Uses are looked for in the module's non-test files and in
+// every file under bench/ (its own module, which imports internal/
+// packages). A package-level function is used where another package
+// names it through its import (`pkg.Name`), or where a non-test file of
+// its own directory names it bare. A method's name is matched, not
 // resolved: a method called through an interface counts wherever the
 // interface's method is called, and a common name passes on any use of
 // it. The check is there so that exports only tests call cannot grow
@@ -212,12 +216,15 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		// A package whose users are tests.
 		"internal/faultinject": "the fault-injecting FS and transport other packages' tests run the journal and the balancer over",
 	}
+	const module = "github.com/domino5g/domino/"
 	type export struct {
 		pos       token.Pos
 		dir, name string
+		method    bool
 	}
 	var exports []export
-	used := map[string]bool{}
+	used := map[string]bool{}     // every name used, for methods
+	usedFunc := map[string]bool{} // "dir.Name" of each package-level function use
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -238,6 +245,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		dir := filepath.ToSlash(filepath.Dir(path))
 		// A declaration's own name is not a use, nor is a function's call
 		// to itself.
 		declared := map[*ast.Ident]bool{}
@@ -246,13 +254,36 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 				declared[fn.Name] = true
 				selfCalls(fn, declared)
 				if strings.HasPrefix(path, "internal/") && fn.Name.IsExported() {
-					exports = append(exports, export{fn.Pos(), filepath.ToSlash(filepath.Dir(path)), fn.Name.Name})
+					exports = append(exports, export{fn.Pos(), dir, fn.Name.Name, fn.Recv != nil})
 				}
 			}
 		}
+		imported := map[string]string{} // local package name → directory in the module
+		for _, imp := range f.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			if rel, ok := strings.CutPrefix(ipath, module); ok {
+				name := pathpkg.Base(rel)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imported[name] = rel
+			}
+		}
+		sel := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				sel[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && imported[x.Name] != "" {
+					usedFunc[imported[x.Name]+"."+n.Sel.Name] = true
+				}
+			case *ast.Ident:
+				if !declared[n] {
+					used[n.Name] = true
+					if !sel[n] && !inBench {
+						usedFunc[dir+"."+n.Name] = true
+					}
+				}
 			}
 			return true
 		})
@@ -262,7 +293,11 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range exports {
-		if used[e.name] || allowed[e.name] != "" || allowed[e.dir] != "" || allowed[e.dir+"."+e.name] != "" {
+		isUsed := usedFunc[e.dir+"."+e.name]
+		if e.method {
+			isUsed = used[e.name]
+		}
+		if isUsed || allowed[e.name] != "" || allowed[e.dir] != "" || allowed[e.dir+"."+e.name] != "" {
 			continue
 		}
 		t.Errorf("%s: exported %s has no caller outside tests", fset.Position(e.pos), e.name)
