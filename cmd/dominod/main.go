@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"reflect"
@@ -60,6 +59,7 @@ import (
 	"time"
 
 	"github.com/domino5g/domino"
+	"github.com/domino5g/domino/internal/debugsrv"
 	"github.com/domino5g/domino/internal/node"
 	"github.com/domino5g/domino/internal/obs"
 	"github.com/domino5g/domino/internal/rcastore"
@@ -206,14 +206,7 @@ func run(args []string, stderr io.Writer) int {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	if *debugAddr != "" {
-		dbg := &http.Server{Addr: *debugAddr, Handler: debugMux()}
-		go func() {
-			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("debug listener failed", "addr", *debugAddr, "err", err)
-			}
-		}()
-		defer dbg.Close()
-		logger.Info("pprof enabled", "addr", *debugAddr)
+		defer debugsrv.Serve(*debugAddr, logger).Close()
 	}
 	logger.Info("listening", "addr", *addr, "node", opts.NodeID, "stream_slots", opts.MaxStreams, "chains", len(analyzer.Chains()))
 	select {
@@ -234,17 +227,4 @@ func run(args []string, stderr io.Writer) int {
 		logger.Info("shut down")
 		return 0
 	}
-}
-
-// debugMux serves net/http/pprof on the -debug-addr listener, kept off
-// the public mux so profiling exposure is an explicit deployment
-// choice.
-func debugMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }

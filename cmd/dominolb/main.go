@@ -14,10 +14,12 @@
 //	  -backend http://127.0.0.1:9101 \
 //	  -backend http://127.0.0.1:9102,http://127.0.0.1:9103 \
 //	  [-health-interval 1s] [-health-timeout 500ms] [-health-fails 3]
-//	  [-scrape-timeout 5s] [-log-format text|json] [-v]
+//	  [-scrape-timeout 5s] [-debug-addr :6061] [-log-format text|json] [-v]
 //
 // The four probe and scrape settings default to balancer.DefaultOptions
 // and are always on: a value ≤ 0 exits 2 before any backend is probed.
+// -debug-addr serves net/http/pprof on a separate listener, as dominod's
+// does.
 package main
 
 import (
@@ -34,6 +36,7 @@ import (
 	"time"
 
 	"github.com/domino5g/domino/internal/balancer"
+	"github.com/domino5g/domino/internal/debugsrv"
 	"github.com/domino5g/domino/internal/obs"
 )
 
@@ -65,6 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&opts.HealthTimeout, "health-timeout", opts.HealthTimeout, "per-probe timeout")
 	fs.IntVar(&opts.FailThreshold, "health-fails", opts.FailThreshold, "consecutive probe failures that mark a backend down")
 	fs.DurationVar(&opts.ScrapeTimeout, "scrape-timeout", opts.ScrapeTimeout, "timeout of the whole federated /metrics scrape, which asks every backend at once")
+	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (disabled when empty)")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	verbose := fs.Bool("v", false, "log per-session routing events (debug level)")
 	if err := fs.Parse(args); err != nil {
@@ -108,6 +112,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
+	if *debugAddr != "" {
+		defer debugsrv.Serve(*debugAddr, logger).Close()
+	}
 	logger.Info("listening", "addr", *addr, "backends", len(opts.Backends))
 	select {
 	case err := <-errc:

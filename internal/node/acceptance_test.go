@@ -508,6 +508,52 @@ func TestSimilarProbeStoredTwice(t *testing.T) {
 	}
 }
 
+// TestAnswerHitsMetric: a read asked again before the store changes is
+// answered from the store's memo and counts in
+// dominod_rcastore_answer_hits_total, and every read, hit or miss, counts
+// in dominod_rcastore_queries_total; a row stored since makes the next
+// ask a miss. A session= probe counts twice (its resolve, its answer).
+func TestAnswerHitsMetric(t *testing.T) {
+	st := rcastore.New(rcastore.Options{})
+	row := func(session string) {
+		st.Insert(rcastore.Record{Session: session, Cell: "tdd", Start: sim.Minute, End: 2 * sim.Minute, Fired: []string{"a"}})
+	}
+	row("r0")
+	ts := httptest.NewServer(node.New(testAnalyzer(t), node.Options{Store: st}).Routes())
+	defer ts.Close()
+	for i, c := range []struct {
+		read          string
+		store         bool // a row before the read
+		queries, hits float64
+	}{
+		{"/query", false, 1, 0},
+		{"/query", false, 2, 1},
+		{"/query?agg=top_chains", false, 3, 1},
+		{"/incidents/similar?session=r0", false, 5, 1},
+		{"/incidents/similar?session=r0", false, 7, 2},
+		{"/query", true, 8, 2},
+		{"/query", false, 9, 3},
+	} {
+		if c.store {
+			row(fmt.Sprint("r", i))
+		}
+		resp, err := http.Get(ts.URL + c.read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainClose(resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d", c.read, resp.StatusCode)
+		}
+		if got := metricValue(t, ts.URL, "dominod_rcastore_queries_total"); got != c.queries {
+			t.Errorf("after read %d (%s): queries_total %v, want %v", i, c.read, got, c.queries)
+		}
+		if got := metricValue(t, ts.URL, "dominod_rcastore_answer_hits_total"); got != c.hits {
+			t.Errorf("after read %d (%s): answer_hits_total %v, want %v", i, c.read, got, c.hits)
+		}
+	}
+}
+
 // TestQueryBadBoundsNameFrom: with from and to both malformed the 400
 // names from, every time.
 func TestQueryBadBoundsNameFrom(t *testing.T) {

@@ -249,6 +249,8 @@ func (n *Node) registerGauges() {
 		func() float64 { return float64(n.store.Stats().EvictedRows) })
 	reg.CounterFunc("dominod_rcastore_queries_total", "RCA-store query evaluations.",
 		func() float64 { return float64(n.store.Stats().Queries) })
+	reg.CounterFunc("dominod_rcastore_answer_hits_total", "RCA-store reads answered from the store's answer memo; each also counts in dominod_rcastore_queries_total.",
+		func() float64 { return float64(n.store.Stats().AnswerHits) })
 	reg.CounterFunc("dominod_rcastore_spills_total", "RCA-store spill writes.",
 		func() float64 { return float64(n.store.Stats().Spills) })
 	reg.CounterFunc("dominod_journal_appends_total", "Reports appended to the RCA-store write-ahead journal.",

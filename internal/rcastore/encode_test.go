@@ -158,9 +158,10 @@ func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
 	}
 }
 
-// BenchmarkRCAStoreEncode measures each answer shape of Store.Answer
-// over a 50-row store into a buffer the caller reuses, as the node does
-// per query: the store's rendering more than its selection.
+// BenchmarkRCAStoreEncode measures each answer shape of Store.Answer,
+// rendered as when the memo lacks it, over a 50-row store into a buffer
+// the caller reuses, as the node does per query: the store's rendering
+// more than its selection.
 func BenchmarkRCAStoreEncode(b *testing.B) {
 	recs := synthRecords(50)
 	s := storeOf(recs)
@@ -179,25 +180,29 @@ func BenchmarkRCAStoreEncode(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = s.Answer(buf[:0], shape.read)
+				buf = renderAnswer(s, buf[:0], shape.read)
 			}
 		})
 	}
 }
 
-// TestAnswerDuringInserts: readers render answers while inserts grow
-// every dictionary — each row a new cell, scenario, node, chain and
-// cause, spelled awkwardly — and widen the fired matrix. A read touches
-// the spelling cache and the name order under the read lock only, so
-// under make test's -race this fails if either is written outside the
-// write lock or read outside the read lock. Every answer is JSON, and
-// the last equals encoding/json's.
+// TestAnswerDuringInserts: readers ask the same reads again and again
+// while inserts grow every dictionary — each row a new cell, scenario,
+// node, chain and cause, spelled awkwardly — and widen the fired matrix,
+// so they are answered from the memo between inserts and afresh after
+// each. A read touches the spelling cache, the name order and the memo's
+// generation under the read lock only, so under make test's -race this
+// fails if any is written outside the write lock (the memo's own map:
+// outside its mutex) or read outside the read lock. Every answer is
+// JSON, and the last, asked twice, equals encoding/json's.
 func TestAnswerDuringInserts(t *testing.T) {
 	s := New(Options{BlockRows: 4})
 	reads := []Read{
 		{Kind: KindRecords, Query: everything},
 		{Kind: KindRecords, Query: Query{From: math.MinInt64, Limit: 3}},
 		{Kind: KindSimilar, K: 5, Fired: []string{awkward[3] + "7", awkward[0] + "70"}, Query: everything},
+		{Kind: KindTopChains, K: 5, Query: everything},
+		{Kind: KindCauseRates, Bucket: sim.Minute, Query: everything},
 	}
 	var started, stopped sync.WaitGroup
 	done := make(chan struct{})
@@ -231,13 +236,26 @@ func TestAnswerDuringInserts(t *testing.T) {
 	}
 	close(done)
 	stopped.Wait()
+	hits := s.Stats().AnswerHits
 	for _, r := range reads {
 		want := map[string]any{"records": s.Query(r.Query)}
-		if r.Kind == KindSimilar {
+		switch r.Kind {
+		case KindSimilar:
 			want = map[string]any{"fired": r.Fired, "matches": s.Similar(r.Fired, r.Query, r.K)}
+		case KindTopChains:
+			want = map[string]any{"top_chains": s.TopChains(r.Query, r.K)}
+		case KindCauseRates:
+			want = map[string]any{"cause_rates": s.CauseRates(r.Query, r.Bucket)}
 		}
-		if got, want := s.Answer(nil, r), stdAnswer(t, want); !bytes.Equal(got, want) {
-			t.Errorf("%+v: Answer\n%s\nencoding/json\n%s", r, got, want)
+		for range 2 {
+			if got, want := s.Answer(nil, r), stdAnswer(t, want); !bytes.Equal(got, want) {
+				t.Errorf("%+v: Answer\n%s\nencoding/json\n%s", r, got, want)
+			}
 		}
+	}
+	// The readers may have asked the first time already: at least every
+	// second ask is the memo's.
+	if got := s.Stats().AnswerHits - hits; got < len(reads) {
+		t.Errorf("the memo answered %d of the %d final asks, want at least %d", got, 2*len(reads), len(reads))
 	}
 }

@@ -329,18 +329,42 @@ func readGrid(recs []Record, rng *rand.Rand) []Query {
 	)
 }
 
-// sameAnswer requires Store.Answer's bytes for r to be want.
+// sameAnswer requires Store.Answer's bytes for r to be want, asked twice:
+// the second answer is the memo's.
 func sameAnswer(t *testing.T, s *Store, r Read, want []byte) {
 	t.Helper()
-	if got := s.Answer(nil, r); !bytes.Equal(got, want) {
-		t.Fatalf("Answer(%+v):\n%s\nencoding/json:\n%s", r, got, want)
+	for ask := 0; ask < 2; ask++ {
+		if got := s.Answer(nil, r); !bytes.Equal(got, want) {
+			t.Fatalf("Answer(%+v), ask %d:\n%s\nencoding/json:\n%s", r, ask, got, want)
+		}
 	}
 }
 
 // checkReads compares every read with its oracle over a grid of
-// predicates, probes and bounds, and the answers of records and similar
-// reads with encoding/json's of the oracle's rows.
+// predicates, probes and bounds, and every read's answer with the
+// oracle's rows encoded. It asks the grid twice, with rows inserted
+// between the rounds, so an answer the memo kept in the first round is
+// stale in the second.
 func checkReads(t *testing.T, s *Store, recs []Record, rng *rand.Rand) {
+	t.Helper()
+	probes := [][]string{
+		nil,
+		{"a", "b", "c"},
+		{"g"},
+		{"a", "never_seen", "also_unknown"},
+		recs[rng.Intn(len(recs))].Fired,
+		{}, // nil's ranking, answered with "fired": [] rather than null
+	}
+	grid := readGrid(recs, rng)
+	checkRound(t, s, recs, grid, probes)
+	for range 3 {
+		s.Insert(recs[rng.Intn(len(recs))]) // a session stored again: its latest row moves
+	}
+	checkRound(t, s, recs, grid, probes)
+}
+
+// checkRound is one round of checkReads.
+func checkRound(t *testing.T, s *Store, recs []Record, grid []Query, probes [][]string) {
 	t.Helper()
 	rows := retainedRows(s)
 	n := len(rows)
@@ -353,14 +377,7 @@ func checkReads(t *testing.T, s *Store, recs []Record, rng *rand.Rand) {
 		}
 	}
 	bounds := []int{0, 5, 1, n, n + 1}
-	probes := [][]string{
-		nil,
-		{"a", "b", "c"},
-		{"g"},
-		{"a", "never_seen", "also_unknown"},
-		recs[rng.Intn(len(recs))].Fired,
-	}
-	for _, q := range readGrid(recs, rng) {
+	for _, q := range grid {
 		var got, want []Record
 		for _, at := range visited(s, q) {
 			got = append(got, s.materializeLocked(at.b, at.i))
@@ -399,14 +416,18 @@ func checkReads(t *testing.T, s *Store, recs []Record, rng *rand.Rand) {
 				}
 				sameAnswer(t, s, Read{Kind: KindSimilar, Query: q, K: k, Fired: probe}, expect(p, len(want), map[string]any{"fired": probe, "matches": want}))
 			}
-			if got, want := s.TopChains(q, k), oracleTopChains(rows, q, k); !reflect.DeepEqual(got, want) {
-				t.Fatalf("TopChains(%+v, %d) = %+v, oracle %+v", q, k, got, want)
+			chains := oracleTopChains(rows, q, k)
+			if got := s.TopChains(q, k); !reflect.DeepEqual(got, chains) {
+				t.Fatalf("TopChains(%+v, %d) = %+v, oracle %+v", q, k, got, chains)
 			}
+			sameAnswer(t, s, Read{Kind: KindTopChains, Query: q, K: k}, AppendTopChainsAnswer(nil, chains))
 		}
 		for _, bucket := range []sim.Time{0, 5 * sim.Minute} {
-			if got, want := s.CauseRates(q, bucket), oracleCauseRates(rows, q, bucket); !reflect.DeepEqual(got, want) {
+			want := oracleCauseRates(rows, q, bucket)
+			if got := s.CauseRates(q, bucket); !reflect.DeepEqual(got, want) {
 				t.Fatalf("CauseRates(%+v, %v) = %+v, oracle %+v", q, bucket, got, want)
 			}
+			sameAnswer(t, s, Read{Kind: KindCauseRates, Query: q, Bucket: bucket}, AppendCauseRatesAnswer(nil, want))
 		}
 	}
 	for _, r := range recs {

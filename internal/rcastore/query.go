@@ -54,28 +54,28 @@ type compiled struct {
 func (s *Store) compileLocked(q Query) compiled {
 	c := compiled{q: q, ok: true}
 	if q.Cell != "" {
-		c.cellID, c.ok = s.cells.lookup(q.Cell)
+		c.cellID, c.ok = s.cells.index[q.Cell]
 		if !c.ok {
 			return c
 		}
 		c.hasCell = true
 	}
 	if q.Scenario != "" {
-		c.scenID, c.ok = s.scens.lookup(q.Scenario)
+		c.scenID, c.ok = s.scens.index[q.Scenario]
 		if !c.ok {
 			return c
 		}
 		c.hasScen = true
 	}
 	if q.Cause != "" {
-		c.causeID, c.ok = s.causes.lookup(q.Cause)
+		c.causeID, c.ok = s.causes.index[q.Cause]
 		if !c.ok {
 			return c
 		}
 		c.hasCause = true
 	}
 	for _, n := range q.FiredAll {
-		id, ok := s.nodes.lookup(n)
+		id, ok := s.nodes.index[n]
 		if !ok {
 			c.ok = false
 			return c
@@ -398,6 +398,10 @@ func (s *Store) TopChains(q Query, k int) []ChainAgg {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.queries.Add(1)
+	return s.topChainsLocked(q, k)
+}
+
+func (s *Store) topChainsLocked(q Query, k int) []ChainAgg {
 	// Indexed by chain dictionary ID; a chain is in the answer when some
 	// matching record lists it, whatever its run count.
 	runs := make([]int, len(s.chains.names))
@@ -469,6 +473,10 @@ func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.queries.Add(1)
+	return s.causeRatesLocked(q, bucket)
+}
+
+func (s *Store) causeRatesLocked(q Query, bucket sim.Time) []CauseBucket {
 	type groupKey struct {
 		cell   uint32
 		bucket sim.Time
@@ -527,7 +535,7 @@ func (s *Store) CauseRates(q Query, bucket sim.Time) []CauseBucket {
 	})
 	out := make([]CauseBucket, 0, len(groups)+listed) // a row per listed cause, or one
 	for gi, g := range groups {
-		row := CauseBucket{Cell: s.cells.name(g.key.cell), Bucket: g.key.bucket,
+		row := CauseBucket{Cell: s.cells.names[g.key.cell], Bucket: g.key.bucket,
 			Sessions: g.sessions, Minutes: float64(g.micros) / float64(sim.Minute)}
 		n := len(out)
 		for id, t := range tallies[gi*width : (gi+1)*width] {
@@ -599,7 +607,7 @@ func (s *Store) similarLocked(fired []string, q Query, k int) []cand {
 	probe := make([]uint64, max((len(s.nodes.names)+63)/64, 1))
 	unknown := 0
 	for _, n := range fired {
-		if id, ok := s.nodes.lookup(n); ok {
+		if id, ok := s.nodes.index[n]; ok {
 			probe[id/64] |= 1 << uint(id%64)
 		} else {
 			unknown++

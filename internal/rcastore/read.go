@@ -1,12 +1,14 @@
 package rcastore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/url"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/domino5g/domino/internal/jsonenc"
@@ -178,16 +180,29 @@ func (s *Store) Resolve(r *Read) error {
 
 // Answer runs r against the store and appends its answer. A similar read
 // is answered about r.Fired, so a Probe read is resolved (Resolve) first.
+// A read asked again before the store changes is answered from the memo,
+// with the same bytes.
 func (s *Store) Answer(dst []byte, r Read) []byte {
-	switch r.Kind {
-	case KindTopChains:
-		return AppendTopChainsAnswer(dst, s.TopChains(r.Query, r.K))
-	case KindCauseRates:
-		return AppendCauseRatesAnswer(dst, s.CauseRates(r.Query, r.Bucket))
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.queries.Add(1)
+	if ans, ok := s.memo.lookup(s.gen, &r); ok {
+		s.answerHits.Add(1)
+		return append(dst, ans...)
+	}
+	out := s.answerLocked(dst, &r)
+	s.memo.keep(s.gen, &r, out[len(dst):])
+	return out
+}
+
+// answerLocked renders r's answer under the caller's read lock.
+func (s *Store) answerLocked(dst []byte, r *Read) []byte {
+	switch r.Kind {
+	case KindTopChains:
+		return AppendTopChainsAnswer(dst, s.topChainsLocked(r.Query, r.K))
+	case KindCauseRates:
+		return AppendCauseRatesAnswer(dst, s.causeRatesLocked(r.Query, r.Bucket))
+	}
 	e := answerEnc{jsonenc.Encoder{B: append(dst, '{')}}
 	if r.Kind == KindSimilar {
 		if e.Array(`"fired": `, len(r.Fired), r.Fired == nil) {
@@ -199,4 +214,64 @@ func (s *Store) Answer(dst []byte, r Read) []byte {
 		e.rows(&s.tables, `"records": `, ranked, len(ranked) == 0, false)
 	}
 	return e.Close()
+}
+
+// The memo's bound: at most memoEntries answers, memoBytes in all. An
+// answer that does not fit is served and not kept. The memo empties whole
+// when the store's generation moves, so nothing in it is ever evicted.
+const memoEntries, memoBytes = 256, 4 << 20
+
+// memo holds the answers to reads at generation gen, keyed by the read.
+// A kept answer is never written again, so it is read outside mu.
+type memo struct {
+	mu      sync.Mutex
+	gen     uint64
+	bytes   int
+	answers map[string][]byte
+	key     []byte // the key being looked up, reused
+}
+
+// atLocked empties the memo if the store has moved past its generation,
+// and leaves r's key in m.key.
+func (m *memo) atLocked(gen uint64, r *Read) {
+	if m.gen != gen {
+		clear(m.answers)
+		m.gen, m.bytes = gen, 0
+	}
+	q := &r.Query
+	fired := int64(len(r.Fired))
+	if r.Fired == nil {
+		fired = -1
+	}
+	// Counts first, then each string behind its length: two reads share a
+	// key only when every field an answer depends on is equal.
+	m.key = m.key[:0]
+	for _, v := range [...]int64{int64(q.From), int64(q.To), int64(q.Limit), int64(r.K), int64(r.Bucket), int64(len(q.FiredAll)), fired} {
+		m.key = binary.AppendVarint(m.key, v)
+	}
+	for _, list := range [...][]string{{r.Kind, q.Cell, q.Scenario, q.Session, q.NotSession, q.Cause}, q.FiredAll, r.Fired} {
+		for _, str := range list {
+			m.key = append(binary.AppendUvarint(m.key, uint64(len(str))), str...)
+		}
+	}
+}
+
+func (m *memo) lookup(gen uint64, r *Read) ([]byte, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.atLocked(gen, r)
+	ans, ok := m.answers[string(m.key)]
+	return ans, ok
+}
+
+// keep copies ans, r's answer at gen, into the memo if it fits.
+func (m *memo) keep(gen uint64, r *Read, ans []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.atLocked(gen, r)
+	if _, ok := m.answers[string(m.key)]; ok || len(m.answers) == memoEntries || m.bytes+len(ans) > memoBytes {
+		return
+	}
+	m.answers[string(m.key)] = slices.Clone(ans)
+	m.bytes += len(ans)
 }

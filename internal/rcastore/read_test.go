@@ -1,7 +1,10 @@
 package rcastore
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/url"
 	"reflect"
 	"strings"
@@ -109,4 +112,101 @@ func FuzzParseRead(f *testing.F) {
 			t.Fatalf("%q: the store's answer is not JSON: %s", target, ans)
 		}
 	})
+}
+
+// askTwice asks r twice and requires both answers to be the store's
+// rendering, the first a miss and the second a hit when kept.
+func askTwice(t *testing.T, s *Store, r Read, kept bool) {
+	t.Helper()
+	for ask := 0; ask < 2; ask++ {
+		before := s.Stats().AnswerHits
+		got := s.Answer(nil, r)
+		if want := renderAnswer(s, nil, r); !bytes.Equal(got, want) {
+			t.Fatalf("Answer(%+v), ask %d:\n%.300s\nthe store renders:\n%.300s", r, ask, got, want)
+		}
+		if hit, want := s.Stats().AnswerHits > before, ask == 1 && kept; hit != want {
+			t.Fatalf("Answer(%+v), ask %d: hit %v, want %v (memo: %d answers, %d bytes)", r, ask, hit, want, len(s.memo.answers), s.memo.bytes)
+		}
+	}
+}
+
+// TestAnswerMemoBounds: the memo keeps answers until it holds memoEntries
+// of them, or until the next would take it past memoBytes; an answer past
+// either bound, or over memoBytes on its own, is served and not kept.
+func TestAnswerMemoBounds(t *testing.T) {
+	s := storeOf(synthRecords(40))
+	for k := 1; k <= memoEntries+2; k++ { // each k= is a read of its own
+		askTwice(t, s, Read{Kind: KindTopChains, K: k}, k <= memoEntries)
+	}
+	if len(s.memo.answers) != memoEntries {
+		t.Fatalf("the memo holds %d answers, want the cap, %d", len(s.memo.answers), memoEntries)
+	}
+
+	// Rows of an eighth of the byte cap each: limit=k answers k eighths.
+	big := strings.Repeat("x", memoBytes/8)
+	s = New(Options{})
+	for i := range 16 {
+		s.Insert(Record{Session: fmt.Sprint(i, big), Cell: "c", Start: sim.Time(i)})
+	}
+	askTwice(t, s, Read{Kind: KindRecords, Query: Query{Limit: 9}}, false) // over the cap alone
+	for k := 1; k <= 4; k++ {
+		askTwice(t, s, Read{Kind: KindRecords, Query: Query{Limit: k}}, k <= 3) // 1+2+3 eighths fit, 4 more do not
+	}
+	if len(s.memo.answers) != 3 || s.memo.bytes > memoBytes || s.memo.bytes < 6*len(big) {
+		t.Fatalf("the memo holds %d answers of %d bytes, want 3 of 6/8 of %d", len(s.memo.answers), s.memo.bytes, memoBytes)
+	}
+}
+
+// TestAnswerMemoInvalidation: each row Insert appends, evicting or not,
+// and each dictionary and row frame Load's decoder applies moves the
+// store on, so the next ask of every read is answered afresh: the memo
+// never serves what the store would no longer render.
+func TestAnswerMemoInvalidation(t *testing.T) {
+	recs := synthRecords(30)
+	reads := []Read{
+		{Kind: KindRecords, Query: Query{Limit: 5}},
+		{Kind: KindTopChains, K: 3},
+		{Kind: KindCauseRates, Bucket: 10 * sim.Minute},
+		{Kind: KindSimilar, K: 2, Fired: recs[0].Fired},
+	}
+	askAll := func(s *Store) {
+		t.Helper()
+		for _, r := range reads {
+			askTwice(t, s, r, true)
+		}
+	}
+	s := New(Options{BlockRows: 4, MaxBlocks: 3})
+	for _, rec := range recs[:20] {
+		s.Insert(rec)
+		askAll(s)
+	}
+	if s.Stats().EvictedRows == 0 {
+		t.Fatal("no Insert evicted")
+	}
+
+	// Load is New and this loop over a spill's frames; into a store that
+	// holds rows, the decoder does not refuse names it already has.
+	var spill bytes.Buffer
+	if err := storeOf(recs[20:]).Spill(&spill); err != nil {
+		t.Fatal(err)
+	}
+	fr, d := newFrameReader(&spill), decoder{st: s}
+	for {
+		kind, p, err := fr.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.frame(kind, p); err != nil {
+			t.Fatal(err)
+		}
+		if kind == frameDict || kind == frameRow {
+			askAll(s)
+		}
+	}
+	if d.rows != 10 {
+		t.Fatalf("the decoder appended %d rows, want 10", d.rows)
+	}
 }

@@ -393,6 +393,7 @@ func (d *decoder) dict(c *cursor) {
 	k := int(which[0])
 	d.st.mu.Lock()
 	defer d.st.mu.Unlock()
+	d.st.gen++
 	dict := d.st.all()[k]
 	for n := c.count(); n > 0; n-- {
 		name := c.take(c.uvarint())

@@ -168,13 +168,6 @@ func (d *dict) id(name string) int {
 	return i
 }
 
-func (d *dict) lookup(name string) (int, bool) {
-	i, ok := d.index[name]
-	return i, ok
-}
-
-func (d *dict) name(i uint32) string { return d.names[i] }
-
 // block is one fixed-capacity run of records in columnar layout: plain
 // parallel arrays per fixed-width column, offset+values arrays for the
 // variable-width ones (chain runs, cause rollups), and a flat
@@ -337,9 +330,14 @@ type Store struct {
 	evictedRows   int
 	evictedBlocks int
 
-	// queries and spills count reads and Spills, which run concurrently
-	// under the read lock, so they are atomics.
-	queries, spills atomic.Int64
+	// gen moves, under the write lock, with each row appended (evicting or
+	// not) and each dict frame Load interns; memo holds answers at one gen.
+	gen  uint64
+	memo memo
+
+	// queries, spills and answerHits (reads the memo answered) run
+	// concurrently under the read lock, so they are atomics.
+	queries, spills, answerHits atomic.Int64
 }
 
 // rowAt locates one stored row.
@@ -354,6 +352,7 @@ func New(opts Options) *Store {
 		opts:   opts.defaults(),
 		latest: map[string]rowAt{},
 		tables: newTables(),
+		memo:   memo{answers: map[string][]byte{}},
 	}
 }
 
@@ -380,6 +379,7 @@ func (s *Store) insertRow(r *row) {
 }
 
 func (s *Store) appendRowLocked(r *row) {
+	s.gen++
 	// The node universe is interned by now, so the needed stride is
 	// known before the row is appended.
 	stride := max((len(s.nodes.names)+63)/64, 1)
@@ -460,10 +460,10 @@ type Stats struct {
 	Rows, Blocks               int
 	InsertedRows               int
 	EvictedRows, EvictedBlocks int
-	// Queries counts read entry-point calls (Query, TopChains,
-	// CauseRates, Similar, Fired) and Spills the Spill calls that wrote
-	// a whole segment, since New or Load.
-	Queries, Spills int
+	// Queries counts read calls (Query, TopChains, CauseRates, Similar,
+	// Fired, Resolve, Answer), AnswerHits the Answers the memo served and
+	// Spills the Spills that wrote a whole segment, since New or Load.
+	Queries, AnswerHits, Spills int
 	// Nodes..Causes are dictionary cardinalities (these count every
 	// name ever seen, eviction does not shrink them).
 	Nodes, Cells, Scenarios, Chains, Causes int
@@ -482,6 +482,7 @@ func (s *Store) Stats() Stats {
 		EvictedRows:   s.evictedRows,
 		EvictedBlocks: s.evictedBlocks,
 		Queries:       int(s.queries.Load()),
+		AnswerHits:    int(s.answerHits.Load()),
 		Spills:        int(s.spills.Load()),
 		Nodes:         len(s.nodes.names),
 		Cells:         len(s.cells.names),
@@ -538,17 +539,17 @@ func (b *block) view(i int, r *row) {
 func (s *Store) materializeLocked(b *block, i int) Record {
 	rec := Record{
 		Session:  b.sessions[i],
-		Cell:     s.cells.name(b.cellIDs[i]),
-		Scenario: s.scens.name(b.scenIDs[i]),
+		Cell:     s.cells.names[b.cellIDs[i]],
+		Scenario: s.scens.names[b.scenIDs[i]],
 		Start:    b.starts[i],
 		End:      b.ends[i],
 	}
 	rec.Fired = s.firedLocked(b.row(i))
 	for k := b.chainOff[i]; k < b.chainOff[i+1]; k++ {
-		rec.Chains = append(rec.Chains, ChainRuns{Chain: s.chains.name(b.chainIDs[k]), Runs: int(b.chainRuns[k])})
+		rec.Chains = append(rec.Chains, ChainRuns{Chain: s.chains.names[b.chainIDs[k]], Runs: int(b.chainRuns[k])})
 	}
 	for k := b.causeOff[i]; k < b.causeOff[i+1]; k++ {
-		rec.Causes = append(rec.Causes, CauseRuns{Cause: s.causes.name(b.causeIDs[k]), Runs: int(b.causeRuns[k])})
+		rec.Causes = append(rec.Causes, CauseRuns{Cause: s.causes.names[b.causeIDs[k]], Runs: int(b.causeRuns[k])})
 	}
 	return rec
 }

@@ -3,10 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -486,7 +488,9 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 
 // FuzzBinaryStreamReader feeds arbitrary bytes to the decoder: it must
 // terminate with io.EOF or an error, never panic or loop — the binary
-// analog of FuzzReadJSONL.
+// analog of FuzzReadJSONL. Read by ReadBlock, as the node reads a body,
+// a stream that arrives one byte per read decodes as it does in one
+// read: the same blocks, and the same error.
 func FuzzBinaryStreamReader(f *testing.F) {
 	var valid bytes.Buffer
 	if err := WriteBinary(&valid, sampleSet()); err != nil {
@@ -496,7 +500,14 @@ func FuzzBinaryStreamReader(f *testing.F) {
 	f.Add([]byte(binaryMagic))
 	f.Add([]byte("{}"))
 	f.Add(frameClaim)
+	f.Add(valid.Bytes()[:valid.Len()/2])
+	f.Add(valid.Bytes()[:valid.Len()-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
+		blocks, err := readBlocks(bytes.NewReader(data))
+		bytewise, bytewiseErr := readBlocks(iotest.OneByteReader(bytes.NewReader(data)))
+		if fmt.Sprint(bytewiseErr) != fmt.Sprint(err) || !slices.Equal(bytewise, blocks) {
+			t.Fatalf("one-byte reads decode differently: %d blocks, %v; whole read: %d blocks, %v", len(bytewise), bytewiseErr, len(blocks), err)
+		}
 		sr := NewBinaryStreamReader(bytes.NewReader(data))
 		for i := 0; ; i++ {
 			_, err := sr.Next()
@@ -508,6 +519,24 @@ func FuzzBinaryStreamReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readBlocks decodes a stream by ReadBlock, each block printed, up to
+// the error that ends it: io.EOF for a whole stream.
+func readBlocks(r io.Reader) ([]string, error) {
+	sr := NewBinaryStreamReader(r)
+	var out []string
+	for {
+		b, err := sr.ReadBlock()
+		if err != nil {
+			return out, err
+		}
+		if b.Header != nil {
+			out = append(out, fmt.Sprintf("%+v", *b.Header))
+			continue
+		}
+		out = append(out, fmt.Sprintf("%+v", *b))
+	}
 }
 
 // TestBinaryRecycle pins the bounded-lifetime decode mode: with a
