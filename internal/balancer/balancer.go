@@ -20,14 +20,16 @@
 // The balancer also serves the fleet read surface, and reads more than
 // one backend one way: a fan-out that asks every reachable node at once
 // and keeps the 200 answers, each read under one bound, in backend
-// order. GET /metrics fans out under one ScrapeTimeout, then
-// obs.ParseText-parses and obs.Merges the snapshots into one lint-clean
-// exposition (a scrape that breaks a rule obs.Lint holds is a failed
-// scrape, not merged); /sessions, /query and /incidents/similar fan out
-// and merge; a report or watermark the balancer cannot steer or relay
-// from a pin is the fleet's first 200. A transport error of a request to
-// a node counts against the node's health only while the request is
-// live: a client that hung up, or a scrape past its timeout, does not.
+// order; a GET is conditional on the node's last tagged answer, which it
+// keeps scanned, so a repeated read crosses the wire as a 304. GET
+// /metrics fans out under one ScrapeTimeout, then obs.ParseText-parses
+// and obs.Merges the snapshots into one lint-clean exposition (a scrape
+// that breaks a rule obs.Lint holds is a failed scrape, not merged);
+// /sessions, /query and /incidents/similar fan out and merge; a report
+// or watermark the balancer cannot steer or relay from a pin is the
+// fleet's first 200. A transport error of a request to a node counts
+// against the node's health only while the request is live: a client
+// that hung up, or a scrape past its timeout, does not.
 package balancer
 
 import (
@@ -101,6 +103,8 @@ type Balancer struct {
 	// sessions is the routing table, bounded by tableBound. Lock order
 	// is lbSession.mu → the table's lock, never the reverse.
 	sessions *ingest.Table[*lbSession]
+	// kept is what fan-out reads keep of the nodes' tagged answers.
+	kept kept
 
 	stop chan struct{}
 	done sync.WaitGroup

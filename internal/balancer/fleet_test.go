@@ -903,7 +903,8 @@ func newCountingNode(t *testing.T, name string) *countingNode {
 // TestRejectedReadAsksNoBackend: the balancer parses a read as a node
 // does, so a read a node would refuse is refused at the balancer — the
 // node's status and bytes — without a request to any backend, and still
-// is with every backend down. A valid read no backend answers is a 503.
+// is with every backend down. A valid read no backend answers is a 503,
+// a session= probe among them: no node said it lacks the session.
 func TestRejectedReadAsksNoBackend(t *testing.T) {
 	nodes := []*countingNode{newCountingNode(t, "n0"), newCountingNode(t, "n1")}
 	lb, err := New(Options{Backends: []string{nodes[0].counted.URL, nodes[1].counted.URL}, HealthInterval: time.Hour})
@@ -950,7 +951,7 @@ func TestRejectedReadAsksNoBackend(t *testing.T) {
 			t.Errorf("GET %s with every backend down: %d %s, want 400 %s", bad, resp.StatusCode, got, want)
 		}
 	}
-	for _, good := range []string{"/query", "/query?agg=top_chains", "/incidents/similar?fired=a"} {
+	for _, good := range []string{"/query", "/query?agg=top_chains", "/incidents/similar?fired=a", "/incidents/similar?session=s-1"} {
 		resp := mustGet(t, lbTS.URL+good)
 		if got := readBody(t, resp); resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(got, errNoBackends.Error()) {
 			t.Errorf("GET %s with every backend down: %d %s, want 503 %q", good, resp.StatusCode, got, errNoBackends)

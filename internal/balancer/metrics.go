@@ -16,6 +16,7 @@ type metrics struct {
 	reg           *obs.Registry
 	failovers     *obs.Counter
 	proxyErrors   *obs.Counter
+	notModified   *obs.Counter
 	healthProbes  *obs.Counter
 	probeFailures *obs.Counter
 	scrapeErrors  map[string]*obs.Counter   // by backend URL
@@ -32,6 +33,8 @@ func newMetrics(b *Balancer) *metrics {
 			"Sessions re-pinned to a surviving backend after their node left the fleet."),
 		proxyErrors: reg.Counter("dominolb_proxy_errors_total",
 			"Requests to a backend (relayed watermarks, fan-out reads and scrapes) that failed at the transport layer while their own request was live; each counts toward the backend's failure threshold."),
+		notModified: reg.Counter("dominolb_fanout_not_modified_total",
+			"Fan-out parts a backend answered 304 Not Modified to, reused as kept and not read or scanned again."),
 		healthProbes: reg.Counter("dominolb_health_probes_total",
 			"Active health probes issued."),
 		probeFailures: reg.Counter("dominolb_health_probe_failures_total",
@@ -84,8 +87,7 @@ func (b *Balancer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), b.opts.ScrapeTimeout)
 	defer cancel()
 	ask := b.reachable()
-	answers := b.fan(ctx, ask, "/metrics", "")
-	defer release(answers)
+	answers, _ := b.fan(ctx, ask, "/metrics", "")
 	scraped := make(map[*backend]bool, len(answers))
 	for _, p := range answers {
 		snap, err := obs.ParseText(bytes.NewReader(p.body))

@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/domino5g/domino/internal/ingest"
@@ -149,7 +150,7 @@ func (b *Balancer) reachable() []*backend {
 // relay proxies one GET to be verbatim — status (a 404 among them),
 // content type and length, body; a transport error is a 502.
 func (b *Balancer) relay(w http.ResponseWriter, ctx context.Context, be *backend, path string) {
-	resp, err := b.get(ctx, be, path)
+	resp, err := b.get(ctx, be, path, "")
 	if err != nil {
 		ingest.WriteError(w, http.StatusBadGateway, err.Error())
 		return
@@ -167,22 +168,25 @@ func (b *Balancer) relay(w http.ResponseWriter, ctx context.Context, be *backend
 // relayFirst asks every reachable backend for path at once and answers
 // with the first 200 in backend order, or a 404 when none has one.
 func (b *Balancer) relayFirst(w http.ResponseWriter, r *http.Request, path string) {
-	answers := b.fan(r.Context(), b.reachable(), path, "")
-	defer release(answers)
+	answers, _ := b.fan(r.Context(), b.reachable(), path, "")
 	if len(answers) == 0 {
 		ingest.WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	ingest.WriteAppended(w, func(dst []byte) []byte { return append(dst, answers[0].body...) })
+	ingest.WriteAppended(w, r, func(dst []byte) []byte { return append(dst, answers[0].body...) })
 }
 
-// get issues one GET to be. Its transport error counts against be's
-// health only while ctx is live: a read whose client hung up, or a
-// scrape cut off by its timeout, says nothing about the node.
-func (b *Balancer) get(ctx context.Context, be *backend, pathAndQuery string) (*http.Response, error) {
+// get issues one GET to be, conditional on etag when it is set. Its
+// transport error counts against be's health only while ctx is live: a
+// read whose client hung up, or a scrape cut off by its timeout, says
+// nothing about the node.
+func (b *Balancer) get(ctx context.Context, be *backend, pathAndQuery, etag string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, be.url+pathAndQuery, nil)
 	var resp *http.Response
 	if err == nil {
+		if etag != "" {
+			req.Header.Set("If-None-Match", etag)
+		}
 		resp, err = b.client.Do(req)
 	}
 	if err != nil && ctx.Err() == nil {
@@ -194,44 +198,21 @@ func (b *Balancer) get(ctx context.Context, be *backend, pathAndQuery string) (*
 	return resp, err
 }
 
-// part is one backend's 200 answer to a fan-out read: the body, and what
-// scanAnswer kept of it. Parts are pooled, so a steady read mix reads
-// into and scans into memory it already has.
+// part is one backend's 200 answer to a fan-out read: the body, what
+// scanAnswer kept of it, and the node's tag for it, if it sent one. A
+// tagged part is kept (kept.go) and never written again.
 type part struct {
 	be   *backend
 	body []byte
+	etag string
 	scanned
 }
 
-var parts = sync.Pool{New: func() any { return new(part) }}
-
-// A part that grew past either bound is left to the collector, so one
-// huge answer does not pin its size for good. partMaxBody bounds what one
-// answer may hold at all.
-const (
-	partKeepBody = 1 << 20
-	partKeepRows = 4096
-	partMaxBody  = 64 << 20
-)
+// partMaxBody bounds what one answer may hold at all.
+const partMaxBody = 64 << 20
 
 // errPartTooLarge fails a part whose answer runs past partMaxBody.
 var errPartTooLarge = fmt.Errorf("answer longer than %d bytes", partMaxBody)
-
-// release returns p to the pool and reports whether the pool took it.
-func (p *part) release() bool {
-	keep := cap(p.body) <= partKeepBody && cap(p.rows) <= partKeepRows
-	if keep {
-		p.be, p.fired = nil, nil
-		parts.Put(p)
-	}
-	return keep
-}
-
-func release(answers []*part) {
-	for _, p := range answers {
-		p.release()
-	}
-}
 
 // read fills p.body with the response's body, sized in one step from the
 // Content-Length a node sends instead of by doubling. A body longer than
@@ -240,8 +221,7 @@ func (p *part) read(resp *http.Response) error {
 	if resp.ContentLength > partMaxBody {
 		return errPartTooLarge
 	}
-	p.body = p.body[:0]
-	if n := resp.ContentLength; n >= int64(cap(p.body)) {
+	if n := resp.ContentLength; n >= 0 {
 		// The spare byte is where the read that meets EOF lands.
 		p.body = make([]byte, 0, n+1)
 	}
@@ -268,36 +248,50 @@ func (p *part) read(resp *http.Response) error {
 // returns the 200-answers, each scanned for the array under rowsKey (the
 // body itself when rowsKey is arrayBody; left as bytes when rowsKey is
 // ""), in the order the backends were given — so a merge does not depend
-// on which node answered first. It is how the balancer reads more than
-// one backend. Individual failures, a body that does not scan (JSON in
-// another layout than a node's among them), are logged and skipped: a
-// degraded fleet still answers with what it has. The caller releases the
-// parts once the answer that refers to them is written.
-func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, rowsKey string) (answers []*part) {
+// on which node answered first — and whether any backend answered at
+// all. It is how the balancer reads more than one backend. Individual
+// failures, a body that does not scan (JSON in another layout than a
+// node's among them), are logged and skipped: a degraded fleet still
+// answers with what it has. A GET is conditional on the part kept for
+// it, looked up before it is sent, and a 304 reuses that very part.
+func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, rowsKey string) (answers []*part, answered bool) {
 	got := make([]*part, len(backends))
+	var heard atomic.Bool
 	var wg sync.WaitGroup
 	for i, be := range backends {
 		wg.Add(1)
 		go func(i int, be *backend) {
 			defer wg.Done()
-			resp, err := b.get(ctx, be, pathAndQuery)
+			url := be.url + pathAndQuery
+			prev, etag := b.kept.part(url), ""
+			if prev != nil {
+				etag = prev.etag
+			}
+			resp, err := b.get(ctx, be, pathAndQuery, etag)
 			if err != nil {
 				return
 			}
 			defer resp.Body.Close()
+			heard.Store(true)
+			if resp.StatusCode == http.StatusNotModified && prev != nil {
+				b.m.notModified.Inc()
+				got[i] = prev
+				return
+			}
 			if resp.StatusCode != http.StatusOK {
 				io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 				return
 			}
-			p := parts.Get().(*part)
-			p.be = be
+			p := &part{be: be, etag: resp.Header.Get("ETag")}
 			if err = p.read(resp); err == nil && rowsKey != "" {
 				err = scanAnswer(p.body, rowsKey, &p.scanned)
 			}
 			if err != nil {
 				b.log.Warn("fan-out read failed", "backend", be.url, "path", pathAndQuery, "err", err)
-				p.release()
 				return
+			}
+			if p.etag != "" {
+				b.kept.keepPart(url, p)
 			}
 			got[i] = p
 		}(i, be)
@@ -308,14 +302,24 @@ func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, r
 			answers = append(answers, p)
 		}
 	}
-	return answers
+	return answers, heard.Load()
 }
 
-// answer writes a merged answer and notes, under kind, what the read
-// took from its fan-out to the end of the merge.
-func (b *Balancer) answer(w http.ResponseWriter, kind string, start time.Time, merge func(dst []byte) []byte) {
-	ingest.WriteAppended(w, func(dst []byte) []byte {
-		dst = merge(dst)
+// answer writes the merged answer to r and notes, under kind, what the
+// read took from its fan-out to the end of the merge. An answer merged
+// from tagged parts is kept under r's URI and written again, unmerged,
+// while a read of that URI gets the very same parts.
+func (b *Balancer) answer(w http.ResponseWriter, r *http.Request, kind string, start time.Time, answers []*part, merge func(dst []byte) []byte) {
+	uri := r.URL.RequestURI()
+	body := b.kept.answer(uri, answers)
+	ingest.WriteAppended(w, r, func(dst []byte) []byte {
+		n := len(dst)
+		if body != nil {
+			dst = append(dst, body...)
+		} else {
+			dst = merge(dst)
+			b.kept.keepAnswer(uri, answers, dst[n:])
+		}
 		b.m.fanoutSeconds[kind].Observe(time.Since(start).Seconds())
 		return dst
 	})
@@ -324,9 +328,8 @@ func (b *Balancer) answer(w http.ResponseWriter, kind string, start time.Time, m
 // handleSessions fans /sessions across the fleet and merges the
 // per-node session summaries, ordered by session id.
 func (b *Balancer) handleSessions(w http.ResponseWriter, r *http.Request) {
-	answers := b.fan(r.Context(), b.reachable(), "/sessions", arrayBody)
-	defer release(answers)
-	ingest.WriteAppended(w, func(dst []byte) []byte { return mergeSessions(dst, answers) })
+	answers, _ := b.fan(r.Context(), b.reachable(), "/sessions", arrayBody)
+	ingest.WriteAppended(w, r, func(dst []byte) []byte { return mergeSessions(dst, answers) })
 }
 
 // handleRead fans a read — /query or /incidents/similar — across the
@@ -342,7 +345,9 @@ func (b *Balancer) handleSessions(w http.ResponseWriter, r *http.Request) {
 // A session= probe goes to every node as it came: the node that stored
 // the session resolves its signature and answers with its own matches,
 // the others answer 404 from their session index; those are then asked
-// with the explicit signature, so each node scans once.
+// with the explicit signature, so each node scans once. A probe is a 404
+// when every node that answered lacks the session, and a 503 when none
+// answered.
 func (b *Balancer) handleRead(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rd, err := rcastore.ParseRead(r.URL.Path, r.URL.RawQuery, sim.Time(start.UnixMicro()))
@@ -354,29 +359,28 @@ func (b *Balancer) handleRead(w http.ResponseWriter, r *http.Request) {
 	if rd.Kind == rcastore.KindSimilar {
 		rowsKey = "matches"
 	}
-	answers := b.fan(r.Context(), ask, r.URL.RequestURI(), rowsKey)
-	defer func() { release(answers) }()
-	if rd.Probe != "" {
-		if len(answers) == 0 {
-			ingest.WriteError(w, http.StatusNotFound, fmt.Sprintf("session %q has no stored report on any node", rd.Probe))
-			return
-		}
+	answers, answered := b.fan(r.Context(), ask, r.URL.RequestURI(), rowsKey)
+	if rd.Probe != "" && len(answers) == 0 && answered {
+		ingest.WriteError(w, http.StatusNotFound, fmt.Sprintf("session %q has no stored report on any node", rd.Probe))
+		return
+	}
+	if rd.Probe != "" && len(answers) > 0 {
 		// The first node holding the session speaks for it. Any other
 		// holder is asked again like the rest of the fleet: with that
 		// one's signature and no session, which they do not hold.
-		release(answers[1:])
 		answers = answers[:1]
 		ask = slices.DeleteFunc(ask, func(be *backend) bool { return be == answers[0].be })
 		q := r.URL.Query()
 		q.Del("session")
 		q.Set("fired", string(bytes.Join(answers[0].firedNames, []byte(","))))
-		answers = append(answers, b.fan(r.Context(), ask, "/incidents/similar?"+q.Encode(), rowsKey)...)
+		rest, _ := b.fan(r.Context(), ask, "/incidents/similar?"+q.Encode(), rowsKey)
+		answers = append(answers, rest...)
 	}
 	if len(answers) == 0 {
 		ingest.WriteError(w, http.StatusServiceUnavailable, errNoBackends.Error())
 		return
 	}
-	b.answer(w, rd.Kind, start, func(dst []byte) []byte {
+	b.answer(w, r, rd.Kind, start, answers, func(dst []byte) []byte {
 		switch rd.Kind {
 		case rcastore.KindTopChains:
 			return rcastore.AppendTopChainsAnswer(dst, mergeTopChains(answers, rd.K))

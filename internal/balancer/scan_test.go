@@ -301,30 +301,6 @@ func TestQueryAnswersCarryContentLength(t *testing.T) {
 	}
 }
 
-// TestPartPoolDropsOversized: a part that one huge answer grew is not
-// kept, so the pool's memory is bounded by its bounds and not by the
-// largest answer ever read.
-func TestPartPoolDropsOversized(t *testing.T) {
-	for name, c := range map[string]struct {
-		p    *part
-		keep bool
-	}{
-		"fresh":     {&part{}, true},
-		"at bounds": {&part{body: make([]byte, 0, partKeepBody), scanned: scanned{rows: make([]row, 0, partKeepRows)}}, true},
-		"big body":  {&part{body: make([]byte, 0, partKeepBody+1)}, false},
-		"many rows": {&part{scanned: scanned{rows: make([]row, 0, partKeepRows+1)}}, false},
-	} {
-		if got := c.p.release(); got != c.keep {
-			t.Errorf("%s: release kept the part: %v, want %v", name, got, c.keep)
-		}
-	}
-	// What is kept comes back empty-handed: no backend, no stale spans.
-	p := &part{be: &backend{}, scanned: scanned{fired: []byte("[]")}}
-	if p.release(); p.be != nil || p.fired != nil {
-		t.Errorf("a released part still refers to its backend or its body: %+v", p)
-	}
-}
-
 // zeros reads as an endless run of zero bytes.
 type zeros struct{}
 
@@ -356,7 +332,7 @@ func TestPartReadIsBounded(t *testing.T) {
 
 // mergeReads are the balancer's share of a merged read once the bodies
 // are in — scanning two backends' 50-row answers and writing the fleet's,
-// into buffers reused as the pool reuses them — one func per answer
+// into buffers reused from one read to the next — one func per answer
 // shape, with 1.3 × the allocations per fan-out it measured in PR 20:
 // records 1 (the row-pointer slice that is sorted), similar 103 (that
 // slice, and the session-dedup map with a key per row).
@@ -396,7 +372,7 @@ func mergeReads(tb testing.TB) []mergeRead {
 			out = read.merge(out[:0], answers)
 			return out
 		}
-		once() // the buffers grow here, as a pooled part's have by its second use
+		once() // the buffers grow here, and are reused from then on
 		reads = append(reads, mergeRead{read.name, read.maxAllocs, len(read.bodies[0]) + len(read.bodies[1]), once})
 	}
 	return reads

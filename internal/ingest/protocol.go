@@ -3,6 +3,7 @@ package ingest
 import (
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"net/http"
 	"strconv"
 	"sync"
@@ -160,18 +161,32 @@ var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const answerBufKeep = 1 << 20
 
-// WriteAppended answers 200 with the JSON that render appends to the
+// answerSeed keys the tags WriteAppended puts on answers. It is drawn
+// once per process, so a tag names bytes only to the process that sent it.
+var answerSeed = maphash.MakeSeed()
+
+// WriteAppended answers with the JSON that render appends to the
 // buffer it is given, laid out as WriteJSON would have, in one write
 // with its Content-Length: the query surface renders by appending
 // (rcastore's answer encoders on a node, the splice in dominolb), so the
 // size a reflecting encoder only finds by streaming is known up front.
-func WriteAppended(w http.ResponseWriter, render func(dst []byte) []byte) {
+// The answer's ETag is a hash of its bytes, a strong validator: a
+// request whose If-None-Match is exactly that tag gets a 304 and no
+// body, and any other (another tag, a list, *, a weak tag) the 200.
+func WriteAppended(w http.ResponseWriter, r *http.Request, render func(dst []byte) []byte) {
 	buf := answerBufs.Get().(*[]byte)
 	*buf = render((*buf)[:0])
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(*buf)
+	var tag [18]byte
+	etag := string(append(strconv.AppendUint(append(tag[:0], '"'), maphash.Bytes(answerSeed, *buf), 16), '"'))
+	w.Header().Set("ETag", etag)
+	if r.Header.Get("If-None-Match") == etag {
+		w.WriteHeader(http.StatusNotModified)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(*buf)
+	}
 	if cap(*buf) <= answerBufKeep {
 		answerBufs.Put(buf)
 	}

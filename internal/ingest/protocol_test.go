@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -249,4 +250,57 @@ func errorCode(body []byte) Code {
 	var e ErrorBody
 	_ = json.Unmarshal(body, &e) // not an error body: no code
 	return e.Code
+}
+
+// TestWriteAppendedValidator: an appended answer carries a strong
+// validator of its bytes. Only an If-None-Match that is exactly that
+// tag gets the 304 (with the tag and no body); anything else gets the
+// whole 200 under the same tag.
+func TestWriteAppendedValidator(t *testing.T) {
+	answer := func(body, ifNoneMatch string) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodGet, "/query", nil)
+		if ifNoneMatch != "" {
+			r.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		w := httptest.NewRecorder()
+		WriteAppended(w, r, func(dst []byte) []byte { return append(dst, body...) })
+		return w
+	}
+	const body = "{\n  \"records\": []\n}\n"
+	tag := answer(body, "").Header().Get("ETag")
+	if len(tag) < 3 || tag[0] != '"' || tag[len(tag)-1] != '"' || strings.Contains(tag[1:len(tag)-1], `"`) {
+		t.Fatalf("ETag %q is not a strong entity tag", tag)
+	}
+	for _, c := range []struct {
+		ifNoneMatch string
+		status      int
+	}{
+		{"", http.StatusOK},
+		{tag, http.StatusNotModified},
+		{`"0"`, http.StatusOK},
+		{"*", http.StatusOK},
+		{`"0", ` + tag, http.StatusOK},
+		{"W/" + tag, http.StatusOK},
+	} {
+		w := answer(body, c.ifNoneMatch)
+		wantBody, wantLen := body, fmt.Sprint(len(body))
+		if c.status == http.StatusNotModified {
+			wantBody, wantLen = "", ""
+		}
+		if w.Code != c.status || w.Header().Get("ETag") != tag || w.Body.String() != wantBody || w.Header().Get("Content-Length") != wantLen {
+			t.Errorf("If-None-Match %q: %d, ETag %q, Content-Length %q, body %q; want %d, ETag %q, Content-Length %q, body %q",
+				c.ifNoneMatch, w.Code, w.Header().Get("ETag"), w.Header().Get("Content-Length"), w.Body.String(), c.status, tag, wantLen, wantBody)
+		}
+	}
+	if again := answer(body, "").Header().Get("ETag"); again != tag {
+		t.Errorf("equal bytes tagged %q and %q", tag, again)
+	}
+	seen := map[string]string{}
+	for _, b := range []string{"", "[]\n", "[]\n ", "{}\n", body, body[:len(body)-1]} {
+		tag := answer(b, "").Header().Get("ETag")
+		if other, ok := seen[tag]; ok {
+			t.Errorf("%q and %q share the tag %s", b, other, tag)
+		}
+		seen[tag] = b
+	}
 }

@@ -109,7 +109,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Idempotent retry of a session that already completed: the
 		// client lost the final response, not the session. Serve the
 		// report again instead of failing the retry.
-		writeReport(w, sess)
+		writeReport(w, r, sess)
 		return
 	case d.Code == ingest.CodeConflict:
 		n.reject(w, d.Code, fmt.Sprintf("session %q already exists", id))
@@ -264,13 +264,13 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		ingest.WriteError(w, http.StatusBadRequest, readErr.Error())
 	case ingest.Complete:
-		n.complete(w, sess)
+		n.complete(w, r, sess)
 	}
 }
 
 // complete closes a fully-uploaded session: final report, store
 // insert, journal append, and the 200 that carries the report.
-func (n *Node) complete(w http.ResponseWriter, sess *session) {
+func (n *Node) complete(w http.ResponseWriter, r *http.Request, sess *session) {
 	id := sess.id
 	sess.mu.Lock()
 	stats := sess.sa.Stats()
@@ -311,7 +311,7 @@ func (n *Node) complete(w http.ResponseWriter, sess *session) {
 		"session", id, "cell", rep.CellName, "scenario", rep.Scenario,
 		"records", stats.Records, "windows", stats.Windows,
 		"late_dropped", stats.LateDropped, "chain_events", rep.TotalChainEvents())
-	writeReport(w, sess)
+	writeReport(w, r, sess)
 }
 
 // blockReader is what the ingest loop needs of either trace reader.

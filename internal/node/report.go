@@ -197,7 +197,7 @@ func appendStats(e *jsonenc.Encoder, m map[string]NodeStat) {
 
 func (n *Node) handleSessions(w http.ResponseWriter, r *http.Request) {
 	all := n.sessions.List()
-	ingest.WriteAppended(w, func(dst []byte) []byte {
+	ingest.WriteAppended(w, r, func(dst []byte) []byte {
 		if len(all) == 0 {
 			return append(dst, "[]\n"...)
 		}
@@ -218,12 +218,13 @@ func (n *Node) handleReport(w http.ResponseWriter, r *http.Request) {
 		ingest.WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	writeReport(w, sess)
+	writeReport(w, r, sess)
 }
 
-// writeReport answers 200 with the session's report.
-func writeReport(w http.ResponseWriter, sess *session) {
-	ingest.WriteAppended(w, func(dst []byte) []byte { return sess.answer(dst, false) })
+// writeReport answers with the session's report, a 304 to a request
+// that already holds it.
+func writeReport(w http.ResponseWriter, r *http.Request, sess *session) {
+	ingest.WriteAppended(w, r, func(dst []byte) []byte { return sess.answer(dst, false) })
 }
 
 // handleRead serves the read surface over the fleet RCA store: GET
@@ -241,5 +242,5 @@ func (n *Node) handleRead(w http.ResponseWriter, r *http.Request) {
 		ingest.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	ingest.WriteAppended(w, func(dst []byte) []byte { return n.store.Answer(dst, rd) })
+	ingest.WriteAppended(w, r, func(dst []byte) []byte { return n.store.Answer(dst, rd) })
 }

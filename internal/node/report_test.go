@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"github.com/domino5g/domino/internal/ingest"
@@ -181,11 +182,11 @@ func (d discardWriter) WriteHeader(int)             {}
 // re-indenting ingest.WriteJSON it replaced.
 func BenchmarkReportAnswer(b *testing.B) {
 	p := realPayload(b)
-	w := discardWriter{h: http.Header{}}
+	w, r := discardWriter{h: http.Header{}}, httptest.NewRequest(http.MethodGet, "/report/s", nil)
 	b.Run("append", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ingest.WriteAppended(w, func(dst []byte) []byte { return appendReport(dst, &p) })
+			ingest.WriteAppended(w, r, func(dst []byte) []byte { return appendReport(dst, &p) })
 		}
 	})
 	b.Run("WriteJSON", func(b *testing.B) {

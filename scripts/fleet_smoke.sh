@@ -22,8 +22,11 @@
 #     byte-identical to the clean single-node run
 #   - asserts the balancer's merged /sessions lists every uploaded
 #     session, and as many rows as the surviving nodes hold together
-#   - lints the balancer's federated /metrics and asserts the failover
-#     and backend-health series moved
+#   - reads two fleet queries twice each through the balancer: the
+#     second read of each is answered from what the balancer kept, on
+#     the nodes' 304s, with the same bytes
+#   - lints the balancer's federated /metrics and asserts the failover,
+#     backend-health and fan-out not-modified series moved
 # Artifacts (daemon logs, the federated scrape, /sessions, reports) land in
 # OUT_DIR (default ./fleet-smoke) so CI can upload them.
 set -eu
@@ -239,6 +242,15 @@ LB_ROWS="$(grep -c '"session":' "$OUT_DIR/sessions.json" || true)"
     echo "the balancer's /sessions has $LB_ROWS rows, the surviving nodes $NODE_ROWS"
     exit 1; }
 
+echo "== repeating fleet reads: conditional GETs to the nodes, the same bytes"
+for q in 'agg=top_chains' 'limit=5'; do
+    curl -fsS "http://$LB_ADDR/query?$q" >"$WORK/read1.json"
+    curl -fsS "http://$LB_ADDR/query?$q" >"$WORK/read2.json"
+    cmp "$WORK/read1.json" "$WORK/read2.json" || {
+        echo "a repeated /query?$q answered other bytes"; exit 1; }
+    cp "$WORK/read2.json" "$OUT_DIR/query-$q.json"
+done
+
 echo "== linting the federated /metrics exposition"
 curl -fsS "http://$LB_ADDR/metrics" >"$OUT_DIR/fleet-metrics.txt"
 "$BIN_DIR/promlint" "$OUT_DIR/fleet-metrics.txt"
@@ -247,6 +259,8 @@ grep -q 'dominolb_failovers_total [1-9]' "$OUT_DIR/fleet-metrics.txt" || {
 grep -q "dominolb_backend_up{backend=\"http://$VICTIM_ADDR\"} 0" \
     "$OUT_DIR/fleet-metrics.txt" || {
     echo "killed backend still reported up"; exit 1; }
+grep -q 'dominolb_fanout_not_modified_total [1-9]' "$OUT_DIR/fleet-metrics.txt" || {
+    echo "no fan-out part was reused on a node's 304 despite repeated reads"; exit 1; }
 grep -q 'dominod_node_info{node="n[0-9]"} 1' "$OUT_DIR/fleet-metrics.txt" || {
     echo "surviving backends' node identity missing from federation"; exit 1; }
 grep -q '[1-9][0-9]* shed-retries' "$TRACEGEN_LOG" || {
