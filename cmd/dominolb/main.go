@@ -17,7 +17,9 @@
 //	  [-scrape-timeout 5s] [-debug-addr :6061] [-log-format text|json] [-v]
 //
 // The four probe and scrape settings default to balancer.DefaultOptions
-// and are always on: a value ≤ 0 exits 2 before any backend is probed.
+// and are always on: a value ≤ 0 exits 2 before any backend is probed, as
+// does a -backend that is not an http:// URL (the balancer speaks plain
+// HTTP/1.1 to its nodes, so https and HTTP_PROXY are not honoured).
 // -debug-addr serves net/http/pprof on a separate listener, as dominod's
 // does.
 package main
@@ -63,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8078", "listen address")
 	opts := balancer.DefaultOptions()
-	fs.Var((*backendList)(&opts.Backends), "backend", "dominod base URL; repeatable, and each occurrence may hold a comma-separated list")
+	fs.Var((*backendList)(&opts.Backends), "backend", "dominod base URL, http:// only (https and HTTP_PROXY are not honoured); repeatable, and each occurrence may hold a comma-separated list")
 	fs.DurationVar(&opts.HealthInterval, "health-interval", opts.HealthInterval, "active /healthz probe period")
 	fs.DurationVar(&opts.HealthTimeout, "health-timeout", opts.HealthTimeout, "per-probe timeout")
 	fs.IntVar(&opts.FailThreshold, "health-fails", opts.FailThreshold, "consecutive probe failures that mark a backend down")
@@ -93,10 +95,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts.Log = logger
-	lb, err := balancer.New(opts)
+	lb, err := balancer.New(opts) // refuses only a bad -backend, before any is probed
 	if err != nil {
 		fmt.Fprintln(stderr, "dominolb:", err)
-		return 1
+		return 2
 	}
 	defer lb.Close()
 

@@ -18,6 +18,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"no backend", nil, "at least one -backend is required"},
 		{"bad log format", []string{"-backend", "http://127.0.0.1:9", "-log-format", "xml"}, `bad -log-format "xml"`},
 		{"replay-max is gone", []string{"-backend", "http://127.0.0.1:9", "-replay-max", "-1"}, "flag provided but not defined: -replay-max"},
+		{"https backend", []string{"-backend", "http://127.0.0.1:9,https://127.0.0.1:10"}, `backend "https://127.0.0.1:10" is not an http:// URL`},
+		{"backend without a scheme", []string{"-backend", "127.0.0.1:9"}, `backend "127.0.0.1:9" is not an http:// URL`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stderr bytes.Buffer

@@ -18,10 +18,12 @@
 // single-node analysis.
 //
 // The balancer also serves the fleet read surface, and reads more than
-// one backend one way: a fan-out that asks every reachable node at once
-// and keeps the 200 answers, each read under one bound, in backend
-// order; a GET is conditional on the node's last tagged answer, which it
-// keeps scanned, so a repeated read crosses the wire as a 304. GET
+// one backend one way: a fan-out that writes every reachable node's GET
+// first, then reads the answers in backend order and keeps the 200s,
+// each read under one bound; a GET is conditional on the node's last
+// tagged answer, which it keeps scanned, so a repeated read crosses the
+// wire as a 304. Every request to a node goes over a connection the
+// balancer keeps itself (conn.go), never through net/http's client. GET
 // /metrics fans out under one ScrapeTimeout, then obs.ParseText-parses
 // and obs.Merges the snapshots into one lint-clean exposition (a scrape
 // that breaks a rule obs.Lint holds is a failed scrape, not merged);
@@ -39,6 +41,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/domino5g/domino/internal/ingest"
@@ -51,11 +54,10 @@ type Options struct {
 	// Backends are the dominod base URLs fronted by this balancer,
 	// e.g. "http://127.0.0.1:9101". At least one is required.
 	Backends []string
-	// Client issues the requests the balancer sends a backend itself:
-	// probes, scrapes, fan-out reads and relayed watermarks. Default is a
-	// client on the balancer's own transport, which keeps
-	// idleConnsPerBackend connections to each backend, with no global
-	// timeout (probes and scrapes get per-request context deadlines).
+	// Client is ignored. The balancer sends its probes, scrapes, fan-out
+	// reads and relayed watermarks itself, as plain HTTP/1.1 over
+	// connections it keeps (conn.go), so https and HTTP_PROXY are not
+	// honoured for backends.
 	Client *http.Client
 	// HealthInterval is the active probe period.
 	HealthInterval time.Duration
@@ -96,7 +98,7 @@ func orDefault[T int | time.Duration](v *T, def T) {
 type Balancer struct {
 	opts     Options
 	backends []*backend
-	client   *http.Client
+	dials    atomic.Int64 // connections opened to backends
 	log      *slog.Logger
 	m        *metrics
 
@@ -110,11 +112,11 @@ type Balancer struct {
 	done sync.WaitGroup
 }
 
-// idleConnsPerBackend is how many idle connections the balancer's own
-// transport keeps to one backend: a node's default -max-streams, as many
-// concurrent reads as a busy fleet relays to one node. http.DefaultTransport
-// keeps two, so every concurrent read past the second dialed a connection
-// and closed it after one request.
+// idleConnsPerBackend is how many idle connections the balancer keeps to
+// one backend: a node's default -max-streams, as many concurrent reads as
+// a busy fleet relays to one node. Keeping two, as net/http's default
+// transport does, dialed a connection for every concurrent read past the
+// second and closed it after one request.
 const idleConnsPerBackend = 64
 
 // tableBound is how many entries the routing table keeps past an
@@ -151,15 +153,8 @@ func New(opts Options) (*Balancer, error) {
 	if opts.Log == nil {
 		opts.Log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 	}
-	client := opts.Client
-	if client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConns, tr.MaxIdleConnsPerHost = 0, idleConnsPerBackend // bounded per backend, not in total
-		client = &http.Client{Transport: tr}
-	}
 	b := &Balancer{
 		opts:     opts,
-		client:   client,
 		log:      opts.Log,
 		sessions: ingest.NewTable[*lbSession](mintFormat, tableBound),
 		stop:     make(chan struct{}),
@@ -171,7 +166,11 @@ func New(opts Options) (*Balancer, error) {
 			continue
 		}
 		seen[u] = true
-		b.backends = append(b.backends, newBackend(u))
+		be, err := newBackend(u)
+		if err != nil {
+			return nil, err
+		}
+		b.backends = append(b.backends, be)
 	}
 	if len(b.backends) == 0 {
 		return nil, fmt.Errorf("balancer: no backends configured")
@@ -183,9 +182,8 @@ func New(opts Options) (*Balancer, error) {
 	return b, nil
 }
 
-// Close stops the health prober and drops the balancer's own idle
-// connections (a caller's Client is the caller's to close). In-flight
-// relayed reads finish on their own.
+// Close stops the health prober and closes the balancer's idle
+// connections. In-flight relayed reads finish on their own.
 func (b *Balancer) Close() {
 	select {
 	case <-b.stop:
@@ -193,8 +191,10 @@ func (b *Balancer) Close() {
 		close(b.stop)
 	}
 	b.done.Wait()
-	if b.opts.Client == nil {
-		b.client.CloseIdleConnections()
+	for _, be := range b.backends {
+		for c := be.takeIdle(); c != nil; c = be.takeIdle() {
+			c.Close()
+		}
 	}
 }
 

@@ -3,8 +3,11 @@ package balancer
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"sync"
 	"time"
 )
@@ -36,18 +39,32 @@ func (s state) String() string {
 	}
 }
 
-// backend is one dominod node and its probe bookkeeping.
+// backend is one dominod node, its probe bookkeeping and the
+// connections the balancer keeps to it.
 type backend struct {
-	url string
+	url              string
+	addr, host, path string // to dial, the Host header, the base path
 
 	mu     sync.Mutex
 	st     state
-	fails  int    // consecutive failures (probe or data path)
-	nodeID string // from /healthz, for attribution
+	fails  int        // consecutive failures (probe or data path)
+	nodeID string     // from /healthz, for attribution
+	idle   chan *conn // up to idleConnsPerBackend, kept for the next request
 }
 
-func newBackend(url string) *backend {
-	return &backend{url: url, st: stateDown}
+// newBackend parses a backend's base URL once. The balancer speaks plain
+// HTTP/1.1 to its nodes itself, so any scheme but http is refused.
+func newBackend(raw string) (*backend, error) {
+	u, err := url.Parse(raw)
+	if err != nil || u.Scheme != "http" || u.Host == "" {
+		return nil, fmt.Errorf("balancer: backend %q is not an http:// URL (https and proxies are not supported)", raw)
+	}
+	addr := u.Host
+	if u.Port() == "" {
+		addr = net.JoinHostPort(u.Hostname(), "80")
+	}
+	return &backend{url: raw, addr: addr, host: u.Host, path: u.EscapedPath(), st: stateDown,
+		idle: make(chan *conn, idleConnsPerBackend)}, nil
 }
 
 // State reads the backend's current health.
@@ -131,22 +148,19 @@ func (b *Balancer) probe(be *backend) {
 	b.m.healthProbes.Inc()
 	ctx, cancel := context.WithTimeout(context.Background(), b.opts.HealthTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, be.url+"/healthz", nil)
+	x := b.send(ctx, be, "/healthz", "")
+	defer x.done()
+	resp, err := x.response()
 	if err != nil {
 		b.probeFailed(be, err.Error())
 		return
 	}
-	resp, err := b.client.Do(req)
-	if err != nil {
-		b.probeFailed(be, err.Error())
-		return
-	}
-	defer resp.Body.Close()
 	var body struct {
 		Status string `json:"status"`
 		Node   string `json:"node"`
 	}
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body)
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	_ = json.Unmarshal(raw, &body)
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		if be.noteState(stateUp, body.Node) {

@@ -47,6 +47,8 @@ func newMetrics(b *Balancer) *metrics {
 			"Wall time of one merged fleet read, from fanning it out to the slowest backend's answer merged, by kind of read.",
 			nil, obs.L("kind", kind))
 	}
+	reg.CounterFunc("dominolb_backend_dials_total", "Connections the balancer opened to its backends; an answered request's connection is kept, up to a bound per backend, and reused before another is dialed.",
+		func() float64 { return float64(b.dials.Load()) })
 	reg.GaugeFunc("dominolb_backends", "Backends configured.",
 		func() float64 { return float64(len(b.backends)) })
 	reg.GaugeFunc("dominolb_sessions_active", "Sessions the balancer is routing whose ending request it has not steered yet.",

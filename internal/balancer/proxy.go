@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/domino5g/domino/internal/ingest"
@@ -150,12 +148,13 @@ func (b *Balancer) reachable() []*backend {
 // relay proxies one GET to be verbatim — status (a 404 among them),
 // content type and length, body; a transport error is a 502.
 func (b *Balancer) relay(w http.ResponseWriter, ctx context.Context, be *backend, path string) {
-	resp, err := b.get(ctx, be, path, "")
+	x := b.send(ctx, be, path, "")
+	defer x.done()
+	resp, err := b.response(x)
 	if err != nil {
 		ingest.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	defer resp.Body.Close()
 	for _, h := range []string{"Content-Type", "Content-Length"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -176,23 +175,16 @@ func (b *Balancer) relayFirst(w http.ResponseWriter, r *http.Request, path strin
 	ingest.WriteAppended(w, r, func(dst []byte) []byte { return append(dst, answers[0].body...) })
 }
 
-// get issues one GET to be, conditional on etag when it is set. Its
-// transport error counts against be's health only while ctx is live: a
-// read whose client hung up, or a scrape cut off by its timeout, says
-// nothing about the node.
-func (b *Balancer) get(ctx context.Context, be *backend, pathAndQuery, etag string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, be.url+pathAndQuery, nil)
-	var resp *http.Response
-	if err == nil {
-		if etag != "" {
-			req.Header.Set("If-None-Match", etag)
-		}
-		resp, err = b.client.Do(req)
-	}
-	if err != nil && ctx.Err() == nil {
+// response reads the head of x's answer. Its transport error counts
+// against the backend's health only while the request is live: a read
+// whose client hung up, or a scrape cut off by its timeout, says nothing
+// about the node.
+func (b *Balancer) response(x *exchange) (*http.Response, error) {
+	resp, err := x.response()
+	if err != nil && x.ctx.Err() == nil {
 		b.m.proxyErrors.Inc()
-		if be.noteFailure(b.opts.FailThreshold) {
-			b.log.Warn("backend down (request to it failed)", "backend", be.url, "err", err)
+		if x.be.noteFailure(b.opts.FailThreshold) {
+			b.log.Warn("backend down (request to it failed)", "backend", x.be.url, "err", err)
 		}
 	}
 	return resp, err
@@ -244,65 +236,77 @@ func (p *part) read(resp *http.Response) error {
 	}
 }
 
-// fan issues one GET to each of the given backends, all at once, and
-// returns the 200-answers, each scanned for the array under rowsKey (the
-// body itself when rowsKey is arrayBody; left as bytes when rowsKey is
-// ""), in the order the backends were given — so a merge does not depend
-// on which node answered first — and whether any backend answered at
-// all. It is how the balancer reads more than one backend. Individual
-// failures, a body that does not scan (JSON in another layout than a
-// node's among them), are logged and skipped: a degraded fleet still
-// answers with what it has. A GET is conditional on the part kept for
-// it, looked up before it is sent, and a 304 reuses that very part.
-func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, rowsKey string) (answers []*part, answered bool) {
-	got := make([]*part, len(backends))
-	var heard atomic.Bool
-	var wg sync.WaitGroup
-	for i, be := range backends {
-		wg.Add(1)
-		go func(i int, be *backend) {
-			defer wg.Done()
-			url := be.url + pathAndQuery
-			prev, etag := b.kept.part(url), ""
-			if prev != nil {
-				etag = prev.etag
-			}
-			resp, err := b.get(ctx, be, pathAndQuery, etag)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			heard.Store(true)
-			if resp.StatusCode == http.StatusNotModified && prev != nil {
-				b.m.notModified.Inc()
-				got[i] = prev
-				return
-			}
-			if resp.StatusCode != http.StatusOK {
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-				return
-			}
-			p := &part{be: be, etag: resp.Header.Get("ETag")}
-			if err = p.read(resp); err == nil && rowsKey != "" {
-				err = scanAnswer(p.body, rowsKey, &p.scanned)
-			}
-			if err != nil {
-				b.log.Warn("fan-out read failed", "backend", be.url, "path", pathAndQuery, "err", err)
-				return
-			}
-			if p.etag != "" {
-				b.kept.keepPart(url, p)
-			}
-			got[i] = p
-		}(i, be)
+// newPart is the part a 200 of be fills, its rows and fired names sized
+// from prev, the kept part it replaces, so a scan of an answer like prev's
+// does not grow them by doubling.
+func newPart(be *backend, etag string, prev *part) *part {
+	p := &part{be: be, etag: etag}
+	if prev != nil {
+		p.rows = make([]row, 0, cap(prev.rows))
+		p.firedNames = make([][]byte, 0, cap(prev.firedNames))
 	}
-	wg.Wait()
-	for _, p := range got {
+	return p
+}
+
+// fan writes one GET to each of the given backends, then reads their
+// answers in the order the backends were given — so a merge does not
+// depend on which node answered first — and returns the 200-answers,
+// each scanned for the array under rowsKey (the body itself when rowsKey
+// is arrayBody; left as bytes when rowsKey is ""), and whether any
+// backend answered at all. It is how the balancer reads more than one
+// backend: the nodes work at once, and no goroutine waits on them.
+// Individual failures, a body that does not scan (JSON in another layout
+// than a node's among them), are logged and skipped: a degraded fleet
+// still answers with what it has. A GET is conditional on the part kept
+// for it, looked up before it is sent, and a 304 reuses that very part.
+func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, rowsKey string) (answers []*part, answered bool) {
+	prev := make([]*part, len(backends))
+	xs := make([]*exchange, len(backends))
+	for i, be := range backends {
+		etag := ""
+		if prev[i] = b.kept.part(be.url + pathAndQuery); prev[i] != nil {
+			etag = prev[i].etag
+		}
+		xs[i] = b.send(ctx, be, pathAndQuery, etag)
+	}
+	for i, x := range xs {
+		p, heard := b.take(x, prev[i], pathAndQuery, rowsKey)
 		if p != nil {
 			answers = append(answers, p)
 		}
+		answered = answered || heard
 	}
-	return answers, heard.Load()
+	return answers, answered
+}
+
+// take reads x's answer to a fan-out GET into a part, or reuses prev on a
+// 304, and keeps a fresh tagged part; heard is whether the node answered.
+func (b *Balancer) take(x *exchange, prev *part, pathAndQuery, rowsKey string) (p *part, heard bool) {
+	defer x.done()
+	resp, err := b.response(x)
+	if err != nil {
+		return nil, false
+	}
+	if resp.StatusCode == http.StatusNotModified && prev != nil {
+		b.m.notModified.Inc()
+		return prev, true
+	}
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+		return nil, true
+	}
+	p = newPart(x.be, resp.Header.Get("ETag"), prev)
+	if err = p.read(resp); err == nil && rowsKey != "" {
+		err = scanAnswer(p.body, rowsKey, &p.scanned)
+	}
+	if err != nil {
+		b.log.Warn("fan-out read failed", "backend", x.be.url, "path", pathAndQuery, "err", err)
+		return nil, true
+	}
+	if p.etag != "" {
+		b.kept.keepPart(x.be.url+pathAndQuery, p)
+	}
+	return p, true
 }
 
 // answer writes the merged answer to r and notes, under kind, what the

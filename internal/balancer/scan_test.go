@@ -333,9 +333,13 @@ func TestPartReadIsBounded(t *testing.T) {
 // mergeReads are the balancer's share of a merged read once the bodies
 // are in — scanning two backends' 50-row answers and writing the fleet's,
 // into buffers reused from one read to the next — one func per answer
-// shape, with 1.3 × the allocations per fan-out it measured in PR 20:
-// records 1 (the row-pointer slice that is sorted), similar 103 (that
-// slice, and the session-dedup map with a key per row).
+// shape, with 1.3 × the allocations per fan-out it measured: records 1
+// (the row-pointer slice that is sorted), similar 103 (that slice, and
+// the session-dedup map with a key per row). The fresh ones scan as fan
+// does on a miss: each answer into a new part (newPart), its rows sized
+// from the part it replaces, which adds the part, its rows and (similar)
+// its fired names per answer: records 5, similar 109. Grown by doubling
+// instead, a 50-row part's rows cost 7.
 func mergeReads(tb testing.TB) []mergeRead {
 	rng := rand.New(rand.NewSource(7))
 	var recordBodies, similarBodies [][]byte
@@ -352,19 +356,24 @@ func mergeReads(tb testing.TB) []mergeRead {
 	var reads []mergeRead
 	for _, read := range []struct {
 		name, rowsKey string
+		fresh         bool
 		maxAllocs     float64
 		bodies        [][]byte
 		merge         func(dst []byte, answers []*part) []byte
 	}{
-		{"records", "records", 1.3, recordBodies, func(dst []byte, answers []*part) []byte { return mergeRecords(dst, answers, 50) }},
-		{"similar", "matches", 133.9, similarBodies, func(dst []byte, answers []*part) []byte {
-			return mergeSimilar(dst, answers[0].fired, answers, "p0-00007", 5)
-		}},
+		{"records", "records", false, 1.3, recordBodies, mergeRecords50},
+		{"similar", "matches", false, 133.9, similarBodies, mergeSimilar5},
+		{"records/fresh", "records", true, 6.5, recordBodies, mergeRecords50},
+		{"similar/fresh", "matches", true, 141.7, similarBodies, mergeSimilar5},
 	} {
 		answers := []*part{{body: read.bodies[0]}, {body: read.bodies[1]}}
 		var out []byte
 		once := func() []byte {
-			for _, p := range answers {
+			for i, p := range answers {
+				if read.fresh {
+					p = newPart(nil, "", p)
+					p.body, answers[i] = answers[i].body, p
+				}
 				if err := scanAnswer(p.body, read.rowsKey, &p.scanned); err != nil {
 					tb.Fatal(err)
 				}
@@ -376,6 +385,12 @@ func mergeReads(tb testing.TB) []mergeRead {
 		reads = append(reads, mergeRead{read.name, read.maxAllocs, len(read.bodies[0]) + len(read.bodies[1]), once})
 	}
 	return reads
+}
+
+func mergeRecords50(dst []byte, answers []*part) []byte { return mergeRecords(dst, answers, 50) }
+
+func mergeSimilar5(dst []byte, answers []*part) []byte {
+	return mergeSimilar(dst, answers[0].fired, answers, "p0-00007", 5)
 }
 
 type mergeRead struct {

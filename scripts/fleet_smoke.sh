@@ -26,7 +26,9 @@
 #     second read of each is answered from what the balancer kept, on
 #     the nodes' 304s, with the same bytes
 #   - lints the balancer's federated /metrics and asserts the failover,
-#     backend-health and fan-out not-modified series moved
+#     backend-health and fan-out not-modified series moved, and that the
+#     balancer dialed at most four connections per backend: it keeps its
+#     connections, so one dial per request fails here
 # Artifacts (daemon logs, the federated scrape, /sessions, reports) land in
 # OUT_DIR (default ./fleet-smoke) so CI can upload them.
 set -eu
@@ -261,6 +263,9 @@ grep -q "dominolb_backend_up{backend=\"http://$VICTIM_ADDR\"} 0" \
     echo "killed backend still reported up"; exit 1; }
 grep -q 'dominolb_fanout_not_modified_total [1-9]' "$OUT_DIR/fleet-metrics.txt" || {
     echo "no fan-out part was reused on a node's 304 despite repeated reads"; exit 1; }
+DIALS="$(sed -n 's/^dominolb_backend_dials_total \([0-9]*\)$/\1/p' "$OUT_DIR/fleet-metrics.txt")"
+[ -n "$DIALS" ] && [ "$DIALS" -le $((4 * 3)) ] || {
+    echo "the balancer dialed its 3 backends '$DIALS' times, want at most 12"; exit 1; }
 grep -q 'dominod_node_info{node="n[0-9]"} 1' "$OUT_DIR/fleet-metrics.txt" || {
     echo "surviving backends' node identity missing from federation"; exit 1; }
 grep -q '[1-9][0-9]* shed-retries' "$TRACEGEN_LOG" || {
