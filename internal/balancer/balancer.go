@@ -17,21 +17,21 @@
 // a backend still yields a final report byte-identical to clean
 // single-node analysis.
 //
-// The balancer also serves the fleet read surface, and reads more than
-// one backend one way: a fan-out that writes every reachable node's GET
-// first, then reads the answers in backend order and keeps the 200s,
-// each read under one bound; a GET is conditional on the node's last
-// tagged answer, which it keeps scanned, so a repeated read crosses the
-// wire as a 304. Every request to a node goes over a connection the
-// balancer keeps itself (conn.go), never through net/http's client. GET
-// /metrics fans out under one ScrapeTimeout, then obs.ParseText-parses
+// The balancer also serves the fleet read surface, and reads a node one
+// way, the health probe aside: a fan-out that writes every asked node's
+// GET first, then reads the answers in backend order and keeps the 200s,
+// each under one bound; a timeout cuts only the read in progress. A GET
+// is conditional on the node's last tagged answer, which it keeps
+// scanned, so a repeated read crosses the wire as a 304. Every request
+// to a node goes over a connection the balancer keeps itself (conn.go).
+// GET /metrics fans out under one ScrapeTimeout, then obs.ParseText-parses
 // and obs.Merges the snapshots into one lint-clean exposition (a scrape
 // that breaks a rule obs.Lint holds is a failed scrape, not merged);
-// /sessions, /query and /incidents/similar fan out and merge; a report
-// or watermark the balancer cannot steer or relay from a pin is the
-// fleet's first 200. A transport error of a request to a node counts
-// against the node's health only while the request is live: a client
-// that hung up, or a scrape past its timeout, does not.
+// /sessions, /query and /incidents/similar fan out and merge; a routed
+// session's watermark is asked of its pin, and a report or watermark the
+// balancer cannot steer or ask of a pin is the fleet's first 200. A
+// transport error counts against a node's health only while its request
+// is live: a client that hung up, or a scrape past its timeout, does not.
 package balancer
 
 import (
@@ -54,8 +54,8 @@ type Options struct {
 	// Backends are the dominod base URLs fronted by this balancer,
 	// e.g. "http://127.0.0.1:9101". At least one is required.
 	Backends []string
-	// Client is ignored. The balancer sends its probes, scrapes, fan-out
-	// reads and relayed watermarks itself, as plain HTTP/1.1 over
+	// Client is ignored. The balancer sends its probes, scrapes and
+	// fan-out reads (watermarks among them) itself, as plain HTTP/1.1 over
 	// connections it keeps (conn.go), so https and HTTP_PROXY are not
 	// honoured for backends.
 	Client *http.Client

@@ -658,6 +658,34 @@ func TestMetricsFederationIsConcurrent(t *testing.T) {
 	}
 }
 
+// TestScrapeKeepsAnswersBehindAHungNode: the scrape's timeout cuts only
+// the read it interrupts. A node listed after a hung one sent its answer
+// while the scrape waited, and that answer is merged: the hung node is the
+// one scrape error, every time.
+func TestScrapeKeepsAnswersBehindAHungNode(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	hung, good := hangingBackend(t, nil, "/metrics"), newFleetNode(t, "good")
+	lb, ts := newTestBalancer(t, Options{ScrapeTimeout: timeout}, hung, good)
+
+	const scrapes = 5
+	for i := 0; i < scrapes; i++ {
+		start := time.Now()
+		text := readBody(t, mustGet(t, ts.URL+"/metrics"))
+		if took := time.Since(start); took >= 2*timeout {
+			t.Fatalf("scrape %d took %v, want under %v", i, took, 2*timeout)
+		}
+		if !strings.Contains(text, `dominod_node_info{node="good"}`) {
+			t.Fatalf("scrape %d lost the node behind the hung one:\n%s", i, text)
+		}
+	}
+	if got := lb.m.scrapeErrors[good.ts.URL].Value(); got != 0 {
+		t.Errorf("scrape errors for the good node = %d, want 0", got)
+	}
+	if got := lb.m.scrapeErrors[hung.ts.URL].Value(); got != scrapes {
+		t.Errorf("scrape errors for the hung node = %d, want %d", got, scrapes)
+	}
+}
+
 // TestClientCancelIsNotABackendFailure: a read whose client hangs up
 // before the backend answers fails its request to the backend, and that
 // says nothing about the backend. FailThreshold such reads inside one

@@ -6,25 +6,39 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"time"
 )
 
 // dialer opens a backend connection; a context can cut the dial short.
 var dialer = net.Dialer{Timeout: 30 * time.Second}
 
-// conn is one connection to a backend and the reader of its answers.
+// An exchange is waiting for its read, reading, or cut by its context. A
+// read cut before it began gets cutGrace to take an answer already sent:
+// a fan-out that waited out a hung node keeps the answers behind it.
+const (
+	waiting int32 = iota
+	reading
+	cut
+
+	cutGrace = 10 * time.Millisecond
+)
+
+// conn is one connection to a backend, the reader of its answers and the
+// phase of the exchange on it.
 type conn struct {
 	net.Conn
-	br *bufio.Reader
+	br    *bufio.Reader
+	phase atomic.Int32
 }
 
 // exchange is one plain HTTP/1.1 GET to a backend, on a connection the
 // balancer keeps itself: send writes it, response reads the answer's
 // head (http.ReadResponse), done keeps the connection or closes it. The
-// context firing puts the connection's deadline in the past, which fails
-// whatever read or write waits on it. A fan-out sends every node's GET
-// before it reads any answer: the nodes then work at once, and no
-// goroutine per node is needed to wait on them.
+// context firing fails a read in progress at once and gives one not yet
+// begun cutGrace. A fan-out sends every node's GET before it reads any
+// answer: the nodes then work at once, no goroutine waits on them, and k
+// hung nodes cost a timed read its timeout plus at most k × cutGrace.
 type exchange struct {
 	b      *Balancer
 	be     *backend
@@ -34,7 +48,6 @@ type exchange struct {
 	reused bool        // c was idle
 	stop   func() bool // unhooks c from ctx; false once the hook ran
 	resp   *http.Response
-	body   eofBody
 	err    error // of the dial or the write
 }
 
@@ -53,8 +66,9 @@ func (b *Balancer) send(ctx context.Context, be *backend, pathAndQuery, etag str
 	return x
 }
 
-// start writes x's request on an idle connection, or on a new one when
-// fresh is set or none is idle.
+// start writes x's request on an idle connection (which has no hook
+// left), or on a new one when fresh is set or none is idle. The context's
+// hook swaps in cut, and fails a read it cut at once.
 func (x *exchange) start(fresh bool) error {
 	if x.c = nil; !fresh {
 		x.c = x.be.takeIdle()
@@ -68,47 +82,60 @@ func (x *exchange) start(fresh bool) error {
 		x.c = &conn{Conn: nc, br: bufio.NewReader(nc)}
 	}
 	c := x.c
-	x.stop = context.AfterFunc(x.ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
+	c.phase.Store(waiting)
+	x.stop = context.AfterFunc(x.ctx, func() {
+		if c.phase.Swap(cut) == reading {
+			c.SetDeadline(time.Unix(1, 0))
+		}
+	})
 	_, err := c.Write(x.req)
 	return err
 }
 
 // response reads the head of x's answer; its body is resp.Body, which
-// needs no Close. A kept connection that fails before the answer's first
-// byte — the node closed it while it was idle, or restarted — is dropped
-// and the request written once more on a new one, which counts against
-// nothing.
+// needs no Close: done keeps or closes the connection. A kept connection
+// that fails before the answer's first byte — the node closed it while it
+// was idle, or restarted — is dropped and the request written once more
+// on a new one, which counts against nothing.
 func (x *exchange) response() (*http.Response, error) {
-	if x.err == nil {
-		_, x.err = x.c.br.Peek(1)
-	}
+	x.peek()
 	if x.err != nil && x.reused && x.ctx.Err() == nil {
 		x.drop()
-		if x.err = x.start(true); x.err == nil {
-			_, x.err = x.c.br.Peek(1)
-		}
+		x.err = x.start(true)
+		x.peek()
 	}
 	if x.err == nil {
 		x.resp, x.err = http.ReadResponse(x.c.br, nil)
 	}
+	return x.resp, x.err
+}
+
+// peek begins x's read, unless its dial or write failed, and waits for
+// the answer's first byte. If the context's hook has already taken the
+// exchange to cut, the read gets cutGrace instead of failing at once.
+func (x *exchange) peek() {
 	if x.err != nil {
-		return nil, x.err
+		return
 	}
-	x.body.r = x.resp.Body
-	x.resp.Body = &x.body
-	return x.resp, nil
+	if !x.c.phase.CompareAndSwap(waiting, reading) {
+		x.c.SetReadDeadline(time.Now().Add(cutGrace))
+	}
+	_, x.err = x.c.br.Peek(1)
 }
 
 // done puts x's connection on its backend's idle list, if that holds
-// fewer than idleConnsPerBackend, when the answer was read to its end,
-// neither side asked to close and the context did not fire; otherwise it
+// fewer than idleConnsPerBackend, when the answer's body is at its end
+// (the stdlib body answers a zero-length Read with io.EOF there), neither
+// side asked to close and the context's hook has not run; otherwise it
 // closes it.
 func (x *exchange) done() {
-	if x.c != nil && x.stop() && x.resp != nil && !x.resp.Close && (x.body.eof || x.resp.ContentLength == 0) {
-		select {
-		case x.be.idle <- x.c:
-			x.c = nil
-		default:
+	if x.c != nil && x.resp != nil && !x.resp.Close {
+		if _, err := x.resp.Body.Read(nil); err == io.EOF && x.stop() {
+			select {
+			case x.be.idle <- x.c:
+				x.c = nil
+			default:
+			}
 		}
 	}
 	x.drop()
@@ -122,22 +149,6 @@ func (x *exchange) drop() {
 		x.c = nil
 	}
 }
-
-// eofBody notes whether an answer's body was read to its end. Its Close
-// does nothing: the connection is done's to keep or close, and the
-// body's own Close would read the rest first.
-type eofBody struct {
-	r   io.Reader
-	eof bool
-}
-
-func (e *eofBody) Read(p []byte) (int, error) {
-	n, err := e.r.Read(p)
-	e.eof = e.eof || err == io.EOF
-	return n, err
-}
-
-func (e *eofBody) Close() error { return nil }
 
 // takeIdle returns an idle connection to be, or nil.
 func (be *backend) takeIdle() *conn {

@@ -261,6 +261,37 @@ func TestConnsCancelMidBody(t *testing.T) {
 	}
 }
 
+// TestConnsUnreadBodyIsNotKept: a fan-out reads no more of a non-200
+// answer than 64 KiB, so a longer one is left unread, and its connection
+// must not be kept: the next GET on it would read the rest as its answer.
+// No read fails.
+func TestConnsUnreadBodyIsNotKept(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		ingest.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "node": "long"})
+	})
+	mux.HandleFunc("GET /query", func(w http.ResponseWriter, r *http.Request) {
+		ingest.WriteError(w, http.StatusNotFound, strings.Repeat("x", 100<<10))
+	})
+	n := httptest.NewServer(mux)
+	t.Cleanup(n.Close)
+	lb, ts := newTestBalancer(t, Options{}, &fleetNode{ts: n})
+
+	const reads = 3
+	for i := 0; i < reads; i++ {
+		resp := mustGet(t, ts.URL+"/query?limit=5")
+		drainClose(resp)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("read %d: %d, want 503 (the node has no 200)", i, resp.StatusCode)
+		}
+	}
+	// The first read goes on the probe's connection, each later one on a
+	// new one.
+	if errs, dials := lb.m.proxyErrors.Value(), lb.dials.Load(); errs != 0 || dials != reads {
+		t.Errorf("dominolb_proxy_errors_total %d, %d dials; want 0 and %d", errs, dials, reads)
+	}
+}
+
 // TestNewParsesBackends: New parses each backend URL once and refuses,
 // naming it, one it cannot speak plain HTTP to.
 func TestNewParsesBackends(t *testing.T) {

@@ -126,7 +126,10 @@ func (b *Balancer) probeLoop() {
 	}
 }
 
-// probeAll probes every backend once, in parallel.
+// probeAll probes every backend once, in parallel. Unlike a fan-out, it
+// keeps one goroutine per node: send dials inside its caller's loop, so a
+// node whose dial hangs would hold back every probe listed after it, and
+// the probes are what find such a node down.
 func (b *Balancer) probeAll() {
 	var wg sync.WaitGroup
 	for _, be := range b.backends {

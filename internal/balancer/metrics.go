@@ -32,7 +32,7 @@ func newMetrics(b *Balancer) *metrics {
 		failovers: reg.Counter("dominolb_failovers_total",
 			"Sessions re-pinned to a surviving backend after their node left the fleet."),
 		proxyErrors: reg.Counter("dominolb_proxy_errors_total",
-			"Requests to a backend (relayed watermarks, fan-out reads and scrapes) that failed at the transport layer while their own request was live; each counts toward the backend's failure threshold."),
+			"Requests to a backend (fan-out reads, watermarks among them, and scrapes) that failed at the transport layer while their own request was live; each counts toward the backend's failure threshold."),
 		notModified: reg.Counter("dominolb_fanout_not_modified_total",
 			"Fan-out parts a backend answered 304 Not Modified to, reused as kept and not read or scanned again."),
 		healthProbes: reg.Counter("dominolb_health_probes_total",

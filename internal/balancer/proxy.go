@@ -94,23 +94,22 @@ func (b *Balancer) pinned(sess *lbSession, ending bool) (*backend, error) {
 }
 
 // handleWatermark serves a session's resume point. For a session the
-// balancer routed, this runs failover first, so the answer reflects
-// the node the next POST will land on — that is what makes the
-// client-resend failover path converge.
+// balancer routed, this runs failover first, so the answer reflects the
+// node the next POST will land on — that is what makes the client-resend
+// failover path converge. Any other session (admitted before a restart,
+// or sent direct to a node) is asked of the fleet.
 func (b *Balancer) handleWatermark(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	ask := b.reachable()
 	if sess := b.lookup(id); sess != nil {
 		be, err := b.pinned(sess, false)
 		if err != nil {
 			ingest.CodeUnavailable.Reject(w, err.Error())
 			return
 		}
-		b.relay(w, r.Context(), be, "/sessions/"+url.PathEscape(id)+"/watermark")
-		return
+		ask = []*backend{be}
 	}
-	// Unknown to this balancer (admitted before a restart, or direct
-	// to a node): the fleet is asked.
-	b.relayFirst(w, r, "/sessions/"+url.PathEscape(id)+"/watermark")
+	b.relayFirst(w, r, ask, "/sessions/"+url.PathEscape(id)+"/watermark")
 }
 
 // handleReport steers a pinned session's report read to its owner, as
@@ -130,7 +129,7 @@ func (b *Balancer) handleReport(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	b.relayFirst(w, r, path)
+	b.relayFirst(w, r, b.reachable(), path)
 }
 
 // reachable lists backends worth asking for reads: everything not
@@ -145,49 +144,18 @@ func (b *Balancer) reachable() []*backend {
 	return out
 }
 
-// relay proxies one GET to be verbatim — status (a 404 among them),
-// content type and length, body; a transport error is a 502.
-func (b *Balancer) relay(w http.ResponseWriter, ctx context.Context, be *backend, path string) {
-	x := b.send(ctx, be, path, "")
-	defer x.done()
-	resp, err := b.response(x)
-	if err != nil {
-		ingest.WriteError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	for _, h := range []string{"Content-Type", "Content-Length"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-}
-
-// relayFirst asks every reachable backend for path at once and answers
-// with the first 200 in backend order, or a 404 when none has one.
-func (b *Balancer) relayFirst(w http.ResponseWriter, r *http.Request, path string) {
-	answers, _ := b.fan(r.Context(), b.reachable(), path, "")
-	if len(answers) == 0 {
+// relayFirst answers with the given backends' first 200 to path, in
+// backend order; else a 404 when one answered, and a 502 when none did.
+func (b *Balancer) relayFirst(w http.ResponseWriter, r *http.Request, ask []*backend, path string) {
+	answers, answered := b.fan(r.Context(), ask, path, "")
+	switch {
+	case len(answers) > 0:
+		ingest.WriteAppended(w, r, func(dst []byte) []byte { return append(dst, answers[0].body...) })
+	case answered:
 		ingest.WriteError(w, http.StatusNotFound, "no such session")
-		return
+	default:
+		ingest.WriteError(w, http.StatusBadGateway, "no backend answered")
 	}
-	ingest.WriteAppended(w, r, func(dst []byte) []byte { return append(dst, answers[0].body...) })
-}
-
-// response reads the head of x's answer. Its transport error counts
-// against the backend's health only while the request is live: a read
-// whose client hung up, or a scrape cut off by its timeout, says nothing
-// about the node.
-func (b *Balancer) response(x *exchange) (*http.Response, error) {
-	resp, err := x.response()
-	if err != nil && x.ctx.Err() == nil {
-		b.m.proxyErrors.Inc()
-		if x.be.noteFailure(b.opts.FailThreshold) {
-			b.log.Warn("backend down (request to it failed)", "backend", x.be.url, "err", err)
-		}
-	}
-	return resp, err
 }
 
 // part is one backend's 200 answer to a fan-out read: the body, what
@@ -207,33 +175,22 @@ const partMaxBody = 64 << 20
 var errPartTooLarge = fmt.Errorf("answer longer than %d bytes", partMaxBody)
 
 // read fills p.body with the response's body, sized in one step from the
-// Content-Length a node sends instead of by doubling. A body longer than
+// Content-Length a node sends instead of by doubling (the MinRead spare
+// is where the read that meets EOF lands). A body longer than
 // partMaxBody, sized or not, is errPartTooLarge.
 func (p *part) read(resp *http.Response) error {
 	if resp.ContentLength > partMaxBody {
 		return errPartTooLarge
 	}
+	var buf bytes.Buffer
 	if n := resp.ContentLength; n >= 0 {
-		// The spare byte is where the read that meets EOF lands.
-		p.body = make([]byte, 0, n+1)
+		buf.Grow(int(n) + bytes.MinRead)
 	}
-	body := io.LimitReader(resp.Body, partMaxBody+1)
-	for {
-		if len(p.body) == cap(p.body) {
-			p.body = append(p.body, 0)[:len(p.body)]
-		}
-		n, err := body.Read(p.body[len(p.body):cap(p.body)])
-		p.body = p.body[:len(p.body)+n]
-		if err == io.EOF {
-			if len(p.body) > partMaxBody {
-				return errPartTooLarge
-			}
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+	_, err := buf.ReadFrom(io.LimitReader(resp.Body, partMaxBody+1))
+	if p.body = buf.Bytes(); err == nil && len(p.body) > partMaxBody {
+		return errPartTooLarge
 	}
+	return err
 }
 
 // newPart is the part a 200 of be fills, its rows and fired names sized
@@ -253,12 +210,13 @@ func newPart(be *backend, etag string, prev *part) *part {
 // depend on which node answered first — and returns the 200-answers,
 // each scanned for the array under rowsKey (the body itself when rowsKey
 // is arrayBody; left as bytes when rowsKey is ""), and whether any
-// backend answered at all. It is how the balancer reads more than one
-// backend: the nodes work at once, and no goroutine waits on them.
-// Individual failures, a body that does not scan (JSON in another layout
-// than a node's among them), are logged and skipped: a degraded fleet
-// still answers with what it has. A GET is conditional on the part kept
-// for it, looked up before it is sent, and a 304 reuses that very part.
+// backend answered at all. Every read of a node but the health probe is
+// a fan: the nodes work at once, no goroutine waits on them, and ctx
+// firing cuts only the read in progress. Failures, a body that does not
+// scan (JSON in another layout than a node's among them), are logged and
+// skipped: a degraded fleet still answers with what it has. A GET is
+// conditional on the part kept for it, looked up before it is sent, and
+// a 304 reuses that very part.
 func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, rowsKey string) (answers []*part, answered bool) {
 	prev := make([]*part, len(backends))
 	xs := make([]*exchange, len(backends))
@@ -283,8 +241,16 @@ func (b *Balancer) fan(ctx context.Context, backends []*backend, pathAndQuery, r
 // 304, and keeps a fresh tagged part; heard is whether the node answered.
 func (b *Balancer) take(x *exchange, prev *part, pathAndQuery, rowsKey string) (p *part, heard bool) {
 	defer x.done()
-	resp, err := b.response(x)
+	resp, err := x.response()
 	if err != nil {
+		// Only while the request is live: a client that hung up, or a
+		// scrape cut off by its timeout, says nothing about the node.
+		if x.ctx.Err() == nil {
+			b.m.proxyErrors.Inc()
+			if x.be.noteFailure(b.opts.FailThreshold) {
+				b.log.Warn("backend down (request to it failed)", "backend", x.be.url, "err", err)
+			}
+		}
 		return nil, false
 	}
 	if resp.StatusCode == http.StatusNotModified && prev != nil {

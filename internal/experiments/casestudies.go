@@ -148,11 +148,11 @@ func fig13(o Options) (Result, error) {
 // intra-frame arrival spread, read off the trace of each of three cells.
 func fig14(o Options) (Result, error) {
 	tb := stats.NewTable("Cell", "UL TBs/min", "median TB bytes", "frame delay-spread p50 (ms)", "p90")
-	runs, err := runPresetSessions([]ran.CellConfig{ran.TMobileTDD(), ran.TMobileFDD(), ran.Amarisoft()}, o)
+	runs, err := o.shared.presets()
 	if err != nil {
 		return Result{}, err
 	}
-	for _, run := range runs {
+	for _, run := range runs[:3] { // T-Mobile TDD and FDD, Amarisoft
 		var tbBytes []float64
 		tbs := 0
 		for _, r := range run.Set.DCI {

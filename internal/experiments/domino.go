@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"github.com/domino5g/domino/internal/core"
 	"github.com/domino5g/domino/internal/ran"
@@ -66,22 +65,8 @@ const (
 
 var groupPresets = [...]func() []ran.CellConfig{commercial: commercialPresets, private: privatePresets}
 
-// groupReports is each preset group's merged report for one run of
-// runners, analyzed on the first ask: the artifacts that read a group
-// share one analysis of its grid, and one that asks while another
-// computes it waits.
-type groupReports [len(groupPresets)]func() (*core.Report, error)
-
-func newGroupReports(o Options) *groupReports {
-	var g groupReports
-	for i, presets := range groupPresets {
-		g[i] = sync.OnceValues(func() (*core.Report, error) { return analyzeGroup(presets(), o) })
-	}
-	return &g
-}
-
 // group returns the merged report of preset group g.
-func (o Options) group(g int) (*core.Report, error) { return o.groups[g]() }
+func (o Options) group(g int) (*core.Report, error) { return o.shared.groups[g]() }
 
 // fig10 regenerates Fig. 10: absolute occurrence frequency per minute
 // of 5G causes and WebRTC consequences, commercial vs private.

@@ -50,9 +50,9 @@ type Options struct {
 	// with no static outer×inner width split. Nil is the pool of no
 	// workers: every fan-out runs in order on its caller.
 	exec *parallel.Executor
-	// groups shares the preset groups' reports between the runners of
-	// one run; runRunners installs them.
-	groups *groupReports
+	// shared is what the runners of one run share; runRunners installs
+	// it.
+	shared *shared
 }
 
 // forEach is the package's single fan-out primitive: indexed, with the

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/domino5g/domino/internal/netem"
-	"github.com/domino5g/domino/internal/ran"
 	"github.com/domino5g/domino/internal/rtc"
 	"github.com/domino5g/domino/internal/stats"
 )
@@ -15,12 +14,12 @@ import (
 func fig8(o Options) (Result, error) {
 	var b strings.Builder
 	media := []netem.MediaKind{netem.KindVideo, netem.KindAudio}
-	runs, err := runPresetSessions(ran.Presets(), o)
+	runs, err := o.shared.presets()
 	if err != nil {
 		return Result{}, err
 	}
 	for _, run := range runs {
-		cfg, s, set := run.Cfg, run.Sess, run.Set
+		cfg, set := run.Cfg, run.Set
 		fmt.Fprintf(&b, "== %s ==\n", cfg.Name)
 		tb := stats.NewTable("Metric", "UL p50", "UL p90", "DL p50", "DL p90")
 
@@ -48,7 +47,6 @@ func fig8(o Options) (Result, error) {
 		tb.AddRow("jitter-buffer delay (ms)", uj.Median(), uj.Quantile(0.9), dj.Median(), dj.Quantile(0.9))
 		b.WriteString(tb.String())
 		b.WriteString("\n")
-		_ = s
 	}
 	return Result{
 		Title: "Fig. 8 — WebRTC performance metrics across the four 5G cells",
@@ -61,7 +59,7 @@ func fig8(o Options) (Result, error) {
 // table3 regenerates Table 3: video resolution distribution per cell.
 func table3(o Options) (Result, error) {
 	tb := stats.NewTable("Cell", "Stream", "180p", "360p", "540p", "720p", "1080p")
-	runs, err := runPresetSessions(ran.Presets(), o)
+	runs, err := o.shared.presets()
 	if err != nil {
 		return Result{}, err
 	}

@@ -34,10 +34,25 @@ func runWiredSession(duration sim.Time, seed uint64) (*rtc.WiredSession, *trace.
 	return s, s.Run(duration)
 }
 
+// callPair is the T-Mobile FDD call and the wired baseline call at Seed,
+// which Figs. 2-4 compare.
+type callPair struct {
+	cell              *rtc.Session
+	wired             *rtc.WiredSession
+	cellSet, wiredSet *trace.Set
+}
+
+func runCallPair(o Options) (p callPair, err error) {
+	if p.cell, p.cellSet, err = runCellSession(ran.TMobileFDD(), o.Duration, o.Seed); err == nil {
+		p.wired, p.wiredSet = runWiredSession(o.Duration, o.Seed)
+	}
+	return p, err
+}
+
 // table1 regenerates Table 1: per-cell telemetry event rates.
 func table1(o Options) (Result, error) {
 	tb := stats.NewTable("Dataset", "Type", "Duplex", "DCI/min", "gNB/min", "Pkt/min", "WebRTC/min")
-	runs, err := runPresetSessions(ran.Presets(), o)
+	runs, err := o.shared.presets()
 	if err != nil {
 		return Result{}, err
 	}
@@ -68,11 +83,11 @@ func table1(o Options) (Result, error) {
 
 // fig2 regenerates Fig. 2: one-way delay CDFs, 5G vs wired.
 func fig2(o Options) (Result, error) {
-	_, cellSet, err := runCellSession(ran.TMobileFDD(), o.Duration, o.Seed)
+	p, err := o.shared.pair()
 	if err != nil {
 		return Result{}, err
 	}
-	_, wiredSet := runWiredSession(o.Duration, o.Seed)
+	cellSet, wiredSet := p.cellSet, p.wiredSet
 
 	var b strings.Builder
 	tb := stats.NewTable("Series", "p50 (ms)", "p90", "p99", "max")
@@ -112,11 +127,11 @@ func fig2(o Options) (Result, error) {
 
 // fig3 regenerates Fig. 3: jitter-buffer delay CDFs.
 func fig3(o Options) (Result, error) {
-	_, cellSet, err := runCellSession(ran.TMobileFDD(), o.Duration, o.Seed)
+	p, err := o.shared.pair()
 	if err != nil {
 		return Result{}, err
 	}
-	_, wiredSet := runWiredSession(o.Duration, o.Seed)
+	cellSet, wiredSet := p.cellSet, p.wiredSet
 
 	tb := stats.NewTable("Stream", "Network", "video p50 (ms)", "video p90", "audio p50", "audio p90")
 	row := func(network string, set *trace.Set, local bool, stream string) {
@@ -142,59 +157,29 @@ func fig3(o Options) (Result, error) {
 
 // fig4 regenerates Fig. 4: concealed audio and freeze fractions.
 func fig4(o Options) (Result, error) {
-	cellS, _, err := runCellSession(ran.TMobileFDD(), o.Duration, o.Seed)
+	p, err := o.shared.pair()
 	if err != nil {
 		return Result{}, err
 	}
-	wiredS, _ := runWiredSession(o.Duration, o.Seed)
-
 	tb := stats.NewTable("Stream", "Network", "Concealed fraction", "Freeze fraction")
-	addRow := func(stream, network string, as func() (uint64, uint64), fz func() (float64, sim.Time)) {
-		concealed, total := as()
-		fzMs, dur := fz()
-		cf := 0.0
-		if total > 0 {
-			cf = float64(concealed) / float64(total)
+	for _, c := range []struct {
+		stream, network string
+		client          *rtc.Client
+	}{
+		// The UL stream is played back at the remote client.
+		{"UL", "cellular", p.cell.Remote}, {"DL", "cellular", p.cell.Local},
+		{"UL", "wired", p.wired.Remote}, {"DL", "wired", p.wired.Local},
+	} {
+		as := c.client.AudioBufferStats()
+		cf, ff := 0.0, 0.0
+		if as.TotalSamples > 0 {
+			cf = float64(as.ConcealedSamples) / float64(as.TotalSamples)
 		}
-		ff := 0.0
-		if dur > 0 {
-			ff = fzMs / dur.Milliseconds()
+		if o.Duration > 0 {
+			ff = c.client.VideoBufferStats(o.Duration).FreezeTotalMs / o.Duration.Milliseconds()
 		}
-		tb.AddRow(stream, network, cf, ff)
+		tb.AddRow(c.stream, c.network, cf, ff)
 	}
-	// UL stream is played back at the remote client.
-	addRow("UL", "cellular",
-		func() (uint64, uint64) {
-			st := cellS.Remote.AudioBufferStats()
-			return st.ConcealedSamples, st.TotalSamples
-		},
-		func() (float64, sim.Time) {
-			return cellS.Remote.VideoBufferStats(o.Duration).FreezeTotalMs, o.Duration
-		})
-	addRow("DL", "cellular",
-		func() (uint64, uint64) {
-			st := cellS.Local.AudioBufferStats()
-			return st.ConcealedSamples, st.TotalSamples
-		},
-		func() (float64, sim.Time) {
-			return cellS.Local.VideoBufferStats(o.Duration).FreezeTotalMs, o.Duration
-		})
-	addRow("UL", "wired",
-		func() (uint64, uint64) {
-			st := wiredS.Remote.AudioBufferStats()
-			return st.ConcealedSamples, st.TotalSamples
-		},
-		func() (float64, sim.Time) {
-			return wiredS.Remote.VideoBufferStats(o.Duration).FreezeTotalMs, o.Duration
-		})
-	addRow("DL", "wired",
-		func() (uint64, uint64) {
-			st := wiredS.Local.AudioBufferStats()
-			return st.ConcealedSamples, st.TotalSamples
-		},
-		func() (float64, sim.Time) {
-			return wiredS.Local.VideoBufferStats(o.Duration).FreezeTotalMs, o.Duration
-		})
 	return Result{
 		Title:    "Fig. 4 — concealed audio samples and video freezes: cellular vs wired",
 		PaperRef: "paper: ~12% audio concealed and 6 s frozen over 5G in 5 min; wired near zero",

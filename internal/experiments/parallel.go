@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"time"
 
+	"github.com/domino5g/domino/internal/core"
 	"github.com/domino5g/domino/internal/parallel"
 	"github.com/domino5g/domino/internal/ran"
 	"github.com/domino5g/domino/internal/rtc"
@@ -72,7 +74,7 @@ func runRunners(ids []string, runs []Runner, opts Options) ([]Result, error) {
 		defer ex.Close()
 		opts.exec = ex
 	}
-	opts.groups = newGroupReports(opts)
+	opts.shared = newShared(opts)
 	out := make([]Result, len(ids))
 	err := opts.forEach(len(ids), func(i int) error {
 		start := time.Now()
@@ -95,6 +97,26 @@ type cellRun struct {
 	Cfg  ran.CellConfig
 	Sess *rtc.Session
 	Set  *trace.Set
+}
+
+// shared is what more than one runner of a run reads, made on the first
+// ask: the artifacts that read it share one simulation or analysis, and
+// one that asks while another makes it waits.
+type shared struct {
+	groups  [len(groupPresets)]func() (*core.Report, error) // each preset group's merged report
+	presets func() ([]cellRun, error)                       // one call per preset, in Presets() order
+	pair    func() (callPair, error)                        // the calls Figs. 2-4 compare
+}
+
+func newShared(o Options) *shared {
+	s := &shared{
+		presets: sync.OnceValues(func() ([]cellRun, error) { return runPresetSessions(ran.Presets(), o) }),
+		pair:    sync.OnceValues(func() (callPair, error) { return runCallPair(o) }),
+	}
+	for i, presets := range groupPresets {
+		s.groups[i] = sync.OnceValues(func() (*core.Report, error) { return analyzeGroup(presets(), o) })
+	}
+	return s
 }
 
 // runPresetSessions simulates one call per preset, fanned out across

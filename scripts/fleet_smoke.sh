@@ -9,6 +9,11 @@
 # tracegen's client as any net/http client does. Then:
 #   - uploads four sessions concurrently through the balancer, and
 #     checks that a chunk through it is a 307 to its owner
+#   - kill -STOPs n1, the backend listed first, and scrapes the
+#     balancer's /metrics under its 1 s -scrape-timeout: n2's and n3's
+#     answers, sent while the scrape waited on n1, must be merged; then
+#     kill -CONTs n1, waits for the balancer to see the whole fleet up,
+#     and requires n1's scrape error counted
 #   - kill -9s the backend that owns a throttled in-flight upload and
 #     redelivers the session through the balancer (the client's failed
 #     upload and its watermark probe through the balancer mark the node
@@ -76,7 +81,8 @@ PID_N3=$STARTED_PID; PIDS="$PIDS $STARTED_PID"
 
 "$BIN_DIR/dominolb" -addr "$LB_ADDR" \
     -backend "http://$N1_ADDR,http://$N2_ADDR,http://$N3_ADDR" \
-    -health-interval 200ms -health-fails 3 -log-format json -v \
+    -health-interval 200ms -health-fails 3 -scrape-timeout 1s \
+    -log-format json -v \
     >"$OUT_DIR/dominolb.log" 2>&1 &
 PIDS="$PIDS $!"
 wait_healthy "$LB_ADDR" "$OUT_DIR/dominolb.log"
@@ -131,6 +137,26 @@ STEER="$(curl -s -o /dev/null -w '%{http_code} %{redirect_url}' \
 [ "$STEER" = "307 http://$S1_ADDR/ingest?session=s1" ] || {
     echo "chunk through the balancer answered '$STEER', want a 307 to $S1_ADDR"
     exit 1; }
+
+echo "== a scrape keeps the answers behind a stopped backend"
+kill -STOP "$PID_N1"
+curl -fsS --max-time 10 "http://$LB_ADDR/metrics" >"$OUT_DIR/scrape-n1-stopped.txt" || {
+    kill -CONT "$PID_N1"; echo "the scrape with n1 stopped failed"; exit 1; }
+kill -CONT "$PID_N1"
+for n in n2 n3; do
+    grep -q "dominod_node_info{node=\"$n\"} 1" "$OUT_DIR/scrape-n1-stopped.txt" || {
+        echo "$n's answer is missing from the scrape behind the stopped n1"; exit 1; }
+done
+for _ in $(seq 1 50); do
+    curl -fsS "http://$LB_ADDR/healthz" | grep -q '"status": *"ok"' && break
+    sleep 0.1
+done
+curl -fsS "http://$LB_ADDR/healthz" | grep -q '"status": *"ok"' || {
+    echo "the balancer does not see n1 up again after kill -CONT"; exit 1; }
+# A scrape's own errors show in the next one.
+curl -fsS "http://$LB_ADDR/metrics" |
+    grep -q "dominolb_backend_scrape_errors_total{backend=\"http://$N1_ADDR\"} [1-9]" || {
+    echo "the stopped n1 counted no scrape error"; exit 1; }
 
 echo "== kill -9 the backend owning a throttled in-flight upload"
 "$BIN_DIR/tracegen" -cell tmobile-fdd -seed 21 -duration 10 \

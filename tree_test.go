@@ -214,7 +214,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		"internal/rcastore.RecordLess": "the order Query's records are tested against",
 		"internal/rcastore.MatchLess":  "the order Similar's matches are tested against",
 		// A package whose users are tests.
-		"internal/faultinject": "the fault-injecting FS and transport other packages' tests run the journal and the balancer over",
+		"internal/faultinject": "the fault-injecting transport internal/node's chaos test runs an ingest client over, and a fault-injecting FS",
 	}
 	const module = "github.com/domino5g/domino/"
 	type export struct {
