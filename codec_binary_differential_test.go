@@ -48,11 +48,8 @@ func TestBinaryDifferentialAllScenarios(t *testing.T) {
 			// (a) identical record streams.
 			jr := NewTraceReader(bytes.NewReader(jbuf.Bytes()))
 			br := NewTraceReader(bytes.NewReader(bbuf.Bytes()))
-			if _, ok := jr.(*TraceStreamReader); !ok {
-				t.Fatalf("sniffed JSONL reader is %T", jr)
-			}
-			if _, ok := br.(*TraceBinaryReader); !ok {
-				t.Fatalf("sniffed binary reader is %T", br)
+			if jr.Binary() || !br.Binary() {
+				t.Fatalf("sniffed JSONL as binary %v, binary as binary %v", jr.Binary(), br.Binary())
 			}
 			for i := 0; ; i++ {
 				jrec, jerr := jr.Next()

@@ -92,13 +92,11 @@ type (
 	TraceRecord = trace.Record
 	// TraceHeader is the stream metadata record.
 	TraceHeader = trace.Header
-	// TraceStreamReader decodes a JSONL trace one record at a time.
-	TraceStreamReader = trace.StreamReader
-	// TraceBinaryReader decodes a binary columnar trace one record (or
-	// one block batch) at a time.
-	TraceBinaryReader = trace.BinaryStreamReader
-	// TraceRecordReader is the streaming decode interface both trace
-	// readers implement: Next/Header plus batched ReadBatch.
+	// TraceReader decodes a JSONL or binary trace a block at a time, in
+	// columns (ReadBlock) or as the block's records (Next, ReadBatch).
+	TraceReader = trace.Reader
+	// TraceRecordReader is the record half of a TraceReader: Next/Header
+	// plus batched ReadBatch.
 	TraceRecordReader = trace.RecordReader
 	// StreamAnalyzer incrementally analyzes one session's record stream
 	// with O(window) buffered state.
@@ -261,13 +259,14 @@ func WriteTrace(w io.Writer, set *TraceSet) error { return trace.WriteJSONL(w, s
 func WriteTraceBinary(w io.Writer, set *TraceSet) error { return trace.WriteBinary(w, set) }
 
 // NewTraceStreamReader returns an incremental JSONL trace decoder that
-// yields one record per Next call without buffering the full set.
-func NewTraceStreamReader(r io.Reader) *TraceStreamReader { return trace.NewStreamReader(r) }
+// never buffers the full set: records come out a block (at most 256
+// lines) at a time.
+func NewTraceStreamReader(r io.Reader) *TraceReader { return trace.NewStreamReader(r) }
 
 // NewTraceReader sniffs the stream's format — binary magic versus
-// JSONL — and returns the matching incremental decoder. Use it when
-// the producer cannot declare a content type (files, stdin).
-func NewTraceReader(r io.Reader) TraceRecordReader { return trace.NewAutoStreamReader(r) }
+// JSONL — and returns an incremental decoder for it. Use it when the
+// producer cannot declare a content type (files, stdin).
+func NewTraceReader(r io.Reader) *TraceReader { return trace.NewAutoStreamReader(r) }
 
 // NewStreamAnalyzer returns an incremental analyzer for one session's
 // record stream, driving the given (shared, immutable) Analyzer. Push
@@ -279,21 +278,22 @@ func NewStreamAnalyzer(a *Analyzer, cfg StreamConfig) *StreamAnalyzer {
 }
 
 // StreamRecords pipes a trace stream — JSONL or binary columnar, the
-// format is sniffed — record-by-record into sa and returns the final
-// report. It is the streaming counterpart of ReadTrace + Analyze: the
-// full trace is never held in memory, only the sliding detection
-// window.
+// format is sniffed — block by block into sa and returns the final
+// report, the one pushing its records one by one would give. It is the
+// streaming counterpart of ReadTrace + Analyze: the full trace is never
+// held in memory, only the sliding detection window.
 func StreamRecords(r io.Reader, sa *StreamAnalyzer) (*Report, error) {
 	sr := trace.NewAutoStreamReader(r)
+	sr.Recycle(1) // PushBlock copies a block into the window before the next is read
 	for {
-		rec, err := sr.Next()
+		blk, err := sr.ReadBlock()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		if err := sa.Push(rec); err != nil {
+		if _, err := sa.PushBlock(blk, 0); err != nil {
 			return nil, err
 		}
 	}

@@ -668,7 +668,7 @@ func TestScrapeKeepsAnswersBehindAHungNode(t *testing.T) {
 	lb, ts := newTestBalancer(t, Options{ScrapeTimeout: timeout}, hung, good)
 
 	const scrapes = 5
-	for i := 0; i < scrapes; i++ {
+	for i := 1; i <= scrapes; i++ {
 		start := time.Now()
 		text := readBody(t, mustGet(t, ts.URL+"/metrics"))
 		if took := time.Since(start); took >= 2*timeout {
@@ -677,6 +677,15 @@ func TestScrapeKeepsAnswersBehindAHungNode(t *testing.T) {
 		if !strings.Contains(text, `dominod_node_info{node="good"}`) {
 			t.Fatalf("scrape %d lost the node behind the hung one:\n%s", i, text)
 		}
+		// Each scrape shows its own error on the hung node, not only the
+		// ones before it.
+		snap, err := obs.ParseText(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("scrape %d does not parse: %v", i, err)
+		}
+		if got := scrapeErrors(snap, hung.ts.URL); got != float64(i) {
+			t.Fatalf("scrape %d shows %v scrape errors for the hung node, want %d", i, got, i)
+		}
 	}
 	if got := lb.m.scrapeErrors[good.ts.URL].Value(); got != 0 {
 		t.Errorf("scrape errors for the good node = %d, want 0", got)
@@ -684,6 +693,24 @@ func TestScrapeKeepsAnswersBehindAHungNode(t *testing.T) {
 	if got := lb.m.scrapeErrors[hung.ts.URL].Value(); got != scrapes {
 		t.Errorf("scrape errors for the hung node = %d, want %d", got, scrapes)
 	}
+}
+
+// scrapeErrors is the dominolb_backend_scrape_errors_total sample of a
+// backend in an exposition, -1 when it has none.
+func scrapeErrors(snap obs.Snapshot, backend string) float64 {
+	for _, f := range snap.Families {
+		if f.Name != "dominolb_backend_scrape_errors_total" {
+			continue
+		}
+		for _, smp := range f.Samples {
+			for _, l := range smp.Labels {
+				if l.Key == "backend" && l.Value == backend {
+					return smp.Value
+				}
+			}
+		}
+	}
+	return -1
 }
 
 // TestClientCancelIsNotABackendFailure: a read whose client hangs up

@@ -85,11 +85,11 @@ func newMetrics(b *Balancer) *metrics {
 // counted: a degraded fleet still exposes itself, and one bad backend
 // cannot make the fleet's document invalid.
 func (b *Balancer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snaps := []obs.Snapshot{b.m.reg.Snapshot()}
 	ctx, cancel := context.WithTimeout(r.Context(), b.opts.ScrapeTimeout)
 	defer cancel()
 	ask := b.reachable()
 	answers, _ := b.fan(ctx, ask, "/metrics", "")
+	snaps := make([]obs.Snapshot, 1, 1+len(answers)) // [0] is the balancer's
 	scraped := make(map[*backend]bool, len(answers))
 	for _, p := range answers {
 		snap, err := obs.ParseText(bytes.NewReader(p.body))
@@ -106,6 +106,7 @@ func (b *Balancer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			b.log.Warn("backend scrape failed", "backend", be.url)
 		}
 	}
+	snaps[0] = b.m.reg.Snapshot() // last, so the scrape shows the errors it counted
 	merged, err := obs.Merge(snaps...)
 	if err != nil {
 		ingest.WriteError(w, http.StatusInternalServerError, "merging fleet snapshots: "+err.Error())

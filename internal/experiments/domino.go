@@ -13,11 +13,21 @@ import (
 // merges the reports. The (preset × session) grid fans out across
 // o.Workers workers — one shared Analyzer serves all of them (it is
 // safe for concurrent use) — and reports merge in grid order, so the
-// aggregate is byte-identical whatever the worker count.
+// aggregate is byte-identical whatever the worker count. A preset's
+// session 0 is the run o.shared.presets made at the same seed, so it is
+// not simulated again.
 func analyzeGroup(presets []ran.CellConfig, o Options) (*core.Report, error) {
 	analyzer, err := core.NewAnalyzer(core.DetectorConfig{}, nil)
 	if err != nil {
 		return nil, err
+	}
+	runs, err := o.shared.presets()
+	if err != nil {
+		return nil, err
+	}
+	first := make(map[string]cellRun, len(runs))
+	for _, run := range runs {
+		first[run.Cfg.Name] = run
 	}
 	type job struct {
 		cfg     ran.CellConfig
@@ -32,9 +42,13 @@ func analyzeGroup(presets []ran.CellConfig, o Options) (*core.Report, error) {
 	reports := make([]*core.Report, len(jobs))
 	err = o.forEach(len(jobs), func(i int) error {
 		j := jobs[i]
-		_, set, err := runCellSession(j.cfg, o.Duration, DeriveSeed(o.Seed, j.cfg.Name, j.session))
-		if err != nil {
-			return fmt.Errorf("%s session %d: %w", j.cfg.Name, j.session, err)
+		set := first[j.cfg.Name].Set
+		if j.session > 0 {
+			_, s, err := runCellSession(j.cfg, o.Duration, DeriveSeed(o.Seed, j.cfg.Name, j.session))
+			if err != nil {
+				return fmt.Errorf("%s session %d: %w", j.cfg.Name, j.session, err)
+			}
+			set = s
 		}
 		rep, err := analyzer.Analyze(set)
 		if err != nil {

@@ -113,6 +113,7 @@ func newShared(o Options) *shared {
 		presets: sync.OnceValues(func() ([]cellRun, error) { return runPresetSessions(ran.Presets(), o) }),
 		pair:    sync.OnceValues(func() (callPair, error) { return runCallPair(o) }),
 	}
+	o.shared = s // analyzeGroup reads the preset runs
 	for i, presets := range groupPresets {
 		s.groups[i] = sync.OnceValues(func() (*core.Report, error) { return analyzeGroup(presets(), o) })
 	}

@@ -148,21 +148,18 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// generations come from the node's pool, for either format: a live
 	// chunk is a handful of blocks, too few to grow thirty columns anew
 	// for.
-	var rr trace.RecordReader
+	var br *trace.Reader
 	switch format {
 	case formatBinary:
-		rr = trace.NewBinaryStreamReader(lt)
+		br = trace.NewBinaryStreamReader(lt)
 	case formatJSONL:
-		rr = trace.NewStreamReader(lt)
+		br = trace.NewStreamReader(lt)
 	default:
-		rr = trace.NewAutoStreamReader(lt)
+		br = trace.NewAutoStreamReader(lt)
 	}
-	var jsonl *trace.StreamReader
-	format = formatBinary
-	if sr, ok := rr.(*trace.StreamReader); ok {
-		format, jsonl = formatJSONL, sr
+	if format = formatJSONL; br.Binary() {
+		format = formatBinary
 	}
-	br := rr.(blockReader)
 	ring := n.ringPool.Get().(*trace.BlockRing)
 	defer n.ringPool.Put(ring)
 	br.RecycleInto(ring)
@@ -213,9 +210,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Clear the read deadline before responding: the connection may be
 	// kept alive, and a stale deadline would poison its next request.
 	_ = rc.SetReadDeadline(time.Time{})
-	if jsonl != nil {
-		n.m.jsonlSlowLines.Add(int64(jsonl.SlowLines()))
-	}
+	n.m.jsonlSlowLines.Add(int64(br.SlowLines()))
 	if pushErr != nil {
 		n.fail(sess, pushErr.Error())
 		ingest.WriteError(w, http.StatusBadRequest, pushErr.Error())
@@ -312,12 +307,6 @@ func (n *Node) complete(w http.ResponseWriter, r *http.Request, sess *session) {
 		"records", stats.Records, "windows", stats.Windows,
 		"late_dropped", stats.LateDropped, "chain_events", rep.TotalChainEvents())
 	writeReport(w, r, sess)
-}
-
-// blockReader is what the ingest loop needs of either trace reader.
-type blockReader interface {
-	ReadBlock() (*trace.Block, error)
-	RecycleInto(*trace.BlockRing)
 }
 
 // pushChunk pushes one decoded block through the session's analyzer

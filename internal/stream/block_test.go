@@ -100,13 +100,8 @@ func viaRecords(a *core.Analyzer, cfg Config, enc []byte) outcome {
 	})
 }
 
-// blockReader is either trace reader, as internal/node reads it.
-type blockReader interface {
-	ReadBlock() (*trace.Block, error)
-}
-
 // pushBlocks is the block path: ReadBlock, then PushBlock.
-func pushBlocks(a *core.Analyzer, cfg Config, br blockReader) outcome {
+func pushBlocks(a *core.Analyzer, cfg Config, br *trace.Reader) outcome {
 	return analyze(a, cfg, func(s *Analyzer) (int, error) {
 		n := 0
 		for {
@@ -141,7 +136,7 @@ func viaJSONLBlocks(a *core.Analyzer, cfg Config, jsonl []byte) outcome {
 }
 
 // viaJSONLRecords is the record path over a JSONL stream: Next, then
-// Push, line by line as `dominod -stdin` reads a pipe.
+// Push, record by record.
 func viaJSONLRecords(a *core.Analyzer, cfg Config, jsonl []byte) outcome {
 	return analyze(a, cfg, func(s *Analyzer) (int, error) {
 		sr := trace.NewStreamReader(bytes.NewReader(jsonl))

@@ -38,8 +38,8 @@ const (
 // of series Tags[i], where k counts the earlier tags of the same
 // series. It is lossless — Records can be materialised from it
 // (ReadBatch and Next do) — and it is the unit
-// stream.Analyzer.PushBlock consumes, so the binary ingest path never
-// builds a Record.
+// stream.Analyzer.PushBlock consumes, so the ingest path never builds a
+// Record.
 //
 // The stream's header arrives as a Block with Header set and no rows.
 type Block struct {
@@ -52,8 +52,8 @@ type Block struct {
 	StatsAt []sim.Time // Stats[i].At, as a column
 	RRC     RRCColumns
 
-	// The Records a binary reader's Next and ReadBatch hand out, and the
-	// rows they point at (with Stats): a ring generation holds them, so
+	// The Records a Reader's Next and ReadBatch hand out, and the rows
+	// they point at (with Stats): a ring generation holds them, so
 	// Recycle or RecycleInto bounds their lifetime as it does a ReadBlock
 	// block's.
 	recs []Record
@@ -99,28 +99,6 @@ func (b *Block) add(rec Record) int {
 	return kind
 }
 
-// lastRecord materialises the block's last row, of series kind, as a
-// Record of its own.
-func (b *Block) lastRecord(kind int) Record {
-	switch kind {
-	case SeriesDCI:
-		v := b.DCI.Record(len(b.DCI.At) - 1)
-		return Record{DCI: &v}
-	case SeriesGNB:
-		v := b.GNB.Record(len(b.GNB.At) - 1)
-		return Record{GNB: &v}
-	case SeriesPkt:
-		v := b.Pkt.Record(len(b.Pkt.SentAt) - 1)
-		return Record{Packet: &v}
-	case SeriesStats:
-		v := b.Stats[len(b.Stats)-1]
-		return Record{Stats: &v}
-	default:
-		v := b.RRC.Record(len(b.RRC.At) - 1)
-		return Record{RRC: &v}
-	}
-}
-
 // reset empties the block, keeping every column's backing array.
 func (b *Block) reset() {
 	b.Header, b.Tags, b.Stats, b.StatsAt = nil, b.Tags[:0], b.Stats[:0], b.StatsAt[:0]
@@ -132,10 +110,10 @@ func (b *Block) reset() {
 	r.At, r.Flags, r.RNTI, r.Cause = r.At[:0], r.Flags[:0], r.RNTI[:0], r.Cause[:0]
 }
 
-// BlockRing is block storage either reader decodes into round-robin
-// (see BinaryStreamReader.Recycle). It outlives the reader, so a
-// consumer of many short streams keeps one per stream in flight instead
-// of growing thirty columns anew for each.
+// BlockRing is block storage a Reader decodes into round-robin (see
+// Reader.Recycle). It outlives the reader, so a consumer of many short
+// streams keeps one per stream in flight instead of growing thirty
+// columns anew for each.
 type BlockRing struct {
 	blks []Block
 	pos  int

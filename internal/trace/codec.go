@@ -636,12 +636,12 @@ func (p *lineParser) end() bool {
 // series index.
 const lineHeader = NumSeries
 
-// decode decodes the line at the cursor into b, or sr.hdr for a header,
+// decode decodes the line at the cursor into b, or d.hdr for a header,
 // and returns its kind, the cursor at the next line. ok=false means
 // only "not fast-path material", with nothing appended: the caller
 // re-decodes the line through encoding/json (slowDecode), which yields
 // the identical row or the authoritative error.
-func (p *lineParser) decode(b *Block, sr *StreamReader) (kind int) {
+func (p *lineParser) decode(b *Block, d *jsonlDecoder) (kind int) {
 	// The type tag is scanned as raw bytes (key() is exactly a
 	// no-escape string scan), so dispatching allocates nothing.
 	p.word(typeWord)
@@ -655,7 +655,7 @@ func (p *lineParser) decode(b *Block, sr *StreamReader) (kind int) {
 		var h jsonHeader
 		if decodeRow(p, &h, headerFields, ""); p.end() {
 			hdr := Header(h)
-			sr.hdr = &hdr
+			d.hdr = &hdr
 		}
 		return lineHeader
 	case "dci":
@@ -667,9 +667,9 @@ func (p *lineParser) decode(b *Block, sr *StreamReader) (kind int) {
 	case "gnb":
 		kind = SeriesGNB
 		var r GNBLogRecord
-		if decodeRow(p, &r, gnbFields, sr.note); p.end() {
+		if decodeRow(p, &r, gnbFields, d.note); p.end() {
 			b.GNB.append(&r)
-			sr.note = r.Note
+			d.note = r.Note
 		}
 	case "pkt":
 		kind = SeriesPkt
@@ -689,9 +689,9 @@ func (p *lineParser) decode(b *Block, sr *StreamReader) (kind int) {
 	case "rrc":
 		kind = SeriesRRC
 		var r RRCRecord
-		if decodeRow(p, &r, rrcFields, sr.cause); p.end() {
+		if decodeRow(p, &r, rrcFields, d.cause); p.end() {
 			b.RRC.append(&r)
-			sr.cause = r.Cause
+			d.cause = r.Cause
 		}
 	default:
 		p.ok = false
@@ -704,7 +704,7 @@ func (p *lineParser) decode(b *Block, sr *StreamReader) (kind int) {
 
 // slowDecode is decode through encoding/json, for one line: the oracle
 // of the differential tests, and the decoder of foreign telemetry.
-func slowDecode(line []byte, b *Block, sr *StreamReader) (int, error) {
+func slowDecode(line []byte, b *Block, d *jsonlDecoder) (int, error) {
 	var l jsonLine
 	if err := json.Unmarshal(line, &l); err != nil {
 		return 0, err
@@ -715,7 +715,7 @@ func slowDecode(line []byte, b *Block, sr *StreamReader) (int, error) {
 	case "header":
 		var h *jsonHeader
 		if h, err = slowRow[jsonHeader](l.Data); err == nil {
-			sr.hdr = (*Header)(h)
+			d.hdr = (*Header)(h)
 		}
 		return lineHeader, err
 	case "dci":

@@ -122,12 +122,12 @@ func BenchmarkCodecDecode(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
 		stream := append(bytes.Join(lines, []byte("\n")), '\n')
 		var blk Block
-		var sr StreamReader
+		var d jsonlDecoder
 		benchRecords(b, len(lines), func() {
 			blk.reset()
 			for pos := 0; pos < len(stream); {
 				p := lineParser{buf: stream, pos: pos, ok: true}
-				if p.decode(&blk, &sr); !p.ok {
+				if p.decode(&blk, &d); !p.ok {
 					b.Fatal("fast path rejected canonical line")
 				}
 				pos = p.pos
@@ -218,7 +218,7 @@ func BenchmarkCodecBinaryEncode(b *testing.B) {
 // encoded corpus through the record path: Records materialised block by
 // block (ReadBatch, fresh storage), one reader per iteration.
 func BenchmarkCodecBinaryDecode(b *testing.B) {
-	benchBinaryDecode(b, func(sr *BinaryStreamReader) (n int, err error) {
+	benchBinaryDecode(b, func(sr *Reader) (n int, err error) {
 		for {
 			batch, err := sr.ReadBatch(nil)
 			if err != nil {
@@ -234,7 +234,7 @@ func BenchmarkCodecBinaryDecode(b *testing.B) {
 // ingest hot path). It is a sibling rather than a sub-benchmark so that
 // the record path keeps the row name its baseline has.
 func BenchmarkCodecBinaryDecodeBlock(b *testing.B) {
-	benchBinaryDecode(b, func(sr *BinaryStreamReader) (n int, err error) {
+	benchBinaryDecode(b, func(sr *Reader) (n int, err error) {
 		sr.Recycle(1)
 		for {
 			blk, err := sr.ReadBlock()
@@ -249,7 +249,7 @@ func BenchmarkCodecBinaryDecodeBlock(b *testing.B) {
 // benchBinaryDecode times drain over the encoded corpus, one reader per
 // iteration as dominod has one per upload; drain returns the number of
 // records it read (header included) and the error that ended it.
-func benchBinaryDecode(b *testing.B, drain func(*BinaryStreamReader) (int, error)) {
+func benchBinaryDecode(b *testing.B, drain func(*Reader) (int, error)) {
 	recs := benchCorpus()
 	enc, err := encodeStream(Header{CellName: "bench", Duration: sim.Second}, recs)
 	if err != nil {

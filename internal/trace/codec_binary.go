@@ -14,14 +14,13 @@ import (
 
 // Binary columnar trace format ("DMNTRCB1").
 //
-// JSONL decode is ~1 alloc/record but still byte-scans text for every
-// sample; at fleet ingest volume the codec is the ceiling. This file
-// implements the compact binary alternative. JSONL remains the
-// compatibility path and the differential oracle: WriteBinary emits
-// records in exactly WriteJSONL's merged order (forEachMerged), so the
-// record stream decoded from either encoding of the same set is
-// identical — codec_binary_test.go and the root-package scenario
-// differential pin that, mirroring PR 4's fast-vs-stdlib pattern.
+// JSONL byte-scans text for every sample; at fleet ingest volume the
+// codec is the ceiling. This file is the compact binary alternative.
+// JSONL remains the compatibility path and the differential oracle:
+// WriteBinary emits records in exactly WriteJSONL's merged order
+// (forEachMerged), so either encoding of a set decodes to the same
+// record stream — codec_binary_test.go and the root-package scenario
+// differential pin that.
 //
 // A block on the wire is a trace.Block, column for column, and both
 // directions go through one: the writer pends records in a Block's
@@ -533,33 +532,26 @@ func flags(c *binCursor, dst []uint8, n int, what string) []uint8 {
 }
 
 // strings decodes a column of dictionary references.
-func (sr *BinaryStreamReader) strings(c *binCursor, dst []string, n int, what string) []string {
+func (bd *binaryDecoder) strings(c *binCursor, dst []string, n int, what string) []string {
 	dst = grow(dst, n)
 	for i := range dst {
 		id := c.uvarint(what)
 		if c.err != nil {
 			break
 		}
-		if id >= uint64(len(sr.dict)) {
+		if id >= uint64(len(bd.dict)) {
 			c.err = fmt.Errorf("trace: binary: %s references unknown dict id %d", what, id)
 			break
 		}
-		dst[i] = sr.dict[id]
+		dst[i] = bd.dict[id]
 	}
 	return dst
 }
 
-// BinaryStreamReader decodes a binary columnar trace incrementally,
-// one block at a time. ReadBlock yields the blocks as they are on the
-// wire, in columns; the RecordReader methods materialise Records from
-// the same decoded block: Next yields the header record first and then
-// every data record in the stream's (merged timestamp) order, exactly
-// like the JSONL StreamReader over the equivalent JSONL encoding.
-// Decoded blocks use freshly allocated backing storage, so what a call
-// returned stays valid after the reader advances — unless the consumer
-// opts into bounded lifetimes with Recycle or RecycleInto. A consumer uses either
-// ReadBlock or the RecordReader methods on one reader, not both.
-type BinaryStreamReader struct {
+// binaryDecoder is a Reader's binary half: it decodes the stream's
+// frames, one wire block per decode call, keeping the dictionary and
+// the per-series delta bases from block to block.
+type binaryDecoder struct {
 	r   *bufio.Reader
 	buf []byte // frame payload scratch, reused across frames
 
@@ -570,39 +562,10 @@ type BinaryStreamReader struct {
 	started bool // magic consumed
 	endSeen bool
 
-	recs   []Record  // records materialised from the last decoded frame
-	pos    int       // next of recs to hand out
-	hdrRec [1]Record // backs the one-element header batch
-	lastAt [NumSeries]sim.Time
-	total  uint64
-
-	// ring is the generations ReadBlock decodes into, and the record path
-	// materialises into; nil is a new block per frame. own is the columns
-	// the record path decodes a frame into: no caller sees them, so one
-	// set is enough.
-	ring     *BlockRing
-	own      Block
+	lastAt   [NumSeries]sim.Time
+	total    uint64
 	statInts []uint64 // a block's stats integer columns, before transposition
-
-	err error
 }
-
-// Recycle trades the default lives-forever guarantee for an
-// allocation-free steady state: block storage is reused round-robin
-// across depth+1 generations, so the block from a ReadBlock call (or
-// the records from a ReadBatch or Next call, which live in their
-// block's generation) stays intact while depth further blocks are
-// decoded and is overwritten in place by the one after. A consumer
-// that copies what it keeps before it reads on — stream.Analyzer.PushBlock
-// appends a block's columns to its index — needs depth 1 and makes no
-// per-record garbage. Call before the first read; depth <= 0 restores
-// fresh allocation per block.
-func (sr *BinaryStreamReader) Recycle(depth int) { sr.ring = NewBlockRing(depth) }
-
-// RecycleInto is Recycle with generations the caller owns and may hand
-// to the next reader, of either format, when this one is done: dominod
-// lends each upload a depth-1 ring from its pool this way.
-func (sr *BinaryStreamReader) RecycleInto(ring *BlockRing) { sr.ring = ring }
 
 // grow returns s resized to n elements, reusing its backing array when
 // it is big enough. Callers overwrite every element, so stale contents
@@ -614,204 +577,94 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n, n+n/4)
 }
 
-// NewBinaryStreamReader returns a streaming decoder over r. The magic
-// header is validated lazily on the first read call.
-func NewBinaryStreamReader(r io.Reader) *BinaryStreamReader {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	return &BinaryStreamReader{r: br, buf: make([]byte, 0, 1<<14)}
+// failf is a decode error; the Reader keeps it as its terminal one.
+func failf(format string, args ...any) error {
+	return fmt.Errorf("trace: binary: "+format, args...)
 }
 
-// Header returns the stream header once it has been read.
-func (sr *BinaryStreamReader) Header() (Header, bool) {
-	if sr.hdr == nil {
-		return Header{}, false
-	}
-	return *sr.hdr, true
-}
-
-func (sr *BinaryStreamReader) fail(err error) error {
-	if sr.err == nil {
-		sr.err = err
-	}
-	return sr.err
-}
-
-func (sr *BinaryStreamReader) failf(format string, args ...any) error {
-	return sr.fail(fmt.Errorf("trace: binary: "+format, args...))
-}
-
-// ReadBlock returns the next block in columnar form: the header block
-// first, then one wire block per call. A nil block with io.EOF marks a
-// clean end of stream (after a valid end frame); any other error —
-// including plain truncation — is terminal and repeated on later
-// calls.
-func (sr *BinaryStreamReader) ReadBlock() (*Block, error) {
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	hdr, payload, err := sr.nextFrame()
-	if err != nil {
-		return nil, err
-	}
-	if hdr != nil {
-		return &Block{Header: hdr}, nil
-	}
-	b := sr.ring.next()
-	if err := sr.decodeBlock(payload, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// fill materialises the next frame's records into sr.recs.
-func (sr *BinaryStreamReader) fill() error {
-	if sr.err != nil {
-		return sr.err
-	}
-	hdr, payload, err := sr.nextFrame()
-	if err != nil {
-		return err
-	}
-	sr.pos = 0
-	if hdr != nil {
-		sr.hdrRec[0] = Record{Header: hdr}
-		sr.recs = sr.hdrRec[:]
-		return nil
-	}
-	// Stats rows are decoded straight into the generation the records
-	// will point at; the other series go through the reader's own
-	// columns. Without a ring, the generation is only its arrays, which
-	// the records keep; the Block itself stays on the stack.
-	gen, b := new(Block), &sr.own
-	if sr.ring != nil {
-		gen = sr.ring.next()
-	}
-	b.Stats = gen.Stats
-	if err := sr.decodeBlock(payload, b); err != nil {
-		return err
-	}
-	gen.Stats = b.Stats
-	sr.recs = gen.records(b)
-	return nil
-}
-
-// Next returns the next record. It returns io.EOF at a clean end of
-// stream (after a valid end frame); any other error — including plain
-// truncation — is terminal and repeated on later calls.
-func (sr *BinaryStreamReader) Next() (Record, error) {
-	if sr.pos >= len(sr.recs) {
-		if err := sr.fill(); err != nil {
-			return Record{}, err
-		}
-	}
-	rec := sr.recs[sr.pos]
-	sr.pos++
-	return rec, nil
-}
-
-// ReadBatch returns the next batch of records: the header record (as a
-// one-element batch) first, then one whole block per call. dst is
-// ignored — the batch lives in the reader's block storage, fresh per
-// block (so it stays valid while later batches are read) unless
-// Recycle or RecycleInto bounded its lifetime. A nil batch with io.EOF marks a clean
-// end of stream.
-func (sr *BinaryStreamReader) ReadBatch(dst []Record) ([]Record, error) {
-	if sr.pos >= len(sr.recs) {
-		if err := sr.fill(); err != nil {
-			return nil, err
-		}
-	}
-	batch := sr.recs[sr.pos:]
-	sr.pos = len(sr.recs)
-	return batch, nil
-}
-
-// nextFrame consumes frames up to the next one that carries records.
-// It returns the header for the header frame, else the payload of a
-// block frame (valid until the next call); dict and end frames are
-// bookkeeping it loops past.
-func (sr *BinaryStreamReader) nextFrame() (*Header, []byte, error) {
-	if !sr.started {
+// decode fills b with the next block: the header block first, then one
+// wire block per call, consuming the dict and end frames before it as
+// bookkeeping. io.EOF marks a clean end of stream (after a valid end
+// frame); any other error — including plain truncation — is terminal.
+func (bd *binaryDecoder) decode(b *Block, _ *BlockRing) error {
+	if !bd.started {
 		magic := make([]byte, len(binaryMagic))
-		if _, err := io.ReadFull(sr.r, magic); err != nil {
-			return nil, nil, sr.failf("short magic header: %v", err)
+		if _, err := io.ReadFull(bd.r, magic); err != nil {
+			return failf("short magic header: %v", err)
 		}
 		if !bytes.Equal(magic, []byte(binaryMagic)) {
-			return nil, nil, sr.failf("bad magic %q (not a binary domino trace, or unsupported version)", magic)
+			return failf("bad magic %q (not a binary domino trace, or unsupported version)", magic)
 		}
-		sr.started = true
+		bd.started = true
 	}
 	for {
-		kind, err := sr.r.ReadByte()
+		kind, err := bd.r.ReadByte()
 		if err == io.EOF {
-			if sr.endSeen {
-				return nil, nil, sr.fail(io.EOF)
+			if bd.endSeen {
+				return io.EOF
 			}
-			return nil, nil, sr.failf("truncated stream: missing end frame")
+			return failf("truncated stream: missing end frame")
 		}
 		if err != nil {
-			return nil, nil, sr.fail(err)
+			return err
 		}
-		if sr.endSeen {
-			return nil, nil, sr.failf("trailing data after end frame")
+		if bd.endSeen {
+			return failf("trailing data after end frame")
 		}
-		plen, err := binary.ReadUvarint(sr.r)
+		plen, err := binary.ReadUvarint(bd.r)
 		if err != nil {
-			return nil, nil, sr.failf("frame length: %v", err)
+			return failf("frame length: %v", err)
 		}
 		if plen > maxBinaryFramePayload {
-			return nil, nil, sr.failf("frame payload %d exceeds limit", plen)
+			return failf("frame payload %d exceeds limit", plen)
 		}
 		// A payload longer than the buffer is read in pieces, the buffer
 		// growing as they arrive: a length the stream does not back
 		// costs at most twice the bytes received plus one step.
-		size, payload := int(plen), sr.buf[:0]
+		size, payload := int(plen), bd.buf[:0]
 		for len(payload) < size {
 			if len(payload) == cap(payload) {
 				payload = slices.Grow(payload, min(size-len(payload), max(cap(payload), 1<<14)))
 			}
-			n, err := io.ReadFull(sr.r, payload[len(payload):min(cap(payload), size)])
+			n, err := io.ReadFull(bd.r, payload[len(payload):min(cap(payload), size)])
 			if payload = payload[:len(payload)+n]; err == io.EOF && len(payload) > 0 {
 				err = io.ErrUnexpectedEOF // what one read of the whole payload says
 			}
 			if err != nil {
-				return nil, nil, sr.failf("truncated frame payload: %v", err)
+				return failf("truncated frame payload: %v", err)
 			}
 		}
-		sr.buf = payload
+		bd.buf = payload
 		switch kind {
 		case frameDict:
-			if err := sr.decodeDict(payload); err != nil {
-				return nil, nil, err
+			if err := bd.decodeDict(payload); err != nil {
+				return err
 			}
 		case frameHeader:
-			hdr, err := sr.decodeHeader(payload)
-			return hdr, nil, err
+			b.Header, err = bd.decodeHeader(payload)
+			return err
 		case frameBlock:
-			if sr.hdr == nil {
-				return nil, nil, sr.failf("block before header frame")
+			if bd.hdr == nil {
+				return failf("block before header frame")
 			}
-			return nil, payload, nil
+			return bd.decodeBlock(payload, b)
 		case frameEnd:
 			c := binCursor{b: payload}
 			want := c.uvarint("end frame count")
 			if c.err != nil {
-				return nil, nil, sr.fail(c.err)
+				return c.err
 			}
-			if want != sr.total {
-				return nil, nil, sr.failf("record count mismatch: end frame says %d, decoded %d", want, sr.total)
+			if want != bd.total {
+				return failf("record count mismatch: end frame says %d, decoded %d", want, bd.total)
 			}
-			sr.endSeen = true
+			bd.endSeen = true
 		default:
-			return nil, nil, sr.failf("unknown frame kind %d", kind)
+			return failf("unknown frame kind %d", kind)
 		}
 	}
 }
 
-func (sr *BinaryStreamReader) decodeDict(payload []byte) error {
+func (bd *binaryDecoder) decodeDict(payload []byte) error {
 	c := binCursor{b: payload}
 	count := c.uvarint("dict count")
 	for i := uint64(0); i < count && c.err == nil; i++ {
@@ -823,32 +676,32 @@ func (sr *BinaryStreamReader) decodeDict(payload []byte) error {
 		s := string(raw)
 		series := int8(-1)
 		for si, name := range seriesNames {
-			if s == name && len(sr.dict) == si {
+			if s == name && len(bd.dict) == si {
 				series = int8(si)
 			}
 		}
-		sr.dict = append(sr.dict, s)
-		sr.seriesOf = append(sr.seriesOf, series)
+		bd.dict = append(bd.dict, s)
+		bd.seriesOf = append(bd.seriesOf, series)
 	}
 	if c.err != nil {
-		return sr.fail(c.err)
+		return c.err
 	}
 	if c.off != len(payload) {
-		return sr.failf("dict frame has %d trailing bytes", len(payload)-c.off)
+		return failf("dict frame has %d trailing bytes", len(payload)-c.off)
 	}
 	return nil
 }
 
-func (sr *BinaryStreamReader) dictString(id uint64, what string) (string, error) {
-	if id >= uint64(len(sr.dict)) {
-		return "", sr.failf("%s references unknown dict id %d", what, id)
+func (bd *binaryDecoder) dictString(id uint64, what string) (string, error) {
+	if id >= uint64(len(bd.dict)) {
+		return "", failf("%s references unknown dict id %d", what, id)
 	}
-	return sr.dict[id], nil
+	return bd.dict[id], nil
 }
 
-func (sr *BinaryStreamReader) decodeHeader(payload []byte) (*Header, error) {
-	if sr.hdr != nil {
-		return nil, sr.failf("duplicate header frame")
+func (bd *binaryDecoder) decodeHeader(payload []byte) (*Header, error) {
+	if bd.hdr != nil {
+		return nil, failf("duplicate header frame")
 	}
 	c := binCursor{b: payload}
 	cellID := c.uvarint("header cell")
@@ -856,47 +709,47 @@ func (sr *BinaryStreamReader) decodeHeader(payload []byte) (*Header, error) {
 	dur := c.varint("header duration")
 	flags := c.byte("header flags")
 	if c.err != nil {
-		return nil, sr.fail(c.err)
+		return nil, c.err
 	}
 	if c.off != len(payload) {
-		return nil, sr.failf("header frame has %d trailing bytes", len(payload)-c.off)
+		return nil, failf("header frame has %d trailing bytes", len(payload)-c.off)
 	}
-	cell, err := sr.dictString(cellID, "header cell")
+	cell, err := bd.dictString(cellID, "header cell")
 	if err != nil {
 		return nil, err
 	}
 	hdr := Header{CellName: cell, Duration: sim.Time(dur), HasGNBLog: flags&1 != 0}
 	if scenRef != 0 {
-		if hdr.Scenario, err = sr.dictString(scenRef-1, "header scenario"); err != nil {
+		if hdr.Scenario, err = bd.dictString(scenRef-1, "header scenario"); err != nil {
 			return nil, err
 		}
 	}
-	sr.hdr = &hdr
-	return sr.hdr, nil
+	bd.hdr = &hdr
+	return bd.hdr, nil
 }
 
 // decodeBlock decodes one block frame into b, column by column: the
 // wire is field-major per series, and so is the Block.
-func (sr *BinaryStreamReader) decodeBlock(payload []byte, b *Block) error {
+func (bd *binaryDecoder) decodeBlock(payload []byte, b *Block) error {
 	c := &binCursor{b: payload}
 	n := c.uvarint("block count")
 	if c.err != nil {
-		return sr.fail(c.err)
+		return c.err
 	}
 	if n == 0 || n > maxBinaryFramePayload {
-		return sr.failf("implausible block record count %d", n)
+		return failf("implausible block record count %d", n)
 	}
 	tags := c.bytes(int(n), "block tags")
 	if c.err != nil {
-		return sr.fail(c.err)
+		return c.err
 	}
 	// A tag is the dictionary ID of a series name, and a series name is
 	// only recognized at the ID that equals its index (decodeDict), so a
 	// valid tag is its own series index.
 	var counts [NumSeries]int
 	for _, t := range tags {
-		if int(t) >= len(sr.seriesOf) || sr.seriesOf[t] < 0 {
-			return sr.failf("block tag %d is not an interned series name", t)
+		if int(t) >= len(bd.seriesOf) || bd.seriesOf[t] < 0 {
+			return failf("block tag %d is not an interned series name", t)
 		}
 		counts[t]++
 	}
@@ -904,7 +757,7 @@ func (sr *BinaryStreamReader) decodeBlock(payload []byte, b *Block) error {
 	b.Tags = append(b.Tags[:0], tags...)
 
 	m, d := counts[SeriesDCI], &b.DCI
-	d.At = times(c, d.At, m, &sr.lastAt[SeriesDCI], "dci at")
+	d.At = times(c, d.At, m, &bd.lastAt[SeriesDCI], "dci at")
 	d.Dir = ints(c, d.Dir, m, true, "dci dir")
 	d.RNTI = ints(c, d.RNTI, m, false, "dci rnti")
 	d.OwnPRB = ints(c, d.OwnPRB, m, true, "dci own_prb")
@@ -915,15 +768,15 @@ func (sr *BinaryStreamReader) decodeBlock(payload []byte, b *Block) error {
 	d.Flags = flags(c, d.Flags, m, "dci flags")
 
 	m, g := counts[SeriesGNB], &b.GNB
-	g.At = times(c, g.At, m, &sr.lastAt[SeriesGNB], "gnb at")
+	g.At = times(c, g.At, m, &bd.lastAt[SeriesGNB], "gnb at")
 	g.Kind = ints(c, g.Kind, m, true, "gnb kind")
 	g.Dir = ints(c, g.Dir, m, true, "gnb dir")
 	g.BufferBytes = ints(c, g.BufferBytes, m, true, "gnb buffer_bytes")
 	g.RNTI = ints(c, g.RNTI, m, false, "gnb rnti")
-	g.Note = sr.strings(c, g.Note, m, "gnb note")
+	g.Note = bd.strings(c, g.Note, m, "gnb note")
 
 	m, p := counts[SeriesPkt], &b.Pkt
-	p.SentAt = times(c, p.SentAt, m, &sr.lastAt[SeriesPkt], "pkt sent_at")
+	p.SentAt = times(c, p.SentAt, m, &bd.lastAt[SeriesPkt], "pkt sent_at")
 	// Arrival is encoded relative to the same packet's send time.
 	p.Arrived = ints(c, p.Arrived, m, true, "pkt delay")
 	for i, sent := range p.SentAt {
@@ -938,11 +791,11 @@ func (sr *BinaryStreamReader) decodeBlock(payload []byte, b *Block) error {
 	// columns and the integer columns are each contiguous — and then
 	// transposed into rows.
 	m = counts[SeriesStats]
-	b.StatsAt = times(c, b.StatsAt, m, &sr.lastAt[SeriesStats], "stats at")
+	b.StatsAt = times(c, b.StatsAt, m, &bd.lastAt[SeriesStats], "stats at")
 	b.Stats = grow(b.Stats, m)
 	fl := c.bytes(m, "stats flags")
 	fp := c.bytes(statsFloats*8*m, "stats float columns")
-	sr.statInts = ints(c, sr.statInts, (statsSigned+statsUnsigned)*m, false, "stats integer columns")
+	bd.statInts = ints(c, bd.statInts, (statsSigned+statsUnsigned)*m, false, "stats integer columns")
 	if c.err == nil {
 		for i, at := range b.StatsAt {
 			row := &b.Stats[i]
@@ -952,69 +805,27 @@ func (sr *BinaryStreamReader) decodeBlock(payload []byte, b *Block) error {
 				*v = math.Float64frombits(binary.LittleEndian.Uint64(fp[8*(col*m+i):]))
 			}
 			for col, v := range n {
-				z := sr.statInts[col*m+i]
+				z := bd.statInts[col*m+i]
 				*v = int(z>>1 ^ -(z & 1)) // zigzag decode
 			}
 			for col, v := range u {
-				*v = sr.statInts[(len(n)+col)*m+i]
+				*v = bd.statInts[(len(n)+col)*m+i]
 			}
 		}
 	}
 
 	m, r := counts[SeriesRRC], &b.RRC
-	r.At = times(c, r.At, m, &sr.lastAt[SeriesRRC], "rrc at")
+	r.At = times(c, r.At, m, &bd.lastAt[SeriesRRC], "rrc at")
 	r.Flags = flags(c, r.Flags, m, "rrc flags")
 	r.RNTI = ints(c, r.RNTI, m, false, "rrc rnti")
-	r.Cause = sr.strings(c, r.Cause, m, "rrc cause")
+	r.Cause = bd.strings(c, r.Cause, m, "rrc cause")
 
 	if c.err != nil {
-		return sr.fail(c.err)
+		return c.err
 	}
 	if c.off != len(payload) {
-		return sr.failf("block frame has %d trailing bytes", len(payload)-c.off)
+		return failf("block frame has %d trailing bytes", len(payload)-c.off)
 	}
-	sr.total += n
+	bd.total += n
 	return nil
-}
-
-// records materialises the rows of b's columns as Records in merged
-// stream order, backed by g's record arrays — except the stats rows,
-// which are rows already and are pointed at where they are, in g.Stats
-// (fill has them decoded there).
-func (g *Block) records(b *Block) []Record {
-	g.recs = grow(g.recs, len(b.Tags))
-	g.dcis = grow(g.dcis, len(b.DCI.At))
-	for i := range g.dcis {
-		g.dcis[i] = b.DCI.Record(i)
-	}
-	g.gnbs = grow(g.gnbs, len(b.GNB.At))
-	for i := range g.gnbs {
-		g.gnbs[i] = b.GNB.Record(i)
-	}
-	g.pkts = grow(g.pkts, len(b.Pkt.SentAt))
-	for i := range g.pkts {
-		g.pkts[i] = b.Pkt.Record(i)
-	}
-	g.rrcs = grow(g.rrcs, len(b.RRC.At))
-	for i := range g.rrcs {
-		g.rrcs[i] = b.RRC.Record(i)
-	}
-	var next [NumSeries]int
-	for i, t := range b.Tags {
-		k := next[t]
-		next[t]++
-		switch t {
-		case SeriesDCI:
-			g.recs[i] = Record{DCI: &g.dcis[k]}
-		case SeriesGNB:
-			g.recs[i] = Record{GNB: &g.gnbs[k]}
-		case SeriesPkt:
-			g.recs[i] = Record{Packet: &g.pkts[k]}
-		case SeriesStats:
-			g.recs[i] = Record{Stats: &g.Stats[k]}
-		case SeriesRRC:
-			g.recs[i] = Record{RRC: &g.rrcs[k]}
-		}
-	}
-	return g.recs
 }

@@ -99,33 +99,55 @@ func TestBinaryHeaderAndBatch(t *testing.T) {
 	}
 }
 
+// TestJSONLReadBatch: a JSONL batch is one block's records, the header
+// first on its own, then at most jsonlBlockLines per call.
 func TestJSONLReadBatch(t *testing.T) {
-	set := sampleSet()
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, set); err != nil {
-		t.Fatal(err)
+	recs := append([]Record{{Header: &Header{CellName: "bench"}}}, benchCorpus()...)
+	var stream []byte
+	for _, rec := range recs {
+		var err error
+		if stream, err = appendLine(stream, rec); err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, '\n')
 	}
-	sr := NewStreamReader(&buf)
-	dst := make([]Record, 0, 3)
+	sr := NewStreamReader(bytes.NewReader(stream))
 	var got []Record
 	for {
-		batch, err := sr.ReadBatch(dst)
+		batch, err := sr.ReadBatch(nil)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(batch) > 3 {
-			t.Fatalf("batch larger than dst cap: %d", len(batch))
+		if len(batch) > jsonlBlockLines || (len(got) == 0) != (batch[0].Header != nil) {
+			t.Fatalf("batch %d records in: %d records, header first %v", len(got), len(batch), batch[0].Header != nil)
 		}
 		got = append(got, batch...)
 	}
-	if want := 1 + len(set.DCI) + len(set.GNBLogs) + len(set.Packets) + len(set.Stats) + len(set.RRC); len(got) != want {
-		t.Fatalf("records = %d, want %d", len(got), want)
+	if !reflect.DeepEqual(got, recs) {
+		t.Fatalf("%d records batched, want the %d written", len(got), len(recs))
 	}
-	if got[0].Header == nil {
-		t.Fatal("first batched record is not the header")
+}
+
+// TestHeaderBatchOutlivesTheNext: without Recycle a batch stays valid
+// while the reader advances, a header batch too — JSONL may carry a
+// second header line, which is a batch of its own.
+func TestHeaderBatchOutlivesTheNext(t *testing.T) {
+	sr := NewStreamReader(strings.NewReader(`{"type":"header","data":{"cell_name":"a","duration_us":1,"has_gnb_log":false}}
+{"type":"header","data":{"cell_name":"b","duration_us":2,"has_gnb_log":false}}
+`))
+	first, err := sr.ReadBatch(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sr.ReadBatch(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first[0].Header.CellName != "a" || second[0].Header.CellName != "b" {
+		t.Fatalf("header batches read %q then %q, want a then b", first[0].Header.CellName, second[0].Header.CellName)
 	}
 }
 

@@ -34,7 +34,7 @@ func oracleLine(t testing.TB, typ string, v any) ([]byte, error) {
 }
 
 // oracleDecodeLine is the stdlib double-unmarshal the fast decoder
-// shortcuts; StreamReader still uses it as the fallback.
+// shortcuts; the JSONL decoder still uses it as the fallback.
 func oracleDecodeLine(line []byte) (Record, error) {
 	var l jsonLine
 	if err := json.Unmarshal(line, &l); err != nil {
@@ -69,15 +69,15 @@ func oracleDecodeLine(line []byte) (Record, error) {
 }
 
 // lineScratch is the block fastDecodeLine decodes into, kept from call
-// to call and emptied as a StreamReader empties Next's.
+// to call and emptied every jsonlBlockLines, as a reader's are.
 var lineScratch struct {
 	sync.Mutex
 	b Block
 }
 
-// fastDecodeLine is the fast tier alone, as a Record: what
-// StreamReader.Next returns for a line the tier accepts, the line ending
-// the scanner's token.
+// fastDecodeLine is the fast tier alone, as a Record: what a JSONL
+// Reader's Next returns for a line the tier accepts, the line ending the
+// scanner's token.
 func fastDecodeLine(line []byte) (Record, bool) { return fastDecodeIn(line, len(line)) }
 
 // windowLine follows a line in fastDecodeWindowed's token.
@@ -99,16 +99,17 @@ func fastDecodeIn(token []byte, next int) (Record, bool) {
 	if len(b.Tags) == jsonlBlockLines {
 		b.reset()
 	}
-	var sr StreamReader
+	var d jsonlDecoder
 	p := lineParser{buf: token, ok: true}
-	kind := p.decode(b, &sr)
+	kind := p.decode(b, &d)
 	switch {
 	case !p.ok || p.pos != next:
 		return Record{}, false
 	case kind == lineHeader:
-		return Record{Header: sr.hdr}, true
+		return Record{Header: d.hdr}, true
 	}
-	return b.lastRecord(kind), true
+	recs := BlockRecords(b)
+	return recs[len(recs)-1], true
 }
 
 type errUnknownType string
@@ -432,16 +433,21 @@ func TestEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocs guards the fast decoder's allocation budget: one
-// record struct per line, nothing else (strings excepted).
+// TestDecodeAllocs guards the fast decoder's allocation budget: a line
+// decodes into its block's columns, so once they have grown it
+// allocates nothing (strings excepted).
 func TestDecodeAllocs(t *testing.T) {
 	line := []byte(`{"type":"stats","data":{"At":555,"Local":true,"InboundFPS":29.97,"TargetBitrateBps":2.5e+06,"GCCNetState":1}}`)
+	var b Block
+	var d jsonlDecoder
 	if avg := testing.AllocsPerRun(200, func() {
-		if _, ok := fastDecodeLine(line); !ok {
+		b.reset()
+		p := lineParser{buf: line, ok: true}
+		if p.decode(&b, &d); !p.ok {
 			t.Fatal("fast path rejected canonical stats line")
 		}
-	}); avg > 1 {
-		t.Fatalf("decode allocates %v/record, want ≤1 (the record struct)", avg)
+	}); avg != 0 {
+		t.Fatalf("decode allocates %v/line, want 0", avg)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"testing/iotest"
 )
 
-// scanLinesReader is the reference FuzzJSONLFraming holds StreamReader
+// scanLinesReader is the reference FuzzJSONLFraming holds a JSONL Reader
 // to: bufio.Scanner with bufio.ScanLines over the same buffer sizes, and
 // each line decoded on its own by the fast tier or else encoding/json.
 // ScanLines is asked only once the data holds a newline or ends: before,
@@ -35,13 +35,13 @@ func scanLinesReader(r io.Reader) ([]Record, error) {
 		rec, ok := fastDecodeLine(sc.Bytes())
 		if !ok {
 			var b Block
-			var sr StreamReader
-			kind, err := slowDecode(sc.Bytes(), &b, &sr)
+			var d jsonlDecoder
+			kind, err := slowDecode(sc.Bytes(), &b, &d)
 			if err != nil {
 				return recs, fmt.Errorf("trace: line %d: %w", len(recs)+1, err)
 			}
-			if rec = (Record{Header: sr.hdr}); kind != lineHeader {
-				rec = b.lastRecord(kind)
+			if rec = (Record{Header: d.hdr}); kind != lineHeader {
+				rec = BlockRecords(&b)[len(b.Tags)-1]
 			}
 		}
 		recs = append(recs, rec)
@@ -52,7 +52,7 @@ func scanLinesReader(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// drainJSONL reads a StreamReader to its end, by Next or by ReadBlock,
+// drainJSONL reads a JSONL Reader to its end, by Next or by ReadBlock,
 // and returns the records and the error that ended the read (nil for a
 // clean end).
 func drainJSONL(r io.Reader, blocks bool) ([]Record, error) {
@@ -122,7 +122,7 @@ func framingReader(input, sizes []byte, shape uint8, cut int) io.Reader {
 	return &chunkReader{data: input, sizes: sizes}
 }
 
-// checkFraming requires StreamReader, by Next and by ReadBlock, to read
+// checkFraming requires a JSONL Reader, by Next and by ReadBlock, to read
 // the records, error and line number the reference reads.
 func checkFraming(t *testing.T, input, sizes []byte, shape uint8, cut int) {
 	t.Helper()
@@ -197,7 +197,7 @@ func TestJSONLFraming(t *testing.T) {
 	}
 }
 
-// FuzzJSONLFraming holds StreamReader's whole-line tokens to
+// FuzzJSONLFraming holds the JSONL decoder's whole-line tokens to
 // bufio.ScanLines' framing: arbitrary bytes, delivered in arbitrary read
 // sizes by readers that may fail mid-stream, must read as the same
 // records ending in the same error at the same line number.
@@ -320,8 +320,8 @@ func TestSplitSearchesEachByteOnce(t *testing.T) {
 		if _, end := sr.Next(); err != nil || rec.GNB == nil || end != io.EOF {
 			t.Fatalf("%d-byte reads: record %+v, errors %v then %v", n, rec, err, end)
 		}
-		if sr.lines.examined > 2*len(input) {
-			t.Fatalf("%d-byte reads: the split examined %d bytes of a %d-byte input", n, sr.lines.examined, len(input))
+		if examined := sr.dec.(*jsonlDecoder).lines.examined; examined > 2*len(input) {
+			t.Fatalf("%d-byte reads: the split examined %d bytes of a %d-byte input", n, examined, len(input))
 		}
 	}
 }

@@ -127,44 +127,44 @@ func WriteJSONL(w io.Writer, set *Set) error {
 // header fails immediately — a missing header means the input is not a
 // trace, and draining gigabytes before saying so helps nobody.
 func ReadAuto(r io.Reader) (*Set, error) {
-	return readSet(NewAutoStreamReader(r))
+	sr := NewAutoStreamReader(r)
+	sr.Recycle(1) // readSet copies every row out before it reads on
+	return readSet(sr)
 }
 
 // readSet drains any record stream into a sorted Set, enforcing the
 // header-first contract shared by both encodings.
 func readSet(sr RecordReader) (*Set, error) {
 	set := &Set{}
-	first := true
 	for {
-		rec, err := sr.Next()
+		batch, err := sr.ReadBatch(nil)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		if first {
-			first = false
-			if rec.Header == nil {
-				return nil, fmt.Errorf("trace: missing header line")
-			}
+		if _, ok := sr.Header(); !ok { // the first batch was not the header's
+			return nil, fmt.Errorf("trace: missing header line")
 		}
-		switch {
-		case rec.Header != nil:
-			set.CellName = rec.Header.CellName
-			set.Scenario = rec.Header.Scenario
-			set.Duration = rec.Header.Duration
-			set.HasGNBLog = rec.Header.HasGNBLog
-		case rec.DCI != nil:
-			set.DCI = append(set.DCI, *rec.DCI)
-		case rec.GNB != nil:
-			set.GNBLogs = append(set.GNBLogs, *rec.GNB)
-		case rec.Packet != nil:
-			set.Packets = append(set.Packets, *rec.Packet)
-		case rec.Stats != nil:
-			set.Stats = append(set.Stats, *rec.Stats)
-		case rec.RRC != nil:
-			set.RRC = append(set.RRC, *rec.RRC)
+		for _, rec := range batch {
+			switch {
+			case rec.Header != nil:
+				set.CellName = rec.Header.CellName
+				set.Scenario = rec.Header.Scenario
+				set.Duration = rec.Header.Duration
+				set.HasGNBLog = rec.Header.HasGNBLog
+			case rec.DCI != nil:
+				set.DCI = append(set.DCI, *rec.DCI)
+			case rec.GNB != nil:
+				set.GNBLogs = append(set.GNBLogs, *rec.GNB)
+			case rec.Packet != nil:
+				set.Packets = append(set.Packets, *rec.Packet)
+			case rec.Stats != nil:
+				set.Stats = append(set.Stats, *rec.Stats)
+			case rec.RRC != nil:
+				set.RRC = append(set.RRC, *rec.RRC)
+			}
 		}
 	}
 	if _, ok := sr.Header(); !ok {

@@ -78,6 +78,25 @@ func scenarioSets(t testing.TB, seed uint64, d sim.Time) (names []string, sets [
 	return names, sets
 }
 
+// TestJSONLRecordPathAllocs bounds the record path on JSONL: ReadAuto
+// decodes a block of lines into columns and hands out its records from
+// a recycled generation, so a read allocates per block and for the
+// set's growth, not per line. A Record made per line is 1.0 per record;
+// the ceiling is a tenth of that.
+func TestJSONLRecordPathAllocs(t *testing.T) {
+	names, sets := scenarioSets(t, 3, 5*sim.Second)
+	stream := writeJSONL(t, sets[0])
+	records := bytes.Count(stream, []byte("\n"))
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := trace.ReadAuto(bytes.NewReader(stream)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRec := allocs / float64(records); perRec > 0.1 {
+		t.Fatalf("ReadAuto of %s's JSONL allocates %.3f per record (%.0f for %d), ceiling 0.1", names[0], perRec, allocs, records)
+	}
+}
+
 // encoderLines returns every line WriteJSONL writes for the golden set
 // and for a short trace of each registered scenario.
 func encoderLines(t *testing.T) []string {
@@ -185,7 +204,7 @@ func viaBlocks(input []byte, depth int) (recs []trace.Record, sizes []int, err e
 }
 
 // drainBlocks is viaBlocks on a reader of the caller's.
-func drainBlocks(sr *trace.StreamReader) (recs []trace.Record, sizes []int, err error) {
+func drainBlocks(sr *trace.Reader) (recs []trace.Record, sizes []int, err error) {
 	for {
 		b, err := sr.ReadBlock()
 		if err == io.EOF {

@@ -53,33 +53,25 @@ func (r Record) Time() (sim.Time, bool) {
 	return 0, false
 }
 
-// StreamReader decodes a JSONL trace incrementally — one record per
-// Next call, or up to jsonlBlockLines of them per ReadBlock call, in
-// columns — without buffering the full set. It accepts exactly the
-// format WriteJSONL produces, with per-line error reporting; the batch
-// ReadAuto drains one for a JSONL stream. A consumer uses either
-// ReadBlock or the RecordReader methods on one reader, not both.
-// Its scanner hands over every buffered whole line as one token; the
-// fast tier finds each line's end as it parses it, and only a line left
-// to encoding/json is searched for its newline. Lines, line numbers and
-// errors are bufio.ScanLines' (FuzzJSONLFraming pins it). A line decodes
-// into the block it belongs to: ReadBlock's, or Next's scratch block.
-type StreamReader struct {
+// jsonlDecoder is a Reader's JSONL half: it decodes the stream's lines
+// into blocks of up to jsonlBlockLines, in columns. Its scanner hands
+// over every buffered whole line as one token; the fast tier finds each
+// line's end as it parses it, and only a line left to encoding/json is
+// searched for its newline. Lines, line numbers and errors are
+// bufio.ScanLines' (FuzzJSONLFraming pins it).
+type jsonlDecoder struct {
 	r      io.Reader
 	sc     *bufio.Scanner // made at the first line, over the ring's buffer
 	lines  lineSplit      // sc's split
 	tok    []byte         // the scanner's token: whole lines, the next from pos
 	pos    int
 	lineNo int
-	hdr    *Header
+	hdr    *Header // the latest header line's
 	err    error
 
-	note, cause string // the latest gNB note and RRC cause, for a later row to reuse
-	one         Block  // the rows Next decodes into, emptied every jsonlBlockLines
-	slow        int    // lines the fast tier left to encoding/json
-
-	ring    *BlockRing // ReadBlock's storage; nil allocates a block per call
-	pending *Header    // a header line that cut the previous block short
+	note, cause string  // the latest gNB note and RRC cause, for a later row to reuse
+	slow        int     // lines the fast tier left to encoding/json
+	pending     *Header // a header line that cut the previous block short
 }
 
 // maxJSONLLine caps one line; a longer one fails the stream with
@@ -116,134 +108,84 @@ func (s *lineSplit) split(data []byte, atEOF bool) (int, []byte, error) {
 	return 0, nil, nil
 }
 
-// NewStreamReader returns a streaming decoder over r.
-func NewStreamReader(r io.Reader) *StreamReader { return &StreamReader{r: r} }
-
-// Header returns the stream header once it has been read.
-func (sr *StreamReader) Header() (Header, bool) {
-	if sr.hdr == nil {
-		return Header{}, false
-	}
-	return *sr.hdr, true
-}
-
-// SlowLines returns how many of the lines consumed so far were not in
-// the layout WriteJSONL writes (whitespace, reordered, repeated or
-// unknown keys, escapes, nulls, exotic numbers, malformed lines) and
-// went through encoding/json, at several times the cost.
-func (sr *StreamReader) SlowLines() int { return sr.slow }
-
 // decodeLine decodes the next line, appending a data line's row to b,
 // and returns its kind. It returns io.EOF at a clean end of stream; any
 // other error is terminal and repeated on later calls.
-func (sr *StreamReader) decodeLine(b *Block) (int, error) {
-	if sr.err != nil {
-		return 0, sr.err
+func (d *jsonlDecoder) decodeLine(b *Block, ring *BlockRing) (int, error) {
+	if d.err != nil {
+		return 0, d.err
 	}
-	if sr.pos == len(sr.tok) {
-		if sr.sc == nil {
-			sr.sc = bufio.NewScanner(sr.r)
-			sr.sc.Buffer(sr.ring.scanBuffer(), maxJSONLLine)
-			sr.sc.Split(sr.lines.split)
+	if d.pos == len(d.tok) {
+		if d.sc == nil {
+			d.sc = bufio.NewScanner(d.r)
+			d.sc.Buffer(ring.scanBuffer(), maxJSONLLine)
+			d.sc.Split(d.lines.split)
 		}
-		if !sr.sc.Scan() {
-			if err := sr.sc.Err(); err != nil {
-				sr.err = fmt.Errorf("trace: line %d: %w", sr.lineNo+1, err)
+		if !d.sc.Scan() {
+			if err := d.sc.Err(); err != nil {
+				d.err = fmt.Errorf("trace: line %d: %w", d.lineNo+1, err)
 			} else {
-				sr.err = io.EOF
+				d.err = io.EOF
 			}
-			return 0, sr.err
+			return 0, d.err
 		}
-		sr.tok, sr.pos = sr.sc.Bytes(), 0
+		d.tok, d.pos = d.sc.Bytes(), 0
 	}
-	sr.lineNo++
+	d.lineNo++
 	// Fast path: the field-scanning decoder for canonically encoded
 	// lines (the overwhelming case — WriteJSONL output and dominod
 	// ingest). Anything it does not recognize goes through the
 	// reflection path, which doubles as the differential-test oracle.
-	p := lineParser{buf: sr.tok, pos: sr.pos, ok: true}
-	if kind := p.decode(b, sr); p.ok {
-		sr.pos = p.pos
+	p := lineParser{buf: d.tok, pos: d.pos, ok: true}
+	if kind := p.decode(b, d); p.ok {
+		d.pos = p.pos
 		return kind, nil
 	}
-	sr.slow++
-	line := sr.tok[sr.pos:]
+	d.slow++
+	line := d.tok[d.pos:]
 	if i := bytes.IndexByte(line, '\n'); i >= 0 {
-		line, sr.pos = line[:i], sr.pos+i+1
+		line, d.pos = line[:i], d.pos+i+1
 	} else {
-		sr.pos = len(sr.tok)
+		d.pos = len(d.tok)
 	}
 	if n := len(line); n > 0 && line[n-1] == '\r' {
 		line = line[:n-1]
 	}
-	kind, err := slowDecode(line, b, sr)
+	kind, err := slowDecode(line, b, d)
 	if err != nil {
-		sr.err = fmt.Errorf("trace: line %d: %w", sr.lineNo, err)
-		return 0, sr.err
+		d.err = fmt.Errorf("trace: line %d: %w", d.lineNo, err)
+		return 0, d.err
 	}
 	return kind, nil
 }
 
-// Next returns the next record. It returns io.EOF at a clean end of
-// stream; any other error is terminal and repeated on later calls.
-func (sr *StreamReader) Next() (Record, error) {
-	if len(sr.one.Tags) == jsonlBlockLines {
-		sr.one.reset()
-	}
-	kind, err := sr.decodeLine(&sr.one)
-	switch {
-	case err != nil:
-		return Record{}, err
-	case kind == lineHeader:
-		return Record{Header: sr.hdr}, nil
-	}
-	return sr.one.lastRecord(kind), nil
-}
-
-// jsonlBlockLines is how many lines ReadBlock decodes into one block.
+// jsonlBlockLines is how many lines one block holds at most.
 const jsonlBlockLines = 256
 
-// ReadBlock returns the next lines in columnar form, the unit
-// stream.Analyzer.PushBlock consumes: a header line as a header block,
+// decode fills b with the next lines: a header line as a header block,
 // else up to jsonlBlockLines data lines. A header line arriving after
 // data lines ends their block and is the next call's block; a line that
 // fails to decode likewise ends the block before it, and its error is
-// the next call's. A nil block with io.EOF marks a clean end of stream.
-// Blocks are freshly allocated unless Recycle or RecycleInto bounded
-// their lifetime.
-func (sr *StreamReader) ReadBlock() (*Block, error) {
-	if h := sr.pending; h != nil {
-		sr.pending = nil
-		return &Block{Header: h}, nil
+// the next call's.
+func (d *jsonlDecoder) decode(b *Block, ring *BlockRing) error {
+	if h := d.pending; h != nil {
+		b.Header, d.pending = h, nil
+		return nil
 	}
-	b := sr.ring.next()
 	for len(b.Tags) < jsonlBlockLines {
-		kind, err := sr.decodeLine(b)
+		kind, err := d.decodeLine(b, ring)
 		switch { // what ends a block is the next call's
 		case err != nil && len(b.Tags) == 0:
-			return nil, err
+			return err
 		case err != nil:
-			return b, nil
+			return nil
 		case kind == lineHeader && len(b.Tags) == 0:
-			b.Header = sr.hdr
-			return b, nil
+			b.Header = d.hdr
+			return nil
 		case kind == lineHeader:
-			sr.pending = sr.hdr
-			return b, nil
+			d.pending = d.hdr
+			return nil
 		}
 	}
-	return b, nil
+	return nil
 }
-
-// Recycle is BinaryStreamReader.Recycle for ReadBlock: block storage is
-// reused round-robin across depth+1 generations, so a block stays
-// intact while depth further blocks are read and is overwritten in
-// place by the one after. Call before the first read; depth <= 0
-// restores a fresh block per call.
-func (sr *StreamReader) Recycle(depth int) { sr.ring = NewBlockRing(depth) }
-
-// RecycleInto is Recycle with generations the caller owns and may hand
-// to the next reader when this one is done: a short upload then reuses
-// columns already grown, and the line scanner's buffer, instead of
-// growing its own.
-func (sr *StreamReader) RecycleInto(ring *BlockRing) { sr.ring = ring }

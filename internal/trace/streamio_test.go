@@ -179,7 +179,7 @@ func jsonlFuzzSeeds(t testing.TB) []string {
 
 // FuzzReadJSONL feeds arbitrary bytes to both readers: neither may
 // panic, and they must agree on input acceptability (the batch read,
-// readSet, drains a StreamReader, so a divergence means it broke).
+// readSet, drains a JSONL Reader, so a divergence means it broke).
 func FuzzReadJSONL(f *testing.F) {
 	for _, seed := range jsonlFuzzSeeds(f) {
 		f.Add(seed)

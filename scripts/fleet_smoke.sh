@@ -11,9 +11,9 @@
 #     checks that a chunk through it is a 307 to its owner
 #   - kill -STOPs n1, the backend listed first, and scrapes the
 #     balancer's /metrics under its 1 s -scrape-timeout: n2's and n3's
-#     answers, sent while the scrape waited on n1, must be merged; then
-#     kill -CONTs n1, waits for the balancer to see the whole fleet up,
-#     and requires n1's scrape error counted
+#     answers, sent while the scrape waited on n1, must be merged, and
+#     the same scrape must count n1's scrape error; then kill -CONTs n1
+#     and waits for the balancer to see the whole fleet up
 #   - kill -9s the backend that owns a throttled in-flight upload and
 #     redelivers the session through the balancer (the client's failed
 #     upload and its watermark probe through the balancer mark the node
@@ -147,16 +147,15 @@ for n in n2 n3; do
     grep -q "dominod_node_info{node=\"$n\"} 1" "$OUT_DIR/scrape-n1-stopped.txt" || {
         echo "$n's answer is missing from the scrape behind the stopped n1"; exit 1; }
 done
+grep -q "dominolb_backend_scrape_errors_total{backend=\"http://$N1_ADDR\"} [1-9]" \
+    "$OUT_DIR/scrape-n1-stopped.txt" || {
+    echo "the scrape with n1 stopped counted no scrape error for n1"; exit 1; }
 for _ in $(seq 1 50); do
     curl -fsS "http://$LB_ADDR/healthz" | grep -q '"status": *"ok"' && break
     sleep 0.1
 done
 curl -fsS "http://$LB_ADDR/healthz" | grep -q '"status": *"ok"' || {
     echo "the balancer does not see n1 up again after kill -CONT"; exit 1; }
-# A scrape's own errors show in the next one.
-curl -fsS "http://$LB_ADDR/metrics" |
-    grep -q "dominolb_backend_scrape_errors_total{backend=\"http://$N1_ADDR\"} [1-9]" || {
-    echo "the stopped n1 counted no scrape error"; exit 1; }
 
 echo "== kill -9 the backend owning a throttled in-flight upload"
 "$BIN_DIR/tracegen" -cell tmobile-fdd -seed 21 -duration 10 \
